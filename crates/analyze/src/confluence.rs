@@ -139,7 +139,7 @@ pub fn check_amplification(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ActionIr, AggColumnIr, AggFuncIr, AttrIr, GroupColumnIr, LatIr};
+    use crate::{ActionIr, AggColumnIr, AttrIr, GroupColumnIr, LatAggFunc, LatIr};
 
     fn lat(name: &str, bounded: bool) -> LatIr {
         LatIr {
@@ -152,7 +152,7 @@ mod tests {
                 alias: "Sig".into(),
             }],
             aggregates: vec![AggColumnIr {
-                func: AggFuncIr::Count,
+                func: LatAggFunc::Count,
                 source: None,
                 alias: "N".into(),
                 aging: false,

@@ -406,7 +406,7 @@ pub fn check_unindexable(universe: &SchemaUniverse, rule: &RuleIr, diags: &mut V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AggColumnIr, AggFuncIr, Analyzer, AttrIr, EventIr, GroupColumnIr, LatIr};
+    use crate::{AggColumnIr, Analyzer, AttrIr, EventIr, GroupColumnIr, LatAggFunc, LatIr};
 
     fn aging_lat() -> LatIr {
         LatIr {
@@ -420,13 +420,13 @@ mod tests {
             }],
             aggregates: vec![
                 AggColumnIr {
-                    func: AggFuncIr::Count,
+                    func: LatAggFunc::Count,
                     source: None,
                     alias: "N".into(),
                     aging: true,
                 },
                 AggColumnIr {
-                    func: AggFuncIr::Avg,
+                    func: LatAggFunc::Avg,
                     source: Some(AttrIr {
                         class: "Query".into(),
                         attr: "Duration".into(),

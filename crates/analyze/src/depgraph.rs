@@ -266,7 +266,7 @@ pub fn check_shared_predicates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AggColumnIr, AggFuncIr, Analyzer, AttrIr, EventIr, GroupColumnIr, LatIr};
+    use crate::{AggColumnIr, Analyzer, AttrIr, EventIr, GroupColumnIr, LatAggFunc, LatIr};
 
     fn bounded_lat(name: &str) -> LatIr {
         LatIr {
@@ -279,7 +279,7 @@ mod tests {
                 alias: "ID".into(),
             }],
             aggregates: vec![AggColumnIr {
-                func: AggFuncIr::Max,
+                func: LatAggFunc::Max,
                 source: Some(AttrIr {
                     class: "Query".into(),
                     attr: "Duration".into(),

@@ -236,7 +236,7 @@ pub fn check_unfed_reads(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AggColumnIr, AggFuncIr, AttrIr, GroupColumnIr, LatIr};
+    use crate::{AggColumnIr, AttrIr, GroupColumnIr, LatAggFunc, LatIr};
 
     fn universe_with_lat() -> SchemaUniverse {
         let mut u = SchemaUniverse::builtin();
@@ -251,13 +251,13 @@ mod tests {
             }],
             aggregates: vec![
                 AggColumnIr {
-                    func: AggFuncIr::Count,
+                    func: LatAggFunc::Count,
                     source: None,
                     alias: "N".into(),
                     aging: false,
                 },
                 AggColumnIr {
-                    func: AggFuncIr::Avg,
+                    func: LatAggFunc::Avg,
                     source: Some(AttrIr {
                         class: "Query".into(),
                         attr: "Duration".into(),

@@ -44,7 +44,7 @@ use sqlcm_sql::{BinOp, ExprIr, IrOp, NodeId, UnaryOp};
 
 use crate::diagnostics::{Code, Diagnostic};
 use crate::schema::{LatColumn, SchemaUniverse};
-use crate::AggFuncIr;
+use crate::LatAggFunc;
 
 /// A closed numeric interval over the extended reals.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -275,19 +275,19 @@ fn lat_column_domain(universe: &SchemaUniverse, col: &LatColumn) -> AbsVal {
         return source_domain();
     }
     match col.func {
-        Some(AggFuncIr::Count) => AbsVal::num(Interval::NON_NEG),
-        Some(AggFuncIr::StdDev) => AbsVal::Num {
+        Some(LatAggFunc::Count) => AbsVal::num(Interval::NON_NEG),
+        Some(LatAggFunc::StdDev) => AbsVal::Num {
             iv: Interval::NON_NEG,
             maybe_null: true,
             opaque: false,
         },
         Some(
-            AggFuncIr::Sum
-            | AggFuncIr::Avg
-            | AggFuncIr::Min
-            | AggFuncIr::Max
-            | AggFuncIr::First
-            | AggFuncIr::Last,
+            LatAggFunc::Sum
+            | LatAggFunc::Avg
+            | LatAggFunc::Min
+            | LatAggFunc::Max
+            | LatAggFunc::First
+            | LatAggFunc::Last,
         ) => match source_domain() {
             AbsVal::Num { iv, opaque, .. } => AbsVal::Num {
                 // SUM/AVG/MIN/MAX/FIRST/LAST of values in [lo, hi≥0] stay
@@ -608,13 +608,13 @@ mod tests {
             }],
             aggregates: vec![
                 AggColumnIr {
-                    func: AggFuncIr::Count,
+                    func: LatAggFunc::Count,
                     source: None,
                     alias: "N".into(),
                     aging: false,
                 },
                 AggColumnIr {
-                    func: AggFuncIr::Avg,
+                    func: LatAggFunc::Avg,
                     source: Some(AttrIr {
                         class: "Query".into(),
                         attr: "Duration".into(),

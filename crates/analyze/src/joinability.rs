@@ -91,7 +91,7 @@ pub fn check_rule(universe: &SchemaUniverse, rule: &RuleIr, diags: &mut Vec<Diag
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AggColumnIr, AggFuncIr, Analyzer, AttrIr, EventIr, GroupColumnIr, LatIr};
+    use crate::{AggColumnIr, Analyzer, AttrIr, EventIr, GroupColumnIr, LatAggFunc, LatIr};
 
     fn duration_lat() -> LatIr {
         LatIr {
@@ -104,7 +104,7 @@ mod tests {
                 alias: "Sig".into(),
             }],
             aggregates: vec![AggColumnIr {
-                func: AggFuncIr::Avg,
+                func: LatAggFunc::Avg,
                 source: Some(AttrIr {
                     class: "Query".into(),
                     attr: "Duration".into(),

@@ -74,9 +74,11 @@ pub struct AttrIr {
     pub attr: String,
 }
 
-/// Aggregate functions, mirroring `sqlcm-core`'s `LatAggFunc`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggFuncIr {
+/// Aggregation functions available in LATs (paper §4.3: "in addition to the
+/// standard aggregation functions COUNT, SUM, and AVG, SQLCM also supports …
+/// STDEV and FIRST and LAST"). The one definition: `sqlcm-core` re-exports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum LatAggFunc {
     Count,
     Sum,
     Avg,
@@ -97,7 +99,7 @@ pub struct GroupColumnIr {
 /// One aggregate column of a LAT spec.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AggColumnIr {
-    pub func: AggFuncIr,
+    pub func: LatAggFunc,
     /// `None` only for `COUNT(*)`.
     pub source: Option<AttrIr>,
     pub alias: String,

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use sqlcm_common::DataType;
 
 use crate::diagnostics::{Code, Diagnostic};
-use crate::{AggFuncIr, LatIr};
+use crate::{LatAggFunc, LatIr};
 
 /// Schema of one monitored object class.
 #[derive(Debug, Clone)]
@@ -67,7 +67,7 @@ pub struct LatColumn {
     /// True for grouping columns.
     pub group: bool,
     /// Aggregate function for aggregate columns; `None` for grouping columns.
-    pub func: Option<AggFuncIr>,
+    pub func: Option<LatAggFunc>,
     /// `Class.Attribute` the column is computed from — the grouping source
     /// for group columns, the aggregate source for aggregate columns
     /// (`None` for `COUNT(*)`).
@@ -322,9 +322,11 @@ impl SchemaUniverse {
                 None => None,
             };
             let ty = match a.func {
-                AggFuncIr::Count => Some(DataType::Int),
-                AggFuncIr::Sum | AggFuncIr::Avg | AggFuncIr::StdDev => Some(DataType::Float),
-                AggFuncIr::Min | AggFuncIr::Max | AggFuncIr::First | AggFuncIr::Last => source_ty,
+                LatAggFunc::Count => Some(DataType::Int),
+                LatAggFunc::Sum | LatAggFunc::Avg | LatAggFunc::StdDev => Some(DataType::Float),
+                LatAggFunc::Min | LatAggFunc::Max | LatAggFunc::First | LatAggFunc::Last => {
+                    source_ty
+                }
             };
             columns.push(LatColumn {
                 name: a.alias.clone(),
@@ -416,13 +418,13 @@ mod tests {
             }],
             aggregates: vec![
                 AggColumnIr {
-                    func: AggFuncIr::Count,
+                    func: LatAggFunc::Count,
                     source: None,
                     alias: "N".into(),
                     aging: false,
                 },
                 AggColumnIr {
-                    func: AggFuncIr::Avg,
+                    func: LatAggFunc::Avg,
                     source: Some(AttrIr {
                         class: "Query".into(),
                         attr: "Duration".into(),
@@ -431,7 +433,7 @@ mod tests {
                     aging: true,
                 },
                 AggColumnIr {
-                    func: AggFuncIr::Max,
+                    func: LatAggFunc::Max,
                     source: Some(AttrIr {
                         class: "Query".into(),
                         attr: "User".into(),

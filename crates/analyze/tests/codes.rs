@@ -2,7 +2,7 @@
 //! known-good ruleset (the paper's Examples 1–3 shape) passes clean.
 
 use sqlcm_analyze::{
-    ActionIr, AggColumnIr, AggFuncIr, Analyzer, AttrIr, Code, Diagnostic, EventIr, GroupColumnIr,
+    ActionIr, AggColumnIr, Analyzer, AttrIr, Code, Diagnostic, EventIr, GroupColumnIr, LatAggFunc,
     LatIr, RuleIr,
 };
 use sqlcm_sql::parse_expression;
@@ -23,13 +23,13 @@ fn duration_lat(bounded: bool) -> LatIr {
         }],
         aggregates: vec![
             AggColumnIr {
-                func: AggFuncIr::Count,
+                func: LatAggFunc::Count,
                 source: None,
                 alias: "N".into(),
                 aging: false,
             },
             AggColumnIr {
-                func: AggFuncIr::Avg,
+                func: LatAggFunc::Avg,
                 source: Some(attr("Query", "Duration")),
                 alias: "Avg_Duration".into(),
                 aging: false,
@@ -71,7 +71,7 @@ fn known_good_ruleset_passes_clean() {
                 alias: "Sig".into(),
             }],
             aggregates: vec![AggColumnIr {
-                func: AggFuncIr::Max,
+                func: LatAggFunc::Max,
                 source: Some(attr("Query", "Duration")),
                 alias: "D".into(),
                 aging: false,

@@ -9,8 +9,7 @@
 //!   overhead; rather, the overhead due to LAT maintenance … is the biggest
 //!   factor".
 //!
-//! Four rule flavours, same workload, each measured with the guard index on
-//! and off (`Sqlcm::set_guard_index_enabled`):
+//! Four rule flavours, same workload:
 //!   (a) evaluate-only — condition with k atoms ending in a false atom, so no
 //!       action ever runs (pure evaluation cost);
 //!   (b) fire + no-op-ish action — condition true, action `SendMail` to the
@@ -18,12 +17,12 @@
 //!   (c) fire + LAT insert — the Figure-2 configuration;
 //!   (d) selective per-tenant — an equality guard (`Query.User = 'tenant_r'`)
 //!       no workload event matches, the shape the guard index exists for:
-//!       the linear scan pays k atoms × rules per event, the index prunes
-//!       every rule with one probe.
+//!       one probe prunes every rule.
 //!
 //! Flavours (a)–(c) are deliberately non-selective (every guard admits every
-//! event), so the index may not help there — the on/off columns double as a
-//! no-regression check for unselective rule populations.
+//! event), so the guard index cannot help there. Per-registered-rule cost of
+//! the selective shape is tracked end to end by `benchmark/`'s
+//! `storm_selective_1k` workload.
 
 use sqlcm_bench::{banner, engine_with_db, env_u32};
 use sqlcm_core::{Action, LatAggFunc, LatSpec, Rule, RuleEvent, Sqlcm};
@@ -70,11 +69,10 @@ fn main() {
     run(); // warmup
     println!("baseline (no rules): {:.3?}", run());
     println!("per flavour: median of {runs} paired (baseline, monitored) rounds");
-    println!("columns: guard index on | guard index off (linear scan)");
     println!();
     println!(
-        "{:<34} {:>6} {:>12} {:>12} {:>10} {:>10}",
-        "flavour", "conds", "time·idx", "time·scan", "ns/q·r·idx", "ns/q·r·scan"
+        "{:<34} {:>6} {:>12} {:>10}",
+        "flavour", "conds", "time", "ns/q·rule"
     );
 
     // Paired measurement: each round runs baseline + monitored back-to-back so
@@ -98,17 +96,9 @@ fn main() {
         (m, per_rule)
     };
 
-    // One monitored measurement per guard-index mode, index on first. The
-    // toggle is one plan republication, so both columns see an identical
-    // registration.
-    let measure_both = |sqlcm: &Sqlcm, label: &str, k: usize| {
-        let (t_on, per_on) = measure(sqlcm);
-        sqlcm.set_guard_index_enabled(false);
-        let (t_off, per_off) = measure(sqlcm);
-        println!(
-            "{:<34} {:>6} {:>12.3?} {:>12.3?} {:>10.0} {:>10.0}",
-            label, k, t_on, t_off, per_on, per_off
-        );
+    let report = |sqlcm: &Sqlcm, label: &str, k: usize| {
+        let (time, per_rule) = measure(sqlcm);
+        println!("{label:<34} {k:>6} {time:>12.3?} {per_rule:>10.0}");
     };
 
     for &k in &[1usize, 5, 20] {
@@ -125,7 +115,7 @@ fn main() {
                 )
                 .expect("rule");
         }
-        measure_both(&sqlcm, "evaluate only (never fires)", k);
+        report(&sqlcm, "evaluate only (never fires)", k);
         assert_eq!(sqlcm.stats().fires, 0, "false tail atom must block firing");
 
         // (b) fire + cheap action.
@@ -141,7 +131,7 @@ fn main() {
                 )
                 .expect("rule");
         }
-        measure_both(&sqlcm, "fire + SendMail (no LAT)", k);
+        report(&sqlcm, "fire + SendMail (no LAT)", k);
 
         // (c) fire + LAT insert (the Figure-2 shape).
         let sqlcm = Sqlcm::attach(&engine);
@@ -167,7 +157,7 @@ fn main() {
                 )
                 .expect("rule");
         }
-        measure_both(&sqlcm, "fire + LAT insert (Figure 2)", k);
+        report(&sqlcm, "fire + LAT insert (Figure 2)", k);
 
         // (d) selective per-tenant equality guard: the guard-index shape.
         let sqlcm = Sqlcm::attach(&engine);
@@ -182,7 +172,7 @@ fn main() {
                 )
                 .expect("rule");
         }
-        measure_both(&sqlcm, "selective per-tenant (no match)", k);
+        report(&sqlcm, "selective per-tenant (no match)", k);
         assert_eq!(sqlcm.stats().fires, 0, "no workload user is a tenant");
         println!();
     }
@@ -190,7 +180,6 @@ fn main() {
         "paper claims to compare: per-rule cost should rise only mildly with \
          condition count, and the LAT-insert flavour should dominate. The \
          selective flavour shows the guard index collapsing rule-count cost \
-         when guards discriminate; flavours (a)-(c) pin index-on ≈ index-off \
-         when they cannot."
+         when guards discriminate."
     );
 }

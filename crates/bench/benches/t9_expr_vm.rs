@@ -1,31 +1,24 @@
-//! **T9 — expression-VM latency and cross-rule subexpression sharing**
-//! (§2.1 low-overhead goal; DESIGN.md §15 IR/VM contract).
+//! **T9 — expression-VM latency** (§2.1 low-overhead goal; DESIGN.md §15
+//! IR/VM contract).
 //!
-//! Two measurements, two gates:
+//! One 24-atom arithmetic condition evaluated by the register-bytecode VM
+//! vs. the tree-walk oracle on identical contexts. Gate: the VM must be at
+//! least as fast as the oracle. (Cross-rule subexpression sharing is pinned
+//! by count in `monitor_differential.rs` and timed by `benchmark/`'s
+//! `storm_shared_lat` workload.)
 //!
-//! 1. *Deep-expression latency*: one 24-atom arithmetic condition evaluated
-//!    by the register-bytecode VM vs. the tree-walk oracle on identical
-//!    contexts. Gate: the VM must be at least as fast as the oracle.
-//! 2. *Shared-predicate CSE*: a full monitor with 32 rules on one event all
-//!    conditioned on the same LAT predicate, measured with CSE slots on and
-//!    off. With slots on, the first rule evaluates the predicate and the
-//!    other 31 are served from the per-event slot — gate: ≤ 1 shared
-//!    evaluation per event (i.e. `cse_hits` ≥ 31/event).
-//!
-//! Writes `BENCH_t9_expr_vm.json` and exits non-zero when either gate
-//! fails, so CI can gate on it.
+//! Writes `BENCH_t9_expr_vm.json` and exits non-zero when the gate fails,
+//! so CI can gate on it.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use sqlcm_bench::{banner, env_u32};
-use sqlcm_common::{EngineEvent, QueryInfo};
+use sqlcm_common::QueryInfo;
 use sqlcm_core::ir::CondIr;
 use sqlcm_core::objects::query_object;
 use sqlcm_core::rules::{oracle, EvalContext};
 use sqlcm_core::vm::{self, Program, VmStats};
-use sqlcm_core::{Action, LatAggFunc, LatSpec, Rule, RuleEvent, Sqlcm};
-use sqlcm_engine::Engine;
 use sqlcm_sql::parse_expression;
 
 /// Median ns/iter of `f` over batches sized to ≥1ms, within a wall budget.
@@ -55,14 +48,7 @@ fn median_ns(mut f: impl FnMut()) -> f64 {
     per_iter[per_iter.len() / 2]
 }
 
-fn commit_event(sig: u64) -> EngineEvent {
-    let mut q = QueryInfo::synthetic(sig, "SELECT x FROM t WHERE id = ?");
-    q.logical_signature = Some(sig);
-    q.duration_micros = 1_500;
-    EngineEvent::QueryCommit(q)
-}
-
-/// Part 1: one deep condition, oracle walk vs. VM loop.
+/// One deep condition, oracle walk vs. VM loop.
 fn deep_expression() -> (f64, f64) {
     let src = (0..24)
         .map(|i| {
@@ -97,113 +83,25 @@ fn deep_expression() -> (f64, f64) {
     (oracle_ns, vm_ns)
 }
 
-/// Median ns/event plus `cse_hits`/event over the measured span.
-fn measure(sqlcm: &Sqlcm, ev: &EngineEvent, events: u32, rounds: usize) -> (f64, f64) {
-    for _ in 0..1_000 {
-        sqlcm.inject_event(ev);
-    }
-    let before = sqlcm.telemetry().dispatch;
-    let before_events = sqlcm.stats().events;
-    let mut per_event = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        let t = Instant::now();
-        for _ in 0..events {
-            sqlcm.inject_event(ev);
-        }
-        per_event.push(t.elapsed().as_secs_f64() * 1e9 / events as f64);
-    }
-    per_event.sort_by(f64::total_cmp);
-    let after = sqlcm.telemetry().dispatch;
-    let measured = (sqlcm.stats().events - before_events) as f64;
-    (
-        per_event[rounds / 2],
-        (after.cse_hits - before.cse_hits) as f64 / measured,
-    )
-}
-
 fn main() {
-    let events = env_u32("SQLCM_EVENTS", 200_000);
-    let rounds = env_u32("SQLCM_ROUNDS", 5) as usize;
     banner(
-        "T9: expression VM — deep-condition latency and 32-rule CSE sharing",
-        &format!("{events} injected QueryCommit events per round, {rounds} rounds"),
+        "T9: expression VM — deep-condition latency, VM vs. tree-walk oracle",
+        &format!("{} ms per side", env_u32("SQLCM_BENCH_MS", 300)),
     );
-
     let (oracle_ns, vm_ns) = deep_expression();
     println!("deep 24-atom condition, oracle:   {oracle_ns:>8.1} ns/eval");
     println!("deep 24-atom condition, VM:       {vm_ns:>8.1} ns/eval");
 
-    // Part 2: 32 rules sharing one LAT predicate. The feed is registered
-    // last so its per-event Insert never splits the sharers.
-    let engine = Engine::in_memory();
-    let sqlcm = Sqlcm::attach(&engine);
-    sqlcm
-        .define_lat(
-            LatSpec::new("Sig_LAT")
-                .group_by("Query.Logical_Signature", "Sig")
-                .aggregate(LatAggFunc::Count, "", "N")
-                .aggregate(LatAggFunc::Avg, "Query.Duration", "Avg_D"),
-        )
-        .expect("LAT");
-    const SHARERS: u32 = 32;
-    for i in 0..SHARERS {
-        sqlcm
-            .add_rule(
-                Rule::new(format!("share{i:02}"))
-                    .on(RuleEvent::QueryCommit)
-                    .when("Sig_LAT.Avg_D * 2 + Sig_LAT.N > 1000000 AND Query.Duration > 0"),
-            )
-            .expect("rule");
-    }
-    sqlcm
-        .add_rule(
-            Rule::new("feed")
-                .on(RuleEvent::QueryCommit)
-                .then(Action::insert("Sig_LAT")),
-        )
-        .expect("rule");
-
-    let ev = commit_event(42);
-    sqlcm.inject_event(&ev); // cold: populate the LAT group
-
-    let (on_ns, on_hits) = measure(&sqlcm, &ev, events, rounds);
-    let shared_evals = SHARERS as f64 - on_hits;
-    println!("32 sharers, CSE on:               {on_ns:>8.1} ns/event");
-    println!("  cse_hits/event: {on_hits:.3} → shared-predicate evals/event: {shared_evals:.3}");
-
-    sqlcm.set_cse_enabled(false);
-    let (off_ns, off_hits) = measure(&sqlcm, &ev, events, rounds);
-    println!("32 sharers, CSE off:              {off_ns:>8.1} ns/event");
-    assert_eq!(off_hits, 0.0, "disabled CSE must never hit a slot");
-
     let json = format!(
-        "{{\"bench\":\"t9_expr_vm\",\"events\":{events},\"rounds\":{rounds},\
-         \"deep_oracle_ns\":{oracle_ns:.1},\"deep_vm_ns\":{vm_ns:.1},\
-         \"cse_on_ns_per_event\":{on_ns:.1},\"cse_off_ns_per_event\":{off_ns:.1},\
-         \"cse_hits_per_event\":{on_hits:.3},\
-         \"shared_evals_per_event\":{shared_evals:.3},\
-         \"gate_vm_le_oracle\":true,\"gate_shared_evals_per_event\":1.0}}"
+        "{{\"bench\":\"t9_expr_vm\",\"deep_oracle_ns\":{oracle_ns:.1},\
+         \"deep_vm_ns\":{vm_ns:.1},\"gate_vm_le_oracle\":true}}"
     );
     std::fs::write("BENCH_t9_expr_vm.json", &json).expect("write BENCH json");
     println!("\nwrote BENCH_t9_expr_vm.json: {json}");
 
-    let mut fail = false;
     if vm_ns > oracle_ns {
         eprintln!("FAIL: VM {vm_ns:.1} ns/eval slower than oracle {oracle_ns:.1} ns/eval");
-        fail = true;
-    }
-    if shared_evals > 1.0 {
-        eprintln!(
-            "FAIL: shared predicate evaluated {shared_evals:.3} times/event \
-             across {SHARERS} rules (gate 1.0)"
-        );
-        fail = true;
-    }
-    if fail {
         std::process::exit(1);
     }
-    println!(
-        "PASS: VM ≤ oracle ({vm_ns:.1} vs {oracle_ns:.1} ns) and CSE holds shared \
-         evaluations at {shared_evals:.3}/event across {SHARERS} rules"
-    );
+    println!("PASS: VM ≤ oracle ({vm_ns:.1} vs {oracle_ns:.1} ns)");
 }

@@ -5,10 +5,10 @@
 //! analyzer's small IR here. The lowering is purely structural — no
 //! validation happens in this module.
 
-use sqlcm_analyze::{ActionIr, AggFuncIr, AttrIr, EventIr, LatIr, RuleIr};
+use sqlcm_analyze::{ActionIr, AttrIr, EventIr, LatIr, RuleIr};
 
 use crate::actions::Action;
-use crate::lat::{AttrRef, LatAggFunc, LatSpec};
+use crate::lat::{AttrRef, LatSpec};
 use crate::rules::{Rule, RuleEvent};
 
 pub use sqlcm_analyze::{
@@ -38,16 +38,7 @@ pub fn lat_ir(spec: &LatSpec) -> LatIr {
             .aggregates
             .iter()
             .map(|a| sqlcm_analyze::AggColumnIr {
-                func: match a.func {
-                    LatAggFunc::Count => AggFuncIr::Count,
-                    LatAggFunc::Sum => AggFuncIr::Sum,
-                    LatAggFunc::Avg => AggFuncIr::Avg,
-                    LatAggFunc::StdDev => AggFuncIr::StdDev,
-                    LatAggFunc::Min => AggFuncIr::Min,
-                    LatAggFunc::Max => AggFuncIr::Max,
-                    LatAggFunc::First => AggFuncIr::First,
-                    LatAggFunc::Last => AggFuncIr::Last,
-                },
+                func: a.func,
                 source: a.source.as_ref().map(attr_ir),
                 alias: a.alias.clone(),
                 aging: a.aging.is_some(),
@@ -126,6 +117,7 @@ pub fn rule_ir(rule: &Rule) -> RuleIr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lat::LatAggFunc;
 
     #[test]
     fn event_lowering_keeps_identity_and_payload() {
@@ -150,7 +142,7 @@ mod tests {
         assert_eq!(ir.max_rows, Some(10));
         assert_eq!(ir.shards, Some(4));
         assert_eq!(ir.group_by[0].source.class, "Query");
-        assert_eq!(ir.aggregates[0].func, AggFuncIr::Count);
+        assert_eq!(ir.aggregates[0].func, LatAggFunc::Count);
         assert!(!ir.aggregates[0].aging);
     }
 

@@ -51,20 +51,7 @@ pub const DEFAULT_LAT_SHARDS: usize = 16;
 /// Upper bound on the per-LAT shard count; specs beyond this are rejected.
 pub const MAX_LAT_SHARDS: usize = 4096;
 
-/// Aggregation functions available in LATs (paper §4.3: "in addition to the
-/// standard aggregation functions COUNT, SUM, and AVG, SQLCM also supports …
-/// STDEV and FIRST and LAST").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LatAggFunc {
-    Count,
-    Sum,
-    Avg,
-    StdDev,
-    Min,
-    Max,
-    First,
-    Last,
-}
+pub use sqlcm_analyze::LatAggFunc;
 
 /// Aging parameters: report only values from the last `window` µs, maintained in
 /// blocks of `block` µs.

@@ -56,6 +56,8 @@ pub mod ir;
 pub mod lat;
 pub mod lat_ref;
 pub mod monitor;
+#[doc(hidden)]
+pub mod monitor_ref;
 pub mod objects;
 pub mod plan;
 pub mod rules;

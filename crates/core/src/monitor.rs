@@ -105,15 +105,6 @@ struct SqlcmInner {
     /// Deduplicated by (code, rule, message) and capped at
     /// [`MAX_ANALYSIS_WARNINGS`], oldest dropped first.
     analysis_warnings: Mutex<Vec<Diagnostic>>,
-    /// Force coarse (always-clear) hoist invalidation, ignoring the
-    /// analyzer's effect summaries. Differential-testing/rollback switch.
-    coarse_invalidation: AtomicBool,
-    /// Cross-rule subexpression sharing (CSE slots in the dispatch plan).
-    /// On by default; differential-testing/rollback switch.
-    cse_enabled: AtomicBool,
-    /// Guard-indexed rule matching (see [`crate::guard`]). On by default;
-    /// differential-testing/rollback switch.
-    guard_index_enabled: AtomicBool,
     /// Self-telemetry state (probe/rule/LAT metrics, flight recorder).
     telemetry: Telem,
     /// Causal-trace state (sampling policy, trace ring, span pool).
@@ -134,6 +125,8 @@ struct SqlcmInner {
 /// A live SQLCM instance attached to an engine.
 pub struct Sqlcm {
     inner: Arc<SqlcmInner>,
+    /// The adapter registered with the engine; identity-detached on drop.
+    monitor: Arc<SqlcmMonitor>,
     timer_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
     executor_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
@@ -146,12 +139,16 @@ struct SqlcmMonitor {
 thread_local! {
     static PROCESSING: Cell<bool> = const { Cell::new(false) };
     static PENDING: RefCell<VecDeque<Queued>> = const { RefCell::new(VecDeque::new()) };
-    /// Pooled payload buffers; borrowed only in short spans that never run
+    /// Pooled per-event buffers; borrowed only in short spans that never run
     /// user code, so re-entrant probes cannot observe an active borrow.
-    static SCRATCH: RefCell<PayloadScratch> = const {
-        RefCell::new(PayloadScratch {
+    static SCRATCH: RefCell<EventScratch> = const {
+        RefCell::new(EventScratch {
             objects: Vec::new(),
             values: Vec::new(),
+            bitmaps: RuleBitmaps {
+                enabled: Vec::new(),
+                candidates: Vec::new(),
+            },
         })
     };
     /// Provenance of the currently executing action: `(causing span,
@@ -173,12 +170,25 @@ struct Queued {
     depth: u32,
 }
 
-/// Thread-local pools recycling the payload `Vec<Object>` and each object's
-/// value buffer across events: steady-state payload assembly allocates
-/// nothing. Bounds keep a pathological thread from hoarding buffers.
-struct PayloadScratch {
+/// Thread-local pools recycling the payload `Vec<Object>`, each object's
+/// value buffer, and the per-event rule bitmaps across events: steady-state
+/// dispatch allocates nothing at any rule count. Bounds keep a pathological
+/// thread from hoarding payload buffers; the bitmaps grow to the largest
+/// event class the thread has dispatched.
+struct EventScratch {
     objects: Vec<Vec<Object>>,
     values: Vec<Vec<Value>>,
+    bitmaps: RuleBitmaps,
+}
+
+/// Per-rule bitmaps of one event class, overwritten by every
+/// [`SqlcmInner::handle_one`].
+#[derive(Default)]
+struct RuleBitmaps {
+    /// Enabled-rule snapshot, fixed before any rule of the event runs.
+    enabled: Vec<bool>,
+    /// Guard-index candidate bitset, one bit per rule.
+    candidates: Vec<u64>,
 }
 
 const OBJECT_POOL_BOUND: usize = 4;
@@ -224,7 +234,7 @@ impl Instrumentation for SqlcmMonitor {
 }
 
 /// The rule-event kind of an engine event, without building payloads.
-fn kind_of(event: &EngineEvent) -> RuleEvent {
+pub(crate) fn kind_of(event: &EngineEvent) -> RuleEvent {
     match event {
         EngineEvent::QueryStart(_) => RuleEvent::QueryStart,
         EngineEvent::QueryCompile(_) => RuleEvent::QueryCompile,
@@ -244,44 +254,26 @@ fn kind_of(event: &EngineEvent) -> RuleEvent {
 /// Static display label of a compiled action, for trace action spans.
 fn compiled_action_label(action: &CompiledAction) -> &'static str {
     match action {
-        CompiledAction::Insert { .. } => "Insert",
-        CompiledAction::Reset(_) => "Reset",
-        CompiledAction::PersistLat { .. } => "PersistLat",
-        CompiledAction::Other(a) => match a {
-            Action::Insert { .. } => "Insert",
-            Action::Reset { .. } => "Reset",
-            Action::PersistObject { .. } => "PersistObject",
-            Action::PersistLat { .. } => "PersistLat",
-            Action::SendMail { .. } => "SendMail",
-            Action::RunExternal { .. } => "RunExternal",
-            Action::Cancel { .. } => "Cancel",
-            Action::SetTimer { .. } => "SetTimer",
-        },
+        CompiledAction::Insert { .. } | CompiledAction::Other(Action::Insert { .. }) => "Insert",
+        CompiledAction::Reset(_) | CompiledAction::Other(Action::Reset { .. }) => "Reset",
+        CompiledAction::PersistLat { .. } | CompiledAction::Other(Action::PersistLat { .. }) => {
+            "PersistLat"
+        }
+        CompiledAction::Other(Action::PersistObject { .. }) => "PersistObject",
+        CompiledAction::Other(Action::SendMail { .. }) => "SendMail",
+        CompiledAction::Other(Action::RunExternal { .. }) => "RunExternal",
+        CompiledAction::Other(Action::Cancel { .. }) => "Cancel",
+        CompiledAction::Other(Action::SetTimer { .. }) => "SetTimer",
     }
 }
 
-/// Build the context objects of an engine event.
-fn payload_objects(event: &EngineEvent) -> Vec<Object> {
-    match event {
-        EngineEvent::QueryStart(q)
-        | EngineEvent::QueryCompile(q)
-        | EngineEvent::QueryCommit(q)
-        | EngineEvent::QueryRollback(q)
-        | EngineEvent::QueryCancel(q) => vec![objects::query_object(q)],
-        EngineEvent::QueryBlocked(p) | EngineEvent::BlockReleased(p) => {
-            let (blocker, blocked) = objects::block_pair_objects(p);
-            vec![blocker, blocked]
-        }
-        EngineEvent::TxnBegin(t) | EngineEvent::TxnCommit(t) | EngineEvent::TxnRollback(t) => {
-            vec![objects::txn_object(t)]
-        }
-        EngineEvent::Login(s) | EngineEvent::Logout(s) => vec![objects::session_object(s)],
-    }
-}
-
-/// Build the context objects of an engine event into pooled buffers (the
-/// zero-allocation twin of [`payload_objects`]).
-fn payload_objects_in(event: &EngineEvent, out: &mut Vec<Object>, bufs: &mut Vec<Vec<Value>>) {
+/// Build the context objects of an engine event, drawing value buffers from
+/// `bufs` (the thread-local pool on the hot path; an empty pool allocates).
+pub(crate) fn payload_objects_in(
+    event: &EngineEvent,
+    out: &mut Vec<Object>,
+    bufs: &mut Vec<Vec<Value>>,
+) {
     out.clear();
     match event {
         EngineEvent::QueryStart(q)
@@ -348,10 +340,7 @@ impl SqlcmInner {
         let epoch = self.plan_epoch.fetch_add(1, Ordering::Relaxed) + 1;
         let rules = self.rules_read().clone();
         let lats = self.lats_read().clone();
-        let coarse = self.coarse_invalidation.load(Ordering::Relaxed);
-        let cse = self.cse_enabled.load(Ordering::Relaxed);
-        let guard = self.guard_index_enabled.load(Ordering::Relaxed);
-        let plan = DispatchPlan::build(epoch, &rules, &lats, coarse, cse, guard);
+        let plan = DispatchPlan::build(epoch, &rules, &lats);
         self.plan.swap(Arc::new(plan));
         self.telemetry.plan_rebuilds.incr();
     }
@@ -364,19 +353,12 @@ impl SqlcmInner {
     fn dispatch_event(&self, plan: &DispatchPlan, event: &EngineEvent) {
         let kind = kind_of(event);
         if PROCESSING.with(|p| p.get()) {
-            // Re-entrant probe (a rule action touched the engine): queue an
-            // owned payload for the outer dispatch to drain, citing the
-            // running action (if traced) as its cause.
-            let (cause, depth) = CASCADE_ORIGIN.with(|c| c.get());
-            PENDING.with(|q| {
-                q.borrow_mut().push_back(Queued {
-                    kind,
-                    objects: payload_objects(event),
-                    cause,
-                    depth,
-                })
-            });
-            return;
+            // Re-entrant probe (a rule action touched the engine): `dispatch`
+            // queues an owned payload for the outer dispatch to drain, citing
+            // the running action (if traced) as its cause.
+            let mut objects = Vec::new();
+            payload_objects_in(event, &mut objects, &mut Vec::new());
+            return self.dispatch(kind, objects);
         }
         // Sampling decision: with tracing off this is one relaxed atomic
         // load — the clock is read only when the event is actually sampled.
@@ -458,20 +440,20 @@ impl SqlcmInner {
         trace: &mut Option<TraceCtx>,
     ) {
         PROCESSING.with(|p| p.set(true));
-        self.handle_one(plan, kind, objects, trace, NONE_SPAN, 0);
-        loop {
-            let next = PENDING.with(|q| q.borrow_mut().pop_front());
-            match next {
-                Some(q) => self.handle_one(plan, &q.kind, &q.objects, trace, q.cause, q.depth),
-                None => break,
-            }
+        let mut bitmaps = SCRATCH.with(|s| std::mem::take(&mut s.borrow_mut().bitmaps));
+        self.handle_one(plan, kind, objects, trace, NONE_SPAN, 0, &mut bitmaps);
+        while let Some(q) = PENDING.with(|q| q.borrow_mut().pop_front()) {
+            let (cause, depth) = (q.cause, q.depth);
+            self.handle_one(plan, &q.kind, &q.objects, trace, cause, depth, &mut bitmaps);
         }
+        SCRATCH.with(|s| s.borrow_mut().bitmaps = bitmaps);
         PROCESSING.with(|p| p.set(false));
     }
 
     /// Evaluate every rule subscribed to this event, in registration order.
     /// `cause`/`depth` are the trace-provenance link of a drained deferred
     /// event ([`NONE_SPAN`]/0 for the root).
+    #[allow(clippy::too_many_arguments)]
     fn handle_one(
         &self,
         plan: &DispatchPlan,
@@ -480,7 +462,12 @@ impl SqlcmInner {
         trace: &mut Option<TraceCtx>,
         cause: u32,
         depth: u32,
+        bitmaps: &mut RuleBitmaps,
     ) {
+        let RuleBitmaps {
+            enabled,
+            candidates: cand,
+        } = bitmaps;
         let Some(ep) = plan.event_plan(kind) else {
             return;
         };
@@ -491,18 +478,6 @@ impl SqlcmInner {
         // Enabled-ness snapshot: fixed before any rule runs, so an action
         // disabling a later rule mid-event does not affect the current event
         // (see `Rule::set_enabled` for the pinned semantics).
-        // 256 matches the guard-index candidate bitset below: rule counts
-        // the t10 bench certifies as zero-alloc stay zero-alloc here too.
-        const INLINE_RULES: usize = 256;
-        let n = ep.rules.len();
-        let mut enabled_inline = [false; INLINE_RULES];
-        let mut enabled_heap;
-        let enabled: &mut [bool] = if n <= INLINE_RULES {
-            &mut enabled_inline[..n]
-        } else {
-            enabled_heap = vec![false; n];
-            &mut enabled_heap
-        };
         // Ladder stage ≥ 2: low-priority rules are sampled 1-in-2^k — the
         // skip shows up in `shed_evaluations`, never as a silent gap.
         let shedding = self.containment.stage() >= 2;
@@ -511,18 +486,19 @@ impl SqlcmInner {
         } else {
             0
         };
-        for (i, pr) in ep.rules.iter().enumerate() {
-            let mut on = pr.reg.rule.is_enabled();
+        enabled.clear();
+        enabled.extend(ep.rules.iter().map(|pr| {
+            let on = pr.reg.rule.is_enabled();
             if on
                 && shedding
                 && pr.low_priority
                 && self.containment.shed_seq.fetch_add(1, Ordering::Relaxed) & sample_mask != 0
             {
-                on = false;
                 self.containment.shed_evaluations.incr();
+                return false;
             }
-            enabled[i] = on;
-        }
+            on
+        }));
         // Shared hoist-slot store for this event: each slot is fetched at
         // most once and reused by every rule referencing that LAT.
         const INLINE_SLOTS: usize = 8;
@@ -555,22 +531,11 @@ impl SqlcmInner {
         // rules, it never reorders them). A pruned rule's condition is
         // provably false-or-null and infallible, so skipping the VM is
         // invisible everywhere except the `matching` telemetry slice.
-        const INLINE_WORDS: usize = 4;
-        let mut cand_inline = [0u64; INLINE_WORDS];
-        let mut cand_heap;
-        let mut probed = false;
-        let mut cand: &[u64] = &[];
-        if let Some(gi) = ep.guards.as_ref() {
-            let w = gi.words();
-            let bits: &mut [u64] = if w <= INLINE_WORDS {
-                &mut cand_inline[..w]
-            } else {
-                cand_heap = vec![0u64; w];
-                &mut cand_heap
-            };
-            probed = gi.probe(objects, bits);
-            cand = bits;
-        }
+        let probed = ep.guards.as_ref().is_some_and(|gi| {
+            cand.clear();
+            cand.resize(gi.words(), 0);
+            gi.probe(objects, cand)
+        });
         let mut pruned = 0u64;
         let mut kept = 0u64;
         for (i, pr) in ep.rules.iter().enumerate() {
@@ -1066,7 +1031,7 @@ impl SqlcmInner {
             CompiledAction::Insert {
                 lat,
                 eviction_event,
-            } => self.insert_into_lat(lat, Some(eviction_event), ctx, trace, action_span),
+            } => self.insert_into_lat(lat, eviction_event, ctx, trace, action_span),
             CompiledAction::Reset(lat) => {
                 lat.reset();
                 if let Some(tctx) = trace.as_mut() {
@@ -1075,7 +1040,7 @@ impl SqlcmInner {
                 Ok(())
             }
             CompiledAction::PersistLat { table, lat } => self.persist_lat_rows(rule, lat, table),
-            CompiledAction::Other(a) => self.execute_action(rule, a, ctx, trace, action_span),
+            CompiledAction::Other(a) => self.execute_action(rule, a, ctx),
         }
     }
 
@@ -1085,7 +1050,7 @@ impl SqlcmInner {
     fn insert_into_lat(
         &self,
         lat: &Arc<Lat>,
-        eviction_event: Option<&RuleEvent>,
+        eviction_event: &RuleEvent,
         ctx: &EvalContext,
         trace: &mut Option<TraceCtx>,
         action_span: u32,
@@ -1101,15 +1066,7 @@ impl SqlcmInner {
                     lat.spec.name
                 ))
             })?;
-        let event_key_storage;
-        let event_key = match eviction_event {
-            Some(e) => e,
-            None => {
-                event_key_storage = RuleEvent::LatEviction(lat.spec.name.clone());
-                &event_key_storage
-            }
-        };
-        let want_evicted = self.has_rules_for(event_key);
+        let want_evicted = self.has_rules_for(eviction_event);
         let evicted = lat.insert_and(obj, want_evicted)?;
         // The mutation span is the provenance anchor: each eviction event
         // queued below cites it as `cause`, at the depth the running action
@@ -1141,18 +1098,19 @@ impl SqlcmInner {
         Ok(())
     }
 
-    fn persist_lat_rows(&self, rule: &str, lat: &Arc<Lat>, table: &str) -> Result<()> {
+    /// A LAT's rows in importance order, "plus one additional column storing
+    /// a timestamp of when the rule writing a row was triggered" (§4.3).
+    fn timestamped_rows(&self, lat: &Lat) -> Vec<Vec<Value>> {
         let now = self.clock.now_micros();
-        let rows: Vec<Vec<Value>> = lat
-            .rows_ordered()
-            .into_iter()
-            .map(|mut r| {
-                // "plus one additional column storing a timestamp of when the
-                // rule writing a row was triggered" (§4.3).
-                r.push(Value::Timestamp(now));
-                r
-            })
-            .collect();
+        let mut rows = lat.rows_ordered();
+        for row in &mut rows {
+            row.push(Value::Timestamp(now));
+        }
+        rows
+    }
+
+    fn persist_lat_rows(&self, rule: &str, lat: &Arc<Lat>, table: &str) -> Result<()> {
+        let rows = self.timestamped_rows(lat);
         // The snapshot above is taken synchronously either way — async mode
         // defers only the write, not the paper-mandated read point.
         if self.async_actions.load(Ordering::Relaxed) {
@@ -1170,27 +1128,13 @@ impl SqlcmInner {
         Ok(())
     }
 
-    fn execute_action(
-        &self,
-        rule: &str,
-        action: &Action,
-        ctx: &EvalContext,
-        trace: &mut Option<TraceCtx>,
-        action_span: u32,
-    ) -> Result<()> {
+    fn execute_action(&self, rule: &str, action: &Action, ctx: &EvalContext) -> Result<()> {
         match action {
-            Action::Insert { lat } => {
-                let lat = self.lat(lat)?;
-                self.insert_into_lat(&lat, None, ctx, trace, action_span)
-            }
-            Action::Reset { lat } => {
-                let lat = self.lat(lat)?;
-                lat.reset();
-                if let Some(tctx) = trace.as_mut() {
-                    tctx.lat_mutation(action_span, &lat.spec.name, "reset", 0);
-                }
-                Ok(())
-            }
+            // `add_rule` compiles every LAT-targeting action into its own
+            // `CompiledAction` variant; `Other` never carries one.
+            Action::Insert { .. } | Action::Reset { .. } | Action::PersistLat { .. } => Err(
+                Error::Monitor(format!("rule {rule}: LAT action was not compiled")),
+            ),
             Action::PersistObject {
                 table,
                 class,
@@ -1226,10 +1170,6 @@ impl SqlcmInner {
                 self.check_fault(FaultKind::Persist)?;
                 persist_rows(&self.engine, table, vec![row])?;
                 Ok(())
-            }
-            Action::PersistLat { table, lat } => {
-                let lat = self.lat(lat)?;
-                self.persist_lat_rows(rule, &lat, table)
             }
             Action::SendMail { to, template } => {
                 let body = substitute(template, ctx);
@@ -1277,13 +1217,6 @@ impl SqlcmInner {
                 Ok(())
             }
         }
-    }
-
-    fn lat(&self, name: &str) -> Result<Arc<Lat>> {
-        self.lats_read()
-            .get(&name.to_ascii_lowercase())
-            .cloned()
-            .ok_or_else(|| Error::Monitor(format!("unknown LAT {name}")))
     }
 
     /// Record a swallowed error both globally (`last_error`) and in the
@@ -1719,14 +1652,7 @@ impl Sqlcm {
             clock: clock.clone(),
             lats: RwLock::new(HashMap::new()),
             rules: RwLock::new(Vec::new()),
-            plan: PlanCell::new(Arc::new(DispatchPlan::build(
-                0,
-                &[],
-                &HashMap::new(),
-                false,
-                true,
-                true,
-            ))),
+            plan: PlanCell::new(Arc::new(DispatchPlan::build(0, &[], &HashMap::new()))),
             plan_rebuild: Mutex::new(()),
             plan_epoch: AtomicU64::new(0),
             timers: TimerRegistry::new(clock),
@@ -1741,9 +1667,6 @@ impl Sqlcm {
             action_errors: AtomicU64::new(0),
             last_error: Mutex::new(None),
             analysis_warnings: Mutex::new(Vec::new()),
-            coarse_invalidation: AtomicBool::new(false),
-            cse_enabled: AtomicBool::new(true),
-            guard_index_enabled: AtomicBool::new(true),
             telemetry: Telem::new(),
             tracer: Tracer::new(),
             containment: Containment::new(),
@@ -1753,11 +1676,13 @@ impl Sqlcm {
             faults: RwLock::new(None),
             shutdown: AtomicBool::new(false),
         });
-        engine.attach_monitor(Arc::new(SqlcmMonitor {
+        let monitor = Arc::new(SqlcmMonitor {
             inner: inner.clone(),
-        }));
+        });
+        engine.attach_monitor(monitor.clone());
         Sqlcm {
             inner,
+            monitor,
             timer_thread: Mutex::new(None),
             executor_thread: Mutex::new(None),
         }
@@ -1766,15 +1691,19 @@ impl Sqlcm {
     /// Detach from the engine (no more events are delivered). LATs and rules
     /// stay readable.
     pub fn detach(&self, engine: &Engine) -> bool {
-        engine.detach_monitor("sqlcm")
+        self.detach_from(&engine.handle().monitors)
+    }
+
+    /// Remove this instance's adapter — and no other monitor — from `sinks`.
+    fn detach_from(&self, sinks: &sqlcm_engine::instrument::Multicast) -> bool {
+        let sink: Arc<dyn Instrumentation> = self.monitor.clone();
+        sinks.detach_sink(&sink)
     }
 
     /// Re-attach this instance after a [`Sqlcm::detach`], keeping its LATs,
     /// rules, timers, and statistics.
     pub fn reattach(&self, engine: &Engine) {
-        engine.attach_monitor(Arc::new(SqlcmMonitor {
-            inner: self.inner.clone(),
-        }));
+        engine.attach_monitor(self.monitor.clone());
     }
 
     // ------------------------------------------------------------ LATs
@@ -1871,45 +1800,6 @@ impl Sqlcm {
         self.inner.analysis_warnings.lock().clear();
     }
 
-    /// Force coarse (always-clear) hoist-slot invalidation, ignoring the
-    /// analyzer's effect summaries, and republish the plan. The default
-    /// (`false`) keeps a hoisted row snapshot live across a fired rule whose
-    /// writes are provably disjoint from every reader of the slot. The
-    /// coarse mode exists for differential testing and as an operational
-    /// rollback: both modes must produce identical firings and LAT contents,
-    /// differing only in `lat_row_fetches`.
-    pub fn set_coarse_invalidation(&self, coarse: bool) {
-        self.inner
-            .coarse_invalidation
-            .store(coarse, Ordering::Relaxed);
-        self.inner.rebuild_plan();
-    }
-
-    /// Toggle cross-rule subexpression sharing (CSE slots in the dispatch
-    /// plan) and republish. On by default: equal condition subtrees appearing
-    /// under two or more rules on the same event evaluate once per event and
-    /// later sharers reuse the value. Off exists for differential testing and
-    /// as an operational rollback: both modes must produce identical firings,
-    /// differing only in `cse_hits` and per-condition work.
-    pub fn set_cse_enabled(&self, enabled: bool) {
-        self.inner.cse_enabled.store(enabled, Ordering::Relaxed);
-        self.inner.rebuild_plan();
-    }
-
-    /// Toggle guard-indexed rule matching and republish. On by default: one
-    /// index probe per event yields the candidate rule set and provably
-    /// non-matching rules skip the condition VM, so dispatch cost scales
-    /// with *matching* rules rather than registered rules. Off exists for
-    /// differential testing and as an operational rollback: both modes must
-    /// produce identical firings, statistics, and LAT contents, differing
-    /// only in the `matching` telemetry slice and per-event work.
-    pub fn set_guard_index_enabled(&self, enabled: bool) {
-        self.inner
-            .guard_index_enabled
-            .store(enabled, Ordering::Relaxed);
-        self.inner.rebuild_plan();
-    }
-
     /// Run the static analyzer on a rule against the current LATs and rules
     /// without registering anything — a lint probe.
     pub fn analyze_rule(&self, rule: &Rule) -> Vec<Diagnostic> {
@@ -1961,24 +1851,19 @@ impl Sqlcm {
 
     /// Persist a LAT to a table immediately (outside any rule).
     pub fn persist_lat(&self, lat: &str, table: &str) -> Result<u64> {
-        let lat = self.inner.lat(lat)?;
-        let now = self.inner.clock.now_micros();
-        let rows: Vec<Vec<Value>> = lat
-            .rows_ordered()
-            .into_iter()
-            .map(|mut r| {
-                r.push(Value::Timestamp(now));
-                r
-            })
-            .collect();
-        persist_rows(&self.inner.engine, table, rows)
+        let lat = self
+            .lat(lat)
+            .ok_or_else(|| Error::Monitor(format!("unknown LAT {lat}")))?;
+        persist_rows(&self.inner.engine, table, self.inner.timestamped_rows(&lat))
     }
 
     /// Re-seed a LAT from a previously persisted table (the §4.3 "maintain LAT
     /// data over multiple restarts" path). `count_column` names the LAT's COUNT
     /// column to use as the seed weight for AVG/STDEV, when present.
     pub fn restore_lat(&self, lat: &str, table: &str, count_column: Option<&str>) -> Result<u64> {
-        let lat = self.inner.lat(lat)?;
+        let lat = self
+            .lat(lat)
+            .ok_or_else(|| Error::Monitor(format!("unknown LAT {lat}")))?;
         let cols = lat.columns();
         let count_idx = count_column.and_then(|c| lat.column_index(c));
         let rows = read_table(&self.inner.engine, table)?;
@@ -2162,10 +2047,7 @@ impl Sqlcm {
     /// the stress/bench entry point exercising the real hot path (probe
     /// counters, plan load, interest mask, payload pooling).
     pub fn inject_event(&self, event: &EngineEvent) {
-        SqlcmMonitor {
-            inner: self.inner.clone(),
-        }
-        .on_event(event);
+        self.monitor.on_event(event);
     }
 
     /// A summary of the currently published dispatch plan: epoch, rule count,
@@ -2562,14 +2444,12 @@ impl Sqlcm {
 
 impl Drop for Sqlcm {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Relaxed);
+        // The engine's monitor list holds `monitor` → `inner` → the engine
+        // handle: left attached, that cycle would keep the engine (buffer
+        // pool included) alive forever.
+        self.detach_from(&self.inner.engine.monitors);
         // The threads hold only a Weak; they exit on their next poll.
-        if let Some(h) = self.timer_thread.lock().take() {
-            let _ = h;
-        }
-        if let Some(h) = self.executor_thread.lock().take() {
-            let _ = h;
-        }
+        self.inner.shutdown.store(true, Ordering::Relaxed);
     }
 }
 
@@ -2940,6 +2820,29 @@ mod tests {
         assert!(sqlcm.detach(&engine));
         seed_more(&engine);
         assert_eq!(sqlcm.outbox().len(), 1, "no events after detach");
+    }
+
+    /// Dropping the handle detaches exactly its own monitor: the engine's
+    /// monitor list no longer keeps the instance (and through it the engine)
+    /// alive, and a second instance on the same engine keeps receiving events.
+    #[test]
+    fn dropping_the_handle_releases_the_engine() {
+        let (engine, first) = setup();
+        let second = Sqlcm::attach(&engine);
+        second
+            .add_rule(
+                Rule::new("m")
+                    .on(RuleEvent::QueryCommit)
+                    .then(Action::send_mail("x", "y")),
+            )
+            .unwrap();
+        drop(first);
+        seed(&engine, 1);
+        assert_eq!(second.outbox().len(), 1, "the other monitor was detached");
+        let storage = Arc::downgrade(&engine.handle());
+        drop(second);
+        drop(engine);
+        assert!(storage.upgrade().is_none(), "engine leaked through a cycle");
     }
 
     #[test]

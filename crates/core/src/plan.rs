@@ -94,7 +94,8 @@ pub(crate) enum CompiledAction {
         table: String,
         lat: Arc<Lat>,
     },
-    /// Everything else interprets the declarative [`Action`] directly.
+    /// Everything without a LAT target interprets the declarative [`Action`]
+    /// directly (never `Insert`/`Reset`/`PersistLat`).
     Other(Action),
 }
 
@@ -129,7 +130,7 @@ pub(crate) struct Invalidation {
     /// a `Fetched(Some)` snapshot stays valid and is kept (counted as an
     /// avoided invalidation). Only `Fetched(None)` is dropped, because the
     /// insert may have *created* the row and flipped the implicit ∃ of §5.2.
-    /// `false` is the coarse mode: the slot is always cleared.
+    /// `false`: the slot is always cleared.
     pub only_if_missing: bool,
 }
 
@@ -170,8 +171,7 @@ pub(crate) struct EventPlan {
     pub cse: Vec<CseSlot>,
     /// Guard index over this event's rules (see [`crate::guard`]): one probe
     /// per event yields the candidate bitset; non-candidates are provably
-    /// non-firing and skip the VM. `None` when disabled or when no rule is
-    /// indexable.
+    /// non-firing and skip the VM. `None` when no rule is indexable.
     pub guards: Option<GuardIndex>,
     /// Display name in probe convention (`"Query.Commit"`), cached at build
     /// so the tracer never formats an event name on the dispatch path.
@@ -329,8 +329,8 @@ pub(crate) struct DispatchPlan {
     pub quarantined: Vec<Arc<Registered>>,
     /// Rules with an extracted guard across every event plan (telemetry).
     pub guard_indexed_rules: u64,
-    /// Rules in the always-evaluate residual set across every event plan —
-    /// includes every rule when the index is disabled (telemetry).
+    /// Rules in the always-evaluate residual set across every event plan
+    /// (telemetry).
     pub guard_residual_rules: u64,
 }
 
@@ -343,9 +343,6 @@ impl DispatchPlan {
         epoch: u64,
         rules: &[Arc<Registered>],
         lats: &HashMap<String, Arc<Lat>>,
-        coarse_invalidation: bool,
-        cse_enabled: bool,
-        guard_index: bool,
     ) -> DispatchPlan {
         let mut statics: [EventPlan; STATIC_EVENTS] = std::array::from_fn(|_| EventPlan::default());
         let mut dynamics: HashMap<RuleEvent, EventPlan> = HashMap::new();
@@ -385,16 +382,14 @@ impl DispatchPlan {
         let mut guard_indexed_rules = 0u64;
         let mut guard_residual_rules = 0u64;
         for ep in statics.iter_mut().chain(dynamics.values_mut()) {
-            Self::compute_invalidations(ep, coarse_invalidation);
-            Self::assign_cse_and_emit(ep, cse_enabled);
+            Self::compute_invalidations(ep);
+            Self::assign_cse_and_emit(ep);
             // Guard extraction runs after emission: only rules with a live
             // program are indexable, and the index prunes against exactly
             // the condition the VM would run.
-            if guard_index {
-                if let Some(pr) = ep.rules.first() {
-                    let payload = pr.reg.rule.event.payload_classes();
-                    ep.guards = GuardIndex::build(&ep.rules, &payload);
-                }
+            if let Some(pr) = ep.rules.first() {
+                let payload = pr.reg.rule.event.payload_classes();
+                ep.guards = GuardIndex::build(&ep.rules, &payload);
             }
             match &ep.guards {
                 Some(g) => {
@@ -488,10 +483,9 @@ impl DispatchPlan {
     /// structural hash with [`CondIr::subtree_eq`] as the collision guard;
     /// groups evaluated at least twice per event — by two rules, or twice
     /// within one — get a slot: the first evaluation stores the value, later
-    /// ones load it. Emission always runs (every unbroken rule with a
-    /// condition gets its program here); only slot assignment is gated on
-    /// `cse_enabled`.
-    fn assign_cse_and_emit(ep: &mut EventPlan, cse_enabled: bool) {
+    /// ones load it. Every unbroken rule with a condition gets its program
+    /// here.
+    fn assign_cse_and_emit(ep: &mut EventPlan) {
         let payload: Vec<ClassName> = match ep.rules.first() {
             Some(pr) => pr.reg.rule.event.payload_classes(),
             None => return,
@@ -499,9 +493,7 @@ impl DispatchPlan {
         let mut eligible: Vec<Vec<NodeId>> = Vec::with_capacity(ep.rules.len());
         for pr in &ep.rules {
             let nodes = match &pr.reg.compiled {
-                Some(c) if cse_enabled && pr.broken.is_none() => {
-                    shareable_nodes(c, &payload, &pr.lat_slots)
-                }
+                Some(c) if pr.broken.is_none() => shareable_nodes(c, &payload, &pr.lat_slots),
                 _ => Vec::new(),
             };
             eligible.push(nodes);
@@ -674,9 +666,9 @@ impl DispatchPlan {
     /// the rule is always invalidated — the refinement is the *mode*: when
     /// the analyzer's write set for an `Insert` is disjoint from everything
     /// the slot's readers read, the entry degrades to `only_if_missing` and
-    /// a live snapshot survives the firing. `Reset`, unknown effects, and
-    /// `coarse` all stay in always-clear mode.
-    fn compute_invalidations(ep: &mut EventPlan, coarse: bool) {
+    /// a live snapshot survives the firing. `Reset` and unknown effects stay
+    /// in always-clear mode.
+    fn compute_invalidations(ep: &mut EventPlan) {
         if ep.hoisted.is_empty() {
             return;
         }
@@ -690,19 +682,12 @@ impl DispatchPlan {
                         (lat.spec.name.to_ascii_lowercase(), true)
                     }
                     CompiledAction::Reset(lat) => (lat.spec.name.to_ascii_lowercase(), false),
-                    CompiledAction::Other(Action::Insert { lat }) => {
-                        (lat.to_ascii_lowercase(), true)
-                    }
-                    CompiledAction::Other(Action::Reset { lat }) => {
-                        (lat.to_ascii_lowercase(), false)
-                    }
                     _ => continue,
                 };
                 let Some(slot) = hoist_names.iter().position(|h| *h == name) else {
                     continue;
                 };
                 let only_if_missing = is_insert
-                    && !coarse
                     && match (&pr.reg.effects, &slot_reads[slot]) {
                         (Some(eff), Some(reads)) => match eff.lat_writes.get(&name) {
                             Some(w) if !w.whole_lat => reads
@@ -805,8 +790,7 @@ pub struct PlanSummary {
     /// when an event provably cannot match (see `crate::guard`).
     pub guard_indexed_rules: u64,
     /// Rules always evaluated: no condition, LAT reads, fallible arithmetic,
-    /// non-payload classes, or no indexable atom — plus every rule when the
-    /// index is disabled.
+    /// non-payload classes, or no indexable atom.
     pub guard_residual_rules: u64,
     /// Shared-lookup groups, sorted by (event, LAT). Groups with a single
     /// rule still get a slot (one fetch per event either way); groups with
@@ -919,7 +903,7 @@ mod tests {
             registered("b", RuleEvent::QueryCommit, &["l"]),
             registered("c", RuleEvent::QueryStart, &["l"]),
         ];
-        let plan = DispatchPlan::build(1, &rules, &lats, false, true, true);
+        let plan = DispatchPlan::build(1, &rules, &lats);
         let ep = plan.event_plan(&RuleEvent::QueryCommit).unwrap();
         assert_eq!(ep.rules.len(), 2);
         assert_eq!(ep.hoisted.len(), 1, "a and b share one slot");
@@ -940,7 +924,7 @@ mod tests {
     #[test]
     fn missing_lat_marks_rule_broken() {
         let rules = vec![registered("a", RuleEvent::QueryCommit, &["gone"])];
-        let plan = DispatchPlan::build(1, &rules, &HashMap::new(), false, true, true);
+        let plan = DispatchPlan::build(1, &rules, &HashMap::new());
         let ep = plan.event_plan(&RuleEvent::QueryCommit).unwrap();
         assert!(ep.rules[0].broken.as_deref().unwrap().contains("gone"));
         assert!(ep.hoisted.is_empty());
@@ -949,7 +933,7 @@ mod tests {
     #[test]
     fn probe_mask_tracks_subscribed_kinds_only() {
         let rules = vec![registered("a", RuleEvent::QueryCommit, &[])];
-        let plan = DispatchPlan::build(1, &rules, &HashMap::new(), false, true, true);
+        let plan = DispatchPlan::build(1, &rules, &HashMap::new());
         assert!(plan.probe_mask.contains(ProbeKind::QueryCommit));
         assert!(!plan.probe_mask.contains(ProbeKind::Login));
         assert!(!plan.has_event(&RuleEvent::MonitorTick));
@@ -1002,25 +986,20 @@ mod tests {
             registered_cond("a", RuleEvent::QueryCommit, &["l"], cond()),
             registered_cond("b", RuleEvent::QueryCommit, &["l"], cond()),
         ];
-        let plan = DispatchPlan::build(1, &rules, &lats, false, true, true);
+        let plan = DispatchPlan::build(1, &rules, &lats);
         let ep = plan.event_plan(&RuleEvent::QueryCommit).unwrap();
         assert_eq!(ep.cse.len(), 1, "whole shared condition gets one slot");
         assert_eq!(ep.cse[0].deps, vec![0], "slot depends on the hoisted LAT");
         assert!(ep.rules.iter().all(|pr| pr.program.is_some()));
-        // Disabled: programs still emitted, no slots assigned.
-        let plan = DispatchPlan::build(2, &rules, &lats, false, false, true);
-        let ep = plan.event_plan(&RuleEvent::QueryCommit).unwrap();
-        assert!(ep.cse.is_empty());
-        assert!(ep.rules.iter().all(|pr| pr.program.is_some()));
         // A single rule has nothing to share with: no slot survives pruning.
         let solo = vec![registered_cond("a", RuleEvent::QueryCommit, &["l"], cond())];
-        let plan = DispatchPlan::build(3, &solo, &lats, false, true, true);
+        let plan = DispatchPlan::build(3, &solo, &lats);
         let ep = plan.event_plan(&RuleEvent::QueryCommit).unwrap();
         assert!(ep.cse.is_empty());
     }
 
     #[test]
-    fn guard_index_builds_per_event_and_respects_the_switch() {
+    fn guard_index_builds_per_event() {
         let lats = HashMap::new();
         let rules = vec![
             registered_cond(
@@ -1045,7 +1024,7 @@ mod tests {
             // index and gets no GuardIndex at all.
             registered("tick", RuleEvent::MonitorTick, &[]),
         ];
-        let plan = DispatchPlan::build(1, &rules, &lats, false, true, true);
+        let plan = DispatchPlan::build(1, &rules, &lats);
         let ep = plan.event_plan(&RuleEvent::QueryCommit).unwrap();
         let gi = ep.guards.as_ref().expect("index built");
         assert_eq!(gi.indexed_rules, 2);
@@ -1054,34 +1033,13 @@ mod tests {
         assert_eq!(plan.guard_residual_rules, 2, "LIKE rule + MonitorTick rule");
         let tick = plan.event_plan(&RuleEvent::MonitorTick).unwrap();
         assert!(tick.guards.is_none(), "nothing indexable on MonitorTick");
-        // Disabled: no index anywhere, every rule is residual.
-        let plan = DispatchPlan::build(2, &rules, &lats, false, true, false);
-        let ep = plan.event_plan(&RuleEvent::QueryCommit).unwrap();
-        assert!(ep.guards.is_none());
-        assert_eq!(plan.guard_indexed_rules, 0);
-        assert_eq!(plan.guard_residual_rules, 4);
     }
 
     #[test]
     fn plan_cell_load_survives_swap() {
-        let p1 = Arc::new(DispatchPlan::build(
-            1,
-            &[],
-            &HashMap::new(),
-            false,
-            true,
-            true,
-        ));
-        let cell = PlanCell::new(p1);
+        let cell = PlanCell::new(Arc::new(DispatchPlan::build(1, &[], &HashMap::new())));
         let held = cell.load();
-        cell.swap(Arc::new(DispatchPlan::build(
-            2,
-            &[],
-            &HashMap::new(),
-            false,
-            true,
-            true,
-        )));
+        cell.swap(Arc::new(DispatchPlan::build(2, &[], &HashMap::new())));
         // The pre-swap reference is still valid (parked, not freed).
         assert_eq!(held.epoch, 1);
         assert_eq!(cell.load().epoch, 2);

@@ -203,8 +203,7 @@ pub struct DispatchTelemetry {
 /// Populated by the guard index (`crate::guard`): per-event-class
 /// discrimination structures that prune rules whose conditions provably
 /// cannot hold, so only *candidate* rules run the condition VM. All
-/// counters are zero when the index is disabled
-/// ([`crate::Sqlcm::set_guard_index_enabled`]) or no rule is indexable.
+/// counters are zero when no rule is indexable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MatchingTelemetry {
     /// Index probes performed — one per event whose plan has a usable index.

@@ -5,10 +5,10 @@
 //! fetches per event.
 //!
 //! Allocation counting uses a wrapping `#[global_allocator]`, so this file is
-//! its own test binary — the counter only observes this process.
+//! its own test binary.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use sqlcm_common::{EngineEvent, QueryInfo};
@@ -16,14 +16,26 @@ use sqlcm_core::sinks::CommandSink;
 use sqlcm_core::{Action, LatAggFunc, LatSpec, Rule, RuleEvent, Sqlcm, TraceSampling};
 use sqlcm_engine::Engine;
 
-/// Counts allocations made by this test binary.
+/// Counts allocations per thread: the harness runs tests on parallel
+/// threads, and a test must only see what its own dispatch path allocated.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+fn count_one() {
+    // `try_with`: the allocator still runs while a thread's locals unwind.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -32,7 +44,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -70,11 +82,11 @@ fn unsubscribed_event_takes_no_locks_and_allocates_nothing() {
     }
 
     let before = sqlcm.telemetry().dispatch;
-    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocs_before = allocations();
     for _ in 0..1_000 {
         sqlcm.inject_event(&ev);
     }
-    let allocs_after = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocs_after = allocations();
     let after = sqlcm.telemetry().dispatch;
 
     assert_eq!(
@@ -112,11 +124,11 @@ fn subscribed_nonfiring_dispatch_allocates_nothing() {
 
     let before = sqlcm.telemetry().dispatch;
     let evals_before = sqlcm.rule("slow").unwrap().stats().evaluations;
-    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocs_before = allocations();
     for _ in 0..1_000 {
         sqlcm.inject_event(&ev);
     }
-    let allocs_after = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocs_after = allocations();
     let after = sqlcm.telemetry().dispatch;
 
     assert_eq!(
@@ -163,11 +175,11 @@ fn tracing_disabled_dispatch_stays_allocation_and_lock_free() {
         sqlcm.inject_event(&ev);
     }
     let before = sqlcm.telemetry().dispatch;
-    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocs_before = allocations();
     for _ in 0..1_000 {
         sqlcm.inject_event(&ev);
     }
-    let allocs_after = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocs_after = allocations();
     let after = sqlcm.telemetry().dispatch;
 
     assert_eq!(
@@ -186,17 +198,17 @@ fn tracing_disabled_dispatch_stays_allocation_and_lock_free() {
     );
 }
 
-/// Guard-indexed dispatch at scale: 200 selective equality rules on one
+/// Guard-indexed dispatch at scale: 1000 selective equality rules on one
 /// event class, of which exactly one matches the injected event. The probe
 /// plus the pruned-rule bookkeeping must stay allocation-free and lock-free
-/// (the candidate bitset lives on the stack up to 256 rules), prune the
-/// other 199 rules on every event, and still count an evaluation for every
-/// rule so observable stats match the index-off scan.
+/// (the enabled snapshot and candidate bitset are pooled per thread, at any
+/// rule count), prune the other 999 rules on every event, and still count an
+/// evaluation for every rule, exactly as if each had run its condition.
 #[test]
 fn guard_indexed_dispatch_allocates_nothing_and_prunes() {
     let engine = Engine::in_memory();
     let sqlcm = Sqlcm::attach(&engine);
-    let rules = 200u64;
+    let rules = 1_000u64;
     for i in 0..rules {
         sqlcm
             .add_rule(
@@ -220,12 +232,12 @@ fn guard_indexed_dispatch_allocates_nothing_and_prunes() {
     }
 
     let before = sqlcm.telemetry();
-    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocs_before = allocations();
     let events = 1_000u64;
     for _ in 0..events {
         sqlcm.inject_event(&ev);
     }
-    let allocs_after = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocs_after = allocations();
     let after = sqlcm.telemetry();
 
     assert_eq!(
@@ -252,7 +264,7 @@ fn guard_indexed_dispatch_allocates_nothing_and_prunes() {
         "exactly one candidate per event"
     );
     // Pruning is invisible to per-rule stats: a pruned rule still counts an
-    // evaluation (with a false outcome), exactly like the linear scan.
+    // evaluation (with a false outcome).
     assert_eq!(
         sqlcm.rule("u0").unwrap().stats().evaluations,
         sqlcm.rule("u7").unwrap().stats().evaluations
@@ -436,12 +448,12 @@ fn vm_dispatch_with_like_in_and_cse_allocates_nothing() {
     }
 
     let before = sqlcm.telemetry().dispatch;
-    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocs_before = allocations();
     let events = 1_000u64;
     for _ in 0..events {
         sqlcm.inject_event(&ev);
     }
-    let allocs_after = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocs_after = allocations();
     let after = sqlcm.telemetry().dispatch;
 
     assert_eq!(

@@ -1,0 +1,554 @@
+//! Whole-system differential suite: the optimized [`Sqlcm`] — compiled
+//! dispatch plan, bytecode VM, hoisted LAT lookups with analysis-driven
+//! invalidation, cross-rule CSE slots, guard index — against the naive
+//! [`ReferenceMonitor`] (one lock, linear rule scan, tree-walk oracle, fresh
+//! LAT lookups; see `sqlcm_core::monitor_ref`).
+//!
+//! Every scenario registers the same LATs and rules in both, drives both
+//! with the same `inject_event` log under one `ManualClock`, and requires
+//! identical per-rule `(evaluations, fires, actions, action_errors)`, global
+//! stats, LAT contents and action ledger (`ReferenceMonitor::divergence_from`). Scenarios that exist to exercise
+//! one optimization additionally pin its *counters* (exactly-repeating
+//! counts, not timings), so an optimization that silently stops applying
+//! fails here too.
+
+use std::sync::Arc;
+
+use sqlcm_common::{EngineEvent, ManualClock, QueryInfo};
+use sqlcm_core::monitor_ref::ReferenceMonitor;
+use sqlcm_core::sinks::{CommandSink, RecordingCommandSink};
+use sqlcm_core::{Action, LatAggFunc, LatSpec, Rule, RuleEvent, Sqlcm};
+use sqlcm_engine::engine::EngineConfig;
+use sqlcm_engine::Engine;
+
+/// The two monitors under test plus what was registered in them.
+struct Pair {
+    _engine: Engine,
+    clock: Arc<ManualClock>,
+    real: Sqlcm,
+    reference: ReferenceMonitor,
+    rules: Vec<String>,
+}
+
+impl Pair {
+    fn new() -> Pair {
+        let (clock, handle) = ManualClock::shared(0);
+        let engine = Engine::new(EngineConfig {
+            clock: Some(clock.clone()),
+            ..Default::default()
+        })
+        .unwrap();
+        let real = Sqlcm::attach(&engine);
+        // Breakers quarantine erroring rules — a feature the reference does
+        // not model (`breaker_differential.rs` covers it on its own).
+        real.set_breakers_enabled(false);
+        Pair {
+            _engine: engine,
+            clock: handle,
+            real,
+            reference: ReferenceMonitor::new(clock),
+            rules: Vec::new(),
+        }
+    }
+
+    fn lat(&mut self, spec: LatSpec) {
+        self.real.define_lat(spec.clone()).unwrap();
+        self.reference.define_lat(spec).unwrap();
+    }
+
+    /// Register `ON event [WHEN cond] THEN actions…` in both monitors (`Rule`
+    /// owns its counters and is not `Clone`: one is built per monitor).
+    fn on(&mut self, event: RuleEvent, name: &str, cond: Option<&str>, actions: &[Action]) {
+        let build = || {
+            let rule = Rule::new(name).on(event.clone());
+            let rule = cond.iter().fold(rule, |r, c| r.when(c));
+            actions.iter().cloned().fold(rule, Rule::then)
+        };
+        self.rules.push(name.to_string());
+        self.real.add_rule(build()).unwrap();
+        self.reference.add_rule(build()).unwrap();
+    }
+
+    /// [`Pair::on`] for the event nearly every scenario uses.
+    fn on_commit(&mut self, name: &str, cond: Option<&str>, actions: &[Action]) {
+        self.on(RuleEvent::QueryCommit, name, cond, actions);
+    }
+
+    fn inject(&self, ev: &EngineEvent) {
+        self.clock.advance(1_000);
+        self.real.inject_event(ev);
+        self.reference.inject_event(ev);
+    }
+
+    fn fires(&self, rule: &str) -> u64 {
+        self.real.rule(rule).unwrap().stats().fires
+    }
+
+    fn assert_parity(&self, what: &str) {
+        if let Some(diff) = self.reference.divergence_from(&self.real) {
+            panic!("{what}: {diff}");
+        }
+    }
+}
+
+fn commit(user: &str, sig: u64, secs: f64) -> EngineEvent {
+    let mut q = QueryInfo::synthetic(sig, "SELECT 1");
+    q.logical_signature = Some(sig);
+    q.duration_micros = (secs * 1e6) as u64;
+    q.user = user.into();
+    EngineEvent::QueryCommit(q)
+}
+
+fn lcg(state: &mut u64) -> u64 {
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *state >> 33
+}
+
+/// One LCG-drawn event: 8 users (2 match no equality rule), 6 signatures,
+/// millisecond-grid durations in [0, 1) spanning every range guard.
+fn lcg_commit(state: &mut u64) -> EngineEvent {
+    let user = format!("user_{}", lcg(state) % 8);
+    let sig = lcg(state) % 6;
+    let secs = (lcg(state) % 1_000) as f64 / 1e3;
+    commit(&user, sig, secs)
+}
+
+fn mail(body: &str) -> Action {
+    Action::send_mail("dba", body)
+}
+
+fn stats_lat(name: &str) -> LatSpec {
+    LatSpec::new(name)
+        .group_by("Query.Logical_Signature", "Sig")
+        .aggregate(LatAggFunc::Count, "", "N")
+        .aggregate(LatAggFunc::Avg, "Query.Duration", "Avg_D")
+}
+
+// ---------------------------------------------------------------- hoisting
+
+/// Key-readers before and after a block of `Insert` mutators, aggregate
+/// readers on a second LAT (which genuinely see the mutators' writes) and a
+/// periodic `Reset`: every Phase-C invalidation mode of the hoisted row
+/// snapshot —
+/// * key-reader after Insert → `only_if_missing` (snapshot survives),
+/// * aggregate-reader after Insert → always clear (read-your-writes),
+/// * everyone after Reset → always clear.
+///
+/// The aggregate readers live on Stats_LAT rather than Wide_LAT because the
+/// snapshot is shared per (event, LAT): one aggregate reader would widen the
+/// slot's read union to the feeds' write columns and force always-clear for
+/// the key-readers too.
+#[test]
+fn hoisted_snapshots_match_fresh_lookups() {
+    let mut p = Pair::new();
+    p.lat(stats_lat("Wide_LAT"));
+    p.lat(stats_lat("Stats_LAT"));
+    let feeds = [Action::insert("Wide_LAT"), Action::insert("Stats_LAT")];
+    let flush = [Action::reset("Wide_LAT"), Action::reset("Stats_LAT")];
+    p.on_commit("key_before", Some("Wide_LAT.Sig = 3"), &[mail("sig 3")]);
+    for i in 0..4 {
+        let cond = format!("Query.Duration > 0.{}", 2 * i);
+        p.on_commit(&format!("feed{i}"), Some(&cond), &feeds);
+    }
+    for i in 0..4 {
+        let cond = format!("Wide_LAT.Sig = {i}");
+        p.on_commit(&format!("key_after{i}"), Some(&cond), &[mail(&cond)]);
+    }
+    let hot = "Stats_LAT.N >= 5 AND Stats_LAT.Avg_D > 0.2";
+    p.on_commit("agg_after", Some(hot), &[mail("hot signature")]);
+    p.on_commit("flush", Some("Stats_LAT.N >= 40"), &flush);
+    p.on_commit("key_last", Some("Wide_LAT.Sig = 2"), &[mail("sig 2")]);
+
+    // Small signature space: rows are created, re-read, and reset many times.
+    let mut state = 0x2545f491_4f6cdd1d_u64;
+    for _ in 0..2_000 {
+        let sig = lcg(&mut state) % 6;
+        let secs = (lcg(&mut state) % 1_000) as f64 / 1e3;
+        p.inject(&commit("", sig, secs));
+    }
+    p.assert_parity("hoisting");
+    for name in &p.rules {
+        assert!(p.fires(name) > 0, "rule {name} never fired: weak scenario");
+    }
+    let d = p.real.telemetry().dispatch;
+    assert!(
+        d.hoist_invalidations_avoided > 0,
+        "refinement never applied"
+    );
+    assert!(d.hoisted_lookup_hits > 0, "snapshot never shared");
+}
+
+/// 1 key-reader, 16 `Insert` mutators, 15 more key-readers on one LAT. Every
+/// reader probes only the group-key column, which an `Insert` can never
+/// change, so the effect analysis keeps the snapshot alive across the whole
+/// mutator block: ≤ 1.2 LAT row fetches/event (always-clear would pay 2).
+#[test]
+fn key_readers_keep_one_snapshot_across_a_mutator_block() {
+    let mut p = Pair::new();
+    p.lat(stats_lat("Sig_LAT"));
+    p.on_commit("reader00", Some("Sig_LAT.Sig = 3"), &[]);
+    for i in 0..16 {
+        // Distinct always-true conditions: the feeds are not duplicates.
+        let cond = format!("Query.Duration > 0.000{i}");
+        p.on_commit(
+            &format!("feed{i:02}"),
+            Some(&cond),
+            &[Action::insert("Sig_LAT")],
+        );
+    }
+    for i in 0..15 {
+        let cond = format!("Sig_LAT.Sig = {}", i % 6);
+        p.on_commit(&format!("reader{:02}", i + 1), Some(&cond), &[]);
+    }
+    let events = 1_000u64;
+    let mut state = 0x1234_5678_9abc_def0_u64;
+    for _ in 0..events {
+        p.inject(&lcg_commit(&mut state));
+    }
+    p.assert_parity("mutator block");
+    let d = p.real.telemetry().dispatch;
+    assert!(d.hoist_invalidations_avoided > 0);
+    let per_event = d.lat_row_fetches as f64 / events as f64;
+    assert!(per_event <= 1.2, "{per_event} LAT row fetches/event");
+}
+
+// ------------------------------------------------------------- guard index
+
+/// Every guard shape — equality, IN-list, one- and two-sided ranges, an
+/// unsatisfiable range, a guarded rule with a non-indexable tail — plus every
+/// residual reason that still fires (pattern match, LAT read, no condition).
+#[test]
+fn guard_index_prunes_only_what_cannot_fire() {
+    let mut p = Pair::new();
+    p.lat(stats_lat("Stats_LAT"));
+    for i in 0..6 {
+        let cond = format!("Query.User = 'user_{i}'");
+        p.on_commit(
+            &format!("eq{i}"),
+            Some(&cond),
+            &[mail("user seen: {Query.User}")],
+        );
+    }
+    let in_sig = "Query.Logical_Signature IN (1, 2, 3)";
+    p.on_commit("in_sig", Some(in_sig), &[Action::insert("Stats_LAT")]);
+    for (name, cond) in [
+        ("range_hi", "Query.Duration > 0.5"),
+        ("range_lo", "Query.Duration <= 0.2"),
+        (
+            "range_band",
+            "Query.Duration > 0.1 AND Query.Duration < 0.4",
+        ),
+        ("range_closed", "Query.Duration >= 0.4"),
+        // The guard may prune; the VM still decides the tail.
+        (
+            "guarded_tail",
+            "Query.User = 'user_1' AND Query.Query_Text LIKE '%SELECT%'",
+        ),
+        // Indexed as never-candidate: evaluations still count, fires stay 0.
+        ("never", "Query.Duration > 3 AND Query.Duration < 2"),
+        ("pattern", "Query.Query_Text LIKE '%SELECT%'"),
+        ("lat_reader", "Stats_LAT.N >= 10 AND Stats_LAT.Avg_D > 0.2"),
+    ] {
+        p.on_commit(name, Some(cond), &[mail(name)]);
+    }
+    p.on_commit("feed", None, &[Action::insert("Stats_LAT")]);
+
+    let mut state = 0x2545f491_4f6cdd1d_u64;
+    let mut events = 0u64;
+    for _ in 0..2_000 {
+        p.inject(&lcg_commit(&mut state));
+        events += 1;
+    }
+    // Every range endpoint, exactly: an off-by-one in a bound's strictness
+    // only shows on the boundary value itself.
+    for secs in [0.1, 0.2, 0.4, 0.5, 2.0, 3.0] {
+        p.inject(&commit("user_1", 2, secs));
+        events += 1;
+    }
+    // Exact counts on strict endpoints, user and signature matching nothing:
+    // at Duration = 0.5 `range_hi` (> 0.5) stays pruned, at 0.4 `range_band`
+    // (< 0.4) does; only `range_closed` (>= 0.4) joins the 3 residuals.
+    for secs in [0.5, 0.4] {
+        let before = p.real.telemetry().matching;
+        p.inject(&commit("user_9", 0, secs));
+        events += 1;
+        let after = p.real.telemetry().matching;
+        assert_eq!(after.candidate_rules - before.candidate_rules, 4, "{secs}");
+        assert_eq!(after.rules_pruned - before.rules_pruned, 12, "{secs}");
+    }
+    p.assert_parity("guard shapes");
+    for name in &p.rules {
+        if name == "never" {
+            assert_eq!(p.fires(name), 0);
+        } else {
+            assert!(p.fires(name) > 0, "rule {name} never fired: weak scenario");
+        }
+    }
+    let m = p.real.telemetry().matching;
+    assert_eq!(m.guard_probes, events, "one probe per dispatched event");
+    assert!(m.rules_pruned > 0, "selective rules never pruned");
+    assert_eq!(m.residual_rules, 3, "pattern, lat_reader, feed");
+    assert!(m.candidate_rules_per_event() < p.rules.len() as f64);
+}
+
+/// LCG-shaped rule sets (equality, IN, one/two-sided ranges, patterns,
+/// guarded conjunctions): catches extraction bugs no hand-picked set would —
+/// odd constants, duplicate guards, overlapping ranges, rules that never fire.
+#[test]
+fn randomized_rule_sets_match() {
+    let mut state = 0x9e3779b9_7f4a7c15_u64;
+    for round in 0..4 {
+        let mut p = Pair::new();
+        p.lat(
+            LatSpec::new("L")
+                .group_by("Query.Logical_Signature", "Sig")
+                .aggregate(LatAggFunc::Count, "", "N"),
+        );
+        for i in 0..24 {
+            let cond = match lcg(&mut state) % 6 {
+                0 => format!("Query.User = 'user_{}'", lcg(&mut state) % 8),
+                1 => format!(
+                    "Query.Logical_Signature IN ({}, {})",
+                    lcg(&mut state) % 6,
+                    lcg(&mut state) % 6
+                ),
+                2 => format!("Query.Duration > 0.{}", lcg(&mut state) % 9),
+                3 => {
+                    // Keep lo < hi: the registration-time analyzer rejects
+                    // provably unsatisfiable conditions (E006) outright.
+                    let lo = lcg(&mut state) % 5;
+                    let hi = lo + 1 + lcg(&mut state) % 4;
+                    format!("Query.Duration >= 0.{lo} AND Query.Duration < 0.{hi}")
+                }
+                4 => "Query.Query_Text LIKE '%SELECT%'".to_string(),
+                _ => format!(
+                    "Query.User = 'user_{}' AND Query.Logical_Signature IN ({}, {})",
+                    lcg(&mut state) % 8,
+                    lcg(&mut state) % 6,
+                    lcg(&mut state) % 6
+                ),
+            };
+            let action = if i % 3 == 0 {
+                Action::insert("L")
+            } else {
+                mail(&format!("r{i}: {cond}"))
+            };
+            p.on_commit(&format!("r{i}"), Some(&cond), &[action]);
+        }
+        for _ in 0..2_000 {
+            p.inject(&lcg_commit(&mut state));
+        }
+        // The decile grid the generated bounds sit on.
+        for tenth in 0..10 {
+            p.inject(&commit("user_0", tenth % 6, tenth as f64 / 10.0));
+        }
+        p.assert_parity(&format!("randomized round {round}"));
+        assert!(p.real.stats().fires > 0, "round {round}: nothing fired");
+        assert!(
+            p.real.telemetry().matching.rules_pruned > 0,
+            "round {round}: index never pruned"
+        );
+    }
+}
+
+/// 256 per-tenant rules, at most one of which can match any event: the
+/// candidate set must stay ≤ 10 % of the registered rules (here ~1/256).
+#[test]
+fn selective_rules_at_scale_stay_sublinear() {
+    const RULES: u64 = 256;
+    let mut p = Pair::new();
+    for i in 0..RULES {
+        let cond = format!("Query.User = 'user_{i}' AND Query.Duration > 0.5");
+        p.on_commit(
+            &format!("u{i:03}"),
+            Some(&cond),
+            &[mail("{Query.User} is slow")],
+        );
+    }
+    let mut state = 0xfeed_f00d_dead_beef_u64;
+    for _ in 0..600 {
+        // 300 users: some events match no rule at all.
+        let user = format!("user_{}", lcg(&mut state) % 300);
+        let secs = (lcg(&mut state) % 1_000) as f64 / 1e3;
+        p.inject(&commit(&user, 1, secs));
+    }
+    p.assert_parity("256 selective rules");
+    assert!(p.real.stats().fires > 0);
+    let m = p.real.telemetry().matching;
+    assert!(m.rules_pruned > 0);
+    let fraction = m.candidate_rules as f64 / (m.guard_probes * RULES) as f64;
+    assert!(fraction <= 0.10, "candidate fraction {fraction}");
+}
+
+// --------------------------------------------------------------------- CSE
+
+/// 32 rules sharing one LAT predicate, feed registered last so its Insert
+/// never splits the sharers: once the group's row exists, the predicate is
+/// evaluated once per event and 31 sharers load the slot.
+#[test]
+fn shared_predicate_is_evaluated_once_per_event() {
+    const SHARERS: u64 = 32;
+    let mut p = Pair::new();
+    p.lat(stats_lat("Sig_LAT"));
+    let shared = "Sig_LAT.Avg_D * 2 + Sig_LAT.N > 40 AND Query.Duration > 0";
+    for i in 0..SHARERS {
+        p.on_commit(&format!("share{i:02}"), Some(shared), &[]);
+    }
+    p.on_commit("feed", None, &[Action::insert("Sig_LAT")]);
+    // Cold pass: a missing row makes the predicate error out of the ∃, and
+    // errors are never cached — no sharing until each group exists.
+    for sig in 0..6 {
+        p.inject(&commit("", sig, 0.25));
+    }
+    let before = p.real.telemetry().dispatch.cse_hits;
+    let events = 600u64;
+    let mut state = 0x0dd_ba11_u64;
+    for _ in 0..events {
+        p.inject(&lcg_commit(&mut state));
+    }
+    p.assert_parity("32 sharers");
+    assert!(p.fires("share00") > 0 && p.fires("share00") < events);
+    let hits = p.real.telemetry().dispatch.cse_hits - before;
+    assert_eq!(hits, (SHARERS - 1) * events, "> 1 shared evaluation/event");
+}
+
+/// A feed inserting *between* two sharers of one LAT predicate: the later
+/// sharer must re-fetch and re-evaluate — see its predecessor's write, never
+/// the earlier sharer's cached verdict.
+#[test]
+fn shared_value_dies_with_the_row_it_was_computed_from() {
+    let mut p = Pair::new();
+    p.lat(stats_lat("Sig_LAT"));
+    p.on_commit("watch_a", Some("Sig_LAT.N >= 3"), &[]);
+    p.on_commit("feed", None, &[Action::insert("Sig_LAT")]);
+    p.on_commit("watch_b", Some("Sig_LAT.N >= 3"), &[]);
+    for _ in 0..10 {
+        p.inject(&commit("", 9, 0.1));
+    }
+    p.assert_parity("feed between sharers");
+    // watch_a sees N = i-1 on event i, watch_b sees N = i.
+    assert_eq!((p.fires("watch_a"), p.fires("watch_b")), (7, 8));
+    assert_eq!(p.real.telemetry().dispatch.cse_hits, 0);
+}
+
+// ------------------------------------------------- what no pairwise suite saw
+
+/// A bounded top-k LAT whose eviction event feeds rules: evictions are
+/// queued and handled after the raising event's rules, so `still_counted`
+/// (registered after the feeder whose Insert evicts) reads `Seen_LAT` before
+/// `on_evict` resets it; `bad_spill` fails on every eviction (no `Query` in
+/// an eviction's scope). Distinct durations keep victim choice tie-free; the
+/// aging column makes contents depend on the shared manual clock.
+#[test]
+fn eviction_events_cascade_after_the_raising_event() {
+    let mut p = Pair::new();
+    p.lat(
+        LatSpec::new("Top_LAT")
+            .group_by("Query.Logical_Signature", "Sig")
+            .aggregate(LatAggFunc::Max, "Query.Duration", "D")
+            .aggregate(LatAggFunc::Count, "", "Recent")
+            .aging(40_000, 10_000)
+            .order_by("D", true)
+            .max_rows(4),
+    );
+    p.lat(stats_lat("Seen_LAT"));
+    let evicted = RuleEvent::LatEviction("Top_LAT".into());
+    p.on_commit("count", None, &[Action::insert("Seen_LAT")]);
+    p.on_commit("track", None, &[Action::insert("Top_LAT")]);
+    let seen = [mail("sig {Query.Logical_Signature}")];
+    p.on_commit("still_counted", Some("Seen_LAT.N >= 1"), &seen);
+    let recent = [mail("{Top_LAT.Recent} recent in top")];
+    p.on_commit("recently_top", Some("Top_LAT.Recent >= 2"), &recent);
+    let demote = [mail("fell out of the top 4"), Action::reset("Seen_LAT")];
+    p.on(evicted.clone(), "on_evict", None, &demote);
+    p.on(evicted, "bad_spill", None, &[Action::insert("Seen_LAT")]);
+    for i in 0..400u64 {
+        // Unique durations (7919 is coprime to 100003), 12 signatures.
+        let micros = 1 + i * 7919 % 100_003;
+        p.inject(&commit("", i * 5 % 12, micros as f64 / 1e6));
+    }
+    p.assert_parity("eviction cascade");
+    let evictions = p.fires("on_evict");
+    assert!(evictions > 10, "only {evictions} evictions: weak scenario");
+    let recent = p.fires("recently_top");
+    assert!(recent > 0 && recent < 400, "aging never rolled: {recent}");
+    let spill = p.real.rule("bad_spill").unwrap().stats();
+    assert_eq!(spill.action_errors, evictions);
+    assert_eq!(
+        p.fires("still_counted"),
+        400,
+        "saw a same-event eviction's Reset"
+    );
+}
+
+/// Disables `target` when a command runs, then forwards it to `log`.
+struct DisablingSink {
+    target: Arc<Rule>,
+    log: Arc<RecordingCommandSink>,
+}
+
+impl CommandSink for DisablingSink {
+    fn run(&self, command: &str) {
+        self.target.set_enabled(false);
+        self.log.run(command);
+    }
+}
+
+/// Enabled-ness is pinned per event: a rule disabled by an earlier rule's
+/// action still runs for that event and is out from the next one on.
+#[test]
+fn a_rule_disabled_mid_event_finishes_that_event() {
+    let mut p = Pair::new();
+    p.on_commit("first", None, &[Action::run_external("disable second")]);
+    p.on_commit("second", None, &[mail("second fired")]);
+    p.real.set_command_sink(Arc::new(DisablingSink {
+        target: p.real.rule("second").unwrap(),
+        log: p.real.command_log(),
+    }));
+    p.reference.set_command_sink(Arc::new(DisablingSink {
+        target: p.reference.rule("second").unwrap(),
+        log: Arc::new(RecordingCommandSink::new()),
+    }));
+    for _ in 0..3 {
+        p.inject(&commit("", 1, 0.1));
+    }
+    p.assert_parity("mid-event disable");
+    assert_eq!((p.fires("first"), p.fires("second")), (3, 1));
+}
+
+/// `drop_lat` breaks the rules conditioned on the LAT (every evaluation is
+/// counted, none fires) while feeders keep their bound handle; redefining the
+/// name un-breaks the readers against the new, empty table.
+#[test]
+fn a_dropped_lat_breaks_its_readers_until_redefined() {
+    let mut p = Pair::new();
+    p.lat(stats_lat("L"));
+    p.on_commit("feed", None, &[Action::insert("L")]);
+    p.on_commit("reader", Some("L.N >= 2"), &[mail("seen {L.N} times")]);
+    // Integer division by zero: a condition that errors on every evaluation.
+    p.on_commit("div0", Some("Query.ID / 0 > 1"), &[mail("unreachable")]);
+    let mut state = 0xabad_1dea_u64;
+    let mut run = |p: &Pair, what: &str| {
+        for _ in 0..50 {
+            p.inject(&lcg_commit(&mut state));
+        }
+        p.assert_parity(what);
+        p.fires("reader")
+    };
+    let live = run(&p, "before drop");
+    assert!(live > 0);
+    assert!(p.real.drop_lat("L") && p.reference.drop_lat("L"));
+    assert_eq!(run(&p, "dropped"), live, "a broken rule fired");
+    p.real.define_lat(stats_lat("L")).unwrap();
+    p.reference.define_lat(stats_lat("L")).unwrap();
+    assert_eq!(
+        run(&p, "redefined"),
+        live,
+        "feed must still hit the old table"
+    );
+    assert_eq!(p.real.lat("L").unwrap().row_count(), 0);
+    assert_eq!(p.real.rule("reader").unwrap().stats().evaluations, 150);
+    assert_eq!(p.real.rule("div0").unwrap().stats().action_errors, 150);
+}

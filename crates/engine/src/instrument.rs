@@ -110,9 +110,19 @@ impl Multicast {
 
     /// Detach by name; returns true when a monitor was removed.
     pub fn detach(&self, name: &str) -> bool {
+        self.detach_where(|s| s.name() == name)
+    }
+
+    /// Detach one specific monitor by identity (other monitors sharing its
+    /// name stay attached); returns true when it was attached.
+    pub fn detach_sink(&self, sink: &Arc<dyn Instrumentation>) -> bool {
+        self.detach_where(|s| std::ptr::addr_eq(Arc::as_ptr(s), Arc::as_ptr(sink)))
+    }
+
+    fn detach_where(&self, gone: impl Fn(&Arc<dyn Instrumentation>) -> bool) -> bool {
         let mut sinks = self.sinks.write();
         let before = sinks.len();
-        sinks.retain(|s| s.name() != name);
+        sinks.retain(|s| !gone(s));
         self.interest
             .store(Multicast::interest_of(&sinks).bits(), Ordering::Release);
         sinks.len() != before
