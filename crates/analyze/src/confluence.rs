@@ -26,12 +26,13 @@ use crate::diagnostics::{Code, Diagnostic};
 use crate::effects::rule_effects;
 use crate::schema::SchemaUniverse;
 use crate::{EventIr, RuleIr};
+use std::sync::Arc;
 
 /// W301: warn when the immediately-preceding same-event rule reads columns
 /// the new rule writes (swapping the adjacent pair changes behaviour).
 pub fn check_order(
     universe: &SchemaUniverse,
-    admitted: &[RuleIr],
+    admitted: &[Arc<RuleIr>],
     new: &RuleIr,
     diags: &mut Vec<Diagnostic>,
 ) {
@@ -65,12 +66,16 @@ pub fn check_order(
 /// eviction per bounded insert, one alarm per `SetTimer`).
 pub fn check_amplification(
     universe: &SchemaUniverse,
-    admitted: &[RuleIr],
+    admitted: &[Arc<RuleIr>],
     new: &RuleIr,
     threshold: usize,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let all: Vec<&RuleIr> = admitted.iter().chain(std::iter::once(new)).collect();
+    let all: Vec<&RuleIr> = admitted
+        .iter()
+        .map(Arc::as_ref)
+        .chain(std::iter::once(new))
+        .collect();
 
     // Worst-case evaluations triggered by dispatching `event` once. `depth`
     // guards against a cycle in the not-yet-denied candidate set — E004 is
@@ -171,7 +176,8 @@ mod tests {
                 arg: None,
                 payload: vec!["Query".into()],
             },
-            condition: cond.map(|c| sqlcm_sql::parse_expression(c).unwrap()),
+            condition: cond
+                .map(|c| crate::Condition::lower(&sqlcm_sql::parse_expression(c).unwrap())),
             actions,
         }
     }
@@ -193,8 +199,12 @@ mod tests {
     fn reader_then_writer_is_w301_but_writer_then_reader_is_not() {
         let mut u = SchemaUniverse::builtin();
         assert!(u.register_lat(&lat("L", false)).is_empty());
-        let reader = on_commit("reader", Some("L.N > 5"), vec![]);
-        let writer = on_commit("writer", None, vec![ActionIr::Insert { lat: "L".into() }]);
+        let reader = Arc::new(on_commit("reader", Some("L.N > 5"), vec![]));
+        let writer = Arc::new(on_commit(
+            "writer",
+            None,
+            vec![ActionIr::Insert { lat: "L".into() }],
+        ));
 
         let mut diags = Vec::new();
         check_order(&u, std::slice::from_ref(&reader), &writer, &mut diags);
@@ -211,20 +221,20 @@ mod tests {
         let mut u = SchemaUniverse::builtin();
         assert!(u.register_lat(&lat("A", true)).is_empty());
         assert!(u.register_lat(&lat("B", true)).is_empty());
-        let mut admitted = vec![on_commit(
+        let mut admitted = vec![Arc::new(on_commit(
             "feed_a",
             None,
             vec![ActionIr::Insert { lat: "A".into() }],
-        )];
+        ))];
         for i in 0..4 {
-            admitted.push(on_eviction(
+            admitted.push(Arc::new(on_eviction(
                 &format!("a_spill{i}"),
                 "A",
                 vec![ActionIr::Insert { lat: "B".into() }],
-            ));
+            )));
         }
         for i in 0..4 {
-            admitted.push(on_eviction(&format!("b_spill{i}"), "B", vec![]));
+            admitted.push(Arc::new(on_eviction(&format!("b_spill{i}"), "B", vec![])));
         }
         let new = on_commit("feed_a2", None, vec![ActionIr::Insert { lat: "A".into() }]);
         // Each commit insert may evict from A (4 rules, each may evict from B:

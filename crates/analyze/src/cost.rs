@@ -25,20 +25,17 @@
 //! condition to thin the firings, every single event pays the sink — and
 //! under sink failure, every single event feeds the circuit breaker.
 //!
-//! A third lint (W205) mirrors the runtime's dispatch-time guard index: the
-//! monitor prunes a rule without evaluating it when a conjunct of its
-//! condition (`attr = const`, `attr IN (…)`, `attr <op> const` over payload
-//! attributes) is violated by the event. [`rule_indexability`] reproduces
-//! that extraction statically so authors can see, per rule, whether dispatch
-//! cost scales with *matching* rules or with *registered* rules — and W205
-//! fires when a rule on a hot event class reads only payload attributes yet
-//! yields no guard atom, i.e. it is residual for a fixable reason.
+//! A third lint (W205) reports on the dispatch-time guard index: the monitor
+//! prunes a rule without evaluating it when its guard (see [`crate::guard`])
+//! is violated by the event, so dispatch cost scales with *matching* rules
+//! rather than *registered* rules. W205 fires when a rule on a hot event
+//! class reads only payload attributes yet gets no guard, i.e. it is
+//! residual for a fixable reason.
 
 use crate::diagnostics::{Code, Diagnostic};
+use crate::guard::{rule_guard, Residual};
 use crate::schema::SchemaUniverse;
-use crate::{expr_refs, ActionIr, RuleIr};
-use sqlcm_common::Value;
-use sqlcm_sql::{BinOp, ExprIr, IrOp, NodeId, UnaryOp};
+use crate::{ActionIr, RuleIr};
 
 /// Default threshold above which [`Code::W201`] fires.
 pub const DEFAULT_COST_THRESHOLD: u32 = 16;
@@ -48,31 +45,29 @@ pub const DEFAULT_COST_THRESHOLD: u32 = 16;
 pub fn rule_cost(universe: &SchemaUniverse, rule: &RuleIr) -> (u32, Vec<String>) {
     let mut total = 0u32;
     let mut parts = Vec::new();
-    if let Some(cond) = &rule.condition {
-        let (_, lats) = expr_refs(universe, &sqlcm_sql::ExprIr::lower(cond));
-        for name in lats {
-            let schema = universe.lat(&name);
-            let c = match schema {
-                Some(schema) => 1 + schema.aging_aggregates as u32,
-                None => 1,
-            };
-            total += c;
-            // The dispatch plan hoists a lookup to event level when the LAT's
-            // key class is in the event payload: rules on the same event then
-            // share one row snapshot, so the probe cost amortizes across the
-            // ruleset instead of accruing per rule. Surfaced here so authors
-            // can see which probes the runtime de-duplicates.
-            let hoisted = schema.is_some_and(|sc| {
-                rule.event
-                    .payload
-                    .iter()
-                    .any(|p| p.eq_ignore_ascii_case(&sc.source_class))
-            });
-            if hoisted {
-                parts.push(format!("probe {name}: {c} (hoisted: shared per event)"));
-            } else {
-                parts.push(format!("probe {name}: {c}"));
-            }
+    let (_, lats) = rule.refs(universe);
+    for name in lats {
+        let schema = universe.lat(&name);
+        let c = match schema {
+            Some(schema) => 1 + schema.aging_aggregates as u32,
+            None => 1,
+        };
+        total += c;
+        // The dispatch plan hoists a lookup to event level when the LAT's
+        // key class is in the event payload: rules on the same event then
+        // share one row snapshot, so the probe cost amortizes across the
+        // ruleset instead of accruing per rule. Surfaced here so authors
+        // can see which probes the runtime de-duplicates.
+        let hoisted = schema.is_some_and(|sc| {
+            rule.event
+                .payload
+                .iter()
+                .any(|p| p.eq_ignore_ascii_case(&sc.source_class))
+        });
+        if hoisted {
+            parts.push(format!("probe {name}: {c} (hoisted: shared per event)"));
+        } else {
+            parts.push(format!("probe {name}: {c}"));
         }
     }
     for action in &rule.actions {
@@ -174,202 +169,6 @@ pub fn check_unconditional_external(rule: &RuleIr, diags: &mut Vec<Diagnostic>) 
     }
 }
 
-// ---------------------------------------------------------- indexability
-
-/// Static verdict: can the runtime's guard index prune this rule, and if
-/// not, why is it always evaluated?
-///
-/// Mirrors the extraction the dispatch plan performs at build time (one
-/// guard per rule, first equality/`IN` conjunct wins, else the first ranged
-/// attribute), so the lint output matches what `telemetry.matching` will
-/// report for the same ruleset.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Indexability {
-    /// The guard index can prune the rule; describes the extracted atom.
-    Indexable(String),
-    /// The rule sits in the always-evaluate residual set.
-    Residual(Residual),
-}
-
-/// Why a rule is residual (never pruned by the guard index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Residual {
-    /// No condition: the rule fires on every event of its class.
-    Unconditional,
-    /// The condition reads LAT state, which mutates mid-stream and can
-    /// error; a violated payload guard cannot prove it false.
-    ReadsLat,
-    /// The condition reads a class outside the event payload (an iterated
-    /// class), so one payload probe cannot stand in for all combinations.
-    NonPayloadClass,
-    /// The condition contains arithmetic or a function call that can raise
-    /// an error; under the error contract the rule must run to surface it.
-    FallibleExpr,
-    /// Payload-only and infallible, but no top-level conjunct has an
-    /// indexable shape (`attr = const`, `attr IN (…)`, `attr <op> const`).
-    NoGuardAtom,
-}
-
-impl Residual {
-    pub fn describe(self) -> &'static str {
-        match self {
-            Residual::Unconditional => "no condition — fires on every event of its class",
-            Residual::ReadsLat => "condition reads LAT state, which a payload guard cannot vouch for",
-            Residual::NonPayloadClass => "condition reads a class outside the event payload",
-            Residual::FallibleExpr => {
-                "condition contains arithmetic or a function call that can error"
-            }
-            Residual::NoGuardAtom => {
-                "no top-level conjunct is an indexable atom (attr = const, attr IN (…), attr <op> const)"
-            }
-        }
-    }
-}
-
-/// Classify one rule the way the runtime's guard index does.
-pub fn rule_indexability(universe: &SchemaUniverse, rule: &RuleIr) -> Indexability {
-    let Some(cond) = &rule.condition else {
-        return Indexability::Residual(Residual::Unconditional);
-    };
-    // Fold first: the runtime classifies the *compiled* condition, where
-    // constant arithmetic has already been evaluated away, so `x > 1 + 2`
-    // must index the same as `x > 3`.
-    let ir = ExprIr::lower(cond).fold();
-    let (classes, lats) = expr_refs(universe, &ir);
-    if !lats.is_empty() {
-        return Indexability::Residual(Residual::ReadsLat);
-    }
-    if !classes
-        .iter()
-        .all(|c| rule.event.payload.iter().any(|p| p.eq_ignore_ascii_case(c)))
-    {
-        return Indexability::Residual(Residual::NonPayloadClass);
-    }
-    // Whole-arena fallibility scan: a fallible node anywhere — even under a
-    // never-taken branch — keeps the rule residual, because the VM's error
-    // contract evaluates both AND/OR operands unless provably infallible.
-    for op in &ir.ops {
-        match op {
-            IrOp::Unary {
-                op: UnaryOp::Neg, ..
-            } => return Indexability::Residual(Residual::FallibleExpr),
-            IrOp::Binary {
-                op: BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div,
-                ..
-            } => return Indexability::Residual(Residual::FallibleExpr),
-            IrOp::FuncCall { .. } => return Indexability::Residual(Residual::FallibleExpr),
-            _ => {}
-        }
-    }
-    let mut conj = Vec::new();
-    conjuncts(&ir, ir.root, &mut conj);
-    // First equality/IN atom wins (a point probe beats a range sweep);
-    // otherwise the first ranged attribute carries the guard.
-    let mut range: Option<String> = None;
-    for id in conj {
-        match guard_atom(universe, &ir, id) {
-            Some(GuardAtom::Eq(desc)) => return Indexability::Indexable(desc),
-            Some(GuardAtom::Range(desc)) => {
-                range.get_or_insert(desc);
-            }
-            None => {}
-        }
-    }
-    match range {
-        Some(desc) => Indexability::Indexable(desc),
-        None => Indexability::Residual(Residual::NoGuardAtom),
-    }
-}
-
-enum GuardAtom {
-    Eq(String),
-    Range(String),
-}
-
-/// Split the top-level `AND` chain into conjunct roots.
-fn conjuncts(ir: &ExprIr, id: NodeId, out: &mut Vec<NodeId>) {
-    if let IrOp::Binary {
-        left,
-        op: BinOp::And,
-        right,
-    } = ir.op(id)
-    {
-        conjuncts(ir, *left, out);
-        conjuncts(ir, *right, out);
-    } else {
-        out.push(id);
-    }
-}
-
-/// The canonical `Class.Attr` spelling of a qualified payload reference, or
-/// `None` when the node is not one.
-fn qualified_ref(universe: &SchemaUniverse, ir: &ExprIr, id: NodeId) -> Option<String> {
-    let IrOp::Ref(r) = ir.op(id) else { return None };
-    let (qualifier, name) = &ir.refs[*r as usize];
-    let q = qualifier.as_ref()?;
-    let class = universe.class(q)?;
-    Some(format!("{}.{}", class.name, name))
-}
-
-/// Lift one conjunct into a guard atom, if it has an indexable shape.
-fn guard_atom(universe: &SchemaUniverse, ir: &ExprIr, id: NodeId) -> Option<GuardAtom> {
-    match ir.op(id) {
-        IrOp::Binary { left, op, right } => {
-            let (attr, cval, op) = match (ir.op(*left), ir.op(*right)) {
-                (IrOp::Ref(_), IrOp::Const(c)) => (
-                    qualified_ref(universe, ir, *left)?,
-                    &ir.consts[*c as usize],
-                    *op,
-                ),
-                (IrOp::Const(c), IrOp::Ref(_)) => (
-                    qualified_ref(universe, ir, *right)?,
-                    &ir.consts[*c as usize],
-                    flip(*op)?,
-                ),
-                _ => return None,
-            };
-            match op {
-                BinOp::Eq => Some(GuardAtom::Eq(format!("equality on {attr}"))),
-                BinOp::Lt | BinOp::Gt | BinOp::LtEq | BinOp::GtEq => {
-                    // Range guards index numeric bounds only, same as the
-                    // runtime (NaN would poison the sweep order).
-                    match cval {
-                        Value::Int(_) => {}
-                        Value::Float(f) if !f.is_nan() => {}
-                        _ => return None,
-                    }
-                    Some(GuardAtom::Range(format!("range on {attr}")))
-                }
-                _ => None,
-            }
-        }
-        IrOp::InList {
-            expr,
-            list,
-            negated: false,
-        } => {
-            let attr = qualified_ref(universe, ir, *expr)?;
-            let all_const = ir.lists[*list as usize]
-                .iter()
-                .all(|m| matches!(ir.op(*m), IrOp::Const(_)));
-            all_const.then(|| GuardAtom::Eq(format!("membership on {attr}")))
-        }
-        _ => None,
-    }
-}
-
-/// Mirror of the comparison with operands swapped (`5 < attr` ⇒ `attr > 5`).
-fn flip(op: BinOp) -> Option<BinOp> {
-    Some(match op {
-        BinOp::Eq => BinOp::Eq,
-        BinOp::Lt => BinOp::Gt,
-        BinOp::Gt => BinOp::Lt,
-        BinOp::LtEq => BinOp::GtEq,
-        BinOp::GtEq => BinOp::LtEq,
-        _ => return None,
-    })
-}
-
 /// Warn (W205) when a rule on a hot event class has a payload-only condition
 /// the guard index cannot use — the fixable flavour of residual.
 ///
@@ -381,8 +180,7 @@ pub fn check_unindexable(universe: &SchemaUniverse, rule: &RuleIr, diags: &mut V
     if !is_hot_event(&rule.event.kind) {
         return;
     }
-    let verdict = rule_indexability(universe, rule);
-    if let Indexability::Residual(r @ (Residual::FallibleExpr | Residual::NoGuardAtom)) = verdict {
+    if let Err(r @ (Residual::FallibleExpr | Residual::NoGuardAtom)) = rule_guard(universe, rule) {
         diags.push(
             Diagnostic::new(
                 Code::W205,
@@ -406,7 +204,13 @@ pub fn check_unindexable(universe: &SchemaUniverse, rule: &RuleIr, diags: &mut V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AggColumnIr, Analyzer, AttrIr, EventIr, GroupColumnIr, LatAggFunc, LatIr};
+    use crate::{
+        AggColumnIr, Analyzer, AttrIr, Condition, EventIr, GroupColumnIr, LatAggFunc, LatIr,
+    };
+
+    fn cond(src: &str) -> Condition {
+        Condition::lower(&sqlcm_sql::parse_expression(src).unwrap())
+    }
 
     fn aging_lat() -> LatIr {
         LatIr {
@@ -452,7 +256,7 @@ mod tests {
                 arg: None,
                 payload: vec!["Query".into()],
             },
-            condition: Some(sqlcm_sql::parse_expression("Win.Avg_D > 1").unwrap()),
+            condition: Some(cond("Win.Avg_D > 1")),
             actions: vec![
                 ActionIr::Insert { lat: "Win".into() },
                 ActionIr::PersistLat {
@@ -484,7 +288,7 @@ mod tests {
                 arg: Some("t".into()),
                 payload: vec!["Timer".into()],
             },
-            condition: Some(sqlcm_sql::parse_expression("Win.Avg_D > 1").unwrap()),
+            condition: Some(cond("Win.Avg_D > 1")),
             actions: vec![],
         };
         let (_, parts) = rule_cost(a.universe(), &rule);
@@ -502,7 +306,7 @@ mod tests {
                 arg: None,
                 payload: vec!["Query".into()],
             },
-            condition: Some(sqlcm_sql::parse_expression("Win.Avg_D > 1").unwrap()),
+            condition: Some(cond("Win.Avg_D > 1")),
             actions: vec![
                 ActionIr::Insert { lat: "Win".into() },
                 ActionIr::PersistLat {
@@ -522,12 +326,12 @@ mod tests {
         // so only the cost verdict is asserted here.)
         rule.name = "light".into();
         rule.actions = vec![ActionIr::Insert { lat: "Win".into() }];
-        rule.condition = Some(sqlcm_sql::parse_expression("Win.Avg_D > 2").unwrap());
+        rule.condition = Some(cond("Win.Avg_D > 2"));
         let diags = a.check_rule(&rule);
         assert!(diags.iter().all(|d| d.code != Code::W201), "{diags:?}");
     }
 
-    fn hot_rule(name: &str, cond: Option<&str>) -> RuleIr {
+    fn hot_rule(name: &str, condition: Option<&str>) -> RuleIr {
         RuleIr {
             name: name.into(),
             event: EventIr {
@@ -535,68 +339,9 @@ mod tests {
                 arg: None,
                 payload: vec!["Query".into()],
             },
-            condition: cond.map(|c| sqlcm_sql::parse_expression(c).unwrap()),
+            condition: condition.map(cond),
             actions: vec![ActionIr::SendMail],
         }
-    }
-
-    fn verdict(cond: Option<&str>) -> Indexability {
-        let a = Analyzer::new();
-        rule_indexability(a.universe(), &hot_rule("r", cond))
-    }
-
-    #[test]
-    fn indexability_mirrors_the_runtime_extraction() {
-        // Equality and membership index, and equality wins over a range.
-        assert_eq!(
-            verdict(Some("Query.User = 'alice'")),
-            Indexability::Indexable("equality on Query.User".into())
-        );
-        assert_eq!(
-            verdict(Some("Query.Duration > 2 AND Query.User = 'alice'")),
-            Indexability::Indexable("equality on Query.User".into())
-        );
-        assert_eq!(
-            verdict(Some("Query.Logical_Signature IN (1, 2, 3)")),
-            Indexability::Indexable("membership on Query.Logical_Signature".into())
-        );
-        // Flipped operands and folded constant arithmetic still index.
-        assert_eq!(
-            verdict(Some("3 < Query.Duration")),
-            Indexability::Indexable("range on Query.Duration".into())
-        );
-        assert_eq!(
-            verdict(Some("Query.Duration > 1 + 2")),
-            Indexability::Indexable("range on Query.Duration".into())
-        );
-    }
-
-    #[test]
-    fn residual_reasons_match_the_runtime() {
-        let mut a = Analyzer::new();
-        assert!(a.check_lat(&aging_lat()).is_empty());
-        assert_eq!(
-            verdict(None),
-            Indexability::Residual(Residual::Unconditional)
-        );
-        assert_eq!(
-            rule_indexability(a.universe(), &hot_rule("r", Some("Win.Avg_D > 1"))),
-            Indexability::Residual(Residual::ReadsLat)
-        );
-        // Live (unfolded) arithmetic and LIKE-only conditions stay residual.
-        assert_eq!(
-            verdict(Some("Query.Duration - Query.Estimated_Cost > 1")),
-            Indexability::Residual(Residual::FallibleExpr)
-        );
-        assert_eq!(
-            verdict(Some("Query.Query_Text LIKE '%DROP%'")),
-            Indexability::Residual(Residual::NoGuardAtom)
-        );
-        // A disjunction has no top-level conjunct to violate.
-        assert_eq!(
-            verdict(Some("Query.User = 'a' OR Query.User = 'b'")),
-            Indexability::Residual(Residual::NoGuardAtom)
-        );
     }
 
     #[test]

@@ -29,7 +29,8 @@
 use crate::diagnostics::{Code, Diagnostic};
 use crate::schema::SchemaUniverse;
 use crate::{ActionIr, RuleIr};
-use sqlcm_sql::{ExprIr, NodeId};
+use sqlcm_sql::NodeId;
+use std::sync::Arc;
 
 /// Events (kind, argument) a rule's actions may raise.
 pub(crate) fn raised_events(
@@ -64,10 +65,10 @@ pub(crate) fn raised_events(
 /// The admitted set is acyclic (E004 denies cycles at registration), but the
 /// walk still guards against one defensively — a rule on a cycle reports the
 /// trivial upper bound `rules.len()` instead of recursing forever.
-pub fn max_cascade_depth(universe: &SchemaUniverse, rules: &[RuleIr]) -> usize {
+pub fn max_cascade_depth(universe: &SchemaUniverse, rules: &[Arc<RuleIr>]) -> usize {
     fn depth_of(
         universe: &SchemaUniverse,
-        all: &[RuleIr],
+        all: &[Arc<RuleIr>],
         i: usize,
         visiting: &mut [bool],
         memo: &mut [Option<usize>],
@@ -102,11 +103,15 @@ pub fn max_cascade_depth(universe: &SchemaUniverse, rules: &[RuleIr]) -> usize {
 /// Reject a cascade cycle that `new` would close.
 pub fn check_cascades(
     universe: &SchemaUniverse,
-    existing: &[RuleIr],
+    existing: &[Arc<RuleIr>],
     new: &RuleIr,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let all: Vec<&RuleIr> = existing.iter().chain(std::iter::once(new)).collect();
+    let all: Vec<&RuleIr> = existing
+        .iter()
+        .map(Arc::as_ref)
+        .chain(std::iter::once(new))
+        .collect();
     let start = all.len() - 1;
     let successors = |i: usize| -> Vec<usize> {
         raised_events(universe, all[i])
@@ -171,7 +176,7 @@ fn dfs(
 /// structurally identical condition, and the same actions. (Same event and
 /// condition with *different* actions is the normal fan-out idiom — one
 /// event feeding several LATs — and is not flagged.)
-pub fn check_duplicates(existing: &[RuleIr], new: &RuleIr, diags: &mut Vec<Diagnostic>) {
+pub fn check_duplicates(existing: &[Arc<RuleIr>], new: &RuleIr, diags: &mut Vec<Diagnostic>) {
     for r in existing {
         if r.event.same_as(&new.event) && r.condition == new.condition && r.actions == new.actions {
             diags.push(
@@ -202,13 +207,13 @@ pub fn check_duplicates(existing: &[RuleIr], new: &RuleIr, diags: &mut Vec<Diagn
 /// plan uses to assign shared CSE slots — with a structural-equality check
 /// guarding against hash collisions.
 pub fn check_shared_predicates(
-    existing: &[RuleIr],
+    existing: &[Arc<RuleIr>],
     new: &RuleIr,
-    new_ir: Option<&ExprIr>,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let Some(new_ir) = new_ir else { return };
-    let folded = new_ir.fold();
+    let Some(folded) = new.condition.as_ref().map(|c| c.folded()) else {
+        return;
+    };
     // Candidate subtrees of the new condition, largest first.
     let mut cands: Vec<NodeId> = Vec::new();
     folded.for_each(folded.root, &mut |id| {
@@ -221,11 +226,12 @@ pub fn check_shared_predicates(
     }
     cands.sort_by_key(|&c| std::cmp::Reverse(folded.size_of(c)));
     for r in existing {
-        let Some(cond) = &r.condition else { continue };
+        let Some(rir) = r.condition.as_ref().map(|c| c.folded()) else {
+            continue;
+        };
         if !r.event.same_as(&new.event) {
             continue;
         }
-        let rir = ExprIr::lower(cond).fold();
         if rir.hash_of(rir.root) == folded.hash_of(folded.root) {
             continue;
         }
@@ -233,7 +239,7 @@ pub fn check_shared_predicates(
             let h = folded.hash_of(c);
             let mut found = false;
             rir.for_each(rir.root, &mut |id| {
-                if !found && rir.hash_of(id) == h && rir.subtree_eq(id, &folded, c) {
+                if !found && rir.hash_of(id) == h && rir.subtree_eq(id, folded, c) {
                     found = true;
                 }
             });
@@ -267,6 +273,12 @@ pub fn check_shared_predicates(
 mod tests {
     use super::*;
     use crate::{AggColumnIr, Analyzer, AttrIr, EventIr, GroupColumnIr, LatAggFunc, LatIr};
+
+    fn cond(src: &str) -> Option<crate::Condition> {
+        Some(crate::Condition::lower(
+            &sqlcm_sql::parse_expression(src).unwrap(),
+        ))
+    }
 
     fn bounded_lat(name: &str) -> LatIr {
         LatIr {
@@ -481,9 +493,7 @@ mod tests {
             &["Query"],
             vec![ActionIr::SendMail],
         );
-        first.condition = Some(
-            sqlcm_sql::parse_expression("Query.Duration > 5 AND Query.User = 'admin'").unwrap(),
-        );
+        first.condition = cond("Query.Duration > 5 AND Query.User = 'admin'");
         assert!(a.check_rule(&first).is_empty());
         let mut second = rule(
             "two",
@@ -492,10 +502,7 @@ mod tests {
             &["Query"],
             vec![ActionIr::SendMail],
         );
-        second.condition = Some(
-            sqlcm_sql::parse_expression("Query.Duration > 5 AND Query.Estimated_Cost > 100")
-                .unwrap(),
-        );
+        second.condition = cond("Query.Duration > 5 AND Query.Estimated_Cost > 100");
         let diags = a.check_rule(&second);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, Code::W105);
@@ -515,7 +522,7 @@ mod tests {
             &["Query"],
             vec![ActionIr::SendMail],
         );
-        first.condition = Some(sqlcm_sql::parse_expression("Query.Duration > 5").unwrap());
+        first.condition = cond("Query.Duration > 5");
         assert!(a.check_rule(&first).is_empty());
         let mut second = rule(
             "two",
@@ -524,8 +531,7 @@ mod tests {
             &["Query"],
             vec![ActionIr::SendMail],
         );
-        second.condition =
-            Some(sqlcm_sql::parse_expression("Query.Duration > 5 AND Query.User = 'x'").unwrap());
+        second.condition = cond("Query.Duration > 5 AND Query.User = 'x'");
         let diags = a.check_rule(&second);
         assert!(diags.is_empty(), "{diags:?}");
     }
@@ -540,7 +546,7 @@ mod tests {
             &["Query"],
             vec![ActionIr::SendMail],
         );
-        first.condition = Some(sqlcm_sql::parse_expression("Query.Duration > 5").unwrap());
+        first.condition = cond("Query.Duration > 5");
         assert!(a.check_rule(&first).is_empty());
         let mut second = first.clone();
         second.name = "two".into();

@@ -23,6 +23,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use sqlcm_sql::ExprIr;
+use std::sync::Arc;
 
 use crate::diagnostics::{Code, Diagnostic};
 use crate::schema::SchemaUniverse;
@@ -113,7 +114,7 @@ pub fn rule_effects(universe: &SchemaUniverse, rule: &RuleIr) -> RuleEffects {
         lat_writes: BTreeMap::new(),
     };
     if let Some(cond) = &rule.condition {
-        collect_reads(universe, &ExprIr::lower(cond), &mut eff);
+        collect_reads(universe, cond.lowered(), &mut eff);
     }
     for action in &rule.actions {
         match action {
@@ -183,7 +184,7 @@ fn collect_reads(universe: &SchemaUniverse, ir: &ExprIr, eff: &mut RuleEffects) 
 /// (or an operator) feeds is the legitimate existence-test idiom.
 pub fn check_unfed_reads(
     universe: &SchemaUniverse,
-    admitted: &[RuleIr],
+    admitted: &[Arc<RuleIr>],
     rule: &RuleIr,
     diags: &mut Vec<Diagnostic>,
 ) {
@@ -192,7 +193,11 @@ pub fn check_unfed_reads(
         return;
     }
     let mut fed: BTreeSet<String> = BTreeSet::new();
-    for r in admitted.iter().chain(std::iter::once(rule)) {
+    for r in admitted
+        .iter()
+        .map(Arc::as_ref)
+        .chain(std::iter::once(rule))
+    {
         for action in &r.actions {
             if let ActionIr::Insert { lat } = action {
                 fed.insert(lat.to_ascii_lowercase());
@@ -282,7 +287,8 @@ mod tests {
                 arg: None,
                 payload: vec!["Query".into()],
             },
-            condition: cond.map(|c| sqlcm_sql::parse_expression(c).unwrap()),
+            condition: cond
+                .map(|c| crate::Condition::lower(&sqlcm_sql::parse_expression(c).unwrap())),
             actions,
         }
     }
@@ -381,13 +387,13 @@ mod tests {
         assert!(diags.is_empty(), "{diags:?}");
 
         // A feeder anywhere in the admitted set silences the warning.
-        let feeder = rule(
+        let feeder = Arc::new(rule(
             "feed",
             None,
             vec![ActionIr::Insert {
                 lat: "D_LAT".into(),
             }],
-        );
+        ));
         let mut diags = Vec::new();
         check_unfed_reads(
             &u,

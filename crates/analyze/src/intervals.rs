@@ -37,14 +37,15 @@
 //! Separately, any division whose divisor is an aggregate read whose interval
 //! contains zero (an AVG/SUM over a possibly-empty window) reports **W104**.
 //!
-//! The pass recurses over the shared flat [`ExprIr`] lowered once per rule.
+//! The pass recurses over the rule's shared [`Condition`]: the lowered IR for
+//! the abstract walk and spans, the folded IR for the second opinion.
 
 use sqlcm_common::{DataType, Value};
 use sqlcm_sql::{BinOp, ExprIr, IrOp, NodeId, UnaryOp};
 
 use crate::diagnostics::{Code, Diagnostic};
 use crate::schema::{LatColumn, SchemaUniverse};
-use crate::LatAggFunc;
+use crate::{Condition, LatAggFunc};
 
 /// A closed numeric interval over the extended reals.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,9 +120,10 @@ impl AbsVal {
 pub fn check_condition(
     universe: &SchemaUniverse,
     rule: &str,
-    ir: &ExprIr,
+    cond: &Condition,
     diags: &mut Vec<Diagnostic>,
 ) {
+    let ir = cond.lowered();
     let before = diags.len();
     let verdict = eval(universe, rule, ir, ir.root, diags);
     // W104 findings from the walk stand on their own; the root verdict is
@@ -158,16 +160,16 @@ pub fn check_condition(
         // Folding evaluates with the runtime's exact semantics, so it sees
         // through text comparisons, LIKE, IN and modulo that the interval
         // abstraction treats as opaque.
-        _ => check_folded(rule, ir, diags),
+        _ => check_folded(rule, cond, diags),
     }
 }
 
 /// Fold-strengthened verdict: if the whole condition constant-folds to a
 /// literal, the rule either always fires (W103) or never fires (E006),
 /// regardless of what the interval domain could prove.
-fn check_folded(rule: &str, ir: &ExprIr, diags: &mut Vec<Diagnostic>) {
-    let folded = ir.fold();
-    if never_true(&folded, folded.root) {
+fn check_folded(rule: &str, cond: &Condition, diags: &mut Vec<Diagnostic>) {
+    let (ir, folded) = (cond.lowered(), cond.folded());
+    if never_true(folded, folded.root) {
         diags.push(
             Diagnostic::new(
                 Code::E006,
@@ -177,7 +179,7 @@ fn check_folded(rule: &str, ir: &ExprIr, diags: &mut Vec<Diagnostic>) {
             .with_span(ir.render(ir.root))
             .with_help("the rule could never fire; fix the condition or drop the rule"),
         );
-    } else if always_true(&folded, folded.root) {
+    } else if always_true(folded, folded.root) {
         diags.push(
             Diagnostic::new(
                 Code::W103,
@@ -230,8 +232,8 @@ fn always_true(ir: &ExprIr, id: NodeId) -> bool {
     }
 }
 
-/// Domain of a class attribute, by name convention (the builtin schema keeps
-/// these names in sync with the runtime object constructors).
+/// Domain of a class attribute, by name convention over the attribute names
+/// of the [`crate::schema`] tables.
 fn attr_domain(attr: &str, ty: DataType) -> AbsVal {
     let lower = attr.to_ascii_lowercase();
     // Identifiers first: numeric representation, but ordering is meaningless.
@@ -633,8 +635,8 @@ mod tests {
 
     fn check(cond: &str) -> Vec<Diagnostic> {
         let mut diags = Vec::new();
-        let ir = ExprIr::lower(&sqlcm_sql::parse_expression(cond).unwrap());
-        check_condition(&universe(), "t", &ir, &mut diags);
+        let cond = Condition::lower(&sqlcm_sql::parse_expression(cond).unwrap());
+        check_condition(&universe(), "t", &cond, &mut diags);
         diags
     }
 

@@ -19,13 +19,10 @@
 
 use crate::diagnostics::{Code, Diagnostic};
 use crate::schema::SchemaUniverse;
-use crate::{expr_refs, RuleIr};
+use crate::RuleIr;
 
 pub fn check_rule(universe: &SchemaUniverse, rule: &RuleIr, diags: &mut Vec<Diagnostic>) {
-    let Some(cond) = &rule.condition else {
-        return;
-    };
-    let (classes, lats) = expr_refs(universe, &sqlcm_sql::ExprIr::lower(cond));
+    let (classes, lats) = rule.refs(universe);
     let in_payload = |c: &str| rule.event.payload.iter().any(|p| p.eq_ignore_ascii_case(c));
 
     for class in &classes {
@@ -126,7 +123,9 @@ mod tests {
                 arg: None,
                 payload: payload.iter().map(|s| s.to_string()).collect(),
             },
-            condition: Some(sqlcm_sql::parse_expression(cond).unwrap()),
+            condition: Some(crate::Condition::lower(
+                &sqlcm_sql::parse_expression(cond).unwrap(),
+            )),
             actions: vec![],
         }
     }

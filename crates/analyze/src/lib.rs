@@ -16,7 +16,7 @@
 //! | code | severity | check |
 //! |------|----------|-------|
 //! | E001 | error    | unknown LAT / attribute / column reference ([`typeck`]) |
-//! | E002 | error    | condition type mismatch ([`typeck`]) |
+//! | E002 | error    | condition type mismatch, or an expression rule conditions do not support ([`typeck`]) |
 //! | E003 | error    | LAT grouping columns unmatched in scope — condition statically false ([`joinability`]) |
 //! | E004 | error    | cascade cycle through eviction/timer events ([`depgraph`]) |
 //! | E005 | error    | invalid LAT shard count ([`schema`]) |
@@ -30,14 +30,19 @@
 //! | W202 | warning  | over-sharded LAT ([`schema`]) |
 //! | W203 | warning  | condition reads a LAT column no rule's Insert feeds ([`effects`]) |
 //! | W204 | warning  | unconditional external action on a hot event class ([`cost`]) |
+//! | W205 | warning  | hot-event condition the dispatch guard index cannot use ([`cost`], verdict from [`guard`]) |
 //! | W301 | warning  | adjacent same-event rules are order-sensitive ([`confluence`]) |
 //! | W302 | warning  | one event can trigger more evaluations than the cascade threshold ([`confluence`]) |
 //!
-//! Beyond lints, the [`effects`] pass exports machine-consumable
-//! [`RuleEffects`] summaries (column-level read/write sets with an
-//! interference relation); `sqlcm-core`'s dispatch-plan compiler uses them to
+//! Beyond lints, the crate owns what a rule *is*, and `sqlcm-core` consumes
+//! that one artifact instead of re-deriving it: the monitored-class attribute
+//! tables ([`schema`]), the condition's lowered and folded expression IR
+//! ([`Condition`], built once per rule), the dispatch guard verdict
+//! ([`guard::rule_guard`] — what the runtime's guard index installs is what
+//! W205 reports on), and the [`effects`] pass's [`RuleEffects`] summaries
+//! (column-level read/write sets the dispatch-plan compiler uses to
 //! invalidate hoisted LAT row snapshots only when an interposed rule's write
-//! set actually intersects the readers' read set.
+//! set actually intersects the readers' read set).
 //!
 //! The crate is deliberately independent of `sqlcm-core` (core calls *into*
 //! the analyzer); rules and LAT specs arrive as a small IR ([`RuleIr`],
@@ -48,14 +53,16 @@ pub mod cost;
 pub mod depgraph;
 pub mod diagnostics;
 pub mod effects;
+pub mod guard;
 pub mod intervals;
 pub mod joinability;
 pub mod schema;
 pub mod typeck;
 
-pub use cost::{rule_indexability, Indexability, Residual, DEFAULT_COST_THRESHOLD};
+pub use cost::DEFAULT_COST_THRESHOLD;
 pub use diagnostics::{has_errors, Code, Diagnostic, Severity};
 pub use effects::{rule_effects, LatWriteEffect, RuleEffects};
+pub use guard::{rule_guard, Bound, Guard, GuardKind, Residual};
 pub use schema::{ClassSchema, LatColumn, LatSchema, SchemaUniverse};
 
 /// Default for [`Analyzer::cascade_threshold`]: the worst-case number of rule
@@ -64,6 +71,7 @@ pub const DEFAULT_CASCADE_THRESHOLD: usize = 64;
 
 use sqlcm_sql::{Expr, ExprIr};
 use std::fmt;
+use std::sync::Arc;
 
 // ------------------------------------------------------------ IR
 
@@ -107,8 +115,8 @@ pub struct AggColumnIr {
     pub aging: bool,
 }
 
-/// Mirror of `sqlcm-core`'s shard-count ceiling (kept in sync by a test in
-/// core's `analysis` module).
+/// Largest shard count a LAT spec may ask for — the one declaration:
+/// `sqlcm-core`'s `LatSpec::validate` and E005 both read it.
 pub const MAX_LAT_SHARDS: usize = 4096;
 
 /// Analyzer view of a LAT specification.
@@ -208,13 +216,54 @@ impl ActionIr {
     }
 }
 
+/// A rule condition in the shared flat IR, lowered and constant-folded
+/// exactly once. Every analyzer pass and the runtime's condition compiler
+/// read these two arenas; nothing downstream touches the AST again.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Condition {
+    lowered: ExprIr,
+    folded: ExprIr,
+}
+
+impl Condition {
+    pub fn lower(expr: &Expr) -> Condition {
+        let lowered = ExprIr::lower(expr);
+        let folded = lowered.fold();
+        Condition { lowered, folded }
+    }
+
+    /// The condition as written — what type checking and diagnostic spans
+    /// are reported against.
+    pub fn lowered(&self) -> &ExprIr {
+        &self.lowered
+    }
+
+    /// The condition after constant folding and guarded boolean
+    /// simplification — what the runtime compiles and the guard index sees.
+    /// Shares [`Condition::lowered`]'s reference pool verbatim.
+    pub fn folded(&self) -> &ExprIr {
+        &self.folded
+    }
+}
+
 /// Analyzer view of an ECA rule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuleIr {
     pub name: String,
     pub event: EventIr,
-    pub condition: Option<Expr>,
+    pub condition: Option<Condition>,
     pub actions: Vec<ActionIr>,
+}
+
+impl RuleIr {
+    /// The rule's condition references, split as [`expr_refs`] splits them
+    /// (both empty for an unconditional rule).
+    pub(crate) fn refs(&self, universe: &SchemaUniverse) -> (Vec<String>, Vec<String>) {
+        match &self.condition {
+            Some(c) => expr_refs(universe, c.lowered()),
+            None => (Vec::new(), Vec::new()),
+        }
+    }
 }
 
 // ------------------------------------------------------ reference gathering
@@ -256,11 +305,11 @@ pub(crate) fn expr_refs(universe: &SchemaUniverse, ir: &ExprIr) -> (Vec<String>,
 /// ([`check_rule`](Analyzer::check_rule)) in registration order; each call
 /// returns the diagnostics for that item, and items are only admitted into
 /// the analyzer's state when they produced no error-severity diagnostics
-/// (mirroring a registration gate that denies on errors).
+/// (the same rule a registration gate that denies on errors follows).
 #[derive(Debug, Clone)]
 pub struct Analyzer {
     universe: SchemaUniverse,
-    rules: Vec<RuleIr>,
+    rules: Vec<Arc<RuleIr>>,
     /// Per-firing cost above which [`Code::W201`] fires.
     pub cost_threshold: u32,
     /// Worst-case transitive evaluations per event above which
@@ -289,7 +338,7 @@ impl Analyzer {
     }
 
     /// Rules admitted so far.
-    pub fn rules(&self) -> &[RuleIr] {
+    pub fn rules(&self) -> &[Arc<RuleIr>] {
         &self.rules
     }
 
@@ -298,39 +347,36 @@ impl Analyzer {
         self.universe.register_lat(lat)
     }
 
-    /// Admit a LAT or rule without checking — used to seed the analyzer with
-    /// items that were already validated at their own registration time.
-    pub fn seed_rule(&mut self, rule: RuleIr) {
+    /// Admit a rule without checking — used to seed the analyzer with rules
+    /// that were already validated at their own registration time.
+    pub fn seed_rule(&mut self, rule: Arc<RuleIr>) {
         self.rules.push(rule);
     }
 
     /// Run every check on one rule against the current universe and the
-    /// rules admitted so far; admits the rule when no error was found.
-    pub fn check_rule(&mut self, rule: &RuleIr) -> Vec<Diagnostic> {
+    /// rules admitted so far. Pure: does not admit the rule.
+    pub fn diagnose(&self, rule: &RuleIr) -> Vec<Diagnostic> {
         let mut diags = Vec::new();
-        // Lower the condition AST once; every expression pass below consumes
-        // this shared flat IR instead of re-walking the tree.
-        let ir = rule.condition.as_ref().map(ExprIr::lower);
-        if let Some(ir) = &ir {
-            typeck::check_condition(&self.universe, &rule.name, ir, &mut diags);
+        if let Some(cond) = &rule.condition {
+            typeck::check_condition(&self.universe, &rule.name, cond.lowered(), &mut diags);
             // Interval reasoning assumes well-typed operands; on a type error
             // the E002 already explains everything the intervals would.
             if !has_errors(&diags) {
-                intervals::check_condition(&self.universe, &rule.name, ir, &mut diags);
+                intervals::check_condition(&self.universe, &rule.name, cond, &mut diags);
             }
         }
         self.check_action_targets(rule, &mut diags);
         joinability::check_rule(&self.universe, rule, &mut diags);
         depgraph::check_duplicates(&self.rules, rule, &mut diags);
-        depgraph::check_shared_predicates(&self.rules, rule, ir.as_ref(), &mut diags);
+        depgraph::check_shared_predicates(&self.rules, rule, &mut diags);
         depgraph::check_cascades(&self.universe, &self.rules, rule, &mut diags);
         cost::check_rule(&self.universe, rule, self.cost_threshold, &mut diags);
         cost::check_unconditional_external(rule, &mut diags);
-        cost::check_unindexable(&self.universe, rule, &mut diags);
-        // Effect/confluence lints describe how the rule will behave once
-        // admitted; a rule an error already denies never runs, so piling
-        // style warnings on top of the denial is noise.
+        // Guard/effect/confluence lints describe how the rule will behave
+        // once admitted; a rule an error already denies never runs, so
+        // piling style warnings on top of the denial is noise.
         if !has_errors(&diags) {
+            cost::check_unindexable(&self.universe, rule, &mut diags);
             effects::check_unfed_reads(&self.universe, &self.rules, rule, &mut diags);
             confluence::check_order(&self.universe, &self.rules, rule, &mut diags);
             confluence::check_amplification(
@@ -341,8 +387,15 @@ impl Analyzer {
                 &mut diags,
             );
         }
+        diags
+    }
+
+    /// [`diagnose`](Analyzer::diagnose) the rule and admit it when no error
+    /// was found.
+    pub fn check_rule(&mut self, rule: &RuleIr) -> Vec<Diagnostic> {
+        let diags = self.diagnose(rule);
         if !has_errors(&diags) {
-            self.rules.push(rule.clone());
+            self.rules.push(Arc::new(rule.clone()));
         }
         diags
     }
@@ -410,7 +463,9 @@ mod tests {
                 arg: None,
                 payload: vec!["Query".into()],
             },
-            condition: Some(sqlcm_sql::parse_expression("Query.Duration > 1.5").unwrap()),
+            condition: Some(Condition::lower(
+                &sqlcm_sql::parse_expression("Query.Duration > 1.5").unwrap(),
+            )),
             actions: vec![ActionIr::SendMail],
         };
         let diags = a.check_rule(&rule);
@@ -428,7 +483,9 @@ mod tests {
                 arg: None,
                 payload: vec!["Query".into()],
             },
-            condition: Some(sqlcm_sql::parse_expression("Nope_LAT.x > 1").unwrap()),
+            condition: Some(Condition::lower(
+                &sqlcm_sql::parse_expression("Nope_LAT.x > 1").unwrap(),
+            )),
             actions: vec![],
         };
         let diags = a.check_rule(&rule);

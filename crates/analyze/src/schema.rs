@@ -2,9 +2,10 @@
 //!
 //! Two kinds of "relations" can appear in a rule condition:
 //!
-//! * **monitored object classes** (`Query`, `Transaction`, …) — fixed schemas
-//!   mirroring `sqlcm-core`'s object constructors (a sync test in `sqlcm-core`
-//!   cross-checks the attribute names against the runtime tables);
+//! * **monitored object classes** (`Query`, `Transaction`, …) — fixed schemas,
+//!   declared once in the `*_ATTRS` tables below ([`builtin_class`]);
+//!   `sqlcm-core`'s object constructors lay their values out in exactly this
+//!   order and derive their attribute names and `static_attr_index` from it;
 //! * **LATs** — schemas derived from the registered `LatSpec`s, with column
 //!   types inferred from the aggregate function and its source attribute.
 //!
@@ -14,11 +15,100 @@
 //! carries them — the joinability and dead-rule checks key off this flag.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use sqlcm_common::DataType;
 
 use crate::diagnostics::{Code, Diagnostic};
 use crate::{LatAggFunc, LatIr};
+
+/// Attributes of the `Query` class, in value-layout order (also the leading
+/// attributes of `Blocker`/`Blocked`).
+const QUERY_ATTRS: &[(&str, DataType)] = &[
+    ("ID", DataType::Int),
+    ("Query_Text", DataType::Text),
+    ("Logical_Signature", DataType::Int),
+    ("Physical_Signature", DataType::Int),
+    ("Start_Time", DataType::Timestamp),
+    ("Duration", DataType::Float),
+    ("Estimated_Cost", DataType::Float),
+    ("Time_Blocked", DataType::Float),
+    ("Times_Blocked", DataType::Int),
+    ("Queries_Blocked", DataType::Int),
+    ("Number_of_instances", DataType::Int),
+    ("Query_Type", DataType::Text),
+    ("User", DataType::Text),
+    ("Application", DataType::Text),
+    ("Session_ID", DataType::Int),
+    ("Transaction_ID", DataType::Int),
+    ("Procedure", DataType::Text),
+];
+
+/// Extra attributes `Blocker`/`Blocked` objects carry after the `Query` ones
+/// (lock-pair context).
+const BLOCK_EXTRA_ATTRS: &[(&str, DataType)] =
+    &[("Resource", DataType::Text), ("Wait_Time", DataType::Float)];
+
+/// Attributes of the `Transaction` class.
+const TXN_ATTRS: &[(&str, DataType)] = &[
+    ("ID", DataType::Int),
+    ("Start_Time", DataType::Timestamp),
+    ("Duration", DataType::Float),
+    ("Logical_Signature", DataType::Int),
+    ("Physical_Signature", DataType::Int),
+    ("Statements", DataType::Int),
+    ("User", DataType::Text),
+    ("Application", DataType::Text),
+    ("Session_ID", DataType::Int),
+];
+
+/// Attributes of the `Session` class (login/logout auditing).
+const SESSION_ATTRS: &[(&str, DataType)] = &[
+    ("Session_ID", DataType::Int),
+    ("User", DataType::Text),
+    ("Application", DataType::Text),
+    ("Success", DataType::Bool),
+];
+
+/// Attributes of the `Timer` class ("a Timer object also exposes the current
+/// time as an attribute").
+const TIMER_ATTRS: &[(&str, DataType)] = &[
+    ("Name", DataType::Text),
+    ("Time", DataType::Timestamp),
+    ("Alarms_Remaining", DataType::Int),
+];
+
+/// Attributes of the `Table` class (schema extension, §2.2).
+const TABLE_ATTRS: &[(&str, DataType)] = &[
+    ("Name", DataType::Text),
+    ("Row_Count", DataType::Int),
+    ("Columns", DataType::Int),
+    ("Indexes", DataType::Int),
+    ("Clustered", DataType::Bool),
+];
+
+/// Attributes of the `Monitor` class — SQLCM's own health snapshot,
+/// dispatched by the self-monitoring bridge on MonitorTick. Latencies are
+/// seconds, like every other duration attribute.
+const MONITOR_ATTRS: &[(&str, DataType)] = &[
+    ("Name", DataType::Text),
+    ("Events", DataType::Int),
+    ("Evaluations", DataType::Int),
+    ("Fires", DataType::Int),
+    ("Actions", DataType::Int),
+    ("Action_Errors", DataType::Int),
+    ("Eval_P50", DataType::Float),
+    ("Eval_P95", DataType::Float),
+    ("Eval_P99", DataType::Float),
+    ("Eval_Max", DataType::Float),
+    ("Probe_P99", DataType::Float),
+    ("Lat_Memory", DataType::Int),
+    ("Rule_Count", DataType::Int),
+    ("Lat_Count", DataType::Int),
+    ("Overload_Stage", DataType::Int),
+    ("Quarantined_Rules", DataType::Int),
+    ("Deferred_Depth", DataType::Int),
+];
 
 /// Schema of one monitored object class.
 #[derive(Debug, Clone)]
@@ -31,12 +121,24 @@ pub struct ClassSchema {
 }
 
 impl ClassSchema {
-    fn new(name: &str, iterable: bool, attrs: &[(&str, DataType)]) -> ClassSchema {
+    fn new(name: &str, iterable: bool, attrs: &[&[(&str, DataType)]]) -> ClassSchema {
         ClassSchema {
             name: name.to_string(),
             iterable,
-            attrs: attrs.iter().map(|(a, t)| (a.to_string(), *t)).collect(),
+            attrs: attrs
+                .iter()
+                .flat_map(|part| part.iter())
+                .map(|(a, t)| (a.to_string(), *t))
+                .collect(),
         }
+    }
+
+    /// Position of an attribute in the class's value layout, matched
+    /// case-insensitively.
+    pub fn attr_index(&self, attr: &str) -> Option<usize> {
+        self.attrs
+            .iter()
+            .position(|(a, _)| a.eq_ignore_ascii_case(attr))
     }
 
     /// Case-insensitive attribute lookup.
@@ -110,10 +212,38 @@ impl LatSchema {
     }
 }
 
-/// All relations a rule condition may reference.
+/// The built-in monitored object classes of the SQLCM engine, built once per
+/// process.
+fn builtin_classes() -> &'static [ClassSchema] {
+    static CLASSES: OnceLock<Vec<ClassSchema>> = OnceLock::new();
+    CLASSES.get_or_init(|| {
+        let block = [QUERY_ATTRS, BLOCK_EXTRA_ATTRS];
+        vec![
+            ClassSchema::new("Query", true, &[QUERY_ATTRS]),
+            ClassSchema::new("Blocker", true, &block),
+            ClassSchema::new("Blocked", true, &block),
+            ClassSchema::new("Transaction", false, &[TXN_ATTRS]),
+            ClassSchema::new("Session", false, &[SESSION_ATTRS]),
+            ClassSchema::new("Timer", false, &[TIMER_ATTRS]),
+            ClassSchema::new("Table", true, &[TABLE_ATTRS]),
+            ClassSchema::new("Monitor", false, &[MONITOR_ATTRS]),
+        ]
+    })
+}
+
+/// Case-insensitive lookup of a built-in class. LAT names never resolve here
+/// (nor in the runtime's `ClassName::parse`): a qualifier that is not one of
+/// these classes is a LAT name.
+pub fn builtin_class(name: &str) -> Option<&'static ClassSchema> {
+    builtin_classes()
+        .iter()
+        .find(|c| c.name.eq_ignore_ascii_case(name))
+}
+
+/// All relations a rule condition may reference: the built-in classes plus
+/// the LATs registered so far.
 #[derive(Debug, Clone)]
 pub struct SchemaUniverse {
-    classes: Vec<ClassSchema>,
     /// Keyed by lowercased LAT name (LAT names are case-insensitive at
     /// runtime).
     lats: HashMap<String, LatSchema>,
@@ -126,126 +256,20 @@ impl Default for SchemaUniverse {
 }
 
 impl SchemaUniverse {
-    /// The built-in monitored object classes of the SQLCM engine, with the
-    /// attribute types produced by the object constructors.
+    /// A universe holding the built-in classes and no LATs yet.
     pub fn builtin() -> SchemaUniverse {
-        use DataType::{Bool, Float, Int, Text, Timestamp};
-        let query_attrs: [(&str, DataType); 17] = [
-            ("ID", Int),
-            ("Query_Text", Text),
-            ("Logical_Signature", Int),
-            ("Physical_Signature", Int),
-            ("Start_Time", Timestamp),
-            ("Duration", Float),
-            ("Estimated_Cost", Float),
-            ("Time_Blocked", Float),
-            ("Times_Blocked", Int),
-            ("Queries_Blocked", Int),
-            ("Number_of_instances", Int),
-            ("Query_Type", Text),
-            ("User", Text),
-            ("Application", Text),
-            ("Session_ID", Int),
-            ("Transaction_ID", Int),
-            ("Procedure", Text),
-        ];
-        let block_attrs: Vec<(&str, DataType)> = query_attrs
-            .iter()
-            .copied()
-            .chain([("Resource", Text), ("Wait_Time", Float)])
-            .collect();
-        let classes = vec![
-            ClassSchema::new("Query", true, &query_attrs),
-            ClassSchema::new("Blocker", true, &block_attrs),
-            ClassSchema::new("Blocked", true, &block_attrs),
-            ClassSchema::new(
-                "Transaction",
-                false,
-                &[
-                    ("ID", Int),
-                    ("Start_Time", Timestamp),
-                    ("Duration", Float),
-                    ("Logical_Signature", Int),
-                    ("Physical_Signature", Int),
-                    ("Statements", Int),
-                    ("User", Text),
-                    ("Application", Text),
-                    ("Session_ID", Int),
-                ],
-            ),
-            ClassSchema::new(
-                "Session",
-                false,
-                &[
-                    ("Session_ID", Int),
-                    ("User", Text),
-                    ("Application", Text),
-                    ("Success", Bool),
-                ],
-            ),
-            ClassSchema::new(
-                "Timer",
-                false,
-                &[
-                    ("Name", Text),
-                    ("Time", Timestamp),
-                    ("Alarms_Remaining", Int),
-                ],
-            ),
-            ClassSchema::new(
-                "Table",
-                true,
-                &[
-                    ("Name", Text),
-                    ("Row_Count", Int),
-                    ("Columns", Int),
-                    ("Indexes", Int),
-                    ("Clustered", Bool),
-                ],
-            ),
-            // SQLCM's own health snapshot, dispatched by the self-monitoring
-            // bridge on MonitorTick. Latencies are seconds, like every other
-            // duration attribute.
-            ClassSchema::new(
-                "Monitor",
-                false,
-                &[
-                    ("Name", Text),
-                    ("Events", Int),
-                    ("Evaluations", Int),
-                    ("Fires", Int),
-                    ("Actions", Int),
-                    ("Action_Errors", Int),
-                    ("Eval_P50", Float),
-                    ("Eval_P95", Float),
-                    ("Eval_P99", Float),
-                    ("Eval_Max", Float),
-                    ("Probe_P99", Float),
-                    ("Lat_Memory", Int),
-                    ("Rule_Count", Int),
-                    ("Lat_Count", Int),
-                    ("Overload_Stage", Int),
-                    ("Quarantined_Rules", Int),
-                    ("Deferred_Depth", Int),
-                ],
-            ),
-        ];
         SchemaUniverse {
-            classes,
             lats: HashMap::new(),
         }
     }
 
-    /// Case-insensitive class lookup. LAT names never resolve here (mirroring
-    /// the runtime, where `ClassName::parse` rejects them).
-    pub fn class(&self, name: &str) -> Option<&ClassSchema> {
-        self.classes
-            .iter()
-            .find(|c| c.name.eq_ignore_ascii_case(name))
+    /// See [`builtin_class`].
+    pub fn class(&self, name: &str) -> Option<&'static ClassSchema> {
+        builtin_class(name)
     }
 
-    pub fn classes(&self) -> impl Iterator<Item = &ClassSchema> {
-        self.classes.iter()
+    pub fn classes(&self) -> impl Iterator<Item = &'static ClassSchema> {
+        builtin_classes().iter()
     }
 
     /// Case-insensitive LAT lookup.

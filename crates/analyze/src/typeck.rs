@@ -1,15 +1,18 @@
 //! Reference resolution and type checking of rule conditions (E001 / E002).
 //!
-//! Mirrors the runtime's resolution order exactly: a qualifier that parses as
-//! a monitored class name resolves to the in-scope object of that class;
-//! anything else is assumed to be a LAT name. The type algebra is permissive
+//! Resolution order is the runtime's: a qualifier that names a monitored
+//! class resolves to the in-scope object of that class; anything else is
+//! assumed to be a LAT name. The type algebra is permissive
 //! where the runtime coerces (INT/FLOAT/TIMESTAMP compare numerically) and
 //! strict where the runtime would yield NULL forever (comparing a number with
 //! text, LIKE on a non-text value, AND over non-booleans) — those conditions
-//! can never fire, so they are rejected at registration.
+//! can never fire, so they are rejected at registration. Expressions the
+//! runtime's condition compiler does not support at all (function calls,
+//! parameters) are reported here too, so the lint and the registration gate
+//! agree and the denial carries a stable code.
 //!
-//! The pass recurses over the shared flat [`ExprIr`] (lowered once per rule
-//! in `Analyzer::check_rule`) rather than the AST; spans and messages are
+//! The pass recurses over the shared flat [`ExprIr`] (lowered once per rule,
+//! see [`crate::Condition`]) rather than the AST; spans and messages are
 //! rendered through the IR's `disp` adapter, which reprints the exact source
 //! expression.
 
@@ -20,8 +23,8 @@ use crate::diagnostics::{Code, Diagnostic};
 use crate::schema::{attrs_help, known_classes_help, SchemaUniverse};
 
 /// An inferred static type. `Any` means "unknown / unconstrained" — it arises
-/// from NULL literals, parameters, unresolvable references (already reported
-/// as E001) and function calls, and suppresses follow-on E002 noise.
+/// from NULL literals and from references or expressions already reported
+/// (E001, unsupported E002), and suppresses follow-on E002 noise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Ty {
     Any,
@@ -109,9 +112,39 @@ pub fn infer(
             let (qualifier, name) = &ir.refs[*r as usize];
             resolve_column(universe, rule, qualifier, name, diags)
         }
-        // The runtime's compiler rejects parameters and function calls in rule
-        // conditions with its own error; don't double-report here.
-        IrOp::Param(_) | IrOp::NamedParam(_) | IrOp::FuncCall { .. } => Ty::Any,
+        // The runtime's condition compiler has no parameters and no function
+        // calls. Arguments are not descended into: the whole call is the
+        // finding.
+        IrOp::Param(_) | IrOp::NamedParam(_) => {
+            diags.push(
+                mismatch(
+                    rule,
+                    ir,
+                    id,
+                    "parameters are not allowed in rule conditions".to_string(),
+                )
+                .with_help("rule conditions are closed expressions; inline the value"),
+            );
+            Ty::Any
+        }
+        IrOp::FuncCall { .. } => {
+            diags.push(
+                mismatch(
+                    rule,
+                    ir,
+                    id,
+                    format!(
+                        "expression `{}` is not supported in rule conditions",
+                        ir.disp(id)
+                    ),
+                )
+                .with_help(
+                    "conditions support comparisons, arithmetic, AND/OR/NOT, IS NULL, LIKE \
+                     and IN over Class.Attribute and Lat.Column references — no function calls",
+                ),
+            );
+            Ty::Any
+        }
         IrOp::Unary { op, expr } => {
             let t = infer(universe, rule, ir, *expr, diags);
             match op {

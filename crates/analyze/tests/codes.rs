@@ -2,8 +2,8 @@
 //! known-good ruleset (the paper's Examples 1–3 shape) passes clean.
 
 use sqlcm_analyze::{
-    ActionIr, AggColumnIr, Analyzer, AttrIr, Code, Diagnostic, EventIr, GroupColumnIr, LatAggFunc,
-    LatIr, RuleIr,
+    ActionIr, AggColumnIr, Analyzer, AttrIr, Code, Condition, Diagnostic, EventIr, GroupColumnIr,
+    LatAggFunc, LatIr, RuleIr,
 };
 use sqlcm_sql::parse_expression;
 
@@ -49,7 +49,7 @@ fn on_query_commit(name: &str, cond: Option<&str>, actions: Vec<ActionIr>) -> Ru
             arg: None,
             payload: vec!["Query".into()],
         },
-        condition: cond.map(|c| parse_expression(c).unwrap()),
+        condition: cond.map(|c| Condition::lower(&parse_expression(c).unwrap())),
         actions,
     }
 }
@@ -150,6 +150,25 @@ fn e002_type_mismatch() {
     assert_eq!(codes(&diags), vec![Code::E002]);
 }
 
+/// Function calls and parameters are not part of the condition language: the
+/// linter reports what the registration gate would deny, with a span, and
+/// piles no guard lint (W205) on the denied rule.
+#[test]
+fn e002_unsupported_expression() {
+    for (cond, span) in [
+        ("ABS(Query.Duration) > 1", "ABS(Query.Duration)"),
+        ("Query.Duration > ?", "?"),
+        ("Query.User = @who", "@who"),
+    ] {
+        let diags = Analyzer::check_ruleset(
+            &[],
+            &[on_query_commit("r", Some(cond), vec![ActionIr::SendMail])],
+        );
+        assert_eq!(codes(&diags), vec![Code::E002], "{cond}: {diags:?}");
+        assert_eq!(diags[0].span.as_deref(), Some(span), "{cond}");
+    }
+}
+
 #[test]
 fn e003_unjoinable_lat_probe() {
     let rule = RuleIr {
@@ -159,7 +178,9 @@ fn e003_unjoinable_lat_probe() {
             arg: None,
             payload: vec!["Transaction".into()],
         },
-        condition: Some(parse_expression("Duration_LAT.Avg_Duration > 5").unwrap()),
+        condition: Some(Condition::lower(
+            &parse_expression("Duration_LAT.Avg_Duration > 5").unwrap(),
+        )),
         actions: vec![],
     };
     let diags = Analyzer::check_ruleset(&[duration_lat(false)], &[rule]);

@@ -3,17 +3,18 @@
 //! The analyzer deliberately does not depend on this crate (core calls into
 //! it at registration time), so rules and LAT specs are lowered into the
 //! analyzer's small IR here. The lowering is purely structural — no
-//! validation happens in this module.
+//! validation happens in this module. [`rule_ir`] is also where a rule's
+//! condition is lowered and folded into the shared expression IR, once: the
+//! analyzer passes, the guard verdict and the runtime's condition compiler
+//! all read the resulting [`RuleIr`].
 
-use sqlcm_analyze::{ActionIr, AttrIr, EventIr, LatIr, RuleIr};
+use sqlcm_analyze::{ActionIr, AttrIr, Condition, EventIr, LatIr, RuleIr};
 
 use crate::actions::Action;
 use crate::lat::{AttrRef, LatSpec};
 use crate::rules::{Rule, RuleEvent};
 
-pub use sqlcm_analyze::{
-    rule_indexability, Analyzer, Code, Diagnostic, Indexability, Residual, Severity,
-};
+pub use sqlcm_analyze::{rule_guard, Analyzer, Code, Diagnostic, Residual, Severity};
 
 fn attr_ir(attr: &AttrRef) -> AttrIr {
     AttrIr {
@@ -109,7 +110,7 @@ pub fn rule_ir(rule: &Rule) -> RuleIr {
     RuleIr {
         name: rule.name.clone(),
         event: event_ir(&rule.event),
-        condition: rule.condition.clone(),
+        condition: rule.condition.as_ref().map(Condition::lower),
         actions: rule.actions.iter().map(action_ir).collect(),
     }
 }
@@ -144,62 +145,5 @@ mod tests {
         assert_eq!(ir.group_by[0].source.class, "Query");
         assert_eq!(ir.aggregates[0].func, LatAggFunc::Count);
         assert!(!ir.aggregates[0].aging);
-    }
-
-    /// The analyzer's shard ceiling must mirror the runtime's — E005 and the
-    /// runtime `validate()` rejection are supposed to agree exactly.
-    #[test]
-    fn shard_ceiling_in_sync_with_analyzer() {
-        assert_eq!(crate::lat::MAX_LAT_SHARDS, sqlcm_analyze::MAX_LAT_SHARDS);
-    }
-
-    /// The analyzer's built-in class schemas must stay in sync with the
-    /// runtime object constructors: every analyzer attribute must resolve via
-    /// `static_attr_index`, and every runtime attribute must be known to the
-    /// analyzer.
-    #[test]
-    fn analyzer_schema_matches_runtime_attribute_tables() {
-        use crate::objects::{self, ClassName};
-        let universe = sqlcm_analyze::SchemaUniverse::builtin();
-        let classes = [
-            (ClassName::Query, objects::QUERY_ATTRS.to_vec()),
-            (
-                ClassName::Blocker,
-                objects::QUERY_ATTRS
-                    .iter()
-                    .chain(objects::BLOCK_EXTRA_ATTRS)
-                    .copied()
-                    .collect(),
-            ),
-            (
-                ClassName::Blocked,
-                objects::QUERY_ATTRS
-                    .iter()
-                    .chain(objects::BLOCK_EXTRA_ATTRS)
-                    .copied()
-                    .collect(),
-            ),
-            (ClassName::Transaction, objects::TXN_ATTRS.to_vec()),
-            (ClassName::Session, objects::SESSION_ATTRS.to_vec()),
-            (ClassName::Timer, objects::TIMER_ATTRS.to_vec()),
-            (ClassName::Table, objects::TABLE_ATTRS.to_vec()),
-            (ClassName::Monitor, objects::MONITOR_ATTRS.to_vec()),
-        ];
-        for (class, runtime_attrs) in classes {
-            let schema = universe
-                .class(&class.to_string())
-                .unwrap_or_else(|| panic!("analyzer misses class {class}"));
-            assert_eq!(
-                schema.attrs.len(),
-                runtime_attrs.len(),
-                "attribute count mismatch for {class}"
-            );
-            for (attr, _) in &schema.attrs {
-                assert!(
-                    objects::static_attr_index(&class, attr).is_some(),
-                    "analyzer attribute {class}.{attr} unknown to the runtime"
-                );
-            }
-        }
     }
 }

@@ -7,77 +7,118 @@
 //! the *cheap prefix* of each rule's condition so that one index probe per
 //! event yields the candidate set and only candidates run the condition VM.
 //!
-//! ## Soundness contract
-//!
-//! A rule may be pruned only when a violated guard implies the whole
-//! condition cannot evaluate to `TRUE` *and* cannot evaluate to `Err` —
-//! skipping an evaluation that would have recorded an error would make the
-//! index observable in rule statistics. Both halves are structural:
-//!
-//! * **No-fire**: every guard is one conjunct of the condition's top-level
-//!   `AND` chain, of the shape `attr <op> const` / `attr IN (…)`. Under SQL
-//!   three-valued logic a violated conjunct evaluates to `FALSE` or `NULL`,
-//!   and `AND` can then never yield `TRUE` — regardless of what the other
-//!   conjuncts do.
-//! * **No-error**: a rule is indexed only when its condition is *infallible
-//!   in context*: no LAT reads (`ROp::LatCol` can raise `NoLatRow` semantics
-//!   and reads mutable state), no checked arithmetic (`+ - * /`, unary `-`),
-//!   and every attribute read resolves against a payload class the probe has
-//!   verified present with sufficient width ([`GuardIndex::required`]). Any
-//!   other rule is **residual**: always a candidate, never mis-pruned.
+//! Which guard a rule gets — and the soundness contract that makes pruning
+//! on it invisible — is decided once, at registration, by
+//! [`sqlcm_analyze::guard::rule_guard`]; the verdict is stored on the
+//! registered rule ([`RuleGuard`]) and this module only *installs* it: index
+//! construction, probing, and pruning explanations. The one runtime-side
+//! addition to the contract is [`GuardIndex::required`]: every attribute an
+//! indexed condition reads must resolve against a payload object the probe
+//! has verified present with sufficient width, which keeps indexed
+//! conditions genuinely infallible whenever pruning happens.
 //!
 //! Range-guard soundness additionally leans on the interval machinery of
 //! `sqlcm-analyze` ([`Interval`]): each guard carries its widened numeric
 //! interval, the per-attribute sweep is sorted by `Interval::lo`, and a
 //! numeric probe value uses `Interval::contains` as a superset pre-filter
 //! (closed, f64-widened, so it can only over-admit) before the exact
-//! [`Value::cmp`] check that mirrors the VM's comparison semantics bit for
-//! bit. Non-numeric probe values (SQL's cross-type ordering is total) skip
-//! the sweep shortcut and take the exact path.
+//! [`Value::cmp`] check that is the VM's comparison semantics bit for bit.
+//! Non-numeric probe values (SQL's cross-type ordering is total) skip the
+//! sweep shortcut and take the exact path.
 //!
 //! The index lives inside the immutable [`crate::plan::DispatchPlan`], so
 //! RCU publication, breaker quarantine, and rule churn rebuild it for free,
 //! and probing allocates nothing.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use sqlcm_analyze::intervals::Interval;
+use sqlcm_analyze::{rule_guard, Bound, GuardKind, RuleIr, SchemaUniverse};
 use sqlcm_common::Value;
-use sqlcm_sql::{BinOp, NodeId, UnaryOp};
 
 use crate::ir::{CondIr, ROp};
-use crate::objects::{ClassName, Object};
+use crate::objects::{static_attr_index, ClassName, Object};
 use crate::plan::PlanRule;
 
-/// One inclusive-or-strict endpoint of a range guard, kept as the exact
-/// [`Value`] so admission checks use the VM's own comparison.
-#[derive(Debug, Clone)]
-pub(crate) struct Bound {
-    pub value: Value,
-    pub strict: bool,
+/// A rule's guard verdict resolved against the runtime layout: the class as
+/// a [`ClassName`] and the attribute as its value position.
+#[derive(Debug)]
+pub(crate) struct RuleGuard {
+    class: ClassName,
+    attr: usize,
+    kind: GuardKind,
 }
 
-/// The guard extracted from one rule, kept per rule for trace explanations.
-#[derive(Debug, Clone)]
-pub(crate) enum RuleGuard {
-    /// `attr = const` or `attr IN (…)`: candidate iff the attribute value is
-    /// one of `values` (non-null; a null literal can never compare `TRUE`).
-    Eq {
-        class: ClassName,
-        attr: usize,
-        values: Vec<Value>,
-    },
-    /// Merged numeric range over one attribute: candidate iff the value is
-    /// admitted by both endpoints.
-    Range {
-        class: ClassName,
-        attr: usize,
-        lo: Option<Bound>,
-        hi: Option<Bound>,
-    },
-    /// Guard proved empty at build (e.g. `x IN (NULL)`, `x > 5 AND x < 3`):
-    /// the rule can never fire and is always pruned.
-    Never,
+impl RuleGuard {
+    /// The analyzer's guard verdict for `rule`, resolved; `None` = residual.
+    /// (A guard whose names did not resolve would be residual too, but the
+    /// shared schema rules that out.)
+    pub fn of(universe: &SchemaUniverse, rule: &RuleIr) -> Option<RuleGuard> {
+        let guard = rule_guard(universe, rule).ok()?;
+        let class = ClassName::parse(&guard.class)?;
+        let attr = static_attr_index(&class, &guard.attr)?;
+        Some(RuleGuard {
+            class,
+            attr,
+            kind: guard.kind,
+        })
+    }
+
+    /// Guard provably empty (`x IN (NULL)`, `x > 5 AND x < 3`): the rule can
+    /// never fire and is always pruned.
+    fn never(&self) -> bool {
+        match &self.kind {
+            GuardKind::Eq(values) => values.is_empty(),
+            GuardKind::Range {
+                lo: Some(l),
+                hi: Some(h),
+            } => match l.value.cmp(&h.value) {
+                Ordering::Greater => true,
+                Ordering::Equal => l.strict || h.strict,
+                Ordering::Less => false,
+            },
+            GuardKind::Range { .. } => false,
+        }
+    }
+
+    /// Human-readable reason the rule was pruned for this payload, for
+    /// sampled traces. Only called off the fast path.
+    pub fn explain(&self, objects: &[Object]) -> String {
+        if self.never() {
+            return "pruned by guard index: guard is unsatisfiable (condition can never hold)"
+                .into();
+        }
+        let class = &self.class;
+        let obj = objects.iter().find(|o| o.class == *class);
+        let name = obj
+            .and_then(|o| o.attribute_names().get(self.attr).cloned())
+            .unwrap_or_else(|| format!("#{}", self.attr));
+        let val = obj
+            .and_then(|o| o.values().get(self.attr))
+            .map_or_else(|| "?".into(), |v| v.to_string());
+        match &self.kind {
+            GuardKind::Eq(values) => {
+                let set = values
+                    .iter()
+                    .map(|v| v.to_string())
+                    .collect::<Vec<_>>()
+                    .join(", ");
+                format!("pruned by guard index: {class}.{name}={val} not in {{{set}}}")
+            }
+            GuardKind::Range { lo, hi } => {
+                let lo_s = match lo {
+                    Some(b) => format!("{}{}", if b.strict { '(' } else { '[' }, b.value),
+                    None => "(-∞".into(),
+                };
+                let hi_s = match hi {
+                    Some(b) => format!("{}{}", b.value, if b.strict { ')' } else { ']' }),
+                    None => "∞)".into(),
+                };
+                format!("pruned by guard index: {class}.{name}={val} outside {lo_s},{hi_s}")
+            }
+        }
+    }
 }
 
 /// All equality guards over one `(class, attribute)`, probed with a single
@@ -114,15 +155,15 @@ impl RangeGuard {
     fn admits(&self, v: &Value) -> bool {
         if let Some(b) = &self.lo {
             match v.cmp(&b.value) {
-                std::cmp::Ordering::Less => return false,
-                std::cmp::Ordering::Equal if b.strict => return false,
+                Ordering::Less => return false,
+                Ordering::Equal if b.strict => return false,
                 _ => {}
             }
         }
         if let Some(b) = &self.hi {
             match v.cmp(&b.value) {
-                std::cmp::Ordering::Greater => return false,
-                std::cmp::Ordering::Equal if b.strict => return false,
+                Ordering::Greater => return false,
+                Ordering::Equal if b.strict => return false,
                 _ => {}
             }
         }
@@ -130,40 +171,9 @@ impl RangeGuard {
     }
 }
 
-/// A guard atom lifted from one top-level conjunct.
-enum Atom {
-    Eq {
-        class: ClassName,
-        attr: usize,
-        values: Vec<Value>,
-    },
-    Range {
-        class: ClassName,
-        attr: usize,
-        lo: Option<Bound>,
-        hi: Option<Bound>,
-    },
-}
-
-/// Why a rule stayed residual — surfaced by the analyzer's cost model and
-/// useful in tests; the hot path only cares about the bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ResidualReason {
-    /// No condition at all: the rule fires on every event and must run.
-    Unconditional,
-    /// Carried as `broken` (condition LAT dropped) — evaluation must run to
-    /// record the error.
-    Broken,
-    /// Condition reads LAT state: fallible and mutable mid-event.
-    ReadsLat,
-    /// Condition contains checked arithmetic that can error.
-    FallibleArithmetic,
-    /// Condition reads a class outside the event payload (per-combination
-    /// binding, not probeable once per event).
-    NonPayloadClass,
-    /// Infallible, but no top-level conjunct has an indexable shape.
-    NoGuardAtom,
-}
+/// What [`GuardIndex::assemble`] needs of one indexable rule: its guard,
+/// its compiled condition and the classes the condition names.
+type Indexable<'a> = (&'a RuleGuard, &'a CondIr, &'a [ClassName]);
 
 /// The per-event guard index, built once per [`crate::plan::DispatchPlan`]
 /// and probed once per dispatched event.
@@ -180,39 +190,47 @@ pub(crate) struct GuardIndex {
     residual: Vec<u64>,
     pub indexed_rules: u32,
     pub residual_rules: u32,
-    /// Per-rule extracted guard (`None` = residual), for explanations.
-    guards: Vec<Option<RuleGuard>>,
 }
 
 impl GuardIndex {
-    /// Build the index for one event's rules. Returns `None` when no rule is
-    /// indexable — dispatch then skips probing entirely. Plans with a single
-    /// rule are never indexed: a probe cannot beat a one-rule scan, and
-    /// skipping it keeps small monitors at exactly their pre-index cost.
-    pub fn build(rules: &[PlanRule], payload: &[ClassName]) -> Option<GuardIndex> {
-        let n = rules.len();
-        if n < 2 {
+    /// Build the index for one event's rules from the guard verdicts stored
+    /// at registration. Returns `None` when no rule is indexable — dispatch
+    /// then skips probing entirely. Plans with a single rule are never
+    /// indexed: a probe cannot beat a one-rule scan, and skipping it keeps
+    /// small monitors at exactly their pre-index cost.
+    pub fn build(rules: &[PlanRule]) -> Option<GuardIndex> {
+        if rules.len() < 2 {
             return None;
         }
+        // The stored verdict speaks for the registered condition; a rule the
+        // current registry cannot run (`broken`, no program) must still be
+        // evaluated so its error is recorded, whatever the verdict says.
+        Self::assemble(rules.iter().map(|pr| {
+            match (&pr.reg.guard, &pr.reg.compiled, &pr.program, &pr.broken) {
+                (Some(g), Some(c), Some(_), None) => Some((g, &**c, &pr.reg.cond_classes[..])),
+                _ => None,
+            }
+        }))
+    }
+
+    /// One entry per rule in registration order; `None` entries are residual.
+    fn assemble<'a>(
+        rules: impl ExactSizeIterator<Item = Option<Indexable<'a>>>,
+    ) -> Option<GuardIndex> {
         let mut idx = GuardIndex {
             required: Vec::new(),
             eq_groups: Vec::new(),
             range_groups: Vec::new(),
-            residual: vec![0u64; n.div_ceil(64).max(1)],
+            residual: vec![0u64; rules.len().div_ceil(64).max(1)],
             indexed_rules: 0,
             residual_rules: 0,
-            guards: Vec::with_capacity(n),
         };
         let mut width: HashMap<ClassName, usize> = HashMap::new();
-        for (ri, pr) in rules.iter().enumerate() {
-            let extracted = match classify_rule(pr, payload) {
-                Ok(g) => g,
-                Err(_) => {
-                    idx.residual[ri >> 6] |= 1 << (ri & 63);
-                    idx.residual_rules += 1;
-                    idx.guards.push(None);
-                    continue;
-                }
+        for (ri, entry) in rules.enumerate() {
+            let Some((guard, cond, cond_classes)) = entry else {
+                idx.residual[ri >> 6] |= 1 << (ri & 63);
+                idx.residual_rules += 1;
+                continue;
             };
             idx.indexed_rules += 1;
             // Every attribute the indexed condition reads contributes to the
@@ -220,18 +238,16 @@ impl GuardIndex {
             // in-range before any pruning is trusted; `cond_classes` rides
             // along (width 0 = presence only) so a pruned rule is always one
             // the fast path would have evaluated exactly once.
-            if let Some(cond) = &pr.reg.compiled {
-                for op in &cond.ops {
-                    if let ROp::Attr { class, index } = op {
-                        let w = width.entry(class.clone()).or_default();
-                        *w = (*w).max(index + 1);
-                    }
+            for op in &cond.ops {
+                if let ROp::Attr { class, index } = op {
+                    let w = width.entry(class.clone()).or_default();
+                    *w = (*w).max(index + 1);
                 }
             }
-            for class in &pr.reg.cond_classes {
+            for class in cond_classes {
                 width.entry(class.clone()).or_default();
             }
-            idx.install(ri as u32, extracted);
+            idx.install(ri as u32, guard);
         }
         if idx.indexed_rules == 0 {
             return None;
@@ -245,28 +261,24 @@ impl GuardIndex {
         Some(idx)
     }
 
-    fn install(&mut self, rule: u32, guard: RuleGuard) {
-        match &guard {
-            RuleGuard::Eq {
-                class,
-                attr,
-                values,
-            } => {
-                if values.is_empty() {
-                    // `x = NULL` / `x IN (NULL)`: no value compares TRUE.
-                    self.guards.push(Some(RuleGuard::Never));
-                    return;
-                }
+    fn install(&mut self, rule: u32, guard: &RuleGuard) {
+        // A guard no value satisfies goes in no group: never a candidate.
+        if guard.never() {
+            return;
+        }
+        let (class, attr) = (&guard.class, guard.attr);
+        match &guard.kind {
+            GuardKind::Eq(values) => {
                 let gi = match self
                     .eq_groups
                     .iter()
-                    .position(|g| g.class == *class && g.attr == *attr)
+                    .position(|g| g.class == *class && g.attr == attr)
                 {
                     Some(i) => i,
                     None => {
                         self.eq_groups.push(EqGroup {
                             class: class.clone(),
-                            attr: *attr,
+                            attr,
                             map: HashMap::new(),
                         });
                         self.eq_groups.len() - 1
@@ -280,27 +292,7 @@ impl GuardIndex {
                         .push(rule);
                 }
             }
-            RuleGuard::Range {
-                class,
-                attr,
-                lo,
-                hi,
-            } => {
-                // Exact emptiness first (`x > 5 AND x < 3`): the rule can
-                // never fire, prune it unconditionally.
-                if let (Some(l), Some(h)) = (lo, hi) {
-                    match l.value.cmp(&h.value) {
-                        std::cmp::Ordering::Greater => {
-                            self.guards.push(Some(RuleGuard::Never));
-                            return;
-                        }
-                        std::cmp::Ordering::Equal if l.strict || h.strict => {
-                            self.guards.push(Some(RuleGuard::Never));
-                            return;
-                        }
-                        _ => {}
-                    }
-                }
+            GuardKind::Range { lo, hi } => {
                 let iv = Interval {
                     lo: lo
                         .as_ref()
@@ -314,13 +306,13 @@ impl GuardIndex {
                 let gi = match self
                     .range_groups
                     .iter()
-                    .position(|g| g.class == *class && g.attr == *attr)
+                    .position(|g| g.class == *class && g.attr == attr)
                 {
                     Some(i) => i,
                     None => {
                         self.range_groups.push(RangeGroup {
                             class: class.clone(),
-                            attr: *attr,
+                            attr,
                             guards: Vec::new(),
                         });
                         self.range_groups.len() - 1
@@ -333,9 +325,7 @@ impl GuardIndex {
                     iv,
                 });
             }
-            RuleGuard::Never => {}
         }
-        self.guards.push(Some(guard));
     }
 
     /// Words a candidate bitset for this index needs.
@@ -409,423 +399,44 @@ impl GuardIndex {
         }
         true
     }
-
-    /// Human-readable reason rule `rule` was pruned for this payload, for
-    /// sampled traces. Only called off the fast path.
-    pub fn explain(&self, rule: usize, objects: &[Object]) -> String {
-        let attr_of = |class: &ClassName, attr: usize| -> (String, String) {
-            match objects.iter().find(|o| o.class == *class) {
-                Some(o) => (
-                    o.attribute_names()
-                        .get(attr)
-                        .cloned()
-                        .unwrap_or_else(|| format!("#{attr}")),
-                    o.values()
-                        .get(attr)
-                        .map(|v| v.to_string())
-                        .unwrap_or_else(|| "?".into()),
-                ),
-                None => (format!("#{attr}"), "?".into()),
-            }
-        };
-        match self.guards.get(rule).and_then(|g| g.as_ref()) {
-            Some(RuleGuard::Eq {
-                class,
-                attr,
-                values,
-            }) => {
-                let (name, val) = attr_of(class, *attr);
-                let set = values
-                    .iter()
-                    .map(|v| v.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                format!("pruned by guard index: {class}.{name}={val} not in {{{set}}}")
-            }
-            Some(RuleGuard::Range {
-                class,
-                attr,
-                lo,
-                hi,
-            }) => {
-                let (name, val) = attr_of(class, *attr);
-                let lo_s = match lo {
-                    Some(b) => format!("{}{}", if b.strict { '(' } else { '[' }, b.value),
-                    None => "(-∞".into(),
-                };
-                let hi_s = match hi {
-                    Some(b) => format!("{}{}", b.value, if b.strict { ')' } else { ']' }),
-                    None => "∞)".into(),
-                };
-                format!("pruned by guard index: {class}.{name}={val} outside {lo_s},{hi_s}")
-            }
-            Some(RuleGuard::Never) => {
-                "pruned by guard index: guard is unsatisfiable (condition can never hold)".into()
-            }
-            None => "pruned by guard index".into(),
-        }
-    }
-
-    #[cfg(test)]
-    fn guard_of(&self, rule: usize) -> Option<&RuleGuard> {
-        self.guards[rule].as_ref()
-    }
-}
-
-/// Classify one planned rule: an extracted guard, or the reason it stays
-/// residual.
-pub(crate) fn classify_rule(
-    pr: &PlanRule,
-    payload: &[ClassName],
-) -> Result<RuleGuard, ResidualReason> {
-    if pr.broken.is_some() {
-        return Err(ResidualReason::Broken);
-    }
-    let (Some(cond), Some(_)) = (&pr.reg.compiled, &pr.program) else {
-        return Err(ResidualReason::Unconditional);
-    };
-    // `cond_classes` is derived from the source AST (pre-fold): requiring it
-    // to sit inside the payload too guarantees an indexed rule always takes
-    // the single-combination fast path, so the pruned path's "one counted
-    // evaluation" bookkeeping matches what evaluation would have recorded.
-    if !pr.reg.cond_classes.iter().all(|c| payload.contains(c)) {
-        return Err(ResidualReason::NonPayloadClass);
-    }
-    classify_cond(cond, payload)
-}
-
-/// Pure classification over a resolved condition; shared with unit tests.
-pub(crate) fn classify_cond(
-    cond: &CondIr,
-    payload: &[ClassName],
-) -> Result<RuleGuard, ResidualReason> {
-    // Infallible-in-context check over the whole (dense) arena: any fallible
-    // node anywhere — even under a never-taken branch — keeps the rule
-    // residual, because the VM's error contract evaluates both AND/OR
-    // operands unless provably infallible.
-    for op in &cond.ops {
-        match op {
-            ROp::LatCol { .. } => return Err(ResidualReason::ReadsLat),
-            ROp::Attr { class, .. } if !payload.contains(class) => {
-                return Err(ResidualReason::NonPayloadClass)
-            }
-            ROp::Unary {
-                op: UnaryOp::Neg, ..
-            } => return Err(ResidualReason::FallibleArithmetic),
-            ROp::Binary {
-                op: BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div,
-                ..
-            } => return Err(ResidualReason::FallibleArithmetic),
-            _ => {}
-        }
-    }
-    let mut conj = Vec::new();
-    conjuncts(cond, cond.root, &mut conj);
-    // One guard per rule: the first equality atom wins (a point probe beats
-    // a range sweep); otherwise every range atom over the first ranged
-    // attribute is merged into one interval.
-    let mut range: Option<(ClassName, usize, Option<Bound>, Option<Bound>)> = None;
-    for id in conj {
-        match atom_of(cond, id) {
-            Some(Atom::Eq {
-                class,
-                attr,
-                values,
-            }) => {
-                return Ok(RuleGuard::Eq {
-                    class,
-                    attr,
-                    values,
-                })
-            }
-            Some(Atom::Range {
-                class,
-                attr,
-                lo,
-                hi,
-            }) => match &mut range {
-                None => range = Some((class, attr, lo, hi)),
-                Some((c, a, rlo, rhi)) if *c == class && *a == attr => {
-                    if let Some(b) = lo {
-                        merge_lo(rlo, b);
-                    }
-                    if let Some(b) = hi {
-                        merge_hi(rhi, b);
-                    }
-                }
-                _ => {}
-            },
-            None => {}
-        }
-    }
-    match range {
-        Some((class, attr, lo, hi)) => Ok(RuleGuard::Range {
-            class,
-            attr,
-            lo,
-            hi,
-        }),
-        None => Err(ResidualReason::NoGuardAtom),
-    }
-}
-
-/// Tighter (larger) lower bound wins; at a tie, strict dominates.
-fn merge_lo(cur: &mut Option<Bound>, new: Bound) {
-    match cur {
-        None => *cur = Some(new),
-        Some(b) => match new.value.cmp(&b.value) {
-            std::cmp::Ordering::Greater => *cur = Some(new),
-            std::cmp::Ordering::Equal => b.strict |= new.strict,
-            std::cmp::Ordering::Less => {}
-        },
-    }
-}
-
-/// Tighter (smaller) upper bound wins; at a tie, strict dominates.
-fn merge_hi(cur: &mut Option<Bound>, new: Bound) {
-    match cur {
-        None => *cur = Some(new),
-        Some(b) => match new.value.cmp(&b.value) {
-            std::cmp::Ordering::Less => *cur = Some(new),
-            std::cmp::Ordering::Equal => b.strict |= new.strict,
-            std::cmp::Ordering::Greater => {}
-        },
-    }
-}
-
-/// Split the top-level `AND` chain into conjunct roots.
-fn conjuncts(cond: &CondIr, id: NodeId, out: &mut Vec<NodeId>) {
-    if let ROp::Binary {
-        left,
-        op: BinOp::And,
-        right,
-    } = cond.op(id)
-    {
-        conjuncts(cond, *left, out);
-        conjuncts(cond, *right, out);
-    } else {
-        out.push(id);
-    }
-}
-
-/// Mirror of the comparison with operands swapped (`5 < attr` ⇒ `attr > 5`).
-fn flip(op: BinOp) -> Option<BinOp> {
-    Some(match op {
-        BinOp::Eq => BinOp::Eq,
-        BinOp::Lt => BinOp::Gt,
-        BinOp::Gt => BinOp::Lt,
-        BinOp::LtEq => BinOp::GtEq,
-        BinOp::GtEq => BinOp::LtEq,
-        _ => return None,
-    })
-}
-
-/// Lift one conjunct into a guard atom, if it has an indexable shape.
-fn atom_of(cond: &CondIr, id: NodeId) -> Option<Atom> {
-    match cond.op(id) {
-        ROp::Binary { left, op, right } => {
-            let (class, attr, cval, op) = match (cond.op(*left), cond.op(*right)) {
-                (ROp::Attr { class, index }, ROp::Const(c)) => {
-                    (class, *index, cond.consts[*c as usize].clone(), *op)
-                }
-                (ROp::Const(c), ROp::Attr { class, index }) => {
-                    (class, *index, cond.consts[*c as usize].clone(), flip(*op)?)
-                }
-                _ => return None,
-            };
-            match op {
-                BinOp::Eq => Some(Atom::Eq {
-                    class: class.clone(),
-                    attr,
-                    values: if cval.is_null() { vec![] } else { vec![cval] },
-                }),
-                BinOp::Lt | BinOp::Gt | BinOp::LtEq | BinOp::GtEq => {
-                    // Range guards index numeric bounds only: the f64 sweep
-                    // key is only order-consistent with `Value::cmp` within
-                    // the numeric rank. (NaN bounds would also poison the
-                    // sort order.)
-                    match cval {
-                        Value::Int(_) => {}
-                        Value::Float(f) if !f.is_nan() => {}
-                        _ => return None,
-                    }
-                    let bound = |strict| {
-                        Some(Bound {
-                            value: cval.clone(),
-                            strict,
-                        })
-                    };
-                    let (lo, hi) = match op {
-                        BinOp::Gt => (bound(true), None),
-                        BinOp::GtEq => (bound(false), None),
-                        BinOp::Lt => (None, bound(true)),
-                        BinOp::LtEq => (None, bound(false)),
-                        _ => unreachable!(),
-                    };
-                    Some(Atom::Range {
-                        class: class.clone(),
-                        attr,
-                        lo,
-                        hi,
-                    })
-                }
-                _ => None,
-            }
-        }
-        ROp::InList {
-            expr,
-            list,
-            negated: false,
-        } => {
-            let ROp::Attr { class, index } = cond.op(*expr) else {
-                return None;
-            };
-            let mut values = Vec::new();
-            for m in &cond.lists[*list as usize] {
-                let ROp::Const(c) = cond.op(*m) else {
-                    return None;
-                };
-                let v = cond.consts[*c as usize].clone();
-                if !v.is_null() {
-                    values.push(v);
-                }
-            }
-            Some(Atom::Eq {
-                class: class.clone(),
-                attr: *index,
-                values,
-            })
-        }
-        _ => None,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::rule_ir;
     use crate::objects::query_object;
+    use crate::rules::{Rule, RuleEvent};
     use sqlcm_common::QueryInfo;
-    use std::collections::HashMap as Map;
 
-    fn cond(src: &str) -> CondIr {
-        let ast = sqlcm_sql::parse_expression(src).unwrap();
-        let ir = sqlcm_sql::ExprIr::lower(&ast).fold();
-        CondIr::from_ir(&ir, &Map::new(), &[]).unwrap()
+    /// The registration pipeline for one QueryCommit condition: the stored
+    /// guard verdict (if any) and the compiled condition.
+    fn registered(src: &str) -> (Option<RuleGuard>, CondIr) {
+        let ir = rule_ir(&Rule::new("r").on(RuleEvent::QueryCommit).when(src));
+        let guard = RuleGuard::of(&SchemaUniverse::builtin(), &ir);
+        let folded = ir.condition.as_ref().unwrap().folded();
+        (
+            guard,
+            CondIr::from_ir(folded, &HashMap::new(), &[]).unwrap(),
+        )
     }
 
-    fn classify(src: &str) -> Result<RuleGuard, ResidualReason> {
-        classify_cond(&cond(src), &[ClassName::Query])
-    }
-
-    #[test]
-    fn equality_and_in_atoms_extract() {
-        match classify("Query.User = 'bob' AND Query.Duration > 1").unwrap() {
-            RuleGuard::Eq { values, .. } => {
-                assert_eq!(values, vec![Value::Text("bob".into())]);
-            }
-            g => panic!("expected eq guard, got {g:?}"),
-        }
-        match classify("Query.ID IN (1, 2, 3)").unwrap() {
-            RuleGuard::Eq { values, .. } => assert_eq!(values.len(), 3),
-            g => panic!("expected eq guard, got {g:?}"),
-        }
-        // Constant-on-the-left comparisons flip.
-        match classify("100 <= Query.Duration").unwrap() {
-            RuleGuard::Range { lo: Some(b), .. } => {
-                assert_eq!(b.value, Value::Int(100));
-                assert!(!b.strict);
-            }
-            g => panic!("expected range guard, got {g:?}"),
-        }
-    }
-
-    #[test]
-    fn range_atoms_merge_to_tightest_interval() {
-        match classify("Query.Duration > 100 AND Query.Duration <= 500 AND Query.Duration > 50")
-            .unwrap()
-        {
-            RuleGuard::Range {
-                lo: Some(lo),
-                hi: Some(hi),
-                ..
-            } => {
-                assert_eq!(lo.value, Value::Int(100));
-                assert!(lo.strict);
-                assert_eq!(hi.value, Value::Int(500));
-                assert!(!hi.strict);
-            }
-            g => panic!("expected bounded range, got {g:?}"),
-        }
-    }
-
-    #[test]
-    fn residual_reasons_are_structural() {
-        assert_eq!(
-            classify_cond(&cond("Query.Duration > 1"), &[ClassName::Session]).unwrap_err(),
-            ResidualReason::NonPayloadClass
-        );
-        assert_eq!(
-            classify("Query.Duration * 2 > 1").unwrap_err(),
-            ResidualReason::FallibleArithmetic
-        );
-        assert_eq!(
-            classify("Query.User LIKE 'a%'").unwrap_err(),
-            ResidualReason::NoGuardAtom
-        );
-        // OR at the top level: neither side is a guaranteed conjunct.
-        assert_eq!(
-            classify("Query.User = 'a' OR Query.Duration > 1").unwrap_err(),
-            ResidualReason::NoGuardAtom
-        );
+    /// Build an index straight from conditions (no plan machinery).
+    fn index_of(conds: &[&str]) -> GuardIndex {
+        let regs: Vec<_> = conds.iter().map(|c| registered(c)).collect();
+        GuardIndex::assemble(
+            regs.iter()
+                .map(|(g, c)| g.as_ref().map(|g| (g, c, &[ClassName::Query][..]))),
+        )
+        .expect("at least one indexable condition")
     }
 
     fn probe_one(idx: &GuardIndex, objects: &[Object]) -> Vec<usize> {
         let mut bits = vec![0u64; idx.words()];
         assert!(idx.probe(objects, &mut bits));
-        (0..idx.guards.len())
+        (0..(idx.indexed_rules + idx.residual_rules) as usize)
             .filter(|&i| bits[i >> 6] & (1 << (i & 63)) != 0)
             .collect()
-    }
-
-    /// Build an index straight from conditions (no plan machinery) by going
-    /// through `install`, mirroring what `GuardIndex::build` does per rule.
-    fn index_of(conds: &[&str]) -> GuardIndex {
-        let payload = [ClassName::Query];
-        let mut idx = GuardIndex {
-            required: Vec::new(),
-            eq_groups: Vec::new(),
-            range_groups: Vec::new(),
-            residual: vec![0u64; conds.len().div_ceil(64).max(1)],
-            indexed_rules: 0,
-            residual_rules: 0,
-            guards: Vec::new(),
-        };
-        let mut width: Map<ClassName, usize> = Map::new();
-        for (ri, src) in conds.iter().enumerate() {
-            let c = cond(src);
-            match classify_cond(&c, &payload) {
-                Ok(g) => {
-                    idx.indexed_rules += 1;
-                    for op in &c.ops {
-                        if let ROp::Attr { class, index } = op {
-                            let w = width.entry(class.clone()).or_default();
-                            *w = (*w).max(index + 1);
-                        }
-                    }
-                    idx.install(ri as u32, g);
-                }
-                Err(_) => {
-                    idx.residual[ri >> 6] |= 1 << (ri & 63);
-                    idx.residual_rules += 1;
-                    idx.guards.push(None);
-                }
-            }
-        }
-        idx.required = width.into_iter().collect();
-        for g in &mut idx.range_groups {
-            g.guards.sort_by(|a, b| a.iv.lo.total_cmp(&b.iv.lo));
-        }
-        idx
     }
 
     fn query(user: &str, duration_micros: u64) -> Object {
@@ -843,10 +454,10 @@ mod tests {
             "Query.Duration > 1",   // seconds: matches long queries
             "Query.User LIKE 'a%'", // residual
             "Query.Duration > 3 AND Query.Duration < 2", // empty: never
+            "Query.ID IN (NULL)",   // empty: never
         ]);
-        assert_eq!(idx.indexed_rules, 4);
+        assert_eq!(idx.indexed_rules, 5);
         assert_eq!(idx.residual_rules, 1);
-        assert!(matches!(idx.guard_of(4), Some(RuleGuard::Never)));
         let fast = query("alice", 100);
         assert_eq!(probe_one(&idx, &[fast]), vec![0, 3]);
         let slow = query("carol", 2_500_000);
@@ -862,15 +473,14 @@ mod tests {
 
     #[test]
     fn explain_names_the_violated_guard() {
-        let idx = index_of(&["Query.Duration >= 100"]);
-        let obj = query("alice", 5);
-        let mut bits = vec![0u64; idx.words()];
-        assert!(idx.probe(std::slice::from_ref(&obj), &mut bits));
-        assert_eq!(bits[0], 0);
-        let why = idx.explain(0, &[obj]);
+        let (guard, _) = registered("Query.Duration >= 100");
+        let why = guard.unwrap().explain(&[query("alice", 5)]);
         assert!(
             why.contains("pruned by guard index") && why.contains("outside [100,∞)"),
             "{why}"
         );
+        let (guard, _) = registered("Query.Duration > 3 AND Query.Duration < 2");
+        let why = guard.unwrap().explain(&[query("alice", 5)]);
+        assert!(why.contains("unsatisfiable"), "{why}");
     }
 }

@@ -48,10 +48,9 @@ use crate::objects::{ClassName, Object};
 /// Default number of row-map shards per LAT (see [`LatSpec::shards`]).
 pub const DEFAULT_LAT_SHARDS: usize = 16;
 
-/// Upper bound on the per-LAT shard count; specs beyond this are rejected.
-pub const MAX_LAT_SHARDS: usize = 4096;
-
-pub use sqlcm_analyze::LatAggFunc;
+/// `LatAggFunc` and the shard-count ceiling (specs beyond it are rejected)
+/// are declared once, in the analyzer crate.
+pub use sqlcm_analyze::{LatAggFunc, MAX_LAT_SHARDS};
 
 /// Aging parameters: report only values from the last `window` µs, maintained in
 /// blocks of `block` µs.

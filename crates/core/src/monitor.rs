@@ -43,6 +43,7 @@ use crate::deferred::{
     AttemptOutcome, DeferredAction, DeferredKind, DeferredQueue, LossEntry, RetryPolicy,
 };
 use crate::fault::{FaultKind, FaultPlan, FaultState};
+use crate::guard::RuleGuard;
 use crate::lat::{Lat, LatAggFunc, LatSpec};
 use crate::objects::{self, evicted_object, ClassName, Object};
 use crate::plan::{
@@ -544,7 +545,7 @@ impl SqlcmInner {
             }
             if probed && cand[i >> 6] & (1 << (i & 63)) == 0 {
                 pruned += 1;
-                self.pruned_rule(ep, i, pr, objects, trace, event_span);
+                self.pruned_rule(pr, objects, trace, event_span);
             } else {
                 kept += u64::from(probed);
                 self.evaluate_rule(ep, pr, objects, slots, cse, trace, event_span, depth);
@@ -571,8 +572,6 @@ impl SqlcmInner {
     /// explains which guard was violated.
     fn pruned_rule(
         &self,
-        ep: &EventPlan,
-        idx: usize,
         pr: &PlanRule,
         objects: &[Object],
         trace: &mut Option<TraceCtx>,
@@ -594,10 +593,10 @@ impl SqlcmInner {
         self.evaluations.fetch_add(1, Ordering::Relaxed);
         if let Some(ctx) = trace.as_mut() {
             let rule_span = ctx.open_rule(event_span, &reg.rule.name);
-            let why = ep
-                .guards
+            let why = reg
+                .guard
                 .as_ref()
-                .map(|gi| gi.explain(idx, objects))
+                .map(|g| g.explain(objects))
                 .unwrap_or_default();
             ctx.rule_outcome(rule_span, false, why);
             ctx.close(rule_span);
@@ -1731,9 +1730,10 @@ impl Sqlcm {
         Ok(lat)
     }
 
-    /// A fresh analyzer seeded with the currently registered LATs and rules.
-    /// Rebuilt per registration: rule counts are small and this keeps the
-    /// analyzer state trivially consistent with `drop_lat`/`remove_rule`.
+    /// A fresh analyzer seeded with the currently registered LATs and rules
+    /// (each rule's IR by `Arc` clone — nothing is re-lowered). Rebuilt per
+    /// registration: this keeps the analyzer state trivially consistent with
+    /// `drop_lat`/`remove_rule`.
     fn analyzer(&self) -> Analyzer {
         let mut analyzer = Analyzer::new();
         for lat in self.inner.lats_read().values() {
@@ -1744,7 +1744,7 @@ impl Sqlcm {
             );
         }
         for reg in self.inner.rules_read().iter() {
-            analyzer.seed_rule(analysis::rule_ir(&reg.rule));
+            analyzer.seed_rule(reg.ir.clone());
         }
         analyzer
     }
@@ -1803,7 +1803,7 @@ impl Sqlcm {
     /// Run the static analyzer on a rule against the current LATs and rules
     /// without registering anything — a lint probe.
     pub fn analyze_rule(&self, rule: &Rule) -> Vec<Diagnostic> {
-        self.analyzer().check_rule(&analysis::rule_ir(rule))
+        self.analyzer().diagnose(&analysis::rule_ir(rule))
     }
 
     pub fn drop_lat(&self, name: &str) -> bool {
@@ -1900,13 +1900,17 @@ impl Sqlcm {
         {
             return Err(Error::Monitor(format!("rule {} already exists", rule.name)));
         }
-        let mut analyzer = self.analyzer();
-        let ir = analysis::rule_ir(&rule);
-        let diags = analyzer.check_rule(&ir);
-        self.deny_on_errors(diags)?;
+        // The one lowering of the rule: the analyzer's checks, the effect
+        // summary, the guard verdict and the compiled condition below all
+        // read this artifact.
+        let analyzer = self.analyzer();
+        let ir = Arc::new(analysis::rule_ir(&rule));
+        self.deny_on_errors(analyzer.diagnose(&ir))?;
         // Captured for the dispatch plan: the rule's column-level read/write
-        // sets drive precise hoist-slot invalidation.
+        // sets drive precise hoist-slot invalidation, and its guard verdict
+        // is what every plan build's guard index installs.
         let effects = Arc::new(analyzer.effects_of(&ir));
+        let guard = RuleGuard::of(analyzer.universe(), &ir);
         let (cond_classes, cond_lats) = rule.condition_refs()?;
         let cond_lats_lc: Vec<String> = cond_lats.iter().map(|l| l.to_ascii_lowercase()).collect();
         let compiled = {
@@ -1929,20 +1933,18 @@ impl Sqlcm {
                     }
                 }
             }
-            // Lower once into the shared expression IR, fold constants, then
-            // resolve references against the live LATs. The fold delta feeds
-            // the `folded_ops` telemetry counter.
-            let compiled_cond = rule
+            // Resolve the folded condition's references against the live
+            // LATs. The fold delta feeds the `folded_ops` telemetry counter.
+            let compiled_cond = ir
                 .condition
                 .as_ref()
                 .map(|c| {
-                    let lowered = sqlcm_sql::ExprIr::lower(c);
-                    let folded = lowered.fold();
+                    let folded = c.folded();
                     self.inner
                         .telemetry
                         .folded_ops
                         .add(folded.folded_ops as u64);
-                    crate::ir::CondIr::from_ir(&folded, &lats, &cond_lats_lc).map(Arc::new)
+                    crate::ir::CondIr::from_ir(folded, &lats, &cond_lats_lc).map(Arc::new)
                 })
                 .transpose()?;
             let compiled_actions = rule
@@ -1987,7 +1989,9 @@ impl Sqlcm {
         let rule = Arc::new(rule);
         rules.push(Arc::new(Registered {
             rule: rule.clone(),
+            ir,
             compiled,
+            guard,
             actions: compiled_actions,
             cond_classes,
             cond_lats: cond_lats_lc,

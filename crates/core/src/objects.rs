@@ -12,6 +12,7 @@
 
 use std::sync::Arc;
 
+use sqlcm_analyze::schema::builtin_class;
 use sqlcm_common::{BlockPairInfo, QueryInfo, QueryType, SessionInfo, Timestamp, TxnInfo, Value};
 
 /// Class of a monitored object. LAT-eviction objects carry the LAT name.
@@ -120,28 +121,25 @@ impl Object {
     }
 }
 
-/// Attribute position within the *static* classes' value layout (the layouts
+/// Attribute position within the *static* classes' value layout — the order
+/// of the class's attribute table in [`sqlcm_analyze::schema`], which
 /// `query_object`, `block_pair_objects`, `txn_object`, `session_object` and
-/// `timer_object` produce). Used to compile rule conditions once at
+/// `timer_object` fill in. Used to compile rule conditions once at
 /// registration instead of string-matching per evaluation. Evicted-row classes
 /// have per-LAT layouts and are resolved against the LAT instead.
 pub fn static_attr_index(class: &ClassName, attr: &str) -> Option<usize> {
-    let names: &[&str] = match class {
-        ClassName::Query => QUERY_ATTRS,
-        ClassName::Blocker | ClassName::Blocked => {
-            return QUERY_ATTRS
-                .iter()
-                .chain(BLOCK_EXTRA_ATTRS)
-                .position(|n| n.eq_ignore_ascii_case(attr));
-        }
-        ClassName::Transaction => TXN_ATTRS,
-        ClassName::Session => SESSION_ATTRS,
-        ClassName::Timer => TIMER_ATTRS,
-        ClassName::Table => TABLE_ATTRS,
-        ClassName::Monitor => MONITOR_ATTRS,
-        ClassName::Evicted(_) => return None,
-    };
-    names.iter().position(|n| n.eq_ignore_ascii_case(attr))
+    builtin_class(&class.to_string())?.attr_index(attr)
+}
+
+/// The attribute-name array of a static class, from its schema table (each
+/// constructor caches its own in a `OnceLock`).
+fn attr_names(class: ClassName) -> Arc<[String]> {
+    builtin_class(&class.to_string())
+        .expect("every static class has a schema table")
+        .attrs
+        .iter()
+        .map(|(name, _)| name.clone())
+        .collect()
 }
 
 fn micros_to_secs(us: u64) -> Value {
@@ -173,50 +171,16 @@ fn query_type_value(t: QueryType) -> Value {
     Value::Text(cache[idx].clone())
 }
 
-/// Attribute names of the `Query` class (also used by `Blocker`/`Blocked`).
-pub const QUERY_ATTRS: &[&str] = &[
-    "ID",
-    "Query_Text",
-    "Logical_Signature",
-    "Physical_Signature",
-    "Start_Time",
-    "Duration",
-    "Estimated_Cost",
-    "Time_Blocked",
-    "Times_Blocked",
-    "Queries_Blocked",
-    "Number_of_instances",
-    "Query_Type",
-    "User",
-    "Application",
-    "Session_ID",
-    "Transaction_ID",
-    "Procedure",
-];
-
-/// Extra attributes present on `Blocker`/`Blocked` objects (lock-pair context).
-pub const BLOCK_EXTRA_ATTRS: &[&str] = &["Resource", "Wait_Time"];
-
 fn query_names() -> Arc<[String]> {
     use std::sync::OnceLock;
     static NAMES: OnceLock<Arc<[String]>> = OnceLock::new();
-    NAMES
-        .get_or_init(|| QUERY_ATTRS.iter().map(|s| s.to_string()).collect())
-        .clone()
+    NAMES.get_or_init(|| attr_names(ClassName::Query)).clone()
 }
 
 fn block_names() -> Arc<[String]> {
     use std::sync::OnceLock;
     static NAMES: OnceLock<Arc<[String]>> = OnceLock::new();
-    NAMES
-        .get_or_init(|| {
-            QUERY_ATTRS
-                .iter()
-                .chain(BLOCK_EXTRA_ATTRS)
-                .map(|s| s.to_string())
-                .collect()
-        })
-        .clone()
+    NAMES.get_or_init(|| attr_names(ClassName::Blocker)).clone()
 }
 
 /// Append the `Query` attribute values to `out` (no clear — block-pair layouts
@@ -285,19 +249,6 @@ pub fn block_pair_objects_in(
     )
 }
 
-/// Attribute names of the `Transaction` class.
-pub const TXN_ATTRS: &[&str] = &[
-    "ID",
-    "Start_Time",
-    "Duration",
-    "Logical_Signature",
-    "Physical_Signature",
-    "Statements",
-    "User",
-    "Application",
-    "Session_ID",
-];
-
 /// Build the `Transaction` object. The signature *sequences* (§4.2 kinds 3–4)
 /// are exposed hashed into one integer each, the form LAT grouping uses.
 pub fn txn_object(t: &TxnInfo) -> Object {
@@ -309,7 +260,7 @@ pub fn txn_object_in(t: &TxnInfo, mut buf: Vec<Value>) -> Object {
     use std::sync::OnceLock;
     static NAMES: OnceLock<Arc<[String]>> = OnceLock::new();
     let names = NAMES
-        .get_or_init(|| TXN_ATTRS.iter().map(|s| s.to_string()).collect())
+        .get_or_init(|| attr_names(ClassName::Transaction))
         .clone();
     let lsig = sqlcm_engine::signature::transaction_signature(&t.logical_signature);
     let psig = sqlcm_engine::signature::transaction_signature(&t.physical_signature);
@@ -328,9 +279,6 @@ pub fn txn_object_in(t: &TxnInfo, mut buf: Vec<Value>) -> Object {
     Object::new(ClassName::Transaction, names, buf)
 }
 
-/// Attribute names of the `Session` class (login/logout auditing).
-pub const SESSION_ATTRS: &[&str] = &["Session_ID", "User", "Application", "Success"];
-
 pub fn session_object(s: &SessionInfo) -> Object {
     session_object_in(s, Vec::new())
 }
@@ -339,9 +287,7 @@ pub fn session_object(s: &SessionInfo) -> Object {
 pub fn session_object_in(s: &SessionInfo, mut buf: Vec<Value>) -> Object {
     use std::sync::OnceLock;
     static NAMES: OnceLock<Arc<[String]>> = OnceLock::new();
-    let names = NAMES
-        .get_or_init(|| SESSION_ATTRS.iter().map(|x| x.to_string()).collect())
-        .clone();
+    let names = NAMES.get_or_init(|| attr_names(ClassName::Session)).clone();
     buf.clear();
     buf.extend([
         Value::Int(s.session_id as i64),
@@ -352,19 +298,13 @@ pub fn session_object_in(s: &SessionInfo, mut buf: Vec<Value>) -> Object {
     Object::new(ClassName::Session, names, buf)
 }
 
-/// Attribute names of the `Timer` class ("a Timer object also exposes the
-/// current time as an attribute").
-pub const TIMER_ATTRS: &[&str] = &["Name", "Time", "Alarms_Remaining"];
-
 pub fn timer_object(name: &str, now: Timestamp, remaining: i64) -> Object {
     use std::sync::OnceLock;
     static NAMES: OnceLock<Arc<[String]>> = OnceLock::new();
-    let attr_names = NAMES
-        .get_or_init(|| TIMER_ATTRS.iter().map(|x| x.to_string()).collect())
-        .clone();
+    let names = NAMES.get_or_init(|| attr_names(ClassName::Timer)).clone();
     Object::new(
         ClassName::Timer,
-        attr_names,
+        names,
         vec![
             Value::text(name),
             Value::Timestamp(now),
@@ -373,17 +313,12 @@ pub fn timer_object(name: &str, now: Timestamp, remaining: i64) -> Object {
     )
 }
 
-/// Attribute names of the `Table` class (schema extension, §2.2).
-pub const TABLE_ATTRS: &[&str] = &["Name", "Row_Count", "Columns", "Indexes", "Clustered"];
-
 /// Build the `Table` object from a catalog entry. Iterated by timer-driven
 /// rules (e.g. alert when a table outgrows a budget).
 pub fn table_object(t: &sqlcm_engine::catalog::TableInfo) -> Object {
     use std::sync::OnceLock;
     static NAMES: OnceLock<Arc<[String]>> = OnceLock::new();
-    let names = NAMES
-        .get_or_init(|| TABLE_ATTRS.iter().map(|x| x.to_string()).collect())
-        .clone();
+    let names = NAMES.get_or_init(|| attr_names(ClassName::Table)).clone();
     Object::new(
         ClassName::Table,
         names,
@@ -396,29 +331,6 @@ pub fn table_object(t: &sqlcm_engine::catalog::TableInfo) -> Object {
         ],
     )
 }
-
-/// Attribute names of the `Monitor` class — SQLCM's own health, materialized
-/// by the self-monitoring bridge. Latency attributes are seconds (`Float`),
-/// like every other duration in the schema.
-pub const MONITOR_ATTRS: &[&str] = &[
-    "Name",
-    "Events",
-    "Evaluations",
-    "Fires",
-    "Actions",
-    "Action_Errors",
-    "Eval_P50",
-    "Eval_P95",
-    "Eval_P99",
-    "Eval_Max",
-    "Probe_P99",
-    "Lat_Memory",
-    "Rule_Count",
-    "Lat_Count",
-    "Overload_Stage",
-    "Quarantined_Rules",
-    "Deferred_Depth",
-];
 
 /// The monitor-health values carried by a `Monitor` object. Latencies are in
 /// seconds; counts are totals since attach.
@@ -446,9 +358,7 @@ pub struct MonitorHealth {
 pub fn monitor_object(h: &MonitorHealth) -> Object {
     use std::sync::OnceLock;
     static NAMES: OnceLock<Arc<[String]>> = OnceLock::new();
-    let names = NAMES
-        .get_or_init(|| MONITOR_ATTRS.iter().map(|x| x.to_string()).collect())
-        .clone();
+    let names = NAMES.get_or_init(|| attr_names(ClassName::Monitor)).clone();
     Object::new(
         ClassName::Monitor,
         names,

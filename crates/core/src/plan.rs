@@ -33,14 +33,14 @@ use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sqlcm_analyze::RuleEffects;
+use sqlcm_analyze::{RuleEffects, RuleIr};
 use sqlcm_common::{ProbeKind, ProbeMask, Value};
 use sqlcm_sql::NodeId;
 use sqlcm_telemetry::LatencyHistogram;
 
 use crate::actions::Action;
 use crate::containment::RuleBreaker;
-use crate::guard::GuardIndex;
+use crate::guard::{GuardIndex, RuleGuard};
 use crate::ir::{CondIr, ROp};
 use crate::lat::Lat;
 use crate::objects::ClassName;
@@ -56,10 +56,17 @@ pub(crate) const NO_HOIST: u32 = u32::MAX;
 /// compiled condition, pre-bound action targets, referenced classes and LATs.
 pub(crate) struct Registered {
     pub rule: Arc<Rule>,
-    /// Condition lowered, folded, and resolved at registration (references
-    /// resolved to indexes). Bytecode is emitted from this per plan build,
-    /// so CSE slot numbers can be plan-local.
+    /// The analyzer's view of the rule, lowered once at registration; kept
+    /// so later registrations seed their analyzer with it by `Arc` clone.
+    pub ir: Arc<RuleIr>,
+    /// `ir`'s folded condition resolved at registration (references resolved
+    /// to indexes). Bytecode is emitted from this per plan build, so CSE
+    /// slot numbers can be plan-local.
     pub compiled: Option<Arc<CondIr>>,
+    /// The analyzer's dispatch-guard verdict for the rule, resolved to the
+    /// runtime layout; `None` = residual (always evaluated). Every plan
+    /// build installs this as is.
+    pub guard: Option<RuleGuard>,
     /// Actions with LAT handles resolved at registration.
     pub actions: Vec<CompiledAction>,
     /// Classes the condition references.
@@ -384,13 +391,9 @@ impl DispatchPlan {
         for ep in statics.iter_mut().chain(dynamics.values_mut()) {
             Self::compute_invalidations(ep);
             Self::assign_cse_and_emit(ep);
-            // Guard extraction runs after emission: only rules with a live
-            // program are indexable, and the index prunes against exactly
-            // the condition the VM would run.
-            if let Some(pr) = ep.rules.first() {
-                let payload = pr.reg.rule.event.payload_classes();
-                ep.guards = GuardIndex::build(&ep.rules, &payload);
-            }
+            // The guard index is built after emission: only rules with a
+            // live program are indexable.
+            ep.guards = GuardIndex::build(&ep.rules);
             match &ep.guards {
                 Some(g) => {
                     guard_indexed_rules += u64::from(g.indexed_rules);
@@ -880,9 +883,12 @@ mod tests {
     }
 
     fn registered(name: &str, event: RuleEvent, cond_lats: &[&str]) -> Arc<Registered> {
+        let rule = Rule::new(name).on(event);
         Arc::new(Registered {
-            rule: Arc::new(Rule::new(name).on(event)),
+            ir: Arc::new(crate::analysis::rule_ir(&rule)),
+            rule: Arc::new(rule),
             compiled: None,
+            guard: None,
             actions: Vec::new(),
             cond_classes: vec![ClassName::Query],
             cond_lats: cond_lats.iter().map(|s| s.to_string()).collect(),
@@ -940,18 +946,27 @@ mod tests {
         assert!(!plan.has_event(&RuleEvent::TimerAlarm("t".into())));
     }
 
+    /// A conditional rule as `add_rule` would register it: one lowering
+    /// feeds both the compiled condition and the stored guard verdict.
     fn registered_cond(
         name: &str,
         event: RuleEvent,
         cond_lats: &[&str],
-        compiled: Arc<CondIr>,
+        expr: &str,
+        lats: &HashMap<String, Arc<Lat>>,
     ) -> Arc<Registered> {
+        let rule = Rule::new(name).on(event).when(expr);
+        let ir = Arc::new(crate::analysis::rule_ir(&rule));
+        let cond_lats: Vec<String> = cond_lats.iter().map(|s| s.to_string()).collect();
+        let folded = ir.condition.as_ref().unwrap().folded();
         Arc::new(Registered {
-            rule: Arc::new(Rule::new(name).on(event)),
-            compiled: Some(compiled),
+            compiled: Some(Arc::new(CondIr::from_ir(folded, lats, &cond_lats).unwrap())),
+            guard: RuleGuard::of(&sqlcm_analyze::SchemaUniverse::builtin(), &ir),
+            ir,
+            rule: Arc::new(rule),
             actions: Vec::new(),
             cond_classes: vec![ClassName::Query],
-            cond_lats: cond_lats.iter().map(|s| s.to_string()).collect(),
+            cond_lats,
             cond_latency: LatencyHistogram::new(),
             action_latency: LatencyHistogram::new(),
             effects: None,
@@ -959,32 +974,15 @@ mod tests {
         })
     }
 
-    fn compiled_cond(
-        expr: &str,
-        lats: &HashMap<String, Arc<Lat>>,
-        cond_lats: &[String],
-    ) -> Arc<CondIr> {
-        let ast = sqlcm_sql::parse_expression(expr).unwrap();
-        let ir = sqlcm_sql::ExprIr::lower(&ast).fold();
-        Arc::new(CondIr::from_ir(&ir, lats, cond_lats).unwrap())
-    }
-
     #[test]
     fn shared_condition_subtrees_get_one_cse_slot() {
         let lat = test_lat("L");
         let mut lats = HashMap::new();
         lats.insert("l".to_string(), lat);
-        let cond_lats = vec!["l".to_string()];
-        let cond = || {
-            compiled_cond(
-                "L.Avg_Duration > 5 AND Query.Duration > 2",
-                &lats,
-                &cond_lats,
-            )
-        };
+        let cond = "L.Avg_Duration > 5 AND Query.Duration > 2";
         let rules = vec![
-            registered_cond("a", RuleEvent::QueryCommit, &["l"], cond()),
-            registered_cond("b", RuleEvent::QueryCommit, &["l"], cond()),
+            registered_cond("a", RuleEvent::QueryCommit, &["l"], cond, &lats),
+            registered_cond("b", RuleEvent::QueryCommit, &["l"], cond, &lats),
         ];
         let plan = DispatchPlan::build(1, &rules, &lats);
         let ep = plan.event_plan(&RuleEvent::QueryCommit).unwrap();
@@ -992,7 +990,13 @@ mod tests {
         assert_eq!(ep.cse[0].deps, vec![0], "slot depends on the hoisted LAT");
         assert!(ep.rules.iter().all(|pr| pr.program.is_some()));
         // A single rule has nothing to share with: no slot survives pruning.
-        let solo = vec![registered_cond("a", RuleEvent::QueryCommit, &["l"], cond())];
+        let solo = vec![registered_cond(
+            "a",
+            RuleEvent::QueryCommit,
+            &["l"],
+            cond,
+            &lats,
+        )];
         let plan = DispatchPlan::build(3, &solo, &lats);
         let ep = plan.event_plan(&RuleEvent::QueryCommit).unwrap();
         assert!(ep.cse.is_empty());
@@ -1006,19 +1010,22 @@ mod tests {
                 "sel",
                 RuleEvent::QueryCommit,
                 &[],
-                compiled_cond("Query.User = 'alice'", &lats, &[]),
+                "Query.User = 'alice'",
+                &lats,
             ),
             registered_cond(
                 "rng",
                 RuleEvent::QueryCommit,
                 &[],
-                compiled_cond("Query.Duration > 100", &lats, &[]),
+                "Query.Duration > 100",
+                &lats,
             ),
             registered_cond(
                 "res",
                 RuleEvent::QueryCommit,
                 &[],
-                compiled_cond("Query.User LIKE 'a%'", &lats, &[]),
+                "Query.User LIKE 'a%'",
+                &lats,
             ),
             // Unconditional rule on another event: that plan has nothing to
             // index and gets no GuardIndex at all.

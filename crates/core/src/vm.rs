@@ -28,7 +28,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 
 use sqlcm_common::{Error, Result, Value};
-use sqlcm_sql::{BinOp, LikeMatcher, NodeId, UnaryOp};
+use sqlcm_sql::{apply_binary, apply_unary, BinOp, LikeMatcher, NodeId, UnaryOp};
 
 use crate::ir::{CondIr, ROp};
 use crate::rules::{EvalContext, LatBinding};
@@ -249,13 +249,10 @@ impl Program {
                     };
                 }
                 Inst::Neg { dst, src } => {
-                    regs[*dst as usize] = Value::Int(0).sub(&regs[*src as usize])?;
+                    regs[*dst as usize] = apply_unary(UnaryOp::Neg, &regs[*src as usize])?;
                 }
                 Inst::Not { dst, src } => {
-                    regs[*dst as usize] = match regs[*src as usize].as_bool() {
-                        Some(b) => Value::Bool(!b),
-                        None => Value::Null,
-                    };
+                    regs[*dst as usize] = apply_unary(UnaryOp::Not, &regs[*src as usize])?;
                 }
                 Inst::Binary {
                     dst,
@@ -263,41 +260,8 @@ impl Program {
                     left,
                     right,
                 } => {
-                    let l = &regs[*left as usize];
-                    let r = &regs[*right as usize];
-                    let v = match op {
-                        BinOp::Add => l.add(r)?,
-                        BinOp::Sub => l.sub(r)?,
-                        BinOp::Mul => l.mul(r)?,
-                        BinOp::Div => l.div(r)?,
-                        BinOp::Mod => match (l.as_i64(), r.as_i64()) {
-                            (Some(a), Some(b)) if b != 0 => Value::Int(a % b),
-                            _ => Value::Null,
-                        },
-                        BinOp::And => match (l.as_bool(), r.as_bool()) {
-                            (Some(false), _) | (_, Some(false)) => Value::Bool(false),
-                            (Some(true), Some(true)) => Value::Bool(true),
-                            _ => Value::Null,
-                        },
-                        BinOp::Or => match (l.as_bool(), r.as_bool()) {
-                            (Some(true), _) | (_, Some(true)) => Value::Bool(true),
-                            (Some(false), Some(false)) => Value::Bool(false),
-                            _ => Value::Null,
-                        },
-                        cmp => match l.sql_cmp(r) {
-                            None => Value::Null,
-                            Some(ord) => Value::Bool(match cmp {
-                                BinOp::Eq => ord.is_eq(),
-                                BinOp::NotEq => !ord.is_eq(),
-                                BinOp::Lt => ord.is_lt(),
-                                BinOp::Gt => ord.is_gt(),
-                                BinOp::LtEq => ord.is_le(),
-                                BinOp::GtEq => ord.is_ge(),
-                                _ => unreachable!(),
-                            }),
-                        },
-                    };
-                    regs[*dst as usize] = v;
+                    regs[*dst as usize] =
+                        apply_binary(*op, &regs[*left as usize], &regs[*right as usize])?;
                 }
                 Inst::IsNull { dst, src, negated } => {
                     regs[*dst as usize] = Value::Bool(regs[*src as usize].is_null() != *negated);

@@ -2,7 +2,8 @@
 //! rules with error-severity diagnostics (coded E001–E006) and collect
 //! warnings (W1xx/W2xx/W3xx) without blocking.
 
-use sqlcm_core::{Action, LatAggFunc, LatSpec, Rule, RuleEvent, Sqlcm};
+use sqlcm_core::analysis::{rule_guard, rule_ir, Residual};
+use sqlcm_core::{Action, Analyzer, LatAggFunc, LatSpec, Rule, RuleEvent, Sqlcm};
 use sqlcm_engine::Engine;
 
 fn setup() -> (Engine, Sqlcm) {
@@ -323,4 +324,129 @@ fn analyze_rule_probe_reports_without_registering() {
     );
     assert!(diags.iter().any(|d| d.code.as_str() == "E002"), "{diags:?}");
     assert_eq!(sqlcm.rule_count(), 0);
+}
+
+/// The lint probe and the registration gate agree on expressions the
+/// condition language does not have: same stable code, nothing registered.
+#[test]
+fn unsupported_expression_gets_the_same_code_from_lint_and_gate() {
+    let (_engine, sqlcm) = setup();
+    let rule = || {
+        Rule::new("abs")
+            .on(RuleEvent::QueryCommit)
+            .when("ABS(Query.Duration) > 1")
+    };
+    let diags = sqlcm.analyze_rule(&rule());
+    assert!(diags.iter().any(|d| d.code.as_str() == "E002"), "{diags:?}");
+    let err = sqlcm.add_rule(rule()).unwrap_err().to_string();
+    assert!(err.contains("E002"), "{err}");
+    assert!(err.contains("ABS(Query.Duration)"), "{err}");
+    assert_eq!(sqlcm.rule_count(), 0);
+}
+
+/// What the analyzer says about a rule's guard is what the dispatch plan
+/// installs: for every condition shape, on two events, the plan's
+/// indexed/residual counts equal the counts of the offline verdicts, and
+/// W205 is logged exactly for the fixable hot-event residuals.
+#[test]
+fn analyzer_guard_verdicts_equal_the_installed_index() {
+    let (_engine, sqlcm) = setup();
+    sqlcm.define_lat(duration_lat()).unwrap();
+    let mail = || Action::send_mail("dba", "x");
+    let rules = vec![
+        // QueryCommit (hot): every shape.
+        Rule::new("feed")
+            .on(RuleEvent::QueryCommit)
+            .then(Action::insert("Duration_LAT")),
+        Rule::new("eq")
+            .on(RuleEvent::QueryCommit)
+            .when("Query.User = 'alice'")
+            .then(mail()),
+        Rule::new("in")
+            .on(RuleEvent::QueryCommit)
+            .when("Query.Application IN ('etl', 'report')")
+            .then(mail()),
+        Rule::new("range")
+            .on(RuleEvent::QueryCommit)
+            .when("Query.Duration > 1 AND Query.Duration <= 10 AND Query.Duration > 2")
+            .then(mail()),
+        Rule::new("empty_range")
+            .on(RuleEvent::QueryCommit)
+            .when("Query.Estimated_Cost > 5 AND Query.Estimated_Cost < 3")
+            .then(mail()),
+        Rule::new("in_null")
+            .on(RuleEvent::QueryCommit)
+            .when("Query.Procedure IN (NULL)")
+            .then(mail()),
+        Rule::new("lat_reader")
+            .on(RuleEvent::QueryCommit)
+            .when("Duration_LAT.N >= 30")
+            .then(mail()),
+        Rule::new("non_payload")
+            .on(RuleEvent::QueryCommit)
+            .when("Table.Row_Count > 1000")
+            .then(mail()),
+        Rule::new("fallible")
+            .on(RuleEvent::QueryCommit)
+            .when("Query.Duration - Query.Time_Blocked > 1")
+            .then(mail()),
+        Rule::new("no_atom")
+            .on(RuleEvent::QueryCommit)
+            .when("Query.Query_Text LIKE '%DROP%'")
+            .then(mail()),
+        // Login (cold): same residual shapes, no W205.
+        Rule::new("login_eq")
+            .on(RuleEvent::Login)
+            .when("Session.User = 'root'")
+            .then(mail()),
+        Rule::new("login_no_atom")
+            .on(RuleEvent::Login)
+            .when("Session.Application LIKE 'svc%'")
+            .then(mail()),
+        Rule::new("login_fallible")
+            .on(RuleEvent::Login)
+            .when("Session.Session_ID + 1 > 10")
+            .then(mail()),
+    ];
+
+    // The offline verdicts, exactly as `lint_rules` computes them.
+    let mut analyzer = Analyzer::new();
+    assert!(analyzer
+        .check_lat(&sqlcm_core::analysis::lat_ir(&duration_lat()))
+        .is_empty());
+    let verdicts: Vec<_> = rules
+        .iter()
+        .map(|r| (r.name.clone(), rule_guard(analyzer.universe(), &rule_ir(r))))
+        .collect();
+    let indexed = verdicts.iter().filter(|(_, v)| v.is_ok()).count() as u64;
+    assert_eq!(indexed, 6, "{verdicts:?}");
+
+    for rule in rules {
+        sqlcm.add_rule(rule).unwrap();
+    }
+    let summary = sqlcm.plan_summary();
+    assert_eq!(summary.guard_indexed_rules, indexed);
+    assert_eq!(
+        summary.guard_residual_rules,
+        verdicts.len() as u64 - indexed
+    );
+
+    let mut w205: Vec<String> = sqlcm
+        .analysis_warnings()
+        .into_iter()
+        .filter(|d| d.code.as_str() == "W205")
+        .map(|d| d.rule)
+        .collect();
+    w205.sort();
+    let mut fixable_hot: Vec<String> = verdicts
+        .iter()
+        .filter(|(name, v)| {
+            !name.starts_with("login")
+                && matches!(v, Err(Residual::FallibleExpr | Residual::NoGuardAtom))
+        })
+        .map(|(name, _)| name.clone())
+        .collect();
+    fixable_hot.sort();
+    assert_eq!(fixable_hot, ["fallible", "no_atom"]);
+    assert_eq!(w205, fixable_hot);
 }

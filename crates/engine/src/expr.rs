@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 
 use sqlcm_common::{Error, Result, Value};
-use sqlcm_sql::{BinOp, Expr, UnaryOp};
+use sqlcm_sql::{apply_binary, apply_unary, BinOp, Expr};
 
 /// Column name resolution for one operator's output rows.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -129,76 +129,18 @@ pub fn eval(expr: &Expr, schema: &Schema, row: &[Value], params: &Params) -> Res
             .named
             .and_then(|m| m.get(&n.to_ascii_lowercase()).cloned())
             .ok_or_else(|| Error::Execution(format!("missing value for parameter @{n}")))?,
-        Expr::Unary { op, expr } => {
-            let v = eval(expr, schema, row, params)?;
-            match op {
-                UnaryOp::Neg => Value::Int(0).sub(&v)?,
-                UnaryOp::Not => match v.as_bool() {
-                    Some(b) => Value::Bool(!b),
-                    None => Value::Null,
-                },
+        Expr::Unary { op, expr } => apply_unary(*op, &eval(expr, schema, row, params)?)?,
+        Expr::Binary { left, op, right } => {
+            let l = eval(left, schema, row, params)?;
+            // AND/OR short-circuit on a deciding left operand; every other
+            // outcome needs both sides and is the shared kernel's.
+            match (op, l.as_bool()) {
+                (BinOp::And, Some(false)) => return Ok(Value::Bool(false)),
+                (BinOp::Or, Some(true)) => return Ok(Value::Bool(true)),
+                _ => {}
             }
+            apply_binary(*op, &l, &eval(right, schema, row, params)?)?
         }
-        Expr::Binary { left, op, right } => match op {
-            BinOp::And => {
-                let l = eval(left, schema, row, params)?;
-                if l.as_bool() == Some(false) {
-                    return Ok(Value::Bool(false));
-                }
-                let r = eval(right, schema, row, params)?;
-                match (l.as_bool(), r.as_bool()) {
-                    (_, Some(false)) => Value::Bool(false),
-                    (Some(true), Some(true)) => Value::Bool(true),
-                    _ => Value::Null,
-                }
-            }
-            BinOp::Or => {
-                let l = eval(left, schema, row, params)?;
-                if l.as_bool() == Some(true) {
-                    return Ok(Value::Bool(true));
-                }
-                let r = eval(right, schema, row, params)?;
-                match (l.as_bool(), r.as_bool()) {
-                    (_, Some(true)) => Value::Bool(true),
-                    (Some(false), Some(false)) => Value::Bool(false),
-                    _ => Value::Null,
-                }
-            }
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
-                let l = eval(left, schema, row, params)?;
-                let r = eval(right, schema, row, params)?;
-                match op {
-                    BinOp::Add => l.add(&r)?,
-                    BinOp::Sub => l.sub(&r)?,
-                    BinOp::Mul => l.mul(&r)?,
-                    BinOp::Div => l.div(&r)?,
-                    BinOp::Mod => match (l.as_i64(), r.as_i64()) {
-                        (Some(a), Some(b)) if b != 0 => Value::Int(a % b),
-                        (Some(_), Some(_)) => {
-                            return Err(Error::Execution("modulo by zero".into()))
-                        }
-                        _ => Value::Null,
-                    },
-                    _ => unreachable!(),
-                }
-            }
-            cmp => {
-                let l = eval(left, schema, row, params)?;
-                let r = eval(right, schema, row, params)?;
-                match l.sql_cmp(&r) {
-                    None => Value::Null,
-                    Some(ord) => Value::Bool(match cmp {
-                        BinOp::Eq => ord.is_eq(),
-                        BinOp::NotEq => !ord.is_eq(),
-                        BinOp::Lt => ord.is_lt(),
-                        BinOp::Gt => ord.is_gt(),
-                        BinOp::LtEq => ord.is_le(),
-                        BinOp::GtEq => ord.is_ge(),
-                        _ => unreachable!(),
-                    }),
-                }
-            }
-        },
         Expr::FuncCall { name, args, star } => {
             if *star {
                 return Err(Error::Execution(
@@ -428,7 +370,11 @@ mod tests {
         assert_eq!(ev("t.a + t.b", &row).unwrap(), Value::Float(12.5));
         assert_eq!(ev("t.a > 5 AND t.b < 3", &row).unwrap(), Value::Bool(true));
         assert_eq!(ev("t.a % 3", &row).unwrap(), Value::Int(1));
-        assert!(ev("t.a % 0", &row).is_err());
+        // `%` degrades to NULL on a zero divisor (the rule VM's and the
+        // constant folder's semantics — one kernel); `/` is the checked one.
+        assert_eq!(ev("t.a % 0", &row).unwrap(), Value::Null);
+        assert_eq!(ev("t.a % u.a", &row).unwrap(), Value::Null);
+        assert!(ev("t.a / 0", &row).is_err());
     }
 
     #[test]
@@ -448,14 +394,15 @@ mod tests {
 
     #[test]
     fn short_circuit_skips_errors() {
-        // b % 0 would error, but FALSE AND … short-circuits.
+        // a / 0 would error, but FALSE AND … short-circuits.
         let row = vec![Value::Int(1), Value::Int(0), Value::Int(0)];
+        assert!(ev("t.a / t.b = 0", &row).is_err());
         assert_eq!(
-            ev("FALSE AND t.a % t.b = 0", &row).unwrap(),
+            ev("FALSE AND t.a / t.b = 0", &row).unwrap(),
             Value::Bool(false)
         );
         assert_eq!(
-            ev("TRUE OR t.a % t.b = 0", &row).unwrap(),
+            ev("TRUE OR t.a / t.b = 0", &row).unwrap(),
             Value::Bool(true)
         );
     }

@@ -33,7 +33,7 @@
 
 use std::hash::{Hash, Hasher};
 
-use sqlcm_common::Value;
+use sqlcm_common::{Result, Value};
 
 use crate::ast::{BinOp, Expr, UnaryOp};
 
@@ -669,7 +669,7 @@ impl ExprIr {
             IrOp::Unary { op, expr } => {
                 let c = self.fold_node(*expr, out);
                 if let Some(v) = out.const_value(c) {
-                    if let Ok(folded) = const_unary(*op, v) {
+                    if let Ok(folded) = apply_unary(*op, v) {
                         out.truncate_to(c);
                         return out.push_const(folded);
                     }
@@ -694,7 +694,7 @@ impl ExprIr {
                 let l = self.fold_node(*left, out);
                 let r = self.fold_node(*right, out);
                 if let (Some(lv), Some(rv)) = (out.const_value(l), out.const_value(r)) {
-                    if let Ok(folded) = const_binary(*op, lv, rv) {
+                    if let Ok(folded) = apply_binary(*op, lv, rv) {
                         out.truncate_to(l);
                         return out.push_const(folded);
                     }
@@ -922,27 +922,34 @@ impl std::fmt::Display for DisplayNode<'_> {
     }
 }
 
-// ------------------------------------------------- constant-fold evaluation
+// ------------------------------------------------- scalar-operator kernel
 
-/// Runtime-exact unary evaluation over constants. `Err` means "would error
-/// at runtime" — the caller leaves the node unfolded so the error survives.
-fn const_unary(op: UnaryOp, v: &Value) -> Result<Value, ()> {
-    match op {
-        UnaryOp::Neg => Value::Int(0).sub(v).map_err(|_| ()),
-        UnaryOp::Not => Ok(match v.as_bool() {
+/// Apply a unary operator to a value — the one definition of the operator
+/// semantics, shared by the engine's row evaluator, the condition VM and
+/// constant folding (where `Err` means "would error at runtime" and the node
+/// is left unfolded so the error survives).
+#[inline]
+pub fn apply_unary(op: UnaryOp, v: &Value) -> Result<Value> {
+    Ok(match op {
+        UnaryOp::Neg => Value::Int(0).sub(v)?,
+        UnaryOp::Not => match v.as_bool() {
             Some(b) => Value::Bool(!b),
             None => Value::Null,
-        }),
-    }
+        },
+    })
 }
 
-/// Runtime-exact binary evaluation over constants.
-fn const_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value, ()> {
+/// Apply a binary operator to two already-evaluated operands (see
+/// [`apply_unary`]). `+ - * /` are checked and can error; `%` degrades to
+/// `NULL` on a zero or non-integer operand; `AND`/`OR` follow SQL
+/// three-valued logic; comparisons yield `NULL` when either side is `NULL`.
+#[inline]
+pub fn apply_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     Ok(match op {
-        BinOp::Add => l.add(r).map_err(|_| ())?,
-        BinOp::Sub => l.sub(r).map_err(|_| ())?,
-        BinOp::Mul => l.mul(r).map_err(|_| ())?,
-        BinOp::Div => l.div(r).map_err(|_| ())?,
+        BinOp::Add => l.add(r)?,
+        BinOp::Sub => l.sub(r)?,
+        BinOp::Mul => l.mul(r)?,
+        BinOp::Div => l.div(r)?,
         BinOp::Mod => match (l.as_i64(), r.as_i64()) {
             (Some(a), Some(b)) if b != 0 => Value::Int(a % b),
             _ => Value::Null,
@@ -966,7 +973,7 @@ fn const_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value, ()> {
                 BinOp::Gt => ord.is_gt(),
                 BinOp::LtEq => ord.is_le(),
                 BinOp::GtEq => ord.is_ge(),
-                _ => unreachable!(),
+                _ => unreachable!("arithmetic and logic ops are matched above"),
             }),
         },
     })

@@ -27,6 +27,6 @@ pub mod parser;
 pub use ast::{
     BinOp, ColumnDef, Expr, Join, OrderKey, SelectItem, SelectStmt, Statement, TableRef, UnaryOp,
 };
-pub use ir::{ExprIr, IrOp, LikeMatcher, NodeId};
+pub use ir::{apply_binary, apply_unary, ExprIr, IrOp, LikeMatcher, NodeId};
 pub use lexer::{tokenize, Token};
 pub use parser::{parse_expression, parse_statement, parse_statements, Parser};

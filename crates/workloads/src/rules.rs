@@ -183,14 +183,9 @@ mod tests {
     #[test]
     fn all_catalogs_are_lint_clean() {
         for catalog in catalogs() {
-            let mut analyzer = Analyzer::new();
-            let mut diags = Vec::new();
-            for lat in &catalog.lats {
-                diags.extend(analyzer.check_lat(&lat_ir(lat)));
-            }
-            for rule in &catalog.rules {
-                diags.extend(analyzer.check_rule(&rule_ir(rule)));
-            }
+            let lats: Vec<_> = catalog.lats.iter().map(lat_ir).collect();
+            let rules: Vec<_> = catalog.rules.iter().map(rule_ir).collect();
+            let diags = Analyzer::check_ruleset(&lats, &rules);
             assert!(
                 diags.is_empty(),
                 "catalog `{}` is not lint-clean: {diags:?}",

@@ -15,7 +15,7 @@
 //! `--deny-warnings`, when any diagnostic at all is reported — so the command
 //! slots into CI for rule catalogs kept under version control.
 
-use sqlcm_core::analysis::{lat_ir, rule_indexability, rule_ir, Indexability};
+use sqlcm_core::analysis::{lat_ir, rule_guard, rule_ir};
 use sqlcm_core::{Action, Analyzer, Diagnostic, LatAggFunc, LatSpec, Rule, RuleEvent, Severity};
 use sqlcm_repro::workloads::rules::catalogs;
 
@@ -103,6 +103,11 @@ fn bad_ruleset() -> (Vec<LatSpec>, Vec<Rule>) {
         Rule::new("count_vs_text")
             .on(RuleEvent::QueryCommit)
             .when("Duration_LAT.N = 'many'"),
+        // E002 (unsupported flavour): rule conditions have no function calls
+        // — the registration gate denies this with the same code.
+        Rule::new("abs_duration")
+            .on(RuleEvent::QueryCommit)
+            .when("ABS(Query.Duration) > 1"),
         // E003: Query-keyed LAT probed from a transaction event that never
         // has a Query in scope.
         Rule::new("unjoinable")
@@ -200,8 +205,9 @@ fn print_diag(d: &Diagnostic) {
 }
 
 /// Lint one (LAT, rule) set with a fresh analyzer; returns its diagnostics.
-/// Also prints the per-rule guard-index verdict — whether dispatch can prune
-/// the rule without evaluating it, mirroring `telemetry.matching` at runtime.
+/// Also prints the per-rule guard verdict — whether dispatch can prune the
+/// rule without evaluating it. This is the verdict registration stores and
+/// the guard index installs, so it is what `telemetry.matching` counts.
 fn lint(lats: &[LatSpec], rules: &[Rule], cascade_threshold: Option<usize>) -> Vec<Diagnostic> {
     let mut analyzer = Analyzer::new();
     if let Some(t) = cascade_threshold {
@@ -211,18 +217,15 @@ fn lint(lats: &[LatSpec], rules: &[Rule], cascade_threshold: Option<usize>) -> V
     for spec in lats {
         diags.extend(analyzer.check_lat(&lat_ir(spec)));
     }
-    for rule in rules {
-        diags.extend(analyzer.check_rule(&rule_ir(rule)));
+    let irs: Vec<_> = rules.iter().map(rule_ir).collect();
+    for ir in &irs {
+        diags.extend(analyzer.check_rule(ir));
     }
     println!("guard indexability (can dispatch prune the rule without evaluating it?):");
-    for rule in rules {
-        match rule_indexability(analyzer.universe(), &rule_ir(rule)) {
-            Indexability::Indexable(guard) => {
-                println!("  {:<16} indexable: {guard}", rule.name);
-            }
-            Indexability::Residual(r) => {
-                println!("  {:<16} residual:  {}", rule.name, r.describe());
-            }
+    for ir in &irs {
+        match rule_guard(analyzer.universe(), ir) {
+            Ok(guard) => println!("  {:<16} indexable: {guard}", ir.name),
+            Err(r) => println!("  {:<16} residual:  {}", ir.name, r.describe()),
         }
     }
     println!();
