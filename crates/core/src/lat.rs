@@ -14,30 +14,60 @@
 //! * **persistence**: rows can be written to an ordinary table (plus a timestamp
 //!   column) and re-seeded from one at startup.
 //!
-//! Concurrency: the row map is **sharded** by group-key hash into
+//! Concurrency: the row map is **sharded** by group-key hash (one keyed
+//! `RandomState` per LAT — group keys are user-controlled text) into
 //! [`LatSpec::shards`] independently locked shards (default
-//! [`DEFAULT_LAT_SHARDS`]); each row additionally has its own `Mutex`. Probe
+//! [`DEFAULT_LAT_SHARDS`]); each row additionally has its own latch. Probe
 //! threads folding different groups therefore touch different locks entirely —
 //! mirroring (and extending) the paper's fine-grained latching ("each LAT row
-//! as well as … the hash table are protected through latches"). Operations
-//! that need a cross-shard view keep the paper's single-table semantics:
+//! as well as … the hash table are protected through latches"). A row's group
+//! key is stored once, in the row; the shard map and the victim index hold
+//! `Arc` handles to it, and inserts and lookups probe the map with a key
+//! *borrowed* from the monitored object (one grouping column) or collected
+//! from it (several). Occupancy is one atomic counter,
+//! adjusted under the shard write lock that adds or removes the row.
 //!
-//! * **eviction** is two-phase — every shard nominates its local minimum under
-//!   the ordering spec, then a coordinator (serialized by a per-LAT eviction
-//!   lock) removes the global victim, so the evicted row is still the
-//!   *globally* least important one (§3.2.4);
-//! * **reset** and **snapshot/iteration** acquire all shard locks in index
-//!   order, presenting one consistent point-in-time view.
+//! # Victim index
+//!
+//! The evicted row must be the *globally* least important one under the
+//! ordering spec (§3.2.4). A bounded LAT keeps its rows filed in an ordered
+//! index owned by the **coordinator** — whoever holds `evict_lock`, which every
+//! new-group insert, `seed_row` and `reset` on a bounded LAT takes — so eviction
+//! pops the minimum instead of scanning. The ordering spec is classified once,
+//! at [`Lat::new`]:
+//!
+//! * **fixed** — every ordering column is a grouping column (or there is no
+//!   ordering spec: any row may go). A row's rank never changes: the creator
+//!   files it, the evictor pops it, a fold never touches the index.
+//! * **folded** — some ordering column is a plain aggregate (`MAX(Duration)`,
+//!   `COUNT`, `AVG`, …). The creator files the row once it is in the shard
+//!   map, reading its key and setting its `filed` flag in one step under the
+//!   row latch; the first later fold that moves the key marks the row dirty
+//!   under the row latch it already holds and queues it (once, with the key
+//!   it is still filed under) on a small side queue. The evictor re-files
+//!   queued rows before it pops, so a fold never takes `evict_lock`. The
+//!   filed key lives only in the index entry, squeezed into 16 bytes when it
+//!   is one number.
+//! * **clocked** — some ordering column is an *aging* aggregate, whose value
+//!   decays with the clock even when nothing folds, so no filed key stays
+//!   valid. These LATs keep the one O(n) path: the evictor scans every row,
+//!   comparing against the running best in place.
+//!
+//! Lock order: `evict_lock` → shard lock → row latch → dirty queue. `reset`
+//! and snapshot/iteration acquire all shard locks in index order, presenting
+//! one consistent point-in-time view; `reset` on a bounded LAT holds
+//! `evict_lock` too, so map, index and occupancy are cleared together.
+//! `max_bytes` enforcement still sums [`Lat::memory_bytes`] per new group.
 //!
 //! The A3 and T3 benches stress this; `ReferenceLat` (see [`crate::lat_ref`])
 //! is a deliberately naive single-lock implementation used as a differential
 //! oracle for the sharded one.
 
-use std::collections::hash_map::{DefaultHasher, Entry};
-use std::collections::HashMap;
-use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::borrow::Borrow;
+use std::collections::hash_map::RandomState;
+use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -580,22 +610,264 @@ impl ColumnState {
     }
 }
 
-struct LatRow {
-    group: Vec<Value>,
-    aggs: Vec<ColumnState>,
+/// One or more values, held inline in the (universal) one-column case: a
+/// row's group key then costs no heap allocation of its own.
+#[derive(PartialEq, Eq)]
+enum Key {
+    One(Value),
+    Many(Box<[Value]>),
 }
 
-impl LatRow {
-    fn size_bytes(&self) -> usize {
-        self.group.iter().map(Value::size_bytes).sum::<usize>()
-            + self.aggs.iter().map(ColumnState::size_bytes).sum::<usize>()
-            + 48
+impl Key {
+    fn from_slice(values: &[Value]) -> Key {
+        match values {
+            [v] => Key::One(v.clone()),
+            vs => Key::Many(vs.into()),
+        }
     }
 
-    fn output(&self, now: Timestamp) -> Vec<Value> {
-        let mut out = self.group.clone();
-        out.extend(self.aggs.iter().map(|a| a.finish(now)));
+    fn as_slice(&self) -> &[Value] {
+        match self {
+            Key::One(v) => std::slice::from_ref(v),
+            Key::Many(vs) => vs,
+        }
+    }
+
+    fn size_bytes(&self) -> usize {
+        self.as_slice().iter().map(Value::size_bytes).sum()
+    }
+}
+
+/// One LAT row. The group key is immutable and lives outside the latch, so the
+/// shard map and the victim index hash and compare it without locking.
+struct Row {
+    group: Key,
+    /// Index of the owning shard (`MAX_LAT_SHARDS` fits), so eviction need not
+    /// re-hash the key.
+    shard: u16,
+    /// The LAT's ordering spec: index entries rank themselves through their
+    /// row, so their `Ord` needs no context and they carry no copy of it.
+    order: OrderSpec,
+    state: Mutex<RowState>,
+}
+
+/// The latched part of a row.
+struct RowState {
+    aggs: Vec<ColumnState>,
+    /// *Folded* LATs: the row has an entry in the victim index, under the
+    /// ordering key it had when it was last filed. Set by the coordinator when
+    /// it files the row; false before that, once the row has left the index,
+    /// and on every other LAT.
+    filed: bool,
+    /// A fold moved the ordering key away from the filed one; the row sits on
+    /// the dirty queue (exactly once) until the evictor re-files it.
+    dirty: bool,
+}
+
+impl Row {
+    fn size_bytes(&self) -> usize {
+        let state = self.state.lock();
+        let aggs = state.aggs.iter().map(ColumnState::size_bytes);
+        self.group.size_bytes() + aggs.sum::<usize>() + 48
+    }
+
+    fn output(&self, state: &RowState, now: Timestamp) -> Vec<Value> {
+        let group = self.group.as_slice();
+        let mut out = Vec::with_capacity(group.len() + state.aggs.len());
+        out.extend_from_slice(group);
+        out.extend(state.aggs.iter().map(|a| a.finish(now)));
         out
+    }
+}
+
+/// A shard-map entry: the row itself, hashed and compared by its group key so
+/// the map is probed with a borrowed `&[Value]`.
+struct RowRef(Arc<Row>);
+
+impl Borrow<[Value]> for RowRef {
+    fn borrow(&self) -> &[Value] {
+        self.0.group.as_slice()
+    }
+}
+
+impl Hash for RowRef {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.group.as_slice().hash(state)
+    }
+}
+
+impl PartialEq for RowRef {
+    fn eq(&self, other: &RowRef) -> bool {
+        self.0.group == other.0.group
+    }
+}
+
+impl Eq for RowRef {}
+
+type RowSet = HashSet<RowRef>;
+
+/// The ordering spec resolved against the output columns: (column position,
+/// descending?). One allocation per LAT, one thin handle per row.
+type OrderSpec = Arc<Vec<(usize, bool)>>;
+
+/// Importance comparison per the ordering spec, column by column: on a DESC
+/// column the bigger value is more important (the smallest is evicted first);
+/// on ASC, the smaller. `pick(pos, col)` yields the two sides' values for the
+/// `pos`-th ordering column, which is output column `col`.
+fn cmp_importance<'a>(
+    order: &[(usize, bool)],
+    pick: impl Fn(usize, usize) -> (&'a Value, &'a Value),
+) -> std::cmp::Ordering {
+    for (pos, &(col, desc)) in order.iter().enumerate() {
+        let (a, b) = pick(pos, col);
+        let ord = if desc { a.cmp(b) } else { b.cmp(a) };
+        if ord.is_ne() {
+            return ord;
+        }
+    }
+    std::cmp::Ordering::Equal
+}
+
+/// *Fixed*-class index entry: ranked by the row's own group values. Ties (and
+/// a missing ordering spec) fall back to the whole group key, which is unique.
+struct ByGroup {
+    row: Arc<Row>,
+}
+
+impl Ord for ByGroup {
+    fn cmp(&self, other: &ByGroup) -> std::cmp::Ordering {
+        let (a, b) = (self.row.group.as_slice(), other.row.group.as_slice());
+        cmp_importance(&self.row.order, |_, col| (&a[col], &b[col])).then_with(|| a.cmp(b))
+    }
+}
+
+/// The ordering-column values a *folded* row is filed under, in 16 bytes when
+/// they are one number (`COUNT`, `MAX(Duration)`, `AVG`, a timestamp, …) and
+/// boxed otherwise. Compares exactly as the values themselves do.
+enum Rank {
+    Int(i64),
+    Float(f64),
+    Timestamp(u64),
+    Boxed(Box<Key>),
+}
+
+impl Rank {
+    fn new(key: Key) -> Rank {
+        match key {
+            Key::One(Value::Int(i)) => Rank::Int(i),
+            Key::One(Value::Float(x)) => Rank::Float(x),
+            Key::One(Value::Timestamp(t)) => Rank::Timestamp(t),
+            key => Rank::Boxed(Box::new(key)),
+        }
+    }
+
+    /// Run `f` on the values, positionally aligned with the ordering spec.
+    fn with_values<R>(&self, f: impl FnOnce(&[Value]) -> R) -> R {
+        match self {
+            Rank::Int(i) => f(&[Value::Int(*i)]),
+            Rank::Float(x) => f(&[Value::Float(*x)]),
+            Rank::Timestamp(t) => f(&[Value::Timestamp(*t)]),
+            Rank::Boxed(key) => f(key.as_slice()),
+        }
+    }
+
+    /// Heap bytes behind the 16 inline ones.
+    fn boxed_bytes(&self) -> usize {
+        match self {
+            Rank::Boxed(key) => std::mem::size_of::<Key>() + key.size_bytes(),
+            _ => 0,
+        }
+    }
+}
+
+/// *Folded*-class index entry: ranked by the ordering-column values the row
+/// had when it was filed. The row itself keeps no copy. Equal ranks fall back
+/// to the group key, larger first: where keys grow over time (query IDs,
+/// timestamps) an incumbent outlives a newcomer that only ties it, which is
+/// also what a stable sort of the full log answers.
+struct ByRank {
+    rank: Rank,
+    row: Arc<Row>,
+}
+
+impl Ord for ByRank {
+    fn cmp(&self, other: &ByRank) -> std::cmp::Ordering {
+        let by_rank = self.rank.with_values(|a| {
+            other
+                .rank
+                .with_values(|b| cmp_importance(&self.row.order, |pos, _| (&a[pos], &b[pos])))
+        });
+        by_rank.then_with(|| other.row.group.as_slice().cmp(self.row.group.as_slice()))
+    }
+}
+
+macro_rules! eq_from_ord {
+    ($($t:ty),*) => {$(
+        impl PartialOrd for $t {
+            fn partial_cmp(&self, other: &$t) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+        impl PartialEq for $t {
+            fn eq(&self, other: &$t) -> bool {
+                self.cmp(other).is_eq()
+            }
+        }
+        impl Eq for $t {}
+    )*};
+}
+eq_from_ord!(ByGroup, ByRank);
+
+/// How a LAT picks its eviction victim (see the module docs). Sorted least
+/// important first, so the victim is `pop_first`.
+enum VictimIndex {
+    Fixed(BTreeSet<ByGroup>),
+    Folded(BTreeSet<ByRank>),
+    /// *Clocked* LATs scan; unbounded LATs never evict.
+    Scan,
+}
+
+impl VictimIndex {
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        match self {
+            VictimIndex::Fixed(set) => set.len(),
+            VictimIndex::Folded(set) => set.len(),
+            VictimIndex::Scan => 0,
+        }
+    }
+
+    fn clear(&mut self) {
+        match self {
+            VictimIndex::Fixed(set) => set.clear(),
+            VictimIndex::Folded(set) => set.clear(),
+            VictimIndex::Scan => {}
+        }
+    }
+}
+
+/// What `evict_lock` guards.
+struct Coordinator {
+    index: VictimIndex,
+    /// Heap bytes behind the *folded* entries' boxed ranks, adjusted with
+    /// every entry that enters or leaves the index.
+    boxed_bytes: usize,
+    /// Dirty rows taken off the queue for re-filing; swapped with the queue so
+    /// both keep their capacity.
+    refile: Vec<(Rank, Arc<Row>)>,
+}
+
+impl Coordinator {
+    /// Approximate bytes of the index itself, in O(1): its entries, plus
+    /// whatever the *folded* entries' filed keys hold on the heap.
+    fn index_bytes(&self) -> usize {
+        match &self.index {
+            VictimIndex::Fixed(set) => set.len() * std::mem::size_of::<ByGroup>(),
+            VictimIndex::Folded(set) => {
+                set.len() * std::mem::size_of::<ByRank>() + self.boxed_bytes
+            }
+            VictimIndex::Scan => 0,
+        }
     }
 }
 
@@ -610,6 +882,10 @@ pub struct LatStats {
     /// Highest row count observed after size enforcement — never exceeds
     /// `max_rows` on a bounded LAT.
     pub row_high_water: u64,
+    /// Rows whose ordering key was (re)computed to choose eviction victims:
+    /// 0 for *fixed* LATs, the rows re-filed after a key-changing fold for
+    /// *folded* ones, every row per eviction for *clocked* ones.
+    pub victims_examined: u64,
 }
 
 /// Point-in-time occupancy and contention numbers of one shard.
@@ -623,20 +899,20 @@ pub struct LatShardStats {
 
 /// One independently locked slice of the row map.
 struct Shard {
-    rows: RwLock<HashMap<Vec<Value>, Arc<Mutex<LatRow>>>>,
+    rows: RwLock<RowSet>,
     contentions: AtomicU64,
 }
 
 impl Shard {
     fn new() -> Shard {
         Shard {
-            rows: RwLock::new(HashMap::new()),
+            rows: RwLock::new(HashSet::new()),
             contentions: AtomicU64::new(0),
         }
     }
 
     /// Read-lock this shard, counting contention.
-    fn read(&self) -> parking_lot::RwLockReadGuard<'_, HashMap<Vec<Value>, Arc<Mutex<LatRow>>>> {
+    fn read(&self) -> parking_lot::RwLockReadGuard<'_, RowSet> {
         match self.rows.try_read() {
             Some(g) => g,
             None => {
@@ -647,7 +923,7 @@ impl Shard {
     }
 
     /// Write-lock this shard, counting contention.
-    fn write(&self) -> parking_lot::RwLockWriteGuard<'_, HashMap<Vec<Value>, Arc<Mutex<LatRow>>>> {
+    fn write(&self) -> parking_lot::RwLockWriteGuard<'_, RowSet> {
         match self.rows.try_write() {
             Some(g) => g,
             None => {
@@ -659,7 +935,7 @@ impl Shard {
 
     /// Approximate bytes of this shard's rows (per-shard size accounting).
     fn memory_bytes(&self) -> usize {
-        self.read().values().map(|r| r.lock().size_bytes()).sum()
+        self.read().iter().map(|r| r.0.size_bytes()).sum()
     }
 }
 
@@ -669,23 +945,40 @@ pub struct Lat {
     clock: SharedClock,
     columns: Arc<[String]>,
     /// Indexes of the ordering columns in `columns`, with desc flags.
-    ordering_idx: Vec<(usize, bool)>,
+    order: OrderSpec,
     /// Pre-resolved positions of the grouping attributes in the source class's
     /// value layout (compiled once; inserts avoid name matching).
     group_attr_idx: Vec<usize>,
     /// Pre-resolved positions of each aggregate's source attribute.
     agg_attr_idx: Vec<Option<usize>>,
+    /// Keys the shard choice: group keys are user-controlled text.
+    hasher: RandomState,
     /// Row map, sharded by group-key hash.
     shards: Box<[Shard]>,
-    /// Serializes size enforcement (and hence new-group inserts on bounded
-    /// LATs): the two-phase evict's coordinator lock. Keeps the occupancy
-    /// invariant `rows ≤ max_rows` visible at every quiescent point.
-    evict_lock: Mutex<()>,
+    /// Rows across all shards; adjusted under the shard write lock that adds
+    /// or removes the row, so it equals Σ shard lengths whenever no such lock
+    /// is held.
+    occupancy: AtomicUsize,
+    /// Has a row or byte bound, i.e. evicts.
+    bounded: bool,
+    /// Bounded with an aggregate (non-aging) ordering column: rows are filed
+    /// under a key that folds can move.
+    folded: bool,
+    /// The coordinator lock: serializes new-group inserts, `seed_row` and
+    /// `reset` on a bounded LAT and guards its victim index, keeping the
+    /// occupancy invariant `rows ≤ max_rows` visible at every quiescent
+    /// point. Never taken on an unbounded LAT, nor by any fold.
+    evict_lock: Mutex<Coordinator>,
+    /// *Folded* LATs: rows whose ordering key moved since they were filed,
+    /// each with the key it is still filed under. Pushed under the row latch,
+    /// drained by the evictor.
+    dirty: Mutex<Vec<(Rank, Arc<Row>)>>,
     inserts: AtomicU64,
     evictions: AtomicU64,
     resets: AtomicU64,
     aging_rolls: AtomicU64,
     row_high_water: AtomicU64,
+    victims_examined: AtomicU64,
 }
 
 impl std::fmt::Debug for Lat {
@@ -703,17 +996,18 @@ impl Lat {
     pub fn new(spec: LatSpec, clock: SharedClock) -> Result<Lat> {
         spec.validate()?;
         let columns: Arc<[String]> = spec.columns().into();
-        let ordering_idx = spec
-            .ordering
-            .iter()
-            .map(|(name, desc)| {
-                let idx = columns
-                    .iter()
-                    .position(|c| c.eq_ignore_ascii_case(name))
-                    .expect("validated");
-                (idx, *desc)
-            })
-            .collect();
+        let order: OrderSpec = Arc::new(
+            spec.ordering
+                .iter()
+                .map(|(name, desc)| {
+                    let idx = columns
+                        .iter()
+                        .position(|c| c.eq_ignore_ascii_case(name))
+                        .expect("validated");
+                    (idx, *desc)
+                })
+                .collect(),
+        );
         let resolve = |r: &AttrRef| -> Result<usize> {
             crate::objects::static_attr_index(&r.class, &r.attr).ok_or_else(|| {
                 Error::Monitor(format!(
@@ -732,21 +1026,47 @@ impl Lat {
             .iter()
             .map(|a| a.source.as_ref().map(&resolve).transpose())
             .collect::<Result<_>>()?;
+        // Classify the ordering spec (module docs, "Victim index").
+        let bounded = spec.max_rows.is_some() || spec.max_bytes.is_some();
+        let n_group = spec.group_by.len();
+        let ordering_aggs = || {
+            order
+                .iter()
+                .filter(|(col, _)| *col >= n_group)
+                .map(|(col, _)| &spec.aggregates[*col - n_group])
+        };
+        let index = if !bounded || ordering_aggs().any(|a| a.aging.is_some()) {
+            VictimIndex::Scan
+        } else if ordering_aggs().next().is_some() {
+            VictimIndex::Folded(BTreeSet::new())
+        } else {
+            VictimIndex::Fixed(BTreeSet::new())
+        };
         let n_shards = spec.shard_count();
         Ok(Lat {
             spec,
             clock,
             columns,
-            ordering_idx,
+            order,
             group_attr_idx,
             agg_attr_idx,
+            hasher: RandomState::new(),
             shards: (0..n_shards).map(|_| Shard::new()).collect(),
-            evict_lock: Mutex::new(()),
+            occupancy: AtomicUsize::new(0),
+            bounded,
+            folded: matches!(index, VictimIndex::Folded(_)),
+            evict_lock: Mutex::new(Coordinator {
+                index,
+                boxed_bytes: 0,
+                refile: Vec::new(),
+            }),
+            dirty: Mutex::new(Vec::new()),
             inserts: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             resets: AtomicU64::new(0),
             aging_rolls: AtomicU64::new(0),
             row_high_water: AtomicU64::new(0),
+            victims_examined: AtomicU64::new(0),
         })
     }
 
@@ -756,10 +1076,8 @@ impl Lat {
     }
 
     /// Which shard owns a group key.
-    fn shard_of(&self, key: &[Value]) -> &Shard {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+    fn shard_of(&self, key: &[Value]) -> usize {
+        (self.hasher.hash_one(key) as usize) % self.shards.len()
     }
 
     /// Number of row-map shards.
@@ -787,8 +1105,11 @@ impl Lat {
             .collect()
     }
 
+    /// Rows currently held. One atomic load — `Relaxed`, because the count
+    /// publishes nothing: whoever acts on it (the evictor) holds `evict_lock`,
+    /// under which every change to a bounded LAT's count is made.
     pub fn row_count(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.occupancy.load(Ordering::Relaxed)
     }
 
     pub fn stats(&self) -> LatStats {
@@ -798,22 +1119,55 @@ impl Lat {
             resets: self.resets.load(Ordering::Relaxed),
             aging_rolls: self.aging_rolls.load(Ordering::Relaxed),
             row_high_water: self.row_high_water.load(Ordering::Relaxed),
+            victims_examined: self.victims_examined.load(Ordering::Relaxed),
         }
     }
 
-    /// Approximate bytes held (group keys + aggregate states), summed over the
-    /// per-shard accounts.
+    /// Approximate bytes held: group keys and aggregate states, summed over
+    /// the per-shard accounts, plus the victim index and its dirty queue.
     pub fn memory_bytes(&self) -> usize {
+        // `evict_lock` before any shard lock, held for one O(1) read and
+        // released before the sweep.
+        let index = self.coordinator().map_or(0, |coord| coord.index_bytes());
+        index + self.dirty_bytes() + self.row_bytes()
+    }
+
+    fn row_bytes(&self) -> usize {
         self.shards.iter().map(|s| s.memory_bytes()).sum()
     }
 
-    /// Extract this LAT's grouping key from an object (`None` if the object
-    /// lacks an attribute).
-    pub fn group_key_of(&self, obj: &Object) -> Option<Vec<Value>> {
-        self.group_attr_idx
+    /// Bytes of the dirty-queue entries (*folded* LATs; at most one per row).
+    fn dirty_bytes(&self) -> usize {
+        if !self.folded {
+            return 0;
+        }
+        let queued = self.dirty.lock();
+        queued
             .iter()
-            .map(|&i| obj.values().get(i).cloned())
-            .collect()
+            .map(|(was, _)| std::mem::size_of::<(Rank, Arc<Row>)>() + was.boxed_bytes())
+            .sum()
+    }
+
+    /// Run `f` on this LAT's grouping key of `obj`: borrowed from the object
+    /// when there is one grouping column (every shipped catalog), collected
+    /// into a `Vec` otherwise. `None` if the object lacks a grouping attribute.
+    fn with_group_key<R>(&self, obj: &Object, f: impl FnOnce(&[Value]) -> R) -> Option<R> {
+        let values = obj.values();
+        match self.group_attr_idx.as_slice() {
+            [i] => values.get(*i).map(|v| f(std::slice::from_ref(v))),
+            idx => {
+                let key: Vec<Value> = idx
+                    .iter()
+                    .map(|&i| values.get(i).cloned())
+                    .collect::<Option<_>>()?;
+                Some(f(&key))
+            }
+        }
+    }
+
+    /// The coordinator lock, on LATs that evict.
+    fn coordinator(&self) -> Option<parking_lot::MutexGuard<'_, Coordinator>> {
+        self.bounded.then(|| self.evict_lock.lock())
     }
 
     /// Insert (or fold) an object into the LAT — the `Insert(LATName)` action.
@@ -827,73 +1181,75 @@ impl Lat {
     /// output rows (which clone text attributes) need not be built.
     pub fn insert_and(&self, obj: &Object, want_evicted: bool) -> Result<Vec<Vec<Value>>> {
         let now = self.clock.now_micros();
-        let key = self.group_key_of(obj).ok_or_else(|| {
-            Error::Monitor(format!(
-                "object of class {} lacks grouping attributes for LAT {}",
-                obj.class, self.spec.name
-            ))
-        })?;
-        let shard = self.shard_of(&key);
+        self.with_group_key(obj, |key| self.insert_keyed(key, obj, now, want_evicted))
+            .ok_or_else(|| {
+                Error::Monitor(format!(
+                    "object of class {} lacks grouping attributes for LAT {}",
+                    obj.class, self.spec.name
+                ))
+            })?
+    }
+
+    fn insert_keyed(
+        &self,
+        key: &[Value],
+        obj: &Object,
+        now: Timestamp,
+        want_evicted: bool,
+    ) -> Result<Vec<Vec<Value>>> {
+        let shard_idx = self.shard_of(key);
+        let shard = &self.shards[shard_idx];
         // Fast path: existing group, shared shard lock + row latch. Probes
         // touching different groups land on different shards and different row
         // latches, so they never contend on an exclusive lock.
-        {
-            let rows = shard.read();
-            if let Some(row) = rows.get(&key) {
-                let mut row = row.lock();
-                self.update_row(&mut row, obj, now)?;
-                self.inserts.fetch_add(1, Ordering::Relaxed);
-                return Ok(Vec::new());
-            }
+        if let Some(row) = shard.read().get(key) {
+            self.fold(&row.0, obj, now)?;
+            self.inserts.fetch_add(1, Ordering::Relaxed);
+            return Ok(Vec::new());
         }
         // New group. On a bounded LAT the coordinator lock serializes map
-        // growth with two-phase eviction, so the occupancy bound holds at
-        // every quiescent point (row high-water never exceeds `max_rows`).
-        let bounded = self.spec.max_rows.is_some() || self.spec.max_bytes.is_some();
-        let _coord = if bounded {
-            Some(self.evict_lock.lock())
-        } else {
-            None
-        };
+        // growth with eviction, so the occupancy bound holds at every
+        // quiescent point (row high-water never exceeds `max_rows`).
+        let mut coord = self.coordinator();
         let created = {
             let mut rows = shard.write();
-            match rows.entry(key) {
+            match rows.get(key) {
                 // Raced with another creator of the same group: fold in and
                 // return. Updating an existing group never evicts (§3.2.4's
                 // eviction event fires only when a row is truly discarded).
-                Entry::Occupied(e) => {
-                    let mut row = e.get().lock();
-                    self.update_row(&mut row, obj, now)?;
-                    false
+                Some(row) => {
+                    self.fold(&row.0, obj, now)?;
+                    None
                 }
-                Entry::Vacant(e) => {
-                    let mut row = LatRow {
-                        group: e.key().clone(),
-                        aggs: self
-                            .spec
-                            .aggregates
-                            .iter()
-                            .map(|a| match &a.aging {
-                                Some(ag) => ColumnState::Aging(AgingState::new(a.func, *ag)),
-                                None => ColumnState::Plain(AggState::new(a.func)),
-                            })
-                            .collect(),
-                    };
+                None => {
+                    let mut aggs: Vec<ColumnState> = self
+                        .spec
+                        .aggregates
+                        .iter()
+                        .map(|a| match &a.aging {
+                            Some(ag) => ColumnState::Aging(AgingState::new(a.func, *ag)),
+                            None => ColumnState::Plain(AggState::new(a.func)),
+                        })
+                        .collect();
                     // Fold before publishing: a failed update leaves no row.
-                    self.update_row(&mut row, obj, now)?;
-                    e.insert(Arc::new(Mutex::new(row)));
-                    true
+                    self.update_row(&mut aggs, obj, now)?;
+                    let row = self.new_row(key, shard_idx, aggs);
+                    rows.insert(RowRef(Arc::clone(&row)));
+                    self.occupancy.fetch_add(1, Ordering::Relaxed);
+                    Some(row)
                 }
             }
         };
         self.inserts.fetch_add(1, Ordering::Relaxed);
-        if !created {
+        let Some(row) = created else {
             return Ok(Vec::new());
-        }
-        let evicted = if bounded {
-            self.enforce_size(now, want_evicted)
-        } else {
-            Vec::new()
+        };
+        let evicted = match coord.as_deref_mut() {
+            Some(coord) => {
+                self.file(coord, row, now);
+                self.enforce_size(coord, now, want_evicted)
+            }
+            None => Vec::new(),
         };
         // High water records post-enforcement occupancy; on a bounded LAT the
         // coordinator lock is still held here, so the count is exact.
@@ -902,8 +1258,28 @@ impl Lat {
         Ok(evicted)
     }
 
-    fn update_row(&self, row: &mut LatRow, obj: &Object, now: Timestamp) -> Result<()> {
-        for (state, idx) in row.aggs.iter_mut().zip(&self.agg_attr_idx) {
+    /// Fold `obj` into an existing row under its latch. On a *folded* LAT the
+    /// first fold that moves the ordering key away from the filed one queues
+    /// the row for re-filing, with the key it is still filed under — without
+    /// `evict_lock`, and without allocating when that key is one number.
+    fn fold(&self, row: &Arc<Row>, obj: &Object, now: Timestamp) -> Result<()> {
+        let mut state = row.state.lock();
+        // A clean filed row still has the key it was filed under.
+        let filed_under = (state.filed && !state.dirty)
+            .then(|| self.rank_of(row.group.as_slice(), &state.aggs, now));
+        // A failed update may still have folded the leading aggregates.
+        let result = self.update_row(&mut state.aggs, obj, now);
+        if let Some(was) = filed_under {
+            if was.with_values(|was| self.key_moved(was, &state.aggs, now)) {
+                state.dirty = true;
+                self.dirty.lock().push((was, Arc::clone(row)));
+            }
+        }
+        result
+    }
+
+    fn update_row(&self, aggs: &mut [ColumnState], obj: &Object, now: Timestamp) -> Result<()> {
+        for (state, idx) in aggs.iter_mut().zip(&self.agg_attr_idx) {
             let v = match idx {
                 // COUNT with no source counts objects.
                 None => None,
@@ -921,109 +1297,241 @@ impl Lat {
         Ok(())
     }
 
-    /// Two-phase global eviction while over the row/byte bound; returns
-    /// evicted output rows. Callers hold `evict_lock`, which serializes this
-    /// with other new-group inserts — at most one shard lock is held at any
-    /// instant, so probe fast paths on other shards keep flowing.
-    fn enforce_size(&self, now: Timestamp, want_evicted: bool) -> Vec<Vec<Value>> {
+    /// Box up a new row, not yet in the victim index.
+    fn new_row(&self, key: &[Value], shard: usize, aggs: Vec<ColumnState>) -> Arc<Row> {
+        Arc::new(Row {
+            group: Key::from_slice(key),
+            shard: shard as u16,
+            order: Arc::clone(&self.order),
+            state: Mutex::new(RowState {
+                aggs,
+                filed: false,
+                dirty: false,
+            }),
+        })
+    }
+
+    /// One ordering-column value of a row.
+    fn ordering_value(
+        &self,
+        group: &[Value],
+        aggs: &[ColumnState],
+        col: usize,
+        now: Timestamp,
+    ) -> Value {
+        match col.checked_sub(group.len()) {
+            None => group[col].clone(),
+            Some(agg) => aggs[agg].finish(now),
+        }
+    }
+
+    /// The ordering-column values of a row, positionally aligned with `order`.
+    fn rank_of(&self, group: &[Value], aggs: &[ColumnState], now: Timestamp) -> Rank {
+        Rank::new(match self.order.as_slice() {
+            [(col, _)] => Key::One(self.ordering_value(group, aggs, *col, now)),
+            order => Key::Many(
+                order
+                    .iter()
+                    .map(|(col, _)| self.ordering_value(group, aggs, *col, now))
+                    .collect(),
+            ),
+        })
+    }
+
+    /// Have the ordering-column values moved away from `was`? Only aggregate
+    /// columns can move; nothing is allocated.
+    fn key_moved(&self, was: &[Value], aggs: &[ColumnState], now: Timestamp) -> bool {
+        let n_group = self.spec.group_by.len();
+        self.order
+            .iter()
+            .zip(was)
+            .any(|(&(col, _), was)| col >= n_group && aggs[col - n_group].finish(now) != *was)
+    }
+
+    /// File a row in the victim index (the caller holds `evict_lock`). The
+    /// row is already in the shard map, so folds may have reached it: a
+    /// *folded* row is ranked and marked `filed` in one step under its latch,
+    /// which means no fold queues a row that has no index entry yet, and the
+    /// first fold that does queue it names exactly the key it is filed under.
+    fn file(&self, coord: &mut Coordinator, row: Arc<Row>, now: Timestamp) {
+        match &mut coord.index {
+            VictimIndex::Fixed(set) => {
+                set.insert(ByGroup { row });
+            }
+            VictimIndex::Folded(set) => {
+                let rank = {
+                    let mut state = row.state.lock();
+                    state.filed = true;
+                    self.rank_of(row.group.as_slice(), &state.aggs, now)
+                };
+                coord.boxed_bytes += rank.boxed_bytes();
+                set.insert(ByRank { rank, row });
+            }
+            VictimIndex::Scan => {}
+        }
+    }
+
+    /// Take a row that has left the map out of the victim index (the caller
+    /// holds `evict_lock`).
+    fn unfile(&self, coord: &mut Coordinator, row: &Arc<Row>, now: Timestamp) {
+        // Afterwards every filed row sits under its current key.
+        self.refile_dirty(coord, now);
+        match &mut coord.index {
+            VictimIndex::Fixed(set) => {
+                set.remove(&ByGroup {
+                    row: Arc::clone(row),
+                });
+            }
+            VictimIndex::Folded(set) => {
+                let mut state = row.state.lock();
+                state.filed = false;
+                let rank = self.rank_of(row.group.as_slice(), &state.aggs, now);
+                let entry = ByRank {
+                    rank,
+                    row: Arc::clone(row),
+                };
+                if let Some(gone) = set.take(&entry) {
+                    coord.boxed_bytes -= gone.rank.boxed_bytes();
+                }
+            }
+            VictimIndex::Scan => {}
+        }
+    }
+
+    /// Evict while over the row/byte bound; returns the evicted output rows.
+    /// The caller holds `evict_lock` (it passes the guarded coordinator), which
+    /// serializes this with other new-group inserts — at most one shard lock
+    /// is held at any instant, so probe fast paths on other shards keep
+    /// flowing.
+    fn enforce_size(
+        &self,
+        coord: &mut Coordinator,
+        now: Timestamp,
+        want_evicted: bool,
+    ) -> Vec<Vec<Value>> {
         let mut evicted = Vec::new();
         loop {
-            let total_rows = self.row_count();
+            let total_rows = self.occupancy.load(Ordering::Relaxed);
             let over_rows = self.spec.max_rows.is_some_and(|m| total_rows > m);
-            let over_bytes = self.spec.max_bytes.is_some_and(|m| self.memory_bytes() > m);
+            let over_bytes = self
+                .spec
+                .max_bytes
+                .is_some_and(|m| coord.index_bytes() + self.dirty_bytes() + self.row_bytes() > m);
             if !(over_rows || over_bytes) {
                 break;
             }
             if total_rows <= 1 {
                 break; // never evict the last row — it is the one being inserted
             }
-            // Phase 1: each shard nominates its local minimum under the
-            // ordering spec ("SQLCM automatically discards the row(s) …
-            // having smallest value of the ordering columns", §4.3; no
-            // ordering spec falls back to an arbitrary victim). Only the
-            // ordering-column values are materialized for the scan.
-            let mut nominees = Vec::with_capacity(self.shards.len());
-            for (si, shard) in self.shards.iter().enumerate() {
-                let rows = shard.read();
-                if let Some((k, ok)) = rows
-                    .iter()
-                    .map(|(k, r)| (k, self.ordering_key(&r.lock(), now)))
-                    .min_by(|(_, a), (_, b)| self.cmp_ordering_keys(a, b))
-                    .map(|(k, ok)| (k.clone(), ok))
-                {
-                    nominees.push((si, k, ok));
+            // "SQLCM automatically discards the row(s) … having smallest value
+            // of the ordering columns" (§4.3).
+            let Some(victim) = self.pop_victim(coord, now) else {
+                break;
+            };
+            let removed = {
+                let mut rows = self.shards[victim.shard as usize].write();
+                let removed = rows.remove(victim.group.as_slice());
+                if removed {
+                    self.occupancy.fetch_sub(1, Ordering::Relaxed);
                 }
-            }
-            // Phase 2: the coordinator picks the globally worst nominee and
-            // removes it from its owning shard.
-            let victim = nominees
-                .into_iter()
-                .min_by(|(_, _, a), (_, _, b)| self.cmp_ordering_keys(a, b));
-            match victim {
-                Some((si, key, _)) => {
-                    // `remove` can miss if a concurrent `reset` cleared the
-                    // shard between phases; the loop re-checks the bound.
-                    if let Some(row) = self.shards[si].write().remove(&key) {
-                        if want_evicted {
-                            evicted.push(row.lock().output(now));
-                        }
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                    }
+                removed
+            };
+            if removed {
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+                let mut state = victim.state.lock();
+                // If it still sits on the dirty queue, it is skipped there.
+                state.filed = false;
+                if want_evicted {
+                    evicted.push(victim.output(&state, now));
                 }
-                None => break,
             }
         }
         evicted
     }
 
-    /// Importance comparison per the ordering spec: for a DESC column bigger is
-    /// more important (evict smallest); for ASC smaller is more important.
-    fn cmp_importance(&self, a: &[Value], b: &[Value]) -> std::cmp::Ordering {
-        for (idx, desc) in &self.ordering_idx {
-            let ord = a[*idx].cmp(&b[*idx]);
-            let ord = if *desc { ord } else { ord.reverse() };
-            if !ord.is_eq() {
-                return ord;
-            }
+    /// Remove and return the least important row under the ordering spec.
+    fn pop_victim(&self, coord: &mut Coordinator, now: Timestamp) -> Option<Arc<Row>> {
+        self.refile_dirty(coord, now);
+        match &mut coord.index {
+            VictimIndex::Fixed(set) => set.pop_first().map(|e| e.row),
+            VictimIndex::Folded(set) => set.pop_first().map(|e| {
+                coord.boxed_bytes -= e.rank.boxed_bytes();
+                e.row
+            }),
+            VictimIndex::Scan => self.scan_victim(now),
         }
-        std::cmp::Ordering::Equal
     }
 
-    /// Just the ordering-column values of a row (cheap victim-scan key).
-    fn ordering_key(&self, row: &LatRow, now: Timestamp) -> Vec<Value> {
-        let n_group = self.spec.group_by.len();
-        self.ordering_idx
-            .iter()
-            .map(|(idx, _)| {
-                if *idx < n_group {
-                    row.group[*idx].clone()
-                } else {
-                    row.aggs[*idx - n_group].finish(now)
+    /// *Folded* LATs: re-file every row a fold has marked dirty under its
+    /// current key, so the index minimum is the true one.
+    fn refile_dirty(&self, coord: &mut Coordinator, now: Timestamp) {
+        let Coordinator {
+            index: VictimIndex::Folded(set),
+            boxed_bytes,
+            refile,
+        } = coord
+        else {
+            return;
+        };
+        std::mem::swap(refile, &mut *self.dirty.lock());
+        for (was, row) in refile.drain(..) {
+            let mut state = row.state.lock();
+            state.dirty = false;
+            // Evicted or replaced since it was queued?
+            if !state.filed {
+                continue;
+            }
+            let stale = ByRank {
+                rank: was,
+                row: Arc::clone(&row),
+            };
+            if let Some(gone) = set.take(&stale) {
+                *boxed_bytes -= gone.rank.boxed_bytes();
+            }
+            let rank = self.rank_of(row.group.as_slice(), &state.aggs, now);
+            drop(state);
+            *boxed_bytes += rank.boxed_bytes();
+            set.insert(ByRank { rank, row });
+            self.victims_examined.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// The *clocked* path: an aging ordering column decays with the clock, so
+    /// every row's key is computed afresh and compared with the running best.
+    /// Two key buffers for the whole scan; ties keep the first row met.
+    fn scan_victim(&self, now: Timestamp) -> Option<Arc<Row>> {
+        let mut best: Option<Arc<Row>> = None;
+        let mut best_key: Vec<Value> = Vec::with_capacity(self.order.len());
+        let mut key: Vec<Value> = Vec::with_capacity(self.order.len());
+        let mut examined = 0;
+        for shard in self.shards.iter() {
+            for row in shard.read().iter() {
+                let state = row.0.state.lock();
+                key.clear();
+                key.extend(self.order.iter().map(|(col, _)| {
+                    self.ordering_value(row.0.group.as_slice(), &state.aggs, *col, now)
+                }));
+                examined += 1;
+                let less_important =
+                    || cmp_importance(&self.order, |pos, _| (&key[pos], &best_key[pos])).is_lt();
+                if best.is_none() || less_important() {
+                    std::mem::swap(&mut key, &mut best_key);
+                    best = Some(Arc::clone(&row.0));
                 }
-            })
-            .collect()
-    }
-
-    /// Compare two [`Lat::ordering_key`] outputs (positionally aligned with
-    /// `ordering_idx`, so desc flags apply by position).
-    fn cmp_ordering_keys(&self, a: &[Value], b: &[Value]) -> std::cmp::Ordering {
-        for (pos, (_, desc)) in self.ordering_idx.iter().enumerate() {
-            let ord = a[pos].cmp(&b[pos]);
-            let ord = if *desc { ord } else { ord.reverse() };
-            if !ord.is_eq() {
-                return ord;
             }
         }
-        std::cmp::Ordering::Equal
+        self.victims_examined.fetch_add(examined, Ordering::Relaxed);
+        best
     }
 
     /// Look up the row whose grouping columns match `obj` (the rule engine's
     /// implicit-∃ binding, §5.2). Returns the materialized output row.
     pub fn lookup_for(&self, obj: &Object) -> Option<Vec<Value>> {
-        let key = self.group_key_of(obj)?;
         let now = self.clock.now_micros();
-        let rows = self.shard_of(&key).read();
-        rows.get(&key).map(|r| r.lock().output(now))
+        self.with_group_key(obj, |key| {
+            let rows = self.shards[self.shard_of(key)].read();
+            rows.get(key).map(|r| r.0.output(&r.0.state.lock(), now))
+        })?
     }
 
     /// Resolve a LAT column name to its position.
@@ -1042,31 +1550,46 @@ impl Lat {
         let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
         guards
             .iter()
-            .flat_map(|g| g.values().map(|r| r.lock().output(now)))
+            .flat_map(|g| g.iter().map(|r| r.0.output(&r.0.state.lock(), now)))
             .collect()
     }
 
     /// Materialize all rows sorted by the ordering spec, most important first.
     pub fn rows_ordered(&self) -> Vec<Vec<Value>> {
         let mut rows = self.rows();
-        rows.sort_by(|a, b| self.cmp_importance(a, b).reverse());
+        rows.sort_by(|a, b| cmp_importance(&self.order, |_, col| (&b[col], &a[col])));
         rows
     }
 
     /// `Reset(LATName)`: clear contents and free memory. All shard write
     /// locks are held (acquired in index order) before the first shard is
-    /// cleared, so observers never see a partially reset table.
+    /// cleared, so observers never see a partially reset table; on a bounded
+    /// LAT the coordinator lock is taken first, so no new-group insert is
+    /// between its insert and its eviction, and the row map, the victim index
+    /// and the occupancy count empty together.
     pub fn reset(&self) {
+        let mut coord = self.coordinator();
         let mut guards: Vec<_> = self.shards.iter().map(|s| s.write()).collect();
         for g in guards.iter_mut() {
             g.clear();
+        }
+        self.occupancy.store(0, Ordering::Relaxed);
+        if let Some(coord) = coord.as_deref_mut() {
+            coord.index.clear();
+            coord.boxed_bytes = 0;
+            // No fold is running (every shard is write-locked) and the rows
+            // it queued are gone.
+            self.dirty.lock().clear();
         }
         self.resets.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Seed a row from persisted values (LAT restore at startup, §4.3). AVG and
     /// STDEV are re-seeded with weight `seed_count` (exact when the LAT also
-    /// persisted its COUNT; weight 1 otherwise).
+    /// persisted its COUNT; weight 1 otherwise). On a bounded LAT the size
+    /// bound is enforced as for an insert: restoring more rows than fit keeps
+    /// the most important ones (evictions are counted, no eviction event is
+    /// raised).
     pub fn seed_row(&self, values: &[Value], seed_count: i64) -> Result<()> {
         if values.len() != self.columns.len() {
             return Err(Error::Monitor(format!(
@@ -1077,7 +1600,7 @@ impl Lat {
             )));
         }
         let n_group = self.spec.group_by.len();
-        let key = values[..n_group].to_vec();
+        let key = &values[..n_group];
         let now = self.clock.now_micros();
         let mut aggs = Vec::with_capacity(self.spec.aggregates.len());
         for (spec, v) in self.spec.aggregates.iter().zip(&values[n_group..]) {
@@ -1091,12 +1614,23 @@ impl Lat {
                 None => ColumnState::Plain(state),
             });
         }
-        {
-            let mut rows = self.shard_of(&key).write();
-            rows.insert(
-                key.clone(),
-                Arc::new(Mutex::new(LatRow { group: key, aggs })),
-            );
+        let mut coord = self.coordinator();
+        let shard_idx = self.shard_of(key);
+        let row = self.new_row(key, shard_idx, aggs);
+        let replaced = {
+            let mut rows = self.shards[shard_idx].write();
+            let replaced = rows.replace(RowRef(Arc::clone(&row)));
+            if replaced.is_none() {
+                self.occupancy.fetch_add(1, Ordering::Relaxed);
+            }
+            replaced
+        };
+        if let Some(coord) = coord.as_deref_mut() {
+            if let Some(old) = replaced {
+                self.unfile(coord, &old.0, now);
+            }
+            self.file(coord, row, now);
+            self.enforce_size(coord, now, false);
         }
         self.row_high_water
             .fetch_max(self.row_count() as u64, Ordering::Relaxed);
@@ -1498,6 +2032,290 @@ mod tests {
         let row = lat.lookup_for(&qobj(5, 0.0)).unwrap();
         assert_eq!(row[1], Value::Float((4.0 * 10.0 + 15.0) / 11.0));
         assert!(lat.seed_row(&[Value::Int(1)], 1).is_err(), "arity checked");
+    }
+
+    /// Row map, occupancy count and victim index describe the same rows.
+    fn assert_consistent(lat: &Lat) {
+        let coord = lat.evict_lock.lock();
+        let in_shards: usize = lat.shards.iter().map(|s| s.read().len()).sum();
+        assert_eq!(lat.row_count(), in_shards, "occupancy vs Σ shard lengths");
+        if !matches!(coord.index, VictimIndex::Scan) {
+            assert_eq!(coord.index.len(), in_shards, "victim index vs row map");
+        }
+        if let VictimIndex::Folded(set) = &coord.index {
+            let boxed: usize = set.iter().map(|e| e.rank.boxed_bytes()).sum();
+            assert_eq!(coord.boxed_bytes, boxed, "running count of boxed ranks");
+        }
+        if let Some(m) = lat.spec.max_rows {
+            assert!(in_shards <= m.max(1), "bound {m} exceeded: {in_shards}");
+        }
+    }
+
+    fn sigs(lat: &Lat) -> Vec<i64> {
+        let mut sigs: Vec<i64> = lat.rows().iter().map(|r| r[0].as_i64().unwrap()).collect();
+        sigs.sort_unstable();
+        sigs
+    }
+
+    #[test]
+    fn restore_enforces_the_row_bound() {
+        // Regression: `seed_row` used to insert without the coordinator lock
+        // and without enforcing the bound, so restoring more rows than
+        // `max_rows` left the LAT overfull until some later insert evicted.
+        const N: usize = 4;
+        let fixed = LatSpec::new("Fixed")
+            .group_by("Query.Logical_Signature", "Sig")
+            .aggregate(LatAggFunc::Max, "Query.Duration", "D")
+            .order_by("Sig", true)
+            .max_rows(N);
+        let folded = LatSpec::new("Folded")
+            .group_by("Query.Logical_Signature", "Sig")
+            .aggregate(LatAggFunc::Max, "Query.Duration", "D")
+            .order_by("D", true)
+            .max_rows(N);
+        for spec in [fixed, folded] {
+            let (clock, _) = ManualClock::shared(0);
+            let lat = Lat::new(spec, clock).unwrap();
+            // Sig i carries duration i, so both orderings rank alike; seed in
+            // an order that puts keepers before and after the losers.
+            for sig in [7, 1, 9, 3, 5, 2, 8, 4, 6] {
+                lat.seed_row(&[Value::Int(sig), Value::Float(sig as f64)], 1)
+                    .unwrap();
+                assert_consistent(&lat);
+            }
+            assert_eq!(sigs(&lat), vec![6, 7, 8, 9], "the N most important remain");
+            let stats = lat.stats();
+            assert_eq!(stats.evictions, 5);
+            assert!(stats.row_high_water <= N as u64, "{stats:?}");
+            // The next insert evicts the least important of what is left.
+            let evicted = lat.insert(&qobj(10, 10.0)).unwrap();
+            assert_eq!(evicted, vec![vec![Value::Int(6), Value::Float(6.0)]]);
+            // Re-seeding a held group replaces its row, in the index too.
+            lat.seed_row(&[Value::Int(7), Value::Float(70.0)], 1)
+                .unwrap();
+            assert_consistent(&lat);
+            assert_eq!(lat.row_count(), N);
+            assert_eq!(
+                lat.lookup_for(&qobj(7, 0.0)).unwrap()[1],
+                Value::Float(70.0)
+            );
+        }
+    }
+
+    #[test]
+    fn victims_examined_proves_the_scan_is_gone() {
+        const ROWS: usize = 1_000;
+        const GROUPS: i64 = 10_000;
+        let base = |order: &str| {
+            LatSpec::new("Pin")
+                .group_by("Query.Logical_Signature", "Sig")
+                .aggregate(LatAggFunc::Max, "Query.Duration", "D")
+                .order_by(order, true)
+                .max_rows(ROWS)
+        };
+        // Fixed: the ordering column is the grouping column.
+        let (clock, _) = ManualClock::shared(0);
+        let lat = Lat::new(base("Sig"), clock.clone()).unwrap();
+        for sig in 0..GROUPS {
+            lat.insert(&qobj(sig, 1.0)).unwrap();
+        }
+        assert_eq!(lat.stats().evictions, (GROUPS as u64) - ROWS as u64);
+        assert_eq!(lat.stats().victims_examined, 0);
+        assert_consistent(&lat);
+
+        // Folded: every new group is followed by two folds into the newest
+        // (most important) row, one that raises its MAX and one that does not.
+        let lat = Lat::new(base("D"), clock.clone()).unwrap();
+        let mut key_changing_folds = 0;
+        for sig in 0..GROUPS {
+            let d = (sig * 2) as f64;
+            lat.insert(&qobj(sig, d)).unwrap();
+            lat.insert(&qobj(sig, d + 1.0)).unwrap();
+            key_changing_folds += 1;
+            lat.insert(&qobj(sig, d - 1.0)).unwrap();
+        }
+        let stats = lat.stats();
+        assert_eq!(stats.evictions, (GROUPS as u64) - ROWS as u64);
+        assert!(stats.victims_examined > 0, "re-filed rows are counted");
+        assert!(
+            stats.victims_examined <= key_changing_folds,
+            "{} rows re-filed for {key_changing_folds} key-changing folds",
+            stats.victims_examined
+        );
+        assert_consistent(&lat);
+        assert_eq!(
+            sigs(&lat),
+            (GROUPS - ROWS as i64..GROUPS).collect::<Vec<_>>()
+        );
+
+        // Clocked: an aging ordering column keeps the scan — n per eviction.
+        let spec = LatSpec::new("Clocked")
+            .group_by("Query.Logical_Signature", "Sig")
+            .aggregate(LatAggFunc::Count, "", "N")
+            .aging(1_000, 100)
+            .order_by("N", true)
+            .max_rows(3);
+        let lat = Lat::new(spec, clock).unwrap();
+        for sig in 0..5 {
+            lat.insert(&qobj(sig, 1.0)).unwrap();
+        }
+        assert_eq!(lat.stats().evictions, 2);
+        assert_eq!(lat.stats().victims_examined, 2 * 4, "4 rows scanned twice");
+    }
+
+    #[test]
+    fn memory_bytes_counts_the_victim_index() {
+        let (clock, _) = ManualClock::shared(0);
+        let spec = |bound: Option<usize>, order: &str| {
+            let spec = LatSpec::new("Mem")
+                .group_by("Query.Logical_Signature", "Sig")
+                .aggregate(LatAggFunc::Max, "Query.Duration", "D")
+                .order_by(order, true);
+            match bound {
+                Some(m) => spec.max_rows(m),
+                None => spec,
+            }
+        };
+        let fill = |spec: LatSpec| {
+            let lat = Lat::new(spec, clock.clone()).unwrap();
+            for sig in 0..8 {
+                lat.insert(&qobj(sig, 1.0)).unwrap();
+            }
+            lat.memory_bytes()
+        };
+        let unbounded = fill(spec(None, "Sig"));
+        let fixed = fill(spec(Some(8), "Sig"));
+        let folded = fill(spec(Some(8), "D"));
+        // One handle per row, plus 16 bytes for a numeric filed key.
+        assert_eq!(std::mem::size_of::<ByGroup>(), 8);
+        assert_eq!(std::mem::size_of::<ByRank>(), 24);
+        assert_eq!(fixed, unbounded + 8 * 8);
+        assert_eq!(folded, unbounded + 8 * 24);
+    }
+
+    #[test]
+    fn multi_column_keys_and_boxed_ranks_stay_in_step() {
+        // Two grouping columns take the owned-key probe; two ordering columns
+        // make every filed rank a boxed one, whose bytes are counted as the
+        // entries come and go.
+        let (clock, _) = ManualClock::shared(0);
+        let spec = LatSpec::new("Multi")
+            .group_by("Query.Logical_Signature", "Sig")
+            .group_by("Query.User", "Usr")
+            .aggregate(LatAggFunc::Count, "", "N")
+            .order_by("N", true)
+            .order_by("Sig", false)
+            .max_rows(2);
+        let lat = Lat::new(spec, clock).unwrap();
+        for sig in [1, 2, 1, 3, 1, 2, 4] {
+            lat.insert(&qobj(sig, 1.0)).unwrap();
+            assert_consistent(&lat);
+        }
+        assert_eq!(sigs(&lat), vec![1, 2], "3 and 4 had the lowest count");
+        let row = lat.lookup_for(&qobj(1, 0.0)).unwrap();
+        assert_eq!(row[2], Value::Int(3), "three folds into one group");
+        let boxed = lat.evict_lock.lock().boxed_bytes;
+        assert!(boxed > 0);
+        // A queued fold is counted too, until the evictor re-files the row.
+        let before = lat.memory_bytes();
+        lat.insert(&qobj(2, 1.0)).unwrap();
+        let queued = std::mem::size_of::<(Rank, Arc<Row>)>() + boxed / 2;
+        assert_eq!(lat.memory_bytes(), before + queued);
+        // Re-seeding a held group swaps its entry; reset drops them all.
+        let usr = row[1].clone();
+        lat.seed_row(&[Value::Int(1), usr, Value::Int(9)], 1)
+            .unwrap();
+        assert_consistent(&lat);
+        assert_eq!(lat.evict_lock.lock().boxed_bytes, boxed);
+        assert_eq!(lat.memory_bytes(), before, "queue drained by the seed");
+        lat.reset();
+        assert_consistent(&lat);
+        assert_eq!(lat.memory_bytes(), 0);
+    }
+
+    #[test]
+    fn reset_racing_new_group_inserts_keeps_map_index_and_count_in_step() {
+        // `reset` holds the coordinator lock, so it cannot land between a
+        // creator's insert and its eviction; whatever the interleaving, the
+        // three views of "which rows exist" agree afterwards.
+        let folded = LatSpec::new("Race")
+            .group_by("Query.Logical_Signature", "Sig")
+            .aggregate(LatAggFunc::Count, "", "N")
+            .order_by("N", true)
+            .max_rows(4);
+        let fixed = LatSpec::new("Race")
+            .group_by("Query.Logical_Signature", "Sig")
+            .aggregate(LatAggFunc::Count, "", "N")
+            .order_by("Sig", true)
+            .max_rows(4);
+        for spec in [folded, fixed] {
+            let lat = Lat::new(spec, sqlcm_common::SystemClock::shared()).unwrap();
+            let barrier = std::sync::Barrier::new(3);
+            for round in 0..200i64 {
+                std::thread::scope(|scope| {
+                    for t in 0..2 {
+                        let (lat, barrier) = (&lat, &barrier);
+                        scope.spawn(move || {
+                            barrier.wait();
+                            for i in 0..8 {
+                                // New groups (evicting) and folds into them.
+                                lat.insert(&qobj(round * 100 + t * 8 + i, 1.0)).unwrap();
+                                lat.insert(&qobj(round * 100 + i, 1.0)).unwrap();
+                            }
+                        });
+                    }
+                    barrier.wait();
+                    lat.reset();
+                });
+                assert_consistent(&lat);
+            }
+            assert_eq!(lat.stats().resets, 200);
+        }
+    }
+
+    #[test]
+    fn seed_racing_folds_on_the_same_group_files_the_row_once() {
+        // Regression: a fold reaching a freshly seeded row before it was
+        // filed used to queue it for re-filing, and the row ended up in the
+        // victim index twice — a stale entry that later evicted a live row.
+        let spec = LatSpec::new("SeedRace")
+            .group_by("Query.Logical_Signature", "Sig")
+            .aggregate(LatAggFunc::Max, "Query.Duration", "D")
+            .order_by("D", true)
+            .max_rows(4);
+        let lat = Lat::new(spec, sqlcm_common::SystemClock::shared()).unwrap();
+        for sig in 0..4 {
+            lat.insert(&qobj(sig, 1.0)).unwrap();
+        }
+        for round in 0..20 {
+            let folding = std::sync::atomic::AtomicBool::new(true);
+            std::thread::scope(|scope| {
+                let (lat, folding) = (&lat, &folding);
+                scope.spawn(move || {
+                    for i in 0..2_000 {
+                        // Every fold raises group 0's MAX, i.e. moves its key.
+                        let d = (round * 2_000 + i + 2) as f64;
+                        lat.insert(&qobj(0, d)).unwrap();
+                    }
+                    folding.store(false, Ordering::Relaxed);
+                });
+                while folding.load(Ordering::Relaxed) {
+                    lat.seed_row(&[Value::Int(0), Value::Float(1.5)], 1)
+                        .unwrap();
+                }
+            });
+            assert_consistent(&lat);
+        }
+        // No stale entry is left to pop: four new groups push out exactly the
+        // four rows held now, least important first.
+        lat.seed_row(&[Value::Int(0), Value::Float(1.5)], 1)
+            .unwrap();
+        for sig in 10..14 {
+            let evicted = lat.insert(&qobj(sig, 100.0 + sig as f64)).unwrap();
+            assert_eq!(evicted.len(), 1);
+            assert_consistent(&lat);
+        }
+        assert_eq!(sigs(&lat), vec![10, 11, 12, 13]);
     }
 
     #[test]

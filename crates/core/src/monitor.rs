@@ -1598,6 +1598,7 @@ impl SqlcmInner {
                     name: lat.spec.name.clone(),
                     inserts: stats.inserts,
                     evictions: stats.evictions,
+                    victims_examined: stats.victims_examined,
                     resets: stats.resets,
                     aging_rolls: stats.aging_rolls,
                     rows: lat.row_count() as u64,

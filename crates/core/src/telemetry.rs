@@ -266,6 +266,10 @@ pub struct LatTelemetry {
     pub inserts: u64,
     pub evictions: u64,
     pub resets: u64,
+    /// Rows whose ordering key was (re)computed to choose eviction victims
+    /// (see [`crate::lat::LatStats::victims_examined`]): stays 0 when the
+    /// victim index does all the work.
+    pub victims_examined: u64,
     /// Aging-window block rolls (§4.3).
     pub aging_rolls: u64,
     /// Current row count.
@@ -495,10 +499,11 @@ impl TelemetrySnapshot {
         for l in &self.lats {
             let _ = writeln!(
                 out,
-                "  {:<22} inserts={:<8} evictions={:<6} resets={:<4} aging_rolls={:<6} rows={}/{} bytes={} shards={} contentions={}",
+                "  {:<22} inserts={:<8} evictions={:<6} victims_examined={:<6} resets={:<4} aging_rolls={:<6} rows={}/{} bytes={} shards={} contentions={}",
                 l.name,
                 l.inserts,
                 l.evictions,
+                l.victims_examined,
                 l.resets,
                 l.aging_rolls,
                 l.rows,
@@ -665,10 +670,11 @@ impl TelemetrySnapshot {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"name\":{},\"inserts\":{},\"evictions\":{},\"resets\":{},\"aging_rolls\":{},\"rows\":{},\"row_high_water\":{},\"memory_bytes\":{},\"shards\":{},\"lock_contentions\":{}}}",
+                "{{\"name\":{},\"inserts\":{},\"evictions\":{},\"victims_examined\":{},\"resets\":{},\"aging_rolls\":{},\"rows\":{},\"row_high_water\":{},\"memory_bytes\":{},\"shards\":{},\"lock_contentions\":{}}}",
                 json_str(&l.name),
                 l.inserts,
                 l.evictions,
+                l.victims_examined,
                 l.resets,
                 l.aging_rolls,
                 l.rows,

@@ -314,3 +314,178 @@ proptest! {
         prop_assert_eq!(lat.stats().inserts, total);
     }
 }
+
+// ------------------------------------------------------- victim-index cases
+//
+// The bounded LAT files its rows in an ordered victim index instead of
+// scanning at eviction time. The cases below aim at what such an index can
+// get wrong: a fold that *lowers* a filed row's rank between two evictions,
+// multi-column orderings mixing directions over grouping and aggregate
+// columns, an aging ordering column (whose rank moves with the clock alone),
+// no ordering spec at all, and `seed_row`/`reset` rewriting map and index
+// together. Every eviction still goes through `insert_matching`.
+
+/// A fold moves the most important row to the bottom of the ranking between
+/// two evictions; the next victim must be that row, not the row a stale index
+/// entry would name.
+#[test]
+fn fold_that_lowers_a_filed_rows_rank_changes_the_next_victim() {
+    for (kind, col) in [
+        (LatAggFunc::Avg, "A"),
+        (LatAggFunc::Min, "MN"),
+        (LatAggFunc::Last, "L"),
+    ] {
+        for desc in [true, false] {
+            let (clock, _) = ManualClock::shared(0);
+            let spec = LatSpec::new("Lowered")
+                .group_by("Query.Logical_Signature", "Sig")
+                .aggregate(kind, "Query.Duration", col)
+                .order_by(col, desc)
+                .max_rows(3)
+                .shards(4);
+            let lat = Lat::new(spec.clone(), clock.clone()).unwrap();
+            let oracle = ReferenceLat::new(spec, clock).unwrap();
+            // Under ASC the smaller value is the more important one: mirror.
+            let rank = |v: u64| if desc { v } else { 100 - v };
+            let insert = |sig: i64, v: u64| {
+                let obj = qobj(sig, rank(v));
+                let evicted = lat.insert(&obj).unwrap();
+                oracle.insert_matching(&obj, &evicted).unwrap();
+                evicted
+            };
+            insert(1, 50);
+            insert(2, 20);
+            insert(3, 30);
+            let evicted = insert(4, 25);
+            assert_eq!(evicted[0][0], Value::Int(2), "{kind:?} desc={desc}");
+            // Group 1 leads; these folds drag it below every other row
+            // (MIN can only fall, so under ASC it keeps its place).
+            for _ in 0..4 {
+                insert(1, 0);
+            }
+            let evicted = insert(5, 40);
+            assert_eq!(evicted.len(), 1);
+            if desc || kind != LatAggFunc::Min {
+                assert_eq!(evicted[0][0], Value::Int(1), "{kind:?} desc={desc}");
+            }
+            // And one that raises a row again before the next eviction.
+            insert(4, 90);
+            insert(6, 35);
+            assert_eq!(canonical(lat.rows()), canonical(oracle.rows()));
+        }
+    }
+}
+
+/// Every seedable column of [`diff_spec`] (STDEV cannot be re-seeded exactly).
+const RICH_COLUMNS: [&str; 10] = ["Sig", "N", "S", "A", "MN", "MX", "F", "L", "AW", "NW"];
+
+/// Like [`diff_spec`] without STDEV, ordered by any number of columns —
+/// grouping, plain-aggregate and aging — each with its own direction.
+fn rich_spec(shards: usize, max_rows: Option<usize>, ordering: &[(usize, bool)]) -> LatSpec {
+    let mut spec = LatSpec::new("Rich")
+        .group_by("Query.Logical_Signature", "Sig")
+        .aggregate(LatAggFunc::Count, "", "N")
+        .aggregate(LatAggFunc::Sum, "Query.Duration", "S")
+        .aggregate(LatAggFunc::Avg, "Query.Duration", "A")
+        .aggregate(LatAggFunc::Min, "Query.Duration", "MN")
+        .aggregate(LatAggFunc::Max, "Query.Duration", "MX")
+        .aggregate(LatAggFunc::First, "Query.Duration", "F")
+        .aggregate(LatAggFunc::Last, "Query.Duration", "L")
+        .aggregate(LatAggFunc::Avg, "Query.Duration", "AW")
+        .aging(WINDOW, BLOCK)
+        .aggregate(LatAggFunc::Count, "", "NW")
+        .aging(WINDOW, BLOCK)
+        .shards(shards);
+    for (col, desc) in ordering {
+        spec = spec.order_by(RICH_COLUMNS[*col], *desc);
+    }
+    match max_rows {
+        Some(m) => spec.max_rows(m),
+        None => spec,
+    }
+}
+
+#[derive(Debug, Clone)]
+enum RichOp {
+    Insert { sig: i64, dur: u64 },
+    Seed { sig: i64, dur: u64 },
+    Advance { micros: u64 },
+    Reset,
+}
+
+fn rich_op_strategy() -> BoxedStrategy<RichOp> {
+    let insert = || (0i64..10, 0u64..8).prop_map(|(sig, dur)| RichOp::Insert { sig, dur });
+    prop_oneof![
+        insert(),
+        insert(),
+        insert(),
+        insert(),
+        insert(),
+        (0i64..10, 0u64..8).prop_map(|(sig, dur)| RichOp::Seed { sig, dur }),
+        (1u64..250).prop_map(|micros| RichOp::Advance { micros }),
+        Just(RichOp::Reset),
+    ]
+    .boxed()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Randomized insert / seed / reset / clock sequences under 0–3 ordering
+    /// columns of mixed direction and kind. A seed is mirrored into the oracle
+    /// as the one insert that produces the same row; `seed_row` reports no
+    /// victims, so they are read off the row snapshots around it and handed
+    /// to `insert_matching` like any other eviction.
+    #[test]
+    fn victim_index_matches_reference_under_rich_orderings_seeds_and_resets(
+        shards in 1usize..8,
+        max_rows in prop_oneof![Just(None), (1usize..5).prop_map(Some)],
+        ordering in collection::vec((0usize..10, any::<bool>()), 0..4),
+        ops in collection::vec(rich_op_strategy(), 1..64),
+    ) {
+        let (clock, handle) = ManualClock::shared(0);
+        let spec = rich_spec(shards, max_rows, &ordering);
+        let lat = Lat::new(spec.clone(), clock.clone()).unwrap();
+        let oracle = ReferenceLat::new(spec, clock.clone()).unwrap();
+        for op in &ops {
+            match op {
+                RichOp::Seed { sig, dur } if lat.lookup_for(&qobj(*sig, 0)).is_none() => {
+                    let obj = qobj(*sig, *dur);
+                    // The row one insert of `obj` produces, from a scratch oracle.
+                    let scratch = ReferenceLat::new(rich_spec(1, None, &[]), clock.clone()).unwrap();
+                    scratch.insert(&obj).unwrap();
+                    let seeded = scratch.rows().remove(0);
+                    let mut before = lat.rows();
+                    lat.seed_row(&seeded, 1).unwrap();
+                    before.push(seeded);
+                    let after = lat.rows();
+                    let victims: Vec<_> = before
+                        .into_iter()
+                        .filter(|r| !after.iter().any(|a| a[0] == r[0]))
+                        .collect();
+                    oracle.insert_matching(&obj, &victims).unwrap();
+                }
+                // Seeding a held group replaces its row, which the oracle
+                // cannot mirror: fold instead.
+                RichOp::Insert { sig, dur } | RichOp::Seed { sig, dur } => {
+                    let obj = qobj(*sig, *dur);
+                    let evicted = lat.insert(&obj).unwrap();
+                    oracle.insert_matching(&obj, &evicted).unwrap();
+                }
+                RichOp::Advance { micros } => handle.advance(*micros),
+                RichOp::Reset => {
+                    lat.reset();
+                    oracle.reset();
+                }
+            }
+            if let Some(m) = max_rows {
+                prop_assert!(lat.row_count() <= m.max(1));
+                prop_assert!(lat.stats().row_high_water <= m.max(1) as u64);
+            }
+            prop_assert_eq!(lat.row_count(), oracle.row_count());
+            let in_shards: usize = lat.shard_stats().iter().map(|s| s.rows).sum();
+            prop_assert_eq!(lat.row_count(), in_shards);
+        }
+        prop_assert_eq!(canonical(lat.rows()), canonical(oracle.rows()));
+    }
+}

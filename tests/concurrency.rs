@@ -226,6 +226,81 @@ fn lat_stress_conserves_counts_under_8_thread_contention() {
     assert!(lat.row_count() <= MAX_ROWS);
 }
 
+/// `Reset` racing new-group inserts on a bounded LAT. `reset` takes the
+/// coordinator lock, so it can never land between a creator's insert and its
+/// eviction; a barrier releases two creators and the resetter together, round
+/// after round, and whatever interleaving results, the occupancy count, the
+/// shard maps and the victim index must describe the same rows. The index is
+/// not observable from here, so it is checked through what it decides: with
+/// the LAT refilled, every further new group must evict exactly the row that
+/// ranks last — a dangling or missing index entry evicts the wrong row, or
+/// none.
+#[test]
+fn lat_reset_racing_creators_keeps_count_maps_and_victim_index_in_step() {
+    use std::sync::Barrier;
+
+    use sqlcm_repro::common::{QueryInfo, SystemClock};
+    use sqlcm_repro::monitor::objects::query_object;
+
+    const MAX_ROWS: usize = 6;
+    const ROUNDS: u64 = 300;
+    let obj = |sig: u64, secs: u64| {
+        let mut q = QueryInfo::synthetic(1, format!("q{sig}"));
+        q.logical_signature = Some(sig);
+        q.duration_micros = secs * 1_000_000;
+        query_object(&q)
+    };
+    // Ranked by the grouping column (filed once) and by an aggregate (re-filed
+    // after folds): the two indexed classes.
+    for order_by in ["Sig", "D"] {
+        let spec = LatSpec::new("ResetRace")
+            .group_by("Query.Logical_Signature", "Sig")
+            .aggregate(LatAggFunc::Max, "Query.Duration", "D")
+            .order_by(order_by, true)
+            .max_rows(MAX_ROWS);
+        let lat = sqlcm_repro::monitor::Lat::new(spec, SystemClock::shared()).unwrap();
+        let barrier = Barrier::new(3);
+        for round in 0..ROUNDS {
+            std::thread::scope(|scope| {
+                for t in 0..2u64 {
+                    let (lat, barrier, obj) = (&lat, &barrier, &obj);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        for i in 0..2 * MAX_ROWS as u64 {
+                            // A new group (evicting once full), then a fold
+                            // that raises a shared group's MAX; no two rows
+                            // ever tie, so every victim is determined.
+                            let sig = round * 1_000 + t * 100 + i + 1;
+                            lat.insert(&obj(sig, 2 * sig)).unwrap();
+                            lat.insert(&obj(round * 1_000, 2 * sig + 1)).unwrap();
+                        }
+                    });
+                }
+                barrier.wait();
+                lat.reset();
+            });
+            let in_shards: usize = lat.shard_stats().iter().map(|s| s.rows).sum();
+            assert_eq!(lat.row_count(), in_shards, "count vs Σ shard lengths");
+            assert!(in_shards <= MAX_ROWS, "bound exceeded: {in_shards}");
+        }
+        assert_eq!(lat.stats().resets, ROUNDS);
+        assert!(lat.stats().row_high_water <= MAX_ROWS as u64);
+
+        let top = ROUNDS * 1_000;
+        for i in 0..3 * MAX_ROWS as u64 {
+            let last = lat.rows_ordered().pop();
+            let full = lat.row_count() == MAX_ROWS;
+            let evicted = lat.insert(&obj(top + i, 2 * (top + i))).unwrap();
+            if full {
+                assert_eq!(evicted, vec![last.unwrap()], "wrong victim ({order_by})");
+            } else {
+                assert!(evicted.is_empty());
+            }
+        }
+        assert_eq!(lat.row_count(), MAX_ROWS);
+    }
+}
+
 /// Stress: the telemetry snapshot's per-LAT insert counters sum exactly to
 /// the events delivered — two QueryCommit rules each feed one LAT, so the sum
 /// over LATs must be exactly twice the committed-statement count.

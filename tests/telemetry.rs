@@ -98,6 +98,14 @@ fn per_rule_attribution_is_exact_under_concurrency() {
     let topk = snap.lats.iter().find(|l| l.name == "TopK").unwrap();
     assert_eq!(topk.inserts, total);
     assert!(topk.rows <= 16 && topk.row_high_water >= topk.rows);
+    // Victims come off the index: a row is re-ranked only after a fold moved
+    // its MAX, never once per held row per eviction.
+    assert!(topk.victims_examined <= topk.inserts, "{topk:?}");
+    let exported = format!("victims_examined={}", topk.victims_examined);
+    assert!(snap.to_text().contains(&exported));
+    assert!(snap
+        .to_json()
+        .contains(&exported.replace("victims_examined=", "\"victims_examined\":")));
     // Flight recorder saw every firing, kept only the last window.
     assert_eq!(snap.flight_total, total);
     assert_eq!(snap.flight_records.len(), 256);
