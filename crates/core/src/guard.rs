@@ -328,14 +328,10 @@ impl GuardIndex {
         }
     }
 
-    /// Words a candidate bitset for this index needs.
-    pub fn words(&self) -> usize {
-        self.residual.len()
-    }
-
-    /// Probe the index for one event. On success `bits` holds the candidate
-    /// set (residual rules plus every rule whose guard admits the payload)
-    /// and pruned rules are provably non-firing. Returns `false` when the
+    /// Probe the index for one event into `bits`, one bit per rule of the
+    /// event class. On success `bits` holds the candidate set (residual rules
+    /// plus every rule whose guard admits the payload) and pruned rules are
+    /// provably non-firing. Returns `false` when the
     /// payload doesn't satisfy [`GuardIndex::required`] — the caller must
     /// then treat every rule as a candidate (`bits` is left unspecified).
     /// Allocation-free.
@@ -432,7 +428,7 @@ mod tests {
     }
 
     fn probe_one(idx: &GuardIndex, objects: &[Object]) -> Vec<usize> {
-        let mut bits = vec![0u64; idx.words()];
+        let mut bits = vec![0u64; idx.residual.len()];
         assert!(idx.probe(objects, &mut bits));
         (0..(idx.indexed_rules + idx.residual_rules) as usize)
             .filter(|&i| bits[i >> 6] & (1 << (i & 63)) != 0)
@@ -467,7 +463,7 @@ mod tests {
     #[test]
     fn probe_without_required_class_is_unusable() {
         let idx = index_of(&["Query.User = 'alice'"]);
-        let mut bits = vec![0u64; idx.words()];
+        let mut bits = vec![0u64; idx.residual.len()];
         assert!(!idx.probe(&[], &mut bits), "missing payload class");
     }
 

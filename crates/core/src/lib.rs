@@ -86,5 +86,6 @@ pub use telemetry::{
 };
 pub use timer::TimerRegistry;
 pub use trace::{
-    chrome_trace_json, SpanKind, TraceSampling, TraceSnapshot, TraceSpan, TracingTelemetry,
+    chrome_trace_json, PrunedRules, SpanKind, TraceSampling, TraceSnapshot, TraceSpan,
+    TracingTelemetry,
 };

@@ -58,7 +58,9 @@ use crate::telemetry::{
     SELF_MONITOR_TIMER,
 };
 use crate::timer::TimerRegistry;
-use crate::trace::{explain_condition, TraceCtx, TraceSampling, TraceSnapshot, Tracer, NONE_SPAN};
+use crate::trace::{
+    explain_condition, PrunedRules, TraceCtx, TraceSampling, TraceSnapshot, Tracer, NONE_SPAN,
+};
 
 /// Upper bound on retained analyzer warnings; the oldest are dropped first.
 const MAX_ANALYSIS_WARNINGS: usize = 1024;
@@ -146,9 +148,10 @@ thread_local! {
         RefCell::new(EventScratch {
             objects: Vec::new(),
             values: Vec::new(),
-            bitmaps: RuleBitmaps {
-                enabled: Vec::new(),
-                candidates: Vec::new(),
+            work: EventWork {
+                run: Vec::new(),
+                slots: Vec::new(),
+                cse: Vec::new(),
             },
         })
     };
@@ -172,24 +175,28 @@ struct Queued {
 }
 
 /// Thread-local pools recycling the payload `Vec<Object>`, each object's
-/// value buffer, and the per-event rule bitmaps across events: steady-state
-/// dispatch allocates nothing at any rule count. Bounds keep a pathological
-/// thread from hoarding payload buffers; the bitmaps grow to the largest
-/// event class the thread has dispatched.
+/// value buffer, and the per-event working state across events: steady-state
+/// dispatch allocates nothing at any rule, hoist-slot or CSE-slot count.
+/// Bounds keep a pathological thread from hoarding payload buffers; the
+/// working state grows to the largest event class the thread has dispatched.
 struct EventScratch {
     objects: Vec<Vec<Object>>,
     values: Vec<Vec<Value>>,
-    bitmaps: RuleBitmaps,
+    work: EventWork,
 }
 
-/// Per-rule bitmaps of one event class, overwritten by every
+/// Working state of one event, overwritten (cleared, never shrunk) by every
 /// [`SqlcmInner::handle_one`].
 #[derive(Default)]
-struct RuleBitmaps {
-    /// Enabled-rule snapshot, fixed before any rule of the event runs.
-    enabled: Vec<bool>,
-    /// Guard-index candidate bitset, one bit per rule.
-    candidates: Vec<u64>,
+struct EventWork {
+    /// The rules to run, one bit per rule of the event plan: the guard
+    /// index's candidates (or every rule), less those disabled or shed when
+    /// the event arrived.
+    run: Vec<u64>,
+    /// Hoisted LAT-row snapshots, one per `EventPlan::hoisted` entry.
+    slots: Vec<HoistState>,
+    /// Shared-subexpression values, one per `EventPlan::cse` entry.
+    cse: Vec<Option<Value>>,
 }
 
 const OBJECT_POOL_BOUND: usize = 4;
@@ -232,6 +239,17 @@ impl Instrumentation for SqlcmMonitor {
     fn wants(&self, kind: sqlcm_common::ProbeKind) -> bool {
         self.inner.plan.load().probe_mask.contains(kind)
     }
+}
+
+/// Positions of the set bits of `word`, ascending.
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            b
+        })
+    })
 }
 
 /// The rule-event kind of an engine event, without building payloads.
@@ -441,19 +459,21 @@ impl SqlcmInner {
         trace: &mut Option<TraceCtx>,
     ) {
         PROCESSING.with(|p| p.set(true));
-        let mut bitmaps = SCRATCH.with(|s| std::mem::take(&mut s.borrow_mut().bitmaps));
-        self.handle_one(plan, kind, objects, trace, NONE_SPAN, 0, &mut bitmaps);
+        let mut work = SCRATCH.with(|s| std::mem::take(&mut s.borrow_mut().work));
+        self.handle_one(plan, kind, objects, trace, NONE_SPAN, 0, &mut work);
         while let Some(q) = PENDING.with(|q| q.borrow_mut().pop_front()) {
             let (cause, depth) = (q.cause, q.depth);
-            self.handle_one(plan, &q.kind, &q.objects, trace, cause, depth, &mut bitmaps);
+            self.handle_one(plan, &q.kind, &q.objects, trace, cause, depth, &mut work);
         }
-        SCRATCH.with(|s| s.borrow_mut().bitmaps = bitmaps);
+        SCRATCH.with(|s| s.borrow_mut().work = work);
         PROCESSING.with(|p| p.set(false));
     }
 
-    /// Evaluate every rule subscribed to this event, in registration order.
-    /// `cause`/`depth` are the trace-provenance link of a drained deferred
-    /// event ([`NONE_SPAN`]/0 for the root).
+    /// Evaluate this event's rules in registration order: the guard index's
+    /// candidates when the probe is usable, every rule otherwise — one walk
+    /// over the set bits either way, so the event costs what it *does*, not
+    /// what is registered. `cause`/`depth` are the trace-provenance link of a
+    /// drained deferred event ([`NONE_SPAN`]/0 for the root).
     #[allow(clippy::too_many_arguments)]
     fn handle_one(
         &self,
@@ -463,12 +483,8 @@ impl SqlcmInner {
         trace: &mut Option<TraceCtx>,
         cause: u32,
         depth: u32,
-        bitmaps: &mut RuleBitmaps,
+        work: &mut EventWork,
     ) {
-        let RuleBitmaps {
-            enabled,
-            candidates: cand,
-        } = bitmaps;
         let Some(ep) = plan.event_plan(kind) else {
             return;
         };
@@ -476,132 +492,108 @@ impl SqlcmInner {
             Some(ctx) => ctx.open_event(ep.label.clone(), cause, depth),
             None => NONE_SPAN,
         };
-        // Enabled-ness snapshot: fixed before any rule runs, so an action
-        // disabling a later rule mid-event does not affect the current event
-        // (see `Rule::set_enabled` for the pinned semantics).
-        // Ladder stage ≥ 2: low-priority rules are sampled 1-in-2^k — the
-        // skip shows up in `shed_evaluations`, never as a silent gap.
+        let EventWork { run, slots, cse } = work;
+        // Shared hoist-slot store for this event: each slot is fetched at
+        // most once and reused by every rule referencing that LAT.
+        slots.clear();
+        slots.resize_with(ep.hoisted.len(), HoistState::default);
+        // Shared-subexpression value store: the first rule to evaluate a
+        // shared condition subtree publishes its value here, later sharers
+        // load it (see `plan::CseSlot` and `vm::Inst::CseLoad`).
+        cse.clear();
+        cse.resize(ep.cse.len(), None);
+        // Guard-index probe: one pass over the per-event index yields the
+        // candidate bitset (in registration order — the bitset only *skips*
+        // rules, it never reorders them). A pruned rule's condition is
+        // provably false-or-null and infallible, so it counts an evaluation
+        // without being touched: the class clock ticks once for all of them
+        // (`rules::EventClock`). An event without a usable probe runs the
+        // same walk over an all-ones set.
+        let n = ep.rules.len();
+        run.clear();
+        run.resize(n.div_ceil(64), 0);
+        // How many rules a probed event evaluates, by running or by pruning.
+        let creditable = match (&ep.guards, &ep.clock) {
+            (Some(gi), Some(clock)) if gi.probe(objects, run) => Some(clock.tick()),
+            _ => None,
+        };
+        let probed = creditable.is_some();
+        if !probed {
+            run.fill(u64::MAX);
+            if let (Some(last), tail @ 1..) = (run.last_mut(), n % 64) {
+                *last = (1u64 << tail) - 1;
+            }
+        }
+        let admitted_set = match trace {
+            Some(_) if probed => run.clone(),
+            _ => Vec::new(),
+        };
+        // Pin applicability before any rule runs (see `Rule::set_enabled`):
+        // enabled-ness is read here, for the rules about to run only. Ladder
+        // stage ≥ 2 samples low-priority candidates 1-in-2^k — the skip shows
+        // up in `shed_evaluations`, never as a silent gap; a pruned rule
+        // costs nothing, so there is nothing to shed.
         let shedding = self.containment.stage() >= 2;
         let sample_mask = if shedding {
             self.containment.sample_mask()
         } else {
             0
         };
-        enabled.clear();
-        enabled.extend(ep.rules.iter().map(|pr| {
-            let on = pr.reg.rule.is_enabled();
-            if on
-                && shedding
-                && pr.low_priority
-                && self.containment.shed_seq.fetch_add(1, Ordering::Relaxed) & sample_mask != 0
-            {
-                self.containment.shed_evaluations.incr();
-                return false;
-            }
-            on
-        }));
-        // Shared hoist-slot store for this event: each slot is fetched at
-        // most once and reused by every rule referencing that LAT.
-        const INLINE_SLOTS: usize = 8;
-        let m = ep.hoisted.len();
-        let mut slots_inline: [HoistState; INLINE_SLOTS] = Default::default();
-        let mut slots_heap;
-        let slots: &mut [HoistState] = if m <= INLINE_SLOTS {
-            &mut slots_inline[..m]
-        } else {
-            slots_heap = std::iter::repeat_with(HoistState::default)
-                .take(m)
-                .collect::<Vec<_>>();
-            &mut slots_heap
-        };
-        // Shared-subexpression value store: the first rule to evaluate a
-        // shared condition subtree publishes its value here, later sharers
-        // load it (see `plan::CseSlot` and `vm::Inst::CseLoad`).
-        const INLINE_CSE: usize = 8;
-        let k = ep.cse.len();
-        let mut cse_inline: [Option<Value>; INLINE_CSE] = Default::default();
-        let mut cse_heap;
-        let cse: &mut [Option<Value>] = if k <= INLINE_CSE {
-            &mut cse_inline[..k]
-        } else {
-            cse_heap = vec![None; k];
-            &mut cse_heap
-        };
-        // Guard-index probe: one pass over the per-event index yields the
-        // candidate bitset (in registration order — the bitset only *skips*
-        // rules, it never reorders them). A pruned rule's condition is
-        // provably false-or-null and infallible, so skipping the VM is
-        // invisible everywhere except the `matching` telemetry slice.
-        let probed = ep.guards.as_ref().is_some_and(|gi| {
-            cand.clear();
-            cand.resize(gi.words(), 0);
-            gi.probe(objects, cand)
-        });
-        let mut pruned = 0u64;
-        let mut kept = 0u64;
-        for (i, pr) in ep.rules.iter().enumerate() {
-            if !enabled[i] {
-                continue;
-            }
-            if probed && cand[i >> 6] & (1 << (i & 63)) == 0 {
-                pruned += 1;
-                self.pruned_rule(pr, objects, trace, event_span);
-            } else {
-                kept += u64::from(probed);
-                self.evaluate_rule(ep, pr, objects, slots, cse, trace, event_span, depth);
+        let (mut admitted, mut kept) = (0u64, 0u64);
+        for (w, word) in run.iter_mut().enumerate() {
+            for b in set_bits(*word) {
+                let pr = &ep.rules[w * 64 + b];
+                if !pr.reg.rule.is_enabled() {
+                    *word &= !(1 << b);
+                    continue;
+                }
+                if probed {
+                    admitted += 1;
+                    pr.reg.rule.candidate_events.fetch_add(1, Ordering::Relaxed);
+                }
+                if shedding
+                    && pr.low_priority
+                    && self.containment.shed_seq.fetch_add(1, Ordering::Relaxed) & sample_mask != 0
+                {
+                    self.containment.shed_evaluations.incr();
+                    *word &= !(1 << b);
+                    continue;
+                }
+                kept += 1;
             }
         }
-        if probed {
+        if let Some(creditable) = creditable {
+            // A rule toggled or re-planned by another thread between the
+            // tick and the pin can leave `admitted` above the snapshot.
+            let pruned = creditable.saturating_sub(admitted);
             self.telemetry.guard_probes.incr();
             if pruned > 0 {
+                self.evaluations.fetch_add(pruned, Ordering::Relaxed);
                 self.telemetry.rules_pruned.add(pruned);
             }
             if kept > 0 {
                 self.telemetry.candidate_rules.add(kept);
             }
+            if let Some(ctx) = trace.as_mut() {
+                ctx.pruned_rules(PrunedRules {
+                    event_span,
+                    pruned,
+                    candidates: kept,
+                    plan: ep.clone(),
+                    admitted: admitted_set,
+                    objects: objects.to_vec(),
+                });
+            }
+        }
+        for (w, &word) in run.iter().enumerate() {
+            for b in set_bits(word) {
+                let pr = &ep.rules[w * 64 + b];
+                self.evaluate_rule(ep, pr, objects, slots, cse, trace, event_span, depth);
+            }
         }
         if let Some(ctx) = trace.as_mut() {
             ctx.close(event_span);
         }
-    }
-
-    /// Bookkeeping for a guard-pruned rule: the outcome is exactly what the
-    /// VM would have produced — a counted, non-firing, error-free
-    /// evaluation — without running it. The breaker sees the same admission
-    /// and success the evaluated path would report, and a sampled trace
-    /// explains which guard was violated.
-    fn pruned_rule(
-        &self,
-        pr: &PlanRule,
-        objects: &[Object],
-        trace: &mut Option<TraceCtx>,
-        event_span: u32,
-    ) {
-        let reg = &*pr.reg;
-        let mut trial = false;
-        if self.containment.breakers_enabled() {
-            match reg.breaker.gate() {
-                BreakerGate::Proceed => {}
-                BreakerGate::Trial => trial = true,
-                BreakerGate::Skip => {
-                    self.containment.breaker_skips.incr();
-                    return;
-                }
-            }
-        }
-        reg.rule.evaluations.fetch_add(1, Ordering::Relaxed);
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
-        if let Some(ctx) = trace.as_mut() {
-            let rule_span = ctx.open_rule(event_span, &reg.rule.name);
-            let why = reg
-                .guard
-                .as_ref()
-                .map(|g| g.explain(objects))
-                .unwrap_or_default();
-            ctx.rule_outcome(rule_span, false, why);
-            ctx.close(rule_span);
-        }
-        self.record_breaker_outcome(reg, trial, false, None);
     }
 
     /// Does any registered rule subscribe to this event? One atomic plan
@@ -1255,6 +1247,7 @@ impl SqlcmInner {
         let mut reopened = 0;
         for reg in &plan.quarantined {
             if reg.breaker.maybe_half_open(now) {
+                reg.rule.set_in_plan(true);
                 self.containment.breaker_reopens.incr();
                 self.note_breaker("Breaker.Reopen", &reg.rule.name, 0);
                 reopened += 1;
@@ -1316,7 +1309,7 @@ impl SqlcmInner {
                             reg.rule.name
                         ),
                     );
-                    self.rebuild_plan();
+                    self.quarantine(reg);
                 }
             } else {
                 reg.breaker.trial_succeeded();
@@ -1341,8 +1334,14 @@ impl SqlcmInner {
                     reg.rule.name
                 ),
             );
-            self.rebuild_plan();
+            self.quarantine(reg);
         }
+    }
+
+    /// Republish the plan without a rule whose breaker just opened.
+    fn quarantine(&self, reg: &Registered) {
+        reg.rule.set_in_plan(false);
+        self.rebuild_plan();
     }
 
     /// Flight-record a breaker transition (trip/reopen/close) so the recorder
@@ -1574,6 +1573,7 @@ impl SqlcmInner {
                         name: reg.rule.name.clone(),
                         event: reg.rule.event.to_string(),
                         evaluations: stats.evaluations,
+                        pruned: stats.pruned,
                         fires: stats.fires,
                         actions: stats.actions,
                         action_errors: stats.action_errors,
@@ -1892,7 +1892,7 @@ impl Sqlcm {
     /// coded diagnostic; warnings (W101/W102/W201) are collected and
     /// readable via [`Sqlcm::analysis_warnings`]. What the analyzer admits
     /// is then compiled against the live LATs.
-    pub fn add_rule(&self, rule: Rule) -> Result<Arc<Rule>> {
+    pub fn add_rule(&self, mut rule: Rule) -> Result<Arc<Rule>> {
         if self
             .inner
             .rules_read()
@@ -1987,6 +1987,13 @@ impl Sqlcm {
         if rules.iter().any(|r| r.rule.name == rule.name) {
             return Err(Error::Monitor(format!("rule {} already exists", rule.name)));
         }
+        // One clock per event class: share the one its rules already tick.
+        let clock = rules
+            .iter()
+            .find(|r| r.rule.event == rule.event)
+            .and_then(|r| r.rule.clock().cloned())
+            .unwrap_or_default();
+        rule.attach_clock(clock);
         let rule = Arc::new(rule);
         rules.push(Arc::new(Registered {
             rule: rule.clone(),
@@ -2002,6 +2009,7 @@ impl Sqlcm {
             breaker: RuleBreaker::new(self.inner.containment.default_breaker_config()),
         }));
         drop(rules);
+        rule.set_in_plan(true);
         // Publish a plan containing the new rule, then fold its subscription
         // into the engine's probe-interest mask (`wants` reads the plan, so
         // the rebuild must come first or its events never reach us).
@@ -2014,17 +2022,18 @@ impl Sqlcm {
     pub fn remove_rule(&self, name: &str) -> bool {
         let removed = {
             let mut rules = self.inner.rules_write();
-            let before = rules.len();
-            rules.retain(|r| r.rule.name != name);
-            rules.len() != before
+            let at = rules.iter().position(|r| r.rule.name == name);
+            at.map(|i| rules.remove(i))
         };
-        if removed {
-            // Publish the shrunken plan, then shrink the engine's
-            // probe-interest mask (`wants` reads the plan).
-            self.inner.rebuild_plan();
-            self.inner.engine.monitors.refresh_interest();
-        }
-        removed
+        let Some(reg) = removed else {
+            return false;
+        };
+        reg.rule.set_in_plan(false);
+        // Publish the shrunken plan, then shrink the engine's
+        // probe-interest mask (`wants` reads the plan).
+        self.inner.rebuild_plan();
+        self.inner.engine.monitors.refresh_interest();
+        true
     }
 
     /// Enable or disable a rule by name and republish the dispatch plan
@@ -2118,6 +2127,8 @@ impl Sqlcm {
         if !on {
             for reg in self.inner.rules.read().iter() {
                 reg.breaker.force_close();
+                // Back from quarantine, if it was there.
+                reg.rule.set_in_plan(true);
             }
             self.inner.rebuild_plan();
         }
@@ -3102,6 +3113,85 @@ mod tests {
         );
         // The tick itself was counted as a monitor evaluation.
         assert!(sqlcm.rule("watch_self").unwrap().stats().fires >= 2);
+    }
+
+    /// No engine event assembles a payload the guard index cannot probe, so
+    /// the unusable-probe path is driven with a synthetic one: a `Query.Commit`
+    /// carrying no `Query` object, between two ordinary commits. Counts are
+    /// what a linear scan gives — a rule whose condition names a class the
+    /// payload lacks evaluates no combination — and in particular the
+    /// unprobed event does not tick the clock the two probed ones do.
+    #[test]
+    fn an_unprobed_event_between_probed_ones_credits_no_pruned_evaluation() {
+        let (_engine, sqlcm) = setup();
+        for user in ["a", "b"] {
+            sqlcm
+                .add_rule(
+                    Rule::new(user)
+                        .on(RuleEvent::QueryCommit)
+                        .when(&format!("Query.User = '{user}'")),
+                )
+                .unwrap();
+        }
+        sqlcm
+            .add_rule(Rule::new("always").on(RuleEvent::QueryCommit))
+            .unwrap();
+        let mut q = sqlcm_common::QueryInfo::synthetic(1, "q");
+        q.user = "a".into();
+        let commit = vec![objects::query_object(&q)];
+        sqlcm.inner.dispatch(RuleEvent::QueryCommit, commit.clone());
+        let timer = objects::timer_object("t", 0, 0);
+        sqlcm.inner.dispatch(RuleEvent::QueryCommit, vec![timer]);
+        sqlcm.inner.dispatch(RuleEvent::QueryCommit, commit);
+
+        let evaluations = |rule: &str| {
+            let s = sqlcm.rule(rule).unwrap().stats();
+            (s.evaluations, s.pruned)
+        };
+        assert_eq!(evaluations("a"), (2, 0), "a candidate on both commits");
+        assert_eq!(evaluations("b"), (2, 2), "pruned on both commits");
+        assert_eq!(evaluations("always"), (3, 0), "needs no class: ran thrice");
+        assert_eq!(sqlcm.stats().evaluations, 7);
+        let m = sqlcm.telemetry().matching;
+        assert_eq!(
+            (m.guard_probes, m.rules_pruned, m.candidate_rules),
+            (2, 2, 4)
+        );
+    }
+
+    /// A removed rule's handle stops counting at the removal, whatever the
+    /// events after it would have done to the rule.
+    #[test]
+    fn a_removed_rule_keeps_its_counts_and_stops_counting() {
+        let (_engine, sqlcm) = setup();
+        for user in ["a", "b", "c"] {
+            sqlcm
+                .add_rule(
+                    Rule::new(user)
+                        .on(RuleEvent::QueryCommit)
+                        .when(&format!("Query.User = '{user}'")),
+                )
+                .unwrap();
+        }
+        let commit_by = |user: &str| {
+            let mut q = sqlcm_common::QueryInfo::synthetic(1, "q");
+            q.user = user.into();
+            EngineEvent::QueryCommit(q)
+        };
+        let b = sqlcm.rule("b").unwrap();
+        for user in ["a", "b", "c", "a"] {
+            sqlcm.inject_event(&commit_by(user));
+        }
+        assert!(sqlcm.remove_rule("b"));
+        for user in ["a", "b", "c"] {
+            sqlcm.inject_event(&commit_by(user));
+        }
+        let s = b.stats();
+        assert_eq!((s.evaluations, s.pruned, s.fires), (4, 3, 1));
+        // Conservation across the removal: the global counter is the sum of
+        // every rule's count, the removed one's included.
+        let live: u64 = sqlcm.telemetry().rules.iter().map(|r| r.evaluations).sum();
+        assert_eq!(sqlcm.stats().evaluations, live + s.evaluations);
     }
 
     #[test]

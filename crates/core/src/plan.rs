@@ -44,7 +44,7 @@ use crate::guard::{GuardIndex, RuleGuard};
 use crate::ir::{CondIr, ROp};
 use crate::lat::Lat;
 use crate::objects::ClassName;
-use crate::rules::{Rule, RuleEvent};
+use crate::rules::{EventClock, Rule, RuleEvent};
 use crate::vm::Program;
 
 /// Sentinel in [`PlanRule::lat_slots`]: this LAT reference is not hoistable
@@ -183,6 +183,9 @@ pub(crate) struct EventPlan {
     /// Display name in probe convention (`"Query.Commit"`), cached at build
     /// so the tracer never formats an event name on the dispatch path.
     pub label: String,
+    /// The class's clock, shared by every rule on this event; ticked once per
+    /// probed event. `None` only for rules built outside `Sqlcm::add_rule`.
+    pub clock: Option<Arc<EventClock>>,
 }
 
 /// One event-level shared-subexpression slot: the first sharer to evaluate
@@ -324,10 +327,12 @@ pub(crate) struct DispatchPlan {
     /// per-event enabled snapshot.
     pub probe_mask: ProbeMask,
     /// Plans for the statically-indexed events (probe kinds + MonitorTick).
-    statics: [EventPlan; STATIC_EVENTS],
+    /// Each behind its own `Arc`, so a sampled trace can keep the plan of the
+    /// event it recorded and explain its pruned rules when read.
+    statics: [Arc<EventPlan>; STATIC_EVENTS],
     /// Plans for name-carrying events (`Timer.Alarm`, LAT evictions).
     /// Immutable after build, so lookups are lock-free.
-    dynamics: HashMap<RuleEvent, EventPlan>,
+    dynamics: HashMap<RuleEvent, Arc<EventPlan>>,
     /// Every registered rule in registration order (telemetry iteration).
     pub rules: Vec<Arc<Registered>>,
     /// Rules excluded from the event plans because their breaker was `Open`
@@ -376,6 +381,7 @@ impl DispatchPlan {
             };
             if ep.label.is_empty() {
                 ep.label = event.to_string();
+                ep.clock = reg.rule.clock().cloned();
             }
             let payload = event.payload_classes();
             let plan_rule = Self::plan_rule(reg, lats, &payload, &mut ep.hoisted);
@@ -411,8 +417,11 @@ impl DispatchPlan {
         DispatchPlan {
             epoch,
             probe_mask,
-            statics,
-            dynamics,
+            statics: statics.map(Arc::new),
+            dynamics: dynamics
+                .into_iter()
+                .map(|(event, ep)| (event, Arc::new(ep)))
+                .collect(),
             rules: rules.to_vec(),
             quarantined,
             guard_indexed_rules,
@@ -716,7 +725,7 @@ impl DispatchPlan {
     }
 
     /// The event plan for `kind`, if any rule subscribes.
-    pub fn event_plan(&self, kind: &RuleEvent) -> Option<&EventPlan> {
+    pub fn event_plan(&self, kind: &RuleEvent) -> Option<&Arc<EventPlan>> {
         let ep = match static_index(kind) {
             Some(i) => &self.statics[i],
             None => self.dynamics.get(kind)?,
@@ -752,7 +761,7 @@ impl DispatchPlan {
                 per_event(pr.reg.rule.event.to_string(), ep);
             }
         }
-        let mut dynamic: Vec<(&RuleEvent, &EventPlan)> = self.dynamics.iter().collect();
+        let mut dynamic: Vec<(&RuleEvent, &Arc<EventPlan>)> = self.dynamics.iter().collect();
         dynamic.sort_by_key(|(k, _)| k.to_string());
         for (kind, ep) in dynamic {
             per_event(kind.to_string(), ep);

@@ -14,9 +14,12 @@
 //!   ∃-quantified; if a matching row doesn't exist, the condition … is false".
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
+use parking_lot::Mutex;
 use sqlcm_common::{Error, Result, Value};
 use sqlcm_sql::{parse_expression, Expr};
+use sqlcm_telemetry::ShardedCounter;
 
 use crate::actions::Action;
 use crate::lat::Lat;
@@ -106,7 +109,12 @@ pub enum RulePriority {
 /// Rule-level counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RuleStats {
+    /// Condition evaluations, the `pruned` ones included: what a linear scan
+    /// over every rule would have counted.
     pub evaluations: u64,
+    /// Of `evaluations`, those the guard index decided without running the
+    /// condition (see [`EventClock`]).
+    pub pruned: u64,
     pub fires: u64,
     /// Actions executed (attempted) on behalf of this rule.
     pub actions: u64,
@@ -125,10 +133,82 @@ pub struct Rule {
     /// (not fully evaluated) when the monitor sheds load at stage ≥ 2.
     pub priority: RulePriority,
     enabled: AtomicBool,
+    /// Evaluations that ran (the condition VM, or the reference's oracle).
     pub(crate) evaluations: AtomicU64,
     pub(crate) fires: AtomicU64,
     pub(crate) executed_actions: AtomicU64,
     pub(crate) action_errors: AtomicU64,
+    /// Probed events on which this rule was an enabled candidate.
+    pub(crate) candidate_events: AtomicU64,
+    /// Pruned-evaluation bookkeeping, installed when a `Sqlcm` registers the
+    /// rule. `None` on an unregistered rule and in the reference monitor,
+    /// whose linear scan counts every evaluation as it happens.
+    credit: Option<Credit>,
+}
+
+/// The clock of one event class within one monitor: how many of its events
+/// had a usable guard-index probe. Such an event evaluates every enabled rule
+/// of the class exactly once — the candidates by running them, all others by
+/// this tick alone — so dispatch never touches a pruned rule, and
+/// [`Rule::stats`] recovers the rule's pruned evaluations as *ticks while it
+/// was creditable − events on which it was a candidate*. Unprobed events
+/// (no index, unusable payload) run every rule and do not tick.
+#[derive(Debug, Default)]
+pub(crate) struct EventClock {
+    /// Sharded: concurrent dispatchers of one class never share a line.
+    probed: ShardedCounter,
+    /// Rules of the class whose credit interval is open (enabled and in the
+    /// published plan); changes at registration rate.
+    creditable: AtomicU64,
+}
+
+impl EventClock {
+    /// Count one probed event, before any of its rules runs; returns how many
+    /// rules the event evaluates (by running or by pruning).
+    pub(crate) fn tick(&self) -> u64 {
+        self.probed.incr();
+        self.creditable.load(Ordering::Relaxed)
+    }
+}
+
+/// A rule's credit intervals on its class's [`EventClock`]: open exactly while
+/// the rule is enabled and in the published plan. Touched where either
+/// changes, and by readers — never by dispatch.
+#[derive(Debug)]
+struct Credit {
+    clock: Arc<EventClock>,
+    span: Mutex<CreditSpan>,
+}
+
+#[derive(Debug, Default)]
+struct CreditSpan {
+    /// Ticks of the closed intervals.
+    closed: u64,
+    /// Clock reading when the open interval began.
+    opened_at: Option<u64>,
+    /// Registered and not quarantined.
+    in_plan: bool,
+}
+
+impl Credit {
+    /// Open or close the interval to match `enabled && in_plan`. The clock
+    /// ticks before an event's rules run, so a rule switched off mid-event
+    /// keeps that event's tick and one switched on mid-event does not get it
+    /// — the per-event pinning of [`Rule::set_enabled`].
+    fn settle(&self, span: &mut CreditSpan, enabled: bool) {
+        match (span.opened_at, enabled && span.in_plan) {
+            (None, true) => {
+                span.opened_at = Some(self.clock.probed.get());
+                self.clock.creditable.fetch_add(1, Ordering::Relaxed);
+            }
+            (Some(at), false) => {
+                span.closed += self.clock.probed.get().saturating_sub(at);
+                span.opened_at = None;
+                self.clock.creditable.fetch_sub(1, Ordering::Relaxed);
+            }
+            _ => {}
+        }
+    }
 }
 
 impl Rule {
@@ -146,6 +226,8 @@ impl Rule {
             fires: AtomicU64::new(0),
             executed_actions: AtomicU64::new(0),
             action_errors: AtomicU64::new(0),
+            candidate_events: AtomicU64::new(0),
+            credit: None,
         }
     }
 
@@ -208,12 +290,54 @@ impl Rule {
     /// republishes the plan (bumping its epoch) so the change is visible in
     /// telemetry.
     pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
+        match &self.credit {
+            None => self.enabled.store(on, Ordering::Relaxed),
+            Some(credit) => {
+                let mut span = credit.span.lock();
+                self.enabled.store(on, Ordering::Relaxed);
+                credit.settle(&mut span, on);
+            }
+        }
     }
 
+    /// Count this rule's pruned evaluations on `clock` from now on
+    /// (registration; the rule is not in a plan yet).
+    pub(crate) fn attach_clock(&mut self, clock: Arc<EventClock>) {
+        self.credit = Some(Credit {
+            clock,
+            span: Mutex::new(CreditSpan::default()),
+        });
+    }
+
+    /// The clock [`Rule::attach_clock`] installed.
+    pub(crate) fn clock(&self) -> Option<&Arc<EventClock>> {
+        self.credit.as_ref().map(|c| &c.clock)
+    }
+
+    /// The rule enters (`true`) or leaves (`false`) the published plan:
+    /// registration and removal, breaker quarantine and re-admission.
+    pub(crate) fn set_in_plan(&self, on: bool) {
+        if let Some(credit) = &self.credit {
+            let mut span = credit.span.lock();
+            span.in_plan = on;
+            credit.settle(&mut span, self.is_enabled());
+        }
+    }
+
+    /// Exact on a quiescent read; under concurrent dispatch no stricter than
+    /// the relaxed counters it is derived from.
     pub fn stats(&self) -> RuleStats {
+        let evaluated = self.evaluations.load(Ordering::Relaxed);
+        let pruned = self.credit.as_ref().map_or(0, |credit| {
+            let span = credit.span.lock();
+            let open = span
+                .opened_at
+                .map_or(0, |at| credit.clock.probed.get().saturating_sub(at));
+            (span.closed + open).saturating_sub(self.candidate_events.load(Ordering::Relaxed))
+        });
         RuleStats {
-            evaluations: self.evaluations.load(Ordering::Relaxed),
+            evaluations: evaluated + pruned,
+            pruned,
             fires: self.fires.load(Ordering::Relaxed),
             actions: self.executed_actions.load(Ordering::Relaxed),
             action_errors: self.action_errors.load(Ordering::Relaxed),

@@ -247,7 +247,12 @@ pub struct RuleTelemetry {
     pub name: String,
     /// Triggering event, in probe naming convention (`"Query.Commit"`).
     pub event: String,
+    /// Condition evaluations, `pruned` included.
     pub evaluations: u64,
+    /// Evaluations the guard index decided (false) without running the
+    /// condition. `pruned == evaluations` on a rule that never fires says the
+    /// index never admitted it — no event carried the value its guard wants.
+    pub pruned: u64,
     pub fires: u64,
     pub actions: u64,
     pub action_errors: u64,
@@ -481,10 +486,11 @@ impl TelemetrySnapshot {
         for r in &self.rules {
             let _ = writeln!(
                 out,
-                "  {:<22} on={:<18} evals={:<8} fires={:<8} actions={:<8} errors={:<4} cond p99={} action p99={}",
+                "  {:<22} on={:<18} evals={:<8} pruned={:<8} fires={:<8} actions={:<8} errors={:<4} cond p99={} action p99={}",
                 r.name,
                 r.event,
                 r.evaluations,
+                r.pruned,
                 r.fires,
                 r.actions,
                 r.action_errors,
@@ -645,10 +651,11 @@ impl TelemetrySnapshot {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"name\":{},\"event\":{},\"evaluations\":{},\"fires\":{},\"actions\":{},\"action_errors\":{},\"condition\":{},\"action\":{},\"last_error\":{}}}",
+                "{{\"name\":{},\"event\":{},\"evaluations\":{},\"pruned\":{},\"fires\":{},\"actions\":{},\"action_errors\":{},\"condition\":{},\"action\":{},\"last_error\":{}}}",
                 json_str(&r.name),
                 json_str(&r.event),
                 r.evaluations,
+                r.pruned,
                 r.fires,
                 r.actions,
                 r.action_errors,

@@ -45,12 +45,21 @@
 //! evicted traces' span buffers recycled through a [`BufferPool`] so steady
 //! state re-uses rather than reallocates. The `t7_trace_overhead` bench
 //! gates both modes.
+//!
+//! A sampled event costs what it *did*: rules the guard index pruned get no
+//! span. The event records its candidate set, payload and plan
+//! ([`PrunedRules`]) and the `pruned by guard index: …` outcome of each is
+//! worked out when the trace is read — by the text tree, the Chrome export,
+//! or [`TraceSnapshot::pruned_outcome`] for one rule by name.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::Arc;
 
 use sqlcm_common::ProbeKind;
 use sqlcm_telemetry::{BoundedRing, BufferPool, Stopwatch};
 
+use crate::objects::Object;
+use crate::plan::{EventPlan, PlanRule};
 use crate::rules::EvalContext;
 use crate::telemetry::json_str;
 
@@ -159,6 +168,84 @@ impl SpanKind {
     }
 }
 
+/// The rules one traced event's guard-index probe pruned, kept as what the
+/// probe produced rather than as one span per rule, so a sampled event over
+/// thousands of rules still costs its candidates. Rendered on demand.
+///
+/// Dispatch never visits a pruned rule, so it cannot tell whether one was
+/// disabled when the event arrived: [`PrunedRules::outcomes`] lists every
+/// rule of the event's plan the index did not admit, while `pruned` counts
+/// the enabled ones exactly.
+#[derive(Clone)]
+pub struct PrunedRules {
+    /// The [`SpanKind::Event`] span whose probe this was.
+    pub event_span: u32,
+    /// Enabled rules pruned, each counted as one (false) evaluation.
+    pub pruned: u64,
+    /// Enabled candidates that ran; each has a [`SpanKind::Rule`] span.
+    pub candidates: u64,
+    /// The event's plan: rule names and their guards.
+    pub(crate) plan: Arc<EventPlan>,
+    /// The probe's candidate set, one bit per rule of `plan`.
+    pub(crate) admitted: Vec<u64>,
+    /// The payload the probe read.
+    pub(crate) objects: Vec<Object>,
+}
+
+impl PrunedRules {
+    /// The plan's rules outside the candidate set, in registration order.
+    fn pruned_plan_rules(&self) -> impl Iterator<Item = &PlanRule> + '_ {
+        let admitted = |i: usize| self.admitted[i >> 6] & (1 << (i & 63)) != 0;
+        let rules = self.plan.rules.iter().enumerate();
+        rules.filter(move |(i, _)| !admitted(*i)).map(|(_, pr)| pr)
+    }
+
+    /// Which guard of `pr` the payload violated.
+    fn explain(&self, pr: &PlanRule) -> String {
+        let guard = pr.reg.guard.as_ref();
+        guard.map(|g| g.explain(&self.objects)).unwrap_or_default()
+    }
+
+    /// `(rule, why)` for every rule the index did not admit, in registration
+    /// order; `why` names the violated guard, e.g.
+    /// `pruned by guard index: Query.User=bob not in {alice}`.
+    pub fn outcomes(&self) -> impl Iterator<Item = (&str, String)> + '_ {
+        self.pruned_plan_rules()
+            .map(|pr| (pr.reg.rule.name.as_str(), self.explain(pr)))
+    }
+
+    /// Why the index did not admit `rule` on this event; `None` when it was
+    /// a candidate or is not a rule of the event.
+    pub fn outcome_of(&self, rule: &str) -> Option<String> {
+        let mut pruned = self.pruned_plan_rules();
+        let pr = pruned.find(|pr| pr.reg.rule.name == rule)?;
+        Some(self.explain(pr))
+    }
+}
+
+impl std::fmt::Debug for PrunedRules {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PrunedRules")
+            .field("event_span", &self.event_span)
+            .field("pruned", &self.pruned)
+            .field("candidates", &self.candidates)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Same probe of the same plan; the payload is taken as read (it decided
+/// `admitted`).
+impl PartialEq for PrunedRules {
+    fn eq(&self, other: &PrunedRules) -> bool {
+        (self.event_span, self.pruned, self.candidates)
+            == (other.event_span, other.pruned, other.candidates)
+            && self.admitted == other.admitted
+            && Arc::ptr_eq(&self.plan, &other.plan)
+    }
+}
+
+impl Eq for PrunedRules {}
+
 /// A completed trace: one sampled root event and everything its dispatch
 /// did, including all deferred cascade hops.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -174,7 +261,8 @@ pub struct TraceSnapshot {
     pub duration_nanos: u64,
     /// Deepest cascade hop observed (0 = no cascading).
     pub max_cascade_depth: u32,
-    /// Rule-condition evaluations recorded.
+    /// Rule-condition evaluations recorded, the guard index's pruned ones
+    /// included.
     pub evaluations: u32,
     /// Evaluations that fired.
     pub fires: u32,
@@ -182,6 +270,8 @@ pub struct TraceSnapshot {
     pub truncated: bool,
     /// All spans, in open order (span `id` == index).
     pub spans: Vec<TraceSpan>,
+    /// Per event whose guard-index probe was usable: what it pruned.
+    pub pruned: Vec<PrunedRules>,
 }
 
 impl TraceSnapshot {
@@ -221,8 +311,11 @@ impl TraceSnapshot {
         let pad = "  ".repeat(indent);
         let line = match &span.kind {
             SpanKind::Event { name, depth } => {
+                let probe = self.pruned_by(span.id).map_or(String::new(), |p| {
+                    format!(" candidates={} pruned={}", p.candidates, p.pruned)
+                });
                 format!(
-                    "event {name} depth={depth} [{}ns]",
+                    "event {name} depth={depth}{probe} [{}ns]",
                     span.end_nanos - span.start_nanos
                 )
             }
@@ -257,6 +350,27 @@ impl TraceSnapshot {
         {
             self.render_span(out, child, indent + 1);
         }
+        for (rule, why) in self.pruned_outcomes(span.id) {
+            let _ = writeln!(out, "{pad}  rule {rule} skipped: {why}");
+        }
+    }
+
+    /// `(rule, why)` for every rule the probe of event span `event_span`
+    /// pruned; empty for any other span.
+    fn pruned_outcomes(&self, event_span: u32) -> impl Iterator<Item = (&str, String)> + '_ {
+        let probe = self.pruned_by(event_span).into_iter();
+        probe.flat_map(PrunedRules::outcomes)
+    }
+
+    /// What the probe of event span `event_span` pruned, if it had one.
+    fn pruned_by(&self, event_span: u32) -> Option<&PrunedRules> {
+        self.pruned.iter().find(|p| p.event_span == event_span)
+    }
+
+    /// Why the guard index kept `rule` from running in this trace: the
+    /// `pruned by guard index: …` line of the first event that pruned it.
+    pub fn pruned_outcome(&self, rule: &str) -> Option<String> {
+        self.pruned.iter().find_map(|p| p.outcome_of(rule))
     }
 
     /// This trace's spans as Chrome trace-event objects, appended to `out`.
@@ -299,6 +413,15 @@ impl TraceSnapshot {
                     ts(span.start_nanos),
                     (span.end_nanos - span.start_nanos) as f64 / 1000.0,
                     self.trace_id,
+                ));
+            }
+            for (rule, why) in self.pruned_outcomes(span.id) {
+                out.push(format!(
+                    "{{\"name\":{},\"cat\":\"rule\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":1,\"tid\":{},\"args\":{{\"fired\":false,\"explain\":{}}}}}",
+                    json_str(rule),
+                    ts(span.start_nanos),
+                    self.trace_id,
+                    json_str(&why),
                 ));
             }
             // Cascade provenance as a flow arrow: cause span -> event span.
@@ -391,6 +514,7 @@ pub(crate) struct TraceCtx {
     started_micros: u64,
     sw: Stopwatch,
     spans: Vec<TraceSpan>,
+    pruned: Vec<PrunedRules>,
     max_depth: u32,
     evaluations: u32,
     fires: u32,
@@ -433,6 +557,13 @@ impl TraceCtx {
     pub fn open_event(&mut self, name: String, cause: u32, depth: u32) -> u32 {
         self.max_depth = self.max_depth.max(depth);
         self.open(None, Self::valid(cause), SpanKind::Event { name, depth })
+    }
+
+    /// Record what an event's guard-index probe pruned: counted as
+    /// evaluations now, explained when the trace is read.
+    pub fn pruned_rules(&mut self, pruned: PrunedRules) {
+        self.evaluations += pruned.pruned as u32;
+        self.pruned.push(pruned);
     }
 
     /// Open a rule-evaluation span under an event span.
@@ -652,6 +783,7 @@ impl Tracer {
             started_micros: now_micros,
             sw: Stopwatch::start(),
             spans: self.pool.take(),
+            pruned: Vec::new(),
             max_depth: 0,
             evaluations: 0,
             fires: 0,
@@ -686,6 +818,7 @@ impl Tracer {
             fires: ctx.fires,
             truncated: ctx.truncated,
             spans: ctx.spans,
+            pruned: ctx.pruned,
         };
         if let Some(evicted) = self.ring.push(snapshot) {
             self.pool.put(evicted.spans);

@@ -192,3 +192,78 @@ fn cooldown_gates_probation_and_restarts_on_trial_failure() {
     sqlcm.inject_event(&ev);
     assert_eq!(sqlcm.rule("hook").unwrap().stats().evaluations, evals + 1);
 }
+
+/// A half-open breaker's trial is the next evaluation that *runs*. Events the
+/// guard index prunes for the rule are not evaluations of its action, so
+/// they must neither take the trial slot nor report a success: ten foreign
+/// events leave the breaker half-open, and the first matching event is the
+/// trial — which, the sink being still dead, re-opens it.
+#[test]
+fn pruned_evaluations_do_not_consume_the_half_open_trial() {
+    let (_engine, sqlcm, handle) = manual_setup();
+    const COOLDOWN: u64 = 1_000_000;
+    sqlcm.set_breaker_config(BreakerConfig {
+        error_threshold: 2,
+        min_outcomes: 4,
+        cooldown_micros: COOLDOWN,
+        ..Default::default()
+    });
+    sqlcm.inject_faults(Some(FaultPlan::seeded(4).command(FaultRate::Always)));
+    sqlcm
+        .add_rule(
+            Rule::new("hook")
+                .on(RuleEvent::QueryCommit)
+                .when("Query.User = 'x'")
+                .then(Action::run_external("doomed")),
+        )
+        .unwrap();
+    // A second indexed rule: a one-rule event class gets no guard index.
+    sqlcm
+        .add_rule(
+            Rule::new("other")
+                .on(RuleEvent::QueryCommit)
+                .when("Query.User = 'y'"),
+        )
+        .unwrap();
+    let commit_by = |user: &str| {
+        let mut q = QueryInfo::synthetic(1, "q");
+        q.user = user.into();
+        EngineEvent::QueryCommit(q)
+    };
+    let hook = sqlcm.rule("hook").unwrap();
+
+    for _ in 0..4 {
+        sqlcm.inject_event(&commit_by("x"));
+    }
+    assert_eq!(sqlcm.breaker_state("hook"), Some(BreakerState::Open));
+    assert_eq!(hook.stats().evaluations, 4);
+    handle.advance(COOLDOWN);
+    assert_eq!(sqlcm.poll_breakers(), 1);
+    assert_eq!(sqlcm.breaker_state("hook"), Some(BreakerState::HalfOpen));
+
+    for _ in 0..10 {
+        sqlcm.inject_event(&commit_by("somebody else"));
+    }
+    assert_eq!(
+        sqlcm.breaker_state("hook"),
+        Some(BreakerState::HalfOpen),
+        "a pruned evaluation resolved the trial"
+    );
+    assert_eq!(sqlcm.telemetry().containment.breaker_closes, 0);
+    // Back in the plan on probation, the rule is evaluated (false) by every
+    // event the index prunes it from, exactly as before it tripped.
+    let on_probation = hook.stats();
+    assert_eq!((on_probation.evaluations, on_probation.pruned), (14, 10));
+
+    sqlcm.inject_event(&commit_by("x"));
+    assert_eq!(
+        sqlcm.breaker_state("hook"),
+        Some(BreakerState::Open),
+        "the first evaluation that ran is the trial, and it failed"
+    );
+    let t = sqlcm.telemetry().containment;
+    assert_eq!((t.breaker_trips, t.breaker_closes), (2, 0));
+    // Quarantined again: further events are not evaluations of the rule.
+    sqlcm.inject_event(&commit_by("somebody else"));
+    assert_eq!(hook.stats().evaluations, 15);
+}

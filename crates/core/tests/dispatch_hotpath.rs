@@ -618,3 +618,127 @@ fn firing_insert_creating_a_group_in_a_full_lat_allocates_at_most_two() {
     println!("new-group insert + eviction: {per_event} allocations per event");
     assert!(per_event <= 2.0, "{per_event} allocations per event");
 }
+
+/// More hoisted lookups than any inline buffer holds: 12 rules each reading
+/// its own LAT give the event class 12 hoist slots. The per-event slot and
+/// shared-value stores are pooled per thread like the payload buffers, so a
+/// non-firing event still allocates nothing.
+#[test]
+fn twelve_hoisted_lats_allocate_nothing_per_event() {
+    let engine = Engine::in_memory();
+    let sqlcm = Sqlcm::attach(&engine);
+    for i in 0..12 {
+        sqlcm
+            .define_lat(
+                LatSpec::new(format!("L{i}"))
+                    .group_by("Query.Logical_Signature", "Sig")
+                    .aggregate(LatAggFunc::Count, "", "N"),
+            )
+            .unwrap();
+        sqlcm
+            .add_rule(
+                Rule::new(format!("watch{i}"))
+                    .on(RuleEvent::QueryCommit)
+                    .when(&format!("L{i}.N >= 1000000")),
+            )
+            .unwrap();
+    }
+    let hoisted = sqlcm.plan_summary().hoist_groups.len();
+    assert_eq!(hoisted, 12, "one hoist slot per LAT");
+
+    let ev = commit_event(5, 0.001);
+    for _ in 0..64 {
+        sqlcm.inject_event(&ev);
+    }
+    let before = sqlcm.telemetry().dispatch;
+    let allocs_before = allocations();
+    let events = 1_000u64;
+    for _ in 0..events {
+        sqlcm.inject_event(&ev);
+    }
+    let allocs_after = allocations();
+    let after = sqlcm.telemetry().dispatch;
+    assert_eq!(
+        allocs_after - allocs_before,
+        0,
+        "dispatch over 12 hoist slots allocated"
+    );
+    assert_eq!(
+        after.lat_row_fetches - before.lat_row_fetches,
+        12 * events,
+        "every rule looked its own LAT up"
+    );
+    assert_eq!(after.reg_lock_acquisitions, before.reg_lock_acquisitions);
+}
+
+/// Dispatch is O(candidates), not O(registered rules): with one candidate per
+/// event, an event over 1 024 per-tenant rules must cost at most twice what
+/// it costs over 64 (walking every rule made it ≈ 14 ×). One monitor, grown
+/// from the small size to the large one, the same events at both sizes.
+///
+/// Not larger: every registration parks the plan it supersedes (ROADMAP item
+/// 2), so 4 000 rules take 80 s and 8 GB to register. Release builds only: a
+/// timing ratio of an unoptimized build pins nothing.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing pin; run with --release")]
+fn per_event_time_does_not_grow_with_registered_rules() {
+    let engine = Engine::in_memory();
+    let sqlcm = Sqlcm::attach(&engine);
+    let grow_to = |rules: u64| {
+        for i in sqlcm.rule_count() as u64..rules {
+            sqlcm
+                .add_rule(
+                    Rule::new(format!("tenant_rule_{i}"))
+                        .on(RuleEvent::QueryCommit)
+                        .when(&format!(
+                            "Query.User = 'tenant_{i}' AND Query.Duration > 1000000"
+                        )),
+                )
+                .unwrap();
+        }
+    };
+    // Sixteen tenants registered at both sizes, so both runs touch the same
+    // sixteen rules and differ only in how many others are registered.
+    let evs: Vec<EngineEvent> = (0..16)
+        .map(|t| {
+            let mut q = QueryInfo::synthetic(t, "SELECT 1");
+            q.user = format!("tenant_{t}").into();
+            EngineEvent::QueryCommit(q)
+        })
+        .collect();
+    let median_ns_per_event = || {
+        let mut batches: Vec<u128> = (0..201)
+            .map(|_| {
+                let t = std::time::Instant::now();
+                for _ in 0..64 {
+                    for ev in &evs {
+                        sqlcm.inject_event(std::hint::black_box(ev));
+                    }
+                }
+                t.elapsed().as_nanos()
+            })
+            .collect();
+        batches.sort_unstable();
+        batches[batches.len() / 2] as f64 / (64 * evs.len()) as f64
+    };
+    let measure = |rules: u64| {
+        grow_to(rules);
+        let before = sqlcm.telemetry().matching;
+        let ns = median_ns_per_event();
+        let after = sqlcm.telemetry().matching;
+        let events = after.guard_probes - before.guard_probes;
+        assert_eq!(after.candidate_rules - before.candidate_rules, events);
+        assert_eq!(
+            after.rules_pruned - before.rules_pruned,
+            events * (rules - 1)
+        );
+        ns
+    };
+    let small = measure(64);
+    let large = measure(1_024);
+    println!("per event: {small:.0} ns at 64 rules, {large:.0} ns at 1 024");
+    assert!(
+        large <= 2.0 * small,
+        "{large:.0} ns per event at 1 024 rules, {small:.0} ns at 64"
+    );
+}

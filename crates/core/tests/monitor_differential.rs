@@ -552,3 +552,225 @@ fn a_dropped_lat_breaks_its_readers_until_redefined() {
     assert_eq!(p.real.rule("reader").unwrap().stats().evaluations, 150);
     assert_eq!(p.real.rule("div0").unwrap().stats().action_errors, 150);
 }
+
+// ------------------------------------------- derived per-rule evaluation counts
+//
+// The real monitor never touches a rule the guard index pruned: the pruned
+// evaluations the reference's linear scan counts one by one are recovered from
+// the event class's clock and the rule's credit intervals. Every scenario
+// below moves one of the things that opens or closes an interval, on rules
+// that are pruned on most events and candidates on some.
+
+/// Six per-user rules (an index over all of them) plus whatever the scenario
+/// adds; every one mails, so a rule that wrongly ran shows in the ledger too.
+fn per_user_rules(p: &mut Pair) {
+    for i in 0..6 {
+        let cond = format!("Query.User = 'user_{i}'");
+        p.on_commit(&format!("eq{i}"), Some(&cond), &[mail("seen {Query.User}")]);
+    }
+}
+
+impl Pair {
+    /// Switch `rule` through its bare handle in both monitors: no plan
+    /// rebuild, the next event just finds it on or off.
+    fn switch(&self, rule: &str, on: bool) {
+        self.real.rule(rule).unwrap().set_enabled(on);
+        self.reference.rule(rule).unwrap().set_enabled(on);
+    }
+}
+
+/// Indexed rules switched off and on between events — through the handle and
+/// through `set_rule_enabled` (which also republishes the plan): a rule is
+/// credited for exactly the events that found it enabled.
+#[test]
+fn indexed_rules_toggled_between_events_count_exactly() {
+    let mut p = Pair::new();
+    per_user_rules(&mut p);
+    let mut state = 0x51_7c_c1_b7_27_22_0a_95_u64;
+    for round in 0..60u64 {
+        for _ in 0..5 {
+            p.inject(&lcg_commit(&mut state));
+        }
+        let rule = format!("eq{}", round % 6);
+        let on = round % 4 >= 2;
+        if round % 3 == 0 {
+            assert!(p.real.set_rule_enabled(&rule, on));
+            p.reference.rule(&rule).unwrap().set_enabled(on);
+        } else {
+            p.switch(&rule, on);
+        }
+        if round % 10 == 9 {
+            p.assert_parity(&format!("toggles, round {round}"));
+        }
+    }
+    p.assert_parity("toggles");
+    let m = p.real.telemetry().matching;
+    assert!(m.rules_pruned > 0 && m.candidate_rules > 0);
+    let evaluated_everywhere = p.real.rule("eq0").unwrap().stats().evaluations;
+    assert!(
+        evaluated_everywhere < 300,
+        "eq0 was never off: weak scenario"
+    );
+}
+
+/// Flips `target`s when a command runs, then forwards it to `log`.
+struct FlippingSink {
+    targets: Vec<Arc<Rule>>,
+    log: Arc<RecordingCommandSink>,
+}
+
+impl CommandSink for FlippingSink {
+    fn run(&self, command: &str) {
+        for t in &self.targets {
+            t.set_enabled(!t.is_enabled());
+        }
+        self.log.run(command);
+    }
+}
+
+/// An action flips two indexed rules — one registered before it, one after —
+/// on every event: the rule switched off mid-event still counts that event
+/// (as a candidate or as a pruned rule), the rule switched on mid-event does
+/// not, so each is evaluated on every other event exactly.
+#[test]
+fn indexed_rules_flipped_mid_event_keep_the_event_they_started_enabled() {
+    let mut p = Pair::new();
+    p.on_commit("early", Some("Query.User = 'user_1'"), &[mail("early")]);
+    p.on_commit("flip", None, &[Action::run_external("flip")]);
+    p.on_commit("late", Some("Query.User = 'user_2'"), &[mail("late")]);
+    p.on_commit("bystander", Some("Query.User = 'user_3'"), &[mail("by")]);
+    let targets = |rule: &dyn Fn(&str) -> Arc<Rule>| vec![rule("early"), rule("late")];
+    p.real.set_command_sink(Arc::new(FlippingSink {
+        targets: targets(&|n| p.real.rule(n).unwrap()),
+        log: p.real.command_log(),
+    }));
+    p.reference.set_command_sink(Arc::new(FlippingSink {
+        targets: targets(&|n| p.reference.rule(n).unwrap()),
+        log: Arc::new(RecordingCommandSink::new()),
+    }));
+    let mut state = 0x0123_4567_89ab_cdef_u64;
+    let events = 80u64;
+    for i in 0..events {
+        // Users 1..=3 and one nobody: both targets are candidates on some
+        // events and pruned on others, in both phases of the flip.
+        let user = format!("user_{}", 1 + lcg(&mut state) % 4);
+        p.inject(&commit(&user, i % 3, 0.1));
+        if i % 16 == 15 {
+            p.assert_parity(&format!("mid-event flips, event {i}"));
+        }
+    }
+    p.assert_parity("mid-event flips");
+    for rule in ["early", "late"] {
+        let evaluations = p.real.rule(rule).unwrap().stats().evaluations;
+        assert_eq!(evaluations, events / 2, "{rule}");
+        assert!(p.fires(rule) > 0, "{rule} never ran as a candidate");
+    }
+    assert_eq!(
+        p.real.rule("bystander").unwrap().stats().evaluations,
+        events
+    );
+}
+
+/// A rule registered after events have flowed is credited from its
+/// registration on — the class clock it joins is already running.
+#[test]
+fn a_rule_added_after_events_flowed_counts_from_its_registration() {
+    let mut p = Pair::new();
+    per_user_rules(&mut p);
+    let mut state = 0xdead_beef_cafe_f00d_u64;
+    for _ in 0..150 {
+        p.inject(&lcg_commit(&mut state));
+    }
+    p.assert_parity("before the late rule");
+    p.on_commit("late", Some("Query.User = 'user_3'"), &[mail("late")]);
+    for _ in 0..150 {
+        p.inject(&lcg_commit(&mut state));
+    }
+    p.assert_parity("after the late rule");
+    assert_eq!(p.real.rule("late").unwrap().stats().evaluations, 150);
+    assert_eq!(p.real.rule("eq0").unwrap().stats().evaluations, 300);
+    assert!(p.fires("late") > 0 && p.fires("late") < 150);
+}
+
+/// The reference cannot remove a rule, so the first incarnation of `x` lives
+/// in the real monitor only and is registered *disabled* (it contributes
+/// nothing either side can see). Removing it and registering an enabled `x`
+/// in both must start the new rule from zero: nothing is keyed by name, a
+/// disabled registration opens no credit, a removal closes none.
+#[test]
+fn a_rule_removed_and_added_again_under_its_name_starts_from_zero() {
+    let mut p = Pair::new();
+    per_user_rules(&mut p);
+    let mut state = 0x0bad_cafe_0bad_cafe_u64;
+    let mut run = |p: &Pair, what: &str| {
+        for _ in 0..60 {
+            p.inject(&lcg_commit(&mut state));
+        }
+        p.assert_parity(what);
+    };
+    run(&p, "before x");
+    let first = Rule::new("x")
+        .on(RuleEvent::QueryCommit)
+        .when("Query.User = 'user_4'")
+        .then(mail("first x"));
+    first.set_enabled(false);
+    let first = p.real.add_rule(first).unwrap();
+    run(&p, "disabled x registered");
+    assert!(p.real.remove_rule("x"));
+    run(&p, "x removed");
+    assert_eq!(first.stats().evaluations, 0, "a disabled rule was credited");
+    p.on_commit("x", Some("Query.User = 'user_4'"), &[mail("second x")]);
+    run(&p, "x registered again");
+    assert_eq!(p.real.rule("x").unwrap().stats().evaluations, 60);
+    assert_eq!(
+        first.stats().evaluations,
+        0,
+        "the removed rule kept counting"
+    );
+}
+
+/// One enabled rule plus a disabled, real-only second one: registering the
+/// second builds the class's guard index (two rules), removing it drops the
+/// index (a one-rule class is scanned), registering it again brings the index
+/// back. `solo` is pruned while the index is there and evaluated while it is
+/// not; its count must be one per event throughout — and an unprobed event
+/// must not tick the clock the probed ones do.
+#[test]
+fn an_event_class_losing_and_regaining_its_index_counts_exactly() {
+    let mut p = Pair::new();
+    p.on_commit("solo", Some("Query.User = 'user_1'"), &[mail("solo")]);
+    let mut state = 0x1357_9bdf_2468_ace0_u64;
+    let mut events = 0u64;
+    let mut run = |p: &Pair, what: &str| {
+        for _ in 0..40 {
+            p.inject(&lcg_commit(&mut state));
+        }
+        events += 40;
+        p.assert_parity(what);
+        assert_eq!(
+            p.real.rule("solo").unwrap().stats().evaluations,
+            events,
+            "{what}"
+        );
+        p.real.telemetry().matching.guard_probes
+    };
+    let ballast = || {
+        let rule = Rule::new("ballast")
+            .on(RuleEvent::QueryCommit)
+            .when("Query.User = 'user_2'");
+        rule.set_enabled(false);
+        rule
+    };
+    assert_eq!(run(&p, "one rule, no index"), 0);
+    p.real.add_rule(ballast()).unwrap();
+    assert_eq!(run(&p, "two rules, indexed"), 40);
+    assert!(p.real.remove_rule("ballast"));
+    assert_eq!(run(&p, "one rule again"), 40);
+    p.real.add_rule(ballast()).unwrap();
+    assert_eq!(run(&p, "indexed again"), 80);
+    // Growing by a rule both monitors know keeps the class indexed.
+    p.on_commit("second", Some("Query.User = 'user_3'"), &[mail("second")]);
+    assert_eq!(run(&p, "three rules"), 120);
+    let solo = p.real.rule("solo").unwrap().stats();
+    assert!(solo.pruned > 0 && solo.pruned < solo.evaluations);
+}

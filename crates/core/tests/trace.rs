@@ -748,3 +748,74 @@ fn chrome_export_parses_and_round_trips() {
     let single = parse_json(&traces[0].to_chrome_json()).unwrap();
     assert!(single.get("traceEvents").is_some());
 }
+
+/// A sampled event costs what it did, not what is registered: over 200
+/// guard-indexed rules of which one is a candidate, dispatch opens the event
+/// span and the candidate's rule span — nothing per pruned rule — and the
+/// `pruned by guard index` outcome of any of the other 199 is still there
+/// when the trace is read.
+#[test]
+fn pruned_rules_get_no_span_and_are_explained_when_the_trace_is_read() {
+    let engine = Engine::in_memory();
+    let sqlcm = Sqlcm::attach(&engine);
+    const RULES: u64 = 200;
+    for i in 0..RULES {
+        sqlcm
+            .add_rule(
+                Rule::new(format!("u{i}"))
+                    .on(RuleEvent::QueryCommit)
+                    .when(&format!("Query.User = 'user_{i}'")),
+            )
+            .unwrap();
+    }
+    sqlcm.set_trace_sampling(TraceSampling::EveryNth(1));
+    let mut q = QueryInfo::synthetic(1, "SELECT 1");
+    q.user = "user_7".into();
+    sqlcm.inject_event(&EngineEvent::QueryCommit(q));
+
+    let traces = sqlcm.traces();
+    let t = &traces[0];
+    assert_well_formed(t);
+    assert_eq!(t.spans.len(), 2, "the event and its one candidate");
+    assert!(matches!(&t.spans[1].kind, SpanKind::Rule { name, fired: true, .. } if name == "u7"));
+    // The pruned evaluations are counted, so traces still reconcile.
+    let stats = sqlcm.stats();
+    assert_eq!(u64::from(t.evaluations), stats.evaluations);
+    assert_eq!(stats.evaluations, RULES);
+    assert_eq!(t.pruned.len(), 1);
+    assert_eq!((t.pruned[0].pruned, t.pruned[0].candidates), (RULES - 1, 1));
+    assert_eq!(t.pruned[0].outcomes().count() as u64, RULES - 1);
+
+    // By name …
+    assert_eq!(
+        t.pruned_outcome("u42").as_deref(),
+        Some("pruned by guard index: Query.User=user_7 not in {user_42}")
+    );
+    assert_eq!(t.pruned_outcome("u7"), None, "the candidate ran");
+    assert_eq!(t.pruned_outcome("nobody"), None);
+    // … in the rendered tree, under the event …
+    let tree = t.to_text_tree();
+    assert!(
+        tree.contains("event Query.Commit depth=0 candidates=1 pruned=199"),
+        "{tree}"
+    );
+    assert!(
+        tree.contains(
+            "rule u42 skipped: pruned by guard index: Query.User=user_7 not in {user_42}"
+        ),
+        "{tree}"
+    );
+    assert!(tree.contains("rule u7 FIRED"), "{tree}");
+    // … and in the Chrome export, as one instant per pruned rule.
+    let doc = parse_json(&t.to_chrome_json()).expect("valid JSON");
+    let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+    let explained = events
+        .iter()
+        .filter(|e| {
+            let args = e.get("args");
+            let why = args.and_then(|a| a.get("explain")).and_then(Json::as_str);
+            why.is_some_and(|w| w.starts_with("pruned by guard index"))
+        })
+        .count();
+    assert_eq!(explained as u64, RULES - 1);
+}
