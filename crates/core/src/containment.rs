@@ -7,14 +7,14 @@
 //! * **Per-rule circuit breakers** ([`RuleBreaker`]) keep a sliding window of
 //!   the last [`BREAKER_WINDOW`] evaluation outcomes in a single atomic
 //!   bitmask. When the error (or over-latency-budget) count within the window
-//!   crosses the configured threshold, the rule trips `Closed → Open`: the
-//!   next [`crate::plan::DispatchPlan`] rebuild quarantines it out of every
-//!   event plan (reusing the RCU plan swap — the hot path never checks a
-//!   quarantine list, the tripped rule simply is not in the plan). After
-//!   `cooldown_micros` the breaker moves `Open → HalfOpen` and the rule is
-//!   re-admitted on probation: exactly one trial evaluation is let through;
-//!   success closes the breaker, failure re-opens it and restarts the
-//!   cooldown.
+//!   crosses the configured threshold, the rule trips `Closed → Open` and is
+//!   quarantined: its in-service bit (`Rule::in_service`, the one flag
+//!   dispatch pins per event) is cleared in place. The rule stays in its
+//!   dispatch plan and its guard index — no transition rebuilds anything.
+//!   After `cooldown_micros` the breaker moves `Open → HalfOpen` and the bit
+//!   is set again, on probation: exactly one trial evaluation is let
+//!   through; success closes the breaker, failure re-opens it and restarts
+//!   the cooldown.
 //! * **The overload ladder** ([`OverloadPolicy`]) estimates the event rate at
 //!   a fixed checkpoint cadence (every [`LADDER_CHECK_INTERVAL`] events) and
 //!   steps through degradation stages with hysteresis:
@@ -30,7 +30,7 @@
 //! scanned for re-admission). The breaker-differential test pins that a
 //! breaker-enabled healthy run is bit-identical to a disabled one.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 use parking_lot::RwLock;
 use sqlcm_telemetry::ShardedCounter;
@@ -48,10 +48,10 @@ pub const LADDER_CHECK_INTERVAL: u64 = 1024;
 pub enum BreakerState {
     /// Normal operation; outcomes feed the sliding window.
     Closed,
-    /// Tripped: the rule is quarantined out of the dispatch plan until the
+    /// Tripped: the rule is quarantined — out of service — until the
     /// cooldown expires.
     Open,
-    /// Probation: the rule is back in the plan, but only one trial
+    /// Probation: the rule is back in service, but only one trial
     /// evaluation is admitted at a time.
     HalfOpen,
 }
@@ -231,7 +231,7 @@ impl RuleBreaker {
 
     /// Record one `Closed`-state outcome into the sliding window; returns
     /// `true` when this outcome tripped the breaker (the caller then
-    /// quarantines the rule by rebuilding the plan). `tighten` halves the
+    /// quarantines the rule). `tighten` halves the
     /// thresholds (ladder stage 3). `now` is only called on an actual trip.
     pub fn record_outcome(
         &self,
@@ -448,6 +448,10 @@ pub(crate) struct Containment {
     sample_mask: AtomicU64,
     /// Low-priority sampling tick (advances only while stage ≥ 2).
     pub shed_seq: AtomicU64,
+    /// Registered rules whose quarantine bit is set, kept by the deltas
+    /// `Rule::set_quarantined` and `Rule::set_registered` report: zero lets
+    /// the checkpoint skip its walk for breakers to re-admit.
+    pub quarantined: AtomicI64,
     last_check_micros: AtomicU64,
     last_check_events: AtomicU64,
     quiet_checkpoints: AtomicU32,
@@ -471,6 +475,7 @@ impl Containment {
             sample_mask: AtomicU64::new((1u64 << policy.sample_shift) - 1),
             policy: RwLock::new(policy),
             shed_seq: AtomicU64::new(0),
+            quarantined: AtomicI64::new(0),
             last_check_micros: AtomicU64::new(0),
             last_check_events: AtomicU64::new(0),
             quiet_checkpoints: AtomicU32::new(0),

@@ -27,8 +27,9 @@
 //! sweep shortcut and take the exact path.
 //!
 //! The index lives inside the immutable [`crate::plan::DispatchPlan`], so
-//! RCU publication, breaker quarantine, and rule churn rebuild it for free,
-//! and probing allocates nothing.
+//! rule churn rebuilds it with the plan, and probing allocates nothing. It
+//! covers every registered rule of the class; a candidate that is disabled or
+//! quarantined is dropped when the event pins the rules it runs.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;

@@ -45,6 +45,8 @@
 //! assert!(sqlcm.lat("Duration_LAT").unwrap().row_count() >= 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod actions;
 pub mod analysis;
 pub mod containment;

@@ -12,12 +12,13 @@
 //! event, all applicable rules are triggered before any later event is
 //! processed".
 //!
-//! The hot path runs on an immutable, atomically-published [`DispatchPlan`]
-//! (see [`crate::plan`]): one atomic load per event, no registry locks, and
-//! payload objects assembled from pooled thread-local buffers — steady-state
-//! dispatch performs zero heap allocations for payload assembly. Plans are
-//! rebuilt (and the epoch bumped) on every registry mutation:
-//! `add_rule`, `remove_rule`, `define_lat`, `drop_lat`, `set_rule_enabled`.
+//! The hot path runs on an immutable, published [`DispatchPlan`] (see
+//! [`crate::plan`]): one atomic load per event while the plan is unchanged, no
+//! registry locks, and payload objects assembled from pooled thread-local
+//! buffers — steady-state dispatch performs zero heap allocations for payload
+//! assembly. The plan is a function of the registry: it is rebuilt (and the
+//! epoch bumped) by `add_rule`, `remove_rule`, `define_lat` and `drop_lat`,
+//! and by nothing else.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
@@ -39,16 +40,14 @@ use crate::containment::{
     BreakerConfig, BreakerGate, BreakerState, Containment, LadderTransition, OverloadPolicy,
     OverloadStage, RuleBreaker, LADDER_CHECK_INTERVAL,
 };
-use crate::deferred::{
-    AttemptOutcome, DeferredAction, DeferredKind, DeferredQueue, LossEntry, RetryPolicy,
-};
+use crate::deferred::{AttemptOutcome, DeferredKind, DeferredQueue, LossEntry, RetryPolicy};
 use crate::fault::{FaultKind, FaultPlan, FaultState};
 use crate::guard::RuleGuard;
 use crate::lat::{Lat, LatAggFunc, LatSpec};
 use crate::objects::{self, evicted_object, ClassName, Object};
 use crate::plan::{
-    CompiledAction, DispatchPlan, EventPlan, HoistState, PlanCell, PlanRule, PlanSummary,
-    Registered, NO_HOIST,
+    CachedPlan, CompiledAction, DispatchPlan, EventPlan, HoistState, PlanCell, PlanRule,
+    PlanSummary, Registered, NO_HOIST,
 };
 use crate::rules::{EvalContext, LatBinding, Rule, RuleEvent};
 use crate::sinks::{CommandSink, MailSink, RecordingCommandSink, RecordingMailSink};
@@ -85,14 +84,12 @@ struct SqlcmInner {
     clock: SharedClock,
     lats: RwLock<HashMap<String, Arc<Lat>>>,
     rules: RwLock<Vec<Arc<Registered>>>,
-    /// The published dispatch plan the hot path runs on (RCU; `crate::plan`).
+    /// The published dispatch plan the hot path runs on (`crate::plan`).
     plan: PlanCell,
     /// Serializes plan rebuilds: the registry snapshot is taken under this
     /// mutex *after* the caller's mutation, so concurrent registrations can
     /// never publish a plan missing one of them.
     plan_rebuild: Mutex<()>,
-    /// Monotone plan epoch (0 = the empty plan installed at attach).
-    plan_epoch: AtomicU64,
     timers: TimerRegistry,
     outbox: Arc<RecordingMailSink>,
     command_log: Arc<RecordingCommandSink>,
@@ -153,6 +150,7 @@ thread_local! {
                 slots: Vec::new(),
                 cse: Vec::new(),
             },
+            plan: None,
         })
     };
     /// Provenance of the currently executing action: `(causing span,
@@ -183,6 +181,8 @@ struct EventScratch {
     objects: Vec<Vec<Object>>,
     values: Vec<Vec<Value>>,
     work: EventWork,
+    /// The plan this thread last dispatched under (see [`PlanCell::plan`]).
+    plan: Option<CachedPlan>,
 }
 
 /// Working state of one event, overwritten (cleared, never shrunk) by every
@@ -199,6 +199,16 @@ struct EventWork {
     cse: Vec<Option<Value>>,
 }
 
+/// What every rule evaluation of one event shares.
+struct EventCtx<'a> {
+    /// The plan of the batch the event belongs to.
+    plan: &'a DispatchPlan,
+    ep: &'a EventPlan,
+    /// The event's trace span ([`NONE_SPAN`] untraced) and cascade depth.
+    span: u32,
+    depth: u32,
+}
+
 const OBJECT_POOL_BOUND: usize = 4;
 const VALUE_POOL_BOUND: usize = 8;
 
@@ -212,13 +222,13 @@ impl Instrumentation for SqlcmMonitor {
         // sum to `SqlcmStats::events`.
         telem.probe_events[probe.index()].incr();
         let sw = telem.enabled().then(Stopwatch::start);
-        // One atomic plan load and one bit test replace the two registry-lock
-        // reads the old path took (`wants` + the dispatch-side index) — "no
-        // monitoring is performed unless it is required by a rule" (§2.1).
-        let plan = self.inner.plan.load();
-        if plan.probe_mask.contains(probe) {
-            self.inner.dispatch_event(plan, event);
-        }
+        // One epoch load and one bit test, no registry lock — "no monitoring
+        // is performed unless it is required by a rule" (§2.1).
+        self.inner.with_plan(|plan| {
+            if plan.probe_mask.contains(probe) {
+                self.inner.dispatch_event(plan, event);
+            }
+        });
         if let Some(sw) = sw {
             telem.probe_latency[probe.index()].record(sw.elapsed_nanos());
         }
@@ -234,8 +244,9 @@ impl Instrumentation for SqlcmMonitor {
         "sqlcm"
     }
 
-    /// Let the engine skip assembling events no rule subscribes to. One
-    /// atomic load, no locks.
+    /// Let the engine skip assembling events no rule subscribes to. The
+    /// engine caches the answer (`refresh_interest`), so this is off the
+    /// event path.
     fn wants(&self, kind: sqlcm_common::ProbeKind) -> bool {
         self.inner.plan.load().probe_mask.contains(kind)
     }
@@ -273,16 +284,14 @@ pub(crate) fn kind_of(event: &EngineEvent) -> RuleEvent {
 /// Static display label of a compiled action, for trace action spans.
 fn compiled_action_label(action: &CompiledAction) -> &'static str {
     match action {
-        CompiledAction::Insert { .. } | CompiledAction::Other(Action::Insert { .. }) => "Insert",
-        CompiledAction::Reset(_) | CompiledAction::Other(Action::Reset { .. }) => "Reset",
-        CompiledAction::PersistLat { .. } | CompiledAction::Other(Action::PersistLat { .. }) => {
-            "PersistLat"
-        }
-        CompiledAction::Other(Action::PersistObject { .. }) => "PersistObject",
-        CompiledAction::Other(Action::SendMail { .. }) => "SendMail",
-        CompiledAction::Other(Action::RunExternal { .. }) => "RunExternal",
-        CompiledAction::Other(Action::Cancel { .. }) => "Cancel",
-        CompiledAction::Other(Action::SetTimer { .. }) => "SetTimer",
+        CompiledAction::Insert { .. } => "Insert",
+        CompiledAction::Reset(_) => "Reset",
+        CompiledAction::PersistLat { .. } => "PersistLat",
+        CompiledAction::PersistObject { .. } => "PersistObject",
+        CompiledAction::SendMail { .. } => "SendMail",
+        CompiledAction::RunExternal { .. } => "RunExternal",
+        CompiledAction::Cancel { .. } => "Cancel",
+        CompiledAction::SetTimer { .. } => "SetTimer",
     }
 }
 
@@ -350,13 +359,14 @@ impl SqlcmInner {
         self.rules.write()
     }
 
-    /// Rebuild and publish the dispatch plan from the current registries.
-    /// Serialized by `plan_rebuild`: the snapshot is taken under the mutex
-    /// *after* the caller's registry mutation, so any interleaving of
-    /// concurrent registrations converges on a plan containing all of them.
+    /// Rebuild and publish the dispatch plan from the current registries —
+    /// called by the four registry mutations and nothing else, so the epoch
+    /// counts them. Serialized by `plan_rebuild`: the snapshot is taken under
+    /// the mutex *after* the caller's registry mutation, so any interleaving
+    /// of concurrent registrations converges on a plan containing all of them.
     fn rebuild_plan(&self) {
         let _guard = self.plan_rebuild.lock();
-        let epoch = self.plan_epoch.fetch_add(1, Ordering::Relaxed) + 1;
+        let epoch = self.plan.epoch() + 1;
         let rules = self.rules_read().clone();
         let lats = self.lats_read().clone();
         let plan = DispatchPlan::build(epoch, &rules, &lats);
@@ -365,6 +375,17 @@ impl SqlcmInner {
     }
 
     // ------------------------------------------------------------ dispatch
+
+    /// Run `f` under the published plan, through this thread's cached
+    /// reference to it ([`PlanCell::plan`]). `f` runs rule actions, so the
+    /// cache leaves `SCRATCH` for the duration: a probe raised from inside
+    /// `f` finds the slot empty and fetches the plan from the cell.
+    fn with_plan<R>(&self, f: impl FnOnce(&DispatchPlan) -> R) -> R {
+        let mut cache = SCRATCH.with(|s| s.borrow_mut().plan.take());
+        let out = f(self.plan.plan(&mut cache));
+        SCRATCH.with(|s| s.borrow_mut().plan = cache);
+        out
+    }
 
     /// Dispatch an engine event under `plan`: assemble its payload from the
     /// thread-local pools (zero allocations in steady state), run every
@@ -438,19 +459,21 @@ impl SqlcmInner {
             });
             return;
         }
-        let plan = self.plan.load();
-        let mut trace = self.tracer.sample_internal(|| self.clock.now_micros());
-        self.dispatch_with(plan, &kind, &objects, &mut trace);
-        if let Some(ctx) = trace {
-            self.tracer.finish(ctx);
-        }
+        self.with_plan(|plan| {
+            let mut trace = self.tracer.sample_internal(|| self.clock.now_micros());
+            self.dispatch_with(plan, &kind, &objects, &mut trace);
+            if let Some(ctx) = trace {
+                self.tracer.finish(ctx);
+            }
+        });
     }
 
     /// Process one event and drain whatever the processing generated, all
     /// under a single plan: "for any given event, all applicable rules are
-    /// triggered before any later event is processed" — the applicable set is
-    /// whatever plan was current when the batch started. When `trace` is
-    /// active, the root and every drained cascade hop record into it.
+    /// triggered before any later event is processed" — the applicable set,
+    /// and which evictions raise an event, is whatever plan was current when
+    /// the batch started. When `trace` is active, the root and every drained
+    /// cascade hop record into it.
     fn dispatch_with(
         &self,
         plan: &DispatchPlan,
@@ -529,7 +552,9 @@ impl SqlcmInner {
             _ => Vec::new(),
         };
         // Pin applicability before any rule runs (see `Rule::set_enabled`):
-        // enabled-ness is read here, for the rules about to run only. Ladder
+        // the in-service bit is read here, for the rules about to run only —
+        // the same bit that opens and closes the rule's credit on the class
+        // clock, so a rule is credited a pruning iff it would have run. Ladder
         // stage ≥ 2 samples low-priority candidates 1-in-2^k — the skip shows
         // up in `shed_evaluations`, never as a silent gap; a pruned rule
         // costs nothing, so there is nothing to shed.
@@ -543,7 +568,7 @@ impl SqlcmInner {
         for (w, word) in run.iter_mut().enumerate() {
             for b in set_bits(*word) {
                 let pr = &ep.rules[w * 64 + b];
-                if !pr.reg.rule.is_enabled() {
+                if !pr.reg.rule.in_service() {
                     *word &= !(1 << b);
                     continue;
                 }
@@ -563,8 +588,8 @@ impl SqlcmInner {
             }
         }
         if let Some(creditable) = creditable {
-            // A rule toggled or re-planned by another thread between the
-            // tick and the pin can leave `admitted` above the snapshot.
+            // A rule put into service by another thread between the tick
+            // and the pin can leave `admitted` above the snapshot.
             let pruned = creditable.saturating_sub(admitted);
             self.telemetry.guard_probes.incr();
             if pruned > 0 {
@@ -585,10 +610,16 @@ impl SqlcmInner {
                 });
             }
         }
+        let ev = EventCtx {
+            plan,
+            ep,
+            span: event_span,
+            depth,
+        };
         for (w, &word) in run.iter().enumerate() {
             for b in set_bits(word) {
                 let pr = &ep.rules[w * 64 + b];
-                self.evaluate_rule(ep, pr, objects, slots, cse, trace, event_span, depth);
+                self.evaluate_rule(&ev, pr, objects, slots, cse, trace);
             }
         }
         if let Some(ctx) = trace.as_mut() {
@@ -596,26 +627,17 @@ impl SqlcmInner {
         }
     }
 
-    /// Does any registered rule subscribe to this event? One atomic plan
-    /// load — no locks (used by the eviction path while actions run).
-    fn has_rules_for(&self, kind: &RuleEvent) -> bool {
-        self.plan.load().has_event(kind)
-    }
-
     /// Evaluate one rule against the event context, iterating over live objects
     /// for classes the event does not cover (§5.2). `slots` is the event-shared
     /// hoisted LAT-row store.
-    #[allow(clippy::too_many_arguments)]
     fn evaluate_rule(
         &self,
-        ep: &EventPlan,
+        ev: &EventCtx,
         pr: &PlanRule,
         base: &[Object],
         slots: &mut [HoistState],
         cse: &mut [Option<Value>],
         trace: &mut Option<TraceCtx>,
-        event_span: u32,
-        depth: u32,
     ) {
         // Fast path (the overwhelmingly common case, and the one Figure 2
         // stresses): every class the condition references is already in the
@@ -626,7 +648,7 @@ impl SqlcmInner {
             .iter()
             .all(|c| base.iter().any(|o| o.class == *c))
         {
-            self.evaluate_combo(ep, pr, base, slots, cse, trace, event_span, depth);
+            self.evaluate_combo(ev, pr, base, slots, cse, trace);
             return;
         }
         let covered: Vec<&ClassName> = base.iter().map(|o| &o.class).collect();
@@ -705,7 +727,7 @@ impl SqlcmInner {
                     if let Some(t) = t {
                         combo.push(t.clone());
                     }
-                    self.evaluate_combo(ep, pr, &combo, slots, cse, trace, event_span, depth);
+                    self.evaluate_combo(ev, pr, &combo, slots, cse, trace);
                 }
             }
         }
@@ -714,22 +736,20 @@ impl SqlcmInner {
     /// Evaluate the condition against one object combination — LAT rows come
     /// from the event-shared hoist `slots` where the plan hoisted the lookup —
     /// and run the actions when it fires.
-    #[allow(clippy::too_many_arguments)]
     fn evaluate_combo(
         &self,
-        ep: &EventPlan,
+        ev: &EventCtx,
         pr: &PlanRule,
         combo: &[Object],
         slots: &mut [HoistState],
         cse: &mut [Option<Value>],
         trace: &mut Option<TraceCtx>,
-        event_span: u32,
-        depth: u32,
     ) {
         let reg = &*pr.reg;
         // Breaker admission. `Closed` (the steady state) costs one relaxed
-        // load; a skipped evaluation is not counted as an evaluation — the
-        // rule is effectively out of service.
+        // load. `Skip` is the half-open rule while its one trial is in
+        // flight, and the rule that tripped after this event pinned it; a
+        // skipped evaluation is not counted as an evaluation.
         let mut trial = false;
         if self.containment.breakers_enabled() {
             match reg.breaker.gate() {
@@ -744,7 +764,7 @@ impl SqlcmInner {
         reg.rule.evaluations.fetch_add(1, Ordering::Relaxed);
         self.evaluations.fetch_add(1, Ordering::Relaxed);
         let rule_span = match trace.as_mut() {
-            Some(ctx) => ctx.open_rule(event_span, &reg.rule.name),
+            Some(ctx) => ctx.open_rule(ev.span, &reg.rule.name),
             None => NONE_SPAN,
         };
         if let Some(msg) = &pr.broken {
@@ -834,30 +854,36 @@ impl SqlcmInner {
                 }
             }
         };
+        let binding = |i: usize| LatBinding {
+            name: &reg.cond_lats[i],
+            lat: &pr.lats[i],
+            row: row_of(i),
+        };
         const INLINE_BINDS: usize = 8;
-        let mut bind_inline: [std::mem::MaybeUninit<LatBinding>; INLINE_BINDS] =
-            [std::mem::MaybeUninit::uninit(); INLINE_BINDS];
+        let bind_one: LatBinding;
+        let mut bind_inline: [LatBinding; INLINE_BINDS];
         let bind_heap: Vec<LatBinding>;
-        let bindings: &[LatBinding] = if n_lats <= INLINE_BINDS {
-            for (i, slot) in bind_inline.iter_mut().take(n_lats).enumerate() {
-                slot.write(LatBinding {
-                    name: &reg.cond_lats[i],
-                    lat: &pr.lats[i],
-                    row: row_of(i),
-                });
+        let bindings: &[LatBinding] = match n_lats {
+            0 => &[],
+            // The common shape, and measurably cheaper than filling an array
+            // for it (≈ 30 ns per evaluation on `storm_shared_lat`).
+            1 => {
+                bind_one = binding(0);
+                std::slice::from_ref(&bind_one)
             }
-            // SAFETY: the first `n_lats` elements were initialized just above,
-            // and `LatBinding` is `Copy` (no drop obligations).
-            unsafe { std::slice::from_raw_parts(bind_inline.as_ptr().cast::<LatBinding>(), n_lats) }
-        } else {
-            bind_heap = (0..n_lats)
-                .map(|i| LatBinding {
-                    name: &reg.cond_lats[i],
-                    lat: &pr.lats[i],
-                    row: row_of(i),
-                })
-                .collect();
-            &bind_heap
+            2..=INLINE_BINDS => {
+                // `LatBinding` is `Copy`: the first binding fills the array,
+                // the others overwrite their positions.
+                bind_inline = [binding(0); INLINE_BINDS];
+                for (i, slot) in bind_inline.iter_mut().enumerate().take(n_lats).skip(1) {
+                    *slot = binding(i);
+                }
+                &bind_inline[..n_lats]
+            }
+            _ => {
+                bind_heap = (0..n_lats).map(binding).collect();
+                &bind_heap
+            }
         };
         let ctx = EvalContext {
             objects: combo,
@@ -930,13 +956,19 @@ impl SqlcmInner {
                     let s = tctx.open_action(rule_span, compiled_action_label(action));
                     // Deferred side effects raised by this action (re-entrant
                     // probes, LAT evictions) cite it as their cascade cause.
-                    CASCADE_ORIGIN.with(|c| c.set((s, depth + 1)));
+                    CASCADE_ORIGIN.with(|c| c.set((s, ev.depth + 1)));
                     s
                 }
                 None => NONE_SPAN,
             };
-            let result =
-                self.execute_compiled_action(&reg.rule.name, action, &ctx, trace, action_span);
+            let result = self.execute_compiled_action(
+                ev.plan,
+                &reg.rule.name,
+                action,
+                &ctx,
+                trace,
+                action_span,
+            );
             if let Some(tctx) = trace.as_mut() {
                 CASCADE_ORIGIN.with(|c| c.set((NONE_SPAN, 0)));
                 if result.is_err() {
@@ -1000,7 +1032,7 @@ impl SqlcmInner {
             // from it along — the CSE slot must never outlive its inputs.
             // A kept snapshot (`only_if_missing` above) keeps its values too.
             if cleared {
-                for (ci, cs) in ep.cse.iter().enumerate() {
+                for (ci, cs) in ev.ep.cse.iter().enumerate() {
                     if cs.deps.contains(&inv.slot) {
                         cse[ci] = None;
                     }
@@ -1010,19 +1042,28 @@ impl SqlcmInner {
         self.record_breaker_outcome(reg, trial, errors > 0, total_nanos);
     }
 
+    /// Execute one action of a fired rule. `plan` is the batch's: an `Insert`
+    /// reads its eviction interest from it.
     fn execute_compiled_action(
         &self,
+        plan: &DispatchPlan,
         rule: &str,
         action: &CompiledAction,
         ctx: &EvalContext,
         trace: &mut Option<TraceCtx>,
         action_span: u32,
     ) -> Result<()> {
+        let object_of = |class: &ClassName| {
+            ctx.objects
+                .iter()
+                .find(|o| o.class == *class)
+                .ok_or_else(|| Error::Monitor(format!("no object of class {class} in scope")))
+        };
         match action {
             CompiledAction::Insert {
                 lat,
                 eviction_event,
-            } => self.insert_into_lat(lat, eviction_event, ctx, trace, action_span),
+            } => self.insert_into_lat(plan, lat, eviction_event, ctx, trace, action_span),
             CompiledAction::Reset(lat) => {
                 lat.reset();
                 if let Some(tctx) = trace.as_mut() {
@@ -1030,8 +1071,61 @@ impl SqlcmInner {
                 }
                 Ok(())
             }
-            CompiledAction::PersistLat { table, lat } => self.persist_lat_rows(rule, lat, table),
-            CompiledAction::Other(a) => self.execute_action(rule, a, ctx),
+            // The rows are read now either way — asynchronous actions defer
+            // the write, not the paper-mandated read point.
+            CompiledAction::PersistLat { table, lat } => self.run_or_defer(
+                rule,
+                DeferredKind::Persist {
+                    table: table.clone(),
+                    rows: self.timestamped_rows(lat),
+                },
+            ),
+            CompiledAction::PersistObject {
+                table,
+                class,
+                attrs,
+            } => {
+                let obj = object_of(class)?;
+                let row: Vec<Value> = attrs
+                    .iter()
+                    .map(|a| {
+                        obj.get(a).cloned().ok_or_else(|| {
+                            Error::Monitor(format!("class {class} has no attribute {a}"))
+                        })
+                    })
+                    .collect::<Result<_>>()?;
+                // Resolution errors above stay synchronous (they depend on the
+                // evaluation context); only the table write is deferrable.
+                let rows = vec![row];
+                let table = table.clone();
+                self.run_or_defer(rule, DeferredKind::Persist { table, rows })
+            }
+            CompiledAction::SendMail { to, template } => {
+                let body = substitute(template, ctx);
+                let to = substitute(to, ctx);
+                self.run_or_defer(rule, DeferredKind::Mail { to, body })
+            }
+            CompiledAction::RunExternal { template } => {
+                let cmd = substitute(template, ctx);
+                self.run_or_defer(rule, DeferredKind::Command { cmd })
+            }
+            CompiledAction::Cancel { class } => {
+                let id = object_of(class)?
+                    .get("ID")
+                    .and_then(|v| v.as_i64())
+                    .ok_or_else(|| Error::Monitor("object has no ID".into()))?;
+                // Only signals the executing thread(s); see §5.
+                self.engine.active.cancel(id as u64);
+                Ok(())
+            }
+            CompiledAction::SetTimer {
+                timer,
+                period_micros,
+                number_alarms,
+            } => {
+                self.timers.set(timer, *period_micros, *number_alarms);
+                Ok(())
+            }
         }
     }
 
@@ -1040,6 +1134,7 @@ impl SqlcmInner {
     /// monitoring is performed unless it is required" (§2.1).
     fn insert_into_lat(
         &self,
+        plan: &DispatchPlan,
         lat: &Arc<Lat>,
         eviction_event: &RuleEvent,
         ctx: &EvalContext,
@@ -1057,7 +1152,7 @@ impl SqlcmInner {
                     lat.spec.name
                 ))
             })?;
-        let want_evicted = self.has_rules_for(eviction_event);
+        let want_evicted = plan.has_event(eviction_event);
         let evicted = lat.insert_and(obj, want_evicted)?;
         // The mutation span is the provenance anchor: each eviction event
         // queued below cites it as `cause`, at the depth the running action
@@ -1100,114 +1195,14 @@ impl SqlcmInner {
         rows
     }
 
-    fn persist_lat_rows(&self, rule: &str, lat: &Arc<Lat>, table: &str) -> Result<()> {
-        let rows = self.timestamped_rows(lat);
-        // The snapshot above is taken synchronously either way — async mode
-        // defers only the write, not the paper-mandated read point.
+    /// An external action of a fired rule, resolved against its context:
+    /// queued when actions are asynchronous, run on this thread otherwise.
+    fn run_or_defer(&self, rule: &str, kind: DeferredKind) -> Result<()> {
         if self.async_actions.load(Ordering::Relaxed) {
-            self.enqueue_deferred(
-                rule,
-                DeferredKind::Persist {
-                    table: table.to_string(),
-                    rows,
-                },
-            );
+            self.deferred.enqueue(rule, kind, self.clock.now_micros());
             return Ok(());
         }
-        self.check_fault(FaultKind::Persist)?;
-        persist_rows(&self.engine, table, rows)?;
-        Ok(())
-    }
-
-    fn execute_action(&self, rule: &str, action: &Action, ctx: &EvalContext) -> Result<()> {
-        match action {
-            // `add_rule` compiles every LAT-targeting action into its own
-            // `CompiledAction` variant; `Other` never carries one.
-            Action::Insert { .. } | Action::Reset { .. } | Action::PersistLat { .. } => Err(
-                Error::Monitor(format!("rule {rule}: LAT action was not compiled")),
-            ),
-            Action::PersistObject {
-                table,
-                class,
-                attrs,
-            } => {
-                let obj = ctx
-                    .objects
-                    .iter()
-                    .find(|o| o.class == *class)
-                    .ok_or_else(|| {
-                        Error::Monitor(format!("no object of class {class} in scope"))
-                    })?;
-                let row: Vec<Value> = attrs
-                    .iter()
-                    .map(|a| {
-                        obj.get(a).cloned().ok_or_else(|| {
-                            Error::Monitor(format!("class {class} has no attribute {a}"))
-                        })
-                    })
-                    .collect::<Result<_>>()?;
-                // Resolution errors above stay synchronous (they depend on the
-                // evaluation context); only the table write is deferrable.
-                if self.async_actions.load(Ordering::Relaxed) {
-                    self.enqueue_deferred(
-                        rule,
-                        DeferredKind::Persist {
-                            table: table.clone(),
-                            rows: vec![row],
-                        },
-                    );
-                    return Ok(());
-                }
-                self.check_fault(FaultKind::Persist)?;
-                persist_rows(&self.engine, table, vec![row])?;
-                Ok(())
-            }
-            Action::SendMail { to, template } => {
-                let body = substitute(template, ctx);
-                let to = substitute(to, ctx);
-                if self.async_actions.load(Ordering::Relaxed) {
-                    self.enqueue_deferred(rule, DeferredKind::Mail { to, body });
-                    return Ok(());
-                }
-                self.check_fault(FaultKind::Mail)?;
-                self.mail_sink.read().send(&to, &body);
-                Ok(())
-            }
-            Action::RunExternal { template } => {
-                let cmd = substitute(template, ctx);
-                if self.async_actions.load(Ordering::Relaxed) {
-                    self.enqueue_deferred(rule, DeferredKind::Command { cmd });
-                    return Ok(());
-                }
-                self.check_fault(FaultKind::Command)?;
-                self.command_sink.read().run(&cmd);
-                Ok(())
-            }
-            Action::Cancel { class } => {
-                let obj = ctx
-                    .objects
-                    .iter()
-                    .find(|o| o.class == *class)
-                    .ok_or_else(|| {
-                        Error::Monitor(format!("no object of class {class} in scope"))
-                    })?;
-                let id = obj
-                    .get("ID")
-                    .and_then(|v| v.as_i64())
-                    .ok_or_else(|| Error::Monitor("object has no ID".into()))?;
-                // Only signals the executing thread(s); see §5.
-                self.engine.active.cancel(id as u64);
-                Ok(())
-            }
-            Action::SetTimer {
-                timer,
-                period_micros,
-                number_alarms,
-            } => {
-                self.timers.set(timer, *period_micros, *number_alarms);
-                Ok(())
-            }
-        }
+        self.execute_external(kind)
     }
 
     /// Record a swallowed error both globally (`last_error`) and in the
@@ -1220,7 +1215,7 @@ impl SqlcmInner {
     // ------------------------------------------------------------ containment
 
     /// Cold containment checkpoint, every [`LADDER_CHECK_INTERVAL`] events:
-    /// scan quarantined rules for cooldown-expired re-admission, then step the
+    /// re-admit quarantined rules whose cooldown expired, then step the
     /// overload ladder. With no quarantined rules and no policy installed,
     /// this is two relaxed loads — the hot-path pins stay intact.
     fn containment_checkpoint(&self, events_now: u64) {
@@ -1235,28 +1230,22 @@ impl SqlcmInner {
         }
     }
 
-    /// Scan quarantined rules for cooldown-expired `Open → HalfOpen`
-    /// re-admission; republish the plan when any rule moved. Returns how many
-    /// breakers re-opened.
+    /// Move every open breaker whose cooldown expired to half-open and put
+    /// its rule back in service, on probation: the gate admits exactly one
+    /// trial. Returns how many breakers re-opened.
     fn scan_quarantined(&self) -> u32 {
-        let plan = self.plan.load();
-        if plan.quarantined.is_empty() {
+        if self.containment.quarantined.load(Ordering::Relaxed) == 0 {
             return 0;
         }
         let now = self.clock.now_micros();
         let mut reopened = 0;
-        for reg in &plan.quarantined {
+        for reg in &self.plan.load().rules {
             if reg.breaker.maybe_half_open(now) {
-                reg.rule.set_in_plan(true);
+                self.sync_quarantine(reg);
                 self.containment.breaker_reopens.incr();
                 self.note_breaker("Breaker.Reopen", &reg.rule.name, 0);
                 reopened += 1;
             }
-        }
-        if reopened > 0 {
-            // Republish with the half-open rules back in their event plans;
-            // their gates admit exactly one trial each.
-            self.rebuild_plan();
         }
         reopened
     }
@@ -1275,13 +1264,7 @@ impl SqlcmInner {
             duration_nanos: t.rate_events_per_sec as u64,
             trace_id: 0,
         });
-        if self.has_rules_for(&RuleEvent::MonitorTick) {
-            let health = self.telemetry_snapshot().health();
-            self.dispatch(
-                RuleEvent::MonitorTick,
-                vec![objects::monitor_object(&health)],
-            );
-        }
+        self.poll_self_monitor();
     }
 
     /// Feed one evaluation outcome into the rule's breaker (or resolve its
@@ -1300,16 +1283,7 @@ impl SqlcmInner {
         if trial {
             if error {
                 if reg.breaker.trial_failed(self.clock.now_micros()) {
-                    self.containment.breaker_trips.incr();
-                    self.note_breaker("Breaker.Trip", &reg.rule.name, 1);
-                    self.record_error(
-                        &reg.rule.name,
-                        format!(
-                            "rule {} failed its half-open trial; breaker re-opened",
-                            reg.rule.name
-                        ),
-                    );
-                    self.quarantine(reg);
+                    self.on_trip(reg, "failed its half-open trial; breaker re-opened");
                 }
             } else {
                 reg.breaker.trial_succeeded();
@@ -1325,27 +1299,32 @@ impl SqlcmInner {
             .breaker
             .record_outcome(error, slow, tighten, || self.clock.now_micros())
         {
-            self.containment.breaker_trips.incr();
-            self.note_breaker("Breaker.Trip", &reg.rule.name, 1);
-            self.record_error(
-                &reg.rule.name,
-                format!(
-                    "rule {} tripped its circuit breaker; quarantined",
-                    reg.rule.name
-                ),
-            );
-            self.quarantine(reg);
+            self.on_trip(reg, "tripped its circuit breaker; quarantined");
         }
     }
 
-    /// Republish the plan without a rule whose breaker just opened.
-    fn quarantine(&self, reg: &Registered) {
-        reg.rule.set_in_plan(false);
-        self.rebuild_plan();
+    /// The rule's breaker just opened: count and record the trip, and take
+    /// the rule out of service.
+    fn on_trip(&self, reg: &Registered, what: &str) {
+        let rule = &reg.rule.name;
+        self.containment.breaker_trips.incr();
+        self.note_breaker("Breaker.Trip", rule, 1);
+        self.record_error(rule, format!("rule {rule} {what}"));
+        self.sync_quarantine(reg);
+    }
+
+    /// The rule's breaker opened or left `Open`: quarantine the rule iff it
+    /// is open now. A flag store on the thread that raised the event — the
+    /// plan, its guard index and the registry locks are not touched.
+    fn sync_quarantine(&self, reg: &Registered) {
+        let change = reg.rule.set_quarantined(|| reg.breaker.is_open());
+        self.containment
+            .quarantined
+            .fetch_add(change, Ordering::Relaxed);
     }
 
     /// Flight-record a breaker transition (trip/reopen/close) so the recorder
-    /// shows *why* a rule disappeared from (or returned to) the plan.
+    /// shows *why* a rule left (or returned to) service.
     fn note_breaker(&self, what: &str, rule: &str, errors: u32) {
         self.telemetry.recorder.record(FlightRecord {
             seq: 0,
@@ -1377,10 +1356,6 @@ impl SqlcmInner {
         Ok(())
     }
 
-    fn enqueue_deferred(&self, rule: &str, kind: DeferredKind) {
-        self.deferred.enqueue(rule, kind, self.clock.now_micros());
-    }
-
     /// Drain every currently-due deferred action, executing, retrying, or
     /// exhausting each. Returns the number of successful executions.
     fn pump_deferred(&self) -> u32 {
@@ -1390,7 +1365,7 @@ impl SqlcmInner {
             if self.deferred.already_executed(a.key) {
                 continue;
             }
-            match self.execute_deferred(&a) {
+            match self.execute_external(a.kind.clone()) {
                 Ok(()) => {
                     self.deferred.mark_executed(a.key);
                     self.breaker_outcome_by_name(&a.rule, false);
@@ -1422,23 +1397,24 @@ impl SqlcmInner {
         done
     }
 
-    /// Execute one resolved deferred action against the live sinks (with
-    /// fault injection applied at the same points as the sync path).
-    fn execute_deferred(&self, a: &DeferredAction) -> Result<()> {
-        match &a.kind {
+    /// Run one resolved external action against the live sinks, fault
+    /// injection first: the one place a sink is called, from the raising
+    /// thread and from the deferred pump (which keeps its copy for a retry).
+    fn execute_external(&self, kind: DeferredKind) -> Result<()> {
+        match kind {
             DeferredKind::Mail { to, body } => {
                 self.check_fault(FaultKind::Mail)?;
-                self.mail_sink.read().send(to, body);
+                self.mail_sink.read().send(&to, &body);
                 Ok(())
             }
             DeferredKind::Command { cmd } => {
                 self.check_fault(FaultKind::Command)?;
-                self.command_sink.read().run(cmd);
+                self.command_sink.read().run(&cmd);
                 Ok(())
             }
             DeferredKind::Persist { table, rows } => {
                 self.check_fault(FaultKind::Persist)?;
-                persist_rows(&self.engine, table, rows.clone())?;
+                persist_rows(&self.engine, &table, rows)?;
                 Ok(())
             }
         }
@@ -1447,22 +1423,28 @@ impl SqlcmInner {
     /// Attribute a deferred-execution outcome back to the producing rule's
     /// breaker (and its per-rule error counter on failure).
     fn breaker_outcome_by_name(&self, rule: &str, error: bool) {
-        let plan = self.plan.load();
-        let Some(reg) = plan.rules.iter().find(|r| r.rule.name == rule) else {
+        let Some(reg) = self.registered(rule) else {
             return;
         };
         if error {
             reg.rule.action_errors.fetch_add(1, Ordering::Relaxed);
         }
-        self.record_breaker_outcome(reg, false, error, None);
+        self.record_breaker_outcome(&reg, false, error, None);
+    }
+
+    /// The registered rule of that name. Uncounted registry read, like the
+    /// other observability accessors.
+    fn registered(&self, name: &str) -> Option<Arc<Registered>> {
+        let rules = self.rules.read();
+        rules.iter().find(|r| r.rule.name == name).cloned()
     }
 
     /// Assemble the containment slice of the telemetry snapshot.
-    fn containment_telemetry(&self) -> ContainmentTelemetry {
-        let plan = self.plan.load();
+    fn containment_telemetry(&self, plan: &DispatchPlan) -> ContainmentTelemetry {
         let quarantined: Vec<String> = plan
-            .quarantined
+            .rules
             .iter()
+            .filter(|r| r.breaker.is_open())
             .map(|r| r.rule.name.clone())
             .collect();
         let mut breakers: Vec<BreakerTelemetry> = plan
@@ -1513,7 +1495,7 @@ impl SqlcmInner {
     /// `Timer.Alarm` ones.
     fn poll_timers(&self) {
         // Timer polling doubles as a re-admission heartbeat: quarantined
-        // rules get their probation scan even when no events are flowing.
+        // rules get their probation even when no events are flowing.
         self.scan_quarantined();
         for alarm in self.timers.due_timers() {
             if alarm.name == SELF_MONITOR_TIMER {
@@ -1530,7 +1512,7 @@ impl SqlcmInner {
     /// rules can watch the monitor's own health. Skipped entirely when no
     /// rule subscribes (§2.1 applies to self-observation too).
     fn poll_self_monitor(&self) {
-        if !self.has_rules_for(&RuleEvent::MonitorTick) {
+        if !self.plan.load().has_event(&RuleEvent::MonitorTick) {
             return;
         }
         let health = self.telemetry_snapshot().health();
@@ -1554,6 +1536,7 @@ impl SqlcmInner {
     fn telemetry_snapshot(&self) -> TelemetrySnapshot {
         use sqlcm_common::ProbeKind;
         let telem = &self.telemetry;
+        let plan = self.plan.load();
         let probes = ProbeKind::ALL
             .iter()
             .map(|k| ProbeTelemetry {
@@ -1616,7 +1599,7 @@ impl SqlcmInner {
             rules,
             lats,
             dispatch: DispatchTelemetry {
-                plan_epoch: self.plan.load().epoch,
+                plan_epoch: plan.epoch,
                 plan_rebuilds: telem.plan_rebuilds.get(),
                 hoisted_lookup_hits: telem.hoisted_lookup_hits.get(),
                 lat_row_fetches: telem.lat_row_fetches.get(),
@@ -1630,12 +1613,12 @@ impl SqlcmInner {
                 guard_probes: telem.guard_probes.get(),
                 rules_pruned: telem.rules_pruned.get(),
                 candidate_rules: telem.candidate_rules.get(),
-                residual_rules: self.plan.load().guard_residual_rules,
+                residual_rules: plan.guard_residual_rules,
             },
             flight_records: telem.recorder.snapshot(),
             flight_total: telem.recorder.total_recorded(),
             tracing: self.tracer.telemetry(),
-            containment: self.containment_telemetry(),
+            containment: self.containment_telemetry(&plan),
         }
     }
 }
@@ -1654,7 +1637,6 @@ impl Sqlcm {
             rules: RwLock::new(Vec::new()),
             plan: PlanCell::new(Arc::new(DispatchPlan::build(0, &[], &HashMap::new()))),
             plan_rebuild: Mutex::new(()),
-            plan_epoch: AtomicU64::new(0),
             timers: TimerRegistry::new(clock),
             mail_sink: RwLock::new(outbox.clone() as Arc<dyn MailSink>),
             command_sink: RwLock::new(command_log.clone() as Arc<dyn CommandSink>),
@@ -1914,7 +1896,7 @@ impl Sqlcm {
         let guard = RuleGuard::of(analyzer.universe(), &ir);
         let (cond_classes, cond_lats) = rule.condition_refs()?;
         let cond_lats_lc: Vec<String> = cond_lats.iter().map(|l| l.to_ascii_lowercase()).collect();
-        let compiled = {
+        let (compiled, compiled_actions) = {
             let lats = self.inner.lats_read();
             for l in &cond_lats {
                 if !lats.contains_key(&l.to_ascii_lowercase()) {
@@ -1924,16 +1906,60 @@ impl Sqlcm {
                     )));
                 }
             }
-            for a in &rule.actions {
-                if let Some(l) = a.lat_refs() {
-                    if !lats.contains_key(&l.to_ascii_lowercase()) {
-                        return Err(Error::Monitor(format!(
-                            "rule {} targets unknown LAT {l}",
-                            rule.name
-                        )));
-                    }
-                }
-            }
+            // Every action becomes its compiled variant; a LAT target is
+            // resolved to its handle here or the registration fails.
+            let lat_of = |name: &str| {
+                lats.get(&name.to_ascii_lowercase())
+                    .cloned()
+                    .ok_or_else(|| {
+                        Error::Monitor(format!("rule {} targets unknown LAT {name}", rule.name))
+                    })
+            };
+            let compiled_actions = rule
+                .actions
+                .iter()
+                .map(|a| {
+                    Ok(match a.clone() {
+                        Action::Insert { lat } => {
+                            let lat = lat_of(&lat)?;
+                            CompiledAction::Insert {
+                                eviction_event: RuleEvent::LatEviction(lat.spec.name.clone()),
+                                lat,
+                            }
+                        }
+                        Action::Reset { lat } => CompiledAction::Reset(lat_of(&lat)?),
+                        Action::PersistLat { table, lat } => CompiledAction::PersistLat {
+                            table,
+                            lat: lat_of(&lat)?,
+                        },
+                        Action::PersistObject {
+                            table,
+                            class,
+                            attrs,
+                        } => CompiledAction::PersistObject {
+                            table,
+                            class,
+                            attrs,
+                        },
+                        Action::SendMail { to, template } => {
+                            CompiledAction::SendMail { to, template }
+                        }
+                        Action::RunExternal { template } => {
+                            CompiledAction::RunExternal { template }
+                        }
+                        Action::Cancel { class } => CompiledAction::Cancel { class },
+                        Action::SetTimer {
+                            timer,
+                            period_micros,
+                            number_alarms,
+                        } => CompiledAction::SetTimer {
+                            timer,
+                            period_micros,
+                            number_alarms,
+                        },
+                    })
+                })
+                .collect::<Result<Vec<_>>>()?;
             // Resolve the folded condition's references against the live
             // LATs. The fold delta feeds the `folded_ops` telemetry counter.
             let compiled_cond = ir
@@ -1948,41 +1974,8 @@ impl Sqlcm {
                     crate::ir::CondIr::from_ir(folded, &lats, &cond_lats_lc).map(Arc::new)
                 })
                 .transpose()?;
-            let compiled_actions = rule
-                .actions
-                .iter()
-                .map(|a| {
-                    Ok(match a {
-                        Action::Insert { lat } => {
-                            let lat_arc = lats
-                                .get(&lat.to_ascii_lowercase())
-                                .expect("validated")
-                                .clone();
-                            let eviction_event = RuleEvent::LatEviction(lat_arc.spec.name.clone());
-                            CompiledAction::Insert {
-                                lat: lat_arc,
-                                eviction_event,
-                            }
-                        }
-                        Action::Reset { lat } => CompiledAction::Reset(
-                            lats.get(&lat.to_ascii_lowercase())
-                                .expect("validated")
-                                .clone(),
-                        ),
-                        Action::PersistLat { table, lat } => CompiledAction::PersistLat {
-                            table: table.clone(),
-                            lat: lats
-                                .get(&lat.to_ascii_lowercase())
-                                .expect("validated")
-                                .clone(),
-                        },
-                        other => CompiledAction::Other(other.clone()),
-                    })
-                })
-                .collect::<Result<Vec<_>>>()?;
             (compiled_cond, compiled_actions)
         };
-        let (compiled, compiled_actions) = compiled;
         let mut rules = self.inner.rules_write();
         if rules.iter().any(|r| r.rule.name == rule.name) {
             return Err(Error::Monitor(format!("rule {} already exists", rule.name)));
@@ -2009,7 +2002,7 @@ impl Sqlcm {
             breaker: RuleBreaker::new(self.inner.containment.default_breaker_config()),
         }));
         drop(rules);
-        rule.set_in_plan(true);
+        rule.set_registered(true);
         // Publish a plan containing the new rule, then fold its subscription
         // into the engine's probe-interest mask (`wants` reads the plan, so
         // the rebuild must come first or its events never reach us).
@@ -2028,7 +2021,9 @@ impl Sqlcm {
         let Some(reg) = removed else {
             return false;
         };
-        reg.rule.set_in_plan(false);
+        let lifted = reg.rule.set_registered(false);
+        let quarantined = &self.inner.containment.quarantined;
+        quarantined.fetch_add(lifted, Ordering::Relaxed);
         // Publish the shrunken plan, then shrink the engine's
         // probe-interest mask (`wants` reads the plan).
         self.inner.rebuild_plan();
@@ -2036,25 +2031,11 @@ impl Sqlcm {
         true
     }
 
-    /// Enable or disable a rule by name and republish the dispatch plan
-    /// (epoch bump). Returns whether the rule exists.
-    ///
-    /// Toggling through the [`Rule`] handle directly also works — the plan's
-    /// interest mask conservatively includes disabled rules, and dispatch
-    /// re-snapshots enabled-ness per event — but does not bump the epoch.
+    /// [`Rule::set_enabled`] by rule name; returns whether the rule exists.
+    /// The plan is not rebuilt: a disabled rule stays in it, out of service,
+    /// and its probes stay in the interest mask.
     pub fn set_rule_enabled(&self, name: &str, on: bool) -> bool {
-        let found = match self.inner.rules_read().iter().find(|r| r.rule.name == name) {
-            Some(r) => {
-                r.rule.set_enabled(on);
-                true
-            }
-            None => false,
-        };
-        if found {
-            self.inner.rebuild_plan();
-            self.inner.engine.monitors.refresh_interest();
-        }
-        found
+        self.rule(name).map(|rule| rule.set_enabled(on)).is_some()
     }
 
     /// Dispatch an engine event through the monitor exactly as a probe would —
@@ -2071,12 +2052,7 @@ impl Sqlcm {
     }
 
     pub fn rule(&self, name: &str) -> Option<Arc<Rule>> {
-        self.inner
-            .rules
-            .read()
-            .iter()
-            .find(|r| r.rule.name == name)
-            .map(|r| r.rule.clone())
+        self.inner.registered(name).map(|r| r.rule.clone())
     }
 
     pub fn rule_count(&self) -> usize {
@@ -2120,17 +2096,15 @@ impl Sqlcm {
     // ------------------------------------------------------------ containment
 
     /// Enable/disable per-rule circuit breakers (default on). Disabling
-    /// force-closes every breaker and republishes the plan, so a quarantined
-    /// rule returns to service immediately.
+    /// force-closes every breaker, so a quarantined rule returns to service
+    /// immediately.
     pub fn set_breakers_enabled(&self, on: bool) {
         self.inner.containment.set_breakers_enabled(on);
         if !on {
             for reg in self.inner.rules.read().iter() {
                 reg.breaker.force_close();
-                // Back from quarantine, if it was there.
-                reg.rule.set_in_plan(true);
+                self.inner.sync_quarantine(reg);
             }
-            self.inner.rebuild_plan();
         }
     }
 
@@ -2153,27 +2127,17 @@ impl Sqlcm {
 
     /// Override one rule's breaker config. Returns whether the rule exists.
     pub fn set_rule_breaker_config(&self, rule: &str, cfg: BreakerConfig) -> bool {
-        match self.inner.rules.read().iter().find(|r| r.rule.name == rule) {
-            Some(r) => {
-                r.breaker.set_config(cfg);
-                true
-            }
-            None => false,
-        }
+        let reg = self.inner.registered(rule);
+        reg.map(|r| r.breaker.set_config(cfg)).is_some()
     }
 
     /// Current breaker state of a rule (`None` for unknown rules).
     pub fn breaker_state(&self, rule: &str) -> Option<BreakerState> {
-        self.inner
-            .rules
-            .read()
-            .iter()
-            .find(|r| r.rule.name == rule)
-            .map(|r| r.breaker.state())
+        self.inner.registered(rule).map(|r| r.breaker.state())
     }
 
-    /// Scan quarantined rules for cooldown-expired half-open re-admission
-    /// now (the event-path checkpoint and timer polling do this too).
+    /// Re-admit quarantined rules whose cooldown expired, half-open, now
+    /// (the event-path checkpoint and timer polling do this too).
     /// Returns how many breakers re-opened into probation.
     pub fn poll_breakers(&self) -> u32 {
         self.inner.scan_quarantined()
@@ -2251,12 +2215,7 @@ impl Sqlcm {
 
     /// One rule's current breaker thresholds (`None` for unknown rules).
     pub fn rule_breaker_config(&self, rule: &str) -> Option<BreakerConfig> {
-        self.inner
-            .rules
-            .read()
-            .iter()
-            .find(|r| r.rule.name == rule)
-            .map(|r| r.breaker.config())
+        self.inner.registered(rule).map(|r| r.breaker.config())
     }
 
     /// Faults injected so far for one sink kind (0 when no plan installed).
@@ -3192,6 +3151,43 @@ mod tests {
         // every rule's count, the removed one's included.
         let live: u64 = sqlcm.telemetry().rules.iter().map(|r| r.evaluations).sum();
         assert_eq!(sqlcm.stats().evaluations, live + s.evaluations);
+    }
+
+    /// A condition over two LATs binds each reference to its own LAT's row.
+    #[test]
+    fn a_condition_over_two_lats_binds_each_row() {
+        let (_engine, sqlcm) = setup();
+        let by_type = |name: &str| LatSpec::new(name).group_by("Query.Query_Type", "QType");
+        sqlcm
+            .define_lat(by_type("Seen").aggregate(LatAggFunc::Count, "", "N"))
+            .unwrap();
+        sqlcm
+            .define_lat(by_type("Spent").aggregate(LatAggFunc::Sum, "Query.Duration", "S"))
+            .unwrap();
+        for lat in ["Seen", "Spent"] {
+            sqlcm
+                .add_rule(
+                    Rule::new(format!("feed_{lat}"))
+                        .on(RuleEvent::QueryCommit)
+                        .then(Action::insert(lat)),
+                )
+                .unwrap();
+        }
+        let watch = sqlcm
+            .add_rule(
+                Rule::new("watch")
+                    .on(RuleEvent::QueryCommit)
+                    .when("Seen.N = 3 AND Spent.S > 100"),
+            )
+            .unwrap();
+        let mut q = sqlcm_common::QueryInfo::synthetic(1, "q");
+        q.duration_micros = 50_000_000;
+        for _ in 0..4 {
+            sqlcm.inject_event(&EngineEvent::QueryCommit(q.clone()));
+        }
+        // Only the third event sees 3 commits worth 150 s.
+        assert_eq!(watch.stats().fires, 1);
+        assert_eq!(watch.stats().evaluations, 4);
     }
 
     #[test]

@@ -1,14 +1,16 @@
-//! Compiled dispatch plans: the immutable, RCU-published data structure the
+//! Compiled dispatch plans: the immutable, published data structure the
 //! event hot path runs on.
 //!
 //! The paper's viability argument (§2.1, §6.2) is that probes are near-free
 //! when idle and cheap when active. A mutable registry guarded by RwLocks
 //! contradicts that: every event would pay lock acquisitions and index-map
-//! clones whether or not anything subscribes. Instead, every registration-time
-//! mutation (`add_rule`/`remove_rule`/`define_lat`/`drop_lat`/
-//! `set_rule_enabled`) rebuilds a [`DispatchPlan`] from scratch and publishes
-//! it with one atomic pointer swap ([`PlanCell`]). Dispatch then needs exactly
-//! one atomic load per event — no locks, no clones:
+//! clones whether or not anything subscribes. Instead, the plan is a function
+//! of the registry: each of its four mutations (`add_rule`/`remove_rule`/
+//! `define_lat`/`drop_lat`) rebuilds a [`DispatchPlan`] from scratch and
+//! publishes it through the [`PlanCell`], and nothing else does — a rule that
+//! is disabled or quarantined stays in its plan, out of service
+//! (`Rule::in_service`). While the plan is unchanged, dispatch pays one atomic
+//! load and a compare per event — no locks, no clones:
 //!
 //! * `wants()` / `on_event` consult a packed [`ProbeMask`] interest bit;
 //! * per event the plan holds the precompiled rule slice in registration
@@ -23,13 +25,12 @@
 //!   sharers load the cached value, and Phase C invalidation drops the
 //!   value together with the hoist slots it reads through.
 //!
-//! Reclamation is deliberately simple: superseded plans are parked in a
-//! retired list until the cell drops. Plans are rebuilt at *registration*
-//! rate (human-driven, low), not event rate, so the parked memory is bounded
-//! by the number of registry mutations over the instance's lifetime.
+//! Plans are owned by plain `Arc`s: the cell holds the current one, every
+//! thread that dispatches caches the one it last used, and a superseded plan
+//! is freed when the last of those lets go of it.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::atomic::{AtomicPtr, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -38,7 +39,6 @@ use sqlcm_common::{ProbeKind, ProbeMask, Value};
 use sqlcm_sql::NodeId;
 use sqlcm_telemetry::LatencyHistogram;
 
-use crate::actions::Action;
 use crate::containment::RuleBreaker;
 use crate::guard::{GuardIndex, RuleGuard};
 use crate::ir::{CondIr, ROp};
@@ -83,13 +83,14 @@ pub(crate) struct Registered {
     /// tests) falls back to coarse whole-LAT invalidation.
     pub effects: Option<Arc<RuleEffects>>,
     /// Fault-containment circuit breaker. Lives here (not on the plan) so its
-    /// sliding window and state survive plan rebuilds; a rule whose breaker
-    /// is `Open` at build time is quarantined out of the event plans.
+    /// sliding window and state survive plan rebuilds; while it is `Open`
+    /// the rule is out of service but stays in its plan.
     pub breaker: RuleBreaker,
 }
 
-/// An action with its LAT target (if any) pre-resolved — no name lookup on the
-/// hot path.
+/// A [`crate::actions::Action`] as `add_rule` compiled it: one variant per
+/// action, a LAT target resolved to its handle — no name lookup on the hot
+/// path, and no LAT action left unresolved.
 pub(crate) enum CompiledAction {
     Insert {
         lat: Arc<Lat>,
@@ -101,9 +102,26 @@ pub(crate) enum CompiledAction {
         table: String,
         lat: Arc<Lat>,
     },
-    /// Everything without a LAT target interprets the declarative [`Action`]
-    /// directly (never `Insert`/`Reset`/`PersistLat`).
-    Other(Action),
+    PersistObject {
+        table: String,
+        class: ClassName,
+        attrs: Vec<String>,
+    },
+    SendMail {
+        to: String,
+        template: String,
+    },
+    RunExternal {
+        template: String,
+    },
+    Cancel {
+        class: ClassName,
+    },
+    SetTimer {
+        timer: String,
+        period_micros: u64,
+        number_alarms: i64,
+    },
 }
 
 /// One shared LAT lookup hoisted to event level: every rule on the event whose
@@ -321,10 +339,10 @@ fn static_index(kind: &RuleEvent) -> Option<usize> {
 pub(crate) struct DispatchPlan {
     /// Monotone rebuild counter (0 = the empty plan installed at attach).
     pub epoch: u64,
-    /// Probe kinds at least one rule (enabled or not) subscribes to. Kept
-    /// conservative w.r.t. disabled rules because `Rule::set_enabled` can
-    /// flip a rule back on without a rebuild; dispatch filters by the
-    /// per-event enabled snapshot.
+    /// Probe kinds at least one registered rule subscribes to, in service or
+    /// not: a rule re-enabled or re-admitted from quarantine needs no
+    /// rebuild, and its events must keep flowing for the containment
+    /// checkpoint to run. Dispatch pins the in-service rules per event.
     pub probe_mask: ProbeMask,
     /// Plans for the statically-indexed events (probe kinds + MonitorTick).
     /// Each behind its own `Arc`, so a sampled trace can keep the plan of the
@@ -333,12 +351,9 @@ pub(crate) struct DispatchPlan {
     /// Plans for name-carrying events (`Timer.Alarm`, LAT evictions).
     /// Immutable after build, so lookups are lock-free.
     dynamics: HashMap<RuleEvent, Arc<EventPlan>>,
-    /// Every registered rule in registration order (telemetry iteration).
+    /// Every registered rule in registration order: what telemetry iterates,
+    /// and what the containment checkpoint walks for breakers to re-admit.
     pub rules: Vec<Arc<Registered>>,
-    /// Rules excluded from the event plans because their breaker was `Open`
-    /// at build time. The containment checkpoint scans this list (lock-free —
-    /// the plan is immutable) for cooldown-expired breakers to re-admit.
-    pub quarantined: Vec<Arc<Registered>>,
     /// Rules with an extracted guard across every event plan (telemetry).
     pub guard_indexed_rules: u64,
     /// Rules in the always-evaluate residual set across every event plan
@@ -358,23 +373,8 @@ impl DispatchPlan {
     ) -> DispatchPlan {
         let mut statics: [EventPlan; STATIC_EVENTS] = std::array::from_fn(|_| EventPlan::default());
         let mut dynamics: HashMap<RuleEvent, EventPlan> = HashMap::new();
-        let mut quarantined: Vec<Arc<Registered>> = Vec::new();
-        // Probe kinds whose only subscribers are quarantined: the interest
-        // mask must stay conservative for them, exactly like disabled rules —
-        // events must keep flowing so the containment checkpoint can run the
-        // half-open probation and re-admit the rule.
-        let mut quarantined_mask = ProbeMask::EMPTY;
         for reg in rules {
             let event = &reg.rule.event;
-            if reg.breaker.is_open() {
-                if let Some(i) = static_index(event) {
-                    if i < ProbeKind::COUNT {
-                        quarantined_mask.set(ProbeKind::ALL[i]);
-                    }
-                }
-                quarantined.push(reg.clone());
-                continue;
-            }
             let ep = match static_index(event) {
                 Some(i) => &mut statics[i],
                 None => dynamics.entry(event.clone()).or_default(),
@@ -410,7 +410,7 @@ impl DispatchPlan {
         }
         let mut probe_mask = ProbeMask::EMPTY;
         for kind in ProbeKind::ALL {
-            if !statics[kind.index()].rules.is_empty() || quarantined_mask.contains(kind) {
+            if !statics[kind.index()].rules.is_empty() {
                 probe_mask.set(kind);
             }
         }
@@ -423,7 +423,6 @@ impl DispatchPlan {
                 .map(|(event, ep)| (event, Arc::new(ep)))
                 .collect(),
             rules: rules.to_vec(),
-            quarantined,
             guard_indexed_rules,
             guard_residual_rules,
         }
@@ -634,10 +633,10 @@ impl DispatchPlan {
                 continue;
             }
             let templated = pr.reg.actions.iter().any(|a| match a {
-                CompiledAction::Other(Action::SendMail { to, template }) => {
+                CompiledAction::SendMail { to, template } => {
                     to.contains('{') || template.contains('{')
                 }
-                CompiledAction::Other(Action::RunExternal { template }) => template.contains('{'),
+                CompiledAction::RunExternal { template } => template.contains('{'),
                 _ => false,
             });
             // `compiled: None` with LAT references only happens for rules
@@ -817,58 +816,75 @@ impl PlanSummary {
     }
 }
 
-/// RCU-style publication cell for the current [`DispatchPlan`].
+/// Publication cell for the current [`DispatchPlan`].
 ///
-/// `load` is a single `Acquire` pointer load returning a reference valid for
-/// the cell's lifetime: `swap` never frees the superseded plan, it parks the
-/// owning `Arc` in `retired` until the cell itself drops. That trades bounded
-/// memory (one plan per registry mutation) for a hot path with no
-/// reference-counting traffic and no epoch/hazard machinery — the right trade
-/// at registration rates.
+/// The plan is handed over under `current`'s mutex; `epoch` only tells a
+/// dispatcher *whether* to take it. Each dispatching thread keeps the plan it
+/// last used in a [`CachedPlan`] and, while that is still the published one,
+/// pays one load and a compare per event — no lock and no write to memory
+/// another thread reads. A superseded plan is freed when the last cache
+/// holding it is refreshed or its thread exits, so at most one stale plan per
+/// thread that has dispatched outlives a publication.
 pub(crate) struct PlanCell {
-    current: AtomicPtr<DispatchPlan>,
-    retired: Mutex<Vec<Arc<DispatchPlan>>>,
+    /// Process-wide identity: a cache filled from another monitor's cell, or
+    /// from one that lived at this address before, never matches.
+    id: u64,
+    /// `current`'s epoch. Stored (`Release`) under the mutex in `swap`, loaded
+    /// (`Acquire`) by `plan`: a thread that observes a registration observes
+    /// its epoch, and then fetches the plan under the mutex.
+    epoch: AtomicU64,
+    current: Mutex<Arc<DispatchPlan>>,
 }
 
-// SAFETY: the raw pointer always originates from `Arc::into_raw` of a plan
-// kept alive by this cell (either `current` or `retired`), and `DispatchPlan`
-// is itself `Send + Sync`.
-unsafe impl Send for PlanCell {}
-unsafe impl Sync for PlanCell {}
+/// A dispatching thread's reference to the plan it last used.
+pub(crate) struct CachedPlan {
+    cell: u64,
+    plan: Arc<DispatchPlan>,
+}
 
 impl PlanCell {
     pub fn new(plan: Arc<DispatchPlan>) -> PlanCell {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         PlanCell {
-            current: AtomicPtr::new(Arc::into_raw(plan).cast_mut()),
-            retired: Mutex::new(Vec::new()),
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            epoch: AtomicU64::new(plan.epoch),
+            current: Mutex::new(plan),
         }
     }
 
-    /// The currently published plan: one atomic load, no locks, no refcount.
-    pub fn load(&self) -> &DispatchPlan {
-        // SAFETY: the pointee is kept alive until `self` drops (see `swap`),
-        // and the returned borrow cannot outlive `&self`.
-        unsafe { &*self.current.load(Ordering::Acquire) }
+    /// Epoch of the published plan.
+    pub fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Acquire)
     }
 
-    /// Publish a new plan. Readers that already loaded the old pointer keep a
-    /// valid reference: the superseded Arc is parked, not dropped.
+    /// The published plan, for readers off the event path: takes the mutex
+    /// and a reference.
+    pub fn load(&self) -> Arc<DispatchPlan> {
+        self.current.lock().clone()
+    }
+
+    /// The published plan, through the calling thread's `cache`. A refresh
+    /// drops the superseded plan — freeing it, if this was its last holder.
+    pub fn plan<'a>(&self, cache: &'a mut Option<CachedPlan>) -> &'a DispatchPlan {
+        let epoch = self.epoch();
+        if !matches!(&*cache, Some(c) if c.cell == self.id && c.plan.epoch == epoch) {
+            *cache = Some(CachedPlan {
+                cell: self.id,
+                plan: self.load(),
+            });
+        }
+        &cache.as_ref().expect("filled above").plan
+    }
+
+    /// Publish a new plan. The superseded one is released after the mutex,
+    /// so freeing it never holds up a dispatcher's refresh.
     pub fn swap(&self, plan: Arc<DispatchPlan>) {
-        let fresh = Arc::into_raw(plan).cast_mut();
-        let old = self.current.swap(fresh, Ordering::AcqRel);
-        // SAFETY: `old` came from `Arc::into_raw` in `new` or a prior `swap`,
-        // and ownership of that count transfers back exactly once, here.
-        let old = unsafe { Arc::from_raw(old) };
-        self.retired.lock().push(old);
-    }
-}
-
-impl Drop for PlanCell {
-    fn drop(&mut self) {
-        let p = *self.current.get_mut();
-        // SAFETY: reconstitutes the Arc count owned by `current`; retired
-        // plans drop with the Vec.
-        unsafe { drop(Arc::from_raw(p)) };
+        let superseded = {
+            let mut current = self.current.lock();
+            self.epoch.store(plan.epoch, Ordering::Release);
+            std::mem::replace(&mut *current, plan)
+        };
+        drop(superseded);
     }
 }
 
@@ -1052,12 +1068,71 @@ mod tests {
     }
 
     #[test]
-    fn plan_cell_load_survives_swap() {
+    fn a_cached_plan_survives_the_swap_and_is_replaced_on_the_next_use() {
         let cell = PlanCell::new(Arc::new(DispatchPlan::build(1, &[], &HashMap::new())));
-        let held = cell.load();
+        let mut cache = None;
+        assert_eq!(cell.plan(&mut cache).epoch, 1);
+        let first = Arc::downgrade(&cache.as_ref().unwrap().plan);
         cell.swap(Arc::new(DispatchPlan::build(2, &[], &HashMap::new())));
-        // The pre-swap reference is still valid (parked, not freed).
-        assert_eq!(held.epoch, 1);
-        assert_eq!(cell.load().epoch, 2);
+        assert!(first.upgrade().is_some(), "still cached by this dispatcher");
+        assert_eq!(cell.plan(&mut cache).epoch, 2);
+        assert!(first.upgrade().is_none(), "freed by the refresh");
+        // Another monitor's cell at the same epoch does not match the cache.
+        let other = PlanCell::new(Arc::new(DispatchPlan::build(2, &[], &HashMap::new())));
+        let before = Arc::as_ptr(&cache.as_ref().unwrap().plan);
+        assert!(!std::ptr::eq(other.plan(&mut cache), before));
+    }
+
+    /// 1 000 publications under four dispatchers: once every dispatcher has
+    /// used the cell again, only the published plan and the plans still in
+    /// their caches can be alive; once they and the cell are gone, none is.
+    #[test]
+    fn superseded_plans_are_freed_once_no_dispatcher_caches_them() {
+        use std::sync::Barrier;
+        const THREADS: usize = 4;
+        let cell = PlanCell::new(Arc::new(DispatchPlan::build(0, &[], &HashMap::new())));
+        let published = Barrier::new(THREADS + 1);
+        let counted = Barrier::new(THREADS + 1);
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let mut plans = Vec::new();
+        let mut alive = 0;
+        // Checked after the scope: a panic between the barriers would leave
+        // the other side waiting.
+        let mut seen = Vec::new();
+        std::thread::scope(|s| {
+            let dispatchers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut cache = None;
+                        let (mut last, mut monotone) = (0, true);
+                        while !stop.load(Ordering::Relaxed) {
+                            let epoch = cell.plan(&mut cache).epoch;
+                            monotone &= epoch >= last;
+                            last = epoch;
+                        }
+                        published.wait();
+                        let fresh = cell.plan(&mut cache).epoch;
+                        counted.wait();
+                        counted.wait();
+                        (monotone, fresh)
+                    })
+                })
+                .collect();
+            for epoch in 1..=1_000 {
+                let plan = Arc::new(DispatchPlan::build(epoch, &[], &HashMap::new()));
+                plans.push(Arc::downgrade(&plan));
+                cell.swap(plan);
+            }
+            stop.store(true, Ordering::Relaxed);
+            published.wait();
+            counted.wait();
+            alive = plans.iter().filter(|p| p.upgrade().is_some()).count();
+            counted.wait();
+            seen.extend(dispatchers.into_iter().map(|d| d.join().unwrap()));
+        });
+        assert_eq!(seen, [(true, 1_000); THREADS], "(epochs monotone, last)");
+        assert!(alive <= 1 + THREADS, "{alive} plans alive");
+        drop(cell);
+        assert!(plans.iter().all(|p| p.upgrade().is_none()));
     }
 }

@@ -138,18 +138,19 @@ pub struct Rule {
     pub(crate) fires: AtomicU64,
     pub(crate) executed_actions: AtomicU64,
     pub(crate) action_errors: AtomicU64,
-    /// Probed events on which this rule was an enabled candidate.
+    /// Probed events on which this rule was an in-service candidate.
     pub(crate) candidate_events: AtomicU64,
-    /// Pruned-evaluation bookkeeping, installed when a `Sqlcm` registers the
-    /// rule. `None` on an unregistered rule and in the reference monitor,
-    /// whose linear scan counts every evaluation as it happens.
+    /// The in-service bit and the pruned-evaluation bookkeeping, installed
+    /// when a `Sqlcm` registers the rule. `None` on an unregistered rule and
+    /// in the reference monitor, whose linear scan reads `enabled` and counts
+    /// every evaluation as it happens.
     credit: Option<Credit>,
 }
 
 /// The clock of one event class within one monitor: how many of its events
-/// had a usable guard-index probe. Such an event evaluates every enabled rule
-/// of the class exactly once — the candidates by running them, all others by
-/// this tick alone — so dispatch never touches a pruned rule, and
+/// had a usable guard-index probe. Such an event evaluates every in-service
+/// rule of the class exactly once — the candidates by running them, all
+/// others by this tick alone — so dispatch never touches a pruned rule, and
 /// [`Rule::stats`] recovers the rule's pruned evaluations as *ticks while it
 /// was creditable − events on which it was a candidate*. Unprobed events
 /// (no index, unusable payload) run every rule and do not tick.
@@ -157,8 +158,8 @@ pub struct Rule {
 pub(crate) struct EventClock {
     /// Sharded: concurrent dispatchers of one class never share a line.
     probed: ShardedCounter,
-    /// Rules of the class whose credit interval is open (enabled and in the
-    /// published plan); changes at registration rate.
+    /// Rules of the class whose credit interval is open — those in service;
+    /// changes when a rule is registered, removed, toggled or quarantined.
     creditable: AtomicU64,
 }
 
@@ -171,12 +172,19 @@ impl EventClock {
     }
 }
 
-/// A rule's credit intervals on its class's [`EventClock`]: open exactly while
-/// the rule is enabled and in the published plan. Touched where either
-/// changes, and by readers — never by dispatch.
+/// A rule's service state within the monitor that registered it. The rule is
+/// *in service* — dispatch runs it, and its class's [`EventClock`] credits it
+/// the events that prune it — exactly while it is enabled, registered and not
+/// quarantined by its breaker. Both follow from one [`Credit::settle`], so
+/// what dispatch pins and what the clock credits are one bit. Touched where
+/// one of the three inputs changes, and by readers of the counts; dispatch
+/// only loads `in_service`.
 #[derive(Debug)]
 struct Credit {
     clock: Arc<EventClock>,
+    /// Whether the credit interval is open. Written only by `settle`, under
+    /// the `span` lock; publishes no other data.
+    in_service: AtomicBool,
     span: Mutex<CreditSpan>,
 }
 
@@ -186,17 +194,22 @@ struct CreditSpan {
     closed: u64,
     /// Clock reading when the open interval began.
     opened_at: Option<u64>,
-    /// Registered and not quarantined.
-    in_plan: bool,
+    /// Between `Sqlcm::add_rule` and `Sqlcm::remove_rule`.
+    registered: bool,
+    /// The rule's breaker is open.
+    quarantined: bool,
 }
 
 impl Credit {
-    /// Open or close the interval to match `enabled && in_plan`. The clock
-    /// ticks before an event's rules run, so a rule switched off mid-event
-    /// keeps that event's tick and one switched on mid-event does not get it
-    /// — the per-event pinning of [`Rule::set_enabled`].
+    /// Set the in-service bit from its three inputs and open or close the
+    /// credit interval with it. The clock ticks before an event's rules are
+    /// pinned, so a rule taken out of service mid-event keeps that event's
+    /// tick and one put into service mid-event does not get it — the
+    /// per-event pinning of [`Rule::set_enabled`].
     fn settle(&self, span: &mut CreditSpan, enabled: bool) {
-        match (span.opened_at, enabled && span.in_plan) {
+        let serve = enabled && span.registered && !span.quarantined;
+        self.in_service.store(serve, Ordering::Relaxed);
+        match (span.opened_at, serve) {
             (None, true) => {
                 span.opened_at = Some(self.clock.probed.get());
                 self.clock.creditable.fetch_add(1, Ordering::Relaxed);
@@ -285,26 +298,32 @@ impl Rule {
     /// are triggered" deterministic: the applicable set is fixed at event
     /// arrival and cannot be mutated out from under the dispatch loop.
     ///
-    /// Flipping the flag here takes effect on the next event but does not
-    /// rebuild the dispatch plan; prefer `Sqlcm::set_rule_enabled`, which also
-    /// republishes the plan (bumping its epoch) so the change is visible in
-    /// telemetry.
+    /// `Sqlcm::set_rule_enabled` is this call by rule name. Neither rebuilds
+    /// the dispatch plan: a disabled rule stays in it, out of service.
     pub fn set_enabled(&self, on: bool) {
-        match &self.credit {
-            None => self.enabled.store(on, Ordering::Relaxed),
-            Some(credit) => {
-                let mut span = credit.span.lock();
-                self.enabled.store(on, Ordering::Relaxed);
-                credit.settle(&mut span, on);
-            }
-        }
+        self.enabled.store(on, Ordering::Relaxed);
+        self.resettle(|_| 0);
     }
 
-    /// Count this rule's pruned evaluations on `clock` from now on
-    /// (registration; the rule is not in a plan yet).
+    /// Change the service state under its lock and settle it — the flag is
+    /// re-read there, so of two racing [`Rule::set_enabled`] calls the later
+    /// settle sees the later store. Returns `change`'s result; 0 on a rule
+    /// no `Sqlcm` registered, which has no service state.
+    fn resettle(&self, change: impl FnOnce(&mut CreditSpan) -> i64) -> i64 {
+        let Some(credit) = &self.credit else {
+            return 0;
+        };
+        let mut span = credit.span.lock();
+        let out = change(&mut span);
+        credit.settle(&mut span, self.is_enabled());
+        out
+    }
+
+    /// Count this rule's pruned evaluations on `clock` once it is registered.
     pub(crate) fn attach_clock(&mut self, clock: Arc<EventClock>) {
         self.credit = Some(Credit {
             clock,
+            in_service: AtomicBool::new(false),
             span: Mutex::new(CreditSpan::default()),
         });
     }
@@ -314,14 +333,35 @@ impl Rule {
         self.credit.as_ref().map(|c| &c.clock)
     }
 
-    /// The rule enters (`true`) or leaves (`false`) the published plan:
-    /// registration and removal, breaker quarantine and re-admission.
-    pub(crate) fn set_in_plan(&self, on: bool) {
-        if let Some(credit) = &self.credit {
-            let mut span = credit.span.lock();
-            span.in_plan = on;
-            credit.settle(&mut span, self.is_enabled());
-        }
+    /// Whether dispatch runs the rule: enabled, registered and not
+    /// quarantined. Read once per candidate per event, when the event pins
+    /// the rules it will run.
+    pub(crate) fn in_service(&self) -> bool {
+        self.credit
+            .as_ref()
+            .is_some_and(|c| c.in_service.load(Ordering::Relaxed))
+    }
+
+    /// The rule enters (`true`) or leaves (`false`) the registry, not
+    /// quarantined either way. Returns the change in the number of
+    /// quarantined rules: −1 when the removal lifted a quarantine, else 0.
+    pub(crate) fn set_registered(&self, on: bool) -> i64 {
+        self.resettle(|span| {
+            span.registered = on;
+            -i64::from(std::mem::take(&mut span.quarantined))
+        })
+    }
+
+    /// Quarantine the rule iff `breaker_open()` — asked under the span lock,
+    /// so of two racing breaker transitions the later one decides — and only
+    /// while registered. Returns the change in the number of quarantined
+    /// rules (−1, 0 or 1).
+    pub(crate) fn set_quarantined(&self, breaker_open: impl FnOnce() -> bool) -> i64 {
+        self.resettle(|span| {
+            let was = span.quarantined;
+            span.quarantined = span.registered && breaker_open();
+            i64::from(span.quarantined) - i64::from(was)
+        })
     }
 
     /// Exact on a quiescent read; under concurrent dispatch no stricter than

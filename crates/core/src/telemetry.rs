@@ -175,7 +175,7 @@ impl Telem {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DispatchTelemetry {
     /// Epoch of the currently published plan; bumps on every rebuild
-    /// (`add_rule`/`remove_rule`/`define_lat`/`drop_lat`/`set_rule_enabled`).
+    /// (`add_rule`/`remove_rule`/`define_lat`/`drop_lat` — nothing else).
     pub plan_epoch: u64,
     /// Plans built since attach.
     pub plan_rebuilds: u64,
@@ -349,7 +349,7 @@ pub struct ContainmentTelemetry {
     pub breaker_closes: u64,
     /// Evaluations skipped across all non-closed breakers.
     pub breaker_skipped: u64,
-    /// Rules quarantined out of the current dispatch plan.
+    /// Rules out of service because their breaker is open.
     pub quarantined: Vec<String>,
     /// Per-rule breaker detail (non-closed or previously tripped only).
     pub breakers: Vec<BreakerTelemetry>,

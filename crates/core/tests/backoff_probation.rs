@@ -267,3 +267,110 @@ fn pruned_evaluations_do_not_consume_the_half_open_trial() {
     sqlcm.inject_event(&commit_by("somebody else"));
     assert_eq!(hook.stats().evaluations, 15);
 }
+
+/// Breaker transitions flip the rule's in-service bit in place: 1 000 cycles
+/// of trip → cooldown → half-open → failed trial → cooldown → half-open →
+/// successful trial rebuild no plan and take no registry lock, the
+/// quarantine list follows the breaker at every step, and a quarantined rule
+/// is credited neither the events it would have run on nor the ones that
+/// would have pruned it.
+#[test]
+fn a_thousand_breaker_cycles_never_rebuild_the_plan() {
+    let (_engine, sqlcm, handle) = manual_setup();
+    const COOLDOWN: u64 = 1_000_000;
+    const CYCLES: u64 = 1_000;
+    sqlcm.set_breaker_config(BreakerConfig {
+        error_threshold: 2,
+        min_outcomes: 4,
+        cooldown_micros: COOLDOWN,
+        ..Default::default()
+    });
+    // 64 indexed rules on one event class; only `hook` has an action, and its
+    // sink is dead.
+    let dead_sink = || Some(FaultPlan::seeded(5).command(FaultRate::Always));
+    sqlcm.inject_faults(dead_sink());
+    sqlcm
+        .add_rule(
+            Rule::new("hook")
+                .on(RuleEvent::QueryCommit)
+                .when("Query.User = 'u0'")
+                .then(Action::run_external("doomed")),
+        )
+        .unwrap();
+    for i in 1..64 {
+        sqlcm
+            .add_rule(
+                Rule::new(format!("r{i}"))
+                    .on(RuleEvent::QueryCommit)
+                    .when(&format!("Query.User = 'u{i}'")),
+            )
+            .unwrap();
+    }
+    let commit_by = |user: &str| {
+        let mut q = QueryInfo::synthetic(1, "q");
+        q.user = user.into();
+        EngineEvent::QueryCommit(q)
+    };
+    let (hit, miss) = (commit_by("u0"), commit_by("u1"));
+    let hook = sqlcm.rule("hook").unwrap();
+    let counts = || {
+        let s = hook.stats();
+        (s.evaluations, s.pruned)
+    };
+    let expect = |state: BreakerState, step: &str| {
+        assert_eq!(sqlcm.breaker_state("hook"), Some(state), "{step}");
+        let quarantined = sqlcm.telemetry().containment.quarantined;
+        let want: &[&str] = match state {
+            BreakerState::Open => &["hook"],
+            _ => &[],
+        };
+        assert_eq!(quarantined, want, "{step}");
+    };
+    // Out of service: an event it would run on and one that would prune it
+    // both leave its counts alone.
+    let expect_uncounted = |step: &str| {
+        let before = counts();
+        sqlcm.inject_event(&hit);
+        sqlcm.inject_event(&miss);
+        assert_eq!(counts(), before, "{step}");
+    };
+
+    let before = sqlcm.telemetry().dispatch;
+    for cycle in 0..CYCLES {
+        for _ in 0..4 {
+            sqlcm.inject_event(&hit);
+        }
+        expect(BreakerState::Open, "tripped");
+        expect_uncounted("quarantined after the trip");
+        handle.advance(COOLDOWN);
+        assert_eq!(sqlcm.poll_breakers(), 1);
+        expect(BreakerState::HalfOpen, "first probation");
+        sqlcm.inject_event(&hit);
+        expect(BreakerState::Open, "failed trial");
+        expect_uncounted("quarantined after the failed trial");
+        handle.advance(COOLDOWN);
+        assert_eq!(sqlcm.poll_breakers(), 1);
+        expect(BreakerState::HalfOpen, "second probation");
+        sqlcm.inject_faults(None);
+        sqlcm.inject_event(&hit);
+        expect(BreakerState::Closed, "successful trial");
+        sqlcm.inject_faults(dead_sink());
+        // Back in service: the event that prunes it is credited again.
+        sqlcm.inject_event(&miss);
+        // Per cycle the rule ran 4 + 1 + 1 times and was pruned once.
+        assert_eq!(counts(), (7 * (cycle + 1), cycle + 1));
+    }
+    let after = sqlcm.telemetry();
+    assert_eq!(after.dispatch.plan_rebuilds, before.plan_rebuilds);
+    assert_eq!(after.dispatch.plan_epoch, before.plan_epoch);
+    assert_eq!(
+        after.dispatch.reg_lock_acquisitions,
+        before.reg_lock_acquisitions
+    );
+    assert_eq!(before.plan_epoch, 64, "one rebuild per registration");
+    let c = after.containment;
+    assert_eq!(
+        (c.breaker_trips, c.breaker_reopens, c.breaker_closes),
+        (2 * CYCLES, 2 * CYCLES, CYCLES)
+    );
+}

@@ -128,3 +128,71 @@ fn concurrent_registry_churn_never_loses_or_doubles_evaluations() {
         total_events
     );
 }
+
+/// Superseded plans die: 1 000 publications (500 rules added and removed)
+/// under four dispatchers, a `Weak` kept to every removed rule — alive
+/// exactly as long as a plan that contains it. Once every dispatcher has
+/// handled one more event, only the published plan and the plans the
+/// dispatchers still cache can be alive; once the monitor and the threads
+/// are gone, none is.
+#[test]
+fn superseded_plans_are_freed_under_dispatch() {
+    use std::sync::Barrier;
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 500;
+    let engine = Engine::in_memory();
+    let sqlcm = Sqlcm::attach(&engine);
+    sqlcm
+        .add_rule(
+            Rule::new("stable")
+                .on(RuleEvent::QueryCommit)
+                .when("Query.Duration >= 0"),
+        )
+        .unwrap();
+    let stop = AtomicBool::new(false);
+    let published = Barrier::new(THREADS + 1);
+    let counted = Barrier::new(THREADS + 1);
+    let mut removed = Vec::with_capacity(ROUNDS);
+    let mut alive = 0;
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (sqlcm, stop, published, counted) = (&sqlcm, &stop, &published, &counted);
+            s.spawn(move || {
+                let ev = commit_event(t as u64);
+                while !stop.load(Ordering::Relaxed) {
+                    sqlcm.inject_event(&ev);
+                }
+                published.wait();
+                sqlcm.inject_event(&ev);
+                counted.wait();
+                counted.wait();
+            });
+        }
+        for round in 0..ROUNDS {
+            let name = format!("churn_{round}");
+            let rule = sqlcm
+                .add_rule(
+                    Rule::new(&name)
+                        .on(RuleEvent::QueryCommit)
+                        .when(&format!("Query.User = 'nobody_{round}'")),
+                )
+                .unwrap();
+            removed.push(Arc::downgrade(&rule));
+            drop(rule);
+            assert!(sqlcm.remove_rule(&name));
+        }
+        stop.store(true, Ordering::Relaxed);
+        published.wait();
+        counted.wait();
+        alive = removed.iter().filter(|r| r.upgrade().is_some()).count();
+        counted.wait();
+    });
+    assert!(alive <= 1 + THREADS, "{alive} superseded plans still alive");
+    assert_eq!(
+        sqlcm.telemetry().dispatch.plan_epoch,
+        1 + 2 * ROUNDS as u64,
+        "one publication per registry mutation"
+    );
+    drop(sqlcm);
+    assert!(removed.iter().all(|r| r.upgrade().is_none()));
+}

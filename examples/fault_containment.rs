@@ -6,7 +6,7 @@
 //!
 //! 1. **Dead mail sink.** Async external actions queue, retry with
 //!    exponential backoff, then exhaust into the loss ledger; the rule's
-//!    circuit breaker trips and quarantines it out of the dispatch plan.
+//!    circuit breaker trips and quarantines it: out of service, in place.
 //! 2. **Recovery.** The fault clears; probation (half-open) re-admits the
 //!    rule, the trial succeeds, and the breaker closes.
 //! 3. **Overload.** A burst storm pushes the event rate past the ladder
