@@ -26,13 +26,16 @@
 //! Non-numeric probe values (SQL's cross-type ordering is total) skip the
 //! sweep shortcut and take the exact path.
 //!
-//! The index lives inside the immutable [`crate::plan::DispatchPlan`], so
-//! rule churn rebuilds it with the plan, and probing allocates nothing. It
-//! covers every registered rule of the class; a candidate that is disabled or
-//! quarantined is dropped when the event pins the rules it runs.
+//! The index lives inside the immutable [`crate::plan::EventPlan`] of its
+//! event class: rule churn on the class rebuilds it, a rule appended to the
+//! class is installed into a copy of its predecessor's, and probing
+//! allocates nothing. It covers every registered rule of the class; a
+//! candidate that is disabled or quarantined is dropped when the event pins
+//! the rules it runs.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use sqlcm_analyze::intervals::Interval;
 use sqlcm_analyze::{rule_guard, Bound, GuardKind, RuleIr, SchemaUniverse};
@@ -125,20 +128,26 @@ impl RuleGuard {
 /// All equality guards over one `(class, attribute)`, probed with a single
 /// hash lookup. [`Value`]'s `Hash`/`Eq` are consistent with the VM's `=`
 /// (`Int(2)` and `Float(2.0)` share a bucket and compare equal).
+#[derive(Clone)]
 struct EqGroup {
     class: ClassName,
     attr: usize,
-    map: HashMap<Value, Vec<u32>>,
+    /// Rules per admitted value, in registration order. Keys (`Arc<str>`
+    /// text) and rule lists are shared with the index this one was copied
+    /// from, so the copy an append pays allocates nothing per entry.
+    map: HashMap<Value, Arc<[u32]>>,
 }
 
 /// All range guards over one `(class, attribute)`, swept flat in ascending
 /// `iv.lo` order so the scan stops at the first lower bound above the value.
+#[derive(Clone)]
 struct RangeGroup {
     class: ClassName,
     attr: usize,
     guards: Vec<RangeGuard>,
 }
 
+#[derive(Clone)]
 struct RangeGuard {
     rule: u32,
     lo: Option<Bound>,
@@ -172,12 +181,24 @@ impl RangeGuard {
     }
 }
 
-/// What [`GuardIndex::assemble`] needs of one indexable rule: its guard,
-/// its compiled condition and the classes the condition names.
+/// What [`GuardIndex::add`] needs of one indexable rule: its guard, its
+/// compiled condition and the classes the condition names.
 type Indexable<'a> = (&'a RuleGuard, &'a CondIr, &'a [ClassName]);
 
-/// The per-event guard index, built once per [`crate::plan::DispatchPlan`]
-/// and probed once per dispatched event.
+/// The stored verdict speaks for the registered condition; a rule the
+/// current registry cannot run (`broken`, no program) must still be
+/// evaluated so its error is recorded, whatever the verdict says.
+fn indexable(pr: &PlanRule) -> Option<Indexable<'_>> {
+    match (&pr.reg.guard, &pr.reg.compiled, &pr.program, &pr.broken) {
+        (Some(g), Some(c), Some(_), None) => Some((g, &**c, &pr.reg.cond_classes[..])),
+        _ => None,
+    }
+}
+
+/// The per-event guard index, built once per [`crate::plan::EventPlan`] —
+/// or extended from its predecessor's by one rule — and probed once per
+/// dispatched event.
+#[derive(Clone)]
 pub(crate) struct GuardIndex {
     /// Per payload class any indexed rule reads: minimum attribute-vector
     /// width its condition assumes. A probe over objects missing a class (or
@@ -203,15 +224,25 @@ impl GuardIndex {
         if rules.len() < 2 {
             return None;
         }
-        // The stored verdict speaks for the registered condition; a rule the
-        // current registry cannot run (`broken`, no program) must still be
-        // evaluated so its error is recorded, whatever the verdict says.
-        Self::assemble(rules.iter().map(|pr| {
-            match (&pr.reg.guard, &pr.reg.compiled, &pr.program, &pr.broken) {
-                (Some(g), Some(c), Some(_), None) => Some((g, &**c, &pr.reg.cond_classes[..])),
-                _ => None,
-            }
-        }))
+        Self::assemble(rules.iter().map(indexable))
+    }
+
+    /// Would [`GuardIndex::build`] index `pr`?
+    pub fn indexes(pr: &PlanRule) -> bool {
+        indexable(pr).is_some()
+    }
+
+    /// The index of these rules followed by `pr` — what `build` over the
+    /// longer slice returns: `pr` is the last rule, so it joins each group
+    /// it belongs to after every guard already there. The copy is the cost;
+    /// no installed guard is looked at again.
+    pub fn appended(&self, pr: &PlanRule) -> GuardIndex {
+        let mut idx = self.clone();
+        let ri = idx.indexed_rules + idx.residual_rules;
+        idx.residual.resize((ri as usize + 1).div_ceil(64), 0);
+        idx.add(ri, indexable(pr));
+        idx.seal();
+        idx
     }
 
     /// One entry per rule in registration order; `None` entries are residual.
@@ -226,40 +257,56 @@ impl GuardIndex {
             indexed_rules: 0,
             residual_rules: 0,
         };
-        let mut width: HashMap<ClassName, usize> = HashMap::new();
         for (ri, entry) in rules.enumerate() {
-            let Some((guard, cond, cond_classes)) = entry else {
-                idx.residual[ri >> 6] |= 1 << (ri & 63);
-                idx.residual_rules += 1;
-                continue;
-            };
-            idx.indexed_rules += 1;
-            // Every attribute the indexed condition reads contributes to the
-            // probe's required-width check, making each read provably
-            // in-range before any pruning is trusted; `cond_classes` rides
-            // along (width 0 = presence only) so a pruned rule is always one
-            // the fast path would have evaluated exactly once.
-            for op in &cond.ops {
-                if let ROp::Attr { class, index } = op {
-                    let w = width.entry(class.clone()).or_default();
-                    *w = (*w).max(index + 1);
-                }
-            }
-            for class in cond_classes {
-                width.entry(class.clone()).or_default();
-            }
-            idx.install(ri as u32, guard);
+            idx.add(ri as u32, entry);
         }
         if idx.indexed_rules == 0 {
             return None;
         }
-        let mut required: Vec<(ClassName, usize)> = width.into_iter().collect();
-        required.sort_by_key(|a| a.0.to_string());
-        idx.required = required;
-        for g in &mut idx.range_groups {
+        idx.seal();
+        Some(idx)
+    }
+
+    /// Enter rule `ri`, the last so far. [`GuardIndex::seal`] must follow
+    /// before the index is probed.
+    fn add(&mut self, ri: u32, entry: Option<Indexable<'_>>) {
+        let Some((guard, cond, cond_classes)) = entry else {
+            self.residual[(ri >> 6) as usize] |= 1 << (ri & 63);
+            self.residual_rules += 1;
+            return;
+        };
+        self.indexed_rules += 1;
+        // Every attribute the indexed condition reads contributes to the
+        // probe's required-width check, making each read provably in-range
+        // before any pruning is trusted; `cond_classes` rides along (width
+        // 0 = presence only) so a pruned rule is always one the fast path
+        // would have evaluated exactly once.
+        for op in &cond.ops {
+            if let ROp::Attr { class, index } = op {
+                self.require(class, index + 1);
+            }
+        }
+        for class in cond_classes {
+            self.require(class, 0);
+        }
+        self.install(ri, guard);
+    }
+
+    fn require(&mut self, class: &ClassName, width: usize) {
+        match self.required.iter_mut().find(|(c, _)| c == class) {
+            Some((_, w)) => *w = (*w).max(width),
+            None => self.required.push((class.clone(), width)),
+        }
+    }
+
+    /// Restore the orders `probe` relies on. The sorts are stable and each
+    /// list is sorted but for what `add` pushed, so equal lower bounds stay
+    /// in registration order and sealing after one `add` is a linear pass.
+    fn seal(&mut self) {
+        self.required.sort_by_key(|a| a.0.to_string());
+        for g in &mut self.range_groups {
             g.guards.sort_by(|a, b| a.iv.lo.total_cmp(&b.iv.lo));
         }
-        Some(idx)
     }
 
     fn install(&mut self, rule: u32, guard: &RuleGuard) {
@@ -286,11 +333,8 @@ impl GuardIndex {
                     }
                 };
                 for v in values {
-                    self.eq_groups[gi]
-                        .map
-                        .entry(v.clone())
-                        .or_default()
-                        .push(rule);
+                    let rules = self.eq_groups[gi].map.entry(v.clone()).or_default();
+                    *rules = rules.iter().copied().chain([rule]).collect();
                 }
             }
             GuardKind::Range { lo, hi } => {
@@ -356,7 +400,7 @@ impl GuardIndex {
                 continue;
             }
             if let Some(rules) = g.map.get(v) {
-                for &r in rules {
+                for &r in rules.iter() {
                     bits[(r >> 6) as usize] |= 1 << (r & 63);
                 }
             }
@@ -395,6 +439,31 @@ impl GuardIndex {
             }
         }
         true
+    }
+}
+
+#[cfg(test)]
+impl GuardIndex {
+    /// Everything `probe` reads, in an order two equal indexes share.
+    pub fn canonical(&self) -> String {
+        let eq_groups = self.eq_groups.iter().map(|g| {
+            let mut map: Vec<_> = g.map.iter().collect();
+            map.sort();
+            format!("{}#{} {map:?}", g.class, g.attr)
+        });
+        let range_groups = self.range_groups.iter().map(|g| {
+            let guards = g.guards.iter().map(|r| (r.rule, &r.lo, &r.hi, r.iv));
+            format!("{}#{} {:?}", g.class, g.attr, guards.collect::<Vec<_>>())
+        });
+        format!(
+            "indexed {} residual {} {:?} required {:?} eq {:?} range {:?}",
+            self.indexed_rules,
+            self.residual_rules,
+            self.residual,
+            self.required,
+            eq_groups.collect::<Vec<_>>(),
+            range_groups.collect::<Vec<_>>()
+        )
     }
 }
 

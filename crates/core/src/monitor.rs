@@ -46,7 +46,7 @@ use crate::guard::RuleGuard;
 use crate::lat::{Lat, LatAggFunc, LatSpec};
 use crate::objects::{self, evicted_object, ClassName, Object};
 use crate::plan::{
-    CachedPlan, CompiledAction, DispatchPlan, EventPlan, HoistState, PlanCell, PlanRule,
+    CachedPlan, Change, CompiledAction, DispatchPlan, EventPlan, HoistState, PlanCell, PlanRule,
     PlanSummary, Registered, NO_HOIST,
 };
 use crate::rules::{EvalContext, LatBinding, Rule, RuleEvent};
@@ -60,6 +60,9 @@ use crate::timer::TimerRegistry;
 use crate::trace::{
     explain_condition, PrunedRules, TraceCtx, TraceSampling, TraceSnapshot, Tracer, NONE_SPAN,
 };
+
+/// [`SqlcmInner::registration`], held.
+type Registration<'a> = parking_lot::MutexGuard<'a, Option<Analyzer>>;
 
 /// Upper bound on retained analyzer warnings; the oldest are dropped first.
 const MAX_ANALYSIS_WARNINGS: usize = 1024;
@@ -86,10 +89,14 @@ struct SqlcmInner {
     rules: RwLock<Vec<Arc<Registered>>>,
     /// The published dispatch plan the hot path runs on (`crate::plan`).
     plan: PlanCell,
-    /// Serializes plan rebuilds: the registry snapshot is taken under this
-    /// mutex *after* the caller's mutation, so concurrent registrations can
-    /// never publish a plan missing one of them.
-    plan_rebuild: Mutex<()>,
+    /// Serializes the four registry mutations, each from its first look at
+    /// the registry to the plan it publishes: the published plan is always the
+    /// plan of the registry, and [`DispatchPlan::next`] always has exactly
+    /// one change to account for. What it guards is the analyzer those
+    /// mutations keep current — `define_lat` and `add_rule` admit into it,
+    /// `drop_lat` and `remove_rule` discard it (`SchemaUniverse` has no
+    /// removal) and its next user seeds a fresh one from the registry.
+    registration: Mutex<Option<Analyzer>>,
     timers: TimerRegistry,
     outbox: Arc<RecordingMailSink>,
     command_log: Arc<RecordingCommandSink>,
@@ -359,17 +366,18 @@ impl SqlcmInner {
         self.rules.write()
     }
 
-    /// Rebuild and publish the dispatch plan from the current registries —
-    /// called by the four registry mutations and nothing else, so the epoch
-    /// counts them. Serialized by `plan_rebuild`: the snapshot is taken under
-    /// the mutex *after* the caller's registry mutation, so any interleaving
-    /// of concurrent registrations converges on a plan containing all of them.
-    fn rebuild_plan(&self) {
-        let _guard = self.plan_rebuild.lock();
-        let epoch = self.plan.epoch() + 1;
-        let rules = self.rules_read().clone();
-        let lats = self.lats_read().clone();
-        let plan = DispatchPlan::build(epoch, &rules, &lats);
+    /// Publish the plan of the registry as `change` just left it — called by
+    /// the four registry mutations, under the registration lock, and nothing
+    /// else, so the epoch counts them. The plan is its predecessor with only
+    /// the event classes `change` touches planned again; the superseded plan
+    /// is let go of here, on the registering thread.
+    fn rebuild_plan(&self, _held: &Registration<'_>, change: Change<'_>) {
+        let prev = self.plan.load();
+        let rules = self.rules_read();
+        let lats = self.lats_read();
+        let plan = prev.next(&rules, &lats, change);
+        drop((rules, lats));
+        self.telemetry.plan_rules_planned.add(plan.rules_planned);
         self.plan.swap(Arc::new(plan));
         self.telemetry.plan_rebuilds.incr();
     }
@@ -1601,6 +1609,7 @@ impl SqlcmInner {
             dispatch: DispatchTelemetry {
                 plan_epoch: plan.epoch,
                 plan_rebuilds: telem.plan_rebuilds.get(),
+                plan_rules_planned: telem.plan_rules_planned.get(),
                 hoisted_lookup_hits: telem.hoisted_lookup_hits.get(),
                 lat_row_fetches: telem.lat_row_fetches.get(),
                 reg_lock_acquisitions: telem.reg_lock_acquisitions.get(),
@@ -1636,7 +1645,7 @@ impl Sqlcm {
             lats: RwLock::new(HashMap::new()),
             rules: RwLock::new(Vec::new()),
             plan: PlanCell::new(Arc::new(DispatchPlan::build(0, &[], &HashMap::new()))),
-            plan_rebuild: Mutex::new(()),
+            registration: Mutex::new(None),
             timers: TimerRegistry::new(clock),
             mail_sink: RwLock::new(outbox.clone() as Arc<dyn MailSink>),
             command_sink: RwLock::new(command_log.clone() as Arc<dyn CommandSink>),
@@ -1695,41 +1704,49 @@ impl Sqlcm {
     /// attribute sources are denied with an `E001` diagnostic).
     pub fn define_lat(&self, spec: LatSpec) -> Result<Arc<Lat>> {
         spec.validate()?;
-        let diags = self.analyzer().check_lat(&analysis::lat_ir(&spec));
+        let mut registration = self.inner.registration.lock();
+        let diags = self
+            .analyzer(&mut registration)
+            .check_lat(&analysis::lat_ir(&spec));
         self.deny_on_errors(diags)?;
         let key = spec.name.to_ascii_lowercase();
-        let lat = {
+        let lat = (|| {
             let mut lats = self.inner.lats_write();
             if lats.contains_key(&key) {
                 return Err(Error::Monitor(format!("LAT {} already exists", spec.name)));
             }
             let lat = Arc::new(Lat::new(spec, self.inner.clock.clone())?);
-            lats.insert(key, lat.clone());
-            lat
-        };
+            lats.insert(key.clone(), lat.clone());
+            Ok(lat)
+        })()
+        // The analyzer admitted a schema the registry did not take.
+        .inspect_err(|_| *registration = None)?;
         // A dropped-and-redefined LAT un-breaks rules conditioned on it;
         // republish so the new plan binds the fresh handle.
-        self.inner.rebuild_plan();
+        self.inner.rebuild_plan(&registration, Change::Lat(&key));
         Ok(lat)
     }
 
-    /// A fresh analyzer seeded with the currently registered LATs and rules
-    /// (each rule's IR by `Arc` clone — nothing is re-lowered). Rebuilt per
-    /// registration: this keeps the analyzer state trivially consistent with
-    /// `drop_lat`/`remove_rule`.
-    fn analyzer(&self) -> Analyzer {
-        let mut analyzer = Analyzer::new();
-        for lat in self.inner.lats_read().values() {
-            let diags = analyzer.check_lat(&analysis::lat_ir(&lat.spec));
-            debug_assert!(
-                diags.is_empty(),
-                "registered LAT re-checks clean: {diags:?}"
-            );
-        }
-        for reg in self.inner.rules_read().iter() {
-            analyzer.seed_rule(reg.ir.clone());
-        }
-        analyzer
+    /// The analyzer kept under the registration lock: every registered LAT
+    /// checked and every registered rule admitted (each rule's IR by `Arc`
+    /// clone — nothing is re-lowered). Seeded from the registry when there is
+    /// none — at first use, and after a `drop_lat`/`remove_rule` discarded
+    /// it, which keeps the analyzer trivially consistent with removals.
+    fn analyzer<'a>(&self, kept: &'a mut Option<Analyzer>) -> &'a mut Analyzer {
+        kept.get_or_insert_with(|| {
+            let mut analyzer = Analyzer::new();
+            for lat in self.inner.lats_read().values() {
+                let diags = analyzer.check_lat(&analysis::lat_ir(&lat.spec));
+                debug_assert!(
+                    diags.is_empty(),
+                    "registered LAT re-checks clean: {diags:?}"
+                );
+            }
+            for reg in self.inner.rules_read().iter() {
+                analyzer.seed_rule(reg.ir.clone());
+            }
+            analyzer
+        })
     }
 
     /// Split analyzer output: error diagnostics deny the registration (joined
@@ -1786,20 +1803,21 @@ impl Sqlcm {
     /// Run the static analyzer on a rule against the current LATs and rules
     /// without registering anything — a lint probe.
     pub fn analyze_rule(&self, rule: &Rule) -> Vec<Diagnostic> {
-        self.analyzer().diagnose(&analysis::rule_ir(rule))
+        let mut registration = self.inner.registration.lock();
+        self.analyzer(&mut registration)
+            .diagnose(&analysis::rule_ir(rule))
     }
 
     pub fn drop_lat(&self, name: &str) -> bool {
-        let removed = self
-            .inner
-            .lats_write()
-            .remove(&name.to_ascii_lowercase())
-            .is_some();
+        let mut registration = self.inner.registration.lock();
+        let key = name.to_ascii_lowercase();
+        let removed = self.inner.lats_write().remove(&key).is_some();
         if removed {
+            *registration = None;
             // Rules conditioned on the dropped LAT become `broken` in the new
             // plan (they error per evaluation, as the old per-event resolution
             // did); Insert targets keep their resolved handle.
-            self.inner.rebuild_plan();
+            self.inner.rebuild_plan(&registration, Change::Lat(&key));
         }
         removed
     }
@@ -1875,6 +1893,7 @@ impl Sqlcm {
     /// readable via [`Sqlcm::analysis_warnings`]. What the analyzer admits
     /// is then compiled against the live LATs.
     pub fn add_rule(&self, mut rule: Rule) -> Result<Arc<Rule>> {
+        let mut registration = self.inner.registration.lock();
         if self
             .inner
             .rules_read()
@@ -1886,12 +1905,12 @@ impl Sqlcm {
         // The one lowering of the rule: the analyzer's checks, the effect
         // summary, the guard verdict and the compiled condition below all
         // read this artifact.
-        let analyzer = self.analyzer();
+        let analyzer = self.analyzer(&mut registration);
         let ir = Arc::new(analysis::rule_ir(&rule));
         self.deny_on_errors(analyzer.diagnose(&ir))?;
         // Captured for the dispatch plan: the rule's column-level read/write
         // sets drive precise hoist-slot invalidation, and its guard verdict
-        // is what every plan build's guard index installs.
+        // is what its event class's guard index installs.
         let effects = Arc::new(analyzer.effects_of(&ir));
         let guard = RuleGuard::of(analyzer.universe(), &ir);
         let (cond_classes, cond_lats) = rule.condition_refs()?;
@@ -1977,9 +1996,6 @@ impl Sqlcm {
             (compiled_cond, compiled_actions)
         };
         let mut rules = self.inner.rules_write();
-        if rules.iter().any(|r| r.rule.name == rule.name) {
-            return Err(Error::Monitor(format!("rule {} already exists", rule.name)));
-        }
         // One clock per event class: share the one its rules already tick.
         let clock = rules
             .iter()
@@ -1988,9 +2004,9 @@ impl Sqlcm {
             .unwrap_or_default();
         rule.attach_clock(clock);
         let rule = Arc::new(rule);
-        rules.push(Arc::new(Registered {
+        let reg = Arc::new(Registered {
             rule: rule.clone(),
-            ir,
+            ir: ir.clone(),
             compiled,
             guard,
             actions: compiled_actions,
@@ -2000,19 +2016,22 @@ impl Sqlcm {
             action_latency: LatencyHistogram::new(),
             effects: Some(effects),
             breaker: RuleBreaker::new(self.inner.containment.default_breaker_config()),
-        }));
+        });
+        rules.push(reg.clone());
         drop(rules);
+        analyzer.seed_rule(ir);
         rule.set_registered(true);
         // Publish a plan containing the new rule, then fold its subscription
         // into the engine's probe-interest mask (`wants` reads the plan, so
         // the rebuild must come first or its events never reach us).
-        self.inner.rebuild_plan();
+        self.inner.rebuild_plan(&registration, Change::Added(&reg));
         self.inner.engine.monitors.refresh_interest();
         Ok(rule)
     }
 
     /// Remove a rule; true when it existed.
     pub fn remove_rule(&self, name: &str) -> bool {
+        let mut registration = self.inner.registration.lock();
         let removed = {
             let mut rules = self.inner.rules_write();
             let at = rules.iter().position(|r| r.rule.name == name);
@@ -2024,9 +2043,11 @@ impl Sqlcm {
         let lifted = reg.rule.set_registered(false);
         let quarantined = &self.inner.containment.quarantined;
         quarantined.fetch_add(lifted, Ordering::Relaxed);
+        *registration = None;
         // Publish the shrunken plan, then shrink the engine's
         // probe-interest mask (`wants` reads the plan).
-        self.inner.rebuild_plan();
+        self.inner
+            .rebuild_plan(&registration, Change::Removed(&reg.rule.event));
         self.inner.engine.monitors.refresh_interest();
         true
     }
@@ -2379,7 +2400,8 @@ impl Sqlcm {
     /// Observed trace depths ([`TraceSnapshot::max_cascade_depth`]) can never
     /// exceed this (E004 denies cyclic rule sets at registration).
     pub fn cascade_depth_bound(&self) -> usize {
-        self.analyzer().max_cascade_depth()
+        let mut registration = self.inner.registration.lock();
+        self.analyzer(&mut registration).max_cascade_depth()
     }
 
     /// Run one self-monitoring tick synchronously: if any rule subscribes to
@@ -2425,6 +2447,20 @@ impl Drop for Sqlcm {
         self.detach_from(&self.inner.engine.monitors);
         // The threads hold only a Weak; they exit on their next poll.
         self.inner.shutdown.store(true, Ordering::Relaxed);
+    }
+}
+
+#[cfg(test)]
+impl Sqlcm {
+    /// The published plan, and the plan [`DispatchPlan::build`] makes of the
+    /// registry it was published for — `crate::plan`'s differential test
+    /// compares the two.
+    pub(crate) fn plan_and_oracle(&self) -> (Arc<DispatchPlan>, DispatchPlan) {
+        let _registration = self.inner.registration.lock();
+        let plan = self.inner.plan.load();
+        let (rules, lats) = (self.inner.rules.read(), self.inner.lats.read());
+        let oracle = DispatchPlan::build(plan.epoch, &rules, &lats);
+        (plan, oracle)
     }
 }
 

@@ -6,11 +6,11 @@
 //! contradicts that: every event would pay lock acquisitions and index-map
 //! clones whether or not anything subscribes. Instead, the plan is a function
 //! of the registry: each of its four mutations (`add_rule`/`remove_rule`/
-//! `define_lat`/`drop_lat`) rebuilds a [`DispatchPlan`] from scratch and
-//! publishes it through the [`PlanCell`], and nothing else does — a rule that
-//! is disabled or quarantined stays in its plan, out of service
-//! (`Rule::in_service`). While the plan is unchanged, dispatch pays one atomic
-//! load and a compare per event — no locks, no clones:
+//! `define_lat`/`drop_lat`) publishes a new [`DispatchPlan`] through the
+//! [`PlanCell`], and nothing else does — a rule that is disabled or
+//! quarantined stays in its plan, out of service (`Rule::in_service`). While
+//! the plan is unchanged, dispatch pays one atomic load and a compare per
+//! event — no locks, no clones:
 //!
 //! * `wants()` / `on_event` consult a packed [`ProbeMask`] interest bit;
 //! * per event the plan holds the precompiled rule slice in registration
@@ -25,9 +25,22 @@
 //!   sharers load the cached value, and Phase C invalidation drops the
 //!   value together with the hoist slots it reads through.
 //!
+//! **The event class is the unit of planning.** Hoist slots, CSE slots,
+//! invalidation modes and the guard index never cross a class, so an
+//! [`EventPlan`] is derived from its class's rules alone
+//! ([`EventPlan::derive`]) and [`DispatchPlan::build`] — the definition, the
+//! fallback and the test oracle — is that, for every class. A mutation
+//! publishes its predecessor with only the classes it touches replaced
+//! ([`DispatchPlan::next`]); the others are the same `Arc<EventPlan>`. A rule
+//! added to a class is planned and emitted alone and *appended*
+//! ([`EventPlan::appended`]) when nothing about the class's existing rules
+//! can change — the two plans share them by the block ([`Rules`]) — and the
+//! class is derived again otherwise.
+//!
 //! Plans are owned by plain `Arc`s: the cell holds the current one, every
 //! thread that dispatches caches the one it last used, and a superseded plan
-//! is freed when the last of those lets go of it.
+//! — and each class and block of rules that no newer plan shares — is freed
+//! when the last of those lets go of it.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,7 +49,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use sqlcm_analyze::{RuleEffects, RuleIr};
 use sqlcm_common::{ProbeKind, ProbeMask, Value};
-use sqlcm_sql::NodeId;
+use sqlcm_sql::{IrOp, NodeId};
 use sqlcm_telemetry::LatencyHistogram;
 
 use crate::containment::RuleBreaker;
@@ -60,8 +73,8 @@ pub(crate) struct Registered {
     /// so later registrations seed their analyzer with it by `Arc` clone.
     pub ir: Arc<RuleIr>,
     /// `ir`'s folded condition resolved at registration (references resolved
-    /// to indexes). Bytecode is emitted from this per plan build, so CSE
-    /// slot numbers can be plan-local.
+    /// to indexes). Bytecode is emitted from this when the rule's event
+    /// class is planned, so CSE slot numbers can be local to the class.
     pub compiled: Option<Arc<CondIr>>,
     /// The analyzer's dispatch-guard verdict for the rule, resolved to the
     /// runtime layout; `None` = residual (always evaluated). Every plan
@@ -127,6 +140,7 @@ pub(crate) enum CompiledAction {
 /// One shared LAT lookup hoisted to event level: every rule on the event whose
 /// condition reads `lat` keyed by an object class the event payload carries
 /// shares a single row snapshot, fetched lazily at most once per event.
+#[derive(Clone)]
 pub(crate) struct HoistSlot {
     pub lat: Arc<Lat>,
     /// Lowercased LAT name (slot identity within the event plan).
@@ -160,6 +174,7 @@ pub(crate) struct Invalidation {
 }
 
 /// One rule within an [`EventPlan`].
+#[derive(Clone)]
 pub(crate) struct PlanRule {
     pub reg: Arc<Registered>,
     /// Resolved handle per `reg.cond_lats` entry. Empty when `broken`.
@@ -174,23 +189,91 @@ pub(crate) struct PlanRule {
     /// reader of the slot, the entry is `only_if_missing` and a live
     /// snapshot survives the firing.
     pub invalidates: Vec<Invalidation>,
-    /// Condition bytecode, emitted at plan build with this plan's CSE slot
-    /// assignment baked in. `None` when the rule has no condition or is
+    /// Condition bytecode, emitted when the class was planned — or the rule
+    /// appended to it — with the class's CSE slot assignment baked in. `None` when the rule has no condition or is
     /// `broken`.
     pub program: Option<Program>,
     /// Set when the rule cannot run under the current registry (a condition
-    /// LAT was dropped); evaluation records this error instead of running.
+    /// LAT was dropped, or redefined with another schema); evaluation records
+    /// this error instead of running.
     pub broken: Option<String>,
     /// Cached `Rule::priority == Low` — overload ladder stage ≥ 2 samples
     /// these rules instead of evaluating every combination.
     pub low_priority: bool,
 }
 
+/// An event class's rules in registration order, in blocks of
+/// [`Rules::BLOCK`] — the bitset word dispatch walks them by. The plan that
+/// appends a rule to the class shares every full block with this one and
+/// copies the rules of the last only, so an append copies at most 63 rules
+/// whatever the class holds, and no rule sits behind a pointer of its own:
+/// on the event path this is a `Vec<PlanRule>` with one more index step.
+#[derive(Default)]
+pub(crate) struct Rules {
+    blocks: Vec<Arc<[PlanRule]>>,
+    len: usize,
+}
+
+impl Rules {
+    const BLOCK: usize = 64;
+
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    pub fn iter(&self) -> impl Iterator<Item = &PlanRule> + '_ {
+        self.blocks.iter().flat_map(|block| block.iter())
+    }
+
+    /// These rules followed by `pr`.
+    fn with(&self, pr: PlanRule) -> Rules {
+        let mut blocks = self.blocks.clone();
+        let mut last = match blocks.pop() {
+            Some(block) if block.len() < Self::BLOCK => block.to_vec(),
+            Some(full) => {
+                blocks.push(full);
+                Vec::new()
+            }
+            None => Vec::new(),
+        };
+        last.push(pr);
+        blocks.push(last.into());
+        Rules {
+            blocks,
+            len: self.len + 1,
+        }
+    }
+}
+
+impl From<Vec<PlanRule>> for Rules {
+    fn from(rules: Vec<PlanRule>) -> Rules {
+        let len = rules.len();
+        let mut rules = rules.into_iter();
+        let block = |_| rules.by_ref().take(Self::BLOCK).collect::<Vec<_>>().into();
+        Rules {
+            blocks: (0..len.div_ceil(Self::BLOCK)).map(block).collect(),
+            len,
+        }
+    }
+}
+
+impl std::ops::Index<usize> for Rules {
+    type Output = PlanRule;
+
+    fn index(&self, i: usize) -> &PlanRule {
+        &self.blocks[i / Self::BLOCK][i % Self::BLOCK]
+    }
+}
+
 /// All rules subscribed to one event, in registration order, plus the shared
 /// lookup slots their conditions hoist to event level.
 #[derive(Default)]
 pub(crate) struct EventPlan {
-    pub rules: Vec<PlanRule>,
+    pub rules: Rules,
     pub hoisted: Vec<HoistSlot>,
     /// Event-level shared-subexpression slots (see [`CseSlot`]).
     pub cse: Vec<CseSlot>,
@@ -204,17 +287,30 @@ pub(crate) struct EventPlan {
     /// The class's clock, shared by every rule on this event; ticked once per
     /// probed event. `None` only for rules built outside `Sqlcm::add_rule`.
     pub clock: Option<Arc<EventClock>>,
+    // What `derive` learned about the class that `appended` decides on;
+    // dispatch reads none of it.
+    /// Occurrences of each canonical hash among the rules' shareable nodes.
+    support: HashMap<u64, u32>,
+    /// Canonical hash → the CSE slot its claimers share.
+    slot_of: HashMap<u64, u16>,
+    /// Per hoist slot, the columns read through it (see
+    /// [`slot_read_columns`]).
+    slot_reads: Vec<Option<BTreeSet<String>>>,
 }
 
 /// One event-level shared-subexpression slot: the first sharer to evaluate
 /// the subtree stores the value ([`crate::vm::Inst::CseStore`]), later
 /// sharers load it instead of re-evaluating.
+#[derive(Clone)]
 pub(crate) struct CseSlot {
     /// Hoist-slot indexes the subtree reads through, sorted. When Phase C
     /// actually clears one of these hoist slots, the cached value must be
     /// dropped too — a shared value never outlives the row snapshot it came
     /// from.
     pub deps: Vec<u32>,
+    /// The subtree every claimer was verified against: `(rule position in
+    /// the class, node)`.
+    exemplar: (usize, NodeId),
 }
 
 /// Minimum subtree size (in ops) for a CSE candidate — below this the slot
@@ -333,9 +429,453 @@ fn static_index(kind: &RuleEvent) -> Option<usize> {
     Some(probe.index())
 }
 
-/// The immutable dispatch plan. Built by [`DispatchPlan::build`] on every
-/// registry mutation, published via [`PlanCell::swap`], read lock-free by
-/// every dispatch thread.
+/// Resolve one rule against the LAT registry and assign hoist slots.
+fn plan_rule(
+    reg: &Arc<Registered>,
+    lats: &HashMap<String, Arc<Lat>>,
+    payload: &[ClassName],
+    hoisted: &mut Vec<HoistSlot>,
+) -> PlanRule {
+    let mut pr = PlanRule {
+        low_priority: reg.rule.is_low_priority(),
+        reg: reg.clone(),
+        lats: Vec::with_capacity(reg.cond_lats.len()),
+        lat_slots: Vec::with_capacity(reg.cond_lats.len()),
+        invalidates: Vec::new(),
+        program: None,
+        broken: None,
+    };
+    for name in &reg.cond_lats {
+        match lats.get(name) {
+            Some(lat) => pr.lats.push(lat.clone()),
+            None => {
+                let why = || format!("rule {} references unknown LAT {name}", reg.rule.name);
+                pr.broken.get_or_insert_with(why);
+            }
+        }
+    }
+    if pr.broken.is_none() {
+        pr.broken = redefined_lat(reg, &pr.lats).map(|lat| {
+            format!(
+                "rule {} reads LAT {}, which was redefined with a different schema",
+                reg.rule.name, lat.spec.name
+            )
+        });
+    }
+    if pr.broken.is_some() {
+        pr.lats.clear();
+        return pr;
+    }
+    for (name, lat) in reg.cond_lats.iter().zip(&pr.lats) {
+        let source = lat.spec.source_class();
+        // Hoistable iff the bound object is a payload object: then it is
+        // identical in every combination of this event, so one fetch
+        // serves every rule and every combination.
+        if !payload.contains(source) {
+            pr.lat_slots.push(NO_HOIST);
+            continue;
+        }
+        let slot = match hoisted.iter().position(|h| h.name == *name) {
+            Some(i) => i,
+            None => {
+                hoisted.push(HoistSlot {
+                    lat: lat.clone(),
+                    name: name.clone(),
+                });
+                hoisted.len() - 1
+            }
+        };
+        pr.lat_slots.push(slot as u32);
+    }
+    pr
+}
+
+/// The first of `lats` — the registry's current bindings of `reg.cond_lats`
+/// — that no longer has a column where `reg`'s condition was compiled to
+/// read it: the LAT was dropped and defined again under its name with
+/// another schema, and the compiled column positions would read the wrong
+/// column of the fresh LAT's rows, or past their end. The compiled arena
+/// mirrors the analyzer's folded one node for node (`crate::ir`), which
+/// still has each reference as written.
+fn redefined_lat<'a>(reg: &Registered, lats: &'a [Arc<Lat>]) -> Option<&'a Arc<Lat>> {
+    let compiled = reg.compiled.as_ref()?;
+    let source = reg.ir.condition.as_ref()?.folded();
+    compiled
+        .ops
+        .iter()
+        .zip(&source.ops)
+        .find_map(|(op, written)| match (op, written) {
+            (ROp::LatCol { lat_idx, index }, IrOp::Ref(r)) => {
+                let lat = &lats[*lat_idx];
+                let (_, column) = &source.refs[*r as usize];
+                (lat.column_index(column) != Some(*index)).then_some(lat)
+            }
+            _ => None,
+        })
+}
+
+/// Per-slot union of the columns read through the slot, lowercased.
+/// `None` means "unknown — assume every column": a rule whose condition
+/// was admitted without compilation, or whose action templates can read
+/// the bound row (`{...}` substitution evaluates against the same
+/// bindings the condition uses).
+fn slot_read_columns(rules: &[PlanRule], hoisted: &[HoistSlot]) -> Vec<Option<BTreeSet<String>>> {
+    let slot_cols: Vec<Vec<String>> = hoisted
+        .iter()
+        .map(|h| {
+            h.lat
+                .spec
+                .columns()
+                .iter()
+                .map(|c| c.to_ascii_lowercase())
+                .collect()
+        })
+        .collect();
+    let mut reads: Vec<Option<BTreeSet<String>>> = vec![Some(BTreeSet::new()); hoisted.len()];
+    for pr in rules {
+        if pr.lat_slots.iter().all(|&s| s == NO_HOIST) {
+            continue;
+        }
+        let templated = pr.reg.actions.iter().any(|a| match a {
+            CompiledAction::SendMail { to, template } => to.contains('{') || template.contains('{'),
+            CompiledAction::RunExternal { template } => template.contains('{'),
+            _ => false,
+        });
+        // `compiled: None` with LAT references only happens for rules
+        // admitted outside the normal registration path — unknown reads.
+        if templated || (pr.reg.compiled.is_none() && !pr.reg.cond_lats.is_empty()) {
+            for &slot in &pr.lat_slots {
+                if slot != NO_HOIST {
+                    reads[slot as usize] = None;
+                }
+            }
+            continue;
+        }
+        if let Some(c) = &pr.reg.compiled {
+            c.for_each_lat_col(&mut |lat_idx, col| {
+                let Some(&slot) = pr.lat_slots.get(lat_idx) else {
+                    return;
+                };
+                if slot == NO_HOIST {
+                    return;
+                }
+                match slot_cols[slot as usize].get(col) {
+                    Some(name) => {
+                        if let Some(set) = reads[slot as usize].as_mut() {
+                            set.insert(name.clone());
+                        }
+                    }
+                    // Out-of-range column index: stale compilation,
+                    // give up on precision for this slot.
+                    None => reads[slot as usize] = None,
+                }
+            });
+        }
+    }
+    reads
+}
+
+/// One rule's Phase C invalidation entries. A slot mutated by the rule is
+/// always invalidated — the refinement is the *mode*: when the analyzer's
+/// write set for an `Insert` is disjoint from everything the slot's readers
+/// read (`slot_reads`), the entry degrades to `only_if_missing` and a live
+/// snapshot survives the firing. `Reset` and unknown effects stay in
+/// always-clear mode.
+fn invalidations_of(
+    reg: &Registered,
+    hoisted: &[HoistSlot],
+    slot_reads: &[Option<BTreeSet<String>>],
+) -> Vec<Invalidation> {
+    let mut invalidates: Vec<Invalidation> = Vec::new();
+    if hoisted.is_empty() {
+        return invalidates;
+    }
+    for action in &reg.actions {
+        let (name, is_insert) = match action {
+            CompiledAction::Insert { lat, .. } => (lat.spec.name.to_ascii_lowercase(), true),
+            CompiledAction::Reset(lat) => (lat.spec.name.to_ascii_lowercase(), false),
+            _ => continue,
+        };
+        let Some(slot) = hoisted.iter().position(|h| h.name == name) else {
+            continue;
+        };
+        let only_if_missing = is_insert
+            && match (&reg.effects, &slot_reads[slot]) {
+                (Some(eff), Some(reads)) => match eff.lat_writes.get(&name) {
+                    Some(w) if !w.whole_lat => reads
+                        .iter()
+                        .all(|r| !w.columns.iter().any(|c| c.eq_ignore_ascii_case(r))),
+                    _ => false,
+                },
+                _ => false,
+            };
+        let entry = Invalidation {
+            slot: slot as u32,
+            only_if_missing,
+        };
+        match invalidates.iter_mut().find(|i| i.slot == entry.slot) {
+            // Two actions on the same slot: the stricter mode wins.
+            Some(prev) => prev.only_if_missing &= only_if_missing,
+            None => invalidates.push(entry),
+        }
+    }
+    invalidates.sort_unstable_by_key(|i| i.slot);
+    invalidates
+}
+
+/// Assign event-level CSE slots and emit each rule's bytecode program.
+///
+/// Candidate subtrees (see [`shareable_nodes`]) are grouped by canonical
+/// structural hash with [`CondIr::subtree_eq`] as the collision guard;
+/// groups evaluated at least twice per event — by two rules, or twice
+/// within one — get a slot: the first evaluation stores the value, later
+/// ones load it. Every unbroken rule with a condition gets its program
+/// here. Returns the slots with the two maps [`EventPlan::appended`] decides
+/// on: occurrences per hash (`EventPlan::support`) and hash → slot
+/// (`EventPlan::slot_of`).
+fn assign_cse_and_emit(
+    rules: &mut [PlanRule],
+    payload: &[ClassName],
+) -> (Vec<CseSlot>, HashMap<u64, u32>, HashMap<u64, u16>) {
+    let mut eligible: Vec<Vec<NodeId>> = Vec::with_capacity(rules.len());
+    for pr in rules.iter() {
+        let nodes = match &pr.reg.compiled {
+            Some(c) if pr.broken.is_none() => shareable_nodes(c, payload, &pr.lat_slots),
+            _ => Vec::new(),
+        };
+        eligible.push(nodes);
+    }
+    // Occurrence count per canonical hash across the whole event.
+    let mut support: HashMap<u64, u32> = HashMap::new();
+    for (pr, nodes) in rules.iter().zip(&eligible) {
+        if let Some(c) = &pr.reg.compiled {
+            for &id in nodes {
+                *support.entry(c.hash_of(id)).or_default() += 1;
+            }
+        }
+    }
+    // Outermost-first claims per rule.
+    let mut claims: Vec<Vec<NodeId>> = Vec::with_capacity(rules.len());
+    for (pr, nodes) in rules.iter().zip(&eligible) {
+        let mut out = Vec::new();
+        if !nodes.is_empty() {
+            if let Some(c) = &pr.reg.compiled {
+                let set: HashSet<NodeId> = nodes.iter().copied().collect();
+                choose_claims(c, c.root, &set, &support, &mut out);
+            }
+        }
+        claims.push(out);
+    }
+    // Group claims by hash, structurally verified against the group's
+    // exemplar subtree so a hash collision degrades to private
+    // evaluation instead of serving a wrong value.
+    struct Group {
+        exemplar: (usize, NodeId),
+        claimers: u32,
+    }
+    let mut by_hash: HashMap<u64, Group> = HashMap::new();
+    let mut mapped: Vec<Vec<(NodeId, u64)>> = vec![Vec::new(); rules.len()];
+    for (ri, rule_claims) in claims.iter().enumerate() {
+        let Some(c) = rules[ri].reg.compiled.as_ref() else {
+            continue;
+        };
+        for &id in rule_claims {
+            let h = c.hash_of(id);
+            match by_hash.entry(h) {
+                std::collections::hash_map::Entry::Occupied(mut e) => {
+                    let (xr, xn) = e.get().exemplar;
+                    let ex = rules[xr].reg.compiled.as_ref().unwrap();
+                    if ex.subtree_eq(xn, c, id) {
+                        e.get_mut().claimers += 1;
+                        mapped[ri].push((id, h));
+                    }
+                }
+                std::collections::hash_map::Entry::Vacant(e) => {
+                    e.insert(Group {
+                        exemplar: (ri, id),
+                        claimers: 1,
+                    });
+                    mapped[ri].push((id, h));
+                }
+            }
+        }
+    }
+    // Final numbering in first-claim order: only groups claimed at least
+    // twice survive (maximal selection can leave a supported hash with a
+    // single claim when its other occurrences sit inside larger claims).
+    let mut slot_of: HashMap<u64, u16> = HashMap::new();
+    let mut cse: Vec<CseSlot> = Vec::new();
+    let mut rule_maps: Vec<HashMap<NodeId, u16>> = vec![HashMap::new(); rules.len()];
+    for (ri, pairs) in mapped.iter().enumerate() {
+        for &(id, h) in pairs {
+            let g = &by_hash[&h];
+            if g.claimers < 2 {
+                continue;
+            }
+            let (xr, xn) = g.exemplar;
+            let slot = *slot_of.entry(h).or_insert_with(|| {
+                let ex_pr = &rules[xr];
+                let ex = ex_pr.reg.compiled.as_ref().unwrap();
+                let mut deps: Vec<u32> = Vec::new();
+                ex.for_each_in(xn, &mut |op| {
+                    if let ROp::LatCol { lat_idx, .. } = op {
+                        if let Some(&hs) = ex_pr.lat_slots.get(*lat_idx) {
+                            if hs != NO_HOIST && !deps.contains(&hs) {
+                                deps.push(hs);
+                            }
+                        }
+                    }
+                });
+                deps.sort_unstable();
+                cse.push(CseSlot {
+                    deps,
+                    exemplar: g.exemplar,
+                });
+                (cse.len() - 1) as u16
+            });
+            rule_maps[ri].insert(id, slot);
+        }
+    }
+    for (ri, pr) in rules.iter_mut().enumerate() {
+        if pr.broken.is_some() {
+            continue;
+        }
+        if let Some(c) = &pr.reg.compiled {
+            pr.program = Some(Program::emit(c, &rule_maps[ri]));
+        }
+    }
+    (cse, support, slot_of)
+}
+
+impl EventPlan {
+    /// Plan one event class from its registered rules, in registration
+    /// order. Infallible: a rule the LAT registry cannot bind (a condition
+    /// LAT was dropped, or redefined with another schema) is carried as
+    /// `broken` — evaluation reports the error — rather than silently
+    /// dropped.
+    fn derive(class: &[&Arc<Registered>], lats: &HashMap<String, Arc<Lat>>) -> EventPlan {
+        let Some(first) = class.first() else {
+            return EventPlan::default();
+        };
+        let event = &first.rule.event;
+        let payload = event.payload_classes();
+        let mut hoisted = Vec::new();
+        let mut rules: Vec<PlanRule> = class
+            .iter()
+            .map(|reg| plan_rule(reg, lats, &payload, &mut hoisted))
+            .collect();
+        // Invalidation modes and CSE slots both need the *complete* rule set
+        // (a slot's readers and a subtree's sharers can be registered after
+        // each other), so they are computed only once every rule of the
+        // class is planned. Bytecode emission rides along because CSE slot
+        // numbers are baked into the programs.
+        let slot_reads = slot_read_columns(&rules, &hoisted);
+        for pr in &mut rules {
+            pr.invalidates = invalidations_of(&pr.reg, &hoisted, &slot_reads);
+        }
+        let (cse, support, slot_of) = assign_cse_and_emit(&mut rules, &payload);
+        EventPlan {
+            // Built after emission: only rules with a live program are
+            // indexable.
+            guards: GuardIndex::build(&rules),
+            rules: rules.into(),
+            hoisted,
+            cse,
+            label: event.to_string(),
+            clock: first.rule.clock().cloned(),
+            support,
+            slot_of,
+            slot_reads,
+        }
+    }
+
+    /// This class with `reg` registered after its rules — what `derive`
+    /// over the longer class returns, by planning and emitting `reg` alone
+    /// and sharing the existing rules ([`Rules`]) — or `None` when `reg` could
+    /// change something about a rule already here and the class has to be
+    /// derived again. Everything a last rule can change:
+    ///
+    /// * the guard index appears with the second rule, and with the first
+    ///   indexable one;
+    /// * a reader of a hoistable LAT adds to its slot's read set, which
+    ///   decides earlier writers' `only_if_missing` (and a first reader
+    ///   creates the slot they must invalidate);
+    /// * a claim no existing CSE slot serves starts or completes a group of
+    ///   claimers, and a completed group's first claimer starts storing.
+    ///   That covers the subtree one earlier rule held alone: its second
+    ///   holder claims it, or something around it that is as new.
+    ///
+    /// A broken rule changes none of this, but registration never produces
+    /// one, so it takes the general path too.
+    fn appended(
+        &self,
+        reg: &Arc<Registered>,
+        lats: &HashMap<String, Arc<Lat>>,
+    ) -> Option<EventPlan> {
+        if self.rules.len() < 2 {
+            return None;
+        }
+        let payload = reg.rule.event.payload_classes();
+        let mut hoists = Vec::new();
+        let mut pr = plan_rule(reg, lats, &payload, &mut hoists);
+        if pr.broken.is_some() || !hoists.is_empty() {
+            return None;
+        }
+        pr.invalidates = invalidations_of(reg, &self.hoisted, &self.slot_reads);
+        let mut support = self.support.clone();
+        if let Some(c) = &reg.compiled {
+            let eligible = shareable_nodes(c, &payload, &pr.lat_slots);
+            for &id in &eligible {
+                *support.entry(c.hash_of(id)).or_default() += 1;
+            }
+            let mut claims = Vec::new();
+            let eligible: HashSet<NodeId> = eligible.into_iter().collect();
+            choose_claims(c, c.root, &eligible, &support, &mut claims);
+            let mut slots = HashMap::new();
+            for id in claims {
+                let slot = *self.slot_of.get(&c.hash_of(id))?;
+                let (xr, xn) = self.cse[slot as usize].exemplar;
+                let exemplar = self.rules[xr].reg.compiled.as_ref()?;
+                if !exemplar.subtree_eq(xn, c, id) {
+                    return None;
+                }
+                slots.insert(id, slot);
+            }
+            pr.program = Some(Program::emit(c, &slots));
+        }
+        let guards = match &self.guards {
+            Some(index) => Some(index.appended(&pr)),
+            None if GuardIndex::indexes(&pr) => return None,
+            None => None,
+        };
+        Some(EventPlan {
+            rules: self.rules.with(pr),
+            hoisted: self.hoisted.clone(),
+            cse: self.cse.clone(),
+            guards,
+            label: self.label.clone(),
+            clock: self.clock.clone(),
+            support,
+            slot_of: self.slot_of.clone(),
+            slot_reads: self.slot_reads.clone(),
+        })
+    }
+}
+
+/// The registry mutation a plan is published for — what
+/// [`DispatchPlan::next`] has to re-derive.
+pub(crate) enum Change<'a> {
+    /// `add_rule`: the rule is the registry's last.
+    Added(&'a Arc<Registered>),
+    /// `remove_rule`, of a rule on this event.
+    Removed(&'a RuleEvent),
+    /// `define_lat` / `drop_lat` of the LAT with this (lowercased) name.
+    Lat(&'a str),
+}
+
+/// The immutable dispatch plan. Every registry mutation publishes one via
+/// [`PlanCell::swap`] — its predecessor's [`DispatchPlan::next`] — and every
+/// dispatch thread reads it lock-free.
 pub(crate) struct DispatchPlan {
     /// Monotone rebuild counter (0 = the empty plan installed at attach).
     pub epoch: u64,
@@ -345,11 +885,13 @@ pub(crate) struct DispatchPlan {
     /// checkpoint to run. Dispatch pins the in-service rules per event.
     pub probe_mask: ProbeMask,
     /// Plans for the statically-indexed events (probe kinds + MonitorTick).
-    /// Each behind its own `Arc`, so a sampled trace can keep the plan of the
+    /// Each behind its own `Arc`: successive plans share the classes a
+    /// mutation did not touch, and a sampled trace can keep the plan of the
     /// event it recorded and explain its pruned rules when read.
     statics: [Arc<EventPlan>; STATIC_EVENTS],
-    /// Plans for name-carrying events (`Timer.Alarm`, LAT evictions).
-    /// Immutable after build, so lookups are lock-free.
+    /// Plans for name-carrying events (`Timer.Alarm`, LAT evictions), one
+    /// per event with a rule. Immutable after build, so lookups are
+    /// lock-free.
     dynamics: HashMap<RuleEvent, Arc<EventPlan>>,
     /// Every registered rule in registration order: what telemetry iterates,
     /// and what the containment checkpoint walks for breakers to re-admit.
@@ -359,368 +901,127 @@ pub(crate) struct DispatchPlan {
     /// Rules in the always-evaluate residual set across every event plan
     /// (telemetry).
     pub guard_residual_rules: u64,
+    /// Rules planned and emitted to make this plan: every rule for `build`,
+    /// those of the re-derived classes — or the one appended — for `next`.
+    pub rules_planned: u64,
 }
 
 impl DispatchPlan {
-    /// Compile the registry snapshot into a plan. Infallible: rules whose
-    /// condition LATs have been dropped are carried as `broken` (evaluation
-    /// reports the error, matching the previous per-evaluation resolution
-    /// behavior) rather than silently dropped.
+    /// Compile the registry snapshot into a plan: [`EventPlan::derive`] for
+    /// every event class. What the published plan must always equal —
+    /// `next` gets there from its predecessor.
     pub fn build(
         epoch: u64,
         rules: &[Arc<Registered>],
         lats: &HashMap<String, Arc<Lat>>,
     ) -> DispatchPlan {
-        let mut statics: [EventPlan; STATIC_EVENTS] = std::array::from_fn(|_| EventPlan::default());
-        let mut dynamics: HashMap<RuleEvent, EventPlan> = HashMap::new();
+        let mut classes: HashMap<&RuleEvent, Vec<&Arc<Registered>>> = HashMap::new();
         for reg in rules {
-            let event = &reg.rule.event;
-            let ep = match static_index(event) {
-                Some(i) => &mut statics[i],
-                None => dynamics.entry(event.clone()).or_default(),
-            };
-            if ep.label.is_empty() {
-                ep.label = event.to_string();
-                ep.clock = reg.rule.clock().cloned();
-            }
-            let payload = event.payload_classes();
-            let plan_rule = Self::plan_rule(reg, lats, &payload, &mut ep.hoisted);
-            ep.rules.push(plan_rule);
+            classes.entry(&reg.rule.event).or_default().push(reg);
         }
-        // Second pass: invalidation modes and CSE slots both need the
-        // *complete* per-event rule set (a slot's readers and a subtree's
-        // sharers can be registered after each other), so they are computed
-        // only once every rule of the event is planned. Bytecode emission
-        // rides along because CSE slot numbers are baked into the programs.
-        let mut guard_indexed_rules = 0u64;
-        let mut guard_residual_rules = 0u64;
-        for ep in statics.iter_mut().chain(dynamics.values_mut()) {
-            Self::compute_invalidations(ep);
-            Self::assign_cse_and_emit(ep);
-            // The guard index is built after emission: only rules with a
-            // live program are indexable.
-            ep.guards = GuardIndex::build(&ep.rules);
+        let mut plan = DispatchPlan {
+            epoch,
+            probe_mask: ProbeMask::EMPTY,
+            statics: std::array::from_fn(|_| Arc::new(EventPlan::default())),
+            dynamics: HashMap::new(),
+            rules: rules.to_vec(),
+            guard_indexed_rules: 0,
+            guard_residual_rules: 0,
+            rules_planned: rules.len() as u64,
+        };
+        for (event, class) in classes {
+            plan.set_class(event, EventPlan::derive(&class, lats));
+        }
+        plan.summarize();
+        plan
+    }
+
+    /// The plan of the registry one `change` after this plan's: `rules` and
+    /// `lats` are the registry with the change applied. Equal to `build`
+    /// over them, but only the classes the change touches are planned —
+    /// every other class is shared with this plan.
+    pub fn next(
+        &self,
+        rules: &[Arc<Registered>],
+        lats: &HashMap<String, Arc<Lat>>,
+        change: Change<'_>,
+    ) -> DispatchPlan {
+        let mut plan = DispatchPlan {
+            epoch: self.epoch + 1,
+            probe_mask: ProbeMask::EMPTY,
+            statics: self.statics.clone(),
+            dynamics: self.dynamics.clone(),
+            rules: rules.to_vec(),
+            guard_indexed_rules: 0,
+            guard_residual_rules: 0,
+            rules_planned: 0,
+        };
+        let stale: Vec<RuleEvent> = match change {
+            Change::Added(reg) => {
+                let event = &reg.rule.event;
+                let class = self.event_plan(event);
+                match class.and_then(|ep| ep.appended(reg, lats)) {
+                    Some(ep) => {
+                        plan.rules_planned = 1;
+                        plan.set_class(event, ep);
+                        Vec::new()
+                    }
+                    None => vec![event.clone()],
+                }
+            }
+            Change::Removed(event) => vec![event.clone()],
+            // Only a condition binds a LAT by name when planned; an action
+            // keeps the handle it resolved at registration.
+            Change::Lat(name) => self
+                .classes()
+                .filter(|ep| {
+                    let mut regs = ep.rules.iter().map(|pr| &pr.reg);
+                    regs.any(|reg| reg.cond_lats.iter().any(|l| l == name))
+                })
+                .map(|ep| ep.rules[0].reg.rule.event.clone())
+                .collect(),
+        };
+        for event in &stale {
+            let class: Vec<&Arc<Registered>> =
+                rules.iter().filter(|r| r.rule.event == *event).collect();
+            plan.rules_planned += class.len() as u64;
+            plan.set_class(event, EventPlan::derive(&class, lats));
+        }
+        plan.summarize();
+        plan
+    }
+
+    fn classes(&self) -> impl Iterator<Item = &Arc<EventPlan>> {
+        self.statics.iter().chain(self.dynamics.values())
+    }
+
+    fn set_class(&mut self, event: &RuleEvent, ep: EventPlan) {
+        match static_index(event) {
+            Some(i) => self.statics[i] = Arc::new(ep),
+            None if ep.rules.is_empty() => drop(self.dynamics.remove(event)),
+            None => drop(self.dynamics.insert(event.clone(), Arc::new(ep))),
+        }
+    }
+
+    /// Fill in what the plan says about its classes taken together (left
+    /// empty by `build` and `next` until every class is set).
+    fn summarize(&mut self) {
+        for kind in ProbeKind::ALL {
+            if !self.statics[kind.index()].rules.is_empty() {
+                self.probe_mask.set(kind);
+            }
+        }
+        let (mut indexed, mut residual) = (0, 0);
+        for ep in self.classes() {
             match &ep.guards {
                 Some(g) => {
-                    guard_indexed_rules += u64::from(g.indexed_rules);
-                    guard_residual_rules += u64::from(g.residual_rules);
+                    indexed += u64::from(g.indexed_rules);
+                    residual += u64::from(g.residual_rules);
                 }
-                None => guard_residual_rules += ep.rules.len() as u64,
+                None => residual += ep.rules.len() as u64,
             }
         }
-        let mut probe_mask = ProbeMask::EMPTY;
-        for kind in ProbeKind::ALL {
-            if !statics[kind.index()].rules.is_empty() {
-                probe_mask.set(kind);
-            }
-        }
-        DispatchPlan {
-            epoch,
-            probe_mask,
-            statics: statics.map(Arc::new),
-            dynamics: dynamics
-                .into_iter()
-                .map(|(event, ep)| (event, Arc::new(ep)))
-                .collect(),
-            rules: rules.to_vec(),
-            guard_indexed_rules,
-            guard_residual_rules,
-        }
-    }
-
-    /// Resolve one rule against the LAT registry and assign hoist slots.
-    fn plan_rule(
-        reg: &Arc<Registered>,
-        lats: &HashMap<String, Arc<Lat>>,
-        payload: &[ClassName],
-        hoisted: &mut Vec<HoistSlot>,
-    ) -> PlanRule {
-        let mut resolved = Vec::with_capacity(reg.cond_lats.len());
-        for name in &reg.cond_lats {
-            match lats.get(name) {
-                Some(lat) => resolved.push(lat.clone()),
-                None => {
-                    return PlanRule {
-                        low_priority: reg.rule.is_low_priority(),
-                        reg: reg.clone(),
-                        lats: Vec::new(),
-                        lat_slots: Vec::new(),
-                        invalidates: Vec::new(),
-                        program: None,
-                        broken: Some(format!(
-                            "rule {} references unknown LAT {name}",
-                            reg.rule.name
-                        )),
-                    };
-                }
-            }
-        }
-        let mut lat_slots = Vec::with_capacity(resolved.len());
-        for (name, lat) in reg.cond_lats.iter().zip(&resolved) {
-            let source = lat.spec.source_class();
-            // Hoistable iff the bound object is a payload object: then it is
-            // identical in every combination of this event, so one fetch
-            // serves every rule and every combination.
-            if !payload.contains(source) {
-                lat_slots.push(NO_HOIST);
-                continue;
-            }
-            let slot = match hoisted.iter().position(|h| h.name == *name) {
-                Some(i) => i,
-                None => {
-                    hoisted.push(HoistSlot {
-                        lat: lat.clone(),
-                        name: name.clone(),
-                    });
-                    hoisted.len() - 1
-                }
-            };
-            lat_slots.push(slot as u32);
-        }
-        PlanRule {
-            low_priority: reg.rule.is_low_priority(),
-            reg: reg.clone(),
-            lats: resolved,
-            lat_slots,
-            invalidates: Vec::new(),
-            program: None,
-            broken: None,
-        }
-    }
-
-    /// Assign event-level CSE slots and emit each rule's bytecode program.
-    ///
-    /// Candidate subtrees (see [`shareable_nodes`]) are grouped by canonical
-    /// structural hash with [`CondIr::subtree_eq`] as the collision guard;
-    /// groups evaluated at least twice per event — by two rules, or twice
-    /// within one — get a slot: the first evaluation stores the value, later
-    /// ones load it. Every unbroken rule with a condition gets its program
-    /// here.
-    fn assign_cse_and_emit(ep: &mut EventPlan) {
-        let payload: Vec<ClassName> = match ep.rules.first() {
-            Some(pr) => pr.reg.rule.event.payload_classes(),
-            None => return,
-        };
-        let mut eligible: Vec<Vec<NodeId>> = Vec::with_capacity(ep.rules.len());
-        for pr in &ep.rules {
-            let nodes = match &pr.reg.compiled {
-                Some(c) if pr.broken.is_none() => shareable_nodes(c, &payload, &pr.lat_slots),
-                _ => Vec::new(),
-            };
-            eligible.push(nodes);
-        }
-        // Occurrence count per canonical hash across the whole event.
-        let mut support: HashMap<u64, u32> = HashMap::new();
-        for (pr, nodes) in ep.rules.iter().zip(&eligible) {
-            if let Some(c) = &pr.reg.compiled {
-                for &id in nodes {
-                    *support.entry(c.hash_of(id)).or_default() += 1;
-                }
-            }
-        }
-        // Outermost-first claims per rule.
-        let mut claims: Vec<Vec<NodeId>> = Vec::with_capacity(ep.rules.len());
-        for (pr, nodes) in ep.rules.iter().zip(&eligible) {
-            let mut out = Vec::new();
-            if !nodes.is_empty() {
-                if let Some(c) = &pr.reg.compiled {
-                    let set: HashSet<NodeId> = nodes.iter().copied().collect();
-                    choose_claims(c, c.root, &set, &support, &mut out);
-                }
-            }
-            claims.push(out);
-        }
-        // Group claims by hash, structurally verified against the group's
-        // exemplar subtree so a hash collision degrades to private
-        // evaluation instead of serving a wrong value.
-        struct Group {
-            exemplar: (usize, NodeId),
-            claimers: u32,
-        }
-        let mut by_hash: HashMap<u64, Group> = HashMap::new();
-        let mut mapped: Vec<Vec<(NodeId, u64)>> = vec![Vec::new(); ep.rules.len()];
-        for (ri, rule_claims) in claims.iter().enumerate() {
-            let Some(c) = ep.rules[ri].reg.compiled.as_ref() else {
-                continue;
-            };
-            for &id in rule_claims {
-                let h = c.hash_of(id);
-                match by_hash.entry(h) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        let (xr, xn) = e.get().exemplar;
-                        let ex = ep.rules[xr].reg.compiled.as_ref().unwrap();
-                        if ex.subtree_eq(xn, c, id) {
-                            e.get_mut().claimers += 1;
-                            mapped[ri].push((id, h));
-                        }
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(Group {
-                            exemplar: (ri, id),
-                            claimers: 1,
-                        });
-                        mapped[ri].push((id, h));
-                    }
-                }
-            }
-        }
-        // Final numbering in first-claim order: only groups claimed at least
-        // twice survive (maximal selection can leave a supported hash with a
-        // single claim when its other occurrences sit inside larger claims).
-        let mut final_slot: HashMap<u64, u16> = HashMap::new();
-        let mut cse: Vec<CseSlot> = Vec::new();
-        let mut rule_maps: Vec<HashMap<NodeId, u16>> = vec![HashMap::new(); ep.rules.len()];
-        for (ri, pairs) in mapped.iter().enumerate() {
-            for &(id, h) in pairs {
-                let g = &by_hash[&h];
-                if g.claimers < 2 {
-                    continue;
-                }
-                let (xr, xn) = g.exemplar;
-                let slot = *final_slot.entry(h).or_insert_with(|| {
-                    let ex_pr = &ep.rules[xr];
-                    let ex = ex_pr.reg.compiled.as_ref().unwrap();
-                    let mut deps: Vec<u32> = Vec::new();
-                    ex.for_each_in(xn, &mut |op| {
-                        if let ROp::LatCol { lat_idx, .. } = op {
-                            if let Some(&hs) = ex_pr.lat_slots.get(*lat_idx) {
-                                if hs != NO_HOIST && !deps.contains(&hs) {
-                                    deps.push(hs);
-                                }
-                            }
-                        }
-                    });
-                    deps.sort_unstable();
-                    cse.push(CseSlot { deps });
-                    (cse.len() - 1) as u16
-                });
-                rule_maps[ri].insert(id, slot);
-            }
-        }
-        ep.cse = cse;
-        for (ri, pr) in ep.rules.iter_mut().enumerate() {
-            if pr.broken.is_some() {
-                continue;
-            }
-            if let Some(c) = &pr.reg.compiled {
-                pr.program = Some(Program::emit(c, &rule_maps[ri]));
-            }
-        }
-    }
-
-    /// Per-slot union of the columns read through the slot, lowercased.
-    /// `None` means "unknown — assume every column": a rule whose condition
-    /// was admitted without compilation, or whose action templates can read
-    /// the bound row (`{...}` substitution evaluates against the same
-    /// bindings the condition uses).
-    fn slot_read_columns(ep: &EventPlan) -> Vec<Option<BTreeSet<String>>> {
-        let slot_cols: Vec<Vec<String>> = ep
-            .hoisted
-            .iter()
-            .map(|h| {
-                h.lat
-                    .spec
-                    .columns()
-                    .iter()
-                    .map(|c| c.to_ascii_lowercase())
-                    .collect()
-            })
-            .collect();
-        let mut reads: Vec<Option<BTreeSet<String>>> =
-            vec![Some(BTreeSet::new()); ep.hoisted.len()];
-        for pr in &ep.rules {
-            if pr.lat_slots.iter().all(|&s| s == NO_HOIST) {
-                continue;
-            }
-            let templated = pr.reg.actions.iter().any(|a| match a {
-                CompiledAction::SendMail { to, template } => {
-                    to.contains('{') || template.contains('{')
-                }
-                CompiledAction::RunExternal { template } => template.contains('{'),
-                _ => false,
-            });
-            // `compiled: None` with LAT references only happens for rules
-            // admitted outside the normal registration path — unknown reads.
-            if templated || (pr.reg.compiled.is_none() && !pr.reg.cond_lats.is_empty()) {
-                for &slot in &pr.lat_slots {
-                    if slot != NO_HOIST {
-                        reads[slot as usize] = None;
-                    }
-                }
-                continue;
-            }
-            if let Some(c) = &pr.reg.compiled {
-                c.for_each_lat_col(&mut |lat_idx, col| {
-                    let Some(&slot) = pr.lat_slots.get(lat_idx) else {
-                        return;
-                    };
-                    if slot == NO_HOIST {
-                        return;
-                    }
-                    match slot_cols[slot as usize].get(col) {
-                        Some(name) => {
-                            if let Some(set) = reads[slot as usize].as_mut() {
-                                set.insert(name.clone());
-                            }
-                        }
-                        // Out-of-range column index: stale compilation,
-                        // give up on precision for this slot.
-                        None => reads[slot as usize] = None,
-                    }
-                });
-            }
-        }
-        reads
-    }
-
-    /// Assign each rule its Phase C invalidation entries. A slot mutated by
-    /// the rule is always invalidated — the refinement is the *mode*: when
-    /// the analyzer's write set for an `Insert` is disjoint from everything
-    /// the slot's readers read, the entry degrades to `only_if_missing` and
-    /// a live snapshot survives the firing. `Reset` and unknown effects stay
-    /// in always-clear mode.
-    fn compute_invalidations(ep: &mut EventPlan) {
-        if ep.hoisted.is_empty() {
-            return;
-        }
-        let slot_reads = Self::slot_read_columns(ep);
-        let hoist_names: Vec<String> = ep.hoisted.iter().map(|h| h.name.clone()).collect();
-        for pr in &mut ep.rules {
-            let mut invalidates: Vec<Invalidation> = Vec::new();
-            for action in &pr.reg.actions {
-                let (name, is_insert) = match action {
-                    CompiledAction::Insert { lat, .. } => {
-                        (lat.spec.name.to_ascii_lowercase(), true)
-                    }
-                    CompiledAction::Reset(lat) => (lat.spec.name.to_ascii_lowercase(), false),
-                    _ => continue,
-                };
-                let Some(slot) = hoist_names.iter().position(|h| *h == name) else {
-                    continue;
-                };
-                let only_if_missing = is_insert
-                    && match (&pr.reg.effects, &slot_reads[slot]) {
-                        (Some(eff), Some(reads)) => match eff.lat_writes.get(&name) {
-                            Some(w) if !w.whole_lat => reads
-                                .iter()
-                                .all(|r| !w.columns.iter().any(|c| c.eq_ignore_ascii_case(r))),
-                            _ => false,
-                        },
-                        _ => false,
-                    };
-                let entry = Invalidation {
-                    slot: slot as u32,
-                    only_if_missing,
-                };
-                match invalidates.iter_mut().find(|i| i.slot == entry.slot) {
-                    // Two actions on the same slot: the stricter mode wins.
-                    Some(prev) => prev.only_if_missing &= only_if_missing,
-                    None => invalidates.push(entry),
-                }
-            }
-            invalidates.sort_unstable_by_key(|i| i.slot);
-            pr.invalidates = invalidates;
-        }
+        (self.guard_indexed_rules, self.guard_residual_rules) = (indexed, residual);
     }
 
     /// The event plan for `kind`, if any rule subscribes.
@@ -756,7 +1057,7 @@ impl DispatchPlan {
             }
         };
         for ep in &self.statics {
-            if let Some(pr) = ep.rules.first() {
+            if let Some(pr) = ep.rules.iter().next() {
                 per_event(pr.reg.rule.event.to_string(), ep);
             }
         }
@@ -1134,5 +1435,323 @@ mod tests {
         assert!(alive <= 1 + THREADS, "{alive} plans alive");
         drop(cell);
         assert!(plans.iter().all(|p| p.upgrade().is_none()));
+    }
+}
+
+/// The incremental plan *is* the from-scratch plan: random registry
+/// histories through the real `Sqlcm`, and after every mutation the published
+/// plan — reached from its predecessor by [`DispatchPlan::next`] — is compared
+/// with [`DispatchPlan::build`] over the same registry.
+#[cfg(test)]
+mod incremental {
+    use super::*;
+    use crate::actions::Action;
+    use crate::lat::{LatAggFunc, LatSpec};
+    use crate::monitor::Sqlcm;
+    use rand::rngs::SmallRng;
+    use rand::{Rng as _, SeedableRng};
+    use sqlcm_engine::Engine;
+
+    struct Rng(SmallRng);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0.gen_range(0..n)
+        }
+    }
+
+    /// Everything dispatch and `appended` read of one class. LAT handles
+    /// compare by address: both plans bind the one registry.
+    fn canonical_class(ep: &EventPlan) -> String {
+        let mut out = format!("{} clock={}\n", ep.label, ep.clock.is_some());
+        for pr in ep.rules.iter() {
+            let lats: Vec<_> = pr.lats.iter().map(Arc::as_ptr).collect();
+            out += &format!(
+                "  {} low={} broken={:?} lats={lats:?} slots={:?} inval={:?}\n    {:?}\n",
+                pr.reg.rule.name,
+                pr.low_priority,
+                pr.broken,
+                pr.lat_slots,
+                pr.invalidates,
+                pr.program
+            );
+        }
+        for h in &ep.hoisted {
+            out += &format!("  hoist {} {:?}\n", h.name, Arc::as_ptr(&h.lat));
+        }
+        for c in &ep.cse {
+            out += &format!("  cse deps={:?} exemplar={:?}\n", c.deps, c.exemplar);
+        }
+        let sorted = |map: &HashMap<u64, _>| {
+            let mut pairs: Vec<_> = map.iter().map(|(k, v)| (*k, *v)).collect();
+            pairs.sort_unstable();
+            pairs
+        };
+        out += &format!(
+            "  support={:?}\n  slot_of={:?}\n  slot_reads={:?}\n  guards {}\n",
+            sorted(&ep.support),
+            {
+                let slot_of: HashMap<u64, u32> = ep
+                    .slot_of
+                    .iter()
+                    .map(|(k, v)| (*k, u32::from(*v)))
+                    .collect();
+                sorted(&slot_of)
+            },
+            ep.slot_reads,
+            ep.guards.as_ref().map_or("none".into(), |g| g.canonical())
+        );
+        out
+    }
+
+    fn canonical(plan: &DispatchPlan) -> String {
+        let mut classes: Vec<String> = plan
+            .classes()
+            .filter(|ep| !ep.rules.is_empty())
+            .map(|ep| canonical_class(ep))
+            .collect();
+        classes.sort();
+        let rules: Vec<&str> = plan.rules.iter().map(|r| &*r.rule.name).collect();
+        format!(
+            "epoch {} mask {:?} indexed {} residual {} dynamic {} rules {rules:?}\n{}",
+            plan.epoch,
+            plan.probe_mask,
+            plan.guard_indexed_rules,
+            plan.guard_residual_rules,
+            plan.dynamics.len(),
+            classes.concat()
+        )
+    }
+
+    const LATS: [&str; 3] = ["Sig_L", "Usr_L", "Id_L"];
+
+    /// Two schemas per name: a reader compiled against one is broken by a
+    /// redefinition with the other.
+    fn lat_spec(name: &str, reordered: bool) -> LatSpec {
+        let key = match name {
+            "Sig_L" => "Query.Logical_Signature",
+            "Usr_L" => "Query.User",
+            _ => "Query.ID",
+        };
+        let spec = LatSpec::new(name).group_by(key, "K");
+        if reordered {
+            spec.aggregate(LatAggFunc::Avg, "Query.Duration", "Avg_Dur")
+                .aggregate(LatAggFunc::Count, "", "N")
+        } else {
+            spec.aggregate(LatAggFunc::Count, "", "N").aggregate(
+                LatAggFunc::Avg,
+                "Query.Duration",
+                "Avg_Dur",
+            )
+        }
+    }
+
+    /// A condition over a `Query` payload, built to meet every way a last
+    /// rule can change the rules before it — and every way it cannot.
+    fn condition(rng: &mut Rng) -> Option<String> {
+        let k = rng.below(4);
+        let lat = LATS[rng.below(2)];
+        Some(match rng.below(12) {
+            0 => return None,
+            // One candidate per tenant; `Query.Duration >= 0` goes from one
+            // holder to two, then on to many.
+            1 | 2 => format!("Query.User = 'u{k}' AND Query.Duration >= 0"),
+            3 => "Query.Duration >= 0".into(),
+            4 => format!("Query.Duration > {k}"),
+            // Readers of a hoisted LAT, with and without a shared subtree.
+            5 => format!("{lat}.N >= {k} AND Query.Duration > 0.001"),
+            6 => format!("{lat}.N >= 5 AND {lat}.Avg_Dur > 1"),
+            7 => format!("{lat}.Avg_Dur > {k}"),
+            8 => "Query.User LIKE 'a%'".into(),
+            // The tenant condition inside a larger claim: its holders then
+            // leave `Query.Duration >= 0` a group without a slot.
+            9 => format!("(Query.User = 'u{k}' AND Query.Duration >= 0) OR Query.Duration > 100"),
+            // One subtree twice in one rule.
+            10 => format!("Query.Duration * 2 > {k} OR Query.Duration * 2 > 7"),
+            _ => format!("Query.User IN ('u{k}', 'u9') AND Query.Duration >= 0"),
+        })
+    }
+
+    fn rule(rng: &mut Rng, name: String) -> Rule {
+        let event = match rng.below(10) {
+            0..=4 => RuleEvent::QueryCommit,
+            5 | 6 => RuleEvent::QueryStart,
+            7 | 8 => RuleEvent::TimerAlarm("t".into()),
+            _ => RuleEvent::LatEviction(LATS[rng.below(3)].into()),
+        };
+        let on_query = event.payload_classes() == [ClassName::Query];
+        let mut rule = Rule::new(name).on(event);
+        // Off a `Query` payload, a LAT read is fetched per combination.
+        match condition(rng) {
+            Some(cond) if on_query || cond.contains("_L.") => rule = rule.when(&cond),
+            _ => {}
+        }
+        if rng.below(8) == 0 {
+            rule = rule.low_priority();
+        }
+        let lat = LATS[rng.below(3)];
+        rule.then(match rng.below(6) {
+            0 | 1 => Action::insert(lat),
+            2 => Action::reset(lat),
+            3 => Action::send_mail("dba", "{Query.ID} ran"),
+            _ => Action::send_mail("dba", "seen"),
+        })
+    }
+
+    /// The events of `plan`'s classes with a condition that names `lat`.
+    fn readers_of(plan: &DispatchPlan, lat: &str) -> HashSet<RuleEvent> {
+        let regs = plan.rules.iter();
+        regs.filter(|r| r.cond_lats.iter().any(|l| l.eq_ignore_ascii_case(lat)))
+            .map(|r| r.rule.event.clone())
+            .collect()
+    }
+
+    /// What the histories met, summed: a pool that stops reaching a path
+    /// fails the test instead of passing it vacuously.
+    #[derive(Default, Debug)]
+    struct Met {
+        appends: u32,
+        rederived_adds: u32,
+        appends_sharing_a_slot: u32,
+        appends_off_the_payload: u32,
+        broken: u32,
+        redefined: u32,
+        middle_removals: u32,
+        dynamic_classes: u32,
+    }
+
+    fn history(seed: u64, met: &mut Met) {
+        let engine = Engine::in_memory();
+        let sqlcm = Sqlcm::attach(&engine);
+        let mut rng = Rng(SmallRng::seed_from_u64(seed));
+        let mut live: Vec<(String, RuleEvent)> = Vec::new();
+        let mut prev = sqlcm.plan_and_oracle().0;
+        for step in 0..60 {
+            // What the step may re-plan; `None` = it must not publish.
+            let touched: Option<HashSet<RuleEvent>> = match rng.below(20) {
+                0..=10 => {
+                    let rule = rule(&mut rng, format!("r{step}"));
+                    let (name, event) = (rule.name.clone(), rule.event.clone());
+                    sqlcm.add_rule(rule).ok().map(|_| {
+                        live.push((name, event.clone()));
+                        HashSet::from([event])
+                    })
+                }
+                11..=14 if !live.is_empty() => {
+                    let at = rng.below(live.len());
+                    let (name, event) = live.remove(at);
+                    let class = prev.event_plan(&event).expect("a live rule's class");
+                    let last = class.rules.iter().last().expect("not empty");
+                    met.middle_removals += u32::from(last.reg.rule.name != name);
+                    assert!(sqlcm.remove_rule(&name));
+                    Some(HashSet::from([event]))
+                }
+                11..=16 => {
+                    let lat = LATS[rng.below(3)];
+                    let dropped = sqlcm.drop_lat(lat);
+                    dropped.then(|| readers_of(&prev, lat))
+                }
+                _ => {
+                    let lat = LATS[rng.below(3)];
+                    let defined = sqlcm.define_lat(lat_spec(lat, rng.below(3) == 0));
+                    defined.ok().map(|_| readers_of(&prev, lat))
+                }
+            };
+            let (plan, oracle) = sqlcm.plan_and_oracle();
+            let Some(touched) = touched else {
+                assert!(Arc::ptr_eq(&prev, &plan), "seed {seed} step {step}");
+                continue;
+            };
+            assert_eq!(
+                canonical(&plan),
+                canonical(&oracle),
+                "seed {seed} step {step}"
+            );
+            assert_eq!(plan.epoch, prev.epoch + 1);
+            // Every class the step did not touch is the previous plan's.
+            let touched_statics: HashSet<usize> = touched.iter().filter_map(static_index).collect();
+            for (i, (was, is)) in prev.statics.iter().zip(&plan.statics).enumerate() {
+                assert!(
+                    touched_statics.contains(&i) || Arc::ptr_eq(was, is),
+                    "seed {seed} step {step}: static class {i} was planned again"
+                );
+            }
+            assert!(plan
+                .dynamics
+                .keys()
+                .all(|e| touched.contains(e) || prev.dynamics.contains_key(e)));
+            for (event, was) in &prev.dynamics {
+                assert!(
+                    touched.contains(event) || Arc::ptr_eq(was, &plan.dynamics[event]),
+                    "seed {seed} step {step}: {event} was planned again"
+                );
+            }
+            let added = plan.rules.len() > prev.rules.len();
+            if let (true, Some(ep)) = (
+                added,
+                plan.rules
+                    .last()
+                    .and_then(|r| plan.event_plan(&r.rule.event)),
+            ) {
+                let pr = ep.rules.iter().last().expect("the added rule");
+                if plan.rules_planned == 1 && ep.rules.len() > 1 {
+                    met.appends += 1;
+                    let loads = format!("{:?}", pr.program).contains("CseLoad");
+                    met.appends_sharing_a_slot += u32::from(loads);
+                    met.appends_off_the_payload += u32::from(!pr.lats.is_empty());
+                } else if ep.rules.len() > 2 {
+                    met.rederived_adds += 1;
+                }
+            }
+            let broken = |why: &str| {
+                let rules = plan.classes().flat_map(|ep| ep.rules.iter());
+                rules
+                    .filter(|pr| pr.broken.as_deref().is_some_and(|b| b.contains(why)))
+                    .count() as u32
+            };
+            met.broken += broken("unknown LAT");
+            met.redefined += broken("different schema");
+            met.dynamic_classes += plan.dynamics.len() as u32;
+            prev = plan;
+        }
+    }
+
+    /// The histories above keep their classes inside one block of rules:
+    /// this one appends its way across two block boundaries.
+    #[test]
+    fn appending_across_rule_blocks_equals_the_plan_built_from_scratch() {
+        let engine = Engine::in_memory();
+        let sqlcm = Sqlcm::attach(&engine);
+        for t in 0..2 * Rules::BLOCK + 3 {
+            let tenant = format!("Query.User = 'u{t}' AND Query.Duration >= 0");
+            let rule = Rule::new(format!("r{t}")).on(RuleEvent::QueryCommit);
+            sqlcm.add_rule(rule.when(&tenant)).unwrap();
+            let (plan, oracle) = sqlcm.plan_and_oracle();
+            assert_eq!(canonical(&plan), canonical(&oracle), "rule {t}");
+            assert_eq!(plan.rules_planned, if t == 1 { 2 } else { 1 });
+            let class = plan.event_plan(&RuleEvent::QueryCommit).unwrap();
+            assert_eq!(class.rules.len(), t + 1);
+            assert_eq!(class.rules[t].reg.rule.name, format!("r{t}"));
+            assert_eq!(class.rules.iter().count(), t + 1);
+        }
+    }
+
+    #[test]
+    fn every_published_plan_equals_the_plan_built_from_scratch() {
+        let mut met = Met::default();
+        for seed in 0..240 {
+            history(seed, &mut met);
+        }
+        println!("{met:?}");
+        assert!(met.appends > 500 && met.rederived_adds > 500, "{met:?}");
+        assert!(
+            met.appends_sharing_a_slot > 50 && met.appends_off_the_payload > 10,
+            "{met:?}"
+        );
+        assert!(met.broken > 100 && met.redefined > 100, "{met:?}");
+        assert!(
+            met.middle_removals > 500 && met.dynamic_classes > 500,
+            "{met:?}"
+        );
     }
 }

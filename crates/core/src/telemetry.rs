@@ -70,6 +70,9 @@ pub(crate) struct Telem {
     pub rule_errors: Mutex<HashMap<String, RuleErrorEntry>>,
     /// Dispatch plans built since attach (registration-rate, not event-rate).
     pub plan_rebuilds: ShardedCounter,
+    /// Rules planned and emitted by those builds (`DispatchPlan::rules_planned`
+    /// summed): what registration costs, as a count.
+    pub plan_rules_planned: ShardedCounter,
     /// LAT row lookups served from a shared per-event hoist slot instead of
     /// re-fetching (the shared-lookup hoisting win; see `plan::HoistSlot`).
     pub hoisted_lookup_hits: ShardedCounter,
@@ -112,6 +115,7 @@ impl Telem {
             recorder: FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
             rule_errors: Mutex::new(HashMap::new()),
             plan_rebuilds: ShardedCounter::new(),
+            plan_rules_planned: ShardedCounter::new(),
             hoisted_lookup_hits: ShardedCounter::new(),
             lat_row_fetches: ShardedCounter::new(),
             hoist_invalidations_avoided: ShardedCounter::new(),
@@ -179,6 +183,9 @@ pub struct DispatchTelemetry {
     pub plan_epoch: u64,
     /// Plans built since attach.
     pub plan_rebuilds: u64,
+    /// Rules planned and emitted by those builds, summed: a mutation plans
+    /// the event classes it touches — one rule, when `add_rule` can append.
+    pub plan_rules_planned: u64,
     /// LAT lookups served from a shared per-event hoist slot.
     pub hoisted_lookup_hits: u64,
     /// LAT rows actually fetched by condition evaluation.
@@ -445,10 +452,12 @@ impl TelemetrySnapshot {
         );
         let _ = writeln!(
             out,
-            "dispatch plan: epoch={} rebuilds={} lat_row_fetches={} hoisted_hits={} \
-             invalidations_avoided={} reg_locks={} vm_instructions={} cse_hits={} folded_ops={}",
+            "dispatch plan: epoch={} rebuilds={} rules_planned={} lat_row_fetches={} \
+             hoisted_hits={} invalidations_avoided={} reg_locks={} vm_instructions={} \
+             cse_hits={} folded_ops={}",
             self.dispatch.plan_epoch,
             self.dispatch.plan_rebuilds,
+            self.dispatch.plan_rules_planned,
             self.dispatch.lat_row_fetches,
             self.dispatch.hoisted_lookup_hits,
             self.dispatch.hoist_invalidations_avoided,
@@ -614,9 +623,10 @@ impl TelemetrySnapshot {
             self.stats.action_errors
         ));
         out.push_str(&format!(
-            ",\"dispatch\":{{\"plan_epoch\":{},\"plan_rebuilds\":{},\"hoisted_lookup_hits\":{},\"lat_row_fetches\":{},\"reg_lock_acquisitions\":{},\"hoist_invalidations_avoided\":{},\"vm_instructions\":{},\"cse_hits\":{},\"folded_ops\":{}}}",
+            ",\"dispatch\":{{\"plan_epoch\":{},\"plan_rebuilds\":{},\"plan_rules_planned\":{},\"hoisted_lookup_hits\":{},\"lat_row_fetches\":{},\"reg_lock_acquisitions\":{},\"hoist_invalidations_avoided\":{},\"vm_instructions\":{},\"cse_hits\":{},\"folded_ops\":{}}}",
             self.dispatch.plan_epoch,
             self.dispatch.plan_rebuilds,
+            self.dispatch.plan_rules_planned,
             self.dispatch.hoisted_lookup_hits,
             self.dispatch.lat_row_fetches,
             self.dispatch.reg_lock_acquisitions,
