@@ -24,10 +24,11 @@
 //!   Every transition is counted, flight-recorded, and (when a rule
 //!   subscribes) dispatched as a synthetic `Monitor`-class event.
 //!
-//! Healthy-path cost discipline: recording an outcome is a handful of relaxed
-//! atomic operations — no locks, no allocation, no clock read (the clock is
-//! consulted only when a breaker actually trips or a quarantined rule is
-//! scanned for re-admission). The breaker-differential test pins that a
+//! Healthy-path cost discipline: recording a good outcome into a clean
+//! window is one relaxed read-modify-write (the sequence) and two loads — no
+//! locks, no allocation, no clock read (the clock is consulted only when a
+//! breaker actually trips or a quarantined rule is scanned for
+//! re-admission). The breaker-differential test pins that a
 //! breaker-enabled healthy run is bit-identical to a disabled one.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicU8, Ordering};
@@ -242,16 +243,18 @@ impl RuleBreaker {
     ) -> bool {
         let pos = self.seq.fetch_add(1, Ordering::Relaxed) & (BREAKER_WINDOW as u64 - 1);
         let bit = 1u64 << pos;
-        if error {
-            self.err_mask.fetch_or(bit, Ordering::Relaxed);
-        } else {
-            self.err_mask.fetch_and(!bit, Ordering::Relaxed);
-        }
-        if slow {
-            self.slow_mask.fetch_or(bit, Ordering::Relaxed);
-        } else {
-            self.slow_mask.fetch_and(!bit, Ordering::Relaxed);
-        }
+        // A good outcome leaves a mask whose bit is already clear alone: a
+        // healthy rule's window stays all-zero, read but never written, and
+        // the sequence above is its one read-modify-write.
+        let put = |mask: &AtomicU64, bad: bool| {
+            if bad {
+                mask.fetch_or(bit, Ordering::Relaxed);
+            } else if mask.load(Ordering::Relaxed) & bit != 0 {
+                mask.fetch_and(!bit, Ordering::Relaxed);
+            }
+        };
+        put(&self.err_mask, error);
+        put(&self.slow_mask, slow);
         if !error && !slow {
             return false;
         }

@@ -961,6 +961,9 @@ pub struct Lat {
     occupancy: AtomicUsize,
     /// Has a row or byte bound, i.e. evicts.
     bounded: bool,
+    /// Some aggregate is aging: the only columns whose state and value depend
+    /// on *when* they are folded or read.
+    ages: bool,
     /// Bounded with an aggregate (non-aging) ordering column: rows are filed
     /// under a key that folds can move.
     folded: bool,
@@ -1043,6 +1046,7 @@ impl Lat {
             VictimIndex::Fixed(BTreeSet::new())
         };
         let n_shards = spec.shard_count();
+        let ages = spec.aggregates.iter().any(|a| a.aging.is_some());
         Ok(Lat {
             spec,
             clock,
@@ -1054,6 +1058,7 @@ impl Lat {
             shards: (0..n_shards).map(|_| Shard::new()).collect(),
             occupancy: AtomicUsize::new(0),
             bounded,
+            ages,
             folded: matches!(index, VictimIndex::Folded(_)),
             evict_lock: Mutex::new(Coordinator {
                 index,
@@ -1180,7 +1185,12 @@ impl Lat {
     /// when no rule subscribes to this LAT's eviction event, the victims'
     /// output rows (which clone text attributes) need not be built.
     pub fn insert_and(&self, obj: &Object, want_evicted: bool) -> Result<Vec<Vec<Value>>> {
-        let now = self.clock.now_micros();
+        // Only aging aggregates look at the time of an insert.
+        let now = if self.ages {
+            self.clock.now_micros()
+        } else {
+            0
+        };
         self.with_group_key(obj, |key| self.insert_keyed(key, obj, now, want_evicted))
             .ok_or_else(|| {
                 Error::Monitor(format!(

@@ -32,7 +32,7 @@ use sqlcm_engine::instrument::Instrumentation;
 use sqlcm_engine::Engine;
 
 use sqlcm_analyze::{Analyzer, Diagnostic};
-use sqlcm_telemetry::{FlightRecord, LatencyHistogram, Stopwatch};
+use sqlcm_telemetry::{FlightRecord, LatencyHistogram, Stamp};
 
 use crate::actions::{persist_rows, read_table, substitute, Action};
 use crate::analysis;
@@ -152,11 +152,7 @@ thread_local! {
         RefCell::new(EventScratch {
             objects: Vec::new(),
             values: Vec::new(),
-            work: EventWork {
-                run: Vec::new(),
-                slots: Vec::new(),
-                cse: Vec::new(),
-            },
+            work: None,
             plan: None,
         })
     };
@@ -187,7 +183,8 @@ struct Queued {
 struct EventScratch {
     objects: Vec<Vec<Object>>,
     values: Vec<Vec<Value>>,
-    work: EventWork,
+    /// `None` until the thread's first event, and while a dispatch has it.
+    work: Option<EventWork>,
     /// The plan this thread last dispatched under (see [`PlanCell::plan`]).
     plan: Option<CachedPlan>,
 }
@@ -200,10 +197,53 @@ struct EventWork {
     /// index's candidates (or every rule), less those disabled or shed when
     /// the event arrived.
     run: Vec<u64>,
+    eval: EvalState,
+}
+
+/// What the evaluations of one event share, and what they leave behind.
+#[derive(Default)]
+struct EvalState {
     /// Hoisted LAT-row snapshots, one per `EventPlan::hoisted` entry.
     slots: Vec<HoistState>,
     /// Shared-subexpression values, one per `EventPlan::cse` entry.
     cse: Vec<Option<Value>>,
+    books: EventBooks,
+}
+
+/// One event's bookkeeping, kept on the dispatching thread while its rules
+/// run: the boundary stamp the next span starts from, and the tallies
+/// [`SqlcmInner::flush`] adds to the shared counters when the event's last
+/// rule has run. Until then `Sqlcm::stats` and `Sqlcm::telemetry` — also
+/// when read from inside an action — show the global totals as of the
+/// previous event; a rule's own counters are always current.
+#[derive(Clone, Copy, Default)]
+struct EventBooks {
+    /// The last boundary stamped. Every timed span of the event is the
+    /// distance between two adjacent stamps — one clock read ends a span and
+    /// starts the next. `None` while latency telemetry is off, which
+    /// `handle_one` reads once for the whole event.
+    stamp: Option<Stamp>,
+    evaluations: u64,
+    fires: u64,
+    actions: u64,
+    action_errors: u64,
+    vm_instructions: u64,
+    cse_hits: u64,
+    hoisted_lookup_hits: u64,
+    lat_row_fetches: u64,
+    hoist_invalidations_avoided: u64,
+}
+
+impl EventBooks {
+    /// Stamp a boundary: the nanoseconds since the previous one, which the
+    /// new stamp replaces. `None`, and no clock read, when the event is not
+    /// timed.
+    fn lap(&mut self) -> Option<u64> {
+        let prev = self.stamp?;
+        let now = Stamp::now();
+        self.stamp = Some(now);
+        Some(now.nanos_since(prev))
+    }
 }
 
 /// What every rule evaluation of one event shares.
@@ -214,6 +254,9 @@ struct EventCtx<'a> {
     /// The event's trace span ([`NONE_SPAN`] untraced) and cascade depth.
     span: u32,
     depth: u32,
+    /// The objects carry every class of `ep.payload` — always, for an event
+    /// the engine or the monitor assembled.
+    as_declared: bool,
 }
 
 const OBJECT_POOL_BOUND: usize = 4;
@@ -228,16 +271,23 @@ impl Instrumentation for SqlcmMonitor {
         // on even when latency telemetry is off, so the per-probe counts always
         // sum to `SqlcmStats::events`.
         telem.probe_events[probe.index()].incr();
-        let sw = telem.enabled().then(Stopwatch::start);
+        let entered = telem.enabled().then(Stamp::now);
         // One epoch load and one bit test, no registry lock — "no monitoring
         // is performed unless it is required by a rule" (§2.1).
-        self.inner.with_plan(|plan| {
-            if plan.probe_mask.contains(probe) {
-                self.inner.dispatch_event(plan, event);
-            }
+        let last = self.inner.with_plan(|plan| {
+            plan.probe_mask
+                .contains(probe)
+                .then(|| self.inner.dispatch_event(plan, event))
+                .flatten()
         });
-        if let Some(sw) = sw {
-            telem.probe_latency[probe.index()].record(sw.elapsed_nanos());
+        if let Some(entered) = entered {
+            // The span ends at the last boundary the dispatch stamped — the
+            // end of its last condition or action — so it is the sum of the
+            // rule spans plus what ran before each rule loop (assembly, plan
+            // load, guard probe, pinning). Only an event that ran no rule
+            // pays a second read.
+            let end = last.unwrap_or_else(Stamp::now);
+            telem.probe_latency[probe.index()].record(end.nanos_since(entered));
         }
         // Containment checkpoint: a masked counter test per event; the cold
         // body (re-admission scan + ladder step) runs every
@@ -397,8 +447,9 @@ impl SqlcmInner {
 
     /// Dispatch an engine event under `plan`: assemble its payload from the
     /// thread-local pools (zero allocations in steady state), run every
-    /// subscribed rule, then recycle the buffers.
-    fn dispatch_event(&self, plan: &DispatchPlan, event: &EngineEvent) {
+    /// subscribed rule, then recycle the buffers. Returns the last boundary
+    /// stamped while doing so ([`EventBooks::stamp`]).
+    fn dispatch_event(&self, plan: &DispatchPlan, event: &EngineEvent) -> Option<Stamp> {
         let kind = kind_of(event);
         if PROCESSING.with(|p| p.get()) {
             // Re-entrant probe (a rule action touched the engine): `dispatch`
@@ -406,7 +457,8 @@ impl SqlcmInner {
             // the running action (if traced) as its cause.
             let mut objects = Vec::new();
             payload_objects_in(event, &mut objects, &mut Vec::new());
-            return self.dispatch(kind, objects);
+            self.dispatch(kind, objects);
+            return None;
         }
         // Sampling decision: with tracing off this is one relaxed atomic
         // load — the clock is read only when the event is actually sampled.
@@ -429,7 +481,7 @@ impl SqlcmInner {
             )
         });
         payload_objects_in(event, &mut objs, &mut bufs);
-        self.dispatch_with(plan, &kind, &objs, &mut trace);
+        let last = self.dispatch_with(plan, &kind, &objs, &mut trace);
         if let Some(ctx) = trace {
             self.tracer.finish(ctx);
         }
@@ -450,6 +502,7 @@ impl SqlcmInner {
                 sc.objects.push(std::mem::take(&mut objs));
             }
         });
+        last
     }
 
     /// Entry point for internally raised events (timers, self-monitoring,
@@ -481,23 +534,27 @@ impl SqlcmInner {
     /// triggered before any later event is processed" — the applicable set,
     /// and which evictions raise an event, is whatever plan was current when
     /// the batch started. When `trace` is active, the root and every drained
-    /// cascade hop record into it.
+    /// cascade hop record into it. Returns the last boundary stamped.
     fn dispatch_with(
         &self,
         plan: &DispatchPlan,
         kind: &RuleEvent,
         objects: &[Object],
         trace: &mut Option<TraceCtx>,
-    ) {
+    ) -> Option<Stamp> {
         PROCESSING.with(|p| p.set(true));
-        let mut work = SCRATCH.with(|s| std::mem::take(&mut s.borrow_mut().work));
+        let mut work = SCRATCH
+            .with(|s| s.borrow_mut().work.take())
+            .unwrap_or_default();
         self.handle_one(plan, kind, objects, trace, NONE_SPAN, 0, &mut work);
         while let Some(q) = PENDING.with(|q| q.borrow_mut().pop_front()) {
             let (cause, depth) = (q.cause, q.depth);
             self.handle_one(plan, &q.kind, &q.objects, trace, cause, depth, &mut work);
         }
-        SCRATCH.with(|s| s.borrow_mut().work = work);
+        let last = work.eval.books.stamp.take();
+        SCRATCH.with(|s| s.borrow_mut().work = Some(work));
         PROCESSING.with(|p| p.set(false));
+        last
     }
 
     /// Evaluate this event's rules in registration order: the guard index's
@@ -520,19 +577,20 @@ impl SqlcmInner {
             return;
         };
         let event_span = match trace.as_mut() {
-            Some(ctx) => ctx.open_event(ep.label.clone(), cause, depth),
+            Some(ctx) => ctx.open_event(ep.label.to_string(), cause, depth),
             None => NONE_SPAN,
         };
-        let EventWork { run, slots, cse } = work;
+        let EventWork { run, eval } = work;
         // Shared hoist-slot store for this event: each slot is fetched at
         // most once and reused by every rule referencing that LAT.
-        slots.clear();
-        slots.resize_with(ep.hoisted.len(), HoistState::default);
+        eval.slots.clear();
+        eval.slots
+            .resize_with(ep.hoisted.len(), HoistState::default);
         // Shared-subexpression value store: the first rule to evaluate a
         // shared condition subtree publishes its value here, later sharers
         // load it (see `plan::CseSlot` and `vm::Inst::CseLoad`).
-        cse.clear();
-        cse.resize(ep.cse.len(), None);
+        eval.cse.clear();
+        eval.cse.resize(ep.cse.len(), None);
         // Guard-index probe: one pass over the per-event index yields the
         // candidate bitset (in registration order — the bitset only *skips*
         // rules, it never reorders them). A pruned rule's condition is
@@ -600,8 +658,8 @@ impl SqlcmInner {
             // and the pin can leave `admitted` above the snapshot.
             let pruned = creditable.saturating_sub(admitted);
             self.telemetry.guard_probes.incr();
+            eval.books.evaluations += pruned;
             if pruned > 0 {
-                self.evaluations.fetch_add(pruned, Ordering::Relaxed);
                 self.telemetry.rules_pruned.add(pruned);
             }
             if kept > 0 {
@@ -623,40 +681,81 @@ impl SqlcmInner {
             ep,
             span: event_span,
             depth,
+            as_declared: ep
+                .payload
+                .iter()
+                .all(|c| objects.iter().any(|o| o.class == *c)),
         };
+        // The rule loop's first boundary: everything since `on_event`'s stamp
+        // (or the previous event's last) was assembly, plan load, probe and
+        // pinning; from here on every span belongs to a rule.
+        eval.books.stamp = self.telemetry.enabled().then(Stamp::now);
         for (w, &word) in run.iter().enumerate() {
             for b in set_bits(word) {
                 let pr = &ep.rules[w * 64 + b];
-                self.evaluate_rule(&ev, pr, objects, slots, cse, trace);
+                self.evaluate_rule(&ev, pr, objects, eval, trace);
             }
         }
+        self.flush(&mut eval.books);
         if let Some(ctx) = trace.as_mut() {
             ctx.close(event_span);
         }
     }
 
+    /// Add one event's tallies to the shared counters and zero them — once
+    /// per `handle_one`, so an evaluation writes no line every dispatching
+    /// thread shares. The stamp stays: it is the next span's start.
+    fn flush(&self, books: &mut EventBooks) {
+        let b = std::mem::replace(
+            books,
+            EventBooks {
+                stamp: books.stamp,
+                ..EventBooks::default()
+            },
+        );
+        for (total, n) in [
+            (&self.evaluations, b.evaluations),
+            (&self.fires, b.fires),
+            (&self.actions, b.actions),
+            (&self.action_errors, b.action_errors),
+        ] {
+            if n != 0 {
+                total.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        let t = &self.telemetry;
+        for (total, n) in [
+            (&t.vm_instructions, b.vm_instructions),
+            (&t.cse_hits, b.cse_hits),
+            (&t.hoisted_lookup_hits, b.hoisted_lookup_hits),
+            (&t.lat_row_fetches, b.lat_row_fetches),
+            (
+                &t.hoist_invalidations_avoided,
+                b.hoist_invalidations_avoided,
+            ),
+        ] {
+            if n != 0 {
+                total.add(n);
+            }
+        }
+    }
+
     /// Evaluate one rule against the event context, iterating over live objects
-    /// for classes the event does not cover (§5.2). `slots` is the event-shared
-    /// hoisted LAT-row store.
+    /// for classes the event does not cover (§5.2).
     fn evaluate_rule(
         &self,
         ev: &EventCtx,
         pr: &PlanRule,
         base: &[Object],
-        slots: &mut [HoistState],
-        cse: &mut [Option<Value>],
+        eval: &mut EvalState,
         trace: &mut Option<TraceCtx>,
     ) {
         // Fast path (the overwhelmingly common case, and the one Figure 2
         // stresses): every class the condition references is already in the
-        // event payload — evaluate in place, no cloning, no combo machinery.
-        if pr
-            .reg
-            .cond_classes
-            .iter()
-            .all(|c| base.iter().any(|o| o.class == *c))
-        {
-            self.evaluate_combo(ev, pr, base, slots, cse, trace);
+        // event payload — decided when the rule was planned — so evaluate in
+        // place, no cloning, no combo machinery.
+        if pr.in_payload && ev.as_declared {
+            self.evaluate_combo(ev, pr, base, eval, trace);
             return;
         }
         let covered: Vec<&ClassName> = base.iter().map(|o| &o.class).collect();
@@ -735,7 +834,7 @@ impl SqlcmInner {
                     if let Some(t) = t {
                         combo.push(t.clone());
                     }
-                    self.evaluate_combo(ev, pr, &combo, slots, cse, trace);
+                    self.evaluate_combo(ev, pr, &combo, eval, trace);
                 }
             }
         }
@@ -749,10 +848,10 @@ impl SqlcmInner {
         ev: &EventCtx,
         pr: &PlanRule,
         combo: &[Object],
-        slots: &mut [HoistState],
-        cse: &mut [Option<Value>],
+        eval: &mut EvalState,
         trace: &mut Option<TraceCtx>,
     ) {
+        let EvalState { slots, cse, books } = eval;
         let reg = &*pr.reg;
         // Breaker admission. `Closed` (the steady state) costs one relaxed
         // load. `Skip` is the half-open rule while its one trial is in
@@ -770,7 +869,7 @@ impl SqlcmInner {
             }
         }
         reg.rule.evaluations.fetch_add(1, Ordering::Relaxed);
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
+        books.evaluations += 1;
         let rule_span = match trace.as_mut() {
             Some(ctx) => ctx.open_rule(ev.span, &reg.rule.name),
             None => NONE_SPAN,
@@ -793,11 +892,6 @@ impl SqlcmInner {
             }
             return;
         }
-        // One clock read here, one after the condition, one after the actions
-        // (only when the rule fires) — the condition and action spans are both
-        // derived from the same stopwatch.
-        let sw = self.telemetry.enabled().then(Stopwatch::start);
-
         // Phase A — materialize LAT rows for the condition (implicit ∃, §5.2).
         // Hoisted lookups land in the event-shared `slots` (fetched at most
         // once per event, reused by every rule on the same LAT); non-hoistable
@@ -816,7 +910,7 @@ impl SqlcmInner {
         for (i, lat) in pr.lats.iter().enumerate() {
             let slot = pr.lat_slots[i];
             if slot == NO_HOIST {
-                self.telemetry.lat_row_fetches.incr();
+                books.lat_row_fetches += 1;
                 local[i] = combo
                     .iter()
                     .find(|o| o.class == *lat.spec.source_class())
@@ -828,13 +922,13 @@ impl SqlcmInner {
                 let slot = &mut slots[slot as usize];
                 match slot {
                     HoistState::Fetched(row) => {
-                        self.telemetry.hoisted_lookup_hits.incr();
+                        books.hoisted_lookup_hits += 1;
                         if let Some(ctx) = trace.as_mut() {
                             ctx.lat_lookup(rule_span, &lat.spec.name, row.is_some(), true);
                         }
                     }
                     HoistState::Empty => {
-                        self.telemetry.lat_row_fetches.incr();
+                        books.lat_row_fetches += 1;
                         let row = combo
                             .iter()
                             .find(|o| o.class == *lat.spec.source_class())
@@ -914,13 +1008,12 @@ impl SqlcmInner {
                 }
             },
         };
-        if vm_stats.instructions != 0 {
-            self.telemetry.vm_instructions.add(vm_stats.instructions);
-        }
-        if vm_stats.cse_hits != 0 {
-            self.telemetry.cse_hits.add(vm_stats.cse_hits);
-        }
-        let cond_nanos = sw.as_ref().map(|s| s.elapsed_nanos());
+        books.vm_instructions += vm_stats.instructions;
+        books.cse_hits += vm_stats.cse_hits;
+        // The condition's boundary: the span since the previous one — the
+        // rule before this one, or the start of the rule loop — is this
+        // condition, with the dispatch between the two.
+        let cond_nanos = books.lap();
         if let Some(ns) = cond_nanos {
             reg.cond_latency.record(ns);
         }
@@ -937,8 +1030,8 @@ impl SqlcmInner {
                 if let Some(ns) = cond_nanos {
                     self.telemetry.recorder.record(FlightRecord {
                         seq: 0,
-                        event: reg.rule.event.to_string(),
-                        rule: reg.rule.name.clone(),
+                        event: ev.ep.label.clone(),
+                        rule: reg.name_label.clone(),
                         fired: false,
                         actions: 0,
                         errors: 1,
@@ -954,10 +1047,10 @@ impl SqlcmInner {
             return;
         }
         reg.rule.fires.fetch_add(1, Ordering::Relaxed);
-        self.fires.fetch_add(1, Ordering::Relaxed);
+        books.fires += 1;
         let mut errors = 0u32;
         for action in &reg.actions {
-            self.actions.fetch_add(1, Ordering::Relaxed);
+            books.actions += 1;
             reg.rule.executed_actions.fetch_add(1, Ordering::Relaxed);
             let action_span = match trace.as_mut() {
                 Some(tctx) => {
@@ -987,7 +1080,7 @@ impl SqlcmInner {
             if let Err(e) = result {
                 errors += 1;
                 reg.rule.action_errors.fetch_add(1, Ordering::Relaxed);
-                self.action_errors.fetch_add(1, Ordering::Relaxed);
+                books.action_errors += 1;
                 self.record_error(
                     &reg.rule.name,
                     format!("action of rule {} failed: {e}", reg.rule.name),
@@ -997,13 +1090,18 @@ impl SqlcmInner {
         if let Some(tctx) = trace.as_mut() {
             tctx.close(rule_span);
         }
-        let total_nanos = sw.as_ref().map(|s| s.elapsed_nanos());
-        if let (Some(total), Some(cond_ns)) = (total_nanos, cond_nanos) {
-            reg.action_latency.record(total.saturating_sub(cond_ns));
+        // The firing's boundary: the actions' span ends here, and the next
+        // rule's condition span starts — invalidation, the flight record and
+        // the breaker's bookkeeping below are the first things in it.
+        let total_nanos = cond_nanos.zip(books.lap()).map(|(cond_ns, action_ns)| {
+            reg.action_latency.record(action_ns);
+            cond_ns + action_ns
+        });
+        if let Some(total) = total_nanos {
             self.telemetry.recorder.record(FlightRecord {
                 seq: 0,
-                event: reg.rule.event.to_string(),
-                rule: reg.rule.name.clone(),
+                event: ev.ep.label.clone(),
+                rule: reg.name_label.clone(),
                 fired: true,
                 actions: reg.actions.len() as u32,
                 errors,
@@ -1022,7 +1120,7 @@ impl SqlcmInner {
             let cleared = if inv.only_if_missing {
                 match slot {
                     HoistState::Fetched(Some(_)) => {
-                        self.telemetry.hoist_invalidations_avoided.incr();
+                        books.hoist_invalidations_avoided += 1;
                         false
                     }
                     HoistState::Fetched(None) => {
@@ -1264,8 +1362,8 @@ impl SqlcmInner {
         self.containment.transitions.incr();
         self.telemetry.recorder.record(FlightRecord {
             seq: 0,
-            event: "Monitor.Overload".to_string(),
-            rule: format!("{}->{}", t.from.as_str(), t.to.as_str()),
+            event: "Monitor.Overload".into(),
+            rule: format!("{}->{}", t.from.as_str(), t.to.as_str()).into(),
             fired: false,
             actions: 0,
             errors: 0,
@@ -1336,8 +1434,8 @@ impl SqlcmInner {
     fn note_breaker(&self, what: &str, rule: &str, errors: u32) {
         self.telemetry.recorder.record(FlightRecord {
             seq: 0,
-            event: what.to_string(),
-            rule: rule.to_string(),
+            event: what.into(),
+            rule: rule.into(),
             fired: false,
             actions: 0,
             errors,
@@ -2005,6 +2103,7 @@ impl Sqlcm {
         rule.attach_clock(clock);
         let rule = Arc::new(rule);
         let reg = Arc::new(Registered {
+            name_label: rule.name.as_str().into(),
             rule: rule.clone(),
             ir: ir.clone(),
             compiled,

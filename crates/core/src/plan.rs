@@ -50,7 +50,7 @@ use parking_lot::Mutex;
 use sqlcm_analyze::{RuleEffects, RuleIr};
 use sqlcm_common::{ProbeKind, ProbeMask, Value};
 use sqlcm_sql::{IrOp, NodeId};
-use sqlcm_telemetry::LatencyHistogram;
+use sqlcm_telemetry::{Label, LatencyHistogram};
 
 use crate::containment::RuleBreaker;
 use crate::guard::{GuardIndex, RuleGuard};
@@ -91,6 +91,9 @@ pub(crate) struct Registered {
     pub cond_latency: LatencyHistogram,
     /// Action-execution wall time per firing, nanoseconds (telemetry).
     pub action_latency: LatencyHistogram,
+    /// `rule.name` as the flight recorder carries it, made once here so a
+    /// firing clones an `Arc` (and [`EventPlan::label`]) and allocates nothing.
+    pub name_label: Label,
     /// Column-level read/write summary from the static analyzer, captured at
     /// registration. `None` (rule admitted without analysis, e.g. in unit
     /// tests) falls back to coarse whole-LAT invalidation.
@@ -200,6 +203,10 @@ pub(crate) struct PlanRule {
     /// Cached `Rule::priority == Low` — overload ladder stage ≥ 2 samples
     /// these rules instead of evaluating every combination.
     pub low_priority: bool,
+    /// Every class the condition references is in the event class's declared
+    /// payload ([`EventPlan::payload`]): the rule evaluates against the
+    /// event's objects in place, no §5.2 iteration over live objects.
+    pub in_payload: bool,
 }
 
 /// An event class's rules in registration order, in blocks of
@@ -274,6 +281,9 @@ impl std::ops::Index<usize> for Rules {
 #[derive(Default)]
 pub(crate) struct EventPlan {
     pub rules: Rules,
+    /// The classes every event of this class carries
+    /// ([`RuleEvent::payload_classes`]).
+    pub payload: Vec<ClassName>,
     pub hoisted: Vec<HoistSlot>,
     /// Event-level shared-subexpression slots (see [`CseSlot`]).
     pub cse: Vec<CseSlot>,
@@ -282,8 +292,9 @@ pub(crate) struct EventPlan {
     /// non-firing and skip the VM. `None` when no rule is indexable.
     pub guards: Option<GuardIndex>,
     /// Display name in probe convention (`"Query.Commit"`), cached at build
-    /// so the tracer never formats an event name on the dispatch path.
-    pub label: String,
+    /// so neither the tracer nor the flight recorder formats an event name
+    /// on the dispatch path.
+    pub label: Label,
     /// The class's clock, shared by every rule on this event; ticked once per
     /// probed event. `None` only for rules built outside `Sqlcm::add_rule`.
     pub clock: Option<Arc<EventClock>>,
@@ -438,6 +449,7 @@ fn plan_rule(
 ) -> PlanRule {
     let mut pr = PlanRule {
         low_priority: reg.rule.is_low_priority(),
+        in_payload: reg.cond_classes.iter().all(|c| payload.contains(c)),
         reg: reg.clone(),
         lats: Vec::with_capacity(reg.cond_lats.len()),
         lat_slots: Vec::with_capacity(reg.cond_lats.len()),
@@ -779,9 +791,10 @@ impl EventPlan {
             // indexable.
             guards: GuardIndex::build(&rules),
             rules: rules.into(),
+            payload,
             hoisted,
             cse,
-            label: event.to_string(),
+            label: event.to_string().into(),
             clock: first.rule.clock().cloned(),
             support,
             slot_of,
@@ -850,6 +863,7 @@ impl EventPlan {
         };
         Some(EventPlan {
             rules: self.rules.with(pr),
+            payload,
             hoisted: self.hoisted.clone(),
             cse: self.cse.clone(),
             guards,
@@ -1211,6 +1225,7 @@ mod tests {
     fn registered(name: &str, event: RuleEvent, cond_lats: &[&str]) -> Arc<Registered> {
         let rule = Rule::new(name).on(event);
         Arc::new(Registered {
+            name_label: name.into(),
             ir: Arc::new(crate::analysis::rule_ir(&rule)),
             rule: Arc::new(rule),
             compiled: None,
@@ -1286,6 +1301,7 @@ mod tests {
         let cond_lats: Vec<String> = cond_lats.iter().map(|s| s.to_string()).collect();
         let folded = ir.condition.as_ref().unwrap().folded();
         Arc::new(Registered {
+            name_label: name.into(),
             compiled: Some(Arc::new(CondIr::from_ir(folded, lats, &cond_lats).unwrap())),
             guard: RuleGuard::of(&sqlcm_analyze::SchemaUniverse::builtin(), &ir),
             ir,

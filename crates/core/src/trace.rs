@@ -56,7 +56,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use sqlcm_common::ProbeKind;
-use sqlcm_telemetry::{BoundedRing, BufferPool, Stopwatch};
+use sqlcm_telemetry::{BoundedRing, BufferPool, Stamp};
 
 use crate::objects::Object;
 use crate::plan::{EventPlan, PlanRule};
@@ -512,7 +512,7 @@ impl Default for TracingTelemetry {
 pub(crate) struct TraceCtx {
     id: u64,
     started_micros: u64,
-    sw: Stopwatch,
+    started: Stamp,
     spans: Vec<TraceSpan>,
     pruned: Vec<PrunedRules>,
     max_depth: u32,
@@ -527,7 +527,7 @@ impl TraceCtx {
     }
 
     fn now(&self) -> u64 {
-        self.sw.elapsed_nanos()
+        Stamp::now().nanos_since(self.started)
     }
 
     fn open(&mut self, parent: Option<u32>, cause: Option<u32>, kind: SpanKind) -> u32 {
@@ -781,7 +781,7 @@ impl Tracer {
         TraceCtx {
             id: self.next_id.fetch_add(1, Ordering::Relaxed),
             started_micros: now_micros,
-            sw: Stopwatch::start(),
+            started: Stamp::now(),
             spans: self.pool.take(),
             pruned: Vec::new(),
             max_depth: 0,
@@ -812,7 +812,7 @@ impl Tracer {
                 .map(|s| s.kind.label().to_string())
                 .unwrap_or_default(),
             started_micros: ctx.started_micros,
-            duration_nanos: ctx.sw.elapsed_nanos(),
+            duration_nanos: ctx.now(),
             max_cascade_depth: ctx.max_depth,
             evaluations: ctx.evaluations,
             fires: ctx.fires,

@@ -9,12 +9,15 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sqlcm_common::{EngineEvent, QueryInfo};
 use sqlcm_core::sinks::CommandSink;
 use sqlcm_core::{Action, LatAggFunc, LatSpec, Rule, RuleEvent, Sqlcm, TraceSampling};
 use sqlcm_engine::Engine;
+#[cfg(debug_assertions)]
+use sqlcm_telemetry::Stamp;
 
 /// Counts allocations per thread: the harness runs tests on parallel
 /// threads, and a test must only see what its own dispatch path allocated.
@@ -594,9 +597,8 @@ fn cse_slot_is_invalidated_with_its_hoisted_row() {
 }
 
 /// Allocations of one event whose single rule fires `Insert(lat)`, averaged
-/// over `events` steady-state events produced by `event(i)`. The flight
-/// recorder's two per-fire `String`s are a separate open item, so clock-gated
-/// telemetry is off: what is counted is the fire path and the LAT.
+/// over `events` steady-state events produced by `event(i)`, on the monitor
+/// as shipped — telemetry on, so every firing also writes a flight record.
 fn allocations_per_firing_insert(
     spec: LatSpec,
     events: u64,
@@ -604,7 +606,6 @@ fn allocations_per_firing_insert(
 ) -> f64 {
     let engine = Engine::in_memory();
     let sqlcm = Sqlcm::attach(&engine);
-    sqlcm.set_telemetry_enabled(false);
     let lat = sqlcm.define_lat(spec).unwrap();
     sqlcm
         .add_rule(
@@ -726,6 +727,186 @@ fn twelve_hoisted_lats_allocate_nothing_per_event() {
         "every rule looked its own LAT up"
     );
     assert_eq!(after.reg_lock_acquisitions, before.reg_lock_acquisitions);
+}
+
+/// `Stamp::now` calls `f` makes on this thread — the one function the event
+/// path reads `Instant` through. The counter exists in debug builds only, so
+/// the clock-read pins carry the same `cfg` and a `--release` run skips them.
+#[cfg(debug_assertions)]
+fn clock_reads(f: impl FnOnce()) -> u64 {
+    let before = Stamp::reads_on_this_thread();
+    f();
+    Stamp::reads_on_this_thread() - before
+}
+
+/// The `storm_shared_lat` shape: one feed rule folding into a shared LAT and
+/// 31 watchers that read it and never fire.
+#[cfg(debug_assertions)]
+fn feed_and_watchers(sqlcm: &Sqlcm, watchers: u64) {
+    sqlcm
+        .define_lat(
+            LatSpec::new("Sig_LAT")
+                .group_by("Query.Logical_Signature", "Sig")
+                .aggregate(LatAggFunc::Count, "", "N")
+                .aggregate(LatAggFunc::Avg, "Query.Duration", "Avg_Duration"),
+        )
+        .unwrap();
+    sqlcm
+        .add_rule(
+            Rule::new("feed")
+                .on(RuleEvent::QueryCommit)
+                .then(Action::insert("Sig_LAT")),
+        )
+        .unwrap();
+    for i in 0..watchers {
+        let hot = format!(
+            "Query.Duration > 0.001 AND Sig_LAT.N >= {}",
+            1_000_000_000 + i
+        );
+        sqlcm
+            .add_rule(
+                Rule::new(format!("watch{i}"))
+                    .on(RuleEvent::QueryCommit)
+                    .when(&hot),
+            )
+            .unwrap();
+    }
+}
+
+/// Boundary stamps: an event that runs N evaluations of which F fire reads
+/// the clock N + F + 2 times — `on_event`'s entry, the start of the rule loop,
+/// one per condition, one per firing; each read ends one span and starts the
+/// next — and none inside a LAT insert that has nothing to age.
+#[cfg(debug_assertions)]
+#[test]
+fn an_event_reads_the_clock_once_per_boundary() {
+    let engine = Engine::in_memory();
+    let ev = commit_event(3, 0.5);
+
+    let sqlcm = Sqlcm::attach(&engine);
+    feed_and_watchers(&sqlcm, 31);
+    sqlcm.inject_event(&ev);
+    assert_eq!(clock_reads(|| sqlcm.inject_event(&ev)), 32 + 1 + 2);
+    let stats = sqlcm.stats();
+    assert_eq!((stats.evaluations, stats.fires), (64, 2));
+    // An event no rule subscribes to: `on_event`'s own two.
+    let login = EngineEvent::Login(sqlcm_common::SessionInfo {
+        session_id: 1,
+        user: "u".into(),
+        application: "a".into(),
+        success: true,
+    });
+    assert_eq!(clock_reads(|| sqlcm.inject_event(&login)), 2);
+    // Latency telemetry off: the event path reads no clock at all.
+    sqlcm.set_telemetry_enabled(false);
+    assert_eq!(clock_reads(|| sqlcm.inject_event(&ev)), 0);
+    assert_eq!(clock_reads(|| sqlcm.inject_event(&login)), 0);
+    drop(sqlcm);
+
+    // One candidate, which fires.
+    let sqlcm = Sqlcm::attach(&engine);
+    feed_and_watchers(&sqlcm, 0);
+    assert_eq!(clock_reads(|| sqlcm.inject_event(&ev)), 1 + 1 + 2);
+}
+
+/// A cascade stamps the same way, event by event: `on_event` once, then every
+/// drained event its rule loop's start and its own boundaries —
+/// 1 + Σ(1 + Nᵢ + Fᵢ) — and `on_event`'s span ends at the last of them.
+#[cfg(debug_assertions)]
+#[test]
+fn a_cascade_reads_the_clock_once_per_drained_event_and_boundary() {
+    let engine = Engine::in_memory();
+    let sqlcm = Sqlcm::attach(&engine);
+    sqlcm
+        .define_lat(
+            LatSpec::new("Hot")
+                .group_by("Query.Logical_Signature", "Sig")
+                .aggregate(LatAggFunc::Max, "Query.Duration", "D")
+                .order_by("D", true)
+                .max_rows(1),
+        )
+        .unwrap();
+    let rules = [
+        Rule::new("feed")
+            .on(RuleEvent::QueryCommit)
+            .then(Action::insert("Hot")),
+        Rule::new("never")
+            .on(RuleEvent::QueryCommit)
+            .when("Query.Duration > 0.001 AND Hot.D > 1000000"),
+        Rule::new("spill")
+            .on(RuleEvent::LatEviction("Hot".into()))
+            .then(Action::send_mail("dba", "row spilled")),
+        Rule::new("spill_twice")
+            .on(RuleEvent::LatEviction("Hot".into()))
+            .then(Action::send_mail("dba", "row spilled")),
+    ];
+    for rule in rules {
+        sqlcm.add_rule(rule).unwrap();
+    }
+    // Fills the LAT: no eviction, so one event of two evaluations, one firing.
+    assert_eq!(
+        clock_reads(|| sqlcm.inject_event(&commit_event(1, 1.0))),
+        1 + (1 + 2 + 1)
+    );
+    // Each new signature evicts the row held: a second, drained event of
+    // two evaluations, two firings.
+    for sig in 2..5 {
+        assert_eq!(
+            clock_reads(|| sqlcm.inject_event(&commit_event(sig, sig as f64))),
+            1 + (1 + 2 + 1) + (1 + 2 + 2)
+        );
+    }
+    assert_eq!(sqlcm.rule("spill").unwrap().stats().fires, 3);
+    assert_eq!(sqlcm.rule("spill_twice").unwrap().stats().fires, 3);
+    // Every span of the cascade lies inside `on_event`'s.
+    let snap = sqlcm.telemetry();
+    let spans: u64 = snap
+        .rules
+        .iter()
+        .map(|r| r.condition.sum + r.action.sum)
+        .sum();
+    let on_event: u64 = snap.probes.iter().map(|p| p.on_event.sum).sum();
+    assert!(on_event >= spans, "{on_event} < {spans}");
+}
+
+/// A clock that counts its readings.
+#[derive(Debug, Default)]
+struct CountingClock(AtomicU64);
+
+impl sqlcm_common::Clock for CountingClock {
+    fn now_micros(&self) -> u64 {
+        self.0.fetch_add(1, Ordering::Relaxed)
+    }
+}
+
+/// Only an aging aggregate looks at the time of an insert: a LAT without one
+/// never asks its clock on `insert_and`, a LAT with one asks once.
+#[test]
+fn a_lat_insert_reads_its_clock_only_to_age() {
+    let plain = LatSpec::new("Sig_LAT")
+        .group_by("Query.Logical_Signature", "Sig")
+        .aggregate(LatAggFunc::Count, "", "N")
+        .order_by("N", true)
+        .max_rows(2);
+    let aging = LatSpec::new("Recent_LAT")
+        .group_by("Query.Logical_Signature", "Sig")
+        .aggregate(LatAggFunc::Count, "", "N")
+        .aging(1_000_000, 1_000);
+    for (spec, per_insert) in [(plain, 0), (aging, 1)] {
+        let clock = Arc::new(CountingClock::default());
+        let lat = sqlcm_core::Lat::new(spec, clock.clone()).unwrap();
+        let reads = || clock.0.load(Ordering::Relaxed);
+        // Existing-group folds, new groups, and (on the bounded one) evictions.
+        for sig in [1, 1, 2, 3, 3, 4] {
+            let EngineEvent::QueryCommit(q) = commit_event(sig, 0.5) else {
+                unreachable!()
+            };
+            let before = reads();
+            lat.insert_and(&sqlcm_core::objects::query_object(&q), true)
+                .unwrap();
+            assert_eq!(reads() - before, per_insert, "{}", lat.spec.name);
+        }
+    }
 }
 
 /// Dispatch is O(candidates), not O(registered rules): with one candidate per

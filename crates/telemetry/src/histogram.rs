@@ -3,7 +3,9 @@
 //! Values (nanoseconds by convention) land in bucket `⌊log2(v)⌋ + 1`, so each
 //! bucket spans one power of two — at most 2× relative error on any reported
 //! percentile, which is plenty for "did rule evaluation blow its budget".
-//! Recording is three relaxed atomic ops; no allocation, no locks.
+//! Recording is two relaxed read-modify-writes (bucket, sum) and a load of
+//! the max — a third RMW only when the sample raises it; no allocation, no
+//! locks.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -63,7 +65,11 @@ impl LatencyHistogram {
     pub fn record(&self, nanos: u64) {
         self.buckets[bucket_index(nanos)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(nanos, Ordering::Relaxed);
-        self.max.fetch_max(nanos, Ordering::Relaxed);
+        // The max rises a handful of times in a histogram's life; every other
+        // sample leaves its cache line shared.
+        if nanos > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(nanos, Ordering::Relaxed);
+        }
     }
 
     /// Materialize the current contents. Not linearizable under concurrent

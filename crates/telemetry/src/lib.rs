@@ -9,10 +9,12 @@
 //!   a thread-local shard (no contended cache line), reads sum the shards.
 //! * [`LatencyHistogram`] — 64 log2-bucketed atomic buckets with running sum
 //!   and max; [`HistogramSnapshot`] derives p50/p95/p99 from the buckets.
-//! * [`Stopwatch`] / [`TimerGuard`] — `std::time::Instant`-based timing with
-//!   an RAII guard that records into a histogram on drop.
+//! * [`Stamp`] — one reading of `std::time::Instant`; spans are the distance
+//!   between two adjacent stamps, so a boundary costs one clock read.
 //! * [`FlightRecorder`] — a bounded ring of the last N rule firings, kept so
-//!   a test failure or cancel storm can be reconstructed after the fact.
+//!   a test failure or cancel storm can be reconstructed after the fact; its
+//!   records name their rule and event by [`Label`], cloned without
+//!   allocating.
 //! * [`BoundedRing`] / [`BufferPool`] — drop-oldest retention and span-buffer
 //!   recycling for the causal-trace subsystem (`sqlcm-core::trace`): touched
 //!   once per completed sampled trace, never on the per-event path.
@@ -24,11 +26,11 @@ mod counter;
 mod histogram;
 mod recorder;
 mod ring;
-mod timer;
+mod stamp;
 
 pub use counter::ShardedCounter;
 pub use histogram::{bucket_index, bucket_lower_bound, bucket_upper_bound};
 pub use histogram::{HistogramSnapshot, LatencyHistogram, BUCKETS};
-pub use recorder::{FlightRecord, FlightRecorder};
+pub use recorder::{FlightRecord, FlightRecorder, Label};
 pub use ring::{BoundedRing, BufferPool};
-pub use timer::{Stopwatch, TimerGuard};
+pub use stamp::Stamp;

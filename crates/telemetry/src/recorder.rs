@@ -10,7 +10,39 @@
 //! cross-link with the causal traces of `sqlcm-core::trace`.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+
+/// A name a record carries: an `Arc<str>` made once where the name is known
+/// (a rule's, at registration) and cloned into each record without
+/// allocating. Reads and compares as the `str` it holds.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct Label(Arc<str>);
+
+impl std::ops::Deref for Label {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl<T: Into<Arc<str>>> From<T> for Label {
+    fn from(name: T) -> Label {
+        Label(name.into())
+    }
+}
+
+impl PartialEq<&str> for Label {
+    fn eq(&self, other: &&str) -> bool {
+        *self.0 == **other
+    }
+}
+
+impl std::fmt::Display for Label {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Display::fmt(&*self.0, f)
+    }
+}
 
 /// One recorded rule evaluation that fired (or errored).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,9 +51,9 @@ pub struct FlightRecord {
     /// snapshot mean records were evicted, not lost.
     pub seq: u64,
     /// Triggering event, e.g. `"Query.Commit"`.
-    pub event: String,
+    pub event: Label,
     /// Rule name.
-    pub rule: String,
+    pub rule: Label,
     /// Condition outcome (false only for recorded condition errors).
     pub fired: bool,
     /// Actions executed.
@@ -154,7 +186,7 @@ mod tests {
         assert_eq!(r.len(), 3);
         assert_eq!(r.total_recorded(), 5);
         let snap = r.snapshot();
-        let rules: Vec<&str> = snap.iter().map(|x| x.rule.as_str()).collect();
+        let rules: Vec<&str> = snap.iter().map(|x| &*x.rule).collect();
         assert_eq!(rules, ["c", "d", "e"]);
         let seqs: Vec<u64> = snap.iter().map(|x| x.seq).collect();
         assert_eq!(seqs, [2, 3, 4], "sequence numbers survive eviction");
@@ -177,7 +209,7 @@ mod tests {
         }
         r.set_capacity(2);
         assert_eq!(r.capacity(), 2);
-        let rules: Vec<String> = r.snapshot().into_iter().map(|x| x.rule).collect();
+        let rules: Vec<Label> = r.snapshot().into_iter().map(|x| x.rule).collect();
         assert_eq!(rules, ["d", "e"]);
         // Seq continuity and the total are unaffected by resizing.
         assert_eq!(r.total_recorded(), 5);

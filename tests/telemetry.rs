@@ -195,3 +195,228 @@ fn telemetry_toggle_keeps_counters_consistent() {
     assert_eq!(on.rules[0].condition.count, 100, "collection resumed");
     assert_eq!(on.flight_total, 100);
 }
+
+fn rule_named<'a>(
+    snap: &'a TelemetrySnapshot,
+    name: &str,
+) -> &'a sqlcm_repro::monitor::telemetry::RuleTelemetry {
+    snap.rules.iter().find(|r| r.name == name).unwrap()
+}
+
+/// Boundary stamps partition an event: every condition and action span is the
+/// distance between two adjacent stamps taken inside `on_event`'s own, so —
+/// in exact integer nanoseconds — `on_event.sum` is the rule spans plus what
+/// ran before each rule loop (payload assembly, plan load, guard probe,
+/// pinning; for a drained event, its dequeue). The counts partition too: one
+/// condition sample per evaluation that ran, one action sample and one flight
+/// record per firing.
+#[test]
+fn rule_spans_partition_on_event() {
+    let engine = Engine::in_memory();
+    let db = small_db(&engine);
+    let sqlcm = Sqlcm::attach(&engine);
+    // One group per query in a 4-row LAT: every query past the fourth evicts,
+    // and the eviction is an event of its own, drained inside `on_event`.
+    sqlcm
+        .define_lat(
+            LatSpec::new("Last4")
+                .group_by("Query.ID", "ID")
+                .aggregate(LatAggFunc::Max, "Query.Duration", "D")
+                .order_by("ID", true)
+                .max_rows(4),
+        )
+        .unwrap();
+    let on_commit = |name: &str| Rule::new(name).on(RuleEvent::QueryCommit);
+    let rules = [
+        on_commit("track").then(Action::insert("Last4")),
+        // Decided by the guard index: counted, never run, never timed.
+        on_commit("pruned").when("Query.Duration > 3600"),
+        // Runs and reads the LAT row `track` just wrote; never fires.
+        on_commit("watch").when("Query.Duration >= 0 AND Last4.D > 3600"),
+        // §5.2: `Table` is not in a commit's payload, so the rule evaluates
+        // once per live table.
+        on_commit("per_table")
+            .when("Table.Row_Count >= 0")
+            .then(Action::send_mail("dba", "{Table.Name}")),
+        Rule::new("spill")
+            .on(RuleEvent::LatEviction("Last4".into()))
+            .then(Action::send_mail("dba", "evicted")),
+    ];
+    for rule in rules {
+        sqlcm.add_rule(rule).unwrap();
+    }
+    let events = 50;
+    run_queries(&engine, &mixed::point_select_workload(&db, events, 3)).unwrap();
+
+    let snap = sqlcm.telemetry();
+    let events = u64::from(events);
+    assert_eq!(snap.stats.events, events);
+    assert_eq!(snap.stats.action_errors, 0);
+    let tables = engine.catalog().tables().len() as u64;
+    assert!(tables > 1);
+    for (rule, evaluations, pruned, fires) in [
+        ("track", events, 0, events),
+        ("pruned", events, events, 0),
+        ("watch", events, 0, 0),
+        ("per_table", events * tables, 0, events * tables),
+        ("spill", events - 4, 0, events - 4),
+    ] {
+        let r = rule_named(&snap, rule);
+        assert_eq!(
+            (r.evaluations, r.pruned, r.fires),
+            (evaluations, pruned, fires),
+            "{rule}"
+        );
+        assert_eq!(r.condition.count, r.evaluations - r.pruned, "{rule}");
+        assert_eq!(r.action.count, r.fires, "{rule}");
+    }
+    assert_eq!(snap.flight_total, snap.stats.fires);
+
+    let commit = snap
+        .probes
+        .iter()
+        .find(|p| p.kind == "Query.Commit")
+        .unwrap();
+    assert_eq!(commit.on_event.count, events);
+    let rule_spans: u64 = snap
+        .rules
+        .iter()
+        .map(|r| r.condition.sum + r.action.sum)
+        .sum();
+    assert!(
+        commit.on_event.sum >= rule_spans,
+        "on_event {} ns < rule spans {rule_spans} ns",
+        commit.on_event.sum
+    );
+}
+
+/// The two-thread case of `telemetry_snapshot_is_consistent_with_stats`: each
+/// thread tallies its events locally and adds them to the shared counters
+/// once per event, and after both joined the per-rule and global totals still
+/// partition exactly.
+#[test]
+fn flushed_tallies_partition_after_two_threads_join() {
+    let engine = Engine::in_memory();
+    let db = small_db(&engine);
+    let sqlcm = Sqlcm::attach(&engine);
+    sqlcm
+        .define_lat(
+            LatSpec::new("ByType")
+                .group_by("Query.Query_Type", "QType")
+                .aggregate(LatAggFunc::Count, "", "N"),
+        )
+        .unwrap();
+    let on_commit = |name: &str| Rule::new(name).on(RuleEvent::QueryCommit);
+    let rules = [
+        on_commit("track").then(Action::insert("ByType")),
+        on_commit("watch").when("Query.Duration >= 0 AND ByType.N >= 1000000000"),
+        on_commit("watch_too").when("Query.Duration >= 0 AND ByType.N >= 1000000001"),
+    ];
+    for rule in rules {
+        sqlcm.add_rule(rule).unwrap();
+    }
+    const PER_THREAD: u32 = 500;
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for t in 0..2 {
+            let (engine, db, start) = (&engine, &db, &start);
+            scope.spawn(move || {
+                let queries = mixed::point_select_workload(db, PER_THREAD, 40 + t);
+                start.wait();
+                run_queries(engine, &queries).unwrap();
+            });
+        }
+    });
+
+    let events = 2 * u64::from(PER_THREAD);
+    let stats = sqlcm.stats();
+    let snap = sqlcm.telemetry();
+    assert_eq!(snap.stats, stats);
+    assert_eq!(stats.events, events);
+    assert_eq!(snap.probes.iter().map(|p| p.events).sum::<u64>(), events);
+    let sum = |f: fn(&sqlcm_repro::monitor::telemetry::RuleTelemetry) -> u64| {
+        snap.rules.iter().map(f).sum::<u64>()
+    };
+    assert_eq!(sum(|r| r.evaluations), stats.evaluations);
+    assert_eq!(stats.evaluations, 3 * events);
+    assert_eq!(sum(|r| r.fires), stats.fires);
+    assert_eq!(stats.fires, events);
+    assert_eq!(sum(|r| r.actions), stats.actions);
+    assert_eq!(sum(|r| r.action_errors), stats.action_errors);
+    for r in &snap.rules {
+        assert_eq!(r.condition.count, r.evaluations - r.pruned, "{}", r.name);
+        assert_eq!(r.action.count, r.fires, "{}", r.name);
+    }
+    assert_eq!(snap.flight_total, stats.fires);
+    let by_type = snap.lats.iter().find(|l| l.name == "ByType").unwrap();
+    assert_eq!(by_type.inserts, stats.fires);
+    // Every watcher evaluation looked the row up exactly once: the first
+    // fetched it, the second found it in the event's hoist slot.
+    assert_eq!(snap.dispatch.lat_row_fetches, events);
+    assert_eq!(snap.dispatch.hoisted_lookup_hits, events);
+    assert!(snap.dispatch.vm_instructions >= 2 * events);
+}
+
+/// A command sink that reads the monitor's global counters from inside the
+/// action that runs it.
+struct StatsReader {
+    target: std::sync::OnceLock<std::sync::Arc<Sqlcm>>,
+    seen: std::sync::Mutex<Vec<sqlcm_repro::monitor::SqlcmStats>>,
+}
+
+impl sqlcm_repro::monitor::CommandSink for StatsReader {
+    fn run(&self, _command: &str) {
+        if let Some(sqlcm) = self.target.get() {
+            self.seen.lock().unwrap().push(sqlcm.stats());
+        }
+    }
+}
+
+/// The global evaluation/fire/action counters are added to once per event,
+/// after its last rule ran: an action that reads `stats()` (or a `Monitor.*`
+/// attribute) mid-event sees them as of the previous event, not including the
+/// evaluation it is part of. `events` is counted on entry, and a rule's own
+/// counters are written as it runs.
+#[test]
+fn stats_read_from_inside_an_action_are_as_of_the_previous_event() {
+    let engine = Engine::in_memory();
+    let sqlcm = std::sync::Arc::new(Sqlcm::attach(&engine));
+    let on_commit = |name: &str| Rule::new(name).on(RuleEvent::QueryCommit);
+    sqlcm
+        .add_rule(on_commit("first").then(Action::send_mail("dba", "hi")))
+        .unwrap();
+    sqlcm
+        .add_rule(on_commit("reader").then(Action::run_external("read stats")))
+        .unwrap();
+    let sink = std::sync::Arc::new(StatsReader {
+        target: std::sync::OnceLock::new(),
+        seen: std::sync::Mutex::new(Vec::new()),
+    });
+    assert!(sink.target.set(sqlcm.clone()).is_ok());
+    sqlcm.set_command_sink(sink.clone());
+
+    for id in 1..=3 {
+        let q = sqlcm_repro::common::QueryInfo::synthetic(id, "SELECT 1");
+        sqlcm.inject_event(&sqlcm_repro::common::EngineEvent::QueryCommit(q));
+    }
+    let seen = sink.seen.lock().unwrap();
+    for (before, stats) in seen.iter().enumerate() {
+        let before = before as u64;
+        assert_eq!(stats.events, before + 1, "counted on entry");
+        assert_eq!(
+            (stats.evaluations, stats.fires, stats.actions),
+            (2 * before, 2 * before, 2 * before),
+            "totals of the {before} events before this one"
+        );
+    }
+    assert_eq!(seen.len(), 3);
+    // The rule's own counters were current all along, and the event's
+    // tallies are in the totals once it is over.
+    assert_eq!(sqlcm.rule("first").unwrap().stats().fires, 3);
+    let stats = sqlcm.stats();
+    assert_eq!((stats.evaluations, stats.fires, stats.actions), (6, 6, 6));
+    // Break the sink → monitor → sink cycle.
+    sqlcm.set_command_sink(std::sync::Arc::new(
+        sqlcm_repro::monitor::RecordingCommandSink::default(),
+    ));
+}
