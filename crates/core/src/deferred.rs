@@ -28,6 +28,7 @@ use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sqlcm_common::Value;
+use sqlcm_telemetry::{Describe, Field, Metric};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Default bound on the deferred-action queue.
@@ -144,6 +145,14 @@ pub struct LossEntry {
     pub rule: String,
     pub reason: &'static str,
     pub count: u64,
+}
+
+impl Describe for LossEntry {
+    const FIELDS: &'static [Field<Self>] = &[
+        ("rule", |l| Metric::Label(&l.rule)),
+        ("reason", |l| Metric::Label(l.reason)),
+        ("count", |l| Metric::Count(l.count)),
+    ];
 }
 
 struct QueueInner {

@@ -1621,11 +1621,8 @@ impl SqlcmInner {
         if !self.plan.load().has_event(&RuleEvent::MonitorTick) {
             return;
         }
-        let health = self.telemetry_snapshot().health();
-        self.dispatch(
-            RuleEvent::MonitorTick,
-            vec![objects::monitor_object(&health)],
-        );
+        let monitor = objects::monitor_object(&self.telemetry_snapshot());
+        self.dispatch(RuleEvent::MonitorTick, vec![monitor]);
     }
 
     fn stats_now(&self) -> SqlcmStats {
@@ -1668,11 +1665,7 @@ impl SqlcmInner {
                         action_errors: stats.action_errors,
                         condition: reg.cond_latency.snapshot(),
                         action: reg.action_latency.snapshot(),
-                        last_error: rule_errors.get(&reg.rule.name).map(|e| RuleError {
-                            rule: reg.rule.name.clone(),
-                            count: e.count,
-                            message: e.message.clone(),
-                        }),
+                        last_error: rule_errors.get(&reg.rule.name).cloned(),
                     }
                 })
                 .collect()
@@ -1742,7 +1735,7 @@ impl Sqlcm {
             clock: clock.clone(),
             lats: RwLock::new(HashMap::new()),
             rules: RwLock::new(Vec::new()),
-            plan: PlanCell::new(Arc::new(DispatchPlan::build(0, &[], &HashMap::new()))),
+            plan: PlanCell::new(Arc::new(DispatchPlan::default())),
             registration: Mutex::new(None),
             timers: TimerRegistry::new(clock),
             mail_sink: RwLock::new(outbox.clone() as Arc<dyn MailSink>),
@@ -2194,7 +2187,19 @@ impl Sqlcm {
 
     /// Start the background timer thread, polling at `interval`.
     pub fn start_timer_thread(&self, interval: std::time::Duration) {
-        let mut guard = self.timer_thread.lock();
+        self.start_poller(&self.timer_thread, interval, SqlcmInner::poll_timers);
+    }
+
+    /// Run `poll` every `interval` on a background thread kept in `slot`,
+    /// unless one is already there. The thread holds only a `Weak`, and
+    /// exits on the first wake-up after the `Sqlcm` is dropped.
+    fn start_poller(
+        &self,
+        slot: &Mutex<Option<std::thread::JoinHandle<()>>>,
+        interval: std::time::Duration,
+        poll: impl Fn(&SqlcmInner) + Send + 'static,
+    ) {
+        let mut guard = slot.lock();
         if guard.is_some() {
             return;
         }
@@ -2202,13 +2207,8 @@ impl Sqlcm {
         *guard = Some(std::thread::spawn(move || loop {
             std::thread::sleep(interval);
             match weak.upgrade() {
-                Some(inner) => {
-                    if inner.shutdown.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    inner.poll_timers();
-                }
-                None => break,
+                Some(inner) if !inner.shutdown.load(Ordering::Relaxed) => poll(&inner),
+                _ => break,
             }
         }));
     }
@@ -2284,23 +2284,9 @@ impl Sqlcm {
     /// Start the background executor thread draining the deferred queue at
     /// `interval`.
     pub fn start_action_executor(&self, interval: std::time::Duration) {
-        let mut guard = self.executor_thread.lock();
-        if guard.is_some() {
-            return;
-        }
-        let weak: Weak<SqlcmInner> = Arc::downgrade(&self.inner);
-        *guard = Some(std::thread::spawn(move || loop {
-            std::thread::sleep(interval);
-            match weak.upgrade() {
-                Some(inner) => {
-                    if inner.shutdown.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    inner.pump_deferred();
-                }
-                None => break,
-            }
-        }));
+        self.start_poller(&self.executor_thread, interval, |inner| {
+            inner.pump_deferred();
+        });
     }
 
     pub fn deferred_queue_depth(&self) -> usize {
@@ -2504,9 +2490,9 @@ impl Sqlcm {
     }
 
     /// Run one self-monitoring tick synchronously: if any rule subscribes to
-    /// [`RuleEvent::MonitorTick`], a synthetic `Monitor` object carrying the
-    /// current [`TelemetrySnapshot::health`] is dispatched through the normal
-    /// rule pipeline.
+    /// [`RuleEvent::MonitorTick`], a synthetic `Monitor` object built from
+    /// the current [`TelemetrySnapshot`] ([`objects::monitor_object`]) is
+    /// dispatched through the normal rule pipeline.
     pub fn poll_self_monitor(&self) {
         self.inner.poll_self_monitor();
     }

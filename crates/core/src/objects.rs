@@ -15,6 +15,8 @@ use std::sync::Arc;
 use sqlcm_analyze::schema::builtin_class;
 use sqlcm_common::{BlockPairInfo, QueryInfo, QueryType, SessionInfo, Timestamp, TxnInfo, Value};
 
+use crate::telemetry::TelemetrySnapshot;
+
 /// Class of a monitored object. LAT-eviction objects carry the LAT name.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ClassName {
@@ -332,54 +334,39 @@ pub fn table_object(t: &sqlcm_engine::catalog::TableInfo) -> Object {
     )
 }
 
-/// The monitor-health values carried by a `Monitor` object. Latencies are in
-/// seconds; counts are totals since attach.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct MonitorHealth {
-    pub events: u64,
-    pub evaluations: u64,
-    pub fires: u64,
-    pub actions: u64,
-    pub action_errors: u64,
-    pub eval_p50_secs: f64,
-    pub eval_p95_secs: f64,
-    pub eval_p99_secs: f64,
-    pub eval_max_secs: f64,
-    pub probe_p99_secs: f64,
-    pub lat_memory_bytes: u64,
-    pub rule_count: u64,
-    pub lat_count: u64,
-    pub overload_stage: u64,
-    pub quarantined_rules: u64,
-    pub deferred_depth: u64,
-}
-
-/// Build the `Monitor` object the self-monitoring bridge dispatches.
-pub fn monitor_object(h: &MonitorHealth) -> Object {
+/// Build the `Monitor` object the self-monitoring bridge dispatches, straight
+/// from a telemetry snapshot. Latencies are seconds, from the histograms
+/// merged across rules (`Eval_*`) and probe kinds (`Probe_P99`); counts are
+/// totals since attach.
+pub fn monitor_object(snap: &TelemetrySnapshot) -> Object {
     use std::sync::OnceLock;
     static NAMES: OnceLock<Arc<[String]>> = OnceLock::new();
     let names = NAMES.get_or_init(|| attr_names(ClassName::Monitor)).clone();
+    let count = |n: u64| Value::Int(n as i64);
+    let secs = |nanos: u64| Value::Float(nanos as f64 * 1e-9);
+    let (stats, eval) = (&snap.stats, snap.merged_condition_latency());
+    let containment = &snap.containment;
     Object::new(
         ClassName::Monitor,
         names,
         vec![
             Value::text("sqlcm"),
-            Value::Int(h.events as i64),
-            Value::Int(h.evaluations as i64),
-            Value::Int(h.fires as i64),
-            Value::Int(h.actions as i64),
-            Value::Int(h.action_errors as i64),
-            Value::Float(h.eval_p50_secs),
-            Value::Float(h.eval_p95_secs),
-            Value::Float(h.eval_p99_secs),
-            Value::Float(h.eval_max_secs),
-            Value::Float(h.probe_p99_secs),
-            Value::Int(h.lat_memory_bytes as i64),
-            Value::Int(h.rule_count as i64),
-            Value::Int(h.lat_count as i64),
-            Value::Int(h.overload_stage as i64),
-            Value::Int(h.quarantined_rules as i64),
-            Value::Int(h.deferred_depth as i64),
+            count(stats.events),
+            count(stats.evaluations),
+            count(stats.fires),
+            count(stats.actions),
+            count(stats.action_errors),
+            secs(eval.p50()),
+            secs(eval.p95()),
+            secs(eval.p99()),
+            secs(eval.max),
+            secs(snap.merged_probe_latency().p99()),
+            count(snap.lats.iter().map(|l| l.memory_bytes).sum()),
+            count(snap.rules.len() as u64),
+            count(snap.lats.len() as u64),
+            count(containment.overload_stage),
+            count(containment.quarantined.len() as u64),
+            count(containment.deferred.queue_depth),
         ],
     )
 }

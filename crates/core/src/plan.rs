@@ -28,8 +28,9 @@
 //! **The event class is the unit of planning.** Hoist slots, CSE slots,
 //! invalidation modes and the guard index never cross a class, so an
 //! [`EventPlan`] is derived from its class's rules alone
-//! ([`EventPlan::derive`]) and [`DispatchPlan::build`] — the definition, the
-//! fallback and the test oracle — is that, for every class. A mutation
+//! ([`EventPlan::derive`]) and `DispatchPlan::build` — the definition, kept
+//! under `#[cfg(test)]` as the differential oracle — is that, for every
+//! class. Attach installs the empty plan, and a mutation
 //! publishes its predecessor with only the classes it touches replaced
 //! ([`DispatchPlan::next`]); the others are the same `Arc<EventPlan>`. A rule
 //! added to a class is planned and emitted alone and *appended*
@@ -889,7 +890,9 @@ pub(crate) enum Change<'a> {
 
 /// The immutable dispatch plan. Every registry mutation publishes one via
 /// [`PlanCell::swap`] — its predecessor's [`DispatchPlan::next`] — and every
-/// dispatch thread reads it lock-free.
+/// dispatch thread reads it lock-free. The default is the plan of the empty
+/// registry, which attach installs.
+#[derive(Default)]
 pub(crate) struct DispatchPlan {
     /// Monotone rebuild counter (0 = the empty plan installed at attach).
     pub epoch: u64,
@@ -923,7 +926,9 @@ pub(crate) struct DispatchPlan {
 impl DispatchPlan {
     /// Compile the registry snapshot into a plan: [`EventPlan::derive`] for
     /// every event class. What the published plan must always equal —
-    /// `next` gets there from its predecessor.
+    /// `next` gets there from its predecessor; the differential tests
+    /// (`plan::incremental`, `Sqlcm::plan_and_oracle`) check that it does.
+    #[cfg(test)]
     pub fn build(
         epoch: u64,
         rules: &[Arc<Registered>],
@@ -935,13 +940,9 @@ impl DispatchPlan {
         }
         let mut plan = DispatchPlan {
             epoch,
-            probe_mask: ProbeMask::EMPTY,
-            statics: std::array::from_fn(|_| Arc::new(EventPlan::default())),
-            dynamics: HashMap::new(),
             rules: rules.to_vec(),
-            guard_indexed_rules: 0,
-            guard_residual_rules: 0,
             rules_planned: rules.len() as u64,
+            ..DispatchPlan::default()
         };
         for (event, class) in classes {
             plan.set_class(event, EventPlan::derive(&class, lats));

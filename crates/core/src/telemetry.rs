@@ -16,19 +16,25 @@
 //!
 //! Snapshots are plain owned data: safe to hold, print ([`TelemetrySnapshot::to_text`]),
 //! serialize ([`TelemetrySnapshot::to_json`]), or feed back into the rule
-//! engine as a synthetic `Monitor` object ([`TelemetrySnapshot::health`]).
+//! engine as a synthetic `Monitor` object ([`crate::objects::monitor_object`]).
+//!
+//! Every slice names its exported fields once, in export order, in its
+//! [`Describe`] impl; the JSON and text writers below walk that description,
+//! so a metric has one name — its JSON key — in both renderings.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use parking_lot::Mutex;
 use sqlcm_common::ProbeKind;
+use sqlcm_telemetry::Metric::{self, Count, Flag, Label, Nanos, Ratio};
 use sqlcm_telemetry::{
-    FlightRecord, FlightRecorder, HistogramSnapshot, LatencyHistogram, ShardedCounter,
+    Describe, Field, Fields, FlightRecord, FlightRecorder, HistogramSnapshot, LatencyHistogram,
+    ShardedCounter,
 };
 
 use crate::monitor::SqlcmStats;
-use crate::objects::MonitorHealth;
 use crate::trace::TracingTelemetry;
 
 /// Default flight-recorder depth: last N rule firings (and errored
@@ -52,11 +58,6 @@ pub struct RuleError {
     pub message: String,
 }
 
-pub(crate) struct RuleErrorEntry {
-    pub count: u64,
-    pub message: String,
-}
-
 /// Internal telemetry state owned by `SqlcmInner`.
 pub(crate) struct Telem {
     enabled: AtomicBool,
@@ -67,7 +68,7 @@ pub(crate) struct Telem {
     /// Ring of recent rule firings (gated by `enabled`).
     pub recorder: FlightRecorder,
     /// rule name → last error + count, bounded by `RULE_ERRORS_CAPACITY`.
-    pub rule_errors: Mutex<HashMap<String, RuleErrorEntry>>,
+    pub rule_errors: Mutex<HashMap<String, RuleError>>,
     /// Dispatch plans built since attach (registration-rate, not event-rate).
     pub plan_rebuilds: ShardedCounter,
     /// Rules planned and emitted by those builds (`DispatchPlan::rules_planned`
@@ -156,20 +157,18 @@ impl Telem {
                 map.remove(&least);
             }
         }
-        map.insert(rule.to_string(), RuleErrorEntry { count: 1, message });
+        let error = RuleError {
+            rule: rule.to_string(),
+            count: 1,
+            message,
+        };
+        map.insert(error.rule.clone(), error);
     }
 
     /// All per-rule errors, sorted by rule name for determinism.
     pub fn rule_errors_snapshot(&self) -> Vec<RuleError> {
         let map = self.rule_errors.lock();
-        let mut out: Vec<RuleError> = map
-            .iter()
-            .map(|(rule, e)| RuleError {
-                rule: rule.clone(),
-                count: e.count,
-                message: e.message.clone(),
-            })
-            .collect();
+        let mut out: Vec<RuleError> = map.values().cloned().collect();
         out.sort_by(|a, b| a.rule.cmp(&b.rule));
         out
     }
@@ -205,6 +204,33 @@ pub struct DispatchTelemetry {
     pub folded_ops: u64,
 }
 
+impl Describe for SqlcmStats {
+    const FIELDS: &'static [Field<Self>] = &[
+        ("events", |s| Count(s.events)),
+        ("evaluations", |s| Count(s.evaluations)),
+        ("fires", |s| Count(s.fires)),
+        ("actions", |s| Count(s.actions)),
+        ("action_errors", |s| Count(s.action_errors)),
+    ];
+}
+
+impl Describe for DispatchTelemetry {
+    const FIELDS: &'static [Field<Self>] = &[
+        ("plan_epoch", |d| Count(d.plan_epoch)),
+        ("plan_rebuilds", |d| Count(d.plan_rebuilds)),
+        ("plan_rules_planned", |d| Count(d.plan_rules_planned)),
+        ("hoisted_lookup_hits", |d| Count(d.hoisted_lookup_hits)),
+        ("lat_row_fetches", |d| Count(d.lat_row_fetches)),
+        ("reg_lock_acquisitions", |d| Count(d.reg_lock_acquisitions)),
+        ("hoist_invalidations_avoided", |d| {
+            Count(d.hoist_invalidations_avoided)
+        }),
+        ("vm_instructions", |d| Count(d.vm_instructions)),
+        ("cse_hits", |d| Count(d.cse_hits)),
+        ("folded_ops", |d| Count(d.folded_ops)),
+    ];
+}
+
 /// Guard-index (rule-matching) slice of a telemetry snapshot.
 ///
 /// Populated by the guard index (`crate::guard`): per-event-class
@@ -237,6 +263,18 @@ impl MatchingTelemetry {
     }
 }
 
+impl Describe for MatchingTelemetry {
+    const FIELDS: &'static [Field<Self>] = &[
+        ("guard_probes", |m| Count(m.guard_probes)),
+        ("rules_pruned", |m| Count(m.rules_pruned)),
+        ("candidate_rules", |m| Count(m.candidate_rules)),
+        ("candidate_rules_per_event", |m| {
+            Ratio(m.candidate_rules_per_event())
+        }),
+        ("residual_rules", |m| Count(m.residual_rules)),
+    ];
+}
+
 /// Per-probe-kind slice of a telemetry snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProbeTelemetry {
@@ -246,6 +284,14 @@ pub struct ProbeTelemetry {
     pub events: u64,
     /// Wall time spent in `on_event` for this kind, nanoseconds.
     pub on_event: HistogramSnapshot,
+}
+
+impl Describe for ProbeTelemetry {
+    const FIELDS: &'static [Field<Self>] = &[
+        ("kind", |p| Label(p.kind)),
+        ("events", |p| Count(p.events)),
+        ("on_event", |p| Nanos(&p.on_event)),
+    ];
 }
 
 /// Per-rule slice of a telemetry snapshot.
@@ -269,6 +315,31 @@ pub struct RuleTelemetry {
     pub action: HistogramSnapshot,
     /// Last error attributed to this rule, if any.
     pub last_error: Option<RuleError>,
+}
+
+impl Describe for RuleTelemetry {
+    const FIELDS: &'static [Field<Self>] = &[
+        ("name", |r| Label(&r.name)),
+        ("event", |r| Label(&r.event)),
+        ("evaluations", |r| Count(r.evaluations)),
+        ("pruned", |r| Count(r.pruned)),
+        ("fires", |r| Count(r.fires)),
+        ("actions", |r| Count(r.actions)),
+        ("action_errors", |r| Count(r.action_errors)),
+        ("condition", |r| Nanos(&r.condition)),
+        ("action", |r| Nanos(&r.action)),
+        ("last_error", |r| {
+            Metric::Slice(r.last_error.as_ref().map(Describe::describe))
+        }),
+    ];
+}
+
+/// Under its rule's `last_error`, which names the rule already.
+impl Describe for RuleError {
+    const FIELDS: &'static [Field<Self>] = &[
+        ("count", |e| Count(e.count)),
+        ("message", |e| Label(&e.message)),
+    ];
 }
 
 /// Per-LAT slice of a telemetry snapshot.
@@ -298,6 +369,22 @@ pub struct LatTelemetry {
     pub lock_contentions: u64,
 }
 
+impl Describe for LatTelemetry {
+    const FIELDS: &'static [Field<Self>] = &[
+        ("name", |l| Label(&l.name)),
+        ("inserts", |l| Count(l.inserts)),
+        ("evictions", |l| Count(l.evictions)),
+        ("victims_examined", |l| Count(l.victims_examined)),
+        ("resets", |l| Count(l.resets)),
+        ("aging_rolls", |l| Count(l.aging_rolls)),
+        ("rows", |l| Count(l.rows)),
+        ("row_high_water", |l| Count(l.row_high_water)),
+        ("memory_bytes", |l| Count(l.memory_bytes)),
+        ("shards", |l| Count(l.shards)),
+        ("lock_contentions", |l| Count(l.lock_contentions)),
+    ];
+}
+
 /// Per-rule breaker state in a [`ContainmentTelemetry`]. Only rules whose
 /// breaker is not `Closed`, or that have tripped at least once, are listed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -309,6 +396,15 @@ pub struct BreakerTelemetry {
     pub trips: u64,
     /// Evaluations skipped while the breaker was not closed.
     pub skipped: u64,
+}
+
+impl Describe for BreakerTelemetry {
+    const FIELDS: &'static [Field<Self>] = &[
+        ("rule", |b| Label(&b.rule)),
+        ("state", |b| Label(b.state)),
+        ("trips", |b| Count(b.trips)),
+        ("skipped", |b| Count(b.skipped)),
+    ];
 }
 
 /// Deferred-action-queue slice of a telemetry snapshot.
@@ -334,6 +430,22 @@ pub struct DeferredTelemetry {
     pub dropped_exhausted: u64,
     /// Executions suppressed by the idempotency-key ring.
     pub deduped: u64,
+}
+
+impl Describe for DeferredTelemetry {
+    const FIELDS: &'static [Field<Self>] = &[
+        ("enabled", |d| Flag(d.enabled)),
+        ("queue_depth", |d| Count(d.queue_depth)),
+        ("capacity", |d| Count(d.capacity)),
+        ("high_water", |d| Count(d.high_water)),
+        ("enqueued", |d| Count(d.enqueued)),
+        ("executed", |d| Count(d.executed)),
+        ("failed_attempts", |d| Count(d.failed_attempts)),
+        ("retries", |d| Count(d.retries)),
+        ("dropped_overflow", |d| Count(d.dropped_overflow)),
+        ("dropped_exhausted", |d| Count(d.dropped_exhausted)),
+        ("deduped", |d| Count(d.deduped)),
+    ];
 }
 
 /// Fault-containment slice of a telemetry snapshot: circuit breakers, the
@@ -363,6 +475,26 @@ pub struct ContainmentTelemetry {
     pub deferred: DeferredTelemetry,
     /// Loss ledger: every shed or dropped deferred action, by (rule, reason).
     pub losses: Vec<crate::deferred::LossEntry>,
+}
+
+impl Describe for ContainmentTelemetry {
+    const FIELDS: &'static [Field<Self>] = &[
+        ("breakers_enabled", |c| Flag(c.breakers_enabled)),
+        ("overload_stage", |c| Count(c.overload_stage)),
+        ("overload_transitions", |c| Count(c.overload_transitions)),
+        ("shed_traces", |c| Count(c.shed_traces)),
+        ("shed_evaluations", |c| Count(c.shed_evaluations)),
+        ("breaker_trips", |c| Count(c.breaker_trips)),
+        ("breaker_reopens", |c| Count(c.breaker_reopens)),
+        ("breaker_closes", |c| Count(c.breaker_closes)),
+        ("breaker_skipped", |c| Count(c.breaker_skipped)),
+        ("quarantined", |c| {
+            Metric::List(c.quarantined.iter().map(|r| Label(r)).collect())
+        }),
+        ("breakers", |c| Metric::list(&c.breakers)),
+        ("deferred", |c| Metric::slice(&c.deferred)),
+        ("losses", |c| Metric::list(&c.losses)),
+    ];
 }
 
 /// A point-in-time, owned view of everything the monitor knows about itself.
@@ -411,418 +543,113 @@ impl TelemetrySnapshot {
         merged
     }
 
-    /// Condense the snapshot into the health summary that becomes the
-    /// synthetic `Monitor` object (self-monitoring bridge).
-    pub fn health(&self) -> MonitorHealth {
-        const NANO: f64 = 1e-9;
-        let eval = self.merged_condition_latency();
-        let probe = self.merged_probe_latency();
-        MonitorHealth {
-            events: self.stats.events,
-            evaluations: self.stats.evaluations,
-            fires: self.stats.fires,
-            actions: self.stats.actions,
-            action_errors: self.stats.action_errors,
-            eval_p50_secs: eval.p50() as f64 * NANO,
-            eval_p95_secs: eval.p95() as f64 * NANO,
-            eval_p99_secs: eval.p99() as f64 * NANO,
-            eval_max_secs: eval.max as f64 * NANO,
-            probe_p99_secs: probe.p99() as f64 * NANO,
-            lat_memory_bytes: self.lats.iter().map(|l| l.memory_bytes).sum(),
-            rule_count: self.rules.len() as u64,
-            lat_count: self.lats.len() as u64,
-            overload_stage: self.containment.overload_stage,
-            quarantined_rules: self.containment.quarantined.len() as u64,
-            deferred_depth: self.containment.deferred.queue_depth,
-        }
-    }
-
-    /// Human-readable multi-line report.
+    /// Human-readable report under the JSON keys: a slice's scalars as
+    /// `name=value` on one line, its histograms, nested slices and lists
+    /// indented below it.
     pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "sqlcm telemetry: events={} evaluations={} fires={} actions={} action_errors={}",
-            self.stats.events,
-            self.stats.evaluations,
-            self.stats.fires,
-            self.stats.actions,
-            self.stats.action_errors
-        );
-        let _ = writeln!(
-            out,
-            "dispatch plan: epoch={} rebuilds={} rules_planned={} lat_row_fetches={} \
-             hoisted_hits={} invalidations_avoided={} reg_locks={} vm_instructions={} \
-             cse_hits={} folded_ops={}",
-            self.dispatch.plan_epoch,
-            self.dispatch.plan_rebuilds,
-            self.dispatch.plan_rules_planned,
-            self.dispatch.lat_row_fetches,
-            self.dispatch.hoisted_lookup_hits,
-            self.dispatch.hoist_invalidations_avoided,
-            self.dispatch.reg_lock_acquisitions,
-            self.dispatch.vm_instructions,
-            self.dispatch.cse_hits,
-            self.dispatch.folded_ops,
-        );
-        let _ = writeln!(
-            out,
-            "matching: guard_probes={} rules_pruned={} candidate_rules_per_event={:.2} \
-             residual_rules={}",
-            self.matching.guard_probes,
-            self.matching.rules_pruned,
-            self.matching.candidate_rules_per_event(),
-            self.matching.residual_rules,
-        );
-        let _ = writeln!(out, "probes:");
-        for p in &self.probes {
-            if p.events == 0 {
-                continue;
-            }
-            let _ = writeln!(
-                out,
-                "  {:<22} events={:<8} on_event p50={} p95={} p99={} max={}",
-                p.kind,
-                p.events,
-                fmt_nanos(p.on_event.p50()),
-                fmt_nanos(p.on_event.p95()),
-                fmt_nanos(p.on_event.p99()),
-                fmt_nanos(p.on_event.max),
-            );
-        }
-        let _ = writeln!(out, "rules:");
-        for r in &self.rules {
-            let _ = writeln!(
-                out,
-                "  {:<22} on={:<18} evals={:<8} pruned={:<8} fires={:<8} actions={:<8} errors={:<4} cond p99={} action p99={}",
-                r.name,
-                r.event,
-                r.evaluations,
-                r.pruned,
-                r.fires,
-                r.actions,
-                r.action_errors,
-                fmt_nanos(r.condition.p99()),
-                fmt_nanos(r.action.p99()),
-            );
-            if let Some(e) = &r.last_error {
-                let _ = writeln!(out, "    last error (x{}): {}", e.count, e.message);
-            }
-        }
-        let _ = writeln!(out, "lats:");
-        for l in &self.lats {
-            let _ = writeln!(
-                out,
-                "  {:<22} inserts={:<8} evictions={:<6} victims_examined={:<6} resets={:<4} aging_rolls={:<6} rows={}/{} bytes={} shards={} contentions={}",
-                l.name,
-                l.inserts,
-                l.evictions,
-                l.victims_examined,
-                l.resets,
-                l.aging_rolls,
-                l.rows,
-                l.row_high_water,
-                l.memory_bytes,
-                l.shards,
-                l.lock_contentions,
-            );
-        }
-        let _ = writeln!(
-            out,
-            "tracing: sampling={} sampled={} completed={} dropped={} spans={} max_cascade_depth={} ring={}/{}",
-            self.tracing.sampling,
-            self.tracing.sampled,
-            self.tracing.completed,
-            self.tracing.dropped,
-            self.tracing.spans,
-            self.tracing.max_cascade_depth,
-            self.tracing.ring_len,
-            self.tracing.ring_capacity,
-        );
-        let c = &self.containment;
-        let _ = writeln!(
-            out,
-            "containment: breakers={} stage={} transitions={} trips={} reopens={} closes={} skipped={} shed_traces={} shed_evals={}",
-            if c.breakers_enabled { "on" } else { "off" },
-            c.overload_stage,
-            c.overload_transitions,
-            c.breaker_trips,
-            c.breaker_reopens,
-            c.breaker_closes,
-            c.breaker_skipped,
-            c.shed_traces,
-            c.shed_evaluations,
-        );
-        if !c.quarantined.is_empty() {
-            let _ = writeln!(out, "  quarantined: {}", c.quarantined.join(", "));
-        }
-        for b in &c.breakers {
-            let _ = writeln!(
-                out,
-                "  breaker {:<22} state={:<9} trips={} skipped={}",
-                b.rule, b.state, b.trips, b.skipped
-            );
-        }
-        let d = &c.deferred;
-        let _ = writeln!(
-            out,
-            "deferred actions: {} depth={}/{} high_water={} enqueued={} executed={} failed_attempts={} retries={} dropped_overflow={} dropped_exhausted={} deduped={}",
-            if d.enabled { "async" } else { "sync" },
-            d.queue_depth,
-            d.capacity,
-            d.high_water,
-            d.enqueued,
-            d.executed,
-            d.failed_attempts,
-            d.retries,
-            d.dropped_overflow,
-            d.dropped_exhausted,
-            d.deduped,
-        );
-        for l in &c.losses {
-            let _ = writeln!(out, "  lost {:<22} {:<18} x{}", l.rule, l.reason, l.count);
-        }
-        let _ = writeln!(
-            out,
-            "flight recorder ({} shown, {} total):",
-            self.flight_records.len(),
-            self.flight_total
-        );
-        for rec in &self.flight_records {
-            let _ = writeln!(
-                out,
-                "  #{:<6} {:<18} {:<22} fired={:<5} actions={} errors={} took={}{}",
-                rec.seq,
-                rec.event,
-                rec.rule,
-                rec.fired,
-                rec.actions,
-                rec.errors,
-                fmt_nanos(rec.duration_nanos),
-                if rec.trace_id != 0 {
-                    format!(" trace=#{}", rec.trace_id)
-                } else {
-                    String::new()
-                },
-            );
-        }
+        let mut out = String::from("sqlcm telemetry");
+        write_text(&mut out, 0, &self.describe());
         out
     }
 
     /// JSON rendering (hand-rolled; the workspace carries no serde).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        out.push('{');
-        out.push_str(&format!(
-            "\"stats\":{{\"events\":{},\"evaluations\":{},\"fires\":{},\"actions\":{},\"action_errors\":{}}}",
-            self.stats.events,
-            self.stats.evaluations,
-            self.stats.fires,
-            self.stats.actions,
-            self.stats.action_errors
-        ));
-        out.push_str(&format!(
-            ",\"dispatch\":{{\"plan_epoch\":{},\"plan_rebuilds\":{},\"plan_rules_planned\":{},\"hoisted_lookup_hits\":{},\"lat_row_fetches\":{},\"reg_lock_acquisitions\":{},\"hoist_invalidations_avoided\":{},\"vm_instructions\":{},\"cse_hits\":{},\"folded_ops\":{}}}",
-            self.dispatch.plan_epoch,
-            self.dispatch.plan_rebuilds,
-            self.dispatch.plan_rules_planned,
-            self.dispatch.hoisted_lookup_hits,
-            self.dispatch.lat_row_fetches,
-            self.dispatch.reg_lock_acquisitions,
-            self.dispatch.hoist_invalidations_avoided,
-            self.dispatch.vm_instructions,
-            self.dispatch.cse_hits,
-            self.dispatch.folded_ops
-        ));
-        out.push_str(&format!(
-            ",\"matching\":{{\"guard_probes\":{},\"rules_pruned\":{},\"candidate_rules\":{},\"candidate_rules_per_event\":{:.4},\"residual_rules\":{}}}",
-            self.matching.guard_probes,
-            self.matching.rules_pruned,
-            self.matching.candidate_rules,
-            self.matching.candidate_rules_per_event(),
-            self.matching.residual_rules
-        ));
-        out.push_str(",\"probes\":[");
-        for (i, p) in self.probes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"kind\":{},\"events\":{},\"on_event\":{}}}",
-                json_str(p.kind),
-                p.events,
-                json_hist(&p.on_event)
-            ));
-        }
-        out.push_str("],\"rules\":[");
-        for (i, r) in self.rules.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":{},\"event\":{},\"evaluations\":{},\"pruned\":{},\"fires\":{},\"actions\":{},\"action_errors\":{},\"condition\":{},\"action\":{},\"last_error\":{}}}",
-                json_str(&r.name),
-                json_str(&r.event),
-                r.evaluations,
-                r.pruned,
-                r.fires,
-                r.actions,
-                r.action_errors,
-                json_hist(&r.condition),
-                json_hist(&r.action),
-                match &r.last_error {
-                    None => "null".to_string(),
-                    Some(e) => format!(
-                        "{{\"count\":{},\"message\":{}}}",
-                        e.count,
-                        json_str(&e.message)
-                    ),
-                }
-            ));
-        }
-        out.push_str("],\"lats\":[");
-        for (i, l) in self.lats.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":{},\"inserts\":{},\"evictions\":{},\"victims_examined\":{},\"resets\":{},\"aging_rolls\":{},\"rows\":{},\"row_high_water\":{},\"memory_bytes\":{},\"shards\":{},\"lock_contentions\":{}}}",
-                json_str(&l.name),
-                l.inserts,
-                l.evictions,
-                l.victims_examined,
-                l.resets,
-                l.aging_rolls,
-                l.rows,
-                l.row_high_water,
-                l.memory_bytes,
-                l.shards,
-                l.lock_contentions
-            ));
-        }
-        out.push_str("],\"tracing\":");
-        out.push_str(&format!(
-            "{{\"sampling\":{},\"sampled\":{},\"completed\":{},\"dropped\":{},\"spans\":{},\"max_cascade_depth\":{},\"ring_len\":{},\"ring_capacity\":{}}}",
-            json_str(&self.tracing.sampling),
-            self.tracing.sampled,
-            self.tracing.completed,
-            self.tracing.dropped,
-            self.tracing.spans,
-            self.tracing.max_cascade_depth,
-            self.tracing.ring_len,
-            self.tracing.ring_capacity
-        ));
-        let c = &self.containment;
-        out.push_str(",\"containment\":{");
-        out.push_str(&format!(
-            "\"breakers_enabled\":{},\"overload_stage\":{},\"overload_transitions\":{},\"shed_traces\":{},\"shed_evaluations\":{},\"breaker_trips\":{},\"breaker_reopens\":{},\"breaker_closes\":{},\"breaker_skipped\":{}",
-            c.breakers_enabled,
-            c.overload_stage,
-            c.overload_transitions,
-            c.shed_traces,
-            c.shed_evaluations,
-            c.breaker_trips,
-            c.breaker_reopens,
-            c.breaker_closes,
-            c.breaker_skipped
-        ));
-        out.push_str(",\"quarantined\":[");
-        for (i, q) in c.quarantined.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_str(q));
-        }
-        out.push_str("],\"breakers\":[");
-        for (i, b) in c.breakers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"rule\":{},\"state\":{},\"trips\":{},\"skipped\":{}}}",
-                json_str(&b.rule),
-                json_str(b.state),
-                b.trips,
-                b.skipped
-            ));
-        }
-        let d = &c.deferred;
-        out.push_str(&format!(
-            "],\"deferred\":{{\"enabled\":{},\"queue_depth\":{},\"capacity\":{},\"high_water\":{},\"enqueued\":{},\"executed\":{},\"failed_attempts\":{},\"retries\":{},\"dropped_overflow\":{},\"dropped_exhausted\":{},\"deduped\":{}}}",
-            d.enabled,
-            d.queue_depth,
-            d.capacity,
-            d.high_water,
-            d.enqueued,
-            d.executed,
-            d.failed_attempts,
-            d.retries,
-            d.dropped_overflow,
-            d.dropped_exhausted,
-            d.deduped
-        ));
-        out.push_str(",\"losses\":[");
-        for (i, l) in c.losses.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"rule\":{},\"reason\":{},\"count\":{}}}",
-                json_str(&l.rule),
-                json_str(l.reason),
-                l.count
-            ));
-        }
-        out.push_str("]}");
-        out.push_str(",\"flight_recorder\":{\"total\":");
-        out.push_str(&self.flight_total.to_string());
-        out.push_str(",\"records\":[");
-        for (i, rec) in self.flight_records.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"seq\":{},\"event\":{},\"rule\":{},\"fired\":{},\"actions\":{},\"errors\":{},\"duration_nanos\":{},\"trace_id\":{}}}",
-                rec.seq,
-                json_str(&rec.event),
-                json_str(&rec.rule),
-                rec.fired,
-                rec.actions,
-                rec.errors,
-                rec.duration_nanos,
-                rec.trace_id
-            ));
-        }
-        out.push_str("]}}");
+        write_json(&mut out, &Metric::slice(self));
         out
     }
 }
 
-/// Compact nanosecond formatting for the text report.
-fn fmt_nanos(nanos: u64) -> String {
-    if nanos >= 1_000_000_000 {
-        format!("{:.2}s", nanos as f64 / 1e9)
-    } else if nanos >= 1_000_000 {
-        format!("{:.1}ms", nanos as f64 / 1e6)
-    } else if nanos >= 1_000 {
-        format!("{:.1}us", nanos as f64 / 1e3)
-    } else {
-        format!("{nanos}ns")
+impl Describe for TelemetrySnapshot {
+    const FIELDS: &'static [Field<Self>] = &[
+        ("stats", |t| Metric::slice(&t.stats)),
+        ("dispatch", |t| Metric::slice(&t.dispatch)),
+        ("matching", |t| Metric::slice(&t.matching)),
+        ("probes", |t| Metric::list(&t.probes)),
+        ("rules", |t| Metric::list(&t.rules)),
+        ("lats", |t| Metric::list(&t.lats)),
+        ("tracing", |t| Metric::slice(&t.tracing)),
+        ("containment", |t| Metric::slice(&t.containment)),
+        ("flight_recorder", |t| {
+            Metric::Slice(Some(vec![
+                ("total", Count(t.flight_total)),
+                ("records", Metric::list(&t.flight_records)),
+            ]))
+        }),
+    ];
+}
+
+/// The JSON writer: a slice is an object, a list an array, a histogram its
+/// summary, and every other value its text.
+fn write_json(out: &mut String, value: &Metric) {
+    match value {
+        Label(s) => out.push_str(&json_str(s)),
+        Nanos(h) => write_json(out, &Metric::slice(*h)),
+        Metric::Slice(Some(fields)) => {
+            out.push('{');
+            for (i, (name, v)) in fields.iter().enumerate() {
+                let sep = if i > 0 { "," } else { "" };
+                let _ = write!(out, "{sep}{}:", json_str(name));
+                write_json(out, v);
+            }
+            out.push('}');
+        }
+        Metric::List(items) => {
+            out.push('[');
+            for (i, v) in items.iter().enumerate() {
+                out.push_str(if i > 0 { "," } else { "" });
+                write_json(out, v);
+            }
+            out.push(']');
+        }
+        scalar => out.push_str(&text_of(scalar).unwrap_or_default()),
     }
 }
 
-/// Histogram as JSON: summary stats only (the 64 raw buckets stay internal).
-fn json_hist(h: &HistogramSnapshot) -> String {
-    format!(
-        "{{\"count\":{},\"sum\":{},\"max\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-        h.count,
-        h.sum,
-        h.max,
-        h.p50(),
-        h.p95(),
-        h.p99()
-    )
+/// A scalar's text — the same in both renderings but for a label's JSON
+/// quoting. `None` for the values the text report gives lines of their own.
+fn text_of(value: &Metric) -> Option<String> {
+    Some(match value {
+        Count(n) => n.to_string(),
+        Flag(b) => b.to_string(),
+        Label(s) => s.to_string(),
+        Ratio(r) => format!("{r:.4}"),
+        Metric::Slice(None) => "null".into(),
+        _ => return None,
+    })
+}
+
+/// The text writer: `fields`' scalars as ` name=value` on the current line,
+/// then each histogram, nested slice or list below it, indented by `depth`:
+/// `name: …`, or `name:` and one `- …` line per list item.
+fn write_text(out: &mut String, depth: usize, fields: &Fields) {
+    for (name, v) in fields {
+        if let Some(text) = text_of(v) {
+            let _ = write!(out, " {name}={text}");
+        }
+    }
+    out.push('\n');
+    let pad = "  ".repeat(depth);
+    for (name, v) in fields.iter().filter(|(_, v)| text_of(v).is_none()) {
+        let _ = write!(out, "{pad}{name}:");
+        match v {
+            Nanos(h) => write_text(out, depth + 1, &h.describe()),
+            Metric::Slice(Some(inner)) => write_text(out, depth + 1, inner),
+            Metric::List(items) => {
+                out.push('\n');
+                for item in items {
+                    let _ = write!(out, "{pad}  -");
+                    match item {
+                        Metric::Slice(Some(inner)) => write_text(out, depth + 2, inner),
+                        label => {
+                            let _ = writeln!(out, " {}", text_of(label).unwrap_or_default());
+                        }
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
 }
 
 /// Minimal JSON string escape (quote, backslash, control chars). Shared with
@@ -872,9 +699,8 @@ mod tests {
         assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
     }
 
-    #[test]
-    fn empty_snapshot_renders_valid_shapes() {
-        let snap = TelemetrySnapshot {
+    fn empty_snapshot() -> TelemetrySnapshot {
+        TelemetrySnapshot {
             stats: SqlcmStats::default(),
             dispatch: DispatchTelemetry::default(),
             matching: MatchingTelemetry::default(),
@@ -885,7 +711,12 @@ mod tests {
             flight_total: 0,
             tracing: TracingTelemetry::default(),
             containment: ContainmentTelemetry::default(),
-        };
+        }
+    }
+
+    #[test]
+    fn empty_snapshot_renders_valid_shapes() {
+        let snap = empty_snapshot();
         let json = snap.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"probes\":[]"));
@@ -896,10 +727,42 @@ mod tests {
         assert!(json.contains("\"containment\":{\"breakers_enabled\":false"));
         assert!(json.contains("\"losses\":[]"));
         assert!(snap.to_text().contains("tracing: sampling=off"));
-        assert!(snap.to_text().contains("containment: breakers=off stage=0"));
         assert!(snap
             .to_text()
-            .contains("flight recorder (0 shown, 0 total)"));
-        assert_eq!(snap.health(), MonitorHealth::default());
+            .contains("containment: breakers_enabled=false overload_stage=0"));
+        assert!(snap
+            .to_text()
+            .ends_with("flight_recorder: total=0\n  records:\n"));
+        let monitor = crate::objects::monitor_object(&snap);
+        assert_eq!(monitor.values()[0], sqlcm_common::Value::text("sqlcm"));
+        assert!(monitor.values()[1..]
+            .iter()
+            .all(|v| v.as_f64() == Some(0.0)));
+    }
+
+    /// The `Monitor` object carries, position by position, the types
+    /// `builtin_class("Monitor")` declares, read from the snapshot.
+    #[test]
+    fn monitor_object_follows_its_schema() {
+        use sqlcm_common::Value;
+        let mut snap = empty_snapshot();
+        snap.stats.action_errors = 5;
+        snap.containment.overload_stage = 3;
+        snap.containment.quarantined = vec!["a".into(), "b".into()];
+        snap.containment.deferred.queue_depth = 7;
+        let monitor = crate::objects::monitor_object(&snap);
+        let class = sqlcm_analyze::schema::builtin_class("Monitor").unwrap();
+        assert_eq!(monitor.values().len(), class.attrs.len());
+        for ((attr, ty), value) in class.attrs.iter().zip(monitor.values()) {
+            assert_eq!(value.data_type(), Some(*ty), "{attr}");
+        }
+        for (attr, want) in [
+            ("Action_Errors", 5),
+            ("Overload_Stage", 3),
+            ("Quarantined_Rules", 2),
+            ("Deferred_Depth", 7),
+        ] {
+            assert_eq!(monitor.get(attr), Some(&Value::Int(want)), "{attr}");
+        }
     }
 }

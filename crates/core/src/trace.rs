@@ -56,7 +56,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use sqlcm_common::ProbeKind;
-use sqlcm_telemetry::{BoundedRing, BufferPool, Stamp};
+use sqlcm_telemetry::{BoundedRing, BufferPool, Describe, Field, Metric, Stamp};
 
 use crate::objects::Object;
 use crate::plan::{EventPlan, PlanRule};
@@ -502,6 +502,19 @@ impl Default for TracingTelemetry {
             ring_capacity: TRACE_RING_CAPACITY as u64,
         }
     }
+}
+
+impl Describe for TracingTelemetry {
+    const FIELDS: &'static [Field<Self>] = &[
+        ("sampling", |t| Metric::Label(&t.sampling)),
+        ("sampled", |t| Metric::Count(t.sampled)),
+        ("completed", |t| Metric::Count(t.completed)),
+        ("dropped", |t| Metric::Count(t.dropped)),
+        ("spans", |t| Metric::Count(t.spans)),
+        ("max_cascade_depth", |t| Metric::Count(t.max_cascade_depth)),
+        ("ring_len", |t| Metric::Count(t.ring_len)),
+        ("ring_capacity", |t| Metric::Count(t.ring_capacity)),
+    ];
 }
 
 // ------------------------------------------------------------ staging

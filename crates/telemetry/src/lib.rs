@@ -18,17 +18,21 @@
 //! * [`BoundedRing`] / [`BufferPool`] — drop-oldest retention and span-buffer
 //!   recycling for the causal-trace subsystem (`sqlcm-core::trace`): touched
 //!   once per completed sampled trace, never on the per-event path.
+//! * [`Describe`] / [`Metric`] — how a snapshot slice names its exported
+//!   fields once, for every writer to walk.
 //!
 //! No dependencies, std only: the crate must be linkable from every layer
 //! (engine, core, benches) without widening the build.
 
 mod counter;
+mod describe;
 mod histogram;
 mod recorder;
 mod ring;
 mod stamp;
 
 pub use counter::ShardedCounter;
+pub use describe::{Describe, Field, Fields, Metric};
 pub use histogram::{bucket_index, bucket_lower_bound, bucket_upper_bound};
 pub use histogram::{HistogramSnapshot, LatencyHistogram, BUCKETS};
 pub use recorder::{FlightRecord, FlightRecorder, Label};

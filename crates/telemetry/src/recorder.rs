@@ -12,6 +12,8 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
+use crate::{Describe, Field, Metric};
+
 /// A name a record carries: an `Arc<str>` made once where the name is known
 /// (a rule's, at registration) and cloned into each record without
 /// allocating. Reads and compares as the `str` it holds.
@@ -65,6 +67,19 @@ pub struct FlightRecord {
     /// Causal-trace ID active when the evaluation ran (0 = not traced), so
     /// recorder entries cross-link with `Sqlcm::traces()` snapshots.
     pub trace_id: u64,
+}
+
+impl Describe for FlightRecord {
+    const FIELDS: &'static [Field<Self>] = &[
+        ("seq", |r| Metric::Count(r.seq)),
+        ("event", |r| Metric::Label(&r.event)),
+        ("rule", |r| Metric::Label(&r.rule)),
+        ("fired", |r| Metric::Flag(r.fired)),
+        ("actions", |r| Metric::Count(r.actions.into())),
+        ("errors", |r| Metric::Count(r.errors.into())),
+        ("duration_nanos", |r| Metric::Count(r.duration_nanos)),
+        ("trace_id", |r| Metric::Count(r.trace_id)),
+    ];
 }
 
 struct Ring {

@@ -106,22 +106,11 @@ fn main() -> Result<()> {
             stats.qps()
         );
         print!("{}", snapshot.to_text());
+        // The plan's shape, beside the counters the report already shows.
         let plan = sqlcm.plan_summary();
         println!(
-            "\ndispatch plan: epoch={} rules={} (rebuilds={}, hoisted hits={}, LAT row fetches={})",
-            plan.epoch,
-            plan.rule_count,
-            snapshot.dispatch.plan_rebuilds,
-            snapshot.dispatch.hoisted_lookup_hits,
-            snapshot.dispatch.lat_row_fetches
-        );
-        println!(
-            "guard index: {} rule(s) indexed, {} residual; {:.2} candidate rule(s) \
-             per probed event ({} pruned without evaluation)",
-            plan.guard_indexed_rules,
-            plan.guard_residual_rules,
-            snapshot.matching.candidate_rules_per_event(),
-            snapshot.matching.rules_pruned,
+            "\nplan summary: epoch {} with {} rule(s); guard index: {} indexed, {} residual",
+            plan.epoch, plan.rule_count, plan.guard_indexed_rules, plan.guard_residual_rules,
         );
         for g in plan.shared_groups() {
             println!("  shared hoist on {}: {} <- {:?}", g.event, g.lat, g.rules);

@@ -357,6 +357,34 @@ fn flushed_tallies_partition_after_two_threads_join() {
     assert!(snap.dispatch.vm_instructions >= 2 * events);
 }
 
+/// A condition error is booked on its rule only: `stats.action_errors`
+/// counts failed actions, so it is not the per-rule sum.
+#[test]
+fn condition_errors_count_on_the_rule_only() {
+    let engine = Engine::in_memory();
+    let sqlcm = Sqlcm::attach(&engine);
+    sqlcm
+        .add_rule(
+            Rule::new("div_zero")
+                .on(RuleEvent::QueryCommit)
+                .when("Query.ID / 0 > 1"),
+        )
+        .unwrap();
+    let n = 10;
+    for id in 1..=n {
+        let q = sqlcm_repro::common::QueryInfo::synthetic(id, "SELECT 1");
+        sqlcm.inject_event(&sqlcm_repro::common::EngineEvent::QueryCommit(q));
+    }
+    let snap = sqlcm.telemetry();
+    assert_eq!(
+        (
+            rule_named(&snap, "div_zero").action_errors,
+            snap.stats.action_errors
+        ),
+        (n, 0)
+    );
+}
+
 /// A command sink that reads the monitor's global counters from inside the
 /// action that runs it.
 struct StatsReader {
