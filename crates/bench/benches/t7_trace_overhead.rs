@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use sqlcm_bench::{banner, env_u32};
 use sqlcm_common::{EngineEvent, QueryInfo};
-use sqlcm_core::{Rule, RuleEvent, Sqlcm, TraceSampling};
+use sqlcm_core::{MonitorConfig, Rule, RuleEvent, Sqlcm, TraceSampling};
 use sqlcm_engine::Engine;
 
 fn commit_event(sig: u64) -> EngineEvent {
@@ -76,18 +76,30 @@ fn main() {
     let (_e1, baseline) = single_rule_monitor();
 
     let (_e2, disabled) = single_rule_monitor();
-    disabled.set_trace_sampling(TraceSampling::EveryNth(1));
+    disabled.configure(MonitorConfig {
+        trace_sampling: TraceSampling::EveryNth(1),
+        ..disabled.config()
+    });
     for _ in 0..10_000 {
         disabled.inject_event(&ev);
     }
     assert!(!disabled.traces().is_empty(), "cycle must have traced");
-    disabled.set_trace_sampling(TraceSampling::Off);
+    disabled.configure(MonitorConfig {
+        trace_sampling: TraceSampling::Off,
+        ..disabled.config()
+    });
 
     let (_e3, sampled64) = single_rule_monitor();
-    sampled64.set_trace_sampling(TraceSampling::EveryNth(64));
+    sampled64.configure(MonitorConfig {
+        trace_sampling: TraceSampling::EveryNth(64),
+        ..sampled64.config()
+    });
 
     let (_e4, sampled1) = single_rule_monitor();
-    sampled1.set_trace_sampling(TraceSampling::EveryNth(1));
+    sampled1.configure(MonitorConfig {
+        trace_sampling: TraceSampling::EveryNth(1),
+        ..sampled1.config()
+    });
 
     let configs: [(&str, &Sqlcm); 4] = [
         ("baseline", &baseline),

@@ -19,7 +19,9 @@
 use std::time::{Duration, Instant};
 
 use sqlcm_bench::{banner, env_u32};
-use sqlcm_core::{Action, FaultPlan, FaultRate, RetryPolicy, Rule, RuleEvent, Sqlcm};
+use sqlcm_core::{
+    Action, FaultPlan, FaultRate, MonitorConfig, RetryPolicy, Rule, RuleEvent, Sqlcm,
+};
 use sqlcm_engine::Engine;
 use sqlcm_workloads::storm::{self, StormConfig, StormShape};
 
@@ -53,12 +55,15 @@ fn build() -> (Engine, Sqlcm) {
                 .then(Action::send_mail("dba", "slow: {Query.Query_Text}")),
         )
         .expect("mail");
-    sqlcm.set_async_actions(true);
-    sqlcm.set_retry_policy(RetryPolicy {
-        max_attempts: 3,
-        base_backoff_micros: 100,
-        max_backoff_micros: 10_000,
-        jitter: 0.2,
+    sqlcm.configure(MonitorConfig {
+        async_actions: true,
+        retry: RetryPolicy {
+            max_attempts: 3,
+            base_backoff_micros: 100,
+            max_backoff_micros: 10_000,
+            jitter: 0.2,
+        },
+        ..sqlcm.config()
     });
     sqlcm.start_action_executor(Duration::from_micros(500));
     (engine, sqlcm)

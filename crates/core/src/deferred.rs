@@ -3,7 +3,7 @@
 //!
 //! The paper executes every action synchronously in the raising thread (§5) —
 //! fine for LAT inserts, fatal for external sinks that stall. When async mode
-//! is on (`Sqlcm::set_async_actions(true)`), the *external* actions
+//! is on (`MonitorConfig::async_actions`), the *external* actions
 //! (`SendMail`, `RunExternal`, `Persist`) are resolved eagerly — templates
 //! substituted, rows snapshotted — and enqueued here instead of touching the
 //! sink; `Insert`/`Reset`/`SetTimer`/`Cancel` keep the paper's synchronous
@@ -11,9 +11,11 @@
 //! and rule state the very next event may read.
 //!
 //! Containment properties:
-//! * the queue is **bounded** ([`DEFAULT_QUEUE_CAPACITY`]); overflow drops the
-//!   *oldest* entry and charges it to the [loss ledger](LossEntry) — the event
-//!   path never blocks, and no loss is silent;
+//! * the queue is **bounded** ([`DEFAULT_QUEUE_CAPACITY`], or
+//!   `MonitorConfig::deferred_capacity`); overflow drops the *oldest* entry
+//!   — the queue stays in arrival order, a retry re-entering at the back —
+//!   and charges it to the [loss ledger](LossEntry): the event path never
+//!   blocks, and no loss is silent;
 //! * each failed attempt reschedules with exponential backoff
 //!   `base · 2^(attempts−1)` capped at `max_backoff`, ± a seeded jitter
 //!   fraction, until `max_attempts` — then the action lands in the ledger as
@@ -260,20 +262,16 @@ impl DeferredQueue {
         key
     }
 
-    /// Pop the first action that is due at `now`. Skips (rotates past)
-    /// not-yet-due entries so a far-future retry never blocks fresh work.
+    /// Take the first action that is due at `now`, leaving the others in
+    /// order: a far-future retry never blocks fresh work, and the front of
+    /// the queue stays the oldest action — the one overflow drops.
     pub fn take_due(&self, now_micros: u64) -> Option<DeferredAction> {
         let mut inner = self.inner.lock();
-        let len = inner.queue.len();
-        for _ in 0..len {
-            let front_due = inner.queue.front()?.due_micros;
-            if front_due <= now_micros {
-                return inner.queue.pop_front();
-            }
-            let a = inner.queue.pop_front().unwrap();
-            inner.queue.push_back(a);
-        }
-        None
+        let at = inner
+            .queue
+            .iter()
+            .position(|a| a.due_micros <= now_micros)?;
+        inner.queue.remove(at)
     }
 
     /// True if `key` was already executed (and records the dedup).
@@ -450,6 +448,37 @@ mod tests {
         assert!(q.take_due(0).is_none());
         // After the backoff elapses the retry becomes due.
         assert_eq!(q.take_due(200_000).unwrap().rule, "early");
+    }
+
+    /// Taking a due action from behind a not-yet-due retry keeps the retry in
+    /// front: at capacity the next enqueue drops the retry — the oldest —
+    /// not the fresh action queued after it.
+    #[test]
+    fn take_due_keeps_the_oldest_in_front() {
+        let q = DeferredQueue::new();
+        q.set_capacity(3);
+        q.set_policy(RetryPolicy {
+            jitter: 0.0,
+            ..Default::default()
+        });
+        q.enqueue("retry", mail("retry"), 0);
+        let mut a = q.take_due(0).unwrap();
+        a.attempts = 1;
+        assert!(matches!(
+            q.reschedule_or_exhaust(a, 0),
+            AttemptOutcome::Retry
+        ));
+        q.enqueue("f1", mail("f1"), 0);
+        q.enqueue("f2", mail("f2"), 0);
+        assert_eq!(q.take_due(0).unwrap().rule, "f1");
+        q.enqueue("f3", mail("f3"), 0);
+        q.enqueue("f4", mail("f4"), 0);
+        let losses = q.losses();
+        assert_eq!(losses.len(), 1);
+        assert_eq!(losses[0].rule, "retry", "overflow dropped a newer action");
+        for rule in ["f2", "f3", "f4"] {
+            assert_eq!(q.take_due(u64::MAX).unwrap().rule, rule);
+        }
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub use deferred::{LossEntry, RetryPolicy, DEFAULT_QUEUE_CAPACITY};
 pub use fault::{FaultKind, FaultPlan, FaultRate};
 pub use lat::{Lat, LatAggFunc, LatShardStats, LatSpec, DEFAULT_LAT_SHARDS, MAX_LAT_SHARDS};
 pub use lat_ref::ReferenceLat;
-pub use monitor::{Sqlcm, SqlcmStats};
+pub use monitor::{MonitorConfig, Sqlcm, SqlcmStats};
 pub use objects::{ClassName, Object};
 pub use plan::{HoistGroup, PlanSummary};
 pub use rules::{Rule, RuleEvent, RulePriority};

@@ -1237,7 +1237,7 @@ mod tests {
             cond_latency: LatencyHistogram::new(),
             action_latency: LatencyHistogram::new(),
             effects: None,
-            breaker: RuleBreaker::new(crate::containment::BreakerConfig::default()),
+            breaker: RuleBreaker::default(),
         })
     }
 
@@ -1313,7 +1313,7 @@ mod tests {
             cond_latency: LatencyHistogram::new(),
             action_latency: LatencyHistogram::new(),
             effects: None,
-            breaker: RuleBreaker::new(crate::containment::BreakerConfig::default()),
+            breaker: RuleBreaker::default(),
         })
     }
 

@@ -96,7 +96,7 @@ impl std::fmt::Display for RuleEvent {
     }
 }
 
-/// Scheduling class for the overload ladder (see `Sqlcm::set_overload_policy`).
+/// Scheduling class for the overload ladder (see `MonitorConfig::overload`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum RulePriority {
     /// Always evaluated (the default).

@@ -6,11 +6,13 @@
 //! the same discipline applies to the monitor watching itself. All hot-path
 //! state lives in lock-free primitives from `sqlcm-telemetry`:
 //!
-//! * per-probe event counts are **always on** — one sharded-counter increment
-//!   per event, so `sum(probe events) == SqlcmStats::events` at any quiescent
-//!   point;
-//! * latency histograms and the flight recorder read the clock and therefore
-//!   honour the [`Telem::enabled`] switch (`Sqlcm::set_telemetry_enabled`);
+//! * per-probe event counts are one sharded-counter increment per event, so
+//!   `sum(probe events) == SqlcmStats::events` at any quiescent point;
+//! * latency histograms and the flight recorder read the clock at each
+//!   boundary the event path stamps (`EventBooks::lap` in `crate::monitor`);
+//! * there is no off switch: telemetry is always on, and its cost is inside
+//!   every number the `benchmark/` package reports;
+//! * the flight recorder is a fixed ring of [`FLIGHT_RECORDER_CAPACITY`];
 //! * the per-rule last-error map is bounded (`RULE_ERRORS_CAPACITY`) and
 //!   evicts the entry with the fewest occurrences when full.
 //!
@@ -24,7 +26,6 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use parking_lot::Mutex;
 use sqlcm_common::ProbeKind;
@@ -37,9 +38,8 @@ use sqlcm_telemetry::{
 use crate::monitor::SqlcmStats;
 use crate::trace::TracingTelemetry;
 
-/// Default flight-recorder depth: last N rule firings (and errored
-/// evaluations). Adjustable at runtime via
-/// [`crate::Sqlcm::set_flight_recorder_capacity`].
+/// Flight-recorder depth: the last N rule firings (and errored evaluations,
+/// and breaker and ladder transitions).
 pub const FLIGHT_RECORDER_CAPACITY: usize = 256;
 
 /// Bound on the per-rule last-error map.
@@ -60,12 +60,11 @@ pub struct RuleError {
 
 /// Internal telemetry state owned by `SqlcmInner`.
 pub(crate) struct Telem {
-    enabled: AtomicBool,
-    /// Per-probe-kind event counts (always on; indexed by `ProbeKind::index`).
+    /// Per-probe-kind event counts (indexed by `ProbeKind::index`).
     pub probe_events: [ShardedCounter; ProbeKind::COUNT],
-    /// Per-probe-kind `on_event` wall time in nanoseconds (gated by `enabled`).
+    /// Per-probe-kind `on_event` wall time in nanoseconds.
     pub probe_latency: [LatencyHistogram; ProbeKind::COUNT],
-    /// Ring of recent rule firings (gated by `enabled`).
+    /// Ring of recent rule firings.
     pub recorder: FlightRecorder,
     /// rule name → last error + count, bounded by `RULE_ERRORS_CAPACITY`.
     pub rule_errors: Mutex<HashMap<String, RuleError>>,
@@ -110,7 +109,6 @@ pub(crate) struct Telem {
 impl Telem {
     pub fn new() -> Telem {
         Telem {
-            enabled: AtomicBool::new(true),
             probe_events: std::array::from_fn(|_| ShardedCounter::new()),
             probe_latency: std::array::from_fn(|_| LatencyHistogram::new()),
             recorder: FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
@@ -128,14 +126,6 @@ impl Telem {
             rules_pruned: ShardedCounter::new(),
             candidate_rules: ShardedCounter::new(),
         }
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
     }
 
     /// Record `message` as `rule`'s latest error. When the map is full and the
@@ -410,7 +400,7 @@ impl Describe for BreakerTelemetry {
 /// Deferred-action-queue slice of a telemetry snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DeferredTelemetry {
-    /// Whether async external actions are on (`Sqlcm::set_async_actions`).
+    /// Whether async external actions are on (`MonitorConfig::async_actions`).
     pub enabled: bool,
     pub queue_depth: u64,
     pub capacity: u64,
@@ -452,7 +442,6 @@ impl Describe for DeferredTelemetry {
 /// overload ladder, and the deferred-action queue with its loss ledger.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ContainmentTelemetry {
-    pub breakers_enabled: bool,
     /// Current overload-ladder stage (0 = full, 3 = tightened).
     pub overload_stage: u64,
     /// Ladder stage transitions since attach.
@@ -479,7 +468,6 @@ pub struct ContainmentTelemetry {
 
 impl Describe for ContainmentTelemetry {
     const FIELDS: &'static [Field<Self>] = &[
-        ("breakers_enabled", |c| Flag(c.breakers_enabled)),
         ("overload_stage", |c| Count(c.overload_stage)),
         ("overload_transitions", |c| Count(c.overload_transitions)),
         ("shed_traces", |c| Count(c.shed_traces)),
@@ -512,8 +500,8 @@ pub struct TelemetrySnapshot {
     pub rules: Vec<RuleTelemetry>,
     /// One entry per defined LAT, sorted by name.
     pub lats: Vec<LatTelemetry>,
-    /// Recent rule firings, oldest first (bounded by the flight recorder's
-    /// current capacity, `FLIGHT_RECORDER_CAPACITY` by default).
+    /// Recent rule firings, oldest first (at most
+    /// [`FLIGHT_RECORDER_CAPACITY`]).
     pub flight_records: Vec<FlightRecord>,
     /// Total records ever written to the flight recorder (including evicted).
     pub flight_total: u64,
@@ -724,12 +712,12 @@ mod tests {
         assert!(json.contains("\"matching\":{\"guard_probes\":0"));
         assert!(snap.to_text().contains("matching: guard_probes=0"));
         assert!(json.contains("\"tracing\":{\"sampling\":\"off\""));
-        assert!(json.contains("\"containment\":{\"breakers_enabled\":false"));
+        assert!(json.contains("\"containment\":{\"overload_stage\":0"));
         assert!(json.contains("\"losses\":[]"));
         assert!(snap.to_text().contains("tracing: sampling=off"));
         assert!(snap
             .to_text()
-            .contains("containment: breakers_enabled=false overload_stage=0"));
+            .contains("containment: overload_stage=0 overload_transitions=0"));
         assert!(snap
             .to_text()
             .ends_with("flight_recorder: total=0\n  records:\n"));

@@ -82,7 +82,7 @@ const MODE_OFF: u8 = 0;
 const MODE_EVERY_NTH: u8 = 1;
 const MODE_PER_PROBE: u8 = 2;
 
-/// Trace sampling policy (see [`crate::Sqlcm::set_trace_sampling`]).
+/// Trace sampling policy (see [`crate::MonitorConfig::trace_sampling`]).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum TraceSampling {
     /// No tracing (the default): one relaxed atomic load per event.

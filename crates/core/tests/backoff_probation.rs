@@ -9,8 +9,8 @@
 
 use sqlcm_common::{EngineEvent, ManualClock, QueryInfo};
 use sqlcm_core::{
-    Action, BreakerConfig, BreakerState, FaultKind, FaultPlan, FaultRate, RetryPolicy, Rule,
-    RuleEvent, Sqlcm,
+    Action, BreakerConfig, BreakerState, FaultKind, FaultPlan, FaultRate, MonitorConfig,
+    RetryPolicy, Rule, RuleEvent, Sqlcm,
 };
 use sqlcm_engine::engine::EngineConfig;
 use sqlcm_engine::Engine;
@@ -36,12 +36,15 @@ fn commit_event() -> EngineEvent {
 #[test]
 fn retry_schedule_is_exactly_base_times_two_to_the_n() {
     let (_engine, sqlcm, handle) = manual_setup();
-    sqlcm.set_async_actions(true);
-    sqlcm.set_retry_policy(RetryPolicy {
-        max_attempts: 4,
-        base_backoff_micros: 100_000,
-        max_backoff_micros: 10_000_000,
-        jitter: 0.0,
+    sqlcm.configure(MonitorConfig {
+        async_actions: true,
+        retry: RetryPolicy {
+            max_attempts: 4,
+            base_backoff_micros: 100_000,
+            max_backoff_micros: 10_000_000,
+            jitter: 0.0,
+        },
+        ..sqlcm.config()
     });
     sqlcm.inject_faults(Some(FaultPlan::seeded(1).mail(FaultRate::Always)));
     sqlcm
@@ -90,12 +93,15 @@ fn retry_schedule_is_exactly_base_times_two_to_the_n() {
 #[test]
 fn jittered_retry_stays_inside_the_jitter_band() {
     let (_engine, sqlcm, handle) = manual_setup();
-    sqlcm.set_async_actions(true);
-    sqlcm.set_retry_policy(RetryPolicy {
-        max_attempts: 3,
-        base_backoff_micros: 100_000,
-        max_backoff_micros: 10_000_000,
-        jitter: 0.2,
+    sqlcm.configure(MonitorConfig {
+        async_actions: true,
+        retry: RetryPolicy {
+            max_attempts: 3,
+            base_backoff_micros: 100_000,
+            max_backoff_micros: 10_000_000,
+            jitter: 0.2,
+        },
+        ..sqlcm.config()
     });
     sqlcm.inject_faults(Some(FaultPlan::seeded(2).mail(FaultRate::Always)));
     sqlcm
@@ -131,11 +137,14 @@ fn jittered_retry_stays_inside_the_jitter_band() {
 fn cooldown_gates_probation_and_restarts_on_trial_failure() {
     let (_engine, sqlcm, handle) = manual_setup();
     const COOLDOWN: u64 = 1_000_000;
-    sqlcm.set_breaker_config(BreakerConfig {
-        error_threshold: 2,
-        min_outcomes: 4,
-        cooldown_micros: COOLDOWN,
-        ..Default::default()
+    sqlcm.configure(MonitorConfig {
+        breaker: BreakerConfig {
+            error_threshold: 2,
+            min_outcomes: 4,
+            cooldown_micros: COOLDOWN,
+            ..Default::default()
+        },
+        ..sqlcm.config()
     });
     // Synchronous actions against a dead command sink: every firing records
     // an error outcome into the breaker window.
@@ -202,11 +211,14 @@ fn cooldown_gates_probation_and_restarts_on_trial_failure() {
 fn pruned_evaluations_do_not_consume_the_half_open_trial() {
     let (_engine, sqlcm, handle) = manual_setup();
     const COOLDOWN: u64 = 1_000_000;
-    sqlcm.set_breaker_config(BreakerConfig {
-        error_threshold: 2,
-        min_outcomes: 4,
-        cooldown_micros: COOLDOWN,
-        ..Default::default()
+    sqlcm.configure(MonitorConfig {
+        breaker: BreakerConfig {
+            error_threshold: 2,
+            min_outcomes: 4,
+            cooldown_micros: COOLDOWN,
+            ..Default::default()
+        },
+        ..sqlcm.config()
     });
     sqlcm.inject_faults(Some(FaultPlan::seeded(4).command(FaultRate::Always)));
     sqlcm
@@ -279,11 +291,14 @@ fn a_thousand_breaker_cycles_never_rebuild_the_plan() {
     let (_engine, sqlcm, handle) = manual_setup();
     const COOLDOWN: u64 = 1_000_000;
     const CYCLES: u64 = 1_000;
-    sqlcm.set_breaker_config(BreakerConfig {
-        error_threshold: 2,
-        min_outcomes: 4,
-        cooldown_micros: COOLDOWN,
-        ..Default::default()
+    sqlcm.configure(MonitorConfig {
+        breaker: BreakerConfig {
+            error_threshold: 2,
+            min_outcomes: 4,
+            cooldown_micros: COOLDOWN,
+            ..Default::default()
+        },
+        ..sqlcm.config()
     });
     // 64 indexed rules on one event class; only `hook` has an action, and its
     // sink is dead.

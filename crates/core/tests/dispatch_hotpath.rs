@@ -14,7 +14,9 @@ use std::sync::Arc;
 
 use sqlcm_common::{EngineEvent, QueryInfo};
 use sqlcm_core::sinks::CommandSink;
-use sqlcm_core::{Action, LatAggFunc, LatSpec, Rule, RuleEvent, Sqlcm, TraceSampling};
+use sqlcm_core::{
+    Action, LatAggFunc, LatSpec, MonitorConfig, Rule, RuleEvent, Sqlcm, TraceSampling,
+};
 use sqlcm_engine::Engine;
 #[cfg(debug_assertions)]
 use sqlcm_telemetry::Stamp;
@@ -165,12 +167,18 @@ fn tracing_disabled_dispatch_stays_allocation_and_lock_free() {
     let ev = commit_event(7, 0.001);
 
     // Cycle tracing on, capture some traces, then off again.
-    sqlcm.set_trace_sampling(TraceSampling::EveryNth(1));
+    sqlcm.configure(MonitorConfig {
+        trace_sampling: TraceSampling::EveryNth(1),
+        ..sqlcm.config()
+    });
     for _ in 0..64 {
         sqlcm.inject_event(&ev);
     }
     assert!(!sqlcm.traces().is_empty(), "sampled events must trace");
-    sqlcm.set_trace_sampling(TraceSampling::Off);
+    sqlcm.configure(MonitorConfig {
+        trace_sampling: TraceSampling::Off,
+        ..sqlcm.config()
+    });
     let traces_before = sqlcm.telemetry().tracing.sampled;
 
     // Warm the pools, then measure the steady state.
@@ -403,9 +411,12 @@ fn mid_dispatch_disable_applies_from_next_event() {
         )
         .unwrap();
     let second = sqlcm.rule("second").unwrap();
-    sqlcm.set_command_sink(Arc::new(DisablingSink {
-        target: second.clone(),
-    }));
+    sqlcm.configure(MonitorConfig {
+        command_sink: Arc::new(DisablingSink {
+            target: second.clone(),
+        }),
+        ..sqlcm.config()
+    });
 
     let ev = commit_event(1, 0.1);
     sqlcm.inject_event(&ev);
@@ -797,10 +808,6 @@ fn an_event_reads_the_clock_once_per_boundary() {
         success: true,
     });
     assert_eq!(clock_reads(|| sqlcm.inject_event(&login)), 2);
-    // Latency telemetry off: the event path reads no clock at all.
-    sqlcm.set_telemetry_enabled(false);
-    assert_eq!(clock_reads(|| sqlcm.inject_event(&ev)), 0);
-    assert_eq!(clock_reads(|| sqlcm.inject_event(&login)), 0);
     drop(sqlcm);
 
     // One candidate, which fires.

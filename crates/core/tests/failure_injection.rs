@@ -86,22 +86,22 @@ fn persist_schema_mismatch_is_swallowed_and_counted() {
     );
 
     // The default breaker config is deliberately tolerant (a handful of
-    // errors never trips — see the breaker differential test); with an
-    // aggressive per-rule config, *persistent* schema mismatches are a dead
-    // sink like any other and the rule gets quarantined out of the plan.
-    use sqlcm_core::{BreakerConfig, BreakerState};
+    // errors never trips); with an aggressive config, *persistent* schema
+    // mismatches are a dead sink like any other and the rule gets quarantined
+    // out of the plan.
+    use sqlcm_core::{BreakerConfig, BreakerState, MonitorConfig};
     assert_eq!(
         sqlcm.breaker_state("bad_persist"),
         Some(BreakerState::Closed)
     );
-    assert!(sqlcm.set_rule_breaker_config(
-        "bad_persist",
-        BreakerConfig {
+    sqlcm.configure(MonitorConfig {
+        breaker: BreakerConfig {
             error_threshold: 4,
             min_outcomes: 8,
             ..Default::default()
         },
-    ));
+        ..sqlcm.config()
+    });
     let mut tripped_after = 0;
     for i in 3..40 {
         s.execute_params("INSERT INTO t VALUES (?, 0)", &[Value::Int(i)])

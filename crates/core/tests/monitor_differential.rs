@@ -7,7 +7,11 @@
 //! Every scenario registers the same LATs and rules in both, drives both
 //! with the same `inject_event` log under one `ManualClock`, and requires
 //! identical per-rule `(evaluations, fires, actions, action_errors)`, global
-//! stats, LAT contents and action ledger (`ReferenceMonitor::divergence_from`). Scenarios that exist to exercise
+//! stats, LAT contents and action ledger (`ReferenceMonitor::divergence_from`).
+//! The real monitor runs with its circuit breakers live, as always; the
+//! reference has none, so every scenario must leave them untripped — the
+//! ones with deliberately erroring rules raise the thresholds above
+//! `BREAKER_WINDOW` ([`Pair::tolerate_errors`]). Scenarios that exist to exercise
 //! one optimization additionally pin its *counters* (exactly-repeating
 //! counts, not timings), so an optimization that silently stops applying
 //! fails here too.
@@ -15,9 +19,12 @@
 use std::sync::Arc;
 
 use sqlcm_common::{EngineEvent, ManualClock, QueryInfo};
+use sqlcm_core::containment::BREAKER_WINDOW;
 use sqlcm_core::monitor_ref::ReferenceMonitor;
 use sqlcm_core::sinks::{CommandSink, RecordingCommandSink};
-use sqlcm_core::{Action, LatAggFunc, LatSpec, Rule, RuleEvent, Sqlcm};
+use sqlcm_core::{
+    Action, BreakerConfig, LatAggFunc, LatSpec, MonitorConfig, Rule, RuleEvent, Sqlcm,
+};
 use sqlcm_engine::engine::EngineConfig;
 use sqlcm_engine::Engine;
 
@@ -39,9 +46,6 @@ impl Pair {
         })
         .unwrap();
         let real = Sqlcm::attach(&engine);
-        // Breakers quarantine erroring rules — a feature the reference does
-        // not model (`breaker_differential.rs` covers it on its own).
-        real.set_breakers_enabled(false);
         Pair {
             _engine: engine,
             clock: handle,
@@ -49,6 +53,21 @@ impl Pair {
             reference: ReferenceMonitor::new(clock),
             rules: Vec::new(),
         }
+    }
+
+    /// Breakers quarantine erroring rules — a feature the reference does not
+    /// model — so a scenario that errors on purpose sets thresholds no
+    /// window of [`BREAKER_WINDOW`] outcomes can reach.
+    fn tolerate_errors(&self) {
+        let never = BREAKER_WINDOW + 1;
+        self.real.configure(MonitorConfig {
+            breaker: BreakerConfig {
+                error_threshold: never,
+                slow_threshold: never,
+                ..BreakerConfig::default()
+            },
+            ..self.real.config()
+        });
     }
 
     fn lat(&mut self, spec: LatSpec) {
@@ -88,6 +107,8 @@ impl Pair {
         if let Some(diff) = self.reference.divergence_from(&self.real) {
             panic!("{what}: {diff}");
         }
+        let c = self.real.telemetry().containment;
+        assert_eq!((c.breaker_trips, c.breaker_skipped), (0, 0), "{what}");
     }
 }
 
@@ -444,6 +465,7 @@ fn shared_value_dies_with_the_row_it_was_computed_from() {
 #[test]
 fn eviction_events_cascade_after_the_raising_event() {
     let mut p = Pair::new();
+    p.tolerate_errors();
     p.lat(
         LatSpec::new("Top_LAT")
             .group_by("Query.Logical_Signature", "Sig")
@@ -503,10 +525,13 @@ fn a_rule_disabled_mid_event_finishes_that_event() {
     let mut p = Pair::new();
     p.on_commit("first", None, &[Action::run_external("disable second")]);
     p.on_commit("second", None, &[mail("second fired")]);
-    p.real.set_command_sink(Arc::new(DisablingSink {
-        target: p.real.rule("second").unwrap(),
-        log: p.real.command_log(),
-    }));
+    p.real.configure(MonitorConfig {
+        command_sink: Arc::new(DisablingSink {
+            target: p.real.rule("second").unwrap(),
+            log: p.real.command_log(),
+        }),
+        ..p.real.config()
+    });
     p.reference.set_command_sink(Arc::new(DisablingSink {
         target: p.reference.rule("second").unwrap(),
         log: Arc::new(RecordingCommandSink::new()),
@@ -524,6 +549,7 @@ fn a_rule_disabled_mid_event_finishes_that_event() {
 #[test]
 fn a_dropped_lat_breaks_its_readers_until_redefined() {
     let mut p = Pair::new();
+    p.tolerate_errors();
     p.lat(stats_lat("L"));
     p.on_commit("feed", None, &[Action::insert("L")]);
     p.on_commit("reader", Some("L.N >= 2"), &[mail("seen {L.N} times")]);
@@ -640,10 +666,13 @@ fn indexed_rules_flipped_mid_event_keep_the_event_they_started_enabled() {
     p.on_commit("late", Some("Query.User = 'user_2'"), &[mail("late")]);
     p.on_commit("bystander", Some("Query.User = 'user_3'"), &[mail("by")]);
     let targets = |rule: &dyn Fn(&str) -> Arc<Rule>| vec![rule("early"), rule("late")];
-    p.real.set_command_sink(Arc::new(FlippingSink {
-        targets: targets(&|n| p.real.rule(n).unwrap()),
-        log: p.real.command_log(),
-    }));
+    p.real.configure(MonitorConfig {
+        command_sink: Arc::new(FlippingSink {
+            targets: targets(&|n| p.real.rule(n).unwrap()),
+            log: p.real.command_log(),
+        }),
+        ..p.real.config()
+    });
     p.reference.set_command_sink(Arc::new(FlippingSink {
         targets: targets(&|n| p.reference.rule(n).unwrap()),
         log: Arc::new(RecordingCommandSink::new()),

@@ -8,10 +8,11 @@ use std::sync::{Arc, Mutex};
 
 use sqlcm_common::{EngineEvent, ProbeKind, QueryInfo};
 use sqlcm_core::sinks::CommandSink;
+use sqlcm_core::telemetry::FLIGHT_RECORDER_CAPACITY;
 use sqlcm_core::trace::TRACE_RING_CAPACITY;
 use sqlcm_core::{
-    chrome_trace_json, Action, LatAggFunc, LatSpec, Rule, RuleEvent, SpanKind, Sqlcm,
-    TraceSampling, TraceSnapshot,
+    chrome_trace_json, Action, LatAggFunc, LatSpec, MonitorConfig, Rule, RuleEvent, SpanKind,
+    Sqlcm, TraceSampling, TraceSnapshot,
 };
 use sqlcm_engine::Engine;
 
@@ -89,7 +90,10 @@ fn assert_well_formed(trace: &TraceSnapshot) {
 #[test]
 fn eviction_cascade_is_traced_with_provenance() {
     let (_engine, sqlcm) = cascading_monitor();
-    sqlcm.set_trace_sampling(TraceSampling::EveryNth(1));
+    sqlcm.configure(MonitorConfig {
+        trace_sampling: TraceSampling::EveryNth(1),
+        ..sqlcm.config()
+    });
     for (sig, secs) in [(1u64, 1.0), (2, 2.0), (3, 3.0), (4, 4.0)] {
         sqlcm.inject_event(&commit_event(sig, secs));
     }
@@ -198,7 +202,10 @@ fn rule_explainers_show_bound_values_and_missing_rows() {
                 .then(Action::insert("Seen")),
         )
         .unwrap();
-    sqlcm.set_trace_sampling(TraceSampling::EveryNth(1));
+    sqlcm.configure(MonitorConfig {
+        trace_sampling: TraceSampling::EveryNth(1),
+        ..sqlcm.config()
+    });
     for _ in 0..3 {
         sqlcm.inject_event(&commit_event(7, 0.5));
     }
@@ -261,12 +268,15 @@ fn sampling_modes_gate_trace_collection() {
         .unwrap();
     let ev = commit_event(1, 0.1);
 
-    assert_eq!(sqlcm.trace_sampling(), TraceSampling::Off);
+    assert_eq!(sqlcm.config().trace_sampling, TraceSampling::Off);
     sqlcm.inject_event(&ev);
     assert!(sqlcm.traces().is_empty(), "tracing is off by default");
 
-    sqlcm.set_trace_sampling(TraceSampling::EveryNth(4));
-    assert_eq!(sqlcm.trace_sampling(), TraceSampling::EveryNth(4));
+    sqlcm.configure(MonitorConfig {
+        trace_sampling: TraceSampling::EveryNth(4),
+        ..sqlcm.config()
+    });
+    assert_eq!(sqlcm.config().trace_sampling, TraceSampling::EveryNth(4));
     for _ in 0..100 {
         sqlcm.inject_event(&ev);
     }
@@ -275,7 +285,10 @@ fn sampling_modes_gate_trace_collection() {
 
     // Per-probe sampling only traces the listed kinds.
     sqlcm.clear_traces();
-    sqlcm.set_trace_sampling(TraceSampling::PerProbe(vec![(ProbeKind::QueryStart, 1)]));
+    sqlcm.configure(MonitorConfig {
+        trace_sampling: TraceSampling::PerProbe(vec![(ProbeKind::QueryStart, 1)]),
+        ..sqlcm.config()
+    });
     for _ in 0..10 {
         sqlcm.inject_event(&ev);
     }
@@ -283,13 +296,19 @@ fn sampling_modes_gate_trace_collection() {
         sqlcm.traces().is_empty(),
         "commits are not in the per-probe list"
     );
-    sqlcm.set_trace_sampling(TraceSampling::PerProbe(vec![(ProbeKind::QueryCommit, 2)]));
+    sqlcm.configure(MonitorConfig {
+        trace_sampling: TraceSampling::PerProbe(vec![(ProbeKind::QueryCommit, 2)]),
+        ..sqlcm.config()
+    });
     for _ in 0..10 {
         sqlcm.inject_event(&ev);
     }
     assert_eq!(sqlcm.traces().len(), 5, "1-in-2 of 10 commits");
 
-    sqlcm.set_trace_sampling(TraceSampling::Off);
+    sqlcm.configure(MonitorConfig {
+        trace_sampling: TraceSampling::Off,
+        ..sqlcm.config()
+    });
     for _ in 0..10 {
         sqlcm.inject_event(&ev);
     }
@@ -307,7 +326,10 @@ fn trace_ring_keeps_the_newest_and_reports_drops() {
                 .when("Query.Duration > 1000000"),
         )
         .unwrap();
-    sqlcm.set_trace_sampling(TraceSampling::EveryNth(1));
+    sqlcm.configure(MonitorConfig {
+        trace_sampling: TraceSampling::EveryNth(1),
+        ..sqlcm.config()
+    });
     let ev = commit_event(1, 0.1);
     let total = TRACE_RING_CAPACITY + 6;
     for _ in 0..total {
@@ -330,18 +352,22 @@ fn trace_ring_keeps_the_newest_and_reports_drops() {
     assert_eq!(sqlcm.telemetry().tracing.ring_len, 0);
 }
 
+/// Every traced firing's flight record carries its trace id, and every
+/// record of the run resolves to a retained trace: ten events, eighteen
+/// firings, well inside the fixed ring.
 #[test]
-fn flight_recorder_capacity_and_trace_ids_cross_link() {
+fn flight_records_cross_link_to_retained_traces() {
     let (_engine, sqlcm) = cascading_monitor();
-    sqlcm.set_telemetry_enabled(true);
-    sqlcm.set_flight_recorder_capacity(4);
-    assert_eq!(sqlcm.flight_recorder_capacity(), 4);
-    sqlcm.set_trace_sampling(TraceSampling::EveryNth(1));
+    sqlcm.configure(MonitorConfig {
+        trace_sampling: TraceSampling::EveryNth(1),
+        ..sqlcm.config()
+    });
     for sig in 1..=10u64 {
         sqlcm.inject_event(&commit_event(sig, sig as f64));
     }
     let tel = sqlcm.telemetry();
-    assert_eq!(tel.flight_records.len(), 4, "capacity shrunk to 4");
+    assert_eq!(tel.flight_records.len(), 18, "10 feeds and 8 spills");
+    assert!(tel.flight_records.len() < FLIGHT_RECORDER_CAPACITY);
     let ids: HashSet<u64> = sqlcm.traces().iter().map(|t| t.trace_id).collect();
     for rec in &tel.flight_records {
         assert_ne!(rec.trace_id, 0, "traced firings carry the trace id");
@@ -353,7 +379,10 @@ fn flight_recorder_capacity_and_trace_ids_cross_link() {
     }
 
     // Untraced firings stamp trace id 0.
-    sqlcm.set_trace_sampling(TraceSampling::Off);
+    sqlcm.configure(MonitorConfig {
+        trace_sampling: TraceSampling::Off,
+        ..sqlcm.config()
+    });
     sqlcm.inject_event(&commit_event(99, 99.0));
     let records = sqlcm.telemetry().flight_records;
     assert_eq!(records.last().unwrap().trace_id, 0);
@@ -393,8 +422,11 @@ fn reentrant_probe_inherits_cause_and_depth() {
         ev: commit_event(99, 0.001),
     });
     *sink.target.lock().unwrap() = Some(sqlcm.clone());
-    sqlcm.set_command_sink(sink.clone());
-    sqlcm.set_trace_sampling(TraceSampling::EveryNth(1));
+    sqlcm.configure(MonitorConfig {
+        command_sink: sink.clone(),
+        trace_sampling: TraceSampling::EveryNth(1),
+        ..sqlcm.config()
+    });
 
     sqlcm.inject_event(&commit_event(1, 2.0));
 
@@ -441,7 +473,10 @@ use json::{parse_json, Json};
 #[test]
 fn chrome_export_parses_and_round_trips() {
     let (_engine, sqlcm) = cascading_monitor();
-    sqlcm.set_trace_sampling(TraceSampling::EveryNth(1));
+    sqlcm.configure(MonitorConfig {
+        trace_sampling: TraceSampling::EveryNth(1),
+        ..sqlcm.config()
+    });
     for (sig, secs) in [(1u64, 1.0), (2, 2.0), (3, 3.0)] {
         sqlcm.inject_event(&commit_event(sig, secs));
     }
@@ -516,7 +551,10 @@ fn pruned_rules_get_no_span_and_are_explained_when_the_trace_is_read() {
             )
             .unwrap();
     }
-    sqlcm.set_trace_sampling(TraceSampling::EveryNth(1));
+    sqlcm.configure(MonitorConfig {
+        trace_sampling: TraceSampling::EveryNth(1),
+        ..sqlcm.config()
+    });
     let mut q = QueryInfo::synthetic(1, "SELECT 1");
     q.user = "user_7".into();
     sqlcm.inject_event(&EngineEvent::QueryCommit(q));

@@ -4,10 +4,10 @@
 //! watch, the question is always "what were the last things the monitor did?"
 //! The recorder keeps the answer: a fixed-capacity ring of [`FlightRecord`]s,
 //! oldest evicted first, with a monotone sequence number so wraparound is
-//! visible in the output. The depth is adjustable at runtime
-//! ([`FlightRecorder::set_capacity`]) — deeper for an incident window,
-//! shallower to shed memory — and records carry the active trace ID so they
-//! cross-link with the causal traces of `sqlcm-core::trace`.
+//! visible in the output. The depth is fixed at construction, so the ring's
+//! memory is bounded for the recorder's lifetime, and records carry the
+//! active trace ID so they cross-link with the causal traces of
+//! `sqlcm-core::trace`.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -83,22 +83,23 @@ impl Describe for FlightRecord {
 }
 
 struct Ring {
-    capacity: usize,
     next_seq: u64,
     buf: VecDeque<FlightRecord>,
 }
 
-/// Thread-safe ring of [`FlightRecord`]s with a runtime-adjustable capacity.
+/// Thread-safe ring of [`FlightRecord`]s with a fixed capacity.
 pub struct FlightRecorder {
+    capacity: usize,
     ring: Mutex<Ring>,
 }
 
 impl FlightRecorder {
+    /// A ring of `capacity` records (clamped to at least 1).
     pub fn new(capacity: usize) -> FlightRecorder {
         let capacity = capacity.max(1);
         FlightRecorder {
+            capacity,
             ring: Mutex::new(Ring {
-                capacity,
                 next_seq: 0,
                 buf: VecDeque::with_capacity(capacity),
             }),
@@ -106,18 +107,7 @@ impl FlightRecorder {
     }
 
     pub fn capacity(&self) -> usize {
-        self.ring.lock().unwrap().capacity
-    }
-
-    /// Resize the ring in place (clamped to at least 1). Shrinking evicts the
-    /// oldest records immediately; growing keeps everything and simply allows
-    /// more before eviction resumes.
-    pub fn set_capacity(&self, capacity: usize) {
-        let mut ring = self.ring.lock().unwrap();
-        ring.capacity = capacity.max(1);
-        while ring.buf.len() > ring.capacity {
-            ring.buf.pop_front();
-        }
+        self.capacity
     }
 
     /// Append a record, evicting the oldest at capacity. The record's `seq`
@@ -126,7 +116,7 @@ impl FlightRecorder {
         let mut ring = self.ring.lock().unwrap();
         rec.seq = ring.next_seq;
         ring.next_seq += 1;
-        if ring.buf.len() == ring.capacity {
+        if ring.buf.len() == self.capacity {
             ring.buf.pop_front();
         }
         ring.buf.push_back(rec);
@@ -214,40 +204,6 @@ mod tests {
         r.record(rec("a"));
         r.record(rec("b"));
         assert_eq!(r.snapshot()[0].rule, "b");
-    }
-
-    #[test]
-    fn shrinking_capacity_evicts_oldest_immediately() {
-        let r = FlightRecorder::new(8);
-        for name in ["a", "b", "c", "d", "e"] {
-            r.record(rec(name));
-        }
-        r.set_capacity(2);
-        assert_eq!(r.capacity(), 2);
-        let rules: Vec<Label> = r.snapshot().into_iter().map(|x| x.rule).collect();
-        assert_eq!(rules, ["d", "e"]);
-        // Seq continuity and the total are unaffected by resizing.
-        assert_eq!(r.total_recorded(), 5);
-        r.record(rec("f"));
-        assert_eq!(r.snapshot().last().unwrap().seq, 5);
-    }
-
-    #[test]
-    fn growing_capacity_keeps_records_and_raises_the_bound() {
-        let r = FlightRecorder::new(2);
-        r.record(rec("a"));
-        r.record(rec("b"));
-        r.set_capacity(4);
-        r.record(rec("c"));
-        r.record(rec("d"));
-        assert_eq!(r.len(), 4, "no eviction until the new bound");
-        r.record(rec("e"));
-        assert_eq!(r.len(), 4);
-        assert_eq!(r.snapshot()[0].rule, "b");
-        // Clamped like the constructor.
-        r.set_capacity(0);
-        assert_eq!(r.capacity(), 1);
-        assert_eq!(r.len(), 1);
     }
 
     #[test]

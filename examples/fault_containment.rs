@@ -28,18 +28,21 @@ fn main() -> Result<()> {
     let sqlcm = Sqlcm::attach(&engine);
 
     // Aggressive settings so the incidents play out in seconds.
-    sqlcm.set_breaker_config(BreakerConfig {
-        error_threshold: 4,
-        min_outcomes: 8,
-        cooldown_micros: 200_000,
-        ..Default::default()
-    });
-    sqlcm.set_async_actions(true);
-    sqlcm.set_retry_policy(RetryPolicy {
-        max_attempts: 3,
-        base_backoff_micros: 1_000,
-        max_backoff_micros: 50_000,
-        jitter: 0.2,
+    sqlcm.configure(MonitorConfig {
+        breaker: BreakerConfig {
+            error_threshold: 4,
+            min_outcomes: 8,
+            cooldown_micros: 200_000,
+            ..Default::default()
+        },
+        async_actions: true,
+        retry: RetryPolicy {
+            max_attempts: 3,
+            base_backoff_micros: 1_000,
+            max_backoff_micros: 50_000,
+            jitter: 0.2,
+        },
+        ..sqlcm.config()
     });
     sqlcm.define_lat(
         LatSpec::new("Sig_LAT")
@@ -121,13 +124,16 @@ fn main() -> Result<()> {
 
     // ---- Incident 3: overload. ------------------------------------------
     println!("\n== incident 3: overload ladder ==");
-    sqlcm.set_overload_policy(Some(OverloadPolicy {
-        stage1_events_per_sec: 5_000.0,
-        stage2_events_per_sec: 20_000.0,
-        stage3_events_per_sec: 100_000.0,
-        quiet_checkpoints: 1,
-        ..Default::default()
-    }));
+    sqlcm.configure(MonitorConfig {
+        overload: Some(OverloadPolicy {
+            stage1_events_per_sec: 5_000.0,
+            stage2_events_per_sec: 20_000.0,
+            stage3_events_per_sec: 100_000.0,
+            quiet_checkpoints: 1,
+            ..Default::default()
+        }),
+        ..sqlcm.config()
+    });
     // A tight-loop burst drives the measured rate far past the thresholds;
     // the ladder checkpoints every 1024 events and escalates one stage each.
     let burst = storm::events(StormConfig::new(StormShape::Burst, 40_000, 9));
@@ -159,7 +165,7 @@ fn main() -> Result<()> {
     println!("\n== final telemetry (containment slice) ==");
     let c = sqlcm.telemetry().containment;
     println!(
-        "breakers=on trips={} reopens={} closes={} transitions={} stage={}",
+        "breakers: trips={} reopens={} closes={} transitions={} stage={}",
         c.breaker_trips,
         c.breaker_reopens,
         c.breaker_closes,

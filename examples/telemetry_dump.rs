@@ -82,7 +82,10 @@ fn main() -> Result<()> {
 
     // Sample a slice of events so the snapshot's tracing section is live
     // (see examples/trace_export.rs for the full causal-tracing tour).
-    sqlcm.set_trace_sampling(TraceSampling::EveryNth(64));
+    sqlcm.configure(MonitorConfig {
+        trace_sampling: TraceSampling::EveryNth(64),
+        ..sqlcm.config()
+    });
 
     let workload = mixed::generate(
         &db,

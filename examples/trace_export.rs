@@ -71,7 +71,10 @@ fn main() -> Result<()> {
     )?;
 
     // Sample one commit in 16; eviction hops ride in their root's trace.
-    sqlcm.set_trace_sampling(TraceSampling::EveryNth(16));
+    sqlcm.configure(MonitorConfig {
+        trace_sampling: TraceSampling::EveryNth(16),
+        ..sqlcm.config()
+    });
 
     let workload = mixed::generate(
         &db,
@@ -87,7 +90,10 @@ fn main() -> Result<()> {
     // rarely overflows. A burst of one-off templates churns it: every new
     // signature past the 8-row bound evicts a row, and the eviction event
     // cascades through the "archive" rule inside the same trace.
-    sqlcm.set_trace_sampling(TraceSampling::EveryNth(2));
+    sqlcm.configure(MonitorConfig {
+        trace_sampling: TraceSampling::EveryNth(2),
+        ..sqlcm.config()
+    });
     for sig in 1_000..1_064u64 {
         let mut q = QueryInfo::synthetic(sig, format!("SELECT /* one-off {sig} */ 1"));
         q.logical_signature = Some(sig);

@@ -28,8 +28,8 @@ pub mod prelude {
     pub use sqlcm_baselines::{PullHistory, PullMonitor, QueryLogging};
     pub use sqlcm_common::{Error, Result, Value};
     pub use sqlcm_core::{
-        chrome_trace_json, Action, Lat, LatAggFunc, LatSpec, Rule, RuleEvent, SpanKind, Sqlcm,
-        TelemetrySnapshot, TraceSampling, TraceSnapshot,
+        chrome_trace_json, Action, Lat, LatAggFunc, LatSpec, MonitorConfig, Rule, RuleEvent,
+        SpanKind, Sqlcm, TelemetrySnapshot, TraceSampling, TraceSnapshot,
     };
     pub use sqlcm_engine::{Engine, EngineConfig, Session};
 }

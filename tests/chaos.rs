@@ -17,7 +17,7 @@
 //! and fault schedules are both seeded).
 
 use sqlcm_repro::monitor::{
-    Action, FaultKind, FaultPlan, FaultRate, RetryPolicy, Rule, RuleEvent, Sqlcm,
+    Action, FaultKind, FaultPlan, FaultRate, MonitorConfig, RetryPolicy, Rule, RuleEvent, Sqlcm,
 };
 use sqlcm_repro::prelude::Engine;
 use sqlcm_repro::workloads::storm::{self, StormConfig, StormShape};
@@ -68,15 +68,18 @@ fn run_entry(e: &Entry) {
     );
     let engine = Engine::in_memory();
     let sqlcm = Sqlcm::attach(&engine);
-    sqlcm.set_async_actions(true);
-    sqlcm.set_deferred_queue_capacity(e.depth);
-    // Tiny backoff so the drain loop below converges quickly; jitter off so
-    // retry timing is exact per seed.
-    sqlcm.set_retry_policy(RetryPolicy {
-        max_attempts: 3,
-        base_backoff_micros: 1,
-        max_backoff_micros: 10,
-        jitter: 0.0,
+    sqlcm.configure(MonitorConfig {
+        async_actions: true,
+        deferred_capacity: e.depth,
+        // Tiny backoff so the drain loop below converges quickly; jitter off so
+        // retry timing is exact per seed.
+        retry: RetryPolicy {
+            max_attempts: 3,
+            base_backoff_micros: 1,
+            max_backoff_micros: 10,
+            jitter: 0.0,
+        },
+        ..sqlcm.config()
     });
     sqlcm.inject_faults(Some(FaultPlan::seeded(e.seed).all(e.rate)));
     sqlcm
@@ -197,7 +200,10 @@ fn chaos_matrix_64_configs() {
 fn stalled_sink_does_not_block_injection() {
     let engine = Engine::in_memory();
     let sqlcm = Sqlcm::attach(&engine);
-    sqlcm.set_async_actions(true);
+    sqlcm.configure(MonitorConfig {
+        async_actions: true,
+        ..sqlcm.config()
+    });
     sqlcm.inject_faults(Some(
         FaultPlan::seeded(11)
             .all(FaultRate::Always)
@@ -236,17 +242,20 @@ fn dead_sink_trips_breaker_and_quarantines() {
     use sqlcm_repro::monitor::{BreakerConfig, BreakerState};
     let engine = Engine::in_memory();
     let sqlcm = Sqlcm::attach(&engine);
-    sqlcm.set_async_actions(true);
-    sqlcm.set_breaker_config(BreakerConfig {
-        error_threshold: 4,
-        min_outcomes: 8,
-        ..Default::default()
-    });
-    sqlcm.set_retry_policy(RetryPolicy {
-        max_attempts: 2,
-        base_backoff_micros: 1,
-        max_backoff_micros: 10,
-        jitter: 0.0,
+    sqlcm.configure(MonitorConfig {
+        async_actions: true,
+        breaker: BreakerConfig {
+            error_threshold: 4,
+            min_outcomes: 8,
+            ..Default::default()
+        },
+        retry: RetryPolicy {
+            max_attempts: 2,
+            base_backoff_micros: 1,
+            max_backoff_micros: 10,
+            jitter: 0.0,
+        },
+        ..sqlcm.config()
     });
     sqlcm.inject_faults(Some(FaultPlan::seeded(5).command(FaultRate::Always)));
     sqlcm

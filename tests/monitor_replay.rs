@@ -3,7 +3,8 @@
 //! to the optimized `Sqlcm` and to the naive `ReferenceMonitor` under one
 //! manual clock, through the rule catalogs the workload drivers ship, and
 //! must leave both with identical rule counters, stats, LAT contents and
-//! action ledgers.
+//! action ledgers. The real monitor runs with the default config — breakers
+//! live — and no catalog may trip one: the reference has none.
 
 use std::sync::{Arc, Mutex};
 
@@ -25,8 +26,6 @@ fn replay(log: &[EngineEvent], catalog: [RuleCatalog; 2]) -> u64 {
     })
     .unwrap();
     let real = Sqlcm::attach(&engine);
-    // The reference has no breakers (`breaker_differential.rs` owns those).
-    real.set_breakers_enabled(false);
     let reference = ReferenceMonitor::new(clock);
     let [for_real, for_reference] = catalog;
     let name = for_real.name;
@@ -50,6 +49,9 @@ fn replay(log: &[EngineEvent], catalog: [RuleCatalog; 2]) -> u64 {
     if let Some(diff) = reference.divergence_from(&real) {
         panic!("catalog `{name}`: {diff}");
     }
+    let c = real.telemetry().containment;
+    assert_eq!(c.breaker_trips, 0, "catalog `{name}`");
+    assert_eq!(c.breaker_skipped, 0, "catalog `{name}`");
     real.stats().fires
 }
 

@@ -163,10 +163,10 @@ fn monitor_health_aggregates_into_a_lat() {
     assert_eq!(me.fires, 2);
 }
 
-/// Disabling telemetry mid-run stops clock-based collection but never breaks
-/// counter consistency; re-enabling resumes cleanly.
+/// Clock-based collection keeps pace with the counters run after run: one
+/// condition sample per evaluation, one flight record per firing.
 #[test]
-fn telemetry_toggle_keeps_counters_consistent() {
+fn clocked_metrics_keep_pace_with_the_counters() {
     let engine = Engine::in_memory();
     let db = small_db(&engine);
     let sqlcm = Sqlcm::attach(&engine);
@@ -180,20 +180,12 @@ fn telemetry_toggle_keeps_counters_consistent() {
         .unwrap();
 
     let queries = mixed::point_select_workload(&db, 100, 11);
-    sqlcm.set_telemetry_enabled(false);
     run_queries(&engine, &queries).unwrap();
-    let off = sqlcm.telemetry();
-    assert_eq!(off.probes.iter().map(|p| p.events).sum::<u64>(), 100);
-    assert_eq!(off.rules[0].fires, 100);
-    assert!(off.rules[0].condition.is_empty(), "no clocks while off");
-    assert_eq!(off.flight_total, 0);
-
-    sqlcm.set_telemetry_enabled(true);
     run_queries(&engine, &queries).unwrap();
-    let on = sqlcm.telemetry();
-    assert_eq!(on.stats.events, 200);
-    assert_eq!(on.rules[0].condition.count, 100, "collection resumed");
-    assert_eq!(on.flight_total, 100);
+    let snap = sqlcm.telemetry();
+    assert_eq!(snap.stats.events, 200);
+    assert_eq!(snap.rules[0].condition.count, 200);
+    assert_eq!(snap.flight_total, 200);
 }
 
 fn rule_named<'a>(
@@ -421,7 +413,10 @@ fn stats_read_from_inside_an_action_are_as_of_the_previous_event() {
         seen: std::sync::Mutex::new(Vec::new()),
     });
     assert!(sink.target.set(sqlcm.clone()).is_ok());
-    sqlcm.set_command_sink(sink.clone());
+    sqlcm.configure(MonitorConfig {
+        command_sink: sink.clone(),
+        ..sqlcm.config()
+    });
 
     for id in 1..=3 {
         let q = sqlcm_repro::common::QueryInfo::synthetic(id, "SELECT 1");
@@ -444,7 +439,8 @@ fn stats_read_from_inside_an_action_are_as_of_the_previous_event() {
     let stats = sqlcm.stats();
     assert_eq!((stats.evaluations, stats.fires, stats.actions), (6, 6, 6));
     // Break the sink → monitor → sink cycle.
-    sqlcm.set_command_sink(std::sync::Arc::new(
-        sqlcm_repro::monitor::RecordingCommandSink::default(),
-    ));
+    sqlcm.configure(MonitorConfig {
+        command_sink: std::sync::Arc::new(sqlcm_repro::monitor::RecordingCommandSink::default()),
+        ..sqlcm.config()
+    });
 }

@@ -24,20 +24,26 @@ const QUOTED: &str = "say \"hi\"";
 fn populated() -> TelemetrySnapshot {
     let engine = Engine::in_memory();
     let sqlcm = Sqlcm::attach(&engine);
-    sqlcm.set_async_actions(true);
-    sqlcm.set_breaker_config(BreakerConfig {
-        error_threshold: 4,
-        min_outcomes: 8,
-        ..Default::default()
-    });
-    sqlcm.set_retry_policy(RetryPolicy {
-        max_attempts: 2,
-        base_backoff_micros: 1,
-        max_backoff_micros: 10,
-        jitter: 0.0,
+    sqlcm.configure(MonitorConfig {
+        async_actions: true,
+        breaker: BreakerConfig {
+            error_threshold: 4,
+            min_outcomes: 8,
+            ..Default::default()
+        },
+        retry: RetryPolicy {
+            max_attempts: 2,
+            base_backoff_micros: 1,
+            max_backoff_micros: 10,
+            jitter: 0.0,
+        },
+        ..sqlcm.config()
     });
     sqlcm.inject_faults(Some(FaultPlan::seeded(5).command(FaultRate::Always)));
-    sqlcm.set_trace_sampling(TraceSampling::EveryNth(1));
+    sqlcm.configure(MonitorConfig {
+        trace_sampling: TraceSampling::EveryNth(1),
+        ..sqlcm.config()
+    });
     sqlcm.define_topk_duration_lat("TopK", 4).unwrap();
     let on_commit = |name: &str| Rule::new(name).on(RuleEvent::QueryCommit);
     let rules = [
