@@ -163,8 +163,6 @@ mod tests {
                 aging: false,
             }],
             bounded,
-            max_rows: bounded.then_some(10),
-            shards: None,
         }
     }
 

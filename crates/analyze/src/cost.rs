@@ -240,8 +240,6 @@ mod tests {
                 },
             ],
             bounded: true,
-            max_rows: None,
-            shards: None,
         }
     }
 

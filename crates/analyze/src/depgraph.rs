@@ -300,8 +300,6 @@ mod tests {
                 aging: false,
             }],
             bounded: true,
-            max_rows: None,
-            shards: None,
         }
     }
 

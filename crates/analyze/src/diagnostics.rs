@@ -38,8 +38,6 @@ pub enum Code {
     /// Cascade cycle through LAT-eviction or timer events — the ruleset could
     /// recurse without bound (the paper's no-recursion restriction, §4).
     E004,
-    /// Invalid shard count on a LAT spec (zero, or above the runtime ceiling).
-    E005,
     /// Dead rule: the condition references a class that is neither in the
     /// event payload nor iterable, so the rule can never fire.
     W101,
@@ -47,9 +45,6 @@ pub enum Code {
     W102,
     /// Estimated per-firing cost exceeds the analyzer's threshold.
     W201,
-    /// More shards than the LAT's row bound — the extra shards can never all
-    /// be occupied and only add eviction-scan overhead.
-    W202,
     /// Condition provably unsatisfiable under the attribute interval domains
     /// (e.g. a COUNT column compared `< 0`) — the rule can never fire.
     E006,
@@ -86,12 +81,11 @@ pub enum Code {
 impl Code {
     /// Every code, in documentation order. New codes must be added here —
     /// the exhaustiveness test in `tests/codes.rs` walks this list.
-    pub const ALL: [Code; 18] = [
+    pub const ALL: [Code; 16] = [
         Code::E001,
         Code::E002,
         Code::E003,
         Code::E004,
-        Code::E005,
         Code::E006,
         Code::W101,
         Code::W102,
@@ -99,7 +93,6 @@ impl Code {
         Code::W104,
         Code::W105,
         Code::W201,
-        Code::W202,
         Code::W203,
         Code::W204,
         Code::W205,
@@ -113,7 +106,6 @@ impl Code {
             Code::E002 => "E002",
             Code::E003 => "E003",
             Code::E004 => "E004",
-            Code::E005 => "E005",
             Code::E006 => "E006",
             Code::W101 => "W101",
             Code::W102 => "W102",
@@ -121,7 +113,6 @@ impl Code {
             Code::W104 => "W104",
             Code::W105 => "W105",
             Code::W201 => "W201",
-            Code::W202 => "W202",
             Code::W203 => "W203",
             Code::W204 => "W204",
             Code::W205 => "W205",
@@ -133,16 +124,13 @@ impl Code {
     /// Severity is determined by the code family.
     pub fn severity(self) -> Severity {
         match self {
-            Code::E001 | Code::E002 | Code::E003 | Code::E004 | Code::E005 | Code::E006 => {
-                Severity::Error
-            }
+            Code::E001 | Code::E002 | Code::E003 | Code::E004 | Code::E006 => Severity::Error,
             Code::W101
             | Code::W102
             | Code::W103
             | Code::W104
             | Code::W105
             | Code::W201
-            | Code::W202
             | Code::W203
             | Code::W204
             | Code::W205
@@ -158,7 +146,6 @@ impl Code {
             Code::E002 => "type mismatch",
             Code::E003 => "unjoinable LAT reference",
             Code::E004 => "cascade cycle",
-            Code::E005 => "invalid shard count",
             Code::E006 => "unsatisfiable condition",
             Code::W101 => "dead rule",
             Code::W102 => "duplicate rule",
@@ -166,7 +153,6 @@ impl Code {
             Code::W104 => "possible division by zero",
             Code::W105 => "duplicated predicate across rules",
             Code::W201 => "costly rule",
-            Code::W202 => "over-sharded LAT",
             Code::W203 => "read-only LAT column",
             Code::W204 => "unconditional external action",
             Code::W205 => "unindexable hot-event condition",

@@ -272,8 +272,6 @@ mod tests {
                 },
             ],
             bounded: false,
-            max_rows: None,
-            shards: None,
         });
         assert!(diags.is_empty(), "{diags:?}");
         u

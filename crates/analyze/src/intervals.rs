@@ -626,8 +626,6 @@ mod tests {
                 },
             ],
             bounded: false,
-            max_rows: None,
-            shards: None,
         });
         assert!(diags.is_empty(), "{diags:?}");
         u

@@ -110,8 +110,6 @@ mod tests {
                 aging: false,
             }],
             bounded: false,
-            max_rows: None,
-            shards: None,
         }
     }
 

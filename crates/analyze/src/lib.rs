@@ -19,7 +19,6 @@
 //! | E002 | error    | condition type mismatch, or an expression rule conditions do not support ([`typeck`]) |
 //! | E003 | error    | LAT grouping columns unmatched in scope — condition statically false ([`joinability`]) |
 //! | E004 | error    | cascade cycle through eviction/timer events ([`depgraph`]) |
-//! | E005 | error    | invalid LAT shard count ([`schema`]) |
 //! | E006 | error    | condition provably unsatisfiable under attribute intervals ([`intervals`]) |
 //! | W101 | warning  | dead rule: class never in scope ([`joinability`]) |
 //! | W102 | warning  | duplicate rule: same event + identical condition ([`depgraph`]) |
@@ -27,7 +26,6 @@
 //! | W104 | warning  | division by a possibly-zero/NULL aggregate ([`intervals`]) |
 //! | W105 | warning  | identical predicate duplicated across same-event rules ([`depgraph`]) |
 //! | W201 | warning  | estimated per-firing cost above threshold ([`cost`]) |
-//! | W202 | warning  | over-sharded LAT ([`schema`]) |
 //! | W203 | warning  | condition reads a LAT column no rule's Insert feeds ([`effects`]) |
 //! | W204 | warning  | unconditional external action on a hot event class ([`cost`]) |
 //! | W205 | warning  | hot-event condition the dispatch guard index cannot use ([`cost`], verdict from [`guard`]) |
@@ -115,10 +113,6 @@ pub struct AggColumnIr {
     pub aging: bool,
 }
 
-/// Largest shard count a LAT spec may ask for — the one declaration:
-/// `sqlcm-core`'s `LatSpec::validate` and E005 both read it.
-pub const MAX_LAT_SHARDS: usize = 4096;
-
 /// Analyzer view of a LAT specification.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatIr {
@@ -128,10 +122,6 @@ pub struct LatIr {
     /// True when the LAT has a size bound and can therefore evict rows (and
     /// raise `LatEviction` events).
     pub bounded: bool,
-    /// Row bound, when one is set (drives the shard-vs-bound lint).
-    pub max_rows: Option<usize>,
-    /// Explicit shard-count override (`None` = runtime default).
-    pub shards: Option<usize>,
 }
 
 /// Analyzer view of a rule's triggering event.

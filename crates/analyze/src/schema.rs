@@ -105,7 +105,6 @@ const MONITOR_ATTRS: &[(&str, DataType)] = &[
     ("Lat_Memory", DataType::Int),
     ("Rule_Count", DataType::Int),
     ("Lat_Count", DataType::Int),
-    ("Overload_Stage", DataType::Int),
     ("Quarantined_Rules", DataType::Int),
     ("Deferred_Depth", DataType::Int),
 ];
@@ -283,41 +282,13 @@ impl SchemaUniverse {
 
     /// Derive a [`LatSchema`] from a LAT spec and register it. Reports `E001`
     /// for grouping or aggregate sources that name an unknown class or
-    /// attribute, `E005`/`W202` for shard-count problems; the schema is only
-    /// registered when the spec has no error-severity diagnostics (a denied
-    /// `define_lat` must not leave a half-known LAT behind).
+    /// attribute; the schema is only registered when the spec has no
+    /// error-severity diagnostics (a denied `define_lat` must not leave a
+    /// half-known LAT behind).
     pub fn register_lat(&mut self, ir: &LatIr) -> Vec<Diagnostic> {
         let mut diags = Vec::new();
         let mut columns = Vec::new();
         let mut source_class: Option<String> = None;
-
-        if let Some(n) = ir.shards {
-            if n == 0 || n > crate::MAX_LAT_SHARDS {
-                diags.push(
-                    Diagnostic::new(
-                        Code::E005,
-                        &ir.name,
-                        format!("shard count {n} is outside 1..={}", crate::MAX_LAT_SHARDS),
-                    )
-                    .with_span(format!("shards({n})"))
-                    .with_help("pick a power of two near the expected probe concurrency"),
-                );
-            } else if ir.max_rows.is_some_and(|m| n > m) {
-                diags.push(
-                    Diagnostic::new(
-                        Code::W202,
-                        &ir.name,
-                        format!(
-                            "{n} shards for a LAT bounded to {} rows — most shards \
-                             can never be occupied",
-                            ir.max_rows.unwrap_or(0)
-                        ),
-                    )
-                    .with_span(format!("shards({n})"))
-                    .with_help("use at most max_rows shards (or raise the row bound)"),
-                );
-            }
-        }
 
         for g in &ir.group_by {
             let ty = self.resolve_attr(&ir.name, &g.source.class, &g.source.attr, &mut diags);
@@ -467,8 +438,6 @@ mod tests {
                 },
             ],
             bounded: true,
-            max_rows: None,
-            shards: None,
         }
     }
 

@@ -36,8 +36,6 @@ fn duration_lat(bounded: bool) -> LatIr {
             },
         ],
         bounded,
-        max_rows: None,
-        shards: None,
     }
 }
 
@@ -77,8 +75,6 @@ fn known_good_ruleset_passes_clean() {
                 aging: false,
             }],
             bounded: true,
-            max_rows: None,
-            shards: None,
         },
     ];
     let rules = vec![
@@ -135,6 +131,13 @@ fn e001_unknown_reference() {
     let diags =
         Analyzer::check_ruleset(&[], &[on_query_commit("r", Some("Nope_LAT.N > 1"), vec![])]);
     assert_eq!(codes(&diags), vec![Code::E001]);
+
+    // An error on a LAT spec denies registration: the LAT stays unknown.
+    let mut analyzer = Analyzer::new();
+    let mut bad = duration_lat(false);
+    bad.group_by[0].source = attr("Query", "Nope");
+    assert_eq!(codes(&analyzer.check_lat(&bad)), vec![Code::E001]);
+    assert!(analyzer.universe().lat("Duration_LAT").is_none());
 }
 
 #[test]
@@ -203,49 +206,6 @@ fn e004_cascade_cycle() {
     };
     let diags = Analyzer::check_ruleset(&[duration_lat(true)], &[refill]);
     assert_eq!(codes(&diags), vec![Code::E004]);
-}
-
-#[test]
-fn e005_invalid_shard_count() {
-    let mut zero = duration_lat(false);
-    zero.shards = Some(0);
-    let diags = Analyzer::check_ruleset(&[zero], &[]);
-    assert_eq!(codes(&diags), vec![Code::E005]);
-
-    let mut huge = duration_lat(false);
-    huge.shards = Some(sqlcm_analyze::MAX_LAT_SHARDS + 1);
-    let diags = Analyzer::check_ruleset(&[huge], &[]);
-    assert_eq!(codes(&diags), vec![Code::E005]);
-
-    // An invalid shard count denies registration: the LAT stays unknown.
-    let mut analyzer = Analyzer::new();
-    let mut bad = duration_lat(false);
-    bad.shards = Some(0);
-    analyzer.check_lat(&bad);
-    assert!(analyzer.universe().lat("Duration_LAT").is_none());
-}
-
-#[test]
-fn w202_more_shards_than_row_bound() {
-    let mut lat = duration_lat(true);
-    lat.max_rows = Some(8);
-    lat.shards = Some(64);
-    let diags = Analyzer::check_ruleset(&[lat], &[]);
-    assert_eq!(codes(&diags), vec![Code::W202]);
-
-    // A warning does not deny registration.
-    let mut analyzer = Analyzer::new();
-    let mut lat = duration_lat(true);
-    lat.max_rows = Some(8);
-    lat.shards = Some(64);
-    analyzer.check_lat(&lat);
-    assert!(analyzer.universe().lat("Duration_LAT").is_some());
-
-    // Shards within the bound stay silent.
-    let mut lat = duration_lat(true);
-    lat.max_rows = Some(64);
-    lat.shards = Some(8);
-    assert!(Analyzer::check_ruleset(&[lat], &[]).is_empty());
 }
 
 #[test]
@@ -563,6 +523,14 @@ fn code_table_is_exhaustive_and_distinct() {
     use std::collections::BTreeSet;
     let strs: BTreeSet<&str> = Code::ALL.iter().map(|c| c.as_str()).collect();
     assert_eq!(strs.len(), Code::ALL.len(), "duplicate code strings");
+    assert_eq!(
+        strs.iter().copied().collect::<Vec<_>>(),
+        [
+            "E001", "E002", "E003", "E004", "E006", "W101", "W102", "W103", "W104", "W105", "W201",
+            "W203", "W204", "W205", "W301", "W302"
+        ],
+        "the codes and their names"
+    );
     for code in Code::ALL {
         let s = code.as_str();
         assert!(!code.title().is_empty(), "{s} has no title");

@@ -1,10 +1,10 @@
 //! **T3 — sharded LAT insert scaling.**
 //!
-//! The row map of every LAT is sharded by group-key hash (default 16 shards,
-//! `LatSpec::shards`), so concurrent probes updating disjoint groups should
-//! scale instead of serializing on one table latch. This bench measures raw
-//! insert throughput at 1/2/4/8 threads over overlapping keys (every thread
-//! touches every group) and writes `BENCH_t3_lat_scaling.json`.
+//! The row map of every LAT is sharded by group-key hash (16 shards), so
+//! concurrent probes updating disjoint groups should scale instead of
+//! serializing on one table latch. This bench measures raw insert throughput
+//! at 1/2/4/8 threads over overlapping keys (every thread touches every
+//! group) and writes `BENCH_t3_lat_scaling.json`.
 //!
 //! Gate: on a machine with ≥ 4 cores the 8-thread run must reach at least
 //! `SQLCM_SCALING_MIN_X` (default 2.0) times single-thread throughput.
@@ -24,14 +24,13 @@ use sqlcm_core::{Lat, LatAggFunc, LatSpec};
 
 const GROUPS: u64 = 256;
 
-fn mk_lat(shards: usize) -> Arc<Lat> {
+fn mk_lat() -> Arc<Lat> {
     Arc::new(
         Lat::new(
             LatSpec::new("Scaling")
                 .group_by("Query.Logical_Signature", "Sig")
                 .aggregate(LatAggFunc::Count, "", "N")
-                .aggregate(LatAggFunc::Avg, "Query.Duration", "Avg_D")
-                .shards(shards),
+                .aggregate(LatAggFunc::Avg, "Query.Duration", "Avg_D"),
             SystemClock::shared(),
         )
         .expect("lat"),
@@ -69,14 +68,13 @@ fn run(lat: &Arc<Lat>, threads: u64, per_thread: u64) -> (f64, u64) {
 
 fn main() {
     let per_thread = env_u32("SQLCM_QUERIES", 200_000) as u64;
-    let shards = env_u32("SQLCM_SHARDS", 16) as usize;
     let min_x = env_u32("SQLCM_SCALING_MIN_X", 2) as f64;
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     banner(
         "T3: sharded LAT insert scaling (1/2/4/8 threads, overlapping keys)",
-        &format!("{per_thread} inserts/thread, {GROUPS} groups, {shards} shards, {cores} cores"),
+        &format!("{per_thread} inserts/thread, {GROUPS} groups, {cores} cores"),
     );
     println!(
         "{:<12} {:>16} {:>14} {:>12}",
@@ -86,7 +84,7 @@ fn main() {
     let mut results = Vec::new();
     let mut base = 0.0f64;
     for threads in [1u64, 2, 4, 8] {
-        let lat = mk_lat(shards);
+        let lat = mk_lat();
         let (tput, contentions) = run(&lat, threads, per_thread);
         // Conservation sanity: the bench must not report throughput for
         // inserts that were silently lost.
@@ -120,7 +118,7 @@ fn main() {
         .collect();
     let json = format!(
         "{{\"bench\":\"t3_lat_scaling\",\"per_thread\":{per_thread},\"groups\":{GROUPS},\
-         \"shards\":{shards},\"cores\":{cores},\"gate\":\"{gate}\",\
+         \"cores\":{cores},\"gate\":\"{gate}\",\
          \"threshold_x\":{threshold:.2},\"speedup_8t\":{eight_x:.3},\
          \"results\":[{}]}}",
         rows.join(",")

@@ -46,8 +46,6 @@ pub fn lat_ir(spec: &LatSpec) -> LatIr {
             })
             .collect(),
         bounded: spec.max_rows.is_some() || spec.max_bytes.is_some(),
-        max_rows: spec.max_rows,
-        shards: spec.shards,
     }
 }
 
@@ -136,12 +134,9 @@ mod tests {
         let spec = LatSpec::new("L")
             .group_by("Query.Logical_Signature", "Sig")
             .aggregate(LatAggFunc::Count, "", "N")
-            .max_rows(10)
-            .shards(4);
+            .max_rows(10);
         let ir = lat_ir(&spec);
         assert!(ir.bounded);
-        assert_eq!(ir.max_rows, Some(10));
-        assert_eq!(ir.shards, Some(4));
         assert_eq!(ir.group_by[0].source.class, "Query");
         assert_eq!(ir.aggregates[0].func, LatAggFunc::Count);
         assert!(!ir.aggregates[0].aging);

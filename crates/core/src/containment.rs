@@ -1,32 +1,25 @@
-//! Fault containment: per-rule circuit breakers and the overload ladder.
+//! Fault containment: per-rule circuit breakers.
 //!
 //! The paper's synchronous evaluation model (§5) means a misbehaving rule —
 //! one whose condition or actions start erroring, or whose latency explodes —
-//! taxes the monitored workload directly. This module bounds that damage:
-//!
-//! * **Per-rule circuit breakers** ([`RuleBreaker`]) keep a sliding window of
-//!   the last [`BREAKER_WINDOW`] evaluation outcomes in a single atomic
-//!   bitmask. When the error (or over-latency-budget) count within the window
-//!   crosses the threshold, the rule trips `Closed → Open` and is
-//!   quarantined: its in-service bit (`Rule::in_service`, the one flag
-//!   dispatch pins per event) is cleared in place. The rule stays in its
-//!   dispatch plan and its guard index — no transition rebuilds anything.
-//!   After `cooldown_micros` the breaker moves `Open → HalfOpen` and the bit
-//!   is set again, on probation: exactly one trial evaluation is let
-//!   through; success closes the breaker, failure re-opens it and restarts
-//!   the cooldown. Breakers are always on; every rule is judged by the one
-//!   [`BreakerConfig`] the monitor keeps ([`Containment::breaker`], set
-//!   through `MonitorConfig::breaker`), so a threshold change applies to
-//!   rules registered before it and after it. A rule that must never trip
-//!   gets thresholds above [`BREAKER_WINDOW`] — a value, not a switch.
-//! * **The overload ladder** ([`OverloadPolicy`]) estimates the event rate at
-//!   a fixed checkpoint cadence (every [`LADDER_CHECK_INTERVAL`] events) and
-//!   steps through degradation stages with hysteresis:
-//!   `Full → ShedTracing → SampleLowPriority → Tightened`. Stage 1 suppresses
-//!   causal-trace sampling, stage 2 samples low-priority rules 1-in-2^k,
-//!   stage 3 halves every breaker threshold so flaky rules quarantine faster.
-//!   Every transition is counted, flight-recorded, and (when a rule
-//!   subscribes) dispatched as a synthetic `Monitor`-class event.
+//! taxes the monitored workload directly. A per-rule circuit breaker
+//! ([`RuleBreaker`]) bounds that damage. It keeps a sliding window of the
+//! last [`BREAKER_WINDOW`] evaluation outcomes in a single atomic bitmask.
+//! When the error (or over-latency-budget) count within the window crosses
+//! the threshold, the rule trips `Closed → Open` and is quarantined: its
+//! in-service bit (`Rule::in_service`, the one flag dispatch pins per event)
+//! is cleared in place. The rule stays in its dispatch plan and its guard
+//! index — no transition rebuilds anything. After `cooldown_micros` the
+//! breaker moves `Open → HalfOpen` (the monitor scans for expired cooldowns
+//! every [`CHECKPOINT_INTERVAL`] events) and the bit is set again, on
+//! probation: exactly one trial evaluation is let through; success closes
+//! the breaker, failure re-opens it and restarts the cooldown. Breakers are
+//! always on; every rule is judged by the one [`BreakerConfig`] the monitor
+//! keeps ([`Containment::breaker`], set through `MonitorConfig::breaker`), so
+//! a threshold change applies to rules registered before it and after it. A
+//! rule that must never trip gets thresholds above [`BREAKER_WINDOW`] — a
+//! value, not a switch. There is no load shedding: the event path is kept
+//! cheap enough to leave on instead.
 //!
 //! Healthy-path cost discipline: recording a good outcome into a clean
 //! window is one relaxed read-modify-write (the sequence) and two loads — no
@@ -38,16 +31,15 @@
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicU8, Ordering};
 
-use parking_lot::RwLock;
 use sqlcm_telemetry::ShardedCounter;
 
 /// Sliding-window width in outcomes (one bit per outcome; fixed so the whole
 /// window lives in one `AtomicU64`).
 pub const BREAKER_WINDOW: u32 = 64;
 
-/// Events between containment checkpoints (re-admission scan + ladder step).
+/// Events between scans for quarantined rules whose cooldown expired.
 /// Power of two: the gate is a mask test on the global event counter.
-pub const LADDER_CHECK_INTERVAL: u64 = 1024;
+pub const CHECKPOINT_INTERVAL: u64 = 1024;
 
 /// Breaker state machine states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,18 +96,6 @@ impl Default for BreakerConfig {
             min_outcomes: BREAKER_WINDOW,
             latency_budget_nanos: None,
             cooldown_micros: 5_000_000,
-        }
-    }
-}
-
-impl BreakerConfig {
-    /// The thresholds halved (ladder stage 3), none below 1.
-    pub fn tightened(self) -> BreakerConfig {
-        BreakerConfig {
-            error_threshold: (self.error_threshold / 2).max(1),
-            slow_threshold: (self.slow_threshold / 2).max(1),
-            min_outcomes: (self.min_outcomes / 2).max(1),
-            ..self
         }
     }
 }
@@ -288,110 +268,8 @@ impl RuleBreaker {
     }
 }
 
-// ------------------------------------------------------------ overload ladder
-
-/// Degradation stages of the overload ladder, in escalation order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum OverloadStage {
-    /// Everything on.
-    Full,
-    /// Causal-trace sampling suppressed.
-    ShedTracing,
-    /// Low-priority rules evaluated 1-in-2^k.
-    SampleLowPriority,
-    /// Breaker thresholds halved on top of stages 1–2.
-    Tightened,
-}
-
-impl OverloadStage {
-    pub fn from_u8(v: u8) -> OverloadStage {
-        match v {
-            1 => OverloadStage::ShedTracing,
-            2 => OverloadStage::SampleLowPriority,
-            3 => OverloadStage::Tightened,
-            _ => OverloadStage::Full,
-        }
-    }
-
-    pub fn as_u8(self) -> u8 {
-        match self {
-            OverloadStage::Full => 0,
-            OverloadStage::ShedTracing => 1,
-            OverloadStage::SampleLowPriority => 2,
-            OverloadStage::Tightened => 3,
-        }
-    }
-
-    pub fn as_str(self) -> &'static str {
-        match self {
-            OverloadStage::Full => "full",
-            OverloadStage::ShedTracing => "shed-tracing",
-            OverloadStage::SampleLowPriority => "sample-low-priority",
-            OverloadStage::Tightened => "tightened",
-        }
-    }
-}
-
-/// Event-rate thresholds for the overload ladder. The ladder is opt-in
-/// (`MonitorConfig::overload`); with no policy installed the per-event
-/// cost is a masked counter test and nothing else.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OverloadPolicy {
-    /// Events/second that *enter* stage 1 (shed tracing).
-    pub stage1_events_per_sec: f64,
-    /// Events/second that enter stage 2 (sample low-priority rules).
-    pub stage2_events_per_sec: f64,
-    /// Events/second that enter stage 3 (tighten breakers).
-    pub stage3_events_per_sec: f64,
-    /// Hysteresis: a stage is exited only when the rate drops below
-    /// `enter × (1 − hysteresis)` — and stays there for `quiet_checkpoints`
-    /// consecutive checkpoints. Both guards stop threshold flapping.
-    pub hysteresis: f64,
-    /// Consecutive below-exit-threshold checkpoints required to de-escalate
-    /// one stage.
-    pub quiet_checkpoints: u32,
-    /// Stage ≥ 2 samples low-priority rules 1-in-2^`sample_shift`.
-    pub sample_shift: u32,
-}
-
-impl Default for OverloadPolicy {
-    fn default() -> OverloadPolicy {
-        OverloadPolicy {
-            stage1_events_per_sec: 50_000.0,
-            stage2_events_per_sec: 100_000.0,
-            stage3_events_per_sec: 200_000.0,
-            hysteresis: 0.2,
-            quiet_checkpoints: 2,
-            sample_shift: 3,
-        }
-    }
-}
-
-impl OverloadPolicy {
-    fn enter_threshold(&self, stage: u8) -> f64 {
-        match stage {
-            1 => self.stage1_events_per_sec,
-            2 => self.stage2_events_per_sec,
-            _ => self.stage3_events_per_sec,
-        }
-    }
-
-    fn exit_threshold(&self, stage: u8) -> f64 {
-        self.enter_threshold(stage) * (1.0 - self.hysteresis.clamp(0.0, 1.0))
-    }
-}
-
-/// A ladder transition computed by [`Containment::ladder_step`], reported to
-/// the monitor so it can flight-record it and raise the synthetic event.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct LadderTransition {
-    pub from: OverloadStage,
-    pub to: OverloadStage,
-    pub rate_events_per_sec: f64,
-}
-
-/// Shared containment state owned by `SqlcmInner`: the breaker thresholds,
-/// ladder stage, and all containment counters.
+/// Shared containment state owned by `SqlcmInner`: the breaker thresholds
+/// and all containment counters.
 pub(crate) struct Containment {
     // The one stored copy of the breaker thresholds, as atomics: the latency
     // budget is read per evaluation with one relaxed load, the rest only on
@@ -402,23 +280,10 @@ pub(crate) struct Containment {
     /// 0 ⇒ latency dimension off.
     latency_budget_nanos: AtomicU64,
     cooldown_micros: AtomicU64,
-    stage: AtomicU8,
-    policy_on: AtomicBool,
-    policy: RwLock<OverloadPolicy>,
-    /// `(1 << sample_shift) − 1`, cached for the dispatch path.
-    sample_mask: AtomicU64,
-    /// Low-priority sampling tick (advances only while stage ≥ 2).
-    pub shed_seq: AtomicU64,
     /// Registered rules whose quarantine bit is set, kept by the deltas
     /// `Rule::set_quarantined` and `Rule::set_registered` report: zero lets
     /// the checkpoint skip its walk for breakers to re-admit.
     pub quarantined: AtomicI64,
-    last_check_micros: AtomicU64,
-    last_check_events: AtomicU64,
-    quiet_checkpoints: AtomicU32,
-    pub transitions: ShardedCounter,
-    pub shed_traces: ShardedCounter,
-    pub shed_evaluations: ShardedCounter,
     pub breaker_trips: ShardedCounter,
     pub breaker_reopens: ShardedCounter,
     pub breaker_closes: ShardedCounter,
@@ -427,25 +292,13 @@ pub(crate) struct Containment {
 
 impl Containment {
     pub fn new() -> Containment {
-        let policy = OverloadPolicy::default();
         let c = Containment {
             error_threshold: AtomicU32::new(0),
             slow_threshold: AtomicU32::new(0),
             min_outcomes: AtomicU32::new(0),
             latency_budget_nanos: AtomicU64::new(0),
             cooldown_micros: AtomicU64::new(0),
-            stage: AtomicU8::new(0),
-            policy_on: AtomicBool::new(false),
-            sample_mask: AtomicU64::new((1u64 << policy.sample_shift) - 1),
-            policy: RwLock::new(policy),
-            shed_seq: AtomicU64::new(0),
             quarantined: AtomicI64::new(0),
-            last_check_micros: AtomicU64::new(0),
-            last_check_events: AtomicU64::new(0),
-            quiet_checkpoints: AtomicU32::new(0),
-            transitions: ShardedCounter::new(),
-            shed_traces: ShardedCounter::new(),
-            shed_evaluations: ShardedCounter::new(),
             breaker_trips: ShardedCounter::new(),
             breaker_reopens: ShardedCounter::new(),
             breaker_closes: ShardedCounter::new(),
@@ -480,99 +333,9 @@ impl Containment {
         }
     }
 
-    /// The thresholds a bad outcome is judged by: [`Containment::breaker`],
-    /// halved at ladder stage 3.
-    pub fn trip_thresholds(&self) -> BreakerConfig {
-        let cfg = self.breaker();
-        if self.stage() >= 3 {
-            cfg.tightened()
-        } else {
-            cfg
-        }
-    }
-
     /// Per-evaluation latency budget in nanoseconds, 0 when off.
     pub fn latency_budget_nanos(&self) -> u64 {
         self.latency_budget_nanos.load(Ordering::Relaxed)
-    }
-
-    pub fn stage(&self) -> u8 {
-        self.stage.load(Ordering::Relaxed)
-    }
-
-    pub fn sample_mask(&self) -> u64 {
-        self.sample_mask.load(Ordering::Relaxed)
-    }
-
-    pub fn policy_enabled(&self) -> bool {
-        self.policy_on.load(Ordering::Relaxed)
-    }
-
-    /// The installed ladder policy, if any.
-    pub fn policy(&self) -> Option<OverloadPolicy> {
-        self.policy_enabled().then(|| *self.policy.read())
-    }
-
-    /// Install (or update) the ladder policy, `now` anchoring its first rate
-    /// window; `None` disables the ladder and returns it to `Full`.
-    pub fn set_policy(&self, policy: Option<OverloadPolicy>, now_micros: u64, events_now: u64) {
-        self.quiet_checkpoints.store(0, Ordering::Relaxed);
-        let Some(policy) = policy else {
-            self.policy_on.store(false, Ordering::Relaxed);
-            self.stage.store(0, Ordering::Relaxed);
-            return;
-        };
-        self.sample_mask
-            .store((1u64 << policy.sample_shift.min(20)) - 1, Ordering::Relaxed);
-        *self.policy.write() = policy;
-        self.last_check_micros.store(now_micros, Ordering::Relaxed);
-        self.last_check_events.store(events_now, Ordering::Relaxed);
-        self.policy_on.store(true, Ordering::Relaxed);
-    }
-
-    /// One ladder checkpoint: estimate the event rate since the previous
-    /// checkpoint and move at most one stage up or down. Cold path (runs
-    /// every [`LADDER_CHECK_INTERVAL`] events, and only with a policy on).
-    pub fn ladder_step(&self, now_micros: u64, events_now: u64) -> Option<LadderTransition> {
-        if !self.policy_on.load(Ordering::Relaxed) {
-            return None;
-        }
-        let prev_t = self.last_check_micros.swap(now_micros, Ordering::Relaxed);
-        let prev_e = self.last_check_events.swap(events_now, Ordering::Relaxed);
-        let dt = now_micros.saturating_sub(prev_t);
-        if dt == 0 {
-            return None;
-        }
-        let rate = events_now.saturating_sub(prev_e) as f64 / (dt as f64 / 1e6);
-        let policy = *self.policy.read();
-        let cur = self.stage.load(Ordering::Relaxed);
-        // Escalate one stage per checkpoint while above the next threshold.
-        if cur < 3 && rate >= policy.enter_threshold(cur + 1) {
-            self.quiet_checkpoints.store(0, Ordering::Relaxed);
-            self.stage.store(cur + 1, Ordering::Relaxed);
-            return Some(LadderTransition {
-                from: OverloadStage::from_u8(cur),
-                to: OverloadStage::from_u8(cur + 1),
-                rate_events_per_sec: rate,
-            });
-        }
-        // De-escalate only after `quiet_checkpoints` consecutive windows
-        // below the exit threshold of the current stage.
-        if cur > 0 && rate < policy.exit_threshold(cur) {
-            let quiet = self.quiet_checkpoints.fetch_add(1, Ordering::Relaxed) + 1;
-            if quiet >= policy.quiet_checkpoints.max(1) {
-                self.quiet_checkpoints.store(0, Ordering::Relaxed);
-                self.stage.store(cur - 1, Ordering::Relaxed);
-                return Some(LadderTransition {
-                    from: OverloadStage::from_u8(cur),
-                    to: OverloadStage::from_u8(cur - 1),
-                    rate_events_per_sec: rate,
-                });
-            }
-        } else {
-            self.quiet_checkpoints.store(0, Ordering::Relaxed);
-        }
-        None
     }
 }
 
@@ -650,66 +413,5 @@ mod tests {
         b.trial_succeeded();
         assert_eq!(b.state(), BreakerState::Closed);
         assert_eq!(b.gate(), BreakerGate::Proceed);
-    }
-
-    #[test]
-    fn tighten_halves_thresholds() {
-        let b = RuleBreaker::default();
-        let cfg = BreakerConfig {
-            error_threshold: 8,
-            min_outcomes: 8,
-            ..Default::default()
-        };
-        // 4 errors in 8 outcomes: trips only when tightened (8/2 = 4).
-        for _ in 0..4 {
-            assert!(!b.record_outcome(false, false, || cfg.tightened(), || 0));
-        }
-        let mut tripped = false;
-        for _ in 0..4 {
-            tripped |= b.record_outcome(true, false, || cfg.tightened(), || 0);
-        }
-        assert!(tripped);
-    }
-
-    #[test]
-    fn ladder_escalates_and_deescalates_with_hysteresis() {
-        let c = Containment::new();
-        let policy = OverloadPolicy {
-            stage1_events_per_sec: 100.0,
-            stage2_events_per_sec: 200.0,
-            stage3_events_per_sec: 400.0,
-            hysteresis: 0.5,
-            quiet_checkpoints: 2,
-            sample_shift: 2,
-        };
-        c.set_policy(Some(policy), 0, 0);
-        // 1s window with 150 events: 150 ev/s ≥ stage-1 enter.
-        let t = c.ladder_step(1_000_000, 150).unwrap();
-        assert_eq!(
-            (t.from, t.to),
-            (OverloadStage::Full, OverloadStage::ShedTracing)
-        );
-        assert_eq!(c.stage(), 1);
-        // 250 ev/s: stage 2.
-        assert!(c.ladder_step(2_000_000, 400).is_some());
-        assert_eq!(c.stage(), 2);
-        // 120 ev/s: above the stage-2 exit threshold (200 × 0.5 = 100) — hold.
-        assert!(c.ladder_step(3_000_000, 520).is_none());
-        assert_eq!(c.stage(), 2);
-        // Two consecutive quiet windows (50 ev/s < 100) de-escalate one stage.
-        assert!(c.ladder_step(4_000_000, 570).is_none());
-        let t = c.ladder_step(5_000_000, 620).unwrap();
-        assert_eq!(t.to, OverloadStage::ShedTracing);
-        assert_eq!(c.stage(), 1);
-    }
-
-    #[test]
-    fn clear_policy_returns_to_full() {
-        let c = Containment::new();
-        c.set_policy(Some(OverloadPolicy::default()), 0, 0);
-        c.stage.store(3, Ordering::Relaxed);
-        c.set_policy(None, 0, 0);
-        assert_eq!(c.stage(), 0);
-        assert!(c.ladder_step(1_000_000, 1_000_000).is_none());
     }
 }

@@ -15,12 +15,12 @@
 //!   column) and re-seeded from one at startup.
 //!
 //! Concurrency: the row map is **sharded** by group-key hash (one keyed
-//! `RandomState` per LAT — group keys are user-controlled text) into
-//! [`LatSpec::shards`] independently locked shards (default
-//! [`DEFAULT_LAT_SHARDS`]); each row additionally has its own latch. Probe
-//! threads folding different groups therefore touch different locks entirely —
-//! mirroring (and extending) the paper's fine-grained latching ("each LAT row
-//! as well as … the hash table are protected through latches"). A row's group
+//! `RandomState` per LAT — group keys are user-controlled text) into a fixed
+//! 16 independently locked shards; each row additionally has its own latch.
+//! Probe threads folding different groups therefore touch different locks
+//! entirely — mirroring (and extending) the paper's fine-grained latching
+//! ("each LAT row as well as … the hash table are protected through
+//! latches"). A row's group
 //! key is stored once, in the row; the shard map and the victim index hold
 //! `Arc` handles to it, and inserts and lookups probe the map with a key
 //! *borrowed* from the monitored object (one grouping column) or collected
@@ -75,12 +75,11 @@ use sqlcm_common::{Error, Result, SharedClock, Timestamp, Value};
 
 use crate::objects::{ClassName, Object};
 
-/// Default number of row-map shards per LAT (see [`LatSpec::shards`]).
-pub const DEFAULT_LAT_SHARDS: usize = 16;
+/// Independently locked row-map shards per LAT.
+const LAT_SHARDS: usize = 16;
 
-/// `LatAggFunc` and the shard-count ceiling (specs beyond it are rejected)
-/// are declared once, in the analyzer crate.
-pub use sqlcm_analyze::{LatAggFunc, MAX_LAT_SHARDS};
+/// `LatAggFunc` is declared once, in the analyzer crate.
+pub use sqlcm_analyze::LatAggFunc;
 
 /// Aging parameters: report only values from the last `window` µs, maintained in
 /// blocks of `block` µs.
@@ -140,9 +139,6 @@ pub struct LatSpec {
     pub ordering: Vec<(String, bool)>,
     pub max_rows: Option<usize>,
     pub max_bytes: Option<usize>,
-    /// Number of independently locked row-map shards; `None` means
-    /// [`DEFAULT_LAT_SHARDS`]. Must be in `1..=`[`MAX_LAT_SHARDS`].
-    pub shards: Option<usize>,
 }
 
 impl LatSpec {
@@ -154,7 +150,6 @@ impl LatSpec {
             ordering: Vec::new(),
             max_rows: None,
             max_bytes: None,
-            shards: None,
         }
     }
 
@@ -209,18 +204,6 @@ impl LatSpec {
     pub fn max_bytes(mut self, n: usize) -> LatSpec {
         self.max_bytes = Some(n);
         self
-    }
-
-    /// Override the shard count (default [`DEFAULT_LAT_SHARDS`]). Use 1 to
-    /// recover a single-lock table, more for heavily concurrent probe paths.
-    pub fn shards(mut self, n: usize) -> LatSpec {
-        self.shards = Some(n);
-        self
-    }
-
-    /// The shard count this spec resolves to.
-    pub fn shard_count(&self) -> usize {
-        self.shards.unwrap_or(DEFAULT_LAT_SHARDS)
     }
 
     /// Output column names: group aliases then aggregate aliases.
@@ -289,14 +272,6 @@ impl LatSpec {
             if g.source.class != self.group_by[0].source.class {
                 return Err(Error::Monitor(format!(
                     "LAT {}: all grouping columns must come from one class",
-                    self.name
-                )));
-            }
-        }
-        if let Some(n) = self.shards {
-            if n == 0 || n > MAX_LAT_SHARDS {
-                return Err(Error::Monitor(format!(
-                    "LAT {}: shard count {n} must be in 1..={MAX_LAT_SHARDS}",
                     self.name
                 )));
             }
@@ -542,7 +517,10 @@ impl AgingState {
         self.expire(now);
         let block_start = now - now % self.spec.block_micros;
         match self.blocks.back_mut() {
-            Some((start, state)) if *start == block_start => {
+            // A value stamped before the newest block started — a fold that
+            // read the clock before a concurrent one rolled the block — joins
+            // the newest block, keeping the deque ordered by start.
+            Some((start, state)) if *start >= block_start => {
                 state.update(v)?;
                 Ok(false)
             }
@@ -642,9 +620,8 @@ impl Key {
 /// shard map and the victim index hash and compare it without locking.
 struct Row {
     group: Key,
-    /// Index of the owning shard (`MAX_LAT_SHARDS` fits), so eviction need not
-    /// re-hash the key.
-    shard: u16,
+    /// Index of the owning shard, so eviction need not re-hash the key.
+    shard: u8,
     /// The LAT's ordering spec: index entries rank themselves through their
     /// row, so their `Ord` needs no context and they carry no copy of it.
     order: OrderSpec,
@@ -1045,7 +1022,6 @@ impl Lat {
         } else {
             VictimIndex::Fixed(BTreeSet::new())
         };
-        let n_shards = spec.shard_count();
         let ages = spec.aggregates.iter().any(|a| a.aging.is_some());
         Ok(Lat {
             spec,
@@ -1055,7 +1031,7 @@ impl Lat {
             group_attr_idx,
             agg_attr_idx,
             hasher: RandomState::new(),
-            shards: (0..n_shards).map(|_| Shard::new()).collect(),
+            shards: (0..LAT_SHARDS).map(|_| Shard::new()).collect(),
             occupancy: AtomicUsize::new(0),
             bounded,
             ages,
@@ -1083,11 +1059,6 @@ impl Lat {
     /// Which shard owns a group key.
     fn shard_of(&self, key: &[Value]) -> usize {
         (self.hasher.hash_one(key) as usize) % self.shards.len()
-    }
-
-    /// Number of row-map shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Total shard-lock contention events since creation (fast-path `try_*`
@@ -1311,7 +1282,7 @@ impl Lat {
     fn new_row(&self, key: &[Value], shard: usize, aggs: Vec<ColumnState>) -> Arc<Row> {
         Arc::new(Row {
             group: Key::from_slice(key),
-            shard: shard as u16,
+            shard: shard as u8,
             order: Arc::clone(&self.order),
             state: Mutex::new(RowState {
                 aggs,
@@ -1811,44 +1782,23 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_defaults_and_overrides() {
+    fn rows_spread_across_shards() {
         let (clock, _) = ManualClock::shared(0);
-        let base = || {
-            LatSpec::new("Sharded")
-                .group_by("Query.Logical_Signature", "Sig")
-                .aggregate(LatAggFunc::Count, "", "N")
-        };
-        let lat = Lat::new(base(), clock.clone()).unwrap();
-        assert_eq!(lat.shard_count(), DEFAULT_LAT_SHARDS);
-        let lat = Lat::new(base().shards(4), clock.clone()).unwrap();
-        assert_eq!(lat.shard_count(), 4);
-        assert_eq!(lat.shard_stats().len(), 4);
+        let spec = LatSpec::new("Spread")
+            .group_by("Query.Logical_Signature", "Sig")
+            .aggregate(LatAggFunc::Count, "", "N");
+        let lat = Lat::new(spec, clock).unwrap();
+        assert_eq!(lat.shard_stats().len(), LAT_SHARDS);
         assert_eq!(lat.lock_contentions(), 0);
-        assert!(Lat::new(base().shards(0), clock.clone()).is_err());
-        assert!(Lat::new(base().shards(MAX_LAT_SHARDS + 1), clock).is_err());
-    }
-
-    #[test]
-    fn rows_spread_across_shards_and_single_shard_still_works() {
-        let (clock, _) = ManualClock::shared(0);
-        for n_shards in [1, 3, 16] {
-            let spec = LatSpec::new("Spread")
-                .group_by("Query.Logical_Signature", "Sig")
-                .aggregate(LatAggFunc::Count, "", "N")
-                .shards(n_shards);
-            let lat = Lat::new(spec, clock.clone()).unwrap();
-            for sig in 0..64 {
-                lat.insert(&qobj(sig, 1.0)).unwrap();
-            }
-            assert_eq!(lat.row_count(), 64);
-            assert_eq!(lat.rows().len(), 64);
-            let per_shard: usize = lat.shard_stats().iter().map(|s| s.rows).sum();
-            assert_eq!(per_shard, 64);
-            if n_shards > 1 {
-                let occupied = lat.shard_stats().iter().filter(|s| s.rows > 0).count();
-                assert!(occupied > 1, "hash should spread 64 groups over shards");
-            }
+        for sig in 0..64 {
+            lat.insert(&qobj(sig, 1.0)).unwrap();
         }
+        assert_eq!(lat.row_count(), 64);
+        assert_eq!(lat.rows().len(), 64);
+        let per_shard: usize = lat.shard_stats().iter().map(|s| s.rows).sum();
+        assert_eq!(per_shard, 64);
+        let occupied = lat.shard_stats().iter().filter(|s| s.rows > 0).count();
+        assert!(occupied > 1, "hash should spread 64 groups over shards");
     }
 
     #[test]
@@ -1980,6 +1930,29 @@ mod tests {
         // 20.0 at t=2 (block [2,3)) and 30.0 at t=4 remain.
         let row = lat.lookup_for(&qobj(1, 0.0)).unwrap();
         assert_eq!(row[1], Value::Float(25.0));
+    }
+
+    /// Two folds into one row can reach the row latch in the reverse order
+    /// of their clock reads. The late, older value joins the newest block:
+    /// the blocks stay ordered by start, one per Δ.
+    #[test]
+    fn aging_fold_stamped_before_the_newest_block_joins_it() {
+        let spec = AgingSpec {
+            window_micros: 10_000_000,
+            block_micros: 1_000_000,
+        };
+        let mut col = ColumnState::Aging(AgingState::new(LatAggFunc::Sum, spec));
+        let (t2, t1, t2b) = (5_100_000, 4_900_000, 5_200_000);
+        let mut rolls = 0;
+        for (now, v) in [(t2, 1.0), (t1, 2.0), (t2b, 4.0)] {
+            rolls += col.update(Some(&Value::Float(v)), now).unwrap() as u32;
+        }
+        let ColumnState::Aging(aging) = &col else {
+            unreachable!()
+        };
+        assert_eq!(aging.blocks.len(), 1);
+        assert_eq!(rolls, 1);
+        assert_eq!(col.finish(t2b), Value::Float(7.0));
     }
 
     #[test]

@@ -72,15 +72,15 @@ pub mod vm;
 
 pub use actions::Action;
 pub use analysis::{Analyzer, Code, Diagnostic, Severity};
-pub use containment::{BreakerConfig, BreakerState, OverloadPolicy, OverloadStage};
+pub use containment::{BreakerConfig, BreakerState};
 pub use deferred::{LossEntry, RetryPolicy, DEFAULT_QUEUE_CAPACITY};
 pub use fault::{FaultKind, FaultPlan, FaultRate};
-pub use lat::{Lat, LatAggFunc, LatShardStats, LatSpec, DEFAULT_LAT_SHARDS, MAX_LAT_SHARDS};
+pub use lat::{Lat, LatAggFunc, LatShardStats, LatSpec};
 pub use lat_ref::ReferenceLat;
 pub use monitor::{MonitorConfig, Sqlcm, SqlcmStats};
 pub use objects::{ClassName, Object};
 pub use plan::{HoistGroup, PlanSummary};
-pub use rules::{Rule, RuleEvent, RulePriority};
+pub use rules::{Rule, RuleEvent};
 pub use sinks::{CommandSink, MailSink, RecordingCommandSink, RecordingMailSink};
 pub use telemetry::{
     DispatchTelemetry, LatTelemetry, MatchingTelemetry, ProbeTelemetry, RuleError, RuleTelemetry,

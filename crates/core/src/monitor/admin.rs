@@ -5,7 +5,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use crate::containment::{BreakerState, OverloadStage};
+use crate::containment::BreakerState;
 use crate::deferred::LossEntry;
 use crate::fault::FaultKind;
 use crate::objects;
@@ -14,8 +14,7 @@ use crate::rules::RuleEvent;
 use crate::sinks::{RecordingCommandSink, RecordingMailSink};
 use crate::telemetry::{
     BreakerTelemetry, ContainmentTelemetry, DeferredTelemetry, DispatchTelemetry, LatTelemetry,
-    MatchingTelemetry, ProbeTelemetry, RuleError, RuleTelemetry, TelemetrySnapshot,
-    SELF_MONITOR_TIMER,
+    MatchingTelemetry, ProbeTelemetry, RuleTelemetry, TelemetrySnapshot, SELF_MONITOR_TIMER,
 };
 use crate::trace::TraceSnapshot;
 
@@ -45,10 +44,6 @@ impl SqlcmInner {
         let c = &self.containment;
         let d = &self.deferred;
         ContainmentTelemetry {
-            overload_stage: c.stage() as u64,
-            overload_transitions: c.transitions.get(),
-            shed_traces: c.shed_traces.get(),
-            shed_evaluations: c.shed_evaluations.get(),
             breaker_trips: c.breaker_trips.get(),
             breaker_reopens: c.breaker_reopens.get(),
             breaker_closes: c.breaker_closes.get(),
@@ -145,7 +140,6 @@ impl SqlcmInner {
                     rows: lat.row_count() as u64,
                     row_high_water: stats.row_high_water,
                     memory_bytes: lat.memory_bytes() as u64,
-                    shards: lat.shard_count() as u64,
                     lock_contentions: lat.lock_contentions(),
                 }
             })
@@ -232,10 +226,6 @@ impl Sqlcm {
             .unwrap_or(0)
     }
 
-    pub fn overload_stage(&self) -> OverloadStage {
-        OverloadStage::from_u8(self.inner.containment.stage())
-    }
-
     // ------------------------------------------------------------ sinks & stats
 
     /// The default recording outbox for `SendMail`.
@@ -265,11 +255,6 @@ impl Sqlcm {
     /// and the flight recorder of recent firings.
     pub fn telemetry(&self) -> TelemetrySnapshot {
         self.inner.telemetry_snapshot()
-    }
-
-    /// Per-rule last errors (bounded map; sorted by rule name).
-    pub fn rule_errors(&self) -> Vec<RuleError> {
-        self.inner.telemetry.rule_errors_snapshot()
     }
 
     // ------------------------------------------------------------ tracing

@@ -15,7 +15,7 @@ use sqlcm_engine::instrument::Instrumentation;
 use sqlcm_telemetry::{FlightRecord, Stamp};
 
 use crate::actions::{persist_rows, substitute};
-use crate::containment::{BreakerGate, LadderTransition, LADDER_CHECK_INTERVAL};
+use crate::containment::{BreakerGate, CHECKPOINT_INTERVAL};
 use crate::deferred::DeferredKind;
 use crate::fault::FaultKind;
 use crate::lat::Lat;
@@ -24,7 +24,7 @@ use crate::plan::{
     CachedPlan, CompiledAction, DispatchPlan, EventPlan, HoistState, PlanRule, Registered, NO_HOIST,
 };
 use crate::rules::{EvalContext, LatBinding, RuleEvent};
-use crate::trace::{explain_condition, PrunedRules, TraceCtx, TraceSampling, NONE_SPAN};
+use crate::trace::{explain_condition, PrunedRules, TraceCtx, NONE_SPAN};
 
 use super::{Sqlcm, SqlcmInner};
 
@@ -84,7 +84,7 @@ struct EventScratch {
 #[derive(Default)]
 struct EventWork {
     /// The rules to run, one bit per rule of the event plan: the guard
-    /// index's candidates (or every rule), less those disabled or shed when
+    /// index's candidates (or every rule), less those out of service when
     /// the event arrived.
     run: Vec<u64>,
     eval: EvalState,
@@ -190,10 +190,9 @@ impl Instrumentation for SqlcmMonitor {
         let end = last.unwrap_or_else(Stamp::now);
         telem.probe_latency[probe.index()].record(end.nanos_since(entered));
         // Containment checkpoint: a masked counter test per event; the cold
-        // body (re-admission scan + ladder step) runs every
-        // `LADDER_CHECK_INTERVAL` events.
-        if n & (LADDER_CHECK_INTERVAL - 1) == 0 {
-            self.inner.containment_checkpoint(n);
+        // re-admission scan runs every `CHECKPOINT_INTERVAL` events.
+        if n & (CHECKPOINT_INTERVAL - 1) == 0 {
+            self.inner.scan_quarantined();
         }
     }
 
@@ -318,17 +317,9 @@ impl SqlcmInner {
         }
         // Sampling decision: with tracing off this is one relaxed atomic
         // load — the clock is read only when the event is actually sampled.
-        // Ladder stage ≥ 1 sheds the sampling entirely (counted, so the
-        // operator can see what overload suppressed).
-        let mut trace = if self.containment.stage() >= 1 {
-            if self.tracer.sampling() != TraceSampling::Off {
-                self.containment.shed_traces.incr();
-            }
-            None
-        } else {
-            self.tracer
-                .sample_probe(event.kind(), || self.clock.now_micros())
-        };
+        let mut trace = self
+            .tracer
+            .sample_probe(event.kind(), || self.clock.now_micros());
         let (mut objs, mut bufs) = SCRATCH.with(|s| {
             let mut sc = s.borrow_mut();
             (
@@ -476,17 +467,8 @@ impl SqlcmInner {
         // Pin applicability before any rule runs (see `Rule::set_enabled`):
         // the in-service bit is read here, for the rules about to run only —
         // the same bit that opens and closes the rule's credit on the class
-        // clock, so a rule is credited a pruning iff it would have run. Ladder
-        // stage ≥ 2 samples low-priority candidates 1-in-2^k — the skip shows
-        // up in `shed_evaluations`, never as a silent gap; a pruned rule
-        // costs nothing, so there is nothing to shed.
-        let shedding = self.containment.stage() >= 2;
-        let sample_mask = if shedding {
-            self.containment.sample_mask()
-        } else {
-            0
-        };
-        let (mut admitted, mut kept, mut pruned) = (0u64, 0u64, 0u64);
+        // clock, so a rule is credited a pruning iff it would have run.
+        let (mut admitted, mut pruned) = (0u64, 0u64);
         for (w, word) in run.iter_mut().enumerate() {
             for b in set_bits(*word) {
                 let pr = &ep.rules[w * 64 + b];
@@ -498,15 +480,6 @@ impl SqlcmInner {
                     admitted += 1;
                     pr.reg.rule.candidate_events.fetch_add(1, Ordering::Relaxed);
                 }
-                if shedding
-                    && pr.low_priority
-                    && self.containment.shed_seq.fetch_add(1, Ordering::Relaxed) & sample_mask != 0
-                {
-                    self.containment.shed_evaluations.incr();
-                    *word &= !(1 << b);
-                    continue;
-                }
-                kept += 1;
             }
         }
         if let Some(creditable) = creditable {
@@ -517,14 +490,14 @@ impl SqlcmInner {
             if pruned > 0 {
                 self.telemetry.rules_pruned.add(pruned);
             }
-            if kept > 0 {
-                self.telemetry.candidate_rules.add(kept);
+            if admitted > 0 {
+                self.telemetry.candidate_rules.add(admitted);
             }
             if let Some(ctx) = trace.as_mut() {
                 ctx.pruned_rules(PrunedRules {
                     event_span,
                     pruned,
-                    candidates: kept,
+                    candidates: admitted,
                     plan: ep.clone(),
                     admitted: admitted_set,
                     objects: objects.to_vec(),
@@ -1161,25 +1134,11 @@ impl SqlcmInner {
 
     // ------------------------------------------------------------ containment
 
-    /// Cold containment checkpoint, every [`LADDER_CHECK_INTERVAL`] events:
-    /// re-admit quarantined rules whose cooldown expired, then step the
-    /// overload ladder. With no quarantined rules and no policy installed,
-    /// this is two relaxed loads — the hot-path pins stay intact.
-    fn containment_checkpoint(&self, events_now: u64) {
-        self.scan_quarantined();
-        if self.containment.policy_enabled() {
-            if let Some(t) = self
-                .containment
-                .ladder_step(self.clock.now_micros(), events_now)
-            {
-                self.on_ladder_transition(t);
-            }
-        }
-    }
-
     /// Move every open breaker whose cooldown expired to half-open and put
     /// its rule back in service, on probation: the gate admits exactly one
-    /// trial. Returns how many breakers re-opened.
+    /// trial. Returns how many breakers re-opened. `on_event` runs it every
+    /// [`CHECKPOINT_INTERVAL`] events; with no quarantined rule it is one
+    /// relaxed load.
     pub(super) fn scan_quarantined(&self) -> u32 {
         if self.containment.quarantined.load(Ordering::Relaxed) == 0 {
             return 0;
@@ -1195,23 +1154,6 @@ impl SqlcmInner {
             }
         }
         reopened
-    }
-
-    /// Count, flight-record, and (when a rule subscribes) dispatch a ladder
-    /// transition as a synthetic `Monitor`-class event.
-    fn on_ladder_transition(&self, t: LadderTransition) {
-        self.containment.transitions.incr();
-        self.telemetry.recorder.record(FlightRecord {
-            seq: 0,
-            event: "Monitor.Overload".into(),
-            rule: format!("{}->{}", t.from.as_str(), t.to.as_str()).into(),
-            fired: false,
-            actions: 0,
-            errors: 0,
-            duration_nanos: t.rate_events_per_sec as u64,
-            trace_id: 0,
-        });
-        self.poll_self_monitor();
     }
 
     /// Feed one evaluation outcome that took `nanos` into the rule's breaker
@@ -1242,7 +1184,7 @@ impl SqlcmInner {
         if reg.breaker.record_outcome(
             error,
             slow,
-            || self.containment.trip_thresholds(),
+            || self.containment.breaker(),
             || self.clock.now_micros(),
         ) {
             self.on_trip(reg, "tripped its circuit breaker; quarantined");

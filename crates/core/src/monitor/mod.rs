@@ -40,7 +40,7 @@ use sqlcm_engine::Engine;
 
 use sqlcm_analyze::{Analyzer, Diagnostic};
 
-use crate::containment::{BreakerConfig, Containment, OverloadPolicy};
+use crate::containment::{BreakerConfig, Containment};
 use crate::deferred::{AttemptOutcome, DeferredQueue, RetryPolicy};
 use crate::fault::{FaultPlan, FaultState};
 use crate::lat::Lat;
@@ -102,9 +102,6 @@ pub struct MonitorConfig {
     pub deferred_capacity: usize,
     /// Retry schedule of failed deferred actions.
     pub retry: RetryPolicy,
-    /// The overload ladder's policy; with `None` (the default) the ladder
-    /// never leaves [`OverloadStage::Full`].
-    pub overload: Option<OverloadPolicy>,
     /// Causal-trace sampling (default [`TraceSampling::Off`]). A sampled root
     /// event records a full span tree — LAT lookups, per-rule condition
     /// decisions with explainers, actions, LAT mutations, and every cascaded
@@ -154,7 +151,7 @@ struct SqlcmInner {
     telemetry: Telem,
     /// Causal-trace state (sampling policy, trace ring, span pool).
     tracer: Tracer,
-    /// Fault-containment state: breaker switchboard + overload ladder.
+    /// Fault-containment state: breaker thresholds and counters.
     containment: Containment,
     /// Bounded deferred-action queue (async external actions).
     deferred: DeferredQueue,
@@ -356,9 +353,8 @@ impl Sqlcm {
     // ------------------------------------------------------------ configuration
 
     /// Apply `cfg`, each field as [`MonitorConfig`] documents it. Applying
-    /// the live config again changes nothing: the overload ladder keeps its
-    /// rate window, the deferred queue its actions, and trace sampling its
-    /// count.
+    /// the live config again changes nothing: the deferred queue keeps its
+    /// actions and trace sampling its count.
     pub fn configure(&self, cfg: MonitorConfig) {
         let inner = &self.inner;
         inner.containment.set_breaker(cfg.breaker);
@@ -367,13 +363,6 @@ impl Sqlcm {
             .store(cfg.async_actions, Ordering::Relaxed);
         inner.deferred.set_capacity(cfg.deferred_capacity);
         inner.deferred.set_policy(cfg.retry);
-        if cfg.overload != inner.containment.policy() {
-            inner.containment.set_policy(
-                cfg.overload,
-                inner.clock.now_micros(),
-                inner.events.load(Ordering::Relaxed),
-            );
-        }
         if cfg.trace_sampling != inner.tracer.sampling() {
             inner.tracer.set_sampling(cfg.trace_sampling);
         }
@@ -389,7 +378,6 @@ impl Sqlcm {
             async_actions: inner.async_actions.load(Ordering::Relaxed),
             deferred_capacity: inner.deferred.capacity(),
             retry: inner.deferred.policy(),
-            overload: inner.containment.policy(),
             trace_sampling: inner.tracer.sampling(),
             mail_sink: inner.mail_sink.read().clone(),
             command_sink: inner.command_sink.read().clone(),
@@ -980,15 +968,11 @@ mod tests {
             )
             .unwrap();
         seed(&engine, 3);
-        let errors = sqlcm.rule_errors();
-        assert_eq!(errors.len(), 1, "only the broken rule has errors");
-        assert_eq!(errors[0].rule, "broken");
-        assert_eq!(errors[0].count, 3);
-        assert!(errors[0].message.contains("missing_table"));
-        // The snapshot carries the same attribution per rule.
         let snap = sqlcm.telemetry();
         let broken = snap.rules.iter().find(|r| r.name == "broken").unwrap();
-        assert_eq!(broken.last_error.as_ref().unwrap().count, 3);
+        let error = broken.last_error.as_ref().unwrap();
+        assert_eq!((error.rule.as_str(), error.count), ("broken", 3));
+        assert!(error.message.contains("missing_table"));
         assert!(snap
             .rules
             .iter()

@@ -216,15 +216,6 @@ impl Sqlcm {
             .cloned()
     }
 
-    pub fn lat_names(&self) -> Vec<String> {
-        self.inner
-            .lats
-            .read()
-            .values()
-            .map(|l| l.spec.name.clone())
-            .collect()
-    }
-
     /// Total approximate memory of all LATs (the knob of §4.3's "managing LAT
     /// memory overhead").
     pub fn lat_memory_bytes(&self) -> usize {

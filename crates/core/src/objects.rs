@@ -364,7 +364,6 @@ pub fn monitor_object(snap: &TelemetrySnapshot) -> Object {
             count(snap.lats.iter().map(|l| l.memory_bytes).sum()),
             count(snap.rules.len() as u64),
             count(snap.lats.len() as u64),
-            count(containment.overload_stage),
             count(containment.quarantined.len() as u64),
             count(containment.deferred.queue_depth),
         ],

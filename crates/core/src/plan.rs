@@ -201,9 +201,6 @@ pub(crate) struct PlanRule {
     /// LAT was dropped, or redefined with another schema); evaluation records
     /// this error instead of running.
     pub broken: Option<String>,
-    /// Cached `Rule::priority == Low` — overload ladder stage ≥ 2 samples
-    /// these rules instead of evaluating every combination.
-    pub low_priority: bool,
     /// Every class the condition references is in the event class's declared
     /// payload ([`EventPlan::payload`]): the rule evaluates against the
     /// event's objects in place, no §5.2 iteration over live objects.
@@ -449,7 +446,6 @@ fn plan_rule(
     hoisted: &mut Vec<HoistSlot>,
 ) -> PlanRule {
     let mut pr = PlanRule {
-        low_priority: reg.rule.is_low_priority(),
         in_payload: reg.cond_classes.iter().all(|c| payload.contains(c)),
         reg: reg.clone(),
         lats: Vec::with_capacity(reg.cond_lats.len()),
@@ -1484,13 +1480,8 @@ mod incremental {
         for pr in ep.rules.iter() {
             let lats: Vec<_> = pr.lats.iter().map(Arc::as_ptr).collect();
             out += &format!(
-                "  {} low={} broken={:?} lats={lats:?} slots={:?} inval={:?}\n    {:?}\n",
-                pr.reg.rule.name,
-                pr.low_priority,
-                pr.broken,
-                pr.lat_slots,
-                pr.invalidates,
-                pr.program
+                "  {} broken={:?} lats={lats:?} slots={:?} inval={:?}\n    {:?}\n",
+                pr.reg.rule.name, pr.broken, pr.lat_slots, pr.invalidates, pr.program
             );
         }
         for h in &ep.hoisted {
@@ -1602,9 +1593,6 @@ mod incremental {
         match condition(rng) {
             Some(cond) if on_query || cond.contains("_L.") => rule = rule.when(&cond),
             _ => {}
-        }
-        if rng.below(8) == 0 {
-            rule = rule.low_priority();
         }
         let lat = LATS[rng.below(3)];
         rule.then(match rng.below(6) {

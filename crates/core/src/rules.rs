@@ -96,16 +96,6 @@ impl std::fmt::Display for RuleEvent {
     }
 }
 
-/// Scheduling class for the overload ladder (see `MonitorConfig::overload`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum RulePriority {
-    /// Always evaluated (the default).
-    #[default]
-    Normal,
-    /// Sampled 1-in-2^k while the monitor sheds load.
-    Low,
-}
-
 /// Rule-level counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RuleStats {
@@ -129,9 +119,6 @@ pub struct Rule {
     /// Parsed condition; `None` ⇒ always true.
     pub condition: Option<Expr>,
     pub actions: Vec<Action>,
-    /// Overload-ladder scheduling class: `Low`-priority rules are sampled
-    /// (not fully evaluated) when the monitor sheds load at stage ≥ 2.
-    pub priority: RulePriority,
     enabled: AtomicBool,
     /// Evaluations that ran (the condition VM, or the reference's oracle).
     pub(crate) evaluations: AtomicU64,
@@ -233,7 +220,6 @@ impl Rule {
             event: RuleEvent::QueryCommit,
             condition: None,
             actions: Vec::new(),
-            priority: RulePriority::Normal,
             enabled: AtomicBool::new(true),
             evaluations: AtomicU64::new(0),
             fires: AtomicU64::new(0),
@@ -268,19 +254,6 @@ impl Rule {
     pub fn then(mut self, action: Action) -> Rule {
         self.actions.push(action);
         self
-    }
-
-    /// Mark the rule low-priority: under overload (ladder stage ≥ 2) the
-    /// monitor evaluates it for only a sampled subset of events instead of
-    /// every combination. Best for statistics gatherers whose LAT aggregates
-    /// stay meaningful under sampling, never for enforcement rules.
-    pub fn low_priority(mut self) -> Rule {
-        self.priority = RulePriority::Low;
-        self
-    }
-
-    pub fn is_low_priority(&self) -> bool {
-        self.priority == RulePriority::Low
     }
 
     pub fn is_enabled(&self) -> bool {
@@ -506,7 +479,7 @@ impl EvalContext<'_> {
 pub mod oracle {
     use super::EvalContext;
     use sqlcm_common::{Error, Result, Value};
-    use sqlcm_sql::{BinOp, Expr, UnaryOp};
+    use sqlcm_sql::{BinOp, Expr, LikeMatcher, UnaryOp};
 
     /// Evaluate a rule condition. Missing LAT rows make the condition false
     /// (implicit ∃); genuine errors propagate.
@@ -594,7 +567,7 @@ pub mod oracle {
                 let p = eval_expr(pattern, ctx)?;
                 match (v.as_str(), p.as_str()) {
                     (Some(s), Some(pat)) => {
-                        Value::Bool(sqlcm_engine::expr::like_match(s, pat) != *negated)
+                        Value::Bool(LikeMatcher::new(pat).is_match(s) != *negated)
                     }
                     _ => Value::Null,
                 }

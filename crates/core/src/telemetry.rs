@@ -39,7 +39,7 @@ use crate::monitor::SqlcmStats;
 use crate::trace::TracingTelemetry;
 
 /// Flight-recorder depth: the last N rule firings (and errored evaluations,
-/// and breaker and ladder transitions).
+/// and breaker transitions).
 pub const FLIGHT_RECORDER_CAPACITY: usize = 256;
 
 /// Bound on the per-rule last-error map.
@@ -153,14 +153,6 @@ impl Telem {
             message,
         };
         map.insert(error.rule.clone(), error);
-    }
-
-    /// All per-rule errors, sorted by rule name for determinism.
-    pub fn rule_errors_snapshot(&self) -> Vec<RuleError> {
-        let map = self.rule_errors.lock();
-        let mut out: Vec<RuleError> = map.values().cloned().collect();
-        out.sort_by(|a, b| a.rule.cmp(&b.rule));
-        out
     }
 }
 
@@ -352,8 +344,6 @@ pub struct LatTelemetry {
     pub row_high_water: u64,
     /// Approximate bytes held right now.
     pub memory_bytes: u64,
-    /// Number of row-map shards.
-    pub shards: u64,
     /// Shard-lock acquisitions that found the lock held (contention events
     /// summed over all shards).
     pub lock_contentions: u64,
@@ -370,7 +360,6 @@ impl Describe for LatTelemetry {
         ("rows", |l| Count(l.rows)),
         ("row_high_water", |l| Count(l.row_high_water)),
         ("memory_bytes", |l| Count(l.memory_bytes)),
-        ("shards", |l| Count(l.shards)),
         ("lock_contentions", |l| Count(l.lock_contentions)),
     ];
 }
@@ -438,18 +427,10 @@ impl Describe for DeferredTelemetry {
     ];
 }
 
-/// Fault-containment slice of a telemetry snapshot: circuit breakers, the
-/// overload ladder, and the deferred-action queue with its loss ledger.
+/// Fault-containment slice of a telemetry snapshot: circuit breakers and
+/// the deferred-action queue with its loss ledger.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ContainmentTelemetry {
-    /// Current overload-ladder stage (0 = full, 3 = tightened).
-    pub overload_stage: u64,
-    /// Ladder stage transitions since attach.
-    pub overload_transitions: u64,
-    /// Trace-sampling decisions suppressed at stage ≥ 1.
-    pub shed_traces: u64,
-    /// Low-priority evaluations skipped by sampling at stage ≥ 2.
-    pub shed_evaluations: u64,
     pub breaker_trips: u64,
     /// `Open → HalfOpen` probation re-admissions.
     pub breaker_reopens: u64,
@@ -468,10 +449,6 @@ pub struct ContainmentTelemetry {
 
 impl Describe for ContainmentTelemetry {
     const FIELDS: &'static [Field<Self>] = &[
-        ("overload_stage", |c| Count(c.overload_stage)),
-        ("overload_transitions", |c| Count(c.overload_transitions)),
-        ("shed_traces", |c| Count(c.shed_traces)),
-        ("shed_evaluations", |c| Count(c.shed_evaluations)),
         ("breaker_trips", |c| Count(c.breaker_trips)),
         ("breaker_reopens", |c| Count(c.breaker_reopens)),
         ("breaker_closes", |c| Count(c.breaker_closes)),
@@ -508,7 +485,7 @@ pub struct TelemetrySnapshot {
     /// Causal-tracing state: sampling policy, traces completed/dropped,
     /// deepest cascade observed (see `crate::trace`).
     pub tracing: TracingTelemetry,
-    /// Fault-containment state: breakers, overload ladder, deferred queue.
+    /// Fault-containment state: breakers, deferred queue.
     pub containment: ContainmentTelemetry,
 }
 
@@ -674,9 +651,9 @@ mod tests {
         for i in 0..RULE_ERRORS_CAPACITY {
             telem.record_rule_error(&format!("cold_{i}"), "meh".into());
         }
-        let errors = telem.rule_errors_snapshot();
+        let errors = telem.rule_errors.lock();
         assert_eq!(errors.len(), RULE_ERRORS_CAPACITY);
-        let hot = errors.iter().find(|e| e.rule == "hot").expect("hot kept");
+        let hot = errors.get("hot").expect("hot kept");
         assert_eq!(hot.count, 5);
         assert_eq!(hot.message, "boom");
     }
@@ -712,12 +689,12 @@ mod tests {
         assert!(json.contains("\"matching\":{\"guard_probes\":0"));
         assert!(snap.to_text().contains("matching: guard_probes=0"));
         assert!(json.contains("\"tracing\":{\"sampling\":\"off\""));
-        assert!(json.contains("\"containment\":{\"overload_stage\":0"));
+        assert!(json.contains("\"containment\":{\"breaker_trips\":0"));
         assert!(json.contains("\"losses\":[]"));
         assert!(snap.to_text().contains("tracing: sampling=off"));
         assert!(snap
             .to_text()
-            .contains("containment: overload_stage=0 overload_transitions=0"));
+            .contains("containment: breaker_trips=0 breaker_reopens=0"));
         assert!(snap
             .to_text()
             .ends_with("flight_recorder: total=0\n  records:\n"));
@@ -735,7 +712,6 @@ mod tests {
         use sqlcm_common::Value;
         let mut snap = empty_snapshot();
         snap.stats.action_errors = 5;
-        snap.containment.overload_stage = 3;
         snap.containment.quarantined = vec!["a".into(), "b".into()];
         snap.containment.deferred.queue_depth = 7;
         let monitor = crate::objects::monitor_object(&snap);
@@ -746,7 +722,6 @@ mod tests {
         }
         for (attr, want) in [
             ("Action_Errors", 5),
-            ("Overload_Stage", 3),
             ("Quarantined_Rules", 2),
             ("Deferred_Depth", 7),
         ] {

@@ -290,7 +290,7 @@ impl Program {
                         regs[*pattern as usize].as_str(),
                     ) {
                         (Some(s), Some(pat)) => {
-                            Value::Bool(sqlcm_engine::expr::like_match(s, pat) != *negated)
+                            Value::Bool(LikeMatcher::new(pat).is_match(s) != *negated)
                         }
                         _ => Value::Null,
                     };

@@ -610,6 +610,14 @@ fn cse_slot_is_invalidated_with_its_hoisted_row() {
 /// Allocations of one event whose single rule fires `Insert(lat)`, averaged
 /// over `events` steady-state events produced by `event(i)`, on the monitor
 /// as shipped — telemetry on, so every firing also writes a flight record.
+///
+/// The count is exact whatever the LAT's random hash keys. The measured
+/// events replay part of the warm-up into the LAT emptied by a reset, and a
+/// reset keeps every shard table's capacity. So at each replayed event every
+/// one of the 16 shards holds as many rows as it held at that point of the
+/// warm-up, and no table grows in the measured window. The first `SETTLE`
+/// replayed events re-create what the reset freed: the groups and the victim
+/// index's node.
 fn allocations_per_firing_insert(
     spec: LatSpec,
     events: u64,
@@ -625,18 +633,26 @@ fn allocations_per_firing_insert(
                 .then(Action::insert(&lat.spec.name)),
         )
         .unwrap();
-    let warm_up = 4_096;
-    let evs: Vec<EngineEvent> = (0..warm_up + events).map(event).collect();
-    for ev in &evs[..warm_up as usize] {
+    const WARM_UP: u64 = 4_096;
+    const SETTLE: u64 = 64;
+    assert!(SETTLE + events <= WARM_UP);
+    let evs: Vec<EngineEvent> = (0..WARM_UP).map(event).collect();
+    for ev in &evs {
+        sqlcm.inject_event(ev);
+    }
+    lat.reset();
+    let (settle, measured) = evs[..(SETTLE + events) as usize].split_at(SETTLE as usize);
+    for ev in settle {
         sqlcm.inject_event(ev);
     }
     let before = allocations();
-    for ev in &evs[warm_up as usize..] {
+    for ev in measured {
         sqlcm.inject_event(ev);
     }
     let after = allocations();
-    assert_eq!(sqlcm.rule("feed").unwrap().stats().fires, warm_up + events);
-    assert_eq!(lat.stats().inserts, warm_up + events);
+    let total = WARM_UP + SETTLE + events;
+    assert_eq!(sqlcm.rule("feed").unwrap().stats().fires, total);
+    assert_eq!(lat.stats().inserts, total);
     (after - before) as f64 / events as f64
 }
 
@@ -674,13 +690,7 @@ fn firing_insert_creating_a_group_in_a_full_lat_allocates_at_most_two() {
         .aggregate(LatAggFunc::Last, "Query.Application", "App")
         .aggregate(LatAggFunc::Last, "Query.Query_Type", "QType")
         .order_by("ID", true)
-        .max_rows(10)
-        // One shard, so the count is exact: its table reaches its largest
-        // size (11 rows, transiently) within the first events of the warm-up,
-        // whereas how 11 rows spread over 16 shards — and so whether some
-        // shard's table still grows inside the measured window — depends on
-        // the LAT's random hash keys.
-        .shards(1);
+        .max_rows(10);
     let per_event = allocations_per_firing_insert(spec, 1_000, |i| {
         EngineEvent::QueryCommit(QueryInfo::synthetic(i + 1, "SELECT 1"))
     });

@@ -38,7 +38,7 @@ const BLOCK: u64 = 100;
 
 /// The all-aggregates differential spec: every aggregate kind, plus aging
 /// AVG/COUNT columns rolling on the manual clock.
-fn diff_spec(shards: usize, max_rows: Option<usize>, order_col: usize, desc: bool) -> LatSpec {
+fn diff_spec(max_rows: Option<usize>, order_col: usize, desc: bool) -> LatSpec {
     let columns = ["Sig", "N", "S", "A", "SD", "MN", "MX", "F", "L", "AW", "NW"];
     let mut spec = LatSpec::new("Diff")
         .group_by("Query.Logical_Signature", "Sig")
@@ -54,8 +54,7 @@ fn diff_spec(shards: usize, max_rows: Option<usize>, order_col: usize, desc: boo
         .aging(WINDOW, BLOCK)
         .aggregate(LatAggFunc::Count, "", "NW")
         .aging(WINDOW, BLOCK)
-        .order_by(columns[order_col % columns.len()], desc)
-        .shards(shards);
+        .order_by(columns[order_col % columns.len()], desc);
     if let Some(m) = max_rows {
         spec = spec.max_rows(m);
     }
@@ -98,14 +97,13 @@ proptest! {
     /// ordering spec, output row recomputed from the raw log).
     #[test]
     fn sharded_lat_matches_reference_oracle(
-        shards in 1usize..8,
         max_rows in prop_oneof![Just(None), (1usize..5).prop_map(Some)],
         order_col in 0usize..11,
         desc in any::<bool>(),
         ops in collection::vec(op_strategy(), 1..48),
     ) {
         let (clock, handle) = ManualClock::shared(0);
-        let spec = diff_spec(shards, max_rows, order_col, desc);
+        let spec = diff_spec(max_rows, order_col, desc);
         let lat = Lat::new(spec.clone(), clock.clone()).unwrap();
         let oracle = ReferenceLat::new(spec, clock).unwrap();
         for op in &ops {
@@ -174,7 +172,7 @@ proptest! {
                     if aging {
                         spec = spec.aging(WINDOW, BLOCK);
                     }
-                    let spec = spec.order_by("K", desc).max_rows(3).shards(4);
+                    let spec = spec.order_by("K", desc).max_rows(3);
                     let lat = Lat::new(spec.clone(), clock.clone()).unwrap();
                     let oracle = ReferenceLat::new(spec, clock).unwrap();
                     for (sig, dur, advance) in &seq {
@@ -211,8 +209,7 @@ proptest! {
             .aggregate(LatAggFunc::Avg, "Query.Duration", "AW")
             .aging(WINDOW, BLOCK)
             .aggregate(LatAggFunc::StdDev, "Query.Duration", "SW")
-            .aging(WINDOW, BLOCK)
-            .shards(4);
+            .aging(WINDOW, BLOCK);
         let lat = Lat::new(spec, clock.clone()).unwrap();
         let mut raw_log: Vec<(u64, f64)> = Vec::new();
         for (dur, advance) in &steps {
@@ -256,7 +253,7 @@ proptest! {
 /// FIRST/LAST (order-dependent), no aging (time-dependent), integer-valued
 /// inputs (exact f64) — so the final state is independent of interleaving
 /// and any logged schedule is a valid linearization.
-fn mt_spec(shards: usize) -> LatSpec {
+fn mt_spec() -> LatSpec {
     LatSpec::new("MtDiff")
         .group_by("Query.Logical_Signature", "Sig")
         .aggregate(LatAggFunc::Count, "", "N")
@@ -265,7 +262,6 @@ fn mt_spec(shards: usize) -> LatSpec {
         .aggregate(LatAggFunc::StdDev, "Query.Duration", "SD")
         .aggregate(LatAggFunc::Min, "Query.Duration", "MN")
         .aggregate(LatAggFunc::Max, "Query.Duration", "MX")
-        .shards(shards)
 }
 
 proptest! {
@@ -277,11 +273,10 @@ proptest! {
     /// single-lock oracle, must produce identical observable state.
     #[test]
     fn concurrent_inserts_match_reference_via_logged_schedule(
-        shards in 1usize..8,
         per_thread in collection::vec(collection::vec((0i64..12, 0u64..9), 16..17), 4..5),
     ) {
         let (clock, _handle) = ManualClock::shared(0);
-        let lat = Arc::new(Lat::new(mt_spec(shards), clock.clone()).unwrap());
+        let lat = Arc::new(Lat::new(mt_spec(), clock.clone()).unwrap());
         let seq = AtomicU64::new(0);
         let mut schedule: Vec<(u64, i64, u64)> = std::thread::scope(|scope| {
             let handles: Vec<_> = per_thread
@@ -304,7 +299,7 @@ proptest! {
         });
         schedule.sort_by_key(|(s, _, _)| *s);
 
-        let oracle = ReferenceLat::new(mt_spec(shards), clock).unwrap();
+        let oracle = ReferenceLat::new(mt_spec(), clock).unwrap();
         for (_, sig, dur) in &schedule {
             oracle.insert(&qobj(*sig, *dur)).unwrap();
         }
@@ -341,8 +336,7 @@ fn fold_that_lowers_a_filed_rows_rank_changes_the_next_victim() {
                 .group_by("Query.Logical_Signature", "Sig")
                 .aggregate(kind, "Query.Duration", col)
                 .order_by(col, desc)
-                .max_rows(3)
-                .shards(4);
+                .max_rows(3);
             let lat = Lat::new(spec.clone(), clock.clone()).unwrap();
             let oracle = ReferenceLat::new(spec, clock).unwrap();
             // Under ASC the smaller value is the more important one: mirror.
@@ -381,7 +375,7 @@ const RICH_COLUMNS: [&str; 10] = ["Sig", "N", "S", "A", "MN", "MX", "F", "L", "A
 
 /// Like [`diff_spec`] without STDEV, ordered by any number of columns —
 /// grouping, plain-aggregate and aging — each with its own direction.
-fn rich_spec(shards: usize, max_rows: Option<usize>, ordering: &[(usize, bool)]) -> LatSpec {
+fn rich_spec(max_rows: Option<usize>, ordering: &[(usize, bool)]) -> LatSpec {
     let mut spec = LatSpec::new("Rich")
         .group_by("Query.Logical_Signature", "Sig")
         .aggregate(LatAggFunc::Count, "", "N")
@@ -394,8 +388,7 @@ fn rich_spec(shards: usize, max_rows: Option<usize>, ordering: &[(usize, bool)])
         .aggregate(LatAggFunc::Avg, "Query.Duration", "AW")
         .aging(WINDOW, BLOCK)
         .aggregate(LatAggFunc::Count, "", "NW")
-        .aging(WINDOW, BLOCK)
-        .shards(shards);
+        .aging(WINDOW, BLOCK);
     for (col, desc) in ordering {
         spec = spec.order_by(RICH_COLUMNS[*col], *desc);
     }
@@ -438,13 +431,12 @@ proptest! {
     /// to `insert_matching` like any other eviction.
     #[test]
     fn victim_index_matches_reference_under_rich_orderings_seeds_and_resets(
-        shards in 1usize..8,
         max_rows in prop_oneof![Just(None), (1usize..5).prop_map(Some)],
         ordering in collection::vec((0usize..10, any::<bool>()), 0..4),
         ops in collection::vec(rich_op_strategy(), 1..64),
     ) {
         let (clock, handle) = ManualClock::shared(0);
-        let spec = rich_spec(shards, max_rows, &ordering);
+        let spec = rich_spec(max_rows, &ordering);
         let lat = Lat::new(spec.clone(), clock.clone()).unwrap();
         let oracle = ReferenceLat::new(spec, clock.clone()).unwrap();
         for op in &ops {
@@ -452,7 +444,7 @@ proptest! {
                 RichOp::Seed { sig, dur } if lat.lookup_for(&qobj(*sig, 0)).is_none() => {
                     let obj = qobj(*sig, *dur);
                     // The row one insert of `obj` produces, from a scratch oracle.
-                    let scratch = ReferenceLat::new(rich_spec(1, None, &[]), clock.clone()).unwrap();
+                    let scratch = ReferenceLat::new(rich_spec(None, &[]), clock.clone()).unwrap();
                     scratch.insert(&obj).unwrap();
                     let seeded = scratch.rows().remove(0);
                     let mut before = lat.rows();

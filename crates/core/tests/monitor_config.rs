@@ -1,14 +1,14 @@
 //! The one configuration value: `Sqlcm::configure` applies a `MonitorConfig`,
 //! `Sqlcm::config` reads it back, and applying what `config` returned changes
-//! nothing — not the overload ladder's rate window, not the deferred queue,
-//! not the trace-sampling count.
+//! nothing — not the deferred queue, not an open breaker, not the
+//! trace-sampling count.
 
 use std::sync::Arc;
 
 use sqlcm_common::{EngineEvent, ManualClock, QueryInfo};
 use sqlcm_core::{
-    Action, BreakerConfig, BreakerState, MonitorConfig, OverloadPolicy, Rule, RuleEvent, Sqlcm,
-    TelemetrySnapshot, TraceSampling,
+    Action, BreakerConfig, BreakerState, MonitorConfig, Rule, RuleEvent, Sqlcm, TelemetrySnapshot,
+    TraceSampling,
 };
 use sqlcm_engine::engine::EngineConfig;
 use sqlcm_engine::Engine;
@@ -54,9 +54,9 @@ fn untimed(mut snap: TelemetrySnapshot) -> TelemetrySnapshot {
     snap
 }
 
-/// A storm under every stateful setting at once: an overload ladder that
-/// climbs and falls with the event rate, async actions filling the deferred
-/// queue to its bound, a rule whose breaker is open, and 1-in-3 sampling.
+/// A storm under every stateful setting at once: async actions filling the
+/// deferred queue to its bound, a rule whose breaker is open, and 1-in-3
+/// sampling.
 fn storm_monitor() -> (Engine, Sqlcm, Arc<ManualClock>) {
     let (engine, sqlcm, clock) = manual_monitor();
     sqlcm.configure(MonitorConfig {
@@ -67,13 +67,6 @@ fn storm_monitor() -> (Engine, Sqlcm, Arc<ManualClock>) {
         },
         async_actions: true,
         deferred_capacity: 64,
-        overload: Some(OverloadPolicy {
-            stage1_events_per_sec: 50_000.0,
-            stage2_events_per_sec: 1e12,
-            stage3_events_per_sec: 1e12,
-            quiet_checkpoints: 1,
-            ..Default::default()
-        }),
         trace_sampling: TraceSampling::EveryNth(3),
         ..sqlcm.config()
     });
@@ -92,12 +85,10 @@ fn storm_monitor() -> (Engine, Sqlcm, Arc<ManualClock>) {
     (engine, sqlcm, clock)
 }
 
-/// Events `from..to`: windows of 1 024 alternate between 10 µs apart (100 000
-/// events/s, past the ladder's stage-1 threshold) and 100 µs apart (10 000/s,
-/// below its exit threshold), so the ladder climbs and falls by turns.
+/// Events `from..to`, 10 µs apart.
 fn storm(sqlcm: &Sqlcm, clock: &ManualClock, from: u64, to: u64) {
     for i in from..to {
-        clock.advance(if (i / 1_024) % 2 == 0 { 10 } else { 100 });
+        clock.advance(10);
         sqlcm.inject_event(&commit(i, (i % 10) as f64 / 100.0));
     }
 }
@@ -106,21 +97,15 @@ fn storm(sqlcm: &Sqlcm, clock: &ManualClock, from: u64, to: u64) {
 fn reapplying_the_live_config_mid_storm_changes_nothing() {
     let (_ea, a, clock_a) = storm_monitor();
     let (_eb, b, clock_b) = storm_monitor();
-    // Mid-window of the ladder, with the sampling count — the events of the
-    // three stage-0 stretches so far, 1 024 + 1 024 + 2 — not a multiple of
-    // the sampling period.
-    const HALF: u64 = 4_098;
+    // The sampling count, here, is not a multiple of the sampling period:
+    // resetting it at `configure` would move which later events are sampled.
+    const HALF: u64 = 4_097;
     storm(&a, &clock_a, 0, HALF);
     storm(&b, &clock_b, 0, HALF);
-    // An idle second the ladder's current window must still span: re-anchoring
-    // it at `configure` would rate the window's rest on its own.
-    clock_a.advance(1_000_000);
-    clock_b.advance(1_000_000);
 
     let before = a.telemetry();
     assert_eq!(before.containment.quarantined, ["div_zero"]);
     assert_eq!(before.containment.deferred.queue_depth, 64);
-    assert!(before.containment.overload_transitions > 0);
     assert!(before.tracing.sampled > 0);
     a.configure(a.config());
     assert_eq!(untimed(a.telemetry()), untimed(before));

@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 
 use sqlcm_common::{Error, Result, Value};
-use sqlcm_sql::{apply_binary, apply_unary, BinOp, Expr};
+use sqlcm_sql::{apply_binary, apply_unary, BinOp, Expr, LikeMatcher};
 
 /// Column name resolution for one operator's output rows.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -161,7 +161,7 @@ pub fn eval(expr: &Expr, schema: &Schema, row: &[Value], params: &Params) -> Res
             let v = eval(expr, schema, row, params)?;
             let p = eval(pattern, schema, row, params)?;
             match (v.as_str(), p.as_str()) {
-                (Some(s), Some(pat)) => Value::Bool(like_match(s, pat) != *negated),
+                (Some(s), Some(pat)) => Value::Bool(LikeMatcher::new(pat).is_match(s) != *negated),
                 _ => Value::Null,
             }
         }
@@ -264,34 +264,6 @@ fn eval_scalar_func(
 /// `WHERE` semantics: NULL and FALSE both reject the row.
 pub fn is_truthy(v: &Value) -> bool {
     v.as_bool() == Some(true)
-}
-
-/// SQL `LIKE` with `%` (any run) and `_` (any single char). Case-sensitive.
-pub fn like_match(s: &str, pattern: &str) -> bool {
-    let s: Vec<char> = s.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
-    // Iterative two-pointer with backtracking on the last `%`.
-    let (mut si, mut pi) = (0usize, 0usize);
-    let mut star: Option<(usize, usize)> = None;
-    while si < s.len() {
-        if pi < p.len() && (p[pi] == '_' || p[pi] == s[si]) {
-            si += 1;
-            pi += 1;
-        } else if pi < p.len() && p[pi] == '%' {
-            star = Some((pi, si));
-            pi += 1;
-        } else if let Some((sp, ss)) = star {
-            pi = sp + 1;
-            si = ss + 1;
-            star = Some((sp, ss + 1));
-        } else {
-            return false;
-        }
-    }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
-    }
-    pi == p.len()
 }
 
 /// True when `expr` references no columns (only params/literals) — such
@@ -415,20 +387,6 @@ mod tests {
         assert_eq!(ev("UPPER(t.b)", &row).unwrap(), Value::text("HÉLLO"));
         assert_eq!(ev("COALESCE(u.a, t.a)", &row).unwrap(), Value::Int(-4));
         assert!(ev("NOSUCHFN(t.a)", &row).is_err());
-    }
-
-    #[test]
-    fn like_patterns() {
-        assert!(like_match("hello", "h%"));
-        assert!(like_match("hello", "%llo"));
-        assert!(like_match("hello", "h_llo"));
-        assert!(like_match("hello", "%"));
-        assert!(like_match("", "%"));
-        assert!(!like_match("hello", "h_"));
-        assert!(!like_match("hello", "H%"));
-        assert!(like_match("a%b", "a%b"));
-        assert!(like_match("xayb", "x%y%"));
-        assert!(!like_match("abc", "a_"));
     }
 
     #[test]

@@ -991,10 +991,10 @@ enum Tok {
     Lit(char),
 }
 
-/// A `LIKE` pattern compiled once at rule registration. `is_match` is
-/// allocation-free (the interpreter used to collect both strings into
-/// `Vec<char>` per evaluation); semantics are identical to the engine's
-/// `like_match`: `%`/`_` wildcards, case-sensitive, char-wise.
+/// SQL `LIKE`, the one matcher of the workspace: `%` (any run) and `_` (any
+/// single char), case-sensitive, char-wise. A rule's constant pattern is
+/// compiled once at registration; the engine and a non-constant pattern
+/// compile per evaluation. `is_match` is allocation-free.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LikeMatcher {
     toks: Vec<Tok>,
@@ -1024,9 +1024,9 @@ impl LikeMatcher {
         while si < s.len() {
             let c = s[si..].chars().next().expect("si on char boundary");
             let step = c.len_utf8();
-            // Branch order mirrors the engine matcher, including its quirk
-            // that the literal-equality test runs before the wildcard test:
-            // a `%` pattern char consumes a literal `%` subject char first.
+            // The literal-equality test runs before the wildcard test, as in
+            // the char-vector reference: a `%` pattern char consumes a
+            // literal `%` subject char first.
             let lit_match = pi < t.len()
                 && match t[pi] {
                     Tok::One => true,
@@ -1175,7 +1175,7 @@ mod tests {
 
     #[test]
     fn like_matcher_agrees_with_reference_semantics() {
-        // Reference implementation: the engine's char-vector matcher.
+        // Reference implementation: a char-vector two-pointer matcher.
         fn reference(s: &str, pattern: &str) -> bool {
             let s: Vec<char> = s.chars().collect();
             let p: Vec<char> = pattern.chars().collect();
@@ -1223,6 +1223,22 @@ mod tests {
                     "s={s:?} p={p:?}"
                 );
             }
+        }
+        // Pinned answers, which both implementations must give.
+        for (s, p, want) in [
+            ("hello", "h%", true),
+            ("hello", "%llo", true),
+            ("hello", "h_llo", true),
+            ("hello", "%", true),
+            ("", "%", true),
+            ("hello", "h_", false),
+            ("hello", "H%", false),
+            ("a%b", "a%b", true),
+            ("xayb", "x%y%", true),
+            ("abc", "a_", false),
+        ] {
+            assert_eq!(LikeMatcher::new(p).is_match(s), want, "s={s:?} p={p:?}");
+            assert_eq!(reference(s, p), want, "s={s:?} p={p:?}");
         }
     }
 }

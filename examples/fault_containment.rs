@@ -1,25 +1,20 @@
-//! Fault containment tour: circuit breakers, async action retry, the
-//! overload ladder, and the loss ledger — all driven by seeded fault
-//! injection and an event storm, no real outage required.
+//! Fault containment tour: circuit breakers, async action retry and the
+//! loss ledger — all driven by seeded fault injection and an event storm,
+//! no real outage required.
 //!
-//! The demo stages three incidents against one monitored instance:
+//! The demo stages two incidents against one monitored instance:
 //!
 //! 1. **Dead mail sink.** Async external actions queue, retry with
 //!    exponential backoff, then exhaust into the loss ledger; the rule's
 //!    circuit breaker trips and quarantines it: out of service, in place.
 //! 2. **Recovery.** The fault clears; probation (half-open) re-admits the
 //!    rule, the trial succeeds, and the breaker closes.
-//! 3. **Overload.** A burst storm pushes the event rate past the ladder
-//!    thresholds; the monitor sheds tracing and low-priority work, then
-//!    recovers to full service when the storm passes.
 //!
 //! ```sh
 //! cargo run --release --example fault_containment
 //! ```
 
-use sqlcm_repro::monitor::{
-    BreakerConfig, BreakerState, FaultPlan, FaultRate, OverloadPolicy, OverloadStage, RetryPolicy,
-};
+use sqlcm_repro::monitor::{BreakerConfig, BreakerState, FaultPlan, FaultRate, RetryPolicy};
 use sqlcm_repro::prelude::*;
 use sqlcm_repro::workloads::storm::{self, StormConfig, StormShape};
 
@@ -122,55 +117,11 @@ fn main() -> Result<()> {
     );
     assert_eq!(sqlcm.breaker_state("mail_slow"), Some(BreakerState::Closed));
 
-    // ---- Incident 3: overload. ------------------------------------------
-    println!("\n== incident 3: overload ladder ==");
-    sqlcm.configure(MonitorConfig {
-        overload: Some(OverloadPolicy {
-            stage1_events_per_sec: 5_000.0,
-            stage2_events_per_sec: 20_000.0,
-            stage3_events_per_sec: 100_000.0,
-            quiet_checkpoints: 1,
-            ..Default::default()
-        }),
-        ..sqlcm.config()
-    });
-    // A tight-loop burst drives the measured rate far past the thresholds;
-    // the ladder checkpoints every 1024 events and escalates one stage each.
-    let burst = storm::events(StormConfig::new(StormShape::Burst, 40_000, 9));
-    for ev in &burst {
-        sqlcm.inject_event(ev);
-    }
-    let t = sqlcm.telemetry().containment;
-    let peak = t.overload_stage;
-    println!("  stage now:   {:?}", sqlcm.overload_stage());
-    println!(
-        "  transitions: {} shed_traces: {} shed_evaluations: {}",
-        t.overload_transitions, t.shed_traces, t.shed_evaluations
-    );
-    assert!(t.overload_transitions > 0, "storm never moved the ladder");
-    assert_ne!(sqlcm.overload_stage(), OverloadStage::Full);
-
-    // Quiet traffic (~1.7k events/s, well below every exit threshold)
-    // de-escalates one stage per checkpoint back toward full service.
-    for _ in 0..8 {
-        std::thread::sleep(std::time::Duration::from_millis(300));
-        for ev in storm::events(StormConfig::new(StormShape::Uniform, 512, 1)) {
-            sqlcm.inject_event(&ev);
-        }
-    }
-    let after = sqlcm.telemetry().containment.overload_stage;
-    println!("  after quiet: {:?}", sqlcm.overload_stage());
-    assert!(after < peak, "quiet traffic never de-escalated the ladder");
-
     println!("\n== final telemetry (containment slice) ==");
     let c = sqlcm.telemetry().containment;
     println!(
-        "breakers: trips={} reopens={} closes={} transitions={} stage={}",
-        c.breaker_trips,
-        c.breaker_reopens,
-        c.breaker_closes,
-        c.overload_transitions,
-        c.overload_stage
+        "breakers: trips={} reopens={} closes={}",
+        c.breaker_trips, c.breaker_reopens, c.breaker_closes
     );
     let d = &c.deferred;
     println!(

@@ -65,22 +65,6 @@ fn bad_ruleset() -> (Vec<LatSpec>, Vec<Rule>) {
             .group_by("Query.Logical_Signatur", "Sig")
             .aggregate(LatAggFunc::Count, "", "N"),
     );
-    // E005: shard count outside the supported range.
-    lats.push(
-        LatSpec::new("Oversharded_LAT")
-            .group_by("Query.Logical_Signature", "Sig")
-            .aggregate(LatAggFunc::Count, "", "N")
-            .shards(0),
-    );
-    // W202: more shards than the LAT can ever hold rows.
-    lats.push(
-        LatSpec::new("Tiny_LAT")
-            .group_by("Query.Logical_Signature", "Sig")
-            .aggregate(LatAggFunc::Max, "Query.Duration", "D")
-            .order_by("D", true)
-            .max_rows(4)
-            .shards(16),
-    );
     // W203: defined and read below, but never fed by any Insert.
     lats.push(
         LatSpec::new("Idle_LAT")
@@ -159,6 +143,20 @@ fn bad_ruleset() -> (Vec<LatSpec>, Vec<Rule>) {
             .on(RuleEvent::QueryCommit)
             .when("Query.Query_Text LIKE '%DROP TABLE%'")
             .then(Action::send_mail("dba", "DDL spotted")),
+        // W105: two same-event conditions share the `Query.Duration > 1`
+        // predicate (the whole conditions differ, so no W102).
+        Rule::new("slow_admin")
+            .on(RuleEvent::QueryStart)
+            .when("Query.Duration > 1 AND Query.User = 'admin'")
+            .then(Action::send_mail("dba", "slow admin query")),
+        Rule::new("slow_costly")
+            .on(RuleEvent::QueryStart)
+            .when("Query.Duration > 1 AND Query.Estimated_Cost > 100")
+            .then(Action::send_mail("dba", "slow costly query")),
+        // W204: a mail on every query start, no condition to thin it.
+        Rule::new("mail_every_start")
+            .on(RuleEvent::QueryStart)
+            .then(Action::send_mail("dba", "query started")),
         // W301: `order_writer` mutates what the adjacent earlier rule reads —
         // swapping the pair changes what `order_reader` observes.
         Rule::new("order_reader")
