@@ -25,7 +25,7 @@ use crate::depgraph::raised_events;
 use crate::diagnostics::{Code, Diagnostic};
 use crate::effects::rule_effects;
 use crate::schema::SchemaUniverse;
-use crate::{EventIr, RuleIr};
+use crate::{RuleEvent, RuleIr};
 use std::sync::Arc;
 
 /// W301: warn when the immediately-preceding same-event rule reads columns
@@ -36,7 +36,7 @@ pub fn check_order(
     new: &RuleIr,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let Some(prev) = admitted.iter().rev().find(|r| r.event.same_as(&new.event)) else {
+    let Some(prev) = admitted.iter().rev().find(|r| r.event == new.event) else {
         return;
     };
     let prev_eff = rule_effects(universe, prev);
@@ -84,7 +84,7 @@ pub fn check_amplification(
     fn evals_for(
         universe: &SchemaUniverse,
         all: &[&RuleIr],
-        event: &EventIr,
+        event: &RuleEvent,
         depth: usize,
         threshold: usize,
         cyclic: &mut bool,
@@ -94,14 +94,9 @@ pub fn check_amplification(
             return 0;
         }
         let mut total = 0usize;
-        for rule in all.iter().filter(|r| r.event.same_as(event)) {
+        for rule in all.iter().filter(|r| r.event == *event) {
             total = total.saturating_add(1);
-            for (kind, arg) in raised_events(universe, rule) {
-                let raised = EventIr {
-                    kind: kind.to_string(),
-                    arg: Some(arg),
-                    payload: Vec::new(),
-                };
+            for raised in raised_events(universe, rule) {
                 total = total.saturating_add(evals_for(
                     universe,
                     all,
@@ -144,53 +139,34 @@ pub fn check_amplification(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ActionIr, AggColumnIr, AttrIr, GroupColumnIr, LatAggFunc, LatIr};
+    use crate::{Action, Condition, LatAggFunc, LatSpec};
 
-    fn lat(name: &str, bounded: bool) -> LatIr {
-        LatIr {
-            name: name.into(),
-            group_by: vec![GroupColumnIr {
-                source: AttrIr {
-                    class: "Query".into(),
-                    attr: "Logical_Signature".into(),
-                },
-                alias: "Sig".into(),
-            }],
-            aggregates: vec![AggColumnIr {
-                func: LatAggFunc::Count,
-                source: None,
-                alias: "N".into(),
-                aging: false,
-            }],
-            bounded,
+    fn lat(name: &str, bounded: bool) -> LatSpec {
+        let spec = LatSpec::new(name)
+            .group_by("Query.Logical_Signature", "Sig")
+            .aggregate(LatAggFunc::Count, "", "N");
+        if bounded {
+            spec.max_rows(10)
+        } else {
+            spec
         }
     }
 
-    fn on_commit(name: &str, cond: Option<&str>, actions: Vec<ActionIr>) -> RuleIr {
+    fn on(event: RuleEvent, name: &str, cond: Option<&str>, actions: Vec<Action>) -> RuleIr {
         RuleIr {
             name: name.into(),
-            event: EventIr {
-                kind: "QueryCommit".into(),
-                arg: None,
-                payload: vec!["Query".into()],
-            },
-            condition: cond
-                .map(|c| crate::Condition::lower(&sqlcm_sql::parse_expression(c).unwrap())),
+            event,
+            condition: cond.map(|c| Condition::lower(&sqlcm_sql::parse_expression(c).unwrap())),
             actions,
         }
     }
 
-    fn on_eviction(name: &str, of: &str, actions: Vec<ActionIr>) -> RuleIr {
-        RuleIr {
-            name: name.into(),
-            event: EventIr {
-                kind: "LatEviction".into(),
-                arg: Some(of.into()),
-                payload: Vec::new(),
-            },
-            condition: None,
-            actions,
-        }
+    fn on_commit(name: &str, cond: Option<&str>, actions: Vec<Action>) -> RuleIr {
+        on(RuleEvent::QueryCommit, name, cond, actions)
+    }
+
+    fn on_eviction(name: &str, of: &str, actions: Vec<Action>) -> RuleIr {
+        on(RuleEvent::LatEviction(of.into()), name, None, actions)
     }
 
     #[test]
@@ -198,11 +174,7 @@ mod tests {
         let mut u = SchemaUniverse::builtin();
         assert!(u.register_lat(&lat("L", false)).is_empty());
         let reader = Arc::new(on_commit("reader", Some("L.N > 5"), vec![]));
-        let writer = Arc::new(on_commit(
-            "writer",
-            None,
-            vec![ActionIr::Insert { lat: "L".into() }],
-        ));
+        let writer = Arc::new(on_commit("writer", None, vec![Action::insert("L")]));
 
         let mut diags = Vec::new();
         check_order(&u, std::slice::from_ref(&reader), &writer, &mut diags);
@@ -222,19 +194,19 @@ mod tests {
         let mut admitted = vec![Arc::new(on_commit(
             "feed_a",
             None,
-            vec![ActionIr::Insert { lat: "A".into() }],
+            vec![Action::insert("A")],
         ))];
         for i in 0..4 {
             admitted.push(Arc::new(on_eviction(
                 &format!("a_spill{i}"),
                 "A",
-                vec![ActionIr::Insert { lat: "B".into() }],
+                vec![Action::insert("B")],
             )));
         }
         for i in 0..4 {
             admitted.push(Arc::new(on_eviction(&format!("b_spill{i}"), "B", vec![])));
         }
-        let new = on_commit("feed_a2", None, vec![ActionIr::Insert { lat: "A".into() }]);
+        let new = on_commit("feed_a2", None, vec![Action::insert("A")]);
         // Each commit insert may evict from A (4 rules, each may evict from B:
         // 4 rules) — 2 · (1 + 4 · (1 + 4)) = 42 evaluations.
         let mut diags = Vec::new();

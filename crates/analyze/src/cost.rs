@@ -35,7 +35,7 @@
 use crate::diagnostics::{Code, Diagnostic};
 use crate::guard::{rule_guard, Residual};
 use crate::schema::SchemaUniverse;
-use crate::{ActionIr, RuleIr};
+use crate::{Action, RuleEvent, RuleIr};
 
 /// Default threshold above which [`Code::W201`] fires.
 pub const DEFAULT_COST_THRESHOLD: u32 = 16;
@@ -45,7 +45,8 @@ pub const DEFAULT_COST_THRESHOLD: u32 = 16;
 pub fn rule_cost(universe: &SchemaUniverse, rule: &RuleIr) -> (u32, Vec<String>) {
     let mut total = 0u32;
     let mut parts = Vec::new();
-    let (_, lats) = rule.refs(universe);
+    let (_, lats) = rule.refs();
+    let payload = rule.event.payload_classes();
     for name in lats {
         let schema = universe.lat(&name);
         let c = match schema {
@@ -58,12 +59,9 @@ pub fn rule_cost(universe: &SchemaUniverse, rule: &RuleIr) -> (u32, Vec<String>)
         // share one row snapshot, so the probe cost amortizes across the
         // ruleset instead of accruing per rule. Surfaced here so authors
         // can see which probes the runtime de-duplicates.
-        let hoisted = schema.is_some_and(|sc| {
-            rule.event
-                .payload
-                .iter()
-                .any(|p| p.eq_ignore_ascii_case(&sc.source_class))
-        });
+        let hoisted = schema
+            .and_then(|sc| sc.source_class.as_ref())
+            .is_some_and(|class| payload.contains(class));
         if hoisted {
             parts.push(format!("probe {name}: {c} (hoisted: shared per event)"));
         } else {
@@ -72,7 +70,7 @@ pub fn rule_cost(universe: &SchemaUniverse, rule: &RuleIr) -> (u32, Vec<String>)
     }
     for action in &rule.actions {
         let c = match action {
-            ActionIr::Insert { lat } => match universe.lat(lat) {
+            Action::Insert { lat } => match universe.lat(lat) {
                 Some(schema) => {
                     1 + schema.aggregate_count as u32
                         + 2 * schema.aging_aggregates as u32
@@ -80,28 +78,15 @@ pub fn rule_cost(universe: &SchemaUniverse, rule: &RuleIr) -> (u32, Vec<String>)
                 }
                 None => 2,
             },
-            ActionIr::Reset { .. } | ActionIr::SetTimer { .. } | ActionIr::Cancel { .. } => 1,
-            ActionIr::PersistObject { .. } => 4,
-            ActionIr::PersistLat { .. } => 8,
-            ActionIr::SendMail | ActionIr::RunExternal => 6,
+            Action::Reset { .. } | Action::SetTimer { .. } | Action::Cancel { .. } => 1,
+            Action::PersistObject { .. } => 4,
+            Action::PersistLat { .. } => 8,
+            Action::SendMail { .. } | Action::RunExternal { .. } => 6,
         };
         total += c;
-        parts.push(format!("{}: {c}", action_name(action)));
+        parts.push(format!("{action}: {c}"));
     }
     (total, parts)
-}
-
-fn action_name(action: &ActionIr) -> &'static str {
-    match action {
-        ActionIr::Insert { .. } => "Insert",
-        ActionIr::Reset { .. } => "Reset",
-        ActionIr::PersistLat { .. } => "PersistLat",
-        ActionIr::PersistObject { .. } => "PersistObject",
-        ActionIr::SetTimer { .. } => "SetTimer",
-        ActionIr::Cancel { .. } => "Cancel",
-        ActionIr::SendMail => "SendMail",
-        ActionIr::RunExternal => "RunExternal",
-    }
 }
 
 /// Warn when the rule's estimated per-firing cost exceeds `threshold`.
@@ -134,32 +119,47 @@ pub fn check_rule(
 
 /// Event classes considered "hot": fired on the per-query / per-transaction
 /// path, where rates are bounded only by engine throughput. Session
-/// lifecycle (`Login`/`Logout`), blocking, timer, and monitor events are
-/// orders of magnitude rarer and excluded.
-fn is_hot_event(kind: &str) -> bool {
-    kind.starts_with("Query") || kind.starts_with("Txn")
+/// lifecycle (`Login`/`Logout`), block release, timer, eviction and monitor
+/// events are orders of magnitude rarer and excluded.
+fn is_hot(event: &RuleEvent) -> bool {
+    match event {
+        RuleEvent::QueryStart
+        | RuleEvent::QueryCompile
+        | RuleEvent::QueryCommit
+        | RuleEvent::QueryRollback
+        | RuleEvent::QueryCancel
+        | RuleEvent::QueryBlocked
+        | RuleEvent::TxnBegin
+        | RuleEvent::TxnCommit
+        | RuleEvent::TxnRollback => true,
+        RuleEvent::BlockReleased
+        | RuleEvent::Login
+        | RuleEvent::Logout
+        | RuleEvent::TimerAlarm(_)
+        | RuleEvent::LatEviction(_)
+        | RuleEvent::MonitorTick => false,
+    }
 }
 
 /// Warn (W204) when a rule attaches an unconditional external action to a
 /// hot event class.
 pub fn check_unconditional_external(rule: &RuleIr, diags: &mut Vec<Diagnostic>) {
-    if rule.condition.is_some() || !is_hot_event(&rule.event.kind) {
+    if rule.condition.is_some() || !is_hot(&rule.event) {
         return;
     }
     for action in &rule.actions {
-        if matches!(action, ActionIr::SendMail | ActionIr::RunExternal) {
+        if matches!(action, Action::SendMail { .. } | Action::RunExternal { .. }) {
             diags.push(
                 Diagnostic::new(
                     Code::W204,
                     &rule.name,
                     format!(
-                        "unconditional {} on hot event {}: every event pays the \
+                        "unconditional {action} on hot event {}: every event pays the \
                          external-sink cost",
-                        action_name(action),
-                        rule.event.kind
+                        rule.event
                     ),
                 )
-                .with_span(action_name(action))
+                .with_span(action.to_string())
                 .with_help(
                     "add a condition to thin the firings, or move the action behind a \
                      timer rule that aggregates over a window",
@@ -176,11 +176,11 @@ pub fn check_unconditional_external(rule: &RuleIr, diags: &mut Vec<Diagnostic>) 
 /// design (that is what monitoring rules look like), and unconditional rules
 /// are W204's territory. Only `FallibleExpr` and `NoGuardAtom` mean the
 /// author could reshape the condition and get pruning for free.
-pub fn check_unindexable(universe: &SchemaUniverse, rule: &RuleIr, diags: &mut Vec<Diagnostic>) {
-    if !is_hot_event(&rule.event.kind) {
+pub fn check_unindexable(rule: &RuleIr, diags: &mut Vec<Diagnostic>) {
+    if !is_hot(&rule.event) {
         return;
     }
-    if let Err(r @ (Residual::FallibleExpr | Residual::NoGuardAtom)) = rule_guard(universe, rule) {
+    if let Err(r @ (Residual::FallibleExpr | Residual::NoGuardAtom)) = rule_guard(rule) {
         diags.push(
             Diagnostic::new(
                 Code::W205,
@@ -188,7 +188,7 @@ pub fn check_unindexable(universe: &SchemaUniverse, rule: &RuleIr, diags: &mut V
                 format!(
                     "condition on hot event {} cannot be guard-indexed: {} — the rule is \
                      evaluated on every event instead of being pruned",
-                    rule.event.kind,
+                    rule.event,
                     r.describe()
                 ),
             )
@@ -204,70 +204,49 @@ pub fn check_unindexable(universe: &SchemaUniverse, rule: &RuleIr, diags: &mut V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        AggColumnIr, Analyzer, AttrIr, Condition, EventIr, GroupColumnIr, LatAggFunc, LatIr,
-    };
+    use crate::{Analyzer, Condition, LatAggFunc, LatSpec};
 
     fn cond(src: &str) -> Condition {
         Condition::lower(&sqlcm_sql::parse_expression(src).unwrap())
     }
 
-    fn aging_lat() -> LatIr {
-        LatIr {
-            name: "Win".into(),
-            group_by: vec![GroupColumnIr {
-                source: AttrIr {
-                    class: "Query".into(),
-                    attr: "Logical_Signature".into(),
-                },
-                alias: "Sig".into(),
-            }],
-            aggregates: vec![
-                AggColumnIr {
-                    func: LatAggFunc::Count,
-                    source: None,
-                    alias: "N".into(),
-                    aging: true,
-                },
-                AggColumnIr {
-                    func: LatAggFunc::Avg,
-                    source: Some(AttrIr {
-                        class: "Query".into(),
-                        attr: "Duration".into(),
-                    }),
-                    alias: "Avg_D".into(),
-                    aging: true,
-                },
-            ],
-            bounded: true,
+    fn aging_lat() -> LatSpec {
+        LatSpec::new("Win")
+            .group_by("Query.Logical_Signature", "Sig")
+            .aggregate(LatAggFunc::Count, "", "N")
+            .aging(60_000_000, 10_000_000)
+            .aggregate(LatAggFunc::Avg, "Query.Duration", "Avg_D")
+            .aging(60_000_000, 10_000_000)
+            .max_rows(10)
+    }
+
+    fn rule(name: &str, event: RuleEvent, condition: Option<&str>, actions: Vec<Action>) -> RuleIr {
+        RuleIr {
+            name: name.into(),
+            event,
+            condition: condition.map(cond),
+            actions,
         }
+    }
+
+    fn heavy() -> RuleIr {
+        rule(
+            "heavy",
+            RuleEvent::QueryCommit,
+            Some("Win.Avg_D > 1"),
+            vec![Action::insert("Win"), Action::persist_lat("t", "Win")],
+        )
     }
 
     #[test]
     fn cost_model_is_deterministic() {
         let mut a = Analyzer::new();
         assert!(a.check_lat(&aging_lat()).is_empty());
-        let rule = RuleIr {
-            name: "heavy".into(),
-            event: EventIr {
-                kind: "QueryCommit".into(),
-                arg: None,
-                payload: vec!["Query".into()],
-            },
-            condition: Some(cond("Win.Avg_D > 1")),
-            actions: vec![
-                ActionIr::Insert { lat: "Win".into() },
-                ActionIr::PersistLat {
-                    lat: "Win".into(),
-                    table: "t".into(),
-                },
-            ],
-        };
         // probe Win: 1 + 2 aging = 3; Insert: 1 + 2 aggs + 2*2 aging + 1 bounded = 8;
         // PersistLat: 8. Total 19.
-        let (total, parts) = rule_cost(a.universe(), &rule);
+        let (total, parts) = rule_cost(a.universe(), &heavy());
         assert_eq!(total, 19);
-        // The probe is keyed by Query, which is in the QueryCommit payload:
+        // The probe is keyed by Query, which is in the Query.Commit payload:
         // the dispatch plan hoists it, and the breakdown says so.
         assert!(
             parts[0].contains("(hoisted: shared per event)"),
@@ -279,17 +258,13 @@ mod tests {
     fn probe_outside_event_payload_is_not_marked_hoisted() {
         let mut a = Analyzer::new();
         assert!(a.check_lat(&aging_lat()).is_empty());
-        let rule = RuleIr {
-            name: "timer_probe".into(),
-            event: EventIr {
-                kind: "TimerAlarm".into(),
-                arg: Some("t".into()),
-                payload: vec!["Timer".into()],
-            },
-            condition: Some(cond("Win.Avg_D > 1")),
-            actions: vec![],
-        };
-        let (_, parts) = rule_cost(a.universe(), &rule);
+        let probe = rule(
+            "timer_probe",
+            RuleEvent::TimerAlarm("t".into()),
+            Some("Win.Avg_D > 1"),
+            vec![],
+        );
+        let (_, parts) = rule_cost(a.universe(), &probe);
         assert!(!parts[0].contains("hoisted"), "{parts:?}");
     }
 
@@ -297,22 +272,7 @@ mod tests {
     fn heavy_rule_is_w201_and_light_rule_is_clean() {
         let mut a = Analyzer::new();
         assert!(a.check_lat(&aging_lat()).is_empty());
-        let mut rule = RuleIr {
-            name: "heavy".into(),
-            event: EventIr {
-                kind: "QueryCommit".into(),
-                arg: None,
-                payload: vec!["Query".into()],
-            },
-            condition: Some(cond("Win.Avg_D > 1")),
-            actions: vec![
-                ActionIr::Insert { lat: "Win".into() },
-                ActionIr::PersistLat {
-                    lat: "Win".into(),
-                    table: "t".into(),
-                },
-            ],
-        };
+        let mut rule = heavy();
         let diags = a.check_rule(&rule);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, Code::W201);
@@ -323,23 +283,15 @@ mod tests {
         // legitimately order-sensitive — heavy reads Avg_D, light writes it —
         // so only the cost verdict is asserted here.)
         rule.name = "light".into();
-        rule.actions = vec![ActionIr::Insert { lat: "Win".into() }];
+        rule.actions = vec![Action::insert("Win")];
         rule.condition = Some(cond("Win.Avg_D > 2"));
         let diags = a.check_rule(&rule);
         assert!(diags.iter().all(|d| d.code != Code::W201), "{diags:?}");
     }
 
     fn hot_rule(name: &str, condition: Option<&str>) -> RuleIr {
-        RuleIr {
-            name: name.into(),
-            event: EventIr {
-                kind: "QueryCommit".into(),
-                arg: None,
-                payload: vec!["Query".into()],
-            },
-            condition: condition.map(cond),
-            actions: vec![ActionIr::SendMail],
-        }
+        let mail = Action::send_mail("dba", "x");
+        rule(name, RuleEvent::QueryCommit, condition, vec![mail])
     }
 
     #[test]
@@ -366,11 +318,7 @@ mod tests {
 
         // Unindexable condition on a cold event: not flagged.
         let mut cold = hot_rule("cold", Some("Session.User LIKE 'svc%'"));
-        cold.event = EventIr {
-            kind: "Logout".into(),
-            arg: None,
-            payload: vec!["Session".into()],
-        };
+        cold.event = RuleEvent::Logout;
         let diags = a.check_rule(&cold);
         assert!(diags.iter().all(|d| d.code != Code::W205), "{diags:?}");
     }

@@ -28,31 +28,27 @@
 
 use crate::diagnostics::{Code, Diagnostic};
 use crate::schema::SchemaUniverse;
-use crate::{ActionIr, RuleIr};
+use crate::{Action, RuleEvent, RuleIr};
 use sqlcm_sql::NodeId;
 use std::sync::Arc;
 
-/// Events (kind, argument) a rule's actions may raise.
-pub(crate) fn raised_events(
-    universe: &SchemaUniverse,
-    rule: &RuleIr,
-) -> Vec<(&'static str, String)> {
-    let mut out = Vec::new();
-    for action in &rule.actions {
-        match action {
-            ActionIr::Insert { lat } => {
-                // Only bounded LATs evict; an unknown LAT is an E001 elsewhere.
-                if let Some(schema) = universe.lat(lat) {
-                    if schema.bounded {
-                        out.push(("LatEviction", schema.name.clone()));
-                    }
-                }
-            }
-            ActionIr::SetTimer { timer } => out.push(("TimerAlarm", timer.clone())),
-            _ => {}
-        }
-    }
-    out
+/// Events a rule's actions may raise.
+pub(crate) fn raised_events(universe: &SchemaUniverse, rule: &RuleIr) -> Vec<RuleEvent> {
+    let raised = |action: &Action| match action {
+        // Only bounded LATs evict; an unknown LAT is an E001 elsewhere.
+        Action::Insert { lat } => universe
+            .lat(lat)
+            .filter(|schema| schema.bounded)
+            .map(|schema| RuleEvent::LatEviction(schema.name.clone())),
+        Action::SetTimer { timer, .. } => Some(RuleEvent::TimerAlarm(timer.clone())),
+        Action::Reset { .. }
+        | Action::PersistLat { .. }
+        | Action::PersistObject { .. }
+        | Action::SendMail { .. }
+        | Action::RunExternal { .. }
+        | Action::Cancel { .. } => None,
+    };
+    rule.actions.iter().filter_map(raised).collect()
 }
 
 /// Longest cascade chain an admitted ruleset can produce, measured in
@@ -81,9 +77,9 @@ pub fn max_cascade_depth(universe: &SchemaUniverse, rules: &[Arc<RuleIr>]) -> us
         }
         visiting[i] = true;
         let mut deepest = 0usize;
-        for (kind, arg) in raised_events(universe, &all[i]) {
+        for raised in raised_events(universe, &all[i]) {
             for (j, r) in all.iter().enumerate() {
-                if r.event.is(kind, &arg) {
+                if r.event == raised {
                     deepest = deepest.max(1 + depth_of(universe, all, j, visiting, memo));
                 }
             }
@@ -116,10 +112,10 @@ pub fn check_cascades(
     let successors = |i: usize| -> Vec<usize> {
         raised_events(universe, all[i])
             .into_iter()
-            .flat_map(|(kind, arg)| {
+            .flat_map(|raised| {
                 all.iter()
                     .enumerate()
-                    .filter(move |(_, r)| r.event.is(kind, &arg))
+                    .filter(move |(_, r)| r.event == raised)
                     .map(|(j, _)| j)
                     .collect::<Vec<_>>()
             })
@@ -178,7 +174,7 @@ fn dfs(
 /// event feeding several LATs — and is not flagged.)
 pub fn check_duplicates(existing: &[Arc<RuleIr>], new: &RuleIr, diags: &mut Vec<Diagnostic>) {
     for r in existing {
-        if r.event.same_as(&new.event) && r.condition == new.condition && r.actions == new.actions {
+        if r.event == new.event && r.condition == new.condition && r.actions == new.actions {
             diags.push(
                 Diagnostic::new(
                     Code::W102,
@@ -229,7 +225,7 @@ pub fn check_shared_predicates(
         let Some(rir) = r.condition.as_ref().map(|c| c.folded()) else {
             continue;
         };
-        if !r.event.same_as(&new.event) {
+        if r.event != new.event {
             continue;
         }
         if rir.hash_of(rir.root) == folded.hash_of(folded.root) {
@@ -272,7 +268,7 @@ pub fn check_shared_predicates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AggColumnIr, Analyzer, AttrIr, EventIr, GroupColumnIr, LatAggFunc, LatIr};
+    use crate::{Analyzer, LatAggFunc, LatSpec};
 
     fn cond(src: &str) -> Option<crate::Condition> {
         Some(crate::Condition::lower(
@@ -280,60 +276,50 @@ mod tests {
         ))
     }
 
-    fn bounded_lat(name: &str) -> LatIr {
-        LatIr {
-            name: name.into(),
-            group_by: vec![GroupColumnIr {
-                source: AttrIr {
-                    class: "Query".into(),
-                    attr: "ID".into(),
-                },
-                alias: "ID".into(),
-            }],
-            aggregates: vec![AggColumnIr {
-                func: LatAggFunc::Max,
-                source: Some(AttrIr {
-                    class: "Query".into(),
-                    attr: "Duration".into(),
-                }),
-                alias: "D".into(),
-                aging: false,
-            }],
-            bounded: true,
+    fn lat(name: &str, bounded: bool) -> LatSpec {
+        let spec = LatSpec::new(name).group_by("Query.ID", "ID").aggregate(
+            LatAggFunc::Max,
+            "Query.Duration",
+            "D",
+        );
+        if bounded {
+            spec.max_rows(10)
+        } else {
+            spec
         }
     }
 
-    fn rule(
-        name: &str,
-        kind: &str,
-        arg: Option<&str>,
-        payload: &[&str],
-        actions: Vec<ActionIr>,
-    ) -> RuleIr {
+    fn rule(name: &str, event: RuleEvent, actions: Vec<Action>) -> RuleIr {
         RuleIr {
             name: name.into(),
-            event: EventIr {
-                kind: kind.into(),
-                arg: arg.map(|s| s.to_string()),
-                payload: payload.iter().map(|s| s.to_string()).collect(),
-            },
+            event,
             condition: None,
             actions,
         }
     }
 
+    fn evicted(lat: &str) -> RuleEvent {
+        RuleEvent::LatEviction(lat.into())
+    }
+
+    fn alarm(timer: &str) -> RuleEvent {
+        RuleEvent::TimerAlarm(timer.into())
+    }
+
+    fn set(timer: &str) -> Vec<Action> {
+        vec![Action::set_timer(timer, 1_000_000, 1)]
+    }
+
+    fn mail() -> Vec<Action> {
+        vec![Action::send_mail("dba", "x")]
+    }
+
     #[test]
     fn self_eviction_cycle_is_e004() {
         let mut a = Analyzer::new();
-        assert!(a.check_lat(&bounded_lat("Top")).is_empty());
+        assert!(a.check_lat(&lat("Top", true)).is_empty());
         // Feeding the LAT from its own eviction event recurses forever.
-        let diags = a.check_rule(&rule(
-            "refill",
-            "LatEviction",
-            Some("Top"),
-            &["Evicted(Top)"],
-            vec![ActionIr::Insert { lat: "Top".into() }],
-        ));
+        let diags = a.check_rule(&rule("refill", evicted("Top"), vec![Action::insert("Top")]));
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, Code::E004);
         assert!(a.rules().is_empty());
@@ -343,69 +329,45 @@ mod tests {
     fn two_rule_timer_cycle_is_e004() {
         let mut a = Analyzer::new();
         assert!(a
-            .check_rule(&rule(
-                "arm",
-                "TimerAlarm",
-                Some("tick"),
-                &["Timer"],
-                vec![ActionIr::SetTimer {
-                    timer: "tock".into()
-                }],
-            ))
+            .check_rule(&rule("arm", alarm("tick"), set("tock"),))
             .is_empty());
-        let diags = a.check_rule(&rule(
-            "rearm",
-            "TimerAlarm",
-            Some("tock"),
-            &["Timer"],
-            vec![ActionIr::SetTimer {
-                timer: "tick".into(),
-            }],
-        ));
+        let diags = a.check_rule(&rule("rearm", alarm("tock"), set("tick")));
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, Code::E004);
         assert!(diags[0].message.contains("rearm"));
         assert!(diags[0].message.contains("arm"));
+        // The runtime keys timers exactly: timer `tick` never raises
+        // `Timer.Alarm(Tick)`, so re-arming it from that alarm cannot cycle.
+        let diags = a.check_rule(&rule("rearm_tick", alarm("Tick"), set("tick")));
+        assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
     fn eviction_chain_without_cycle_is_clean() {
         let mut a = Analyzer::new();
-        assert!(a.check_lat(&bounded_lat("A")).is_empty());
-        assert!(a.check_lat(&bounded_lat("B")).is_empty());
+        assert!(a.check_lat(&lat("A", true)).is_empty());
+        assert!(a.check_lat(&lat("B", true)).is_empty());
         assert!(a
             .check_rule(&rule(
                 "feed_a",
-                "QueryCommit",
-                None,
-                &["Query"],
-                vec![ActionIr::Insert { lat: "A".into() }],
+                RuleEvent::QueryCommit,
+                vec![Action::insert("A")],
             ))
             .is_empty());
         // A's evictions feed B; B's evictions go nowhere. Terminating chain.
-        let diags = a.check_rule(&rule(
-            "spill",
-            "LatEviction",
-            Some("A"),
-            &["Evicted(A)"],
-            vec![ActionIr::Insert { lat: "B".into() }],
-        ));
+        let diags = a.check_rule(&rule("spill", evicted("A"), vec![Action::insert("B")]));
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
     fn unbounded_lat_insert_creates_no_edge() {
         let mut a = Analyzer::new();
-        let mut lat = bounded_lat("Open");
-        lat.bounded = false;
-        assert!(a.check_lat(&lat).is_empty());
+        assert!(a.check_lat(&lat("Open", false)).is_empty());
         // Unbounded LATs never evict, so the "cycle" cannot actually cascade.
         let diags = a.check_rule(&rule(
             "refill",
-            "LatEviction",
-            Some("Open"),
-            &["Evicted(Open)"],
-            vec![ActionIr::Insert { lat: "Open".into() }],
+            evicted("Open"),
+            vec![Action::insert("Open")],
         ));
         assert!(diags.is_empty(), "{diags:?}");
     }
@@ -413,39 +375,25 @@ mod tests {
     #[test]
     fn cascade_depth_bound_follows_the_eviction_chain() {
         let mut a = Analyzer::new();
-        assert!(a.check_lat(&bounded_lat("A")).is_empty());
-        assert!(a.check_lat(&bounded_lat("B")).is_empty());
+        assert!(a.check_lat(&lat("A", true)).is_empty());
+        assert!(a.check_lat(&lat("B", true)).is_empty());
         assert_eq!(a.max_cascade_depth(), 0, "no rules, no cascades");
         assert!(a
             .check_rule(&rule(
                 "feed_a",
-                "QueryCommit",
-                None,
-                &["Query"],
-                vec![ActionIr::Insert { lat: "A".into() }],
+                RuleEvent::QueryCommit,
+                vec![Action::insert("A")],
             ))
             .is_empty());
         // Nothing subscribes to A's evictions yet: the insert raises an
         // event no rule handles, so no *rule chain* extends past depth 0.
         assert_eq!(a.max_cascade_depth(), 0);
         assert!(a
-            .check_rule(&rule(
-                "spill",
-                "LatEviction",
-                Some("A"),
-                &["Evicted(A)"],
-                vec![ActionIr::Insert { lat: "B".into() }],
-            ))
+            .check_rule(&rule("spill", evicted("A"), vec![Action::insert("B")],))
             .is_empty());
         assert_eq!(a.max_cascade_depth(), 1, "commit -> eviction(A)");
         assert!(a
-            .check_rule(&rule(
-                "archive",
-                "LatEviction",
-                Some("B"),
-                &["Evicted(B)"],
-                vec![ActionIr::SendMail],
-            ))
+            .check_rule(&rule("archive", evicted("B"), mail(),))
             .is_empty());
         assert_eq!(
             a.max_cascade_depth(),
@@ -457,26 +405,16 @@ mod tests {
     #[test]
     fn cascade_depth_bound_ignores_unbounded_inserts() {
         let mut a = Analyzer::new();
-        let mut lat = bounded_lat("Open");
-        lat.bounded = false;
-        assert!(a.check_lat(&lat).is_empty());
+        assert!(a.check_lat(&lat("Open", false)).is_empty());
         assert!(a
             .check_rule(&rule(
                 "feed",
-                "QueryCommit",
-                None,
-                &["Query"],
-                vec![ActionIr::Insert { lat: "Open".into() }],
+                RuleEvent::QueryCommit,
+                vec![Action::insert("Open")],
             ))
             .is_empty());
         assert!(a
-            .check_rule(&rule(
-                "never",
-                "LatEviction",
-                Some("Open"),
-                &["Evicted(Open)"],
-                vec![ActionIr::SendMail],
-            ))
+            .check_rule(&rule("never", evicted("Open"), mail(),))
             .is_empty());
         assert_eq!(a.max_cascade_depth(), 0, "unbounded LATs never evict");
     }
@@ -484,22 +422,10 @@ mod tests {
     #[test]
     fn shared_predicate_across_same_event_rules_is_w105() {
         let mut a = Analyzer::new();
-        let mut first = rule(
-            "one",
-            "QueryCommit",
-            None,
-            &["Query"],
-            vec![ActionIr::SendMail],
-        );
+        let mut first = rule("one", RuleEvent::QueryCommit, mail());
         first.condition = cond("Query.Duration > 5 AND Query.User = 'admin'");
         assert!(a.check_rule(&first).is_empty());
-        let mut second = rule(
-            "two",
-            "QueryCommit",
-            None,
-            &["Query"],
-            vec![ActionIr::SendMail],
-        );
+        let mut second = rule("two", RuleEvent::QueryCommit, mail());
         second.condition = cond("Query.Duration > 5 AND Query.Estimated_Cost > 100");
         let diags = a.check_rule(&second);
         assert_eq!(diags.len(), 1, "{diags:?}");
@@ -513,22 +439,10 @@ mod tests {
     #[test]
     fn shared_predicate_on_different_events_is_clean() {
         let mut a = Analyzer::new();
-        let mut first = rule(
-            "one",
-            "QueryCommit",
-            None,
-            &["Query"],
-            vec![ActionIr::SendMail],
-        );
+        let mut first = rule("one", RuleEvent::QueryCommit, mail());
         first.condition = cond("Query.Duration > 5");
         assert!(a.check_rule(&first).is_empty());
-        let mut second = rule(
-            "two",
-            "QueryStart",
-            None,
-            &["Query"],
-            vec![ActionIr::SendMail],
-        );
+        let mut second = rule("two", RuleEvent::QueryStart, mail());
         second.condition = cond("Query.Duration > 5 AND Query.User = 'x'");
         let diags = a.check_rule(&second);
         assert!(diags.is_empty(), "{diags:?}");
@@ -537,13 +451,7 @@ mod tests {
     #[test]
     fn duplicate_event_and_condition_is_w102() {
         let mut a = Analyzer::new();
-        let mut first = rule(
-            "one",
-            "QueryCommit",
-            None,
-            &["Query"],
-            vec![ActionIr::SendMail],
-        );
+        let mut first = rule("one", RuleEvent::QueryCommit, mail());
         first.condition = cond("Query.Duration > 5");
         assert!(a.check_rule(&first).is_empty());
         let mut second = first.clone();

@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use crate::diagnostics::{Code, Diagnostic};
 use crate::schema::SchemaUniverse;
-use crate::{ActionIr, EventIr, RuleIr};
+use crate::{Action, RuleIr};
 
 /// What one rule writes into one LAT.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -46,7 +46,6 @@ pub struct LatWriteEffect {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuleEffects {
     pub rule: String,
-    pub event: EventIr,
     /// Class attributes the condition reads, keyed by canonical class name.
     pub attr_reads: BTreeMap<String, BTreeSet<String>>,
     /// LAT columns the condition reads, keyed by lowercased LAT name with
@@ -108,7 +107,6 @@ impl RuleEffects {
 pub fn rule_effects(universe: &SchemaUniverse, rule: &RuleIr) -> RuleEffects {
     let mut eff = RuleEffects {
         rule: rule.name.clone(),
-        event: rule.event.clone(),
         attr_reads: BTreeMap::new(),
         lat_reads: BTreeMap::new(),
         lat_writes: BTreeMap::new(),
@@ -118,7 +116,7 @@ pub fn rule_effects(universe: &SchemaUniverse, rule: &RuleIr) -> RuleEffects {
     }
     for action in &rule.actions {
         match action {
-            ActionIr::Insert { lat } => {
+            Action::Insert { lat } => {
                 let w = eff.lat_writes.entry(lat.to_ascii_lowercase()).or_default();
                 w.creates_rows = true;
                 match universe.lat(lat) {
@@ -130,18 +128,18 @@ pub fn rule_effects(universe: &SchemaUniverse, rule: &RuleIr) -> RuleEffects {
                     None => w.whole_lat = true,
                 }
             }
-            ActionIr::Reset { lat } => {
+            Action::Reset { lat } => {
                 eff.lat_writes
                     .entry(lat.to_ascii_lowercase())
                     .or_default()
                     .whole_lat = true;
             }
-            ActionIr::PersistLat { .. }
-            | ActionIr::PersistObject { .. }
-            | ActionIr::SetTimer { .. }
-            | ActionIr::Cancel { .. }
-            | ActionIr::SendMail
-            | ActionIr::RunExternal => {}
+            Action::PersistLat { .. }
+            | Action::PersistObject { .. }
+            | Action::SetTimer { .. }
+            | Action::Cancel { .. }
+            | Action::SendMail { .. }
+            | Action::RunExternal { .. } => {}
         }
     }
     eff
@@ -156,7 +154,7 @@ fn collect_reads(universe: &SchemaUniverse, ir: &ExprIr, eff: &mut RuleEffects) 
         if let Some(class) = universe.class(q) {
             let attr = class.canonical_attr(name).unwrap_or(name).to_string();
             eff.attr_reads
-                .entry(class.name.clone())
+                .entry(class.class.to_string())
                 .or_default()
                 .insert(attr);
         } else {
@@ -199,7 +197,7 @@ pub fn check_unfed_reads(
         .chain(std::iter::once(rule))
     {
         for action in &r.actions {
-            if let ActionIr::Insert { lat } = action {
+            if let Action::Insert { lat } = action {
                 fed.insert(lat.to_ascii_lowercase());
             }
         }
@@ -241,52 +239,25 @@ pub fn check_unfed_reads(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AggColumnIr, AttrIr, GroupColumnIr, LatAggFunc, LatIr};
+    use crate::{Condition, LatAggFunc, LatSpec, RuleEvent};
 
     fn universe_with_lat() -> SchemaUniverse {
         let mut u = SchemaUniverse::builtin();
-        let diags = u.register_lat(&LatIr {
-            name: "D_LAT".into(),
-            group_by: vec![GroupColumnIr {
-                source: AttrIr {
-                    class: "Query".into(),
-                    attr: "Logical_Signature".into(),
-                },
-                alias: "Sig".into(),
-            }],
-            aggregates: vec![
-                AggColumnIr {
-                    func: LatAggFunc::Count,
-                    source: None,
-                    alias: "N".into(),
-                    aging: false,
-                },
-                AggColumnIr {
-                    func: LatAggFunc::Avg,
-                    source: Some(AttrIr {
-                        class: "Query".into(),
-                        attr: "Duration".into(),
-                    }),
-                    alias: "AD".into(),
-                    aging: false,
-                },
-            ],
-            bounded: false,
-        });
+        let diags = u.register_lat(
+            &LatSpec::new("D_LAT")
+                .group_by("Query.Logical_Signature", "Sig")
+                .aggregate(LatAggFunc::Count, "", "N")
+                .aggregate(LatAggFunc::Avg, "Query.Duration", "AD"),
+        );
         assert!(diags.is_empty(), "{diags:?}");
         u
     }
 
-    fn rule(name: &str, cond: Option<&str>, actions: Vec<ActionIr>) -> RuleIr {
+    fn rule(name: &str, cond: Option<&str>, actions: Vec<Action>) -> RuleIr {
         RuleIr {
             name: name.into(),
-            event: EventIr {
-                kind: "QueryCommit".into(),
-                arg: None,
-                payload: vec!["Query".into()],
-            },
-            condition: cond
-                .map(|c| crate::Condition::lower(&sqlcm_sql::parse_expression(c).unwrap())),
+            event: RuleEvent::QueryCommit,
+            condition: cond.map(|c| Condition::lower(&sqlcm_sql::parse_expression(c).unwrap())),
             actions,
         }
     }
@@ -294,16 +265,7 @@ mod tests {
     #[test]
     fn insert_writes_aggregates_and_creates_rows() {
         let u = universe_with_lat();
-        let eff = rule_effects(
-            &u,
-            &rule(
-                "feed",
-                None,
-                vec![ActionIr::Insert {
-                    lat: "d_lat".into(),
-                }],
-            ),
-        );
+        let eff = rule_effects(&u, &rule("feed", None, vec![Action::insert("d_lat")]));
         let w = eff.lat_writes.get("d_lat").unwrap();
         assert!(w.creates_rows);
         assert!(!w.whole_lat);
@@ -314,16 +276,7 @@ mod tests {
     #[test]
     fn reset_is_whole_lat() {
         let u = universe_with_lat();
-        let eff = rule_effects(
-            &u,
-            &rule(
-                "wipe",
-                None,
-                vec![ActionIr::Reset {
-                    lat: "D_LAT".into(),
-                }],
-            ),
-        );
+        let eff = rule_effects(&u, &rule("wipe", None, vec![Action::reset("D_LAT")]));
         assert!(eff.lat_writes.get("d_lat").unwrap().whole_lat);
     }
 
@@ -347,16 +300,7 @@ mod tests {
     fn reader_before_writer_interferes() {
         let u = universe_with_lat();
         let reader = rule_effects(&u, &rule("reader", Some("D_LAT.N > 5"), vec![]));
-        let writer = rule_effects(
-            &u,
-            &rule(
-                "writer",
-                None,
-                vec![ActionIr::Insert {
-                    lat: "D_LAT".into(),
-                }],
-            ),
-        );
+        let writer = rule_effects(&u, &rule("writer", None, vec![Action::insert("D_LAT")]));
         assert!(reader.reads_what_it_writes(&writer).is_some());
         assert!(writer.reads_what_it_writes(&reader).is_none());
         assert!(reader.interferes_with(&writer).is_some());
@@ -385,13 +329,7 @@ mod tests {
         assert!(diags.is_empty(), "{diags:?}");
 
         // A feeder anywhere in the admitted set silences the warning.
-        let feeder = Arc::new(rule(
-            "feed",
-            None,
-            vec![ActionIr::Insert {
-                lat: "D_LAT".into(),
-            }],
-        ));
+        let feeder = Arc::new(rule("feed", None, vec![Action::insert("D_LAT")]));
         let mut diags = Vec::new();
         check_unfed_reads(
             &u,

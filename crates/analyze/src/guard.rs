@@ -35,8 +35,7 @@ use std::fmt;
 use sqlcm_common::Value;
 use sqlcm_sql::{BinOp, ExprIr, IrOp, NodeId, UnaryOp};
 
-use crate::schema::SchemaUniverse;
-use crate::RuleIr;
+use crate::{ClassName, RuleIr};
 
 /// One endpoint of a range guard, kept as the exact [`Value`] so admission
 /// checks use the VM's own comparison.
@@ -62,13 +61,33 @@ pub enum GuardKind {
     },
 }
 
-/// The guard extracted from one rule: canonical class and attribute names
-/// plus the admitted set.
+/// The guard extracted from one rule: the class, the attribute's position
+/// in the class's value layout (what the runtime's index probes), and the
+/// admitted set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Guard {
-    pub class: String,
-    pub attr: String,
+    pub class: ClassName,
+    pub attr: usize,
     pub kind: GuardKind,
+}
+
+impl Guard {
+    /// Guard provably empty (`x IN (NULL)`, `x > 5 AND x < 3`): the rule can
+    /// never fire and is always pruned.
+    pub fn never(&self) -> bool {
+        match &self.kind {
+            GuardKind::Eq(values) => values.is_empty(),
+            GuardKind::Range {
+                lo: Some(l),
+                hi: Some(h),
+            } => match l.value.cmp(&h.value) {
+                Ordering::Greater => true,
+                Ordering::Equal => l.strict || h.strict,
+                Ordering::Less => false,
+            },
+            GuardKind::Range { .. } => false,
+        }
+    }
 }
 
 impl fmt::Display for Guard {
@@ -78,7 +97,8 @@ impl fmt::Display for Guard {
             GuardKind::Eq(_) => "equality",
             GuardKind::Range { .. } => "range",
         };
-        write!(f, "{shape} on {}.{}", self.class, self.attr)
+        let schema = self.class.schema().expect("guards are on built-in classes");
+        write!(f, "{shape} on {}.{}", self.class, schema.attrs[self.attr].0)
     }
 }
 
@@ -122,19 +142,17 @@ impl Residual {
 /// One guard per rule: the first equality/`IN` conjunct wins (a point probe
 /// beats a range sweep); otherwise every range conjunct over the first
 /// ranged attribute is merged into one interval.
-pub fn rule_guard(universe: &SchemaUniverse, rule: &RuleIr) -> Result<Guard, Residual> {
+pub fn rule_guard(rule: &RuleIr) -> Result<Guard, Residual> {
     let Some(cond) = &rule.condition else {
         return Err(Residual::Unconditional);
     };
     let ir = cond.folded();
-    let (classes, lats) = rule.refs(universe);
+    let (classes, lats) = rule.refs();
     if !lats.is_empty() {
         return Err(Residual::ReadsLat);
     }
-    if !classes
-        .iter()
-        .all(|c| rule.event.payload.iter().any(|p| p.eq_ignore_ascii_case(c)))
-    {
+    let payload = rule.event.payload_classes();
+    if !classes.iter().all(|c| payload.contains(c)) {
         return Err(Residual::NonPayloadClass);
     }
     // Whole-arena fallibility scan: a fallible node anywhere — even under a
@@ -163,7 +181,7 @@ pub fn rule_guard(universe: &SchemaUniverse, rule: &RuleIr) -> Result<Guard, Res
     conjuncts(ir, ir.root, &mut conj);
     let mut range: Option<Guard> = None;
     for id in conj {
-        let Some(atom) = atom_of(universe, ir, id) else {
+        let Some(atom) = atom_of(ir, id) else {
             continue;
         };
         let GuardKind::Range { lo, hi } = atom.kind else {
@@ -235,16 +253,17 @@ fn flip(op: BinOp) -> Option<BinOp> {
     })
 }
 
-/// Canonical `(class, attribute)` of a qualified class-attribute reference.
-fn class_attr(universe: &SchemaUniverse, ir: &ExprIr, id: NodeId) -> Option<(String, String)> {
+/// Class and attribute position of a qualified class-attribute reference.
+fn class_attr(ir: &ExprIr, id: NodeId) -> Option<(ClassName, usize)> {
     let IrOp::Ref(r) = ir.op(id) else { return None };
     let (qualifier, name) = &ir.refs[*r as usize];
-    let class = universe.class(qualifier.as_deref()?)?;
-    Some((class.name.clone(), class.canonical_attr(name)?.to_string()))
+    let class = ClassName::parse(qualifier.as_deref()?)?;
+    let attr = class.schema()?.attr_index(name)?;
+    Some((class, attr))
 }
 
 /// Lift one conjunct into a guard atom, if it has an indexable shape.
-fn atom_of(universe: &SchemaUniverse, ir: &ExprIr, id: NodeId) -> Option<Guard> {
+fn atom_of(ir: &ExprIr, id: NodeId) -> Option<Guard> {
     match ir.op(id) {
         IrOp::Binary { left, op, right } => {
             let (attr_node, cval, op) = match (ir.const_value(*left), ir.const_value(*right)) {
@@ -252,7 +271,7 @@ fn atom_of(universe: &SchemaUniverse, ir: &ExprIr, id: NodeId) -> Option<Guard> 
                 (Some(c), None) => (*right, c, flip(*op)?),
                 _ => return None,
             };
-            let (class, attr) = class_attr(universe, ir, attr_node)?;
+            let (class, attr) = class_attr(ir, attr_node)?;
             let kind = match op {
                 BinOp::Eq if cval.is_null() => GuardKind::Eq(Vec::new()),
                 BinOp::Eq => GuardKind::Eq(vec![cval.clone()]),
@@ -291,7 +310,7 @@ fn atom_of(universe: &SchemaUniverse, ir: &ExprIr, id: NodeId) -> Option<Guard> 
             list,
             negated: false,
         } => {
-            let (class, attr) = class_attr(universe, ir, *expr)?;
+            let (class, attr) = class_attr(ir, *expr)?;
             let mut values = Vec::new();
             for m in &ir.lists[*list as usize] {
                 // A null member can never compare TRUE; it just drops out.
@@ -313,26 +332,26 @@ fn atom_of(universe: &SchemaUniverse, ir: &ExprIr, id: NodeId) -> Option<Guard> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ActionIr, Condition, EventIr};
+    use crate::{Action, Condition, RuleEvent};
 
-    fn verdict(payload: &str, cond: Option<&str>) -> Result<Guard, Residual> {
+    fn verdict(event: RuleEvent, cond: Option<&str>) -> Result<Guard, Residual> {
         let rule = RuleIr {
             name: "r".into(),
-            event: EventIr {
-                kind: "QueryCommit".into(),
-                arg: None,
-                payload: vec![payload.into()],
-            },
+            event,
             condition: cond.map(|c| Condition::lower(&sqlcm_sql::parse_expression(c).unwrap())),
-            actions: vec![ActionIr::SendMail],
+            actions: vec![Action::send_mail("dba", "x")],
         };
-        rule_guard(&SchemaUniverse::builtin(), &rule)
+        rule_guard(&rule)
+    }
+
+    fn query_attr(attr: &str) -> usize {
+        ClassName::Query.schema().unwrap().attr_index(attr).unwrap()
     }
 
     fn eq(attr: &str, values: &[Value]) -> Result<Guard, Residual> {
         Ok(Guard {
-            class: "Query".into(),
-            attr: attr.into(),
+            class: ClassName::Query,
+            attr: query_attr(attr),
             kind: GuardKind::Eq(values.to_vec()),
         })
     }
@@ -343,8 +362,8 @@ mod tests {
             strict,
         };
         Ok(Guard {
-            class: "Query".into(),
-            attr: "Duration".into(),
+            class: ClassName::Query,
+            attr: query_attr("Duration"),
             kind: GuardKind::Range {
                 lo: lo.map(bound),
                 hi: hi.map(bound),
@@ -411,19 +430,26 @@ mod tests {
             ),
         ];
         for (cond, want) in cases {
-            assert_eq!(verdict("Query", Some(cond)), want, "{cond}");
+            assert_eq!(verdict(RuleEvent::QueryCommit, Some(cond)), want, "{cond}");
         }
-        assert_eq!(verdict("Query", None), Err(Residual::Unconditional));
+        assert_eq!(
+            verdict(RuleEvent::QueryCommit, None),
+            Err(Residual::Unconditional)
+        );
         // The same condition is residual on an event that lacks the class.
         assert_eq!(
-            verdict("Session", Some("Query.Duration > 1")),
+            verdict(RuleEvent::Login, Some("Query.Duration > 1")),
             Err(Residual::NonPayloadClass)
         );
     }
 
     #[test]
     fn guards_describe_their_shape() {
-        let show = |c| verdict("Query", Some(c)).unwrap().to_string();
+        let show = |c| {
+            verdict(RuleEvent::QueryCommit, Some(c))
+                .unwrap()
+                .to_string()
+        };
         assert_eq!(show("Query.User = 'alice'"), "equality on Query.User");
         assert_eq!(
             show("Query.Logical_Signature IN (1, 2, 3)"),

@@ -258,14 +258,14 @@ fn attr_domain(attr: &str, ty: DataType) -> AbsVal {
 
 /// Domain of a LAT column, derived from its aggregate function and source
 /// attribute domain.
-fn lat_column_domain(universe: &SchemaUniverse, col: &LatColumn) -> AbsVal {
+fn lat_column_domain(col: &LatColumn) -> AbsVal {
     let source_domain = || -> AbsVal {
         match &col.source {
-            Some((class, attr)) => match universe
-                .class(class)
-                .and_then(|c| c.attr_type(attr).map(|t| (c.canonical_attr(attr), t)))
-            {
-                Some((name, ty)) => attr_domain(name.unwrap_or(attr), ty),
+            Some(src) => match src.class.schema().and_then(|c| {
+                c.attr_type(&src.attr)
+                    .map(|t| (c.canonical_attr(&src.attr), t))
+            }) {
+                Some((name, ty)) => attr_domain(name.unwrap_or(&src.attr), ty),
                 None => AbsVal::Other,
             },
             None => AbsVal::Other,
@@ -319,7 +319,7 @@ fn column_domain(universe: &SchemaUniverse, qualifier: &Option<String>, name: &s
         };
     }
     match universe.lat(q).and_then(|l| l.column(name)) {
-        Some(col) => lat_column_domain(universe, col),
+        Some(col) => lat_column_domain(col),
         None => AbsVal::Other,
     }
 }
@@ -595,38 +595,16 @@ fn check_divisor(rule: &str, ir: &ExprIr, divisor: NodeId, v: AbsVal, diags: &mu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AggColumnIr, AttrIr, GroupColumnIr, LatIr};
+    use crate::LatSpec;
 
     fn universe() -> SchemaUniverse {
         let mut u = SchemaUniverse::builtin();
-        let diags = u.register_lat(&LatIr {
-            name: "D_LAT".into(),
-            group_by: vec![GroupColumnIr {
-                source: AttrIr {
-                    class: "Query".into(),
-                    attr: "Logical_Signature".into(),
-                },
-                alias: "Sig".into(),
-            }],
-            aggregates: vec![
-                AggColumnIr {
-                    func: LatAggFunc::Count,
-                    source: None,
-                    alias: "N".into(),
-                    aging: false,
-                },
-                AggColumnIr {
-                    func: LatAggFunc::Avg,
-                    source: Some(AttrIr {
-                        class: "Query".into(),
-                        attr: "Duration".into(),
-                    }),
-                    alias: "AD".into(),
-                    aging: false,
-                },
-            ],
-            bounded: false,
-        });
+        let diags = u.register_lat(
+            &LatSpec::new("D_LAT")
+                .group_by("Query.Logical_Signature", "Sig")
+                .aggregate(LatAggFunc::Count, "", "N")
+                .aggregate(LatAggFunc::Avg, "Query.Duration", "AD"),
+        );
         assert!(diags.is_empty(), "{diags:?}");
         u
     }

@@ -22,12 +22,12 @@ use crate::schema::SchemaUniverse;
 use crate::RuleIr;
 
 pub fn check_rule(universe: &SchemaUniverse, rule: &RuleIr, diags: &mut Vec<Diagnostic>) {
-    let (classes, lats) = rule.refs(universe);
-    let in_payload = |c: &str| rule.event.payload.iter().any(|p| p.eq_ignore_ascii_case(c));
+    let (classes, lats) = rule.refs();
+    let payload = rule.event.payload_classes();
 
     for class in &classes {
-        let schema = universe.class(class).expect("canonicalized by expr_refs");
-        if !in_payload(class) && !schema.iterable {
+        let schema = class.schema().expect("parsed classes are built-in");
+        if !payload.contains(class) && !schema.iterable {
             diags.push(
                 Diagnostic::new(
                     Code::W101,
@@ -51,13 +51,11 @@ pub fn check_rule(universe: &SchemaUniverse, rule: &RuleIr, diags: &mut Vec<Diag
         let Some(lat) = universe.lat(lat_name) else {
             continue;
         };
-        let source = lat.source_class.clone();
-        if source.is_empty() {
+        let Some(source) = &lat.source_class else {
             continue;
-        }
-        let iterable = universe.class(&source).map(|c| c.iterable).unwrap_or(false);
-        let named_in_condition = classes.iter().any(|c| c.eq_ignore_ascii_case(&source));
-        if in_payload(&source) || (iterable && named_in_condition) {
+        };
+        let iterable = source.schema().is_some_and(|c| c.iterable);
+        if payload.contains(source) || (iterable && classes.contains(source)) {
             continue;
         }
         let help = if iterable {
@@ -88,40 +86,19 @@ pub fn check_rule(universe: &SchemaUniverse, rule: &RuleIr, diags: &mut Vec<Diag
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AggColumnIr, Analyzer, AttrIr, EventIr, GroupColumnIr, LatAggFunc, LatIr};
+    use crate::{Action, Analyzer, Condition, LatAggFunc, LatSpec, RuleEvent};
 
-    fn duration_lat() -> LatIr {
-        LatIr {
-            name: "Duration_LAT".into(),
-            group_by: vec![GroupColumnIr {
-                source: AttrIr {
-                    class: "Query".into(),
-                    attr: "Logical_Signature".into(),
-                },
-                alias: "Sig".into(),
-            }],
-            aggregates: vec![AggColumnIr {
-                func: LatAggFunc::Avg,
-                source: Some(AttrIr {
-                    class: "Query".into(),
-                    attr: "Duration".into(),
-                }),
-                alias: "Avg_Duration".into(),
-                aging: false,
-            }],
-            bounded: false,
-        }
+    fn duration_lat() -> LatSpec {
+        LatSpec::new("Duration_LAT")
+            .group_by("Query.Logical_Signature", "Sig")
+            .aggregate(LatAggFunc::Avg, "Query.Duration", "Avg_Duration")
     }
 
-    fn rule_on(event: &str, payload: &[&str], cond: &str) -> RuleIr {
+    fn rule_on(event: RuleEvent, cond: &str) -> RuleIr {
         RuleIr {
             name: "t".into(),
-            event: EventIr {
-                kind: event.into(),
-                arg: None,
-                payload: payload.iter().map(|s| s.to_string()).collect(),
-            },
-            condition: Some(crate::Condition::lower(
+            event,
+            condition: Some(Condition::lower(
                 &sqlcm_sql::parse_expression(cond).unwrap(),
             )),
             actions: vec![],
@@ -134,15 +111,9 @@ mod tests {
     fn admit_feeder(a: &mut Analyzer) {
         let feed = RuleIr {
             name: "feed".into(),
-            event: EventIr {
-                kind: "QueryCommit".into(),
-                arg: None,
-                payload: vec!["Query".into()],
-            },
+            event: RuleEvent::QueryCommit,
             condition: None,
-            actions: vec![crate::ActionIr::Insert {
-                lat: "Duration_LAT".into(),
-            }],
+            actions: vec![Action::insert("Duration_LAT")],
         };
         assert!(a.check_rule(&feed).is_empty());
     }
@@ -153,8 +124,7 @@ mod tests {
         assert!(a.check_lat(&duration_lat()).is_empty());
         admit_feeder(&mut a);
         let diags = a.check_rule(&rule_on(
-            "QueryCommit",
-            &["Query"],
+            RuleEvent::QueryCommit,
             "Query.Duration > 5 * Duration_LAT.Avg_Duration",
         ));
         assert!(diags.is_empty(), "{diags:?}");
@@ -168,8 +138,7 @@ mod tests {
         // TxnCommit carries only Transaction; the condition never names Query,
         // so no Query object is ever in scope to build the grouping key.
         let diags = a.check_rule(&rule_on(
-            "TxnCommit",
-            &["Transaction"],
+            RuleEvent::TxnCommit,
             "Duration_LAT.Avg_Duration > 5",
         ));
         assert_eq!(diags.len(), 1, "{diags:?}");
@@ -184,8 +153,7 @@ mod tests {
         // Query is named directly, so the engine iterates active queries and
         // the probe binds per iterated object.
         let diags = a.check_rule(&rule_on(
-            "TxnCommit",
-            &["Transaction"],
+            RuleEvent::TxnCommit,
             "Query.Duration > 1 AND Duration_LAT.Avg_Duration > 5",
         ));
         assert!(diags.is_empty(), "{diags:?}");
@@ -194,11 +162,7 @@ mod tests {
     #[test]
     fn non_iterable_class_outside_payload_is_w101() {
         let mut a = Analyzer::new();
-        let diags = a.check_rule(&rule_on(
-            "QueryCommit",
-            &["Query"],
-            "Session.Success = FALSE",
-        ));
+        let diags = a.check_rule(&rule_on(RuleEvent::QueryCommit, "Session.Success = FALSE"));
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, Code::W101);
     }
@@ -206,11 +170,7 @@ mod tests {
     #[test]
     fn iterable_class_outside_payload_is_clean() {
         let mut a = Analyzer::new();
-        let diags = a.check_rule(&rule_on(
-            "TxnCommit",
-            &["Transaction"],
-            "Table.Row_Count > 1000",
-        ));
+        let diags = a.check_rule(&rule_on(RuleEvent::TxnCommit, "Table.Row_Count > 1000"));
         assert!(diags.is_empty(), "{diags:?}");
     }
 }

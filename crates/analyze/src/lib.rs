@@ -33,18 +33,19 @@
 //! | W302 | warning  | one event can trigger more evaluations than the cascade threshold ([`confluence`]) |
 //!
 //! Beyond lints, the crate owns what a rule *is*, and `sqlcm-core` consumes
-//! that one artifact instead of re-deriving it: the monitored-class attribute
-//! tables ([`schema`]), the condition's lowered and folded expression IR
-//! ([`Condition`], built once per rule), the dispatch guard verdict
-//! ([`guard::rule_guard`] — what the runtime's guard index installs is what
-//! W205 reports on), and the [`effects`] pass's [`RuleEffects`] summaries
-//! (column-level read/write sets the dispatch-plan compiler uses to
-//! invalidate hoisted LAT row snapshots only when an interposed rule's write
-//! set actually intersects the readers' read set).
+//! that one artifact instead of re-deriving it: the rule language itself
+//! ([`RuleEvent`], [`Action`], [`ClassName`] and the [`LatSpec`] family, which
+//! core re-exports and builds its runtime rules and tables from), the
+//! monitored-class attribute tables ([`schema`]), the condition's lowered and
+//! folded expression IR ([`Condition`], built once per rule), the dispatch
+//! guard verdict ([`guard::rule_guard`] — what the runtime's guard index
+//! installs is what W205 reports on), and the [`effects`] pass's
+//! [`RuleEffects`] summaries (column-level read/write sets the dispatch-plan
+//! compiler uses to invalidate hoisted LAT row snapshots only when an
+//! interposed rule's write set actually intersects the readers' read set).
 //!
 //! The crate is deliberately independent of `sqlcm-core` (core calls *into*
-//! the analyzer); rules and LAT specs arrive as a small IR ([`RuleIr`],
-//! [`LatIr`]) that core's `analysis` module builds from its own types.
+//! the analyzer).
 
 pub mod confluence;
 pub mod cost;
@@ -54,6 +55,8 @@ pub mod effects;
 pub mod guard;
 pub mod intervals;
 pub mod joinability;
+pub mod lat;
+pub mod rule;
 pub mod schema;
 pub mod typeck;
 
@@ -61,150 +64,18 @@ pub use cost::DEFAULT_COST_THRESHOLD;
 pub use diagnostics::{has_errors, Code, Diagnostic, Severity};
 pub use effects::{rule_effects, LatWriteEffect, RuleEffects};
 pub use guard::{rule_guard, Bound, Guard, GuardKind, Residual};
-pub use schema::{ClassSchema, LatColumn, LatSchema, SchemaUniverse};
+pub use lat::{AggColumn, AgingSpec, AttrRef, GroupColumn, LatAggFunc, LatSpec};
+pub use rule::{Action, RuleEvent};
+pub use schema::{ClassName, ClassSchema, LatColumn, LatSchema, SchemaUniverse};
 
 /// Default for [`Analyzer::cascade_threshold`]: the worst-case number of rule
 /// evaluations one event may transitively trigger before W302 fires.
 pub const DEFAULT_CASCADE_THRESHOLD: usize = 64;
 
 use sqlcm_sql::{Expr, ExprIr};
-use std::fmt;
 use std::sync::Arc;
 
-// ------------------------------------------------------------ IR
-
-/// A `Class.Attribute` reference in a LAT spec.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AttrIr {
-    pub class: String,
-    pub attr: String,
-}
-
-/// Aggregation functions available in LATs (paper §4.3: "in addition to the
-/// standard aggregation functions COUNT, SUM, and AVG, SQLCM also supports …
-/// STDEV and FIRST and LAST"). The one definition: `sqlcm-core` re-exports it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LatAggFunc {
-    Count,
-    Sum,
-    Avg,
-    StdDev,
-    Min,
-    Max,
-    First,
-    Last,
-}
-
-/// One grouping column of a LAT spec.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GroupColumnIr {
-    pub source: AttrIr,
-    pub alias: String,
-}
-
-/// One aggregate column of a LAT spec.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AggColumnIr {
-    pub func: LatAggFunc,
-    /// `None` only for `COUNT(*)`.
-    pub source: Option<AttrIr>,
-    pub alias: String,
-    /// True when the aggregate has an aging (moving-window) spec.
-    pub aging: bool,
-}
-
-/// Analyzer view of a LAT specification.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LatIr {
-    pub name: String,
-    pub group_by: Vec<GroupColumnIr>,
-    pub aggregates: Vec<AggColumnIr>,
-    /// True when the LAT has a size bound and can therefore evict rows (and
-    /// raise `LatEviction` events).
-    pub bounded: bool,
-}
-
-/// Analyzer view of a rule's triggering event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EventIr {
-    /// Event family, e.g. `"QueryCommit"`, `"TimerAlarm"`, `"LatEviction"`.
-    pub kind: String,
-    /// Timer or LAT name for the parameterized events.
-    pub arg: Option<String>,
-    /// Class names guaranteed present in the event payload.
-    pub payload: Vec<String>,
-}
-
-impl EventIr {
-    /// True when this event is the `kind(arg)` instance (names matched
-    /// case-insensitively, as LAT names are at runtime).
-    pub fn is(&self, kind: &str, arg: &str) -> bool {
-        self.kind == kind
-            && self
-                .arg
-                .as_deref()
-                .is_some_and(|a| a.eq_ignore_ascii_case(arg))
-    }
-
-    /// Same event instance as `other`?
-    pub fn same_as(&self, other: &EventIr) -> bool {
-        self.kind == other.kind
-            && match (&self.arg, &other.arg) {
-                (None, None) => true,
-                (Some(a), Some(b)) => a.eq_ignore_ascii_case(b),
-                _ => false,
-            }
-    }
-}
-
-impl fmt::Display for EventIr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.arg {
-            Some(a) => write!(f, "{}({a})", self.kind),
-            None => f.write_str(&self.kind),
-        }
-    }
-}
-
-/// Analyzer view of a rule action — just the parts the checks need.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ActionIr {
-    Insert { lat: String },
-    Reset { lat: String },
-    PersistLat { lat: String, table: String },
-    PersistObject { class: String, table: String },
-    SetTimer { timer: String },
-    Cancel { class: String },
-    SendMail,
-    RunExternal,
-}
-
-impl ActionIr {
-    /// The LAT this action targets, if any.
-    pub fn lat(&self) -> Option<&str> {
-        match self {
-            ActionIr::Insert { lat }
-            | ActionIr::Reset { lat }
-            | ActionIr::PersistLat { lat, .. } => Some(lat),
-            _ => None,
-        }
-    }
-
-    fn describe(&self) -> String {
-        match self {
-            ActionIr::Insert { lat } => format!("Insert({lat})"),
-            ActionIr::Reset { lat } => format!("Reset({lat})"),
-            ActionIr::PersistLat { lat, table } => format!("PersistLat({lat} -> {table})"),
-            ActionIr::PersistObject { class, table } => {
-                format!("PersistObject({class} -> {table})")
-            }
-            ActionIr::SetTimer { timer } => format!("SetTimer({timer})"),
-            ActionIr::Cancel { class } => format!("Cancel({class})"),
-            ActionIr::SendMail => "SendMail".into(),
-            ActionIr::RunExternal => "RunExternal".into(),
-        }
-    }
-}
+// ------------------------------------------------------------ rule artifact
 
 /// A rule condition in the shared flat IR, lowered and constant-folded
 /// exactly once. Every analyzer pass and the runtime's condition compiler
@@ -236,45 +107,44 @@ impl Condition {
     }
 }
 
-/// Analyzer view of an ECA rule.
+/// An ECA rule as the analyzer reads it: its own name, event and actions,
+/// and what analysis adds — the condition lowered and folded once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuleIr {
     pub name: String,
-    pub event: EventIr,
+    pub event: RuleEvent,
     pub condition: Option<Condition>,
-    pub actions: Vec<ActionIr>,
+    pub actions: Vec<Action>,
 }
 
 impl RuleIr {
     /// The rule's condition references, split as [`expr_refs`] splits them
     /// (both empty for an unconditional rule).
-    pub(crate) fn refs(&self, universe: &SchemaUniverse) -> (Vec<String>, Vec<String>) {
+    pub(crate) fn refs(&self) -> (Vec<ClassName>, Vec<String>) {
         match &self.condition {
-            Some(c) => expr_refs(universe, c.lowered()),
+            Some(c) => expr_refs(c.lowered()),
             None => (Vec::new(), Vec::new()),
         }
     }
 }
 
-// ------------------------------------------------------ reference gathering
-
 /// Qualifiers referenced by a condition, split the way the runtime splits
-/// them: a qualifier naming a monitored class resolves to that class
-/// (canonical spelling); anything else is assumed to be a LAT name (returned
-/// as written, deduplicated case-insensitively).
+/// them: a qualifier naming a monitored class resolves to that class;
+/// anything else is assumed to be a LAT name (returned as written,
+/// deduplicated case-insensitively).
 ///
 /// Reads the lowered IR's reference pool directly — the pool already holds
 /// every qualified column exactly once, in first-appearance order, so no
 /// tree walk is needed.
-pub(crate) fn expr_refs(universe: &SchemaUniverse, ir: &ExprIr) -> (Vec<String>, Vec<String>) {
-    let mut classes: Vec<String> = Vec::new();
+pub(crate) fn expr_refs(ir: &ExprIr) -> (Vec<ClassName>, Vec<String>) {
+    let mut classes: Vec<ClassName> = Vec::new();
     let mut lats: Vec<String> = Vec::new();
     for (qualifier, _) in &ir.refs {
         let Some(q) = qualifier else { continue };
-        match universe.class(q) {
+        match ClassName::parse(q) {
             Some(c) => {
-                if !classes.iter().any(|x| x == &c.name) {
-                    classes.push(c.name.clone());
+                if !classes.contains(&c) {
+                    classes.push(c);
                 }
             }
             None => {
@@ -333,7 +203,7 @@ impl Analyzer {
     }
 
     /// Check a LAT spec; admits its schema when clean.
-    pub fn check_lat(&mut self, lat: &LatIr) -> Vec<Diagnostic> {
+    pub fn check_lat(&mut self, lat: &LatSpec) -> Vec<Diagnostic> {
         self.universe.register_lat(lat)
     }
 
@@ -366,7 +236,7 @@ impl Analyzer {
         // once admitted; a rule an error already denies never runs, so
         // piling style warnings on top of the denial is noise.
         if !has_errors(&diags) {
-            cost::check_unindexable(&self.universe, rule, &mut diags);
+            cost::check_unindexable(rule, &mut diags);
             effects::check_unfed_reads(&self.universe, &self.rules, rule, &mut diags);
             confluence::check_order(&self.universe, &self.rules, rule, &mut diags);
             confluence::check_amplification(
@@ -408,7 +278,7 @@ impl Analyzer {
     /// E001 for actions that target a LAT the universe does not know.
     fn check_action_targets(&self, rule: &RuleIr, diags: &mut Vec<Diagnostic>) {
         for action in &rule.actions {
-            if let Some(lat) = action.lat() {
+            if let Some(lat) = action.lat_refs() {
                 if self.universe.lat(lat).is_none() {
                     diags.push(
                         Diagnostic::new(
@@ -416,7 +286,7 @@ impl Analyzer {
                             &rule.name,
                             format!("action targets unknown LAT `{lat}`"),
                         )
-                        .with_span(action.describe())
+                        .with_span(action.to_string())
                         .with_help("define the LAT before registering rules that use it"),
                     );
                 }
@@ -426,7 +296,7 @@ impl Analyzer {
 
     /// Lint a whole ruleset in registration order: every LAT first, then
     /// every rule. Returns all diagnostics.
-    pub fn check_ruleset(lats: &[LatIr], rules: &[RuleIr]) -> Vec<Diagnostic> {
+    pub fn check_ruleset(lats: &[LatSpec], rules: &[RuleIr]) -> Vec<Diagnostic> {
         let mut analyzer = Analyzer::new();
         let mut diags = Vec::new();
         for lat in lats {
@@ -443,22 +313,21 @@ impl Analyzer {
 mod tests {
     use super::*;
 
+    fn rule(cond: &str) -> RuleIr {
+        RuleIr {
+            name: "r".into(),
+            event: RuleEvent::QueryCommit,
+            condition: Some(Condition::lower(
+                &sqlcm_sql::parse_expression(cond).unwrap(),
+            )),
+            actions: vec![Action::send_mail("dba", "slow")],
+        }
+    }
+
     #[test]
     fn clean_rule_is_admitted() {
         let mut a = Analyzer::new();
-        let rule = RuleIr {
-            name: "r".into(),
-            event: EventIr {
-                kind: "QueryCommit".into(),
-                arg: None,
-                payload: vec!["Query".into()],
-            },
-            condition: Some(Condition::lower(
-                &sqlcm_sql::parse_expression("Query.Duration > 1.5").unwrap(),
-            )),
-            actions: vec![ActionIr::SendMail],
-        };
-        let diags = a.check_rule(&rule);
+        let diags = a.check_rule(&rule("Query.Duration > 1.5"));
         assert!(diags.is_empty(), "{diags:?}");
         assert_eq!(a.rules().len(), 1);
     }
@@ -466,19 +335,7 @@ mod tests {
     #[test]
     fn erroneous_rule_is_not_admitted() {
         let mut a = Analyzer::new();
-        let rule = RuleIr {
-            name: "r".into(),
-            event: EventIr {
-                kind: "QueryCommit".into(),
-                arg: None,
-                payload: vec!["Query".into()],
-            },
-            condition: Some(Condition::lower(
-                &sqlcm_sql::parse_expression("Nope_LAT.x > 1").unwrap(),
-            )),
-            actions: vec![],
-        };
-        let diags = a.check_rule(&rule);
+        let diags = a.check_rule(&rule("Nope_LAT.x > 1"));
         assert!(has_errors(&diags));
         assert!(a.rules().is_empty());
     }

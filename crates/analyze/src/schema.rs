@@ -2,10 +2,11 @@
 //!
 //! Two kinds of "relations" can appear in a rule condition:
 //!
-//! * **monitored object classes** (`Query`, `Transaction`, …) — fixed schemas,
-//!   declared once in the `*_ATTRS` tables below ([`builtin_class`]);
-//!   `sqlcm-core`'s object constructors lay their values out in exactly this
-//!   order and derive their attribute names and `static_attr_index` from it;
+//! * **monitored object classes** ([`ClassName`]: `Query`, `Transaction`, …) —
+//!   fixed schemas, declared once in the `*_ATTRS` tables below
+//!   ([`ClassName::schema`]); `sqlcm-core`'s object constructors lay their
+//!   values out in exactly this order and derive their attribute names and
+//!   `static_attr_index` from it;
 //! * **LATs** — schemas derived from the registered `LatSpec`s, with column
 //!   types inferred from the aggregate function and its source attribute.
 //!
@@ -15,12 +16,94 @@
 //! carries them — the joinability and dead-rule checks key off this flag.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::OnceLock;
 
 use sqlcm_common::DataType;
 
 use crate::diagnostics::{Code, Diagnostic};
-use crate::{LatAggFunc, LatIr};
+use crate::lat::{AttrRef, LatAggFunc, LatSpec};
+
+/// Class of a monitored object. LAT-eviction objects carry the LAT name,
+/// which compares by its canonical lowercase key (see [`crate::RuleEvent`]).
+#[derive(Debug, Clone)]
+pub enum ClassName {
+    Query,
+    Transaction,
+    Blocker,
+    Blocked,
+    Timer,
+    Session,
+    /// A catalog table — the schema extension the paper names explicitly
+    /// ("this schema can be augmented to cover other relevant server objects
+    /// (e.g., Table)", §2.2).
+    Table,
+    /// SQLCM's own health: a snapshot of the monitor's telemetry, so ECA
+    /// rules can watch the watcher (raised by the self-monitoring bridge).
+    Monitor,
+    /// Evicted row of the named LAT.
+    Evicted(String),
+}
+
+impl ClassName {
+    /// Parse a condition qualifier into a class, if it names one. LAT names
+    /// never parse: a qualifier that is not a built-in class is a LAT name.
+    /// Allocation-free: this runs per attribute reference per rule evaluation.
+    pub fn parse(s: &str) -> Option<ClassName> {
+        if s.eq_ignore_ascii_case("query") {
+            Some(ClassName::Query)
+        } else if s.eq_ignore_ascii_case("transaction") {
+            Some(ClassName::Transaction)
+        } else if s.eq_ignore_ascii_case("blocker") {
+            Some(ClassName::Blocker)
+        } else if s.eq_ignore_ascii_case("blocked") {
+            Some(ClassName::Blocked)
+        } else if s.eq_ignore_ascii_case("timer") {
+            Some(ClassName::Timer)
+        } else if s.eq_ignore_ascii_case("session") {
+            Some(ClassName::Session)
+        } else if s.eq_ignore_ascii_case("table") {
+            Some(ClassName::Table)
+        } else if s.eq_ignore_ascii_case("monitor") {
+            Some(ClassName::Monitor)
+        } else {
+            None
+        }
+    }
+
+    /// The class's attribute table; `None` for evicted rows, whose layout is
+    /// their LAT's.
+    pub fn schema(&self) -> Option<&'static ClassSchema> {
+        builtin_classes().iter().find(|c| c.class == *self)
+    }
+}
+
+impl PartialEq for ClassName {
+    fn eq(&self, other: &ClassName) -> bool {
+        match (self, other) {
+            (ClassName::Evicted(a), ClassName::Evicted(b)) => a.eq_ignore_ascii_case(b),
+            _ => std::mem::discriminant(self) == std::mem::discriminant(other),
+        }
+    }
+}
+
+impl Eq for ClassName {}
+
+impl fmt::Display for ClassName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ClassName::Query => f.write_str("Query"),
+            ClassName::Transaction => f.write_str("Transaction"),
+            ClassName::Blocker => f.write_str("Blocker"),
+            ClassName::Blocked => f.write_str("Blocked"),
+            ClassName::Timer => f.write_str("Timer"),
+            ClassName::Session => f.write_str("Session"),
+            ClassName::Table => f.write_str("Table"),
+            ClassName::Monitor => f.write_str("Monitor"),
+            ClassName::Evicted(lat) => write!(f, "Evicted({lat})"),
+        }
+    }
+}
 
 /// Attributes of the `Query` class, in value-layout order (also the leading
 /// attributes of `Blocker`/`Blocked`).
@@ -112,7 +195,7 @@ const MONITOR_ATTRS: &[(&str, DataType)] = &[
 /// Schema of one monitored object class.
 #[derive(Debug, Clone)]
 pub struct ClassSchema {
-    pub name: String,
+    pub class: ClassName,
     /// Whether the rule engine can iterate live instances of this class when
     /// it is referenced outside the event payload.
     pub iterable: bool,
@@ -120,9 +203,9 @@ pub struct ClassSchema {
 }
 
 impl ClassSchema {
-    fn new(name: &str, iterable: bool, attrs: &[&[(&str, DataType)]]) -> ClassSchema {
+    fn new(class: ClassName, iterable: bool, attrs: &[&[(&str, DataType)]]) -> ClassSchema {
         ClassSchema {
-            name: name.to_string(),
+            class,
             iterable,
             attrs: attrs
                 .iter()
@@ -172,16 +255,16 @@ pub struct LatColumn {
     /// `Class.Attribute` the column is computed from — the grouping source
     /// for group columns, the aggregate source for aggregate columns
     /// (`None` for `COUNT(*)`).
-    pub source: Option<(String, String)>,
+    pub source: Option<AttrRef>,
 }
 
 /// Schema of one registered LAT.
 #[derive(Debug, Clone)]
 pub struct LatSchema {
     pub name: String,
-    /// Canonical name of the class the grouping columns come from; lookups
-    /// probe the LAT with the key built from an in-scope object of this class.
-    pub source_class: String,
+    /// The class the grouping columns come from; lookups probe the LAT with
+    /// the key built from an in-scope object of this class.
+    pub source_class: Option<ClassName>,
     pub columns: Vec<LatColumn>,
     /// Whether the LAT has a size bound (`max_rows`/`max_bytes`) — only
     /// bounded LATs evict rows and hence raise `LatEviction` events.
@@ -218,25 +301,16 @@ fn builtin_classes() -> &'static [ClassSchema] {
     CLASSES.get_or_init(|| {
         let block = [QUERY_ATTRS, BLOCK_EXTRA_ATTRS];
         vec![
-            ClassSchema::new("Query", true, &[QUERY_ATTRS]),
-            ClassSchema::new("Blocker", true, &block),
-            ClassSchema::new("Blocked", true, &block),
-            ClassSchema::new("Transaction", false, &[TXN_ATTRS]),
-            ClassSchema::new("Session", false, &[SESSION_ATTRS]),
-            ClassSchema::new("Timer", false, &[TIMER_ATTRS]),
-            ClassSchema::new("Table", true, &[TABLE_ATTRS]),
-            ClassSchema::new("Monitor", false, &[MONITOR_ATTRS]),
+            ClassSchema::new(ClassName::Query, true, &[QUERY_ATTRS]),
+            ClassSchema::new(ClassName::Blocker, true, &block),
+            ClassSchema::new(ClassName::Blocked, true, &block),
+            ClassSchema::new(ClassName::Transaction, false, &[TXN_ATTRS]),
+            ClassSchema::new(ClassName::Session, false, &[SESSION_ATTRS]),
+            ClassSchema::new(ClassName::Timer, false, &[TIMER_ATTRS]),
+            ClassSchema::new(ClassName::Table, true, &[TABLE_ATTRS]),
+            ClassSchema::new(ClassName::Monitor, false, &[MONITOR_ATTRS]),
         ]
     })
-}
-
-/// Case-insensitive lookup of a built-in class. LAT names never resolve here
-/// (nor in the runtime's `ClassName::parse`): a qualifier that is not one of
-/// these classes is a LAT name.
-pub fn builtin_class(name: &str) -> Option<&'static ClassSchema> {
-    builtin_classes()
-        .iter()
-        .find(|c| c.name.eq_ignore_ascii_case(name))
 }
 
 /// All relations a rule condition may reference: the built-in classes plus
@@ -262,9 +336,9 @@ impl SchemaUniverse {
         }
     }
 
-    /// See [`builtin_class`].
+    /// The built-in class a condition qualifier names (case-insensitive).
     pub fn class(&self, name: &str) -> Option<&'static ClassSchema> {
-        builtin_class(name)
+        ClassName::parse(name)?.schema()
     }
 
     pub fn classes(&self) -> impl Iterator<Item = &'static ClassSchema> {
@@ -285,35 +359,22 @@ impl SchemaUniverse {
     /// attribute; the schema is only registered when the spec has no
     /// error-severity diagnostics (a denied `define_lat` must not leave a
     /// half-known LAT behind).
-    pub fn register_lat(&mut self, ir: &LatIr) -> Vec<Diagnostic> {
+    pub fn register_lat(&mut self, spec: &LatSpec) -> Vec<Diagnostic> {
         let mut diags = Vec::new();
         let mut columns = Vec::new();
-        let mut source_class: Option<String> = None;
-
-        for g in &ir.group_by {
-            let ty = self.resolve_attr(&ir.name, &g.source.class, &g.source.attr, &mut diags);
-            if source_class.is_none() {
-                if let Some(c) = self.class(&g.source.class) {
-                    source_class = Some(c.name.clone());
-                }
-            }
+        for g in &spec.group_by {
             columns.push(LatColumn {
                 name: g.alias.clone(),
-                ty,
+                ty: self.resolve_attr(&spec.name, &g.source, &mut diags),
                 aging: false,
                 group: true,
                 func: None,
-                source: Some((g.source.class.clone(), g.source.attr.clone())),
+                source: Some(g.source.clone()),
             });
         }
-
-        let mut aging_aggregates = 0;
-        for a in &ir.aggregates {
-            if a.aging {
-                aging_aggregates += 1;
-            }
+        for a in &spec.aggregates {
             let source_ty = match &a.source {
-                Some(s) => self.resolve_attr(&ir.name, &s.class, &s.attr, &mut diags),
+                Some(s) => self.resolve_attr(&spec.name, s, &mut diags),
                 None => None,
             };
             let ty = match a.func {
@@ -326,23 +387,23 @@ impl SchemaUniverse {
             columns.push(LatColumn {
                 name: a.alias.clone(),
                 ty,
-                aging: a.aging,
+                aging: a.aging.is_some(),
                 group: false,
                 func: Some(a.func),
-                source: a.source.as_ref().map(|s| (s.class.clone(), s.attr.clone())),
+                source: a.source.clone(),
             });
         }
 
         if !crate::diagnostics::has_errors(&diags) {
             self.lats.insert(
-                ir.name.to_ascii_lowercase(),
+                spec.name.to_ascii_lowercase(),
                 LatSchema {
-                    name: ir.name.clone(),
-                    source_class: source_class.unwrap_or_default(),
+                    name: spec.name.clone(),
+                    source_class: spec.group_by.first().map(|g| g.source.class.clone()),
                     columns,
-                    bounded: ir.bounded,
-                    aging_aggregates,
-                    aggregate_count: ir.aggregates.len(),
+                    bounded: spec.bounded(),
+                    aging_aggregates: spec.aggregates.iter().filter(|a| a.aging.is_some()).count(),
+                    aggregate_count: spec.aggregates.len(),
                 },
             );
         }
@@ -352,11 +413,11 @@ impl SchemaUniverse {
     fn resolve_attr(
         &self,
         lat: &str,
-        class: &str,
-        attr: &str,
+        src: &AttrRef,
         diags: &mut Vec<Diagnostic>,
     ) -> Option<DataType> {
-        let Some(schema) = self.class(class) else {
+        let AttrRef { class, attr } = src;
+        let Some(schema) = class.schema() else {
             diags.push(
                 Diagnostic::new(
                     Code::E001,
@@ -375,7 +436,7 @@ impl SchemaUniverse {
                     Diagnostic::new(
                         Code::E001,
                         lat,
-                        format!("class {} has no attribute `{attr}`", schema.name),
+                        format!("class {class} has no attribute `{attr}`"),
                     )
                     .with_span(format!("{class}.{attr}"))
                     .with_help(attrs_help(schema)),
@@ -387,58 +448,27 @@ impl SchemaUniverse {
 }
 
 pub(crate) fn known_classes_help(universe: &SchemaUniverse) -> String {
-    let names: Vec<&str> = universe.classes().map(|c| c.name.as_str()).collect();
+    let names: Vec<String> = universe.classes().map(|c| c.class.to_string()).collect();
     format!("known classes: {}", names.join(", "))
 }
 
 pub(crate) fn attrs_help(schema: &ClassSchema) -> String {
     let names: Vec<&str> = schema.attrs.iter().map(|(a, _)| a.as_str()).collect();
-    format!("{} attributes: {}", schema.name, names.join(", "))
+    format!("{} attributes: {}", schema.class, names.join(", "))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AggColumnIr, AttrIr, GroupColumnIr};
 
-    fn demo_lat() -> LatIr {
-        LatIr {
-            name: "Duration_LAT".into(),
-            group_by: vec![GroupColumnIr {
-                source: AttrIr {
-                    class: "Query".into(),
-                    attr: "Logical_Signature".into(),
-                },
-                alias: "Sig".into(),
-            }],
-            aggregates: vec![
-                AggColumnIr {
-                    func: LatAggFunc::Count,
-                    source: None,
-                    alias: "N".into(),
-                    aging: false,
-                },
-                AggColumnIr {
-                    func: LatAggFunc::Avg,
-                    source: Some(AttrIr {
-                        class: "Query".into(),
-                        attr: "Duration".into(),
-                    }),
-                    alias: "Avg_Duration".into(),
-                    aging: true,
-                },
-                AggColumnIr {
-                    func: LatAggFunc::Max,
-                    source: Some(AttrIr {
-                        class: "Query".into(),
-                        attr: "User".into(),
-                    }),
-                    alias: "Last_User".into(),
-                    aging: false,
-                },
-            ],
-            bounded: true,
-        }
+    fn demo_lat() -> LatSpec {
+        LatSpec::new("Duration_LAT")
+            .group_by("Query.Logical_Signature", "Sig")
+            .aggregate(LatAggFunc::Count, "", "N")
+            .aggregate(LatAggFunc::Avg, "Query.Duration", "Avg_Duration")
+            .aging(60_000_000, 10_000_000)
+            .aggregate(LatAggFunc::Max, "Query.User", "Last_User")
+            .max_rows(10)
     }
 
     #[test]
@@ -446,7 +476,7 @@ mod tests {
         let mut u = SchemaUniverse::builtin();
         assert!(u.register_lat(&demo_lat()).is_empty());
         let lat = u.lat("duration_lat").expect("registered");
-        assert_eq!(lat.source_class, "Query");
+        assert_eq!(lat.source_class, Some(ClassName::Query));
         assert_eq!(lat.column("Sig").unwrap().ty, Some(DataType::Int));
         assert_eq!(lat.column("N").unwrap().ty, Some(DataType::Int));
         assert_eq!(
@@ -462,9 +492,9 @@ mod tests {
     #[test]
     fn bad_source_reference_reports_e001_and_skips_registration() {
         let mut u = SchemaUniverse::builtin();
-        let mut ir = demo_lat();
-        ir.group_by[0].source.attr = "Bogus".into();
-        let diags = u.register_lat(&ir);
+        let mut spec = demo_lat();
+        spec.group_by[0].source.attr = "Bogus".into();
+        let diags = u.register_lat(&spec);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, Code::E001);
         assert!(u.lat("Duration_LAT").is_none());
@@ -485,5 +515,13 @@ mod tests {
         ] {
             assert_eq!(u.class(class).unwrap().iterable, iterable, "{class}");
         }
+    }
+
+    #[test]
+    fn class_name_parse() {
+        assert_eq!(ClassName::parse("query"), Some(ClassName::Query));
+        assert_eq!(ClassName::parse("BLOCKER"), Some(ClassName::Blocker));
+        assert_eq!(ClassName::parse("Duration_LAT"), None);
+        assert!(ClassName::Evicted("Duration_LAT".into()).schema().is_none());
     }
 }

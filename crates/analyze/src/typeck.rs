@@ -322,7 +322,7 @@ fn resolve_column(
                     Diagnostic::new(
                         Code::E001,
                         rule,
-                        format!("class {} has no attribute `{name}`", class.name),
+                        format!("class {} has no attribute `{name}`", class.class),
                     )
                     .with_span(format!("{q}.{name}"))
                     .with_help(attrs_help(class)),

@@ -2,54 +2,42 @@
 //! known-good ruleset (the paper's Examples 1–3 shape) passes clean.
 
 use sqlcm_analyze::{
-    ActionIr, AggColumnIr, Analyzer, AttrIr, Code, Condition, Diagnostic, EventIr, GroupColumnIr,
-    LatAggFunc, LatIr, RuleIr,
+    Action, Analyzer, AttrRef, ClassName, Code, Condition, Diagnostic, LatAggFunc, LatSpec,
+    RuleEvent, RuleIr,
 };
 use sqlcm_sql::parse_expression;
 
-fn attr(class: &str, attr: &str) -> AttrIr {
-    AttrIr {
-        class: class.into(),
-        attr: attr.into(),
+fn duration_lat(bounded: bool) -> LatSpec {
+    let spec = LatSpec::new("Duration_LAT")
+        .group_by("Query.Logical_Signature", "Sig")
+        .aggregate(LatAggFunc::Count, "", "N")
+        .aggregate(LatAggFunc::Avg, "Query.Duration", "Avg_Duration");
+    if bounded {
+        spec.max_rows(10)
+    } else {
+        spec
     }
 }
 
-fn duration_lat(bounded: bool) -> LatIr {
-    LatIr {
-        name: "Duration_LAT".into(),
-        group_by: vec![GroupColumnIr {
-            source: attr("Query", "Logical_Signature"),
-            alias: "Sig".into(),
-        }],
-        aggregates: vec![
-            AggColumnIr {
-                func: LatAggFunc::Count,
-                source: None,
-                alias: "N".into(),
-                aging: false,
-            },
-            AggColumnIr {
-                func: LatAggFunc::Avg,
-                source: Some(attr("Query", "Duration")),
-                alias: "Avg_Duration".into(),
-                aging: false,
-            },
-        ],
-        bounded,
-    }
-}
-
-fn on_query_commit(name: &str, cond: Option<&str>, actions: Vec<ActionIr>) -> RuleIr {
+fn rule(name: &str, event: RuleEvent, cond: Option<&str>, actions: Vec<Action>) -> RuleIr {
     RuleIr {
         name: name.into(),
-        event: EventIr {
-            kind: "QueryCommit".into(),
-            arg: None,
-            payload: vec!["Query".into()],
-        },
+        event,
         condition: cond.map(|c| Condition::lower(&parse_expression(c).unwrap())),
         actions,
     }
+}
+
+fn on_query_commit(name: &str, cond: Option<&str>, actions: Vec<Action>) -> RuleIr {
+    rule(name, RuleEvent::QueryCommit, cond, actions)
+}
+
+fn mail() -> Action {
+    Action::send_mail("dba", "x")
+}
+
+fn feed() -> Action {
+    Action::insert("Duration_LAT")
 }
 
 fn codes(diags: &[sqlcm_analyze::Diagnostic]) -> Vec<Code> {
@@ -62,65 +50,36 @@ fn known_good_ruleset_passes_clean() {
     // spill — the idioms the paper's §3 examples use.
     let lats = vec![
         duration_lat(false),
-        LatIr {
-            name: "TopK".into(),
-            group_by: vec![GroupColumnIr {
-                source: attr("Query", "Logical_Signature"),
-                alias: "Sig".into(),
-            }],
-            aggregates: vec![AggColumnIr {
-                func: LatAggFunc::Max,
-                source: Some(attr("Query", "Duration")),
-                alias: "D".into(),
-                aging: false,
-            }],
-            bounded: true,
-        },
+        LatSpec::new("TopK")
+            .group_by("Query.Logical_Signature", "Sig")
+            .aggregate(LatAggFunc::Max, "Query.Duration", "D")
+            .order_by("D", true)
+            .max_rows(10),
     ];
     let rules = vec![
-        on_query_commit(
-            "track",
-            None,
-            vec![ActionIr::Insert {
-                lat: "Duration_LAT".into(),
-            }],
-        ),
+        on_query_commit("track", None, vec![feed()]),
         on_query_commit(
             "report_outlier",
             Some("Query.Duration > 5 * Duration_LAT.Avg_Duration AND Duration_LAT.N >= 30"),
-            vec![ActionIr::SendMail],
+            vec![mail()],
         ),
-        on_query_commit(
-            "track_topk",
+        on_query_commit("track_topk", None, vec![Action::insert("TopK")]),
+        rule(
+            "persist_topk",
+            RuleEvent::TimerAlarm("hourly".into()),
             None,
-            vec![ActionIr::Insert { lat: "TopK".into() }],
+            vec![Action::persist_lat("topk_history", "TopK")],
         ),
-        RuleIr {
-            name: "persist_topk".into(),
-            event: EventIr {
-                kind: "TimerAlarm".into(),
-                arg: Some("hourly".into()),
-                payload: vec!["Timer".into()],
-            },
-            condition: None,
-            actions: vec![ActionIr::PersistLat {
-                lat: "TopK".into(),
-                table: "topk_history".into(),
-            }],
-        },
-        RuleIr {
-            name: "keep_evicted".into(),
-            event: EventIr {
-                kind: "LatEviction".into(),
-                arg: Some("TopK".into()),
-                payload: vec!["Evicted(TopK)".into()],
-            },
-            condition: None,
-            actions: vec![ActionIr::PersistObject {
-                class: "Evicted(TopK)".into(),
+        rule(
+            "keep_evicted",
+            RuleEvent::LatEviction("TopK".into()),
+            None,
+            vec![Action::PersistObject {
                 table: "evicted".into(),
+                class: ClassName::Evicted("TopK".into()),
+                attrs: vec!["Sig".into(), "D".into()],
             }],
-        },
+        ),
     ];
     let diags = Analyzer::check_ruleset(&lats, &rules);
     assert!(diags.is_empty(), "{diags:?}");
@@ -135,7 +94,7 @@ fn e001_unknown_reference() {
     // An error on a LAT spec denies registration: the LAT stays unknown.
     let mut analyzer = Analyzer::new();
     let mut bad = duration_lat(false);
-    bad.group_by[0].source = attr("Query", "Nope");
+    bad.group_by[0].source = AttrRef::parse("Query.Nope").unwrap();
     assert_eq!(codes(&analyzer.check_lat(&bad)), vec![Code::E001]);
     assert!(analyzer.universe().lat("Duration_LAT").is_none());
 }
@@ -163,10 +122,7 @@ fn e002_unsupported_expression() {
         ("Query.Duration > ?", "?"),
         ("Query.User = @who", "@who"),
     ] {
-        let diags = Analyzer::check_ruleset(
-            &[],
-            &[on_query_commit("r", Some(cond), vec![ActionIr::SendMail])],
-        );
+        let diags = Analyzer::check_ruleset(&[], &[on_query_commit("r", Some(cond), vec![mail()])]);
         assert_eq!(codes(&diags), vec![Code::E002], "{cond}: {diags:?}");
         assert_eq!(diags[0].span.as_deref(), Some(span), "{cond}");
     }
@@ -174,36 +130,24 @@ fn e002_unsupported_expression() {
 
 #[test]
 fn e003_unjoinable_lat_probe() {
-    let rule = RuleIr {
-        name: "r".into(),
-        event: EventIr {
-            kind: "TxnCommit".into(),
-            arg: None,
-            payload: vec!["Transaction".into()],
-        },
-        condition: Some(Condition::lower(
-            &parse_expression("Duration_LAT.Avg_Duration > 5").unwrap(),
-        )),
-        actions: vec![],
-    };
+    let rule = rule(
+        "r",
+        RuleEvent::TxnCommit,
+        Some("Duration_LAT.Avg_Duration > 5"),
+        vec![],
+    );
     let diags = Analyzer::check_ruleset(&[duration_lat(false)], &[rule]);
     assert_eq!(codes(&diags), vec![Code::E003]);
 }
 
 #[test]
 fn e004_cascade_cycle() {
-    let refill = RuleIr {
-        name: "refill".into(),
-        event: EventIr {
-            kind: "LatEviction".into(),
-            arg: Some("Duration_LAT".into()),
-            payload: vec!["Evicted(Duration_LAT)".into()],
-        },
-        condition: None,
-        actions: vec![ActionIr::Insert {
-            lat: "Duration_LAT".into(),
-        }],
-    };
+    let refill = rule(
+        "refill",
+        RuleEvent::LatEviction("Duration_LAT".into()),
+        None,
+        vec![feed()],
+    );
     let diags = Analyzer::check_ruleset(&[duration_lat(true)], &[refill]);
     assert_eq!(codes(&diags), vec![Code::E004]);
 }
@@ -226,8 +170,8 @@ fn w102_duplicate_rule() {
     let diags = Analyzer::check_ruleset(
         &[],
         &[
-            on_query_commit("a", Some("Query.Duration > 1"), vec![ActionIr::SendMail]),
-            on_query_commit("b", Some("Query.Duration > 1"), vec![ActionIr::SendMail]),
+            on_query_commit("a", Some("Query.Duration > 1"), vec![mail()]),
+            on_query_commit("b", Some("Query.Duration > 1"), vec![mail()]),
         ],
     );
     assert_eq!(codes(&diags), vec![Code::W102]);
@@ -239,14 +183,8 @@ fn e006_unsatisfiable_condition() {
     let diags = Analyzer::check_ruleset(
         &[duration_lat(false)],
         &[
-            on_query_commit(
-                "feed",
-                None,
-                vec![ActionIr::Insert {
-                    lat: "Duration_LAT".into(),
-                }],
-            ),
-            on_query_commit("dead", Some("Duration_LAT.N < 0"), vec![ActionIr::SendMail]),
+            on_query_commit("feed", None, vec![feed()]),
+            on_query_commit("dead", Some("Duration_LAT.N < 0"), vec![mail()]),
         ],
     );
     assert_eq!(codes(&diags), vec![Code::E006]);
@@ -257,7 +195,7 @@ fn e006_unsatisfiable_condition() {
     analyzer.check_rule(&on_query_commit(
         "dead",
         Some("Duration_LAT.N < 0"),
-        vec![ActionIr::SendMail],
+        vec![mail()],
     ));
     assert!(analyzer.rules().is_empty());
 }
@@ -271,7 +209,7 @@ fn w103_tautological_condition() {
         &[on_query_commit(
             "always",
             Some("Query.Duration >= 0"),
-            vec![ActionIr::SendMail],
+            vec![mail()],
         )],
     );
     assert_eq!(codes(&diags), vec![Code::W103]);
@@ -288,12 +226,12 @@ fn w105_duplicated_predicate_across_same_event_rules() {
             on_query_commit(
                 "a",
                 Some("Query.Duration > 1 AND Query.User = 'admin'"),
-                vec![ActionIr::SendMail],
+                vec![mail()],
             ),
             on_query_commit(
                 "b",
                 Some("Query.Duration > 1 AND Query.Estimated_Cost > 100"),
-                vec![ActionIr::SendMail],
+                vec![mail()],
             ),
         ],
     );
@@ -307,17 +245,11 @@ fn w104_possible_division_by_zero() {
     let diags = Analyzer::check_ruleset(
         &[duration_lat(false)],
         &[
-            on_query_commit(
-                "feed",
-                None,
-                vec![ActionIr::Insert {
-                    lat: "Duration_LAT".into(),
-                }],
-            ),
+            on_query_commit("feed", None, vec![feed()]),
             on_query_commit(
                 "ratio",
                 Some("Query.Duration / Duration_LAT.N > 2"),
-                vec![ActionIr::SendMail],
+                vec![mail()],
             ),
         ],
     );
@@ -333,7 +265,7 @@ fn w203_read_only_lat_column() {
         &[on_query_commit(
             "probe",
             Some("Duration_LAT.Avg_Duration > 100"),
-            vec![ActionIr::SendMail],
+            vec![mail()],
         )],
     );
     assert_eq!(codes(&diags), vec![Code::W203]);
@@ -344,7 +276,7 @@ fn w203_read_only_lat_column() {
     analyzer.check_rule(&on_query_commit(
         "probe",
         Some("Duration_LAT.Avg_Duration > 100"),
-        vec![ActionIr::SendMail],
+        vec![mail()],
     ));
     assert_eq!(analyzer.rules().len(), 1);
 }
@@ -358,25 +290,13 @@ fn w301_order_sensitive_pair() {
     let diags = Analyzer::check_ruleset(
         &[duration_lat(false)],
         &[
-            on_query_commit(
-                "feed_slow",
-                Some("Query.Duration > 5"),
-                vec![ActionIr::Insert {
-                    lat: "Duration_LAT".into(),
-                }],
-            ),
+            on_query_commit("feed_slow", Some("Query.Duration > 5"), vec![feed()]),
             on_query_commit(
                 "reader",
                 Some("Duration_LAT.Avg_Duration > 100"),
-                vec![ActionIr::SendMail],
+                vec![mail()],
             ),
-            on_query_commit(
-                "writer",
-                None,
-                vec![ActionIr::Insert {
-                    lat: "Duration_LAT".into(),
-                }],
-            ),
+            on_query_commit("writer", None, vec![feed()]),
         ],
     );
     assert_eq!(codes(&diags), vec![Code::W301]);
@@ -388,57 +308,41 @@ fn w302_cascade_amplification() {
     analyzer.cascade_threshold = 5;
     assert!(analyzer.check_lat(&duration_lat(true)).is_empty());
     for i in 0..5 {
-        let spill = RuleIr {
-            name: format!("spill{i}"),
-            event: EventIr {
-                kind: "LatEviction".into(),
-                arg: Some("Duration_LAT".into()),
-                payload: vec!["Evicted(Duration_LAT)".into()],
-            },
-            condition: None,
+        let spill = rule(
+            &format!("spill{i}"),
+            RuleEvent::LatEviction("Duration_LAT".into()),
+            None,
             // Distinct target tables so the spills are not W102 duplicates.
-            actions: vec![ActionIr::PersistObject {
-                class: "Evicted(Duration_LAT)".into(),
+            vec![Action::PersistObject {
                 table: format!("spilled_{i}"),
+                class: ClassName::Evicted("Duration_LAT".into()),
+                attrs: vec!["Sig".into()],
             }],
-        };
+        );
         assert!(analyzer.check_rule(&spill).is_empty(), "spill{i}");
     }
     // One commit insert may evict, fanning out to the 5 spill rules:
     // 1 + 5 = 6 > 5 worst-case evaluations per event. (The spill rules
     // themselves sit exactly at the threshold and stay clean.)
-    let diags = analyzer.check_rule(&on_query_commit(
-        "feed",
-        None,
-        vec![ActionIr::Insert {
-            lat: "Duration_LAT".into(),
-        }],
-    ));
+    let diags = analyzer.check_rule(&on_query_commit("feed", None, vec![feed()]));
     assert_eq!(codes(&diags), vec![Code::W302]);
 }
 
 #[test]
 fn w204_unconditional_external_action() {
     // No condition + SendMail on QueryCommit: every query pays the sink.
-    let diags = Analyzer::check_ruleset(
-        &[],
-        &[on_query_commit("blast", None, vec![ActionIr::SendMail])],
-    );
+    let diags = Analyzer::check_ruleset(&[], &[on_query_commit("blast", None, vec![mail()])]);
     assert_eq!(codes(&diags), vec![Code::W204]);
 
     // RunExternal on a Txn event is flagged the same way.
     let diags = Analyzer::check_ruleset(
         &[],
-        &[RuleIr {
-            name: "hook".into(),
-            event: EventIr {
-                kind: "TxnCommit".into(),
-                arg: None,
-                payload: vec!["Transaction".into()],
-            },
-            condition: None,
-            actions: vec![ActionIr::RunExternal],
-        }],
+        &[rule(
+            "hook",
+            RuleEvent::TxnCommit,
+            None,
+            vec![Action::run_external("hook.sh")],
+        )],
     );
     assert_eq!(codes(&diags), vec![Code::W204]);
 
@@ -448,26 +352,15 @@ fn w204_unconditional_external_action() {
         &[on_query_commit(
             "filtered",
             Some("Query.Duration > 30"),
-            vec![ActionIr::SendMail],
+            vec![mail()],
         )],
     );
     assert!(diags.is_empty(), "{diags:?}");
 
     // Cold events (session lifecycle, timers) are excluded: an unconditional
     // mail on login is deliberate, not a hot-path hazard.
-    let diags = Analyzer::check_ruleset(
-        &[],
-        &[RuleIr {
-            name: "greet".into(),
-            event: EventIr {
-                kind: "Login".into(),
-                arg: None,
-                payload: vec!["Session".into()],
-            },
-            condition: None,
-            actions: vec![ActionIr::SendMail],
-        }],
-    );
+    let diags =
+        Analyzer::check_ruleset(&[], &[rule("greet", RuleEvent::Login, None, vec![mail()])]);
     assert!(diags.is_empty(), "{diags:?}");
 }
 
@@ -480,7 +373,7 @@ fn w205_unindexable_hot_event_condition() {
         &[on_query_commit(
             "droppy",
             Some("Query.Query_Text LIKE '%DROP TABLE%'"),
-            vec![ActionIr::SendMail],
+            vec![mail()],
         )],
     );
     assert_eq!(codes(&diags), vec![Code::W205]);
@@ -491,7 +384,7 @@ fn w205_unindexable_hot_event_condition() {
         &[on_query_commit(
             "scoped",
             Some("Query.User = 'etl' AND Query.Query_Text LIKE '%DROP TABLE%'"),
-            vec![ActionIr::SendMail],
+            vec![mail()],
         )],
     );
     assert!(diags.is_empty(), "{diags:?}");
@@ -501,18 +394,8 @@ fn w205_unindexable_hot_event_condition() {
     let diags = Analyzer::check_ruleset(
         &[duration_lat(true)],
         &[
-            on_query_commit(
-                "feed",
-                None,
-                vec![ActionIr::Insert {
-                    lat: "Duration_LAT".into(),
-                }],
-            ),
-            on_query_commit(
-                "outlier",
-                Some("Duration_LAT.N >= 30"),
-                vec![ActionIr::SendMail],
-            ),
+            on_query_commit("feed", None, vec![feed()]),
+            on_query_commit("outlier", Some("Duration_LAT.N >= 30"), vec![mail()]),
         ],
     );
     assert!(diags.is_empty(), "{diags:?}");
@@ -554,23 +437,14 @@ fn w201_costly_rule() {
     let diags = Analyzer::check_ruleset(
         &[duration_lat(true)],
         &[
-            on_query_commit(
-                "feed",
-                None,
-                vec![ActionIr::Insert {
-                    lat: "Duration_LAT".into(),
-                }],
-            ),
+            on_query_commit("feed", None, vec![feed()]),
             on_query_commit(
                 "heavy",
                 Some("Duration_LAT.N > 100"),
                 vec![
-                    ActionIr::PersistLat {
-                        lat: "Duration_LAT".into(),
-                        table: "h".into(),
-                    },
-                    ActionIr::SendMail,
-                    ActionIr::RunExternal,
+                    Action::persist_lat("h", "Duration_LAT"),
+                    mail(),
+                    Action::run_external("archive"),
                 ],
             ),
         ],

@@ -15,109 +15,10 @@ use sqlcm_engine::exec::{self, ExecCtx};
 use sqlcm_engine::expr::Params;
 use sqlcm_engine::txn::TxnState;
 
-use crate::objects::ClassName;
 use crate::rules::EvalContext;
 
-/// One action of a rule's A-clause.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Action {
-    /// `Insert(LATName)` — fold the in-context object into the LAT.
-    Insert { lat: String },
-    /// `Reset(LATName)` — clear the LAT and free its memory.
-    Reset { lat: String },
-    /// `Object.Persist(Table, Attr1, …)` — write the listed attributes of the
-    /// in-context object of `class` as one row.
-    PersistObject {
-        table: String,
-        class: ClassName,
-        attrs: Vec<String>,
-    },
-    /// `Lat.Persist(Table)` — write every LAT row plus a timestamp column.
-    PersistLat { table: String, lat: String },
-    /// `SendMail(Text, Address)`.
-    SendMail { to: String, template: String },
-    /// `RunExternal(Command)`.
-    RunExternal { template: String },
-    /// `Cancel()` — applies to a `Query`, `Blocker` or `Blocked` object (§5.3).
-    Cancel { class: ClassName },
-    /// `Set(Time, number_alarms)` on the named timer.
-    SetTimer {
-        timer: String,
-        period_micros: u64,
-        number_alarms: i64,
-    },
-}
-
-impl Action {
-    pub fn insert(lat: &str) -> Action {
-        Action::Insert { lat: lat.into() }
-    }
-
-    pub fn reset(lat: &str) -> Action {
-        Action::Reset { lat: lat.into() }
-    }
-
-    /// Persist attributes of the in-context object of `class` ("Query",
-    /// "Blocker", …).
-    pub fn persist_object(table: &str, class: &str, attrs: &[&str]) -> Action {
-        Action::PersistObject {
-            table: table.into(),
-            class: ClassName::parse(class).expect("valid monitored class"),
-            attrs: attrs.iter().map(|s| s.to_string()).collect(),
-        }
-    }
-
-    pub fn persist_lat(table: &str, lat: &str) -> Action {
-        Action::PersistLat {
-            table: table.into(),
-            lat: lat.into(),
-        }
-    }
-
-    pub fn send_mail(to: &str, template: &str) -> Action {
-        Action::SendMail {
-            to: to.into(),
-            template: template.into(),
-        }
-    }
-
-    pub fn run_external(template: &str) -> Action {
-        Action::RunExternal {
-            template: template.into(),
-        }
-    }
-
-    /// Cancel the in-context object of `class` ("Query", "Blocker", "Blocked").
-    pub fn cancel(class: &str) -> Action {
-        let class = ClassName::parse(class).expect("valid monitored class");
-        assert!(
-            matches!(
-                class,
-                ClassName::Query | ClassName::Blocker | ClassName::Blocked
-            ),
-            "Cancel() applies to Query, Blocker or Blocked (paper §5.3)"
-        );
-        Action::Cancel { class }
-    }
-
-    pub fn set_timer(timer: &str, period_micros: u64, number_alarms: i64) -> Action {
-        Action::SetTimer {
-            timer: timer.into(),
-            period_micros,
-            number_alarms,
-        }
-    }
-
-    /// LAT names this action touches (used for registration-time validation).
-    pub fn lat_refs(&self) -> Option<&str> {
-        match self {
-            Action::Insert { lat } | Action::Reset { lat } | Action::PersistLat { lat, .. } => {
-                Some(lat)
-            }
-            _ => None,
-        }
-    }
-}
+/// The actions are declared once, in the analyzer crate.
+pub use sqlcm_analyze::Action;
 
 /// Substitute `{Qualifier.Name}` placeholders from the evaluation context.
 /// Unresolvable placeholders are kept verbatim (a template typo must not make
@@ -242,25 +143,6 @@ mod tests {
     use super::*;
     use crate::objects::query_object;
     use sqlcm_common::QueryInfo;
-
-    #[test]
-    fn constructors() {
-        assert_eq!(Action::insert("L"), Action::Insert { lat: "L".into() });
-        assert_eq!(
-            Action::cancel("Blocker"),
-            Action::Cancel {
-                class: ClassName::Blocker
-            }
-        );
-        assert_eq!(Action::insert("L").lat_refs(), Some("L"));
-        assert_eq!(Action::send_mail("a", "b").lat_refs(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "Cancel() applies to")]
-    fn cancel_rejects_timer() {
-        let _ = Action::cancel("Timer");
-    }
 
     #[test]
     fn template_substitution() {

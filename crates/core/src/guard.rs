@@ -10,7 +10,7 @@
 //! Which guard a rule gets — and the soundness contract that makes pruning
 //! on it invisible — is decided once, at registration, by
 //! [`sqlcm_analyze::guard::rule_guard`]; the verdict is stored on the
-//! registered rule ([`RuleGuard`]) and this module only *installs* it: index
+//! registered rule (a [`Guard`]) and this module only *installs* it: index
 //! construction, probing, and pruning explanations. The one runtime-side
 //! addition to the contract is [`GuardIndex::required`]: every attribute an
 //! indexed condition reads must resolve against a payload object the probe
@@ -38,89 +38,46 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use sqlcm_analyze::intervals::Interval;
-use sqlcm_analyze::{rule_guard, Bound, GuardKind, RuleIr, SchemaUniverse};
+use sqlcm_analyze::{Bound, Guard, GuardKind};
 use sqlcm_common::Value;
 
 use crate::ir::{CondIr, ROp};
-use crate::objects::{static_attr_index, ClassName, Object};
+use crate::objects::{ClassName, Object};
 use crate::plan::PlanRule;
 
-/// A rule's guard verdict resolved against the runtime layout: the class as
-/// a [`ClassName`] and the attribute as its value position.
-#[derive(Debug)]
-pub(crate) struct RuleGuard {
-    class: ClassName,
-    attr: usize,
-    kind: GuardKind,
-}
-
-impl RuleGuard {
-    /// The analyzer's guard verdict for `rule`, resolved; `None` = residual.
-    /// (A guard whose names did not resolve would be residual too, but the
-    /// shared schema rules that out.)
-    pub fn of(universe: &SchemaUniverse, rule: &RuleIr) -> Option<RuleGuard> {
-        let guard = rule_guard(universe, rule).ok()?;
-        let class = ClassName::parse(&guard.class)?;
-        let attr = static_attr_index(&class, &guard.attr)?;
-        Some(RuleGuard {
-            class,
-            attr,
-            kind: guard.kind,
-        })
+/// Human-readable reason `guard` pruned its rule for this payload, for
+/// sampled traces. Only called off the fast path.
+pub(crate) fn explain(guard: &Guard, objects: &[Object]) -> String {
+    if guard.never() {
+        return "pruned by guard index: guard is unsatisfiable (condition can never hold)".into();
     }
-
-    /// Guard provably empty (`x IN (NULL)`, `x > 5 AND x < 3`): the rule can
-    /// never fire and is always pruned.
-    fn never(&self) -> bool {
-        match &self.kind {
-            GuardKind::Eq(values) => values.is_empty(),
-            GuardKind::Range {
-                lo: Some(l),
-                hi: Some(h),
-            } => match l.value.cmp(&h.value) {
-                Ordering::Greater => true,
-                Ordering::Equal => l.strict || h.strict,
-                Ordering::Less => false,
-            },
-            GuardKind::Range { .. } => false,
+    let class = &guard.class;
+    let obj = objects.iter().find(|o| o.class == *class);
+    let name = obj
+        .and_then(|o| o.attribute_names().get(guard.attr).cloned())
+        .unwrap_or_else(|| format!("#{}", guard.attr));
+    let val = obj
+        .and_then(|o| o.values().get(guard.attr))
+        .map_or_else(|| "?".into(), |v| v.to_string());
+    match &guard.kind {
+        GuardKind::Eq(values) => {
+            let set = values
+                .iter()
+                .map(|v| v.to_string())
+                .collect::<Vec<_>>()
+                .join(", ");
+            format!("pruned by guard index: {class}.{name}={val} not in {{{set}}}")
         }
-    }
-
-    /// Human-readable reason the rule was pruned for this payload, for
-    /// sampled traces. Only called off the fast path.
-    pub fn explain(&self, objects: &[Object]) -> String {
-        if self.never() {
-            return "pruned by guard index: guard is unsatisfiable (condition can never hold)"
-                .into();
-        }
-        let class = &self.class;
-        let obj = objects.iter().find(|o| o.class == *class);
-        let name = obj
-            .and_then(|o| o.attribute_names().get(self.attr).cloned())
-            .unwrap_or_else(|| format!("#{}", self.attr));
-        let val = obj
-            .and_then(|o| o.values().get(self.attr))
-            .map_or_else(|| "?".into(), |v| v.to_string());
-        match &self.kind {
-            GuardKind::Eq(values) => {
-                let set = values
-                    .iter()
-                    .map(|v| v.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                format!("pruned by guard index: {class}.{name}={val} not in {{{set}}}")
-            }
-            GuardKind::Range { lo, hi } => {
-                let lo_s = match lo {
-                    Some(b) => format!("{}{}", if b.strict { '(' } else { '[' }, b.value),
-                    None => "(-∞".into(),
-                };
-                let hi_s = match hi {
-                    Some(b) => format!("{}{}", b.value, if b.strict { ')' } else { ']' }),
-                    None => "∞)".into(),
-                };
-                format!("pruned by guard index: {class}.{name}={val} outside {lo_s},{hi_s}")
-            }
+        GuardKind::Range { lo, hi } => {
+            let lo_s = match lo {
+                Some(b) => format!("{}{}", if b.strict { '(' } else { '[' }, b.value),
+                None => "(-∞".into(),
+            };
+            let hi_s = match hi {
+                Some(b) => format!("{}{}", b.value, if b.strict { ')' } else { ']' }),
+                None => "∞)".into(),
+            };
+            format!("pruned by guard index: {class}.{name}={val} outside {lo_s},{hi_s}")
         }
     }
 }
@@ -183,7 +140,7 @@ impl RangeGuard {
 
 /// What [`GuardIndex::add`] needs of one indexable rule: its guard, its
 /// compiled condition and the classes the condition names.
-type Indexable<'a> = (&'a RuleGuard, &'a CondIr, &'a [ClassName]);
+type Indexable<'a> = (&'a Guard, &'a CondIr, &'a [ClassName]);
 
 /// The stored verdict speaks for the registered condition; a rule the
 /// current registry cannot run (`broken`, no program) must still be
@@ -309,7 +266,7 @@ impl GuardIndex {
         }
     }
 
-    fn install(&mut self, rule: u32, guard: &RuleGuard) {
+    fn install(&mut self, rule: u32, guard: &Guard) {
         // A guard no value satisfies goes in no group: never a candidate.
         if guard.never() {
             return;
@@ -470,16 +427,16 @@ impl GuardIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::rule_ir;
     use crate::objects::query_object;
     use crate::rules::{Rule, RuleEvent};
+    use sqlcm_analyze::rule_guard;
     use sqlcm_common::QueryInfo;
 
     /// The registration pipeline for one QueryCommit condition: the stored
     /// guard verdict (if any) and the compiled condition.
-    fn registered(src: &str) -> (Option<RuleGuard>, CondIr) {
-        let ir = rule_ir(&Rule::new("r").on(RuleEvent::QueryCommit).when(src));
-        let guard = RuleGuard::of(&SchemaUniverse::builtin(), &ir);
+    fn registered(src: &str) -> (Option<Guard>, CondIr) {
+        let ir = Rule::new("r").on(RuleEvent::QueryCommit).when(src).ir();
+        let guard = rule_guard(&ir).ok();
         let folded = ir.condition.as_ref().unwrap().folded();
         (
             guard,
@@ -540,13 +497,13 @@ mod tests {
     #[test]
     fn explain_names_the_violated_guard() {
         let (guard, _) = registered("Query.Duration >= 100");
-        let why = guard.unwrap().explain(&[query("alice", 5)]);
+        let why = explain(&guard.unwrap(), &[query("alice", 5)]);
         assert!(
             why.contains("pruned by guard index") && why.contains("outside [100,∞)"),
             "{why}"
         );
         let (guard, _) = registered("Query.Duration > 3 AND Query.Duration < 2");
-        let why = guard.unwrap().explain(&[query("alice", 5)]);
+        let why = explain(&guard.unwrap(), &[query("alice", 5)]);
         assert!(why.contains("unsatisfiable"), "{why}");
     }
 }

@@ -48,7 +48,6 @@
 #![forbid(unsafe_code)]
 
 pub mod actions;
-pub mod analysis;
 pub mod containment;
 pub mod deferred;
 pub mod fault;
@@ -71,7 +70,6 @@ pub mod trace;
 pub mod vm;
 
 pub use actions::Action;
-pub use analysis::{Analyzer, Code, Diagnostic, Severity};
 pub use containment::{BreakerConfig, BreakerState};
 pub use deferred::{LossEntry, RetryPolicy, DEFAULT_QUEUE_CAPACITY};
 pub use fault::{FaultKind, FaultPlan, FaultRate};
@@ -82,6 +80,7 @@ pub use objects::{ClassName, Object};
 pub use plan::{HoistGroup, PlanSummary};
 pub use rules::{Rule, RuleEvent};
 pub use sinks::{CommandSink, MailSink, RecordingCommandSink, RecordingMailSink};
+pub use sqlcm_analyze::{rule_guard, Analyzer, Code, Diagnostic, Residual, RuleIr, Severity};
 pub use telemetry::{
     DispatchTelemetry, LatTelemetry, MatchingTelemetry, ProbeTelemetry, RuleError, RuleTelemetry,
     TelemetrySnapshot,

@@ -669,6 +669,57 @@ mod tests {
         assert_eq!(rows, vec![vec![Value::Int(1), Value::Float(5.0)]]);
     }
 
+    /// A LAT is named case-insensitively everywhere: the feeder, the
+    /// eviction subscription and the evicted-object class may each spell it
+    /// differently from its definition and still reach the same rows.
+    #[test]
+    fn eviction_rules_match_the_lat_name_in_any_case() {
+        let (engine, sqlcm) = setup();
+        engine
+            .execute_batch("CREATE TABLE evicted (sig INT, d FLOAT);")
+            .unwrap();
+        sqlcm
+            .define_lat(
+                LatSpec::new("Small")
+                    .group_by("Query.Logical_Signature", "Sig")
+                    .aggregate(LatAggFunc::Max, "Query.Duration", "D")
+                    .order_by("D", true)
+                    .max_rows(1),
+            )
+            .unwrap();
+        sqlcm
+            .add_rule(
+                Rule::new("track")
+                    .on(RuleEvent::QueryCommit)
+                    .then(Action::insert("small")),
+            )
+            .unwrap();
+        sqlcm
+            .add_rule(
+                Rule::new("keep_evicted")
+                    .on(RuleEvent::LatEviction("small".into()))
+                    .then(Action::PersistObject {
+                        table: "evicted".into(),
+                        class: ClassName::Evicted("small".into()),
+                        attrs: vec!["Sig".into(), "D".into()],
+                    }),
+            )
+            .unwrap();
+        for (sig, secs) in [(1u64, 5.0), (2, 9.0)] {
+            let mut q = sqlcm_common::QueryInfo::synthetic(sig, "q");
+            q.logical_signature = Some(sig);
+            q.duration_micros = (secs * 1e6) as u64;
+            sqlcm
+                .inner
+                .dispatch(RuleEvent::QueryCommit, vec![objects::query_object(&q)]);
+        }
+        assert_eq!(sqlcm.lat("Small").unwrap().stats().evictions, 1);
+        assert_eq!(sqlcm.rule("keep_evicted").unwrap().stats().fires, 1);
+        assert_eq!(sqlcm.cascade_depth_bound(), 1);
+        let rows = engine.query("SELECT sig, d FROM evicted").unwrap();
+        assert_eq!(rows, vec![vec![Value::Int(1), Value::Float(5.0)]]);
+    }
+
     #[test]
     fn timer_rule_with_manual_clock() {
         use sqlcm_common::ManualClock;

@@ -10,13 +10,11 @@ use std::sync::Arc;
 
 use sqlcm_common::{Error, Result};
 
-use sqlcm_analyze::{Analyzer, Diagnostic};
+use sqlcm_analyze::{rule_guard, Analyzer, Diagnostic};
 use sqlcm_telemetry::LatencyHistogram;
 
 use crate::actions::{persist_rows, read_table, Action};
-use crate::analysis;
 use crate::containment::RuleBreaker;
-use crate::guard::RuleGuard;
 use crate::lat::{Lat, LatAggFunc, LatSpec};
 use crate::plan::{Change, CompiledAction, Registered};
 use crate::rules::{Rule, RuleEvent};
@@ -91,9 +89,7 @@ impl Sqlcm {
     pub fn define_lat(&self, spec: LatSpec) -> Result<Arc<Lat>> {
         spec.validate()?;
         let mut registration = self.inner.registration.lock();
-        let diags = self
-            .analyzer(&mut registration)
-            .check_lat(&analysis::lat_ir(&spec));
+        let diags = self.analyzer(&mut registration).check_lat(&spec);
         self.deny_on_errors(diags)?;
         let key = spec.name.to_ascii_lowercase();
         let lat = (|| {
@@ -122,7 +118,7 @@ impl Sqlcm {
         kept.get_or_insert_with(|| {
             let mut analyzer = Analyzer::new();
             for lat in self.inner.lats_read().values() {
-                let diags = analyzer.check_lat(&analysis::lat_ir(&lat.spec));
+                let diags = analyzer.check_lat(&lat.spec);
                 debug_assert!(
                     diags.is_empty(),
                     "registered LAT re-checks clean: {diags:?}"
@@ -190,8 +186,7 @@ impl Sqlcm {
     /// without registering anything — a lint probe.
     pub fn analyze_rule(&self, rule: &Rule) -> Vec<Diagnostic> {
         let mut registration = self.inner.registration.lock();
-        self.analyzer(&mut registration)
-            .diagnose(&analysis::rule_ir(rule))
+        self.analyzer(&mut registration).diagnose(&rule.ir())
     }
 
     pub fn drop_lat(&self, name: &str) -> bool {
@@ -283,13 +278,13 @@ impl Sqlcm {
         // summary, the guard verdict and the compiled condition below all
         // read this artifact.
         let analyzer = self.analyzer(&mut registration);
-        let ir = Arc::new(analysis::rule_ir(&rule));
+        let ir = Arc::new(rule.ir());
         self.deny_on_errors(analyzer.diagnose(&ir))?;
         // Captured for the dispatch plan: the rule's column-level read/write
         // sets drive precise hoist-slot invalidation, and its guard verdict
         // is what its event class's guard index installs.
         let effects = Arc::new(analyzer.effects_of(&ir));
-        let guard = RuleGuard::of(analyzer.universe(), &ir);
+        let guard = rule_guard(&ir).ok();
         let (cond_classes, cond_lats) = rule.condition_refs()?;
         let cond_lats_lc: Vec<String> = cond_lats.iter().map(|l| l.to_ascii_lowercase()).collect();
         let (compiled, compiled_actions) = {

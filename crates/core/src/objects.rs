@@ -12,72 +12,12 @@
 
 use std::sync::Arc;
 
-use sqlcm_analyze::schema::builtin_class;
 use sqlcm_common::{BlockPairInfo, QueryInfo, QueryType, SessionInfo, Timestamp, TxnInfo, Value};
 
 use crate::telemetry::TelemetrySnapshot;
 
-/// Class of a monitored object. LAT-eviction objects carry the LAT name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum ClassName {
-    Query,
-    Transaction,
-    Blocker,
-    Blocked,
-    Timer,
-    Session,
-    /// A catalog table — the schema extension the paper names explicitly
-    /// ("this schema can be augmented to cover other relevant server objects
-    /// (e.g., Table)", §2.2).
-    Table,
-    /// SQLCM's own health: a snapshot of the monitor's telemetry, so ECA
-    /// rules can watch the watcher (raised by the self-monitoring bridge).
-    Monitor,
-    /// Evicted row of the named LAT.
-    Evicted(String),
-}
-
-impl ClassName {
-    /// Parse a condition qualifier into a class, if it names one.
-    /// Allocation-free: this runs per attribute reference per rule evaluation.
-    pub fn parse(s: &str) -> Option<ClassName> {
-        if s.eq_ignore_ascii_case("query") {
-            Some(ClassName::Query)
-        } else if s.eq_ignore_ascii_case("transaction") {
-            Some(ClassName::Transaction)
-        } else if s.eq_ignore_ascii_case("blocker") {
-            Some(ClassName::Blocker)
-        } else if s.eq_ignore_ascii_case("blocked") {
-            Some(ClassName::Blocked)
-        } else if s.eq_ignore_ascii_case("timer") {
-            Some(ClassName::Timer)
-        } else if s.eq_ignore_ascii_case("session") {
-            Some(ClassName::Session)
-        } else if s.eq_ignore_ascii_case("table") {
-            Some(ClassName::Table)
-        } else if s.eq_ignore_ascii_case("monitor") {
-            Some(ClassName::Monitor)
-        } else {
-            None
-        }
-    }
-}
-
-impl std::fmt::Display for ClassName {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClassName::Query => f.write_str("Query"),
-            ClassName::Transaction => f.write_str("Transaction"),
-            ClassName::Blocker => f.write_str("Blocker"),
-            ClassName::Blocked => f.write_str("Blocked"),
-            ClassName::Timer => f.write_str("Timer"),
-            ClassName::Session => f.write_str("Session"),
-            ClassName::Table => f.write_str("Table"),
-            ClassName::Monitor => f.write_str("Monitor"),
-            ClassName::Evicted(lat) => write!(f, "Evicted({lat})"),
-        }
-    }
-}
+/// The class names are declared once, in the analyzer crate.
+pub use sqlcm_analyze::ClassName;
 
 /// A monitored object: class + attribute values. Attribute names are shared per
 /// construction site (`Arc<[String]>`), so objects are cheap to build.
@@ -130,13 +70,14 @@ impl Object {
 /// registration instead of string-matching per evaluation. Evicted-row classes
 /// have per-LAT layouts and are resolved against the LAT instead.
 pub fn static_attr_index(class: &ClassName, attr: &str) -> Option<usize> {
-    builtin_class(&class.to_string())?.attr_index(attr)
+    class.schema()?.attr_index(attr)
 }
 
 /// The attribute-name array of a static class, from its schema table (each
 /// constructor caches its own in a `OnceLock`).
 fn attr_names(class: ClassName) -> Arc<[String]> {
-    builtin_class(&class.to_string())
+    class
+        .schema()
         .expect("every static class has a schema table")
         .attrs
         .iter()
@@ -457,13 +398,6 @@ mod tests {
             ..t.clone()
         };
         assert_ne!(txn_object(&t2).get("Logical_Signature").unwrap(), &sig);
-    }
-
-    #[test]
-    fn class_name_parse() {
-        assert_eq!(ClassName::parse("query"), Some(ClassName::Query));
-        assert_eq!(ClassName::parse("BLOCKER"), Some(ClassName::Blocker));
-        assert_eq!(ClassName::parse("Duration_LAT"), None);
     }
 
     #[test]

@@ -48,13 +48,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sqlcm_analyze::{RuleEffects, RuleIr};
+use sqlcm_analyze::{Guard, RuleEffects, RuleIr};
 use sqlcm_common::{ProbeKind, ProbeMask, Value};
 use sqlcm_sql::{IrOp, NodeId};
 use sqlcm_telemetry::{Label, LatencyHistogram};
 
 use crate::containment::RuleBreaker;
-use crate::guard::{GuardIndex, RuleGuard};
+use crate::guard::GuardIndex;
 use crate::ir::{CondIr, ROp};
 use crate::lat::Lat;
 use crate::objects::ClassName;
@@ -77,10 +77,10 @@ pub(crate) struct Registered {
     /// to indexes). Bytecode is emitted from this when the rule's event
     /// class is planned, so CSE slot numbers can be local to the class.
     pub compiled: Option<Arc<CondIr>>,
-    /// The analyzer's dispatch-guard verdict for the rule, resolved to the
-    /// runtime layout; `None` = residual (always evaluated). Every plan
-    /// build installs this as is.
-    pub guard: Option<RuleGuard>,
+    /// The analyzer's dispatch-guard verdict for the rule, already in the
+    /// runtime layout (class and attribute position); `None` = residual
+    /// (always evaluated). Every plan build installs this as is.
+    pub guard: Option<Guard>,
     /// Actions with LAT handles resolved at registration.
     pub actions: Vec<CompiledAction>,
     /// Classes the condition references.
@@ -1223,7 +1223,7 @@ mod tests {
         let rule = Rule::new(name).on(event);
         Arc::new(Registered {
             name_label: name.into(),
-            ir: Arc::new(crate::analysis::rule_ir(&rule)),
+            ir: Arc::new(rule.ir()),
             rule: Arc::new(rule),
             compiled: None,
             guard: None,
@@ -1294,13 +1294,13 @@ mod tests {
         lats: &HashMap<String, Arc<Lat>>,
     ) -> Arc<Registered> {
         let rule = Rule::new(name).on(event).when(expr);
-        let ir = Arc::new(crate::analysis::rule_ir(&rule));
+        let ir = Arc::new(rule.ir());
         let cond_lats: Vec<String> = cond_lats.iter().map(|s| s.to_string()).collect();
         let folded = ir.condition.as_ref().unwrap().folded();
         Arc::new(Registered {
             name_label: name.into(),
             compiled: Some(Arc::new(CondIr::from_ir(folded, lats, &cond_lats).unwrap())),
-            guard: RuleGuard::of(&sqlcm_analyze::SchemaUniverse::builtin(), &ir),
+            guard: sqlcm_analyze::rule_guard(&ir).ok(),
             ir,
             rule: Arc::new(rule),
             actions: Vec::new(),

@@ -17,6 +17,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use sqlcm_analyze::{Condition, RuleIr};
 use sqlcm_common::{Error, Result, Value};
 use sqlcm_sql::{parse_expression, Expr};
 use sqlcm_telemetry::ShardedCounter;
@@ -25,76 +26,8 @@ use crate::actions::Action;
 use crate::lat::Lat;
 use crate::objects::{ClassName, Object};
 
-/// The events a rule can subscribe to (paper §5.1 plus schema extensions).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum RuleEvent {
-    QueryStart,
-    QueryCompile,
-    QueryCommit,
-    QueryRollback,
-    QueryCancel,
-    QueryBlocked,
-    BlockReleased,
-    TxnBegin,
-    TxnCommit,
-    TxnRollback,
-    Login,
-    Logout,
-    /// `Timer.Alarm` of the named timer.
-    TimerAlarm(String),
-    /// Eviction from the named LAT (§4.3: evicted rows are monitored objects).
-    LatEviction(String),
-    /// The self-monitoring bridge materialized a health snapshot: the payload
-    /// is one `Monitor` object, so rules can watch the watcher.
-    MonitorTick,
-}
-
-impl RuleEvent {
-    /// The classes guaranteed present in the event's payload.
-    pub fn payload_classes(&self) -> Vec<ClassName> {
-        match self {
-            RuleEvent::QueryStart
-            | RuleEvent::QueryCompile
-            | RuleEvent::QueryCommit
-            | RuleEvent::QueryRollback
-            | RuleEvent::QueryCancel => vec![ClassName::Query],
-            RuleEvent::QueryBlocked | RuleEvent::BlockReleased => {
-                vec![ClassName::Blocker, ClassName::Blocked]
-            }
-            RuleEvent::TxnBegin | RuleEvent::TxnCommit | RuleEvent::TxnRollback => {
-                vec![ClassName::Transaction]
-            }
-            RuleEvent::Login | RuleEvent::Logout => vec![ClassName::Session],
-            RuleEvent::TimerAlarm(_) => vec![ClassName::Timer],
-            RuleEvent::LatEviction(lat) => vec![ClassName::Evicted(lat.clone())],
-            RuleEvent::MonitorTick => vec![ClassName::Monitor],
-        }
-    }
-}
-
-impl std::fmt::Display for RuleEvent {
-    /// Event names in the probe `Class.Event` convention (used by the flight
-    /// recorder and telemetry exports).
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RuleEvent::QueryStart => f.write_str("Query.Start"),
-            RuleEvent::QueryCompile => f.write_str("Query.Compile"),
-            RuleEvent::QueryCommit => f.write_str("Query.Commit"),
-            RuleEvent::QueryRollback => f.write_str("Query.Rollback"),
-            RuleEvent::QueryCancel => f.write_str("Query.Cancel"),
-            RuleEvent::QueryBlocked => f.write_str("Query.Blocked"),
-            RuleEvent::BlockReleased => f.write_str("Query.Block_Released"),
-            RuleEvent::TxnBegin => f.write_str("Transaction.Begin"),
-            RuleEvent::TxnCommit => f.write_str("Transaction.Commit"),
-            RuleEvent::TxnRollback => f.write_str("Transaction.Rollback"),
-            RuleEvent::Login => f.write_str("Session.Login"),
-            RuleEvent::Logout => f.write_str("Session.Logout"),
-            RuleEvent::TimerAlarm(t) => write!(f, "Timer.Alarm({t})"),
-            RuleEvent::LatEviction(lat) => write!(f, "Lat.Eviction({lat})"),
-            RuleEvent::MonitorTick => f.write_str("Monitor.Tick"),
-        }
-    }
-}
+/// The events are declared once, in the analyzer crate.
+pub use sqlcm_analyze::RuleEvent;
 
 /// Rule-level counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -354,6 +287,18 @@ impl Rule {
             fires: self.fires.load(Ordering::Relaxed),
             actions: self.executed_actions.load(Ordering::Relaxed),
             action_errors: self.action_errors.load(Ordering::Relaxed),
+        }
+    }
+
+    /// The rule as the static analyzer reads it, with its condition lowered
+    /// and folded — once per rule: the analyzer's checks, the effect
+    /// summary, the guard verdict and the compiled condition all read it.
+    pub fn ir(&self) -> RuleIr {
+        RuleIr {
+            name: self.name.clone(),
+            event: self.event.clone(),
+            condition: self.condition.as_ref().map(Condition::lower),
+            actions: self.actions.clone(),
         }
     }
 
@@ -740,32 +685,5 @@ mod tests {
             let c = parse_expression(cond).unwrap();
             assert_eq!(eval_condition(&c, &ctx).unwrap(), expect, "{cond}");
         }
-    }
-
-    #[test]
-    fn payload_classes() {
-        assert_eq!(
-            RuleEvent::QueryBlocked.payload_classes(),
-            vec![ClassName::Blocker, ClassName::Blocked]
-        );
-        assert_eq!(
-            RuleEvent::TimerAlarm("t".into()).payload_classes(),
-            vec![ClassName::Timer]
-        );
-        assert_eq!(
-            RuleEvent::MonitorTick.payload_classes(),
-            vec![ClassName::Monitor]
-        );
-    }
-
-    #[test]
-    fn event_display_matches_probe_names() {
-        assert_eq!(RuleEvent::QueryCommit.to_string(), "Query.Commit");
-        assert_eq!(RuleEvent::BlockReleased.to_string(), "Query.Block_Released");
-        assert_eq!(
-            RuleEvent::TimerAlarm("audit".into()).to_string(),
-            "Timer.Alarm(audit)"
-        );
-        assert_eq!(RuleEvent::MonitorTick.to_string(), "Monitor.Tick");
     }
 }

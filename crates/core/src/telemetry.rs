@@ -706,7 +706,7 @@ mod tests {
     }
 
     /// The `Monitor` object carries, position by position, the types
-    /// `builtin_class("Monitor")` declares, read from the snapshot.
+    /// `ClassName::Monitor.schema()` declares, read from the snapshot.
     #[test]
     fn monitor_object_follows_its_schema() {
         use sqlcm_common::Value;
@@ -715,7 +715,7 @@ mod tests {
         snap.containment.quarantined = vec!["a".into(), "b".into()];
         snap.containment.deferred.queue_depth = 7;
         let monitor = crate::objects::monitor_object(&snap);
-        let class = sqlcm_analyze::schema::builtin_class("Monitor").unwrap();
+        let class = crate::objects::ClassName::Monitor.schema().unwrap();
         assert_eq!(monitor.values().len(), class.attrs.len());
         for ((attr, ty), value) in class.attrs.iter().zip(monitor.values()) {
             assert_eq!(value.data_type(), Some(*ty), "{attr}");

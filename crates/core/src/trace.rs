@@ -203,7 +203,9 @@ impl PrunedRules {
     /// Which guard of `pr` the payload violated.
     fn explain(&self, pr: &PlanRule) -> String {
         let guard = pr.reg.guard.as_ref();
-        guard.map(|g| g.explain(&self.objects)).unwrap_or_default()
+        guard
+            .map(|g| crate::guard::explain(g, &self.objects))
+            .unwrap_or_default()
     }
 
     /// `(rule, why)` for every rule the index did not admit, in registration

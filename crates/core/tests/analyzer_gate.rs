@@ -2,8 +2,7 @@
 //! rules with error-severity diagnostics (coded E001–E006) and collect
 //! warnings (W1xx/W2xx/W3xx) without blocking.
 
-use sqlcm_core::analysis::{rule_guard, rule_ir, Residual};
-use sqlcm_core::{Action, Analyzer, LatAggFunc, LatSpec, Rule, RuleEvent, Sqlcm};
+use sqlcm_core::{rule_guard, Action, LatAggFunc, LatSpec, Residual, Rule, RuleEvent, Sqlcm};
 use sqlcm_engine::Engine;
 
 fn setup() -> (Engine, Sqlcm) {
@@ -134,6 +133,29 @@ fn cascade_cycle_is_denied_with_e004() {
         .unwrap_err();
     assert!(err.to_string().contains("E004"), "{err}");
     assert!(err.to_string().contains("close_loop"), "{err}");
+}
+
+/// Timers are keyed exactly at runtime, so timer `tick` never raises
+/// `Timer.Alarm(Tick)`: re-arming it from that alarm closes no cycle.
+#[test]
+fn timer_names_match_exactly_in_the_cascade_check() {
+    let (_engine, sqlcm) = setup();
+    sqlcm
+        .add_rule(
+            Rule::new("rearm")
+                .on(RuleEvent::TimerAlarm("Tick".into()))
+                .then(Action::set_timer("tick", 1_000_000, 1)),
+        )
+        .unwrap();
+    let err = sqlcm
+        .add_rule(
+            Rule::new("loop")
+                .on(RuleEvent::TimerAlarm("tick".into()))
+                .then(Action::set_timer("tick", 1_000_000, 1)),
+        )
+        .unwrap_err();
+    assert!(err.to_string().contains("E004"), "{err}");
+    assert_eq!(sqlcm.rule_count(), 1);
 }
 
 #[test]
@@ -410,13 +432,9 @@ fn analyzer_guard_verdicts_equal_the_installed_index() {
     ];
 
     // The offline verdicts, exactly as `lint_rules` computes them.
-    let mut analyzer = Analyzer::new();
-    assert!(analyzer
-        .check_lat(&sqlcm_core::analysis::lat_ir(&duration_lat()))
-        .is_empty());
     let verdicts: Vec<_> = rules
         .iter()
-        .map(|r| (r.name.clone(), rule_guard(analyzer.universe(), &rule_ir(r))))
+        .map(|r| (r.name.clone(), rule_guard(&r.ir())))
         .collect();
     let indexed = verdicts.iter().filter(|(_, v)| v.is_ok()).count() as u64;
     assert_eq!(indexed, 6, "{verdicts:?}");

@@ -175,7 +175,6 @@ pub fn catalogs() -> Vec<RuleCatalog> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqlcm_core::analysis::{lat_ir, rule_ir};
     use sqlcm_core::Analyzer;
 
     /// The CI gate in library form: every catalog must lint completely clean —
@@ -183,9 +182,8 @@ mod tests {
     #[test]
     fn all_catalogs_are_lint_clean() {
         for catalog in catalogs() {
-            let lats: Vec<_> = catalog.lats.iter().map(lat_ir).collect();
-            let rules: Vec<_> = catalog.rules.iter().map(rule_ir).collect();
-            let diags = Analyzer::check_ruleset(&lats, &rules);
+            let rules: Vec<_> = catalog.rules.iter().map(Rule::ir).collect();
+            let diags = Analyzer::check_ruleset(&catalog.lats, &rules);
             assert!(
                 diags.is_empty(),
                 "catalog `{}` is not lint-clean: {diags:?}",

@@ -15,8 +15,9 @@
 //! `--deny-warnings`, when any diagnostic at all is reported — so the command
 //! slots into CI for rule catalogs kept under version control.
 
-use sqlcm_core::analysis::{lat_ir, rule_guard, rule_ir};
-use sqlcm_core::{Action, Analyzer, Diagnostic, LatAggFunc, LatSpec, Rule, RuleEvent, Severity};
+use sqlcm_core::{
+    rule_guard, Action, Analyzer, Diagnostic, LatAggFunc, LatSpec, Rule, RuleEvent, Severity,
+};
 use sqlcm_repro::workloads::rules::catalogs;
 
 /// Cascade threshold used in `--bad` mode. The default (64) is sized for real
@@ -213,15 +214,15 @@ fn lint(lats: &[LatSpec], rules: &[Rule], cascade_threshold: Option<usize>) -> V
     }
     let mut diags: Vec<Diagnostic> = Vec::new();
     for spec in lats {
-        diags.extend(analyzer.check_lat(&lat_ir(spec)));
+        diags.extend(analyzer.check_lat(spec));
     }
-    let irs: Vec<_> = rules.iter().map(rule_ir).collect();
+    let irs: Vec<_> = rules.iter().map(Rule::ir).collect();
     for ir in &irs {
         diags.extend(analyzer.check_rule(ir));
     }
     println!("guard indexability (can dispatch prune the rule without evaluating it?):");
     for ir in &irs {
-        match rule_guard(analyzer.universe(), ir) {
+        match rule_guard(ir) {
             Ok(guard) => println!("  {:<16} indexable: {guard}", ir.name),
             Err(r) => println!("  {:<16} residual:  {}", ir.name, r.describe()),
         }

@@ -1,7 +1,7 @@
 //! The telemetry export against its documentation: every path
 //! `TelemetrySnapshot::to_json` emits is a row of the README's telemetry
 //! table and every row is emitted, and the README's `Monitor` attribute list
-//! is the one `builtin_class("Monitor")` declares, which the `Monitor` object
+//! is the one `ClassName::Monitor.schema()` declares, which the `Monitor` object
 //! is laid out by.
 
 use std::collections::BTreeSet;
@@ -153,7 +153,7 @@ fn readme_lists_the_monitor_attributes_in_value_order() {
         .skip(1)
         .step_by(2)
         .collect();
-    // The object's attribute names are `builtin_class("Monitor")`'s, in
+    // The object's attribute names are `ClassName::Monitor.schema()`'s, in
     // its order (`objects::attr_names`).
     let snap = Sqlcm::attach(&Engine::in_memory()).telemetry();
     let monitor = sqlcm_repro::monitor::objects::monitor_object(&snap);
