@@ -21,17 +21,26 @@
 //! value, not a switch. There is no load shedding: the event path is kept
 //! cheap enough to leave on instead.
 //!
-//! Healthy-path cost discipline: recording a good outcome into a clean
-//! window is one relaxed read-modify-write (the sequence) and two loads — no
-//! locks, no allocation, no clock read, no threshold read (the thresholds
-//! and the clock are consulted only on a bad outcome, and the clock only when
-//! a breaker actually trips or a quarantined rule is scanned for
-//! re-admission). The whole-system differential suite pins that a healthy
-//! run with breakers live matches the breaker-less reference monitor.
+//! Healthy-path cost discipline: the window's position is the number of
+//! outcomes recorded since its last reset, and that count is striped by
+//! dispatcher in the rule's books (`crate::rules::RuleBooks`). Recording a
+//! good outcome into a clean window is one relaxed read-modify-write of the
+//! caller's own stripe and two loads of masks nobody writes — no shared line
+//! written, no locks, no allocation, no clock read, no threshold read. Only a
+//! bad outcome, or a window that is not clean, sums the stripes for its
+//! position (exact when outcomes arrive one at a time, which is when the
+//! window is an ordered sequence at all) and sets or clears its bit in the
+//! shared masks; the thresholds and the clock are consulted only on a bad
+//! outcome, and the clock only when a breaker actually trips or a
+//! quarantined rule is scanned for re-admission. The whole-system
+//! differential suite pins that a healthy run with breakers live matches the
+//! breaker-less reference monitor.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 use sqlcm_telemetry::ShardedCounter;
+
+use crate::rules::RuleBooks;
 
 /// Sliding-window width in outcomes (one bit per outcome; fixed so the whole
 /// window lives in one `AtomicU64`).
@@ -102,12 +111,11 @@ impl Default for BreakerConfig {
 
 /// The per-rule breaker: state and window, judged by the thresholds the
 /// caller passes in. Lives on [`crate::plan::Registered`], so it survives
-/// plan rebuilds, enable/disable cycles, and LAT churn.
+/// plan rebuilds, enable/disable cycles, and LAT churn. The count of
+/// outcomes that positions the window lives in the rule's books.
 #[derive(Default)]
 pub(crate) struct RuleBreaker {
     state: AtomicU8,
-    /// Outcomes recorded since the last window reset (positions the ring).
-    seq: AtomicU64,
     /// Ring of the last 64 outcomes: bit set ⇒ errored.
     err_mask: AtomicU64,
     /// Ring of the last 64 outcomes: bit set ⇒ over the latency budget.
@@ -175,22 +183,32 @@ impl RuleBreaker {
         }
     }
 
-    /// Record one `Closed`-state outcome into the sliding window; returns
+    /// Record one `Closed`-state outcome into the sliding window, counting
+    /// it in the caller's stripe of the rule's `books`; returns
     /// `true` when this outcome tripped the breaker (the caller then
     /// quarantines the rule). `thresholds` is called only on a bad outcome,
     /// `now` only on an actual trip.
     pub fn record_outcome(
         &self,
+        books: &RuleBooks,
         error: bool,
         slow: bool,
         thresholds: impl FnOnce() -> BreakerConfig,
         now: impl FnOnce() -> u64,
     ) -> bool {
-        let pos = self.seq.fetch_add(1, Ordering::Relaxed) & (BREAKER_WINDOW as u64 - 1);
-        let bit = 1u64 << pos;
-        // A good outcome leaves a mask whose bit is already clear alone: a
-        // healthy rule's window stays all-zero, read but never written, and
-        // the sequence above is its one read-modify-write.
+        books.mine().outcomes.fetch_add(1, Ordering::Relaxed);
+        let bad = error || slow;
+        // A good outcome into a clean window leaves both masks as they are:
+        // its bit is already clear, wherever the window stands.
+        if !bad
+            && self.err_mask.load(Ordering::Relaxed) == 0
+            && self.slow_mask.load(Ordering::Relaxed) == 0
+        {
+            return false;
+        }
+        let recorded = books.outcomes();
+        // A reset racing this outcome can leave the sum at 0.
+        let bit = 1u64 << (recorded.wrapping_sub(1) & (BREAKER_WINDOW as u64 - 1));
         let put = |mask: &AtomicU64, bad: bool| {
             if bad {
                 mask.fetch_or(bit, Ordering::Relaxed);
@@ -200,13 +218,13 @@ impl RuleBreaker {
         };
         put(&self.err_mask, error);
         put(&self.slow_mask, slow);
-        if !error && !slow {
+        if !bad {
             return false;
         }
         // Trip check only on a bad outcome — the healthy path never counts
         // bits or reads thresholds.
         let cfg = thresholds();
-        if self.seq.load(Ordering::Relaxed) < u64::from(cfg.min_outcomes) {
+        if recorded < u64::from(cfg.min_outcomes) {
             return false;
         }
         let errs = self.err_mask.load(Ordering::Relaxed).count_ones();
@@ -253,9 +271,10 @@ impl RuleBreaker {
     }
 
     /// Successful half-open trial: close the breaker and reset the window
-    /// (the rule starts from a clean slate; `min_outcomes` applies afresh).
-    pub fn trial_succeeded(&self) {
-        self.seq.store(0, Ordering::Relaxed);
+    /// (the rule starts from a clean slate; `min_outcomes` applies afresh):
+    /// every stripe of the outcome count in `books` is zeroed.
+    pub fn trial_succeeded(&self, books: &RuleBooks) {
+        books.reset_outcomes();
         self.err_mask.store(0, Ordering::Relaxed);
         self.slow_mask.store(0, Ordering::Relaxed);
         self.state.store(ST_CLOSED, Ordering::Release);
@@ -343,17 +362,39 @@ impl Containment {
 mod tests {
     use super::*;
 
-    fn trip_now(b: &RuleBreaker, cfg: BreakerConfig, n: u32) -> bool {
+    /// A breaker with its rule's books, recording on this thread's stripe.
+    #[derive(Default)]
+    struct Ruled {
+        breaker: RuleBreaker,
+        books: RuleBooks,
+    }
+
+    impl std::ops::Deref for Ruled {
+        type Target = RuleBreaker;
+
+        fn deref(&self) -> &RuleBreaker {
+            &self.breaker
+        }
+    }
+
+    impl Ruled {
+        fn record(&self, error: bool, slow: bool, cfg: BreakerConfig, now: u64) -> bool {
+            self.breaker
+                .record_outcome(&self.books, error, slow, || cfg, || now)
+        }
+    }
+
+    fn trip_now(b: &Ruled, cfg: BreakerConfig, n: u32) -> bool {
         let mut tripped = false;
         for _ in 0..n {
-            tripped |= b.record_outcome(true, false, || cfg, || 1_000);
+            tripped |= b.record(true, false, cfg, 1_000);
         }
         tripped
     }
 
     #[test]
     fn breaker_trips_only_past_min_outcomes_and_threshold() {
-        let b = RuleBreaker::default();
+        let b = Ruled::default();
         let cfg = BreakerConfig {
             error_threshold: 4,
             min_outcomes: 8,
@@ -361,18 +402,18 @@ mod tests {
         };
         // 7 outcomes (4 errors) — under min_outcomes, no trip.
         for i in 0..7 {
-            assert!(!b.record_outcome(i % 2 == 0, false, || cfg, || 0));
+            assert!(!b.record(i % 2 == 0, false, cfg, 0));
         }
         assert_eq!(b.state(), BreakerState::Closed);
         // 8th outcome is the 4th error within the window and past min.
-        assert!(b.record_outcome(true, false, || cfg, || 123));
+        assert!(b.record(true, false, cfg, 123));
         assert_eq!(b.state(), BreakerState::Open);
         assert_eq!(b.trips(), 1);
     }
 
     #[test]
     fn window_slides_old_errors_out() {
-        let b = RuleBreaker::default();
+        let b = Ruled::default();
         let cfg = BreakerConfig {
             error_threshold: 8,
             min_outcomes: 4,
@@ -381,7 +422,7 @@ mod tests {
         // 7 errors, then > 64 successes: the errors age out of the mask.
         assert!(!trip_now(&b, cfg, 7));
         for _ in 0..70 {
-            assert!(!b.record_outcome(false, false, || cfg, || 0));
+            assert!(!b.record(false, false, cfg, 0));
         }
         // 7 fresh errors still under the threshold of 8.
         assert!(!trip_now(&b, cfg, 7));
@@ -390,7 +431,7 @@ mod tests {
 
     #[test]
     fn half_open_admits_one_trial_and_outcome_decides() {
-        let b = RuleBreaker::default();
+        let b = Ruled::default();
         let cfg = BreakerConfig {
             error_threshold: 2,
             min_outcomes: 2,
@@ -410,8 +451,99 @@ mod tests {
         assert!(!b.maybe_half_open(2_050));
         assert!(b.maybe_half_open(2_100));
         assert_eq!(b.gate(), BreakerGate::Trial);
-        b.trial_succeeded();
+        b.trial_succeeded(&b.books);
         assert_eq!(b.state(), BreakerState::Closed);
+        assert_eq!(b.books.outcomes(), 0);
         assert_eq!(b.gate(), BreakerGate::Proceed);
+    }
+
+    /// The window as it was kept before its outcome count was striped: one
+    /// sequence positions the ring and every outcome writes its bit. The
+    /// reference the striped breaker's sequential behaviour is pinned to.
+    #[derive(Default)]
+    struct SequenceRing {
+        seq: u64,
+        err: u64,
+        slow: u64,
+    }
+
+    impl SequenceRing {
+        /// Record one outcome; returns whether the window now trips.
+        fn record(&mut self, error: bool, slow: bool, cfg: BreakerConfig) -> bool {
+            let bit = 1u64 << (self.seq & (u64::from(BREAKER_WINDOW) - 1));
+            self.seq += 1;
+            for (mask, bad) in [(&mut self.err, error), (&mut self.slow, slow)] {
+                if bad {
+                    *mask |= bit;
+                } else {
+                    *mask &= !bit;
+                }
+            }
+            (error || slow)
+                && self.seq >= u64::from(cfg.min_outcomes)
+                && (self.err.count_ones() >= cfg.error_threshold
+                    || self.slow.count_ones() >= cfg.slow_threshold)
+        }
+    }
+
+    /// Seeded good / error / slow sequences, in phases of different bad-outcome
+    /// rates (a phase with none leaves clean windows behind), through the
+    /// striped breaker and the sequence ring: the same outcome trips both,
+    /// and after every outcome both masks and the outcome count agree —
+    /// across wraps past 64, the `min_outcomes` crossing, and the reset of a
+    /// successful half-open trial.
+    #[test]
+    fn striped_breaker_matches_the_sequence_ring() {
+        let mut trips = 0;
+        for seed in 0..24u64 {
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = |n: u64| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % n
+            };
+            let cfg = BreakerConfig {
+                error_threshold: 4 + next(12) as u32,
+                slow_threshold: 4 + next(12) as u32,
+                min_outcomes: [0, 10, 64, 100][seed as usize % 4],
+                ..Default::default()
+            };
+            let b = Ruled::default();
+            let mut reference = SequenceRing::default();
+            let mut bad_per_64 = 0;
+            for step in 0..2_000u64 {
+                if step % 150 == 0 {
+                    bad_per_64 = [0, 1, 4, 16][next(4) as usize];
+                }
+                let (error, slow) = match next(64) < bad_per_64 {
+                    false => (false, false),
+                    true => [(true, false), (false, true), (true, true)][next(3) as usize],
+                };
+                let tripped = b.record(error, slow, cfg, step);
+                assert_eq!(
+                    tripped,
+                    reference.record(error, slow, cfg),
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(
+                    (
+                        b.err_mask.load(Ordering::Relaxed),
+                        b.slow_mask.load(Ordering::Relaxed),
+                        b.books.outcomes()
+                    ),
+                    (reference.err, reference.slow, reference.seq),
+                    "seed {seed} step {step}"
+                );
+                if tripped {
+                    trips += 1;
+                    assert!(b.maybe_half_open(u64::MAX));
+                    assert_eq!(b.gate(), BreakerGate::Trial);
+                    b.trial_succeeded(&b.books);
+                    reference = SequenceRing::default();
+                }
+            }
+        }
+        assert!(trips > 24, "{trips} trips");
     }
 }

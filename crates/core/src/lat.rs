@@ -72,6 +72,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 use sqlcm_common::{Error, Result, SharedClock, Timestamp, Value};
+use sqlcm_telemetry::ShardedCounter;
 
 use crate::objects::Object;
 
@@ -749,7 +750,8 @@ pub struct Lat {
     /// each with the key it is still filed under. Pushed under the row latch,
     /// drained by the evictor.
     dirty: Mutex<Vec<(Rank, Arc<Row>)>>,
-    inserts: AtomicU64,
+    /// Striped by dispatcher: every insert writes it.
+    inserts: ShardedCounter,
     evictions: AtomicU64,
     resets: AtomicU64,
     aging_rolls: AtomicU64,
@@ -838,7 +840,7 @@ impl Lat {
                 refile: Vec::new(),
             }),
             dirty: Mutex::new(Vec::new()),
-            inserts: AtomicU64::new(0),
+            inserts: ShardedCounter::new(),
             evictions: AtomicU64::new(0),
             resets: AtomicU64::new(0),
             aging_rolls: AtomicU64::new(0),
@@ -886,7 +888,7 @@ impl Lat {
 
     pub fn stats(&self) -> LatStats {
         LatStats {
-            inserts: self.inserts.load(Ordering::Relaxed),
+            inserts: self.inserts.get(),
             evictions: self.evictions.load(Ordering::Relaxed),
             resets: self.resets.load(Ordering::Relaxed),
             aging_rolls: self.aging_rolls.load(Ordering::Relaxed),
@@ -937,6 +939,16 @@ impl Lat {
         }
     }
 
+    /// The time an insert or lookup folds or reads at: only aging aggregates
+    /// look at it, so a LAT without one never reads its clock here.
+    fn now_if_aging(&self) -> Timestamp {
+        if self.ages {
+            self.clock.now_micros()
+        } else {
+            0
+        }
+    }
+
     /// The coordinator lock, on LATs that evict.
     fn coordinator(&self) -> Option<parking_lot::MutexGuard<'_, Coordinator>> {
         self.bounded.then(|| self.evict_lock.lock())
@@ -952,12 +964,7 @@ impl Lat {
     /// when no rule subscribes to this LAT's eviction event, the victims'
     /// output rows (which clone text attributes) need not be built.
     pub fn insert_and(&self, obj: &Object, want_evicted: bool) -> Result<Vec<Vec<Value>>> {
-        // Only aging aggregates look at the time of an insert.
-        let now = if self.ages {
-            self.clock.now_micros()
-        } else {
-            0
-        };
+        let now = self.now_if_aging();
         self.with_group_key(obj, |key| self.insert_keyed(key, obj, now, want_evicted))
             .ok_or_else(|| {
                 Error::Monitor(format!(
@@ -981,7 +988,7 @@ impl Lat {
         // latches, so they never contend on an exclusive lock.
         if let Some(row) = shard.read().get(key) {
             self.fold(&row.0, obj, now)?;
-            self.inserts.fetch_add(1, Ordering::Relaxed);
+            self.inserts.incr();
             return Ok(Vec::new());
         }
         // New group. On a bounded LAT the coordinator lock serializes map
@@ -1017,7 +1024,7 @@ impl Lat {
                 }
             }
         };
-        self.inserts.fetch_add(1, Ordering::Relaxed);
+        self.inserts.incr();
         let Some(row) = created else {
             return Ok(Vec::new());
         };
@@ -1304,7 +1311,7 @@ impl Lat {
     /// Look up the row whose grouping columns match `obj` (the rule engine's
     /// implicit-∃ binding, §5.2). Returns the materialized output row.
     pub fn lookup_for(&self, obj: &Object) -> Option<Vec<Value>> {
-        let now = self.clock.now_micros();
+        let now = self.now_if_aging();
         self.with_group_key(obj, |key| {
             let rows = self.shards[self.shard_of(key)].read();
             rows.get(key).map(|r| r.0.output(&r.0.state.lock(), now))

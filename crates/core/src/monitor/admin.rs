@@ -81,11 +81,11 @@ impl SqlcmInner {
 
     fn stats_now(&self) -> SqlcmStats {
         SqlcmStats {
-            events: self.events.load(Ordering::Relaxed),
-            evaluations: self.evaluations.load(Ordering::Relaxed),
-            fires: self.fires.load(Ordering::Relaxed),
-            actions: self.actions.load(Ordering::Relaxed),
-            action_errors: self.action_errors.load(Ordering::Relaxed),
+            events: self.events.get(),
+            evaluations: self.evaluations.get(),
+            fires: self.fires.get(),
+            actions: self.actions.get(),
+            action_errors: self.action_errors.get(),
         }
     }
 
@@ -109,6 +109,7 @@ impl SqlcmInner {
                 .iter()
                 .map(|reg| {
                     let stats = reg.rule.stats();
+                    let (condition, action) = reg.rule.books.latency();
                     RuleTelemetry {
                         name: reg.rule.name.clone(),
                         event: reg.rule.event.to_string(),
@@ -117,8 +118,8 @@ impl SqlcmInner {
                         fires: stats.fires,
                         actions: stats.actions,
                         action_errors: stats.action_errors,
-                        condition: reg.cond_latency.snapshot(),
-                        action: reg.action_latency.snapshot(),
+                        condition,
+                        action,
                         last_error: rule_errors.get(&reg.rule.name).cloned(),
                     }
                 })

@@ -167,7 +167,8 @@ const VALUE_POOL_BOUND: usize = 8;
 
 impl Instrumentation for SqlcmMonitor {
     fn on_event(&self, event: &EngineEvent) {
-        let n = self.inner.events.fetch_add(1, Ordering::Relaxed) + 1;
+        // This dispatcher's own count of events: each paces its checkpoint.
+        let n = self.inner.events.incr();
         let probe = event.kind();
         let telem = &self.inner.telemetry;
         // Per-kind attribution is a single sharded-counter increment, so the
@@ -190,7 +191,8 @@ impl Instrumentation for SqlcmMonitor {
         let end = last.unwrap_or_else(Stamp::now);
         telem.probe_latency[probe.index()].record(end.nanos_since(entered));
         // Containment checkpoint: a masked counter test per event; the cold
-        // re-admission scan runs every `CHECKPOINT_INTERVAL` events.
+        // re-admission scan runs every `CHECKPOINT_INTERVAL` events of each
+        // dispatcher's stripe.
         if n & (CHECKPOINT_INTERVAL - 1) == 0 {
             self.inner.scan_quarantined();
         }
@@ -478,7 +480,8 @@ impl SqlcmInner {
                 }
                 if probed {
                     admitted += 1;
-                    pr.reg.rule.candidate_events.fetch_add(1, Ordering::Relaxed);
+                    let mine = pr.reg.rule.books.mine();
+                    mine.candidate_events.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
@@ -531,22 +534,15 @@ impl SqlcmInner {
         Some(books.stamp)
     }
 
-    /// Add one event's tallies to the shared counters — once per
-    /// `handle_one`, so an evaluation writes no line every dispatching thread
-    /// shares.
+    /// Add one event's tallies to the striped totals — once per
+    /// `handle_one`, so an evaluation writes none of their lines.
     fn flush(&self, b: &EventBooks) {
+        let t = &self.telemetry;
         for (total, n) in [
             (&self.evaluations, b.evaluations),
             (&self.fires, b.fires),
             (&self.actions, b.actions),
             (&self.action_errors, b.action_errors),
-        ] {
-            if n != 0 {
-                total.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        let t = &self.telemetry;
-        for (total, n) in [
             (&t.vm_instructions, b.vm_instructions),
             (&t.cse_hits, b.cse_hits),
             (&t.hoisted_lookup_hits, b.hoisted_lookup_hits),
@@ -689,7 +685,10 @@ impl SqlcmInner {
                 return;
             }
         };
-        reg.rule.evaluations.fetch_add(1, Ordering::Relaxed);
+        // This dispatcher's stripe of the rule's books: every count and span
+        // of the evaluation lands in it.
+        let mine = reg.rule.books.mine();
+        mine.evaluations.fetch_add(1, Ordering::Relaxed);
         books.evaluations += 1;
         let rule_span = match trace.as_mut() {
             Some(ctx) => ctx.open_rule(ev.span, &reg.rule.name),
@@ -820,7 +819,7 @@ impl SqlcmInner {
                 Ok(b) => b,
                 Err(e) => {
                     cond_error = true;
-                    reg.rule.action_errors.fetch_add(1, Ordering::Relaxed);
+                    mine.action_errors.fetch_add(1, Ordering::Relaxed);
                     self.record_error(
                         &reg.rule.name,
                         format!("condition of rule {} failed: {e}", reg.rule.name),
@@ -835,7 +834,7 @@ impl SqlcmInner {
         // rule before this one, or the start of the rule loop — is this
         // condition, with the dispatch between the two.
         let cond_nanos = books.lap();
-        reg.cond_latency.record(cond_nanos);
+        mine.record_condition(cond_nanos);
         // The explainer re-resolves the condition's references — allocation
         // and extra lookups happen only on sampled evaluations.
         if let Some(tctx) = trace.as_mut() {
@@ -863,12 +862,12 @@ impl SqlcmInner {
             self.record_breaker_outcome(reg, trial, cond_error, cond_nanos);
             return;
         }
-        reg.rule.fires.fetch_add(1, Ordering::Relaxed);
+        mine.fires.fetch_add(1, Ordering::Relaxed);
         books.fires += 1;
         let mut errors = 0u32;
         for action in &reg.actions {
             books.actions += 1;
-            reg.rule.executed_actions.fetch_add(1, Ordering::Relaxed);
+            mine.executed_actions.fetch_add(1, Ordering::Relaxed);
             let action_span = match trace.as_mut() {
                 Some(tctx) => {
                     let s = tctx.open_action(rule_span, compiled_action_label(action));
@@ -896,7 +895,7 @@ impl SqlcmInner {
             }
             if let Err(e) = result {
                 errors += 1;
-                reg.rule.action_errors.fetch_add(1, Ordering::Relaxed);
+                mine.action_errors.fetch_add(1, Ordering::Relaxed);
                 books.action_errors += 1;
                 self.record_error(
                     &reg.rule.name,
@@ -911,7 +910,7 @@ impl SqlcmInner {
         // rule's condition span starts — invalidation, the flight record and
         // the breaker's bookkeeping below are the first things in it.
         let action_nanos = books.lap();
-        reg.action_latency.record(action_nanos);
+        mine.record_action(action_nanos);
         let total_nanos = cond_nanos + action_nanos;
         self.telemetry.recorder.record(FlightRecord {
             seq: 0,
@@ -1173,7 +1172,7 @@ impl SqlcmInner {
                     self.on_trip(reg, "failed its half-open trial; breaker re-opened");
                 }
             } else {
-                reg.breaker.trial_succeeded();
+                reg.breaker.trial_succeeded(&reg.rule.books);
                 self.containment.breaker_closes.incr();
                 self.note_breaker("Breaker.Close", &reg.rule.name, 0);
             }
@@ -1182,6 +1181,7 @@ impl SqlcmInner {
         let budget = self.containment.latency_budget_nanos();
         let slow = budget > 0 && nanos > budget;
         if reg.breaker.record_outcome(
+            &reg.rule.books,
             error,
             slow,
             || self.containment.breaker(),

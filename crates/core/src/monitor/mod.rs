@@ -29,7 +29,7 @@
 //! and `admin` the snapshots and self-monitoring.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::{Mutex, RwLock};
@@ -39,6 +39,7 @@ use sqlcm_engine::instrument::Instrumentation;
 use sqlcm_engine::Engine;
 
 use sqlcm_analyze::{Analyzer, Diagnostic};
+use sqlcm_telemetry::ShardedCounter;
 
 use crate::containment::{BreakerConfig, Containment};
 use crate::deferred::{AttemptOutcome, DeferredQueue, RetryPolicy};
@@ -137,11 +138,12 @@ struct SqlcmInner {
     command_log: Arc<RecordingCommandSink>,
     mail_sink: RwLock<Arc<dyn MailSink>>,
     command_sink: RwLock<Arc<dyn CommandSink>>,
-    events: AtomicU64,
-    evaluations: AtomicU64,
-    fires: AtomicU64,
-    actions: AtomicU64,
-    action_errors: AtomicU64,
+    /// Striped by dispatcher, like every counter the event path writes.
+    events: ShardedCounter,
+    evaluations: ShardedCounter,
+    fires: ShardedCounter,
+    actions: ShardedCounter,
+    action_errors: ShardedCounter,
     last_error: Mutex<Option<String>>,
     /// Warnings collected by the static analyzer across registrations.
     /// Deduplicated by (code, rule, message) and capped at
@@ -190,7 +192,7 @@ impl SqlcmInner {
                 }
                 Err(e) => {
                     a.attempts += 1;
-                    self.action_errors.fetch_add(1, Ordering::Relaxed);
+                    self.action_errors.incr();
                     self.record_error(
                         &a.rule,
                         format!(
@@ -221,7 +223,11 @@ impl SqlcmInner {
             return;
         };
         if error {
-            reg.rule.action_errors.fetch_add(1, Ordering::Relaxed);
+            reg.rule
+                .books
+                .mine()
+                .action_errors
+                .fetch_add(1, Ordering::Relaxed);
         }
         self.record_breaker_outcome(&reg, false, error, 0);
     }
@@ -263,11 +269,11 @@ impl Sqlcm {
             command_sink: RwLock::new(command_log.clone() as Arc<dyn CommandSink>),
             outbox,
             command_log,
-            events: AtomicU64::new(0),
-            evaluations: AtomicU64::new(0),
-            fires: AtomicU64::new(0),
-            actions: AtomicU64::new(0),
-            action_errors: AtomicU64::new(0),
+            events: ShardedCounter::new(),
+            evaluations: ShardedCounter::new(),
+            fires: ShardedCounter::new(),
+            actions: ShardedCounter::new(),
+            action_errors: ShardedCounter::new(),
             last_error: Mutex::new(None),
             analysis_warnings: Mutex::new(Vec::new()),
             telemetry: Telem::new(),

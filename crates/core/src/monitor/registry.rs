@@ -11,7 +11,6 @@ use std::sync::Arc;
 use sqlcm_common::{Error, Result};
 
 use sqlcm_analyze::{rule_guard, Analyzer, Diagnostic};
-use sqlcm_telemetry::LatencyHistogram;
 
 use crate::actions::{persist_rows, read_table, Action};
 use crate::containment::RuleBreaker;
@@ -385,8 +384,6 @@ impl Sqlcm {
             actions: compiled_actions,
             cond_classes,
             cond_lats: cond_lats_lc,
-            cond_latency: LatencyHistogram::new(),
-            action_latency: LatencyHistogram::new(),
             effects: Some(effects),
             breaker: RuleBreaker::default(),
         });

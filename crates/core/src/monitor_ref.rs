@@ -260,7 +260,8 @@ impl State {
             if !r.cond_classes.iter().all(in_payload) {
                 continue;
             }
-            r.rule.evaluations.fetch_add(1, Ordering::Relaxed);
+            let mine = r.rule.books.mine();
+            mine.evaluations.fetch_add(1, Ordering::Relaxed);
             stats.evaluations += 1;
             let by_name = |n: &String| lats.iter().find(|(k, _)| k == n).map(|(_, lat)| lat);
             let Some(cond_lats) = r.cond_lats.iter().map(by_name).collect::<Option<Vec<_>>>()
@@ -291,17 +292,17 @@ impl State {
             let fire = match &r.rule.condition {
                 None => true,
                 Some(cond) => oracle::eval_condition(cond, &ctx).unwrap_or_else(|_| {
-                    r.rule.action_errors.fetch_add(1, Ordering::Relaxed);
+                    mine.action_errors.fetch_add(1, Ordering::Relaxed);
                     false
                 }),
             };
             if !fire {
                 continue;
             }
-            r.rule.fires.fetch_add(1, Ordering::Relaxed);
+            mine.fires.fetch_add(1, Ordering::Relaxed);
             stats.fires += 1;
             for (action, target) in r.rule.actions.iter().zip(&r.targets) {
-                r.rule.executed_actions.fetch_add(1, Ordering::Relaxed);
+                mine.executed_actions.fetch_add(1, Ordering::Relaxed);
                 stats.actions += 1;
                 let result = match (action, target) {
                     (Action::Insert { .. }, Some(lat)) => insert(lat, objects, rules, pending),
@@ -328,7 +329,7 @@ impl State {
                     ))),
                 };
                 if result.is_err() {
-                    r.rule.action_errors.fetch_add(1, Ordering::Relaxed);
+                    mine.action_errors.fetch_add(1, Ordering::Relaxed);
                     stats.action_errors += 1;
                 }
             }

@@ -51,7 +51,7 @@ use parking_lot::Mutex;
 use sqlcm_analyze::{Guard, RuleEffects, RuleIr};
 use sqlcm_common::{ProbeKind, ProbeMask, Value};
 use sqlcm_sql::{IrOp, NodeId};
-use sqlcm_telemetry::{Label, LatencyHistogram};
+use sqlcm_telemetry::Label;
 
 use crate::containment::RuleBreaker;
 use crate::guard::GuardIndex;
@@ -88,10 +88,6 @@ pub(crate) struct Registered {
     /// LAT names the condition references (lowercased, in first-reference
     /// order — the order `crate::ir::ROp::LatCol::lat_idx` indexes).
     pub cond_lats: Vec<String>,
-    /// Condition-evaluation wall time, nanoseconds (telemetry).
-    pub cond_latency: LatencyHistogram,
-    /// Action-execution wall time per firing, nanoseconds (telemetry).
-    pub action_latency: LatencyHistogram,
     /// `rule.name` as the flight recorder carries it, made once here so a
     /// firing clones an `Arc` (and [`EventPlan::label`]) and allocates nothing.
     pub name_label: Label,
@@ -1230,8 +1226,6 @@ mod tests {
             actions: Vec::new(),
             cond_classes: vec![ClassName::Query],
             cond_lats: cond_lats.iter().map(|s| s.to_string()).collect(),
-            cond_latency: LatencyHistogram::new(),
-            action_latency: LatencyHistogram::new(),
             effects: None,
             breaker: RuleBreaker::default(),
         })
@@ -1306,8 +1300,6 @@ mod tests {
             actions: Vec::new(),
             cond_classes: vec![ClassName::Query],
             cond_lats,
-            cond_latency: LatencyHistogram::new(),
-            action_latency: LatencyHistogram::new(),
             effects: None,
             breaker: RuleBreaker::default(),
         })

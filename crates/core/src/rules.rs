@@ -20,7 +20,7 @@ use parking_lot::Mutex;
 use sqlcm_analyze::{Condition, RuleIr};
 use sqlcm_common::{Error, Result, Value};
 use sqlcm_sql::{parse_expression, Expr};
-use sqlcm_telemetry::ShardedCounter;
+use sqlcm_telemetry::{Buckets, HistogramSnapshot, ShardedCounter, Stripes};
 
 use crate::actions::Action;
 use crate::lat::Lat;
@@ -42,6 +42,100 @@ pub struct RuleStats {
     /// Actions executed (attempted) on behalf of this rule.
     pub actions: u64,
     pub action_errors: u64,
+    /// Outcomes the rule's circuit breaker recorded since its window was
+    /// last reset (registration, or a successful half-open trial).
+    pub breaker_outcomes: u64,
+}
+
+/// One dispatcher's share of a rule's books. The first cache line holds
+/// every counter an evaluation writes, so an evaluation that does not fire
+/// writes that line and one condition bucket, both in its own stripe; the
+/// buckets of the two histograms follow.
+#[repr(C, align(64))]
+#[derive(Default)]
+pub(crate) struct RuleStripe {
+    /// Evaluations that ran (the condition VM, or the reference's oracle).
+    pub evaluations: AtomicU64,
+    /// Probed events on which this rule was an in-service candidate.
+    pub candidate_events: AtomicU64,
+    pub fires: AtomicU64,
+    pub executed_actions: AtomicU64,
+    pub action_errors: AtomicU64,
+    /// Outcomes recorded into the rule's breaker window
+    /// (`crate::containment::RuleBreaker`), summed for its position.
+    pub outcomes: AtomicU64,
+    condition_sum: AtomicU64,
+    action_sum: AtomicU64,
+    condition: Buckets,
+    action: Buckets,
+}
+
+// Every counter fits the stripe's first line, and a stripe fits the 1.2 KiB
+// a rule may spend per stripe.
+const _: () = assert!(std::mem::offset_of!(RuleStripe, action_sum) + 8 <= 64);
+const _: () = assert!(std::mem::size_of::<RuleStripe>() <= 1228);
+
+impl RuleStripe {
+    /// One condition span, in nanoseconds.
+    pub fn record_condition(&self, nanos: u64) {
+        self.condition.record(&self.condition_sum, nanos);
+    }
+
+    /// One firing's action span, in nanoseconds.
+    pub fn record_action(&self, nanos: u64) {
+        self.action.record(&self.action_sum, nanos);
+    }
+}
+
+/// A rule's books: one [`RuleStripe`] per dispatcher stripe, summed when
+/// read — exact once writers are quiescent, like every striped counter.
+#[derive(Default)]
+pub(crate) struct RuleBooks(Stripes<RuleStripe>);
+
+impl RuleBooks {
+    /// The calling thread's stripe.
+    pub fn mine(&self) -> &RuleStripe {
+        self.0.mine()
+    }
+
+    fn sum(&self, field: impl Fn(&RuleStripe) -> &AtomicU64) -> u64 {
+        self.0
+            .iter()
+            .map(|s| field(s).load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Breaker outcomes recorded since the window was last reset.
+    pub fn outcomes(&self) -> u64 {
+        self.sum(|s| &s.outcomes)
+    }
+
+    /// Restart the breaker window's outcome count.
+    pub fn reset_outcomes(&self) {
+        for s in self.0.iter() {
+            s.outcomes.store(0, Ordering::Relaxed);
+        }
+    }
+
+    /// The condition and action span histograms.
+    pub fn latency(&self) -> (HistogramSnapshot, HistogramSnapshot) {
+        let mut condition = HistogramSnapshot::default();
+        let mut action = HistogramSnapshot::default();
+        for s in self.0.iter() {
+            s.condition.add_to(&s.condition_sum, &mut condition);
+            s.action.add_to(&s.action_sum, &mut action);
+        }
+        (condition, action)
+    }
+}
+
+impl std::fmt::Debug for RuleBooks {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RuleBooks")
+            .field("evaluations", &self.sum(|s| &s.evaluations))
+            .field("fires", &self.sum(|s| &s.fires))
+            .finish_non_exhaustive()
+    }
 }
 
 /// A compiled ECA rule.
@@ -53,13 +147,8 @@ pub struct Rule {
     pub condition: Option<Expr>,
     pub actions: Vec<Action>,
     enabled: AtomicBool,
-    /// Evaluations that ran (the condition VM, or the reference's oracle).
-    pub(crate) evaluations: AtomicU64,
-    pub(crate) fires: AtomicU64,
-    pub(crate) executed_actions: AtomicU64,
-    pub(crate) action_errors: AtomicU64,
-    /// Probed events on which this rule was an in-service candidate.
-    pub(crate) candidate_events: AtomicU64,
+    /// Counts and span histograms, striped by dispatcher.
+    pub(crate) books: RuleBooks,
     /// The in-service bit and the pruned-evaluation bookkeeping, installed
     /// when a `Sqlcm` registers the rule. `None` on an unregistered rule and
     /// in the reference monitor, whose linear scan reads `enabled` and counts
@@ -154,11 +243,7 @@ impl Rule {
             condition: None,
             actions: Vec::new(),
             enabled: AtomicBool::new(true),
-            evaluations: AtomicU64::new(0),
-            fires: AtomicU64::new(0),
-            executed_actions: AtomicU64::new(0),
-            action_errors: AtomicU64::new(0),
-            candidate_events: AtomicU64::new(0),
+            books: RuleBooks::default(),
             credit: None,
         }
     }
@@ -273,20 +358,22 @@ impl Rule {
     /// Exact on a quiescent read; under concurrent dispatch no stricter than
     /// the relaxed counters it is derived from.
     pub fn stats(&self) -> RuleStats {
-        let evaluated = self.evaluations.load(Ordering::Relaxed);
+        let books = &self.books;
+        let evaluated = books.sum(|s| &s.evaluations);
         let pruned = self.credit.as_ref().map_or(0, |credit| {
             let span = credit.span.lock();
             let open = span
                 .opened_at
                 .map_or(0, |at| credit.clock.probed.get().saturating_sub(at));
-            (span.closed + open).saturating_sub(self.candidate_events.load(Ordering::Relaxed))
+            (span.closed + open).saturating_sub(books.sum(|s| &s.candidate_events))
         });
         RuleStats {
             evaluations: evaluated + pruned,
             pruned,
-            fires: self.fires.load(Ordering::Relaxed),
-            actions: self.executed_actions.load(Ordering::Relaxed),
-            action_errors: self.action_errors.load(Ordering::Relaxed),
+            fires: books.sum(|s| &s.fires),
+            actions: books.sum(|s| &s.executed_actions),
+            action_errors: books.sum(|s| &s.action_errors),
+            breaker_outcomes: books.outcomes(),
         }
     }
 

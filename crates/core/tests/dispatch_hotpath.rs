@@ -896,8 +896,9 @@ impl sqlcm_common::Clock for CountingClock {
     }
 }
 
-/// Only an aging aggregate looks at the time of an insert: a LAT without one
-/// never asks its clock on `insert_and`, a LAT with one asks once.
+/// Only an aging aggregate looks at the time of an insert or a lookup: a LAT
+/// without one never asks its clock on `insert_and` or `lookup_for`, a LAT
+/// with one asks once per call.
 #[test]
 fn a_lat_insert_reads_its_clock_only_to_age() {
     let plain = LatSpec::new("Sig_LAT")
@@ -909,19 +910,27 @@ fn a_lat_insert_reads_its_clock_only_to_age() {
         .group_by("Query.Logical_Signature", "Sig")
         .aggregate(LatAggFunc::Count, "", "N")
         .aging(1_000_000, 1_000);
-    for (spec, per_insert) in [(plain, 0), (aging, 1)] {
+    for (spec, per_call) in [(plain, 0), (aging, 1)] {
         let clock = Arc::new(CountingClock::default());
         let lat = sqlcm_core::Lat::new(spec, clock.clone()).unwrap();
         let reads = || clock.0.load(Ordering::Relaxed);
-        // Existing-group folds, new groups, and (on the bounded one) evictions.
-        for sig in [1, 1, 2, 3, 3, 4] {
+        // Existing-group folds, new groups, and (on the bounded one) evictions;
+        // lookups of held rows and of evicted or never-inserted ones.
+        let object = |sig| {
             let EngineEvent::QueryCommit(q) = commit_event(sig, 0.5) else {
                 unreachable!()
             };
+            sqlcm_core::objects::query_object(&q)
+        };
+        for sig in [1, 1, 2, 3, 3, 4] {
             let before = reads();
-            lat.insert_and(&sqlcm_core::objects::query_object(&q), true)
-                .unwrap();
-            assert_eq!(reads() - before, per_insert, "{}", lat.spec.name);
+            lat.insert_and(&object(sig), true).unwrap();
+            assert_eq!(reads() - before, per_call, "{} insert", lat.spec.name);
+            for probe in [sig, 1, 99] {
+                let before = reads();
+                lat.lookup_for(&object(probe));
+                assert_eq!(reads() - before, per_call, "{} lookup", lat.spec.name);
+            }
         }
     }
 }

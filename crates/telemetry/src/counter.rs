@@ -1,33 +1,27 @@
-//! Sharded atomic counter: uncontended increments, summing reads.
+//! Striped atomic counter: uncontended increments, summing reads.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Number of independent shards. Threads are assigned round-robin, so up to
-/// this many writers increment without sharing a cache line.
-const SHARDS: usize = 16;
+use crate::stripe::Stripes;
 
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-
-std::thread_local! {
-    /// Shard index of the current thread, assigned on first use.
-    static MY_SHARD: usize = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
-}
-
-/// One counter shard, padded to a cache line so neighbouring shards of the
+/// One counter stripe, padded to a cache line so neighbouring stripes of the
 /// same counter never false-share.
 #[repr(align(64))]
 #[derive(Default)]
 struct Shard(AtomicU64);
 
-/// A monotonically increasing counter optimised for concurrent writers.
+/// A monotonically increasing counter optimised for concurrent writers: one
+/// cache-line stripe per dispatcher slot ([`crate::stripe`]), so threads that
+/// are live together increment different lines while there are no more of
+/// them than stripes.
 ///
-/// `add` touches only the calling thread's shard; `get` sums all shards. The
-/// sum is not a linearizable snapshot under concurrent writes (like any
+/// `add` touches only the calling thread's stripe; `get` sums all stripes.
+/// The sum is not a linearizable snapshot under concurrent writes (like any
 /// striped counter), but is exact once writers are quiescent — which is when
 /// telemetry snapshots are taken.
 #[derive(Default)]
 pub struct ShardedCounter {
-    shards: [Shard; SHARDS],
+    shards: Stripes<Shard>,
 }
 
 impl ShardedCounter {
@@ -35,16 +29,21 @@ impl ShardedCounter {
         ShardedCounter::default()
     }
 
-    pub fn add(&self, n: u64) {
-        let shard = MY_SHARD.with(|s| *s);
-        self.shards[shard].0.fetch_add(n, Ordering::Relaxed);
+    /// Add `n`; returns the calling thread's stripe after the add — what a
+    /// dispatcher can pace its own periodic work by, without reading the
+    /// other stripes.
+    #[inline]
+    pub fn add(&self, n: u64) -> u64 {
+        self.shards.mine().0.fetch_add(n, Ordering::Relaxed) + n
     }
 
-    pub fn incr(&self) {
-        self.add(1);
+    /// Add one; returns the calling thread's stripe after the add.
+    #[inline]
+    pub fn incr(&self) -> u64 {
+        self.add(1)
     }
 
-    /// Sum of all shards.
+    /// Sum of all stripes.
     pub fn get(&self) -> u64 {
         self.shards
             .iter()
@@ -62,7 +61,7 @@ impl std::fmt::Debug for ShardedCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
 
     #[test]
     fn single_thread_counts() {
@@ -73,13 +72,19 @@ mod tests {
         assert_eq!(c.get(), 42);
     }
 
+    /// Eight threads live at once hold eight distinct slots, which wrap onto
+    /// fewer stripes whenever the machine has fewer than eight: shared
+    /// stripes still lose no increment.
     #[test]
     fn concurrent_increments_sum_exactly() {
+        const THREADS: usize = 8;
         let c = Arc::new(ShardedCounter::new());
-        let threads: Vec<_> = (0..8)
+        let start = Arc::new(Barrier::new(THREADS));
+        let threads: Vec<_> = (0..THREADS)
             .map(|_| {
-                let c = Arc::clone(&c);
+                let (c, start) = (Arc::clone(&c), Arc::clone(&start));
                 std::thread::spawn(move || {
+                    start.wait();
                     for _ in 0..10_000 {
                         c.incr();
                     }

@@ -3,11 +3,18 @@
 //! Values (nanoseconds by convention) land in bucket `⌊log2(v)⌋ + 1`, so each
 //! bucket spans one power of two — at most 2× relative error on any reported
 //! percentile, which is plenty for "did rule evaluation blow its budget".
-//! Recording is two relaxed read-modify-writes (bucket, sum) and a load of
-//! the max — a third RMW only when the sample raises it; no allocation, no
-//! locks.
+//!
+//! A [`LatencyHistogram`] keeps one stripe per dispatcher slot
+//! ([`crate::stripe`]) and a snapshot sums them. Recording is two relaxed
+//! read-modify-writes in the caller's own stripe (bucket, sum) and a load of
+//! its max — a third RMW only when the sample raises it; no allocation, no
+//! locks. A stripe's buckets and max are a [`Buckets`], which keeps no sum:
+//! an owner that records several values per operation (a rule's books) keeps
+//! the sums on the one line it writes anyway.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::stripe::Stripes;
 
 /// Bucket count: bucket 0 holds exact zeros, buckets 1..=62 hold
 /// `[2^(i-1), 2^i)`, bucket 63 holds everything from `2^62` up.
@@ -39,21 +46,58 @@ pub fn bucket_upper_bound(i: usize) -> u64 {
     }
 }
 
-/// Concurrent histogram of durations.
-pub struct LatencyHistogram {
-    buckets: [AtomicU64; BUCKETS],
-    sum: AtomicU64,
+/// One stripe's buckets and running max; the sum is its owner's.
+pub struct Buckets {
+    counts: [AtomicU64; BUCKETS],
     max: AtomicU64,
 }
 
-impl Default for LatencyHistogram {
+impl Default for Buckets {
     fn default() -> Self {
-        LatencyHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum: AtomicU64::new(0),
+        Buckets {
+            counts: std::array::from_fn(|_| AtomicU64::new(0)),
             max: AtomicU64::new(0),
         }
     }
+}
+
+impl Buckets {
+    /// Record one duration (nanoseconds by convention), adding it to `sum`.
+    #[inline]
+    pub fn record(&self, sum: &AtomicU64, nanos: u64) {
+        self.counts[bucket_index(nanos)].fetch_add(1, Ordering::Relaxed);
+        sum.fetch_add(nanos, Ordering::Relaxed);
+        // The max rises a handful of times in a histogram's life; every other
+        // sample leaves its cache line unwritten.
+        if nanos > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(nanos, Ordering::Relaxed);
+        }
+    }
+
+    /// Add this stripe, whose sum is `sum`, into `snap`.
+    pub fn add_to(&self, sum: &AtomicU64, snap: &mut HistogramSnapshot) {
+        for (out, b) in snap.buckets.iter_mut().zip(&self.counts) {
+            let n = b.load(Ordering::Relaxed);
+            *out += n;
+            snap.count += n;
+        }
+        snap.sum += sum.load(Ordering::Relaxed);
+        snap.max = snap.max.max(self.max.load(Ordering::Relaxed));
+    }
+}
+
+/// One stripe of a [`LatencyHistogram`], on cache lines of its own.
+#[repr(align(64))]
+#[derive(Default)]
+struct Stripe {
+    sum: AtomicU64,
+    buckets: Buckets,
+}
+
+/// Concurrent histogram of durations, striped by dispatcher.
+#[derive(Default)]
+pub struct LatencyHistogram {
+    stripes: Stripes<Stripe>,
 }
 
 impl LatencyHistogram {
@@ -62,31 +106,21 @@ impl LatencyHistogram {
     }
 
     /// Record one duration (nanoseconds by convention).
+    #[inline]
     pub fn record(&self, nanos: u64) {
-        self.buckets[bucket_index(nanos)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(nanos, Ordering::Relaxed);
-        // The max rises a handful of times in a histogram's life; every other
-        // sample leaves its cache line shared.
-        if nanos > self.max.load(Ordering::Relaxed) {
-            self.max.fetch_max(nanos, Ordering::Relaxed);
-        }
+        let s = self.stripes.mine();
+        s.buckets.record(&s.sum, nanos);
     }
 
-    /// Materialize the current contents. Not linearizable under concurrent
-    /// `record`s, exact once writers are quiescent.
+    /// Materialize the current contents, summed over the stripes. Not
+    /// linearizable under concurrent `record`s, exact once writers are
+    /// quiescent.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut buckets = [0u64; BUCKETS];
-        let mut count = 0u64;
-        for (out, b) in buckets.iter_mut().zip(&self.buckets) {
-            *out = b.load(Ordering::Relaxed);
-            count += *out;
+        let mut snap = HistogramSnapshot::default();
+        for s in self.stripes.iter() {
+            s.buckets.add_to(&s.sum, &mut snap);
         }
-        HistogramSnapshot {
-            buckets,
-            count,
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-        }
+        snap
     }
 }
 

@@ -5,10 +5,16 @@
 //! must be cheaper still. Everything in this crate is built for the probe hot
 //! path:
 //!
-//! * [`ShardedCounter`] — a per-thread-sharded atomic counter: increments hit
-//!   a thread-local shard (no contended cache line), reads sum the shards.
-//! * [`LatencyHistogram`] — 64 log2-bucketed atomic buckets with running sum
-//!   and max; [`HistogramSnapshot`] derives p50/p95/p99 from the buckets.
+//! * [`Stripes`] — one value per *dispatcher slot*: a thread claims the
+//!   lowest free slot on first use and frees it on exit, so threads live at
+//!   the same time write different cache lines while there are no more of
+//!   them than stripes ([`stripe_count`]: the machine's parallelism, rounded
+//!   up to a power of two, at most 16).
+//! * [`ShardedCounter`] — a striped atomic counter: increments hit the
+//!   caller's stripe (no contended cache line), reads sum the stripes.
+//! * [`LatencyHistogram`] — per stripe, 64 log2-bucketed atomic buckets
+//!   ([`Buckets`]) with running sum and max; [`HistogramSnapshot`] sums the
+//!   stripes and derives p50/p95/p99 from the buckets.
 //! * [`Stamp`] — one reading of `std::time::Instant`; spans are the distance
 //!   between two adjacent stamps, so a boundary costs one clock read.
 //! * [`FlightRecorder`] — a bounded ring of the last N rule firings, kept so
@@ -30,11 +36,13 @@ mod histogram;
 mod recorder;
 mod ring;
 mod stamp;
+mod stripe;
 
 pub use counter::ShardedCounter;
 pub use describe::{Describe, Field, Fields, Metric};
 pub use histogram::{bucket_index, bucket_lower_bound, bucket_upper_bound};
-pub use histogram::{HistogramSnapshot, LatencyHistogram, BUCKETS};
+pub use histogram::{Buckets, HistogramSnapshot, LatencyHistogram, BUCKETS};
 pub use recorder::{FlightRecord, FlightRecorder, Label};
 pub use ring::{BoundedRing, BufferPool};
 pub use stamp::Stamp;
+pub use stripe::{stripe_count, Stripes};

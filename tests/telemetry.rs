@@ -349,6 +349,75 @@ fn flushed_tallies_partition_after_two_threads_join() {
     assert!(snap.dispatch.vm_instructions >= 2 * events);
 }
 
+/// Two dispatchers released together book every evaluation in their own
+/// stripes of each rule's books: per rule, the striped counts, both span
+/// histograms and the breaker's outcome count sum to exactly the events the
+/// two threads sent.
+#[test]
+fn two_dispatchers_book_every_evaluation_exactly() {
+    let engine = Engine::in_memory();
+    let sqlcm = Sqlcm::attach(&engine);
+    sqlcm
+        .define_lat(
+            LatSpec::new("Sigs")
+                .group_by("Query.Logical_Signature", "Sig")
+                .aggregate(LatAggFunc::Count, "", "N"),
+        )
+        .unwrap();
+    let on_commit = |name: &str| Rule::new(name).on(RuleEvent::QueryCommit);
+    sqlcm
+        .add_rule(on_commit("feed").then(Action::insert("Sigs")))
+        .unwrap();
+    for i in 0..3 {
+        let never = format!("Query.Duration >= 0 AND Sigs.N >= {}", 1_000_000_000 + i);
+        sqlcm
+            .add_rule(on_commit(&format!("watch{i}")).when(&never))
+            .unwrap();
+    }
+    const PER_THREAD: u64 = 2_000;
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for t in 0..2 {
+            let (sqlcm, start) = (&sqlcm, &start);
+            scope.spawn(move || {
+                let events: Vec<_> = (0..PER_THREAD)
+                    .map(|i| {
+                        let id = t * PER_THREAD + i;
+                        let mut q = sqlcm_repro::common::QueryInfo::synthetic(id, "SELECT 1");
+                        q.logical_signature = Some(id % 8);
+                        sqlcm_repro::common::EngineEvent::QueryCommit(q)
+                    })
+                    .collect();
+                start.wait();
+                for e in &events {
+                    sqlcm.inject_event(e);
+                }
+            });
+        }
+    });
+
+    let sent = 2 * PER_THREAD;
+    let snap = sqlcm.telemetry();
+    assert_eq!(snap.stats.events, sent);
+    for r in &snap.rules {
+        let fired = if r.name == "feed" { sent } else { 0 };
+        let breaker_outcomes = sqlcm.rule(&r.name).unwrap().stats().breaker_outcomes;
+        assert_eq!(
+            (r.evaluations, r.pruned, r.condition.count, breaker_outcomes),
+            (sent, 0, sent, sent),
+            "{}",
+            r.name
+        );
+        assert_eq!(
+            (r.fires, r.actions, r.action.count),
+            (fired, fired, fired),
+            "{}",
+            r.name
+        );
+    }
+    assert_eq!(snap.stats.evaluations, 4 * sent);
+}
+
 /// A condition error is booked on its rule only: `stats.action_errors`
 /// counts failed actions, so it is not the per-rule sum.
 #[test]
