@@ -21,10 +21,15 @@
 //! entirely — mirroring (and extending) the paper's fine-grained latching
 //! ("each LAT row as well as … the hash table are protected through
 //! latches"). A row's group
-//! key is stored once, in the row; the shard map and the victim index hold
-//! `Arc` handles to it, and inserts and lookups probe the map with a key
-//! *borrowed* from the monitored object (one grouping column) or collected
-//! from it (several). Occupancy is one atomic counter,
+//! key is stored once, in the row, beside the 64-bit hash the LAT's keyed
+//! `RandomState` gives it; the shard map and the victim index hold `Arc`
+//! handles to the row. Every insert, lookup and restore hashes its key once —
+//! read in place from the monitored object, whatever the number of grouping
+//! columns — and that hash does the rest: bits 32–35 pick the shard (the
+//! tables take buckets from the low bits and tags from the top seven, so
+//! these are free), and the shard tables, whose hasher passes a stored hash
+//! through, are probed with a borrowed `(hash, values)` key and drop an
+//! evicted row without hashing at all. Occupancy is one atomic counter,
 //! adjusted under the shard write lock that adds or removes the row.
 //!
 //! # Victim index
@@ -59,6 +64,14 @@
 //! `evict_lock` too, so map, index and occupancy are cleared together.
 //! `max_bytes` enforcement still sums [`Lat::memory_bytes`] per new group.
 //!
+//! # Spare row
+//!
+//! The coordinator keeps the last row it evicted as a *spare*, emptied of its
+//! values, and builds the next new group in it: a full LAT that evicts on
+//! every new group allocates nothing for it. A victim that anything else
+//! still holds — a *folded* LAT's dirty queue — is not kept, and `reset`
+//! drops the spare.
+//!
 //! The A3 and T3 benches stress this; `ReferenceLat` (see [`crate::lat_ref`])
 //! is a deliberately naive single-lock implementation used as a differential
 //! oracle for the sharded one.
@@ -66,7 +79,7 @@
 use std::borrow::Borrow;
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeSet, HashSet, VecDeque};
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -401,9 +414,24 @@ impl Key {
         }
     }
 
+    /// `n` NULLs, overwritten in place when the row is given its group.
+    fn blank(n: usize) -> Key {
+        match n {
+            1 => Key::One(Value::Null),
+            n => Key::Many(vec![Value::Null; n].into()),
+        }
+    }
+
     fn as_slice(&self) -> &[Value] {
         match self {
             Key::One(v) => std::slice::from_ref(v),
+            Key::Many(vs) => vs,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Value] {
+        match self {
+            Key::One(v) => std::slice::from_mut(v),
             Key::Many(vs) => vs,
         }
     }
@@ -413,12 +441,14 @@ impl Key {
     }
 }
 
-/// One LAT row. The group key is immutable and lives outside the latch, so the
-/// shard map and the victim index hash and compare it without locking.
+/// One LAT row. The group key and its hash are immutable while the row is in
+/// the map and live outside the latch, so the shard map and the victim index
+/// hash and compare them without locking.
 struct Row {
+    /// The LAT's keyed hash of `group`: the shard tables file the row under
+    /// it, and its bits 32–35 name the owning shard.
+    hash: u64,
     group: Key,
-    /// Index of the owning shard, so eviction need not re-hash the key.
-    shard: u8,
     /// The LAT's ordering spec: index entries rank themselves through their
     /// row, so their `Ord` needs no context and they carry no copy of it.
     order: OrderSpec,
@@ -454,31 +484,113 @@ impl Row {
     }
 }
 
-/// A shard-map entry: the row itself, hashed and compared by its group key so
-/// the map is probed with a borrowed `&[Value]`.
+/// A group key as the shard tables see it: the hash the LAT gave it, and its
+/// values. A row is one, and so is a key read in place from a monitored
+/// object, so the tables are probed without building an owned key.
+trait GroupKey {
+    fn stored_hash(&self) -> u64;
+    fn arity(&self) -> usize;
+    fn at(&self, i: usize) -> &Value;
+}
+
+impl Hash for dyn GroupKey + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.stored_hash());
+    }
+}
+
+impl PartialEq for dyn GroupKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        let n = self.arity();
+        self.stored_hash() == other.stored_hash()
+            && n == other.arity()
+            && (0..n).all(|i| self.at(i) == other.at(i))
+    }
+}
+
+impl Eq for dyn GroupKey + '_ {}
+
+impl GroupKey for Row {
+    fn stored_hash(&self) -> u64 {
+        self.hash
+    }
+
+    fn arity(&self) -> usize {
+        self.group.as_slice().len()
+    }
+
+    fn at(&self, i: usize) -> &Value {
+        &self.group.as_slice()[i]
+    }
+}
+
+/// A monitored object's group key, read in place: `values[idx[i]]` is its
+/// `i`-th column.
+struct Probe<'a> {
+    hash: u64,
+    values: &'a [Value],
+    idx: &'a [usize],
+}
+
+impl GroupKey for Probe<'_> {
+    fn stored_hash(&self) -> u64 {
+        self.hash
+    }
+
+    fn arity(&self) -> usize {
+        self.idx.len()
+    }
+
+    fn at(&self, i: usize) -> &Value {
+        &self.values[self.idx[i]]
+    }
+}
+
+/// A shard-map entry: the row itself, hashed and compared as a [`GroupKey`].
 struct RowRef(Arc<Row>);
 
-impl Borrow<[Value]> for RowRef {
-    fn borrow(&self) -> &[Value] {
-        self.0.group.as_slice()
+impl<'a> Borrow<dyn GroupKey + 'a> for RowRef {
+    fn borrow(&self) -> &(dyn GroupKey + 'a) {
+        &*self.0
     }
 }
 
 impl Hash for RowRef {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.0.group.as_slice().hash(state)
+        state.write_u64(self.0.hash);
     }
 }
 
 impl PartialEq for RowRef {
     fn eq(&self, other: &RowRef) -> bool {
-        self.0.group == other.0.group
+        let (a, b): (&dyn GroupKey, &dyn GroupKey) = (&*self.0, &*other.0);
+        a == b
     }
 }
 
 impl Eq for RowRef {}
 
-type RowSet = HashSet<RowRef>;
+/// The shard tables' hasher. A key writes one `u64`, its stored hash — keyed
+/// by the LAT's `RandomState` — and that is the hash: the tables never hash a
+/// key themselves.
+#[derive(Default)]
+struct StoredHash(u64);
+
+impl Hasher for StoredHash {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("shard-table keys write only their stored hash")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+type RowSet = HashSet<RowRef, BuildHasherDefault<StoredHash>>;
 
 /// The ordering spec resolved against the output columns: (column position,
 /// descending?). One allocation per LAT, one thin handle per row.
@@ -629,6 +741,9 @@ struct Coordinator {
     /// Dirty rows taken off the queue for re-filing; swapped with the queue so
     /// both keep their capacity.
     refile: Vec<(Rank, Arc<Row>)>,
+    /// The last row evicted, held by nothing else and emptied of its values:
+    /// the next new group is built in it (module docs, "Spare row").
+    spare: Option<Arc<Row>>,
 }
 
 impl Coordinator {
@@ -680,7 +795,7 @@ struct Shard {
 impl Shard {
     fn new() -> Shard {
         Shard {
-            rows: RwLock::new(HashSet::new()),
+            rows: RwLock::new(RowSet::default()),
             contentions: AtomicU64::new(0),
         }
     }
@@ -725,7 +840,7 @@ pub struct Lat {
     group_attr_idx: Vec<usize>,
     /// Pre-resolved positions of each aggregate's source attribute.
     agg_attr_idx: Vec<Option<usize>>,
-    /// Keys the shard choice: group keys are user-controlled text.
+    /// Keys every group-key hash: group keys are user-controlled text.
     hasher: RandomState,
     /// Row map, sharded by group-key hash.
     shards: Box<[Shard]>,
@@ -838,6 +953,7 @@ impl Lat {
                 index,
                 boxed_bytes: 0,
                 refile: Vec::new(),
+                spare: None,
             }),
             dirty: Mutex::new(Vec::new()),
             inserts: ShardedCounter::new(),
@@ -854,9 +970,20 @@ impl Lat {
         self.columns.clone()
     }
 
-    /// Which shard owns a group key.
-    fn shard_of(&self, key: &[Value]) -> usize {
-        (self.hasher.hash_one(key) as usize) % self.shards.len()
+    /// The keyed hash of a group key: its length, then each value — the bytes
+    /// `<[Value]>::hash` writes — wherever the values are read from.
+    fn hash_key<'v>(&self, key: impl ExactSizeIterator<Item = &'v Value>) -> u64 {
+        let mut h = self.hasher.build_hasher();
+        h.write_usize(key.len());
+        key.for_each(|v| v.hash(&mut h));
+        h.finish()
+    }
+
+    /// The shard that owns a group-key hash, picked by bits 32–35: the shard
+    /// tables take buckets from the low bits and tags from the top seven, so
+    /// picking by either would leave most of every table's buckets unused.
+    fn shard_of(&self, hash: u64) -> &Shard {
+        &self.shards[(hash >> 32) as usize % LAT_SHARDS]
     }
 
     /// Total shard-lock contention events since creation (fast-path `try_*`
@@ -922,21 +1049,16 @@ impl Lat {
             .sum()
     }
 
-    /// Run `f` on this LAT's grouping key of `obj`: borrowed from the object
-    /// when there is one grouping column (every shipped catalog), collected
-    /// into a `Vec` otherwise. `None` if the object lacks a grouping attribute.
-    fn with_group_key<R>(&self, obj: &Object, f: impl FnOnce(&[Value]) -> R) -> Option<R> {
+    /// Run `f` on this LAT's group key of `obj`, read in place and hashed
+    /// once. `None` if the object lacks a grouping attribute.
+    fn with_group_key<R>(&self, obj: &Object, f: impl FnOnce(&Probe) -> R) -> Option<R> {
         let values = obj.values();
-        match self.group_attr_idx.as_slice() {
-            [i] => values.get(*i).map(|v| f(std::slice::from_ref(v))),
-            idx => {
-                let key: Vec<Value> = idx
-                    .iter()
-                    .map(|&i| values.get(i).cloned())
-                    .collect::<Option<_>>()?;
-                Some(f(&key))
-            }
+        let idx = self.group_attr_idx.as_slice();
+        if idx.iter().any(|&i| i >= values.len()) {
+            return None;
         }
+        let hash = self.hash_key(idx.iter().map(|&i| &values[i]));
+        Some(f(&Probe { hash, values, idx }))
     }
 
     /// The time an insert or lookup folds or reads at: only aging aggregates
@@ -976,17 +1098,17 @@ impl Lat {
 
     fn insert_keyed(
         &self,
-        key: &[Value],
+        key: &Probe,
         obj: &Object,
         now: Timestamp,
         want_evicted: bool,
     ) -> Result<Vec<Vec<Value>>> {
-        let shard_idx = self.shard_of(key);
-        let shard = &self.shards[shard_idx];
+        let shard = self.shard_of(key.hash);
+        let probe: &dyn GroupKey = key;
         // Fast path: existing group, shared shard lock + row latch. Probes
         // touching different groups land on different shards and different row
         // latches, so they never contend on an exclusive lock.
-        if let Some(row) = shard.read().get(key) {
+        if let Some(row) = shard.read().get(probe) {
             self.fold(&row.0, obj, now)?;
             self.inserts.incr();
             return Ok(Vec::new());
@@ -997,7 +1119,7 @@ impl Lat {
         let mut coord = self.coordinator();
         let created = {
             let mut rows = shard.write();
-            match rows.get(key) {
+            match rows.get(probe) {
                 // Raced with another creator of the same group: fold in and
                 // return. Updating an existing group never evicts (§3.2.4's
                 // eviction event fires only when a row is truly discarded).
@@ -1006,18 +1128,8 @@ impl Lat {
                     None
                 }
                 None => {
-                    let mut aggs: Vec<ColumnState> = self
-                        .spec
-                        .aggregates
-                        .iter()
-                        .map(|a| match &a.aging {
-                            Some(ag) => ColumnState::Aging(AgingState::new(a.func, *ag)),
-                            None => ColumnState::Plain(AggState::new(a.func)),
-                        })
-                        .collect();
-                    // Fold before publishing: a failed update leaves no row.
-                    self.update_row(&mut aggs, obj, now)?;
-                    let row = self.new_row(key, shard_idx, aggs);
+                    let spare = coord.as_deref_mut().and_then(|c| c.spare.take());
+                    let row = self.create_row(spare, key, obj, now)?;
                     rows.insert(RowRef(Arc::clone(&row)));
                     self.occupancy.fetch_add(1, Ordering::Relaxed);
                     Some(row)
@@ -1081,11 +1193,57 @@ impl Lat {
         Ok(())
     }
 
-    /// Box up a new row, not yet in the victim index.
-    fn new_row(&self, key: &[Value], shard: usize, aggs: Vec<ColumnState>) -> Arc<Row> {
+    /// Every aggregate column's initial state.
+    fn fresh_aggs(&self) -> impl Iterator<Item = ColumnState> + '_ {
+        self.spec.aggregates.iter().map(|a| match &a.aging {
+            Some(ag) => ColumnState::Aging(AgingState::new(a.func, *ag)),
+            None => ColumnState::Plain(AggState::new(a.func)),
+        })
+    }
+
+    /// The row of a new group, folded from `obj` before anyone can see it:
+    /// built in the coordinator's spare when there is one, else allocated.
+    /// A failed update drops it, so it leaves no row.
+    fn create_row(
+        &self,
+        spare: Option<Arc<Row>>,
+        key: &Probe,
+        obj: &Object,
+        now: Timestamp,
+    ) -> Result<Arc<Row>> {
+        let mut row = spare.unwrap_or_else(|| {
+            let aggs = self.fresh_aggs().collect();
+            self.new_row(0, Key::blank(key.idx.len()), aggs)
+        });
+        let fresh = Arc::get_mut(&mut row).expect("the spare row is shared with nothing");
+        fresh.hash = key.hash;
+        for (slot, &i) in fresh.group.as_mut_slice().iter_mut().zip(key.idx) {
+            slot.clone_from(&key.values[i]);
+        }
+        self.update_row(&mut fresh.state.get_mut().aggs, obj, now)?;
+        Ok(row)
+    }
+
+    /// Keep an evicted row as the coordinator's spare, its group key and
+    /// aggregate states re-initialised in place so it holds no values — unless
+    /// something else, such as a *folded* LAT's dirty queue, still holds it.
+    fn retire(&self, coord: &mut Coordinator, mut row: Arc<Row>) {
+        let Some(spent) = Arc::get_mut(&mut row) else {
+            return;
+        };
+        spent.group.as_mut_slice().fill(Value::Null);
+        let aggs = &mut spent.state.get_mut().aggs;
+        for (agg, fresh) in aggs.iter_mut().zip(self.fresh_aggs()) {
+            *agg = fresh;
+        }
+        coord.spare = Some(row);
+    }
+
+    /// Box up a new row, not yet in the map or the victim index.
+    fn new_row(&self, hash: u64, group: Key, aggs: Vec<ColumnState>) -> Arc<Row> {
         Arc::new(Row {
-            group: Key::from_slice(key),
-            shard: shard as u8,
+            hash,
+            group,
             order: Arc::clone(&self.order),
             state: Mutex::new(RowState {
                 aggs,
@@ -1212,25 +1370,37 @@ impl Lat {
             let Some(victim) = self.pop_victim(coord, now) else {
                 break;
             };
-            let removed = {
-                let mut rows = self.shards[victim.shard as usize].write();
-                let removed = rows.remove(victim.group.as_slice());
-                if removed {
-                    self.occupancy.fetch_sub(1, Ordering::Relaxed);
-                }
-                removed
-            };
-            if removed {
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                let mut state = victim.state.lock();
-                // If it still sits on the dirty queue, it is skipped there.
-                state.filed = false;
-                if want_evicted {
-                    evicted.push(victim.output(&state, now));
-                }
-            }
+            evicted.extend(self.discard(coord, victim, now, want_evicted));
         }
         evicted
+    }
+
+    /// Take a victim popped from the index out of the row map and retire it
+    /// (the caller holds `evict_lock`). Returns its output row if it was in
+    /// the map and `want_evicted`.
+    fn discard(
+        &self,
+        coord: &mut Coordinator,
+        victim: Arc<Row>,
+        now: Timestamp,
+        want_evicted: bool,
+    ) -> Option<Vec<Value>> {
+        {
+            let mut rows = self.shard_of(victim.hash).write();
+            if !rows.remove(&*victim as &dyn GroupKey) {
+                return None;
+            }
+            self.occupancy.fetch_sub(1, Ordering::Relaxed);
+        }
+        self.evictions.fetch_add(1, Ordering::Relaxed);
+        let output = {
+            let mut state = victim.state.lock();
+            // If it still sits on the dirty queue, it is skipped there.
+            state.filed = false;
+            want_evicted.then(|| victim.output(&state, now))
+        };
+        self.retire(coord, victim);
+        output
     }
 
     /// Remove and return the least important row under the ordering spec.
@@ -1253,6 +1423,7 @@ impl Lat {
             index: VictimIndex::Folded(set),
             boxed_bytes,
             refile,
+            ..
         } = coord
         else {
             return;
@@ -1313,8 +1484,9 @@ impl Lat {
     pub fn lookup_for(&self, obj: &Object) -> Option<Vec<Value>> {
         let now = self.now_if_aging();
         self.with_group_key(obj, |key| {
-            let rows = self.shards[self.shard_of(key)].read();
-            rows.get(key).map(|r| r.0.output(&r.0.state.lock(), now))
+            let rows = self.shard_of(key.hash).read();
+            rows.get(key as &dyn GroupKey)
+                .map(|r| r.0.output(&r.0.state.lock(), now))
         })?
     }
 
@@ -1361,6 +1533,7 @@ impl Lat {
         if let Some(coord) = coord.as_deref_mut() {
             coord.index.clear();
             coord.boxed_bytes = 0;
+            coord.spare = None;
             // No fold is running (every shard is write-locked) and the rows
             // it queued are gone.
             self.dirty.lock().clear();
@@ -1399,10 +1572,10 @@ impl Lat {
             });
         }
         let mut coord = self.coordinator();
-        let shard_idx = self.shard_of(key);
-        let row = self.new_row(key, shard_idx, aggs);
+        let hash = self.hash_key(key.iter());
+        let row = self.new_row(hash, Key::from_slice(key), aggs);
         let replaced = {
-            let mut rows = self.shards[shard_idx].write();
+            let mut rows = self.shard_of(hash).write();
             let replaced = rows.replace(RowRef(Arc::clone(&row)));
             if replaced.is_none() {
                 self.occupancy.fetch_add(1, Ordering::Relaxed);
@@ -1835,6 +2008,28 @@ mod tests {
         if let Some(m) = lat.spec.max_rows {
             assert!(in_shards <= m.max(1), "bound {m} exceeded: {in_shards}");
         }
+        if let Some(spare) = &coord.spare {
+            assert_eq!(Arc::strong_count(spare), 1, "the spare is shared");
+            let group = spare.group.as_slice();
+            assert!(
+                group.iter().all(Value::is_null),
+                "the spare holds {group:?}"
+            );
+        }
+    }
+
+    /// The coordinator's spare row, by address.
+    fn spare(lat: &Lat) -> Option<*const Row> {
+        lat.evict_lock.lock().spare.as_ref().map(Arc::as_ptr)
+    }
+
+    /// The row holding group `key`, by address.
+    fn row_at(lat: &Lat, key: &[Value]) -> Option<*const Row> {
+        lat.shards.iter().find_map(|s| {
+            let rows = s.read();
+            let row = rows.iter().find(|r| r.0.group.as_slice() == key)?;
+            Some(Arc::as_ptr(&row.0))
+        })
     }
 
     fn sigs(lat: &Lat) -> Vec<i64> {
@@ -1886,6 +2081,114 @@ mod tests {
                 Value::Float(70.0)
             );
         }
+    }
+
+    #[test]
+    fn a_recycled_row_shows_nothing_of_its_victim() {
+        let (clock, _) = ManualClock::shared(0);
+        let spec = LatSpec::new("Recycled")
+            .group_by("Query.ID", "ID")
+            .aggregate(LatAggFunc::First, "Query.Procedure", "F")
+            .aggregate(LatAggFunc::Min, "Query.Procedure", "MN")
+            .aggregate(LatAggFunc::Max, "Query.Procedure", "MX")
+            .aggregate(LatAggFunc::Last, "Query.Procedure", "L")
+            .order_by("ID", true)
+            .max_rows(1);
+        let lat = Lat::new(spec, clock).unwrap();
+        let obj = |id: u64, procedure: Option<&str>| {
+            let mut q = QueryInfo::synthetic(id, "q");
+            q.procedure = procedure.map(Into::into);
+            query_object(&q)
+        };
+        lat.insert(&obj(1, Some("victim"))).unwrap();
+        lat.insert(&obj(2, Some("victim"))).unwrap();
+        // Each new group is built in the row of the one evicted before it,
+        // which held "victim" in every column; a NULL attribute folds into
+        // none of them, so any leftover would show.
+        for (id, procedure) in [(3, None), (4, Some("new"))] {
+            let spare = spare(&lat).expect("the last victim is kept");
+            lat.insert(&obj(id, procedure)).unwrap();
+            let key = [Value::Int(id as i64)];
+            assert_eq!(row_at(&lat, &key), Some(spare), "built in the spare");
+            let v = procedure.map_or(Value::Null, Value::text);
+            let want = [&key[..], &[v.clone(), v.clone(), v.clone(), v]].concat();
+            assert_eq!(lat.rows(), vec![want]);
+            assert_consistent(&lat);
+        }
+        lat.reset();
+        assert_eq!(spare(&lat), None, "reset drops the spare");
+        assert_consistent(&lat);
+    }
+
+    #[test]
+    fn a_victim_on_the_dirty_queue_is_not_recycled() {
+        let (clock, _) = ManualClock::shared(0);
+        let spec = LatSpec::new("Queued")
+            .group_by("Query.Logical_Signature", "Sig")
+            .aggregate(LatAggFunc::Max, "Query.Duration", "D")
+            .order_by("D", true)
+            .max_rows(2);
+        let lat = Lat::new(spec, clock).unwrap();
+        lat.insert(&qobj(1, 1.0)).unwrap();
+        lat.insert(&qobj(2, 5.0)).unwrap();
+        // The evictor has popped group 1 when a fold that does not take
+        // `evict_lock` moves its key and queues it for re-filing.
+        let mut coord = lat.evict_lock.lock();
+        let victim = lat.pop_victim(&mut coord, 0).unwrap();
+        assert_eq!(victim.group.as_slice(), [Value::Int(1)]);
+        lat.insert(&qobj(1, 3.0)).unwrap();
+        assert_eq!(lat.dirty.lock().len(), 1);
+        let queued = Arc::as_ptr(&victim);
+        lat.discard(&mut coord, victim, 0, false);
+        assert!(coord.spare.is_none(), "a queued victim was kept");
+        drop(coord);
+        assert_eq!((lat.row_count(), lat.stats().evictions), (1, 1));
+        // The next new group gets a row of its own; the eviction after it
+        // drops the queued row and recycles its own victim.
+        lat.insert(&qobj(3, 4.0)).unwrap();
+        assert_ne!(row_at(&lat, &[Value::Int(3)]), Some(queued));
+        let evicted = lat.insert(&qobj(4, 6.0)).unwrap();
+        assert_eq!(evicted, vec![vec![Value::Int(3), Value::Float(4.0)]]);
+        assert!(lat.dirty.lock().is_empty());
+        assert!(spare(&lat).is_some());
+        assert_consistent(&lat);
+        assert_eq!(sigs(&lat), vec![2, 4]);
+    }
+
+    #[test]
+    fn an_evicted_row_is_read_before_its_row_is_recycled() {
+        // Two grouping columns, one of them text: a spare's key is
+        // overwritten column by column.
+        let (clock, _) = ManualClock::shared(0);
+        let spec = LatSpec::new("Pairs")
+            .group_by("Query.Logical_Signature", "Sig")
+            .group_by("Query.User", "Usr")
+            .aggregate(LatAggFunc::Last, "Query.Query_Text", "Txt")
+            .order_by("Sig", true)
+            .max_rows(2);
+        let lat = Lat::new(spec, clock).unwrap();
+        let obj = |sig: u64| {
+            let mut q = QueryInfo::synthetic(1, format!("text {sig}"));
+            q.logical_signature = Some(sig);
+            q.user = format!("user {sig}").into();
+            query_object(&q)
+        };
+        for sig in 1..=6 {
+            let held = lat.rows_ordered();
+            let evicted = lat.insert(&obj(sig)).unwrap();
+            // A full LAT evicts its least important row, as it was.
+            let victims = if held.len() == 2 { &held[1..] } else { &[] };
+            assert_eq!(evicted, victims);
+            assert_consistent(&lat);
+        }
+        let row = lat.lookup_for(&obj(6)).unwrap();
+        assert_eq!(
+            row,
+            [Value::Int(6), Value::text("user 6"), Value::text("text 6")]
+        );
+        let mut q = QueryInfo::synthetic(1, "");
+        (q.logical_signature, q.user) = (Some(6), "user 5".into());
+        assert!(lat.lookup_for(&query_object(&q)).is_none());
     }
 
     #[test]

@@ -26,11 +26,34 @@ use sqlcm_core::objects::{query_object, Object};
 use sqlcm_core::ReferenceLat;
 
 fn qobj(sig: i64, dur_units: u64) -> Object {
+    user_obj(sig, 0, dur_units)
+}
+
+/// A query object whose `User` is `user_<usr>`.
+fn user_obj(sig: i64, usr: u8, dur_units: u64) -> Object {
     let mut q = QueryInfo::synthetic(1, format!("q{sig}"));
     q.logical_signature = Some(sig as u64);
+    q.user = format!("user_{usr}").into();
     // Whole seconds => Duration is an integer-valued f64 (exact arithmetic).
     q.duration_micros = dur_units * 1_000_000;
     query_object(&q)
+}
+
+/// The group keys the single- and multi-threaded differentials run under:
+/// one integer column, one text column, and both. The first alias leads
+/// the output row.
+const KEY_SHAPES: [&[(&str, &str)]; 3] = [
+    &[("Query.Logical_Signature", "Sig")],
+    &[("Query.User", "Usr")],
+    &[("Query.Logical_Signature", "Sig"), ("Query.User", "Usr")],
+];
+
+fn grouped(name: &str, shape: usize) -> LatSpec {
+    KEY_SHAPES[shape]
+        .iter()
+        .fold(LatSpec::new(name), |spec, (attr, alias)| {
+            spec.group_by(attr, alias)
+        })
 }
 
 const WINDOW: u64 = 300;
@@ -38,10 +61,10 @@ const BLOCK: u64 = 100;
 
 /// The all-aggregates differential spec: every aggregate kind, plus aging
 /// AVG/COUNT columns rolling on the manual clock.
-fn diff_spec(max_rows: Option<usize>, order_col: usize, desc: bool) -> LatSpec {
-    let columns = ["Sig", "N", "S", "A", "SD", "MN", "MX", "F", "L", "AW", "NW"];
-    let mut spec = LatSpec::new("Diff")
-        .group_by("Query.Logical_Signature", "Sig")
+fn diff_spec(shape: usize, max_rows: Option<usize>, order_col: usize, desc: bool) -> LatSpec {
+    let key = KEY_SHAPES[shape][0].1;
+    let columns = [key, "N", "S", "A", "SD", "MN", "MX", "F", "L", "AW", "NW"];
+    let mut spec = grouped("Diff", shape)
         .aggregate(LatAggFunc::Count, "", "N")
         .aggregate(LatAggFunc::Sum, "Query.Duration", "S")
         .aggregate(LatAggFunc::Avg, "Query.Duration", "A")
@@ -63,14 +86,18 @@ fn diff_spec(max_rows: Option<usize>, order_col: usize, desc: bool) -> LatSpec {
 
 #[derive(Debug, Clone)]
 enum Op {
-    Insert { sig: i64, dur: u64 },
+    Insert { sig: i64, usr: u8, dur: u64 },
     Advance { micros: u64 },
     Reset,
     Snapshot,
 }
 
+/// Users per generator: a text key of its own has this many groups.
+const USERS: u8 = 6;
+
 fn op_strategy() -> BoxedStrategy<Op> {
-    let insert = || (0i64..10, 0u64..8).prop_map(|(sig, dur)| Op::Insert { sig, dur });
+    let insert =
+        || (0i64..10, 0..USERS, 0u64..8).prop_map(|(sig, usr, dur)| Op::Insert { sig, usr, dur });
     prop_oneof![
         insert(),
         insert(),
@@ -92,24 +119,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// The headline differential: randomized op sequences produce identical
-    /// observable state in the sharded table and the oracle. Eviction victims
-    /// are validated inside `insert_matching` (global minimum under the
-    /// ordering spec, output row recomputed from the raw log).
+    /// observable state in the sharded table and the oracle, under every key
+    /// shape. Eviction victims are validated inside `insert_matching` (global
+    /// minimum under the ordering spec, output row recomputed from the raw
+    /// log).
     #[test]
     fn sharded_lat_matches_reference_oracle(
+        shape in 0usize..KEY_SHAPES.len(),
         max_rows in prop_oneof![Just(None), (1usize..5).prop_map(Some)],
         order_col in 0usize..11,
         desc in any::<bool>(),
         ops in collection::vec(op_strategy(), 1..48),
     ) {
         let (clock, handle) = ManualClock::shared(0);
-        let spec = diff_spec(max_rows, order_col, desc);
+        let spec = diff_spec(shape, max_rows, order_col, desc);
         let lat = Lat::new(spec.clone(), clock.clone()).unwrap();
         let oracle = ReferenceLat::new(spec, clock).unwrap();
         for op in &ops {
             match op {
-                Op::Insert { sig, dur } => {
-                    let obj = qobj(*sig, *dur);
+                Op::Insert { sig, usr, dur } => {
+                    let obj = user_obj(*sig, *usr, *dur);
                     let evicted = lat.insert(&obj).unwrap();
                     oracle.insert_matching(&obj, &evicted).unwrap();
                     if let Some(m) = max_rows {
@@ -130,8 +159,10 @@ proptest! {
         prop_assert_eq!(lat.row_count(), oracle.row_count());
         prop_assert_eq!(canonical(lat.rows()), canonical(oracle.rows()));
         for sig in 0..10 {
-            let probe = qobj(sig, 0);
-            prop_assert_eq!(lat.lookup_for(&probe), oracle.lookup_for(&probe));
+            for usr in 0..USERS {
+                let probe = user_obj(sig, usr, 0);
+                prop_assert_eq!(lat.lookup_for(&probe), oracle.lookup_for(&probe));
+            }
         }
     }
 }
@@ -253,9 +284,8 @@ proptest! {
 /// FIRST/LAST (order-dependent), no aging (time-dependent), integer-valued
 /// inputs (exact f64) — so the final state is independent of interleaving
 /// and any logged schedule is a valid linearization.
-fn mt_spec() -> LatSpec {
-    LatSpec::new("MtDiff")
-        .group_by("Query.Logical_Signature", "Sig")
+fn mt_spec(shape: usize) -> LatSpec {
+    grouped("MtDiff", shape)
         .aggregate(LatAggFunc::Count, "", "N")
         .aggregate(LatAggFunc::Sum, "Query.Duration", "S")
         .aggregate(LatAggFunc::Avg, "Query.Duration", "A")
@@ -270,15 +300,20 @@ proptest! {
     /// Logged-schedule multi-threaded differential: 4 threads insert
     /// concurrently into the sharded table, stamping every insert with a
     /// global sequence number; the log, replayed in sequence order into the
-    /// single-lock oracle, must produce identical observable state.
+    /// single-lock oracle, must produce identical observable state, under
+    /// every key shape.
     #[test]
     fn concurrent_inserts_match_reference_via_logged_schedule(
-        per_thread in collection::vec(collection::vec((0i64..12, 0u64..9), 16..17), 4..5),
+        shape in 0usize..KEY_SHAPES.len(),
+        per_thread in collection::vec(
+            collection::vec((0i64..12, 0..USERS, 0u64..9), 16..17),
+            4..5,
+        ),
     ) {
         let (clock, _handle) = ManualClock::shared(0);
-        let lat = Arc::new(Lat::new(mt_spec(), clock.clone()).unwrap());
+        let lat = Arc::new(Lat::new(mt_spec(shape), clock.clone()).unwrap());
         let seq = AtomicU64::new(0);
-        let mut schedule: Vec<(u64, i64, u64)> = std::thread::scope(|scope| {
+        let mut schedule: Vec<(u64, i64, u8, u64)> = std::thread::scope(|scope| {
             let handles: Vec<_> = per_thread
                 .iter()
                 .map(|ops| {
@@ -286,10 +321,10 @@ proptest! {
                     let seq = &seq;
                     scope.spawn(move || {
                         let mut local = Vec::with_capacity(ops.len());
-                        for (sig, dur) in ops {
+                        for &(sig, usr, dur) in ops {
                             let s = seq.fetch_add(1, Ordering::SeqCst);
-                            lat.insert(&qobj(*sig, *dur)).unwrap();
-                            local.push((s, *sig, *dur));
+                            lat.insert(&user_obj(sig, usr, dur)).unwrap();
+                            local.push((s, sig, usr, dur));
                         }
                         local
                     })
@@ -297,11 +332,11 @@ proptest! {
                 .collect();
             handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
         });
-        schedule.sort_by_key(|(s, _, _)| *s);
+        schedule.sort_by_key(|(s, ..)| *s);
 
-        let oracle = ReferenceLat::new(mt_spec(), clock).unwrap();
-        for (_, sig, dur) in &schedule {
-            oracle.insert(&qobj(*sig, *dur)).unwrap();
+        let oracle = ReferenceLat::new(mt_spec(shape), clock).unwrap();
+        for &(_, sig, usr, dur) in &schedule {
+            oracle.insert(&user_obj(sig, usr, dur)).unwrap();
         }
         prop_assert_eq!(lat.row_count(), oracle.row_count());
         prop_assert_eq!(canonical(lat.rows()), canonical(oracle.rows()));
