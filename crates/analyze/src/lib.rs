@@ -120,7 +120,7 @@ pub struct RuleIr {
 impl RuleIr {
     /// The rule's condition references, split as [`expr_refs`] splits them
     /// (both empty for an unconditional rule).
-    pub(crate) fn refs(&self) -> (Vec<ClassName>, Vec<String>) {
+    pub fn refs(&self) -> (Vec<ClassName>, Vec<String>) {
         match &self.condition {
             Some(c) => expr_refs(c.lowered()),
             None => (Vec::new(), Vec::new()),
@@ -136,7 +136,7 @@ impl RuleIr {
 /// Reads the lowered IR's reference pool directly — the pool already holds
 /// every qualified column exactly once, in first-appearance order, so no
 /// tree walk is needed.
-pub(crate) fn expr_refs(ir: &ExprIr) -> (Vec<ClassName>, Vec<String>) {
+pub fn expr_refs(ir: &ExprIr) -> (Vec<ClassName>, Vec<String>) {
     let mut classes: Vec<ClassName> = Vec::new();
     let mut lats: Vec<String> = Vec::new();
     for (qualifier, _) in &ir.refs {

@@ -41,7 +41,7 @@ use sqlcm_analyze::intervals::Interval;
 use sqlcm_analyze::{Bound, Guard, GuardKind};
 use sqlcm_common::Value;
 
-use crate::ir::{CondIr, ROp};
+use crate::ir::{CondIr, Resolved};
 use crate::objects::{ClassName, Object};
 use crate::plan::PlanRule;
 
@@ -238,8 +238,8 @@ impl GuardIndex {
         // before any pruning is trusted; `cond_classes` rides along (width
         // 0 = presence only) so a pruned rule is always one the fast path
         // would have evaluated exactly once.
-        for op in &cond.ops {
-            if let ROp::Attr { class, index } = op {
+        for resolved in &cond.resolved {
+            if let Resolved::Attr { class, index } = resolved {
                 self.require(class, index + 1);
             }
         }

@@ -1,111 +1,62 @@
 //! Resolved condition IR: the runtime's compiled form of a rule condition.
 //!
-//! [`CondIr::from_ir`] resolves a lowered (and usually folded) [`ExprIr`]
-//! against the LAT registry: `Class.Attribute` references become value
-//! positions ([`ROp::Attr`]) and `Lat.Column` references become `(binding,
-//! column)` index pairs ([`ROp::LatCol`]), so per-event evaluation does no
-//! string matching — the "lightweight ECA rule engine" property the paper
-//! leans on (§2.1: low and controllable overhead beats expressive power).
+//! A [`CondIr`] is the analyzer's folded [`ExprIr`], kept as is, plus one
+//! [`Resolved`] entry per entry of its reference pool: `Class.Attribute`
+//! becomes a value position ([`Resolved::Attr`]) and `Lat.Column` a
+//! `(binding, column)` index pair ([`Resolved::LatCol`]), so per-event
+//! evaluation does no string matching — the "lightweight ECA rule engine"
+//! property the paper leans on (§2.1: low and controllable overhead beats
+//! expressive power).
 //!
-//! The resolved arena mirrors the source [`ExprIr`] node-for-node (same
-//! post-order layout, same [`NodeId`]s), so the precomputed analysis facts —
-//! canonical hashes, subtree sizes, infallibility — carry over verbatim and
-//! the dispatch plan can key cross-rule common-subexpression slots on them.
-//! Constant `LIKE` patterns are additionally compiled once into a
-//! [`LikeMatcher`] pool so the hot path never re-tokenizes a pattern.
+//! There is no second op arena: bytecode emission ([`crate::vm`]) matches
+//! the folded [`sqlcm_sql::IrOp`]s and looks a `Ref` up in the table, and the
+//! dispatch plan keys cross-rule common-subexpression slots on the arena's
+//! canonical hashes, guarded by [`ExprIr::subtree_eq`].
 //!
 //! Resolution errors reproduce the legacy compiler's messages and its
-//! discovery order (a left subtree is fully resolved before the right; an
-//! unsupported node such as a function call errors *before* its arguments
-//! are visited).
+//! discovery order: one pre-order walk that stops at the first error, so a
+//! left subtree is searched before the right and an unsupported node such as
+//! a function call errors *before* its arguments are visited.
 
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::Arc;
 
-use sqlcm_common::{Error, Result, Value};
-use sqlcm_sql::{BinOp, ExprIr, IrOp, LikeMatcher, NodeId, UnaryOp};
+use sqlcm_common::{Error, Result};
+use sqlcm_sql::{ExprIr, IrOp};
 
 use crate::lat::Lat;
 use crate::objects::ClassName;
 
-/// One resolved flat-IR operation. Children are [`NodeId`]s pointing at
-/// earlier arena slots (post-order, root last).
+/// What one qualified column reference resolved to.
 #[derive(Debug, Clone)]
-pub enum ROp {
-    /// Literal; index into [`CondIr::consts`].
-    Const(u32),
+pub enum Resolved {
     /// Attribute `index` of the in-scope object of `class`.
-    Attr {
-        class: ClassName,
-        index: usize,
-    },
+    Attr { class: ClassName, index: usize },
     /// Column `index` of the bound row of the rule's `lat_idx`-th referenced
     /// LAT (position in the rule's `condition_refs()` LAT list — and
     /// therefore in `EvalContext::lat_rows`). Rule-local, so a resolved
     /// condition stays valid across dispatch-plan rebuilds.
-    LatCol {
-        lat_idx: usize,
-        index: usize,
-    },
-    Unary {
-        op: UnaryOp,
-        expr: NodeId,
-    },
-    Binary {
-        left: NodeId,
-        op: BinOp,
-        right: NodeId,
-    },
-    IsNull {
-        expr: NodeId,
-        negated: bool,
-    },
-    /// `matcher` indexes [`CondIr::matchers`] when the pattern operand is a
-    /// constant string, precompiled at registration.
-    Like {
-        expr: NodeId,
-        pattern: NodeId,
-        negated: bool,
-        matcher: Option<u32>,
-    },
-    /// Members live in [`CondIr::lists`] at the given index.
-    InList {
-        expr: NodeId,
-        list: u32,
-        negated: bool,
-    },
+    LatCol { lat_idx: usize, index: usize },
 }
 
 /// A rule condition resolved against the LAT registry, ready for bytecode
-/// emission (see [`crate::vm`]).
+/// emission (see [`crate::vm`]). Reads as its arena (`Deref<Target =
+/// ExprIr>`), so `cond.root` is the folded root.
 #[derive(Debug, Clone)]
 pub struct CondIr {
-    pub ops: Vec<ROp>,
-    pub root: NodeId,
-    pub consts: Vec<Value>,
-    /// `LIKE` patterns compiled at registration (constant patterns only).
-    pub matchers: Vec<LikeMatcher>,
-    /// `IN`-list member vectors.
-    pub lists: Vec<Vec<NodeId>>,
-    /// Qualified column references `(qualifier, name)` as written,
-    /// deduplicated exactly, in first-appearance order — the trace
-    /// explainer's side-channel (resolution rejects unqualified columns, so
-    /// every surviving reference is qualified).
-    pub refs: Vec<(String, String)>,
-    /// Canonical structural hash per node, carried over from the source
-    /// [`ExprIr`] (case-folded references, no commutative normalization) —
-    /// the cross-rule CSE key.
-    pub hashes: Vec<u64>,
-    /// Subtree size in ops per node.
-    pub sizes: Vec<u32>,
-    /// Node can never evaluate to `Err` (no column reads, no checked
-    /// arithmetic). Gates short-circuit jumps: the runtime contract
-    /// evaluates *both* operands of AND/OR, so only an infallible operand
-    /// may be skipped.
-    pub infallible: Vec<bool>,
-    /// Lowercased LAT names in `lat_idx` order — gives [`ROp::LatCol`] a
-    /// registry-global identity for cross-rule structural comparison.
-    pub lat_names: Vec<String>,
+    /// The folded condition.
+    pub ir: ExprIr,
+    /// Per entry of `ir.refs`, in pool order.
+    pub resolved: Vec<Resolved>,
+}
+
+impl Deref for CondIr {
+    type Target = ExprIr;
+
+    fn deref(&self) -> &ExprIr {
+        &self.ir
+    }
 }
 
 impl CondIr {
@@ -117,298 +68,63 @@ impl CondIr {
         lats: &HashMap<String, Arc<Lat>>,
         cond_lats: &[String],
     ) -> Result<CondIr> {
-        let mut out = CondIr {
-            ops: Vec::with_capacity(ir.ops.len()),
-            root: 0,
-            consts: ir.consts.clone(),
-            matchers: Vec::new(),
-            lists: ir.lists.clone(),
-            refs: Vec::new(),
-            hashes: ir.hashes.clone(),
-            sizes: ir.sizes.clone(),
-            infallible: ir.infallible.clone(),
-            lat_names: cond_lats.iter().map(|l| l.to_ascii_lowercase()).collect(),
-        };
-        out.root = out.resolve(ir, ir.root, lats, cond_lats)?;
-        debug_assert_eq!(out.ops.len(), ir.ops.len(), "arena maps node-for-node");
-        debug_assert_eq!(out.root, ir.root);
-        // Every reference that survived resolution is qualified; carry the
-        // side-channel over in the source's first-appearance order.
-        out.refs = ir
+        let resolved: Vec<Result<Resolved>> = ir
             .refs
             .iter()
-            .map(|(q, n)| {
-                let q = q
-                    .clone()
-                    .expect("resolved condition has only qualified refs");
-                (q, n.clone())
-            })
+            .map(|(qualifier, name)| resolve(qualifier.as_deref(), name, lats, cond_lats))
             .collect();
-        Ok(out)
-    }
-
-    /// Resolve the subtree rooted at `id`, appending in the same post-order
-    /// the source arena uses so [`NodeId`]s coincide. Children are visited
-    /// left-to-right before the parent — except unsupported nodes, which
-    /// error immediately — matching the legacy compiler's error order.
-    fn resolve(
-        &mut self,
-        ir: &ExprIr,
-        id: NodeId,
-        lats: &HashMap<String, Arc<Lat>>,
-        cond_lats: &[String],
-    ) -> Result<NodeId> {
-        let op = match ir.op(id) {
-            IrOp::Const(c) => ROp::Const(*c),
-            IrOp::Ref(r) => {
-                let (qualifier, name) = &ir.refs[*r as usize];
-                let q = qualifier.as_deref().ok_or_else(|| {
-                    Error::Monitor(format!("unqualified column {name} in rule condition"))
-                })?;
-                if let Some(class) = ClassName::parse(q) {
-                    let index =
-                        crate::objects::static_attr_index(&class, name).ok_or_else(|| {
-                            Error::Monitor(format!("class {class} has no attribute {name}"))
-                        })?;
-                    ROp::Attr { class, index }
-                } else {
-                    let key = q.to_ascii_lowercase();
-                    let lat = lats.get(&key).ok_or_else(|| {
-                        Error::Monitor(format!("unknown LAT {q} in rule condition"))
-                    })?;
-                    let index = lat
-                        .column_index(name)
-                        .ok_or_else(|| Error::Monitor(format!("LAT {q} has no column {name}")))?;
-                    let lat_idx = cond_lats
-                        .iter()
-                        .position(|l| l.eq_ignore_ascii_case(&key))
-                        .ok_or_else(|| {
-                            Error::Monitor(format!("LAT {q} missing from rule reference list"))
-                        })?;
-                    ROp::LatCol { lat_idx, index }
-                }
+        let mut first_error = None;
+        ir.for_each(ir.root, &mut |id| {
+            if first_error.is_some() {
+                return;
             }
-            IrOp::Param(_) | IrOp::NamedParam(_) => {
-                return Err(Error::Monitor(
+            first_error = match ir.op(id) {
+                IrOp::Ref(r) => resolved[*r as usize].as_ref().err().cloned(),
+                IrOp::Param(_) | IrOp::NamedParam(_) => Some(Error::Monitor(
                     "parameters are not allowed in rule conditions".into(),
-                ))
-            }
-            IrOp::Unary { op, expr } => {
-                let e = self.resolve(ir, *expr, lats, cond_lats)?;
-                ROp::Unary { op: *op, expr: e }
-            }
-            IrOp::Binary { left, op, right } => {
-                let l = self.resolve(ir, *left, lats, cond_lats)?;
-                let r = self.resolve(ir, *right, lats, cond_lats)?;
-                ROp::Binary {
-                    left: l,
-                    op: *op,
-                    right: r,
-                }
-            }
-            IrOp::IsNull { expr, negated } => {
-                let e = self.resolve(ir, *expr, lats, cond_lats)?;
-                ROp::IsNull {
-                    expr: e,
-                    negated: *negated,
-                }
-            }
-            IrOp::Like {
-                expr,
-                pattern,
-                negated,
-            } => {
-                let e = self.resolve(ir, *expr, lats, cond_lats)?;
-                let p = self.resolve(ir, *pattern, lats, cond_lats)?;
-                let matcher = match ir.const_value(*pattern) {
-                    Some(Value::Text(s)) => {
-                        self.matchers.push(LikeMatcher::new(s));
-                        Some((self.matchers.len() - 1) as u32)
-                    }
-                    _ => None,
-                };
-                ROp::Like {
-                    expr: e,
-                    pattern: p,
-                    negated: *negated,
-                    matcher,
-                }
-            }
-            IrOp::InList {
-                expr,
-                list,
-                negated,
-            } => {
-                let e = self.resolve(ir, *expr, lats, cond_lats)?;
-                for m in &ir.lists[*list as usize] {
-                    self.resolve(ir, *m, lats, cond_lats)?;
-                }
-                ROp::InList {
-                    expr: e,
-                    list: *list,
-                    negated: *negated,
-                }
-            }
-            // Unsupported in conditions; error before visiting arguments,
-            // like the legacy compiler's catch-all.
-            IrOp::FuncCall { .. } => {
-                return Err(Error::Monitor(format!(
+                )),
+                IrOp::FuncCall { .. } => Some(Error::Monitor(format!(
                     "expression {} is not supported in rule conditions",
                     ir.disp(id)
-                )))
-            }
-        };
-        self.ops.push(op);
-        Ok((self.ops.len() - 1) as NodeId)
-    }
-
-    pub fn op(&self, id: NodeId) -> &ROp {
-        &self.ops[id as usize]
-    }
-
-    pub fn hash_of(&self, id: NodeId) -> u64 {
-        self.hashes[id as usize]
-    }
-
-    pub fn size_of(&self, id: NodeId) -> u32 {
-        self.sizes[id as usize]
-    }
-
-    pub fn is_infallible(&self, id: NodeId) -> bool {
-        self.infallible[id as usize]
-    }
-
-    /// Pre-order walk of the subtree rooted at `id`. A `LIKE` with a
-    /// precompiled matcher still visits its (constant) pattern node, so the
-    /// walk covers every source node.
-    pub fn for_each_in(&self, id: NodeId, f: &mut impl FnMut(&ROp)) {
-        let op = self.op(id);
-        f(op);
-        match op {
-            ROp::Const(_) | ROp::Attr { .. } | ROp::LatCol { .. } => {}
-            ROp::Unary { expr, .. } | ROp::IsNull { expr, .. } => self.for_each_in(*expr, f),
-            ROp::Binary { left, right, .. } => {
-                self.for_each_in(*left, f);
-                self.for_each_in(*right, f);
-            }
-            ROp::Like { expr, pattern, .. } => {
-                self.for_each_in(*expr, f);
-                self.for_each_in(*pattern, f);
-            }
-            ROp::InList { expr, list, .. } => {
-                self.for_each_in(*expr, f);
-                for m in self.lists[*list as usize].clone() {
-                    self.for_each_in(m, f);
-                }
-            }
+                ))),
+                _ => None,
+            };
+        });
+        if let Some(e) = first_error {
+            return Err(e);
         }
+        Ok(CondIr {
+            ir: ir.clone(),
+            resolved: resolved.into_iter().collect::<Result<_>>()?,
+        })
     }
+}
 
-    /// Visit every [`ROp::LatCol`] reference — `(lat_idx, column_index)` per
-    /// reference. Used at plan build to compute the exact set of columns
-    /// each rule reads through its hoist slots. The arena is dense, so a
-    /// linear scan covers the whole tree.
-    pub fn for_each_lat_col(&self, f: &mut impl FnMut(usize, usize)) {
-        for op in &self.ops {
-            if let ROp::LatCol { lat_idx, index } = op {
-                f(*lat_idx, *index);
-            }
-        }
+fn resolve(
+    qualifier: Option<&str>,
+    name: &str,
+    lats: &HashMap<String, Arc<Lat>>,
+    cond_lats: &[String],
+) -> Result<Resolved> {
+    let q = qualifier
+        .ok_or_else(|| Error::Monitor(format!("unqualified column {name} in rule condition")))?;
+    if let Some(class) = ClassName::parse(q) {
+        let index = crate::objects::static_attr_index(&class, name)
+            .ok_or_else(|| Error::Monitor(format!("class {class} has no attribute {name}")))?;
+        return Ok(Resolved::Attr { class, index });
     }
-
-    /// Structural equality of two subtrees in (possibly) different rules'
-    /// arenas — the hash-collision guard for cross-rule CSE grouping. LAT
-    /// references compare by registry-global name, not by rule-local
-    /// binding position.
-    pub fn subtree_eq(&self, id: NodeId, other: &CondIr, oid: NodeId) -> bool {
-        match (self.op(id), other.op(oid)) {
-            (ROp::Const(a), ROp::Const(b)) => {
-                let (va, vb) = (&self.consts[*a as usize], &other.consts[*b as usize]);
-                std::mem::discriminant(va) == std::mem::discriminant(vb) && va == vb
-            }
-            (
-                ROp::Attr {
-                    class: ca,
-                    index: ia,
-                },
-                ROp::Attr {
-                    class: cb,
-                    index: ib,
-                },
-            ) => ca == cb && ia == ib,
-            (
-                ROp::LatCol {
-                    lat_idx: la,
-                    index: ia,
-                },
-                ROp::LatCol {
-                    lat_idx: lb,
-                    index: ib,
-                },
-            ) => ia == ib && self.lat_names[*la] == other.lat_names[*lb],
-            (ROp::Unary { op: oa, expr: ea }, ROp::Unary { op: ob, expr: eb }) => {
-                oa == ob && self.subtree_eq(*ea, other, *eb)
-            }
-            (
-                ROp::Binary {
-                    left: la,
-                    op: oa,
-                    right: ra,
-                },
-                ROp::Binary {
-                    left: lb,
-                    op: ob,
-                    right: rb,
-                },
-            ) => oa == ob && self.subtree_eq(*la, other, *lb) && self.subtree_eq(*ra, other, *rb),
-            (
-                ROp::IsNull {
-                    expr: ea,
-                    negated: na,
-                },
-                ROp::IsNull {
-                    expr: eb,
-                    negated: nb,
-                },
-            ) => na == nb && self.subtree_eq(*ea, other, *eb),
-            (
-                ROp::Like {
-                    expr: ea,
-                    pattern: pa,
-                    negated: na,
-                    ..
-                },
-                ROp::Like {
-                    expr: eb,
-                    pattern: pb,
-                    negated: nb,
-                    ..
-                },
-            ) => na == nb && self.subtree_eq(*ea, other, *eb) && self.subtree_eq(*pa, other, *pb),
-            (
-                ROp::InList {
-                    expr: ea,
-                    list: la,
-                    negated: na,
-                },
-                ROp::InList {
-                    expr: eb,
-                    list: lb,
-                    negated: nb,
-                },
-            ) => {
-                let (ma, mb) = (&self.lists[*la as usize], &other.lists[*lb as usize]);
-                na == nb
-                    && ma.len() == mb.len()
-                    && self.subtree_eq(*ea, other, *eb)
-                    && ma
-                        .iter()
-                        .zip(mb.iter())
-                        .all(|(x, y)| self.subtree_eq(*x, other, *y))
-            }
-            _ => false,
-        }
-    }
+    let key = q.to_ascii_lowercase();
+    let lat = lats
+        .get(&key)
+        .ok_or_else(|| Error::Monitor(format!("unknown LAT {q} in rule condition")))?;
+    let index = lat
+        .column_index(name)
+        .ok_or_else(|| Error::Monitor(format!("LAT {q} has no column {name}")))?;
+    let lat_idx = cond_lats
+        .iter()
+        .position(|l| l.eq_ignore_ascii_case(&key))
+        .ok_or_else(|| Error::Monitor(format!("LAT {q} missing from rule reference list")))?;
+    Ok(Resolved::LatCol { lat_idx, index })
 }
 
 #[cfg(test)]
@@ -439,45 +155,28 @@ mod tests {
     }
 
     #[test]
-    fn arena_mirrors_source_and_resolves_references() {
-        let c = resolve("Query.Duration > 5 * Duration_LAT.Avg_Duration").unwrap();
-        assert!(matches!(
-            c.op(0),
-            ROp::Attr {
-                class: ClassName::Query,
-                ..
-            }
-        ));
-        assert!(c
-            .ops
-            .iter()
-            .any(|o| matches!(o, ROp::LatCol { lat_idx: 0, .. })));
+    fn resolves_each_pool_entry_once() {
+        let c = resolve("Query.Duration > 5 * Duration_LAT.Avg_Duration + Query.Duration").unwrap();
         assert_eq!(
             c.refs,
             vec![
-                ("Query".to_string(), "Duration".to_string()),
-                ("Duration_LAT".to_string(), "Avg_Duration".to_string()),
+                (Some("Query".to_string()), "Duration".to_string()),
+                (Some("Duration_LAT".to_string()), "Avg_Duration".to_string()),
             ]
         );
-        assert_eq!(c.lat_names, vec!["duration_lat".to_string()]);
-    }
-
-    #[test]
-    fn constant_like_patterns_precompile() {
-        let c = resolve("Query.Query_Text LIKE 'SELECT%'").unwrap();
-        assert_eq!(c.matchers.len(), 1);
-        assert!(c.matchers[0].is_match("SELECT 1"));
         assert!(matches!(
-            c.op(c.root),
-            ROp::Like {
-                matcher: Some(0),
-                ..
-            }
+            c.resolved[..],
+            [
+                Resolved::Attr {
+                    class: ClassName::Query,
+                    ..
+                },
+                Resolved::LatCol {
+                    lat_idx: 0,
+                    index: 1
+                },
+            ]
         ));
-        // A dynamic pattern stays generic.
-        let c = resolve("Query.Query_Text LIKE Query.User").unwrap();
-        assert!(c.matchers.is_empty());
-        assert!(matches!(c.op(c.root), ROp::Like { matcher: None, .. }));
     }
 
     #[test]
@@ -492,6 +191,24 @@ mod tests {
             (
                 "LENGTH(Query.User) > 1",
                 "expression LENGTH(Query.User) is not supported in rule conditions",
+            ),
+            // A function call errors before its (bad) argument is visited.
+            (
+                "LENGTH(Query.Nope) > 1",
+                "expression LENGTH(Query.Nope) is not supported in rule conditions",
+            ),
+            // The left operand is resolved before the right.
+            (
+                "Query.Nope > LENGTH(Query.User)",
+                "class Query has no attribute Nope",
+            ),
+            (
+                "Query.Duration > @p",
+                "parameters are not allowed in rule conditions",
+            ),
+            (
+                "Duration > 1",
+                "unqualified column Duration in rule condition",
             ),
         ] {
             let err = resolve(src).unwrap_err().to_string();

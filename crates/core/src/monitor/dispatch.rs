@@ -763,7 +763,7 @@ impl SqlcmInner {
         }
 
         // Phase B — borrow the rows into fixed-layout bindings indexed by the
-        // rule's `cond_lats` order (what `ir::ROp::LatCol` points into).
+        // rule's `cond_lats` order (what `ir::Resolved::LatCol` points into).
         let slots_ro: &[HoistState] = &*slots;
         let row_of = |i: usize| {
             let slot = pr.lat_slots[i];

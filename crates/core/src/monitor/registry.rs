@@ -284,7 +284,8 @@ impl Sqlcm {
         // is what its event class's guard index installs.
         let effects = Arc::new(analyzer.effects_of(&ir));
         let guard = rule_guard(&ir).ok();
-        let (cond_classes, cond_lats) = rule.condition_refs()?;
+        // The analyzer denied unqualified columns (E001) above.
+        let (cond_classes, cond_lats) = ir.refs();
         let cond_lats_lc: Vec<String> = cond_lats.iter().map(|l| l.to_ascii_lowercase()).collect();
         let (compiled, compiled_actions) = {
             let lats = self.inner.lats_read();

@@ -55,7 +55,7 @@ use sqlcm_telemetry::Label;
 
 use crate::containment::RuleBreaker;
 use crate::guard::GuardIndex;
-use crate::ir::{CondIr, ROp};
+use crate::ir::{CondIr, Resolved};
 use crate::lat::Lat;
 use crate::objects::ClassName;
 use crate::rules::{EventClock, Rule, RuleEvent};
@@ -86,7 +86,7 @@ pub(crate) struct Registered {
     /// Classes the condition references.
     pub cond_classes: Vec<ClassName>,
     /// LAT names the condition references (lowercased, in first-reference
-    /// order — the order `crate::ir::ROp::LatCol::lat_idx` indexes).
+    /// order — the order `crate::ir::Resolved::LatCol::lat_idx` indexes).
     pub cond_lats: Vec<String>,
     /// `rule.name` as the flight recorder carries it, made once here so a
     /// firing clones an `Arc` (and [`EventPlan::label`]) and allocates nothing.
@@ -332,37 +332,25 @@ fn shareable_nodes(cond: &CondIr, payload: &[ClassName], lat_slots: &[u32]) -> V
     let n = cond.ops.len();
     let mut stable = vec![false; n];
     let mut has_ref = vec![false; n];
-    for i in 0..n {
-        let (s, r) = match &cond.ops[i] {
-            ROp::Const(_) => (true, false),
-            ROp::Attr { class, .. } => (payload.contains(class), true),
-            ROp::LatCol { lat_idx, .. } => (
-                lat_slots.get(*lat_idx).is_some_and(|&s| s != NO_HOIST),
-                true,
-            ),
-            ROp::Unary { expr, .. } | ROp::IsNull { expr, .. } => {
-                (stable[*expr as usize], has_ref[*expr as usize])
-            }
-            ROp::Binary { left, right, .. } => (
-                stable[*left as usize] && stable[*right as usize],
-                has_ref[*left as usize] || has_ref[*right as usize],
-            ),
-            ROp::Like { expr, pattern, .. } => (
-                stable[*expr as usize] && stable[*pattern as usize],
-                has_ref[*expr as usize] || has_ref[*pattern as usize],
-            ),
-            ROp::InList { expr, list, .. } => {
-                let mut s = stable[*expr as usize];
-                let mut r = has_ref[*expr as usize];
-                for m in &cond.lists[*list as usize] {
-                    s &= stable[*m as usize];
-                    r |= has_ref[*m as usize];
-                }
-                (s, r)
-            }
+    for id in 0..n as NodeId {
+        let (s, r) = match cond.op(id) {
+            IrOp::Ref(r) => match &cond.resolved[*r as usize] {
+                Resolved::Attr { class, .. } => (payload.contains(class), true),
+                Resolved::LatCol { lat_idx, .. } => (
+                    lat_slots.get(*lat_idx).is_some_and(|&s| s != NO_HOIST),
+                    true,
+                ),
+            },
+            // Resolution rejects these; never shared.
+            IrOp::Param(_) | IrOp::NamedParam(_) | IrOp::FuncCall { .. } => (false, false),
+            // A constant is stable and reads nothing; an inner node is
+            // stable when every operand is, and reads what they read.
+            _ => cond.children(id).fold((true, false), |(s, r), c| {
+                (s && stable[c as usize], r || has_ref[c as usize])
+            }),
         };
-        stable[i] = s;
-        has_ref[i] = r;
+        stable[id as usize] = s;
+        has_ref[id as usize] = r;
     }
     (0..n as NodeId)
         .filter(|&id| {
@@ -386,25 +374,8 @@ fn choose_claims(
         out.push(id);
         return;
     }
-    match cond.op(id) {
-        ROp::Const(_) | ROp::Attr { .. } | ROp::LatCol { .. } => {}
-        ROp::Unary { expr, .. } | ROp::IsNull { expr, .. } => {
-            choose_claims(cond, *expr, eligible, support, out)
-        }
-        ROp::Binary { left, right, .. } => {
-            choose_claims(cond, *left, eligible, support, out);
-            choose_claims(cond, *right, eligible, support, out);
-        }
-        ROp::Like { expr, pattern, .. } => {
-            choose_claims(cond, *expr, eligible, support, out);
-            choose_claims(cond, *pattern, eligible, support, out);
-        }
-        ROp::InList { expr, list, .. } => {
-            choose_claims(cond, *expr, eligible, support, out);
-            for m in cond.lists[*list as usize].clone() {
-                choose_claims(cond, m, eligible, support, out);
-            }
-        }
+    for child in cond.children(id) {
+        choose_claims(cond, child, eligible, support, out);
     }
 }
 
@@ -499,24 +470,19 @@ fn plan_rule(
 /// — that no longer has a column where `reg`'s condition was compiled to
 /// read it: the LAT was dropped and defined again under its name with
 /// another schema, and the compiled column positions would read the wrong
-/// column of the fresh LAT's rows, or past their end. The compiled arena
-/// mirrors the analyzer's folded one node for node (`crate::ir`), which
-/// still has each reference as written.
+/// column of the fresh LAT's rows, or past their end. Each resolved column
+/// is checked against its name in the reference pool.
 fn redefined_lat<'a>(reg: &Registered, lats: &'a [Arc<Lat>]) -> Option<&'a Arc<Lat>> {
     let compiled = reg.compiled.as_ref()?;
-    let source = reg.ir.condition.as_ref()?.folded();
-    compiled
-        .ops
-        .iter()
-        .zip(&source.ops)
-        .find_map(|(op, written)| match (op, written) {
-            (ROp::LatCol { lat_idx, index }, IrOp::Ref(r)) => {
+    compiled.refs.iter().zip(&compiled.resolved).find_map(
+        |((_, column), resolved)| match resolved {
+            Resolved::LatCol { lat_idx, index } => {
                 let lat = &lats[*lat_idx];
-                let (_, column) = &source.refs[*r as usize];
                 (lat.column_index(column) != Some(*index)).then_some(lat)
             }
-            _ => None,
-        })
+            Resolved::Attr { .. } => None,
+        },
+    )
 }
 
 /// Per-slot union of the columns read through the slot, lowercased.
@@ -556,25 +522,29 @@ fn slot_read_columns(rules: &[PlanRule], hoisted: &[HoistSlot]) -> Vec<Option<BT
             }
             continue;
         }
-        if let Some(c) = &pr.reg.compiled {
-            c.for_each_lat_col(&mut |lat_idx, col| {
-                let Some(&slot) = pr.lat_slots.get(lat_idx) else {
-                    return;
-                };
-                if slot == NO_HOIST {
-                    return;
-                }
-                match slot_cols[slot as usize].get(col) {
-                    Some(name) => {
-                        if let Some(set) = reads[slot as usize].as_mut() {
-                            set.insert(name.clone());
-                        }
+        let Some(c) = &pr.reg.compiled else {
+            continue;
+        };
+        for resolved in &c.resolved {
+            let Resolved::LatCol { lat_idx, index } = resolved else {
+                continue;
+            };
+            let Some(&slot) = pr.lat_slots.get(*lat_idx) else {
+                continue;
+            };
+            if slot == NO_HOIST {
+                continue;
+            }
+            match slot_cols[slot as usize].get(*index) {
+                Some(name) => {
+                    if let Some(set) = reads[slot as usize].as_mut() {
+                        set.insert(name.clone());
                     }
-                    // Out-of-range column index: stale compilation,
-                    // give up on precision for this slot.
-                    None => reads[slot as usize] = None,
                 }
-            });
+                // Out-of-range column index: stale compilation, give up on
+                // precision for this slot.
+                None => reads[slot as usize] = None,
+            }
         }
     }
     reads
@@ -631,7 +601,7 @@ fn invalidations_of(
 /// Assign event-level CSE slots and emit each rule's bytecode program.
 ///
 /// Candidate subtrees (see [`shareable_nodes`]) are grouped by canonical
-/// structural hash with [`CondIr::subtree_eq`] as the collision guard;
+/// structural hash with [`sqlcm_sql::ExprIr::subtree_eq`] as the collision guard;
 /// groups evaluated at least twice per event — by two rules, or twice
 /// within one — get a slot: the first evaluation stores the value, later
 /// ones load it. Every unbroken rule with a condition gets its program
@@ -722,9 +692,12 @@ fn assign_cse_and_emit(
                 let ex_pr = &rules[xr];
                 let ex = ex_pr.reg.compiled.as_ref().unwrap();
                 let mut deps: Vec<u32> = Vec::new();
-                ex.for_each_in(xn, &mut |op| {
-                    if let ROp::LatCol { lat_idx, .. } = op {
-                        if let Some(&hs) = ex_pr.lat_slots.get(*lat_idx) {
+                ex.for_each(xn, &mut |id| {
+                    let IrOp::Ref(r) = ex.op(id) else {
+                        return;
+                    };
+                    if let Resolved::LatCol { lat_idx, .. } = ex.resolved[*r as usize] {
+                        if let Some(&hs) = ex_pr.lat_slots.get(lat_idx) {
                             if hs != NO_HOIST && !deps.contains(&hs) {
                                 deps.push(hs);
                             }

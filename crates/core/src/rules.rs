@@ -17,9 +17,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sqlcm_analyze::{Condition, RuleIr};
+use sqlcm_analyze::{expr_refs, Condition, RuleIr};
 use sqlcm_common::{Error, Result, Value};
-use sqlcm_sql::{parse_expression, Expr};
+use sqlcm_sql::{parse_expression, Expr, ExprIr};
 use sqlcm_telemetry::{Buckets, HistogramSnapshot, ShardedCounter, Stripes};
 
 use crate::actions::Action;
@@ -390,41 +390,20 @@ impl Rule {
     }
 
     /// All qualifiers referenced by the condition, split into monitored classes
-    /// and (assumed) LAT names. Unqualified columns are rejected.
+    /// and (assumed) LAT names as [`sqlcm_analyze::expr_refs`] splits the
+    /// lowered condition's reference pool. Unqualified columns are rejected.
     pub fn condition_refs(&self) -> Result<(Vec<ClassName>, Vec<String>)> {
-        let mut classes = Vec::new();
-        let mut lats = Vec::new();
-        if let Some(c) = &self.condition {
-            let mut err = None;
-            c.walk(&mut |e| {
-                if let Expr::Column { qualifier, name } = e {
-                    match qualifier {
-                        Some(q) => match ClassName::parse(q) {
-                            Some(cl) => {
-                                if !classes.contains(&cl) {
-                                    classes.push(cl);
-                                }
-                            }
-                            None => {
-                                if !lats.iter().any(|l: &String| l.eq_ignore_ascii_case(q)) {
-                                    lats.push(q.clone());
-                                }
-                            }
-                        },
-                        None => {
-                            err = Some(Error::Monitor(format!(
-                                "unqualified column {name} in condition of rule {}",
-                                self.name
-                            )));
-                        }
-                    }
-                }
-            });
-            if let Some(e) = err {
-                return Err(e);
-            }
+        let Some(c) = &self.condition else {
+            return Ok((Vec::new(), Vec::new()));
+        };
+        let ir = ExprIr::lower(c);
+        if let Some((_, name)) = ir.refs.iter().find(|(q, _)| q.is_none()) {
+            return Err(Error::Monitor(format!(
+                "unqualified column {name} in condition of rule {}",
+                self.name
+            )));
         }
-        Ok((classes, lats))
+        Ok(expr_refs(&ir))
     }
 }
 
@@ -448,7 +427,7 @@ pub struct LatBinding<'a> {
 ///
 /// `lat_rows` is ordered like the owning rule's `condition_refs()` LAT list, so
 /// compiled conditions address bindings by position
-/// ([`crate::ir::ROp::LatCol`]) and the interpreted oracle
+/// ([`crate::ir::Resolved::LatCol`]) and the interpreted oracle
 /// ([`oracle::eval_expr`]) falls back to a name scan.
 pub struct EvalContext<'a> {
     pub objects: &'a [Object],
@@ -742,7 +721,11 @@ mod tests {
         assert!(classes.contains(&ClassName::Blocked));
         assert_eq!(lats, vec!["Duration_LAT"]);
         let r = Rule::new("r").when("orphan > 1");
-        assert!(r.condition_refs().is_err());
+        let err = r.condition_refs().unwrap_err().to_string();
+        assert!(
+            err.contains("unqualified column orphan in condition of rule r"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -874,8 +874,8 @@ impl Tracer {
 // ------------------------------------------------------------ explainer
 
 /// Build the "why it fired / why it didn't" explainer for one condition
-/// evaluation: every `Qualifier.Name` leaf the condition references (the
-/// resolved IR carries them verbatim, exactly deduplicated, in source
+/// evaluation: every `Qualifier.Name` leaf the condition references (its
+/// reference pool holds them as written, exactly deduplicated, in source
 /// order), with the value it bound to (or `<no row>` for a failed implicit
 /// ∃), then the decision. Runs only on sampled evaluations.
 pub(crate) fn explain_condition(
@@ -890,6 +890,8 @@ pub(crate) fn explain_condition(
     let mut out = String::new();
     let mut missing_row = false;
     for (q, name) in &cond.refs {
+        // Resolution rejects unqualified columns; none reach here.
+        let Some(q) = q else { continue };
         if !out.is_empty() {
             out.push_str(", ");
         }

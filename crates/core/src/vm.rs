@@ -1,6 +1,7 @@
 //! Register-bytecode condition VM.
 //!
-//! [`Program::emit`] flattens a resolved [`CondIr`] into straight-line
+//! [`Program::emit`] flattens a resolved [`CondIr`] (the folded arena's
+//! `IrOp`s, each `Ref` read through its resolution) into straight-line
 //! register code executed by a non-recursive loop — no per-node call
 //! overhead, no tree pointer chasing, and (after the thread-local register
 //! file warms up) no allocation on the hot path. Semantics are exactly the
@@ -14,8 +15,8 @@
 //!   is provably infallible;
 //! * `IN` lists evaluate members lazily left-to-right and stop on the first
 //!   match, with SQL's three-valued `NULL` handling;
-//! * constant `LIKE` patterns run through the matcher precompiled at
-//!   registration ([`Inst::LikePre`]).
+//! * constant `LIKE` patterns run through a matcher compiled once, at
+//!   emission ([`Inst::LikePre`]).
 //!
 //! Cross-rule common-subexpression slots are baked in at dispatch-plan
 //! build: [`Inst::CseLoad`] serves a previously computed value from the
@@ -28,9 +29,9 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 
 use sqlcm_common::{Error, Result, Value};
-use sqlcm_sql::{apply_binary, apply_unary, BinOp, LikeMatcher, NodeId, UnaryOp};
+use sqlcm_sql::{apply_binary, apply_unary, BinOp, IrOp, LikeMatcher, NodeId, UnaryOp};
 
-use crate::ir::{CondIr, ROp};
+use crate::ir::{CondIr, Resolved};
 use crate::rules::{EvalContext, LatBinding};
 
 /// One VM instruction. Registers index the thread-local register file;
@@ -77,7 +78,7 @@ pub enum Inst {
         src: u16,
         negated: bool,
     },
-    /// `LIKE` against a pattern precompiled at registration.
+    /// `LIKE` against a constant pattern compiled at emission.
     LikePre {
         dst: u16,
         src: u16,
@@ -159,21 +160,22 @@ thread_local! {
 }
 
 impl Program {
-    /// Emit bytecode for `ir`. `cse` maps arena nodes to plan-local shared
+    /// Emit bytecode for `cond`. `cse` maps arena nodes to plan-local shared
     /// slots; pass an empty map for standalone (slot-less) evaluation.
-    pub fn emit(ir: &CondIr, cse: &HashMap<NodeId, u16>) -> Program {
+    pub fn emit(cond: &CondIr, cse: &HashMap<NodeId, u16>) -> Program {
         let mut e = Emitter {
-            ir,
+            cond,
             cse,
             code: Vec::new(),
+            matchers: Vec::new(),
             nregs: 0,
             free: Vec::new(),
         };
-        let result = e.emit(ir.root);
+        let result = e.emit(cond.root);
         Program {
             code: e.code,
-            consts: ir.consts.clone(),
-            matchers: ir.matchers.clone(),
+            consts: cond.consts.clone(),
+            matchers: e.matchers,
             nregs: e.nregs as usize,
             result,
         }
@@ -372,9 +374,10 @@ pub fn eval_condition(
 // ---------------------------------------------------------------- emission
 
 struct Emitter<'a> {
-    ir: &'a CondIr,
+    cond: &'a CondIr,
     cse: &'a HashMap<NodeId, u16>,
     code: Vec<Inst>,
+    matchers: Vec<LikeMatcher>,
     nregs: u16,
     free: Vec<u16>,
 }
@@ -413,27 +416,29 @@ impl Emitter<'_> {
     }
 
     fn emit_node(&mut self, id: NodeId) -> u16 {
-        match self.ir.op(id).clone() {
-            ROp::Const(idx) => {
+        let cond = self.cond;
+        match *cond.op(id) {
+            IrOp::Const(idx) => {
                 let dst = self.alloc();
                 self.code.push(Inst::Const { dst, idx });
                 dst
             }
-            ROp::Attr { class, index } => {
+            IrOp::Ref(r) => {
                 let dst = self.alloc();
-                self.code.push(Inst::Attr { dst, class, index });
-                dst
-            }
-            ROp::LatCol { lat_idx, index } => {
-                let dst = self.alloc();
-                self.code.push(Inst::LatCol {
-                    dst,
-                    lat_idx,
-                    index,
+                self.code.push(match cond.resolved[r as usize].clone() {
+                    Resolved::Attr { class, index } => Inst::Attr { dst, class, index },
+                    Resolved::LatCol { lat_idx, index } => Inst::LatCol {
+                        dst,
+                        lat_idx,
+                        index,
+                    },
                 });
                 dst
             }
-            ROp::Unary { op, expr } => {
+            IrOp::Param(_) | IrOp::NamedParam(_) | IrOp::FuncCall { .. } => {
+                unreachable!("CondIr::from_ir rejects parameters and function calls")
+            }
+            IrOp::Unary { op, expr } => {
                 let s = self.emit(expr);
                 self.code.push(match op {
                     UnaryOp::Neg => Inst::Neg { dst: s, src: s },
@@ -441,12 +446,12 @@ impl Emitter<'_> {
                 });
                 s
             }
-            ROp::Binary { left, op, right } => {
+            IrOp::Binary { left, op, right } => {
                 let l = self.emit(left);
                 // Short-circuit layout: legal only when skipping the right
                 // operand cannot swallow an error it would have raised.
                 let fuse_at = match op {
-                    BinOp::And | BinOp::Or if self.ir.is_infallible(right) => {
+                    BinOp::And | BinOp::Or if cond.is_infallible(right) => {
                         self.code.push(Inst::Fuse {
                             dst: l,
                             on: op == BinOp::Or,
@@ -472,7 +477,7 @@ impl Emitter<'_> {
                 }
                 l
             }
-            ROp::IsNull { expr, negated } => {
+            IrOp::IsNull { expr, negated } => {
                 let s = self.emit(expr);
                 self.code.push(Inst::IsNull {
                     dst: s,
@@ -481,21 +486,23 @@ impl Emitter<'_> {
                 });
                 s
             }
-            ROp::Like {
+            IrOp::Like {
                 expr,
                 pattern,
                 negated,
-                matcher,
             } => {
                 let s = self.emit(expr);
-                match matcher {
-                    Some(m) => self.code.push(Inst::LikePre {
-                        dst: s,
-                        src: s,
-                        matcher: m,
-                        negated,
-                    }),
-                    None => {
+                match cond.const_value(pattern) {
+                    Some(Value::Text(p)) => {
+                        self.matchers.push(LikeMatcher::new(p));
+                        self.code.push(Inst::LikePre {
+                            dst: s,
+                            src: s,
+                            matcher: (self.matchers.len() - 1) as u32,
+                            negated,
+                        });
+                    }
+                    _ => {
                         let p = self.emit(pattern);
                         self.code.push(Inst::Like {
                             dst: s,
@@ -508,7 +515,7 @@ impl Emitter<'_> {
                 }
                 s
             }
-            ROp::InList {
+            IrOp::InList {
                 expr,
                 list,
                 negated,
@@ -522,7 +529,7 @@ impl Emitter<'_> {
                     negated,
                     end: 0,
                 });
-                for m in self.ir.lists[list as usize].clone() {
+                for &m in &cond.lists[list as usize] {
                     let mr = self.emit(m);
                     patch.push(self.code.len());
                     self.code.push(Inst::InStep {
@@ -624,6 +631,21 @@ mod tests {
         ] {
             assert_agrees(src, &ctx);
         }
+    }
+
+    #[test]
+    fn constant_like_patterns_precompile() {
+        let prog = program("Query.Query_Text LIKE 'SELECT%'");
+        assert_eq!(prog.matchers.len(), 1);
+        assert!(prog.matchers[0].is_match("SELECT 1"));
+        assert!(matches!(
+            prog.code.last(),
+            Some(Inst::LikePre { matcher: 0, .. })
+        ));
+        // A dynamic pattern stays generic.
+        let prog = program("Query.Query_Text LIKE Query.User");
+        assert!(prog.matchers.is_empty());
+        assert!(matches!(prog.code.last(), Some(Inst::Like { .. })));
     }
 
     #[test]

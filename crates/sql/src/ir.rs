@@ -424,31 +424,27 @@ impl ExprIr {
         }
     }
 
+    /// The operands of `id`, left to right: a `LIKE`'s pattern after its
+    /// subject, an `IN` list's members after its scrutinee.
+    pub fn children(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let (head, tail): ([Option<NodeId>; 2], &[NodeId]) = match self.op(id) {
+            IrOp::Const(_) | IrOp::Ref(_) | IrOp::Param(_) | IrOp::NamedParam(_) => {
+                ([None, None], &[])
+            }
+            IrOp::Unary { expr, .. } | IrOp::IsNull { expr, .. } => ([Some(*expr), None], &[]),
+            IrOp::Binary { left, right, .. } => ([Some(*left), Some(*right)], &[]),
+            IrOp::Like { expr, pattern, .. } => ([Some(*expr), Some(*pattern)], &[]),
+            IrOp::InList { expr, list, .. } => ([Some(*expr), None], &self.lists[*list as usize]),
+            IrOp::FuncCall { args, .. } => ([None, None], &self.lists[*args as usize]),
+        };
+        head.into_iter().flatten().chain(tail.iter().copied())
+    }
+
     /// Pre-order walk of the subtree rooted at `id`.
     pub fn for_each(&self, id: NodeId, f: &mut impl FnMut(NodeId)) {
         f(id);
-        match self.op(id) {
-            IrOp::Const(_) | IrOp::Ref(_) | IrOp::Param(_) | IrOp::NamedParam(_) => {}
-            IrOp::Unary { expr, .. } | IrOp::IsNull { expr, .. } => self.for_each(*expr, f),
-            IrOp::Binary { left, right, .. } => {
-                self.for_each(*left, f);
-                self.for_each(*right, f);
-            }
-            IrOp::Like { expr, pattern, .. } => {
-                self.for_each(*expr, f);
-                self.for_each(*pattern, f);
-            }
-            IrOp::InList { expr, list, .. } => {
-                self.for_each(*expr, f);
-                for m in self.lists[*list as usize].clone() {
-                    self.for_each(m, f);
-                }
-            }
-            IrOp::FuncCall { args, .. } => {
-                for a in self.lists[*args as usize].clone() {
-                    self.for_each(a, f);
-                }
-            }
+        for child in self.children(id) {
+            self.for_each(child, f);
         }
     }
 
