@@ -8,17 +8,13 @@
 //! * `Insert(L)` writes **every aggregate column** of `L` — the runtime folds
 //!   the in-context object into all aggregate states of the row — and may
 //!   *create* the row (which is the only way the grouping key is ever
-//!   "written": the key of an existing row is immutable). This split is what
-//!   the plan compiler exploits: a reader that only looks at key columns
-//!   cannot observe an `Insert` into an existing row.
+//!   "written": the key of an existing row is immutable).
 //! * `Reset(L)` writes ⊤: every column of every row is destroyed.
 //! * All other actions write nothing (persists *read*, mail/external produce
 //!   no LAT state).
 //!
 //! The pairwise [`RuleEffects::interferes_with`] relation feeds the
-//! order-sensitivity check in [`crate::confluence`], and the summaries are
-//! consumed by `sqlcm-core`'s dispatch-plan compiler to decide which hoisted
-//! LAT row snapshots a fired rule can actually have dirtied.
+//! order-sensitivity check in [`crate::confluence`].
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -39,10 +39,7 @@
 //! monitored-class attribute tables ([`schema`]), the condition's lowered and
 //! folded expression IR ([`Condition`], built once per rule), the dispatch
 //! guard verdict ([`guard::rule_guard`] — what the runtime's guard index
-//! installs is what W205 reports on), and the [`effects`] pass's
-//! [`RuleEffects`] summaries (column-level read/write sets the dispatch-plan
-//! compiler uses to invalidate hoisted LAT row snapshots only when an
-//! interposed rule's write set actually intersects the readers' read set).
+//! installs is what W205 reports on).
 //!
 //! The crate is deliberately independent of `sqlcm-core` (core calls *into*
 //! the analyzer).
@@ -258,12 +255,6 @@ impl Analyzer {
             self.rules.push(Arc::new(rule.clone()));
         }
         diags
-    }
-
-    /// Column-level read/write summary of `rule` against the current
-    /// universe. Pure: does not admit the rule or touch analyzer state.
-    pub fn effects_of(&self, rule: &RuleIr) -> RuleEffects {
-        effects::rule_effects(&self.universe, rule)
     }
 
     /// Longest cascade chain the admitted ruleset can produce, in cascaded

@@ -1,5 +1,5 @@
 //! Bounded deferred-action queue: async external actions with retry,
-//! exponential backoff + jitter, idempotency keys, and a counted loss ledger.
+//! exponential backoff + jitter, and a counted loss ledger.
 //!
 //! The paper executes every action synchronously in the raising thread (§5) —
 //! fine for LAT inserts, fatal for external sinks that stall. When async mode
@@ -20,9 +20,9 @@
 //!   `base · 2^(attempts−1)` capped at `max_backoff`, ± a seeded jitter
 //!   fraction, until `max_attempts` — then the action lands in the ledger as
 //!   `retries-exhausted`;
-//! * every action carries a unique **idempotency key**; a bounded ring of
-//!   executed keys suppresses duplicate execution if an action is ever
-//!   re-enqueued (e.g. by an at-least-once producer).
+//! * an action runs at most once per attempt: [`DeferredQueue::take_due`]
+//!   removes it under the queue lock, a success is never queued again, and
+//!   a failure re-enters the queue only through the retry schedule.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -35,9 +35,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Default bound on the deferred-action queue.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
-
-/// Bound on the executed-idempotency-key ring.
-const EXECUTED_KEYS_CAPACITY: usize = 1024;
 
 /// Bound on distinct (rule, reason) loss-ledger entries; beyond it, losses
 /// still count into a catch-all `"…"` rule entry so totals stay conserved.
@@ -115,8 +112,6 @@ pub struct DeferredAction {
     /// Rule that produced the action (loss-ledger and breaker attribution).
     pub rule: String,
     pub kind: DeferredKind,
-    /// Idempotency key, unique per enqueued action.
-    pub key: u64,
     /// Failed attempts so far.
     pub attempts: u32,
     /// Not eligible to run before this clock instant (micros).
@@ -160,8 +155,6 @@ impl Describe for LossEntry {
 struct QueueInner {
     queue: VecDeque<DeferredAction>,
     jitter_rng: SmallRng,
-    /// Ring of executed idempotency keys (dedup on re-enqueue/replay).
-    executed_keys: VecDeque<u64>,
     ledger: HashMap<(String, &'static str), u64>,
 }
 
@@ -171,7 +164,6 @@ struct QueueInner {
 pub(crate) struct DeferredQueue {
     inner: Mutex<QueueInner>,
     capacity: AtomicUsize,
-    next_key: AtomicU64,
     policy_bits: Mutex<RetryPolicy>,
     pub enqueued: AtomicU64,
     pub executed: AtomicU64,
@@ -179,7 +171,6 @@ pub(crate) struct DeferredQueue {
     pub retries: AtomicU64,
     pub dropped_overflow: AtomicU64,
     pub dropped_exhausted: AtomicU64,
-    pub deduped: AtomicU64,
     pub high_water: AtomicU64,
 }
 
@@ -197,11 +188,9 @@ impl DeferredQueue {
             inner: Mutex::new(QueueInner {
                 queue: VecDeque::new(),
                 jitter_rng: SmallRng::seed_from_u64(JITTER_SEED),
-                executed_keys: VecDeque::new(),
                 ledger: HashMap::new(),
             }),
             capacity: AtomicUsize::new(DEFAULT_QUEUE_CAPACITY),
-            next_key: AtomicU64::new(1),
             policy_bits: Mutex::new(RetryPolicy::default()),
             enqueued: AtomicU64::new(0),
             executed: AtomicU64::new(0),
@@ -209,7 +198,6 @@ impl DeferredQueue {
             retries: AtomicU64::new(0),
             dropped_overflow: AtomicU64::new(0),
             dropped_exhausted: AtomicU64::new(0),
-            deduped: AtomicU64::new(0),
             high_water: AtomicU64::new(0),
         }
     }
@@ -236,8 +224,7 @@ impl DeferredQueue {
 
     /// Enqueue a freshly resolved action. Never blocks: at capacity, the
     /// oldest queued action is dropped into the loss ledger first.
-    pub fn enqueue(&self, rule: &str, kind: DeferredKind, now_micros: u64) -> u64 {
-        let key = self.next_key.fetch_add(1, Ordering::Relaxed);
+    pub fn enqueue(&self, rule: &str, kind: DeferredKind, now_micros: u64) {
         let cap = self.capacity();
         let mut inner = self.inner.lock();
         while inner.queue.len() >= cap {
@@ -251,7 +238,6 @@ impl DeferredQueue {
         inner.queue.push_back(DeferredAction {
             rule: rule.to_string(),
             kind,
-            key,
             attempts: 0,
             due_micros: now_micros,
         });
@@ -259,7 +245,6 @@ impl DeferredQueue {
         drop(inner);
         self.enqueued.fetch_add(1, Ordering::Relaxed);
         self.high_water.fetch_max(depth, Ordering::Relaxed);
-        key
     }
 
     /// Take the first action that is due at `now`, leaving the others in
@@ -272,29 +257,6 @@ impl DeferredQueue {
             .iter()
             .position(|a| a.due_micros <= now_micros)?;
         inner.queue.remove(at)
-    }
-
-    /// True if `key` was already executed (and records the dedup).
-    pub fn already_executed(&self, key: u64) -> bool {
-        let inner = self.inner.lock();
-        if inner.executed_keys.contains(&key) {
-            drop(inner);
-            self.deduped.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Record a successful execution of `key`.
-    pub fn mark_executed(&self, key: u64) {
-        let mut inner = self.inner.lock();
-        if inner.executed_keys.len() >= EXECUTED_KEYS_CAPACITY {
-            inner.executed_keys.pop_front();
-        }
-        inner.executed_keys.push_back(key);
-        drop(inner);
-        self.executed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Handle a failed attempt: either reschedule with backoff + jitter or
@@ -509,16 +471,5 @@ mod tests {
             q.enqueued.load(Ordering::Relaxed),
             q.executed.load(Ordering::Relaxed) + q.total_losses() + q.depth() as u64
         );
-    }
-
-    #[test]
-    fn idempotency_keys_dedup() {
-        let q = DeferredQueue::new();
-        q.enqueue("r", mail("r"), 0);
-        let a = q.take_due(0).unwrap();
-        assert!(!q.already_executed(a.key));
-        q.mark_executed(a.key);
-        assert!(q.already_executed(a.key));
-        assert_eq!(q.deduped.load(Ordering::Relaxed), 1);
     }
 }

@@ -61,7 +61,6 @@ impl SqlcmInner {
                 retries: d.retries.load(Ordering::Relaxed),
                 dropped_overflow: d.dropped_overflow.load(Ordering::Relaxed),
                 dropped_exhausted: d.dropped_exhausted.load(Ordering::Relaxed),
-                deduped: d.deduped.load(Ordering::Relaxed),
             },
             losses: d.losses(),
         }
@@ -158,7 +157,6 @@ impl SqlcmInner {
                 hoisted_lookup_hits: telem.hoisted_lookup_hits.get(),
                 lat_row_fetches: telem.lat_row_fetches.get(),
                 reg_lock_acquisitions: telem.reg_lock_acquisitions.get(),
-                hoist_invalidations_avoided: telem.hoist_invalidations_avoided.get(),
                 vm_instructions: telem.vm_instructions.get(),
                 cse_hits: telem.cse_hits.get(),
                 folded_ops: telem.folded_ops.get(),

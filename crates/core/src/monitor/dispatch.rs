@@ -119,7 +119,6 @@ struct EventBooks {
     cse_hits: u64,
     hoisted_lookup_hits: u64,
     lat_row_fetches: u64,
-    hoist_invalidations_avoided: u64,
 }
 
 impl EventBooks {
@@ -136,7 +135,6 @@ impl EventBooks {
             cse_hits: 0,
             hoisted_lookup_hits: 0,
             lat_row_fetches: 0,
-            hoist_invalidations_avoided: 0,
         }
     }
 
@@ -319,9 +317,7 @@ impl SqlcmInner {
         }
         // Sampling decision: with tracing off this is one relaxed atomic
         // load — the clock is read only when the event is actually sampled.
-        let mut trace = self
-            .tracer
-            .sample_probe(event.kind(), || self.clock.now_micros());
+        let mut trace = self.tracer.sample(|| self.clock.now_micros());
         let (mut objs, mut bufs) = SCRATCH.with(|s| {
             let mut sc = s.borrow_mut();
             (
@@ -370,7 +366,7 @@ impl SqlcmInner {
             return;
         }
         self.with_plan(|plan| {
-            let mut trace = self.tracer.sample_internal(|| self.clock.now_micros());
+            let mut trace = self.tracer.sample(|| self.clock.now_micros());
             self.dispatch_with(plan, &kind, &objects, &mut trace);
             if let Some(ctx) = trace {
                 self.tracer.finish(ctx);
@@ -547,10 +543,6 @@ impl SqlcmInner {
             (&t.cse_hits, b.cse_hits),
             (&t.hoisted_lookup_hits, b.hoisted_lookup_hits),
             (&t.lat_row_fetches, b.lat_row_fetches),
-            (
-                &t.hoist_invalidations_avoided,
-                b.hoist_invalidations_avoided,
-            ),
         ] {
             if n != 0 {
                 total.add(n);
@@ -924,37 +916,18 @@ impl SqlcmInner {
         });
         // Phase C — a fired rule's Insert/Reset may have changed the hoisted
         // rows; drop those slots so later rules on this event re-fetch
-        // (read-your-predecessors'-writes, §5 ordering). Entries the analyzer
-        // proved disjoint from every reader keep a live snapshot: an Insert
-        // never moves an existing row's key, so only the missing-row outcome
-        // (which the insert may have flipped) is discarded.
-        for inv in &pr.invalidates {
-            let slot = &mut slots[inv.slot as usize];
-            let cleared = if inv.only_if_missing {
-                match slot {
-                    HoistState::Fetched(Some(_)) => {
-                        books.hoist_invalidations_avoided += 1;
-                        false
-                    }
-                    HoistState::Fetched(None) => {
-                        *slot = HoistState::Empty;
-                        true
-                    }
-                    HoistState::Empty => false,
-                }
-            } else {
-                let had = !matches!(slot, HoistState::Empty);
-                *slot = HoistState::Empty;
-                had
-            };
+        // (read-your-predecessors'-writes, §5 ordering).
+        for &inv in &pr.invalidates {
+            let slot = &mut slots[inv as usize];
+            if matches!(slot, HoistState::Empty) {
+                continue;
+            }
+            *slot = HoistState::Empty;
             // A dropped row snapshot takes every cached shared value computed
             // from it along — the CSE slot must never outlive its inputs.
-            // A kept snapshot (`only_if_missing` above) keeps its values too.
-            if cleared {
-                for (ci, cs) in ev.ep.cse.iter().enumerate() {
-                    if cs.deps.contains(&inv.slot) {
-                        cse[ci] = None;
-                    }
+            for (ci, cs) in ev.ep.cse.iter().enumerate() {
+                if cs.deps.contains(&inv) {
+                    cse[ci] = None;
                 }
             }
         }

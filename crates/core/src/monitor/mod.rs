@@ -181,12 +181,9 @@ impl SqlcmInner {
         let now = self.clock.now_micros();
         let mut done = 0u32;
         while let Some(mut a) = self.deferred.take_due(now) {
-            if self.deferred.already_executed(a.key) {
-                continue;
-            }
             match self.execute_external(a.kind.clone()) {
                 Ok(()) => {
-                    self.deferred.mark_executed(a.key);
+                    self.deferred.executed.fetch_add(1, Ordering::Relaxed);
                     self.breaker_outcome_by_name(&a.rule, false);
                     done += 1;
                 }

@@ -273,16 +273,13 @@ impl Sqlcm {
         {
             return Err(Error::Monitor(format!("rule {} already exists", rule.name)));
         }
-        // The one lowering of the rule: the analyzer's checks, the effect
-        // summary, the guard verdict and the compiled condition below all
-        // read this artifact.
+        // The one lowering of the rule: the analyzer's checks, the guard
+        // verdict and the compiled condition below all read this artifact.
         let analyzer = self.analyzer(&mut registration);
         let ir = Arc::new(rule.ir());
         self.deny_on_errors(analyzer.diagnose(&ir))?;
-        // Captured for the dispatch plan: the rule's column-level read/write
-        // sets drive precise hoist-slot invalidation, and its guard verdict
-        // is what its event class's guard index installs.
-        let effects = Arc::new(analyzer.effects_of(&ir));
+        // Captured for the dispatch plan: the guard verdict is what its event
+        // class's guard index installs.
         let guard = rule_guard(&ir).ok();
         // The analyzer denied unqualified columns (E001) above.
         let (cond_classes, cond_lats) = ir.refs();
@@ -385,7 +382,6 @@ impl Sqlcm {
             actions: compiled_actions,
             cond_classes,
             cond_lats: cond_lats_lc,
-            effects: Some(effects),
             breaker: RuleBreaker::default(),
         });
         rules.push(reg.clone());

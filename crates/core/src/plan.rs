@@ -26,7 +26,7 @@
 //!   value together with the hoist slots it reads through.
 //!
 //! **The event class is the unit of planning.** Hoist slots, CSE slots,
-//! invalidation modes and the guard index never cross a class, so an
+//! invalidations and the guard index never cross a class, so an
 //! [`EventPlan`] is derived from its class's rules alone
 //! ([`EventPlan::derive`]) and `DispatchPlan::build` — the definition, kept
 //! under `#[cfg(test)]` as the differential oracle — is that, for every
@@ -43,12 +43,12 @@
 //! — and each class and block of rules that no newer plan shares — is freed
 //! when the last of those lets go of it.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sqlcm_analyze::{Guard, RuleEffects, RuleIr};
+use sqlcm_analyze::{Guard, RuleIr};
 use sqlcm_common::{ProbeKind, ProbeMask, Value};
 use sqlcm_sql::{IrOp, NodeId};
 use sqlcm_telemetry::Label;
@@ -91,10 +91,6 @@ pub(crate) struct Registered {
     /// `rule.name` as the flight recorder carries it, made once here so a
     /// firing clones an `Arc` (and [`EventPlan::label`]) and allocates nothing.
     pub name_label: Label,
-    /// Column-level read/write summary from the static analyzer, captured at
-    /// registration. `None` (rule admitted without analysis, e.g. in unit
-    /// tests) falls back to coarse whole-LAT invalidation.
-    pub effects: Option<Arc<RuleEffects>>,
     /// Fault-containment circuit breaker. Lives here (not on the plan) so its
     /// sliding window and state survive plan rebuilds; while it is `Open`
     /// the rule is out of service but stays in its plan.
@@ -158,21 +154,6 @@ pub(crate) enum HoistState {
     Fetched(Option<Vec<Value>>),
 }
 
-/// How a fired rule invalidates one hoist slot (Phase C of dispatch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Invalidation {
-    /// Index into [`EventPlan::hoisted`].
-    pub slot: u32,
-    /// Analysis-refined mode: the writer's `Insert` touches no column any
-    /// slot-sharing reader reads — the readers only consult group-key
-    /// columns, and an `Insert` can never change an existing row's key — so
-    /// a `Fetched(Some)` snapshot stays valid and is kept (counted as an
-    /// avoided invalidation). Only `Fetched(None)` is dropped, because the
-    /// insert may have *created* the row and flipped the implicit ∃ of §5.2.
-    /// `false`: the slot is always cleared.
-    pub only_if_missing: bool,
-}
-
 /// One rule within an [`EventPlan`].
 #[derive(Clone)]
 pub(crate) struct PlanRule {
@@ -182,13 +163,11 @@ pub(crate) struct PlanRule {
     /// Per `reg.cond_lats` entry: index into `EventPlan::hoisted`, or
     /// [`NO_HOIST`] for per-combination fetches. Empty when `broken`.
     pub lat_slots: Vec<u32>,
-    /// Hoist slots this rule's actions mutate (Insert/Reset targets); cleared
-    /// after the rule fires so later rules re-fetch fresh rows, preserving
-    /// the sequential read-your-predecessors'-writes semantics of unhoisted
-    /// dispatch. When the analyzer proved the writer disjoint from every
-    /// reader of the slot, the entry is `only_if_missing` and a live
-    /// snapshot survives the firing.
-    pub invalidates: Vec<Invalidation>,
+    /// Hoist slots (indexes into `EventPlan::hoisted`, ascending) this
+    /// rule's actions mutate (Insert/Reset targets); cleared after the rule
+    /// fires so later rules re-fetch fresh rows, preserving the sequential
+    /// read-your-predecessors'-writes semantics of unhoisted dispatch.
+    pub invalidates: Vec<u32>,
     /// Condition bytecode, emitted when the class was planned — or the rule
     /// appended to it — with the class's CSE slot assignment baked in. `None` when the rule has no condition or is
     /// `broken`.
@@ -298,9 +277,6 @@ pub(crate) struct EventPlan {
     support: HashMap<u64, u32>,
     /// Canonical hash → the CSE slot its claimers share.
     slot_of: HashMap<u64, u16>,
-    /// Per hoist slot, the columns read through it (see
-    /// [`slot_read_columns`]).
-    slot_reads: Vec<Option<BTreeSet<String>>>,
 }
 
 /// One event-level shared-subexpression slot: the first sharer to evaluate
@@ -485,116 +461,21 @@ fn redefined_lat<'a>(reg: &Registered, lats: &'a [Arc<Lat>]) -> Option<&'a Arc<L
     )
 }
 
-/// Per-slot union of the columns read through the slot, lowercased.
-/// `None` means "unknown — assume every column": a rule whose condition
-/// was admitted without compilation, or whose action templates can read
-/// the bound row (`{...}` substitution evaluates against the same
-/// bindings the condition uses).
-fn slot_read_columns(rules: &[PlanRule], hoisted: &[HoistSlot]) -> Vec<Option<BTreeSet<String>>> {
-    let slot_cols: Vec<Vec<String>> = hoisted
-        .iter()
-        .map(|h| {
-            h.lat
-                .spec
-                .columns()
-                .iter()
-                .map(|c| c.to_ascii_lowercase())
-                .collect()
-        })
-        .collect();
-    let mut reads: Vec<Option<BTreeSet<String>>> = vec![Some(BTreeSet::new()); hoisted.len()];
-    for pr in rules {
-        if pr.lat_slots.iter().all(|&s| s == NO_HOIST) {
-            continue;
-        }
-        let templated = pr.reg.actions.iter().any(|a| match a {
-            CompiledAction::SendMail { to, template } => to.contains('{') || template.contains('{'),
-            CompiledAction::RunExternal { template } => template.contains('{'),
-            _ => false,
-        });
-        // `compiled: None` with LAT references only happens for rules
-        // admitted outside the normal registration path — unknown reads.
-        if templated || (pr.reg.compiled.is_none() && !pr.reg.cond_lats.is_empty()) {
-            for &slot in &pr.lat_slots {
-                if slot != NO_HOIST {
-                    reads[slot as usize] = None;
-                }
-            }
-            continue;
-        }
-        let Some(c) = &pr.reg.compiled else {
-            continue;
-        };
-        for resolved in &c.resolved {
-            let Resolved::LatCol { lat_idx, index } = resolved else {
-                continue;
-            };
-            let Some(&slot) = pr.lat_slots.get(*lat_idx) else {
-                continue;
-            };
-            if slot == NO_HOIST {
-                continue;
-            }
-            match slot_cols[slot as usize].get(*index) {
-                Some(name) => {
-                    if let Some(set) = reads[slot as usize].as_mut() {
-                        set.insert(name.clone());
-                    }
-                }
-                // Out-of-range column index: stale compilation, give up on
-                // precision for this slot.
-                None => reads[slot as usize] = None,
-            }
-        }
-    }
-    reads
-}
-
-/// One rule's Phase C invalidation entries. A slot mutated by the rule is
-/// always invalidated — the refinement is the *mode*: when the analyzer's
-/// write set for an `Insert` is disjoint from everything the slot's readers
-/// read (`slot_reads`), the entry degrades to `only_if_missing` and a live
-/// snapshot survives the firing. `Reset` and unknown effects stay in
-/// always-clear mode.
-fn invalidations_of(
-    reg: &Registered,
-    hoisted: &[HoistSlot],
-    slot_reads: &[Option<BTreeSet<String>>],
-) -> Vec<Invalidation> {
-    let mut invalidates: Vec<Invalidation> = Vec::new();
-    if hoisted.is_empty() {
-        return invalidates;
-    }
+/// The hoist slots a fired `reg` clears in Phase C of dispatch: those of
+/// the LATs its `Insert`s and `Reset`s target.
+fn invalidations_of(reg: &Registered, hoisted: &[HoistSlot]) -> Vec<u32> {
+    let mut invalidates: Vec<u32> = Vec::new();
     for action in &reg.actions {
-        let (name, is_insert) = match action {
-            CompiledAction::Insert { lat, .. } => (lat.spec.name.to_ascii_lowercase(), true),
-            CompiledAction::Reset(lat) => (lat.spec.name.to_ascii_lowercase(), false),
-            _ => continue,
-        };
-        let Some(slot) = hoisted.iter().position(|h| h.name == name) else {
+        let (CompiledAction::Insert { lat, .. } | CompiledAction::Reset(lat)) = action else {
             continue;
         };
-        let only_if_missing = is_insert
-            && match (&reg.effects, &slot_reads[slot]) {
-                (Some(eff), Some(reads)) => match eff.lat_writes.get(&name) {
-                    Some(w) if !w.whole_lat => reads
-                        .iter()
-                        .all(|r| !w.columns.iter().any(|c| c.eq_ignore_ascii_case(r))),
-                    _ => false,
-                },
-                _ => false,
-            };
-        let entry = Invalidation {
-            slot: slot as u32,
-            only_if_missing,
-        };
-        match invalidates.iter_mut().find(|i| i.slot == entry.slot) {
-            // Two actions on the same slot: the stricter mode wins.
-            Some(prev) => prev.only_if_missing &= only_if_missing,
-            None => invalidates.push(entry),
+        let name = lat.spec.name.to_ascii_lowercase();
+        if let Some(slot) = hoisted.iter().position(|h| h.name == name) {
+            invalidates.push(slot as u32);
         }
     }
-    invalidates.sort_unstable_by_key(|i| i.slot);
+    invalidates.sort_unstable();
+    invalidates.dedup();
     invalidates
 }
 
@@ -742,14 +623,14 @@ impl EventPlan {
             .iter()
             .map(|reg| plan_rule(reg, lats, &payload, &mut hoisted))
             .collect();
-        // Invalidation modes and CSE slots both need the *complete* rule set
-        // (a slot's readers and a subtree's sharers can be registered after
-        // each other), so they are computed only once every rule of the
-        // class is planned. Bytecode emission rides along because CSE slot
-        // numbers are baked into the programs.
-        let slot_reads = slot_read_columns(&rules, &hoisted);
+        // Invalidations and CSE slots both need the *complete* rule set (a
+        // writer can be registered before the first reader creates its
+        // slot, and a subtree's sharers after each other), so they are
+        // computed only once every rule of the class is planned. Bytecode
+        // emission rides along because CSE slot numbers are baked into the
+        // programs.
         for pr in &mut rules {
-            pr.invalidates = invalidations_of(&pr.reg, &hoisted, &slot_reads);
+            pr.invalidates = invalidations_of(&pr.reg, &hoisted);
         }
         let (cse, support, slot_of) = assign_cse_and_emit(&mut rules, &payload);
         EventPlan {
@@ -764,7 +645,6 @@ impl EventPlan {
             clock: first.rule.clock().cloned(),
             support,
             slot_of,
-            slot_reads,
         }
     }
 
@@ -776,9 +656,9 @@ impl EventPlan {
     ///
     /// * the guard index appears with the second rule, and with the first
     ///   indexable one;
-    /// * a reader of a hoistable LAT adds to its slot's read set, which
-    ///   decides earlier writers' `only_if_missing` (and a first reader
-    ///   creates the slot they must invalidate);
+    /// * the first reader of a hoistable LAT creates its slot, which the
+    ///   earlier writers of that LAT must invalidate (a reader of an existing
+    ///   slot shares it and changes nothing);
     /// * a claim no existing CSE slot serves starts or completes a group of
     ///   claimers, and a completed group's first claimer starts storing.
     ///   That covers the subtree one earlier rule held alone: its second
@@ -795,12 +675,12 @@ impl EventPlan {
             return None;
         }
         let payload = reg.rule.event.payload_classes();
-        let mut hoists = Vec::new();
-        let mut pr = plan_rule(reg, lats, &payload, &mut hoists);
-        if pr.broken.is_some() || !hoists.is_empty() {
+        let mut hoisted = self.hoisted.clone();
+        let mut pr = plan_rule(reg, lats, &payload, &mut hoisted);
+        if pr.broken.is_some() || hoisted.len() > self.hoisted.len() {
             return None;
         }
-        pr.invalidates = invalidations_of(reg, &self.hoisted, &self.slot_reads);
+        pr.invalidates = invalidations_of(reg, &hoisted);
         let mut support = self.support.clone();
         if let Some(c) = &reg.compiled {
             let eligible = shareable_nodes(c, &payload, &pr.lat_slots);
@@ -830,14 +710,13 @@ impl EventPlan {
         Some(EventPlan {
             rules: self.rules.with(pr),
             payload,
-            hoisted: self.hoisted.clone(),
+            hoisted,
             cse: self.cse.clone(),
             guards,
             label: self.label.clone(),
             clock: self.clock.clone(),
             support,
             slot_of: self.slot_of.clone(),
-            slot_reads: self.slot_reads.clone(),
         })
     }
 }
@@ -1199,7 +1078,6 @@ mod tests {
             actions: Vec::new(),
             cond_classes: vec![ClassName::Query],
             cond_lats: cond_lats.iter().map(|s| s.to_string()).collect(),
-            effects: None,
             breaker: RuleBreaker::default(),
         })
     }
@@ -1273,7 +1151,6 @@ mod tests {
             actions: Vec::new(),
             cond_classes: vec![ClassName::Query],
             cond_lats,
-            effects: None,
             breaker: RuleBreaker::default(),
         })
     }
@@ -1461,7 +1338,7 @@ mod incremental {
             pairs
         };
         out += &format!(
-            "  support={:?}\n  slot_of={:?}\n  slot_reads={:?}\n  guards {}\n",
+            "  support={:?}\n  slot_of={:?}\n  guards {}\n",
             sorted(&ep.support),
             {
                 let slot_of: HashMap<u64, u32> = ep
@@ -1471,7 +1348,6 @@ mod incremental {
                     .collect();
                 sorted(&slot_of)
             },
-            ep.slot_reads,
             ep.guards.as_ref().map_or("none".into(), |g| g.canonical())
         );
         out
@@ -1584,6 +1460,7 @@ mod incremental {
         rederived_adds: u32,
         appends_sharing_a_slot: u32,
         appends_off_the_payload: u32,
+        appends_reading_a_hoist_slot: u32,
         broken: u32,
         redefined: u32,
         middle_removals: u32,
@@ -1668,7 +1545,12 @@ mod incremental {
                     met.appends += 1;
                     let loads = format!("{:?}", pr.program).contains("CseLoad");
                     met.appends_sharing_a_slot += u32::from(loads);
-                    met.appends_off_the_payload += u32::from(!pr.lats.is_empty());
+                    // A LAT read goes through a hoist slot or, off the
+                    // payload, is fetched per combination.
+                    let off = pr.lat_slots.contains(&NO_HOIST);
+                    met.appends_off_the_payload += u32::from(off);
+                    let hoisted = pr.lat_slots.iter().any(|&s| s != NO_HOIST);
+                    met.appends_reading_a_hoist_slot += u32::from(hoisted);
                 } else if ep.rules.len() > 2 {
                     met.rederived_adds += 1;
                 }
@@ -1706,6 +1588,33 @@ mod incremental {
         }
     }
 
+    /// A second reader of a hoisted LAT shares the slot the first one
+    /// created: nothing about the feeder's invalidation or the first
+    /// reader changes, so the reader is appended instead of the class being
+    /// derived again.
+    #[test]
+    fn a_reader_of_an_existing_hoist_slot_is_appended() {
+        let engine = Engine::in_memory();
+        let sqlcm = Sqlcm::attach(&engine);
+        sqlcm.define_lat(lat_spec("Sig_L", false)).unwrap();
+        let on_commit = |name: &str| Rule::new(name).on(RuleEvent::QueryCommit);
+        let feeder = on_commit("feeder").then(Action::insert("Sig_L"));
+        sqlcm.add_rule(feeder).unwrap();
+        sqlcm
+            .add_rule(on_commit("reader1").when("Sig_L.N >= 1"))
+            .unwrap();
+        sqlcm
+            .add_rule(on_commit("reader2").when("Sig_L.N >= 2"))
+            .unwrap();
+        let (plan, oracle) = sqlcm.plan_and_oracle();
+        assert_eq!(canonical(&plan), canonical(&oracle));
+        assert_eq!(plan.rules_planned, 1);
+        let class = plan.event_plan(&RuleEvent::QueryCommit).unwrap();
+        assert_eq!(class.hoisted.len(), 1);
+        assert_eq!(class.rules[0].invalidates, [0]);
+        assert_eq!(class.rules[2].lat_slots, [0]);
+    }
+
     #[test]
     fn every_published_plan_equals_the_plan_built_from_scratch() {
         let mut met = Met::default();
@@ -1718,6 +1627,7 @@ mod incremental {
             met.appends_sharing_a_slot > 50 && met.appends_off_the_payload > 10,
             "{met:?}"
         );
+        assert!(met.appends_reading_a_hoist_slot > 40, "{met:?}");
         assert!(met.broken > 100 && met.redefined > 100, "{met:?}");
         assert!(
             met.middle_removals > 500 && met.dynamic_classes > 500,

@@ -78,10 +78,6 @@ pub(crate) struct Telem {
     pub hoisted_lookup_hits: ShardedCounter,
     /// LAT rows actually fetched by condition evaluation.
     pub lat_row_fetches: ShardedCounter,
-    /// Hoist-slot clears skipped because the analyzer proved the fired
-    /// rule's writes disjoint from every reader of the slot (each one is a
-    /// re-fetch the next reader did not pay).
-    pub hoist_invalidations_avoided: ShardedCounter,
     /// Rule/LAT registry lock acquisitions. Cold paths only: the dispatch hot
     /// path works off the immutable plan and must never move this counter —
     /// the no-subscriber regression test pins that.
@@ -117,7 +113,6 @@ impl Telem {
             plan_rules_planned: ShardedCounter::new(),
             hoisted_lookup_hits: ShardedCounter::new(),
             lat_row_fetches: ShardedCounter::new(),
-            hoist_invalidations_avoided: ShardedCounter::new(),
             reg_lock_acquisitions: ShardedCounter::new(),
             vm_instructions: ShardedCounter::new(),
             cse_hits: ShardedCounter::new(),
@@ -174,9 +169,6 @@ pub struct DispatchTelemetry {
     /// Rule/LAT registry lock acquisitions (cold paths only; steady-state
     /// dispatch must not move this).
     pub reg_lock_acquisitions: u64,
-    /// Hoist-slot clears skipped because the fired rule's writes were
-    /// provably disjoint from the slot's readers.
-    pub hoist_invalidations_avoided: u64,
     /// Bytecode instructions retired by the condition VM.
     pub vm_instructions: u64,
     /// Condition subexpressions served from a shared per-event CSE slot
@@ -204,9 +196,6 @@ impl Describe for DispatchTelemetry {
         ("hoisted_lookup_hits", |d| Count(d.hoisted_lookup_hits)),
         ("lat_row_fetches", |d| Count(d.lat_row_fetches)),
         ("reg_lock_acquisitions", |d| Count(d.reg_lock_acquisitions)),
-        ("hoist_invalidations_avoided", |d| {
-            Count(d.hoist_invalidations_avoided)
-        }),
         ("vm_instructions", |d| Count(d.vm_instructions)),
         ("cse_hits", |d| Count(d.cse_hits)),
         ("folded_ops", |d| Count(d.folded_ops)),
@@ -407,8 +396,6 @@ pub struct DeferredTelemetry {
     pub dropped_overflow: u64,
     /// Actions dropped after exhausting the retry policy.
     pub dropped_exhausted: u64,
-    /// Executions suppressed by the idempotency-key ring.
-    pub deduped: u64,
 }
 
 impl Describe for DeferredTelemetry {
@@ -423,7 +410,6 @@ impl Describe for DeferredTelemetry {
         ("retries", |d| Count(d.retries)),
         ("dropped_overflow", |d| Count(d.dropped_overflow)),
         ("dropped_exhausted", |d| Count(d.dropped_exhausted)),
-        ("deduped", |d| Count(d.deduped)),
     ];
 }
 

@@ -52,10 +52,9 @@
 //! worked out when the trace is read — by the text tree, the Chrome export,
 //! or [`TraceSnapshot::pruned_outcome`] for one rule by name.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use sqlcm_common::ProbeKind;
 use sqlcm_telemetry::{BoundedRing, BufferPool, Describe, Field, Metric, Stamp};
 
 use crate::objects::Object;
@@ -78,24 +77,15 @@ const SPAN_POOL_BOUND: usize = 8;
 /// traces; all recording methods ignore it).
 pub(crate) const NONE_SPAN: u32 = u32::MAX;
 
-const MODE_OFF: u8 = 0;
-const MODE_EVERY_NTH: u8 = 1;
-const MODE_PER_PROBE: u8 = 2;
-
 /// Trace sampling policy (see [`crate::MonitorConfig::trace_sampling`]).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum TraceSampling {
     /// No tracing (the default): one relaxed atomic load per event.
     #[default]
     Off,
-    /// Trace every Nth sampled-eligible root event (engine probes and
-    /// internally raised roots such as timer alarms). `0` and `1` both mean
-    /// "every event".
+    /// Trace every Nth root event (engine probes and internally raised
+    /// roots such as timer alarms). `0` and `1` both mean "every event".
     EveryNth(u32),
-    /// Per-probe-kind rates: trace every Nth root event of each listed kind;
-    /// unlisted kinds (and internal roots) are not traced. A rate of `0`
-    /// disables that kind.
-    PerProbe(Vec<(ProbeKind, u32)>),
 }
 
 /// One span in a trace. Times are nanoseconds relative to the trace start.
@@ -472,8 +462,7 @@ pub fn chrome_trace_json(traces: &[TraceSnapshot]) -> String {
 /// [`crate::TelemetrySnapshot`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TracingTelemetry {
-    /// Active sampling policy, rendered (`"off"`, `"every_nth(64)"`,
-    /// `"per_probe"`).
+    /// Active sampling policy, rendered (`"off"`, `"every_nth(64)"`).
     pub sampling: String,
     /// Root events sampled into a trace.
     pub sampled: u64,
@@ -681,13 +670,10 @@ impl TraceCtx {
 /// Per-instance tracing state: sampling policy, trace-ID source, the
 /// bounded ring of completed traces, and the span-buffer pool.
 pub(crate) struct Tracer {
-    mode: AtomicU8,
+    /// The sampling period N of [`TraceSampling::EveryNth`]; `0` = off.
     every_n: AtomicU32,
-    per_probe: [AtomicU32; ProbeKind::COUNT],
-    /// Root events seen while in every-Nth mode (the modulus source).
+    /// Root events seen while sampling (the modulus source).
     seen: AtomicU64,
-    /// Per-kind root events seen while in per-probe mode.
-    probe_seen: [AtomicU64; ProbeKind::COUNT],
     next_id: AtomicU64,
     ring: BoundedRing<TraceSnapshot>,
     pool: BufferPool<TraceSpan>,
@@ -700,11 +686,8 @@ pub(crate) struct Tracer {
 impl Tracer {
     pub fn new() -> Tracer {
         Tracer {
-            mode: AtomicU8::new(MODE_OFF),
             every_n: AtomicU32::new(0),
-            per_probe: std::array::from_fn(|_| AtomicU32::new(0)),
             seen: AtomicU64::new(0),
-            probe_seen: std::array::from_fn(|_| AtomicU64::new(0)),
             next_id: AtomicU64::new(1),
             ring: BoundedRing::new(TRACE_RING_CAPACITY),
             pool: BufferPool::new(SPAN_POOL_BOUND),
@@ -716,79 +699,33 @@ impl Tracer {
     }
 
     pub fn set_sampling(&self, sampling: TraceSampling) {
-        match sampling {
-            TraceSampling::Off => self.mode.store(MODE_OFF, Ordering::Relaxed),
-            TraceSampling::EveryNth(n) => {
-                self.every_n.store(n.max(1), Ordering::Relaxed);
-                self.mode.store(MODE_EVERY_NTH, Ordering::Relaxed);
-            }
-            TraceSampling::PerProbe(rates) => {
-                for slot in &self.per_probe {
-                    slot.store(0, Ordering::Relaxed);
-                }
-                for (kind, n) in rates {
-                    self.per_probe[kind.index()].store(n, Ordering::Relaxed);
-                }
-                self.mode.store(MODE_PER_PROBE, Ordering::Relaxed);
-            }
-        }
+        let n = match sampling {
+            TraceSampling::Off => 0,
+            TraceSampling::EveryNth(n) => n.max(1),
+        };
+        self.every_n.store(n, Ordering::Relaxed);
     }
 
     pub fn sampling(&self) -> TraceSampling {
-        match self.mode.load(Ordering::Relaxed) {
-            MODE_EVERY_NTH => TraceSampling::EveryNth(self.every_n.load(Ordering::Relaxed)),
-            MODE_PER_PROBE => TraceSampling::PerProbe(
-                ProbeKind::ALL
-                    .iter()
-                    .filter_map(|k| {
-                        let n = self.per_probe[k.index()].load(Ordering::Relaxed);
-                        (n != 0).then_some((*k, n))
-                    })
-                    .collect(),
-            ),
-            _ => TraceSampling::Off,
+        match self.every_n.load(Ordering::Relaxed) {
+            0 => TraceSampling::Off,
+            n => TraceSampling::EveryNth(n),
         }
     }
 
-    /// Sampling decision for an engine-probe root event. The disabled path is
-    /// one relaxed load and a predictable branch; `now_micros` (a clock read)
-    /// is invoked only when the event is actually sampled.
+    /// Sampling decision for a root event — an engine probe, or one raised
+    /// internally (timer alarm, monitor tick, test dispatch). The disabled
+    /// path is one relaxed load and a predictable branch; `now_micros` (a
+    /// clock read) is invoked only when the event is actually sampled.
     #[inline]
-    pub fn sample_probe(
-        &self,
-        kind: ProbeKind,
-        now_micros: impl FnOnce() -> u64,
-    ) -> Option<TraceCtx> {
-        match self.mode.load(Ordering::Relaxed) {
-            MODE_OFF => None,
-            MODE_EVERY_NTH => self.sample_nth(now_micros),
-            _ => {
-                let n = self.per_probe[kind.index()].load(Ordering::Relaxed);
-                if n == 0 {
-                    return None;
-                }
-                let c = self.probe_seen[kind.index()].fetch_add(1, Ordering::Relaxed);
-                c.is_multiple_of(u64::from(n))
-                    .then(|| self.start(now_micros()))
-            }
+    pub fn sample(&self, now_micros: impl FnOnce() -> u64) -> Option<TraceCtx> {
+        let n = self.every_n.load(Ordering::Relaxed);
+        if n == 0 {
+            return None;
         }
-    }
-
-    /// Sampling decision for an internally raised root event (timer alarm,
-    /// monitor tick, test dispatch). Only every-Nth mode samples these —
-    /// per-probe mode is scoped to engine probes by construction.
-    #[inline]
-    pub fn sample_internal(&self, now_micros: impl FnOnce() -> u64) -> Option<TraceCtx> {
-        match self.mode.load(Ordering::Relaxed) {
-            MODE_EVERY_NTH => self.sample_nth(now_micros),
-            _ => None,
-        }
-    }
-
-    fn sample_nth(&self, now_micros: impl FnOnce() -> u64) -> Option<TraceCtx> {
-        let n = u64::from(self.every_n.load(Ordering::Relaxed).max(1));
         let c = self.seen.fetch_add(1, Ordering::Relaxed);
-        c.is_multiple_of(n).then(|| self.start(now_micros()))
+        c.is_multiple_of(u64::from(n))
+            .then(|| self.start(now_micros()))
     }
 
     fn start(&self, now_micros: u64) -> TraceCtx {
@@ -856,7 +793,6 @@ impl Tracer {
         let sampling = match self.sampling() {
             TraceSampling::Off => "off".to_string(),
             TraceSampling::EveryNth(n) => format!("every_nth({n})"),
-            TraceSampling::PerProbe(_) => "per_probe".to_string(),
         };
         TracingTelemetry {
             sampling,
@@ -974,7 +910,7 @@ mod tests {
         let tracer = Tracer::new();
         tracer.set_sampling(TraceSampling::EveryNth(1));
         for i in 0..(TRACE_RING_CAPACITY + 5) {
-            let mut ctx = tracer.sample_internal(|| i as u64).expect("every event");
+            let mut ctx = tracer.sample(|| i as u64).expect("every event");
             let ev = ctx.open_event("Monitor.Tick".into(), NONE_SPAN, 0);
             ctx.close(ev);
             tracer.finish(ctx);
@@ -995,7 +931,7 @@ mod tests {
     fn empty_traces_are_discarded() {
         let tracer = Tracer::new();
         tracer.set_sampling(TraceSampling::EveryNth(1));
-        let ctx = tracer.sample_internal(|| 0).unwrap();
+        let ctx = tracer.sample(|| 0).unwrap();
         tracer.finish(ctx);
         assert!(tracer.snapshot().is_empty());
         let tt = tracer.telemetry();
@@ -1007,40 +943,16 @@ mod tests {
     fn every_nth_samples_at_the_requested_rate() {
         let tracer = Tracer::new();
         tracer.set_sampling(TraceSampling::EveryNth(4));
-        let sampled = (0..100)
-            .filter(|_| tracer.sample_internal(|| 0).is_some())
-            .count();
+        let sampled = (0..100).filter(|_| tracer.sample(|| 0).is_some()).count();
         assert_eq!(sampled, 25);
         assert_eq!(tracer.sampling(), TraceSampling::EveryNth(4));
-    }
-
-    #[test]
-    fn per_probe_scopes_sampling_to_listed_kinds() {
-        let tracer = Tracer::new();
-        tracer.set_sampling(TraceSampling::PerProbe(vec![(ProbeKind::QueryCommit, 2)]));
-        let commits = (0..10)
-            .filter(|_| tracer.sample_probe(ProbeKind::QueryCommit, || 0).is_some())
-            .count();
-        let logins = (0..10)
-            .filter(|_| tracer.sample_probe(ProbeKind::Login, || 0).is_some())
-            .count();
-        assert_eq!(commits, 5);
-        assert_eq!(logins, 0);
-        assert!(
-            tracer.sample_internal(|| 0).is_none(),
-            "internal roots excluded"
-        );
-        assert_eq!(
-            tracer.sampling(),
-            TraceSampling::PerProbe(vec![(ProbeKind::QueryCommit, 2)])
-        );
     }
 
     #[test]
     fn text_tree_places_cascades_under_their_cause() {
         let tracer = Tracer::new();
         tracer.set_sampling(TraceSampling::EveryNth(1));
-        let mut ctx = tracer.sample_internal(|| 0).unwrap();
+        let mut ctx = tracer.sample(|| 0).unwrap();
         let ev = ctx.open_event("Query.Commit".into(), NONE_SPAN, 0);
         let rule = ctx.open_rule(ev, "track");
         let action = ctx.open_action(rule, "Insert");
@@ -1074,7 +986,7 @@ mod tests {
     fn chrome_export_is_structurally_sound() {
         let tracer = Tracer::new();
         tracer.set_sampling(TraceSampling::EveryNth(1));
-        let mut ctx = tracer.sample_internal(|| 123).unwrap();
+        let mut ctx = tracer.sample(|| 123).unwrap();
         let ev = ctx.open_event("Query.Commit".into(), NONE_SPAN, 0);
         let rule = ctx.open_rule(ev, "needs \"escaping\"");
         ctx.rule_outcome(rule, false, "Hot.N=<no row> -> false".into());

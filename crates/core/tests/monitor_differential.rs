@@ -151,16 +151,10 @@ fn stats_lat(name: &str) -> LatSpec {
 
 /// Key-readers before and after a block of `Insert` mutators, aggregate
 /// readers on a second LAT (which genuinely see the mutators' writes) and a
-/// periodic `Reset`: every Phase-C invalidation mode of the hoisted row
-/// snapshot —
-/// * key-reader after Insert → `only_if_missing` (snapshot survives),
-/// * aggregate-reader after Insert → always clear (read-your-writes),
-/// * everyone after Reset → always clear.
-///
-/// The aggregate readers live on Stats_LAT rather than Wide_LAT because the
-/// snapshot is shared per (event, LAT): one aggregate reader would widen the
-/// slot's read union to the feeds' write columns and force always-clear for
-/// the key-readers too.
+/// periodic `Reset`: every reader after a fired `Insert` or `Reset` on its
+/// LAT finds the hoisted row snapshot cleared and re-fetches
+/// (read-your-predecessors'-writes), and readers between two mutators share
+/// one snapshot.
 #[test]
 fn hoisted_snapshots_match_fresh_lookups() {
     let mut p = Pair::new();
@@ -194,17 +188,13 @@ fn hoisted_snapshots_match_fresh_lookups() {
         assert!(p.fires(name) > 0, "rule {name} never fired: weak scenario");
     }
     let d = p.real.telemetry().dispatch;
-    assert!(
-        d.hoist_invalidations_avoided > 0,
-        "refinement never applied"
-    );
     assert!(d.hoisted_lookup_hits > 0, "snapshot never shared");
 }
 
-/// 1 key-reader, 16 `Insert` mutators, 15 more key-readers on one LAT. Every
-/// reader probes only the group-key column, which an `Insert` can never
-/// change, so the effect analysis keeps the snapshot alive across the whole
-/// mutator block: ≤ 1.2 LAT row fetches/event (always-clear would pay 2).
+/// 1 key-reader, 16 `Insert` mutators, 15 more key-readers on one LAT. The
+/// first mutator that fires clears the snapshot and the later ones find it
+/// already empty, so the 15 readers after the block share one re-fetch:
+/// ≤ 2 LAT row fetches/event, however many mutators and readers there are.
 #[test]
 fn key_readers_keep_one_snapshot_across_a_mutator_block() {
     let mut p = Pair::new();
@@ -230,9 +220,8 @@ fn key_readers_keep_one_snapshot_across_a_mutator_block() {
     }
     p.assert_parity("mutator block");
     let d = p.real.telemetry().dispatch;
-    assert!(d.hoist_invalidations_avoided > 0);
     let per_event = d.lat_row_fetches as f64 / events as f64;
-    assert!(per_event <= 1.2, "{per_event} LAT row fetches/event");
+    assert!(per_event <= 2.0, "{per_event} LAT row fetches/event");
 }
 
 // ------------------------------------------------------------- guard index

@@ -6,7 +6,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
-use sqlcm_common::{EngineEvent, ProbeKind, QueryInfo};
+use sqlcm_common::{EngineEvent, QueryInfo};
 use sqlcm_core::sinks::CommandSink;
 use sqlcm_core::telemetry::FLIGHT_RECORDER_CAPACITY;
 use sqlcm_core::trace::TRACE_RING_CAPACITY;
@@ -283,28 +283,6 @@ fn sampling_modes_gate_trace_collection() {
     assert_eq!(sqlcm.traces().len(), 25, "1-in-4 of 100 events");
     assert_eq!(sqlcm.telemetry().tracing.sampled, 25);
 
-    // Per-probe sampling only traces the listed kinds.
-    sqlcm.clear_traces();
-    sqlcm.configure(MonitorConfig {
-        trace_sampling: TraceSampling::PerProbe(vec![(ProbeKind::QueryStart, 1)]),
-        ..sqlcm.config()
-    });
-    for _ in 0..10 {
-        sqlcm.inject_event(&ev);
-    }
-    assert!(
-        sqlcm.traces().is_empty(),
-        "commits are not in the per-probe list"
-    );
-    sqlcm.configure(MonitorConfig {
-        trace_sampling: TraceSampling::PerProbe(vec![(ProbeKind::QueryCommit, 2)]),
-        ..sqlcm.config()
-    });
-    for _ in 0..10 {
-        sqlcm.inject_event(&ev);
-    }
-    assert_eq!(sqlcm.traces().len(), 5, "1-in-2 of 10 commits");
-
     sqlcm.configure(MonitorConfig {
         trace_sampling: TraceSampling::Off,
         ..sqlcm.config()
@@ -312,7 +290,7 @@ fn sampling_modes_gate_trace_collection() {
     for _ in 0..10 {
         sqlcm.inject_event(&ev);
     }
-    assert_eq!(sqlcm.traces().len(), 5, "disabling stops collection");
+    assert_eq!(sqlcm.traces().len(), 25, "disabling stops collection");
 }
 
 #[test]
