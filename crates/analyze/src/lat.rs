@@ -78,6 +78,8 @@ pub struct LatSpec {
     /// value) are evicted first.
     pub ordering: Vec<(String, bool)>,
     pub max_rows: Option<usize>,
+    /// Bound on the approximate bytes of the rows held: their keys and
+    /// aggregate states, not the table's index structures.
     pub max_bytes: Option<usize>,
 }
 

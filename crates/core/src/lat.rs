@@ -14,82 +14,83 @@
 //! * **persistence**: rows can be written to an ordinary table (plus a timestamp
 //!   column) and re-seeded from one at startup.
 //!
-//! Concurrency: the row map is **sharded** by group-key hash (one keyed
-//! `RandomState` per LAT — group keys are user-controlled text) into a fixed
-//! 16 independently locked shards; each row additionally has its own latch.
-//! Probe threads folding different groups therefore touch different locks
-//! entirely — mirroring (and extending) the paper's fine-grained latching
-//! ("each LAT row as well as … the hash table are protected through
-//! latches"). A row's group
-//! key is stored once, in the row, beside the 64-bit hash the LAT's keyed
-//! `RandomState` gives it; the shard map and the victim index hold `Arc`
-//! handles to the row. Every insert, lookup and restore hashes its key once —
-//! read in place from the monitored object, whatever the number of grouping
-//! columns — and that hash does the rest: bits 32–35 pick the shard (the
-//! tables take buckets from the low bits and tags from the top seven, so
-//! these are free), and the shard tables, whose hasher passes a stored hash
-//! through, are probed with a borrowed `(hash, values)` key and drop an
-//! evicted row without hashing at all. Occupancy is one atomic counter,
-//! adjusted under the shard write lock that adds or removes the row.
+//! Every insert, lookup and restore hashes its group key once, with one keyed
+//! `RandomState` per LAT (group keys are user-controlled text), reading the
+//! key in place from the monitored object whatever the number of grouping
+//! columns. A row stores its key once, beside that 64-bit hash; the tables
+//! compare the hash first and the full key on a match. Occupancy is one atomic
+//! counter, adjusted under the lock that adds or removes the row.
 //!
-//! # Victim index
+//! # Unbounded LATs
 //!
-//! The evicted row must be the *globally* least important one under the
-//! ordering spec (§3.2.4). A bounded LAT keeps its rows filed in an ordered
-//! index owned by the **coordinator** — whoever holds `evict_lock`, which every
-//! new-group insert, `seed_row` and `reset` on a bounded LAT takes — so eviction
-//! pops the minimum instead of scanning. The ordering spec is classified once,
+//! A LAT without a size bound never evicts, and concurrent probe threads fold
+//! into it (the A3 and T3 benches, `storm_shared_lat`). Its rows are
+//! **sharded** by group-key hash into a fixed 16 independently locked shards,
+//! and each row has its own latch: threads folding different groups touch
+//! different locks entirely — the paper's fine-grained latching ("each LAT
+//! row as well as … the hash table are protected through latches"). Bits
+//! 32–35 of the hash pick the shard (the shard tables take buckets from the
+//! low bits and tags from the top seven), and the shard tables, whose hasher
+//! passes a stored hash through, are probed with a borrowed `(hash, values)`
+//! key.
+//!
+//! # Bounded LATs
+//!
+//! A LAT whose spec sets `max_rows` or `max_bytes` keeps everything in one
+//! `Table` under one reader-writer latch: the rows, stored in place in a
+//! slot vector; an open-addressed hash index from group-key hash to slot;
+//! and the **victim order**, a B-tree of `(rank, slot)` entries, least
+//! important first. Inserts take the latch exclusively, lookups and
+//! snapshots share it. A row's *rank* is the values of its ordering columns
+//! followed by its remaining grouping columns, which break ties; each entry
+//! carries the rank inline when it is one or two numbers (boxed otherwise)
+//! and the direction of every position, so the B-tree compares entries
+//! without reaching the rows. The ordering spec is classified once,
 //! at [`Lat::new`]:
 //!
 //! * **fixed** — every ordering column is a grouping column (or there is no
-//!   ordering spec: any row may go). A row's rank never changes: the creator
-//!   files it, the evictor pops it, a fold never touches the index.
+//!   ordering spec: any row may go). A rank never changes. Ties fall to the
+//!   smaller group key.
 //! * **folded** — some ordering column is a plain aggregate (`MAX(Duration)`,
-//!   `COUNT`, `AVG`, …). The creator files the row once it is in the shard
-//!   map, reading its key and setting its `filed` flag in one step under the
-//!   row latch; the first later fold that moves the key marks the row dirty
-//!   under the row latch it already holds and queues it (once, with the key
-//!   it is still filed under) on a small side queue. The evictor re-files
-//!   queued rows before it pops, so a fold never takes `evict_lock`. The
-//!   filed key lives only in the index entry, squeezed into 16 bytes when it
-//!   is one number.
+//!   `COUNT`, `AVG`, …). A fold that moves a row's rank re-files its entry at
+//!   once. Ties fall to the larger group key: where keys grow over time
+//!   (query IDs, timestamps) an incumbent outlives a newcomer that only ties
+//!   it, which is also what a stable sort of the full log answers.
 //! * **clocked** — some ordering column is an *aging* aggregate, whose value
-//!   decays with the clock even when nothing folds, so no filed key stays
-//!   valid. These LATs keep the one O(n) path: the evictor scans every row,
-//!   comparing against the running best in place.
+//!   decays with the clock even when nothing folds, so no rank stays valid.
+//!   These LATs file no entries: the evictor scans the slots, comparing
+//!   against the running best in place.
 //!
-//! Lock order: `evict_lock` → shard lock → row latch → dirty queue. `reset`
-//! and snapshot/iteration acquire all shard locks in index order, presenting
-//! one consistent point-in-time view; `reset` on a bounded LAT holds
-//! `evict_lock` too, so map, index and occupancy are cleared together.
-//! `max_bytes` enforcement still sums [`Lat::memory_bytes`] per new group.
+//! A new group is built in the table's scratch slot first, so a failed
+//! update leaves no trace. In a full ranked table, a newcomer less important
+//! than the minimum is its own victim: its output is the evicted row, and it
+//! never enters the table. Otherwise the victim's output is read (when an
+//! eviction rule subscribes), and the newcomer takes the victim's slot and
+//! its entry — a boxed rank reuses the victim's box — so a full LAT that
+//! evicts on every new group allocates nothing for it.
 //!
-//! # Spare row
+//! `max_bytes` bounds the bytes of the rows held (`Slot::bytes`), a running
+//! count kept under the latch only by LATs that set it. It leaves out the
+//! victim entries and the hash index, which [`Lat::memory_bytes`] adds.
 //!
-//! The coordinator keeps the last row it evicted as a *spare*, emptied of its
-//! values, and builds the next new group in it: a full LAT that evicts on
-//! every new group allocates nothing for it. A victim that anything else
-//! still holds — a *folded* LAT's dirty queue — is not kept, and `reset`
-//! drops the spare.
-//!
-//! The A3 and T3 benches stress this; `ReferenceLat` (see [`crate::lat_ref`])
-//! is a deliberately naive single-lock implementation used as a differential
-//! oracle for the sharded one.
+//! `ReferenceLat` (see [`crate::lat_ref`]) is a deliberately naive
+//! single-lock implementation used as a differential oracle for both stores.
 
 use std::borrow::Borrow;
+use std::cmp::Ordering as Cmp;
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use sqlcm_common::{Error, Result, SharedClock, Timestamp, Value};
 use sqlcm_telemetry::ShardedCounter;
 
 use crate::objects::Object;
 
-/// Independently locked row-map shards per LAT.
+/// Independently locked row-map shards per unbounded LAT.
 const LAT_SHARDS: usize = 16;
 
 /// The LAT specification is declared once, in the analyzer crate.
@@ -128,6 +129,19 @@ impl AggState {
             LatAggFunc::Max => AggState::Max(None),
             LatAggFunc::First => AggState::First(None),
             LatAggFunc::Last => AggState::Last(None),
+        }
+    }
+
+    fn func(&self) -> LatAggFunc {
+        match self {
+            AggState::Count(_) => LatAggFunc::Count,
+            AggState::Sum { .. } => LatAggFunc::Sum,
+            AggState::Avg { .. } => LatAggFunc::Avg,
+            AggState::StdDev { .. } => LatAggFunc::StdDev,
+            AggState::Min(_) => LatAggFunc::Min,
+            AggState::Max(_) => LatAggFunc::Max,
+            AggState::First(_) => LatAggFunc::First,
+            AggState::Last(_) => LatAggFunc::Last,
         }
     }
 
@@ -183,11 +197,12 @@ impl AggState {
                     }
                 }
             }
-            AggState::Last(cur) => {
-                if let Some(val) = v {
-                    *cur = Some(val.clone());
-                }
-            }
+            AggState::Last(cur) => match (cur.as_ref(), v) {
+                // The same shared text again: no reference-count traffic.
+                (Some(Value::Text(was)), Some(Value::Text(new))) if Arc::ptr_eq(was, new) => {}
+                (_, Some(val)) => *cur = Some(val.clone()),
+                (_, None) => {}
+            },
         }
         Ok(())
     }
@@ -368,13 +383,28 @@ impl AgingState {
     }
 }
 
+/// An aggregate column's state. The aging one is boxed, so a row of plain
+/// columns — the common case — packs them at the plain state's size.
 #[derive(Debug, Clone)]
 enum ColumnState {
     Plain(AggState),
-    Aging(AgingState),
+    Aging(Box<AgingState>),
 }
 
 impl ColumnState {
+    /// Back to the initial state, in place, before a new group's first
+    /// fold: an aging column keeps its block buffer.
+    fn reset(&mut self) {
+        match self {
+            // A LAST always has a source attribute (`LatSpec::validate`), so
+            // that fold overwrites it. Left as it was, the fold skips the
+            // reference-count traffic when the text is the same shared one.
+            ColumnState::Plain(AggState::Last(_)) => {}
+            ColumnState::Plain(s) => *s = AggState::new(s.func()),
+            ColumnState::Aging(s) => s.blocks.clear(),
+        }
+    }
+
     /// Returns whether an aging column rolled over to a new block.
     fn update(&mut self, v: Option<&Value>, now: Timestamp) -> Result<bool> {
         match self {
@@ -396,6 +426,14 @@ impl ColumnState {
             ColumnState::Aging(s) => s.size_bytes(),
         }
     }
+}
+
+/// Every aggregate column's initial state.
+fn fresh_aggs(spec: &LatSpec) -> impl Iterator<Item = ColumnState> + '_ {
+    spec.aggregates.iter().map(|a| match &a.aging {
+        Some(ag) => ColumnState::Aging(Box::new(AgingState::new(a.func, *ag))),
+        None => ColumnState::Plain(AggState::new(a.func)),
+    })
 }
 
 /// One or more values, held inline in the (universal) one-column case: a
@@ -441,52 +479,86 @@ impl Key {
     }
 }
 
-/// One LAT row. The group key and its hash are immutable while the row is in
-/// the map and live outside the latch, so the shard map and the victim index
-/// hash and compare them without locking.
-struct Row {
-    /// The LAT's keyed hash of `group`: the shard tables file the row under
-    /// it, and its bits 32–35 name the owning shard.
+/// A row's group key and the LAT's keyed hash of it. Immutable while the row
+/// is held, so the tables hash and compare it in place.
+struct Group {
     hash: u64,
-    group: Key,
-    /// The LAT's ordering spec: index entries rank themselves through their
-    /// row, so their `Ord` needs no context and they carry no copy of it.
-    order: OrderSpec,
-    state: Mutex<RowState>,
+    key: Key,
 }
 
-/// The latched part of a row.
-struct RowState {
-    aggs: Vec<ColumnState>,
-    /// *Folded* LATs: the row has an entry in the victim index, under the
-    /// ordering key it had when it was last filed. Set by the coordinator when
-    /// it files the row; false before that, once the row has left the index,
-    /// and on every other LAT.
-    filed: bool,
-    /// A fold moved the ordering key away from the filed one; the row sits on
-    /// the dirty queue (exactly once) until the evictor re-files it.
-    dirty: bool,
+impl Group {
+    /// Overwrite this group, value by value, with a probe's.
+    fn assign(&mut self, probe: &Probe) {
+        self.hash = probe.hash;
+        for (slot, &i) in self.key.as_mut_slice().iter_mut().zip(probe.idx) {
+            slot.clone_from(&probe.values[i]);
+        }
+    }
+
+    /// The output row: the group values, then every aggregate's.
+    fn output(&self, aggs: &[ColumnState], now: Timestamp) -> Vec<Value> {
+        let group = self.key.as_slice();
+        let mut out = Vec::with_capacity(group.len() + aggs.len());
+        out.extend_from_slice(group);
+        out.extend(aggs.iter().map(|a| a.finish(now)));
+        out
+    }
+
+    /// Approximate bytes of the key and the aggregate states.
+    fn size_bytes(&self, aggs: &[ColumnState]) -> usize {
+        self.key.size_bytes() + aggs.iter().map(ColumnState::size_bytes).sum::<usize>()
+    }
+}
+
+/// An unbounded LAT's row: its own latch guards the aggregates.
+struct Row {
+    group: Group,
+    aggs: Mutex<Vec<ColumnState>>,
 }
 
 impl Row {
     fn size_bytes(&self) -> usize {
-        let state = self.state.lock();
-        let aggs = state.aggs.iter().map(ColumnState::size_bytes);
-        self.group.size_bytes() + aggs.sum::<usize>() + 48
-    }
-
-    fn output(&self, state: &RowState, now: Timestamp) -> Vec<Value> {
-        let group = self.group.as_slice();
-        let mut out = Vec::with_capacity(group.len() + state.aggs.len());
-        out.extend_from_slice(group);
-        out.extend(state.aggs.iter().map(|a| a.finish(now)));
-        out
+        self.group.size_bytes(&self.aggs.lock()) + 48
     }
 }
 
-/// A group key as the shard tables see it: the hash the LAT gave it, and its
-/// values. A row is one, and so is a key read in place from a monitored
-/// object, so the tables are probed without building an owned key.
+/// A bounded LAT's row, stored in place in its table's slot vector.
+struct Slot {
+    group: Group,
+    aggs: Vec<ColumnState>,
+}
+
+impl Slot {
+    /// A slot holding no row: a NULL key and initial aggregates.
+    fn blank(spec: &LatSpec) -> Slot {
+        let key = Key::blank(spec.group_by.len());
+        let (group, aggs) = (Group { hash: 0, key }, fresh_aggs(spec).collect());
+        Slot { group, aggs }
+    }
+
+    /// Bytes of the row: the slot itself and what its values hold. What
+    /// `max_bytes` bounds.
+    fn bytes(&self) -> usize {
+        std::mem::size_of::<Slot>() + self.group.size_bytes(&self.aggs)
+    }
+
+    fn output(&self, now: Timestamp) -> Vec<Value> {
+        self.group.output(&self.aggs, now)
+    }
+
+    /// One output-column value.
+    fn value(&self, col: usize, now: Timestamp) -> Value {
+        let group = self.group.key.as_slice();
+        match col.checked_sub(group.len()) {
+            None => group[col].clone(),
+            Some(agg) => self.aggs[agg].finish(now),
+        }
+    }
+}
+
+/// A group key as the tables see it: the hash the LAT gave it, and its
+/// values. A held row's group is one, and so is a key read in place from a
+/// monitored object, so the tables are probed without building an owned key.
 trait GroupKey {
     fn stored_hash(&self) -> u64;
     fn arity(&self) -> usize;
@@ -510,17 +582,17 @@ impl PartialEq for dyn GroupKey + '_ {
 
 impl Eq for dyn GroupKey + '_ {}
 
-impl GroupKey for Row {
+impl GroupKey for Group {
     fn stored_hash(&self) -> u64 {
         self.hash
     }
 
     fn arity(&self) -> usize {
-        self.group.as_slice().len()
+        self.key.as_slice().len()
     }
 
     fn at(&self, i: usize) -> &Value {
-        &self.group.as_slice()[i]
+        &self.key.as_slice()[i]
     }
 }
 
@@ -546,29 +618,26 @@ impl GroupKey for Probe<'_> {
     }
 }
 
-/// A shard-map entry: the row itself, hashed and compared as a [`GroupKey`].
-struct RowRef(Arc<Row>);
-
-impl<'a> Borrow<dyn GroupKey + 'a> for RowRef {
+impl<'a> Borrow<dyn GroupKey + 'a> for Row {
     fn borrow(&self) -> &(dyn GroupKey + 'a) {
-        &*self.0
+        &self.group
     }
 }
 
-impl Hash for RowRef {
+impl Hash for Row {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.0.hash);
+        state.write_u64(self.group.hash);
     }
 }
 
-impl PartialEq for RowRef {
-    fn eq(&self, other: &RowRef) -> bool {
-        let (a, b): (&dyn GroupKey, &dyn GroupKey) = (&*self.0, &*other.0);
+impl PartialEq for Row {
+    fn eq(&self, other: &Row) -> bool {
+        let (a, b): (&dyn GroupKey, &dyn GroupKey) = (&self.group, &other.group);
         a == b
     }
 }
 
-impl Eq for RowRef {}
+impl Eq for Row {}
 
 /// The shard tables' hasher. A key writes one `u64`, its stored hash — keyed
 /// by the LAT's `RandomState` — and that is the hash: the tables never hash a
@@ -590,11 +659,7 @@ impl Hasher for StoredHash {
     }
 }
 
-type RowSet = HashSet<RowRef, BuildHasherDefault<StoredHash>>;
-
-/// The ordering spec resolved against the output columns: (column position,
-/// descending?). One allocation per LAT, one thin handle per row.
-type OrderSpec = Arc<Vec<(usize, bool)>>;
+type RowSet = HashSet<Row, BuildHasherDefault<StoredHash>>;
 
 /// Importance comparison per the ordering spec, column by column: on a DESC
 /// column the bigger value is more important (the smallest is evicted first);
@@ -603,7 +668,7 @@ type OrderSpec = Arc<Vec<(usize, bool)>>;
 fn cmp_importance<'a>(
     order: &[(usize, bool)],
     pick: impl Fn(usize, usize) -> (&'a Value, &'a Value),
-) -> std::cmp::Ordering {
+) -> Cmp {
     for (pos, &(col, desc)) in order.iter().enumerate() {
         let (a, b) = pick(pos, col);
         let ord = if desc { a.cmp(b) } else { b.cmp(a) };
@@ -611,151 +676,320 @@ fn cmp_importance<'a>(
             return ord;
         }
     }
-    std::cmp::Ordering::Equal
+    Cmp::Equal
 }
 
-/// *Fixed*-class index entry: ranked by the row's own group values. Ties (and
-/// a missing ordering spec) fall back to the whole group key, which is unique.
-struct ByGroup {
-    row: Arc<Row>,
+/// How an inline rank reads one of its numbers.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+enum Kind {
+    #[default]
+    Int,
+    Float,
+    Timestamp,
 }
 
-impl Ord for ByGroup {
-    fn cmp(&self, other: &ByGroup) -> std::cmp::Ordering {
-        let (a, b) = (self.row.group.as_slice(), other.row.group.as_slice());
-        cmp_importance(&self.row.order, |_, col| (&a[col], &b[col])).then_with(|| a.cmp(b))
+impl Kind {
+    fn of(v: &Value) -> Option<(Kind, u64)> {
+        match *v {
+            Value::Int(i) => Some((Kind::Int, i as u64)),
+            Value::Float(x) => Some((Kind::Float, x.to_bits())),
+            Value::Timestamp(t) => Some((Kind::Timestamp, t)),
+            _ => None,
+        }
+    }
+
+    fn value(self, bits: u64) -> Value {
+        match self {
+            Kind::Int => Value::Int(bits as i64),
+            Kind::Float => Value::Float(f64::from_bits(bits)),
+            Kind::Timestamp => Value::Timestamp(bits),
+        }
+    }
+
+    /// A number of this kind as a `u64` that orders as its value does.
+    fn key(self, bits: u64) -> u64 {
+        match self {
+            Kind::Int => bits ^ 1 << 63,
+            // `f64::total_cmp`'s order: a negative float's magnitude bits flip.
+            Kind::Float => (bits ^ (((bits as i64) >> 63) as u64 >> 1)) ^ 1 << 63,
+            Kind::Timestamp => bits,
+        }
     }
 }
 
-/// The ordering-column values a *folded* row is filed under, in 16 bytes when
-/// they are one number (`COUNT`, `MAX(Duration)`, `AVG`, a timestamp, …) and
-/// boxed otherwise. Compares exactly as the values themselves do.
+/// One or two numbers, as an inline rank holds them.
+#[derive(Clone, Copy, Default)]
+struct Nums {
+    len: u8,
+    kinds: [Kind; 2],
+    bits: [u64; 2],
+}
+
+/// The values a row is ranked by: inline when they are one or two numbers
+/// (`COUNT`, `MAX(Duration)`, a query ID, a timestamp, … and a numeric
+/// tie-break key), boxed otherwise. Compares exactly as the values
+/// themselves do, whichever form either side is in.
 enum Rank {
-    Int(i64),
-    Float(f64),
-    Timestamp(u64),
+    Inline(Nums),
     Boxed(Box<Key>),
 }
 
 impl Rank {
-    fn new(key: Key) -> Rank {
-        match key {
-            Key::One(Value::Int(i)) => Rank::Int(i),
-            Key::One(Value::Float(x)) => Rank::Float(x),
-            Key::One(Value::Timestamp(t)) => Rank::Timestamp(t),
-            key => Rank::Boxed(Box::new(key)),
+    /// Become the rank `ranking` gives `row`, overwriting a box of the same
+    /// arity in place.
+    fn assign(&mut self, ranking: &Ranking, row: &Slot, now: Timestamp) {
+        let mut values = ranking.cols.iter().map(|&col| row.value(col, now));
+        let len = ranking.cols.len();
+        match self {
+            Rank::Boxed(key) if key.as_slice().len() == len => {
+                for (v, new) in key.as_mut_slice().iter_mut().zip(values) {
+                    *v = new;
+                }
+            }
+            _ if len <= 2 => {
+                let pair = [(); 2].map(|()| values.next().unwrap_or(Value::Int(0)));
+                *self = match (Kind::of(&pair[0]), Kind::of(&pair[1])) {
+                    (Some((k0, b0)), Some((k1, b1))) => {
+                        let (len, kinds, bits) = (len as u8, [k0, k1], [b0, b1]);
+                        Rank::Inline(Nums { len, kinds, bits })
+                    }
+                    _ => Rank::Boxed(Box::new(Key::from_slice(&pair[..len]))),
+                };
+            }
+            _ => *self = Rank::Boxed(Box::new(Key::Many(values.collect()))),
         }
     }
 
-    /// Run `f` on the values, positionally aligned with the ordering spec.
+    /// Run `f` on the values, positionally aligned with the ranked columns.
     fn with_values<R>(&self, f: impl FnOnce(&[Value]) -> R) -> R {
         match self {
-            Rank::Int(i) => f(&[Value::Int(*i)]),
-            Rank::Float(x) => f(&[Value::Float(*x)]),
-            Rank::Timestamp(t) => f(&[Value::Timestamp(*t)]),
+            Rank::Inline(n) => f(&[0, 1].map(|i| n.kinds[i].value(n.bits[i]))[..n.len as usize]),
             Rank::Boxed(key) => f(key.as_slice()),
         }
     }
+}
 
-    /// Heap bytes behind the 16 inline ones.
-    fn boxed_bytes(&self) -> usize {
-        match self {
-            Rank::Boxed(key) => std::mem::size_of::<Key>() + key.size_bytes(),
-            _ => 0,
-        }
+impl Default for Rank {
+    fn default() -> Rank {
+        Rank::Inline(Nums::default())
     }
 }
 
-/// *Folded*-class index entry: ranked by the ordering-column values the row
-/// had when it was filed. The row itself keeps no copy. Equal ranks fall back
-/// to the group key, larger first: where keys grow over time (query IDs,
-/// timestamps) an incumbent outlives a newcomer that only ties it, which is
-/// also what a stable sort of the full log answers.
-struct ByRank {
+/// A held row's place in the victim order: its rank, the directions to
+/// compare it in, and its slot, which only makes equal ranks distinct.
+#[derive(Default)]
+struct Entry {
     rank: Rank,
-    row: Arc<Row>,
+    slot: u32,
+    /// Bit `i` (bit 31 for every position past it) reverses the `i`-th
+    /// ranked value: an ASC ordering column, or a *folded* LAT's tie-break.
+    down: u32,
 }
 
-impl Ord for ByRank {
-    fn cmp(&self, other: &ByRank) -> std::cmp::Ordering {
-        let by_rank = self.rank.with_values(|a| {
-            other
-                .rank
-                .with_values(|b| cmp_importance(&self.row.order, |pos, _| (&a[pos], &b[pos])))
-        });
-        by_rank.then_with(|| other.row.group.as_slice().cmp(self.row.group.as_slice()))
+impl Entry {
+    /// Bytes of the entry and of its rank's box, if it has one.
+    fn bytes(&self) -> usize {
+        let boxed = match &self.rank {
+            Rank::Boxed(key) => std::mem::size_of::<Key>() + key.size_bytes(),
+            Rank::Inline(_) => 0,
+        };
+        std::mem::size_of::<Entry>() + boxed
+    }
+
+    /// Less is less important, i.e. evicted first.
+    fn cmp_rank(&self, other: &Entry) -> Cmp {
+        let flip = |pos: usize, ord: Cmp| match self.down >> pos.min(31) & 1 {
+            0 => ord,
+            _ => ord.reverse(),
+        };
+        if let (Rank::Inline(a), Rank::Inline(b)) = (&self.rank, &other.rank) {
+            if a.kinds == b.kinds {
+                // One kind per position: compare order-preserving keys, which
+                // order as the values do (`inline_rank_keys_order_as_their_values`).
+                let key = |n: &Nums, pos: usize| n.kinds[pos].key(n.bits[pos]);
+                let mut ords =
+                    (0..a.len as usize).map(|pos| flip(pos, key(a, pos).cmp(&key(b, pos))));
+                return ords.find(|o| o.is_ne()).unwrap_or(Cmp::Equal);
+            }
+        }
+        self.rank.with_values(|a| {
+            other.rank.with_values(|b| {
+                let mut ords = (0..a.len()).map(|pos| flip(pos, a[pos].cmp(&b[pos])));
+                ords.find(|o| o.is_ne()).unwrap_or(Cmp::Equal)
+            })
+        })
     }
 }
 
-macro_rules! eq_from_ord {
-    ($($t:ty),*) => {$(
-        impl PartialOrd for $t {
-            fn partial_cmp(&self, other: &$t) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl PartialEq for $t {
-            fn eq(&self, other: &$t) -> bool {
-                self.cmp(other).is_eq()
-            }
-        }
-        impl Eq for $t {}
-    )*};
-}
-eq_from_ord!(ByGroup, ByRank);
-
-/// How a LAT picks its eviction victim (see the module docs). Sorted least
-/// important first, so the victim is `pop_first`.
-enum VictimIndex {
-    Fixed(BTreeSet<ByGroup>),
-    Folded(BTreeSet<ByRank>),
-    /// *Clocked* LATs scan; unbounded LATs never evict.
-    Scan,
+impl Ord for Entry {
+    fn cmp(&self, other: &Entry) -> Cmp {
+        self.cmp_rank(other).then(self.slot.cmp(&other.slot))
+    }
 }
 
-impl VictimIndex {
-    #[cfg(test)]
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Entry) -> Option<Cmp> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Entry) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Entry {}
+
+/// How a bounded LAT ranks its rows (module docs); `None` on a *clocked* one.
+struct Ranking {
+    /// Output columns ranked: the ordering columns, then the grouping columns
+    /// they leave out, which break ties.
+    cols: Vec<usize>,
+    /// [`Entry::down`] of every entry.
+    down: u32,
+    /// Some ranked column is an aggregate: a fold can move the rank.
+    folded: bool,
+}
+
+impl Ranking {
+    /// The victim-order entry of `row`, held in `slot`.
+    fn entry(&self, row: &Slot, slot: u32, now: Timestamp) -> Entry {
+        let (mut rank, down) = (Rank::default(), self.down);
+        rank.assign(self, row, now);
+        Entry { rank, slot, down }
+    }
+}
+
+/// Hash-index bucket that names no slot.
+const EMPTY: u64 = u64::MAX;
+
+/// A hash-index bucket naming slot `s`, whose group-key hash is `hash`: the
+/// hash's low 32 bits above the slot, so a search compares hashes and finds
+/// its run's home buckets without reaching any slot.
+fn bucket(hash: u64, s: u32) -> u64 {
+    hash << 32 | u64::from(s)
+}
+
+/// A bounded LAT's rows and victim order, all under the LAT's one latch
+/// (module docs, "Bounded LATs").
+struct Table {
+    /// How the rows rank; `None` on a *clocked* LAT.
+    ranking: Option<Ranking>,
+    /// The rows, stored in place. A slot the index does not name holds none.
+    slots: Vec<Slot>,
+    /// Slots that hold no row, reused first.
+    free: Vec<u32>,
+    /// Open-addressed, linearly probed hash index of [`bucket`]s, or
+    /// [`EMPTY`]. A power of two long, never more than 3/4 full.
+    buckets: Vec<u64>,
+    /// An entry per held row, least important first; empty when *clocked*.
+    victims: BTreeSet<Entry>,
+    /// A new group is built here before it is known to stay; a slot's old
+    /// buffers come back here when the group moves in.
+    scratch: Slot,
+    /// A rank looked for: a newcomer's, or a folded row's before the fold.
+    probe: Entry,
+    /// Σ [`Slot::bytes`] over the rows held, kept only under `max_bytes`.
+    bytes: usize,
+}
+
+impl Table {
+    fn new(spec: &LatSpec, ranking: Option<Ranking>) -> Table {
+        // Room for `max_rows` + 1 rows at ≤ 3/4 load, up to 1 024 buckets.
+        let buckets = spec
+            .max_rows
+            .map_or(8, |m| ((m.min(766) + 2) * 4 / 3).next_power_of_two());
+        let down = ranking.as_ref().map_or(0, |r| r.down);
+        let probe = Entry {
+            down,
+            ..Entry::default()
+        };
+        Table {
+            ranking,
+            slots: Vec::new(),
+            free: Vec::new(),
+            buckets: vec![EMPTY; buckets],
+            victims: BTreeSet::new(),
+            scratch: Slot::blank(spec),
+            probe,
+            bytes: 0,
+        }
+    }
+
+    /// Rows held.
     fn len(&self) -> usize {
-        match self {
-            VictimIndex::Fixed(set) => set.len(),
-            VictimIndex::Folded(set) => set.len(),
-            VictimIndex::Scan => 0,
-        }
+        self.slots.len() - self.free.len()
     }
 
-    fn clear(&mut self) {
-        match self {
-            VictimIndex::Fixed(set) => set.clear(),
-            VictimIndex::Folded(set) => set.clear(),
-            VictimIndex::Scan => {}
-        }
+    fn slot(&self, s: u32) -> &Slot {
+        &self.slots[s as usize]
     }
-}
 
-/// What `evict_lock` guards.
-struct Coordinator {
-    index: VictimIndex,
-    /// Heap bytes behind the *folded* entries' boxed ranks, adjusted with
-    /// every entry that enters or leaves the index.
-    boxed_bytes: usize,
-    /// Dirty rows taken off the queue for re-filing; swapped with the queue so
-    /// both keep their capacity.
-    refile: Vec<(Rank, Arc<Row>)>,
-    /// The last row evicted, held by nothing else and emptied of its values:
-    /// the next new group is built in it (module docs, "Spare row").
-    spare: Option<Arc<Row>>,
-}
+    /// The slots of the rows held, in bucket order.
+    fn held(&self) -> impl Iterator<Item = u32> + '_ {
+        let slot = |&b: &u64| (b != EMPTY).then_some(b as u32);
+        self.buckets.iter().filter_map(slot)
+    }
 
-impl Coordinator {
-    /// Approximate bytes of the index itself, in O(1): its entries, plus
-    /// whatever the *folded* entries' filed keys hold on the heap.
-    fn index_bytes(&self) -> usize {
-        match &self.index {
-            VictimIndex::Fixed(set) => set.len() * std::mem::size_of::<ByGroup>(),
-            VictimIndex::Folded(set) => {
-                set.len() * std::mem::size_of::<ByRank>() + self.boxed_bytes
+    /// The bucket a search for a hash whose low 32 bits are `tag` starts at.
+    fn home(&self, tag: u64) -> usize {
+        tag as usize & (self.buckets.len() - 1)
+    }
+
+    fn next(&self, b: usize) -> usize {
+        (b + 1) & (self.buckets.len() - 1)
+    }
+
+    /// The slot holding group `key`.
+    fn find(&self, key: &dyn GroupKey) -> Option<u32> {
+        let tag = key.stored_hash() & u64::from(u32::MAX);
+        let mut b = self.home(tag);
+        while self.buckets[b] != EMPTY {
+            let (found, s) = (self.buckets[b] >> 32, self.buckets[b] as u32);
+            if found == tag && (&self.slot(s).group as &dyn GroupKey) == key {
+                return Some(s);
             }
-            VictimIndex::Scan => 0,
+            b = self.next(b);
+        }
+        None
+    }
+
+    /// Index slot `s`, which holds a row whose group is not indexed yet.
+    fn index(&mut self, s: u32) {
+        if 4 * self.len() > 3 * self.buckets.len() {
+            let grown = vec![EMPTY; 2 * self.buckets.len()];
+            let old = std::mem::replace(&mut self.buckets, grown);
+            old.into_iter()
+                .filter(|&b| b != EMPTY)
+                .for_each(|b| self.put(b));
+        }
+        self.put(bucket(self.slot(s).group.hash, s));
+    }
+
+    fn put(&mut self, filled: u64) {
+        let mut b = self.home(filled >> 32);
+        while self.buckets[b] != EMPTY {
+            b = self.next(b);
+        }
+        self.buckets[b] = filled;
+    }
+
+    /// Take slot `s` out of the index. The rest of its run is filed again,
+    /// so no search stops short at the hole.
+    fn unindex(&mut self, s: u32) {
+        let gone = bucket(self.slot(s).group.hash, s);
+        let mut b = self.home(gone >> 32);
+        while self.buckets[b] != gone {
+            b = self.next(b);
+        }
+        self.buckets[b] = EMPTY;
+        loop {
+            b = self.next(b);
+            match std::mem::replace(&mut self.buckets[b], EMPTY) {
+                EMPTY => break,
+                moved => self.put(moved),
+            }
         }
     }
 }
@@ -772,60 +1006,68 @@ pub struct LatStats {
     /// `max_rows` on a bounded LAT.
     pub row_high_water: u64,
     /// Rows whose ordering key was (re)computed to choose eviction victims:
-    /// 0 for *fixed* LATs, the rows re-filed after a key-changing fold for
+    /// 0 for *fixed* LATs, the rows re-filed after a rank-moving fold for
     /// *folded* ones, every row per eviction for *clocked* ones.
     pub victims_examined: u64,
 }
 
-/// Point-in-time occupancy and contention numbers of one shard.
+/// Point-in-time occupancy and contention numbers of one lock: a shard of an
+/// unbounded LAT, or a bounded LAT's one table.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LatShardStats {
     pub rows: usize,
-    /// Shard-lock acquisitions that found the lock held (fast-path `try_*`
+    /// Lock acquisitions that found the lock held (fast-path `try_*`
     /// failed and the thread had to block).
     pub contentions: u64,
 }
 
-/// One independently locked slice of the row map.
-struct Shard {
-    rows: RwLock<RowSet>,
+/// A reader-writer lock that counts the acquisitions that found it held.
+struct Latched<T> {
+    lock: RwLock<T>,
     contentions: AtomicU64,
 }
 
-impl Shard {
-    fn new() -> Shard {
-        Shard {
-            rows: RwLock::new(RowSet::default()),
+impl<T> Latched<T> {
+    fn new(value: T) -> Latched<T> {
+        Latched {
+            lock: RwLock::new(value),
             contentions: AtomicU64::new(0),
         }
     }
 
-    /// Read-lock this shard, counting contention.
-    fn read(&self) -> parking_lot::RwLockReadGuard<'_, RowSet> {
-        match self.rows.try_read() {
-            Some(g) => g,
-            None => {
-                self.contentions.fetch_add(1, Ordering::Relaxed);
-                self.rows.read()
-            }
-        }
+    fn read(&self) -> RwLockReadGuard<'_, T> {
+        self.lock.try_read().unwrap_or_else(|| {
+            self.contentions.fetch_add(1, Ordering::Relaxed);
+            self.lock.read()
+        })
     }
 
-    /// Write-lock this shard, counting contention.
-    fn write(&self) -> parking_lot::RwLockWriteGuard<'_, RowSet> {
-        match self.rows.try_write() {
-            Some(g) => g,
-            None => {
-                self.contentions.fetch_add(1, Ordering::Relaxed);
-                self.rows.write()
-            }
-        }
+    /// The rows `rows` counts in the guarded value, and the contentions.
+    fn stats(&self, rows: impl FnOnce(&T) -> usize) -> LatShardStats {
+        let contentions = self.contentions.load(Ordering::Relaxed);
+        let rows = rows(&self.read());
+        LatShardStats { rows, contentions }
     }
 
-    /// Approximate bytes of this shard's rows (per-shard size accounting).
-    fn memory_bytes(&self) -> usize {
-        self.read().iter().map(|r| r.0.size_bytes()).sum()
+    fn write(&self) -> RwLockWriteGuard<'_, T> {
+        self.lock.try_write().unwrap_or_else(|| {
+            self.contentions.fetch_add(1, Ordering::Relaxed);
+            self.lock.write()
+        })
     }
+}
+
+/// Where a LAT keeps its rows (module docs).
+enum Store {
+    Sharded(Box<[Latched<RowSet>]>),
+    Bounded(Box<Latched<Table>>),
+}
+
+/// The shard that owns a group-key hash, picked by bits 32–35: the shard
+/// tables take buckets from the low bits and tags from the top seven, so
+/// picking by either would leave most of every table's buckets unused.
+fn shard_of(shards: &[Latched<RowSet>], hash: u64) -> &Latched<RowSet> {
+    &shards[(hash >> 32) as usize % LAT_SHARDS]
 }
 
 /// A live light-weight aggregation table.
@@ -834,7 +1076,7 @@ pub struct Lat {
     clock: SharedClock,
     columns: Arc<[String]>,
     /// Indexes of the ordering columns in `columns`, with desc flags.
-    order: OrderSpec,
+    order: Vec<(usize, bool)>,
     /// Pre-resolved positions of the grouping attributes in the source class's
     /// value layout (compiled once; inserts avoid name matching).
     group_attr_idx: Vec<usize>,
@@ -842,29 +1084,13 @@ pub struct Lat {
     agg_attr_idx: Vec<Option<usize>>,
     /// Keys every group-key hash: group keys are user-controlled text.
     hasher: RandomState,
-    /// Row map, sharded by group-key hash.
-    shards: Box<[Shard]>,
-    /// Rows across all shards; adjusted under the shard write lock that adds
-    /// or removes the row, so it equals Σ shard lengths whenever no such lock
-    /// is held.
+    store: Store,
+    /// Rows held: adjusted under the shard lock that adds or removes an
+    /// unbounded LAT's row, stored under a bounded LAT's latch.
     occupancy: AtomicUsize,
-    /// Has a row or byte bound, i.e. evicts.
-    bounded: bool,
     /// Some aggregate is aging: the only columns whose state and value depend
     /// on *when* they are folded or read.
     ages: bool,
-    /// Bounded with an aggregate (non-aging) ordering column: rows are filed
-    /// under a key that folds can move.
-    folded: bool,
-    /// The coordinator lock: serializes new-group inserts, `seed_row` and
-    /// `reset` on a bounded LAT and guards its victim index, keeping the
-    /// occupancy invariant `rows ≤ max_rows` visible at every quiescent
-    /// point. Never taken on an unbounded LAT, nor by any fold.
-    evict_lock: Mutex<Coordinator>,
-    /// *Folded* LATs: rows whose ordering key moved since they were filed,
-    /// each with the key it is still filed under. Pushed under the row latch,
-    /// drained by the evictor.
-    dirty: Mutex<Vec<(Rank, Arc<Row>)>>,
     /// Striped by dispatcher: every insert writes it.
     inserts: ShardedCounter,
     evictions: AtomicU64,
@@ -879,7 +1105,7 @@ impl std::fmt::Debug for Lat {
         f.debug_struct("Lat")
             .field("name", &self.spec.name)
             .field("columns", &self.columns)
-            .field("shards", &self.shards.len())
+            .field("bounded", &self.spec.bounded())
             .field("rows", &self.row_count())
             .finish_non_exhaustive()
     }
@@ -889,18 +1115,17 @@ impl Lat {
     pub fn new(spec: LatSpec, clock: SharedClock) -> Result<Lat> {
         spec.validate()?;
         let columns: Arc<[String]> = spec.columns().into();
-        let order: OrderSpec = Arc::new(
-            spec.ordering
-                .iter()
-                .map(|(name, desc)| {
-                    let idx = columns
-                        .iter()
-                        .position(|c| c.eq_ignore_ascii_case(name))
-                        .expect("validated");
-                    (idx, *desc)
-                })
-                .collect(),
-        );
+        let order: Vec<(usize, bool)> = spec
+            .ordering
+            .iter()
+            .map(|(name, desc)| {
+                let idx = columns
+                    .iter()
+                    .position(|c| c.eq_ignore_ascii_case(name))
+                    .expect("validated");
+                (idx, *desc)
+            })
+            .collect();
         let resolve = |r: &AttrRef| -> Result<usize> {
             crate::objects::static_attr_index(&r.class, &r.attr).ok_or_else(|| {
                 Error::Monitor(format!(
@@ -919,21 +1144,15 @@ impl Lat {
             .iter()
             .map(|a| a.source.as_ref().map(&resolve).transpose())
             .collect::<Result<_>>()?;
-        // Classify the ordering spec (module docs, "Victim index").
-        let bounded = spec.bounded();
-        let n_group = spec.group_by.len();
-        let ordering_aggs = || {
-            order
-                .iter()
-                .filter(|(col, _)| *col >= n_group)
-                .map(|(col, _)| &spec.aggregates[*col - n_group])
-        };
-        let index = if !bounded || ordering_aggs().any(|a| a.aging.is_some()) {
-            VictimIndex::Scan
-        } else if ordering_aggs().next().is_some() {
-            VictimIndex::Folded(BTreeSet::new())
+        let store = if spec.bounded() {
+            let table = Table::new(&spec, Self::ranking(&spec, &order));
+            Store::Bounded(Box::new(Latched::new(table)))
         } else {
-            VictimIndex::Fixed(BTreeSet::new())
+            Store::Sharded(
+                (0..LAT_SHARDS)
+                    .map(|_| Latched::new(RowSet::default()))
+                    .collect(),
+            )
         };
         let ages = spec.aggregates.iter().any(|a| a.aging.is_some());
         Ok(Lat {
@@ -944,18 +1163,9 @@ impl Lat {
             group_attr_idx,
             agg_attr_idx,
             hasher: RandomState::new(),
-            shards: (0..LAT_SHARDS).map(|_| Shard::new()).collect(),
+            store,
             occupancy: AtomicUsize::new(0),
-            bounded,
             ages,
-            folded: matches!(index, VictimIndex::Folded(_)),
-            evict_lock: Mutex::new(Coordinator {
-                index,
-                boxed_bytes: 0,
-                refile: Vec::new(),
-                spare: None,
-            }),
-            dirty: Mutex::new(Vec::new()),
             inserts: ShardedCounter::new(),
             evictions: AtomicU64::new(0),
             resets: AtomicU64::new(0),
@@ -963,6 +1173,27 @@ impl Lat {
             row_high_water: AtomicU64::new(0),
             victims_examined: AtomicU64::new(0),
         })
+    }
+
+    /// Classify a bounded LAT's ordering spec (module docs, "Bounded LATs").
+    /// One ordered by more columns than [`Entry::down`] has bits scans too.
+    fn ranking(spec: &LatSpec, order: &[(usize, bool)]) -> Option<Ranking> {
+        let n_group = spec.group_by.len();
+        let mut ordering_aggs = order
+            .iter()
+            .filter(|(col, _)| *col >= n_group)
+            .map(|(col, _)| &spec.aggregates[*col - n_group]);
+        if order.len() > 31 || ordering_aggs.clone().any(|a| a.aging.is_some()) {
+            return None;
+        }
+        let folded = ordering_aggs.next().is_some();
+        let ties = (0..n_group).filter(|g| order.iter().all(|(col, _)| col != g));
+        let cols: Vec<usize> = order.iter().map(|(col, _)| *col).chain(ties).collect();
+        let down = (0..cols.len()).fold(0, |down, pos| {
+            let reverse = order.get(pos).map_or(folded, |(_, desc)| !desc);
+            down | u32::from(reverse) << pos.min(31)
+        });
+        Some(Ranking { cols, down, folded })
     }
 
     /// Output column names (shared with evicted-row objects).
@@ -979,36 +1210,29 @@ impl Lat {
         h.finish()
     }
 
-    /// The shard that owns a group-key hash, picked by bits 32–35: the shard
-    /// tables take buckets from the low bits and tags from the top seven, so
-    /// picking by either would leave most of every table's buckets unused.
-    fn shard_of(&self, hash: u64) -> &Shard {
-        &self.shards[(hash >> 32) as usize % LAT_SHARDS]
-    }
-
-    /// Total shard-lock contention events since creation (fast-path `try_*`
-    /// acquisitions that found the lock held and had to block).
+    /// Lock contention events since creation (fast-path `try_*` acquisitions
+    /// that found the lock held and had to block), over every shard or the
+    /// bounded table.
     pub fn lock_contentions(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.contentions.load(Ordering::Relaxed))
-            .sum()
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        match &self.store {
+            Store::Sharded(shards) => shards.iter().map(|s| load(&s.contentions)).sum(),
+            Store::Bounded(table) => load(&table.contentions),
+        }
     }
 
-    /// Per-shard occupancy and contention snapshot.
+    /// Per-lock occupancy and contention snapshot: one entry per shard of an
+    /// unbounded LAT, one for a bounded LAT's table.
     pub fn shard_stats(&self) -> Vec<LatShardStats> {
-        self.shards
-            .iter()
-            .map(|s| LatShardStats {
-                rows: s.read().len(),
-                contentions: s.contentions.load(Ordering::Relaxed),
-            })
-            .collect()
+        match &self.store {
+            Store::Sharded(shards) => shards.iter().map(|s| s.stats(RowSet::len)).collect(),
+            Store::Bounded(table) => vec![table.stats(Table::len)],
+        }
     }
 
     /// Rows currently held. One atomic load — `Relaxed`, because the count
-    /// publishes nothing: whoever acts on it (the evictor) holds `evict_lock`,
-    /// under which every change to a bounded LAT's count is made.
+    /// publishes nothing: whoever acts on it (the evictor) holds the bounded
+    /// table's latch, under which every change to its count is made.
     pub fn row_count(&self) -> usize {
         self.occupancy.load(Ordering::Relaxed)
     }
@@ -1024,29 +1248,21 @@ impl Lat {
         }
     }
 
-    /// Approximate bytes held: group keys and aggregate states, summed over
-    /// the per-shard accounts, plus the victim index and its dirty queue.
+    /// Approximate bytes held: group keys and aggregate states; on a bounded
+    /// LAT also the slots, the victim entries and the hash index.
     pub fn memory_bytes(&self) -> usize {
-        // `evict_lock` before any shard lock, held for one O(1) read and
-        // released before the sweep.
-        let index = self.coordinator().map_or(0, |coord| coord.index_bytes());
-        index + self.dirty_bytes() + self.row_bytes()
-    }
-
-    fn row_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.memory_bytes()).sum()
-    }
-
-    /// Bytes of the dirty-queue entries (*folded* LATs; at most one per row).
-    fn dirty_bytes(&self) -> usize {
-        if !self.folded {
-            return 0;
+        match &self.store {
+            Store::Sharded(shards) => shards
+                .iter()
+                .map(|s| s.read().iter().map(Row::size_bytes).sum::<usize>())
+                .sum(),
+            Store::Bounded(table) => {
+                let t = table.read();
+                let rows: usize = t.held().map(|s| t.slot(s).bytes()).sum();
+                let entries: usize = t.victims.iter().map(Entry::bytes).sum();
+                rows + entries + t.buckets.len() * std::mem::size_of::<u64>()
+            }
         }
-        let queued = self.dirty.lock();
-        queued
-            .iter()
-            .map(|(was, _)| std::mem::size_of::<(Rank, Arc<Row>)>() + was.boxed_bytes())
-            .sum()
     }
 
     /// Run `f` on this LAT's group key of `obj`, read in place and hashed
@@ -1071,11 +1287,6 @@ impl Lat {
         }
     }
 
-    /// The coordinator lock, on LATs that evict.
-    fn coordinator(&self) -> Option<parking_lot::MutexGuard<'_, Coordinator>> {
-        self.bounded.then(|| self.evict_lock.lock())
-    }
-
     /// Insert (or fold) an object into the LAT — the `Insert(LATName)` action.
     /// Returns rows evicted by the size bound, already materialized.
     pub fn insert(&self, obj: &Object) -> Result<Vec<Vec<Value>>> {
@@ -1087,91 +1298,88 @@ impl Lat {
     /// output rows (which clone text attributes) need not be built.
     pub fn insert_and(&self, obj: &Object, want_evicted: bool) -> Result<Vec<Vec<Value>>> {
         let now = self.now_if_aging();
-        self.with_group_key(obj, |key| self.insert_keyed(key, obj, now, want_evicted))
-            .ok_or_else(|| {
-                Error::Monitor(format!(
-                    "object of class {} lacks grouping attributes for LAT {}",
-                    obj.class, self.spec.name
-                ))
-            })?
+        self.with_group_key(obj, |key| {
+            let table = match &self.store {
+                Store::Sharded(shards) => return self.insert_sharded(shards, key, obj, now),
+                Store::Bounded(table) => table,
+            };
+            let mut guard = table.write();
+            let t = &mut *guard;
+            if let Some(s) = t.find(key) {
+                self.modify(t, s, now, |slot| self.update_row(&mut slot.aggs, obj, now))?;
+                self.inserts.incr();
+                return Ok(Vec::new());
+            }
+            // A failed update leaves the new group in the scratch slot only.
+            t.scratch.group.assign(key);
+            t.scratch.aggs.iter_mut().for_each(ColumnState::reset);
+            self.update_row(&mut t.scratch.aggs, obj, now)?;
+            self.inserts.incr();
+            Ok(self.admit(t, now, want_evicted))
+        })
+        .ok_or_else(|| {
+            Error::Monitor(format!(
+                "object of class {} lacks grouping attributes for LAT {}",
+                obj.class, self.spec.name
+            ))
+        })?
     }
 
-    fn insert_keyed(
+    /// An unbounded LAT's insert. An existing group folds under a shared
+    /// shard lock and its row latch, so probes touching different groups
+    /// never contend on an exclusive lock; a new group takes the shard's
+    /// write lock.
+    fn insert_sharded(
         &self,
+        shards: &[Latched<RowSet>],
         key: &Probe,
         obj: &Object,
         now: Timestamp,
-        want_evicted: bool,
     ) -> Result<Vec<Vec<Value>>> {
-        let shard = self.shard_of(key.hash);
+        let shard = shard_of(shards, key.hash);
         let probe: &dyn GroupKey = key;
-        // Fast path: existing group, shared shard lock + row latch. Probes
-        // touching different groups land on different shards and different row
-        // latches, so they never contend on an exclusive lock.
         if let Some(row) = shard.read().get(probe) {
-            self.fold(&row.0, obj, now)?;
+            self.update_row(&mut row.aggs.lock(), obj, now)?;
             self.inserts.incr();
             return Ok(Vec::new());
         }
-        // New group. On a bounded LAT the coordinator lock serializes map
-        // growth with eviction, so the occupancy bound holds at every
-        // quiescent point (row high-water never exceeds `max_rows`).
-        let mut coord = self.coordinator();
-        let created = {
+        {
             let mut rows = shard.write();
             match rows.get(probe) {
-                // Raced with another creator of the same group: fold in and
-                // return. Updating an existing group never evicts (§3.2.4's
-                // eviction event fires only when a row is truly discarded).
-                Some(row) => {
-                    self.fold(&row.0, obj, now)?;
-                    None
-                }
+                // Raced with another creator of the same group: fold in.
+                Some(row) => self.update_row(&mut row.aggs.lock(), obj, now)?,
                 None => {
-                    let spare = coord.as_deref_mut().and_then(|c| c.spare.take());
-                    let row = self.create_row(spare, key, obj, now)?;
-                    rows.insert(RowRef(Arc::clone(&row)));
+                    let Slot {
+                        mut group,
+                        mut aggs,
+                    } = Slot::blank(&self.spec);
+                    group.assign(key);
+                    self.update_row(&mut aggs, obj, now)?;
+                    rows.insert(Row {
+                        group,
+                        aggs: Mutex::new(aggs),
+                    });
                     self.occupancy.fetch_add(1, Ordering::Relaxed);
-                    Some(row)
                 }
-            }
-        };
-        self.inserts.incr();
-        let Some(row) = created else {
-            return Ok(Vec::new());
-        };
-        let evicted = match coord.as_deref_mut() {
-            Some(coord) => {
-                self.file(coord, row, now);
-                self.enforce_size(coord, now, want_evicted)
-            }
-            None => Vec::new(),
-        };
-        // High water records post-enforcement occupancy; on a bounded LAT the
-        // coordinator lock is still held here, so the count is exact.
-        self.row_high_water
-            .fetch_max(self.row_count() as u64, Ordering::Relaxed);
-        Ok(evicted)
-    }
-
-    /// Fold `obj` into an existing row under its latch. On a *folded* LAT the
-    /// first fold that moves the ordering key away from the filed one queues
-    /// the row for re-filing, with the key it is still filed under — without
-    /// `evict_lock`, and without allocating when that key is one number.
-    fn fold(&self, row: &Arc<Row>, obj: &Object, now: Timestamp) -> Result<()> {
-        let mut state = row.state.lock();
-        // A clean filed row still has the key it was filed under.
-        let filed_under = (state.filed && !state.dirty)
-            .then(|| self.rank_of(row.group.as_slice(), &state.aggs, now));
-        // A failed update may still have folded the leading aggregates.
-        let result = self.update_row(&mut state.aggs, obj, now);
-        if let Some(was) = filed_under {
-            if was.with_values(|was| self.key_moved(was, &state.aggs, now)) {
-                state.dirty = true;
-                self.dirty.lock().push((was, Arc::clone(row)));
             }
         }
-        result
+        self.inserts.incr();
+        self.note_high_water(self.row_count());
+        Ok(Vec::new())
+    }
+
+    /// Record a row count reached after size enforcement.
+    fn note_high_water(&self, rows: usize) {
+        if rows as u64 > self.row_high_water.load(Ordering::Relaxed) {
+            self.row_high_water
+                .fetch_max(rows as u64, Ordering::Relaxed);
+        }
+    }
+
+    /// Publish a bounded table's row count; the caller holds its latch.
+    fn settle(&self, t: &Table) {
+        self.occupancy.store(t.len(), Ordering::Relaxed);
+        self.note_high_water(t.len());
     }
 
     fn update_row(&self, aggs: &mut [ColumnState], obj: &Object, now: Timestamp) -> Result<()> {
@@ -1193,300 +1401,160 @@ impl Lat {
         Ok(())
     }
 
-    /// Every aggregate column's initial state.
-    fn fresh_aggs(&self) -> impl Iterator<Item = ColumnState> + '_ {
-        self.spec.aggregates.iter().map(|a| match &a.aging {
-            Some(ag) => ColumnState::Aging(AgingState::new(a.func, *ag)),
-            None => ColumnState::Plain(AggState::new(a.func)),
-        })
-    }
-
-    /// The row of a new group, folded from `obj` before anyone can see it:
-    /// built in the coordinator's spare when there is one, else allocated.
-    /// A failed update drops it, so it leaves no row.
-    fn create_row(
+    /// Change a held row in place (the caller holds the table's latch). On a
+    /// *folded* LAT a change that moves the row's rank re-files its entry at
+    /// once; under `max_bytes` the byte count follows the change.
+    fn modify<R>(
         &self,
-        spare: Option<Arc<Row>>,
-        key: &Probe,
-        obj: &Object,
+        t: &mut Table,
+        s: u32,
         now: Timestamp,
-    ) -> Result<Arc<Row>> {
-        let mut row = spare.unwrap_or_else(|| {
-            let aggs = self.fresh_aggs().collect();
-            self.new_row(0, Key::blank(key.idx.len()), aggs)
-        });
-        let fresh = Arc::get_mut(&mut row).expect("the spare row is shared with nothing");
-        fresh.hash = key.hash;
-        for (slot, &i) in fresh.group.as_mut_slice().iter_mut().zip(key.idx) {
-            slot.clone_from(&key.values[i]);
+        f: impl FnOnce(&mut Slot) -> R,
+    ) -> R {
+        let folded = t.ranking.as_ref().filter(|r| r.folded);
+        let slot = &mut t.slots[s as usize];
+        if let Some(r) = folded {
+            t.probe.rank.assign(r, slot, now);
+            t.probe.slot = s;
         }
-        self.update_row(&mut fresh.state.get_mut().aggs, obj, now)?;
-        Ok(row)
-    }
-
-    /// Keep an evicted row as the coordinator's spare, its group key and
-    /// aggregate states re-initialised in place so it holds no values — unless
-    /// something else, such as a *folded* LAT's dirty queue, still holds it.
-    fn retire(&self, coord: &mut Coordinator, mut row: Arc<Row>) {
-        let Some(spent) = Arc::get_mut(&mut row) else {
-            return;
-        };
-        spent.group.as_mut_slice().fill(Value::Null);
-        let aggs = &mut spent.state.get_mut().aggs;
-        for (agg, fresh) in aggs.iter_mut().zip(self.fresh_aggs()) {
-            *agg = fresh;
-        }
-        coord.spare = Some(row);
-    }
-
-    /// Box up a new row, not yet in the map or the victim index.
-    fn new_row(&self, hash: u64, group: Key, aggs: Vec<ColumnState>) -> Arc<Row> {
-        Arc::new(Row {
-            hash,
-            group,
-            order: Arc::clone(&self.order),
-            state: Mutex::new(RowState {
-                aggs,
-                filed: false,
-                dirty: false,
-            }),
-        })
-    }
-
-    /// One ordering-column value of a row.
-    fn ordering_value(
-        &self,
-        group: &[Value],
-        aggs: &[ColumnState],
-        col: usize,
-        now: Timestamp,
-    ) -> Value {
-        match col.checked_sub(group.len()) {
-            None => group[col].clone(),
-            Some(agg) => aggs[agg].finish(now),
-        }
-    }
-
-    /// The ordering-column values of a row, positionally aligned with `order`.
-    fn rank_of(&self, group: &[Value], aggs: &[ColumnState], now: Timestamp) -> Rank {
-        Rank::new(match self.order.as_slice() {
-            [(col, _)] => Key::One(self.ordering_value(group, aggs, *col, now)),
-            order => Key::Many(
-                order
-                    .iter()
-                    .map(|(col, _)| self.ordering_value(group, aggs, *col, now))
-                    .collect(),
-            ),
-        })
-    }
-
-    /// Have the ordering-column values moved away from `was`? Only aggregate
-    /// columns can move; nothing is allocated.
-    fn key_moved(&self, was: &[Value], aggs: &[ColumnState], now: Timestamp) -> bool {
-        let n_group = self.spec.group_by.len();
-        self.order
-            .iter()
-            .zip(was)
-            .any(|(&(col, _), was)| col >= n_group && aggs[col - n_group].finish(now) != *was)
-    }
-
-    /// File a row in the victim index (the caller holds `evict_lock`). The
-    /// row is already in the shard map, so folds may have reached it: a
-    /// *folded* row is ranked and marked `filed` in one step under its latch,
-    /// which means no fold queues a row that has no index entry yet, and the
-    /// first fold that does queue it names exactly the key it is filed under.
-    fn file(&self, coord: &mut Coordinator, row: Arc<Row>, now: Timestamp) {
-        match &mut coord.index {
-            VictimIndex::Fixed(set) => {
-                set.insert(ByGroup { row });
+        t.bytes -= self.counted(slot);
+        // A failed update may still have folded the leading aggregates.
+        let result = f(slot);
+        t.bytes += self.counted(slot);
+        if let Some(r) = folded {
+            let moved = t.probe.rank.with_values(|was| {
+                let now_values = r.cols.iter().map(|&col| slot.value(col, now));
+                now_values.zip(was).any(|(v, was)| v.cmp(was).is_ne())
+            });
+            if moved {
+                let mut entry = t.victims.take(&t.probe).expect("every held row is filed");
+                entry.rank.assign(r, slot, now);
+                t.victims.insert(entry);
+                self.victims_examined.fetch_add(1, Ordering::Relaxed);
             }
-            VictimIndex::Folded(set) => {
-                let rank = {
-                    let mut state = row.state.lock();
-                    state.filed = true;
-                    self.rank_of(row.group.as_slice(), &state.aggs, now)
-                };
-                coord.boxed_bytes += rank.boxed_bytes();
-                set.insert(ByRank { rank, row });
-            }
-            VictimIndex::Scan => {}
         }
+        result
     }
 
-    /// Take a row that has left the map out of the victim index (the caller
-    /// holds `evict_lock`).
-    fn unfile(&self, coord: &mut Coordinator, row: &Arc<Row>, now: Timestamp) {
-        // Afterwards every filed row sits under its current key.
-        self.refile_dirty(coord, now);
-        match &mut coord.index {
-            VictimIndex::Fixed(set) => {
-                set.remove(&ByGroup {
-                    row: Arc::clone(row),
-                });
-            }
-            VictimIndex::Folded(set) => {
-                let mut state = row.state.lock();
-                state.filed = false;
-                let rank = self.rank_of(row.group.as_slice(), &state.aggs, now);
-                let entry = ByRank {
-                    rank,
-                    row: Arc::clone(row),
-                };
-                if let Some(gone) = set.take(&entry) {
-                    coord.boxed_bytes -= gone.rank.boxed_bytes();
+    /// Take the new group built in `t.scratch` into a bounded table, then
+    /// evict while over the bound; returns the evicted output rows if
+    /// `want_evicted`. A full ranked table gives the newcomer's place to its
+    /// least important row — unless the newcomer ranks below it, when the
+    /// newcomer is its own victim and never enters.
+    fn admit(&self, t: &mut Table, now: Timestamp, want: bool) -> Vec<Vec<Value>> {
+        let mut evicted = Vec::new();
+        let full = self.spec.max_rows.is_some_and(|m| t.len() >= m.max(1));
+        match &t.ranking {
+            Some(r) if full => {
+                t.probe.rank.assign(r, &t.scratch, now);
+                let least = t.victims.first().expect("every held row is filed");
+                if t.probe.cmp_rank(least).is_lt() {
+                    // Folds may have left the table over `max_bytes`: the
+                    // newcomer goes first, then `enforce` evicts as usual.
+                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                    evicted.extend(want.then(|| t.scratch.output(now)));
+                } else {
+                    let mut entry = t.victims.pop_first().expect("every held row is filed");
+                    evicted.extend(self.remove(t, entry.slot, now, want));
+                    entry.slot = self.place(t);
+                    std::mem::swap(&mut entry.rank, &mut t.probe.rank);
+                    t.victims.insert(entry);
                 }
             }
-            VictimIndex::Scan => {}
-        }
-    }
-
-    /// Evict while over the row/byte bound; returns the evicted output rows.
-    /// The caller holds `evict_lock` (it passes the guarded coordinator), which
-    /// serializes this with other new-group inserts — at most one shard lock
-    /// is held at any instant, so probe fast paths on other shards keep
-    /// flowing.
-    fn enforce_size(
-        &self,
-        coord: &mut Coordinator,
-        now: Timestamp,
-        want_evicted: bool,
-    ) -> Vec<Vec<Value>> {
-        let mut evicted = Vec::new();
-        loop {
-            let total_rows = self.occupancy.load(Ordering::Relaxed);
-            let over_rows = self.spec.max_rows.is_some_and(|m| total_rows > m);
-            let over_bytes = self
-                .spec
-                .max_bytes
-                .is_some_and(|m| coord.index_bytes() + self.dirty_bytes() + self.row_bytes() > m);
-            if !(over_rows || over_bytes) {
-                break;
+            _ => {
+                let slot = self.place(t);
+                if let Some(r) = &t.ranking {
+                    t.victims.insert(r.entry(t.slot(slot), slot, now));
+                }
             }
-            if total_rows <= 1 {
-                break; // never evict the last row — it is the one being inserted
-            }
-            // "SQLCM automatically discards the row(s) … having smallest value
-            // of the ordering columns" (§4.3).
-            let Some(victim) = self.pop_victim(coord, now) else {
-                break;
-            };
-            evicted.extend(self.discard(coord, victim, now, want_evicted));
         }
+        self.enforce(t, now, want, &mut evicted);
+        self.settle(t);
         evicted
     }
 
-    /// Take a victim popped from the index out of the row map and retire it
-    /// (the caller holds `evict_lock`). Returns its output row if it was in
-    /// the map and `want_evicted`.
-    fn discard(
-        &self,
-        coord: &mut Coordinator,
-        victim: Arc<Row>,
-        now: Timestamp,
-        want_evicted: bool,
-    ) -> Option<Vec<Value>> {
-        {
-            let mut rows = self.shard_of(victim.hash).write();
-            if !rows.remove(&*victim as &dyn GroupKey) {
-                return None;
-            }
-            self.occupancy.fetch_sub(1, Ordering::Relaxed);
-        }
+    /// A row's share of the running byte count: its bytes when the spec sets
+    /// `max_bytes`, else nothing, so other LATs pay nothing for the count.
+    fn counted(&self, row: &Slot) -> usize {
+        self.spec.max_bytes.map_or(0, |_| row.bytes())
+    }
+
+    /// Move the row built in `t.scratch` into a free slot and index it.
+    fn place(&self, t: &mut Table) -> u32 {
+        let s = t.free.pop().unwrap_or_else(|| {
+            t.slots.push(Slot::blank(&self.spec));
+            (t.slots.len() - 1) as u32
+        });
+        std::mem::swap(&mut t.slots[s as usize], &mut t.scratch);
+        t.index(s);
+        t.bytes += self.counted(t.slot(s));
+        s
+    }
+
+    /// Evict the row in slot `s`, already out of the victim order: read its
+    /// output if `want_evicted`, then free the slot.
+    fn remove(&self, t: &mut Table, s: u32, now: Timestamp, want: bool) -> Option<Vec<Value>> {
+        let output = want.then(|| t.slot(s).output(now));
+        t.bytes -= self.counted(t.slot(s));
+        t.unindex(s);
+        t.free.push(s);
         self.evictions.fetch_add(1, Ordering::Relaxed);
-        let output = {
-            let mut state = victim.state.lock();
-            // If it still sits on the dirty queue, it is skipped there.
-            state.filed = false;
-            want_evicted.then(|| victim.output(&state, now))
-        };
-        self.retire(coord, victim);
         output
     }
 
-    /// Remove and return the least important row under the ordering spec.
-    fn pop_victim(&self, coord: &mut Coordinator, now: Timestamp) -> Option<Arc<Row>> {
-        self.refile_dirty(coord, now);
-        match &mut coord.index {
-            VictimIndex::Fixed(set) => set.pop_first().map(|e| e.row),
-            VictimIndex::Folded(set) => set.pop_first().map(|e| {
-                coord.boxed_bytes -= e.rank.boxed_bytes();
-                e.row
-            }),
-            VictimIndex::Scan => self.scan_victim(now),
-        }
-    }
-
-    /// *Folded* LATs: re-file every row a fold has marked dirty under its
-    /// current key, so the index minimum is the true one.
-    fn refile_dirty(&self, coord: &mut Coordinator, now: Timestamp) {
-        let Coordinator {
-            index: VictimIndex::Folded(set),
-            boxed_bytes,
-            refile,
-            ..
-        } = coord
-        else {
-            return;
+    /// Evict while over the row or byte bound — never the last row.
+    fn enforce(&self, t: &mut Table, now: Timestamp, want: bool, out: &mut Vec<Vec<Value>>) {
+        let over = |t: &Table| {
+            self.spec.max_rows.is_some_and(|m| t.len() > m)
+                || self.spec.max_bytes.is_some_and(|m| t.bytes > m)
         };
-        std::mem::swap(refile, &mut *self.dirty.lock());
-        for (was, row) in refile.drain(..) {
-            let mut state = row.state.lock();
-            state.dirty = false;
-            // Evicted or replaced since it was queued?
-            if !state.filed {
-                continue;
-            }
-            let stale = ByRank {
-                rank: was,
-                row: Arc::clone(&row),
+        while t.len() > 1 && over(t) {
+            // "SQLCM automatically discards the row(s) … having smallest
+            // value of the ordering columns" (§4.3).
+            let s = match t.victims.pop_first() {
+                Some(least) => least.slot,
+                None => self.scan_victim(t, now),
             };
-            if let Some(gone) = set.take(&stale) {
-                *boxed_bytes -= gone.rank.boxed_bytes();
-            }
-            let rank = self.rank_of(row.group.as_slice(), &state.aggs, now);
-            drop(state);
-            *boxed_bytes += rank.boxed_bytes();
-            set.insert(ByRank { rank, row });
-            self.victims_examined.fetch_add(1, Ordering::Relaxed);
+            out.extend(self.remove(t, s, now, want));
         }
     }
 
     /// The *clocked* path: an aging ordering column decays with the clock, so
     /// every row's key is computed afresh and compared with the running best.
     /// Two key buffers for the whole scan; ties keep the first row met.
-    fn scan_victim(&self, now: Timestamp) -> Option<Arc<Row>> {
-        let mut best: Option<Arc<Row>> = None;
+    fn scan_victim(&self, t: &Table, now: Timestamp) -> u32 {
+        let mut best = None;
         let mut best_key: Vec<Value> = Vec::with_capacity(self.order.len());
         let mut key: Vec<Value> = Vec::with_capacity(self.order.len());
-        let mut examined = 0;
-        for shard in self.shards.iter() {
-            for row in shard.read().iter() {
-                let state = row.0.state.lock();
-                key.clear();
-                key.extend(self.order.iter().map(|(col, _)| {
-                    self.ordering_value(row.0.group.as_slice(), &state.aggs, *col, now)
-                }));
-                examined += 1;
-                let less_important =
-                    || cmp_importance(&self.order, |pos, _| (&key[pos], &best_key[pos])).is_lt();
-                if best.is_none() || less_important() {
-                    std::mem::swap(&mut key, &mut best_key);
-                    best = Some(Arc::clone(&row.0));
-                }
+        for s in t.held() {
+            key.clear();
+            key.extend(self.order.iter().map(|(col, _)| t.slot(s).value(*col, now)));
+            let less_important =
+                || cmp_importance(&self.order, |pos, _| (&key[pos], &best_key[pos])).is_lt();
+            if best.is_none() || less_important() {
+                std::mem::swap(&mut key, &mut best_key);
+                best = Some(s);
             }
         }
-        self.victims_examined.fetch_add(examined, Ordering::Relaxed);
-        best
+        self.victims_examined
+            .fetch_add(t.len() as u64, Ordering::Relaxed);
+        best.expect("the table holds a row")
     }
 
     /// Look up the row whose grouping columns match `obj` (the rule engine's
     /// implicit-∃ binding, §5.2). Returns the materialized output row.
     pub fn lookup_for(&self, obj: &Object) -> Option<Vec<Value>> {
         let now = self.now_if_aging();
-        self.with_group_key(obj, |key| {
-            let rows = self.shard_of(key.hash).read();
-            rows.get(key as &dyn GroupKey)
-                .map(|r| r.0.output(&r.0.state.lock(), now))
+        self.with_group_key(obj, |key| match &self.store {
+            Store::Sharded(shards) => {
+                let rows = shard_of(shards, key.hash).read();
+                rows.get(key as &dyn GroupKey)
+                    .map(|r| r.group.output(&r.aggs.lock(), now))
+            }
+            Store::Bounded(table) => {
+                let t = table.read();
+                t.find(key).map(|s| t.slot(s).output(now))
+            }
         })?
     }
 
@@ -1497,17 +1565,25 @@ impl Lat {
             .position(|c| c.eq_ignore_ascii_case(name))
     }
 
-    /// Materialize all rows (order unspecified). All shard read locks are
-    /// acquired (in index order) before any row is materialized, so the
-    /// snapshot is a consistent cross-shard view: no concurrent new-group
-    /// insert, eviction, or reset can interleave mid-iteration.
+    /// Materialize all rows (order unspecified). Every shard read lock (in
+    /// index order), or the bounded table's, is taken before any row is
+    /// materialized, so the snapshot is one consistent view: no concurrent
+    /// new-group insert, eviction, or reset can interleave mid-iteration.
     pub fn rows(&self) -> Vec<Vec<Value>> {
         let now = self.clock.now_micros();
-        let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
-        guards
-            .iter()
-            .flat_map(|g| g.iter().map(|r| r.0.output(&r.0.state.lock(), now)))
-            .collect()
+        match &self.store {
+            Store::Sharded(shards) => {
+                let guards: Vec<_> = shards.iter().map(|s| s.read()).collect();
+                guards
+                    .iter()
+                    .flat_map(|g| g.iter().map(|r| r.group.output(&r.aggs.lock(), now)))
+                    .collect()
+            }
+            Store::Bounded(table) => {
+                let t = table.read();
+                t.held().map(|s| t.slot(s).output(now)).collect()
+            }
+        }
     }
 
     /// Materialize all rows sorted by the ordering spec, most important first.
@@ -1517,36 +1593,35 @@ impl Lat {
         rows
     }
 
-    /// `Reset(LATName)`: clear contents and free memory. All shard write
-    /// locks are held (acquired in index order) before the first shard is
-    /// cleared, so observers never see a partially reset table; on a bounded
-    /// LAT the coordinator lock is taken first, so no new-group insert is
-    /// between its insert and its eviction, and the row map, the victim index
-    /// and the occupancy count empty together.
+    /// `Reset(LATName)`: clear contents and free memory. Every shard write
+    /// lock (acquired in index order), or the bounded table's, is held before
+    /// the first row goes, so observers never see a partially reset table.
     pub fn reset(&self) {
-        let mut coord = self.coordinator();
-        let mut guards: Vec<_> = self.shards.iter().map(|s| s.write()).collect();
-        for g in guards.iter_mut() {
-            g.clear();
-        }
-        self.occupancy.store(0, Ordering::Relaxed);
-        if let Some(coord) = coord.as_deref_mut() {
-            coord.index.clear();
-            coord.boxed_bytes = 0;
-            coord.spare = None;
-            // No fold is running (every shard is write-locked) and the rows
-            // it queued are gone.
-            self.dirty.lock().clear();
+        match &self.store {
+            Store::Sharded(shards) => {
+                let mut guards: Vec<_> = shards.iter().map(|s| s.write()).collect();
+                guards.iter_mut().for_each(|g| g.clear());
+                self.occupancy.store(0, Ordering::Relaxed);
+            }
+            Store::Bounded(table) => {
+                let mut t = table.write();
+                t.slots.clear();
+                t.free.clear();
+                t.buckets.fill(EMPTY);
+                t.victims.clear();
+                t.bytes = 0;
+                self.occupancy.store(0, Ordering::Relaxed);
+            }
         }
         self.resets.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Seed a row from persisted values (LAT restore at startup, §4.3). AVG and
     /// STDEV are re-seeded with weight `seed_count` (exact when the LAT also
-    /// persisted its COUNT; weight 1 otherwise). On a bounded LAT the size
-    /// bound is enforced as for an insert: restoring more rows than fit keeps
-    /// the most important ones (evictions are counted, no eviction event is
-    /// raised).
+    /// persisted its COUNT; weight 1 otherwise). A held group's row is
+    /// replaced. On a bounded LAT the size bound is enforced as for an
+    /// insert: restoring more rows than fit keeps the most important ones
+    /// (evictions are counted, no eviction event is raised).
     pub fn seed_row(&self, values: &[Value], seed_count: i64) -> Result<()> {
         if values.len() != self.columns.len() {
             return Err(Error::Monitor(format!(
@@ -1566,31 +1641,43 @@ impl Lat {
                 Some(ag) => {
                     let mut s = AgingState::new(spec.func, *ag);
                     s.blocks.push_back((now - now % ag.block_micros, state));
-                    ColumnState::Aging(s)
+                    ColumnState::Aging(Box::new(s))
                 }
                 None => ColumnState::Plain(state),
             });
         }
-        let mut coord = self.coordinator();
-        let hash = self.hash_key(key.iter());
-        let row = self.new_row(hash, Key::from_slice(key), aggs);
-        let replaced = {
-            let mut rows = self.shard_of(hash).write();
-            let replaced = rows.replace(RowRef(Arc::clone(&row)));
-            if replaced.is_none() {
-                self.occupancy.fetch_add(1, Ordering::Relaxed);
-            }
-            replaced
+        let group = Group {
+            hash: self.hash_key(key.iter()),
+            key: Key::from_slice(key),
         };
-        if let Some(coord) = coord.as_deref_mut() {
-            if let Some(old) = replaced {
-                self.unfile(coord, &old.0, now);
+        match &self.store {
+            Store::Sharded(shards) => {
+                let mut rows = shard_of(shards, group.hash).write();
+                let row = Row {
+                    group,
+                    aggs: Mutex::new(aggs),
+                };
+                if rows.replace(row).is_none() {
+                    self.occupancy.fetch_add(1, Ordering::Relaxed);
+                }
+                self.note_high_water(self.row_count());
             }
-            self.file(coord, row, now);
-            self.enforce_size(coord, now, false);
+            Store::Bounded(table) => {
+                let mut guard = table.write();
+                let t = &mut *guard;
+                match t.find(&group) {
+                    Some(s) => {
+                        self.modify(t, s, now, |slot| slot.aggs = aggs);
+                        self.enforce(t, now, false, &mut Vec::new());
+                        self.settle(t);
+                    }
+                    None => {
+                        (t.scratch.group, t.scratch.aggs) = (group, aggs);
+                        self.admit(t, now, false);
+                    }
+                }
+            }
         }
-        self.row_high_water
-            .fetch_max(self.row_count() as u64, Ordering::Relaxed);
         Ok(())
     }
 }
@@ -1917,7 +2004,7 @@ mod tests {
             window_micros: 10_000_000,
             block_micros: 1_000_000,
         };
-        let mut col = ColumnState::Aging(AgingState::new(LatAggFunc::Sum, spec));
+        let mut col = ColumnState::Aging(Box::new(AgingState::new(LatAggFunc::Sum, spec)));
         let (t2, t1, t2b) = (5_100_000, 4_900_000, 5_200_000);
         let mut rolls = 0;
         for (now, v) in [(t2, 1.0), (t1, 2.0), (t2b, 4.0)] {
@@ -1977,6 +2064,122 @@ mod tests {
         assert!(lat.stats().evictions > 0);
     }
 
+    /// A deterministic xorshift stream: `next(n)` is in `0..n`.
+    fn xorshift(mut state: u64) -> impl FnMut(u64) -> u64 {
+        move |n| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        }
+    }
+
+    /// Over random insert/fold/evict/reset/seed schedules, on each victim
+    /// class, a byte-bounded LAT's running byte count equals a from-scratch
+    /// sum after every operation (`assert_consistent`), and the bound holds
+    /// after every operation that may evict: a new group or a seed. A fold
+    /// never evicts (§3.2.4), so one that grows a row may leave the table
+    /// over the bound until the next new group.
+    #[test]
+    fn max_bytes_running_count_matches_a_from_scratch_sum() {
+        const MAX_BYTES: usize = 1_200;
+        for (order, aging) in [("Sig", false), ("N", false), ("N", true)] {
+            let (clock, handle) = ManualClock::shared(0);
+            let mut spec = LatSpec::new("Bytes")
+                .group_by("Query.Logical_Signature", "Sig")
+                .aggregate(LatAggFunc::Count, "", "N");
+            if aging {
+                spec = spec.aging(1_000, 100);
+            }
+            let spec = spec
+                .aggregate(LatAggFunc::Last, "Query.Query_Text", "Txt")
+                .order_by(order, true)
+                .max_bytes(MAX_BYTES);
+            let lat = Lat::new(spec, clock).unwrap();
+            let mut next = xorshift(0x9E37_79B9_7F4A_7C15);
+            for step in 0..2_000 {
+                let sig = next(24);
+                let text = "x".repeat(next(40) as usize);
+                let held = lat.lookup_for(&qobj(sig as i64, 0.0)).is_some();
+                let may_evict = match next(20) {
+                    0 => {
+                        lat.reset();
+                        false
+                    }
+                    1..=3 => {
+                        let n = Value::Int(next(5) as i64 + 1);
+                        lat.seed_row(&[Value::Int(sig as i64), n, Value::text(text)], 1)
+                            .unwrap();
+                        true
+                    }
+                    _ => {
+                        let mut q = QueryInfo::synthetic(1, text);
+                        q.logical_signature = Some(sig);
+                        lat.insert(&query_object(&q)).unwrap();
+                        !held
+                    }
+                };
+                if aging && step % 7 == 0 {
+                    handle.advance(50);
+                }
+                assert_consistent(&lat);
+                let Store::Bounded(table) = &lat.store else {
+                    unreachable!("a bounded LAT")
+                };
+                let (bytes, rows) = {
+                    let t = table.read();
+                    (t.bytes, t.len())
+                };
+                if may_evict {
+                    assert!(
+                        bytes <= MAX_BYTES || rows == 1,
+                        "{order}: {bytes} B in {rows}"
+                    );
+                }
+            }
+            assert!(lat.stats().evictions > 0, "{order}");
+        }
+    }
+
+    /// The open-addressed hash index through equal hashes of distinct keys,
+    /// runs that wrap around the end, removals from the middle of a run and
+    /// growth: every held row stays findable, and a removed one is gone.
+    #[test]
+    fn hash_index_survives_collisions_wraparound_and_removal() {
+        let spec = LatSpec::new("Index")
+            .group_by("Query.Logical_Signature", "Sig")
+            .aggregate(LatAggFunc::Count, "", "N")
+            .max_rows(5);
+        let mut t = Table::new(&spec, None);
+        assert_eq!(t.buckets.len(), 16);
+        let mut next = xorshift(7);
+        let mut held: Vec<u32> = Vec::new();
+        for step in 0..5_000 {
+            if held.len() < 14 && (held.is_empty() || next(2) == 0) {
+                // Four hashes, homed on the last three buckets and the first.
+                let hash = [13, 14, 15, 16][next(4) as usize];
+                let s = t.free.pop().unwrap_or_else(|| {
+                    t.slots.push(Slot::blank(&spec));
+                    (t.slots.len() - 1) as u32
+                });
+                let key = Key::One(Value::Int(step));
+                t.slots[s as usize].group = Group { hash, key };
+                t.index(s);
+                held.push(s);
+            } else {
+                let s = held.swap_remove(next(held.len() as u64) as usize);
+                t.unindex(s);
+                t.free.push(s);
+                assert_eq!(t.find(&t.slot(s).group), None, "a removed row is found");
+            }
+            assert_eq!(t.held().count(), held.len());
+            for &s in &held {
+                assert_eq!(t.find(&t.slot(s).group), Some(s));
+            }
+        }
+        assert_eq!(t.buckets.len(), 32, "grown past 3/4 full");
+    }
+
     #[test]
     fn seed_restores_values() {
         let (clock, _) = ManualClock::shared(0);
@@ -1992,44 +2195,58 @@ mod tests {
         assert_eq!(row[1], Value::Float((4.0 * 10.0 + 15.0) / 11.0));
         assert!(lat.seed_row(&[Value::Int(1)], 1).is_err(), "arity checked");
     }
-
-    /// Row map, occupancy count and victim index describe the same rows.
+    /// Occupancy, hash index and victim order describe the same rows, every
+    /// entry is filed under its row's current rank, and the running byte
+    /// count equals a from-scratch sum.
     fn assert_consistent(lat: &Lat) {
-        let coord = lat.evict_lock.lock();
-        let in_shards: usize = lat.shards.iter().map(|s| s.read().len()).sum();
-        assert_eq!(lat.row_count(), in_shards, "occupancy vs Σ shard lengths");
-        if !matches!(coord.index, VictimIndex::Scan) {
-            assert_eq!(coord.index.len(), in_shards, "victim index vs row map");
-        }
-        if let VictimIndex::Folded(set) = &coord.index {
-            let boxed: usize = set.iter().map(|e| e.rank.boxed_bytes()).sum();
-            assert_eq!(coord.boxed_bytes, boxed, "running count of boxed ranks");
-        }
-        if let Some(m) = lat.spec.max_rows {
-            assert!(in_shards <= m.max(1), "bound {m} exceeded: {in_shards}");
-        }
-        if let Some(spare) = &coord.spare {
-            assert_eq!(Arc::strong_count(spare), 1, "the spare is shared");
-            let group = spare.group.as_slice();
-            assert!(
-                group.iter().all(Value::is_null),
-                "the spare holds {group:?}"
+        let table = match &lat.store {
+            Store::Sharded(shards) => {
+                let in_shards: usize = shards.iter().map(|s| s.read().len()).sum();
+                assert_eq!(lat.row_count(), in_shards, "occupancy vs Σ shard lengths");
+                return;
+            }
+            Store::Bounded(table) => table.read(),
+        };
+        let held: Vec<u32> = table.held().collect();
+        assert_eq!(lat.row_count(), held.len(), "occupancy vs hash index");
+        assert_eq!(table.len(), held.len(), "slots in use vs hash index");
+        for &s in &held {
+            assert!(!table.free.contains(&s), "slot {s} is held and free");
+            assert_eq!(
+                table.find(&table.slot(s).group),
+                Some(s),
+                "index misses a row"
             );
         }
+        if let Some(r) = &table.ranking {
+            assert_eq!(
+                table.victims.len(),
+                held.len(),
+                "victim order vs hash index"
+            );
+            for e in &table.victims {
+                assert!(held.contains(&e.slot), "entry for free slot {}", e.slot);
+                let current = r.entry(table.slot(e.slot), e.slot, 0);
+                assert!(current == *e, "slot {} filed under a stale rank", e.slot);
+            }
+        }
+        if lat.spec.max_bytes.is_some() {
+            let bytes: usize = held.iter().map(|&s| table.slot(s).bytes()).sum();
+            assert_eq!(table.bytes, bytes, "running byte count vs Σ slot bytes");
+        }
+        if let Some(m) = lat.spec.max_rows {
+            assert!(held.len() <= m.max(1), "bound {m} exceeded: {}", held.len());
+        }
     }
 
-    /// The coordinator's spare row, by address.
-    fn spare(lat: &Lat) -> Option<*const Row> {
-        lat.evict_lock.lock().spare.as_ref().map(Arc::as_ptr)
-    }
-
-    /// The row holding group `key`, by address.
-    fn row_at(lat: &Lat, key: &[Value]) -> Option<*const Row> {
-        lat.shards.iter().find_map(|s| {
-            let rows = s.read();
-            let row = rows.iter().find(|r| r.0.group.as_slice() == key)?;
-            Some(Arc::as_ptr(&row.0))
-        })
+    /// The slot holding group `key`.
+    fn slot_of(lat: &Lat, key: &[Value]) -> Option<u32> {
+        let Store::Bounded(table) = &lat.store else {
+            return None;
+        };
+        let t = table.read();
+        let found = t.held().find(|&s| t.slot(s).group.key.as_slice() == key);
+        found
     }
 
     fn sigs(lat: &Lat) -> Vec<i64> {
@@ -2040,9 +2257,9 @@ mod tests {
 
     #[test]
     fn restore_enforces_the_row_bound() {
-        // Regression: `seed_row` used to insert without the coordinator lock
-        // and without enforcing the bound, so restoring more rows than
-        // `max_rows` left the LAT overfull until some later insert evicted.
+        // Regression: `seed_row` used to insert without enforcing the bound,
+        // so restoring more rows than `max_rows` left the LAT overfull until
+        // some later insert evicted.
         const N: usize = 4;
         let fixed = LatSpec::new("Fixed")
             .group_by("Query.Logical_Signature", "Sig")
@@ -2102,28 +2319,30 @@ mod tests {
         };
         lat.insert(&obj(1, Some("victim"))).unwrap();
         lat.insert(&obj(2, Some("victim"))).unwrap();
-        // Each new group is built in the row of the one evicted before it,
-        // which held "victim" in every column; a NULL attribute folds into
-        // none of them, so any leftover would show.
+        // Each new group is built in the buffers of the row evicted before
+        // it, which held "victim" in every column, and moves into its
+        // victim's slot; a NULL attribute folds into none of the columns, so
+        // any leftover would show.
         for (id, procedure) in [(3, None), (4, Some("new"))] {
-            let spare = spare(&lat).expect("the last victim is kept");
+            let victim = slot_of(&lat, &[Value::Int(id as i64 - 1)]);
+            assert!(victim.is_some());
             lat.insert(&obj(id, procedure)).unwrap();
             let key = [Value::Int(id as i64)];
-            assert_eq!(row_at(&lat, &key), Some(spare), "built in the spare");
+            assert_eq!(slot_of(&lat, &key), victim, "built in the victim's slot");
             let v = procedure.map_or(Value::Null, Value::text);
             let want = [&key[..], &[v.clone(), v.clone(), v.clone(), v]].concat();
             assert_eq!(lat.rows(), vec![want]);
             assert_consistent(&lat);
         }
         lat.reset();
-        assert_eq!(spare(&lat), None, "reset drops the spare");
+        assert!(lat.rows().is_empty());
         assert_consistent(&lat);
     }
 
     #[test]
-    fn a_victim_on_the_dirty_queue_is_not_recycled() {
+    fn a_rank_moving_fold_is_refiled_before_the_next_eviction() {
         let (clock, _) = ManualClock::shared(0);
-        let spec = LatSpec::new("Queued")
+        let spec = LatSpec::new("Refiled")
             .group_by("Query.Logical_Signature", "Sig")
             .aggregate(LatAggFunc::Max, "Query.Duration", "D")
             .order_by("D", true)
@@ -2131,33 +2350,175 @@ mod tests {
         let lat = Lat::new(spec, clock).unwrap();
         lat.insert(&qobj(1, 1.0)).unwrap();
         lat.insert(&qobj(2, 5.0)).unwrap();
-        // The evictor has popped group 1 when a fold that does not take
-        // `evict_lock` moves its key and queues it for re-filing.
-        let mut coord = lat.evict_lock.lock();
-        let victim = lat.pop_victim(&mut coord, 0).unwrap();
-        assert_eq!(victim.group.as_slice(), [Value::Int(1)]);
+        // A fold moves group 1's rank from 1.0 to 3.0: its entry is re-filed
+        // under the table latch, before anything else can evict.
         lat.insert(&qobj(1, 3.0)).unwrap();
-        assert_eq!(lat.dirty.lock().len(), 1);
-        let queued = Arc::as_ptr(&victim);
-        lat.discard(&mut coord, victim, 0, false);
-        assert!(coord.spare.is_none(), "a queued victim was kept");
-        drop(coord);
-        assert_eq!((lat.row_count(), lat.stats().evictions), (1, 1));
-        // The next new group gets a row of its own; the eviction after it
-        // drops the queued row and recycles its own victim.
-        lat.insert(&qobj(3, 4.0)).unwrap();
-        assert_ne!(row_at(&lat, &[Value::Int(3)]), Some(queued));
+        assert_consistent(&lat);
+        let evicted = lat.insert(&qobj(3, 4.0)).unwrap();
+        assert_eq!(evicted, vec![vec![Value::Int(1), Value::Float(3.0)]]);
+        assert_eq!((lat.row_count(), lat.stats().evictions), (2, 1));
         let evicted = lat.insert(&qobj(4, 6.0)).unwrap();
         assert_eq!(evicted, vec![vec![Value::Int(3), Value::Float(4.0)]]);
-        assert!(lat.dirty.lock().is_empty());
-        assert!(spare(&lat).is_some());
         assert_consistent(&lat);
         assert_eq!(sigs(&lat), vec![2, 4]);
     }
 
     #[test]
+    fn a_new_group_below_the_minimum_is_its_own_victim() {
+        // Fixed (ordered by the grouping column) and folded (by MAX).
+        for order in ["Sig", "D"] {
+            let (clock, _) = ManualClock::shared(0);
+            let spec = LatSpec::new("Own")
+                .group_by("Query.Logical_Signature", "Sig")
+                .aggregate(LatAggFunc::Max, "Query.Duration", "D")
+                .order_by(order, true)
+                .max_rows(3);
+            let lat = Lat::new(spec, clock).unwrap();
+            for sig in 5..8 {
+                lat.insert(&qobj(sig, sig as f64)).unwrap();
+            }
+            let (rows, before) = (sigs(&lat), lat.stats());
+            let evicted = lat.insert(&qobj(1, 1.0)).unwrap();
+            assert_eq!(evicted, vec![vec![Value::Int(1), Value::Float(1.0)]]);
+            let after = lat.stats();
+            assert_eq!(after.inserts, before.inserts + 1);
+            assert_eq!(after.evictions, before.evictions + 1);
+            assert!(after.row_high_water <= 3, "{after:?}");
+            assert_eq!(sigs(&lat), rows, "{order}: the table is unchanged");
+            assert!(lat.lookup_for(&qobj(1, 0.0)).is_none());
+            assert_consistent(&lat);
+        }
+    }
+
+    /// A LAT bounded by rows and bytes, full by rows and pushed over its byte
+    /// bound by folds: a new group below the minimum is its own victim, and
+    /// the byte bound is enforced after it as after any other new group.
+    #[test]
+    fn an_own_victim_still_enforces_the_byte_bound() {
+        const MAX_BYTES: usize = 1_000;
+        let text_obj = |sig: u64, len: usize| {
+            let mut q = QueryInfo::synthetic(1, "x".repeat(len));
+            q.logical_signature = Some(sig);
+            query_object(&q)
+        };
+        for order in ["Sig", "N"] {
+            let (clock, _) = ManualClock::shared(0);
+            let spec = LatSpec::new("RowsAndBytes")
+                .group_by("Query.Logical_Signature", "Sig")
+                .aggregate(LatAggFunc::Count, "", "N")
+                .aggregate(LatAggFunc::Last, "Query.Query_Text", "Txt")
+                .order_by(order, true)
+                .max_rows(3)
+                .max_bytes(MAX_BYTES);
+            let lat = Lat::new(spec, clock).unwrap();
+            let bytes = |lat: &Lat| match &lat.store {
+                Store::Bounded(table) => table.read().bytes,
+                Store::Sharded(_) => unreachable!("a bounded LAT"),
+            };
+            for sig in [10, 11, 12] {
+                lat.insert(&text_obj(sig, 1)).unwrap();
+                lat.insert(&text_obj(sig, 1)).unwrap();
+            }
+            // Folds never evict: a longer LAST text leaves the table over,
+            // by less than a short row's bytes.
+            let room = MAX_BYTES - bytes(&lat);
+            lat.insert(&text_obj(11, room + 50)).unwrap();
+            assert!(bytes(&lat) > MAX_BYTES, "{order}: the folds overfill");
+            assert_eq!(lat.row_count(), 3);
+            let evicted = lat.insert(&text_obj(1, 1)).unwrap();
+            let sigs_out: Vec<i64> = evicted.iter().map(|r| r[0].as_i64().unwrap()).collect();
+            assert_eq!(sigs_out[0], 1, "{order}: the newcomer goes first");
+            assert!(sigs_out.len() > 1, "{order}: and then held rows");
+            assert!(bytes(&lat) <= MAX_BYTES, "{order}: {} B", bytes(&lat));
+            assert_eq!(lat.stats().evictions, sigs_out.len() as u64);
+            assert!(lat.lookup_for(&text_obj(1, 1)).is_none());
+            assert_consistent(&lat);
+        }
+    }
+
+    #[test]
+    fn a_fold_that_lowers_a_rank_makes_it_the_next_victim() {
+        let (clock, _) = ManualClock::shared(0);
+        let spec = LatSpec::new("Lowered")
+            .group_by("Query.Logical_Signature", "Sig")
+            .aggregate(LatAggFunc::Min, "Query.Duration", "Mn")
+            .order_by("Mn", true)
+            .max_rows(3);
+        let lat = Lat::new(spec, clock).unwrap();
+        for (sig, d) in [(1, 10.0), (2, 20.0), (3, 30.0)] {
+            lat.insert(&qobj(sig, d)).unwrap();
+        }
+        // Group 3 was the most important; its MIN falls below everyone's.
+        lat.insert(&qobj(3, 1.0)).unwrap();
+        assert_eq!(lat.stats().victims_examined, 1, "one re-filed row");
+        assert_consistent(&lat);
+        let evicted = lat.insert(&qobj(4, 15.0)).unwrap();
+        assert_eq!(evicted, vec![vec![Value::Int(3), Value::Float(1.0)]]);
+        assert_eq!(sigs(&lat), vec![1, 2, 4]);
+    }
+
+    fn user_obj(sig: u64, user: &str) -> Object {
+        let mut q = QueryInfo::synthetic(1, "q");
+        (q.logical_signature, q.user) = (Some(sig), user.into());
+        query_object(&q)
+    }
+
+    #[test]
+    fn fixed_ties_on_the_first_of_two_grouping_columns_evict_the_smaller_key() {
+        let (clock, _) = ManualClock::shared(0);
+        let spec = LatSpec::new("Pairs")
+            .group_by("Query.Logical_Signature", "Sig")
+            .group_by("Query.User", "Usr")
+            .aggregate(LatAggFunc::Count, "", "N")
+            .order_by("Sig", true)
+            .max_rows(2);
+        let lat = Lat::new(spec, clock).unwrap();
+        lat.insert(&user_obj(1, "b")).unwrap();
+        lat.insert(&user_obj(1, "c")).unwrap();
+        let row = |user: &str| vec![Value::Int(1), Value::text(user), Value::Int(1)];
+        assert_eq!(lat.insert(&user_obj(1, "a")).unwrap(), vec![row("a")]);
+        assert_eq!(lat.insert(&user_obj(1, "d")).unwrap(), vec![row("b")]);
+        let mut users: Vec<Value> = lat.rows().into_iter().map(|r| r[1].clone()).collect();
+        users.sort();
+        assert_eq!(users, [Value::text("c"), Value::text("d")]);
+    }
+
+    #[test]
+    fn an_empty_ordering_spec_evicts_the_smallest_key() {
+        let (clock, _) = ManualClock::shared(0);
+        let spec = LatSpec::new("Any")
+            .group_by("Query.Logical_Signature", "Sig")
+            .aggregate(LatAggFunc::Count, "", "N")
+            .max_rows(2);
+        let lat = Lat::new(spec, clock).unwrap();
+        lat.insert(&qobj(5, 1.0)).unwrap();
+        lat.insert(&qobj(3, 1.0)).unwrap();
+        let row = |sig: i64| vec![vec![Value::Int(sig), Value::Int(1)]];
+        assert_eq!(lat.insert(&qobj(4, 1.0)).unwrap(), row(3));
+        assert_eq!(lat.insert(&qobj(1, 1.0)).unwrap(), row(1));
+        assert_eq!(sigs(&lat), vec![4, 5]);
+    }
+
+    #[test]
+    fn folded_ties_on_equal_count_evict_the_larger_key() {
+        let (clock, _) = ManualClock::shared(0);
+        let spec = LatSpec::new("Counted")
+            .group_by("Query.Logical_Signature", "Sig")
+            .aggregate(LatAggFunc::Count, "", "N")
+            .order_by("N", true)
+            .max_rows(2);
+        let lat = Lat::new(spec, clock).unwrap();
+        lat.insert(&qobj(5, 1.0)).unwrap();
+        lat.insert(&qobj(3, 1.0)).unwrap();
+        let row = |sig: i64| vec![vec![Value::Int(sig), Value::Int(1)]];
+        assert_eq!(lat.insert(&qobj(4, 1.0)).unwrap(), row(5));
+        assert_eq!(lat.insert(&qobj(6, 1.0)).unwrap(), row(6));
+        assert_eq!(sigs(&lat), vec![3, 4]);
+    }
+
+    #[test]
     fn an_evicted_row_is_read_before_its_row_is_recycled() {
-        // Two grouping columns, one of them text: a spare's key is
+        // Two grouping columns, one of them text: a recycled slot's key is
         // overwritten column by column.
         let (clock, _) = ManualClock::shared(0);
         let spec = LatSpec::new("Pairs")
@@ -2275,11 +2636,65 @@ mod tests {
         let unbounded = fill(spec(None, "Sig"));
         let fixed = fill(spec(Some(8), "Sig"));
         let folded = fill(spec(Some(8), "D"));
-        // One handle per row, plus 16 bytes for a numeric filed key.
-        assert_eq!(std::mem::size_of::<ByGroup>(), 8);
-        assert_eq!(std::mem::size_of::<ByRank>(), 24);
-        assert_eq!(fixed, unbounded + 8 * 8);
-        assert_eq!(folded, unbounded + 8 * 24);
+        // A bounded row is a slot in place of a latched row, plus a victim
+        // entry whose rank is inline: one number (Sig) or two (D, then Sig to
+        // break ties). The table has a 16-bucket hash index.
+        assert_eq!(std::mem::size_of::<Rank>(), 24);
+        assert_eq!(std::mem::size_of::<Entry>(), 32);
+        let row = std::mem::size_of::<Slot>() - 48 + std::mem::size_of::<Entry>();
+        let index = 16 * std::mem::size_of::<u64>();
+        assert_eq!(fixed, unbounded + 8 * row + index);
+        assert_eq!(folded, fixed, "two numbers are still inline");
+    }
+
+    /// `Entry::cmp_rank` compares two inline ranks of the same kinds by
+    /// their order-preserving keys, and every other pair through
+    /// `Value::cmp`. The victim order is one order only if the two agree:
+    /// over edge values of each kind, in both directions and either
+    /// direction bit, the key path answers what the values do.
+    #[test]
+    fn inline_rank_keys_order_as_their_values() {
+        let ints = [i64::MIN, -2, -1, 0, 1, i64::MAX].map(Value::Int);
+        let floats = [
+            f64::NEG_INFINITY,
+            f64::MIN,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            5e-324,
+            1.5,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ]
+        .map(Value::Float);
+        let stamps = [0, 1, u64::MAX >> 1, u64::MAX].map(Value::Timestamp);
+        let entry = |a: &Value, b: &Value, down: u32| {
+            let ((k0, b0), (k1, b1)) = (Kind::of(a).unwrap(), Kind::of(b).unwrap());
+            let (len, kinds, bits, slot) = (2, [k0, k1], [b0, b1], 0);
+            let rank = Rank::Inline(Nums { len, kinds, bits });
+            Entry { rank, slot, down }
+        };
+        for vals in [&ints[..], &floats[..], &stamps[..]] {
+            for (a, b) in vals.iter().flat_map(|a| vals.iter().map(move |b| (a, b))) {
+                for down in 0..4 {
+                    let by_values = match down & 1 {
+                        0 => a.cmp(b),
+                        _ => b.cmp(a),
+                    };
+                    // Equal first values fall to the second, which differ.
+                    let (x, y) = (entry(a, &ints[0], down), entry(b, &ints[5], down));
+                    let want = by_values.then(match down & 2 {
+                        0 => Cmp::Less,
+                        _ => Cmp::Greater,
+                    });
+                    assert_eq!(x.cmp_rank(&y), want, "{a:?} vs {b:?}, down {down}");
+                    assert_eq!(x.rank.with_values(|v| v[0].cmp(a)), Cmp::Equal);
+                }
+            }
+        }
     }
 
     #[test]
@@ -2303,28 +2718,40 @@ mod tests {
         assert_eq!(sigs(&lat), vec![1, 2], "3 and 4 had the lowest count");
         let row = lat.lookup_for(&qobj(1, 0.0)).unwrap();
         assert_eq!(row[2], Value::Int(3), "three folds into one group");
-        let boxed = lat.evict_lock.lock().boxed_bytes;
-        assert!(boxed > 0);
-        // A queued fold is counted too, until the evictor re-files the row.
+        let boxed = |lat: &Lat| {
+            let Store::Bounded(table) = &lat.store else {
+                unreachable!("a bounded LAT")
+            };
+            let t = table.read();
+            let entries = t.victims.iter().map(Entry::bytes).sum::<usize>();
+            entries - t.victims.len() * std::mem::size_of::<Entry>()
+        };
+        let filed = boxed(&lat);
+        assert!(filed > 0);
+        // A fold re-files its row at once, in the box it had.
         let before = lat.memory_bytes();
         lat.insert(&qobj(2, 1.0)).unwrap();
-        let queued = std::mem::size_of::<(Rank, Arc<Row>)>() + boxed / 2;
-        assert_eq!(lat.memory_bytes(), before + queued);
-        // Re-seeding a held group swaps its entry; reset drops them all.
+        assert_consistent(&lat);
+        assert_eq!(lat.memory_bytes(), before);
+        // Re-seeding a held group re-files its entry; reset drops them all.
         let usr = row[1].clone();
         lat.seed_row(&[Value::Int(1), usr, Value::Int(9)], 1)
             .unwrap();
         assert_consistent(&lat);
-        assert_eq!(lat.evict_lock.lock().boxed_bytes, boxed);
-        assert_eq!(lat.memory_bytes(), before, "queue drained by the seed");
+        assert_eq!(boxed(&lat), filed);
+        assert_eq!(lat.memory_bytes(), before);
         lat.reset();
         assert_consistent(&lat);
-        assert_eq!(lat.memory_bytes(), 0);
+        assert_eq!(
+            lat.memory_bytes(),
+            8 * std::mem::size_of::<u64>(),
+            "the index"
+        );
     }
 
     #[test]
     fn reset_racing_new_group_inserts_keeps_map_index_and_count_in_step() {
-        // `reset` holds the coordinator lock, so it cannot land between a
+        // `reset` takes the table latch, so it cannot land between a
         // creator's insert and its eviction; whatever the interleaving, the
         // three views of "which rows exist" agree afterwards.
         let folded = LatSpec::new("Race")
@@ -2365,8 +2792,8 @@ mod tests {
     #[test]
     fn seed_racing_folds_on_the_same_group_files_the_row_once() {
         // Regression: a fold reaching a freshly seeded row before it was
-        // filed used to queue it for re-filing, and the row ended up in the
-        // victim index twice — a stale entry that later evicted a live row.
+        // filed used to leave the row in the victim order twice — a stale
+        // entry that later evicted a live row.
         let spec = LatSpec::new("SeedRace")
             .group_by("Query.Logical_Signature", "Sig")
             .aggregate(LatAggFunc::Max, "Query.Duration", "D")

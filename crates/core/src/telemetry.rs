@@ -322,7 +322,7 @@ pub struct LatTelemetry {
     pub resets: u64,
     /// Rows whose ordering key was (re)computed to choose eviction victims
     /// (see [`crate::lat::LatStats::victims_examined`]): stays 0 when the
-    /// victim index does all the work.
+    /// victim order does all the work.
     pub victims_examined: u64,
     /// Aging-window block rolls (§4.3).
     pub aging_rolls: u64,

@@ -673,12 +673,13 @@ fn firing_insert_into_existing_group_allocates_nothing() {
 }
 
 /// A firing rule that creates a group in a full bounded LAT — so every event
-/// also evicts — allocates nothing: the new row is built in the one the last
-/// eviction retired, and there is no owned lookup key, no per-row ordering
-/// key and no victim scan. Two shapes: the paper's Figure 2 (one grouping
-/// column that is also the ordering column, every attribute retained, 10
-/// rows) and Figure 3's top-k (ordered by `MAX(Duration)`, the *folded*
-/// class), where the new row is most often its own victim.
+/// also evicts — allocates nothing: the new row is built in the buffers the
+/// last eviction gave back, and there is no owned lookup key and no victim
+/// scan. Three shapes: the paper's Figure 2 (one grouping column that is
+/// also the ordering column, every attribute retained, 10 rows); Figure 3's
+/// top-k (ordered by `MAX(Duration)`, the *folded* class), where the new row
+/// is most often its own victim; and a text grouping column that is also the
+/// ordering column, whose boxed rank reuses its victim's box.
 #[test]
 fn firing_insert_creating_a_group_in_a_full_lat_allocates_nothing() {
     let last10 = LatSpec::new("Last10")
@@ -699,13 +700,19 @@ fn firing_insert_creating_a_group_in_a_full_lat_allocates_nothing() {
         .aggregate(LatAggFunc::Last, "Query.Query_Text", "Query_Text")
         .order_by("Duration", true)
         .max_rows(10);
-    for spec in [last10, top10] {
+    let by_user = LatSpec::new("ByUser")
+        .group_by("Query.User", "Usr")
+        .aggregate(LatAggFunc::Last, "Query.Duration", "Duration")
+        .order_by("Usr", true)
+        .max_rows(10);
+    for spec in [last10, top10, by_user] {
         let name = spec.name.clone();
         let per_event = allocations_per_firing_insert(spec, 1_000, |i| {
             let mut q = QueryInfo::synthetic(i + 1, "SELECT 1");
             // Scattered durations: a few enter the top 10, most are evicted
             // at once.
             q.duration_micros = (i * 7_919) % 1_000_003;
+            q.user = format!("user {i:05}").into();
             EngineEvent::QueryCommit(q)
         });
         assert_eq!(
