@@ -21,27 +21,28 @@
 //!   evicts — and warns when a single event can transitively trigger more
 //!   than [`crate::Analyzer::cascade_threshold`] rule evaluations.
 
+use crate::admitted::Admitted;
 use crate::depgraph::raised_events;
 use crate::diagnostics::{Code, Diagnostic};
-use crate::effects::rule_effects;
+use crate::effects::{rule_effects, RuleEffects};
 use crate::schema::SchemaUniverse;
 use crate::{RuleEvent, RuleIr};
-use std::sync::Arc;
 
 /// W301: warn when the immediately-preceding same-event rule reads columns
 /// the new rule writes (swapping the adjacent pair changes behaviour).
+/// `new_eff` is `new`'s [`rule_effects`].
 pub fn check_order(
     universe: &SchemaUniverse,
-    admitted: &[Arc<RuleIr>],
+    admitted: &impl Admitted,
     new: &RuleIr,
+    new_eff: &RuleEffects,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let Some(prev) = admitted.iter().rev().find(|r| r.event == new.event) else {
+    let Some(prev) = admitted.on_event(&new.event).next_back() else {
         return;
     };
     let prev_eff = rule_effects(universe, prev);
-    let new_eff = rule_effects(universe, new);
-    if let Some(conflict) = prev_eff.reads_what_it_writes(&new_eff) {
+    if let Some(conflict) = prev_eff.reads_what_it_writes(new_eff) {
         diags.push(
             Diagnostic::new(
                 Code::W301,
@@ -66,55 +67,58 @@ pub fn check_order(
 /// eviction per bounded insert, one alarm per `SetTimer`).
 pub fn check_amplification(
     universe: &SchemaUniverse,
-    admitted: &[Arc<RuleIr>],
+    admitted: &impl Admitted,
     new: &RuleIr,
     threshold: usize,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let all: Vec<&RuleIr> = admitted
-        .iter()
-        .map(Arc::as_ref)
-        .chain(std::iter::once(new))
-        .collect();
+    /// What the walk reads, fixed for one check: the admitted rules with
+    /// `new` after them, of which there are `rules`.
+    struct Walk<'a, A> {
+        universe: &'a SchemaUniverse,
+        admitted: &'a A,
+        new: &'a RuleIr,
+        rules: usize,
+        threshold: usize,
+    }
 
     // Worst-case evaluations triggered by dispatching `event` once. `depth`
     // guards against a cycle in the not-yet-denied candidate set — E004 is
     // reported on this same `check_rule` call and owns that finding, so a
     // cyclic walk sets `cyclic` and the W302 verdict is suppressed.
-    fn evals_for(
-        universe: &SchemaUniverse,
-        all: &[&RuleIr],
+    fn evals_for<A: Admitted>(
+        w: &Walk<'_, A>,
         event: &RuleEvent,
         depth: usize,
-        threshold: usize,
         cyclic: &mut bool,
     ) -> usize {
-        if depth > all.len() {
+        if depth > w.rules {
             *cyclic = true;
             return 0;
         }
         let mut total = 0usize;
-        for rule in all.iter().filter(|r| r.event == *event) {
+        let new = (w.new.event == *event).then_some(w.new);
+        for rule in w.admitted.on_event(event).chain(new) {
             total = total.saturating_add(1);
-            for raised in raised_events(universe, rule) {
-                total = total.saturating_add(evals_for(
-                    universe,
-                    all,
-                    &raised,
-                    depth + 1,
-                    threshold,
-                    cyclic,
-                ));
+            for raised in raised_events(w.universe, rule) {
+                total = total.saturating_add(evals_for(w, &raised, depth + 1, cyclic));
             }
-            if *cyclic || total > threshold {
+            if *cyclic || total > w.threshold {
                 return total; // early out: the bound is already broken
             }
         }
         total
     }
 
+    let walk = Walk {
+        universe,
+        admitted,
+        new,
+        rules: admitted.rule_count() + 1,
+        threshold,
+    };
     let mut cyclic = false;
-    let total = evals_for(universe, &all, &new.event, 0, threshold, &mut cyclic);
+    let total = evals_for(&walk, &new.event, 0, &mut cyclic);
     if !cyclic && total > threshold {
         diags.push(
             Diagnostic::new(
@@ -139,7 +143,17 @@ pub fn check_amplification(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admitted::RuleIndex;
     use crate::{Action, Condition, LatAggFunc, LatSpec};
+    use std::sync::Arc;
+
+    fn index(rules: &[RuleIr]) -> RuleIndex {
+        let mut index = RuleIndex::default();
+        for rule in rules {
+            index.insert(Arc::new(rule.clone()));
+        }
+        index
+    }
 
     fn lat(name: &str, bounded: bool) -> LatSpec {
         let spec = LatSpec::new(name)
@@ -173,16 +187,24 @@ mod tests {
     fn reader_then_writer_is_w301_but_writer_then_reader_is_not() {
         let mut u = SchemaUniverse::builtin();
         assert!(u.register_lat(&lat("L", false)).is_empty());
-        let reader = Arc::new(on_commit("reader", Some("L.N > 5"), vec![]));
-        let writer = Arc::new(on_commit("writer", None, vec![Action::insert("L")]));
+        let reader = on_commit("reader", Some("L.N > 5"), vec![]);
+        let writer = on_commit("writer", None, vec![Action::insert("L")]);
 
         let mut diags = Vec::new();
-        check_order(&u, std::slice::from_ref(&reader), &writer, &mut diags);
+        let writes = rule_effects(&u, &writer);
+        check_order(
+            &u,
+            &index(std::slice::from_ref(&reader)),
+            &writer,
+            &writes,
+            &mut diags,
+        );
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, Code::W301);
 
         let mut diags = Vec::new();
-        check_order(&u, std::slice::from_ref(&writer), &reader, &mut diags);
+        let reads = rule_effects(&u, &reader);
+        check_order(&u, &index(&[writer]), &reader, &reads, &mut diags);
         assert!(diags.is_empty(), "feed-then-react is the intended idiom");
     }
 
@@ -191,21 +213,18 @@ mod tests {
         let mut u = SchemaUniverse::builtin();
         assert!(u.register_lat(&lat("A", true)).is_empty());
         assert!(u.register_lat(&lat("B", true)).is_empty());
-        let mut admitted = vec![Arc::new(on_commit(
-            "feed_a",
-            None,
-            vec![Action::insert("A")],
-        ))];
+        let mut rules = vec![on_commit("feed_a", None, vec![Action::insert("A")])];
         for i in 0..4 {
-            admitted.push(Arc::new(on_eviction(
+            rules.push(on_eviction(
                 &format!("a_spill{i}"),
                 "A",
                 vec![Action::insert("B")],
-            )));
+            ));
         }
         for i in 0..4 {
-            admitted.push(Arc::new(on_eviction(&format!("b_spill{i}"), "B", vec![])));
+            rules.push(on_eviction(&format!("b_spill{i}"), "B", vec![]));
         }
+        let admitted = index(&rules);
         let new = on_commit("feed_a2", None, vec![Action::insert("A")]);
         // Each commit insert may evict from A (4 rules, each may evict from B:
         // 4 rules) — 2 · (1 + 4 · (1 + 4)) = 42 evaluations.

@@ -26,10 +26,11 @@
 //! the plan exploits — and nudges the author to factor the predicate if the
 //! duplication was accidental.
 
+use crate::admitted::{predicates, Admitted};
 use crate::diagnostics::{Code, Diagnostic};
 use crate::schema::SchemaUniverse;
 use crate::{Action, RuleEvent, RuleIr};
-use sqlcm_sql::NodeId;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Events a rule's actions may raise.
@@ -96,36 +97,38 @@ pub fn max_cascade_depth(universe: &SchemaUniverse, rules: &[Arc<RuleIr>]) -> us
         .unwrap_or(0)
 }
 
+/// The rules `rule`'s actions can trigger, in the order the cascade walk
+/// visits them: per event it raises, the admitted rules on that event, then
+/// `new` when it is on it too.
+fn successors<'a>(
+    universe: &SchemaUniverse,
+    admitted: &'a impl Admitted,
+    new: &'a RuleIr,
+    rule: &RuleIr,
+) -> Vec<&'a RuleIr> {
+    let mut next = Vec::new();
+    for raised in raised_events(universe, rule) {
+        next.extend(admitted.on_event(&raised));
+        if new.event == raised {
+            next.push(new);
+        }
+    }
+    next
+}
+
 /// Reject a cascade cycle that `new` would close.
 pub fn check_cascades(
     universe: &SchemaUniverse,
-    existing: &[Arc<RuleIr>],
+    admitted: &impl Admitted,
     new: &RuleIr,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let all: Vec<&RuleIr> = existing
-        .iter()
-        .map(Arc::as_ref)
-        .chain(std::iter::once(new))
-        .collect();
-    let start = all.len() - 1;
-    let successors = |i: usize| -> Vec<usize> {
-        raised_events(universe, all[i])
-            .into_iter()
-            .flat_map(|raised| {
-                all.iter()
-                    .enumerate()
-                    .filter(move |(_, r)| r.event == raised)
-                    .map(|(j, _)| j)
-                    .collect::<Vec<_>>()
-            })
-            .collect()
-    };
     // DFS from the new rule looking for a path back to it.
-    let mut path = vec![start];
-    let mut visited = vec![false; all.len()];
-    if let Some(cycle) = dfs(start, start, &successors, &mut visited, &mut path) {
-        let names: Vec<&str> = cycle.iter().map(|&i| all[i].name.as_str()).collect();
+    let successors = |rule: &RuleIr| successors(universe, admitted, new, rule);
+    let mut path = vec![new];
+    let mut visited = HashSet::new();
+    if let Some(cycle) = dfs(new, new, &successors, &mut visited, &mut path) {
+        let names: Vec<&str> = cycle.iter().map(|r| r.name.as_str()).collect();
         diags.push(
             Diagnostic::new(
                 Code::E004,
@@ -145,19 +148,18 @@ pub fn check_cascades(
     }
 }
 
-fn dfs(
-    cur: usize,
-    target: usize,
-    successors: &impl Fn(usize) -> Vec<usize>,
-    visited: &mut Vec<bool>,
-    path: &mut Vec<usize>,
-) -> Option<Vec<usize>> {
+fn dfs<'a>(
+    cur: &'a RuleIr,
+    target: &RuleIr,
+    successors: &impl Fn(&RuleIr) -> Vec<&'a RuleIr>,
+    visited: &mut HashSet<*const RuleIr>,
+    path: &mut Vec<&'a RuleIr>,
+) -> Option<Vec<&'a RuleIr>> {
     for next in successors(cur) {
-        if next == target {
+        if std::ptr::eq(next, target) {
             return Some(path.clone());
         }
-        if !visited[next] {
-            visited[next] = true;
+        if visited.insert(next) {
             path.push(next);
             if let Some(cycle) = dfs(next, target, successors, visited, path) {
                 return Some(cycle);
@@ -172,23 +174,20 @@ fn dfs(
 /// structurally identical condition, and the same actions. (Same event and
 /// condition with *different* actions is the normal fan-out idiom — one
 /// event feeding several LATs — and is not flagged.)
-pub fn check_duplicates(existing: &[Arc<RuleIr>], new: &RuleIr, diags: &mut Vec<Diagnostic>) {
-    for r in existing {
-        if r.event == new.event && r.condition == new.condition && r.actions == new.actions {
-            diags.push(
-                Diagnostic::new(
-                    Code::W102,
-                    &new.name,
-                    format!(
-                        "duplicates rule `{}`: same event ({}), identical condition and \
-                         actions — the work happens twice on every matching event",
-                        r.name, new.event
-                    ),
-                )
-                .with_help("remove one of the rules"),
-            );
-            return;
-        }
+pub fn check_duplicates(admitted: &impl Admitted, new: &RuleIr, diags: &mut Vec<Diagnostic>) {
+    if let Some(r) = admitted.duplicate_of(new) {
+        diags.push(
+            Diagnostic::new(
+                Code::W102,
+                &new.name,
+                format!(
+                    "duplicates rule `{}`: same event ({}), identical condition and \
+                     actions — the work happens twice on every matching event",
+                    r.name, new.event
+                ),
+            )
+            .with_help("remove one of the rules"),
+        );
     }
 }
 
@@ -203,7 +202,7 @@ pub fn check_duplicates(existing: &[Arc<RuleIr>], new: &RuleIr, diags: &mut Vec<
 /// plan uses to assign shared CSE slots — with a structural-equality check
 /// guarding against hash collisions.
 pub fn check_shared_predicates(
-    existing: &[Arc<RuleIr>],
+    admitted: &impl Admitted,
     new: &RuleIr,
     diags: &mut Vec<Diagnostic>,
 ) {
@@ -211,57 +210,30 @@ pub fn check_shared_predicates(
         return;
     };
     // Candidate subtrees of the new condition, largest first.
-    let mut cands: Vec<NodeId> = Vec::new();
-    folded.for_each(folded.root, &mut |id| {
-        if folded.is_boolish(id) && folded.size_of(id) >= 3 {
-            cands.push(id);
-        }
-    });
+    let mut cands = predicates(folded);
     if cands.is_empty() {
         return;
     }
     cands.sort_by_key(|&c| std::cmp::Reverse(folded.size_of(c)));
-    for r in existing {
-        let Some(rir) = r.condition.as_ref().map(|c| c.folded()) else {
-            continue;
-        };
-        if r.event != new.event {
-            continue;
-        }
-        if rir.hash_of(rir.root) == folded.hash_of(folded.root) {
-            continue;
-        }
-        let shared = cands.iter().copied().find(|&c| {
-            let h = folded.hash_of(c);
-            let mut found = false;
-            rir.for_each(rir.root, &mut |id| {
-                if !found && rir.hash_of(id) == h && rir.subtree_eq(id, folded, c) {
-                    found = true;
-                }
-            });
-            found
-        });
-        if let Some(node) = shared {
-            diags.push(
-                Diagnostic::new(
-                    Code::W105,
-                    &new.name,
-                    format!(
-                        "predicate `{}` is duplicated from rule `{}` on the same event ({})",
-                        folded.disp(node),
-                        r.name,
-                        new.event
-                    ),
-                )
-                .with_span(folded.render(node))
-                .with_help(
-                    "the dispatch plan evaluates the shared subexpression once per event \
-                     (CSE slot); if the duplication is accidental, factor the predicate \
-                     into a single rule",
+    if let Some((r, node)) = admitted.sharing_predicate(new, &cands) {
+        diags.push(
+            Diagnostic::new(
+                Code::W105,
+                &new.name,
+                format!(
+                    "predicate `{}` is duplicated from rule `{}` on the same event ({})",
+                    folded.disp(node),
+                    r.name,
+                    new.event
                 ),
-            );
-            return;
-        }
+            )
+            .with_span(folded.render(node))
+            .with_help(
+                "the dispatch plan evaluates the shared subexpression once per event \
+                 (CSE slot); if the duplication is accidental, factor the predicate \
+                 into a single rule",
+            ),
+        );
     }
 }
 

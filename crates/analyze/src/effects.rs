@@ -19,8 +19,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use sqlcm_sql::ExprIr;
-use std::sync::Arc;
 
+use crate::admitted::Admitted;
 use crate::diagnostics::{Code, Diagnostic};
 use crate::schema::SchemaUniverse;
 use crate::{Action, RuleIr};
@@ -175,31 +175,24 @@ fn collect_reads(universe: &SchemaUniverse, ir: &ExprIr, eff: &mut RuleEffects) 
 /// the implicit-∃ keeps the condition false outright.
 ///
 /// Group-key columns are exempt: probing the key of a LAT that a later rule
-/// (or an operator) feeds is the legitimate existence-test idiom.
+/// (or an operator) feeds is the legitimate existence-test idiom. `eff` is
+/// `rule`'s [`rule_effects`].
 pub fn check_unfed_reads(
     universe: &SchemaUniverse,
-    admitted: &[Arc<RuleIr>],
+    admitted: &impl Admitted,
     rule: &RuleIr,
+    eff: &RuleEffects,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let eff = rule_effects(universe, rule);
-    if eff.lat_reads.is_empty() {
-        return;
-    }
-    let mut fed: BTreeSet<String> = BTreeSet::new();
-    for r in admitted
-        .iter()
-        .map(Arc::as_ref)
-        .chain(std::iter::once(rule))
-    {
-        for action in &r.actions {
-            if let Action::Insert { lat } = action {
-                fed.insert(lat.to_ascii_lowercase());
-            }
-        }
-    }
+    let fed = |lat: &str| {
+        admitted.feeds(lat)
+            || rule
+                .actions
+                .iter()
+                .any(|a| matches!(a, Action::Insert { lat: l } if l.eq_ignore_ascii_case(lat)))
+    };
     for (lat_key, reads) in &eff.lat_reads {
-        if fed.contains(lat_key) {
+        if fed(lat_key) {
             continue;
         }
         let Some(schema) = universe.lat(lat_key) else {
@@ -305,34 +298,25 @@ mod tests {
     #[test]
     fn unfed_aggregate_read_is_w203_but_key_read_is_not() {
         let u = universe_with_lat();
-        let mut diags = Vec::new();
-        check_unfed_reads(
-            &u,
-            &[],
-            &rule("r", Some("D_LAT.AD > 1"), vec![]),
-            &mut diags,
-        );
+        let check = |admitted: &[RuleIr], rule: &RuleIr| {
+            let mut index = crate::admitted::RuleIndex::default();
+            for r in admitted {
+                index.insert(std::sync::Arc::new(r.clone()));
+            }
+            let mut diags = Vec::new();
+            check_unfed_reads(&u, &index, rule, &rule_effects(&u, rule), &mut diags);
+            diags
+        };
+        let diags = check(&[], &rule("r", Some("D_LAT.AD > 1"), vec![]));
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, Code::W203);
 
-        let mut diags = Vec::new();
-        check_unfed_reads(
-            &u,
-            &[],
-            &rule("k", Some("D_LAT.Sig = 7"), vec![]),
-            &mut diags,
-        );
+        let diags = check(&[], &rule("k", Some("D_LAT.Sig = 7"), vec![]));
         assert!(diags.is_empty(), "{diags:?}");
 
         // A feeder anywhere in the admitted set silences the warning.
-        let feeder = Arc::new(rule("feed", None, vec![Action::insert("D_LAT")]));
-        let mut diags = Vec::new();
-        check_unfed_reads(
-            &u,
-            std::slice::from_ref(&feeder),
-            &rule("r", Some("D_LAT.AD > 1"), vec![]),
-            &mut diags,
-        );
+        let feeder = rule("feed", None, vec![Action::insert("D_LAT")]);
+        let diags = check(&[feeder], &rule("r", Some("D_LAT.AD > 1"), vec![]));
         assert!(diags.is_empty(), "{diags:?}");
     }
 }

@@ -44,6 +44,7 @@
 //! The crate is deliberately independent of `sqlcm-core` (core calls *into*
 //! the analyzer).
 
+pub mod admitted;
 pub mod confluence;
 pub mod cost;
 pub mod depgraph;
@@ -57,6 +58,7 @@ pub mod rule;
 pub mod schema;
 pub mod typeck;
 
+pub use admitted::{holds, Admitted};
 pub use cost::DEFAULT_COST_THRESHOLD;
 pub use diagnostics::{has_errors, Code, Diagnostic, Severity};
 pub use effects::{rule_effects, LatWriteEffect, RuleEffects};
@@ -69,6 +71,7 @@ pub use schema::{ClassName, ClassSchema, LatColumn, LatSchema, SchemaUniverse};
 /// evaluations one event may transitively trigger before W302 fires.
 pub const DEFAULT_CASCADE_THRESHOLD: usize = 64;
 
+use admitted::RuleIndex;
 use sqlcm_sql::{Expr, ExprIr};
 use std::sync::Arc;
 
@@ -156,7 +159,8 @@ pub fn expr_refs(ir: &ExprIr) -> (Vec<ClassName>, Vec<String>) {
 
 // ------------------------------------------------------------ analyzer
 
-/// Stateful analyzer: a schema universe plus the rules admitted so far.
+/// Stateful analyzer: a schema universe plus the rules admitted so far,
+/// indexed for the cross-rule lints ([`admitted`]).
 ///
 /// Feed it LATs ([`check_lat`](Analyzer::check_lat)) and rules
 /// ([`check_rule`](Analyzer::check_rule)) in registration order; each call
@@ -166,7 +170,7 @@ pub fn expr_refs(ir: &ExprIr) -> (Vec<ClassName>, Vec<String>) {
 #[derive(Debug, Clone)]
 pub struct Analyzer {
     universe: SchemaUniverse,
-    rules: Vec<Arc<RuleIr>>,
+    admitted: RuleIndex,
     /// Per-firing cost above which [`Code::W201`] fires.
     pub cost_threshold: u32,
     /// Worst-case transitive evaluations per event above which
@@ -184,7 +188,7 @@ impl Analyzer {
     pub fn new() -> Analyzer {
         Analyzer {
             universe: SchemaUniverse::builtin(),
-            rules: Vec::new(),
+            admitted: RuleIndex::default(),
             cost_threshold: DEFAULT_COST_THRESHOLD,
             cascade_threshold: DEFAULT_CASCADE_THRESHOLD,
         }
@@ -196,7 +200,7 @@ impl Analyzer {
 
     /// Rules admitted so far.
     pub fn rules(&self) -> &[Arc<RuleIr>] {
-        &self.rules
+        self.admitted.rules()
     }
 
     /// Check a LAT spec; admits its schema when clean.
@@ -207,12 +211,26 @@ impl Analyzer {
     /// Admit a rule without checking — used to seed the analyzer with rules
     /// that were already validated at their own registration time.
     pub fn seed_rule(&mut self, rule: Arc<RuleIr>) {
-        self.rules.push(rule);
+        self.admitted.insert(rule);
+    }
+
+    /// Take an admitted rule — the `Arc` it was admitted as — back out;
+    /// false when it is not admitted. The analyzer is then the one the
+    /// remaining rules, admitted in their order, would have made.
+    pub fn remove_rule(&mut self, rule: &Arc<RuleIr>) -> bool {
+        self.admitted.remove(rule)
     }
 
     /// Run every check on one rule against the current universe and the
     /// rules admitted so far. Pure: does not admit the rule.
     pub fn diagnose(&self, rule: &RuleIr) -> Vec<Diagnostic> {
+        self.diagnose_with(&self.admitted, rule)
+    }
+
+    /// [`diagnose`](Analyzer::diagnose) with the cross-rule lints asking
+    /// `admitted` instead of this analyzer's own rules — how a linear scan
+    /// over the same rules is checked against the indexes.
+    pub fn diagnose_with(&self, admitted: &impl Admitted, rule: &RuleIr) -> Vec<Diagnostic> {
         let mut diags = Vec::new();
         if let Some(cond) = &rule.condition {
             typeck::check_condition(&self.universe, &rule.name, cond.lowered(), &mut diags);
@@ -224,9 +242,9 @@ impl Analyzer {
         }
         self.check_action_targets(rule, &mut diags);
         joinability::check_rule(&self.universe, rule, &mut diags);
-        depgraph::check_duplicates(&self.rules, rule, &mut diags);
-        depgraph::check_shared_predicates(&self.rules, rule, &mut diags);
-        depgraph::check_cascades(&self.universe, &self.rules, rule, &mut diags);
+        depgraph::check_duplicates(admitted, rule, &mut diags);
+        depgraph::check_shared_predicates(admitted, rule, &mut diags);
+        depgraph::check_cascades(&self.universe, admitted, rule, &mut diags);
         cost::check_rule(&self.universe, rule, self.cost_threshold, &mut diags);
         cost::check_unconditional_external(rule, &mut diags);
         // Guard/effect/confluence lints describe how the rule will behave
@@ -234,11 +252,12 @@ impl Analyzer {
         // piling style warnings on top of the denial is noise.
         if !has_errors(&diags) {
             cost::check_unindexable(rule, &mut diags);
-            effects::check_unfed_reads(&self.universe, &self.rules, rule, &mut diags);
-            confluence::check_order(&self.universe, &self.rules, rule, &mut diags);
+            let effects = rule_effects(&self.universe, rule);
+            effects::check_unfed_reads(&self.universe, admitted, rule, &effects, &mut diags);
+            confluence::check_order(&self.universe, admitted, rule, &effects, &mut diags);
             confluence::check_amplification(
                 &self.universe,
-                &self.rules,
+                admitted,
                 rule,
                 self.cascade_threshold,
                 &mut diags,
@@ -252,7 +271,7 @@ impl Analyzer {
     pub fn check_rule(&mut self, rule: &RuleIr) -> Vec<Diagnostic> {
         let diags = self.diagnose(rule);
         if !has_errors(&diags) {
-            self.rules.push(Arc::new(rule.clone()));
+            self.admitted.insert(Arc::new(rule.clone()));
         }
         diags
     }
@@ -263,7 +282,7 @@ impl Analyzer {
     /// the trace-vs-analyzer cross-check. See
     /// [`depgraph::max_cascade_depth`].
     pub fn max_cascade_depth(&self) -> usize {
-        depgraph::max_cascade_depth(&self.universe, &self.rules)
+        depgraph::max_cascade_depth(&self.universe, self.rules())
     }
 
     /// E001 for actions that target a LAT the universe does not know.

@@ -112,7 +112,7 @@ impl fmt::Display for RuleEvent {
 }
 
 /// One action of a rule's A-clause (paper §5.3), executed in list order.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Action {
     /// `Insert(LATName)` — fold the in-context object into the LAT.
     Insert { lat: String },

@@ -15,8 +15,10 @@
 //! tables). Non-iterable classes are only in scope when the event payload
 //! carries them — the joinability and dead-rule checks key off this flag.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::OnceLock;
 
 use sqlcm_common::DataType;
@@ -88,6 +90,16 @@ impl PartialEq for ClassName {
 }
 
 impl Eq for ClassName {}
+
+impl Hash for ClassName {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        if let ClassName::Evicted(lat) = self {
+            lat.bytes()
+                .for_each(|b| state.write_u8(b.to_ascii_lowercase()));
+        }
+    }
+}
 
 impl fmt::Display for ClassName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -317,9 +329,23 @@ fn builtin_classes() -> &'static [ClassSchema] {
 /// the LATs registered so far.
 #[derive(Debug, Clone)]
 pub struct SchemaUniverse {
-    /// Keyed by lowercased LAT name (LAT names are case-insensitive at
-    /// runtime).
-    lats: HashMap<String, LatSchema>,
+    /// Keyed by [`caseless`] LAT name (LAT names are case-insensitive at
+    /// runtime); more than one schema under a key only on a collision.
+    lats: HashMap<u64, Vec<LatSchema>>,
+}
+
+/// Hash of a name's ASCII-lowercase form, made without allocating it.
+fn caseless(name: &str) -> u64 {
+    let mut h = DefaultHasher::new();
+    for chunk in name.as_bytes().chunks(32) {
+        let mut lower = [0u8; 32];
+        lower
+            .iter_mut()
+            .zip(chunk)
+            .for_each(|(l, b)| *l = b.to_ascii_lowercase());
+        h.write(&lower[..chunk.len()]);
+    }
+    h.finish()
 }
 
 impl Default for SchemaUniverse {
@@ -347,11 +373,12 @@ impl SchemaUniverse {
 
     /// Case-insensitive LAT lookup.
     pub fn lat(&self, name: &str) -> Option<&LatSchema> {
-        self.lats.get(&name.to_ascii_lowercase())
+        let same = self.lats.get(&caseless(name))?;
+        same.iter().find(|l| l.name.eq_ignore_ascii_case(name))
     }
 
     pub fn lats(&self) -> impl Iterator<Item = &LatSchema> {
-        self.lats.values()
+        self.lats.values().flatten()
     }
 
     /// Derive a [`LatSchema`] from a LAT spec and register it. Reports `E001`
@@ -395,17 +422,16 @@ impl SchemaUniverse {
         }
 
         if !crate::diagnostics::has_errors(&diags) {
-            self.lats.insert(
-                spec.name.to_ascii_lowercase(),
-                LatSchema {
-                    name: spec.name.clone(),
-                    source_class: spec.group_by.first().map(|g| g.source.class.clone()),
-                    columns,
-                    bounded: spec.bounded(),
-                    aging_aggregates: spec.aggregates.iter().filter(|a| a.aging.is_some()).count(),
-                    aggregate_count: spec.aggregates.len(),
-                },
-            );
+            let same = self.lats.entry(caseless(&spec.name)).or_default();
+            same.retain(|l| !l.name.eq_ignore_ascii_case(&spec.name));
+            same.push(LatSchema {
+                name: spec.name.clone(),
+                source_class: spec.group_by.first().map(|g| g.source.class.clone()),
+                columns,
+                bounded: spec.bounded(),
+                aging_aggregates: spec.aggregates.iter().filter(|a| a.aging.is_some()).count(),
+                aggregate_count: spec.aggregates.len(),
+            });
         }
         diags
     }

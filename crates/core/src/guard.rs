@@ -28,13 +28,15 @@
 //!
 //! The index lives inside the immutable [`crate::plan::EventPlan`] of its
 //! event class: rule churn on the class rebuilds it, a rule appended to the
-//! class is installed into a copy of its predecessor's, and probing
-//! allocates nothing. It covers every registered rule of the class; a
+//! class is installed into a clone of its predecessor's that shares the
+//! equality maps' partitions it does not write ([`crate::shared`]), and
+//! probing allocates nothing. It covers every registered rule of the class; a
 //! candidate that is disabled or quarantined is dropped when the event pins
 //! the rules it runs.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 use sqlcm_analyze::intervals::Interval;
@@ -44,6 +46,7 @@ use sqlcm_common::Value;
 use crate::ir::{CondIr, Resolved};
 use crate::objects::{ClassName, Object};
 use crate::plan::PlanRule;
+use crate::shared::Partitioned;
 
 /// Human-readable reason `guard` pruned its rule for this payload, for
 /// sampled traces. Only called off the fast path.
@@ -82,17 +85,48 @@ pub(crate) fn explain(guard: &Guard, objects: &[Object]) -> String {
     }
 }
 
-/// All equality guards over one `(class, attribute)`, probed with a single
-/// hash lookup. [`Value`]'s `Hash`/`Eq` are consistent with the VM's `=`
-/// (`Int(2)` and `Float(2.0)` share a bucket and compare equal).
+/// All equality guards over one `(class, attribute)`, probed with one hash
+/// of the value and one lookup. [`Value`]'s `Hash`/`Eq` are consistent with
+/// the VM's `=` (`Int(2)` and `Float(2.0)` hash alike and compare equal).
 #[derive(Clone)]
 struct EqGroup {
     class: ClassName,
     attr: usize,
-    /// Rules per admitted value, in registration order. Keys (`Arc<str>`
-    /// text) and rule lists are shared with the index this one was copied
-    /// from, so the copy an append pays allocates nothing per entry.
-    map: HashMap<Value, Arc<[u32]>>,
+    /// Rules per admitted value, in registration order, under the value's
+    /// hash by [`GuardIndex::hasher`] — or, when another value holds that
+    /// hash, under the next hash free or holding it. Partitioned, so an
+    /// append copies one partition.
+    map: Partitioned<Option<(Value, Arc<[u32]>)>>,
+}
+
+impl EqGroup {
+    /// The rules whose guard admits `v`, whose hash is `hash`.
+    fn admitting(&self, mut hash: u64, v: &Value) -> Option<&[u32]> {
+        loop {
+            let (x, rules) = self.map.get(hash)?.as_ref()?;
+            if x == v {
+                return Some(rules);
+            }
+            hash = hash.wrapping_add(1);
+        }
+    }
+
+    /// Enter `rule` among the rules admitting `v`, whose hash is `hash`.
+    fn admit(&mut self, mut hash: u64, v: &Value, rule: u32) {
+        loop {
+            match self.map.entry(hash) {
+                Some((x, rules)) if x == v => {
+                    *rules = rules.iter().copied().chain([rule]).collect();
+                    return;
+                }
+                Some(_) => hash = hash.wrapping_add(1),
+                free => {
+                    *free = Some((v.clone(), Arc::new([rule])));
+                    return;
+                }
+            }
+        }
+    }
 }
 
 /// All range guards over one `(class, attribute)`, swept flat in ascending
@@ -157,6 +191,9 @@ fn indexable(pr: &PlanRule) -> Option<Indexable<'_>> {
 /// dispatched event.
 #[derive(Clone)]
 pub(crate) struct GuardIndex {
+    /// Hashes equality-guard values, here and in every index appended to
+    /// this one.
+    hasher: RandomState,
     /// Per payload class any indexed rule reads: minimum attribute-vector
     /// width its condition assumes. A probe over objects missing a class (or
     /// narrower than assumed — possible for synthetic payloads) is unusable
@@ -191,8 +228,9 @@ impl GuardIndex {
 
     /// The index of these rules followed by `pr` — what `build` over the
     /// longer slice returns: `pr` is the last rule, so it joins each group
-    /// it belongs to after every guard already there. The copy is the cost;
-    /// no installed guard is looked at again.
+    /// it belongs to after every guard already there. No installed guard is
+    /// looked at again; the clone copies one partition per equality group
+    /// the rule joins, the range groups and the residual bitset.
     pub fn appended(&self, pr: &PlanRule) -> GuardIndex {
         let mut idx = self.clone();
         let ri = idx.indexed_rules + idx.residual_rules;
@@ -207,6 +245,7 @@ impl GuardIndex {
         rules: impl ExactSizeIterator<Item = Option<Indexable<'a>>>,
     ) -> Option<GuardIndex> {
         let mut idx = GuardIndex {
+            hasher: RandomState::new(),
             required: Vec::new(),
             eq_groups: Vec::new(),
             range_groups: Vec::new(),
@@ -284,14 +323,13 @@ impl GuardIndex {
                         self.eq_groups.push(EqGroup {
                             class: class.clone(),
                             attr,
-                            map: HashMap::new(),
+                            map: Partitioned::default(),
                         });
                         self.eq_groups.len() - 1
                     }
                 };
                 for v in values {
-                    let rules = self.eq_groups[gi].map.entry(v.clone()).or_default();
-                    *rules = rules.iter().copied().chain([rule]).collect();
+                    self.eq_groups[gi].admit(self.hasher.hash_one(v), v, rule);
                 }
             }
             GuardKind::Range { lo, hi } => {
@@ -356,8 +394,8 @@ impl GuardIndex {
                 // violated, all its rules stay pruned.
                 continue;
             }
-            if let Some(rules) = g.map.get(v) {
-                for &r in rules.iter() {
+            if let Some(rules) = g.admitting(self.hasher.hash_one(v), v) {
+                for &r in rules {
                     bits[(r >> 6) as usize] |= 1 << (r & 63);
                 }
             }
@@ -404,7 +442,7 @@ impl GuardIndex {
     /// Everything `probe` reads, in an order two equal indexes share.
     pub fn canonical(&self) -> String {
         let eq_groups = self.eq_groups.iter().map(|g| {
-            let mut map: Vec<_> = g.map.iter().collect();
+            let mut map: Vec<_> = g.map.iter().filter_map(|(_, e)| e.as_ref()).collect();
             map.sort();
             format!("{}#{} {map:?}", g.class, g.attr)
         });
@@ -431,6 +469,7 @@ mod tests {
     use crate::rules::{Rule, RuleEvent};
     use sqlcm_analyze::rule_guard;
     use sqlcm_common::QueryInfo;
+    use std::collections::HashMap;
 
     /// The registration pipeline for one QueryCommit condition: the stored
     /// guard verdict (if any) and the compiled condition.
@@ -485,6 +524,26 @@ mod tests {
         assert_eq!(probe_one(&idx, &[fast]), vec![0, 3]);
         let slow = query("carol", 2_500_000);
         assert_eq!(probe_one(&idx, &[slow]), vec![2, 3]);
+    }
+
+    /// Two values under one hash: the second takes the next hash, and each
+    /// finds its own rules.
+    #[test]
+    fn values_whose_hashes_collide_keep_their_own_rules() {
+        let mut g = EqGroup {
+            class: ClassName::Query,
+            attr: 0,
+            map: Partitioned::default(),
+        };
+        let (a, b) = (Value::Int(1), Value::Text("b".into()));
+        g.admit(7, &a, 0);
+        g.admit(7, &b, 1);
+        g.admit(7, &a, 2);
+        g.admit(8, &Value::Int(3), 3);
+        assert_eq!(g.admitting(7, &a), Some(&[0, 2][..]));
+        assert_eq!(g.admitting(7, &b), Some(&[1][..]));
+        assert_eq!(g.admitting(8, &Value::Int(3)), Some(&[3][..]));
+        assert_eq!(g.admitting(7, &Value::Int(9)), None);
     }
 
     #[test]

@@ -89,6 +89,7 @@ use sqlcm_common::{Error, Result, SharedClock, Timestamp, Value};
 use sqlcm_telemetry::ShardedCounter;
 
 use crate::objects::Object;
+use crate::shared::StoredHash;
 
 /// Independently locked row-map shards per unbounded LAT.
 const LAT_SHARDS: usize = 16;
@@ -639,26 +640,9 @@ impl PartialEq for Row {
 
 impl Eq for Row {}
 
-/// The shard tables' hasher. A key writes one `u64`, its stored hash — keyed
-/// by the LAT's `RandomState` — and that is the hash: the tables never hash a
-/// key themselves.
-#[derive(Default)]
-struct StoredHash(u64);
-
-impl Hasher for StoredHash {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("shard-table keys write only their stored hash")
-    }
-
-    fn write_u64(&mut self, hash: u64) {
-        self.0 = hash;
-    }
-}
-
+/// A shard table. A row writes its stored hash — keyed by the LAT's
+/// `RandomState` — and that is the hash: the tables never hash a key
+/// themselves.
 type RowSet = HashSet<Row, BuildHasherDefault<StoredHash>>;
 
 /// Importance comparison per the ordering spec, column by column: on a DESC

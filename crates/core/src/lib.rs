@@ -62,6 +62,7 @@ pub mod monitor_ref;
 pub mod objects;
 pub mod plan;
 pub mod rules;
+mod shared;
 pub mod sinks;
 pub mod telemetry;
 pub mod timer;
@@ -80,7 +81,9 @@ pub use objects::{ClassName, Object};
 pub use plan::{HoistGroup, PlanSummary};
 pub use rules::{Rule, RuleEvent};
 pub use sinks::{CommandSink, MailSink, RecordingCommandSink, RecordingMailSink};
-pub use sqlcm_analyze::{rule_guard, Analyzer, Code, Diagnostic, Residual, RuleIr, Severity};
+pub use sqlcm_analyze::{
+    holds, rule_guard, Admitted, Analyzer, Code, Diagnostic, Residual, RuleIr, Severity,
+};
 pub use telemetry::{
     DispatchTelemetry, LatTelemetry, MatchingTelemetry, ProbeTelemetry, RuleError, RuleTelemetry,
     TelemetrySnapshot,

@@ -1117,7 +1117,7 @@ impl SqlcmInner {
         }
         let now = self.clock.now_micros();
         let mut reopened = 0;
-        for reg in &self.plan.load().rules {
+        for reg in self.plan.load().rules.iter() {
             if reg.breaker.maybe_half_open(now) {
                 self.sync_quarantine(reg);
                 self.containment.breaker_reopens.incr();

@@ -38,7 +38,7 @@ use sqlcm_engine::engine::EngineInner;
 use sqlcm_engine::instrument::Instrumentation;
 use sqlcm_engine::Engine;
 
-use sqlcm_analyze::{Analyzer, Diagnostic};
+use sqlcm_analyze::Analyzer;
 use sqlcm_telemetry::ShardedCounter;
 
 use crate::containment::{BreakerConfig, Containment};
@@ -46,7 +46,7 @@ use crate::deferred::{AttemptOutcome, DeferredQueue, RetryPolicy};
 use crate::fault::{FaultPlan, FaultState};
 use crate::lat::Lat;
 use crate::objects;
-use crate::plan::{DispatchPlan, PlanCell, Registered};
+use crate::plan::{DispatchPlan, PlanCell};
 use crate::rules::RuleEvent;
 use crate::sinks::{CommandSink, MailSink, RecordingCommandSink, RecordingMailSink};
 use crate::telemetry::{Telem, SELF_MONITOR_TIMER};
@@ -59,6 +59,7 @@ mod registry;
 
 use dispatch::SqlcmMonitor;
 pub(crate) use dispatch::{kind_of, payload_objects_in};
+use registry::{RuleTable, WarningLog};
 
 /// Aggregate counters for one SQLCM instance.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -122,7 +123,7 @@ struct SqlcmInner {
     engine: Arc<EngineInner>,
     clock: SharedClock,
     lats: RwLock<HashMap<String, Arc<Lat>>>,
-    rules: RwLock<Vec<Arc<Registered>>>,
+    rules: RwLock<RuleTable>,
     /// The published dispatch plan the hot path runs on (`crate::plan`).
     plan: PlanCell,
     /// Serializes the four registry mutations, each from its first look at
@@ -130,8 +131,9 @@ struct SqlcmInner {
     /// plan of the registry, and [`DispatchPlan::next`] always has exactly
     /// one change to account for. What it guards is the analyzer those
     /// mutations keep current — `define_lat` and `add_rule` admit into it,
-    /// `drop_lat` and `remove_rule` discard it (`SchemaUniverse` has no
-    /// removal) and its next user seeds a fresh one from the registry.
+    /// `remove_rule` takes its rule back out, `drop_lat` discards it
+    /// (`SchemaUniverse` has no removal) and its next user seeds a fresh one
+    /// from the registry.
     registration: Mutex<Option<Analyzer>>,
     timers: TimerRegistry,
     outbox: Arc<RecordingMailSink>,
@@ -148,7 +150,7 @@ struct SqlcmInner {
     /// Warnings collected by the static analyzer across registrations.
     /// Deduplicated by (code, rule, message) and capped at
     /// [`MAX_ANALYSIS_WARNINGS`], oldest dropped first.
-    analysis_warnings: Mutex<Vec<Diagnostic>>,
+    analysis_warnings: Mutex<WarningLog>,
     /// Self-telemetry state (probe/rule/LAT metrics, flight recorder).
     telemetry: Telem,
     /// Causal-trace state (sampling policy, trace ring, span pool).
@@ -258,7 +260,7 @@ impl Sqlcm {
             engine: handle,
             clock: clock.clone(),
             lats: RwLock::new(HashMap::new()),
-            rules: RwLock::new(Vec::new()),
+            rules: RwLock::new(RuleTable::default()),
             plan: PlanCell::new(Arc::new(DispatchPlan::default())),
             registration: Mutex::new(None),
             timers: TimerRegistry::new(clock),
@@ -272,7 +274,7 @@ impl Sqlcm {
             actions: ShardedCounter::new(),
             action_errors: ShardedCounter::new(),
             last_error: Mutex::new(None),
-            analysis_warnings: Mutex::new(Vec::new()),
+            analysis_warnings: Mutex::new(WarningLog::default()),
             telemetry: Telem::new(),
             tracer: Tracer::new(),
             containment: Containment::new(),

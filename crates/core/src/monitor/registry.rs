@@ -4,13 +4,13 @@
 //! and by nothing else, so the published plan is always the plan of the
 //! registry.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use sqlcm_common::{Error, Result};
 
-use sqlcm_analyze::{rule_guard, Analyzer, Diagnostic};
+use sqlcm_analyze::{rule_guard, Analyzer, Code, Diagnostic};
 
 use crate::actions::{persist_rows, read_table, Action};
 use crate::containment::RuleBreaker;
@@ -25,6 +25,44 @@ type Registration<'a> = parking_lot::MutexGuard<'a, Option<Analyzer>>;
 
 /// Upper bound on retained analyzer warnings; the oldest are dropped first.
 const MAX_ANALYSIS_WARNINGS: usize = 1024;
+
+/// The registered rules in registration order — what the slice it derefs
+/// to holds — and by name.
+#[derive(Default)]
+pub(super) struct RuleTable {
+    order: Vec<Arc<Registered>>,
+    by_name: HashMap<String, Arc<Registered>>,
+}
+
+impl std::ops::Deref for RuleTable {
+    type Target = [Arc<Registered>];
+
+    fn deref(&self) -> &[Arc<Registered>] {
+        &self.order
+    }
+}
+
+impl RuleTable {
+    fn push(&mut self, reg: Arc<Registered>) {
+        self.by_name.insert(reg.rule.name.clone(), reg.clone());
+        self.order.push(reg);
+    }
+
+    fn remove(&mut self, name: &str) -> Option<Arc<Registered>> {
+        let reg = self.by_name.remove(name)?;
+        self.order.retain(|r| !Arc::ptr_eq(r, &reg));
+        Some(reg)
+    }
+}
+
+/// The analyzer warnings kept for [`Sqlcm::analysis_warnings`], oldest
+/// first, with the (code, rule, message) of each so a repeat is skipped in
+/// one lookup.
+#[derive(Default)]
+pub(super) struct WarningLog {
+    entries: VecDeque<Diagnostic>,
+    seen: HashSet<(Code, String, String)>,
+}
 
 impl SqlcmInner {
     // -------------------------------------------------- counted registry locks
@@ -45,12 +83,12 @@ impl SqlcmInner {
         self.lats.write()
     }
 
-    fn rules_read(&self) -> parking_lot::RwLockReadGuard<'_, Vec<Arc<Registered>>> {
+    fn rules_read(&self) -> parking_lot::RwLockReadGuard<'_, RuleTable> {
         self.telemetry.reg_lock_acquisitions.incr();
         self.rules.read()
     }
 
-    fn rules_write(&self) -> parking_lot::RwLockWriteGuard<'_, Vec<Arc<Registered>>> {
+    fn rules_write(&self) -> parking_lot::RwLockWriteGuard<'_, RuleTable> {
         self.telemetry.reg_lock_acquisitions.incr();
         self.rules.write()
     }
@@ -74,8 +112,7 @@ impl SqlcmInner {
     /// The registered rule of that name. Uncounted registry read, like the
     /// other observability accessors.
     pub(super) fn registered(&self, name: &str) -> Option<Arc<Registered>> {
-        let rules = self.rules.read();
-        rules.iter().find(|r| r.rule.name == name).cloned()
+        self.rules.read().by_name.get(name).cloned()
     }
 }
 
@@ -111,8 +148,8 @@ impl Sqlcm {
     /// The analyzer kept under the registration lock: every registered LAT
     /// checked and every registered rule admitted (each rule's IR by `Arc`
     /// clone — nothing is re-lowered). Seeded from the registry when there is
-    /// none — at first use, and after a `drop_lat`/`remove_rule` discarded
-    /// it, which keeps the analyzer trivially consistent with removals.
+    /// none — at first use, and after a `drop_lat` discarded it (a schema
+    /// cannot be taken out of it; a rule can, and `remove_rule` does).
     fn analyzer<'a>(&self, kept: &'a mut Option<Analyzer>) -> &'a mut Analyzer {
         kept.get_or_insert_with(|| {
             let mut analyzer = Analyzer::new();
@@ -157,28 +194,27 @@ impl Sqlcm {
             return;
         }
         let mut log = self.inner.analysis_warnings.lock();
+        let key = |w: &Diagnostic| (w.code, w.rule.clone(), w.message.clone());
         for w in warnings {
-            if log
-                .iter()
-                .any(|e| e.code == w.code && e.rule == w.rule && e.message == w.message)
-            {
+            if !log.seen.insert(key(&w)) {
                 continue;
             }
-            if log.len() >= MAX_ANALYSIS_WARNINGS {
-                log.remove(0);
+            if log.entries.len() >= MAX_ANALYSIS_WARNINGS {
+                let oldest = log.entries.pop_front().expect("full");
+                log.seen.remove(&key(&oldest));
             }
-            log.push(w);
+            log.entries.push_back(w);
         }
     }
 
     /// Warnings the static analyzer has collected across registrations.
     pub fn analysis_warnings(&self) -> Vec<Diagnostic> {
-        self.inner.analysis_warnings.lock().clone()
+        self.inner.analysis_warnings.lock().entries.clone().into()
     }
 
     /// Drop every collected analyzer warning (an operator "mark as read").
     pub fn clear_analysis_warnings(&self) {
-        self.inner.analysis_warnings.lock().clear();
+        *self.inner.analysis_warnings.lock() = WarningLog::default();
     }
 
     /// Run the static analyzer on a rule against the current LATs and rules
@@ -265,12 +301,7 @@ impl Sqlcm {
     /// is then compiled against the live LATs.
     pub fn add_rule(&self, mut rule: Rule) -> Result<Arc<Rule>> {
         let mut registration = self.inner.registration.lock();
-        if self
-            .inner
-            .rules_read()
-            .iter()
-            .any(|r| r.rule.name == rule.name)
-        {
+        if self.inner.rules_read().by_name.contains_key(&rule.name) {
             return Err(Error::Monitor(format!("rule {} already exists", rule.name)));
         }
         // The one lowering of the rule: the analyzer's checks, the guard
@@ -364,14 +395,12 @@ impl Sqlcm {
                 .transpose()?;
             (compiled_cond, compiled_actions)
         };
-        let mut rules = self.inner.rules_write();
         // One clock per event class: share the one its rules already tick.
-        let clock = rules
-            .iter()
-            .find(|r| r.rule.event == rule.event)
-            .and_then(|r| r.rule.clock().cloned())
-            .unwrap_or_default();
-        rule.attach_clock(clock);
+        let plan = self.inner.plan.load();
+        let class = plan.event_plan(&rule.event);
+        rule.attach_clock(class.and_then(|ep| ep.clock.clone()).unwrap_or_default());
+        drop(plan);
+        let mut rules = self.inner.rules_write();
         let rule = Arc::new(rule);
         let reg = Arc::new(Registered {
             name_label: rule.name.as_str().into(),
@@ -399,18 +428,16 @@ impl Sqlcm {
     /// Remove a rule; true when it existed.
     pub fn remove_rule(&self, name: &str) -> bool {
         let mut registration = self.inner.registration.lock();
-        let removed = {
-            let mut rules = self.inner.rules_write();
-            let at = rules.iter().position(|r| r.rule.name == name);
-            at.map(|i| rules.remove(i))
-        };
-        let Some(reg) = removed else {
+        let Some(reg) = self.inner.rules_write().remove(name) else {
             return false;
         };
         let lifted = reg.rule.set_registered(false);
         let quarantined = &self.inner.containment.quarantined;
         quarantined.fetch_add(lifted, Ordering::Relaxed);
-        *registration = None;
+        if let Some(analyzer) = registration.as_mut() {
+            let admitted = analyzer.remove_rule(&reg.ir);
+            debug_assert!(admitted, "the kept analyzer admitted every registered rule");
+        }
         // Publish the shrunken plan, then shrink the engine's
         // probe-interest mask (`wants` reads the plan).
         self.inner

@@ -35,13 +35,14 @@
 //! ([`DispatchPlan::next`]); the others are the same `Arc<EventPlan>`. A rule
 //! added to a class is planned and emitted alone and *appended*
 //! ([`EventPlan::appended`]) when nothing about the class's existing rules
-//! can change — the two plans share them by the block ([`Rules`]) — and the
-//! class is derived again otherwise.
+//! can change — the two plans share them by the block ([`Rules`]), and the
+//! guard index's and CSE support's partitions the rule does not land in
+//! ([`crate::shared`]) — and the class is derived again otherwise.
 //!
 //! Plans are owned by plain `Arc`s: the cell holds the current one, every
 //! thread that dispatches caches the one it last used, and a superseded plan
-//! — and each class and block of rules that no newer plan shares — is freed
-//! when the last of those lets go of it.
+//! — and each class, block of rules and partition that no newer plan shares
+//! — is freed when the last of those lets go of it.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,6 +60,7 @@ use crate::ir::{CondIr, Resolved};
 use crate::lat::Lat;
 use crate::objects::ClassName;
 use crate::rules::{EventClock, Rule, RuleEvent};
+use crate::shared::{Blocks, Partitioned};
 use crate::vm::Program;
 
 /// Sentinel in [`PlanRule::lat_slots`]: this LAT reference is not hoistable
@@ -182,72 +184,10 @@ pub(crate) struct PlanRule {
     pub in_payload: bool,
 }
 
-/// An event class's rules in registration order, in blocks of
-/// [`Rules::BLOCK`] — the bitset word dispatch walks them by. The plan that
-/// appends a rule to the class shares every full block with this one and
-/// copies the rules of the last only, so an append copies at most 63 rules
-/// whatever the class holds, and no rule sits behind a pointer of its own:
-/// on the event path this is a `Vec<PlanRule>` with one more index step.
-#[derive(Default)]
-pub(crate) struct Rules {
-    blocks: Vec<Arc<[PlanRule]>>,
-    len: usize,
-}
-
-impl Rules {
-    const BLOCK: usize = 64;
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = &PlanRule> + '_ {
-        self.blocks.iter().flat_map(|block| block.iter())
-    }
-
-    /// These rules followed by `pr`.
-    fn with(&self, pr: PlanRule) -> Rules {
-        let mut blocks = self.blocks.clone();
-        let mut last = match blocks.pop() {
-            Some(block) if block.len() < Self::BLOCK => block.to_vec(),
-            Some(full) => {
-                blocks.push(full);
-                Vec::new()
-            }
-            None => Vec::new(),
-        };
-        last.push(pr);
-        blocks.push(last.into());
-        Rules {
-            blocks,
-            len: self.len + 1,
-        }
-    }
-}
-
-impl From<Vec<PlanRule>> for Rules {
-    fn from(rules: Vec<PlanRule>) -> Rules {
-        let len = rules.len();
-        let mut rules = rules.into_iter();
-        let block = |_| rules.by_ref().take(Self::BLOCK).collect::<Vec<_>>().into();
-        Rules {
-            blocks: (0..len.div_ceil(Self::BLOCK)).map(block).collect(),
-            len,
-        }
-    }
-}
-
-impl std::ops::Index<usize> for Rules {
-    type Output = PlanRule;
-
-    fn index(&self, i: usize) -> &PlanRule {
-        &self.blocks[i / Self::BLOCK][i % Self::BLOCK]
-    }
-}
+/// An event class's rules in registration order, in the blocks dispatch
+/// walks them by: the plan that appends a rule to the class shares them all
+/// with this one ([`Blocks`]).
+pub(crate) type Rules = Blocks<PlanRule>;
 
 /// All rules subscribed to one event, in registration order, plus the shared
 /// lookup slots their conditions hoist to event level.
@@ -273,8 +213,9 @@ pub(crate) struct EventPlan {
     pub clock: Option<Arc<EventClock>>,
     // What `derive` learned about the class that `appended` decides on;
     // dispatch reads none of it.
-    /// Occurrences of each canonical hash among the rules' shareable nodes.
-    support: HashMap<u64, u32>,
+    /// Occurrences of each canonical hash among the rules' shareable nodes,
+    /// partitioned so an append copies one partition of it.
+    support: Partitioned<u32>,
     /// Canonical hash → the CSE slot its claimers share.
     slot_of: HashMap<u64, u16>,
 }
@@ -343,10 +284,10 @@ fn choose_claims(
     cond: &CondIr,
     id: NodeId,
     eligible: &HashSet<NodeId>,
-    support: &HashMap<u64, u32>,
+    support: &Partitioned<u32>,
     out: &mut Vec<NodeId>,
 ) {
-    if eligible.contains(&id) && support.get(&cond.hash_of(id)).copied().unwrap_or(0) >= 2 {
+    if eligible.contains(&id) && support.get(cond.hash_of(id)).copied().unwrap_or(0) >= 2 {
         out.push(id);
         return;
     }
@@ -492,7 +433,7 @@ fn invalidations_of(reg: &Registered, hoisted: &[HoistSlot]) -> Vec<u32> {
 fn assign_cse_and_emit(
     rules: &mut [PlanRule],
     payload: &[ClassName],
-) -> (Vec<CseSlot>, HashMap<u64, u32>, HashMap<u64, u16>) {
+) -> (Vec<CseSlot>, Partitioned<u32>, HashMap<u64, u16>) {
     let mut eligible: Vec<Vec<NodeId>> = Vec::with_capacity(rules.len());
     for pr in rules.iter() {
         let nodes = match &pr.reg.compiled {
@@ -502,11 +443,11 @@ fn assign_cse_and_emit(
         eligible.push(nodes);
     }
     // Occurrence count per canonical hash across the whole event.
-    let mut support: HashMap<u64, u32> = HashMap::new();
+    let mut support: Partitioned<u32> = Partitioned::default();
     for (pr, nodes) in rules.iter().zip(&eligible) {
         if let Some(c) = &pr.reg.compiled {
             for &id in nodes {
-                *support.entry(c.hash_of(id)).or_default() += 1;
+                *support.entry(c.hash_of(id)) += 1;
             }
         }
     }
@@ -607,6 +548,15 @@ fn assign_cse_and_emit(
 }
 
 impl EventPlan {
+    /// Rules the class's guard index prunes on, and rules it always
+    /// evaluates.
+    fn guard_counts(&self) -> (u64, u64) {
+        match &self.guards {
+            Some(g) => (u64::from(g.indexed_rules), u64::from(g.residual_rules)),
+            None => (0, self.rules.len() as u64),
+        }
+    }
+
     /// Plan one event class from its registered rules, in registration
     /// order. Infallible: a rule the LAT registry cannot bind (a condition
     /// LAT was dropped, or redefined with another schema) is carried as
@@ -685,7 +635,7 @@ impl EventPlan {
         if let Some(c) = &reg.compiled {
             let eligible = shareable_nodes(c, &payload, &pr.lat_slots);
             for &id in &eligible {
-                *support.entry(c.hash_of(id)).or_default() += 1;
+                *support.entry(c.hash_of(id)) += 1;
             }
             let mut claims = Vec::new();
             let eligible: HashSet<NodeId> = eligible.into_iter().collect();
@@ -756,7 +706,8 @@ pub(crate) struct DispatchPlan {
     dynamics: HashMap<RuleEvent, Arc<EventPlan>>,
     /// Every registered rule in registration order: what telemetry iterates,
     /// and what the containment checkpoint walks for breakers to re-admit.
-    pub rules: Vec<Arc<Registered>>,
+    /// Shared by the block with the plan this one extends.
+    pub rules: Blocks<Arc<Registered>>,
     /// Rules with an extracted guard across every event plan (telemetry).
     pub guard_indexed_rules: u64,
     /// Rules in the always-evaluate residual set across every event plan
@@ -784,14 +735,14 @@ impl DispatchPlan {
         }
         let mut plan = DispatchPlan {
             epoch,
-            rules: rules.to_vec(),
+            rules: rules.to_vec().into(),
             rules_planned: rules.len() as u64,
             ..DispatchPlan::default()
         };
         for (event, class) in classes {
             plan.set_class(event, EventPlan::derive(&class, lats));
         }
-        plan.summarize();
+        plan.set_probe_mask();
         plan
     }
 
@@ -810,9 +761,12 @@ impl DispatchPlan {
             probe_mask: ProbeMask::EMPTY,
             statics: self.statics.clone(),
             dynamics: self.dynamics.clone(),
-            rules: rules.to_vec(),
-            guard_indexed_rules: 0,
-            guard_residual_rules: 0,
+            rules: match change {
+                Change::Added(reg) => self.rules.with(reg.clone()),
+                _ => rules.to_vec().into(),
+            },
+            guard_indexed_rules: self.guard_indexed_rules,
+            guard_residual_rules: self.guard_residual_rules,
             rules_planned: 0,
         };
         let stale: Vec<RuleEvent> = match change {
@@ -846,7 +800,7 @@ impl DispatchPlan {
             plan.rules_planned += class.len() as u64;
             plan.set_class(event, EventPlan::derive(&class, lats));
         }
-        plan.summarize();
+        plan.set_probe_mask();
         plan
     }
 
@@ -854,33 +808,31 @@ impl DispatchPlan {
         self.statics.iter().chain(self.dynamics.values())
     }
 
+    /// Replace `event`'s class with `ep`, moving the guard counts from the
+    /// class it replaces to `ep`.
     fn set_class(&mut self, event: &RuleEvent, ep: EventPlan) {
-        match static_index(event) {
-            Some(i) => self.statics[i] = Arc::new(ep),
-            None if ep.rules.is_empty() => drop(self.dynamics.remove(event)),
-            None => drop(self.dynamics.insert(event.clone(), Arc::new(ep))),
+        let (indexed, residual) = ep.guard_counts();
+        self.guard_indexed_rules += indexed;
+        self.guard_residual_rules += residual;
+        let replaced = match static_index(event) {
+            Some(i) => Some(std::mem::replace(&mut self.statics[i], Arc::new(ep))),
+            None if ep.rules.is_empty() => self.dynamics.remove(event),
+            None => self.dynamics.insert(event.clone(), Arc::new(ep)),
+        };
+        if let Some((indexed, residual)) = replaced.map(|ep| ep.guard_counts()) {
+            self.guard_indexed_rules -= indexed;
+            self.guard_residual_rules -= residual;
         }
     }
 
-    /// Fill in what the plan says about its classes taken together (left
-    /// empty by `build` and `next` until every class is set).
-    fn summarize(&mut self) {
+    /// The probe kinds the statically-indexed classes subscribe (left empty
+    /// by `build` and `next` until every class is set).
+    fn set_probe_mask(&mut self) {
         for kind in ProbeKind::ALL {
             if !self.statics[kind.index()].rules.is_empty() {
                 self.probe_mask.set(kind);
             }
         }
-        let (mut indexed, mut residual) = (0, 0);
-        for ep in self.classes() {
-            match &ep.guards {
-                Some(g) => {
-                    indexed += u64::from(g.indexed_rules);
-                    residual += u64::from(g.residual_rules);
-                }
-                None => residual += ep.rules.len() as u64,
-            }
-        }
-        (self.guard_indexed_rules, self.guard_residual_rules) = (indexed, residual);
     }
 
     /// The event plan for `kind`, if any rule subscribes.
@@ -1339,7 +1291,7 @@ mod incremental {
         };
         out += &format!(
             "  support={:?}\n  slot_of={:?}\n  guards {}\n",
-            sorted(&ep.support),
+            sorted(&ep.support.iter().map(|(k, v)| (*k, *v)).collect()),
             {
                 let slot_of: HashMap<u64, u32> = ep
                     .slot_of
@@ -1585,6 +1537,32 @@ mod incremental {
             assert_eq!(class.rules.len(), t + 1);
             assert_eq!(class.rules[t].reg.rule.name, format!("r{t}"));
             assert_eq!(class.rules.iter().count(), t + 1);
+        }
+    }
+
+    /// Appends across the boundaries of what an append shares: the rule
+    /// blocks (64 rules each) and the re-split points of the partitioned
+    /// maps — the guard index's equality map re-splits at 64, 128, … 1 024
+    /// values, and the CSE support map as it passes the same sizes. At each
+    /// size the appended plan equals the plan built from scratch.
+    #[test]
+    fn appending_across_blocks_and_partition_splits_equals_the_plan_built_from_scratch() {
+        let engine = Engine::in_memory();
+        let sqlcm = Sqlcm::attach(&engine);
+        let sizes = [63, 64, 65, 127, 128, 129, 1_025];
+        for t in 0..1_025 {
+            let tenant = format!("Query.User = 'u{t}' AND Query.Duration >= 0");
+            let rule = Rule::new(format!("r{t}")).on(RuleEvent::QueryCommit);
+            sqlcm.add_rule(rule.when(&tenant)).unwrap();
+            if !sizes.contains(&(t + 1)) {
+                continue;
+            }
+            let (plan, oracle) = sqlcm.plan_and_oracle();
+            assert_eq!(canonical(&plan), canonical(&oracle), "{} rules", t + 1);
+            assert_eq!(plan.rules_planned, 1, "{} rules: appended", t + 1);
+            let class = plan.event_plan(&RuleEvent::QueryCommit).unwrap();
+            assert_eq!((class.rules.len(), plan.rules.len()), (t + 1, t + 1));
+            assert_eq!(class.rules[t].reg.rule.name, format!("r{t}"));
         }
     }
 

@@ -468,3 +468,92 @@ fn analyzer_guard_verdicts_equal_the_installed_index() {
     assert_eq!(fixable_hot, ["fallible", "no_atom"]);
     assert_eq!(w205, fixable_hot);
 }
+
+/// `remove_rule` takes the rule out of the analyzer the monitor keeps
+/// instead of discarding it. After every step of a seeded add/remove churn,
+/// the kept analyzer's verdict on a fixed probe set (`analyze_rule`) equals
+/// that of an analyzer freshly seeded from the registry: its LATs, then its
+/// rules in registration order.
+#[test]
+fn remove_rule_keeps_the_analyzer_equal_to_a_freshly_seeded_one() {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use sqlcm_core::Analyzer;
+    use std::sync::Arc;
+
+    let (_engine, sqlcm) = setup();
+    let lats = [
+        duration_lat(),
+        LatSpec::new("Top")
+            .group_by("Query.Logical_Signature", "Sig")
+            .aggregate(LatAggFunc::Max, "Query.Duration", "D")
+            .order_by("D", true)
+            .max_rows(4),
+    ];
+    for lat in &lats {
+        sqlcm.define_lat(lat.clone()).unwrap();
+    }
+    let conditions = [
+        None,
+        Some("Query.Duration > 5"),
+        Some("Query.Duration > 5 AND Query.User = 'u1'"),
+        Some("Duration_LAT.N >= 2"),
+        Some("Top.D > 1 OR Query.Duration > 5"),
+    ];
+    let actions = [
+        Action::insert("Duration_LAT"),
+        Action::insert("Top"),
+        Action::reset("Duration_LAT"),
+        Action::set_timer("t", 1_000, 1),
+        Action::send_mail("dba", "x"),
+    ];
+    let events = [
+        RuleEvent::QueryCommit,
+        RuleEvent::QueryStart,
+        RuleEvent::LatEviction("Top".into()),
+        RuleEvent::TimerAlarm("t".into()),
+    ];
+    let shape = |rng: &mut SmallRng, name: String| {
+        let mut rule = Rule::new(name).on(events[rng.gen_range(0..events.len())].clone());
+        if let Some(c) = conditions[rng.gen_range(0..conditions.len())] {
+            rule = rule.when(c);
+        }
+        rule.then(actions[rng.gen_range(0..actions.len())].clone())
+    };
+    // Probes meet every cross-rule lint: duplicates, shared predicates,
+    // cascades, unfed reads, adjacent order and fan-out.
+    let mut rng = SmallRng::seed_from_u64(7);
+    let probes: Vec<Rule> = (0..40)
+        .map(|i| shape(&mut rng, format!("probe{i}")))
+        .collect();
+    let mut live: Vec<String> = Vec::new();
+    let mut removed = 0;
+    for step in 0..400 {
+        if rng.gen_range(0..3) == 0 && !live.is_empty() {
+            let name = live.remove(rng.gen_range(0..live.len()));
+            assert!(sqlcm.remove_rule(&name));
+            removed += 1;
+        } else {
+            let name = format!("r{step}");
+            if sqlcm.add_rule(shape(&mut rng, name.clone())).is_ok() {
+                live.push(name);
+            }
+        }
+        let mut fresh = Analyzer::new();
+        for lat in &lats {
+            fresh.check_lat(lat);
+        }
+        for name in &live {
+            fresh.seed_rule(Arc::new(sqlcm.rule(name).unwrap().ir()));
+        }
+        for probe in &probes {
+            assert_eq!(
+                sqlcm.analyze_rule(probe),
+                fresh.diagnose(&probe.ir()),
+                "step {step}, probe {}",
+                probe.name
+            );
+        }
+    }
+    assert!(removed > 100 && live.len() > 20, "{removed} {}", live.len());
+}

@@ -1029,3 +1029,63 @@ fn per_event_time_does_not_grow_with_registered_rules() {
         "{large:.0} ns per event at 4 000 rules, {small:.0} ns at 250"
     );
 }
+
+/// Registration costs the same however many rules are registered: the mean
+/// `add_rule` of `storm_selective_1k`'s rule shape (one tenant each, a shared
+/// conjunct, one LAT fed — W105 and W302 fire on every one) at 16 000
+/// registered rules stays within twice the mean at 1 000, and every one of
+/// those registrations appends its rule alone (`plan_rules_planned` + 1).
+/// Each mean is the fastest of three batches of 250, so a busy moment on the
+/// machine does not decide the ratio.
+///
+/// Release builds only: a timing ratio of an unoptimized build pins nothing.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing pin; run with --release")]
+fn registration_time_does_not_grow_with_registered_rules() {
+    let engine = Engine::in_memory();
+    let sqlcm = Sqlcm::attach(&engine);
+    sqlcm
+        .define_lat(
+            LatSpec::new("Tenant_LAT")
+                .group_by("Query.User", "Usr")
+                .aggregate(LatAggFunc::Count, "", "N"),
+        )
+        .unwrap();
+    let tenant = |i: usize| {
+        Rule::new(format!("tenant_rule_{i}"))
+            .on(RuleEvent::QueryCommit)
+            .when(&format!(
+                "Query.User = 'tenant_{i}' AND Query.Duration >= 0"
+            ))
+            .then(Action::insert("Tenant_LAT"))
+    };
+    let grow_to = |rules: usize| {
+        for i in sqlcm.rule_count()..rules {
+            sqlcm.add_rule(tenant(i)).unwrap();
+        }
+    };
+    let batch_mean_us = || {
+        let from = sqlcm.rule_count();
+        let batch: Vec<Rule> = (from..from + 250).map(tenant).collect();
+        let planned = sqlcm.telemetry().dispatch.plan_rules_planned;
+        let t = std::time::Instant::now();
+        for rule in batch {
+            sqlcm.add_rule(rule).unwrap();
+        }
+        let us = t.elapsed().as_secs_f64() * 1e6 / 250.0;
+        let appended = sqlcm.telemetry().dispatch.plan_rules_planned - planned;
+        assert_eq!(appended, 250, "from {from} rules: each rule planned alone");
+        us
+    };
+    let mean_at = |rules: usize| {
+        grow_to(rules);
+        (0..3).map(|_| batch_mean_us()).fold(f64::MAX, f64::min)
+    };
+    let small = mean_at(1_000);
+    let large = mean_at(16_000);
+    println!("add_rule: {small:.1} us at 1 000 rules, {large:.1} us at 16 000");
+    assert!(
+        large <= 2.0 * small,
+        "{large:.1} us per add_rule at 16 000 rules, {small:.1} us at 1 000"
+    );
+}

@@ -23,11 +23,11 @@ use sqlcm_repro::workloads::rules::catalogs;
 /// Cascade threshold used in `--bad` mode. The default (64) is sized for real
 /// deployments; the demo lowers it so a 13-evaluation cascade is enough to
 /// show W302 without drowning the output in filler rules.
-const DEMO_CASCADE_THRESHOLD: usize = 12;
+pub(crate) const DEMO_CASCADE_THRESHOLD: usize = 12;
 
 /// The paper's §3 idioms: outlier detection (Example 1), top-k with periodic
 /// persist (Example 3), and an eviction spill rule (§4.3).
-fn good_ruleset() -> (Vec<LatSpec>, Vec<Rule>) {
+pub(crate) fn good_ruleset() -> (Vec<LatSpec>, Vec<Rule>) {
     let lats = vec![
         LatSpec::new("Duration_LAT")
             .group_by("Query.Logical_Signature", "Sig")
@@ -58,7 +58,7 @@ fn good_ruleset() -> (Vec<LatSpec>, Vec<Rule>) {
 }
 
 /// At least one deliberately broken rule (or LAT) per diagnostic code.
-fn bad_ruleset() -> (Vec<LatSpec>, Vec<Rule>) {
+pub(crate) fn bad_ruleset() -> (Vec<LatSpec>, Vec<Rule>) {
     let (mut lats, mut rules) = good_ruleset();
     // E001: LAT spec with a misspelled source attribute.
     lats.push(
