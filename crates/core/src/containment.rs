@@ -90,8 +90,9 @@ pub struct BreakerConfig {
     /// the breaker may trip — a fresh rule is not tripped by its first error.
     pub min_outcomes: u32,
     /// Per-evaluation latency budget in nanoseconds; `None` disables the
-    /// latency dimension. The breaker reads the latency telemetry measured
-    /// and adds no clock reads of its own.
+    /// latency dimension. The breaker judges the spans the latency telemetry
+    /// measures, and its slow check needs every one: while a budget is set,
+    /// every evaluation and every firing is timed, not one in 64 per rule.
     pub latency_budget_nanos: Option<u64>,
     /// Quarantine duration before the `Open → HalfOpen` probation.
     pub cooldown_micros: u64,

@@ -100,17 +100,12 @@ struct EvalState {
 }
 
 /// One event's bookkeeping, opened where its rule loop starts and kept on
-/// the dispatching thread while its rules run: the boundary stamp the next
-/// span starts from, and the tallies [`SqlcmInner::flush`] adds to the
-/// shared counters when the event's last rule has run. Until then
-/// `Sqlcm::stats` and `Sqlcm::telemetry` — also when read from inside an
-/// action — show the global totals as of the previous event; a rule's own
-/// counters are always current.
+/// the dispatching thread while its rules run: the tallies
+/// [`SqlcmInner::flush`] adds to the shared counters when the event's last
+/// rule has run. Until then `Sqlcm::stats` and `Sqlcm::telemetry` — also
+/// when read from inside an action — show the global totals as of the
+/// previous event; a rule's own counters are always current.
 struct EventBooks {
-    /// The last boundary stamped. Every timed span of the event is the
-    /// distance between two adjacent stamps — one clock read ends a span and
-    /// starts the next.
-    stamp: Stamp,
     evaluations: u64,
     fires: u64,
     actions: u64,
@@ -122,11 +117,10 @@ struct EventBooks {
 }
 
 impl EventBooks {
-    /// Books opened at a boundary stamped now, crediting the `pruned`
-    /// evaluations the guard probe decided without running them.
+    /// Books crediting the `pruned` evaluations the guard probe decided
+    /// without running them.
     fn open(pruned: u64) -> EventBooks {
         EventBooks {
-            stamp: Stamp::now(),
             evaluations: pruned,
             fires: 0,
             actions: 0,
@@ -137,14 +131,12 @@ impl EventBooks {
             lat_row_fetches: 0,
         }
     }
-
-    /// Stamp a boundary: the nanoseconds since the previous one, which the
-    /// new stamp replaces.
-    fn lap(&mut self) -> u64 {
-        let prev = std::mem::replace(&mut self.stamp, Stamp::now());
-        self.stamp.nanos_since(prev)
-    }
 }
+
+/// A rule times its evaluations and firings at indexes 0, 64, 128, … of
+/// each dispatcher's stripe of its books, so its first ones always are,
+/// whatever the mix of event classes around it. Counts stay exact.
+const SPAN_SAMPLING: u64 = 64;
 
 /// What every rule evaluation of one event shares.
 struct EventCtx<'a> {
@@ -157,6 +149,9 @@ struct EventCtx<'a> {
     /// The objects carry every class of `ep.payload` — always, for an event
     /// the engine or the monitor assembled.
     as_declared: bool,
+    /// A latency budget is set: the breaker judges every outcome, so every
+    /// evaluation and firing is timed.
+    time_all: bool,
 }
 
 const OBJECT_POOL_BOUND: usize = 4;
@@ -172,22 +167,16 @@ impl Instrumentation for SqlcmMonitor {
         // Per-kind attribution is a single sharded-counter increment, so the
         // per-probe counts always sum to `SqlcmStats::events`.
         telem.probe_events[probe.index()].incr();
+        // Every event is timed: two clock reads, whatever its rules time.
         let entered = Stamp::now();
         // One epoch load and one bit test, no registry lock — "no monitoring
         // is performed unless it is required by a rule" (§2.1).
-        let last = self.inner.with_plan(|plan| {
-            plan.probe_mask
-                .contains(probe)
-                .then(|| self.inner.dispatch_event(plan, event))
-                .flatten()
+        self.inner.with_plan(|plan| {
+            if plan.probe_mask.contains(probe) {
+                self.inner.dispatch_event(plan, event);
+            }
         });
-        // The span ends at the last boundary the dispatch stamped — the end
-        // of its last condition or action — so it is the sum of the rule
-        // spans plus what ran before each rule loop (assembly, plan load,
-        // guard probe, pinning). Only an event that ran no rule pays a second
-        // read.
-        let end = last.unwrap_or_else(Stamp::now);
-        telem.probe_latency[probe.index()].record(end.nanos_since(entered));
+        telem.probe_latency[probe.index()].record(Stamp::now().nanos_since(entered));
         // Containment checkpoint: a masked counter test per event; the cold
         // re-admission scan runs every `CHECKPOINT_INTERVAL` events of each
         // dispatcher's stripe.
@@ -302,9 +291,8 @@ impl SqlcmInner {
 
     /// Dispatch an engine event under `plan`: assemble its payload from the
     /// thread-local pools (zero allocations in steady state), run every
-    /// subscribed rule, then recycle the buffers. Returns the last boundary
-    /// stamped while doing so ([`EventBooks::stamp`]).
-    fn dispatch_event(&self, plan: &DispatchPlan, event: &EngineEvent) -> Option<Stamp> {
+    /// subscribed rule, then recycle the buffers.
+    fn dispatch_event(&self, plan: &DispatchPlan, event: &EngineEvent) {
         let kind = kind_of(event);
         if PROCESSING.with(|p| p.get()) {
             // Re-entrant probe (a rule action touched the engine): `dispatch`
@@ -313,7 +301,7 @@ impl SqlcmInner {
             let mut objects = Vec::new();
             payload_objects_in(event, &mut objects, &mut Vec::new());
             self.dispatch(kind, objects);
-            return None;
+            return;
         }
         // Sampling decision: with tracing off this is one relaxed atomic
         // load — the clock is read only when the event is actually sampled.
@@ -326,7 +314,7 @@ impl SqlcmInner {
             )
         });
         payload_objects_in(event, &mut objs, &mut bufs);
-        let last = self.dispatch_with(plan, &kind, &objs, &mut trace);
+        self.dispatch_with(plan, &kind, &objs, &mut trace);
         if let Some(ctx) = trace {
             self.tracer.finish(ctx);
         }
@@ -347,7 +335,6 @@ impl SqlcmInner {
                 sc.objects.push(std::mem::take(&mut objs));
             }
         });
-        last
     }
 
     /// Entry point for internally raised events (timers, self-monitoring,
@@ -379,36 +366,32 @@ impl SqlcmInner {
     /// triggered before any later event is processed" — the applicable set,
     /// and which evictions raise an event, is whatever plan was current when
     /// the batch started. When `trace` is active, the root and every drained
-    /// cascade hop record into it. Returns the last boundary stamped.
+    /// cascade hop record into it.
     fn dispatch_with(
         &self,
         plan: &DispatchPlan,
         kind: &RuleEvent,
         objects: &[Object],
         trace: &mut Option<TraceCtx>,
-    ) -> Option<Stamp> {
+    ) {
         PROCESSING.with(|p| p.set(true));
         let mut work = SCRATCH
             .with(|s| s.borrow_mut().work.take())
             .unwrap_or_default();
-        let mut last = self.handle_one(plan, kind, objects, trace, NONE_SPAN, 0, &mut work);
+        self.handle_one(plan, kind, objects, trace, NONE_SPAN, 0, &mut work);
         while let Some(q) = PENDING.with(|q| q.borrow_mut().pop_front()) {
             let (cause, depth) = (q.cause, q.depth);
-            last = self
-                .handle_one(plan, &q.kind, &q.objects, trace, cause, depth, &mut work)
-                .or(last);
+            self.handle_one(plan, &q.kind, &q.objects, trace, cause, depth, &mut work);
         }
         SCRATCH.with(|s| s.borrow_mut().work = Some(work));
         PROCESSING.with(|p| p.set(false));
-        last
     }
 
     /// Evaluate this event's rules in registration order: the guard index's
     /// candidates when the probe is usable, every rule otherwise — one walk
     /// over the set bits either way, so the event costs what it *does*, not
     /// what is registered. `cause`/`depth` are the trace-provenance link of a
-    /// drained deferred event ([`NONE_SPAN`]/0 for the root). Returns the last
-    /// boundary stamped, `None` when no rule subscribes to the event.
+    /// drained deferred event ([`NONE_SPAN`]/0 for the root).
     #[allow(clippy::too_many_arguments)]
     fn handle_one(
         &self,
@@ -419,8 +402,10 @@ impl SqlcmInner {
         cause: u32,
         depth: u32,
         work: &mut EventWork,
-    ) -> Option<Stamp> {
-        let ep = plan.event_plan(kind)?;
+    ) {
+        let Some(ep) = plan.event_plan(kind) else {
+            return;
+        };
         let event_span = match trace.as_mut() {
             Some(ctx) => ctx.open_event(ep.label.to_string(), cause, depth),
             None => NONE_SPAN,
@@ -512,10 +497,8 @@ impl SqlcmInner {
                 .payload
                 .iter()
                 .all(|c| objects.iter().any(|o| o.class == *c)),
+            time_all: self.containment.latency_budget_nanos() > 0,
         };
-        // The rule loop's first boundary: everything since `on_event`'s stamp
-        // (or the previous event's last) was assembly, plan load, probe and
-        // pinning; from here on every span belongs to a rule.
         let mut books = EventBooks::open(pruned);
         for (w, &word) in run.iter().enumerate() {
             for b in set_bits(word) {
@@ -527,7 +510,6 @@ impl SqlcmInner {
         if let Some(ctx) = trace.as_mut() {
             ctx.close(event_span);
         }
-        Some(books.stamp)
     }
 
     /// Add one event's tallies to the striped totals — once per
@@ -678,10 +660,22 @@ impl SqlcmInner {
             }
         };
         // This dispatcher's stripe of the rule's books: every count and span
-        // of the evaluation lands in it.
+        // of the evaluation lands in it. The count's old value is this
+        // evaluation's index on the stripe, and picks whether it is timed.
         let mine = reg.rule.books.mine();
-        mine.evaluations.fetch_add(1, Ordering::Relaxed);
+        let k = mine.evaluations.fetch_add(1, Ordering::Relaxed);
         books.evaluations += 1;
+        let start = (ev.time_all || k.is_multiple_of(SPAN_SAMPLING)).then(Stamp::now);
+        // Ends the condition's span when it is timed: its end stamp and
+        // nanoseconds.
+        let end_condition = || {
+            start.map(|start| {
+                let end = Stamp::now();
+                let nanos = end.nanos_since(start);
+                mine.record_condition(nanos);
+                (end, nanos)
+            })
+        };
         let rule_span = match trace.as_mut() {
             Some(ctx) => ctx.open_rule(ev.span, &reg.rule.name),
             None => NONE_SPAN,
@@ -695,6 +689,7 @@ impl SqlcmInner {
                 ctx.rule_outcome(rule_span, false, format!("broken: {msg}"));
                 ctx.close(rule_span);
             }
+            end_condition();
             // A broken rule errors every evaluation by design; feeding that
             // into the breaker window would quarantine it and *hide* the
             // per-evaluation errors the old resolution surfaced. Only a
@@ -822,11 +817,9 @@ impl SqlcmInner {
         };
         books.vm_instructions += vm_stats.instructions;
         books.cse_hits += vm_stats.cse_hits;
-        // The condition's boundary: the span since the previous one — the
-        // rule before this one, or the start of the rule loop — is this
-        // condition, with the dispatch between the two.
-        let cond_nanos = books.lap();
-        mine.record_condition(cond_nanos);
+        // A timed condition's span: LAT binding and the compiled condition.
+        let cond_end = end_condition();
+        let cond_nanos = cond_end.map_or(0, |(_, nanos)| nanos);
         // The explainer re-resolves the condition's references — allocation
         // and extra lookups happen only on sampled evaluations.
         if let Some(tctx) = trace.as_mut() {
@@ -854,8 +847,12 @@ impl SqlcmInner {
             self.record_breaker_outcome(reg, trial, cond_error, cond_nanos);
             return;
         }
-        mine.fires.fetch_add(1, Ordering::Relaxed);
+        let f = mine.fires.fetch_add(1, Ordering::Relaxed);
         books.fires += 1;
+        // A timed firing's span starts where the condition's ended, or at a
+        // fresh read when the condition was not timed.
+        let fired_at = (ev.time_all || f.is_multiple_of(SPAN_SAMPLING))
+            .then(|| cond_end.map_or_else(Stamp::now, |(end, _)| end));
         let mut errors = 0u32;
         for action in &reg.actions {
             books.actions += 1;
@@ -898,12 +895,15 @@ impl SqlcmInner {
         if let Some(tctx) = trace.as_mut() {
             tctx.close(rule_span);
         }
-        // The firing's boundary: the actions' span ends here, and the next
-        // rule's condition span starts — invalidation, the flight record and
-        // the breaker's bookkeeping below are the first things in it.
-        let action_nanos = books.lap();
-        mine.record_action(action_nanos);
-        let total_nanos = cond_nanos + action_nanos;
+        // A timed firing's span: the actions, and the trace explainer when
+        // the event is sampled and the condition was timed. The flight record
+        // and the breaker get the condition's span plus the firing's, or 0
+        // when the firing was not timed.
+        let total_nanos = fired_at.map_or(0, |start| {
+            let action_nanos = Stamp::now().nanos_since(start);
+            mine.record_action(action_nanos);
+            cond_nanos + action_nanos
+        });
         self.telemetry.recorder.record(FlightRecord {
             seq: 0,
             event: ev.ep.label.clone(),

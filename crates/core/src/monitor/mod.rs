@@ -989,8 +989,13 @@ mod tests {
         let track = &snap.rules[0];
         assert_eq!(track.name, "track");
         assert_eq!(track.event, "Query.Commit");
-        assert_eq!(track.condition.count, track.evaluations);
-        assert_eq!(track.action.count, track.fires);
+        // One dispatcher: a rule times one evaluation and one firing in 64,
+        // its first ones included.
+        assert_eq!(
+            track.condition.count,
+            (track.evaluations - track.pruned).div_ceil(64)
+        );
+        assert_eq!(track.action.count, track.fires.div_ceil(64));
         // LAT attribution made it into the snapshot.
         let by_type = snap.lats.iter().find(|l| l.name == "ByType").unwrap();
         assert_eq!(by_type.inserts, stats.fires);

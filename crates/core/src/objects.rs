@@ -277,8 +277,8 @@ pub fn table_object(t: &sqlcm_engine::catalog::TableInfo) -> Object {
 
 /// Build the `Monitor` object the self-monitoring bridge dispatches, straight
 /// from a telemetry snapshot. Latencies are seconds, from the histograms
-/// merged across rules (`Eval_*`) and probe kinds (`Probe_P99`); counts are
-/// totals since attach.
+/// merged across rules (`Eval_*`, the rules' timed evaluations) and probe
+/// kinds (`Probe_P99`, every event); counts are totals since attach.
 pub fn monitor_object(snap: &TelemetrySnapshot) -> Object {
     use std::sync::OnceLock;
     static NAMES: OnceLock<Arc<[String]>> = OnceLock::new();

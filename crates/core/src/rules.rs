@@ -49,12 +49,14 @@ pub struct RuleStats {
 
 /// One dispatcher's share of a rule's books. The first cache line holds
 /// every counter an evaluation writes, so an evaluation that does not fire
-/// writes that line and one condition bucket, both in its own stripe; the
-/// buckets of the two histograms follow.
+/// writes that line, and one condition bucket when it is timed, both in its
+/// own stripe; the buckets of the two histograms follow.
 #[repr(C, align(64))]
 #[derive(Default)]
 pub(crate) struct RuleStripe {
     /// Evaluations that ran (the condition VM, or the reference's oracle).
+    /// Its value before an evaluation's increment is that evaluation's index
+    /// on the stripe, which the span schedule keys on; `fires` likewise.
     pub evaluations: AtomicU64,
     /// Probed events on which this rule was an in-service candidate.
     pub candidate_events: AtomicU64,
@@ -76,12 +78,12 @@ const _: () = assert!(std::mem::offset_of!(RuleStripe, action_sum) + 8 <= 64);
 const _: () = assert!(std::mem::size_of::<RuleStripe>() <= 1228);
 
 impl RuleStripe {
-    /// One condition span, in nanoseconds.
+    /// One timed condition span, in nanoseconds.
     pub fn record_condition(&self, nanos: u64) {
         self.condition.record(&self.condition_sum, nanos);
     }
 
-    /// One firing's action span, in nanoseconds.
+    /// One timed firing's action span, in nanoseconds.
     pub fn record_action(&self, nanos: u64) {
         self.action.record(&self.action_sum, nanos);
     }

@@ -8,8 +8,10 @@
 //!
 //! * per-probe event counts are one sharded-counter increment per event, so
 //!   `sum(probe events) == SqlcmStats::events` at any quiescent point;
-//! * latency histograms and the flight recorder read the clock at each
-//!   boundary the event path stamps (`EventBooks::lap` in `crate::monitor`);
+//! * `on_event` is timed on every event; a rule's condition and firing
+//!   spans, and the flight records' durations, on the rule's own 1-in-64
+//!   schedule (`SPAN_SAMPLING` in `monitor/dispatch.rs`), so every count stays
+//!   exact and only the span histograms sample;
 //! * there is no off switch: telemetry is always on, and its cost is inside
 //!   every number the `benchmark/` package reports;
 //! * the flight recorder is a fixed ring of [`FLIGHT_RECORDER_CAPACITY`];
@@ -280,9 +282,12 @@ pub struct RuleTelemetry {
     pub fires: u64,
     pub actions: u64,
     pub action_errors: u64,
-    /// Condition-evaluation wall time, nanoseconds.
+    /// Condition-evaluation wall time, nanoseconds, of the timed
+    /// evaluations: one in 64 per dispatcher stripe, the first included
+    /// (every one while a breaker latency budget is set).
     pub condition: HistogramSnapshot,
-    /// Action-execution wall time (all actions of one firing), nanoseconds.
+    /// Action-execution wall time (all actions of one firing), nanoseconds,
+    /// of the timed firings, sampled like `condition`.
     pub action: HistogramSnapshot,
     /// Last error attributed to this rule, if any.
     pub last_error: Option<RuleError>,
@@ -476,7 +481,8 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
-    /// Condition-evaluation latency merged across all rules.
+    /// Condition-evaluation latency merged across all rules: their timed
+    /// evaluations.
     pub fn merged_condition_latency(&self) -> HistogramSnapshot {
         let mut merged = HistogramSnapshot::default();
         for rule in &self.rules {

@@ -818,22 +818,32 @@ fn feed_and_watchers(sqlcm: &Sqlcm, watchers: u64) {
     }
 }
 
-/// Boundary stamps: an event that runs N evaluations of which F fire reads
-/// the clock N + F + 2 times — `on_event`'s entry, the start of the rule loop,
-/// one per condition, one per firing; each read ends one span and starts the
-/// next — and none inside a LAT insert that has nothing to age.
+/// Sampled spans: `on_event` reads the clock twice per event, at entry and
+/// exit; a timed condition reads it twice, around its LAT binding and
+/// condition; a timed firing reads it once more when its condition was
+/// timed (its span starts at the condition's end stamp) and twice when it
+/// was not. A rule times its evaluations and firings 0, 64, 128, … on its
+/// own schedule, every one while a latency budget is set — and a LAT insert
+/// with nothing to age reads nothing.
 #[cfg(debug_assertions)]
 #[test]
-fn an_event_reads_the_clock_once_per_boundary() {
+fn an_event_reads_the_clock_twice_plus_its_sampled_spans() {
     let engine = Engine::in_memory();
     let ev = commit_event(3, 0.5);
 
     let sqlcm = Sqlcm::attach(&engine);
     feed_and_watchers(&sqlcm, 31);
-    sqlcm.inject_event(&ev);
-    assert_eq!(clock_reads(|| sqlcm.inject_event(&ev)), 32 + 1 + 2);
+    // Every rule's first evaluation is timed, and `feed`'s first firing
+    // starts at its condition's end stamp.
+    assert_eq!(clock_reads(|| sqlcm.inject_event(&ev)), 2 + 2 * 32 + 1);
+    // The next 63 events time nothing.
+    for _ in 1..64 {
+        assert_eq!(clock_reads(|| sqlcm.inject_event(&ev)), 2);
+    }
+    // The 65th event is every rule's evaluation 64 and `feed`'s firing 64.
+    assert_eq!(clock_reads(|| sqlcm.inject_event(&ev)), 2 + 2 * 32 + 1);
     let stats = sqlcm.stats();
-    assert_eq!((stats.evaluations, stats.fires), (64, 2));
+    assert_eq!((stats.evaluations, stats.fires), (65 * 32, 65));
     // An event no rule subscribes to: `on_event`'s own two.
     let login = EngineEvent::Login(sqlcm_common::SessionInfo {
         session_id: 1,
@@ -842,20 +852,51 @@ fn an_event_reads_the_clock_once_per_boundary() {
         success: true,
     });
     assert_eq!(clock_reads(|| sqlcm.inject_event(&login)), 2);
+    // A latency budget times every evaluation and every firing.
+    let config = sqlcm.config();
+    sqlcm.configure(MonitorConfig {
+        breaker: sqlcm_core::BreakerConfig {
+            latency_budget_nanos: Some(u64::MAX),
+            ..config.breaker
+        },
+        ..config
+    });
+    for _ in 0..3 {
+        assert_eq!(clock_reads(|| sqlcm.inject_event(&ev)), 2 + 2 * 32 + 1);
+    }
     drop(sqlcm);
 
-    // One candidate, which fires.
+    // A firing timed after an untimed condition starts at a fresh read.
+    // `LIKE` keeps the rule residual, so it runs on every event.
     let sqlcm = Sqlcm::attach(&engine);
-    feed_and_watchers(&sqlcm, 0);
-    assert_eq!(clock_reads(|| sqlcm.inject_event(&ev)), 1 + 1 + 2);
+    sqlcm
+        .add_rule(
+            Rule::new("late")
+                .on(RuleEvent::QueryCommit)
+                .when("Query.User LIKE 'l%'")
+                .then(Action::send_mail("dba", "late")),
+        )
+        .unwrap();
+    let by = |user: &str| {
+        let mut q = QueryInfo::synthetic(1, "SELECT 1");
+        q.user = user.into();
+        EngineEvent::QueryCommit(q)
+    };
+    // Evaluation 0, timed; no firing.
+    assert_eq!(clock_reads(|| sqlcm.inject_event(&by("x"))), 2 + 2);
+    // Evaluation 1, untimed; firing 0, timed from a fresh read.
+    assert_eq!(clock_reads(|| sqlcm.inject_event(&by("late"))), 2 + 2);
+    // Evaluation 2 and firing 1: untimed.
+    assert_eq!(clock_reads(|| sqlcm.inject_event(&by("late"))), 2);
 }
 
-/// A cascade stamps the same way, event by event: `on_event` once, then every
-/// drained event its rule loop's start and its own boundaries —
-/// 1 + Σ(1 + Nᵢ + Fᵢ) — and `on_event`'s span ends at the last of them.
+/// A cascade times the same way: `on_event` reads twice however many events
+/// it drains, and each drained event's rules time their spans on their own
+/// schedules. The eviction rules' first evaluations and firings fall on the
+/// first drained event, long after the commit rules' first ones.
 #[cfg(debug_assertions)]
 #[test]
-fn a_cascade_reads_the_clock_once_per_drained_event_and_boundary() {
+fn a_cascade_reads_the_clock_twice_plus_its_sampled_spans() {
     let engine = Engine::in_memory();
     let sqlcm = Sqlcm::attach(&engine);
     sqlcm
@@ -884,17 +925,23 @@ fn a_cascade_reads_the_clock_once_per_drained_event_and_boundary() {
     for rule in rules {
         sqlcm.add_rule(rule).unwrap();
     }
-    // Fills the LAT: no eviction, so one event of two evaluations, one firing.
+    // Fills the LAT: no eviction. Both commit rules' first evaluations are
+    // timed, and `feed`'s first firing.
     assert_eq!(
         clock_reads(|| sqlcm.inject_event(&commit_event(1, 1.0))),
-        1 + (1 + 2 + 1)
+        2 + (2 + 1) + 2
     );
-    // Each new signature evicts the row held: a second, drained event of
-    // two evaluations, two firings.
-    for sig in 2..5 {
+    // Each new signature evicts the row held: a second, drained event. The
+    // commit rules' second evaluations are untimed; the eviction rules' first
+    // evaluations and firings are timed.
+    assert_eq!(
+        clock_reads(|| sqlcm.inject_event(&commit_event(2, 2.0))),
+        2 + 2 * (2 + 1)
+    );
+    for sig in 3..5 {
         assert_eq!(
             clock_reads(|| sqlcm.inject_event(&commit_event(sig, sig as f64))),
-            1 + (1 + 2 + 1) + (1 + 2 + 2)
+            2
         );
     }
     assert_eq!(sqlcm.rule("spill").unwrap().stats().fires, 3);

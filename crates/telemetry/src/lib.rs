@@ -15,8 +15,8 @@
 //! * [`LatencyHistogram`] — per stripe, 64 log2-bucketed atomic buckets
 //!   ([`Buckets`]) with running sum and max; [`HistogramSnapshot`] sums the
 //!   stripes and derives p50/p95/p99 from the buckets.
-//! * [`Stamp`] — one reading of `std::time::Instant`; spans are the distance
-//!   between two adjacent stamps, so a boundary costs one clock read.
+//! * [`Stamp`] — one reading of `std::time::Instant`; a span is the distance
+//!   between two stamps, and adjacent spans share the stamp between them.
 //! * [`FlightRecorder`] — a bounded ring of the last N rule firings, kept so
 //!   a test failure or cancel storm can be reconstructed after the fact; its
 //!   records name their rule and event by [`Label`], cloned without

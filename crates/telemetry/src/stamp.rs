@@ -1,9 +1,10 @@
-//! Boundary stamps: the one place the event path reads `Instant`.
+//! Stamps: the one place the event path reads `Instant`.
 //!
-//! The monitor times itself by stamping *boundaries* and deriving every span
-//! from two adjacent stamps — one read ends a span and starts the next — so
-//! the spans of an event partition it exactly and a span costs one clock
-//! read, not two.
+//! A span is the distance between two stamps, and adjacent spans share the
+//! stamp between them: one read ends a span and starts the next. The monitor
+//! stamps every event's entry and exit, and a rule's condition and firing
+//! spans on the rule's own sampling schedule, so a span that is not timed
+//! reads nothing.
 
 use std::time::Instant;
 

@@ -2,6 +2,7 @@
 //! under a multi-threaded workload, snapshot/stats consistency, and the
 //! self-monitoring bridge driven through the public facade.
 
+use sqlcm_repro::monitor::BreakerConfig;
 use sqlcm_repro::prelude::*;
 use sqlcm_repro::workloads::{mixed, run_queries, tpch};
 
@@ -16,6 +17,21 @@ fn small_db(engine: &Engine) -> sqlcm_repro::workloads::TpchDb {
         },
     )
     .unwrap()
+}
+
+/// Time every evaluation and every firing, as a breaker latency budget does,
+/// with a budget no span exceeds: the tests of booking under concurrency then
+/// count one span per evaluation and per firing on every stripe, whatever
+/// each dispatcher's share.
+fn time_every_span(sqlcm: &Sqlcm) {
+    let config = sqlcm.config();
+    sqlcm.configure(MonitorConfig {
+        breaker: BreakerConfig {
+            latency_budget_nanos: Some(u64::MAX),
+            ..config.breaker
+        },
+        ..config
+    });
 }
 
 /// Sharded counters and per-rule atomics must attribute exactly under
@@ -43,6 +59,7 @@ fn per_rule_attribution_is_exact_under_concurrency() {
                 .then(Action::send_mail("dba", "impossible")),
         )
         .unwrap();
+    time_every_span(&sqlcm);
 
     const THREADS: u64 = 4;
     const PER_THREAD: u32 = 400;
@@ -164,7 +181,8 @@ fn monitor_health_aggregates_into_a_lat() {
 }
 
 /// Clock-based collection keeps pace with the counters run after run: one
-/// condition sample per evaluation, one flight record per firing.
+/// condition sample per 64 evaluations of the one dispatcher, the first
+/// included, and one flight record per firing.
 #[test]
 fn clocked_metrics_keep_pace_with_the_counters() {
     let engine = Engine::in_memory();
@@ -184,7 +202,7 @@ fn clocked_metrics_keep_pace_with_the_counters() {
     run_queries(&engine, &queries).unwrap();
     let snap = sqlcm.telemetry();
     assert_eq!(snap.stats.events, 200);
-    assert_eq!(snap.rules[0].condition.count, 200);
+    assert_eq!(snap.rules[0].condition.count, 200_u64.div_ceil(64));
     assert_eq!(snap.flight_total, 200);
 }
 
@@ -195,13 +213,13 @@ fn rule_named<'a>(
     snap.rules.iter().find(|r| r.name == name).unwrap()
 }
 
-/// Boundary stamps partition an event: every condition and action span is the
-/// distance between two adjacent stamps taken inside `on_event`'s own, so —
-/// in exact integer nanoseconds — `on_event.sum` is the rule spans plus what
-/// ran before each rule loop (payload assembly, plan load, guard probe,
-/// pinning; for a drained event, its dequeue). The counts partition too: one
-/// condition sample per evaluation that ran, one action sample and one flight
-/// record per firing.
+/// Rule spans lie inside `on_event`'s: every timed condition and action span
+/// is taken between `on_event`'s entry and exit stamps, drained events
+/// included. The counts are exact on one dispatcher: a rule times its
+/// evaluations that ran and its firings at indexes 0, 64, 128, …, so it
+/// records `(evaluations − pruned).div_ceil(64)` condition samples and
+/// `fires.div_ceil(64)` action samples, and there is one flight record per
+/// firing.
 #[test]
 fn rule_spans_partition_on_event() {
     let engine = Engine::in_memory();
@@ -259,8 +277,12 @@ fn rule_spans_partition_on_event() {
             (evaluations, pruned, fires),
             "{rule}"
         );
-        assert_eq!(r.condition.count, r.evaluations - r.pruned, "{rule}");
-        assert_eq!(r.action.count, r.fires, "{rule}");
+        assert_eq!(
+            r.condition.count,
+            (r.evaluations - r.pruned).div_ceil(64),
+            "{rule}"
+        );
+        assert_eq!(r.action.count, r.fires.div_ceil(64), "{rule}");
     }
     assert_eq!(snap.flight_total, snap.stats.fires);
 
@@ -307,6 +329,7 @@ fn flushed_tallies_partition_after_two_threads_join() {
     for rule in rules {
         sqlcm.add_rule(rule).unwrap();
     }
+    time_every_span(&sqlcm);
     const PER_THREAD: u32 = 500;
     let start = std::sync::Barrier::new(2);
     std::thread::scope(|scope| {
@@ -351,8 +374,8 @@ fn flushed_tallies_partition_after_two_threads_join() {
 
 /// Two dispatchers released together book every evaluation in their own
 /// stripes of each rule's books: per rule, the striped counts, both span
-/// histograms and the breaker's outcome count sum to exactly the events the
-/// two threads sent.
+/// histograms (every span timed, as under a latency budget) and the
+/// breaker's outcome count sum to exactly the events the two threads sent.
 #[test]
 fn two_dispatchers_book_every_evaluation_exactly() {
     let engine = Engine::in_memory();
@@ -374,6 +397,7 @@ fn two_dispatchers_book_every_evaluation_exactly() {
             .add_rule(on_commit(&format!("watch{i}")).when(&never))
             .unwrap();
     }
+    time_every_span(&sqlcm);
     const PER_THREAD: u64 = 2_000;
     let start = std::sync::Barrier::new(2);
     std::thread::scope(|scope| {
@@ -512,4 +536,215 @@ fn stats_read_from_inside_an_action_are_as_of_the_previous_event() {
         command_sink: std::sync::Arc::new(sqlcm_repro::monitor::RecordingCommandSink::default()),
         ..sqlcm.config()
     });
+}
+
+/// A query commit by `user`, for the span-schedule tests.
+fn commit_by(id: u64, user: &str) -> sqlcm_repro::common::EngineEvent {
+    let mut q = sqlcm_repro::common::QueryInfo::synthetic(id, "SELECT 1");
+    q.user = user.into();
+    sqlcm_repro::common::EngineEvent::QueryCommit(q)
+}
+
+/// A rule times its evaluations 0, 64, 128, … and its firings 0, 64, … on
+/// the dispatcher's stripe, and no others: after every event the span
+/// counts are exactly `ran.div_ceil(64)` and `fires.div_ceil(64)`, so a
+/// sample is added exactly when the index is a multiple of 64. `LIKE` keeps
+/// `some` residual, so it runs on every event and fires on one in three.
+#[test]
+fn a_rule_times_evaluations_and_firings_0_64_128() {
+    let engine = Engine::in_memory();
+    let sqlcm = Sqlcm::attach(&engine);
+    let on_commit = |name: &str| Rule::new(name).on(RuleEvent::QueryCommit);
+    sqlcm
+        .add_rule(on_commit("all").then(Action::send_mail("dba", "all")))
+        .unwrap();
+    sqlcm
+        .add_rule(
+            on_commit("some")
+                .when("Query.User LIKE 'a%'")
+                .then(Action::send_mail("dba", "some")),
+        )
+        .unwrap();
+    let mut some_fires = 0u64;
+    for id in 0..400u64 {
+        let user = if id % 3 == 0 { "ann" } else { "bob" };
+        some_fires += u64::from(user == "ann");
+        sqlcm.inject_event(&commit_by(id, user));
+        let snap = sqlcm.telemetry();
+        let (all, some) = (rule_named(&snap, "all"), rule_named(&snap, "some"));
+        let ran = id + 1;
+        assert_eq!((all.evaluations, all.pruned, all.fires), (ran, 0, ran));
+        assert_eq!((some.evaluations, some.pruned), (ran, 0));
+        assert_eq!(some.fires, some_fires);
+        assert_eq!(all.condition.count, ran.div_ceil(64), "after {ran}");
+        assert_eq!(all.action.count, ran.div_ceil(64), "after {ran}");
+        assert_eq!(some.condition.count, ran.div_ceil(64), "after {ran}");
+        assert_eq!(some.action.count, some_fires.div_ceil(64), "after {ran}");
+    }
+    assert_eq!(sqlcm.telemetry().flight_total, 400 + some_fires);
+}
+
+/// The schedule is the rule's own, so a rule on a rare event class is not
+/// starved by the events around it: a `Login` rule behind 63 commits per
+/// login is timed on its first evaluation and firing, where one schedule per
+/// event (every 64th) would never land on a login.
+#[test]
+fn a_rare_rule_is_timed_on_its_first_evaluation() {
+    let engine = Engine::in_memory();
+    let sqlcm = Sqlcm::attach(&engine);
+    sqlcm
+        .add_rule(
+            Rule::new("commits")
+                .on(RuleEvent::QueryCommit)
+                .when("Query.User LIKE 'a%'"),
+        )
+        .unwrap();
+    sqlcm
+        .add_rule(
+            Rule::new("logins")
+                .on(RuleEvent::Login)
+                .then(Action::send_mail("dba", "login")),
+        )
+        .unwrap();
+    let login = sqlcm_repro::common::EngineEvent::Login(sqlcm_repro::common::SessionInfo {
+        session_id: 1,
+        user: "ann".into(),
+        application: "app".into(),
+        success: true,
+    });
+    for round in 1..=3u64 {
+        for id in 0..63 {
+            sqlcm.inject_event(&commit_by(id, "ann"));
+        }
+        sqlcm.inject_event(&login);
+        let snap = sqlcm.telemetry();
+        assert_eq!(snap.stats.events, 64 * round);
+        let logins = rule_named(&snap, "logins");
+        assert_eq!((logins.evaluations, logins.fires), (round, round));
+        assert_eq!((logins.condition.count, logins.action.count), (1, 1));
+        let commits = rule_named(&snap, "commits");
+        assert_eq!(commits.condition.count, (63 * round).div_ceil(64));
+    }
+}
+
+/// A command sink slower than any latency budget below.
+struct SlowSink;
+
+impl sqlcm_repro::monitor::CommandSink for SlowSink {
+    fn run(&self, _command: &str) {
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+}
+
+/// With a breaker latency budget set, every evaluation and every firing is
+/// timed — the slow check judges each one — and a rule whose firings exceed
+/// the budget still trips its breaker.
+#[test]
+fn a_latency_budget_times_every_span_and_trips_a_slow_rule() {
+    let engine = Engine::in_memory();
+    let sqlcm = Sqlcm::attach(&engine);
+    let on_commit = |name: &str| Rule::new(name).on(RuleEvent::QueryCommit);
+    sqlcm
+        .add_rule(on_commit("slow").then(Action::run_external("sleep")))
+        .unwrap();
+    sqlcm
+        .add_rule(on_commit("watch").when("Query.User LIKE 'a%'"))
+        .unwrap();
+    sqlcm.configure(MonitorConfig {
+        breaker: BreakerConfig {
+            latency_budget_nanos: Some(1_000_000),
+            slow_threshold: 4,
+            min_outcomes: 8,
+            ..Default::default()
+        },
+        command_sink: std::sync::Arc::new(SlowSink),
+        ..sqlcm.config()
+    });
+    let events = 100;
+    for id in 0..events {
+        sqlcm.inject_event(&commit_by(id, "bob"));
+    }
+    let snap = sqlcm.telemetry();
+    let (slow, watch) = (rule_named(&snap, "slow"), rule_named(&snap, "watch"));
+    assert_eq!(snap.containment.quarantined, vec!["slow".to_string()]);
+    assert_eq!(snap.containment.breaker_trips, 1);
+    assert_eq!(
+        (slow.evaluations, slow.fires),
+        (8, 8),
+        "tripped at min_outcomes"
+    );
+    assert_eq!((slow.condition.count, slow.action.count), (8, 8));
+    assert!(slow.action.sum >= 8 * 2_000_000, "{:?}", slow.action);
+    assert_eq!((watch.evaluations, watch.pruned), (events, 0));
+    assert_eq!(watch.condition.count, events, "every evaluation timed");
+}
+
+/// A flight record carries the firing's timed span: 0 when the firing was not
+/// timed, more than 0 when it was (the firings at 0, 64, … of the rule).
+#[test]
+fn a_flight_record_is_timed_only_on_a_timed_firing() {
+    let engine = Engine::in_memory();
+    let sqlcm = Sqlcm::attach(&engine);
+    sqlcm
+        .add_rule(
+            Rule::new("every")
+                .on(RuleEvent::QueryCommit)
+                .then(Action::send_mail("dba", "hi")),
+        )
+        .unwrap();
+    let events = 130u64;
+    for id in 0..events {
+        sqlcm.inject_event(&commit_by(id, "ann"));
+    }
+    let snap = sqlcm.telemetry();
+    assert_eq!(snap.flight_total, events);
+    assert_eq!(snap.flight_records.len() as u64, events);
+    for (i, record) in snap.flight_records.iter().enumerate() {
+        assert!(record.fired);
+        assert_eq!(
+            record.duration_nanos > 0,
+            i % 64 == 0,
+            "firing {i}: {record:?}"
+        );
+    }
+}
+
+/// A rule whose condition LAT was dropped after registration is broken: each
+/// evaluation is counted and errors. It is timed on the same schedule as any
+/// other, so its condition count keeps `(evaluations − pruned).div_ceil(64)`
+/// and its time is not charged to the rule after it.
+#[test]
+fn a_broken_rule_times_its_evaluations_on_the_schedule() {
+    let engine = Engine::in_memory();
+    let sqlcm = Sqlcm::attach(&engine);
+    sqlcm
+        .define_lat(
+            LatSpec::new("Gone")
+                .group_by("Query.User", "User")
+                .aggregate(LatAggFunc::Count, "", "N"),
+        )
+        .unwrap();
+    let on_commit = |name: &str| Rule::new(name).on(RuleEvent::QueryCommit);
+    sqlcm
+        .add_rule(on_commit("reads_gone").when("Query.ID >= 0 AND Gone.N >= 0"))
+        .unwrap();
+    sqlcm
+        .add_rule(on_commit("after").when("Query.User LIKE 'a%'"))
+        .unwrap();
+    assert!(sqlcm.drop_lat("Gone"));
+    let events = 130u64;
+    for id in 0..events {
+        sqlcm.inject_event(&commit_by(id, "bob"));
+    }
+    let snap = sqlcm.telemetry();
+    for name in ["reads_gone", "after"] {
+        let r = rule_named(&snap, name);
+        assert_eq!((r.evaluations, r.pruned, r.fires), (events, 0, 0), "{name}");
+        assert_eq!(r.condition.count, events.div_ceil(64), "{name}");
+        assert_eq!(r.action.count, 0, "{name}");
+    }
+    let broken = rule_named(&snap, "reads_gone");
+    let error = broken.last_error.as_ref().expect("a broken rule errors");
+    assert_eq!(error.count, events);
+    assert!(error.message.contains("unknown LAT"), "{}", error.message);
 }
