@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use sqlcm_common::{QueryInfo, SystemClock, Value};
 use sqlcm_core::ir::CondIr;
 use sqlcm_core::objects::query_object;
-use sqlcm_core::rules::{oracle, EvalContext};
+use sqlcm_core::rules::EvalContext;
 use sqlcm_core::vm::{self, Program, VmStats};
 use sqlcm_core::{Lat, LatAggFunc, LatSpec};
 use sqlcm_engine::active::ActiveQueryState;
@@ -22,6 +22,9 @@ use sqlcm_engine::lock::{LockManager, LockMode, ResourceId};
 use sqlcm_engine::{optimizer, signature};
 use sqlcm_sql::parse_expression;
 use sqlcm_storage::{BTree, BufferPool, InMemoryDisk, SlottedPage, PAGE_SIZE};
+
+#[path = "../../core/tests/oracle/mod.rs"]
+mod oracle;
 
 /// Time `f` in batches of `batch` iterations until `budget` elapses; print the
 /// median per-iteration time.

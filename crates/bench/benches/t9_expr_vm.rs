@@ -17,9 +17,12 @@ use sqlcm_bench::{banner, env_u32};
 use sqlcm_common::QueryInfo;
 use sqlcm_core::ir::CondIr;
 use sqlcm_core::objects::query_object;
-use sqlcm_core::rules::{oracle, EvalContext};
+use sqlcm_core::rules::EvalContext;
 use sqlcm_core::vm::{self, Program, VmStats};
 use sqlcm_sql::parse_expression;
+
+#[path = "../../core/tests/oracle/mod.rs"]
+mod oracle;
 
 /// Median ns/iter of `f` over batches sized to ≥1ms, within a wall budget.
 fn median_ns(mut f: impl FnMut()) -> f64 {

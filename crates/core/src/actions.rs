@@ -15,6 +15,7 @@ use sqlcm_engine::exec::{self, ExecCtx};
 use sqlcm_engine::expr::Params;
 use sqlcm_engine::txn::TxnState;
 
+use crate::objects::ClassName;
 use crate::rules::EvalContext;
 
 /// The actions are declared once, in the analyzer crate.
@@ -23,7 +24,21 @@ pub use sqlcm_analyze::Action;
 /// Substitute `{Qualifier.Name}` placeholders from the evaluation context.
 /// Unresolvable placeholders are kept verbatim (a template typo must not make
 /// the action fail).
+///
+/// On an eviction event, a qualifier naming the LAT of the in-scope evicted
+/// row (in any case) reads that row, before any LAT row the condition bound:
+/// the event's own object wins, as `{Query.X}` does.
 pub fn substitute(template: &str, ctx: &EvalContext) -> String {
+    let lookup = |q: &str, n: &str| {
+        let evicted = ctx
+            .objects
+            .iter()
+            .find(|o| matches!(&o.class, ClassName::Evicted(lat) if lat.eq_ignore_ascii_case(q)));
+        match evicted {
+            Some(row) => row.get(n).cloned(),
+            None => ctx.resolve(q, n).ok(),
+        }
+    };
     let mut out = String::with_capacity(template.len());
     let mut rest = template;
     while let Some(open) = rest.find('{') {
@@ -33,7 +48,7 @@ pub fn substitute(template: &str, ctx: &EvalContext) -> String {
             Some(close) => {
                 let inner = &after[..close];
                 match inner.split_once('.') {
-                    Some((q, n)) => match ctx.resolve(q, n).ok() {
+                    Some((q, n)) => match lookup(q, n) {
                         Some(v) => out.push_str(&v.to_string()),
                         None => {
                             out.push('{');

@@ -33,8 +33,9 @@
 //! shared masks; the thresholds and the clock are consulted only on a bad
 //! outcome, and the clock only when a breaker actually trips or a
 //! quarantined rule is scanned for re-admission. The whole-system
-//! differential suite pins that a healthy run with breakers live matches the
-//! breaker-less reference monitor.
+//! differential tests (`crates/core/tests/monitor_differential.rs`) run with
+//! breakers live and require a healthy run to match a reference monitor that
+//! has none.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicU8, Ordering};
 

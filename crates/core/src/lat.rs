@@ -72,9 +72,6 @@
 //! `max_bytes` bounds the bytes of the rows held (`Slot::bytes`), a running
 //! count kept under the latch only by LATs that set it. It leaves out the
 //! victim entries and the hash index, which [`Lat::memory_bytes`] adds.
-//!
-//! `ReferenceLat` (see [`crate::lat_ref`]) is a deliberately naive
-//! single-lock implementation used as a differential oracle for both stores.
 
 use std::borrow::Borrow;
 use std::cmp::Ordering as Cmp;

@@ -55,10 +55,7 @@ mod guard;
 #[doc(hidden)]
 pub mod ir;
 pub mod lat;
-pub mod lat_ref;
 pub mod monitor;
-#[doc(hidden)]
-pub mod monitor_ref;
 pub mod objects;
 pub mod plan;
 pub mod rules;
@@ -75,7 +72,6 @@ pub use containment::{BreakerConfig, BreakerState};
 pub use deferred::{LossEntry, RetryPolicy, DEFAULT_QUEUE_CAPACITY};
 pub use fault::{FaultKind, FaultPlan, FaultRate};
 pub use lat::{Lat, LatAggFunc, LatShardStats, LatSpec};
-pub use lat_ref::ReferenceLat;
 pub use monitor::{MonitorConfig, Sqlcm, SqlcmStats};
 pub use objects::{ClassName, Object};
 pub use plan::{HoistGroup, PlanSummary};

@@ -209,7 +209,7 @@ fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
 }
 
 /// The rule-event kind of an engine event, without building payloads.
-pub(crate) fn kind_of(event: &EngineEvent) -> RuleEvent {
+fn kind_of(event: &EngineEvent) -> RuleEvent {
     match event {
         EngineEvent::QueryStart(_) => RuleEvent::QueryStart,
         EngineEvent::QueryCompile(_) => RuleEvent::QueryCompile,
@@ -242,11 +242,7 @@ fn compiled_action_label(action: &CompiledAction) -> &'static str {
 
 /// Build the context objects of an engine event, drawing value buffers from
 /// `bufs` (the thread-local pool on the hot path; an empty pool allocates).
-pub(crate) fn payload_objects_in(
-    event: &EngineEvent,
-    out: &mut Vec<Object>,
-    bufs: &mut Vec<Vec<Value>>,
-) {
+fn payload_objects_in(event: &EngineEvent, out: &mut Vec<Object>, bufs: &mut Vec<Vec<Value>>) {
     out.clear();
     match event {
         EngineEvent::QueryStart(q)

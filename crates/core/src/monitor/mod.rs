@@ -58,7 +58,6 @@ mod dispatch;
 mod registry;
 
 use dispatch::SqlcmMonitor;
-pub(crate) use dispatch::{kind_of, payload_objects_in};
 use registry::{RuleTable, WarningLog};
 
 /// Aggregate counters for one SQLCM instance.
@@ -672,6 +671,52 @@ mod tests {
         }
         let rows = engine.query("SELECT sig, d FROM evicted").unwrap();
         assert_eq!(rows, vec![vec![Value::Int(1), Value::Float(5.0)]]);
+    }
+
+    /// An eviction rule's template reads the evicted row through its LAT's
+    /// name, in any case.
+    #[test]
+    fn eviction_templates_read_the_evicted_row() {
+        let (_engine, sqlcm) = setup();
+        sqlcm
+            .define_lat(
+                LatSpec::new("Small")
+                    .group_by("Query.Logical_Signature", "Sig")
+                    .aggregate(LatAggFunc::Max, "Query.Duration", "D")
+                    .order_by("D", true)
+                    .max_rows(1),
+            )
+            .unwrap();
+        sqlcm
+            .add_rule(
+                Rule::new("track")
+                    .on(RuleEvent::QueryCommit)
+                    .then(Action::insert("Small")),
+            )
+            .unwrap();
+        sqlcm
+            .add_rule(
+                Rule::new("mail_evicted")
+                    .on(RuleEvent::LatEviction("Small".into()))
+                    .then(Action::send_mail("dba", "{Small.Sig} {sMALL.D}")),
+            )
+            .unwrap();
+        // Each commit outlasts the one before it, so evicts it.
+        for sig in 1..=6u64 {
+            let mut q = sqlcm_common::QueryInfo::synthetic(sig, "q");
+            q.logical_signature = Some(sig);
+            q.duration_micros = sig * 1_000_000 + 500_000;
+            sqlcm
+                .inner
+                .dispatch(RuleEvent::QueryCommit, vec![objects::query_object(&q)]);
+        }
+        let bodies: Vec<String> = sqlcm
+            .outbox()
+            .messages()
+            .into_iter()
+            .map(|(_, body)| body)
+            .collect();
+        assert_eq!(bodies, ["1 1.5", "2 2.5", "3 3.5", "4 4.5", "5 5.5"]);
     }
 
     /// A LAT is named case-insensitively everywhere: the feeder, the

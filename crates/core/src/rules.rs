@@ -54,7 +54,7 @@ pub struct RuleStats {
 #[repr(C, align(64))]
 #[derive(Default)]
 pub(crate) struct RuleStripe {
-    /// Evaluations that ran (the condition VM, or the reference's oracle).
+    /// Evaluations that ran the condition VM.
     /// Its value before an evaluation's increment is that evaluation's index
     /// on the stripe, which the span schedule keys on; `fires` likewise.
     pub evaluations: AtomicU64,
@@ -152,9 +152,7 @@ pub struct Rule {
     /// Counts and span histograms, striped by dispatcher.
     pub(crate) books: RuleBooks,
     /// The in-service bit and the pruned-evaluation bookkeeping, installed
-    /// when a `Sqlcm` registers the rule. `None` on an unregistered rule and
-    /// in the reference monitor, whose linear scan reads `enabled` and counts
-    /// every evaluation as it happens.
+    /// when a `Sqlcm` registers the rule; `None` on an unregistered rule.
     credit: Option<Credit>,
 }
 
@@ -429,8 +427,8 @@ pub struct LatBinding<'a> {
 ///
 /// `lat_rows` is ordered like the owning rule's `condition_refs()` LAT list, so
 /// compiled conditions address bindings by position
-/// ([`crate::ir::Resolved::LatCol`]) and the interpreted oracle
-/// ([`oracle::eval_expr`]) falls back to a name scan.
+/// ([`crate::ir::Resolved::LatCol`]); the trace explainer and template
+/// substitution find them by name.
 pub struct EvalContext<'a> {
     pub objects: &'a [Object],
     pub lat_rows: &'a [LatBinding<'a>],
@@ -481,237 +479,9 @@ impl EvalContext<'_> {
     }
 }
 
-// -------------------------------------------------------- tree-walk oracle
-
-/// The original tree-walking condition interpreter, kept as the executable
-/// specification the register-bytecode VM ([`crate::vm`]) is differentially
-/// tested against. Not used on any runtime path: registration lowers
-/// conditions to [`crate::ir::CondIr`] and the dispatcher runs bytecode.
-/// Exposed (hidden) for the differential test suite and benches only.
-#[doc(hidden)]
-pub mod oracle {
-    use super::EvalContext;
-    use sqlcm_common::{Error, Result, Value};
-    use sqlcm_sql::{BinOp, Expr, LikeMatcher, UnaryOp};
-
-    /// Evaluate a rule condition. Missing LAT rows make the condition false
-    /// (implicit ∃); genuine errors propagate.
-    pub fn eval_condition(cond: &Expr, ctx: &EvalContext) -> Result<bool> {
-        match eval_expr(cond, ctx) {
-            Ok(v) => Ok(v.as_bool() == Some(true)),
-            Err(Error::NoLatRow) => Ok(false),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Expression interpreter for conditions — the subset of §5.2: logical and
-    /// arithmetic operators over attribute and LAT-column references.
-    pub fn eval_expr(e: &Expr, ctx: &EvalContext) -> Result<Value> {
-        Ok(match e {
-            Expr::Literal(v) => v.clone(),
-            Expr::Column { qualifier, name } => match qualifier {
-                Some(q) => ctx.resolve(q, name)?,
-                None => {
-                    return Err(Error::Monitor(format!(
-                        "unqualified column {name} in rule condition"
-                    )))
-                }
-            },
-            Expr::Unary { op, expr } => {
-                let v = eval_expr(expr, ctx)?;
-                match op {
-                    UnaryOp::Neg => Value::Int(0).sub(&v)?,
-                    UnaryOp::Not => match v.as_bool() {
-                        Some(b) => Value::Bool(!b),
-                        None => Value::Null,
-                    },
-                }
-            }
-            Expr::Binary { left, op, right } => {
-                // NOTE: no short-circuit across the NO_ROW sentinel — any reference
-                // to a missing LAT row poisons the condition to false, matching the
-                // paper's "if a matching row doesn't exist, the condition is
-                // evaluated to false".
-                let l = eval_expr(left, ctx)?;
-                let r = eval_expr(right, ctx)?;
-                match op {
-                    BinOp::Add => l.add(&r)?,
-                    BinOp::Sub => l.sub(&r)?,
-                    BinOp::Mul => l.mul(&r)?,
-                    BinOp::Div => l.div(&r)?,
-                    BinOp::Mod => match (l.as_i64(), r.as_i64()) {
-                        (Some(a), Some(b)) if b != 0 => Value::Int(a % b),
-                        _ => Value::Null,
-                    },
-                    BinOp::And => match (l.as_bool(), r.as_bool()) {
-                        (Some(false), _) | (_, Some(false)) => Value::Bool(false),
-                        (Some(true), Some(true)) => Value::Bool(true),
-                        _ => Value::Null,
-                    },
-                    BinOp::Or => match (l.as_bool(), r.as_bool()) {
-                        (Some(true), _) | (_, Some(true)) => Value::Bool(true),
-                        (Some(false), Some(false)) => Value::Bool(false),
-                        _ => Value::Null,
-                    },
-                    cmp => match l.sql_cmp(&r) {
-                        None => Value::Null,
-                        Some(ord) => Value::Bool(match cmp {
-                            BinOp::Eq => ord.is_eq(),
-                            BinOp::NotEq => !ord.is_eq(),
-                            BinOp::Lt => ord.is_lt(),
-                            BinOp::Gt => ord.is_gt(),
-                            BinOp::LtEq => ord.is_le(),
-                            BinOp::GtEq => ord.is_ge(),
-                            _ => unreachable!(),
-                        }),
-                    },
-                }
-            }
-            Expr::IsNull { expr, negated } => {
-                let v = eval_expr(expr, ctx)?;
-                Value::Bool(v.is_null() != *negated)
-            }
-            Expr::Like {
-                expr,
-                pattern,
-                negated,
-            } => {
-                let v = eval_expr(expr, ctx)?;
-                let p = eval_expr(pattern, ctx)?;
-                match (v.as_str(), p.as_str()) {
-                    (Some(s), Some(pat)) => {
-                        Value::Bool(LikeMatcher::new(pat).is_match(s) != *negated)
-                    }
-                    _ => Value::Null,
-                }
-            }
-            Expr::InList {
-                expr,
-                list,
-                negated,
-            } => {
-                let v = eval_expr(expr, ctx)?;
-                if v.is_null() {
-                    return Ok(Value::Null);
-                }
-                let mut saw_null = false;
-                let mut found = false;
-                for e in list {
-                    let member = eval_expr(e, ctx)?;
-                    if member.is_null() {
-                        saw_null = true;
-                    } else if member == v {
-                        found = true;
-                        break;
-                    }
-                }
-                if found {
-                    Value::Bool(!*negated)
-                } else if saw_null {
-                    Value::Null
-                } else {
-                    Value::Bool(*negated)
-                }
-            }
-            other => {
-                return Err(Error::Monitor(format!(
-                    "expression {other} is not supported in rule conditions"
-                )))
-            }
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::oracle::eval_condition;
     use super::*;
-    use crate::objects::query_object;
-    use sqlcm_common::QueryInfo;
-    use std::sync::Arc;
-
-    const NO_LATS: &[LatBinding<'static>] = &[];
-
-    fn qobj(duration_secs: f64) -> Object {
-        let mut q = QueryInfo::synthetic(1, "SELECT 1");
-        q.duration_micros = (duration_secs * 1e6) as u64;
-        q.logical_signature = Some(42);
-        query_object(&q)
-    }
-
-    #[test]
-    fn simple_threshold_condition() {
-        let objs = vec![qobj(150.0)];
-        let ctx = EvalContext {
-            objects: &objs,
-            lat_rows: NO_LATS,
-        };
-        let c = parse_expression("Query.Duration > 100").unwrap();
-        assert!(eval_condition(&c, &ctx).unwrap());
-        let c = parse_expression("Query.Duration > 200").unwrap();
-        assert!(!eval_condition(&c, &ctx).unwrap());
-    }
-
-    #[test]
-    fn lat_reference_with_missing_row_is_false() {
-        use sqlcm_common::ManualClock;
-        let (clock, _) = ManualClock::shared(0);
-        let lat = Arc::new(
-            Lat::new(
-                crate::lat::LatSpec::new("Duration_LAT")
-                    .group_by("Query.Logical_Signature", "Sig")
-                    .aggregate(
-                        crate::lat::LatAggFunc::Avg,
-                        "Query.Duration",
-                        "Avg_Duration",
-                    ),
-                clock,
-            )
-            .unwrap(),
-        );
-        let objs = vec![qobj(150.0)];
-        let bindings = [LatBinding {
-            name: "duration_lat",
-            lat: &lat,
-            row: None,
-        }];
-        let ctx = EvalContext {
-            objects: &objs,
-            lat_rows: &bindings,
-        };
-        let c = parse_expression("Query.Duration > 5 * Duration_LAT.Avg_Duration").unwrap();
-        assert!(!eval_condition(&c, &ctx).unwrap(), "∃ fails → false");
-        // Even when OR-ed with something true — the reference poisons it.
-        let c = parse_expression("Query.Duration > 0 AND Duration_LAT.Avg_Duration > 0").unwrap();
-        assert!(!eval_condition(&c, &ctx).unwrap());
-
-        // Bound row: the paper's Example 1 condition.
-        let row = vec![Value::Int(42), Value::Float(20.0)];
-        let bindings = [LatBinding {
-            name: "duration_lat",
-            lat: &lat,
-            row: Some(&row),
-        }];
-        let ctx = EvalContext {
-            objects: &objs,
-            lat_rows: &bindings,
-        };
-        let c = parse_expression("Query.Duration > 5 * Duration_LAT.Avg_Duration").unwrap();
-        assert!(eval_condition(&c, &ctx).unwrap(), "150 > 5 * 20");
-    }
-
-    #[test]
-    fn unknown_attribute_is_error() {
-        let objs = vec![qobj(1.0)];
-        let ctx = EvalContext {
-            objects: &objs,
-            lat_rows: NO_LATS,
-        };
-        let c = parse_expression("Query.Nope > 1").unwrap();
-        assert!(eval_condition(&c, &ctx).is_err());
-        let c = parse_expression("Transaction.ID > 1").unwrap();
-        assert!(eval_condition(&c, &ctx).is_err(), "class not in scope");
-    }
 
     #[test]
     fn condition_refs_classification() {
@@ -736,26 +506,5 @@ mod tests {
         assert!(r.is_enabled());
         r.set_enabled(false);
         assert!(!r.is_enabled());
-    }
-
-    #[test]
-    fn arithmetic_and_string_ops() {
-        let objs = vec![qobj(10.0)];
-        let ctx = EvalContext {
-            objects: &objs,
-            lat_rows: NO_LATS,
-        };
-        for (cond, expect) in [
-            ("Query.Duration * 2 = 20", true),
-            ("(Query.Duration + 5) / 3 = 5", true),
-            ("Query.Query_Text LIKE 'SELECT%'", true),
-            ("Query.Query_Text NOT LIKE '%UPDATE%'", true),
-            ("Query.Procedure IS NULL", true),
-            ("NOT (Query.Duration > 5)", false),
-            ("Query.Query_Type = 'SELECT'", true),
-        ] {
-            let c = parse_expression(cond).unwrap();
-            assert_eq!(eval_condition(&c, &ctx).unwrap(), expect, "{cond}");
-        }
     }
 }

@@ -1,5 +1,6 @@
 //! Differential tests: the register-bytecode condition VM against the
-//! tree-walk oracle (`sqlcm_core::rules::oracle`).
+//! tree-walk oracle (`oracle::eval_expr`, in this directory's shared
+//! `oracle` module), and the tree walk's own spot checks.
 //!
 //! Random condition expressions — attribute reads of every type, LAT column
 //! reads with the row present and missing, `NULL` literals, integer
@@ -22,9 +23,11 @@ use sqlcm_common::{ManualClock, QueryInfo, Value};
 use sqlcm_core::ir::CondIr;
 use sqlcm_core::lat::{Lat, LatAggFunc, LatSpec};
 use sqlcm_core::objects::{query_object, Object};
-use sqlcm_core::rules::{oracle, EvalContext, LatBinding};
+use sqlcm_core::rules::{EvalContext, LatBinding};
 use sqlcm_core::vm::{self, Program, VmStats};
 use sqlcm_sql::{parse_expression, ExprIr};
+
+mod oracle;
 
 /// The LAT every generated condition may reference: columns `Sig`, `A`, `N`.
 fn test_lat() -> Arc<Lat> {
@@ -340,4 +343,225 @@ fn targeted_seams_agree() {
             check_case(src, &ctx, &lats);
         }
     }
+}
+
+// ------------------------------------------------------- spot checks
+
+/// The LAT of the paper's Example 1: columns `Sig`, `Avg_Duration`.
+fn duration_lat() -> Arc<Lat> {
+    let (clock, _) = ManualClock::shared(0);
+    Arc::new(
+        Lat::new(
+            LatSpec::new("Duration_LAT")
+                .group_by("Query.Logical_Signature", "Sig")
+                .aggregate(LatAggFunc::Avg, "Query.Duration", "Avg_Duration"),
+            clock,
+        )
+        .unwrap(),
+    )
+}
+
+/// A `Query` of signature 42 that ran `duration_secs`.
+fn sig42(duration_secs: f64) -> Object {
+    let mut q = QueryInfo::synthetic(1, "SELECT 1");
+    q.duration_micros = (duration_secs * 1e6) as u64;
+    q.logical_signature = Some(42);
+    query_object(&q)
+}
+
+/// `src` compiled for the VM, its LAT references bound to `Duration_LAT`.
+fn program(src: &str) -> Program {
+    let mut lats = HashMap::new();
+    lats.insert("duration_lat".to_string(), duration_lat());
+    let ir = ExprIr::lower(&parse_expression(src).unwrap()).fold();
+    let cond = CondIr::from_ir(&ir, &lats, &["Duration_LAT".to_string()]).unwrap();
+    Program::emit(&cond, &HashMap::new())
+}
+
+/// VM and tree-walk oracle agree (value and error-ness) on `src`.
+fn assert_agrees(src: &str, ctx: &EvalContext) {
+    let prog = program(src);
+    let mut stats = VmStats::default();
+    let vm = vm::eval_condition(&prog, ctx, &mut [], &mut stats);
+    let oracle = oracle::eval_condition(&parse_expression(src).unwrap(), ctx);
+    match (&vm, &oracle) {
+        (Ok(a), Ok(b)) => assert_eq!(a, b, "{src}"),
+        (Err(_), Err(_)) => {}
+        _ => panic!("{src}: vm={vm:?} oracle={oracle:?}"),
+    }
+    assert!(stats.instructions > 0);
+}
+
+const NO_LATS: &[LatBinding<'static>] = &[];
+
+#[test]
+fn simple_threshold_condition() {
+    let objs = vec![sig42(150.0)];
+    let ctx = EvalContext {
+        objects: &objs,
+        lat_rows: NO_LATS,
+    };
+    let c = parse_expression("Query.Duration > 100").unwrap();
+    assert!(oracle::eval_condition(&c, &ctx).unwrap());
+    let c = parse_expression("Query.Duration > 200").unwrap();
+    assert!(!oracle::eval_condition(&c, &ctx).unwrap());
+}
+
+#[test]
+fn lat_reference_with_missing_row_is_false() {
+    let lat = duration_lat();
+    let objs = vec![sig42(150.0)];
+    let bindings = [LatBinding {
+        name: "duration_lat",
+        lat: &lat,
+        row: None,
+    }];
+    let ctx = EvalContext {
+        objects: &objs,
+        lat_rows: &bindings,
+    };
+    let c = parse_expression("Query.Duration > 5 * Duration_LAT.Avg_Duration").unwrap();
+    assert!(
+        !oracle::eval_condition(&c, &ctx).unwrap(),
+        "∃ fails → false"
+    );
+    // Even when OR-ed with something true — the reference poisons it.
+    let c = parse_expression("Query.Duration > 0 AND Duration_LAT.Avg_Duration > 0").unwrap();
+    assert!(!oracle::eval_condition(&c, &ctx).unwrap());
+
+    // Bound row: the paper's Example 1 condition.
+    let row = vec![Value::Int(42), Value::Float(20.0)];
+    let bindings = [LatBinding {
+        name: "duration_lat",
+        lat: &lat,
+        row: Some(&row),
+    }];
+    let ctx = EvalContext {
+        objects: &objs,
+        lat_rows: &bindings,
+    };
+    let c = parse_expression("Query.Duration > 5 * Duration_LAT.Avg_Duration").unwrap();
+    assert!(oracle::eval_condition(&c, &ctx).unwrap(), "150 > 5 * 20");
+}
+
+#[test]
+fn unknown_attribute_is_error() {
+    let objs = vec![sig42(1.0)];
+    let ctx = EvalContext {
+        objects: &objs,
+        lat_rows: NO_LATS,
+    };
+    let c = parse_expression("Query.Nope > 1").unwrap();
+    assert!(oracle::eval_condition(&c, &ctx).is_err());
+    let c = parse_expression("Transaction.ID > 1").unwrap();
+    assert!(
+        oracle::eval_condition(&c, &ctx).is_err(),
+        "class not in scope"
+    );
+}
+
+#[test]
+fn arithmetic_and_string_ops() {
+    let objs = vec![sig42(10.0)];
+    let ctx = EvalContext {
+        objects: &objs,
+        lat_rows: NO_LATS,
+    };
+    for (cond, expect) in [
+        ("Query.Duration * 2 = 20", true),
+        ("(Query.Duration + 5) / 3 = 5", true),
+        ("Query.Query_Text LIKE 'SELECT%'", true),
+        ("Query.Query_Text NOT LIKE '%UPDATE%'", true),
+        ("Query.Procedure IS NULL", true),
+        ("NOT (Query.Duration > 5)", false),
+        ("Query.Query_Type = 'SELECT'", true),
+    ] {
+        let c = parse_expression(cond).unwrap();
+        assert_eq!(oracle::eval_condition(&c, &ctx).unwrap(), expect, "{cond}");
+    }
+}
+
+#[test]
+fn vm_matches_oracle_on_representative_conditions() {
+    let objs = vec![sig42(10.0)];
+    let ctx = EvalContext {
+        objects: &objs,
+        lat_rows: &[],
+    };
+    for src in [
+        "Query.Duration * 2 = 20",
+        "(Query.Duration + 5) / 3 = 5",
+        "Query.Query_Text LIKE 'SELECT%'",
+        "Query.Query_Text NOT LIKE '%UPDATE%'",
+        "Query.Procedure IS NULL",
+        "NOT (Query.Duration > 5)",
+        "Query.Query_Type = 'SELECT'",
+        "Query.User IN ('admin', 'dba', NULL)",
+        "Query.User NOT IN ('admin', NULL)",
+        "Query.Duration > 5 AND Query.Duration < 100",
+        "Query.Duration > 100 OR Query.Duration < 5",
+        "Query.Duration % 3 = 1",
+        "Query.Procedure IN ('p')",
+    ] {
+        assert_agrees(src, &ctx);
+    }
+}
+
+#[test]
+fn missing_lat_row_poisons_to_false_even_under_or() {
+    let lat = duration_lat();
+    let objs = vec![sig42(150.0)];
+    let bindings = [LatBinding {
+        name: "duration_lat",
+        lat: &lat,
+        row: None,
+    }];
+    let ctx = EvalContext {
+        objects: &objs,
+        lat_rows: &bindings,
+    };
+    for src in [
+        "Query.Duration > 5 * Duration_LAT.Avg_Duration",
+        "Query.Duration > 0 AND Duration_LAT.Avg_Duration > 0",
+        // The paper's ∃ contract: no short-circuit rescue.
+        "Query.Duration > 0 OR Duration_LAT.Avg_Duration > 0",
+    ] {
+        assert_agrees(src, &ctx);
+        let prog = program(src);
+        let mut stats = VmStats::default();
+        assert!(
+            !vm::eval_condition(&prog, &ctx, &mut [], &mut stats).unwrap(),
+            "{src}"
+        );
+    }
+
+    let row = vec![Value::Int(42), Value::Float(20.0)];
+    let bindings = [LatBinding {
+        name: "duration_lat",
+        lat: &lat,
+        row: Some(&row),
+    }];
+    let ctx = EvalContext {
+        objects: &objs,
+        lat_rows: &bindings,
+    };
+    let prog = program("Query.Duration > 5 * Duration_LAT.Avg_Duration");
+    let mut stats = VmStats::default();
+    assert!(vm::eval_condition(&prog, &ctx, &mut [], &mut stats).unwrap());
+}
+
+#[test]
+fn short_circuit_never_skips_fallible_operands() {
+    // Right side reads a column (fallible): no Fuse may be emitted, so
+    // the divide-by-zero on the right still errors even when the left
+    // side already decides the AND.
+    let objs = vec![sig42(10.0)];
+    let ctx = EvalContext {
+        objects: &objs,
+        lat_rows: &[],
+    };
+    let prog = program("Query.Duration < 0 AND Query.ID / 0 > 1");
+    let mut stats = VmStats::default();
+    assert!(vm::eval_condition(&prog, &ctx, &mut [], &mut stats).is_err());
+    assert_agrees("Query.Duration < 0 AND Query.ID / 0 > 1", &ctx);
 }

@@ -1,5 +1,6 @@
-//! Differential tests: the sharded `Lat` against the naive single-lock
-//! `ReferenceLat` oracle (see `sqlcm_core::lat_ref`).
+//! Differential tests: the production `Lat` (sharded when unbounded, one
+//! latched table when bounded) against the naive single-lock `ReferenceLat`
+//! oracle (`oracle/lat.rs`).
 //!
 //! Randomized operation sequences — insert, evict-pressure (via row bounds),
 //! reset, age-roll (via `ManualClock` advances), snapshot — are replayed
@@ -23,7 +24,9 @@ use proptest::prelude::*;
 use sqlcm_common::{ManualClock, QueryInfo, Value};
 use sqlcm_core::lat::{Lat, LatAggFunc, LatSpec};
 use sqlcm_core::objects::{query_object, Object};
-use sqlcm_core::ReferenceLat;
+
+mod oracle;
+use oracle::lat::ReferenceLat;
 
 fn qobj(sig: i64, dur_units: u64) -> Object {
     user_obj(sig, 0, dur_units)

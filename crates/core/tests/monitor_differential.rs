@@ -2,7 +2,7 @@
 //! dispatch plan, bytecode VM, hoisted LAT lookups with analysis-driven
 //! invalidation, cross-rule CSE slots, guard index — against the naive
 //! [`ReferenceMonitor`] (one lock, linear rule scan, tree-walk oracle, fresh
-//! LAT lookups; see `sqlcm_core::monitor_ref`).
+//! LAT lookups, its own payloads, names and counts; `oracle/monitor.rs`).
 //!
 //! Every scenario registers the same LATs and rules in both, drives both
 //! with the same `inject_event` log under one `ManualClock`, and requires
@@ -19,18 +19,21 @@
 use std::sync::Arc;
 
 use sqlcm_common::{EngineEvent, ManualClock, QueryInfo};
+use sqlcm_core::actions::read_table;
 use sqlcm_core::containment::BREAKER_WINDOW;
-use sqlcm_core::monitor_ref::ReferenceMonitor;
 use sqlcm_core::sinks::{CommandSink, RecordingCommandSink};
 use sqlcm_core::{
-    Action, BreakerConfig, LatAggFunc, LatSpec, MonitorConfig, Rule, RuleEvent, Sqlcm,
+    Action, BreakerConfig, ClassName, LatAggFunc, LatSpec, MonitorConfig, Rule, RuleEvent, Sqlcm,
 };
 use sqlcm_engine::engine::EngineConfig;
 use sqlcm_engine::Engine;
 
+mod oracle;
+use oracle::monitor::ReferenceMonitor;
+
 /// The two monitors under test plus what was registered in them.
 struct Pair {
-    _engine: Engine,
+    engine: Engine,
     clock: Arc<ManualClock>,
     real: Sqlcm,
     reference: ReferenceMonitor,
@@ -45,9 +48,14 @@ impl Pair {
             ..Default::default()
         })
         .unwrap();
+        // Where eviction rules persist the evicted row; created before the
+        // monitor attaches, so its DDL raises no event only one side sees.
+        engine
+            .execute_batch("CREATE TABLE evicted (sig INT, d FLOAT, n INT);")
+            .unwrap();
         let real = Sqlcm::attach(&engine);
         Pair {
-            _engine: engine,
+            engine,
             clock: handle,
             real,
             reference: ReferenceMonitor::new(clock),
@@ -107,6 +115,10 @@ impl Pair {
         if let Some(diff) = self.reference.divergence_from(&self.real) {
             panic!("{what}: {diff}");
         }
+        // Read as the monitor reads: a query would raise an event. Persisting
+        // to any other table fails in the real monitor: none exists.
+        let got = read_table(&self.engine.handle(), "evicted").unwrap();
+        assert_eq!(got, self.reference.persisted("evicted"), "{what}: evicted");
         let c = self.real.telemetry().containment;
         assert_eq!((c.breaker_trips, c.breaker_skipped), (0, 0), "{what}");
     }
@@ -134,6 +146,16 @@ fn lcg_commit(state: &mut u64) -> EngineEvent {
     let sig = lcg(state) % 6;
     let secs = (lcg(state) % 1_000) as f64 / 1e3;
     commit(&user, sig, secs)
+}
+
+/// `name` with each letter's case drawn from the LCG.
+fn spell(name: &str, state: &mut u64) -> String {
+    name.chars()
+        .map(|c| match lcg(state) % 2 {
+            0 => c.to_ascii_lowercase(),
+            _ => c.to_ascii_uppercase(),
+        })
+        .collect()
 }
 
 fn mail(body: &str) -> Action {
@@ -492,6 +514,78 @@ fn eviction_events_cascade_after_the_raising_event() {
         400,
         "saw a same-event eviction's Reset"
     );
+}
+
+/// Every site that names a LAT — its definition, a condition qualifier, an
+/// `Insert`/`Reset` target, a `Lat.Eviction` subscription, `PersistObject`'s
+/// evicted class and a template placeholder — spelled in a random case, with
+/// eviction rules that mail and persist the evicted row. A LAT's name is one
+/// key however it is spelled, and an eviction rule's template reads the row
+/// that was evicted.
+#[test]
+fn lat_names_in_any_case_reach_one_lat_and_its_evicted_rows() {
+    let mut state = 0x7a3c_91e5_0b2d_4f68_u64;
+    for round in 0..4 {
+        let mut p = Pair::new();
+        let mut s = |name: &str| spell(name, &mut state);
+        p.lat(
+            LatSpec::new(s("Top_LAT"))
+                .group_by("Query.Logical_Signature", "Sig")
+                .aggregate(LatAggFunc::Max, "Query.Duration", "D")
+                .aggregate(LatAggFunc::Count, "", "N")
+                .order_by("D", true)
+                .max_rows(3),
+        );
+        p.lat(stats_lat(&s("Stats_LAT")));
+        p.on_commit("feed_top", None, &[Action::insert(&s("Top_LAT"))]);
+        let feed = [Action::insert(&s("Stats_LAT"))];
+        p.on_commit("feed_stats", Some("Query.Duration > 0.2"), &feed);
+        let (a, b, c, d) = (
+            s("Stats_LAT"),
+            s("Stats_LAT"),
+            s("Stats_LAT"),
+            s("Stats_LAT"),
+        );
+        let cond = format!("{a}.N >= 3 AND {b}.Avg_D > 0.4");
+        let body = format!("{{{c}.N}} seen, avg {{{d}.Avg_D}}");
+        p.on_commit("stats_reader", Some(&cond), &[mail(&body)]);
+        let (a, b) = (s("Top_LAT"), s("Top_LAT"));
+        let body = format!("{{{b}.D}} is top");
+        p.on_commit("top_reader", Some(&format!("{a}.N >= 2")), &[mail(&body)]);
+        let cond = format!("{}.N >= 20", s("Stats_LAT"));
+        p.on_commit("flush", Some(&cond), &[Action::reset(&s("Stats_LAT"))]);
+        let body = format!(
+            "fell out: {{{}.Sig}} at {{{}.D}}",
+            s("Top_LAT"),
+            s("Top_LAT")
+        );
+        let evicted = RuleEvent::LatEviction(s("Top_LAT"));
+        p.on(evicted, "mail_evicted", None, &[mail(&body)]);
+        let keep = Action::PersistObject {
+            table: "evicted".into(),
+            class: ClassName::Evicted(s("Top_LAT")),
+            attrs: vec!["Sig".into(), "D".into(), "N".into()],
+        };
+        p.on(
+            RuleEvent::LatEviction(s("Top_LAT")),
+            "keep_evicted",
+            None,
+            &[keep],
+        );
+        for i in 0..300u64 {
+            // Unique durations (7919 is coprime to 100003), so no two groups
+            // tie for the victim; 12 signatures into a 3-row LAT.
+            let micros = 1 + (i + 300 * round) * 7919 % 100_003;
+            p.inject(&commit("", i * 5 % 12, micros as f64 / 1e5));
+        }
+        p.assert_parity(&format!("spellings, round {round}"));
+        for name in &p.rules {
+            assert!(p.fires(name) > 0, "round {round}: {name} never fired");
+        }
+        let evictions = p.fires("mail_evicted");
+        assert!(evictions > 10, "round {round}: {evictions} evictions");
+        assert_eq!(p.fires("keep_evicted"), evictions);
+    }
 }
 
 /// Disables `target` when a command runs, then forwards it to `log`.

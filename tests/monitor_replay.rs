@@ -10,11 +10,14 @@ use std::sync::{Arc, Mutex};
 
 use sqlcm_repro::common::{EngineEvent, ManualClock};
 use sqlcm_repro::engine::instrument::Instrumentation;
-use sqlcm_repro::monitor::monitor_ref::ReferenceMonitor;
 use sqlcm_repro::prelude::*;
 use sqlcm_repro::workloads::{
     catalogs, mixed, run_queries, storm, tpch, MixedConfig, RuleCatalog, StormConfig, StormShape,
 };
+
+#[path = "../crates/core/tests/oracle/mod.rs"]
+mod oracle;
+use oracle::monitor::ReferenceMonitor;
 
 /// Register `catalog` in both monitors, replay `log` through both, and
 /// require agreement. Returns the real monitor's total firings.
