@@ -295,11 +295,6 @@ impl LatSchema {
             .find(|c| c.name.eq_ignore_ascii_case(name))
     }
 
-    /// The grouping (key) columns.
-    pub fn group_columns(&self) -> impl Iterator<Item = &LatColumn> {
-        self.columns.iter().filter(|c| c.group)
-    }
-
     /// The aggregate (non-key) columns.
     pub fn aggregate_columns(&self) -> impl Iterator<Item = &LatColumn> {
         self.columns.iter().filter(|c| !c.group)

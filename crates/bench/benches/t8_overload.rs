@@ -7,8 +7,9 @@
 //! executor running:
 //!
 //! 1. **healthy** — sinks work, every deferred action executes first try;
-//! 2. **faulted** — every sink call fails (with a 200 µs injected stall), so
-//!    the executor thread churns retries and exhaustions the whole run.
+//! 2. **faulted** — both sinks are the faulty test sink
+//!    (`crates/core/tests/faulty_sink`): every call stalls 200 µs and fails,
+//!    so the executor thread churns retries and exhaustions the whole run.
 //!
 //! Every `on_event` call is timed individually (exact nanosecond samples, not
 //! histogram buckets) across all 8 injector threads. Writes
@@ -19,11 +20,13 @@
 use std::time::{Duration, Instant};
 
 use sqlcm_bench::{banner, env_u32};
-use sqlcm_core::{
-    Action, FaultPlan, FaultRate, MonitorConfig, RetryPolicy, Rule, RuleEvent, Sqlcm,
-};
+use sqlcm_core::{Action, MonitorConfig, RetryPolicy, Rule, RuleEvent, Sqlcm};
 use sqlcm_engine::Engine;
 use sqlcm_workloads::storm::{self, StormConfig, StormShape};
+
+#[path = "../../core/tests/faulty_sink/mod.rs"]
+mod faulty_sink;
+use faulty_sink::{FaultRate, FaultySink};
 
 const THREADS: u32 = 8;
 
@@ -127,11 +130,10 @@ fn main() {
 
     let (_eh, healthy) = build();
     let (_ef, faulted) = build();
-    faulted.inject_faults(Some(
-        FaultPlan::seeded(8)
-            .all(FaultRate::Always)
-            .stall_micros(200),
-    ));
+    FaultySink::seeded(8)
+        .all(FaultRate::Always)
+        .stall_micros(200)
+        .install(&faulted);
 
     // Warmup: converge LATs, plans, and the executor cadence on both.
     run_storm(&healthy, 2_000, 0x78);

@@ -225,24 +225,13 @@ impl DeferredQueue {
     /// Enqueue a freshly resolved action. Never blocks: at capacity, the
     /// oldest queued action is dropped into the loss ledger first.
     pub fn enqueue(&self, rule: &str, kind: DeferredKind, now_micros: u64) {
-        let cap = self.capacity();
-        let mut inner = self.inner.lock();
-        while inner.queue.len() >= cap {
-            if let Some(victim) = inner.queue.pop_front() {
-                Self::charge_loss(&mut inner.ledger, &victim.rule, LossReason::QueueOverflow);
-                self.dropped_overflow.fetch_add(1, Ordering::Relaxed);
-            } else {
-                break;
-            }
-        }
-        inner.queue.push_back(DeferredAction {
+        let action = DeferredAction {
             rule: rule.to_string(),
             kind,
             attempts: 0,
             due_micros: now_micros,
-        });
-        let depth = inner.queue.len() as u64;
-        drop(inner);
+        };
+        let depth = self.push_bounded(&mut self.inner.lock(), action);
         self.enqueued.fetch_add(1, Ordering::Relaxed);
         self.high_water.fetch_max(depth, Ordering::Relaxed);
     }
@@ -290,19 +279,26 @@ impl DeferredQueue {
         };
         action.due_micros = now_micros.saturating_add((base as f64 * factor) as u64);
         // Re-entry respects the bound too: a retry can displace the oldest.
-        let cap = self.capacity();
-        while inner.queue.len() >= cap {
-            if let Some(victim) = inner.queue.pop_front() {
-                Self::charge_loss(&mut inner.ledger, &victim.rule, LossReason::QueueOverflow);
-                self.dropped_overflow.fetch_add(1, Ordering::Relaxed);
-            } else {
-                break;
-            }
-        }
-        inner.queue.push_back(action);
+        self.push_bounded(&mut inner, action);
         drop(inner);
         self.retries.fetch_add(1, Ordering::Relaxed);
         AttemptOutcome::Retry
+    }
+
+    /// The one overflow policy: drop the oldest queued actions into the
+    /// ledger until there is room under the bound, then push `action` at the
+    /// back. Returns the new depth.
+    fn push_bounded(&self, inner: &mut QueueInner, action: DeferredAction) -> u64 {
+        let cap = self.capacity();
+        while inner.queue.len() >= cap {
+            let Some(victim) = inner.queue.pop_front() else {
+                break;
+            };
+            Self::charge_loss(&mut inner.ledger, &victim.rule, LossReason::QueueOverflow);
+            self.dropped_overflow.fetch_add(1, Ordering::Relaxed);
+        }
+        inner.queue.push_back(action);
+        inner.queue.len() as u64
     }
 
     fn charge_loss(ledger: &mut HashMap<(String, &'static str), u64>, rule: &str, why: LossReason) {

@@ -50,7 +50,6 @@
 pub mod actions;
 pub mod containment;
 pub mod deferred;
-pub mod fault;
 mod guard;
 #[doc(hidden)]
 pub mod ir;
@@ -70,7 +69,6 @@ pub mod vm;
 pub use actions::Action;
 pub use containment::{BreakerConfig, BreakerState};
 pub use deferred::{LossEntry, RetryPolicy, DEFAULT_QUEUE_CAPACITY};
-pub use fault::{FaultKind, FaultPlan, FaultRate};
 pub use lat::{Lat, LatAggFunc, LatShardStats, LatSpec};
 pub use monitor::{MonitorConfig, Sqlcm, SqlcmStats};
 pub use objects::{ClassName, Object};

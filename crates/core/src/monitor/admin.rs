@@ -7,7 +7,6 @@ use std::sync::Arc;
 
 use crate::containment::BreakerState;
 use crate::deferred::LossEntry;
-use crate::fault::FaultKind;
 use crate::objects;
 use crate::plan::{DispatchPlan, PlanSummary};
 use crate::rules::RuleEvent;
@@ -202,27 +201,6 @@ impl Sqlcm {
     /// conservation identity is `enqueued == executed + lost + depth`.
     pub fn total_action_losses(&self) -> u64 {
         self.inner.deferred.total_losses()
-    }
-
-    /// Faults injected so far for one sink kind (0 when no plan installed).
-    pub fn injected_faults(&self, kind: FaultKind) -> u64 {
-        self.inner
-            .faults
-            .read()
-            .as_ref()
-            .map(|f| f.injected(kind))
-            .unwrap_or(0)
-    }
-
-    /// Sink attempts observed by the fault layer for one kind (0 when no
-    /// plan installed).
-    pub fn faultable_attempts(&self, kind: FaultKind) -> u64 {
-        self.inner
-            .faults
-            .read()
-            .as_ref()
-            .map(|f| f.attempts(kind))
-            .unwrap_or(0)
     }
 
     // ------------------------------------------------------------ sinks & stats

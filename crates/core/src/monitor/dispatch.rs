@@ -1,8 +1,8 @@
 //! Everything an event reaches: the engine-facing adapter (`on_event`), the
 //! thread-local pools and pending queue, the per-event books, the rule loop
 //! (`handle_one`, `evaluate_rule`, `evaluate_combo`), actions and LAT inserts,
-//! breaker outcomes and the containment checkpoint, fault checks and the one
-//! place a sink is called (`execute_external`).
+//! breaker outcomes and the containment checkpoint, and the one place a sink
+//! is called (`execute_external`).
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -17,7 +17,6 @@ use sqlcm_telemetry::{FlightRecord, Stamp};
 use crate::actions::{persist_rows, substitute};
 use crate::containment::{BreakerGate, CHECKPOINT_INTERVAL};
 use crate::deferred::DeferredKind;
-use crate::fault::FaultKind;
 use crate::lat::Lat;
 use crate::objects::{self, evicted_object, ClassName, Object};
 use crate::plan::{
@@ -1195,43 +1194,16 @@ impl SqlcmInner {
         });
     }
 
-    /// Consult the installed fault plan (if any) before a sink call. One
-    /// relaxed load when injection is off.
-    fn check_fault(&self, kind: FaultKind) -> Result<()> {
-        if !self.faults_on.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        let Some(faults) = self.faults.read().clone() else {
-            return Ok(());
-        };
-        if faults.plan.stall_micros > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(faults.plan.stall_micros));
-        }
-        if faults.should_fail(kind) {
-            return Err(Error::Monitor(format!("injected {} fault", kind.as_str())));
-        }
-        Ok(())
-    }
-
-    /// Run one resolved external action against the live sinks, fault
-    /// injection first: the one place a sink is called, from the raising
-    /// thread and from the deferred pump (which keeps its copy for a retry).
+    /// Run one resolved external action against the live sinks and return
+    /// what the sink returned: the one place a sink is called, from the
+    /// raising thread and from the deferred pump (which keeps its copy for a
+    /// retry). Both count an `Err` as the rule's action error.
     pub(super) fn execute_external(&self, kind: DeferredKind) -> Result<()> {
         match kind {
-            DeferredKind::Mail { to, body } => {
-                self.check_fault(FaultKind::Mail)?;
-                self.mail_sink.read().send(&to, &body);
-                Ok(())
-            }
-            DeferredKind::Command { cmd } => {
-                self.check_fault(FaultKind::Command)?;
-                self.command_sink.read().run(&cmd);
-                Ok(())
-            }
+            DeferredKind::Mail { to, body } => self.mail_sink.read().send(&to, &body),
+            DeferredKind::Command { cmd } => self.command_sink.read().run(&cmd),
             DeferredKind::Persist { table, rows } => {
-                self.check_fault(FaultKind::Persist)?;
-                persist_rows(&self.engine, &table, rows)?;
-                Ok(())
+                persist_rows(&self.engine, &table, rows).map(drop)
             }
         }
     }

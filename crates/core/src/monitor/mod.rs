@@ -43,7 +43,6 @@ use sqlcm_telemetry::ShardedCounter;
 
 use crate::containment::{BreakerConfig, Containment};
 use crate::deferred::{AttemptOutcome, DeferredQueue, RetryPolicy};
-use crate::fault::{FaultPlan, FaultState};
 use crate::lat::Lat;
 use crate::objects;
 use crate::plan::{DispatchPlan, PlanCell};
@@ -83,8 +82,7 @@ pub struct SqlcmStats {
 /// Telemetry and circuit breakers are always on and have no field here; a
 /// rule that must never trip is one whose thresholds lie above
 /// [`crate::containment::BREAKER_WINDOW`]. Operations — `set_rule_enabled`,
-/// `set_timer` — and the fault-injection test surface (`inject_faults`) are
-/// not settings either.
+/// `set_timer` — are not settings either.
 #[derive(Clone)]
 pub struct MonitorConfig {
     /// The circuit-breaker thresholds every rule is judged by, rules
@@ -160,9 +158,6 @@ struct SqlcmInner {
     deferred: DeferredQueue,
     /// [`MonitorConfig::async_actions`].
     async_actions: AtomicBool,
-    /// Fast gate in front of the fault-injection plan (test control surface).
-    faults_on: AtomicBool,
-    faults: RwLock<Option<Arc<FaultState>>>,
     shutdown: AtomicBool,
 }
 
@@ -279,8 +274,6 @@ impl Sqlcm {
             containment: Containment::new(),
             deferred: DeferredQueue::new(),
             async_actions: AtomicBool::new(false),
-            faults_on: AtomicBool::new(false),
-            faults: RwLock::new(None),
             shutdown: AtomicBool::new(false),
         });
         let monitor = Arc::new(SqlcmMonitor {
@@ -407,22 +400,6 @@ impl Sqlcm {
         self.start_poller(&self.executor_thread, interval, |inner| {
             inner.pump_deferred();
         });
-    }
-
-    /// Install (or with `None`, remove) a seeded fault-injection plan. Test
-    /// control surface: the hot path pays one relaxed load when no plan is
-    /// installed.
-    pub fn inject_faults(&self, plan: Option<FaultPlan>) {
-        match plan {
-            Some(p) => {
-                *self.inner.faults.write() = Some(Arc::new(FaultState::new(p)));
-                self.inner.faults_on.store(true, Ordering::Relaxed);
-            }
-            None => {
-                self.inner.faults_on.store(false, Ordering::Relaxed);
-                *self.inner.faults.write() = None;
-            }
-        }
     }
 }
 

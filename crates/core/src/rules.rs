@@ -262,12 +262,6 @@ impl Rule {
         self
     }
 
-    /// Set the condition from an already-built expression.
-    pub fn when_expr(mut self, condition: Expr) -> Rule {
-        self.condition = Some(condition);
-        self
-    }
-
     /// Append an action (the A of ECA); actions run in order (§5.3).
     pub fn then(mut self, action: Action) -> Rule {
         self.actions.push(action);

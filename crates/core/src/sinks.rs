@@ -5,17 +5,28 @@
 //! experiments only need the action dispatched and its cost charged, and tests
 //! need determinism. [`SpawningCommandSink`] optionally launches processes for
 //! real.
+//!
+//! A sink reports failure by returning `Err`, and the monitor contains it:
+//! the error never reaches the engine thread. On the synchronous path an
+//! `Err` is the firing rule's action error — counted in `action_errors`,
+//! kept as `last_error`, and fed to the rule's circuit breaker. With async
+//! actions on, the deferred pump counts it the same way and retries the
+//! action with backoff; once its retries run out the action goes to the
+//! loss ledger.
 
 use parking_lot::Mutex;
+use sqlcm_common::Result;
 
-/// Receives `SendMail(Text, Address)` actions.
+/// Receives `SendMail(Text, Address)` actions. An `Err` fails the action
+/// (see the module docs for what the monitor does with it).
 pub trait MailSink: Send + Sync {
-    fn send(&self, to: &str, body: &str);
+    fn send(&self, to: &str, body: &str) -> Result<()>;
 }
 
-/// Receives `RunExternal(Command)` actions.
+/// Receives `RunExternal(Command)` actions. An `Err` fails the action, as
+/// for [`MailSink`].
 pub trait CommandSink: Send + Sync {
-    fn run(&self, command: &str);
+    fn run(&self, command: &str) -> Result<()>;
 }
 
 /// Default mail sink: an in-memory outbox.
@@ -44,8 +55,9 @@ impl RecordingMailSink {
 }
 
 impl MailSink for RecordingMailSink {
-    fn send(&self, to: &str, body: &str) {
+    fn send(&self, to: &str, body: &str) -> Result<()> {
         self.outbox.lock().push((to.to_string(), body.to_string()));
+        Ok(())
     }
 }
 
@@ -74,23 +86,25 @@ impl RecordingCommandSink {
 }
 
 impl CommandSink for RecordingCommandSink {
-    fn run(&self, command: &str) {
+    fn run(&self, command: &str) -> Result<()> {
         self.log.lock().push(command.to_string());
+        Ok(())
     }
 }
 
-/// Command sink that actually spawns `sh -c <command>`, detached. Failures are
-/// swallowed: a monitoring action must never take the server down.
+/// Command sink that actually spawns `sh -c <command>`, detached. A failed
+/// spawn is returned as the action's error.
 pub struct SpawningCommandSink;
 
 impl CommandSink for SpawningCommandSink {
-    fn run(&self, command: &str) {
-        let _ = std::process::Command::new("sh")
+    fn run(&self, command: &str) -> Result<()> {
+        std::process::Command::new("sh")
             .arg("-c")
             .arg(command)
             .stdout(std::process::Stdio::null())
             .stderr(std::process::Stdio::null())
-            .spawn();
+            .spawn()?;
+        Ok(())
     }
 }
 
@@ -102,7 +116,7 @@ mod tests {
     fn recording_mail() {
         let m = RecordingMailSink::new();
         assert!(m.is_empty());
-        m.send("dba@example.org", "slow query!");
+        m.send("dba@example.org", "slow query!").unwrap();
         assert_eq!(m.len(), 1);
         assert_eq!(
             m.messages(),
@@ -113,7 +127,7 @@ mod tests {
     #[test]
     fn recording_commands() {
         let c = RecordingCommandSink::new();
-        c.run("analyze.sh outliers");
+        c.run("analyze.sh outliers").unwrap();
         assert_eq!(c.commands(), vec!["analyze.sh outliers"]);
     }
 }

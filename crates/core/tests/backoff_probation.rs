@@ -9,11 +9,13 @@
 
 use sqlcm_common::{EngineEvent, ManualClock, QueryInfo};
 use sqlcm_core::{
-    Action, BreakerConfig, BreakerState, FaultKind, FaultPlan, FaultRate, MonitorConfig,
-    RetryPolicy, Rule, RuleEvent, Sqlcm,
+    Action, BreakerConfig, BreakerState, MonitorConfig, RetryPolicy, Rule, RuleEvent, Sqlcm,
 };
 use sqlcm_engine::engine::EngineConfig;
 use sqlcm_engine::Engine;
+
+mod faulty_sink;
+use faulty_sink::{FaultRate, FaultySink, Kind};
 
 fn manual_setup() -> (Engine, Sqlcm, std::sync::Arc<ManualClock>) {
     let (clock, handle) = ManualClock::shared(0);
@@ -46,7 +48,9 @@ fn retry_schedule_is_exactly_base_times_two_to_the_n() {
         },
         ..sqlcm.config()
     });
-    sqlcm.inject_faults(Some(FaultPlan::seeded(1).mail(FaultRate::Always)));
+    let sink = FaultySink::seeded(1)
+        .mail(FaultRate::Always)
+        .install(&sqlcm);
     sqlcm
         .add_rule(
             Rule::new("mailer")
@@ -58,24 +62,24 @@ fn retry_schedule_is_exactly_base_times_two_to_the_n() {
     sqlcm.inject_event(&commit_event());
     assert_eq!(sqlcm.deferred_queue_depth(), 1);
     // The pump reports *successful* executions; against an always-failing
-    // sink it reports 0, so the per-kind attempt counter is the probe.
-    let attempts = |sqlcm: &Sqlcm| sqlcm.faultable_attempts(FaultKind::Mail);
+    // sink it reports 0, so the sink's own attempt counter is the probe.
+    let attempts = || sink.attempts(Kind::Mail);
 
     // Attempt 1 is due immediately on enqueue.
     sqlcm.pump_deferred_actions();
-    assert_eq!(attempts(&sqlcm), 1);
+    assert_eq!(attempts(), 1);
     // Not due again at the same instant.
     sqlcm.pump_deferred_actions();
-    assert_eq!(attempts(&sqlcm), 1);
+    assert_eq!(attempts(), 1);
 
     // Attempt n+1 comes due exactly base·2^(n−1) after attempt n fails.
     for (n, backoff) in [(2u64, 100_000u64), (3, 200_000), (4, 400_000)] {
         handle.advance(backoff - 1);
         sqlcm.pump_deferred_actions();
-        assert_eq!(attempts(&sqlcm), n - 1, "attempt {n} ran early");
+        assert_eq!(attempts(), n - 1, "attempt {n} ran early");
         handle.advance(1);
         sqlcm.pump_deferred_actions();
-        assert_eq!(attempts(&sqlcm), n, "attempt {n} not due");
+        assert_eq!(attempts(), n, "attempt {n} not due");
     }
 
     // Attempt 4 was the last: the action is exhausted, not rescheduled.
@@ -87,7 +91,7 @@ fn retry_schedule_is_exactly_base_times_two_to_the_n() {
     assert_eq!(sqlcm.loss_ledger()[0].reason, "retries-exhausted");
     handle.advance(100_000_000);
     sqlcm.pump_deferred_actions();
-    assert_eq!(attempts(&sqlcm), 4, "exhausted action came back");
+    assert_eq!(attempts(), 4, "exhausted action came back");
 }
 
 #[test]
@@ -103,7 +107,9 @@ fn jittered_retry_stays_inside_the_jitter_band() {
         },
         ..sqlcm.config()
     });
-    sqlcm.inject_faults(Some(FaultPlan::seeded(2).mail(FaultRate::Always)));
+    let sink = FaultySink::seeded(2)
+        .mail(FaultRate::Always)
+        .install(&sqlcm);
     sqlcm
         .add_rule(
             Rule::new("mailer")
@@ -113,24 +119,16 @@ fn jittered_retry_stays_inside_the_jitter_band() {
         .unwrap();
     sqlcm.inject_event(&commit_event());
     sqlcm.pump_deferred_actions();
-    assert_eq!(sqlcm.faultable_attempts(FaultKind::Mail), 1);
+    assert_eq!(sink.attempts(Kind::Mail), 1);
 
     // The retry must not be due before base·(1−jitter) …
     handle.advance(80_000 - 1);
     sqlcm.pump_deferred_actions();
-    assert_eq!(
-        sqlcm.faultable_attempts(FaultKind::Mail),
-        1,
-        "retry ran before −20%"
-    );
+    assert_eq!(sink.attempts(Kind::Mail), 1, "retry ran before −20%");
     // … and must be due by base·(1+jitter).
     handle.advance(40_001);
     sqlcm.pump_deferred_actions();
-    assert_eq!(
-        sqlcm.faultable_attempts(FaultKind::Mail),
-        2,
-        "retry overdue past +20%"
-    );
+    assert_eq!(sink.attempts(Kind::Mail), 2, "retry overdue past +20%");
 }
 
 #[test]
@@ -148,7 +146,9 @@ fn cooldown_gates_probation_and_restarts_on_trial_failure() {
     });
     // Synchronous actions against a dead command sink: every firing records
     // an error outcome into the breaker window.
-    sqlcm.inject_faults(Some(FaultPlan::seeded(3).command(FaultRate::Always)));
+    let sink = FaultySink::seeded(3)
+        .command(FaultRate::Always)
+        .install(&sqlcm);
     sqlcm
         .add_rule(
             Rule::new("hook")
@@ -188,7 +188,7 @@ fn cooldown_gates_probation_and_restarts_on_trial_failure() {
     assert_eq!(sqlcm.breaker_state("hook"), Some(BreakerState::HalfOpen));
 
     // Heal the sink: the next trial succeeds and the breaker closes for good.
-    sqlcm.inject_faults(None);
+    sink.set_healed(true);
     sqlcm.inject_event(&ev);
     assert_eq!(sqlcm.breaker_state("hook"), Some(BreakerState::Closed));
     let t = sqlcm.telemetry().containment;
@@ -220,7 +220,9 @@ fn pruned_evaluations_do_not_consume_the_half_open_trial() {
         },
         ..sqlcm.config()
     });
-    sqlcm.inject_faults(Some(FaultPlan::seeded(4).command(FaultRate::Always)));
+    FaultySink::seeded(4)
+        .command(FaultRate::Always)
+        .install(&sqlcm);
     sqlcm
         .add_rule(
             Rule::new("hook")
@@ -302,8 +304,9 @@ fn a_thousand_breaker_cycles_never_rebuild_the_plan() {
     });
     // 64 indexed rules on one event class; only `hook` has an action, and its
     // sink is dead.
-    let dead_sink = || Some(FaultPlan::seeded(5).command(FaultRate::Always));
-    sqlcm.inject_faults(dead_sink());
+    let sink = FaultySink::seeded(5)
+        .command(FaultRate::Always)
+        .install(&sqlcm);
     sqlcm
         .add_rule(
             Rule::new("hook")
@@ -366,10 +369,10 @@ fn a_thousand_breaker_cycles_never_rebuild_the_plan() {
         handle.advance(COOLDOWN);
         assert_eq!(sqlcm.poll_breakers(), 1);
         expect(BreakerState::HalfOpen, "second probation");
-        sqlcm.inject_faults(None);
+        sink.set_healed(true);
         sqlcm.inject_event(&hit);
         expect(BreakerState::Closed, "successful trial");
-        sqlcm.inject_faults(dead_sink());
+        sink.set_healed(false);
         // Back in service: the event that prunes it is credited again.
         sqlcm.inject_event(&miss);
         // Per cycle the rule ran 4 + 1 + 1 times and was pruned once.

@@ -383,8 +383,9 @@ struct DisablingSink {
 }
 
 impl CommandSink for DisablingSink {
-    fn run(&self, _command: &str) {
+    fn run(&self, _command: &str) -> sqlcm_common::Result<()> {
         self.target.set_enabled(false);
+        Ok(())
     }
 }
 

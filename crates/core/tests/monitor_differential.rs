@@ -28,6 +28,8 @@ use sqlcm_core::{
 use sqlcm_engine::engine::EngineConfig;
 use sqlcm_engine::Engine;
 
+mod faulty_sink;
+use faulty_sink::{FaultRate, FaultySink, Kind};
 mod oracle;
 use oracle::monitor::ReferenceMonitor;
 
@@ -595,9 +597,9 @@ struct DisablingSink {
 }
 
 impl CommandSink for DisablingSink {
-    fn run(&self, command: &str) {
+    fn run(&self, command: &str) -> sqlcm_common::Result<()> {
         self.target.set_enabled(false);
-        self.log.run(command);
+        self.log.run(command)
     }
 }
 
@@ -624,6 +626,43 @@ fn a_rule_disabled_mid_event_finishes_that_event() {
     }
     p.assert_parity("mid-event disable");
     assert_eq!((p.fires("first"), p.fires("second")), (3, 1));
+}
+
+/// A command sink that refuses every third call, the same on both sides:
+/// each refused command is its rule's action error, the firing's later
+/// actions still run, and only the commands the sink took reach the ledger.
+#[test]
+fn a_refused_command_is_its_rules_action_error() {
+    let mut p = Pair::new();
+    p.tolerate_errors();
+    p.lat(stats_lat("Stats_LAT"));
+    let hook = Action::run_external;
+    p.on_commit("feed", None, &[Action::insert("Stats_LAT")]);
+    let slow = [
+        hook("slow {Query.Logical_Signature}"),
+        mail("after the hook"),
+    ];
+    p.on_commit("slow", Some("Query.Duration > 0.3"), &slow);
+    let seen = [hook("seen {Stats_LAT.N}"), hook("again {Stats_LAT.Sig}")];
+    p.on_commit("seen", Some("Stats_LAT.N >= 3"), &seen);
+    let every_third = || FaultySink::seeded(3).command(FaultRate::EveryNth(3));
+    let real = every_third().install(&p.real);
+    let reference = Arc::new(every_third());
+    p.reference.set_command_sink(reference.clone());
+    let mut state = 0x5EED_u64;
+    for i in 0..300 {
+        p.inject(&lcg_commit(&mut state));
+        if i % 50 == 49 {
+            p.assert_parity(&format!("event {i}"));
+        }
+    }
+    p.assert_parity("refused commands");
+    let refused = real.failures(Kind::Command);
+    assert_eq!(refused, reference.failures(Kind::Command));
+    let rule_errors = |r: &str| p.real.rule(r).unwrap().stats().action_errors;
+    assert_eq!(rule_errors("slow") + rule_errors("seen"), refused);
+    assert!(rule_errors("slow") > 5 && rule_errors("seen") > 5, "weak");
+    assert!(p.real.loss_ledger().is_empty());
 }
 
 /// `drop_lat` breaks the rules conditioned on the LAT (every evaluation is
@@ -729,11 +768,11 @@ struct FlippingSink {
 }
 
 impl CommandSink for FlippingSink {
-    fn run(&self, command: &str) {
+    fn run(&self, command: &str) -> sqlcm_common::Result<()> {
         for t in &self.targets {
             t.set_enabled(!t.is_enabled());
         }
-        self.log.run(command);
+        self.log.run(command)
     }
 }
 

@@ -24,9 +24,11 @@
 //! per-rule counts, maps engine events to rule events and assembles their
 //! payloads itself, keys LATs by their lowercased name, and builds evicted
 //! rows and template text itself. `SendMail` and `RunExternal` append to an
-//! action ledger instead of reaching a sink; `PersistObject` records its row
-//! under its table name ([`ReferenceMonitor::persisted`]), which a caller
-//! compares with the engine table the real monitor wrote.
+//! action ledger instead of reaching a sink (a test may put a command sink
+//! in front of the ledger, [`ReferenceMonitor::set_command_sink`]);
+//! `PersistObject` records its row under its table name
+//! ([`ReferenceMonitor::persisted`]), which a caller compares with the
+//! engine table the real monitor wrote.
 //!
 //! Out of scope, by construction: the reference has no engine, so rules
 //! whose conditions name a class outside their event's payload (§5.2 live
@@ -249,9 +251,11 @@ impl ReferenceMonitor {
             .map(|extra| format!("ledger: real also ran {extra:?}"))
     }
 
-    /// Also hand every `RunExternal` command to `sink` (after recording it),
-    /// so a test can run code mid-event. The sink runs under the monitor's
-    /// lock and must not call back into this monitor.
+    /// Hand every `RunExternal` command to `sink` before recording it, so a
+    /// test can run code mid-event or make the action fail: a command the
+    /// sink refuses is the rule's action error and stays out of the ledger.
+    /// The sink runs under the monitor's lock and must not call back into
+    /// this monitor.
     pub fn set_command_sink(&self, sink: Arc<dyn CommandSink>) {
         self.state().command_sink = Some(sink);
     }
@@ -442,11 +446,11 @@ impl State {
                     }
                     (Action::RunExternal { template }, _) => {
                         let cmd = substitute(template, &scope);
-                        ledger.push(LedgerEntry::Command(cmd.clone()));
-                        if let Some(sink) = command_sink {
-                            sink.run(&cmd);
+                        let sent = command_sink.as_ref().map_or(Ok(()), |sink| sink.run(&cmd));
+                        if sent.is_ok() {
+                            ledger.push(LedgerEntry::Command(cmd));
                         }
-                        Ok(())
+                        sent
                     }
                     (other, _) => Err(Error::Monitor(format!(
                         "the reference monitor does not model {other:?}"

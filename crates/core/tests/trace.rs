@@ -375,10 +375,11 @@ struct Reinjector {
 }
 
 impl CommandSink for Reinjector {
-    fn run(&self, _command: &str) {
+    fn run(&self, _command: &str) -> sqlcm_common::Result<()> {
         if let Some(s) = self.target.lock().unwrap().as_ref() {
             s.inject_event(&self.ev);
         }
+        Ok(())
     }
 }
 

@@ -1,26 +1,48 @@
 //! Fault containment tour: circuit breakers, async action retry and the
-//! loss ledger — all driven by seeded fault injection and an event storm,
-//! no real outage required.
+//! loss ledger — all driven by a mail sink whose server is down and an
+//! event storm, no real outage required.
 //!
-//! The demo stages two incidents against one monitored instance:
+//! A sink reports a failure by returning `Err`; the monitor contains it. The
+//! demo stages two incidents against one monitored instance:
 //!
-//! 1. **Dead mail sink.** Async external actions queue, retry with
+//! 1. **Dead mail server.** Async external actions queue, retry with
 //!    exponential backoff, then exhaust into the loss ledger; the rule's
 //!    circuit breaker trips and quarantines it: out of service, in place.
-//! 2. **Recovery.** The fault clears; probation (half-open) re-admits the
-//!    rule, the trial succeeds, and the breaker closes.
+//! 2. **Recovery.** The server comes back; probation (half-open) re-admits
+//!    the rule, the trial succeeds, and the breaker closes.
 //!
 //! ```sh
 //! cargo run --release --example fault_containment
 //! ```
 
-use sqlcm_repro::monitor::{BreakerConfig, BreakerState, FaultPlan, FaultRate, RetryPolicy};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+
+use sqlcm_repro::monitor::{BreakerConfig, BreakerState, MailSink, RetryPolicy};
 use sqlcm_repro::prelude::*;
 use sqlcm_repro::workloads::storm::{self, StormConfig, StormShape};
+
+/// A mailer whose server is down until `up` is set.
+#[derive(Default)]
+struct Mailer {
+    up: AtomicBool,
+    delivered: AtomicU64,
+}
+
+impl MailSink for Mailer {
+    fn send(&self, to: &str, _body: &str) -> Result<()> {
+        if !self.up.load(Ordering::Relaxed) {
+            return Err(Error::Io(format!("mail to {to}: connection refused")));
+        }
+        self.delivered.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+}
 
 fn main() -> Result<()> {
     let engine = Engine::in_memory();
     let sqlcm = Sqlcm::attach(&engine);
+    let mailer = Arc::new(Mailer::default());
 
     // Aggressive settings so the incidents play out in seconds.
     sqlcm.configure(MonitorConfig {
@@ -37,6 +59,7 @@ fn main() -> Result<()> {
             max_backoff_micros: 50_000,
             jitter: 0.2,
         },
+        mail_sink: mailer.clone(),
         ..sqlcm.config()
     });
     sqlcm.define_lat(
@@ -60,9 +83,8 @@ fn main() -> Result<()> {
             )),
     )?;
 
-    // ---- Incident 1: the mail sink dies. --------------------------------
-    println!("== incident 1: dead mail sink ==");
-    sqlcm.inject_faults(Some(FaultPlan::seeded(42).mail(FaultRate::Always)));
+    // ---- Incident 1: the mail server is down. ---------------------------
+    println!("== incident 1: dead mail server ==");
     let evs = storm::events(StormConfig::new(StormShape::Spike, 2_000, 42));
     for ev in &evs {
         sqlcm.inject_event(ev);
@@ -96,9 +118,9 @@ fn main() -> Result<()> {
     assert_eq!(sqlcm.breaker_state("mail_slow"), Some(BreakerState::Open));
     assert!(sqlcm.total_action_losses() > 0);
 
-    // ---- Incident 2: the sink recovers. ---------------------------------
+    // ---- Incident 2: the server recovers. -------------------------------
     println!("\n== incident 2: recovery through probation ==");
-    sqlcm.inject_faults(None);
+    mailer.up.store(true, Ordering::Relaxed);
     std::thread::sleep(std::time::Duration::from_millis(250)); // cooldown
     let reopened = sqlcm.poll_breakers();
     println!(
@@ -111,9 +133,10 @@ fn main() -> Result<()> {
     }
     sqlcm.pump_deferred_actions();
     println!(
-        "  after trial: {:?} (closes: {})",
+        "  after trial: {:?} (closes: {}, mails delivered: {})",
         sqlcm.breaker_state("mail_slow"),
-        sqlcm.telemetry().containment.breaker_closes
+        sqlcm.telemetry().containment.breaker_closes,
+        mailer.delivered.load(Ordering::Relaxed)
     );
     assert_eq!(sqlcm.breaker_state("mail_slow"), Some(BreakerState::Closed));
 

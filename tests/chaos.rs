@@ -2,12 +2,13 @@
 //!
 //! Every entry of a 4 × 4 × 4 matrix — failure rate × deferred-queue depth ×
 //! storm shape — drives 8 injector threads through one monitored instance
-//! with async external actions on and a seeded [`FaultPlan`] installed, then
-//! checks three invariants that must hold under *any* abuse:
+//! with async external actions on and a seeded faulty test sink
+//! (`crates/core/tests/faulty_sink`) installed, then checks three invariants
+//! that must hold under *any* abuse:
 //!
 //! 1. **The event path never touches a faulted sink.** With async actions on,
-//!    `on_event` only enqueues; the per-kind faultable-attempt counters stay
-//!    at zero until the pump runs.
+//!    `on_event` only enqueues; the sink's per-kind attempt counters stay at
+//!    zero until the pump runs.
 //! 2. **Action conservation.** Every enqueued action is accounted for:
 //!    `enqueued == executed + dropped_overflow + dropped_exhausted + depth`.
 //! 3. **The loss ledger is complete.** Summed ledger counts equal the drop
@@ -16,11 +17,13 @@
 //! Each entry reproduces bit-for-bit from its derived seed (storm sequences
 //! and fault schedules are both seeded).
 
-use sqlcm_repro::monitor::{
-    Action, FaultKind, FaultPlan, FaultRate, MonitorConfig, RetryPolicy, Rule, RuleEvent, Sqlcm,
-};
+use sqlcm_repro::monitor::{Action, MonitorConfig, RetryPolicy, Rule, RuleEvent, Sqlcm};
 use sqlcm_repro::prelude::Engine;
 use sqlcm_repro::workloads::storm::{self, StormConfig, StormShape};
+
+#[path = "../crates/core/tests/faulty_sink/mod.rs"]
+mod faulty_sink;
+use faulty_sink::{FaultRate, FaultySink, Kind};
 
 const THREADS: u32 = 8;
 const EVENTS_PER_THREAD: u32 = 256;
@@ -81,7 +84,7 @@ fn run_entry(e: &Entry) {
         },
         ..sqlcm.config()
     });
-    sqlcm.inject_faults(Some(FaultPlan::seeded(e.seed).all(e.rate)));
+    let sink = FaultySink::seeded(e.seed).all(e.rate).install(&sqlcm);
     sqlcm
         .add_rule(
             Rule::new("mail_slow")
@@ -115,13 +118,12 @@ fn run_entry(e: &Entry) {
     });
 
     // Invariant 1: with async actions on, injection alone never reaches a
-    // sink — every faultable attempt happens in the pump, which has not run.
-    for kind in [FaultKind::Mail, FaultKind::Command, FaultKind::Persist] {
+    // sink — every sink call happens in the pump, which has not run.
+    for kind in [Kind::Mail, Kind::Command] {
         assert_eq!(
-            sqlcm.faultable_attempts(kind),
+            sink.attempts(kind),
             0,
-            "[{ctx}] event path touched the {} sink",
-            kind.as_str()
+            "[{ctx}] event path touched the {kind:?} sink"
         );
     }
     let fires: u64 = ["mail_slow", "hook_fast"]
@@ -204,11 +206,10 @@ fn stalled_sink_does_not_block_injection() {
         async_actions: true,
         ..sqlcm.config()
     });
-    sqlcm.inject_faults(Some(
-        FaultPlan::seeded(11)
-            .all(FaultRate::Always)
-            .stall_micros(5_000),
-    ));
+    let sink = FaultySink::seeded(11)
+        .all(FaultRate::Always)
+        .stall_micros(5_000)
+        .install(&sqlcm);
     sqlcm
         .add_rule(
             Rule::new("blast")
@@ -222,7 +223,7 @@ fn stalled_sink_does_not_block_injection() {
         sqlcm.inject_event(ev);
     }
     let inject_elapsed = start.elapsed();
-    assert_eq!(sqlcm.faultable_attempts(FaultKind::Mail), 0);
+    assert_eq!(sink.attempts(Kind::Mail), 0);
     // 512 events with a 5ms stall each would take ≥ 2.5s if the event path
     // touched the sink; allow two orders of magnitude of headroom for slow CI.
     assert!(
@@ -231,7 +232,7 @@ fn stalled_sink_does_not_block_injection() {
     );
     // The pump *does* pay it — and records the failed attempts.
     sqlcm.pump_deferred_actions();
-    assert!(sqlcm.faultable_attempts(FaultKind::Mail) > 0);
+    assert!(sink.attempts(Kind::Mail) > 0);
 }
 
 /// Under a dead sink the pump's failures feed the rule's breaker: with an
@@ -257,7 +258,9 @@ fn dead_sink_trips_breaker_and_quarantines() {
         },
         ..sqlcm.config()
     });
-    sqlcm.inject_faults(Some(FaultPlan::seeded(5).command(FaultRate::Always)));
+    FaultySink::seeded(5)
+        .command(FaultRate::Always)
+        .install(&sqlcm);
     sqlcm
         .add_rule(
             Rule::new("hook")

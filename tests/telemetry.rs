@@ -478,10 +478,11 @@ struct StatsReader {
 }
 
 impl sqlcm_repro::monitor::CommandSink for StatsReader {
-    fn run(&self, _command: &str) {
+    fn run(&self, _command: &str) -> sqlcm_repro::common::Result<()> {
         if let Some(sqlcm) = self.target.get() {
             self.seen.lock().unwrap().push(sqlcm.stats());
         }
+        Ok(())
     }
 }
 
@@ -631,8 +632,9 @@ fn a_rare_rule_is_timed_on_its_first_evaluation() {
 struct SlowSink;
 
 impl sqlcm_repro::monitor::CommandSink for SlowSink {
-    fn run(&self, _command: &str) {
+    fn run(&self, _command: &str) -> sqlcm_repro::common::Result<()> {
         std::thread::sleep(std::time::Duration::from_millis(2));
+        Ok(())
     }
 }
 

@@ -7,9 +7,12 @@
 use std::collections::BTreeSet;
 
 use sqlcm_repro::common::{EngineEvent, QueryInfo};
-use sqlcm_repro::monitor::{BreakerConfig, FaultPlan, FaultRate, RetryPolicy};
+use sqlcm_repro::monitor::{BreakerConfig, RetryPolicy};
 use sqlcm_repro::prelude::*;
 
+#[path = "../crates/core/tests/faulty_sink/mod.rs"]
+mod faulty_sink;
+use faulty_sink::{FaultRate, FaultySink};
 #[path = "../crates/core/tests/json/mod.rs"]
 mod json;
 use json::{parse_json, Json};
@@ -39,7 +42,9 @@ fn populated() -> TelemetrySnapshot {
         },
         ..sqlcm.config()
     });
-    sqlcm.inject_faults(Some(FaultPlan::seeded(5).command(FaultRate::Always)));
+    FaultySink::seeded(5)
+        .command(FaultRate::Always)
+        .install(&sqlcm);
     sqlcm.configure(MonitorConfig {
         trace_sampling: TraceSampling::EveryNth(1),
         ..sqlcm.config()
