@@ -29,8 +29,8 @@
 //! prunes a rule without evaluating it when its guard (see [`crate::guard`])
 //! is violated by the event, so dispatch cost scales with *matching* rules
 //! rather than *registered* rules. W205 fires when a rule on a hot event
-//! class reads only payload attributes yet gets no guard, i.e. it is
-//! residual for a fixable reason.
+//! class reads only payload attributes — no LAT — yet gets no guard, i.e. it
+//! is residual for a fixable reason.
 
 use crate::diagnostics::{Code, Diagnostic};
 use crate::guard::{rule_guard, Residual};
@@ -172,12 +172,15 @@ pub fn check_unconditional_external(rule: &RuleIr, diags: &mut Vec<Diagnostic>) 
 /// Warn (W205) when a rule on a hot event class has a payload-only condition
 /// the guard index cannot use — the fixable flavour of residual.
 ///
-/// Deliberately narrow: LAT-reading and iterated-class rules are residual by
-/// design (that is what monitoring rules look like), and unconditional rules
-/// are W204's territory. Only `FallibleExpr` and `NoGuardAtom` mean the
-/// author could reshape the condition and get pruning for free.
+/// Deliberately narrow: a LAT reader's guard, if any, is checked against the
+/// row its event hoists, and a LAT threshold compared with arithmetic
+/// (Example 1's `Query.Duration > 5 * Duration_LAT.Avg_Duration`) is what
+/// monitoring rules look like; iterated-class rules are residual by design,
+/// and unconditional rules are W204's territory. Only `FallibleExpr` and
+/// `NoGuardAtom` on a condition that reads no LAT mean the author could
+/// reshape it and get payload pruning for free.
 pub fn check_unindexable(rule: &RuleIr, diags: &mut Vec<Diagnostic>) {
-    if !is_hot(&rule.event) {
+    if !is_hot(&rule.event) || !rule.refs().1.is_empty() {
         return;
     }
     if let Err(r @ (Residual::FallibleExpr | Residual::NoGuardAtom)) = rule_guard(rule) {
@@ -311,10 +314,21 @@ mod tests {
         let diags = a.check_rule(&hot_rule("eq", Some("Query.User = 'alice'")));
         assert!(diags.iter().all(|d| d.code != Code::W205), "{diags:?}");
 
-        // LAT-reading hot rule: residual by design, not flagged.
+        // LAT-reading hot rules are out of scope: one with a LAT guard, one
+        // that compares a threshold through arithmetic (Example 1's shape),
+        // one with no atom at all.
         assert!(a.check_lat(&aging_lat()).is_empty());
-        let diags = a.check_rule(&hot_rule("latread", Some("Win.Avg_D > 3")));
-        assert!(diags.iter().all(|d| d.code != Code::W205), "{diags:?}");
+        for (name, cond) in [
+            ("latread", "Win.Avg_D > 3"),
+            ("latscaled", "Query.Duration > 5 * Win.Avg_D"),
+            ("latnoatom", "Query.Duration > Win.Avg_D"),
+        ] {
+            let diags = a.check_rule(&hot_rule(name, Some(cond)));
+            assert!(
+                diags.iter().all(|d| d.code != Code::W205),
+                "{name}: {diags:?}"
+            );
+        }
 
         // Unindexable condition on a cold event: not flagged.
         let mut cold = hot_rule("cold", Some("Session.User LIKE 'svc%'"));

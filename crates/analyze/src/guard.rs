@@ -1,30 +1,44 @@
-//! Dispatch-guard extraction: can one probe of the event payload prove a
-//! rule's condition cannot hold?
+//! Dispatch-guard extraction: can one look at what an event already holds
+//! prove a rule's condition cannot hold?
 //!
-//! The runtime's guard index (`sqlcm-core::guard`) prunes a rule without
-//! running its condition when a *guard* — one conjunct of the condition's
-//! top-level `AND` chain, of the shape `attr <op> const` / `attr IN (…)`
-//! over a payload attribute — is violated by the event. [`rule_guard`] is the
-//! only place that decides which guard a rule gets, or why it gets none:
-//! registration stores its verdict for the index to install, and W205 and the
-//! `lint_rules` example print the same verdict, so lint and dispatch cannot
-//! disagree.
+//! The runtime prunes a rule without running its condition when a *guard* is
+//! violated. A guard is the merged conjuncts of the condition's top-level
+//! `AND` chain of the shape `x <op> const` / `x IN (…)` over one operand `x`.
+//! A rule gets up to two, one per kind of operand:
+//!
+//! * a **payload guard** over a payload attribute (`Query.User = 'bob'`),
+//!   which `sqlcm-core::guard`'s index probes once per event for all rules;
+//! * a **LAT guard** over a LAT column (`Sig_LAT.N >= 30`), which dispatch
+//!   checks at the rule's own turn against the row the event hoisted.
+//!
+//! [`rule_guard`] is the only place that decides which guards a rule gets, or
+//! why it gets none: registration stores its verdict for dispatch to install,
+//! and W205 and the `lint_rules` example print the same verdict, so lint and
+//! dispatch cannot disagree.
 //!
 //! ## Soundness contract
 //!
 //! A rule may be pruned only when a violated guard implies the whole
 //! condition cannot evaluate to `TRUE` *and* cannot evaluate to `Err` —
 //! skipping an evaluation that would have recorded an error would make the
-//! index observable in rule statistics. Both halves are structural:
+//! pruning observable in rule statistics. Both halves are structural:
 //!
 //! * **No-fire**: under SQL three-valued logic a violated conjunct evaluates
 //!   to `FALSE` or `NULL`, and `AND` can then never yield `TRUE` — regardless
-//!   of what the other conjuncts do.
+//!   of what the other conjuncts do. A missing LAT row (implicit ∃, paper
+//!   §5.2) makes the whole condition false, so it violates every LAT guard
+//!   on its LAT.
 //! * **No-error**: a rule gets a guard only when its condition is
-//!   *infallible in context*: no LAT reads (mutable mid-event, and a missing
-//!   row poisons the condition), no checked arithmetic (`+ - * /`, unary
-//!   `-`), and every attribute read is of a class the event payload carries.
-//!   Any other rule is [`Residual`]: always evaluated, never mis-pruned.
+//!   *infallible in context*: no checked arithmetic (`+ - * /`, unary `-`),
+//!   no function call, and every attribute read is of a class the event
+//!   payload carries. Reading a LAT cannot fail — a missing row poisons the
+//!   condition to false, not to an error. Any other rule is [`Residual`]:
+//!   always evaluated, never mis-pruned.
+//!
+//! A LAT guard adds one runtime condition: the row it is checked against must
+//! be the one the condition would read. A LAT's rows change mid-event (an
+//! earlier rule's `Insert` or `Reset`), so dispatch checks it at the rule's
+//! turn, never ahead of it.
 //!
 //! Extraction runs over the *folded* condition — the IR the runtime compiles
 //! — so `x > 1 + 2` guards exactly like `x > 3`.
@@ -49,11 +63,11 @@ pub struct Bound {
 /// What a guard admits.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GuardKind {
-    /// `attr = const` or `attr IN (…)`: the attribute must be one of these
+    /// `x = const` or `x IN (…)`: the operand must be one of these
     /// (non-null) values. Empty when only `NULL` was listed — no value
     /// compares `TRUE`, the rule can never fire.
     Eq(Vec<Value>),
-    /// Every numeric range conjunct over the attribute, merged to the
+    /// Every numeric range conjunct over the operand, merged to the
     /// tightest interval (possibly empty: `x > 5 AND x < 3`).
     Range {
         lo: Option<Bound>,
@@ -61,21 +75,11 @@ pub enum GuardKind {
     },
 }
 
-/// The guard extracted from one rule: the class, the attribute's position
-/// in the class's value layout (what the runtime's index probes), and the
-/// admitted set.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Guard {
-    pub class: ClassName,
-    pub attr: usize,
-    pub kind: GuardKind,
-}
-
-impl Guard {
-    /// Guard provably empty (`x IN (NULL)`, `x > 5 AND x < 3`): the rule can
-    /// never fire and is always pruned.
+impl GuardKind {
+    /// Provably empty (`x IN (NULL)`, `x > 5 AND x < 3`): no value is
+    /// admitted, the rule can never fire.
     pub fn never(&self) -> bool {
-        match &self.kind {
+        match self {
             GuardKind::Eq(values) => values.is_empty(),
             GuardKind::Range {
                 lo: Some(l),
@@ -88,36 +92,88 @@ impl Guard {
             GuardKind::Range { .. } => false,
         }
     }
+
+    fn shape(&self) -> &'static str {
+        match self {
+            GuardKind::Eq(values) if values.len() > 1 => "membership",
+            GuardKind::Eq(_) => "equality",
+            GuardKind::Range { .. } => "range",
+        }
+    }
+}
+
+/// A payload guard: the class, the attribute's position in the class's value
+/// layout (what the runtime's index probes), and the admitted set.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Guard {
+    pub class: ClassName,
+    pub attr: usize,
+    pub kind: GuardKind,
+}
+
+impl Guard {
+    /// Guard provably empty: the rule can never fire and is always pruned.
+    pub fn never(&self) -> bool {
+        self.kind.never()
+    }
 }
 
 impl fmt::Display for Guard {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let shape = match &self.kind {
-            GuardKind::Eq(values) if values.len() > 1 => "membership",
-            GuardKind::Eq(_) => "equality",
-            GuardKind::Range { .. } => "range",
-        };
         let schema = self.class.schema().expect("guards are on built-in classes");
-        write!(f, "{shape} on {}.{}", self.class, schema.attrs[self.attr].0)
+        let attr = &schema.attrs[self.attr].0;
+        write!(f, "{} on {}.{attr}", self.kind.shape(), self.class)
     }
 }
 
-/// Why a rule is residual (never pruned by the guard index).
+/// A LAT guard: one column of one LAT the condition reads, by the names the
+/// condition uses (both resolve case-insensitively), and the admitted set.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LatGuard {
+    pub lat: String,
+    pub column: String,
+    pub kind: GuardKind,
+}
+
+impl fmt::Display for LatGuard {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} on {}.{}", self.kind.shape(), self.lat, self.column)
+    }
+}
+
+/// The guards of a rule whose condition is infallible in context: at least
+/// one of the two is set.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Guards {
+    pub payload: Option<Guard>,
+    pub lat: Option<LatGuard>,
+}
+
+impl fmt::Display for Guards {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match (&self.payload, &self.lat) {
+            (Some(p), Some(l)) => write!(f, "{p}; LAT guard: {l}"),
+            (Some(p), None) => write!(f, "{p}"),
+            (None, Some(l)) => write!(f, "LAT guard: {l}"),
+            (None, None) => write!(f, "no guard"),
+        }
+    }
+}
+
+/// Why a rule has no guard (is never pruned).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Residual {
     /// No condition: the rule fires on every event of its class.
     Unconditional,
-    /// The condition reads LAT state, which mutates mid-stream and can
-    /// error; a violated payload guard cannot prove it false.
-    ReadsLat,
     /// The condition reads a class outside the event payload (an iterated
     /// class), so one payload probe cannot stand in for all combinations.
     NonPayloadClass,
     /// The condition contains arithmetic or a function call that can raise
     /// an error; under the error contract the rule must run to surface it.
     FallibleExpr,
-    /// Payload-only and infallible, but no top-level conjunct has an
-    /// indexable shape (`attr = const`, `attr IN (…)`, `attr <op> const`).
+    /// Infallible, but no top-level conjunct has an indexable shape
+    /// (`x = const`, `x IN (…)`, `x <op> const` over a payload attribute or
+    /// a LAT column).
     NoGuardAtom,
 }
 
@@ -125,32 +181,28 @@ impl Residual {
     pub fn describe(self) -> &'static str {
         match self {
             Residual::Unconditional => "no condition — fires on every event of its class",
-            Residual::ReadsLat => "condition reads LAT state, which a payload guard cannot vouch for",
             Residual::NonPayloadClass => "condition reads a class outside the event payload",
             Residual::FallibleExpr => {
                 "condition contains arithmetic or a function call that can error"
             }
             Residual::NoGuardAtom => {
-                "no top-level conjunct is an indexable atom (attr = const, attr IN (…), attr <op> const)"
+                "no top-level conjunct is an indexable atom (x = const, x IN (…), x <op> const)"
             }
         }
     }
 }
 
-/// The dispatch guard of `rule`, or the reason it is always evaluated.
+/// The dispatch guards of `rule`, or the reason it is always evaluated.
 ///
-/// One guard per rule: the first equality/`IN` conjunct wins (a point probe
-/// beats a range sweep); otherwise every range conjunct over the first
-/// ranged attribute is merged into one interval.
-pub fn rule_guard(rule: &RuleIr) -> Result<Guard, Residual> {
+/// At most one guard per kind of operand: the first equality/`IN` conjunct
+/// wins (a point probe beats a range sweep); otherwise every range conjunct
+/// over the first ranged operand is merged into one interval.
+pub fn rule_guard(rule: &RuleIr) -> Result<Guards, Residual> {
     let Some(cond) = &rule.condition else {
         return Err(Residual::Unconditional);
     };
     let ir = cond.folded();
-    let (classes, lats) = rule.refs();
-    if !lats.is_empty() {
-        return Err(Residual::ReadsLat);
-    }
+    let (classes, _) = rule.refs();
     let payload = rule.event.payload_classes();
     if !classes.iter().all(|c| payload.contains(c)) {
         return Err(Residual::NonPayloadClass);
@@ -179,26 +231,57 @@ pub fn rule_guard(rule: &RuleIr) -> Result<Guard, Residual> {
     }
     let mut conj = Vec::new();
     conjuncts(ir, ir.root, &mut conj);
-    let mut range: Option<Guard> = None;
+    let mut attrs = Pick::default();
+    let mut lat_cols = Pick::default();
     for id in conj {
-        let Some(atom) = atom_of(ir, id) else {
-            continue;
+        match atom_of(ir, id) {
+            Some((Operand::Attr(class, attr), kind)) => attrs.offer((class, attr), kind),
+            Some((Operand::LatCol(lat, column), kind)) => lat_cols.offer(LatCol(lat, column), kind),
+            None => {}
+        }
+    }
+    let guards = Guards {
+        payload: attrs
+            .chosen()
+            .map(|((class, attr), kind)| Guard { class, attr, kind }),
+        lat: lat_cols
+            .chosen()
+            .map(|(LatCol(lat, column), kind)| LatGuard { lat, column, kind }),
+    };
+    match guards {
+        Guards {
+            payload: None,
+            lat: None,
+        } => Err(Residual::NoGuardAtom),
+        guards => Ok(guards),
+    }
+}
+
+/// The guard of one kind of operand, built conjunct by conjunct: the first
+/// equality, or the merged ranges over the first ranged operand.
+struct Pick<K> {
+    eq: Option<(K, GuardKind)>,
+    range: Option<(K, GuardKind)>,
+}
+
+impl<K> Default for Pick<K> {
+    fn default() -> Self {
+        Pick {
+            eq: None,
+            range: None,
+        }
+    }
+}
+
+impl<K: PartialEq> Pick<K> {
+    fn offer(&mut self, key: K, kind: GuardKind) {
+        let GuardKind::Range { lo, hi } = kind else {
+            self.eq.get_or_insert((key, kind));
+            return;
         };
-        let GuardKind::Range { lo, hi } = atom.kind else {
-            return Ok(atom);
-        };
-        match &mut range {
-            None => {
-                range = Some(Guard {
-                    kind: GuardKind::Range { lo, hi },
-                    ..atom
-                })
-            }
-            Some(Guard {
-                class,
-                attr,
-                kind: GuardKind::Range { lo: rlo, hi: rhi },
-            }) if *class == atom.class && *attr == atom.attr => {
+        match &mut self.range {
+            None => self.range = Some((key, GuardKind::Range { lo, hi })),
+            Some((k, GuardKind::Range { lo: rlo, hi: rhi })) if *k == key => {
                 if let Some(b) = lo {
                     tighten(rlo, b, Ordering::Greater);
                 }
@@ -209,7 +292,28 @@ pub fn rule_guard(rule: &RuleIr) -> Result<Guard, Residual> {
             Some(_) => {}
         }
     }
-    range.ok_or(Residual::NoGuardAtom)
+
+    fn chosen(self) -> Option<(K, GuardKind)> {
+        self.eq.or(self.range)
+    }
+}
+
+/// A LAT column by the names the condition uses; equal when both names match
+/// case-insensitively, as LAT and column resolution do.
+struct LatCol(String, String);
+
+impl PartialEq for LatCol {
+    fn eq(&self, other: &LatCol) -> bool {
+        self.0.eq_ignore_ascii_case(&other.0) && self.1.eq_ignore_ascii_case(&other.1)
+    }
+}
+
+/// What a guard atom constrains.
+enum Operand {
+    /// A payload attribute: class and position in its value layout.
+    Attr(ClassName, usize),
+    /// A LAT column: LAT and column as written.
+    LatCol(String, String),
 }
 
 /// Keep the tighter of two same-side bounds: the one comparing `tighter`
@@ -253,25 +357,31 @@ fn flip(op: BinOp) -> Option<BinOp> {
     })
 }
 
-/// Class and attribute position of a qualified class-attribute reference.
-fn class_attr(ir: &ExprIr, id: NodeId) -> Option<(ClassName, usize)> {
+/// The operand a qualified reference names: a class attribute when the
+/// qualifier is a monitored class, a LAT column otherwise.
+fn operand(ir: &ExprIr, id: NodeId) -> Option<Operand> {
     let IrOp::Ref(r) = ir.op(id) else { return None };
     let (qualifier, name) = &ir.refs[*r as usize];
-    let class = ClassName::parse(qualifier.as_deref()?)?;
-    let attr = class.schema()?.attr_index(name)?;
-    Some((class, attr))
+    let qualifier = qualifier.as_deref()?;
+    match ClassName::parse(qualifier) {
+        Some(class) => {
+            let attr = class.schema()?.attr_index(name)?;
+            Some(Operand::Attr(class, attr))
+        }
+        None => Some(Operand::LatCol(qualifier.to_string(), name.clone())),
+    }
 }
 
 /// Lift one conjunct into a guard atom, if it has an indexable shape.
-fn atom_of(ir: &ExprIr, id: NodeId) -> Option<Guard> {
+fn atom_of(ir: &ExprIr, id: NodeId) -> Option<(Operand, GuardKind)> {
     match ir.op(id) {
         IrOp::Binary { left, op, right } => {
-            let (attr_node, cval, op) = match (ir.const_value(*left), ir.const_value(*right)) {
+            let (operand_node, cval, op) = match (ir.const_value(*left), ir.const_value(*right)) {
                 (None, Some(c)) => (*left, c, *op),
                 (Some(c), None) => (*right, c, flip(*op)?),
                 _ => return None,
             };
-            let (class, attr) = class_attr(ir, attr_node)?;
+            let operand = operand(ir, operand_node)?;
             let kind = match op {
                 BinOp::Eq if cval.is_null() => GuardKind::Eq(Vec::new()),
                 BinOp::Eq => GuardKind::Eq(vec![cval.clone()]),
@@ -303,14 +413,14 @@ fn atom_of(ir: &ExprIr, id: NodeId) -> Option<Guard> {
                 }
                 _ => return None,
             };
-            Some(Guard { class, attr, kind })
+            Some((operand, kind))
         }
         IrOp::InList {
             expr,
             list,
             negated: false,
         } => {
-            let (class, attr) = class_attr(ir, *expr)?;
+            let operand = operand(ir, *expr)?;
             let mut values = Vec::new();
             for m in &ir.lists[*list as usize] {
                 // A null member can never compare TRUE; it just drops out.
@@ -319,11 +429,7 @@ fn atom_of(ir: &ExprIr, id: NodeId) -> Option<Guard> {
                     values.push(v.clone());
                 }
             }
-            Some(Guard {
-                class,
-                attr,
-                kind: GuardKind::Eq(values),
-            })
+            Some((operand, GuardKind::Eq(values)))
         }
         _ => None,
     }
@@ -334,7 +440,7 @@ mod tests {
     use super::*;
     use crate::{Action, Condition, RuleEvent};
 
-    fn verdict(event: RuleEvent, cond: Option<&str>) -> Result<Guard, Residual> {
+    fn verdict(event: RuleEvent, cond: Option<&str>) -> Result<Guards, Residual> {
         let rule = RuleIr {
             name: "r".into(),
             event,
@@ -348,33 +454,45 @@ mod tests {
         ClassName::Query.schema().unwrap().attr_index(attr).unwrap()
     }
 
-    fn eq(attr: &str, values: &[Value]) -> Result<Guard, Residual> {
-        Ok(Guard {
+    /// A payload guard alone.
+    fn payload(guard: Guard) -> Result<Guards, Residual> {
+        Ok(Guards {
+            payload: Some(guard),
+            lat: None,
+        })
+    }
+
+    fn eq(attr: &str, values: &[Value]) -> Result<Guards, Residual> {
+        payload(Guard {
             class: ClassName::Query,
             attr: query_attr(attr),
             kind: GuardKind::Eq(values.to_vec()),
         })
     }
 
-    fn range(lo: Option<(i64, bool)>, hi: Option<(i64, bool)>) -> Result<Guard, Residual> {
+    fn int_range(lo: Option<(i64, bool)>, hi: Option<(i64, bool)>) -> GuardKind {
         let bound = |(v, strict)| Bound {
             value: Value::Int(v),
             strict,
         };
-        Ok(Guard {
+        GuardKind::Range {
+            lo: lo.map(bound),
+            hi: hi.map(bound),
+        }
+    }
+
+    fn range(lo: Option<(i64, bool)>, hi: Option<(i64, bool)>) -> Result<Guards, Residual> {
+        payload(Guard {
             class: ClassName::Query,
             attr: query_attr("Duration"),
-            kind: GuardKind::Range {
-                lo: lo.map(bound),
-                hi: hi.map(bound),
-            },
+            kind: int_range(lo, hi),
         })
     }
 
     #[test]
     fn verdict_table() {
         let ints = |vs: &[i64]| vs.iter().map(|v| Value::Int(*v)).collect::<Vec<_>>();
-        let cases: Vec<(&str, Result<Guard, Residual>)> = vec![
+        let cases: Vec<(&str, Result<Guards, Residual>)> = vec![
             // Equality and membership; equality wins over a range wherever
             // it sits in the chain, and names come back canonical.
             ("query.user = 'bob'", eq("User", &[Value::text("bob")])),
@@ -410,7 +528,6 @@ mod tests {
             // Non-numeric bounds are not range atoms.
             ("Query.User > 'm'", Err(Residual::NoGuardAtom)),
             // Residual reasons.
-            ("Win.Avg_D > 1", Err(Residual::ReadsLat)),
             ("Session.Success = TRUE", Err(Residual::NonPayloadClass)),
             (
                 "Query.Duration - Query.Estimated_Cost > 1",
@@ -439,6 +556,67 @@ mod tests {
         // The same condition is residual on an event that lacks the class.
         assert_eq!(
             verdict(RuleEvent::Login, Some("Query.Duration > 1")),
+            Err(Residual::NonPayloadClass)
+        );
+    }
+
+    fn lat(lat: &str, column: &str, kind: GuardKind) -> Option<LatGuard> {
+        Some(LatGuard {
+            lat: lat.into(),
+            column: column.into(),
+            kind,
+        })
+    }
+
+    /// A LAT column takes the payload atoms' shapes and merging; a rule may
+    /// get a guard of each kind. A LAT read itself is infallible — a missing
+    /// row is false — so only arithmetic keeps a LAT reader residual.
+    #[test]
+    fn lat_guards() {
+        let on = |c| verdict(RuleEvent::QueryCommit, Some(c));
+        assert_eq!(
+            on("Win.Avg_D > 1"),
+            Ok(Guards {
+                payload: None,
+                lat: lat("Win", "Avg_D", int_range(Some((1, true)), None)),
+            })
+        );
+        assert_eq!(on("Win.Avg_D * 2 > 1"), Err(Residual::FallibleExpr));
+        assert_eq!(
+            on("Query.Duration > 5 * Duration_LAT.Avg_Duration"),
+            Err(Residual::FallibleExpr)
+        );
+        // A column compared with a payload attribute is no atom.
+        assert_eq!(on("Win.Avg_D > Query.Duration"), Err(Residual::NoGuardAtom));
+        let both = on("Query.User = 'a' AND Win.N >= 5").unwrap();
+        assert_eq!(
+            both,
+            Guards {
+                payload: eq("User", &[Value::text("a")]).unwrap().payload,
+                lat: lat("Win", "N", int_range(Some((5, false)), None)),
+            }
+        );
+        assert_eq!(
+            both.to_string(),
+            "equality on Query.User; LAT guard: range on Win.N"
+        );
+        // Ranges on one column merge across the names' case; the result is
+        // never true.
+        let never = on("Win.N >= 5 AND win.n < 3").unwrap().lat.unwrap();
+        assert_eq!(never.kind, int_range(Some((5, false)), Some((3, true))));
+        assert!(never.kind.never());
+        // Equality and membership on a text column.
+        assert_eq!(
+            on("Win.Usr IN ('a', 'b')").unwrap().lat,
+            lat(
+                "Win",
+                "Usr",
+                GuardKind::Eq(vec![Value::text("a"), Value::text("b")])
+            )
+        );
+        // The LAT guard does not lift the payload rules.
+        assert_eq!(
+            on("Session.User = 'a' AND Win.N >= 5"),
             Err(Residual::NonPayloadClass)
         );
     }

@@ -28,7 +28,7 @@
 //! | W201 | warning  | estimated per-firing cost above threshold ([`cost`]) |
 //! | W203 | warning  | condition reads a LAT column no rule's Insert feeds ([`effects`]) |
 //! | W204 | warning  | unconditional external action on a hot event class ([`cost`]) |
-//! | W205 | warning  | hot-event condition the dispatch guard index cannot use ([`cost`], verdict from [`guard`]) |
+//! | W205 | warning  | hot-event payload-only condition the dispatch guard index cannot use ([`cost`], verdict from [`guard`]) |
 //! | W301 | warning  | adjacent same-event rules are order-sensitive ([`confluence`]) |
 //! | W302 | warning  | one event can trigger more evaluations than the cascade threshold ([`confluence`]) |
 //!
@@ -62,7 +62,7 @@ pub use admitted::{holds, Admitted};
 pub use cost::DEFAULT_COST_THRESHOLD;
 pub use diagnostics::{has_errors, Code, Diagnostic, Severity};
 pub use effects::{rule_effects, LatWriteEffect, RuleEffects};
-pub use guard::{rule_guard, Bound, Guard, GuardKind, Residual};
+pub use guard::{rule_guard, Bound, Guard, GuardKind, Guards, LatGuard, Residual};
 pub use lat::{AggColumn, AgingSpec, AttrRef, GroupColumn, LatAggFunc, LatSpec};
 pub use rule::{Action, RuleEvent};
 pub use schema::{ClassName, ClassSchema, LatColumn, LatSchema, SchemaUniverse};

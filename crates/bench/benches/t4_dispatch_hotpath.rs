@@ -109,12 +109,14 @@ fn main() {
                 .then(Action::insert("Sig_LAT")),
         )
         .expect("rule");
+    // `+ 0` keeps the watchers residual, so every condition runs, as in the
+    // recorded history of this figure; a LAT guard would prune them.
     for i in 0..31 {
         sqlcm
             .add_rule(
                 Rule::new(format!("watch{i:02}"))
                     .on(RuleEvent::QueryCommit)
-                    .when(&format!("Sig_LAT.N >= {}", 1_000_000_000 + i)),
+                    .when(&format!("Sig_LAT.N + 0 >= {}", 1_000_000_000 + i)),
             )
             .expect("rule");
     }

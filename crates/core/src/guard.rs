@@ -7,15 +7,22 @@
 //! the *cheap prefix* of each rule's condition so that one index probe per
 //! event yields the candidate set and only candidates run the condition VM.
 //!
-//! Which guard a rule gets — and the soundness contract that makes pruning
-//! on it invisible — is decided once, at registration, by
+//! Which guards a rule gets — and the soundness contract that makes pruning
+//! on them invisible — is decided once, at registration, by
 //! [`sqlcm_analyze::guard::rule_guard`]; the verdict is stored on the
-//! registered rule (a [`Guard`]) and this module only *installs* it: index
-//! construction, probing, and pruning explanations. The one runtime-side
-//! addition to the contract is [`GuardIndex::required`]: every attribute an
-//! indexed condition reads must resolve against a payload object the probe
-//! has verified present with sufficient width, which keeps indexed
+//! registered rule and this module only *installs* it: index construction,
+//! probing, the LAT-guard check, and pruning explanations. The one
+//! runtime-side addition to the contract is [`GuardIndex::required`]: every
+//! attribute a guarded condition reads must resolve against a payload object
+//! the probe has verified present with sufficient width, which keeps guarded
 //! conditions genuinely infallible whenever pruning happens.
+//!
+//! A payload guard is decided by the probe, for every rule at once. A LAT
+//! guard ([`LatCheck`]) is decided at its rule's own turn in the walk, on a
+//! probed event, against the hoisted row the condition would read then — so
+//! a candidate of the probe may still be pruned, with one slot read and one
+//! comparison ([`LatCheck::admits`]). The index starts every LAT-guarded rule
+//! without a payload guard as a candidate.
 //!
 //! Range-guard soundness additionally leans on the interval machinery of
 //! `sqlcm-analyze` ([`Interval`]): each guard carries its widened numeric
@@ -44,6 +51,7 @@ use sqlcm_analyze::{Bound, Guard, GuardKind};
 use sqlcm_common::Value;
 
 use crate::ir::{CondIr, Resolved};
+use crate::lat::Lat;
 use crate::objects::{ClassName, Object};
 use crate::plan::PlanRule;
 use crate::shared::Partitioned;
@@ -62,14 +70,22 @@ pub(crate) fn explain(guard: &Guard, objects: &[Object]) -> String {
     let val = obj
         .and_then(|o| o.values().get(guard.attr))
         .map_or_else(|| "?".into(), |v| v.to_string());
-    match &guard.kind {
+    format!(
+        "pruned by guard index: {}",
+        violated(&guard.kind, &format!("{class}.{name}"), &val)
+    )
+}
+
+/// `subject=value` and the set or interval of `kind` it falls outside.
+fn violated(kind: &GuardKind, subject: &str, val: &str) -> String {
+    match kind {
         GuardKind::Eq(values) => {
             let set = values
                 .iter()
                 .map(|v| v.to_string())
                 .collect::<Vec<_>>()
                 .join(", ");
-            format!("pruned by guard index: {class}.{name}={val} not in {{{set}}}")
+            format!("{subject}={val} not in {{{set}}}")
         }
         GuardKind::Range { lo, hi } => {
             let lo_s = match lo {
@@ -80,8 +96,76 @@ pub(crate) fn explain(guard: &Guard, objects: &[Object]) -> String {
                 Some(b) => format!("{}{}", b.value, if b.strict { ')' } else { ']' }),
                 None => "∞)".into(),
             };
-            format!("pruned by guard index: {class}.{name}={val} outside {lo_s},{hi_s}")
+            format!("{subject}={val} outside {lo_s},{hi_s}")
         }
+    }
+}
+
+/// Exact admission of a non-null `v` by the bounds, via [`Value::cmp`] — the
+/// same total order the VM's comparison operators use, so cross-type values
+/// (e.g. a text value against a numeric bound) agree with evaluation.
+fn within(lo: &Option<Bound>, hi: &Option<Bound>, v: &Value) -> bool {
+    if let Some(b) = lo {
+        match v.cmp(&b.value) {
+            Ordering::Less => return false,
+            Ordering::Equal if b.strict => return false,
+            _ => {}
+        }
+    }
+    if let Some(b) = hi {
+        match v.cmp(&b.value) {
+            Ordering::Greater => return false,
+            Ordering::Equal if b.strict => return false,
+            _ => {}
+        }
+    }
+    true
+}
+
+/// A rule's LAT guard as its plan installs it: the analyzer's
+/// [`sqlcm_analyze::LatGuard`] resolved to the rule's hoisted reference of
+/// the LAT and the column's position in its rows. Attached only when that
+/// reference is hoisted, so the row the check reads is the one the
+/// condition would.
+#[derive(Clone, Debug)]
+pub(crate) struct LatCheck {
+    /// Index into the rule's `cond_lats` / `PlanRule::lats`.
+    pub lat: usize,
+    /// The reference's hoist slot (`PlanRule::lat_slots[lat]`).
+    pub slot: u32,
+    /// The column's position in the LAT's rows.
+    pub column: usize,
+    pub kind: GuardKind,
+}
+
+impl LatCheck {
+    /// Whether the condition can be true on `row` — the LAT's row for the
+    /// event, `None` when it has none. A missing row makes the condition
+    /// false (implicit ∃), and a NULL column or a value outside the guard
+    /// violates a conjunct of its `AND` chain.
+    pub fn admits(&self, row: Option<&[Value]>) -> bool {
+        let Some(v) = row.and_then(|r| r.get(self.column)) else {
+            return false;
+        };
+        if v.is_null() {
+            return false;
+        }
+        match &self.kind {
+            GuardKind::Eq(values) => values.contains(v),
+            GuardKind::Range { lo, hi } => within(lo, hi, v),
+        }
+    }
+
+    /// Why [`LatCheck::admits`] refused `row` of `lat`, for sampled traces.
+    pub fn explain(&self, lat: &Lat, row: Option<&[Value]>) -> String {
+        let name = &lat.spec.name;
+        let column = lat.columns().get(self.column).cloned().unwrap_or_default();
+        let why = match row.and_then(|r| r.get(self.column)) {
+            None => format!("no {name} row"),
+            Some(v) if v.is_null() => format!("{name}.{column} is NULL"),
+            Some(v) => violated(&self.kind, &format!("{name}.{column}"), &v.to_string()),
+        };
+        format!("pruned by LAT guard: {why}")
     }
 }
 
@@ -149,39 +233,18 @@ struct RangeGuard {
     iv: Interval,
 }
 
-impl RangeGuard {
-    /// Exact admission via [`Value::cmp`] — the same total order the VM's
-    /// comparison operators use, so cross-type probes (e.g. a text value
-    /// against a numeric bound) agree with evaluation.
-    fn admits(&self, v: &Value) -> bool {
-        if let Some(b) = &self.lo {
-            match v.cmp(&b.value) {
-                Ordering::Less => return false,
-                Ordering::Equal if b.strict => return false,
-                _ => {}
-            }
-        }
-        if let Some(b) = &self.hi {
-            match v.cmp(&b.value) {
-                Ordering::Greater => return false,
-                Ordering::Equal if b.strict => return false,
-                _ => {}
-            }
-        }
-        true
-    }
-}
-
-/// What [`GuardIndex::add`] needs of one indexable rule: its guard, its
-/// compiled condition and the classes the condition names.
-type Indexable<'a> = (&'a Guard, &'a CondIr, &'a [ClassName]);
+/// What [`GuardIndex::add`] needs of one guarded rule: its payload guard, if
+/// any, its compiled condition and the classes the condition names.
+type Indexable<'a> = (Option<&'a Guard>, &'a CondIr, &'a [ClassName]);
 
 /// The stored verdict speaks for the registered condition; a rule the
 /// current registry cannot run (`broken`, no program) must still be
 /// evaluated so its error is recorded, whatever the verdict says.
 fn indexable(pr: &PlanRule) -> Option<Indexable<'_>> {
-    match (&pr.reg.guard, &pr.reg.compiled, &pr.program, &pr.broken) {
-        (Some(g), Some(c), Some(_), None) => Some((g, &**c, &pr.reg.cond_classes[..])),
+    match (&pr.reg.compiled, &pr.program, &pr.broken) {
+        (Some(c), Some(_), None) if pr.reg.guard.is_some() || pr.lat_guard.is_some() => {
+            Some((pr.reg.guard.as_ref(), &**c, &pr.reg.cond_classes[..]))
+        }
         _ => None,
     }
 }
@@ -194,16 +257,18 @@ pub(crate) struct GuardIndex {
     /// Hashes equality-guard values, here and in every index appended to
     /// this one.
     hasher: RandomState,
-    /// Per payload class any indexed rule reads: minimum attribute-vector
+    /// Per payload class any guarded rule reads: minimum attribute-vector
     /// width its condition assumes. A probe over objects missing a class (or
     /// narrower than assumed — possible for synthetic payloads) is unusable
-    /// and every rule becomes a candidate, keeping indexed conditions
+    /// and every rule becomes a candidate, keeping guarded conditions
     /// genuinely infallible whenever pruning happens.
     required: Vec<(ClassName, usize)>,
     eq_groups: Vec<EqGroup>,
     range_groups: Vec<RangeGroup>,
-    /// Bitset of residual rules — the probe's starting candidate set.
-    residual: Vec<u64>,
+    /// Bitset of the rules no payload guard decides — residual rules and
+    /// rules with a LAT guard alone: the probe's starting candidate set.
+    undecided: Vec<u64>,
+    /// Rules with a payload guard, a LAT guard or both.
     pub indexed_rules: u32,
     pub residual_rules: u32,
 }
@@ -211,11 +276,12 @@ pub(crate) struct GuardIndex {
 impl GuardIndex {
     /// Build the index for one event's rules from the guard verdicts stored
     /// at registration. Returns `None` when no rule is indexable — dispatch
-    /// then skips probing entirely. Plans with a single rule are never
-    /// indexed: a probe cannot beat a one-rule scan, and skipping it keeps
+    /// then skips probing entirely. A plan with a single rule is indexed
+    /// only for its LAT guard, which dispatch checks on probed events only:
+    /// a payload probe cannot beat a one-rule scan, and skipping it keeps
     /// small monitors at exactly their pre-index cost.
     pub fn build(rules: &[PlanRule]) -> Option<GuardIndex> {
-        if rules.len() < 2 {
+        if rules.len() < 2 && rules.iter().all(|pr| pr.lat_guard.is_none()) {
             return None;
         }
         Self::assemble(rules.iter().map(indexable))
@@ -230,11 +296,11 @@ impl GuardIndex {
     /// longer slice returns: `pr` is the last rule, so it joins each group
     /// it belongs to after every guard already there. No installed guard is
     /// looked at again; the clone copies one partition per equality group
-    /// the rule joins, the range groups and the residual bitset.
+    /// the rule joins, the range groups and the undecided bitset.
     pub fn appended(&self, pr: &PlanRule) -> GuardIndex {
         let mut idx = self.clone();
         let ri = idx.indexed_rules + idx.residual_rules;
-        idx.residual.resize((ri as usize + 1).div_ceil(64), 0);
+        idx.undecided.resize((ri as usize + 1).div_ceil(64), 0);
         idx.add(ri, indexable(pr));
         idx.seal();
         idx
@@ -249,7 +315,7 @@ impl GuardIndex {
             required: Vec::new(),
             eq_groups: Vec::new(),
             range_groups: Vec::new(),
-            residual: vec![0u64; rules.len().div_ceil(64).max(1)],
+            undecided: vec![0u64; rules.len().div_ceil(64).max(1)],
             indexed_rules: 0,
             residual_rules: 0,
         };
@@ -267,12 +333,12 @@ impl GuardIndex {
     /// before the index is probed.
     fn add(&mut self, ri: u32, entry: Option<Indexable<'_>>) {
         let Some((guard, cond, cond_classes)) = entry else {
-            self.residual[(ri >> 6) as usize] |= 1 << (ri & 63);
+            self.undecided[(ri >> 6) as usize] |= 1 << (ri & 63);
             self.residual_rules += 1;
             return;
         };
         self.indexed_rules += 1;
-        // Every attribute the indexed condition reads contributes to the
+        // Every attribute the guarded condition reads contributes to the
         // probe's required-width check, making each read provably in-range
         // before any pruning is trusted; `cond_classes` rides along (width
         // 0 = presence only) so a pruned rule is always one the fast path
@@ -285,7 +351,10 @@ impl GuardIndex {
         for class in cond_classes {
             self.require(class, 0);
         }
-        self.install(ri, guard);
+        match guard {
+            Some(guard) => self.install(ri, guard),
+            None => self.undecided[(ri >> 6) as usize] |= 1 << (ri & 63),
+        }
     }
 
     fn require(&mut self, class: &ClassName, width: usize) {
@@ -369,21 +438,21 @@ impl GuardIndex {
     }
 
     /// Probe the index for one event into `bits`, one bit per rule of the
-    /// event class. On success `bits` holds the candidate set (residual rules
-    /// plus every rule whose guard admits the payload) and pruned rules are
-    /// provably non-firing. Returns `false` when the
+    /// event class. On success `bits` holds the candidate set (the undecided
+    /// rules plus every rule whose payload guard admits the payload) and
+    /// pruned rules are provably non-firing. Returns `false` when the
     /// payload doesn't satisfy [`GuardIndex::required`] — the caller must
     /// then treat every rule as a candidate (`bits` is left unspecified).
     /// Allocation-free.
     pub fn probe(&self, objects: &[Object], bits: &mut [u64]) -> bool {
-        debug_assert_eq!(bits.len(), self.residual.len());
+        debug_assert_eq!(bits.len(), self.undecided.len());
         for (class, want) in &self.required {
             match objects.iter().find(|o| o.class == *class) {
                 Some(o) if o.values().len() >= *want => {}
                 _ => return false,
             }
         }
-        bits.copy_from_slice(&self.residual);
+        bits.copy_from_slice(&self.undecided);
         for g in &self.eq_groups {
             let Some(obj) = objects.iter().find(|o| o.class == g.class) else {
                 return false;
@@ -428,7 +497,7 @@ impl GuardIndex {
                         continue;
                     }
                 }
-                if rg.admits(v) {
+                if within(&rg.lo, &rg.hi, v) {
                     bits[(rg.rule >> 6) as usize] |= 1 << (rg.rule & 63);
                 }
             }
@@ -454,7 +523,7 @@ impl GuardIndex {
             "indexed {} residual {} {:?} required {:?} eq {:?} range {:?}",
             self.indexed_rules,
             self.residual_rules,
-            self.residual,
+            self.undecided,
             self.required,
             eq_groups.collect::<Vec<_>>(),
             range_groups.collect::<Vec<_>>()
@@ -475,7 +544,7 @@ mod tests {
     /// guard verdict (if any) and the compiled condition.
     fn registered(src: &str) -> (Option<Guard>, CondIr) {
         let ir = Rule::new("r").on(RuleEvent::QueryCommit).when(src).ir();
-        let guard = rule_guard(&ir).ok();
+        let guard = rule_guard(&ir).ok().and_then(|g| g.payload);
         let folded = ir.condition.as_ref().unwrap().folded();
         (
             guard,
@@ -488,13 +557,13 @@ mod tests {
         let regs: Vec<_> = conds.iter().map(|c| registered(c)).collect();
         GuardIndex::assemble(
             regs.iter()
-                .map(|(g, c)| g.as_ref().map(|g| (g, c, &[ClassName::Query][..]))),
+                .map(|(g, c)| g.as_ref().map(|g| (Some(g), c, &[ClassName::Query][..]))),
         )
         .expect("at least one indexable condition")
     }
 
     fn probe_one(idx: &GuardIndex, objects: &[Object]) -> Vec<usize> {
-        let mut bits = vec![0u64; idx.residual.len()];
+        let mut bits = vec![0u64; idx.undecided.len()];
         assert!(idx.probe(objects, &mut bits));
         (0..(idx.indexed_rules + idx.residual_rules) as usize)
             .filter(|&i| bits[i >> 6] & (1 << (i & 63)) != 0)
@@ -549,7 +618,7 @@ mod tests {
     #[test]
     fn probe_without_required_class_is_unusable() {
         let idx = index_of(&["Query.User = 'alice'"]);
-        let mut bits = vec![0u64; idx.residual.len()];
+        let mut bits = vec![0u64; idx.undecided.len()];
         assert!(!idx.probe(&[], &mut bits), "missing payload class");
     }
 
@@ -564,5 +633,59 @@ mod tests {
         let (guard, _) = registered("Query.Duration > 3 AND Query.Duration < 2");
         let why = explain(&guard.unwrap(), &[query("alice", 5)]);
         assert!(why.contains("unsatisfiable"), "{why}");
+    }
+
+    /// The check admits exactly what the conjuncts can make true: a missing
+    /// row, a NULL column, a value outside the bounds and an endpoint a
+    /// strict bound excludes are all pruned, each with its reason.
+    #[test]
+    fn lat_check_prunes_missing_null_and_outside_rows() {
+        let check = |kind| LatCheck {
+            lat: 0,
+            slot: 0,
+            column: 1,
+            kind,
+        };
+        let at_least = |v: i64, strict| GuardKind::Range {
+            lo: Some(Bound {
+                value: Value::Int(v),
+                strict,
+            }),
+            hi: None,
+        };
+        let row = |n: Value| vec![Value::Int(7), n];
+        let inclusive = check(at_least(5, false));
+        let strict = check(at_least(5, true));
+        assert!(!inclusive.admits(None));
+        assert!(!inclusive.admits(Some(&row(Value::Null))));
+        assert!(!inclusive.admits(Some(&row(Value::Int(4)))));
+        assert!(inclusive.admits(Some(&row(Value::Int(5)))));
+        assert!(inclusive.admits(Some(&row(Value::Float(5.5)))));
+        assert!(!strict.admits(Some(&row(Value::Int(5)))));
+        assert!(strict.admits(Some(&row(Value::Int(6)))));
+        let text = check(GuardKind::Eq(vec![Value::text("a"), Value::text("b")]));
+        assert!(text.admits(Some(&row(Value::text("b")))));
+        assert!(!text.admits(Some(&row(Value::text("c")))));
+
+        let (clock, _) = sqlcm_common::ManualClock::shared(0);
+        let lat = Lat::new(
+            crate::lat::LatSpec::new("Sig_LAT")
+                .group_by("Query.Logical_Signature", "Sig")
+                .aggregate(crate::lat::LatAggFunc::Count, "", "N"),
+            clock,
+        )
+        .unwrap();
+        assert_eq!(
+            inclusive.explain(&lat, Some(&row(Value::Int(4)))),
+            "pruned by LAT guard: Sig_LAT.N=4 outside [5,∞)"
+        );
+        assert_eq!(
+            inclusive.explain(&lat, Some(&row(Value::Null))),
+            "pruned by LAT guard: Sig_LAT.N is NULL"
+        );
+        assert_eq!(
+            inclusive.explain(&lat, None),
+            "pruned by LAT guard: no Sig_LAT row"
+        );
     }
 }

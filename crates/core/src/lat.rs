@@ -495,11 +495,16 @@ impl Group {
 
     /// The output row: the group values, then every aggregate's.
     fn output(&self, aggs: &[ColumnState], now: Timestamp) -> Vec<Value> {
-        let group = self.key.as_slice();
-        let mut out = Vec::with_capacity(group.len() + aggs.len());
-        out.extend_from_slice(group);
-        out.extend(aggs.iter().map(|a| a.finish(now)));
+        let mut out = Vec::with_capacity(self.key.as_slice().len() + aggs.len());
+        self.output_into(aggs, now, &mut out);
         out
+    }
+
+    /// [`Group::output`] written over `out`, in its capacity.
+    fn output_into(&self, aggs: &[ColumnState], now: Timestamp, out: &mut Vec<Value>) {
+        out.clear();
+        out.extend_from_slice(self.key.as_slice());
+        out.extend(aggs.iter().map(|a| a.finish(now)));
     }
 
     /// Approximate bytes of the key and the aggregate states.
@@ -1525,16 +1530,35 @@ impl Lat {
     /// Look up the row whose grouping columns match `obj` (the rule engine's
     /// implicit-∃ binding, §5.2). Returns the materialized output row.
     pub fn lookup_for(&self, obj: &Object) -> Option<Vec<Value>> {
+        self.lookup_with(obj, Group::output)
+    }
+
+    /// [`Lat::lookup_for`] written over `out`, in its capacity: whether the
+    /// LAT has the row. `out` is unspecified when it has not.
+    pub fn lookup_into(&self, obj: &Object, out: &mut Vec<Value>) -> bool {
+        self.lookup_with(obj, |group, aggs, now| group.output_into(aggs, now, out))
+            .is_some()
+    }
+
+    /// `f` of the group and aggregates of `obj`'s row, under its latch.
+    fn lookup_with<R>(
+        &self,
+        obj: &Object,
+        f: impl FnOnce(&Group, &[ColumnState], Timestamp) -> R,
+    ) -> Option<R> {
         let now = self.now_if_aging();
         self.with_group_key(obj, |key| match &self.store {
             Store::Sharded(shards) => {
                 let rows = shard_of(shards, key.hash).read();
                 rows.get(key as &dyn GroupKey)
-                    .map(|r| r.group.output(&r.aggs.lock(), now))
+                    .map(|r| f(&r.group, &r.aggs.lock(), now))
             }
             Store::Bounded(table) => {
                 let t = table.read();
-                t.find(key).map(|s| t.slot(s).output(now))
+                t.find(key).map(|s| {
+                    let slot = t.slot(s);
+                    f(&slot.group, &slot.aggs, now)
+                })
             }
         })?
     }

@@ -17,10 +17,11 @@ use sqlcm_telemetry::{FlightRecord, Stamp};
 use crate::actions::{persist_rows, substitute};
 use crate::containment::{BreakerGate, CHECKPOINT_INTERVAL};
 use crate::deferred::DeferredKind;
+use crate::guard::LatCheck;
 use crate::lat::Lat;
 use crate::objects::{self, evicted_object, ClassName, Object};
 use crate::plan::{
-    CachedPlan, CompiledAction, DispatchPlan, EventPlan, HoistState, PlanRule, Registered, NO_HOIST,
+    CachedPlan, CompiledAction, DispatchPlan, EventPlan, PlanRule, Registered, NO_HOIST,
 };
 use crate::rules::{EvalContext, LatBinding, RuleEvent};
 use crate::trace::{explain_condition, PrunedRules, TraceCtx, NONE_SPAN};
@@ -92,10 +93,91 @@ struct EventWork {
 /// What the evaluations of one event share.
 #[derive(Default)]
 struct EvalState {
-    /// Hoisted LAT-row snapshots, one per `EventPlan::hoisted` entry.
+    /// Hoisted LAT-row snapshots, one per `EventPlan::hoisted` entry (and
+    /// more, left from a larger class: the buffers are reused).
     slots: Vec<HoistState>,
     /// Shared-subexpression values, one per `EventPlan::cse` entry.
     cse: Vec<Option<Value>>,
+}
+
+impl EvalState {
+    /// A rule's LAT-guard check at its turn on a probed event, before its
+    /// breaker gate and every per-evaluation count: whether `check` admits
+    /// its hoisted row of `lat` as it stands now. A slot an earlier rule's
+    /// `Insert` or `Reset` emptied is fetched, the fetch the condition would
+    /// have made. A refused rule books that read as its condition would
+    /// have; an admitted one leaves it to the condition ([`Fetch::Unbooked`]).
+    fn lat_guard_admits(
+        &mut self,
+        check: &LatCheck,
+        lat: &Lat,
+        objects: &[Object],
+        books: &mut EventBooks,
+    ) -> bool {
+        let slot = &mut self.slots[check.slot as usize];
+        slot.fill(lat, objects);
+        let admitted = check.admits(slot.row());
+        if !admitted {
+            slot.read(books);
+        }
+        admitted
+    }
+}
+
+/// One hoist slot's row snapshot within an event. The thread's slots outlive
+/// its events, and the row buffer keeps its capacity, so once warm a fetch
+/// allocates nothing.
+#[derive(Default)]
+struct HoistState {
+    fetch: Fetch,
+    /// The LAT held the row — the implicit ∃ holds — and `row` is it.
+    found: bool,
+    row: Vec<Value>,
+}
+
+/// Where a hoist slot stands on the current event.
+#[derive(Default, Clone, Copy, PartialEq, Eq)]
+enum Fetch {
+    /// Not fetched yet, or dropped by a fired rule's `Insert` or `Reset`.
+    #[default]
+    Empty,
+    /// Fetched and the fetch booked: a further read is a hoisted hit.
+    Booked,
+    /// Fetched by a LAT guard that admitted its rule, and read by no
+    /// condition yet: the next read books the fetch, as the condition's own
+    /// fetch would have been booked.
+    Unbooked,
+}
+
+impl HoistState {
+    /// Fetch `lat`'s row for the object of its source class among `objects`
+    /// unless this event has it already.
+    fn fill(&mut self, lat: &Lat, objects: &[Object]) {
+        if self.fetch == Fetch::Empty {
+            let source = lat.spec.source_class();
+            let obj = objects.iter().find(|o| o.class == *source);
+            self.found = obj.is_some_and(|o| lat.lookup_into(o, &mut self.row));
+            self.fetch = Fetch::Unbooked;
+        }
+    }
+
+    /// The fetched row; `None` when the LAT has none, or nothing is fetched.
+    fn row(&self) -> Option<&[Value]> {
+        (self.fetch != Fetch::Empty && self.found).then_some(&self.row)
+    }
+
+    /// Book one read of the filled slot: a hit when an earlier read booked
+    /// its fetch, the fetch otherwise. Returns whether it was a hit.
+    fn read(&mut self, books: &mut EventBooks) -> bool {
+        let hit = self.fetch == Fetch::Booked;
+        self.fetch = Fetch::Booked;
+        if hit {
+            books.hoisted_lookup_hits += 1;
+        } else {
+            books.lat_row_fetches += 1;
+        }
+        hit
+    }
 }
 
 /// One event's bookkeeping, opened where its rule loop starts and kept on
@@ -408,9 +490,13 @@ impl SqlcmInner {
         let EventWork { run, eval } = work;
         // Shared hoist-slot store for this event: each slot is fetched at
         // most once and reused by every rule referencing that LAT.
-        eval.slots.clear();
-        eval.slots
-            .resize_with(ep.hoisted.len(), HoistState::default);
+        if eval.slots.len() < ep.hoisted.len() {
+            eval.slots
+                .resize_with(ep.hoisted.len(), HoistState::default);
+        }
+        for slot in &mut eval.slots[..ep.hoisted.len()] {
+            slot.fetch = Fetch::Empty;
+        }
         // Shared-subexpression value store: the first rule to evaluate a
         // shared condition subtree publishes its value here, later sharers
         // load it (see `plan::CseSlot` and `vm::Inst::CseLoad`).
@@ -438,15 +524,17 @@ impl SqlcmInner {
                 *last = (1u64 << tail) - 1;
             }
         }
-        let admitted_set = match trace {
+        let mut admitted_set = match trace {
             Some(_) if probed => run.clone(),
             _ => Vec::new(),
         };
         // Pin applicability before any rule runs (see `Rule::set_enabled`):
         // the in-service bit is read here, for the rules about to run only —
         // the same bit that opens and closes the rule's credit on the class
-        // clock, so a rule is credited a pruning iff it would have run.
-        let (mut admitted, mut pruned) = (0u64, 0u64);
+        // clock, so a rule is credited a pruning iff it would have run. A
+        // rule with a LAT guard is a candidate only once its check at its
+        // turn admits it.
+        let mut admitted = 0u64;
         for (w, word) in run.iter_mut().enumerate() {
             for b in set_bits(*word) {
                 let pr = &ep.rules[w * 64 + b];
@@ -456,15 +544,56 @@ impl SqlcmInner {
                 }
                 if probed {
                     admitted += 1;
-                    let mine = pr.reg.rule.books.mine();
-                    mine.candidate_events.fetch_add(1, Ordering::Relaxed);
+                    if pr.lat_guard.is_none() {
+                        let mine = pr.reg.rule.books.mine();
+                        mine.candidate_events.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
             }
         }
-        if let Some(creditable) = creditable {
-            // A rule put into service by another thread between the tick
-            // and the pin can leave `admitted` above the snapshot.
-            pruned = creditable.saturating_sub(admitted);
+        // A rule put into service by another thread between the tick and
+        // the pin can leave `admitted` above the snapshot.
+        let pruned = creditable.map_or(0, |c| c.saturating_sub(admitted));
+        let ev = EventCtx {
+            plan,
+            ep,
+            span: event_span,
+            depth,
+            as_declared: ep
+                .payload
+                .iter()
+                .all(|c| objects.iter().any(|o| o.class == *c)),
+            time_all: self.containment.latency_budget_nanos() > 0,
+        };
+        let mut books = EventBooks::open(pruned);
+        // Rules the LAT-guard check pruned, with the reason on a sampled
+        // event.
+        let mut lat_pruned = 0u64;
+        let mut lat_reasons = Vec::new();
+        for (w, &word) in run.iter().enumerate() {
+            for b in set_bits(word) {
+                let ri = w * 64 + b;
+                let pr = &ep.rules[ri];
+                if let Some(check) = pr.lat_guard.as_ref().filter(|_| probed) {
+                    let lat = &pr.lats[check.lat];
+                    if !eval.lat_guard_admits(check, lat, objects, &mut books) {
+                        lat_pruned += 1;
+                        books.evaluations += 1;
+                        if trace.is_some() {
+                            admitted_set[w] &= !(1 << b);
+                            let row = eval.slots[check.slot as usize].row();
+                            lat_reasons.push((ri, check.explain(lat, row)));
+                        }
+                        continue;
+                    }
+                    let mine = pr.reg.rule.books.mine();
+                    mine.candidate_events.fetch_add(1, Ordering::Relaxed);
+                }
+                self.evaluate_rule(&ev, pr, objects, eval, &mut books, trace);
+            }
+        }
+        if probed {
+            let (pruned, admitted) = (pruned + lat_pruned, admitted - lat_pruned);
             self.telemetry.guard_probes.incr();
             if pruned > 0 {
                 self.telemetry.rules_pruned.add(pruned);
@@ -479,26 +608,9 @@ impl SqlcmInner {
                     candidates: admitted,
                     plan: ep.clone(),
                     admitted: admitted_set,
+                    lat_reasons,
                     objects: objects.to_vec(),
                 });
-            }
-        }
-        let ev = EventCtx {
-            plan,
-            ep,
-            span: event_span,
-            depth,
-            as_declared: ep
-                .payload
-                .iter()
-                .all(|c| objects.iter().any(|o| o.class == *c)),
-            time_all: self.containment.latency_budget_nanos() > 0,
-        };
-        let mut books = EventBooks::open(pruned);
-        for (w, &word) in run.iter().enumerate() {
-            for b in set_bits(word) {
-                let pr = &ep.rules[w * 64 + b];
-                self.evaluate_rule(&ev, pr, objects, eval, &mut books, trace);
             }
         }
         self.flush(&books);
@@ -722,24 +834,10 @@ impl SqlcmInner {
                 }
             } else {
                 let slot = &mut slots[slot as usize];
-                match slot {
-                    HoistState::Fetched(row) => {
-                        books.hoisted_lookup_hits += 1;
-                        if let Some(ctx) = trace.as_mut() {
-                            ctx.lat_lookup(rule_span, &lat.spec.name, row.is_some(), true);
-                        }
-                    }
-                    HoistState::Empty => {
-                        books.lat_row_fetches += 1;
-                        let row = combo
-                            .iter()
-                            .find(|o| o.class == *lat.spec.source_class())
-                            .and_then(|o| lat.lookup_for(o));
-                        if let Some(ctx) = trace.as_mut() {
-                            ctx.lat_lookup(rule_span, &lat.spec.name, row.is_some(), false);
-                        }
-                        *slot = HoistState::Fetched(row);
-                    }
+                slot.fill(lat, combo);
+                let hoisted = slot.read(books);
+                if let Some(ctx) = trace.as_mut() {
+                    ctx.lat_lookup(rule_span, &lat.spec.name, slot.found, hoisted);
                 }
             }
         }
@@ -752,10 +850,7 @@ impl SqlcmInner {
             if slot == NO_HOIST {
                 local[i].as_deref()
             } else {
-                match &slots_ro[slot as usize] {
-                    HoistState::Fetched(row) => row.as_deref(),
-                    HoistState::Empty => None,
-                }
+                slots_ro[slot as usize].row()
             }
         };
         let binding = |i: usize| LatBinding {
@@ -914,10 +1009,10 @@ impl SqlcmInner {
         // (read-your-predecessors'-writes, §5 ordering).
         for &inv in &pr.invalidates {
             let slot = &mut slots[inv as usize];
-            if matches!(slot, HoistState::Empty) {
+            if slot.fetch == Fetch::Empty {
                 continue;
             }
-            *slot = HoistState::Empty;
+            slot.fetch = Fetch::Empty;
             // A dropped row snapshot takes every cached shared value computed
             // from it along — the CSE slot must never outlive its inputs.
             for (ci, cs) in ev.ep.cse.iter().enumerate() {

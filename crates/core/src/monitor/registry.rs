@@ -310,8 +310,8 @@ impl Sqlcm {
         let ir = Arc::new(rule.ir());
         self.deny_on_errors(analyzer.diagnose(&ir))?;
         // Captured for the dispatch plan: the guard verdict is what its event
-        // class's guard index installs.
-        let guard = rule_guard(&ir).ok();
+        // class's guard index installs and its dispatch checks.
+        let (guard, lat_guard) = rule_guard(&ir).map_or((None, None), |g| (g.payload, g.lat));
         // The analyzer denied unqualified columns (E001) above.
         let (cond_classes, cond_lats) = ir.refs();
         let cond_lats_lc: Vec<String> = cond_lats.iter().map(|l| l.to_ascii_lowercase()).collect();
@@ -408,6 +408,7 @@ impl Sqlcm {
             ir: ir.clone(),
             compiled,
             guard,
+            lat_guard,
             actions: compiled_actions,
             cond_classes,
             cond_lats: cond_lats_lc,

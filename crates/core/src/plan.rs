@@ -49,13 +49,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sqlcm_analyze::{Guard, RuleIr};
-use sqlcm_common::{ProbeKind, ProbeMask, Value};
+use sqlcm_analyze::{Guard, LatGuard, RuleIr};
+use sqlcm_common::{ProbeKind, ProbeMask};
 use sqlcm_sql::{IrOp, NodeId};
 use sqlcm_telemetry::Label;
 
 use crate::containment::RuleBreaker;
-use crate::guard::GuardIndex;
+use crate::guard::{GuardIndex, LatCheck};
 use crate::ir::{CondIr, Resolved};
 use crate::lat::Lat;
 use crate::objects::ClassName;
@@ -79,10 +79,13 @@ pub(crate) struct Registered {
     /// to indexes). Bytecode is emitted from this when the rule's event
     /// class is planned, so CSE slot numbers can be local to the class.
     pub compiled: Option<Arc<CondIr>>,
-    /// The analyzer's dispatch-guard verdict for the rule, already in the
-    /// runtime layout (class and attribute position); `None` = residual
-    /// (always evaluated). Every plan build installs this as is.
+    /// The analyzer's payload guard for the rule, already in the runtime
+    /// layout (class and attribute position); `None` when the probe cannot
+    /// decide the rule. Every plan build installs this as is.
     pub guard: Option<Guard>,
+    /// The analyzer's LAT guard for the rule, by name: each plan resolves it
+    /// against the LATs it binds ([`PlanRule::lat_guard`]).
+    pub lat_guard: Option<LatGuard>,
     /// Actions with LAT handles resolved at registration.
     pub actions: Vec<CompiledAction>,
     /// Classes the condition references.
@@ -145,17 +148,6 @@ pub(crate) struct HoistSlot {
     pub name: String,
 }
 
-/// Per-event mutable fetch state for the hoist slots, owned by the dispatch
-/// stack frame (the plan itself stays immutable and shared).
-#[derive(Default)]
-pub(crate) enum HoistState {
-    #[default]
-    Empty,
-    /// Fetched; `None` means the LAT had no row for the in-context key (the
-    /// implicit ∃ failed) — that outcome is shared too.
-    Fetched(Option<Vec<Value>>),
-}
-
 /// One rule within an [`EventPlan`].
 #[derive(Clone)]
 pub(crate) struct PlanRule {
@@ -182,6 +174,9 @@ pub(crate) struct PlanRule {
     /// payload ([`EventPlan::payload`]): the rule evaluates against the
     /// event's objects in place, no §5.2 iteration over live objects.
     pub in_payload: bool,
+    /// `reg.lat_guard` resolved against `lats`, when the reference it reads
+    /// is hoisted: dispatch checks it at the rule's turn on a probed event.
+    pub lat_guard: Option<LatCheck>,
 }
 
 /// An event class's rules in registration order, in the blocks dispatch
@@ -337,6 +332,7 @@ fn plan_rule(
         invalidates: Vec::new(),
         program: None,
         broken: None,
+        lat_guard: None,
     };
     for name in &reg.cond_lats {
         match lats.get(name) {
@@ -380,6 +376,19 @@ fn plan_rule(
         };
         pr.lat_slots.push(slot as u32);
     }
+    pr.lat_guard = reg.lat_guard.as_ref().and_then(|g| {
+        let lat = reg
+            .cond_lats
+            .iter()
+            .position(|l| l.eq_ignore_ascii_case(&g.lat))?;
+        let slot = pr.lat_slots[lat];
+        Some(LatCheck {
+            lat,
+            slot: (slot != NO_HOIST).then_some(slot)?,
+            column: pr.lats[lat].column_index(&g.column)?,
+            kind: g.kind.clone(),
+        })
+    });
     pr
 }
 
@@ -909,11 +918,12 @@ pub struct PlanSummary {
     pub epoch: u64,
     /// Registered rules (enabled or not).
     pub rule_count: usize,
-    /// Rules with an extracted guard atom — skippable by the guard index
-    /// when an event provably cannot match (see `crate::guard`).
+    /// Rules with a payload guard or a LAT guard — skippable when an event,
+    /// or the LAT row it hoists, provably cannot match (see `crate::guard`).
     pub guard_indexed_rules: u64,
-    /// Rules always evaluated: no condition, LAT reads, fallible arithmetic,
-    /// non-payload classes, or no indexable atom.
+    /// Rules always evaluated: no condition, fallible arithmetic, non-payload
+    /// classes, no indexable atom, or a LAT guard on a LAT the event cannot
+    /// hoist.
     pub guard_residual_rules: u64,
     /// Shared-lookup groups, sorted by (event, LAT). Groups with a single
     /// rule still get a slot (one fetch per event either way); groups with
@@ -1027,6 +1037,7 @@ mod tests {
             rule: Arc::new(rule),
             compiled: None,
             guard: None,
+            lat_guard: None,
             actions: Vec::new(),
             cond_classes: vec![ClassName::Query],
             cond_lats: cond_lats.iter().map(|s| s.to_string()).collect(),
@@ -1094,10 +1105,13 @@ mod tests {
         let ir = Arc::new(rule.ir());
         let cond_lats: Vec<String> = cond_lats.iter().map(|s| s.to_string()).collect();
         let folded = ir.condition.as_ref().unwrap().folded();
+        let (guard, lat_guard) =
+            sqlcm_analyze::rule_guard(&ir).map_or((None, None), |g| (g.payload, g.lat));
         Arc::new(Registered {
             name_label: name.into(),
             compiled: Some(Arc::new(CondIr::from_ir(folded, lats, &cond_lats).unwrap())),
-            guard: sqlcm_analyze::rule_guard(&ir).ok(),
+            guard,
+            lat_guard,
             ir,
             rule: Arc::new(rule),
             actions: Vec::new(),
@@ -1133,6 +1147,53 @@ mod tests {
         let plan = DispatchPlan::build(3, &solo, &lats);
         let ep = plan.event_plan(&RuleEvent::QueryCommit).unwrap();
         assert!(ep.cse.is_empty());
+    }
+
+    /// The plan installs a LAT guard only where the reference it reads is
+    /// hoisted, so the row the check reads is the one the condition would;
+    /// a LAT keyed on a class outside the payload keeps its reader unguarded.
+    #[test]
+    fn a_lat_guard_is_installed_only_on_a_hoisted_reference() {
+        let (clock, _) = ManualClock::shared(0);
+        let by_resource = LatSpec::new("B")
+            .group_by("Blocked.Resource", "Res")
+            .aggregate(LatAggFunc::Count, "", "N");
+        let mut lats = HashMap::new();
+        lats.insert("l".to_string(), test_lat("L"));
+        lats.insert(
+            "b".to_string(),
+            Arc::new(Lat::new(by_resource, clock).unwrap()),
+        );
+        let rules = vec![
+            registered_cond(
+                "hoisted",
+                RuleEvent::QueryCommit,
+                &["l"],
+                "L.Avg_Duration > 5",
+                &lats,
+            ),
+            registered_cond(
+                "per_combo",
+                RuleEvent::QueryCommit,
+                &["b"],
+                "B.N >= 5",
+                &lats,
+            ),
+        ];
+        let plan = DispatchPlan::build(1, &rules, &lats);
+        let ep = plan.event_plan(&RuleEvent::QueryCommit).unwrap();
+        let check = ep.rules[0]
+            .lat_guard
+            .as_ref()
+            .expect("hoisted reader guarded");
+        assert_eq!((check.lat, check.slot, check.column), (0, 0, 1));
+        assert!(ep.rules[1].reg.lat_guard.is_some(), "the verdict has one");
+        assert_eq!(ep.rules[1].lat_slots, vec![NO_HOIST]);
+        assert!(ep.rules[1].lat_guard.is_none());
+        assert_eq!(
+            (plan.guard_indexed_rules, plan.guard_residual_rules),
+            (1, 1)
+        );
     }
 
     #[test]
@@ -1274,8 +1335,8 @@ mod incremental {
         for pr in ep.rules.iter() {
             let lats: Vec<_> = pr.lats.iter().map(Arc::as_ptr).collect();
             out += &format!(
-                "  {} broken={:?} lats={lats:?} slots={:?} inval={:?}\n    {:?}\n",
-                pr.reg.rule.name, pr.broken, pr.lat_slots, pr.invalidates, pr.program
+                "  {} broken={:?} lats={lats:?} slots={:?} inval={:?} lat_guard={:?}\n    {:?}\n",
+                pr.reg.rule.name, pr.broken, pr.lat_slots, pr.invalidates, pr.lat_guard, pr.program
             );
         }
         for h in &ep.hoisted {

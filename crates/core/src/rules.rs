@@ -35,7 +35,7 @@ pub struct RuleStats {
     /// Condition evaluations, the `pruned` ones included: what a linear scan
     /// over every rule would have counted.
     pub evaluations: u64,
-    /// Of `evaluations`, those the guard index decided without running the
+    /// Of `evaluations`, those a guard decided without running the
     /// condition (see [`EventClock`]).
     pub pruned: u64,
     pub fires: u64,
@@ -159,7 +159,8 @@ pub struct Rule {
 /// The clock of one event class within one monitor: how many of its events
 /// had a usable guard-index probe. Such an event evaluates every in-service
 /// rule of the class exactly once — the candidates by running them, all
-/// others by this tick alone — so dispatch never touches a pruned rule, and
+/// others by this tick alone — so dispatch never touches a rule the probe
+/// pruned (a rule its LAT guard prunes, once, for the check), and
 /// [`Rule::stats`] recovers the rule's pruned evaluations as *ticks while it
 /// was creditable − events on which it was a candidate*. Unprobed events
 /// (no index, unusable payload) run every rule and do not tick.

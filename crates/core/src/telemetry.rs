@@ -214,13 +214,14 @@ impl Describe for DispatchTelemetry {
 pub struct MatchingTelemetry {
     /// Index probes performed — one per event whose plan has a usable index.
     pub guard_probes: u64,
-    /// Rules skipped without running the VM (violated guard proved the
-    /// condition false under the error/∃ contract).
+    /// Rules skipped without running the VM (a violated payload guard, or a
+    /// LAT guard violated by the hoisted row, proved the condition false
+    /// under the error/∃ contract).
     pub rules_pruned: u64,
-    /// Rules that survived a probe and ran the VM, summed over probed
-    /// events.
+    /// Rules that survived a probe and their LAT guards and ran the VM,
+    /// summed over probed events.
     pub candidate_rules: u64,
-    /// Rules in the current plan with no extractable guard (always
+    /// Rules in the current plan with no guard installed (always
     /// evaluated). Reflects the published plan, not a running count.
     pub residual_rules: u64,
 }
@@ -275,9 +276,10 @@ pub struct RuleTelemetry {
     pub event: String,
     /// Condition evaluations, `pruned` included.
     pub evaluations: u64,
-    /// Evaluations the guard index decided (false) without running the
-    /// condition. `pruned == evaluations` on a rule that never fires says the
-    /// index never admitted it — no event carried the value its guard wants.
+    /// Evaluations a guard decided (false) without running the condition.
+    /// `pruned == evaluations` on a rule that never fires says its guards
+    /// never admitted it — no event, or hoisted LAT row, carried the value a
+    /// guard wants.
     pub pruned: u64,
     pub fires: u64,
     pub actions: u64,

@@ -46,11 +46,13 @@
 //! state re-uses rather than reallocates. The `t7_trace_overhead` bench
 //! gates both modes.
 //!
-//! A sampled event costs what it *did*: rules the guard index pruned get no
-//! span. The event records its candidate set, payload and plan
-//! ([`PrunedRules`]) and the `pruned by guard index: …` outcome of each is
-//! worked out when the trace is read — by the text tree, the Chrome export,
-//! or [`TraceSnapshot::pruned_outcome`] for one rule by name.
+//! A sampled event costs what it *did*: pruned rules get no span. The event
+//! records its candidate set, payload and plan ([`PrunedRules`]) and the
+//! `pruned by guard index: …` outcome of each is worked out when the trace
+//! is read — by the text tree, the Chrome export, or
+//! [`TraceSnapshot::pruned_outcome`] for one rule by name. A rule a LAT
+//! guard pruned at its turn records its `pruned by LAT guard: …` outcome
+//! then, from the row it read; an unsampled event builds no reason.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -160,12 +162,14 @@ impl SpanKind {
 
 /// The rules one traced event's guard-index probe pruned, kept as what the
 /// probe produced rather than as one span per rule, so a sampled event over
-/// thousands of rules still costs its candidates. Rendered on demand.
+/// thousands of rules still costs its candidates. Rendered on demand — but
+/// for the rules a LAT guard pruned at their turn, whose reason names the
+/// row they read then, which a later rule may have changed.
 ///
-/// Dispatch never visits a pruned rule, so it cannot tell whether one was
-/// disabled when the event arrived: [`PrunedRules::outcomes`] lists every
-/// rule of the event's plan the index did not admit, while `pruned` counts
-/// the enabled ones exactly.
+/// Dispatch never visits a rule the probe pruned, so it cannot tell whether
+/// one was disabled when the event arrived: [`PrunedRules::outcomes`] lists
+/// every rule of the event's plan the index did not admit, while `pruned`
+/// counts the enabled ones exactly.
 #[derive(Clone)]
 pub struct PrunedRules {
     /// The [`SpanKind::Event`] span whose probe this was.
@@ -176,42 +180,50 @@ pub struct PrunedRules {
     pub candidates: u64,
     /// The event's plan: rule names and their guards.
     pub(crate) plan: Arc<EventPlan>,
-    /// The probe's candidate set, one bit per rule of `plan`.
+    /// The probe's candidate set less the rules a LAT guard pruned, one bit
+    /// per rule of `plan`.
     pub(crate) admitted: Vec<u64>,
+    /// Each rule a LAT guard pruned, by position in `plan`, and why.
+    pub(crate) lat_reasons: Vec<(usize, String)>,
     /// The payload the probe read.
     pub(crate) objects: Vec<Object>,
 }
 
 impl PrunedRules {
-    /// The plan's rules outside the candidate set, in registration order.
-    fn pruned_plan_rules(&self) -> impl Iterator<Item = &PlanRule> + '_ {
+    /// The plan's rules outside the candidate set, with their positions, in
+    /// registration order.
+    fn pruned_plan_rules(&self) -> impl Iterator<Item = (usize, &PlanRule)> + '_ {
         let admitted = |i: usize| self.admitted[i >> 6] & (1 << (i & 63)) != 0;
         let rules = self.plan.rules.iter().enumerate();
-        rules.filter(move |(i, _)| !admitted(*i)).map(|(_, pr)| pr)
+        rules.filter(move |(i, _)| !admitted(*i))
     }
 
-    /// Which guard of `pr` the payload violated.
-    fn explain(&self, pr: &PlanRule) -> String {
+    /// Which guard of rule `i`, `pr`, the payload or its LAT row violated.
+    fn explain(&self, i: usize, pr: &PlanRule) -> String {
+        if let Some((_, why)) = self.lat_reasons.iter().find(|(r, _)| *r == i) {
+            return why.clone();
+        }
         let guard = pr.reg.guard.as_ref();
         guard
             .map(|g| crate::guard::explain(g, &self.objects))
             .unwrap_or_default()
     }
 
-    /// `(rule, why)` for every rule the index did not admit, in registration
-    /// order; `why` names the violated guard, e.g.
-    /// `pruned by guard index: Query.User=bob not in {alice}`.
+    /// `(rule, why)` for every rule the index or a LAT guard did not admit,
+    /// in registration order; `why` names the violated guard, e.g.
+    /// `pruned by guard index: Query.User=bob not in {alice}` or
+    /// `pruned by LAT guard: Sig_LAT.N=12 outside [1000000000,∞)`.
     pub fn outcomes(&self) -> impl Iterator<Item = (&str, String)> + '_ {
         self.pruned_plan_rules()
-            .map(|pr| (pr.reg.rule.name.as_str(), self.explain(pr)))
+            .map(|(i, pr)| (pr.reg.rule.name.as_str(), self.explain(i, pr)))
     }
 
-    /// Why the index did not admit `rule` on this event; `None` when it was
-    /// a candidate or is not a rule of the event.
+    /// Why the index or its LAT guard did not admit `rule` on this event;
+    /// `None` when it ran or is not a rule of the event.
     pub fn outcome_of(&self, rule: &str) -> Option<String> {
         let mut pruned = self.pruned_plan_rules();
-        let pr = pruned.find(|pr| pr.reg.rule.name == rule)?;
-        Some(self.explain(pr))
+        let (i, pr) = pruned.find(|(_, pr)| pr.reg.rule.name == rule)?;
+        Some(self.explain(i, pr))
     }
 }
 
@@ -232,6 +244,7 @@ impl PartialEq for PrunedRules {
         (self.event_span, self.pruned, self.candidates)
             == (other.event_span, other.pruned, other.candidates)
             && self.admitted == other.admitted
+            && self.lat_reasons == other.lat_reasons
             && Arc::ptr_eq(&self.plan, &other.plan)
     }
 }
@@ -359,8 +372,9 @@ impl TraceSnapshot {
         self.pruned.iter().find(|p| p.event_span == event_span)
     }
 
-    /// Why the guard index kept `rule` from running in this trace: the
-    /// `pruned by guard index: …` line of the first event that pruned it.
+    /// Why a guard kept `rule` from running in this trace: the
+    /// `pruned by guard index: …` or `pruned by LAT guard: …` line of the
+    /// first event that pruned it.
     pub fn pruned_outcome(&self, rule: &str) -> Option<String> {
         self.pruned.iter().find_map(|p| p.outcome_of(rule))
     }

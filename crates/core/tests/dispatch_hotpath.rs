@@ -564,11 +564,13 @@ fn cse_slot_is_invalidated_with_its_hoisted_row() {
                 .aggregate(LatAggFunc::Count, "", "N"),
         )
         .unwrap();
+    // `+ 0` keeps the watchers residual: a LAT guard would prune them
+    // without running the shared subtree.
     sqlcm
         .add_rule(
             Rule::new("watch_a")
                 .on(RuleEvent::QueryCommit)
-                .when("Sig_LAT.N >= 3"),
+                .when("Sig_LAT.N + 0 >= 3"),
         )
         .unwrap();
     sqlcm
@@ -582,7 +584,7 @@ fn cse_slot_is_invalidated_with_its_hoisted_row() {
         .add_rule(
             Rule::new("watch_b")
                 .on(RuleEvent::QueryCommit)
-                .when("Sig_LAT.N >= 3"),
+                .when("Sig_LAT.N + 0 >= 3"),
         )
         .unwrap();
 
@@ -786,9 +788,9 @@ fn clock_reads(f: impl FnOnce()) -> u64 {
 }
 
 /// The `storm_shared_lat` shape: one feed rule folding into a shared LAT and
-/// 31 watchers that read it and never fire.
-#[cfg(debug_assertions)]
-fn feed_and_watchers(sqlcm: &Sqlcm, watchers: u64) {
+/// `watchers` rules that read it and never fire, the `i`th with the
+/// condition `watcher(1_000_000_000 + i)`.
+fn feed_and_watchers(sqlcm: &Sqlcm, watchers: u64, watcher: impl Fn(u64) -> String) {
     sqlcm
         .define_lat(
             LatSpec::new("Sig_LAT")
@@ -805,15 +807,11 @@ fn feed_and_watchers(sqlcm: &Sqlcm, watchers: u64) {
         )
         .unwrap();
     for i in 0..watchers {
-        let hot = format!(
-            "Query.Duration > 0.001 AND Sig_LAT.N >= {}",
-            1_000_000_000 + i
-        );
         sqlcm
             .add_rule(
                 Rule::new(format!("watch{i}"))
                     .on(RuleEvent::QueryCommit)
-                    .when(&hot),
+                    .when(&watcher(1_000_000_000 + i)),
             )
             .unwrap();
     }
@@ -825,7 +823,8 @@ fn feed_and_watchers(sqlcm: &Sqlcm, watchers: u64) {
 /// timed (its span starts at the condition's end stamp) and twice when it
 /// was not. A rule times its evaluations and firings 0, 64, 128, … on its
 /// own schedule, every one while a latency budget is set — and a LAT insert
-/// with nothing to age reads nothing.
+/// with nothing to age reads nothing. `+ 0` keeps the watchers residual, so
+/// every condition runs.
 #[cfg(debug_assertions)]
 #[test]
 fn an_event_reads_the_clock_twice_plus_its_sampled_spans() {
@@ -833,7 +832,9 @@ fn an_event_reads_the_clock_twice_plus_its_sampled_spans() {
     let ev = commit_event(3, 0.5);
 
     let sqlcm = Sqlcm::attach(&engine);
-    feed_and_watchers(&sqlcm, 31);
+    feed_and_watchers(&sqlcm, 31, |n| {
+        format!("Query.Duration > 0.001 AND Sig_LAT.N + 0 >= {n}")
+    });
     // Every rule's first evaluation is timed, and `feed`'s first firing
     // starts at its condition's end stamp.
     assert_eq!(clock_reads(|| sqlcm.inject_event(&ev)), 2 + 2 * 32 + 1);
@@ -891,6 +892,67 @@ fn an_event_reads_the_clock_twice_plus_its_sampled_spans() {
     assert_eq!(clock_reads(|| sqlcm.inject_event(&by("late"))), 2);
 }
 
+/// The `storm_shared_lat` watchers as shipped: each is refuted by its LAT
+/// guard against the row the event hoisted, so none runs its condition. A
+/// sampled event reads the clock for `on_event` and for `feed`'s condition
+/// and firing only, every other event for `on_event` only; the watchers
+/// retire no VM instruction and the event allocates nothing, while every
+/// one of the 32 rules still books its evaluation.
+#[test]
+fn refuted_lat_watchers_run_no_condition() {
+    let engine = Engine::in_memory();
+    let ev = commit_event(3, 0.5);
+    let sqlcm = Sqlcm::attach(&engine);
+    feed_and_watchers(&sqlcm, 31, |n| {
+        format!("Query.Duration > 0.001 AND Sig_LAT.N >= {n}")
+    });
+    #[cfg(debug_assertions)]
+    {
+        assert_eq!(clock_reads(|| sqlcm.inject_event(&ev)), 2 + 2 + 1);
+        for _ in 1..64 {
+            assert_eq!(clock_reads(|| sqlcm.inject_event(&ev)), 2);
+        }
+        assert_eq!(clock_reads(|| sqlcm.inject_event(&ev)), 2 + 2 + 1);
+    }
+    #[cfg(not(debug_assertions))]
+    for _ in 0..65 {
+        sqlcm.inject_event(&ev);
+    }
+    let before = sqlcm.telemetry();
+    let allocs_before = allocations();
+    let events = 1_000u64;
+    for _ in 0..events {
+        sqlcm.inject_event(&ev);
+    }
+    let allocs_after = allocations();
+    let after = sqlcm.telemetry();
+    assert_eq!(
+        allocs_after - allocs_before,
+        0,
+        "refuted watchers allocated"
+    );
+    let (stats, was) = (after.stats, before.stats);
+    assert_eq!(stats.evaluations - was.evaluations, 32 * events);
+    assert_eq!(stats.fires - was.fires, events);
+    let (matching, was) = (after.matching, before.matching);
+    assert_eq!(matching.rules_pruned - was.rules_pruned, 31 * events);
+    assert_eq!(matching.candidate_rules - was.candidate_rules, events);
+    // `feed` is unconditional: every instruction would be a watcher's. The
+    // first watcher fetches the row `feed` changed; the others share it.
+    let (dispatch, was) = (after.dispatch, before.dispatch);
+    assert_eq!(dispatch.vm_instructions, was.vm_instructions);
+    assert_eq!(dispatch.lat_row_fetches - was.lat_row_fetches, events);
+    assert_eq!(
+        dispatch.hoisted_lookup_hits - was.hoisted_lookup_hits,
+        30 * events
+    );
+    for i in 0..31 {
+        let stats = sqlcm.rule(&format!("watch{i}")).unwrap().stats();
+        assert_eq!(stats.evaluations, stats.pruned, "watch{i}");
+        assert_eq!(stats.evaluations, 65 + events, "watch{i}");
+    }
+}
+
 /// A cascade times the same way: `on_event` reads twice however many events
 /// it drains, and each drained event's rules time their spans on their own
 /// schedules. The eviction rules' first evaluations and firings fall on the
@@ -913,9 +975,10 @@ fn a_cascade_reads_the_clock_twice_plus_its_sampled_spans() {
         Rule::new("feed")
             .on(RuleEvent::QueryCommit)
             .then(Action::insert("Hot")),
+        // `+ 0` keeps it residual: it runs, and times, like the others.
         Rule::new("never")
             .on(RuleEvent::QueryCommit)
-            .when("Query.Duration > 0.001 AND Hot.D > 1000000"),
+            .when("Query.Duration > 0.001 AND Hot.D + 0 > 1000000"),
         Rule::new("spill")
             .on(RuleEvent::LatEviction("Hot".into()))
             .then(Action::send_mail("dba", "row spilled")),

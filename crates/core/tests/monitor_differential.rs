@@ -251,8 +251,9 @@ fn key_readers_keep_one_snapshot_across_a_mutator_block() {
 // ------------------------------------------------------------- guard index
 
 /// Every guard shape — equality, IN-list, one- and two-sided ranges, an
-/// unsatisfiable range, a guarded rule with a non-indexable tail — plus every
-/// residual reason that still fires (pattern match, LAT read, no condition).
+/// unsatisfiable range, a guarded rule with a non-indexable tail, a LAT
+/// guard — plus the residual reasons that still fire (pattern match, no
+/// condition).
 #[test]
 fn guard_index_prunes_only_what_cannot_fire() {
     let mut p = Pair::new();
@@ -323,8 +324,115 @@ fn guard_index_prunes_only_what_cannot_fire() {
     let m = p.real.telemetry().matching;
     assert_eq!(m.guard_probes, events, "one probe per dispatched event");
     assert!(m.rules_pruned > 0, "selective rules never pruned");
-    assert_eq!(m.residual_rules, 3, "pattern, lat_reader, feed");
+    assert_eq!(m.residual_rules, 2, "pattern, feed");
     assert!(m.candidate_rules_per_event() < p.rules.len() as f64);
+}
+
+/// LAT guards, checked at each rule's turn against the row its event hoisted:
+/// watchers between feeders and a mid-event `Reset`, so a watcher's row is
+/// often one a predecessor changed or emptied; COUNT thresholds crossed
+/// upward, AVG/MIN/MAX ones both ways, strict and inclusive endpoints hit
+/// exactly; groups never fed; a NULL aggregate; `=`/`IN` on a text column;
+/// LAT names in mixed case. A watcher whose condition is all guard
+/// conjuncts fires exactly when no guard prunes it, so its pruned count is
+/// exact: `evaluations − fires`. A LAT reader the verdict keeps residual,
+/// and one whose LAT is keyed on a class outside the payload, never prune.
+#[test]
+fn lat_guards_prune_exactly_what_cannot_fire() {
+    let mut state = 0x51c3_77ad_09be_2f41_u64;
+    for round in 0..3 {
+        let mut p = Pair::new();
+        let mut s = |name: &str| spell(name, &mut state);
+        p.lat(
+            LatSpec::new(s("Stats_LAT"))
+                .group_by("Query.Logical_Signature", "Sig")
+                .aggregate(LatAggFunc::Count, "", "N")
+                .aggregate(LatAggFunc::Avg, "Query.Duration", "Avg_D")
+                .aggregate(LatAggFunc::Min, "Query.Duration", "Min_D")
+                .aggregate(LatAggFunc::Max, "Query.Duration", "Max_D")
+                .aggregate(LatAggFunc::Last, "Query.User", "Usr")
+                .aggregate(LatAggFunc::Max, "Query.Physical_Signature", "Phys"),
+        );
+        p.lat(
+            LatSpec::new("Blk_LAT")
+                .group_by("Blocked.Resource", "Res")
+                .aggregate(LatAggFunc::Count, "", "N"),
+        );
+        let feed = || [Action::insert("Stats_LAT")];
+        // (name, condition with `S` for the LAT, all guard conjuncts?)
+        let rules: &[(&str, &str, bool)] = &[
+            ("count_ge", "S.N >= 4", true),
+            ("feed_a", "Query.Logical_Signature < 6", false),
+            ("count_gt", "S.N > 4", true),
+            ("usr_eq", "S.Usr = 'user_3'", true),
+            ("feed_b", "Query.Duration >= 0.5", false),
+            ("count_band", "S.N > 2 AND S.N <= 6", true),
+            ("min_lt", "S.Min_D < 0.25", true),
+            ("flush", "S.N >= 12", false),
+            ("max_ge", "S.Max_D >= 0.75", true),
+            ("avg_hi", "S.Avg_D > 0.375", true),
+            ("phys", "S.Phys >= 1", true),
+            ("user_and_count", "Query.User = 'user_2' AND S.N >= 3", true),
+            ("feed_c", "Query.User IN ('user_0', 'user_5')", false),
+            ("usr_in", "S.Usr IN ('user_1', 'user_6')", true),
+            (
+                "dur_and_avg",
+                "Query.Duration > 0.25 AND S.Avg_D <= 0.5",
+                true,
+            ),
+            ("avg_lo", "S.Avg_D <= 0.25 AND S.Avg_D >= 0.125", true),
+            ("residual", "S.N + 0 >= 4", false),
+            (
+                "blocked",
+                "Blocked.Wait_Time >= 0 AND Blk_LAT.N >= 1",
+                false,
+            ),
+        ];
+        for &(name, cond, _) in rules {
+            let cond = cond.replace("S.", &format!("{}.", s("Stats_LAT")));
+            let actions: Vec<Action> = match name {
+                "flush" => vec![Action::reset(&s("Stats_LAT"))],
+                n if n.starts_with("feed") => feed().to_vec(),
+                _ => vec![mail(name)],
+            };
+            p.on_commit(name, Some(&cond), &actions);
+        }
+        // Signatures 6 and 7 are never fed; 0–2 carry a physical signature,
+        // so `Phys` is NULL in the other groups. Quarter-second durations
+        // put MIN/MAX, and often AVG, on the bounds exactly.
+        for _ in 0..1_500 {
+            let sig = lcg(&mut state) % 8;
+            let mut q = QueryInfo::synthetic(sig, "SELECT 1");
+            q.logical_signature = Some(sig);
+            q.physical_signature = (sig < 3).then_some(sig + 1);
+            q.duration_micros = (lcg(&mut state) % 4) * 250_000;
+            q.user = format!("user_{}", lcg(&mut state) % 8).into();
+            p.inject(&EngineEvent::QueryCommit(q));
+        }
+        let what = format!("LAT guards, round {round}");
+        p.assert_parity(&what);
+        let mut pruned = 0;
+        for &(name, _, all_guards) in rules {
+            let st = p.real.rule(name).unwrap().stats();
+            assert_eq!(st.action_errors, 0, "{what}: {name}");
+            pruned += st.pruned;
+            if all_guards {
+                assert_eq!(st.pruned, st.evaluations - st.fires, "{what}: {name}");
+                assert!(st.fires > 0 && st.pruned > 0, "{what}: {name} {st:?}");
+            }
+        }
+        for name in ["residual", "blocked"] {
+            assert_eq!(
+                p.real.rule(name).unwrap().stats().pruned,
+                0,
+                "{what}: {name}"
+            );
+        }
+        assert_eq!(p.real.rule("blocked").unwrap().stats().evaluations, 0);
+        let m = p.real.telemetry().matching;
+        assert_eq!(m.rules_pruned, pruned, "{what}");
+        assert_eq!(m.residual_rules, 2, "{what}: residual, blocked");
+    }
 }
 
 /// LCG-shaped rule sets (equality, IN, one/two-sided ranges, patterns,

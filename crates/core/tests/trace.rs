@@ -187,11 +187,12 @@ fn rule_explainers_show_bound_values_and_missing_rows() {
         )
         .unwrap();
     // Registered before "feed", so on the first commit the LAT has no row yet.
+    // `+ 0` keeps it residual: its condition runs, and explains, every time.
     sqlcm
         .add_rule(
             Rule::new("watch")
                 .on(RuleEvent::QueryCommit)
-                .when("Seen.N >= 2")
+                .when("Seen.N + 0 >= 2")
                 .then(Action::send_mail("dba", "hot template")),
         )
         .unwrap();
@@ -583,4 +584,90 @@ fn pruned_rules_get_no_span_and_are_explained_when_the_trace_is_read() {
         })
         .count();
     assert_eq!(explained as u64, RULES - 1);
+}
+
+/// The one trace of a commit of signature 3 to a monitor holding `Sig_LAT`
+/// (COUNT `N`, and `Phys`, the MAX of a physical signature no synthetic query
+/// has, so NULL), its feed, and a `watch` rule on `cond` registered before
+/// or after the feed, on a second event when `warm`.
+fn lat_guard_trace(cond: &str, watch_first: bool, warm: bool) -> (Sqlcm, TraceSnapshot) {
+    let engine = Engine::in_memory();
+    let sqlcm = Sqlcm::attach(&engine);
+    sqlcm
+        .define_lat(
+            LatSpec::new("Sig_LAT")
+                .group_by("Query.Logical_Signature", "Sig")
+                .aggregate(LatAggFunc::Count, "", "N")
+                .aggregate(LatAggFunc::Max, "Query.Physical_Signature", "Phys"),
+        )
+        .unwrap();
+    let watch = || Rule::new("watch").on(RuleEvent::QueryCommit).when(cond);
+    let feed = Rule::new("feed")
+        .on(RuleEvent::QueryCommit)
+        .then(Action::insert("Sig_LAT"));
+    if watch_first {
+        sqlcm.add_rule(watch()).unwrap();
+    }
+    sqlcm.add_rule(feed).unwrap();
+    if !watch_first {
+        sqlcm.add_rule(watch()).unwrap();
+    }
+    if warm {
+        sqlcm.inject_event(&commit_event(3, 0.5));
+    }
+    sqlcm.configure(MonitorConfig {
+        trace_sampling: TraceSampling::EveryNth(1),
+        ..sqlcm.config()
+    });
+    sqlcm.inject_event(&commit_event(3, 0.5));
+    let traces = sqlcm.traces();
+    assert_eq!(traces.len(), 1);
+    let t = traces[0].clone();
+    assert_well_formed(&t);
+    // The watcher opened no span, and its evaluation is still counted.
+    assert!(t
+        .spans
+        .iter()
+        .all(|s| !matches!(&s.kind, SpanKind::Rule { name, .. } if name == "watch")));
+    assert_eq!(t.evaluations, 2);
+    assert_eq!((t.pruned[0].pruned, t.pruned[0].candidates), (1, 1));
+    let tree = t.to_text_tree();
+    assert!(tree.contains("candidates=1 pruned=1"), "{tree}");
+    (sqlcm, t)
+}
+
+/// A LAT guard pruning at its rule's turn names the row value it read then
+/// and the bounds it falls outside of.
+#[test]
+fn a_lat_guard_prune_names_the_value_outside_its_bounds() {
+    let (sqlcm, t) = lat_guard_trace("Sig_LAT.N >= 1000000000", false, true);
+    // `feed` ran first: the watcher read this event's count, 2.
+    let why = "pruned by LAT guard: Sig_LAT.N=2 outside [1000000000,∞)";
+    assert_eq!(t.pruned_outcome("watch").as_deref(), Some(why));
+    assert!(t
+        .to_text_tree()
+        .contains(&format!("rule watch skipped: {why}")));
+    let stats = sqlcm.rule("watch").unwrap().stats();
+    assert_eq!((stats.evaluations, stats.pruned), (2, 2));
+}
+
+/// A NULL column satisfies no conjunct on it.
+#[test]
+fn a_lat_guard_prune_names_a_null_column() {
+    let (_, t) = lat_guard_trace("Sig_LAT.Phys >= 1", false, false);
+    assert_eq!(
+        t.pruned_outcome("watch").as_deref(),
+        Some("pruned by LAT guard: Sig_LAT.Phys is NULL")
+    );
+}
+
+/// Before the feed has run, the LAT holds no row for the event: the
+/// implicit ∃ fails.
+#[test]
+fn a_lat_guard_prune_names_a_missing_row() {
+    let (_, t) = lat_guard_trace("Sig_LAT.N >= 1", true, false);
+    assert_eq!(
+        t.pruned_outcome("watch").as_deref(),
+        Some("pruned by LAT guard: no Sig_LAT row")
+    );
 }

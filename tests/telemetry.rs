@@ -241,8 +241,9 @@ fn rule_spans_partition_on_event() {
         on_commit("track").then(Action::insert("Last4")),
         // Decided by the guard index: counted, never run, never timed.
         on_commit("pruned").when("Query.Duration > 3600"),
-        // Runs and reads the LAT row `track` just wrote; never fires.
-        on_commit("watch").when("Query.Duration >= 0 AND Last4.D > 3600"),
+        // Runs and reads the LAT row `track` just wrote; never fires. `+ 0`
+        // keeps it residual, so no LAT guard prunes it.
+        on_commit("watch").when("Query.Duration >= 0 AND Last4.D + 0 > 3600"),
         // §5.2: `Table` is not in a commit's payload, so the rule evaluates
         // once per live table.
         on_commit("per_table")
@@ -323,8 +324,9 @@ fn flushed_tallies_partition_after_two_threads_join() {
     let on_commit = |name: &str| Rule::new(name).on(RuleEvent::QueryCommit);
     let rules = [
         on_commit("track").then(Action::insert("ByType")),
-        on_commit("watch").when("Query.Duration >= 0 AND ByType.N >= 1000000000"),
-        on_commit("watch_too").when("Query.Duration >= 0 AND ByType.N >= 1000000001"),
+        // `+ 0` keeps the watchers residual: their conditions run.
+        on_commit("watch").when("Query.Duration >= 0 AND ByType.N + 0 >= 1000000000"),
+        on_commit("watch_too").when("Query.Duration >= 0 AND ByType.N + 0 >= 1000000001"),
     ];
     for rule in rules {
         sqlcm.add_rule(rule).unwrap();
@@ -391,8 +393,12 @@ fn two_dispatchers_book_every_evaluation_exactly() {
     sqlcm
         .add_rule(on_commit("feed").then(Action::insert("Sigs")))
         .unwrap();
+    // `+ 0` keeps the watchers residual: their conditions run.
     for i in 0..3 {
-        let never = format!("Query.Duration >= 0 AND Sigs.N >= {}", 1_000_000_000 + i);
+        let never = format!(
+            "Query.Duration >= 0 AND Sigs.N + 0 >= {}",
+            1_000_000_000 + i
+        );
         sqlcm
             .add_rule(on_commit(&format!("watch{i}")).when(&never))
             .unwrap();
