@@ -8,8 +8,9 @@
 //!
 //! * a **payload guard** over a payload attribute (`Query.User = 'bob'`),
 //!   which `sqlcm-core::guard`'s index probes once per event for all rules;
-//! * a **LAT guard** over a LAT column (`Sig_LAT.N >= 30`), which dispatch
-//!   checks at the rule's own turn against the row the event hoisted.
+//! * a **LAT guard** over a LAT column (`Sig_LAT.N >= 30`), which the same
+//!   index probes against the row the event hoisted, once per writer-free
+//!   segment of the walk.
 //!
 //! [`rule_guard`] is the only place that decides which guards a rule gets, or
 //! why it gets none: registration stores its verdict for dispatch to install,
@@ -37,8 +38,9 @@
 //!
 //! A LAT guard adds one runtime condition: the row it is checked against must
 //! be the one the condition would read. A LAT's rows change mid-event (an
-//! earlier rule's `Insert` or `Reset`), so dispatch checks it at the rule's
-//! turn, never ahead of it.
+//! earlier rule's `Insert` or `Reset`), so one probe's verdict covers only
+//! the rules up to and including the next rule that writes the LAT: the row
+//! cannot change between two rules unless such a writer fires.
 //!
 //! Extraction runs over the *folded* condition — the IR the runtime compiles
 //! — so `x > 1 + 2` guards exactly like `x > 3`.

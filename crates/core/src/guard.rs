@@ -11,35 +11,49 @@
 //! on them invisible — is decided once, at registration, by
 //! [`sqlcm_analyze::guard::rule_guard`]; the verdict is stored on the
 //! registered rule and this module only *installs* it: index construction,
-//! probing, the LAT-guard check, and pruning explanations. The one
-//! runtime-side addition to the contract is [`GuardIndex::required`]: every
-//! attribute a guarded condition reads must resolve against a payload object
-//! the probe has verified present with sufficient width, which keeps guarded
-//! conditions genuinely infallible whenever pruning happens.
+//! probing and pruning explanations. It is the one place a guard is tested.
+//! The one runtime-side addition to the contract is [`GuardIndex::required`]:
+//! every attribute a guarded condition reads must resolve against a payload
+//! object the probe has verified present with sufficient width, which keeps
+//! guarded conditions genuinely infallible whenever pruning happens.
 //!
-//! A payload guard is decided by the probe, for every rule at once. A LAT
-//! guard ([`LatCheck`]) is decided at its rule's own turn in the walk, on a
-//! probed event, against the hoisted row the condition would read then — so
-//! a candidate of the probe may still be pruned, with one slot read and one
-//! comparison ([`LatCheck::admits`]). The index starts every LAT-guarded rule
-//! without a payload guard as a candidate.
+//! **Two value sources, one group code.** A group reads its value from a
+//! payload attribute (payload guards) or from a column of a hoisted LAT row
+//! (LAT guards, [`LatCheck`]), and tests it with the same [`EqGroup`] and
+//! [`RangeGroup`]. Identical tests share one entry — Rete's shared alpha
+//! memories (Forgy 1982): an equality value or a range's exact bounds keys
+//! one list of rules, so 31 rules on `Query.Duration > 0.001` cost one
+//! comparison, not 31. `Int(2)` and `Float(2.0)` are one key; a strict and
+//! an inclusive bound are two.
+//!
+//! A payload group is probed once per event, for every rule at once
+//! ([`GuardIndex::probe`]). A LAT group is probed by dispatch once per
+//! *writer-free segment* of the walk ([`GuardIndex::refute`]): from the first
+//! LAT-guarded candidate whose verdict is stale up to and including the next
+//! rule that writes the LAT (`EventPlan::writers`), against the row the event
+//! hoisted then. No rule before the segment's end can change that row, so
+//! one probe decides every LAT-guarded rule of the segment, and the refused
+//! ones are never visited. The index starts every LAT-guarded rule without a
+//! payload guard as a candidate.
 //!
 //! Range-guard soundness additionally leans on the interval machinery of
-//! `sqlcm-analyze` ([`Interval`]): each guard carries its widened numeric
-//! interval, the per-attribute sweep is sorted by `Interval::lo`, and a
-//! numeric probe value uses `Interval::contains` as a superset pre-filter
-//! (closed, f64-widened, so it can only over-admit) before the exact
-//! [`Value::cmp`] check that is the VM's comparison semantics bit for bit.
-//! Non-numeric probe values (SQL's cross-type ordering is total) skip the
-//! sweep shortcut and take the exact path.
+//! `sqlcm-analyze` ([`Interval`]): each entry carries its widened numeric
+//! interval, the per-group sweep is sorted by `Interval::lo`, and a numeric
+//! probe value uses `Interval::contains` as a superset pre-filter (closed,
+//! f64-widened, so it can only over-admit) before the exact [`Value::cmp`]
+//! check that is the VM's comparison semantics bit for bit. Non-numeric
+//! probe values (SQL's cross-type ordering is total) skip the sweep shortcut
+//! and take the exact path.
 //!
 //! The index lives inside the immutable [`crate::plan::EventPlan`] of its
-//! event class: rule churn on the class rebuilds it, a rule appended to the
-//! class is installed into a clone of its predecessor's that shares the
-//! equality maps' partitions it does not write ([`crate::shared`]), and
-//! probing allocates nothing. It covers every registered rule of the class; a
-//! candidate that is disabled or quarantined is dropped when the event pins
-//! the rules it runs.
+//! event class: rule churn on the class rebuilds it, and a rule appended to
+//! the class is installed into a clone of its predecessor's that shares
+//! every partition, entry and sweep it does not write ([`crate::shared`]). A
+//! rule joining an existing entry copies one partition; a rule with bounds
+//! its group has not seen also copies the group's sorted sweep, O(distinct
+//! bounds). Probing allocates nothing. The index covers every registered
+//! rule of the class; a candidate that is disabled or quarantined is dropped
+//! when the event pins the rules it runs.
 
 use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
@@ -54,7 +68,7 @@ use crate::ir::{CondIr, Resolved};
 use crate::lat::Lat;
 use crate::objects::{ClassName, Object};
 use crate::plan::PlanRule;
-use crate::shared::Partitioned;
+use crate::shared::{Blocks, Partitioned};
 
 /// Human-readable reason `guard` pruned its rule for this payload, for
 /// sampled traces. Only called off the fast path.
@@ -104,15 +118,15 @@ fn violated(kind: &GuardKind, subject: &str, val: &str) -> String {
 /// Exact admission of a non-null `v` by the bounds, via [`Value::cmp`] — the
 /// same total order the VM's comparison operators use, so cross-type values
 /// (e.g. a text value against a numeric bound) agree with evaluation.
-fn within(lo: &Option<Bound>, hi: &Option<Bound>, v: &Value) -> bool {
-    if let Some(b) = lo {
+fn within(bounds: &Bounds, v: &Value) -> bool {
+    if let Some(b) = &bounds.lo {
         match v.cmp(&b.value) {
             Ordering::Less => return false,
             Ordering::Equal if b.strict => return false,
             _ => {}
         }
     }
-    if let Some(b) = hi {
+    if let Some(b) = &bounds.hi {
         match v.cmp(&b.value) {
             Ordering::Greater => return false,
             Ordering::Equal if b.strict => return false,
@@ -125,13 +139,11 @@ fn within(lo: &Option<Bound>, hi: &Option<Bound>, v: &Value) -> bool {
 /// A rule's LAT guard as its plan installs it: the analyzer's
 /// [`sqlcm_analyze::LatGuard`] resolved to the rule's hoisted reference of
 /// the LAT and the column's position in its rows. Attached only when that
-/// reference is hoisted, so the row the check reads is the one the
-/// condition would.
+/// reference is hoisted, so the row the index tests is the one the
+/// condition would read.
 #[derive(Clone, Debug)]
 pub(crate) struct LatCheck {
-    /// Index into the rule's `cond_lats` / `PlanRule::lats`.
-    pub lat: usize,
-    /// The reference's hoist slot (`PlanRule::lat_slots[lat]`).
+    /// The reference's hoist slot (an index into `EventPlan::hoisted`).
     pub slot: u32,
     /// The column's position in the LAT's rows.
     pub column: usize,
@@ -139,24 +151,8 @@ pub(crate) struct LatCheck {
 }
 
 impl LatCheck {
-    /// Whether the condition can be true on `row` — the LAT's row for the
-    /// event, `None` when it has none. A missing row makes the condition
-    /// false (implicit ∃), and a NULL column or a value outside the guard
-    /// violates a conjunct of its `AND` chain.
-    pub fn admits(&self, row: Option<&[Value]>) -> bool {
-        let Some(v) = row.and_then(|r| r.get(self.column)) else {
-            return false;
-        };
-        if v.is_null() {
-            return false;
-        }
-        match &self.kind {
-            GuardKind::Eq(values) => values.contains(v),
-            GuardKind::Range { lo, hi } => within(lo, hi, v),
-        }
-    }
-
-    /// Why [`LatCheck::admits`] refused `row` of `lat`, for sampled traces.
+    /// Why the index refused this rule on `row` of `lat` — the LAT's row for
+    /// the event, `None` when it has none — for sampled traces.
     pub fn explain(&self, lat: &Lat, row: Option<&[Value]>) -> String {
         let name = &lat.spec.name;
         let column = lat.columns().get(self.column).cloned().unwrap_or_default();
@@ -169,93 +165,297 @@ impl LatCheck {
     }
 }
 
-/// All equality guards over one `(class, attribute)`, probed with one hash
-/// of the value and one lookup. [`Value`]'s `Hash`/`Eq` are consistent with
-/// the VM's `=` (`Int(2)` and `Float(2.0)` hash alike and compare equal).
+/// The rules of one test, in registration order. A lone rule is held
+/// inline, as most equality values have one; a longer list is a [`Blocks`],
+/// whose append fills the shared last block, so a rule joining an entry
+/// copies none of them.
 #[derive(Clone)]
-struct EqGroup {
-    class: ClassName,
-    attr: usize,
-    /// Rules per admitted value, in registration order, under the value's
-    /// hash by [`GuardIndex::hasher`] — or, when another value holds that
-    /// hash, under the next hash free or holding it. Partitioned, so an
-    /// append copies one partition.
-    map: Partitioned<Option<(Value, Arc<[u32]>)>>,
+enum RuleList {
+    One(u32),
+    Many(Blocks<u32>),
 }
 
-impl EqGroup {
-    /// The rules whose guard admits `v`, whose hash is `hash`.
-    fn admitting(&self, mut hash: u64, v: &Value) -> Option<&[u32]> {
+impl RuleList {
+    /// These rules followed by `rule`.
+    fn with(&self, rule: u32) -> RuleList {
+        match self {
+            RuleList::One(first) => RuleList::Many(Blocks::default().with(*first).with(rule)),
+            RuleList::Many(rules) => RuleList::Many(rules.with(rule)),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        let (one, many) = match self {
+            RuleList::One(rule) => (Some(*rule), None),
+            RuleList::Many(rules) => (None, Some(rules.iter().copied())),
+        };
+        one.into_iter().chain(many.into_iter().flatten())
+    }
+}
+
+/// Rule lists keyed by a test's constant — an equality value or a range's
+/// bounds — under the key's hash by [`GuardIndex::hasher`] or, when another
+/// key holds that hash, under the next hash free or holding it. Entries are
+/// never removed (rule churn rebuilds the index), so an entry stays at the
+/// hash it was made at. Partitioned, so joining an entry copies one
+/// partition.
+#[derive(Clone)]
+struct Entries<K>(Partitioned<Option<(K, RuleList)>>);
+
+impl<K> Default for Entries<K> {
+    fn default() -> Self {
+        Entries(Partitioned::default())
+    }
+}
+
+impl<K: Clone + PartialEq> Entries<K> {
+    /// The entry of `key`, whose hash is `hash`.
+    fn get(&self, mut hash: u64, key: &K) -> Option<&RuleList> {
         loop {
-            let (x, rules) = self.map.get(hash)?.as_ref()?;
-            if x == v {
+            let (k, rules) = self.0.get(hash)?.as_ref()?;
+            if k == key {
                 return Some(rules);
             }
             hash = hash.wrapping_add(1);
         }
     }
 
-    /// Enter `rule` among the rules admitting `v`, whose hash is `hash`.
-    fn admit(&mut self, mut hash: u64, v: &Value, rule: u32) {
+    /// The entry made at `hash`.
+    fn at(&self, hash: u64) -> &(K, RuleList) {
+        let entry = self.0.get(hash).and_then(Option::as_ref);
+        entry.expect("a sweep names an entry of its group")
+    }
+
+    /// Enter `rule`, the last so far, under `key`, whose hash is `hash`.
+    /// Returns the hash the entry is at, and whether `rule` made it.
+    fn join(&mut self, mut hash: u64, key: &K, rule: u32) -> (u64, bool) {
         loop {
-            match self.map.entry(hash) {
-                Some((x, rules)) if x == v => {
-                    *rules = rules.iter().copied().chain([rule]).collect();
-                    return;
+            match self.0.entry(hash) {
+                Some((k, rules)) if k == key => {
+                    *rules = rules.with(rule);
+                    return (hash, false);
                 }
                 Some(_) => hash = hash.wrapping_add(1),
                 free => {
-                    *free = Some((v.clone(), Arc::new([rule])));
-                    return;
+                    *free = Some((key.clone(), RuleList::One(rule)));
+                    return (hash, true);
                 }
             }
         }
     }
 }
 
-/// All range guards over one `(class, attribute)`, swept flat in ascending
-/// `iv.lo` order so the scan stops at the first lower bound above the value.
-#[derive(Clone)]
-struct RangeGroup {
-    class: ClassName,
-    attr: usize,
-    guards: Vec<RangeGuard>,
-}
+/// All equality tests over one value, probed with one hash of the value and
+/// one lookup. [`Value`]'s `Hash`/`Eq` are consistent with the VM's `=`
+/// (`Int(2)` and `Float(2.0)` hash alike and compare equal).
+type EqGroup = Entries<Value>;
 
-#[derive(Clone)]
-struct RangeGuard {
-    rule: u32,
+/// A range test's exact bounds: the key its rules share an entry under.
+#[derive(Clone, Debug, PartialEq)]
+struct Bounds {
     lo: Option<Bound>,
     hi: Option<Bound>,
-    /// Widened numeric summary (strictness dropped, endpoints rounded
-    /// outward by the f64 cast's monotonicity): a superset of the exact
-    /// admission set, so `!iv.contains(v)` soundly rejects.
-    iv: Interval,
 }
 
-/// What [`GuardIndex::add`] needs of one guarded rule: its payload guard, if
-/// any, its compiled condition and the classes the condition names.
-type Indexable<'a> = (Option<&'a Guard>, &'a CondIr, &'a [ClassName]);
+/// All range tests over one value, one entry per distinct bounds, swept in
+/// ascending `iv.lo` order so the scan stops at the first lower bound above
+/// the value.
+#[derive(Clone, Default)]
+struct RangeGroup {
+    entries: Entries<Bounds>,
+    /// Each entry's widened numeric summary (strictness dropped, endpoints
+    /// rounded outward by the f64 cast's monotonicity — a superset of the
+    /// exact admission set, so `!iv.contains(v)` soundly rejects) and the
+    /// hash its entry is at; equal lower bounds in the order their entries
+    /// were made. Shared until a rule brings bounds the group has not seen.
+    sweep: Arc<[(Interval, u64)]>,
+}
+
+impl RangeGroup {
+    /// Enter `rule`, the last so far, among the rules of `bounds`.
+    fn join(&mut self, hasher: &RandomState, bounds: Bounds, rule: u32) {
+        fn key(b: &Option<Bound>) -> Option<(&Value, bool)> {
+            b.as_ref().map(|b| (&b.value, b.strict))
+        }
+        let hash = hasher.hash_one((key(&bounds.lo), key(&bounds.hi)));
+        let (at, made) = self.entries.join(hash, &bounds, rule);
+        if !made {
+            return;
+        }
+        let end = |b: &Option<Bound>| b.as_ref().and_then(|b| b.value.as_f64());
+        let iv = Interval {
+            lo: end(&bounds.lo).unwrap_or(f64::NEG_INFINITY),
+            hi: end(&bounds.hi).unwrap_or(f64::INFINITY),
+        };
+        let i = self
+            .sweep
+            .partition_point(|(x, _)| x.lo.total_cmp(&iv.lo).is_le());
+        let (before, after) = self.sweep.split_at(i);
+        let sweep = before.iter().copied().chain([(iv, at)]);
+        self.sweep = sweep.chain(after.iter().copied()).collect();
+    }
+
+    /// Pass `f` the rules of every entry whose bounds admit the non-null `v`.
+    fn admitting<'a>(&'a self, v: &Value, f: &mut impl FnMut(&'a RuleList)) {
+        // Numeric fast path: the sweep is sorted by widened `iv.lo`, and the
+        // f64 cast is monotone, so once a lower bound exceeds the value no
+        // later entry can admit it. A NaN value never satisfies `lo > v` and
+        // falls through to the exact check (NaN sorts above every number in
+        // `Value::cmp`, like the VM). Non-numeric values (totally ordered
+        // across types) take the exact check only.
+        let vf = match v {
+            Value::Int(i) => Some(*i as f64),
+            Value::Float(f) => Some(*f),
+            _ => None,
+        };
+        for &(iv, at) in self.sweep.iter() {
+            if let Some(vf) = vf {
+                if iv.lo > vf {
+                    break;
+                }
+                if !iv.contains(vf) {
+                    continue;
+                }
+            }
+            let (bounds, rules) = self.entries.at(at);
+            if within(bounds, v) {
+                f(rules);
+            }
+        }
+    }
+}
+
+/// The equality and range groups of one value source, each under what it
+/// reads: a payload attribute `(class, attribute)`, or a column of a hoisted
+/// LAT row.
+#[derive(Clone)]
+struct Groups<At> {
+    eq: Vec<(At, EqGroup)>,
+    range: Vec<(At, RangeGroup)>,
+}
+
+impl<At> Default for Groups<At> {
+    fn default() -> Self {
+        Groups {
+            eq: Vec::new(),
+            range: Vec::new(),
+        }
+    }
+}
+
+/// The group of `at`, made empty when it has none.
+fn group_of<At: PartialEq, G: Default>(groups: &mut Vec<(At, G)>, at: At) -> &mut G {
+    let i = match groups.iter().position(|(a, _)| *a == at) {
+        Some(i) => i,
+        None => {
+            groups.push((at, G::default()));
+            groups.len() - 1
+        }
+    };
+    &mut groups[i].1
+}
+
+impl<At: PartialEq> Groups<At> {
+    /// Enter `rule`, the last so far, under the test `kind` on the value
+    /// `at` reads. A test no value satisfies goes in no group: it admits
+    /// nothing.
+    fn install(&mut self, hasher: &RandomState, at: At, kind: &GuardKind, rule: u32) {
+        if kind.never() {
+            return;
+        }
+        match kind {
+            GuardKind::Eq(values) => {
+                let group = group_of(&mut self.eq, at);
+                for v in values {
+                    group.join(hasher.hash_one(v), v, rule);
+                }
+            }
+            GuardKind::Range { lo, hi } => {
+                let bounds = Bounds {
+                    lo: lo.clone(),
+                    hi: hi.clone(),
+                };
+                group_of(&mut self.range, at).join(hasher, bounds, rule);
+            }
+        }
+    }
+
+    /// Pass `f` the rules of every entry that admits the value its group
+    /// reads, `value(at)`. A NULL value is admitted by no test — NULL never
+    /// compares `TRUE`. Returns `false`, having passed only some, when
+    /// `value` cannot read a group's value.
+    fn admitting<'v>(
+        &self,
+        hasher: &RandomState,
+        value: impl Fn(&At) -> Option<&'v Value>,
+        mut f: impl FnMut(&RuleList),
+    ) -> bool {
+        for (at, group) in &self.eq {
+            let Some(v) = value(at) else {
+                return false;
+            };
+            if v.is_null() {
+                continue;
+            }
+            if let Some(rules) = group.get(hasher.hash_one(v), v) {
+                f(rules);
+            }
+        }
+        for (at, group) in &self.range {
+            let Some(v) = value(at) else {
+                return false;
+            };
+            if !v.is_null() {
+                group.admitting(v, &mut f);
+            }
+        }
+        true
+    }
+}
+
+/// The LAT guards on one hoist slot.
+#[derive(Clone, Default)]
+struct LatGroups {
+    /// One bit per rule with a LAT guard on the slot, up to the last one.
+    /// Shared until a rule with a guard on the slot is appended.
+    guarded: Arc<Vec<u64>>,
+    /// By column.
+    groups: Groups<usize>,
+}
+
+/// What [`GuardIndex::add`] needs of one guarded rule: its payload guard and
+/// its LAT guard, at least one of them, its compiled condition and the
+/// classes the condition names.
+type Indexable<'a> = (
+    Option<&'a Guard>,
+    Option<&'a LatCheck>,
+    &'a CondIr,
+    &'a [ClassName],
+);
 
 /// The stored verdict speaks for the registered condition; a rule the
 /// current registry cannot run (`broken`, no program) must still be
 /// evaluated so its error is recorded, whatever the verdict says.
 fn indexable(pr: &PlanRule) -> Option<Indexable<'_>> {
     match (&pr.reg.compiled, &pr.program, &pr.broken) {
-        (Some(c), Some(_), None) if pr.reg.guard.is_some() || pr.lat_guard.is_some() => {
-            Some((pr.reg.guard.as_ref(), &**c, &pr.reg.cond_classes[..]))
-        }
+        (Some(c), Some(_), None) if pr.reg.guard.is_some() || pr.lat_guard.is_some() => Some((
+            pr.reg.guard.as_ref(),
+            pr.lat_guard.as_ref(),
+            &**c,
+            &pr.reg.cond_classes[..],
+        )),
         _ => None,
     }
 }
 
 /// The per-event guard index, built once per [`crate::plan::EventPlan`] —
 /// or extended from its predecessor's by one rule — and probed once per
-/// dispatched event.
+/// dispatched event, and once per writer-free segment for each hoist slot
+/// its LAT guards read.
 #[derive(Clone)]
 pub(crate) struct GuardIndex {
-    /// Hashes equality-guard values, here and in every index appended to
-    /// this one.
+    /// Hashes equality values and range bounds, here and in every index
+    /// appended to this one.
     hasher: RandomState,
     /// Per payload class any guarded rule reads: minimum attribute-vector
     /// width its condition assumes. A probe over objects missing a class (or
@@ -263,8 +463,10 @@ pub(crate) struct GuardIndex {
     /// and every rule becomes a candidate, keeping guarded conditions
     /// genuinely infallible whenever pruning happens.
     required: Vec<(ClassName, usize)>,
-    eq_groups: Vec<EqGroup>,
-    range_groups: Vec<RangeGroup>,
+    /// Payload guards, by `(class, attribute)`.
+    payload: Groups<(ClassName, usize)>,
+    /// LAT guards, by hoist slot (empty for a slot no LAT guard reads).
+    lats: Vec<LatGroups>,
     /// Bitset of the rules no payload guard decides — residual rules and
     /// rules with a LAT guard alone: the probe's starting candidate set.
     undecided: Vec<u64>,
@@ -277,7 +479,7 @@ impl GuardIndex {
     /// Build the index for one event's rules from the guard verdicts stored
     /// at registration. Returns `None` when no rule is indexable — dispatch
     /// then skips probing entirely. A plan with a single rule is indexed
-    /// only for its LAT guard, which dispatch checks on probed events only:
+    /// only for its LAT guard, which dispatch probes on probed events only:
     /// a payload probe cannot beat a one-rule scan, and skipping it keeps
     /// small monitors at exactly their pre-index cost.
     pub fn build(rules: &[PlanRule]) -> Option<GuardIndex> {
@@ -293,16 +495,16 @@ impl GuardIndex {
     }
 
     /// The index of these rules followed by `pr` — what `build` over the
-    /// longer slice returns: `pr` is the last rule, so it joins each group
-    /// it belongs to after every guard already there. No installed guard is
-    /// looked at again; the clone copies one partition per equality group
-    /// the rule joins, the range groups and the undecided bitset.
+    /// longer slice returns: `pr` is the last rule, so it joins each entry
+    /// it belongs to after every rule already there. No installed guard is
+    /// looked at again; the clone copies the undecided bitset, one partition
+    /// per entry the rule joins or makes, the sweep of a range group it
+    /// brings new bounds to, and the guarded bitset of its LAT guard's slot.
     pub fn appended(&self, pr: &PlanRule) -> GuardIndex {
         let mut idx = self.clone();
         let ri = idx.indexed_rules + idx.residual_rules;
         idx.undecided.resize((ri as usize + 1).div_ceil(64), 0);
         idx.add(ri, indexable(pr));
-        idx.seal();
         idx
     }
 
@@ -313,8 +515,8 @@ impl GuardIndex {
         let mut idx = GuardIndex {
             hasher: RandomState::new(),
             required: Vec::new(),
-            eq_groups: Vec::new(),
-            range_groups: Vec::new(),
+            payload: Groups::default(),
+            lats: Vec::new(),
             undecided: vec![0u64; rules.len().div_ceil(64).max(1)],
             indexed_rules: 0,
             residual_rules: 0,
@@ -325,15 +527,20 @@ impl GuardIndex {
         if idx.indexed_rules == 0 {
             return None;
         }
-        idx.seal();
         Some(idx)
     }
 
-    /// Enter rule `ri`, the last so far. [`GuardIndex::seal`] must follow
-    /// before the index is probed.
+    /// Enter rule `ri`, the last so far.
     fn add(&mut self, ri: u32, entry: Option<Indexable<'_>>) {
-        let Some((guard, cond, cond_classes)) = entry else {
-            self.undecided[(ri >> 6) as usize] |= 1 << (ri & 63);
+        let bit = |bits: &mut Vec<u64>| {
+            let w = (ri >> 6) as usize;
+            if bits.len() <= w {
+                bits.resize(w + 1, 0);
+            }
+            bits[w] |= 1 << (ri & 63);
+        };
+        let Some((guard, lat, cond, cond_classes)) = entry else {
+            bit(&mut self.undecided);
             self.residual_rules += 1;
             return;
         };
@@ -352,8 +559,21 @@ impl GuardIndex {
             self.require(class, 0);
         }
         match guard {
-            Some(guard) => self.install(ri, guard),
-            None => self.undecided[(ri >> 6) as usize] |= 1 << (ri & 63),
+            Some(g) => self
+                .payload
+                .install(&self.hasher, (g.class.clone(), g.attr), &g.kind, ri),
+            None => bit(&mut self.undecided),
+        }
+        if let Some(check) = lat {
+            let slot = check.slot as usize;
+            if self.lats.len() <= slot {
+                self.lats.resize_with(slot + 1, LatGroups::default);
+            }
+            let on_slot = &mut self.lats[slot];
+            bit(Arc::make_mut(&mut on_slot.guarded));
+            on_slot
+                .groups
+                .install(&self.hasher, check.column, &check.kind, ri);
         }
     }
 
@@ -364,86 +584,13 @@ impl GuardIndex {
         }
     }
 
-    /// Restore the orders `probe` relies on. The sorts are stable and each
-    /// list is sorted but for what `add` pushed, so equal lower bounds stay
-    /// in registration order and sealing after one `add` is a linear pass.
-    fn seal(&mut self) {
-        self.required.sort_by_key(|a| a.0.to_string());
-        for g in &mut self.range_groups {
-            g.guards.sort_by(|a, b| a.iv.lo.total_cmp(&b.iv.lo));
-        }
-    }
-
-    fn install(&mut self, rule: u32, guard: &Guard) {
-        // A guard no value satisfies goes in no group: never a candidate.
-        if guard.never() {
-            return;
-        }
-        let (class, attr) = (&guard.class, guard.attr);
-        match &guard.kind {
-            GuardKind::Eq(values) => {
-                let gi = match self
-                    .eq_groups
-                    .iter()
-                    .position(|g| g.class == *class && g.attr == attr)
-                {
-                    Some(i) => i,
-                    None => {
-                        self.eq_groups.push(EqGroup {
-                            class: class.clone(),
-                            attr,
-                            map: Partitioned::default(),
-                        });
-                        self.eq_groups.len() - 1
-                    }
-                };
-                for v in values {
-                    self.eq_groups[gi].admit(self.hasher.hash_one(v), v, rule);
-                }
-            }
-            GuardKind::Range { lo, hi } => {
-                let iv = Interval {
-                    lo: lo
-                        .as_ref()
-                        .and_then(|b| b.value.as_f64())
-                        .unwrap_or(f64::NEG_INFINITY),
-                    hi: hi
-                        .as_ref()
-                        .and_then(|b| b.value.as_f64())
-                        .unwrap_or(f64::INFINITY),
-                };
-                let gi = match self
-                    .range_groups
-                    .iter()
-                    .position(|g| g.class == *class && g.attr == attr)
-                {
-                    Some(i) => i,
-                    None => {
-                        self.range_groups.push(RangeGroup {
-                            class: class.clone(),
-                            attr,
-                            guards: Vec::new(),
-                        });
-                        self.range_groups.len() - 1
-                    }
-                };
-                self.range_groups[gi].guards.push(RangeGuard {
-                    rule,
-                    lo: lo.clone(),
-                    hi: hi.clone(),
-                    iv,
-                });
-            }
-        }
-    }
-
-    /// Probe the index for one event into `bits`, one bit per rule of the
-    /// event class. On success `bits` holds the candidate set (the undecided
-    /// rules plus every rule whose payload guard admits the payload) and
-    /// pruned rules are provably non-firing. Returns `false` when the
-    /// payload doesn't satisfy [`GuardIndex::required`] — the caller must
-    /// then treat every rule as a candidate (`bits` is left unspecified).
-    /// Allocation-free.
+    /// Probe the payload guards for one event into `bits`, one bit per rule
+    /// of the event class. On success `bits` holds the candidate set (the
+    /// undecided rules plus every rule whose payload guard admits the
+    /// payload) and pruned rules are provably non-firing. Returns `false`
+    /// when the payload doesn't satisfy [`GuardIndex::required`] — the
+    /// caller must then treat every rule as a candidate (`bits` is left
+    /// unspecified). Allocation-free.
     pub fn probe(&self, objects: &[Object], bits: &mut [u64]) -> bool {
         debug_assert_eq!(bits.len(), self.undecided.len());
         for (class, want) in &self.required {
@@ -453,80 +600,123 @@ impl GuardIndex {
             }
         }
         bits.copy_from_slice(&self.undecided);
-        for g in &self.eq_groups {
-            let Some(obj) = objects.iter().find(|o| o.class == g.class) else {
-                return false;
-            };
-            let v = &obj.values()[g.attr];
-            if v.is_null() {
-                // NULL never compares equal: every guard in the group is
-                // violated, all its rules stay pruned.
-                continue;
+        let value = |(class, attr): &(ClassName, usize)| {
+            let obj = objects.iter().find(|o| o.class == *class)?;
+            Some(&obj.values()[*attr])
+        };
+        self.payload.admitting(&self.hasher, value, |rules| {
+            for r in rules.iter() {
+                bits[(r >> 6) as usize] |= 1 << (r & 63);
             }
-            if let Some(rules) = g.admitting(self.hasher.hash_one(v), v) {
-                for &r in rules {
-                    bits[(r >> 6) as usize] |= 1 << (r & 63);
-                }
-            }
+        })
+    }
+
+    /// Probe the LAT guards on `slot` for the rules at positions
+    /// `from..=to`, against `row` — the slot's row for the event, `None`
+    /// when the LAT has none. Every rule of that range still in `run` whose
+    /// LAT guard `row` refutes — all of them when the row is missing —
+    /// leaves `run`, and `refused` is called with its position, in order.
+    /// `keep` is scratch. Allocation-free once `keep` has grown to the
+    /// class.
+    pub fn refute(
+        &self,
+        slot: u32,
+        row: Option<&[Value]>,
+        (from, to): (usize, usize),
+        run: &mut [u64],
+        keep: &mut Vec<u64>,
+        mut refused: impl FnMut(usize),
+    ) {
+        let Some(on_slot) = self.lats.get(slot as usize) else {
+            return;
+        };
+        let guarded = &on_slot.guarded;
+        let Some(last) = guarded.len().checked_sub(1).map(|w| w.min(to / 64)) else {
+            return;
+        };
+        let first = from / 64;
+        if first > last {
+            return;
         }
-        for g in &self.range_groups {
-            let Some(obj) = objects.iter().find(|o| o.class == g.class) else {
-                return false;
-            };
-            let v = &obj.values()[g.attr];
-            if v.is_null() {
-                continue;
-            }
-            // Numeric fast path: the sweep is sorted by widened `iv.lo`, and
-            // the f64 cast is monotone, so once a lower bound exceeds the
-            // value no later guard can admit it. A NaN value never satisfies
-            // `lo > v` and falls through to the exact check (NaN sorts above
-            // every number in `Value::cmp`, like the VM). Non-numeric values
-            // (totally ordered across types) take the exact check only.
-            let vf = match v {
-                Value::Int(i) => Some(*i as f64),
-                Value::Float(f) => Some(*f),
-                _ => None,
-            };
-            for rg in &g.guards {
-                if let Some(vf) = vf {
-                    if rg.iv.lo > vf {
+        keep.clear();
+        keep.resize(last - first + 1, 0);
+        if let Some(row) = row {
+            // The rules of an entry are in registration order.
+            let value = |column: &usize| row.get(*column);
+            on_slot.groups.admitting(&self.hasher, value, |rules| {
+                for r in rules.iter().map(|r| r as usize) {
+                    if r > to {
                         break;
                     }
-                    if !rg.iv.contains(vf) {
-                        continue;
+                    if r >= from {
+                        keep[r / 64 - first] |= 1 << (r & 63);
                     }
                 }
-                if within(&rg.lo, &rg.hi, v) {
-                    bits[(rg.rule >> 6) as usize] |= 1 << (rg.rule & 63);
-                }
+            });
+        }
+        for w in first..=last {
+            let mut out = guarded[w] & run[w] & !keep[w - first];
+            if w == first {
+                out &= u64::MAX << (from & 63);
+            }
+            if w == to / 64 {
+                out &= u64::MAX >> (63 - (to & 63));
+            }
+            run[w] &= !out;
+            while out != 0 {
+                refused(w * 64 + out.trailing_zeros() as usize);
+                out &= out - 1;
             }
         }
-        true
+    }
+}
+
+#[cfg(test)]
+impl<At: std::fmt::Debug> Groups<At> {
+    /// Every entry with its rules, in an order two equal groups share.
+    fn canonical(&self) -> String {
+        let list = |rules: &RuleList| rules.iter().collect::<Vec<_>>();
+        let eq = self.eq.iter().map(|(at, group)| {
+            let entries = group.0.iter().filter_map(|(_, e)| e.as_ref());
+            let mut entries: Vec<_> = entries.map(|(v, rules)| (v.clone(), list(rules))).collect();
+            entries.sort();
+            format!("{at:?} {entries:?}")
+        });
+        let range = self.range.iter().map(|(at, group)| {
+            let sweep = group.sweep.iter().map(|&(iv, hash)| {
+                let (bounds, rules) = group.entries.at(hash);
+                (bounds, iv, list(rules))
+            });
+            format!("{at:?} {:?}", sweep.collect::<Vec<_>>())
+        });
+        format!(
+            "eq {:?} range {:?}",
+            eq.collect::<Vec<_>>(),
+            range.collect::<Vec<_>>()
+        )
     }
 }
 
 #[cfg(test)]
 impl GuardIndex {
-    /// Everything `probe` reads, in an order two equal indexes share.
+    /// Everything `probe` and `refute` read, in an order two equal indexes
+    /// share: each entry lists its rules.
     pub fn canonical(&self) -> String {
-        let eq_groups = self.eq_groups.iter().map(|g| {
-            let mut map: Vec<_> = g.map.iter().filter_map(|(_, e)| e.as_ref()).collect();
-            map.sort();
-            format!("{}#{} {map:?}", g.class, g.attr)
-        });
-        let range_groups = self.range_groups.iter().map(|g| {
-            let guards = g.guards.iter().map(|r| (r.rule, &r.lo, &r.hi, r.iv));
-            format!("{}#{} {:?}", g.class, g.attr, guards.collect::<Vec<_>>())
-        });
+        let lats = self
+            .lats
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| !l.guarded.is_empty());
+        let lats =
+            lats.map(|(slot, l)| format!("slot {slot} {:?} {}", l.guarded, l.groups.canonical()));
         format!(
-            "indexed {} residual {} {:?} required {:?} eq {:?} range {:?}",
+            "indexed {} residual {} {:?} required {:?} payload {} lats {:?}",
             self.indexed_rules,
             self.residual_rules,
             self.undecided,
             self.required,
-            eq_groups.collect::<Vec<_>>(),
-            range_groups.collect::<Vec<_>>()
+            self.payload.canonical(),
+            lats.collect::<Vec<_>>()
         )
     }
 }
@@ -555,10 +745,10 @@ mod tests {
     /// Build an index straight from conditions (no plan machinery).
     fn index_of(conds: &[&str]) -> GuardIndex {
         let regs: Vec<_> = conds.iter().map(|c| registered(c)).collect();
-        GuardIndex::assemble(
-            regs.iter()
-                .map(|(g, c)| g.as_ref().map(|g| (Some(g), c, &[ClassName::Query][..]))),
-        )
+        GuardIndex::assemble(regs.iter().map(|(g, c)| {
+            g.as_ref()
+                .map(|g| (Some(g), None, c, &[ClassName::Query][..]))
+        }))
         .expect("at least one indexable condition")
     }
 
@@ -575,6 +765,56 @@ mod tests {
         q.user = user.into();
         q.duration_micros = duration_micros;
         query_object(&q)
+    }
+
+    fn at_least(v: Value, strict: bool) -> GuardKind {
+        GuardKind::Range {
+            lo: Some(Bound { value: v, strict }),
+            hi: None,
+        }
+    }
+
+    /// An index of LAT guards alone, one rule per kind, all on slot 0's
+    /// column 1.
+    fn lat_index(kinds: &[GuardKind]) -> GuardIndex {
+        let (_, cond) = registered("Query.Duration >= 0");
+        let checks: Vec<LatCheck> = kinds
+            .iter()
+            .map(|kind| LatCheck {
+                slot: 0,
+                column: 1,
+                kind: kind.clone(),
+            })
+            .collect();
+        let entries = checks
+            .iter()
+            .map(|c| Some((None, Some(c), &cond, &[ClassName::Query][..])));
+        GuardIndex::assemble(entries).expect("every rule is indexable")
+    }
+
+    /// The rules at `from..=to` that `refute` refuses on `row`, every rule
+    /// in `run`; checks that exactly those left `run`.
+    fn refused_in(
+        idx: &GuardIndex,
+        row: Option<&[Value]>,
+        (from, to): (usize, usize),
+    ) -> Vec<usize> {
+        let n = (idx.indexed_rules + idx.residual_rules) as usize;
+        let mut run = vec![u64::MAX; n.div_ceil(64)];
+        let mut out = Vec::new();
+        idx.refute(0, row, (from, to), &mut run, &mut Vec::new(), |r| {
+            out.push(r)
+        });
+        let left: Vec<usize> = (0..n)
+            .filter(|&i| run[i >> 6] & (1 << (i & 63)) == 0)
+            .collect();
+        assert_eq!(left, out, "refused rules leave `run`, no other does");
+        out
+    }
+
+    fn refused(idx: &GuardIndex, row: Option<&[Value]>) -> Vec<usize> {
+        let n = (idx.indexed_rules + idx.residual_rules) as usize;
+        refused_in(idx, row, (0, n - 1))
     }
 
     #[test]
@@ -599,20 +839,95 @@ mod tests {
     /// finds its own rules.
     #[test]
     fn values_whose_hashes_collide_keep_their_own_rules() {
-        let mut g = EqGroup {
-            class: ClassName::Query,
-            attr: 0,
-            map: Partitioned::default(),
-        };
+        let mut g = EqGroup::default();
         let (a, b) = (Value::Int(1), Value::Text("b".into()));
-        g.admit(7, &a, 0);
-        g.admit(7, &b, 1);
-        g.admit(7, &a, 2);
-        g.admit(8, &Value::Int(3), 3);
-        assert_eq!(g.admitting(7, &a), Some(&[0, 2][..]));
-        assert_eq!(g.admitting(7, &b), Some(&[1][..]));
-        assert_eq!(g.admitting(8, &Value::Int(3)), Some(&[3][..]));
-        assert_eq!(g.admitting(7, &Value::Int(9)), None);
+        let list = |rules: Option<&RuleList>| rules.map(|r| r.iter().collect::<Vec<_>>());
+        assert_eq!(g.join(7, &a, 0), (7, true));
+        assert_eq!(g.join(7, &b, 1), (8, true));
+        assert_eq!(g.join(7, &a, 2), (7, false));
+        assert_eq!(g.join(8, &Value::Int(3), 3), (9, true));
+        assert_eq!(list(g.get(7, &a)), Some(vec![0, 2]));
+        assert_eq!(list(g.get(7, &b)), Some(vec![1]));
+        assert_eq!(list(g.get(8, &Value::Int(3))), Some(vec![3]));
+        assert_eq!(list(g.get(7, &Value::Int(9))), None);
+    }
+
+    /// Rules with one test share its entry — one comparison for all of
+    /// them — and `canonical` lists the entry's rules. `Int(2)` and
+    /// `Float(2.0)` are one key; a strict and an inclusive bound on one
+    /// value are two, and so are two equal lower bounds with different upper
+    /// ones.
+    #[test]
+    fn identical_payload_bounds_share_one_entry() {
+        let idx = index_of(&[
+            "Query.Duration > 0.001",
+            "Query.Duration > 0.001 AND Query.User LIKE 'a%'",
+            "Query.Duration > 2",
+            "Query.Duration >= 2",
+            "Query.Duration > 2.0",
+            "Query.Duration > 0.001",
+            "Query.Duration > 2 AND Query.Duration < 5",
+            "Query.User = 'alice'",
+            "Query.User IN ('bob', 'alice')",
+        ]);
+        let [(_, range)] = &idx.payload.range[..] else {
+            panic!("one range group");
+        };
+        assert_eq!(range.sweep.len(), 4, "{}", idx.canonical());
+        let rules_of = |i: usize| {
+            let (bounds, rules) = range.entries.at(range.sweep[i].1);
+            (bounds.clone(), rules.iter().collect::<Vec<_>>())
+        };
+        assert_eq!(rules_of(0).1, [0, 1, 5]);
+        assert_eq!(rules_of(1).1, [2, 4], "Int(2) and Float(2.0)");
+        assert_eq!(rules_of(2).1, [3], "inclusive 2");
+        assert_eq!(rules_of(3).1, [6], "(2, 5)");
+        assert!(!rules_of(2).0.lo.unwrap().strict);
+        let canonical = idx.canonical();
+        assert!(canonical.contains("[0, 1, 5]"), "{canonical}");
+        assert!(canonical.contains("[7, 8]"), "{canonical}");
+        // Sharing changes no candidate set.
+        assert_eq!(
+            probe_one(&idx, &[query("alice", 2_000_000)]),
+            [0, 1, 3, 5, 7, 8]
+        );
+        assert_eq!(
+            probe_one(&idx, &[query("bob", 3_000_000)]),
+            [0, 1, 2, 3, 4, 5, 6, 8]
+        );
+        assert_eq!(
+            probe_one(&idx, &[query("carol", 1_000)]),
+            Vec::<usize>::new()
+        );
+    }
+
+    /// LAT guards share entries the same way: a ladder of 31 rules on two
+    /// bounds is two entries.
+    #[test]
+    fn identical_lat_bounds_share_one_entry() {
+        let kinds: Vec<GuardKind> = (0..31)
+            .map(|i| match i % 2 {
+                0 => at_least(Value::Int(1_000_000_000), false),
+                _ => at_least(Value::Float(1e9), true),
+            })
+            .collect();
+        let idx = lat_index(&kinds);
+        let [(column, range)] = &idx.lats[0].groups.range[..] else {
+            panic!("one range group");
+        };
+        assert_eq!((*column, range.sweep.len()), (1, 2));
+        let evens: Vec<u32> = (0..31).step_by(2).collect();
+        let (_, rules) = range.entries.at(range.sweep[0].1);
+        assert_eq!(rules.iter().collect::<Vec<_>>(), evens);
+        assert!(idx.canonical().contains(&format!("{evens:?}")));
+        let row = |n: Value| vec![Value::Int(7), n];
+        assert_eq!(
+            refused(&idx, Some(&row(Value::Int(3)))),
+            (0..31).collect::<Vec<_>>()
+        );
+        let odd: Vec<usize> = (1..31).step_by(2).collect();
+        assert_eq!(refused(&idx, Some(&row(Value::Int(1_000_000_000)))), odd);
+        assert!(refused(&idx, Some(&row(Value::Int(1_000_000_001)))).is_empty());
     }
 
     #[test]
@@ -635,37 +950,24 @@ mod tests {
         assert!(why.contains("unsatisfiable"), "{why}");
     }
 
-    /// The check admits exactly what the conjuncts can make true: a missing
-    /// row, a NULL column, a value outside the bounds and an endpoint a
-    /// strict bound excludes are all pruned, each with its reason.
+    /// The index refuses exactly what the conjuncts cannot make true: a
+    /// missing row, a NULL column, a value outside the bounds and an
+    /// endpoint a strict bound excludes are all refused, each with its
+    /// reason.
     #[test]
     fn lat_check_prunes_missing_null_and_outside_rows() {
-        let check = |kind| LatCheck {
-            lat: 0,
-            slot: 0,
-            column: 1,
-            kind,
-        };
-        let at_least = |v: i64, strict| GuardKind::Range {
-            lo: Some(Bound {
-                value: Value::Int(v),
-                strict,
-            }),
-            hi: None,
-        };
+        let inclusive = at_least(Value::Int(5), false);
+        let idx = lat_index(&[inclusive.clone(), at_least(Value::Int(5), true)]);
         let row = |n: Value| vec![Value::Int(7), n];
-        let inclusive = check(at_least(5, false));
-        let strict = check(at_least(5, true));
-        assert!(!inclusive.admits(None));
-        assert!(!inclusive.admits(Some(&row(Value::Null))));
-        assert!(!inclusive.admits(Some(&row(Value::Int(4)))));
-        assert!(inclusive.admits(Some(&row(Value::Int(5)))));
-        assert!(inclusive.admits(Some(&row(Value::Float(5.5)))));
-        assert!(!strict.admits(Some(&row(Value::Int(5)))));
-        assert!(strict.admits(Some(&row(Value::Int(6)))));
-        let text = check(GuardKind::Eq(vec![Value::text("a"), Value::text("b")]));
-        assert!(text.admits(Some(&row(Value::text("b")))));
-        assert!(!text.admits(Some(&row(Value::text("c")))));
+        assert_eq!(refused(&idx, None), [0, 1]);
+        assert_eq!(refused(&idx, Some(&row(Value::Null))), [0, 1]);
+        assert_eq!(refused(&idx, Some(&row(Value::Int(4)))), [0, 1]);
+        assert_eq!(refused(&idx, Some(&row(Value::Int(5)))), [1]);
+        assert!(refused(&idx, Some(&row(Value::Float(5.5)))).is_empty());
+        assert!(refused(&idx, Some(&row(Value::Int(6)))).is_empty());
+        let text = lat_index(&[GuardKind::Eq(vec![Value::text("a"), Value::text("b")])]);
+        assert!(refused(&text, Some(&row(Value::text("b")))).is_empty());
+        assert_eq!(refused(&text, Some(&row(Value::text("c")))), [0]);
 
         let (clock, _) = sqlcm_common::ManualClock::shared(0);
         let lat = Lat::new(
@@ -675,17 +977,35 @@ mod tests {
             clock,
         )
         .unwrap();
+        let check = LatCheck {
+            slot: 0,
+            column: 1,
+            kind: inclusive,
+        };
         assert_eq!(
-            inclusive.explain(&lat, Some(&row(Value::Int(4)))),
+            check.explain(&lat, Some(&row(Value::Int(4)))),
             "pruned by LAT guard: Sig_LAT.N=4 outside [5,∞)"
         );
         assert_eq!(
-            inclusive.explain(&lat, Some(&row(Value::Null))),
+            check.explain(&lat, Some(&row(Value::Null))),
             "pruned by LAT guard: Sig_LAT.N is NULL"
         );
         assert_eq!(
-            inclusive.explain(&lat, None),
+            check.explain(&lat, None),
             "pruned by LAT guard: no Sig_LAT row"
         );
+    }
+
+    /// A probe decides its segment only: the rules before `from` and after
+    /// `to` keep their bits, across bitset words.
+    #[test]
+    fn refute_stays_inside_its_segment() {
+        let idx = lat_index(&vec![at_least(Value::Int(5), false); 130]);
+        for (from, to) in [(0, 0), (3, 9), (60, 70), (63, 64), (64, 127), (100, 129)] {
+            let want: Vec<usize> = (from..=to).collect();
+            assert_eq!(refused_in(&idx, None, (from, to)), want, "{from}..={to}");
+        }
+        let row = vec![Value::Int(1), Value::Int(5)];
+        assert!(refused_in(&idx, Some(&row), (60, 70)).is_empty());
     }
 }

@@ -17,7 +17,7 @@ use sqlcm_telemetry::{FlightRecord, Stamp};
 use crate::actions::{persist_rows, substitute};
 use crate::containment::{BreakerGate, CHECKPOINT_INTERVAL};
 use crate::deferred::DeferredKind;
-use crate::guard::LatCheck;
+use crate::guard::GuardIndex;
 use crate::lat::Lat;
 use crate::objects::{self, evicted_object, ClassName, Object};
 use crate::plan::{
@@ -98,30 +98,67 @@ struct EvalState {
     slots: Vec<HoistState>,
     /// Shared-subexpression values, one per `EventPlan::cse` entry.
     cse: Vec<Option<Value>>,
+    /// Scratch of [`GuardIndex::refute`].
+    keep: Vec<u64>,
 }
 
 impl EvalState {
-    /// A rule's LAT-guard check at its turn on a probed event, before its
-    /// breaker gate and every per-evaluation count: whether `check` admits
-    /// its hoisted row of `lat` as it stands now. A slot an earlier rule's
-    /// `Insert` or `Reset` emptied is fetched, the fetch the condition would
-    /// have made. A refused rule books that read as its condition would
-    /// have; an admitted one leaves it to the condition ([`Fetch::Unbooked`]).
-    fn lat_guard_admits(
+    /// Probe the LAT guards on `slot` once for the writer-free segment that
+    /// starts at `from`, the walk's first LAT-guarded candidate on the slot
+    /// whose verdict is stale: the rules up to and including the next one
+    /// whose actions write the slot's LAT (`EventPlan::writers`). None of
+    /// them can change the row before the segment's end, so the row as it
+    /// stands now is the one each of their conditions would read. A slot an
+    /// earlier rule's `Insert` or `Reset` emptied is fetched, the fetch the
+    /// first condition would have made. Each refused rule leaves `run`,
+    /// counts one evaluation and books one read of the slot, as its
+    /// condition would have, and is noted in `sampled` on a sampled event.
+    /// Returns how many rules it refused.
+    #[allow(clippy::too_many_arguments)]
+    fn refute_segment(
         &mut self,
-        check: &LatCheck,
-        lat: &Lat,
+        ep: &EventPlan,
+        gi: &GuardIndex,
+        slot: u32,
+        from: usize,
         objects: &[Object],
+        run: &mut [u64],
         books: &mut EventBooks,
-    ) -> bool {
-        let slot = &mut self.slots[check.slot as usize];
-        slot.fill(lat, objects);
-        let admitted = check.admits(slot.row());
-        if !admitted {
-            slot.read(books);
+        sampled: Option<&mut Refusals>,
+    ) -> u64 {
+        let EvalState { slots, keep, .. } = self;
+        let (state, hoisted) = (&mut slots[slot as usize], &ep.hoisted[slot as usize]);
+        let writers = &ep.writers[slot as usize];
+        let next = writers.partition_point(|&w| (w as usize) < from);
+        let to = match next < writers.len() {
+            true => writers[next] as usize,
+            false => ep.rules.len() - 1,
+        };
+        state.fill(&hoisted.lat, objects);
+        state.covered_to = to + 1;
+        let row = state.row();
+        let mut refused = 0u64;
+        match sampled {
+            None => gi.refute(slot, row, (from, to), run, keep, |_| refused += 1),
+            Some(notes) => gi.refute(slot, row, (from, to), run, keep, |ri| {
+                refused += 1;
+                notes.admitted[ri >> 6] &= !(1 << (ri & 63));
+                let check = ep.rules[ri].lat_guard.as_ref().expect("a LAT-guarded rule");
+                notes.reasons.push((ri, check.explain(&hoisted.lat, row)));
+            }),
         }
-        admitted
+        state.read(refused, books);
+        books.evaluations += refused;
+        refused
     }
+}
+
+/// What a sampled event keeps of its LAT-guard probes for its trace
+/// ([`PrunedRules`]): the payload probe's candidates less the rules a LAT
+/// guard refused, and why each was refused, by position.
+struct Refusals {
+    admitted: Vec<u64>,
+    reasons: Vec<(usize, String)>,
 }
 
 /// One hoist slot's row snapshot within an event. The thread's slots outlive
@@ -133,6 +170,11 @@ struct HoistState {
     /// The LAT held the row — the implicit ∃ holds — and `row` is it.
     found: bool,
     row: Vec<Value>,
+    /// The rules before this position have had the slot's LAT guards
+    /// probed against `row` ([`EvalState::refute_segment`]); 0 when no
+    /// probe's verdict holds. A segment ends at the slot's next writer, so
+    /// the slot is emptied only once the walk is past it.
+    covered_to: usize,
 }
 
 /// Where a hoist slot stands on the current event.
@@ -143,7 +185,7 @@ enum Fetch {
     Empty,
     /// Fetched and the fetch booked: a further read is a hoisted hit.
     Booked,
-    /// Fetched by a LAT guard that admitted its rule, and read by no
+    /// Fetched for a LAT-guard probe that refused no rule, and read by no
     /// condition yet: the next read books the fetch, as the condition's own
     /// fetch would have been booked.
     Unbooked,
@@ -166,15 +208,15 @@ impl HoistState {
         (self.fetch != Fetch::Empty && self.found).then_some(&self.row)
     }
 
-    /// Book one read of the filled slot: a hit when an earlier read booked
-    /// its fetch, the fetch otherwise. Returns whether it was a hit.
-    fn read(&mut self, books: &mut EventBooks) -> bool {
+    /// Book `n` reads of the filled slot: the first is a hit when an earlier
+    /// read booked the fetch, and books the fetch otherwise; the rest are
+    /// hits. Returns whether the first was a hit.
+    fn read(&mut self, n: u64, books: &mut EventBooks) -> bool {
         let hit = self.fetch == Fetch::Booked;
-        self.fetch = Fetch::Booked;
-        if hit {
-            books.hoisted_lookup_hits += 1;
-        } else {
-            books.lat_row_fetches += 1;
+        if n > 0 {
+            self.fetch = Fetch::Booked;
+            books.lat_row_fetches += u64::from(!hit);
+            books.hoisted_lookup_hits += n - u64::from(!hit);
         }
         hit
     }
@@ -496,6 +538,7 @@ impl SqlcmInner {
         }
         for slot in &mut eval.slots[..ep.hoisted.len()] {
             slot.fetch = Fetch::Empty;
+            slot.covered_to = 0;
         }
         // Shared-subexpression value store: the first rule to evaluate a
         // shared condition subtree publishes its value here, later sharers
@@ -524,16 +567,19 @@ impl SqlcmInner {
                 *last = (1u64 << tail) - 1;
             }
         }
-        let mut admitted_set = match trace {
-            Some(_) if probed => run.clone(),
-            _ => Vec::new(),
+        let mut sampled = match trace {
+            Some(_) if probed => Some(Refusals {
+                admitted: run.clone(),
+                reasons: Vec::new(),
+            }),
+            _ => None,
         };
         // Pin applicability before any rule runs (see `Rule::set_enabled`):
         // the in-service bit is read here, for the rules about to run only —
         // the same bit that opens and closes the rule's credit on the class
         // clock, so a rule is credited a pruning iff it would have run. A
-        // rule with a LAT guard is a candidate only once its check at its
-        // turn admits it.
+        // rule with a LAT guard is a candidate only once its segment's probe
+        // admits it.
         let mut admitted = 0u64;
         for (w, word) in run.iter_mut().enumerate() {
             for b in set_bits(*word) {
@@ -566,25 +612,27 @@ impl SqlcmInner {
             time_all: self.containment.latency_budget_nanos() > 0,
         };
         let mut books = EventBooks::open(pruned);
-        // Rules the LAT-guard check pruned, with the reason on a sampled
-        // event.
+        // Rules the LAT-guard probes refused. The walk re-reads its word
+        // after a probe: a refused rule is never visited.
         let mut lat_pruned = 0u64;
-        let mut lat_reasons = Vec::new();
-        for (w, &word) in run.iter().enumerate() {
-            for b in set_bits(word) {
+        for w in 0..run.len() {
+            let mut word = run[w];
+            while word != 0 {
+                let b = word.trailing_zeros() as usize;
+                word &= word - 1;
                 let ri = w * 64 + b;
                 let pr = &ep.rules[ri];
                 if let Some(check) = pr.lat_guard.as_ref().filter(|_| probed) {
-                    let lat = &pr.lats[check.lat];
-                    if !eval.lat_guard_admits(check, lat, objects, &mut books) {
-                        lat_pruned += 1;
-                        books.evaluations += 1;
-                        if trace.is_some() {
-                            admitted_set[w] &= !(1 << b);
-                            let row = eval.slots[check.slot as usize].row();
-                            lat_reasons.push((ri, check.explain(lat, row)));
+                    let slot = check.slot;
+                    if eval.slots[slot as usize].covered_to <= ri {
+                        let gi = ep.guards.as_ref().expect("a probed event has an index");
+                        let notes = sampled.as_mut();
+                        lat_pruned +=
+                            eval.refute_segment(ep, gi, slot, ri, objects, run, &mut books, notes);
+                        word &= run[w];
+                        if run[w] & (1 << b) == 0 {
+                            continue;
                         }
-                        continue;
                     }
                     let mine = pr.reg.rule.books.mine();
                     mine.candidate_events.fetch_add(1, Ordering::Relaxed);
@@ -601,14 +649,14 @@ impl SqlcmInner {
             if admitted > 0 {
                 self.telemetry.candidate_rules.add(admitted);
             }
-            if let Some(ctx) = trace.as_mut() {
+            if let (Some(ctx), Some(notes)) = (trace.as_mut(), sampled) {
                 ctx.pruned_rules(PrunedRules {
                     event_span,
                     pruned,
                     candidates: admitted,
                     plan: ep.clone(),
-                    admitted: admitted_set,
-                    lat_reasons,
+                    admitted: notes.admitted,
+                    lat_reasons: notes.reasons,
                     objects: objects.to_vec(),
                 });
             }
@@ -752,7 +800,7 @@ impl SqlcmInner {
         books: &mut EventBooks,
         trace: &mut Option<TraceCtx>,
     ) {
-        let EvalState { slots, cse } = eval;
+        let EvalState { slots, cse, .. } = eval;
         let reg = &*pr.reg;
         // Breaker admission. `Closed` (the steady state) costs one relaxed
         // load. `Skip` is the half-open rule while its one trial is in
@@ -835,7 +883,7 @@ impl SqlcmInner {
             } else {
                 let slot = &mut slots[slot as usize];
                 slot.fill(lat, combo);
-                let hoisted = slot.read(books);
+                let hoisted = slot.read(1, books);
                 if let Some(ctx) = trace.as_mut() {
                     ctx.lat_lookup(rule_span, &lat.spec.name, slot.found, hoisted);
                 }

@@ -35,9 +35,10 @@
 //! ([`DispatchPlan::next`]); the others are the same `Arc<EventPlan>`. A rule
 //! added to a class is planned and emitted alone and *appended*
 //! ([`EventPlan::appended`]) when nothing about the class's existing rules
-//! can change — the two plans share them by the block ([`Rules`]), and the
-//! guard index's and CSE support's partitions the rule does not land in
-//! ([`crate::shared`]) — and the class is derived again otherwise.
+//! can change — the two plans share them by the block ([`Rules`]), each hoist
+//! slot's writer positions likewise, and the guard index's and CSE support's
+//! partitions and entries the rule does not land in ([`crate::shared`]) — and
+//! the class is derived again otherwise.
 //!
 //! Plans are owned by plain `Arc`s: the cell holds the current one, every
 //! thread that dispatches caches the one it last used, and a superseded plan
@@ -175,7 +176,8 @@ pub(crate) struct PlanRule {
     /// event's objects in place, no §5.2 iteration over live objects.
     pub in_payload: bool,
     /// `reg.lat_guard` resolved against `lats`, when the reference it reads
-    /// is hoisted: dispatch checks it at the rule's turn on a probed event.
+    /// is hoisted: the class's guard index tests it, once per writer-free
+    /// segment of a probed event's walk.
     pub lat_guard: Option<LatCheck>,
 }
 
@@ -193,6 +195,10 @@ pub(crate) struct EventPlan {
     /// ([`RuleEvent::payload_classes`]).
     pub payload: Vec<ClassName>,
     pub hoisted: Vec<HoistSlot>,
+    /// Per hoist slot, the positions of the rules whose `invalidates` names
+    /// it, ascending: where the writer-free segments a LAT-guard probe
+    /// decides end.
+    pub writers: Vec<Blocks<u32>>,
     /// Event-level shared-subexpression slots (see [`CseSlot`]).
     pub cse: Vec<CseSlot>,
     /// Guard index over this event's rules (see [`crate::guard`]): one probe
@@ -383,7 +389,6 @@ fn plan_rule(
             .position(|l| l.eq_ignore_ascii_case(&g.lat))?;
         let slot = pr.lat_slots[lat];
         Some(LatCheck {
-            lat,
             slot: (slot != NO_HOIST).then_some(slot)?,
             column: pr.lats[lat].column_index(&g.column)?,
             kind: g.kind.clone(),
@@ -588,8 +593,12 @@ impl EventPlan {
         // computed only once every rule of the class is planned. Bytecode
         // emission rides along because CSE slot numbers are baked into the
         // programs.
-        for pr in &mut rules {
+        let mut writers = vec![Vec::new(); hoisted.len()];
+        for (ri, pr) in rules.iter_mut().enumerate() {
             pr.invalidates = invalidations_of(&pr.reg, &hoisted);
+            for &slot in &pr.invalidates {
+                writers[slot as usize].push(ri as u32);
+            }
         }
         let (cse, support, slot_of) = assign_cse_and_emit(&mut rules, &payload);
         EventPlan {
@@ -599,6 +608,7 @@ impl EventPlan {
             rules: rules.into(),
             payload,
             hoisted,
+            writers: writers.into_iter().map(Blocks::from).collect(),
             cse,
             label: event.to_string().into(),
             clock: first.rule.clock().cloned(),
@@ -617,7 +627,8 @@ impl EventPlan {
     ///   indexable one;
     /// * the first reader of a hoistable LAT creates its slot, which the
     ///   earlier writers of that LAT must invalidate (a reader of an existing
-    ///   slot shares it and changes nothing);
+    ///   slot shares it and changes nothing, and a writer of one appends its
+    ///   position to the slot's `writers`);
     /// * a claim no existing CSE slot serves starts or completes a group of
     ///   claimers, and a completed group's first claimer starts storing.
     ///   That covers the subtree one earlier rule held alone: its second
@@ -640,6 +651,11 @@ impl EventPlan {
             return None;
         }
         pr.invalidates = invalidations_of(reg, &hoisted);
+        let mut writers = self.writers.clone();
+        for &slot in &pr.invalidates {
+            let slot = &mut writers[slot as usize];
+            *slot = slot.with(self.rules.len() as u32);
+        }
         let mut support = self.support.clone();
         if let Some(c) = &reg.compiled {
             let eligible = shareable_nodes(c, &payload, &pr.lat_slots);
@@ -670,6 +686,7 @@ impl EventPlan {
             rules: self.rules.with(pr),
             payload,
             hoisted,
+            writers,
             cse: self.cse.clone(),
             guards,
             label: self.label.clone(),
@@ -1186,7 +1203,7 @@ mod tests {
             .lat_guard
             .as_ref()
             .expect("hoisted reader guarded");
-        assert_eq!((check.lat, check.slot, check.column), (0, 0, 1));
+        assert_eq!((check.slot, check.column), (0, 1));
         assert!(ep.rules[1].reg.lat_guard.is_some(), "the verdict has one");
         assert_eq!(ep.rules[1].lat_slots, vec![NO_HOIST]);
         assert!(ep.rules[1].lat_guard.is_none());
@@ -1309,7 +1326,8 @@ mod tests {
 /// The incremental plan *is* the from-scratch plan: random registry
 /// histories through the real `Sqlcm`, and after every mutation the published
 /// plan — reached from its predecessor by [`DispatchPlan::next`] — is compared
-/// with [`DispatchPlan::build`] over the same registry.
+/// with [`DispatchPlan::build`] over the same registry, down to the guard
+/// index's shared entries and LAT groups and each hoist slot's writers.
 #[cfg(test)]
 mod incremental {
     use super::*;
@@ -1339,8 +1357,10 @@ mod incremental {
                 pr.reg.rule.name, pr.broken, pr.lat_slots, pr.invalidates, pr.lat_guard, pr.program
             );
         }
-        for h in &ep.hoisted {
-            out += &format!("  hoist {} {:?}\n", h.name, Arc::as_ptr(&h.lat));
+        for (h, writers) in ep.hoisted.iter().zip(&ep.writers) {
+            let writers: Vec<u32> = writers.iter().copied().collect();
+            let lat = Arc::as_ptr(&h.lat);
+            out += &format!("  hoist {} {lat:?} writers={writers:?}\n", h.name);
         }
         for c in &ep.cse {
             out += &format!("  cse deps={:?} exemplar={:?}\n", c.deps, c.exemplar);
@@ -1474,6 +1494,8 @@ mod incremental {
         appends_sharing_a_slot: u32,
         appends_off_the_payload: u32,
         appends_reading_a_hoist_slot: u32,
+        appends_with_a_lat_guard: u32,
+        appends_writing_a_hoist_slot: u32,
         broken: u32,
         redefined: u32,
         middle_removals: u32,
@@ -1564,6 +1586,8 @@ mod incremental {
                     met.appends_off_the_payload += u32::from(off);
                     let hoisted = pr.lat_slots.iter().any(|&s| s != NO_HOIST);
                     met.appends_reading_a_hoist_slot += u32::from(hoisted);
+                    met.appends_with_a_lat_guard += u32::from(pr.lat_guard.is_some());
+                    met.appends_writing_a_hoist_slot += u32::from(!pr.invalidates.is_empty());
                 } else if ep.rules.len() > 2 {
                     met.rederived_adds += 1;
                 }
@@ -1667,6 +1691,10 @@ mod incremental {
             "{met:?}"
         );
         assert!(met.appends_reading_a_hoist_slot > 40, "{met:?}");
+        assert!(
+            met.appends_with_a_lat_guard > 40 && met.appends_writing_a_hoist_slot > 40,
+            "{met:?}"
+        );
         assert!(met.broken > 100 && met.redefined > 100, "{met:?}");
         assert!(
             met.middle_removals > 500 && met.dynamic_classes > 500,

@@ -65,6 +65,15 @@ pub(crate) struct Blocks<T> {
     len: usize,
 }
 
+impl<T> Clone for Blocks<T> {
+    fn clone(&self) -> Blocks<T> {
+        Blocks {
+            spine: self.spine.clone(),
+            len: self.len,
+        }
+    }
+}
+
 impl<T> Default for Blocks<T> {
     fn default() -> Blocks<T> {
         Blocks {
@@ -83,8 +92,29 @@ impl<T> Blocks<T> {
         self.len == 0
     }
 
+    /// The items in order, read block by block.
     pub fn iter(&self) -> impl Iterator<Item = &T> + '_ {
-        (0..self.len).map(|i| &self[i])
+        let blocks = self.spine[..self.len.div_ceil(BLOCK)].iter().enumerate();
+        blocks.flat_map(move |(b, block)| {
+            let block = block.get().expect("a plan's blocks are set");
+            let items = block[..BLOCK.min(self.len - b * BLOCK)].iter();
+            items.map(|slot| slot.get().expect("a plan's items are set"))
+        })
+    }
+
+    /// How many leading items `pred` holds for; the items must be
+    /// partitioned by it, as for `slice::partition_point`.
+    pub fn partition_point(&self, pred: impl Fn(&T) -> bool) -> usize {
+        let (mut lo, mut hi) = (0, self.len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if pred(&self[mid]) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 
     fn block(&self, b: usize) -> &Block<T> {

@@ -51,8 +51,9 @@
 //! `pruned by guard index: …` outcome of each is worked out when the trace
 //! is read — by the text tree, the Chrome export, or
 //! [`TraceSnapshot::pruned_outcome`] for one rule by name. A rule a LAT
-//! guard pruned at its turn records its `pruned by LAT guard: …` outcome
-//! then, from the row it read; an unsampled event builds no reason.
+//! guard refused records its `pruned by LAT guard: …` outcome at its
+//! segment's probe, from the row the probe read; an unsampled event builds
+//! no reason.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -163,8 +164,8 @@ impl SpanKind {
 /// The rules one traced event's guard-index probe pruned, kept as what the
 /// probe produced rather than as one span per rule, so a sampled event over
 /// thousands of rules still costs its candidates. Rendered on demand — but
-/// for the rules a LAT guard pruned at their turn, whose reason names the
-/// row they read then, which a later rule may have changed.
+/// for the rules a LAT guard refused, whose reason names the row their
+/// segment's probe read, which a later writer may have changed.
 ///
 /// Dispatch never visits a rule the probe pruned, so it cannot tell whether
 /// one was disabled when the event arrived: [`PrunedRules::outcomes`] lists

@@ -953,6 +953,79 @@ fn refuted_lat_watchers_run_no_condition() {
     }
 }
 
+/// The same ladder with a second feeder in its middle: `feed2` writes the
+/// row, so the watchers are two writer-free segments — `watch0`…`watch15`
+/// up to and including `feed2`, and `watch16`…`watch30` after it — each
+/// probed once. The first segment's probe fetches the row `feed` changed and
+/// 15 share it; `feed2` fires and empties the slot, and the second probe
+/// fetches the row again for 15 reads, 14 of them shared.
+#[test]
+fn a_second_feeder_splits_the_watchers_into_two_segments() {
+    let engine = Engine::in_memory();
+    let ev = commit_event(3, 0.5);
+    let sqlcm = Sqlcm::attach(&engine);
+    feed_and_watchers(&sqlcm, 16, |n| {
+        format!("Query.Duration > 0.001 AND Sig_LAT.N >= {n}")
+    });
+    let feed2 = Rule::new("feed2")
+        .on(RuleEvent::QueryCommit)
+        .then(Action::insert("Sig_LAT"));
+    sqlcm.add_rule(feed2).unwrap();
+    for i in 16..31 {
+        let cond = format!(
+            "Query.Duration > 0.001 AND Sig_LAT.N >= {}",
+            1_000_000_000 + i
+        );
+        let watcher = Rule::new(format!("watch{i}")).on(RuleEvent::QueryCommit);
+        sqlcm.add_rule(watcher.when(&cond)).unwrap();
+    }
+    // Both feeders time their first condition and firing.
+    #[cfg(debug_assertions)]
+    {
+        assert_eq!(clock_reads(|| sqlcm.inject_event(&ev)), 2 + 2 * (2 + 1));
+        for _ in 1..64 {
+            assert_eq!(clock_reads(|| sqlcm.inject_event(&ev)), 2);
+        }
+        assert_eq!(clock_reads(|| sqlcm.inject_event(&ev)), 2 + 2 * (2 + 1));
+    }
+    #[cfg(not(debug_assertions))]
+    for _ in 0..65 {
+        sqlcm.inject_event(&ev);
+    }
+    let before = sqlcm.telemetry();
+    let allocs_before = allocations();
+    let events = 1_000u64;
+    for _ in 0..events {
+        sqlcm.inject_event(&ev);
+    }
+    let allocs_after = allocations();
+    let after = sqlcm.telemetry();
+    assert_eq!(allocs_after - allocs_before, 0, "split ladder allocated");
+    let (stats, was) = (after.stats, before.stats);
+    assert_eq!(stats.evaluations - was.evaluations, 33 * events);
+    assert_eq!(stats.fires - was.fires, 2 * events);
+    let (matching, was) = (after.matching, before.matching);
+    assert_eq!(matching.guard_probes - was.guard_probes, events);
+    assert_eq!(matching.rules_pruned - was.rules_pruned, 31 * events);
+    assert_eq!(matching.candidate_rules - was.candidate_rules, 2 * events);
+    let (dispatch, was) = (after.dispatch, before.dispatch);
+    assert_eq!(dispatch.vm_instructions, was.vm_instructions);
+    assert_eq!(dispatch.lat_row_fetches - was.lat_row_fetches, 2 * events);
+    assert_eq!(
+        dispatch.hoisted_lookup_hits - was.hoisted_lookup_hits,
+        29 * events
+    );
+    for i in 0..31 {
+        let stats = sqlcm.rule(&format!("watch{i}")).unwrap().stats();
+        assert_eq!(stats.evaluations, stats.pruned, "watch{i}");
+        assert_eq!(stats.evaluations, 65 + events, "watch{i}");
+    }
+    for feed in ["feed", "feed2"] {
+        let stats = sqlcm.rule(feed).unwrap().stats();
+        assert_eq!((stats.evaluations, stats.fires), (65 + events, 65 + events));
+    }
+}
+
 /// A cascade times the same way: `on_event` reads twice however many events
 /// it drains, and each drained event's rules time their spans on their own
 /// schedules. The eviction rules' first evaluations and firings fall on the
@@ -1199,4 +1272,66 @@ fn registration_time_does_not_grow_with_registered_rules() {
         large <= 2.0 * small,
         "{large:.1} us per add_rule at 16 000 rules, {small:.1} us at 1 000"
     );
+}
+
+/// The registration pin for shared guard entries: every rule of the class
+/// has one of 8 payload bounds and one of 8 LAT bounds
+/// (`Query.Duration > d_k AND Tenant_LAT.N >= k`, `k = i mod 8`) and writes
+/// the LAT it reads. A rule joins an existing entry in both groups and
+/// appends its position to the slot's writers, so the mean `add_rule` at
+/// 16 000 registered rules stays within twice the mean at 1 000, and every
+/// one of those registrations appends its rule alone. Each mean is the
+/// fastest of three batches of 250.
+///
+/// Release builds only: a timing ratio of an unoptimized build pins nothing.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing pin; run with --release")]
+fn registration_time_does_not_grow_with_shared_guard_entries() {
+    let engine = Engine::in_memory();
+    let sqlcm = Sqlcm::attach(&engine);
+    sqlcm
+        .define_lat(
+            LatSpec::new("Tenant_LAT")
+                .group_by("Query.User", "Usr")
+                .aggregate(LatAggFunc::Count, "", "N"),
+        )
+        .unwrap();
+    let ladder = |i: usize| {
+        let k = i % 8;
+        Rule::new(format!("ladder_rule_{i}"))
+            .on(RuleEvent::QueryCommit)
+            .when(&format!("Query.Duration > 0.00{k} AND Tenant_LAT.N >= {k}"))
+            .then(Action::insert("Tenant_LAT"))
+    };
+    let grow_to = |rules: usize| {
+        for i in sqlcm.rule_count()..rules {
+            sqlcm.add_rule(ladder(i)).unwrap();
+        }
+    };
+    let batch_mean_us = || {
+        let from = sqlcm.rule_count();
+        let batch: Vec<Rule> = (from..from + 250).map(ladder).collect();
+        let planned = sqlcm.telemetry().dispatch.plan_rules_planned;
+        let t = std::time::Instant::now();
+        for rule in batch {
+            sqlcm.add_rule(rule).unwrap();
+        }
+        let us = t.elapsed().as_secs_f64() * 1e6 / 250.0;
+        let appended = sqlcm.telemetry().dispatch.plan_rules_planned - planned;
+        assert_eq!(appended, 250, "from {from} rules: each rule planned alone");
+        us
+    };
+    let mean_at = |rules: usize| {
+        grow_to(rules);
+        (0..3).map(|_| batch_mean_us()).fold(f64::MAX, f64::min)
+    };
+    let small = mean_at(1_000);
+    let large = mean_at(16_000);
+    println!("add_rule: {small:.1} us at 1 000 rules, {large:.1} us at 16 000");
+    assert!(
+        large <= 2.0 * small,
+        "{large:.1} us per add_rule at 16 000 rules, {small:.1} us at 1 000"
+    );
+    let guards = sqlcm.plan_summary();
+    assert_eq!(guards.guard_residual_rules, 0);
 }

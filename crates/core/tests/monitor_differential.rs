@@ -24,6 +24,7 @@ use sqlcm_core::containment::BREAKER_WINDOW;
 use sqlcm_core::sinks::{CommandSink, RecordingCommandSink};
 use sqlcm_core::{
     Action, BreakerConfig, ClassName, LatAggFunc, LatSpec, MonitorConfig, Rule, RuleEvent, Sqlcm,
+    TraceSampling,
 };
 use sqlcm_engine::engine::EngineConfig;
 use sqlcm_engine::Engine;
@@ -328,8 +329,8 @@ fn guard_index_prunes_only_what_cannot_fire() {
     assert!(m.candidate_rules_per_event() < p.rules.len() as f64);
 }
 
-/// LAT guards, checked at each rule's turn against the row its event hoisted:
-/// watchers between feeders and a mid-event `Reset`, so a watcher's row is
+/// LAT guards, probed per writer-free segment against the row the event
+/// hoisted: watchers between feeders and a mid-event `Reset`, so a watcher's row is
 /// often one a predecessor changed or emptied; COUNT thresholds crossed
 /// upward, AVG/MIN/MAX ones both ways, strict and inclusive endpoints hit
 /// exactly; groups never fed; a NULL aggregate; `=`/`IN` on a text column;
@@ -433,6 +434,109 @@ fn lat_guards_prune_exactly_what_cannot_fire() {
         assert_eq!(m.rules_pruned, pruned, "{what}");
         assert_eq!(m.residual_rules, 2, "{what}: residual, blocked");
     }
+}
+
+/// LAT-guard ladders, probed once per writer-free segment: an ascending
+/// `N >= k` ladder with a feeder in its middle and a descending `Avg_D <= x`
+/// ladder with a `Reset` in its middle, so a verdict must stop at the writer;
+/// equal bounds that mix strict and inclusive, `Int` and `Float`; `=`/`IN`
+/// on a `LAST(User)` column; rules guarded on two columns of one LAT, and
+/// one with a conjunct on each; a missing row (signatures 6 and 7 are never
+/// fed) and a NULL column. A watcher whose condition is all guard conjuncts
+/// fires exactly when no guard refuses it: `pruned == evaluations − fires`.
+/// Tracing every event changes no count: the sampled walk renders its
+/// reasons from the same verdicts.
+#[test]
+fn lat_guard_ladders_prune_in_bulk_exactly() {
+    // (name, condition with `S` for the LAT, all guard conjuncts?)
+    let rules: &[(&str, &str, bool)] = &[
+        ("up1", "S.N >= 1", true),
+        ("up2", "S.N >= 2", true),
+        ("feed_a", "Query.Logical_Signature < 6", false),
+        ("up3", "S.N >= 3", true),
+        ("ge4", "S.N >= 4", true),
+        ("gt4", "S.N > 4", true),
+        ("ge4_float", "S.N >= 4.0", true),
+        ("gt4_float", "S.N > 4.0", true),
+        ("ge4_again", "S.N >= 4", true),
+        ("up6", "S.N >= 6", true),
+        ("feed_b", "Query.Duration >= 0.5", false),
+        ("up8", "S.N >= 8", true),
+        ("down75", "S.Avg_D <= 0.75", true),
+        ("down5", "S.Avg_D <= 0.5", true),
+        ("flush", "S.N >= 10", false),
+        ("down375", "S.Avg_D <= 0.375", true),
+        ("below25", "S.Avg_D < 0.25", true),
+        ("down25", "S.Avg_D <= 0.25", true),
+        ("usr_eq", "S.Usr = 'user_3'", true),
+        ("usr_in", "S.Usr IN ('user_1', 'user_3')", true),
+        ("usr_eq_again", "S.Usr = 'user_3'", true),
+        ("two_columns", "S.N >= 3 AND S.Avg_D > 0.25", false),
+        ("phys", "S.Phys >= 1", true),
+        ("dur_and_n", "Query.Duration > 0.25 AND S.N >= 2", true),
+        ("up2_last", "S.N >= 2", true),
+    ];
+    let run = |traced: bool| {
+        let mut p = Pair::new();
+        if traced {
+            p.real.configure(MonitorConfig {
+                trace_sampling: TraceSampling::EveryNth(1),
+                ..p.real.config()
+            });
+        }
+        p.lat(
+            LatSpec::new("Stats_LAT")
+                .group_by("Query.Logical_Signature", "Sig")
+                .aggregate(LatAggFunc::Count, "", "N")
+                .aggregate(LatAggFunc::Avg, "Query.Duration", "Avg_D")
+                .aggregate(LatAggFunc::Last, "Query.User", "Usr")
+                .aggregate(LatAggFunc::Max, "Query.Physical_Signature", "Phys"),
+        );
+        for &(name, cond, _) in rules {
+            let cond = cond.replace("S.", "Stats_LAT.");
+            let actions = match name {
+                "flush" => vec![Action::reset("Stats_LAT")],
+                n if n.starts_with("feed") => vec![Action::insert("Stats_LAT")],
+                _ => vec![mail(name)],
+            };
+            p.on_commit(name, Some(&cond), &actions);
+        }
+        // Signatures 6 and 7 are never fed; 0–2 carry a physical signature,
+        // so `Phys` is NULL in the other groups. Quarter-second durations put
+        // AVG on the ladder's bounds exactly.
+        let mut state = 0x7f4a_7c15_9e37_79b9_u64;
+        for _ in 0..1_500 {
+            let sig = lcg(&mut state) % 8;
+            let mut q = QueryInfo::synthetic(sig, "SELECT 1");
+            q.logical_signature = Some(sig);
+            q.physical_signature = (sig < 3).then_some(sig + 1);
+            q.duration_micros = (lcg(&mut state) % 4) * 250_000;
+            q.user = format!("user_{}", lcg(&mut state) % 8).into();
+            p.inject(&EngineEvent::QueryCommit(q));
+        }
+        let what = format!("LAT-guard ladders, traced {traced}");
+        p.assert_parity(&what);
+        let mut pruned = 0;
+        let mut counts = Vec::new();
+        for &(name, _, all_guards) in rules {
+            let st = p.real.rule(name).unwrap().stats();
+            assert_eq!(st.action_errors, 0, "{what}: {name}");
+            pruned += st.pruned;
+            if all_guards {
+                assert_eq!(st.pruned, st.evaluations - st.fires, "{what}: {name}");
+                assert!(st.fires > 0 && st.pruned > 0, "{what}: {name} {st:?}");
+            }
+            counts.push((name, st.evaluations, st.pruned, st.fires, st.actions));
+        }
+        let t = p.real.telemetry();
+        assert_eq!(t.matching.rules_pruned, pruned, "{what}");
+        assert_eq!(t.matching.residual_rules, 0, "{what}");
+        assert_eq!(t.stats.action_errors, 0, "{what}");
+        assert_eq!(p.real.traces().is_empty(), !traced, "{what}");
+        let d = t.dispatch;
+        (counts, d.lat_row_fetches, d.hoisted_lookup_hits)
+    };
+    assert_eq!(run(true), run(false));
 }
 
 /// LCG-shaped rule sets (equality, IN, one/two-sided ranges, patterns,

@@ -636,7 +636,7 @@ fn lat_guard_trace(cond: &str, watch_first: bool, warm: bool) -> (Sqlcm, TraceSn
     (sqlcm, t)
 }
 
-/// A LAT guard pruning at its rule's turn names the row value it read then
+/// A LAT-guard refusal names the row value its segment's probe read
 /// and the bounds it falls outside of.
 #[test]
 fn a_lat_guard_prune_names_the_value_outside_its_bounds() {
