@@ -12,6 +12,11 @@
 //! 4. **sampled every event** — `TraceSampling::EveryNth(1)`: the worst case,
 //!    reported for reference (no gate).
 //!
+//! Configurations 1, 3 and 4 are also timed with two dispatcher threads
+//! injecting into the one monitor at once (reported, no gate): what tracing
+//! costs when its sampling counts, trace ids and rings are written by more
+//! than one thread.
+//!
 //! Writes `BENCH_t7_trace_overhead.json` and exits non-zero when either gate
 //! fails, so CI can gate on it:
 //!
@@ -53,6 +58,22 @@ fn time_batch(sqlcm: &Sqlcm, ev: &EngineEvent, events: u32) -> f64 {
         sqlcm.inject_event(ev);
     }
     t.elapsed().as_secs_f64() * 1e9 / events as f64
+}
+
+/// `events` injections on each of two threads at once, in ns/event (wall
+/// time over both threads' events).
+fn time_two_threads(sqlcm: &Sqlcm, ev: &EngineEvent, events: u32) -> f64 {
+    let t = Instant::now();
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                for _ in 0..events {
+                    sqlcm.inject_event(ev);
+                }
+            });
+        }
+    });
+    t.elapsed().as_secs_f64() * 1e9 / f64::from(2 * events)
 }
 
 fn median(mut xs: Vec<f64>) -> f64 {
@@ -108,6 +129,7 @@ fn main() {
         ("sampled1", &sampled1),
     ];
     let mut samples: [Vec<f64>; 4] = Default::default();
+    let mut two: [Vec<f64>; 3] = Default::default();
     for (_, sqlcm) in &configs {
         for _ in 0..1_000 {
             sqlcm.inject_event(&ev);
@@ -117,7 +139,11 @@ fn main() {
         for (i, (_, sqlcm)) in configs.iter().enumerate() {
             samples[i].push(time_batch(sqlcm, &ev, events));
         }
+        for (i, sqlcm) in [&baseline, &sampled64, &sampled1].into_iter().enumerate() {
+            two[i].push(time_two_threads(sqlcm, &ev, events / 2));
+        }
     }
+    let [two_baseline_ns, two_sampled64_ns, two_sampled1_ns] = two.map(median);
     let [baseline_s, disabled_s, sampled64_s, sampled1_s] = samples;
     // Medians describe typical cost; minima are the stable cost floor the
     // gates compare (a shared box's scheduling spikes only ever add time).
@@ -145,6 +171,9 @@ fn main() {
         "sampled 1-in-64:                  {sampled64_ns:>8.1} ns/event (min {sampled64_min:.1})"
     );
     println!("sampled every event:              {sampled1_ns:>8.1} ns/event");
+    println!("two threads, baseline:            {two_baseline_ns:>8.1} ns/event");
+    println!("two threads, sampled 1-in-64:     {two_sampled64_ns:>8.1} ns/event");
+    println!("two threads, sampled every event: {two_sampled1_ns:>8.1} ns/event");
 
     let disabled_overhead = disabled_ns / baseline_ns - 1.0;
     let sampled64_overhead = sampled64_ns / disabled_ns - 1.0;
@@ -161,6 +190,9 @@ fn main() {
          \"baseline_min_ns_per_event\":{baseline_min:.1},\
          \"disabled_min_ns_per_event\":{disabled_min:.1},\
          \"sampled64_min_ns_per_event\":{sampled64_min:.1},\
+         \"two_thread_baseline_ns_per_event\":{two_baseline_ns:.1},\
+         \"two_thread_sampled64_ns_per_event\":{two_sampled64_ns:.1},\
+         \"two_thread_sampled1_ns_per_event\":{two_sampled1_ns:.1},\
          \"gate_disabled_ratio\":1.02,\"gate_sampled64_ratio\":1.15}}"
     );
     std::fs::write("BENCH_t7_trace_overhead.json", &json).expect("write BENCH json");

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use sqlcm_common::{EngineEvent, Error, Result, Value};
 use sqlcm_engine::instrument::Instrumentation;
 
-use sqlcm_telemetry::{FlightRecord, Stamp};
+use sqlcm_telemetry::{Firing, Label, Stamp};
 
 use crate::actions::{persist_rows, substitute};
 use crate::containment::{BreakerGate, CHECKPOINT_INTERVAL};
@@ -269,6 +269,9 @@ struct EventCtx<'a> {
     /// The event's trace span ([`NONE_SPAN`] untraced) and cascade depth.
     span: u32,
     depth: u32,
+    /// When the batch's root event entered the monitor: its flight records'
+    /// merge key.
+    at: Stamp,
     /// The objects carry every class of `ep.payload` — always, for an event
     /// the engine or the monitor assembled.
     as_declared: bool,
@@ -296,7 +299,7 @@ impl Instrumentation for SqlcmMonitor {
         // is performed unless it is required by a rule" (§2.1).
         self.inner.with_plan(|plan| {
             if plan.probe_mask.contains(probe) {
-                self.inner.dispatch_event(plan, event);
+                self.inner.dispatch_event(plan, event, entered);
             }
         });
         telem.probe_latency[probe.index()].record(Stamp::now().nanos_since(entered));
@@ -408,10 +411,10 @@ impl SqlcmInner {
         out
     }
 
-    /// Dispatch an engine event under `plan`: assemble its payload from the
-    /// thread-local pools (zero allocations in steady state), run every
-    /// subscribed rule, then recycle the buffers.
-    fn dispatch_event(&self, plan: &DispatchPlan, event: &EngineEvent) {
+    /// Dispatch an engine event that entered at `at` under `plan`: assemble
+    /// its payload from the thread-local pools (zero allocations in steady
+    /// state), run every subscribed rule, then recycle the buffers.
+    fn dispatch_event(&self, plan: &DispatchPlan, event: &EngineEvent, at: Stamp) {
         let kind = kind_of(event);
         if PROCESSING.with(|p| p.get()) {
             // Re-entrant probe (a rule action touched the engine): `dispatch`
@@ -433,7 +436,7 @@ impl SqlcmInner {
             )
         });
         payload_objects_in(event, &mut objs, &mut bufs);
-        self.dispatch_with(plan, &kind, &objs, &mut trace);
+        self.dispatch_with(plan, &kind, &objs, at, &mut trace);
         if let Some(ctx) = trace {
             self.tracer.finish(ctx);
         }
@@ -457,7 +460,8 @@ impl SqlcmInner {
     }
 
     /// Entry point for internally raised events (timers, self-monitoring,
-    /// tests): enqueue if re-entrant, else process under the current plan.
+    /// tests): enqueue if re-entrant, else stamp its entry and process it
+    /// under the current plan.
     pub(super) fn dispatch(&self, kind: RuleEvent, objects: Vec<Object>) {
         if PROCESSING.with(|p| p.get()) {
             let (cause, depth) = CASCADE_ORIGIN.with(|c| c.get());
@@ -471,9 +475,10 @@ impl SqlcmInner {
             });
             return;
         }
+        let at = Stamp::now();
         self.with_plan(|plan| {
             let mut trace = self.tracer.sample(|| self.clock.now_micros());
-            self.dispatch_with(plan, &kind, &objects, &mut trace);
+            self.dispatch_with(plan, &kind, &objects, at, &mut trace);
             if let Some(ctx) = trace {
                 self.tracer.finish(ctx);
             }
@@ -485,22 +490,25 @@ impl SqlcmInner {
     /// triggered before any later event is processed" — the applicable set,
     /// and which evictions raise an event, is whatever plan was current when
     /// the batch started. When `trace` is active, the root and every drained
-    /// cascade hop record into it.
+    /// cascade hop record into it; every hop's flight records carry the
+    /// root's entry stamp `at`.
     fn dispatch_with(
         &self,
         plan: &DispatchPlan,
         kind: &RuleEvent,
         objects: &[Object],
+        at: Stamp,
         trace: &mut Option<TraceCtx>,
     ) {
         PROCESSING.with(|p| p.set(true));
         let mut work = SCRATCH
             .with(|s| s.borrow_mut().work.take())
             .unwrap_or_default();
-        self.handle_one(plan, kind, objects, trace, NONE_SPAN, 0, &mut work);
+        self.handle_one(plan, kind, objects, at, trace, NONE_SPAN, 0, &mut work);
         while let Some(q) = PENDING.with(|q| q.borrow_mut().pop_front()) {
             let (cause, depth) = (q.cause, q.depth);
-            self.handle_one(plan, &q.kind, &q.objects, trace, cause, depth, &mut work);
+            let (kind, objects) = (&q.kind, &q.objects);
+            self.handle_one(plan, kind, objects, at, trace, cause, depth, &mut work);
         }
         SCRATCH.with(|s| s.borrow_mut().work = Some(work));
         PROCESSING.with(|p| p.set(false));
@@ -517,6 +525,7 @@ impl SqlcmInner {
         plan: &DispatchPlan,
         kind: &RuleEvent,
         objects: &[Object],
+        at: Stamp,
         trace: &mut Option<TraceCtx>,
         cause: u32,
         depth: u32,
@@ -605,6 +614,7 @@ impl SqlcmInner {
             ep,
             span: event_span,
             depth,
+            at,
             as_declared: ep
                 .payload
                 .iter()
@@ -968,10 +978,10 @@ impl SqlcmInner {
         if !fire {
             // Errored evaluations are worth replaying; silent non-fires are not.
             if cond_error {
-                self.telemetry.recorder.record(FlightRecord {
-                    seq: 0,
-                    event: ev.ep.label.clone(),
-                    rule: reg.name_label.clone(),
+                self.telemetry.recorder.record(Firing {
+                    at: ev.at,
+                    event: &ev.ep.label,
+                    rule: &reg.name_label,
                     fired: false,
                     actions: 0,
                     errors: 1,
@@ -1042,10 +1052,10 @@ impl SqlcmInner {
             mine.record_action(action_nanos);
             cond_nanos + action_nanos
         });
-        self.telemetry.recorder.record(FlightRecord {
-            seq: 0,
-            event: ev.ep.label.clone(),
-            rule: reg.name_label.clone(),
+        self.telemetry.recorder.record(Firing {
+            at: ev.at,
+            event: &ev.ep.label,
+            rule: &reg.name_label,
             fired: true,
             actions: reg.actions.len() as u32,
             errors,
@@ -1259,7 +1269,7 @@ impl SqlcmInner {
             if reg.breaker.maybe_half_open(now) {
                 self.sync_quarantine(reg);
                 self.containment.breaker_reopens.incr();
-                self.note_breaker("Breaker.Reopen", &reg.rule.name, 0);
+                self.note_breaker(&self.telemetry.breaker_reopen, reg, 0);
                 reopened += 1;
             }
         }
@@ -1285,7 +1295,7 @@ impl SqlcmInner {
             } else {
                 reg.breaker.trial_succeeded(&reg.rule.books);
                 self.containment.breaker_closes.incr();
-                self.note_breaker("Breaker.Close", &reg.rule.name, 0);
+                self.note_breaker(&self.telemetry.breaker_close, reg, 0);
             }
             return;
         }
@@ -1307,7 +1317,7 @@ impl SqlcmInner {
     fn on_trip(&self, reg: &Registered, what: &str) {
         let rule = &reg.rule.name;
         self.containment.breaker_trips.incr();
-        self.note_breaker("Breaker.Trip", rule, 1);
+        self.note_breaker(&self.telemetry.breaker_trip, reg, 1);
         self.record_error(rule, format!("rule {rule} {what}"));
         self.sync_quarantine(reg);
     }
@@ -1323,12 +1333,13 @@ impl SqlcmInner {
     }
 
     /// Flight-record a breaker transition (trip/reopen/close) so the recorder
-    /// shows *why* a rule left (or returned to) service.
-    fn note_breaker(&self, what: &str, rule: &str, errors: u32) {
-        self.telemetry.recorder.record(FlightRecord {
-            seq: 0,
-            event: what.into(),
-            rule: rule.into(),
+    /// shows *why* a rule left (or returned to) service. Transitions are
+    /// rare: the record is stamped with a clock read of its own.
+    fn note_breaker(&self, what: &Label, reg: &Registered, errors: u32) {
+        self.telemetry.recorder.record(Firing {
+            at: Stamp::now(),
+            event: what,
+            rule: &reg.name_label,
             fired: false,
             actions: 0,
             errors,

@@ -250,6 +250,8 @@ impl Sqlcm {
         let clock = handle.clock.clone();
         let outbox = Arc::new(RecordingMailSink::new());
         let command_log = Arc::new(RecordingCommandSink::new());
+        let telemetry = Telem::new();
+        let tracer = Tracer::new(telemetry.recorder.lane_tags());
         let inner = Arc::new(SqlcmInner {
             engine: handle,
             clock: clock.clone(),
@@ -269,8 +271,8 @@ impl Sqlcm {
             action_errors: ShardedCounter::new(),
             last_error: Mutex::new(None),
             analysis_warnings: Mutex::new(WarningLog::default()),
-            telemetry: Telem::new(),
-            tracer: Tracer::new(),
+            telemetry,
+            tracer,
             containment: Containment::new(),
             deferred: DeferredQueue::new(),
             async_actions: AtomicBool::new(false),

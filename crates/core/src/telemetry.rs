@@ -14,7 +14,9 @@
 //!   exact and only the span histograms sample;
 //! * there is no off switch: telemetry is always on, and its cost is inside
 //!   every number the `benchmark/` package reports;
-//! * the flight recorder is a fixed ring of [`FLIGHT_RECORDER_CAPACITY`];
+//! * the flight recorder is a fixed ring of [`FLIGHT_RECORDER_CAPACITY`] per
+//!   dispatcher stripe, merged into the newest [`FLIGHT_RECORDER_CAPACITY`]
+//!   when read;
 //! * the per-rule last-error map is bounded (`RULE_ERRORS_CAPACITY`) and
 //!   evicts the entry with the fewest occurrences when full.
 //!
@@ -41,7 +43,7 @@ use crate::monitor::SqlcmStats;
 use crate::trace::TracingTelemetry;
 
 /// Flight-recorder depth: the last N rule firings (and errored evaluations,
-/// and breaker transitions).
+/// and breaker transitions) of each dispatcher stripe, and of a merged read.
 pub const FLIGHT_RECORDER_CAPACITY: usize = 256;
 
 /// Bound on the per-rule last-error map.
@@ -66,8 +68,12 @@ pub(crate) struct Telem {
     pub probe_events: [ShardedCounter; ProbeKind::COUNT],
     /// Per-probe-kind `on_event` wall time in nanoseconds.
     pub probe_latency: [LatencyHistogram; ProbeKind::COUNT],
-    /// Ring of recent rule firings.
+    /// Rings of recent rule firings, one per dispatcher stripe.
     pub recorder: FlightRecorder,
+    /// Event labels of the breaker transitions the recorder notes, made once.
+    pub breaker_trip: sqlcm_telemetry::Label,
+    pub breaker_reopen: sqlcm_telemetry::Label,
+    pub breaker_close: sqlcm_telemetry::Label,
     /// rule name → last error + count, bounded by `RULE_ERRORS_CAPACITY`.
     pub rule_errors: Mutex<HashMap<String, RuleError>>,
     /// Dispatch plans built since attach (registration-rate, not event-rate).
@@ -110,6 +116,9 @@ impl Telem {
             probe_events: std::array::from_fn(|_| ShardedCounter::new()),
             probe_latency: std::array::from_fn(|_| LatencyHistogram::new()),
             recorder: FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
+            breaker_trip: "Breaker.Trip".into(),
+            breaker_reopen: "Breaker.Reopen".into(),
+            breaker_close: "Breaker.Close".into(),
             rule_errors: Mutex::new(HashMap::new()),
             plan_rebuilds: ShardedCounter::new(),
             plan_rules_planned: ShardedCounter::new(),
@@ -470,8 +479,8 @@ pub struct TelemetrySnapshot {
     pub rules: Vec<RuleTelemetry>,
     /// One entry per defined LAT, sorted by name.
     pub lats: Vec<LatTelemetry>,
-    /// Recent rule firings, oldest first (at most
-    /// [`FLIGHT_RECORDER_CAPACITY`]).
+    /// Recent rule firings of every dispatcher, oldest first (at most
+    /// [`FLIGHT_RECORDER_CAPACITY`]; each dispatcher's in its order).
     pub flight_records: Vec<FlightRecord>,
     /// Total records ever written to the flight recorder (including evicted).
     pub flight_total: u64,

@@ -38,13 +38,20 @@
 //! Sampling ([`TraceSampling`]) decides everything. Disabled (the default)
 //! costs one relaxed atomic load per dispatched event — the hot path stays
 //! allocation-free and registry-lock-free, pinned by
-//! `tests/dispatch_hotpath.rs`. A *sampled* event stages its spans in a
+//! `tests/dispatch_hotpath.rs`. Enabled, every dispatcher stripe keeps its
+//! own lane: `EveryNth(n)` samples 1 in n of *that dispatcher's* root
+//! events, counted on the lane, and a trace id packs (lane tag, lane-local
+//! sequence) — the tag the flight recorder's lane on that stripe packs its
+//! `seq` with ([`LaneTags`]) — so no sampling decision writes a line another
+//! dispatcher writes. A *sampled* event stages its spans in a
 //! buffer local to the dispatching thread's stack (no shared state, no
-//! locks while recording) and hands the buffer to the bounded trace ring on
-//! completion: one short uncontended mutex per completed trace, with
-//! evicted traces' span buffers recycled through a [`BufferPool`] so steady
-//! state re-uses rather than reallocates. The `t7_trace_overhead` bench
-//! gates both modes.
+//! locks while recording) and hands the buffer to its lane's bounded ring on
+//! completion: one uncontended mutex per completed trace, with evicted
+//! traces' span buffers recycled through the lane's [`BufferPool`] so steady
+//! state re-uses rather than reallocates. `Sqlcm::traces()` merges the
+//! lanes by start stamp and keeps the newest [`TRACE_RING_CAPACITY`]; the
+//! rings hold at most stripes × that many traces. The `t7_trace_overhead`
+//! bench gates both modes.
 //!
 //! A sampled event costs what it *did*: pruned rules get no span. The event
 //! records its candidate set, payload and plan ([`PrunedRules`]) and the
@@ -58,7 +65,8 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use sqlcm_telemetry::{BoundedRing, BufferPool, Describe, Field, Metric, Stamp};
+use sqlcm_telemetry::{BoundedRing, BufferPool, Describe, Field, Metric, ShardedCounter};
+use sqlcm_telemetry::{LaneTags, Stamp, Stripes};
 
 use crate::objects::Object;
 use crate::plan::{EventPlan, PlanRule};
@@ -66,14 +74,15 @@ use crate::rules::EvalContext;
 use crate::telemetry::json_str;
 
 /// Trace ring depth: the most recent N completed traces are retained,
-/// oldest dropped first.
+/// oldest dropped first (per dispatcher stripe, and in a merged read).
 pub const TRACE_RING_CAPACITY: usize = 64;
 
 /// Hard cap on spans staged per trace; a pathological cascade truncates
 /// (flagged on the snapshot) instead of growing without bound.
 pub const MAX_SPANS_PER_TRACE: usize = 4096;
 
-/// Bound on pooled span buffers (covers the ring plus in-flight staging).
+/// Bound on a lane's pooled span buffers (covers its ring's turnover plus
+/// in-flight staging).
 const SPAN_POOL_BOUND: usize = 8;
 
 /// Sentinel span ID: "no span" (used on the untraced path and for truncated
@@ -86,8 +95,9 @@ pub enum TraceSampling {
     /// No tracing (the default): one relaxed atomic load per event.
     #[default]
     Off,
-    /// Trace every Nth root event (engine probes and internally raised
-    /// roots such as timer alarms). `0` and `1` both mean "every event".
+    /// Trace 1 in N of each dispatcher's root events (engine probes and
+    /// internally raised roots such as timer alarms), counted per stripe.
+    /// `0` and `1` both mean "every event".
     EveryNth(u32),
 }
 
@@ -256,8 +266,10 @@ impl Eq for PrunedRules {}
 /// did, including all deferred cascade hops.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSnapshot {
-    /// Monotone per-instance trace ID (starts at 1; 0 is reserved for "not
-    /// traced" in flight-recorder cross-links).
+    /// Trace ID: (lane tag, lane-local sequence) packed as
+    /// `tag << LANE_SHIFT | sequence`, the sequence starting at 1, so 0
+    /// stays reserved for "not traced" in flight-recorder cross-links. A
+    /// lone dispatcher's traces are numbered 1, 2, 3, ….
     pub trace_id: u64,
     /// Name of the root event.
     pub root_event: String,
@@ -484,13 +496,15 @@ pub struct TracingTelemetry {
     /// Traces completed and retained (a sampled event whose dispatch
     /// recorded no spans — no subscribed rules — is discarded).
     pub completed: u64,
-    /// Completed traces evicted from the ring (drop-oldest).
+    /// Completed traces evicted from the rings (drop-oldest), or held by a
+    /// ring but older than the newest [`TRACE_RING_CAPACITY`] a merged read
+    /// returns.
     pub dropped: u64,
     /// Spans across all completed traces.
     pub spans: u64,
     /// Deepest cascade observed in any completed trace.
     pub max_cascade_depth: u64,
-    /// Traces currently in the ring.
+    /// Traces a merged read returns now.
     pub ring_len: u64,
     pub ring_capacity: u64,
 }
@@ -682,33 +696,49 @@ impl TraceCtx {
 
 // ------------------------------------------------------------ tracer
 
-/// Per-instance tracing state: sampling policy, trace-ID source, the
-/// bounded ring of completed traces, and the span-buffer pool.
+/// Per-instance tracing state: the sampling policy, and per dispatcher
+/// stripe a lane with the sampling count, trace-id source, ring of completed
+/// traces and span-buffer pool.
 pub(crate) struct Tracer {
     /// The sampling period N of [`TraceSampling::EveryNth`]; `0` = off.
     every_n: AtomicU32,
-    /// Root events seen while sampling (the modulus source).
-    seen: AtomicU64,
-    next_id: AtomicU64,
-    ring: BoundedRing<TraceSnapshot>,
-    pool: BufferPool<TraceSpan>,
-    sampled: AtomicU64,
-    completed: AtomicU64,
-    spans_recorded: AtomicU64,
+    /// Shared with the flight recorder, so a stripe's traces and records
+    /// carry one lane tag.
+    tags: Arc<LaneTags>,
+    lanes: Stripes<TraceLane>,
+    sampled: ShardedCounter,
+    completed: ShardedCounter,
+    spans_recorded: ShardedCounter,
     max_depth: AtomicU64,
 }
 
+/// One dispatcher stripe's tracing state, on cache lines of its own.
+#[repr(align(64))]
+struct TraceLane {
+    /// Root events this lane saw while sampling: the 1-in-N count.
+    seen: AtomicU64,
+    /// Traces this lane started.
+    started: AtomicU64,
+    /// Completed traces with their start stamps, the merge key.
+    ring: BoundedRing<(Stamp, TraceSnapshot)>,
+    pool: BufferPool<TraceSpan>,
+}
+
 impl Tracer {
-    pub fn new() -> Tracer {
+    /// A tracer whose trace ids are packed with `tags`.
+    pub fn new(tags: &Arc<LaneTags>) -> Tracer {
         Tracer {
             every_n: AtomicU32::new(0),
-            seen: AtomicU64::new(0),
-            next_id: AtomicU64::new(1),
-            ring: BoundedRing::new(TRACE_RING_CAPACITY),
-            pool: BufferPool::new(SPAN_POOL_BOUND),
-            sampled: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            spans_recorded: AtomicU64::new(0),
+            tags: Arc::clone(tags),
+            lanes: Stripes::new(|| TraceLane {
+                seen: AtomicU64::new(0),
+                started: AtomicU64::new(0),
+                ring: BoundedRing::new(TRACE_RING_CAPACITY),
+                pool: BufferPool::new(SPAN_POOL_BOUND),
+            }),
+            sampled: ShardedCounter::new(),
+            completed: ShardedCounter::new(),
+            spans_recorded: ShardedCounter::new(),
             max_depth: AtomicU64::new(0),
         }
     }
@@ -729,27 +759,29 @@ impl Tracer {
     }
 
     /// Sampling decision for a root event — an engine probe, or one raised
-    /// internally (timer alarm, monitor tick, test dispatch). The disabled
-    /// path is one relaxed load and a predictable branch; `now_micros` (a
-    /// clock read) is invoked only when the event is actually sampled.
+    /// internally (timer alarm, monitor tick, test dispatch) — on the calling
+    /// dispatcher's own count. The disabled path is one relaxed load and a
+    /// predictable branch; `now_micros` (a clock read) is invoked only when
+    /// the event is actually sampled.
     #[inline]
     pub fn sample(&self, now_micros: impl FnOnce() -> u64) -> Option<TraceCtx> {
         let n = self.every_n.load(Ordering::Relaxed);
         if n == 0 {
             return None;
         }
-        let c = self.seen.fetch_add(1, Ordering::Relaxed);
+        let c = self.lanes.mine().seen.fetch_add(1, Ordering::Relaxed);
         c.is_multiple_of(u64::from(n))
             .then(|| self.start(now_micros()))
     }
 
     fn start(&self, now_micros: u64) -> TraceCtx {
-        self.sampled.fetch_add(1, Ordering::Relaxed);
+        self.sampled.incr();
+        let lane = self.lanes.mine();
         TraceCtx {
-            id: self.next_id.fetch_add(1, Ordering::Relaxed),
+            id: self.tags.mine() | (lane.started.fetch_add(1, Ordering::Relaxed) + 1),
             started_micros: now_micros,
             started: Stamp::now(),
-            spans: self.pool.take(),
+            spans: lane.pool.take(),
             pruned: Vec::new(),
             max_depth: 0,
             evaluations: 0,
@@ -758,19 +790,21 @@ impl Tracer {
         }
     }
 
-    /// Seal a staged trace into the ring. Empty traces (the sampled event
-    /// had no subscribed rules) are discarded; evicted traces' span buffers
-    /// go back to the pool.
+    /// Seal a staged trace into the calling dispatcher's ring. Empty traces
+    /// (the sampled event had no subscribed rules) are discarded; evicted
+    /// traces' span buffers go back to the lane's pool.
     pub fn finish(&self, ctx: TraceCtx) {
+        let lane = self.lanes.mine();
         if ctx.spans.is_empty() {
-            self.pool.put(ctx.spans);
+            lane.pool.put(ctx.spans);
             return;
         }
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        self.spans_recorded
-            .fetch_add(ctx.spans.len() as u64, Ordering::Relaxed);
-        self.max_depth
-            .fetch_max(u64::from(ctx.max_depth), Ordering::Relaxed);
+        self.completed.incr();
+        self.spans_recorded.add(ctx.spans.len() as u64);
+        let depth = u64::from(ctx.max_depth);
+        if depth > self.max_depth.load(Ordering::Relaxed) {
+            self.max_depth.fetch_max(depth, Ordering::Relaxed);
+        }
         let snapshot = TraceSnapshot {
             trace_id: ctx.id,
             root_event: ctx
@@ -787,20 +821,26 @@ impl Tracer {
             spans: ctx.spans,
             pruned: ctx.pruned,
         };
-        if let Some(evicted) = self.ring.push(snapshot) {
-            self.pool.put(evicted.spans);
+        if let Some((_, evicted)) = lane.ring.push((ctx.started, snapshot)) {
+            lane.pool.put(evicted.spans);
         }
     }
 
-    /// Completed traces, oldest first.
+    /// The newest [`TRACE_RING_CAPACITY`] completed traces of all lanes,
+    /// oldest first by start.
     pub fn snapshot(&self) -> Vec<TraceSnapshot> {
-        self.ring.snapshot()
+        let mut all: Vec<_> = self.lanes.iter().flat_map(|l| l.ring.snapshot()).collect();
+        all.sort_unstable_by_key(|(started, t)| (*started, t.trace_id));
+        let hidden = all.len().saturating_sub(TRACE_RING_CAPACITY);
+        all.into_iter().skip(hidden).map(|(_, t)| t).collect()
     }
 
     /// Drop all retained traces (their buffers are recycled).
     pub fn clear(&self) {
-        for trace in self.ring.drain() {
-            self.pool.put(trace.spans);
+        for lane in self.lanes.iter() {
+            for (_, trace) in lane.ring.drain() {
+                lane.pool.put(trace.spans);
+            }
         }
     }
 
@@ -809,15 +849,18 @@ impl Tracer {
             TraceSampling::Off => "off".to_string(),
             TraceSampling::EveryNth(n) => format!("every_nth({n})"),
         };
+        let held: u64 = self.lanes.iter().map(|l| l.ring.len() as u64).sum();
+        let ring_len = held.min(TRACE_RING_CAPACITY as u64);
+        let evicted: u64 = self.lanes.iter().map(|l| l.ring.dropped()).sum();
         TracingTelemetry {
             sampling,
-            sampled: self.sampled.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            dropped: self.ring.dropped(),
-            spans: self.spans_recorded.load(Ordering::Relaxed),
+            sampled: self.sampled.get(),
+            completed: self.completed.get(),
+            dropped: evicted + held - ring_len,
+            spans: self.spans_recorded.get(),
             max_cascade_depth: self.max_depth.load(Ordering::Relaxed),
-            ring_len: self.ring.len() as u64,
-            ring_capacity: self.ring.capacity() as u64,
+            ring_len,
+            ring_capacity: TRACE_RING_CAPACITY as u64,
         }
     }
 }
@@ -875,7 +918,7 @@ mod tests {
     use super::*;
 
     fn ctx_trace() -> TraceCtx {
-        Tracer::new().start(5)
+        Tracer::new(&Default::default()).start(5)
     }
 
     #[test]
@@ -922,7 +965,7 @@ mod tests {
 
     #[test]
     fn tracer_round_trip_and_ring_drop_oldest() {
-        let tracer = Tracer::new();
+        let tracer = Tracer::new(&Default::default());
         tracer.set_sampling(TraceSampling::EveryNth(1));
         for i in 0..(TRACE_RING_CAPACITY + 5) {
             let mut ctx = tracer.sample(|| i as u64).expect("every event");
@@ -944,7 +987,7 @@ mod tests {
 
     #[test]
     fn empty_traces_are_discarded() {
-        let tracer = Tracer::new();
+        let tracer = Tracer::new(&Default::default());
         tracer.set_sampling(TraceSampling::EveryNth(1));
         let ctx = tracer.sample(|| 0).unwrap();
         tracer.finish(ctx);
@@ -956,7 +999,7 @@ mod tests {
 
     #[test]
     fn every_nth_samples_at_the_requested_rate() {
-        let tracer = Tracer::new();
+        let tracer = Tracer::new(&Default::default());
         tracer.set_sampling(TraceSampling::EveryNth(4));
         let sampled = (0..100).filter(|_| tracer.sample(|| 0).is_some()).count();
         assert_eq!(sampled, 25);
@@ -965,7 +1008,7 @@ mod tests {
 
     #[test]
     fn text_tree_places_cascades_under_their_cause() {
-        let tracer = Tracer::new();
+        let tracer = Tracer::new(&Default::default());
         tracer.set_sampling(TraceSampling::EveryNth(1));
         let mut ctx = tracer.sample(|| 0).unwrap();
         let ev = ctx.open_event("Query.Commit".into(), NONE_SPAN, 0);
@@ -999,7 +1042,7 @@ mod tests {
 
     #[test]
     fn chrome_export_is_structurally_sound() {
-        let tracer = Tracer::new();
+        let tracer = Tracer::new(&Default::default());
         tracer.set_sampling(TraceSampling::EveryNth(1));
         let mut ctx = tracer.sample(|| 123).unwrap();
         let ev = ctx.open_event("Query.Commit".into(), NONE_SPAN, 0);

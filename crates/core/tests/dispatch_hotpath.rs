@@ -14,12 +14,13 @@ use std::sync::Arc;
 
 use sqlcm_common::{EngineEvent, QueryInfo};
 use sqlcm_core::sinks::CommandSink;
+use sqlcm_core::telemetry::FLIGHT_RECORDER_CAPACITY;
 use sqlcm_core::{
     Action, LatAggFunc, LatSpec, MonitorConfig, Rule, RuleEvent, Sqlcm, TraceSampling,
 };
 use sqlcm_engine::Engine;
 #[cfg(debug_assertions)]
-use sqlcm_telemetry::Stamp;
+use sqlcm_telemetry::{Label, Stamp};
 
 /// Counts allocations per thread: the harness runs tests on parallel
 /// threads, and a test must only see what its own dispatch path allocated.
@@ -890,6 +891,60 @@ fn an_event_reads_the_clock_twice_plus_its_sampled_spans() {
     assert_eq!(clock_reads(|| sqlcm.inject_event(&by("late"))), 2 + 2);
     // Evaluation 2 and firing 1: untimed.
     assert_eq!(clock_reads(|| sqlcm.inject_event(&by("late"))), 2);
+}
+
+/// A firing writes its flight record into a slot of its dispatcher's ring.
+/// Once the ring has wrapped, the slot is overwritten in place and keeps the
+/// labels it already holds: a firing allocates nothing and clones no label
+/// (debug builds count the clones), and an event reads the clock as often as
+/// before — twice, plus the rule's sampled spans — with tracing off and on an
+/// event tracing does not sample.
+#[test]
+fn a_firing_into_a_wrapped_flight_ring_allocates_nothing() {
+    let engine = Engine::in_memory();
+    let ev = commit_event(3, 0.5);
+    for sampling in [TraceSampling::Off, TraceSampling::EveryNth(1 << 20)] {
+        let sqlcm = Sqlcm::attach(&engine);
+        feed_and_watchers(&sqlcm, 0, |_| unreachable!());
+        sqlcm.configure(MonitorConfig {
+            trace_sampling: sampling.clone(),
+            ..sqlcm.config()
+        });
+        // Of these, only the first event is sampled.
+        let wrap = 2 * FLIGHT_RECORDER_CAPACITY as u64;
+        for _ in 0..wrap {
+            sqlcm.inject_event(&ev);
+        }
+        #[cfg(debug_assertions)]
+        let clones_before = Label::clones_on_this_thread();
+        let allocs_before = allocations();
+        for _ in 0..1_000 {
+            sqlcm.inject_event(&ev);
+        }
+        let allocs_after = allocations();
+        assert_eq!(allocs_after - allocs_before, 0, "{sampling:?}");
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            Label::clones_on_this_thread() - clones_before,
+            0,
+            "{sampling:?}"
+        );
+        // Firings 1 536, 1 600, …: one timed condition and firing in 64.
+        #[cfg(debug_assertions)]
+        for _ in 0..2 {
+            let reads = clock_reads(|| {
+                for _ in 0..64 {
+                    sqlcm.inject_event(&ev);
+                }
+            });
+            assert_eq!(reads, 2 * 64 + 2 + 1, "{sampling:?}");
+        }
+        let snap = sqlcm.telemetry();
+        assert_eq!(snap.flight_total, snap.stats.fires, "{sampling:?}");
+        assert_eq!(snap.flight_records.len(), FLIGHT_RECORDER_CAPACITY);
+        let sampled = u64::from(sampling != TraceSampling::Off);
+        assert_eq!(snap.tracing.sampled, sampled, "{sampling:?}");
+    }
 }
 
 /// The `storm_shared_lat` watchers as shipped: each is refuted by its LAT

@@ -17,13 +17,15 @@
 //!   stripes and derives p50/p95/p99 from the buckets.
 //! * [`Stamp`] — one reading of `std::time::Instant`; a span is the distance
 //!   between two stamps, and adjacent spans share the stamp between them.
-//! * [`FlightRecorder`] — a bounded ring of the last N rule firings, kept so
-//!   a test failure or cancel storm can be reconstructed after the fact; its
-//!   records name their rule and event by [`Label`], cloned without
-//!   allocating.
+//! * [`FlightRecorder`] — the last N rule firings, kept so a test failure or
+//!   cancel storm can be reconstructed after the fact: one fixed ring per
+//!   stripe, merged when read. Its records name their rule and event by
+//!   [`Label`], which a ring slot re-clones only when the label changes, and
+//!   are numbered per lane ([`LANE_SHIFT`]).
 //! * [`BoundedRing`] / [`BufferPool`] — drop-oldest retention and span-buffer
-//!   recycling for the causal-trace subsystem (`sqlcm-core::trace`): touched
-//!   once per completed sampled trace, never on the per-event path.
+//!   recycling for the causal-trace subsystem (`sqlcm-core::trace`), one of
+//!   each per stripe: touched once per completed sampled trace, never on the
+//!   per-event path.
 //! * [`Describe`] / [`Metric`] — how a snapshot slice names its exported
 //!   fields once, for every writer to walk.
 //!
@@ -42,7 +44,7 @@ pub use counter::ShardedCounter;
 pub use describe::{Describe, Field, Fields, Metric};
 pub use histogram::{bucket_index, bucket_lower_bound, bucket_upper_bound};
 pub use histogram::{Buckets, HistogramSnapshot, LatencyHistogram, BUCKETS};
-pub use recorder::{FlightRecord, FlightRecorder, Label};
+pub use recorder::{Firing, FlightRecord, FlightRecorder, Label};
 pub use ring::{BoundedRing, BufferPool};
 pub use stamp::Stamp;
-pub use stripe::{stripe_count, Stripes};
+pub use stripe::{stripe_count, LaneTags, Stripes, LANE_SHIFT};

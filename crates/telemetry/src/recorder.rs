@@ -1,24 +1,68 @@
-//! Bounded ring of recent rule firings ("flight recorder").
+//! Bounded rings of recent rule firings ("flight recorder"), one per
+//! dispatcher stripe.
 //!
 //! When a test fails or a cancel storm trips rules faster than anyone can
 //! watch, the question is always "what were the last things the monitor did?"
-//! The recorder keeps the answer: a fixed-capacity ring of [`FlightRecord`]s,
-//! oldest evicted first, with a monotone sequence number so wraparound is
-//! visible in the output. The depth is fixed at construction, so the ring's
-//! memory is bounded for the recorder's lifetime, and records carry the
-//! active trace ID so they cross-link with the causal traces of
-//! `sqlcm-core::trace`.
+//! The recorder keeps the answer. Each dispatcher stripe ([`Stripes`]) has its
+//! own lane: a fixed-depth ring of [`FlightRecord`] slots, overwritten in
+//! place once full. A firing takes only its own lane's lock — uncontended
+//! while no more threads dispatch than there are stripes — and writes no
+//! cache line another dispatcher writes. It hands its labels in borrowed, and
+//! a slot clones a label only when it holds a different one, so a rule that
+//! fires again and again touches no shared reference count.
+//!
+//! A lane numbers its records itself: `seq` packs (lane tag, lane-local
+//! sequence), the tag shared with the tracer's lane on the same stripe
+//! ([`LaneTags`]), so a gap within one lane means records were evicted, not
+//! lost. [`FlightRecorder::snapshot`] merges the lanes by
+//! `(stamp, seq)` — the stamp is the one the causing event entered the
+//! monitor with, held back so it never runs backwards within a lane — and
+//! keeps the newest `capacity` records; one dispatcher's records keep their
+//! exact order. Memory is bounded by stripes × capacity records for the
+//! recorder's lifetime. Records carry the active trace ID so they cross-link
+//! with the causal traces of `sqlcm-core::trace`.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::{Describe, Field, Metric};
+use crate::ring::lock;
+use crate::stripe::{LaneTags, Stripes};
+use crate::{Describe, Field, Metric, Stamp};
+
+#[cfg(debug_assertions)]
+thread_local! {
+    static CLONES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 /// A name a record carries: an `Arc<str>` made once where the name is known
 /// (a rule's, at registration) and cloned into each record without
 /// allocating. Reads and compares as the `str` it holds.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct Label(Arc<str>);
+
+impl Label {
+    /// Reference-count increments label clones made on this thread: what
+    /// the label-reuse pins count. Debug builds only.
+    #[cfg(debug_assertions)]
+    pub fn clones_on_this_thread() -> u64 {
+        CLONES.with(std::cell::Cell::get)
+    }
+}
+
+impl Clone for Label {
+    fn clone(&self) -> Label {
+        #[cfg(debug_assertions)]
+        CLONES.with(|c| c.set(c.get() + 1));
+        Label(Arc::clone(&self.0))
+    }
+
+    /// Keeps the held `Arc` when `source` holds the same one: a slot
+    /// overwritten with the label it already has touches no reference count.
+    fn clone_from(&mut self, source: &Label) {
+        if !Arc::ptr_eq(&self.0, &source.0) {
+            *self = source.clone();
+        }
+    }
+}
 
 impl std::ops::Deref for Label {
     type Target = str;
@@ -47,10 +91,11 @@ impl std::fmt::Display for Label {
 }
 
 /// One recorded rule evaluation that fired (or errored).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FlightRecord {
-    /// Monotone sequence number across the recorder's lifetime; gaps in a
-    /// snapshot mean records were evicted, not lost.
+    /// The record's lane and its place there, packed as
+    /// `tag << LANE_SHIFT | sequence`; gaps within one lane mean records
+    /// were evicted, not lost.
     pub seq: u64,
     /// Triggering event, e.g. `"Query.Commit"`.
     pub event: Label,
@@ -82,26 +127,63 @@ impl Describe for FlightRecord {
     ];
 }
 
-struct Ring {
-    next_seq: u64,
-    buf: VecDeque<FlightRecord>,
+/// A firing as the dispatcher hands it to [`FlightRecorder::record`]: a
+/// record's fields, its labels borrowed, and `at`, when the causing event
+/// entered the monitor.
+#[derive(Debug, Clone, Copy)]
+pub struct Firing<'a> {
+    pub at: Stamp,
+    pub event: &'a Label,
+    pub rule: &'a Label,
+    pub fired: bool,
+    pub actions: u32,
+    pub errors: u32,
+    pub duration_nanos: u64,
+    pub trace_id: u64,
 }
 
-/// Thread-safe ring of [`FlightRecord`]s with a fixed capacity.
+/// One stripe's ring, on cache lines of its own. A record is written field
+/// by field into a slot that always holds a whole record, so a panicking
+/// holder leaves the ring usable ([`lock`]).
+#[repr(align(64))]
+struct Lane(Mutex<Ring>);
+
+/// A lane's records, and how far it has got.
+#[derive(Default)]
+struct Ring {
+    /// Records this lane ever took.
+    recorded: u64,
+    /// The newest record's merge stamp.
+    latest: Option<Stamp>,
+    /// The slot the next record writes.
+    next: usize,
+    /// Records with their merge stamps: the firing's `at`, held back to the
+    /// lane's previous stamp if earlier. Grows to the recorder's capacity
+    /// once, then is overwritten in place.
+    slots: Vec<(Stamp, FlightRecord)>,
+}
+
+/// [`FlightRecord`] rings, one per dispatcher stripe, of a fixed depth each.
 pub struct FlightRecorder {
     capacity: usize,
-    ring: Mutex<Ring>,
+    tags: Arc<LaneTags>,
+    lanes: Stripes<Lane>,
 }
 
 impl FlightRecorder {
-    /// A ring of `capacity` records (clamped to at least 1).
+    /// Rings of `capacity` records (clamped to at least 1), the bound on a
+    /// merged snapshot too.
     pub fn new(capacity: usize) -> FlightRecorder {
         let capacity = capacity.max(1);
         FlightRecorder {
             capacity,
-            ring: Mutex::new(Ring {
-                next_seq: 0,
-                buf: VecDeque::with_capacity(capacity),
+            tags: Arc::default(),
+            lanes: Stripes::new(|| {
+                let slots = Vec::with_capacity(capacity);
+                Lane(Mutex::new(Ring {
+                    slots,
+                    ..Ring::default()
+                }))
             }),
         }
     }
@@ -110,35 +192,68 @@ impl FlightRecorder {
         self.capacity
     }
 
-    /// Append a record, evicting the oldest at capacity. The record's `seq`
-    /// is assigned by the recorder; the total ever recorded is returned.
-    pub fn record(&self, mut rec: FlightRecord) -> u64 {
-        let mut ring = self.ring.lock().unwrap();
-        rec.seq = ring.next_seq;
-        ring.next_seq += 1;
-        if ring.buf.len() == self.capacity {
-            ring.buf.pop_front();
+    /// The lane tags `seq` is packed with, for another per-stripe recorder
+    /// to share.
+    pub fn lane_tags(&self) -> &Arc<LaneTags> {
+        &self.tags
+    }
+
+    /// Append a record to the calling dispatcher's lane, overwriting its
+    /// oldest at capacity. The lane assigns `seq`.
+    pub fn record(&self, f: Firing<'_>) {
+        let mut ring = lock(&self.lanes.mine().0);
+        let ring = &mut *ring;
+        let seq = self.tags.mine() | ring.recorded;
+        let at = *ring
+            .latest
+            .insert(ring.latest.map_or(f.at, |l| l.max(f.at)));
+        if ring.next == ring.slots.len() {
+            ring.slots.push((at, FlightRecord::default()));
         }
-        ring.buf.push_back(rec);
-        ring.next_seq
+        let (slot_at, slot) = &mut ring.slots[ring.next];
+        slot.event.clone_from(f.event);
+        slot.rule.clone_from(f.rule);
+        (*slot_at, slot.seq, slot.fired, slot.actions) = (at, seq, f.fired, f.actions);
+        (slot.errors, slot.duration_nanos) = (f.errors, f.duration_nanos);
+        slot.trace_id = f.trace_id;
+        ring.next += 1;
+        if ring.next == self.capacity {
+            ring.next = 0;
+        }
+        ring.recorded += 1;
     }
 
-    /// Records ever appended (including evicted ones).
+    fn rings(&self) -> impl Iterator<Item = MutexGuard<'_, Ring>> {
+        self.lanes.iter().map(|l| lock(&l.0))
+    }
+
+    /// Records ever appended (including evicted ones), summed over the
+    /// lanes.
     pub fn total_recorded(&self) -> u64 {
-        self.ring.lock().unwrap().next_seq
+        self.rings().map(|r| r.recorded).sum()
     }
 
+    /// Records a snapshot returns.
     pub fn len(&self) -> usize {
-        self.ring.lock().unwrap().buf.len()
+        self.capacity.min(self.rings().map(|r| r.slots.len()).sum())
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Current contents, oldest first.
+    /// The newest `capacity` records of all lanes, oldest first, ordered by
+    /// `(merge stamp, seq)`: each lane's records in the order it took them.
     pub fn snapshot(&self) -> Vec<FlightRecord> {
-        self.ring.lock().unwrap().buf.iter().cloned().collect()
+        self.merged().into_iter().map(|(_, r)| r).collect()
+    }
+
+    /// [`FlightRecorder::snapshot`] with each record's merge stamp.
+    fn merged(&self) -> Vec<(Stamp, FlightRecord)> {
+        let mut all: Vec<_> = self.rings().flat_map(|r| r.slots.clone()).collect();
+        all.sort_unstable_by_key(|(at, r)| (*at, r.seq));
+        all.drain(..all.len().saturating_sub(self.capacity));
+        all
     }
 }
 
@@ -156,11 +271,12 @@ impl std::fmt::Debug for FlightRecorder {
 mod tests {
     use super::*;
 
-    fn rec(rule: &str) -> FlightRecord {
-        FlightRecord {
-            seq: 0,
-            event: "Query.Commit".into(),
-            rule: rule.into(),
+    /// A firing of `rule` now. Its labels live as long as the test binary.
+    fn rec(rule: &str) -> Firing<'static> {
+        Firing {
+            at: Stamp::now(),
+            event: Box::leak(Box::new("Query.Commit".into())),
+            rule: Box::leak(Box::new(rule.into())),
             fired: true,
             actions: 1,
             errors: 0,
@@ -215,6 +331,31 @@ mod tests {
         assert_eq!(r.snapshot()[0].trace_id, 77);
     }
 
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_wrapped_lane_keeps_the_labels_its_slots_hold() {
+        let r = FlightRecorder::new(4);
+        let (event, a, b): (Label, Label, Label) = ("e".into(), "a".into(), "b".into());
+        let template = rec("a");
+        let firing = |rule| Firing {
+            event: &event,
+            rule,
+            ..template
+        };
+        let clones = |f: &dyn Fn()| {
+            let before = Label::clones_on_this_thread();
+            f();
+            Label::clones_on_this_thread() - before
+        };
+        // Filling the ring clones both labels into each new slot.
+        assert_eq!(clones(&|| (0..4).for_each(|_| r.record(firing(&a)))), 8);
+        // Overwriting a slot with the labels it holds clones neither.
+        assert_eq!(clones(&|| (0..40).for_each(|_| r.record(firing(&a)))), 0);
+        // A new rule is cloned into each slot once, then reused there too.
+        assert_eq!(clones(&|| (0..40).for_each(|_| r.record(firing(&b)))), 4);
+        assert!(r.snapshot().iter().all(|x| x.rule == "b"));
+    }
+
     #[test]
     fn concurrent_records_never_exceed_capacity() {
         let r = std::sync::Arc::new(FlightRecorder::new(8));
@@ -233,8 +374,10 @@ mod tests {
         }
         assert_eq!(r.len(), 8);
         assert_eq!(r.total_recorded(), 4000);
-        // Snapshot seqs are strictly increasing.
-        let snap = r.snapshot();
-        assert!(snap.windows(2).all(|w| w[0].seq < w[1].seq));
+        // The snapshot is strictly ordered by the merge key.
+        let snap = r.merged();
+        assert!(snap
+            .windows(2)
+            .all(|w| (w[0].0, w[0].1.seq) < (w[1].0, w[1].1.seq)));
     }
 }

@@ -7,14 +7,25 @@
 //! * [`BufferPool`] recycles `Vec<T>` backing storage across uses (bounded,
 //!   so a burst cannot hoard memory forever).
 //!
-//! Both are touched once per *completed trace* — sampled, not per event — so
-//! a short uncontended mutex is the right trade: the event hot path itself
-//! never reaches these types (per-thread staging buffers are handed over
-//! whole on trace completion), and the disabled path never even samples.
+//! Both are touched once per *completed trace* — sampled, not per event —
+//! and the tracer keeps one of each per dispatcher stripe, so each one's
+//! mutex is taken by its own stripe's dispatcher and by readers only: the
+//! event hot path itself never reaches these types (per-thread staging
+//! buffers are handed over whole on trace completion), and the disabled path
+//! never even samples. A panic while a lock is held (a `T` whose `Clone`
+//! panics inside [`BoundedRing::snapshot`]) leaves the ring whole, so later
+//! callers take the lock as it is instead of panicking in turn.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Take `m` whatever a panicking holder left poisoned. For this crate's
+/// rings and pools only: each of their updates leaves the data whole at
+/// every step.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Fixed-capacity, thread-safe ring that drops the oldest item on overflow.
 #[derive(Debug)]
@@ -47,7 +58,7 @@ impl<T> BoundedRing<T> {
     /// caller can recycle its buffers.
     pub fn push(&self, item: T) -> Option<T> {
         self.total.fetch_add(1, Ordering::Relaxed);
-        let mut buf = self.buf.lock().unwrap();
+        let mut buf = lock(&self.buf);
         let evicted = if buf.len() == self.capacity {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             buf.pop_front()
@@ -59,7 +70,7 @@ impl<T> BoundedRing<T> {
     }
 
     pub fn len(&self) -> usize {
-        self.buf.lock().unwrap().len()
+        lock(&self.buf).len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -78,14 +89,14 @@ impl<T> BoundedRing<T> {
 
     /// Drain the ring, returning the contents oldest-first (for recycling).
     pub fn drain(&self) -> Vec<T> {
-        self.buf.lock().unwrap().drain(..).collect()
+        lock(&self.buf).drain(..).collect()
     }
 }
 
 impl<T: Clone> BoundedRing<T> {
     /// Current contents, oldest first.
     pub fn snapshot(&self) -> Vec<T> {
-        self.buf.lock().unwrap().iter().cloned().collect()
+        lock(&self.buf).iter().cloned().collect()
     }
 }
 
@@ -108,14 +119,14 @@ impl<T> BufferPool<T> {
 
     /// A cleared buffer, reusing pooled backing storage when available.
     pub fn take(&self) -> Vec<T> {
-        self.bufs.lock().unwrap().pop().unwrap_or_default()
+        lock(&self.bufs).pop().unwrap_or_default()
     }
 
     /// Return a buffer to the pool. Contents are cleared; the allocation is
     /// kept only while the pool is under its bound.
     pub fn put(&self, mut buf: Vec<T>) {
         buf.clear();
-        let mut bufs = self.bufs.lock().unwrap();
+        let mut bufs = lock(&self.bufs);
         if bufs.len() < self.bound {
             bufs.push(buf);
         }
@@ -123,7 +134,7 @@ impl<T> BufferPool<T> {
 
     /// Buffers currently parked in the pool.
     pub fn pooled(&self) -> usize {
-        self.bufs.lock().unwrap().len()
+        lock(&self.bufs).len()
     }
 }
 
@@ -185,6 +196,32 @@ mod tests {
         assert_eq!(ring.len(), 8);
         assert_eq!(ring.total_pushed(), 4000);
         assert_eq!(ring.dropped(), 4000 - 8);
+    }
+
+    /// A `u8` whose clone panics when it is 0.
+    #[derive(Debug, PartialEq)]
+    struct Fuse(u8);
+
+    impl Clone for Fuse {
+        fn clone(&self) -> Fuse {
+            assert_ne!(self.0, 0, "a blown fuse does not clone");
+            Fuse(self.0)
+        }
+    }
+
+    #[test]
+    fn a_panic_inside_snapshot_does_not_poison_later_callers() {
+        let ring = std::sync::Arc::new(BoundedRing::new(1));
+        ring.push(Fuse(0));
+        let reader = std::sync::Arc::clone(&ring);
+        let blown = std::thread::spawn(move || reader.snapshot()).join();
+        assert!(blown.is_err(), "the clone panicked holding the lock");
+        let writer = std::sync::Arc::clone(&ring);
+        let later = std::thread::spawn(move || {
+            assert_eq!(writer.push(Fuse(1)), Some(Fuse(0)));
+            writer.snapshot()
+        });
+        assert_eq!(later.join().unwrap(), vec![Fuse(1)]);
     }
 
     #[test]

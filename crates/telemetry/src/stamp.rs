@@ -13,8 +13,8 @@ thread_local! {
     static READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// One reading of the monotonic clock.
-#[derive(Debug, Clone, Copy)]
+/// One reading of the monotonic clock; stamps order as their readings do.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Stamp(Instant);
 
 impl Stamp {

@@ -97,11 +97,16 @@ pub struct Stripes<T>(Box<[T]>);
 
 impl<T: Default> Default for Stripes<T> {
     fn default() -> Self {
-        Stripes((0..stripe_count()).map(|_| T::default()).collect())
+        Stripes::new(T::default)
     }
 }
 
 impl<T> Stripes<T> {
+    /// One `make()` per stripe.
+    pub fn new(make: impl FnMut() -> T) -> Stripes<T> {
+        Stripes(std::iter::repeat_with(make).take(stripe_count()).collect())
+    }
+
     /// The calling thread's stripe.
     pub fn mine(&self) -> &T {
         &self.0[my_stripe()]
@@ -110,6 +115,35 @@ impl<T> Stripes<T> {
     /// Every stripe, for a reader to sum.
     pub fn iter(&self) -> std::slice::Iter<'_, T> {
         self.0.iter()
+    }
+}
+
+/// Where a lane's tag sits in a packed (lane, sequence) id:
+/// `tag << LANE_SHIFT | sequence`.
+pub const LANE_SHIFT: u32 = 48;
+
+/// Tags for the stripes of one monitor's per-stripe recorders (the flight
+/// recorder, the tracer), shared so that a stripe's flight records and traces
+/// carry one lane key. A stripe is tagged at its first call, in call order —
+/// one write per stripe, none per id — so ids are unique across lanes, and a
+/// lone dispatcher's lane has tag 0 whatever its stripe: its ids are its
+/// plain sequence numbers.
+#[derive(Default)]
+pub struct LaneTags {
+    handed: AtomicU64,
+    tags: Stripes<Tag>,
+}
+
+/// A stripe's tag, shifted into place, on cache lines of its own.
+#[derive(Default)]
+#[repr(align(64))]
+struct Tag(OnceLock<u64>);
+
+impl LaneTags {
+    /// The calling stripe's id base: its tag `<< LANE_SHIFT`.
+    pub fn mine(&self) -> u64 {
+        let next = || self.handed.fetch_add(1, Ordering::Relaxed) << LANE_SHIFT;
+        *self.tags.mine().0.get_or_init(next)
     }
 }
 
