@@ -1,6 +1,6 @@
 //! The `PULL_history` baseline (§6.2.2 (c)).
 //!
-//! "Identical to [PULL], except … the server keeps a history of all queries and
+//! "Identical to \[PULL\], except … the server keeps a history of all queries and
 //! their execution times, which is only erased when being 'picked up' by the
 //! outside monitoring application. While this is not a realistic solution in
 //! practice, we use it to model a solution without push or filtering, but

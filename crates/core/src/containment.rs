@@ -3,7 +3,7 @@
 //! The paper's synchronous evaluation model (§5) means a misbehaving rule —
 //! one whose condition or actions start erroring, or whose latency explodes —
 //! taxes the monitored workload directly. A per-rule circuit breaker
-//! ([`RuleBreaker`]) bounds that damage. It keeps a sliding window of the
+//! (`RuleBreaker`) bounds that damage. It keeps a sliding window of the
 //! last [`BREAKER_WINDOW`] evaluation outcomes in a single atomic bitmask.
 //! When the error (or over-latency-budget) count within the window crosses
 //! the threshold, the rule trips `Closed → Open` and is quarantined: its
@@ -15,7 +15,7 @@
 //! probation: exactly one trial evaluation is let through; success closes
 //! the breaker, failure re-opens it and restarts the cooldown. Breakers are
 //! always on; every rule is judged by the one [`BreakerConfig`] the monitor
-//! keeps ([`Containment::breaker`], set through `MonitorConfig::breaker`), so
+//! keeps (`Containment::breaker`, set through `MonitorConfig::breaker`), so
 //! a threshold change applies to rules registered before it and after it. A
 //! rule that must never trip gets thresholds above [`BREAKER_WINDOW`] — a
 //! value, not a switch. There is no load shedding: the event path is kept

@@ -20,7 +20,7 @@
 //!   `base · 2^(attempts−1)` capped at `max_backoff`, ± a seeded jitter
 //!   fraction, until `max_attempts` — then the action lands in the ledger as
 //!   `retries-exhausted`;
-//! * an action runs at most once per attempt: [`DeferredQueue::take_due`]
+//! * an action runs at most once per attempt: `DeferredQueue::take_due`
 //!   removes it under the queue lock, a success is never queued again, and
 //!   a failure re-enters the queue only through the retry schedule.
 

@@ -244,7 +244,8 @@ impl Sqlcm {
         self.inner.tracer.snapshot()
     }
 
-    /// Drop all retained traces (their span buffers are recycled).
+    /// Drop all retained traces. They stay counted in `tracing.completed`,
+    /// and now in `tracing.dropped` too.
     pub fn clear_traces(&self) {
         self.inner.tracer.clear();
     }

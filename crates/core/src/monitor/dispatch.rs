@@ -75,7 +75,8 @@ struct EventScratch {
     values: Vec<Vec<Value>>,
     /// `None` until the thread's first event, and while a dispatch has it.
     work: Option<EventWork>,
-    /// The plan this thread last dispatched under (see [`PlanCell::plan`]).
+    /// The plan this thread last dispatched under (see
+    /// [`PlanCell::plan`](crate::plan::PlanCell::plan)).
     plan: Option<CachedPlan>,
 }
 
@@ -401,9 +402,10 @@ impl SqlcmInner {
     // ------------------------------------------------------------ dispatch
 
     /// Run `f` under the published plan, through this thread's cached
-    /// reference to it ([`PlanCell::plan`]). `f` runs rule actions, so the
-    /// cache leaves `SCRATCH` for the duration: a probe raised from inside
-    /// `f` finds the slot empty and fetches the plan from the cell.
+    /// reference to it ([`PlanCell::plan`](crate::plan::PlanCell::plan)).
+    /// `f` runs rule actions, so the cache leaves `SCRATCH` for the
+    /// duration: a probe raised from inside `f` finds the slot empty and
+    /// fetches the plan from the cell.
     fn with_plan<R>(&self, f: impl FnOnce(&DispatchPlan) -> R) -> R {
         let mut cache = SCRATCH.with(|s| s.borrow_mut().plan.take());
         let out = f(self.plan.plan(&mut cache));

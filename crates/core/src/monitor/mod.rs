@@ -12,7 +12,7 @@
 //! event, all applicable rules are triggered before any later event is
 //! processed".
 //!
-//! The hot path runs on an immutable, published [`DispatchPlan`] (see
+//! The hot path runs on an immutable, published `DispatchPlan` (see
 //! [`crate::plan`]): one atomic load per event while the plan is unchanged, no
 //! registry locks, and payload objects assembled from pooled thread-local
 //! buffers — steady-state dispatch performs zero heap allocations for payload
@@ -146,7 +146,7 @@ struct SqlcmInner {
     last_error: Mutex<Option<String>>,
     /// Warnings collected by the static analyzer across registrations.
     /// Deduplicated by (code, rule, message) and capped at
-    /// [`MAX_ANALYSIS_WARNINGS`], oldest dropped first.
+    /// `registry::MAX_ANALYSIS_WARNINGS`, oldest dropped first.
     analysis_warnings: Mutex<WarningLog>,
     /// Self-telemetry state (probe/rule/LAT metrics, flight recorder).
     telemetry: Telem,

@@ -464,7 +464,7 @@ impl Sqlcm {
 
     /// The static analyzer's bound on cascade depth for the currently
     /// registered rules: the longest raised-event → subscribed-rule chain.
-    /// Observed trace depths ([`TraceSnapshot::max_cascade_depth`]) can never
+    /// Observed trace depths ([`crate::TraceSnapshot::max_cascade_depth`]) can never
     /// exceed this (E004 denies cyclic rule sets at registration).
     pub fn cascade_depth_bound(&self) -> usize {
         let mut registration = self.inner.registration.lock();

@@ -6,38 +6,38 @@
 //! contradicts that: every event would pay lock acquisitions and index-map
 //! clones whether or not anything subscribes. Instead, the plan is a function
 //! of the registry: each of its four mutations (`add_rule`/`remove_rule`/
-//! `define_lat`/`drop_lat`) publishes a new [`DispatchPlan`] through the
-//! [`PlanCell`], and nothing else does — a rule that is disabled or
+//! `define_lat`/`drop_lat`) publishes a new `DispatchPlan` through the
+//! `PlanCell`, and nothing else does — a rule that is disabled or
 //! quarantined stays in its plan, out of service (`Rule::in_service`). While
 //! the plan is unchanged, dispatch pays one atomic load and a compare per
 //! event — no locks, no clones:
 //!
 //! * `wants()` / `on_event` consult a packed [`ProbeMask`] interest bit;
 //! * per event the plan holds the precompiled rule slice in registration
-//!   order, with pre-resolved LAT handles and [`CompiledAction`]s;
+//!   order, with pre-resolved LAT handles and `CompiledAction`s;
 //! * rules on the same event whose conditions read the same LAT share one
-//!   **hoist slot** ([`HoistSlot`]): the row snapshot is fetched once per
+//!   **hoist slot** (`HoistSlot`): the row snapshot is fetched once per
 //!   event and reused across their condition evaluations — the paper's
 //!   grouping idea applied to rule evaluation itself;
 //! * equal condition subtrees appearing under ≥ 2 rules on the same event
 //!   (canonical-hash keyed, structurally verified) get a **CSE slot**
-//!   ([`CseSlot`]): the subexpression is evaluated once per event, later
+//!   (`CseSlot`): the subexpression is evaluated once per event, later
 //!   sharers load the cached value, and Phase C invalidation drops the
 //!   value together with the hoist slots it reads through.
 //!
 //! **The event class is the unit of planning.** Hoist slots, CSE slots,
 //! invalidations and the guard index never cross a class, so an
-//! [`EventPlan`] is derived from its class's rules alone
-//! ([`EventPlan::derive`]) and `DispatchPlan::build` — the definition, kept
+//! `EventPlan` is derived from its class's rules alone
+//! (`EventPlan::derive`) and `DispatchPlan::build` — the definition, kept
 //! under `#[cfg(test)]` as the differential oracle — is that, for every
 //! class. Attach installs the empty plan, and a mutation
 //! publishes its predecessor with only the classes it touches replaced
-//! ([`DispatchPlan::next`]); the others are the same `Arc<EventPlan>`. A rule
+//! (`DispatchPlan::next`); the others are the same `Arc<EventPlan>`. A rule
 //! added to a class is planned and emitted alone and *appended*
-//! ([`EventPlan::appended`]) when nothing about the class's existing rules
-//! can change — the two plans share them by the block ([`Rules`]), each hoist
+//! (`EventPlan::appended`) when nothing about the class's existing rules
+//! can change — the two plans share them by the block (`Rules`), each hoist
 //! slot's writer positions likewise, and the guard index's and CSE support's
-//! partitions and entries the rule does not land in ([`crate::shared`]) — and
+//! partitions and entries the rule does not land in (`crate::shared`) — and
 //! the class is derived again otherwise.
 //!
 //! Plans are owned by plain `Arc`s: the cell holds the current one, every

@@ -36,7 +36,7 @@ pub struct RuleStats {
     /// over every rule would have counted.
     pub evaluations: u64,
     /// Of `evaluations`, those a guard decided without running the
-    /// condition (see [`EventClock`]).
+    /// condition (see `EventClock`).
     pub pruned: u64,
     pub fires: u64,
     /// Actions executed (attempted) on behalf of this rule.

@@ -43,15 +43,19 @@
 //! events, counted on the lane, and a trace id packs (lane tag, lane-local
 //! sequence) — the tag the flight recorder's lane on that stripe packs its
 //! `seq` with ([`LaneTags`]) — so no sampling decision writes a line another
-//! dispatcher writes. A *sampled* event stages its spans in a
-//! buffer local to the dispatching thread's stack (no shared state, no
-//! locks while recording) and hands the buffer to its lane's bounded ring on
-//! completion: one uncontended mutex per completed trace, with evicted
-//! traces' span buffers recycled through the lane's [`BufferPool`] so steady
-//! state re-uses rather than reallocates. `Sqlcm::traces()` merges the
-//! lanes by start stamp and keeps the newest [`TRACE_RING_CAPACITY`]; the
-//! rings hold at most stripes × that many traces. The `t7_trace_overhead`
-//! bench gates both modes.
+//! dispatcher writes. A *sampled* event stages its spans in a buffer local
+//! to the dispatching thread's stack (no shared state, no locks while
+//! recording) and on completion writes the trace into its lane of a
+//! [`LaneRing`], the ring the flight recorder keeps its records in too: one
+//! uncontended mutex per completed trace. The trace's buffers swap places
+//! with the evicted trace's, and the thread's next trace fills the evicted
+//! span buffer, so steady state re-uses rather than reallocates.
+//! `Sqlcm::traces()` merges the lanes and keeps the newest
+//! [`TRACE_RING_CAPACITY`]. A trace's merge stamp is its start stamp, held
+//! back to its lane's previous one, so within a lane traces keep the order
+//! they finished in. The rings hold at most stripes × that many traces, and
+//! each thread that finished a trace keeps one spare span buffer. The
+//! `t7_trace_overhead` bench gates both modes.
 //!
 //! A sampled event costs what it *did*: pruned rules get no span. The event
 //! records its candidate set, payload and plan ([`PrunedRules`]) and the
@@ -62,11 +66,12 @@
 //! segment's probe, from the row the probe read; an unsampled event builds
 //! no reason.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use sqlcm_telemetry::{BoundedRing, BufferPool, Describe, Field, Metric, ShardedCounter};
-use sqlcm_telemetry::{LaneTags, Stamp, Stripes};
+use sqlcm_telemetry::{Describe, Field, LaneRing, LaneTags, Metric};
+use sqlcm_telemetry::{ShardedCounter, Stamp, Stripes};
 
 use crate::objects::Object;
 use crate::plan::{EventPlan, PlanRule};
@@ -80,10 +85,6 @@ pub const TRACE_RING_CAPACITY: usize = 64;
 /// Hard cap on spans staged per trace; a pathological cascade truncates
 /// (flagged on the snapshot) instead of growing without bound.
 pub const MAX_SPANS_PER_TRACE: usize = 4096;
-
-/// Bound on a lane's pooled span buffers (covers its ring's turnover plus
-/// in-flight staging).
-const SPAN_POOL_BOUND: usize = 8;
 
 /// Sentinel span ID: "no span" (used on the untraced path and for truncated
 /// traces; all recording methods ignore it).
@@ -264,7 +265,7 @@ impl Eq for PrunedRules {}
 
 /// A completed trace: one sampled root event and everything its dispatch
 /// did, including all deferred cascade hops.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceSnapshot {
     /// Trace ID: (lane tag, lane-local sequence) packed as
     /// `tag << LANE_SHIFT | sequence`, the sequence starting at 1, so 0
@@ -493,12 +494,13 @@ pub struct TracingTelemetry {
     pub sampling: String,
     /// Root events sampled into a trace.
     pub sampled: u64,
-    /// Traces completed and retained (a sampled event whose dispatch
-    /// recorded no spans — no subscribed rules — is discarded).
+    /// Traces ever completed, retained or not (a sampled event whose
+    /// dispatch recorded no spans — no subscribed rules — is discarded, not
+    /// completed).
     pub completed: u64,
-    /// Completed traces evicted from the rings (drop-oldest), or held by a
-    /// ring but older than the newest [`TRACE_RING_CAPACITY`] a merged read
-    /// returns.
+    /// Completed traces a merged read no longer returns: evicted from the
+    /// rings (drop-oldest), older than the newest [`TRACE_RING_CAPACITY`],
+    /// or cleared. Always `completed - ring_len`.
     pub dropped: u64,
     /// Spans across all completed traces.
     pub spans: u64,
@@ -696,9 +698,8 @@ impl TraceCtx {
 
 // ------------------------------------------------------------ tracer
 
-/// Per-instance tracing state: the sampling policy, and per dispatcher
-/// stripe a lane with the sampling count, trace-id source, ring of completed
-/// traces and span-buffer pool.
+/// Per-instance tracing state: the sampling policy, per dispatcher stripe
+/// the sampling count and trace-id source, and the completed traces.
 pub(crate) struct Tracer {
     /// The sampling period N of [`TraceSampling::EveryNth`]; `0` = off.
     every_n: AtomicU32,
@@ -706,22 +707,27 @@ pub(crate) struct Tracer {
     /// carry one lane tag.
     tags: Arc<LaneTags>,
     lanes: Stripes<TraceLane>,
-    sampled: ShardedCounter,
-    completed: ShardedCounter,
+    /// Completed traces, [`TRACE_RING_CAPACITY`] per stripe, each lane's in
+    /// finish order.
+    ring: LaneRing<TraceSnapshot>,
     spans_recorded: ShardedCounter,
     max_depth: AtomicU64,
 }
 
-/// One dispatcher stripe's tracing state, on cache lines of its own.
+/// One dispatcher stripe's sampling state, on cache lines of its own.
+#[derive(Default)]
 #[repr(align(64))]
 struct TraceLane {
     /// Root events this lane saw while sampling: the 1-in-N count.
     seen: AtomicU64,
     /// Traces this lane started.
     started: AtomicU64,
-    /// Completed traces with their start stamps, the merge key.
-    ring: BoundedRing<(Stamp, TraceSnapshot)>,
-    pool: BufferPool<TraceSpan>,
+}
+
+std::thread_local! {
+    /// The span buffer this thread's last finished trace took out of the
+    /// ring, cleared, for the next trace it starts to fill.
+    static SPARE_SPANS: Cell<Vec<TraceSpan>> = const { Cell::new(Vec::new()) };
 }
 
 impl Tracer {
@@ -730,14 +736,8 @@ impl Tracer {
         Tracer {
             every_n: AtomicU32::new(0),
             tags: Arc::clone(tags),
-            lanes: Stripes::new(|| TraceLane {
-                seen: AtomicU64::new(0),
-                started: AtomicU64::new(0),
-                ring: BoundedRing::new(TRACE_RING_CAPACITY),
-                pool: BufferPool::new(SPAN_POOL_BOUND),
-            }),
-            sampled: ShardedCounter::new(),
-            completed: ShardedCounter::new(),
+            lanes: Stripes::default(),
+            ring: LaneRing::new(TRACE_RING_CAPACITY),
             spans_recorded: ShardedCounter::new(),
             max_depth: AtomicU64::new(0),
         }
@@ -775,13 +775,12 @@ impl Tracer {
     }
 
     fn start(&self, now_micros: u64) -> TraceCtx {
-        self.sampled.incr();
         let lane = self.lanes.mine();
         TraceCtx {
             id: self.tags.mine() | (lane.started.fetch_add(1, Ordering::Relaxed) + 1),
             started_micros: now_micros,
             started: Stamp::now(),
-            spans: lane.pool.take(),
+            spans: SPARE_SPANS.take(),
             pruned: Vec::new(),
             max_depth: 0,
             evaluations: 0,
@@ -790,58 +789,42 @@ impl Tracer {
         }
     }
 
-    /// Seal a staged trace into the calling dispatcher's ring. Empty traces
-    /// (the sampled event had no subscribed rules) are discarded; evicted
-    /// traces' span buffers go back to the lane's pool.
-    pub fn finish(&self, ctx: TraceCtx) {
-        let lane = self.lanes.mine();
-        if ctx.spans.is_empty() {
-            lane.pool.put(ctx.spans);
-            return;
+    /// Seal a staged trace into the calling dispatcher's lane of the ring.
+    /// Empty traces (the sampled event had no subscribed rules) are
+    /// discarded. The trace's buffers swap places with the evicted trace's,
+    /// whose span buffer this thread's next trace reuses.
+    pub fn finish(&self, mut ctx: TraceCtx) {
+        if !ctx.spans.is_empty() {
+            self.spans_recorded.add(ctx.spans.len() as u64);
+            let depth = u64::from(ctx.max_depth);
+            if depth > self.max_depth.load(Ordering::Relaxed) {
+                self.max_depth.fetch_max(depth, Ordering::Relaxed);
+            }
+            let duration_nanos = ctx.now();
+            self.ring.write(ctx.started, |_, t| {
+                std::mem::swap(&mut t.spans, &mut ctx.spans);
+                std::mem::swap(&mut t.pruned, &mut ctx.pruned);
+                t.root_event.clear();
+                t.root_event.push_str(t.spans[0].kind.label());
+                (t.trace_id, t.started_micros) = (ctx.id, ctx.started_micros);
+                (t.duration_nanos, t.max_cascade_depth) = (duration_nanos, ctx.max_depth);
+                (t.evaluations, t.fires, t.truncated) = (ctx.evaluations, ctx.fires, ctx.truncated);
+            });
         }
-        self.completed.incr();
-        self.spans_recorded.add(ctx.spans.len() as u64);
-        let depth = u64::from(ctx.max_depth);
-        if depth > self.max_depth.load(Ordering::Relaxed) {
-            self.max_depth.fetch_max(depth, Ordering::Relaxed);
-        }
-        let snapshot = TraceSnapshot {
-            trace_id: ctx.id,
-            root_event: ctx
-                .spans
-                .first()
-                .map(|s| s.kind.label().to_string())
-                .unwrap_or_default(),
-            started_micros: ctx.started_micros,
-            duration_nanos: ctx.now(),
-            max_cascade_depth: ctx.max_depth,
-            evaluations: ctx.evaluations,
-            fires: ctx.fires,
-            truncated: ctx.truncated,
-            spans: ctx.spans,
-            pruned: ctx.pruned,
-        };
-        if let Some((_, evicted)) = lane.ring.push((ctx.started, snapshot)) {
-            lane.pool.put(evicted.spans);
-        }
+        ctx.spans.clear();
+        SPARE_SPANS.set(ctx.spans);
     }
 
     /// The newest [`TRACE_RING_CAPACITY`] completed traces of all lanes,
-    /// oldest first by start.
+    /// oldest first by start stamp, held back to the lane's previous one:
+    /// within a lane, in finish order.
     pub fn snapshot(&self) -> Vec<TraceSnapshot> {
-        let mut all: Vec<_> = self.lanes.iter().flat_map(|l| l.ring.snapshot()).collect();
-        all.sort_unstable_by_key(|(started, t)| (*started, t.trace_id));
-        let hidden = all.len().saturating_sub(TRACE_RING_CAPACITY);
-        all.into_iter().skip(hidden).map(|(_, t)| t).collect()
+        self.ring.snapshot()
     }
 
-    /// Drop all retained traces (their buffers are recycled).
+    /// Drop all retained traces; they stay counted as completed and dropped.
     pub fn clear(&self) {
-        for lane in self.lanes.iter() {
-            for (_, trace) in lane.ring.drain() {
-                lane.pool.put(trace.spans);
-            }
-        }
+        self.ring.clear();
     }
 
     pub fn telemetry(&self) -> TracingTelemetry {
@@ -849,14 +832,17 @@ impl Tracer {
             TraceSampling::Off => "off".to_string(),
             TraceSampling::EveryNth(n) => format!("every_nth({n})"),
         };
-        let held: u64 = self.lanes.iter().map(|l| l.ring.len() as u64).sum();
-        let ring_len = held.min(TRACE_RING_CAPACITY as u64);
-        let evicted: u64 = self.lanes.iter().map(|l| l.ring.dropped()).sum();
+        let completed = self.ring.recorded();
+        let ring_len = self.ring.len() as u64;
         TracingTelemetry {
             sampling,
-            sampled: self.sampled.get(),
-            completed: self.completed.get(),
-            dropped: evicted + held - ring_len,
+            sampled: self
+                .lanes
+                .iter()
+                .map(|l| l.started.load(Ordering::Relaxed))
+                .sum(),
+            completed,
+            dropped: completed.saturating_sub(ring_len),
             spans: self.spans_recorded.get(),
             max_cascade_depth: self.max_depth.load(Ordering::Relaxed),
             ring_len,

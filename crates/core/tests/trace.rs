@@ -329,6 +329,8 @@ fn trace_ring_keeps_the_newest_and_reports_drops() {
     sqlcm.clear_traces();
     assert!(sqlcm.traces().is_empty());
     assert_eq!(sqlcm.telemetry().tracing.ring_len, 0);
+    let tel = sqlcm.telemetry().tracing;
+    assert_eq!(tel.completed, tel.dropped + tel.ring_len);
 }
 
 /// Every traced firing's flight record carries its trace id, and every

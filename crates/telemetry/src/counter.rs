@@ -11,7 +11,7 @@ use crate::stripe::Stripes;
 struct Shard(AtomicU64);
 
 /// A monotonically increasing counter optimised for concurrent writers: one
-/// cache-line stripe per dispatcher slot ([`crate::stripe`]), so threads that
+/// cache-line stripe per dispatcher slot ([`Stripes`]), so threads that
 /// are live together increment different lines while there are no more of
 /// them than stripes.
 ///

@@ -17,15 +17,13 @@
 //!   stripes and derives p50/p95/p99 from the buckets.
 //! * [`Stamp`] — one reading of `std::time::Instant`; a span is the distance
 //!   between two stamps, and adjacent spans share the stamp between them.
+//! * [`LaneRing`] — the newest N items, one fixed ring per stripe whose
+//!   slots are overwritten in place, merged when read: the flight recorder's
+//!   storage and the causal-trace subsystem's (`sqlcm-core::trace`).
 //! * [`FlightRecorder`] — the last N rule firings, kept so a test failure or
-//!   cancel storm can be reconstructed after the fact: one fixed ring per
-//!   stripe, merged when read. Its records name their rule and event by
-//!   [`Label`], which a ring slot re-clones only when the label changes, and
-//!   are numbered per lane ([`LANE_SHIFT`]).
-//! * [`BoundedRing`] / [`BufferPool`] — drop-oldest retention and span-buffer
-//!   recycling for the causal-trace subsystem (`sqlcm-core::trace`), one of
-//!   each per stripe: touched once per completed sampled trace, never on the
-//!   per-event path.
+//!   cancel storm can be reconstructed after the fact. Its records name their
+//!   rule and event by [`Label`], which a ring slot re-clones only when the
+//!   label changes, and are numbered per lane ([`LANE_SHIFT`]).
 //! * [`Describe`] / [`Metric`] — how a snapshot slice names its exported
 //!   fields once, for every writer to walk.
 //!
@@ -36,7 +34,6 @@ mod counter;
 mod describe;
 mod histogram;
 mod recorder;
-mod ring;
 mod stamp;
 mod stripe;
 
@@ -45,6 +42,5 @@ pub use describe::{Describe, Field, Fields, Metric};
 pub use histogram::{bucket_index, bucket_lower_bound, bucket_upper_bound};
 pub use histogram::{Buckets, HistogramSnapshot, LatencyHistogram, BUCKETS};
 pub use recorder::{Firing, FlightRecord, FlightRecorder, Label};
-pub use ring::{BoundedRing, BufferPool};
 pub use stamp::Stamp;
-pub use stripe::{stripe_count, LaneTags, Stripes, LANE_SHIFT};
+pub use stripe::{stripe_count, LaneRing, LaneTags, Stripes, LANE_SHIFT};

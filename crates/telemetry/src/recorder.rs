@@ -1,31 +1,24 @@
-//! Bounded rings of recent rule firings ("flight recorder"), one per
-//! dispatcher stripe.
+//! Recent rule firings ("flight recorder"), one bounded ring per dispatcher
+//! stripe.
 //!
 //! When a test fails or a cancel storm trips rules faster than anyone can
 //! watch, the question is always "what were the last things the monitor did?"
-//! The recorder keeps the answer. Each dispatcher stripe ([`Stripes`]) has its
-//! own lane: a fixed-depth ring of [`FlightRecord`] slots, overwritten in
-//! place once full. A firing takes only its own lane's lock — uncontended
-//! while no more threads dispatch than there are stripes — and writes no
-//! cache line another dispatcher writes. It hands its labels in borrowed, and
-//! a slot clones a label only when it holds a different one, so a rule that
+//! The recorder keeps the answer in a [`LaneRing`] of [`FlightRecord`]s: a
+//! firing takes only its own stripe's lane lock and writes its fields into
+//! the lane's oldest slot in place. It hands its labels in borrowed, and a
+//! slot clones a label only when it holds a different one, so a rule that
 //! fires again and again touches no shared reference count.
 //!
-//! A lane numbers its records itself: `seq` packs (lane tag, lane-local
-//! sequence), the tag shared with the tracer's lane on the same stripe
-//! ([`LaneTags`]), so a gap within one lane means records were evicted, not
-//! lost. [`FlightRecorder::snapshot`] merges the lanes by
-//! `(stamp, seq)` — the stamp is the one the causing event entered the
-//! monitor with, held back so it never runs backwards within a lane — and
-//! keeps the newest `capacity` records; one dispatcher's records keep their
-//! exact order. Memory is bounded by stripes × capacity records for the
-//! recorder's lifetime. Records carry the active trace ID so they cross-link
-//! with the causal traces of `sqlcm-core::trace`.
+//! A record's `seq` packs (lane tag, lane-local sequence), the tag shared
+//! with the tracer's lane on the same stripe ([`LaneTags`]), so a gap within
+//! one lane means records were evicted, not lost. The merge stamp is the one
+//! the causing event entered the monitor with, so a merged snapshot keeps
+//! one dispatcher's records in their exact order. Records carry the active
+//! trace ID so they cross-link with the causal traces of `sqlcm-core::trace`.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
-use crate::ring::lock;
-use crate::stripe::{LaneTags, Stripes};
+use crate::stripe::{LaneRing, LaneTags};
 use crate::{Describe, Field, Metric, Stamp};
 
 #[cfg(debug_assertions)]
@@ -142,54 +135,21 @@ pub struct Firing<'a> {
     pub trace_id: u64,
 }
 
-/// One stripe's ring, on cache lines of its own. A record is written field
-/// by field into a slot that always holds a whole record, so a panicking
-/// holder leaves the ring usable ([`lock`]).
-#[repr(align(64))]
-struct Lane(Mutex<Ring>);
-
-/// A lane's records, and how far it has got.
-#[derive(Default)]
-struct Ring {
-    /// Records this lane ever took.
-    recorded: u64,
-    /// The newest record's merge stamp.
-    latest: Option<Stamp>,
-    /// The slot the next record writes.
-    next: usize,
-    /// Records with their merge stamps: the firing's `at`, held back to the
-    /// lane's previous stamp if earlier. Grows to the recorder's capacity
-    /// once, then is overwritten in place.
-    slots: Vec<(Stamp, FlightRecord)>,
-}
-
-/// [`FlightRecord`] rings, one per dispatcher stripe, of a fixed depth each.
+/// [`FlightRecord`]s in a [`LaneRing`]: one fixed ring per dispatcher
+/// stripe, merged when read.
 pub struct FlightRecorder {
-    capacity: usize,
     tags: Arc<LaneTags>,
-    lanes: Stripes<Lane>,
+    ring: LaneRing<FlightRecord>,
 }
 
 impl FlightRecorder {
     /// Rings of `capacity` records (clamped to at least 1), the bound on a
     /// merged snapshot too.
     pub fn new(capacity: usize) -> FlightRecorder {
-        let capacity = capacity.max(1);
         FlightRecorder {
-            capacity,
             tags: Arc::default(),
-            lanes: Stripes::new(|| {
-                let slots = Vec::with_capacity(capacity);
-                Lane(Mutex::new(Ring {
-                    slots,
-                    ..Ring::default()
-                }))
-            }),
+            ring: LaneRing::new(capacity),
         }
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// The lane tags `seq` is packed with, for another per-stripe recorder
@@ -201,69 +161,26 @@ impl FlightRecorder {
     /// Append a record to the calling dispatcher's lane, overwriting its
     /// oldest at capacity. The lane assigns `seq`.
     pub fn record(&self, f: Firing<'_>) {
-        let mut ring = lock(&self.lanes.mine().0);
-        let ring = &mut *ring;
-        let seq = self.tags.mine() | ring.recorded;
-        let at = *ring
-            .latest
-            .insert(ring.latest.map_or(f.at, |l| l.max(f.at)));
-        if ring.next == ring.slots.len() {
-            ring.slots.push((at, FlightRecord::default()));
-        }
-        let (slot_at, slot) = &mut ring.slots[ring.next];
-        slot.event.clone_from(f.event);
-        slot.rule.clone_from(f.rule);
-        (*slot_at, slot.seq, slot.fired, slot.actions) = (at, seq, f.fired, f.actions);
-        (slot.errors, slot.duration_nanos) = (f.errors, f.duration_nanos);
-        slot.trace_id = f.trace_id;
-        ring.next += 1;
-        if ring.next == self.capacity {
-            ring.next = 0;
-        }
-        ring.recorded += 1;
-    }
-
-    fn rings(&self) -> impl Iterator<Item = MutexGuard<'_, Ring>> {
-        self.lanes.iter().map(|l| lock(&l.0))
+        let tag = self.tags.mine();
+        self.ring.write(f.at, |seq, slot| {
+            slot.event.clone_from(f.event);
+            slot.rule.clone_from(f.rule);
+            (slot.seq, slot.fired, slot.actions) = (tag | seq, f.fired, f.actions);
+            (slot.errors, slot.duration_nanos) = (f.errors, f.duration_nanos);
+            slot.trace_id = f.trace_id;
+        });
     }
 
     /// Records ever appended (including evicted ones), summed over the
     /// lanes.
     pub fn total_recorded(&self) -> u64 {
-        self.rings().map(|r| r.recorded).sum()
-    }
-
-    /// Records a snapshot returns.
-    pub fn len(&self) -> usize {
-        self.capacity.min(self.rings().map(|r| r.slots.len()).sum())
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.ring.recorded()
     }
 
     /// The newest `capacity` records of all lanes, oldest first, ordered by
     /// `(merge stamp, seq)`: each lane's records in the order it took them.
     pub fn snapshot(&self) -> Vec<FlightRecord> {
-        self.merged().into_iter().map(|(_, r)| r).collect()
-    }
-
-    /// [`FlightRecorder::snapshot`] with each record's merge stamp.
-    fn merged(&self) -> Vec<(Stamp, FlightRecord)> {
-        let mut all: Vec<_> = self.rings().flat_map(|r| r.slots.clone()).collect();
-        all.sort_unstable_by_key(|(at, r)| (*at, r.seq));
-        all.drain(..all.len().saturating_sub(self.capacity));
-        all
-    }
-}
-
-impl std::fmt::Debug for FlightRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlightRecorder")
-            .field("capacity", &self.capacity())
-            .field("len", &self.len())
-            .field("total_recorded", &self.total_recorded())
-            .finish()
+        self.ring.snapshot()
     }
 }
 
@@ -304,7 +221,6 @@ mod tests {
         for name in ["a", "b", "c", "d", "e"] {
             r.record(rec(name));
         }
-        assert_eq!(r.len(), 3);
         assert_eq!(r.total_recorded(), 5);
         let snap = r.snapshot();
         let rules: Vec<&str> = snap.iter().map(|x| &*x.rule).collect();
@@ -316,10 +232,10 @@ mod tests {
     #[test]
     fn zero_capacity_is_clamped() {
         let r = FlightRecorder::new(0);
-        assert_eq!(r.capacity(), 1);
         r.record(rec("a"));
         r.record(rec("b"));
-        assert_eq!(r.snapshot()[0].rule, "b");
+        let snap = r.snapshot();
+        assert_eq!((snap.len(), &*snap[0].rule), (1, "b"));
     }
 
     #[test]
@@ -372,12 +288,7 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(r.len(), 8);
+        assert_eq!(r.snapshot().len(), 8);
         assert_eq!(r.total_recorded(), 4000);
-        // The snapshot is strictly ordered by the merge key.
-        let snap = r.merged();
-        assert!(snap
-            .windows(2)
-            .all(|w| (w[0].0, w[0].1.seq) < (w[1].0, w[1].1.seq)));
     }
 }
