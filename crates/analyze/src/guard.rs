@@ -17,6 +17,11 @@
 //! and W205 and the `lint_rules` example print the same verdict, so lint and
 //! dispatch cannot disagree.
 //!
+//! A verdict **decides** its condition ([`Guards::decides`]) when its guards
+//! absorbed every top-level conjunct: the condition is then exactly the
+//! guards' admission, and on a probed event dispatch counts the index's
+//! admission of the rule as its evaluation and runs no program.
+//!
 //! ## Soundness contract
 //!
 //! A rule may be pruned only when a violated guard implies the whole
@@ -35,6 +40,16 @@
 //!   payload carries. Reading a LAT cannot fail — a missing row poisons the
 //!   condition to false, not to an error. Any other rule is [`Residual`]:
 //!   always evaluated, never mis-pruned.
+//!
+//! A verdict that decides its condition needs the converse half too:
+//!
+//! * **Admitted-is-true**: admission tests a non-null value with the VM's
+//!   own [`Value`] equality (`=`, `IN`) and order (`<`, `<=`, `>`, `>=`), so
+//!   an absorbed conjunct whose guard admits the value evaluates to `TRUE` —
+//!   a NULL value or a NULL `IN` member is admitted by nothing, and a LAT
+//!   guard admits only a row the LAT holds. When every top-level conjunct is
+//!   absorbed, an admitted rule's `AND` chain is `TRUE`, and infallibility
+//!   means it could not have errored instead.
 //!
 //! A LAT guard adds one runtime condition: the row it is checked against must
 //! be the one the condition would read. A LAT's rows change mid-event (an
@@ -149,16 +164,24 @@ impl fmt::Display for LatGuard {
 pub struct Guards {
     pub payload: Option<Guard>,
     pub lat: Option<LatGuard>,
+    /// The guards absorbed every top-level conjunct of the folded condition:
+    /// admitted by both is the condition `TRUE`, refused by either is it not
+    /// (module docs, "Admitted-is-true").
+    pub decides: bool,
 }
 
 impl fmt::Display for Guards {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match (&self.payload, &self.lat) {
-            (Some(p), Some(l)) => write!(f, "{p}; LAT guard: {l}"),
-            (Some(p), None) => write!(f, "{p}"),
-            (None, Some(l)) => write!(f, "LAT guard: {l}"),
-            (None, None) => write!(f, "no guard"),
+            (Some(p), Some(l)) => write!(f, "{p}; LAT guard: {l}")?,
+            (Some(p), None) => write!(f, "{p}")?,
+            (None, Some(l)) => write!(f, "LAT guard: {l}")?,
+            (None, None) => write!(f, "no guard")?,
         }
+        if self.decides {
+            write!(f, "; decides the condition")?;
+        }
+        Ok(())
     }
 }
 
@@ -198,7 +221,9 @@ impl Residual {
 ///
 /// At most one guard per kind of operand: the first equality/`IN` conjunct
 /// wins (a point probe beats a range sweep); otherwise every range conjunct
-/// over the first ranged operand is merged into one interval.
+/// over the first ranged operand is merged into one interval. The guards
+/// decide the condition when no conjunct is left over: each is an atom, and
+/// each went into the guard of its kind.
 pub fn rule_guard(rule: &RuleIr) -> Result<Guards, Residual> {
     let Some(cond) = &rule.condition else {
         return Err(Residual::Unconditional);
@@ -235,13 +260,14 @@ pub fn rule_guard(rule: &RuleIr) -> Result<Guards, Residual> {
     conjuncts(ir, ir.root, &mut conj);
     let mut attrs = Pick::default();
     let mut lat_cols = Pick::default();
-    for id in conj {
+    for &id in &conj {
         match atom_of(ir, id) {
             Some((Operand::Attr(class, attr), kind)) => attrs.offer((class, attr), kind),
             Some((Operand::LatCol(lat, column), kind)) => lat_cols.offer(LatCol(lat, column), kind),
             None => {}
         }
     }
+    let absorbed = attrs.absorbed() + lat_cols.absorbed();
     let guards = Guards {
         payload: attrs
             .chosen()
@@ -249,11 +275,13 @@ pub fn rule_guard(rule: &RuleIr) -> Result<Guards, Residual> {
         lat: lat_cols
             .chosen()
             .map(|(LatCol(lat, column), kind)| LatGuard { lat, column, kind }),
+        decides: absorbed == conj.len(),
     };
     match guards {
         Guards {
             payload: None,
             lat: None,
+            ..
         } => Err(Residual::NoGuardAtom),
         guards => Ok(guards),
     }
@@ -264,6 +292,8 @@ pub fn rule_guard(rule: &RuleIr) -> Result<Guards, Residual> {
 struct Pick<K> {
     eq: Option<(K, GuardKind)>,
     range: Option<(K, GuardKind)>,
+    /// Range conjuncts merged into `range`.
+    merged: usize,
 }
 
 impl<K> Default for Pick<K> {
@@ -271,6 +301,7 @@ impl<K> Default for Pick<K> {
         Pick {
             eq: None,
             range: None,
+            merged: 0,
         }
     }
 }
@@ -291,7 +322,16 @@ impl<K: PartialEq> Pick<K> {
                     tighten(rhi, b, Ordering::Less);
                 }
             }
-            Some(_) => {}
+            Some(_) => return,
+        }
+        self.merged += 1;
+    }
+
+    /// How many of the offered conjuncts the chosen guard stands for.
+    fn absorbed(&self) -> usize {
+        match self.eq {
+            Some(_) => 1,
+            None => self.merged,
         }
     }
 
@@ -456,11 +496,20 @@ mod tests {
         ClassName::Query.schema().unwrap().attr_index(attr).unwrap()
     }
 
-    /// A payload guard alone.
+    /// A payload guard alone, which decides its condition.
     fn payload(guard: Guard) -> Result<Guards, Residual> {
         Ok(Guards {
             payload: Some(guard),
             lat: None,
+            decides: true,
+        })
+    }
+
+    /// `verdict` with conjuncts its guards left over.
+    fn partial(verdict: Result<Guards, Residual>) -> Result<Guards, Residual> {
+        verdict.map(|g| Guards {
+            decides: false,
+            ..g
         })
     }
 
@@ -500,7 +549,7 @@ mod tests {
             ("query.user = 'bob'", eq("User", &[Value::text("bob")])),
             (
                 "Query.Duration > 2 AND Query.User = 'bob'",
-                eq("User", &[Value::text("bob")]),
+                partial(eq("User", &[Value::text("bob")])),
             ),
             ("Query.ID IN (1, 2, 3)", eq("ID", &ints(&[1, 2, 3]))),
             // NULL can never compare TRUE: it drops out of the value set.
@@ -517,7 +566,7 @@ mod tests {
             (
                 "Query.Duration > 100 AND Query.Duration <= 500 AND Query.Duration > 50 \
                  AND Query.Estimated_Cost < 9",
-                range(Some((100, true)), Some((500, false))),
+                partial(range(Some((100, true)), Some((500, false)))),
             ),
             (
                 "Query.Duration >= 5 AND Query.Duration > 5",
@@ -581,6 +630,7 @@ mod tests {
             Ok(Guards {
                 payload: None,
                 lat: lat("Win", "Avg_D", int_range(Some((1, true)), None)),
+                decides: true,
             })
         );
         assert_eq!(on("Win.Avg_D * 2 > 1"), Err(Residual::FallibleExpr));
@@ -596,11 +646,12 @@ mod tests {
             Guards {
                 payload: eq("User", &[Value::text("a")]).unwrap().payload,
                 lat: lat("Win", "N", int_range(Some((5, false)), None)),
+                decides: true,
             }
         );
         assert_eq!(
             both.to_string(),
-            "equality on Query.User; LAT guard: range on Win.N"
+            "equality on Query.User; LAT guard: range on Win.N; decides the condition"
         );
         // Ranges on one column merge across the names' case; the result is
         // never true.
@@ -630,11 +681,55 @@ mod tests {
                 .unwrap()
                 .to_string()
         };
-        assert_eq!(show("Query.User = 'alice'"), "equality on Query.User");
+        assert_eq!(
+            show("Query.User = 'alice'"),
+            "equality on Query.User; decides the condition"
+        );
         assert_eq!(
             show("Query.Logical_Signature IN (1, 2, 3)"),
-            "membership on Query.Logical_Signature"
+            "membership on Query.Logical_Signature; decides the condition"
         );
-        assert_eq!(show("3 < Query.Duration"), "range on Query.Duration");
+        assert_eq!(
+            show("3 < Query.Duration"),
+            "range on Query.Duration; decides the condition"
+        );
+        assert_eq!(
+            show("3 < Query.Duration AND Query.User LIKE 'a%'"),
+            "range on Query.Duration"
+        );
+    }
+
+    /// A guard decides its condition only when no top-level conjunct is left
+    /// over: an equality beside a range on the same operand leaves the range
+    /// out, and a range beside one on another operand leaves that one out.
+    #[test]
+    fn decides_only_when_every_conjunct_is_absorbed() {
+        let decides = |c| match verdict(RuleEvent::QueryCommit, Some(c)) {
+            Ok(g) => g.decides,
+            Err(_) => false,
+        };
+        for cond in [
+            "Query.Duration >= 0",
+            "Query.ID = 3",
+            "Query.ID IN (1, NULL, 2)",
+            "Query.ID IN (NULL)",
+            "Query.Duration > 1 AND Query.Duration <= 2.5 AND 0 < Query.Duration",
+            "Query.Duration >= 5 AND Query.Duration > 5",
+            "Query.User = 'a' AND Win.N >= 5",
+            "Win.N >= 5 AND win.n < 9",
+        ] {
+            assert!(decides(cond), "{cond}");
+        }
+        for cond in [
+            "Query.ID = 3 AND Query.ID > 1",
+            "Query.ID > 1 AND Query.Estimated_Cost < 5",
+            "Query.ID = 3 AND Query.ID = 4",
+            "Query.User = 'a' AND Query.Query_Text LIKE 'x%'",
+            "Win.N >= 5 AND Win.M >= 5",
+            "Query.User = 'a' AND Win.N >= 5 AND Win.N = 7",
+            "Query.ID = 3 AND Query.User IS NOT NULL",
+        ] {
+            assert!(!decides(cond), "{cond}");
+        }
     }
 }

@@ -15,7 +15,9 @@
 //! The one runtime-side addition to the contract is [`GuardIndex::required`]:
 //! every attribute a guarded condition reads must resolve against a payload
 //! object the probe has verified present with sufficient width, which keeps
-//! guarded conditions genuinely infallible whenever pruning happens.
+//! guarded conditions genuinely infallible whenever pruning happens. When a
+//! verdict decides its condition (`PlanRule::decided`), the index's admission
+//! is the condition's `TRUE`, and dispatch runs no program for the rule.
 //!
 //! **Two value sources, one group code.** A group reads its value from a
 //! payload attribute (payload guards) or from a column of a hoisted LAT row

@@ -14,12 +14,19 @@
 //! * **persistence**: rows can be written to an ordinary table (plus a timestamp
 //!   column) and re-seeded from one at startup.
 //!
-//! Every insert, lookup and restore hashes its group key once, with one keyed
-//! `RandomState` per LAT (group keys are user-controlled text), reading the
-//! key in place from the monitored object whatever the number of grouping
-//! columns. A row stores its key once, beside that 64-bit hash; the tables
-//! compare the hash first and the full key on a match. Occupancy is one atomic
-//! counter, adjusted under the lock that adds or removes the row.
+//! Every insert, lookup and restore hashes its group key at most once, with
+//! SipHash under one process-wide key (`GROUP_KEY`), reading the key in place
+//! from the monitored object whatever the number of grouping columns. The key
+//! is a `RandomState`'s, secret and random per process, so group keys — which
+//! are user-controlled text — resist HashDoS exactly as under a key per LAT.
+//! Sharing it makes the hash a function of the grouping values alone: two
+//! LATs grouped by the same attributes of one object hash it alike, and the
+//! dispatcher hashes a payload object once per event for all of them
+//! (`Lat::group_hash`, then the crate-private `insert_keyed` and
+//! `lookup_keyed`); the public API hashes for itself. A row stores its key
+//! once, beside that 64-bit hash; the tables compare the hash first and the
+//! full key on a match. Occupancy is one atomic counter, adjusted under the
+//! lock that adds or removes the row.
 //!
 //! # Unbounded LATs
 //!
@@ -38,7 +45,8 @@
 //!
 //! A LAT whose spec sets `max_rows` or `max_bytes` keeps everything in one
 //! `Table` under one reader-writer latch: the rows, stored in place in a
-//! slot vector; an open-addressed hash index from group-key hash to slot;
+//! slot vector; an open-addressed hash index from group-key hash to slot,
+//! at most half full (`BUCKETS_PER_ROW`), so a search rarely walks a run;
 //! and the **victim order**, a B-tree of `(rank, slot)` entries, least
 //! important first. Inserts take the latch exclusively, lookups and
 //! snapshots share it. A row's *rank* is the values of its ordering columns
@@ -79,7 +87,7 @@ use std::collections::hash_map::RandomState;
 use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use sqlcm_common::{Error, Result, SharedClock, Timestamp, Value};
@@ -90,6 +98,17 @@ use crate::shared::StoredHash;
 
 /// Independently locked row-map shards per unbounded LAT.
 const LAT_SHARDS: usize = 16;
+
+/// Keys every LAT's group-key hash (module docs): secret, random per process.
+static GROUP_KEY: LazyLock<RandomState> = LazyLock::new(RandomState::new);
+
+#[cfg(debug_assertions)]
+thread_local! {
+    static KEY_HASHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// A bounded LAT's hash index holds at most one row per this many buckets.
+const BUCKETS_PER_ROW: usize = 2;
 
 /// The LAT specification is declared once, in the analyzer crate.
 pub use sqlcm_analyze::{AggColumn, AgingSpec, AttrRef, GroupColumn, LatAggFunc, LatSpec};
@@ -867,7 +886,8 @@ struct Table {
     /// Slots that hold no row, reused first.
     free: Vec<u32>,
     /// Open-addressed, linearly probed hash index of [`bucket`]s, or
-    /// [`EMPTY`]. A power of two long, never more than 3/4 full.
+    /// [`EMPTY`]. A power of two long, at most half full
+    /// ([`BUCKETS_PER_ROW`]).
     buckets: Vec<u64>,
     /// An entry per held row, least important first; empty when *clocked*.
     victims: BTreeSet<Entry>,
@@ -882,10 +902,11 @@ struct Table {
 
 impl Table {
     fn new(spec: &LatSpec, ranking: Option<Ranking>) -> Table {
-        // Room for `max_rows` + 1 rows at ≤ 3/4 load, up to 1 024 buckets.
-        let buckets = spec
-            .max_rows
-            .map_or(8, |m| ((m.min(766) + 2) * 4 / 3).next_power_of_two());
+        // Room for `max_rows` + 1 rows within the load bound, up to 1 024
+        // buckets.
+        let buckets = spec.max_rows.map_or(8, |m| {
+            ((m.min(1024 / BUCKETS_PER_ROW - 1) + 1) * BUCKETS_PER_ROW).next_power_of_two()
+        });
         let down = ranking.as_ref().map_or(0, |r| r.down);
         let probe = Entry {
             down,
@@ -943,7 +964,7 @@ impl Table {
 
     /// Index slot `s`, which holds a row whose group is not indexed yet.
     fn index(&mut self, s: u32) {
-        if 4 * self.len() > 3 * self.buckets.len() {
+        if BUCKETS_PER_ROW * self.len() > self.buckets.len() {
             let grown = vec![EMPTY; 2 * self.buckets.len()];
             let old = std::mem::replace(&mut self.buckets, grown);
             old.into_iter()
@@ -1068,8 +1089,6 @@ pub struct Lat {
     group_attr_idx: Vec<usize>,
     /// Pre-resolved positions of each aggregate's source attribute.
     agg_attr_idx: Vec<Option<usize>>,
-    /// Keys every group-key hash: group keys are user-controlled text.
-    hasher: RandomState,
     store: Store,
     /// Rows held: adjusted under the shard lock that adds or removes an
     /// unbounded LAT's row, stored under a bounded LAT's latch.
@@ -1148,7 +1167,6 @@ impl Lat {
             order,
             group_attr_idx,
             agg_attr_idx,
-            hasher: RandomState::new(),
             store,
             occupancy: AtomicUsize::new(0),
             ages,
@@ -1189,11 +1207,34 @@ impl Lat {
 
     /// The keyed hash of a group key: its length, then each value — the bytes
     /// `<[Value]>::hash` writes — wherever the values are read from.
-    fn hash_key<'v>(&self, key: impl ExactSizeIterator<Item = &'v Value>) -> u64 {
-        let mut h = self.hasher.build_hasher();
+    fn hash_key<'v>(key: impl ExactSizeIterator<Item = &'v Value>) -> u64 {
+        #[cfg(debug_assertions)]
+        KEY_HASHES.with(|n| n.set(n.get() + 1));
+        let mut h = GROUP_KEY.build_hasher();
         h.write_usize(key.len());
         key.for_each(|v| v.hash(&mut h));
         h.finish()
+    }
+
+    /// Group keys this thread has hashed, in every LAT: what the dispatcher's
+    /// hash-memo pins count. Debug builds only — a release build counts
+    /// nothing.
+    #[cfg(debug_assertions)]
+    pub fn key_hashes_on_this_thread() -> u64 {
+        KEY_HASHES.with(std::cell::Cell::get)
+    }
+
+    /// Positions of the grouping attributes in the source class's values:
+    /// with the object, all a group-key hash depends on.
+    pub(crate) fn group_attrs(&self) -> &[usize] {
+        &self.group_attr_idx
+    }
+
+    /// The hash of this LAT's group key of `obj`, which every LAT grouped by
+    /// the same attributes shares. `None` if the object lacks a grouping
+    /// attribute.
+    pub(crate) fn group_hash(&self, obj: &Object) -> Option<u64> {
+        self.with_group_key(obj, None, |key| key.hash)
     }
 
     /// Lock contention events since creation (fast-path `try_*` acquisitions
@@ -1252,14 +1293,20 @@ impl Lat {
     }
 
     /// Run `f` on this LAT's group key of `obj`, read in place and hashed
-    /// once. `None` if the object lacks a grouping attribute.
-    fn with_group_key<R>(&self, obj: &Object, f: impl FnOnce(&Probe) -> R) -> Option<R> {
+    /// once — or not at all when `hash` is its [`Lat::group_hash`] already.
+    /// `None` if the object lacks a grouping attribute.
+    fn with_group_key<R>(
+        &self,
+        obj: &Object,
+        hash: Option<u64>,
+        f: impl FnOnce(&Probe) -> R,
+    ) -> Option<R> {
         let values = obj.values();
         let idx = self.group_attr_idx.as_slice();
         if idx.iter().any(|&i| i >= values.len()) {
             return None;
         }
-        let hash = self.hash_key(idx.iter().map(|&i| &values[i]));
+        let hash = hash.unwrap_or_else(|| Self::hash_key(idx.iter().map(|&i| &values[i])));
         Some(f(&Probe { hash, values, idx }))
     }
 
@@ -1283,8 +1330,19 @@ impl Lat {
     /// when no rule subscribes to this LAT's eviction event, the victims'
     /// output rows (which clone text attributes) need not be built.
     pub fn insert_and(&self, obj: &Object, want_evicted: bool) -> Result<Vec<Vec<Value>>> {
+        self.insert_keyed(obj, None, want_evicted)
+    }
+
+    /// [`Lat::insert_and`] of an object whose [`Lat::group_hash`] is `hash`,
+    /// when the caller has it.
+    pub(crate) fn insert_keyed(
+        &self,
+        obj: &Object,
+        hash: Option<u64>,
+        want_evicted: bool,
+    ) -> Result<Vec<Vec<Value>>> {
         let now = self.now_if_aging();
-        self.with_group_key(obj, |key| {
+        self.with_group_key(obj, hash, |key| {
             let table = match &self.store {
                 Store::Sharded(shards) => return self.insert_sharded(shards, key, obj, now),
                 Store::Bounded(table) => table,
@@ -1530,24 +1588,38 @@ impl Lat {
     /// Look up the row whose grouping columns match `obj` (the rule engine's
     /// implicit-∃ binding, §5.2). Returns the materialized output row.
     pub fn lookup_for(&self, obj: &Object) -> Option<Vec<Value>> {
-        self.lookup_with(obj, Group::output)
+        self.lookup_with(obj, None, Group::output)
     }
 
     /// [`Lat::lookup_for`] written over `out`, in its capacity: whether the
     /// LAT has the row. `out` is unspecified when it has not.
     pub fn lookup_into(&self, obj: &Object, out: &mut Vec<Value>) -> bool {
-        self.lookup_with(obj, |group, aggs, now| group.output_into(aggs, now, out))
-            .is_some()
+        self.lookup_keyed(obj, None, out)
+    }
+
+    /// [`Lat::lookup_into`] of an object whose [`Lat::group_hash`] is `hash`,
+    /// when the caller has it.
+    pub(crate) fn lookup_keyed(
+        &self,
+        obj: &Object,
+        hash: Option<u64>,
+        out: &mut Vec<Value>,
+    ) -> bool {
+        self.lookup_with(obj, hash, |group, aggs, now| {
+            group.output_into(aggs, now, out)
+        })
+        .is_some()
     }
 
     /// `f` of the group and aggregates of `obj`'s row, under its latch.
     fn lookup_with<R>(
         &self,
         obj: &Object,
+        hash: Option<u64>,
         f: impl FnOnce(&Group, &[ColumnState], Timestamp) -> R,
     ) -> Option<R> {
         let now = self.now_if_aging();
-        self.with_group_key(obj, |key| match &self.store {
+        self.with_group_key(obj, hash, |key| match &self.store {
             Store::Sharded(shards) => {
                 let rows = shard_of(shards, key.hash).read();
                 rows.get(key as &dyn GroupKey)
@@ -1652,7 +1724,7 @@ impl Lat {
             });
         }
         let group = Group {
-            hash: self.hash_key(key.iter()),
+            hash: Self::hash_key(key.iter()),
             key: Key::from_slice(key),
         };
         match &self.store {
@@ -2643,11 +2715,13 @@ mod tests {
         let folded = fill(spec(Some(8), "D"));
         // A bounded row is a slot in place of a latched row, plus a victim
         // entry whose rank is inline: one number (Sig) or two (D, then Sig to
-        // break ties). The table has a 16-bucket hash index.
+        // break ties). The table's hash index has room for the 8 rows and a
+        // newcomer within the load bound, in a power of two of buckets.
         assert_eq!(std::mem::size_of::<Rank>(), 24);
         assert_eq!(std::mem::size_of::<Entry>(), 32);
         let row = std::mem::size_of::<Slot>() - 48 + std::mem::size_of::<Entry>();
-        let index = 16 * std::mem::size_of::<u64>();
+        let buckets = ((8 + 1) * BUCKETS_PER_ROW).next_power_of_two();
+        let index = buckets * std::mem::size_of::<u64>();
         assert_eq!(fixed, unbounded + 8 * row + index);
         assert_eq!(folded, fixed, "two numbers are still inline");
     }

@@ -101,6 +101,47 @@ struct EvalState {
     cse: Vec<Option<Value>>,
     /// Scratch of [`GuardIndex::refute`].
     keep: Vec<u64>,
+    /// Group-key hashes of the event's payload objects.
+    hashes: KeyHashes,
+}
+
+/// The group-key hashes of one event's payload objects, one per (object,
+/// grouping attributes). Every LAT keys its hash alike (`crate::lat`), so
+/// the first insert or hoisted lookup that needs one hashes it, and the
+/// later ones — into any LAT grouped the same way — reuse it. Cleared for
+/// every event; an object that is not one of the event's own (an object
+/// combination of §5.2 live-object iteration) is never served from it.
+#[derive(Default)]
+struct KeyHashes {
+    /// (the object's position in the payload, its grouping attributes as a
+    /// range of `attrs`, the hash).
+    entries: Vec<(usize, std::ops::Range<usize>, Option<u64>)>,
+    attrs: Vec<usize>,
+}
+
+impl KeyHashes {
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.attrs.clear();
+    }
+
+    /// `lat`'s group-key hash of `payload[at]`, where `payload` is the
+    /// event's payload.
+    fn of(&mut self, payload: &[Object], at: usize, lat: &Lat) -> Option<u64> {
+        let want = lat.group_attrs();
+        let known = self
+            .entries
+            .iter()
+            .find(|(i, attrs, _)| *i == at && self.attrs[attrs.clone()] == *want);
+        if let Some((_, _, hash)) = known {
+            return *hash;
+        }
+        let hash = lat.group_hash(&payload[at]);
+        let start = self.attrs.len();
+        self.attrs.extend_from_slice(want);
+        self.entries.push((at, start..self.attrs.len(), hash));
+        hash
+    }
 }
 
 impl EvalState {
@@ -127,7 +168,12 @@ impl EvalState {
         books: &mut EventBooks,
         sampled: Option<&mut Refusals>,
     ) -> u64 {
-        let EvalState { slots, keep, .. } = self;
+        let EvalState {
+            slots,
+            keep,
+            hashes,
+            ..
+        } = self;
         let (state, hoisted) = (&mut slots[slot as usize], &ep.hoisted[slot as usize]);
         let writers = &ep.writers[slot as usize];
         let next = writers.partition_point(|&w| (w as usize) < from);
@@ -135,7 +181,7 @@ impl EvalState {
             true => writers[next] as usize,
             false => ep.rules.len() - 1,
         };
-        state.fill(&hoisted.lat, objects);
+        state.fill(&hoisted.lat, objects, Some(hashes));
         state.covered_to = to + 1;
         let row = state.row();
         let mut refused = 0u64;
@@ -194,12 +240,16 @@ enum Fetch {
 
 impl HoistState {
     /// Fetch `lat`'s row for the object of its source class among `objects`
-    /// unless this event has it already.
-    fn fill(&mut self, lat: &Lat, objects: &[Object]) {
+    /// unless this event has it already, its key hashed through `hashes`
+    /// when `objects` is the event's payload.
+    fn fill(&mut self, lat: &Lat, objects: &[Object], hashes: Option<&mut KeyHashes>) {
         if self.fetch == Fetch::Empty {
             let source = lat.spec.source_class();
-            let obj = objects.iter().find(|o| o.class == *source);
-            self.found = obj.is_some_and(|o| lat.lookup_into(o, &mut self.row));
+            let at = objects.iter().position(|o| o.class == *source);
+            self.found = at.is_some_and(|at| {
+                let hash = hashes.and_then(|h| h.of(objects, at, lat));
+                lat.lookup_keyed(&objects[at], hash, &mut self.row)
+            });
             self.fetch = Fetch::Unbooked;
         }
     }
@@ -267,6 +317,11 @@ struct EventCtx<'a> {
     /// The plan of the batch the event belongs to.
     plan: &'a DispatchPlan,
     ep: &'a EventPlan,
+    /// The event's payload.
+    objects: &'a [Object],
+    /// The guard index decided the event's candidates: a rule it admitted
+    /// whose guards decide its condition (`PlanRule::decided`) fires.
+    probed: bool,
     /// The event's trace span ([`NONE_SPAN`] untraced) and cascade depth.
     span: u32,
     depth: u32,
@@ -551,6 +606,7 @@ impl SqlcmInner {
             slot.fetch = Fetch::Empty;
             slot.covered_to = 0;
         }
+        eval.hashes.clear();
         // Shared-subexpression value store: the first rule to evaluate a
         // shared condition subtree publishes its value here, later sharers
         // load it (see `plan::CseSlot` and `vm::Inst::CseLoad`).
@@ -614,6 +670,8 @@ impl SqlcmInner {
         let ev = EventCtx {
             plan,
             ep,
+            objects,
+            probed,
             span: event_span,
             depth,
             at,
@@ -812,7 +870,11 @@ impl SqlcmInner {
         books: &mut EventBooks,
         trace: &mut Option<TraceCtx>,
     ) {
-        let EvalState { slots, cse, .. } = eval;
+        let EvalState {
+            slots, cse, hashes, ..
+        } = eval;
+        // Group-key hashes are memoized for the event's own objects only.
+        let mut hashes = std::ptr::eq(combo, ev.objects).then_some(hashes);
         let reg = &*pr.reg;
         // Breaker admission. `Closed` (the steady state) costs one relaxed
         // load. `Skip` is the half-open rule while its one trial is in
@@ -894,7 +956,7 @@ impl SqlcmInner {
                 }
             } else {
                 let slot = &mut slots[slot as usize];
-                slot.fill(lat, combo);
+                slot.fill(lat, combo, hashes.as_deref_mut());
                 let hoisted = slot.read(1, books);
                 if let Some(ctx) = trace.as_mut() {
                     ctx.lat_lookup(rule_span, &lat.spec.name, slot.found, hoisted);
@@ -952,6 +1014,8 @@ impl SqlcmInner {
         let mut vm_stats = crate::vm::VmStats::default();
         let fire = match &pr.program {
             None => true,
+            // The index admitted the rule, and its guards are the condition.
+            Some(_) if ev.probed && pr.decided => true,
             Some(prog) => match crate::vm::eval_condition(prog, &ctx, cse, &mut vm_stats) {
                 Ok(b) => b,
                 Err(e) => {
@@ -1022,6 +1086,7 @@ impl SqlcmInner {
                 &reg.rule.name,
                 action,
                 &ctx,
+                hashes.as_deref_mut(),
                 trace,
                 action_span,
             );
@@ -1085,13 +1150,16 @@ impl SqlcmInner {
     }
 
     /// Execute one action of a fired rule. `plan` is the batch's: an `Insert`
-    /// reads its eviction interest from it.
+    /// reads its eviction interest from it, and its key hash from `hashes`
+    /// when `ctx.objects` is the event's payload.
+    #[allow(clippy::too_many_arguments)]
     fn execute_compiled_action(
         &self,
         plan: &DispatchPlan,
         rule: &str,
         action: &CompiledAction,
         ctx: &EvalContext,
+        hashes: Option<&mut KeyHashes>,
         trace: &mut Option<TraceCtx>,
         action_span: u32,
     ) -> Result<()> {
@@ -1105,7 +1173,7 @@ impl SqlcmInner {
             CompiledAction::Insert {
                 lat,
                 eviction_event,
-            } => self.insert_into_lat(plan, lat, eviction_event, ctx, trace, action_span),
+            } => self.insert_into_lat(plan, lat, eviction_event, ctx, hashes, trace, action_span),
             CompiledAction::Reset(lat) => {
                 lat.reset();
                 if let Some(tctx) = trace.as_mut() {
@@ -1174,28 +1242,29 @@ impl SqlcmInner {
     /// The `Insert(LATName)` hot path: fold the in-scope source object into the
     /// LAT and queue eviction events if (and only if) a rule subscribes — "no
     /// monitoring is performed unless it is required" (§2.1).
+    #[allow(clippy::too_many_arguments)]
     fn insert_into_lat(
         &self,
         plan: &DispatchPlan,
         lat: &Arc<Lat>,
         eviction_event: &RuleEvent,
         ctx: &EvalContext,
+        hashes: Option<&mut KeyHashes>,
         trace: &mut Option<TraceCtx>,
         action_span: u32,
     ) -> Result<()> {
-        let obj = ctx
-            .objects
-            .iter()
-            .find(|o| o.class == *lat.spec.source_class())
-            .ok_or_else(|| {
-                Error::Monitor(format!(
-                    "no object of class {} in scope for Insert({})",
-                    lat.spec.source_class(),
-                    lat.spec.name
-                ))
-            })?;
+        let objects = ctx.objects;
+        let source = lat.spec.source_class();
+        let at = objects.iter().position(|o| o.class == *source);
+        let at = at.ok_or_else(|| {
+            Error::Monitor(format!(
+                "no object of class {source} in scope for Insert({})",
+                lat.spec.name
+            ))
+        })?;
+        let hash = hashes.and_then(|h| h.of(objects, at, lat));
         let want_evicted = plan.has_event(eviction_event);
-        let evicted = lat.insert_and(obj, want_evicted)?;
+        let evicted = lat.insert_keyed(&objects[at], hash, want_evicted)?;
         // The mutation span is the provenance anchor: each eviction event
         // queued below cites it as `cause`, at the depth the running action
         // established (CASCADE_ORIGIN).

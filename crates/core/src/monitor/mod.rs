@@ -1193,6 +1193,56 @@ mod tests {
         );
     }
 
+    /// A rule whose guard decides its condition runs no program on a probed
+    /// event — the index's admission is its `TRUE` — but runs it whenever
+    /// the probe is unusable: here a `Query` object too narrow for the
+    /// `Query.User` another guarded rule reads, though wide enough for the
+    /// decided rule's own `Query.Duration`.
+    #[test]
+    fn a_decided_rule_runs_its_program_on_an_unprobed_event() {
+        let (_engine, sqlcm) = setup();
+        let rule = Rule::new("slow")
+            .on(RuleEvent::QueryCommit)
+            .when("Query.Duration >= 5");
+        assert!(crate::rule_guard(&rule.ir()).unwrap().decides);
+        sqlcm.add_rule(rule).unwrap();
+        sqlcm
+            .add_rule(
+                Rule::new("bob")
+                    .on(RuleEvent::QueryCommit)
+                    .when("Query.User = 'bob'"),
+            )
+            .unwrap();
+        let query = |secs: u64| {
+            let mut q = sqlcm_common::QueryInfo::synthetic(1, "q");
+            q.duration_micros = secs * 1_000_000;
+            objects::query_object(&q)
+        };
+        let narrow = |secs| {
+            let q = query(secs);
+            let names: Arc<[String]> = q.attribute_names()[..6].into();
+            let mut values = q.into_values();
+            values.truncate(6);
+            objects::Object::new(ClassName::Query, names, values)
+        };
+        let instructions = || sqlcm.telemetry().dispatch.vm_instructions;
+        for secs in [1, 9] {
+            sqlcm
+                .inner
+                .dispatch(RuleEvent::QueryCommit, vec![query(secs)]);
+        }
+        assert_eq!(instructions(), 0, "probed: admitted or refused, no VM");
+        for secs in [1, 9] {
+            sqlcm
+                .inner
+                .dispatch(RuleEvent::QueryCommit, vec![narrow(secs)]);
+        }
+        assert!(instructions() > 0, "unprobed: the program ran");
+        let s = sqlcm.rule("slow").unwrap().stats();
+        assert_eq!((s.evaluations, s.pruned, s.fires), (4, 1, 2));
+        assert_eq!(s.action_errors, 0);
+    }
+
     /// A removed rule's handle stops counting at the removal, whatever the
     /// events after it would have done to the rule.
     #[test]

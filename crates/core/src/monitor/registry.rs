@@ -311,7 +311,8 @@ impl Sqlcm {
         self.deny_on_errors(analyzer.diagnose(&ir))?;
         // Captured for the dispatch plan: the guard verdict is what its event
         // class's guard index installs and its dispatch checks.
-        let (guard, lat_guard) = rule_guard(&ir).map_or((None, None), |g| (g.payload, g.lat));
+        let (guard, lat_guard, decides) =
+            rule_guard(&ir).map_or((None, None, false), |g| (g.payload, g.lat, g.decides));
         // The analyzer denied unqualified columns (E001) above.
         let (cond_classes, cond_lats) = ir.refs();
         let cond_lats_lc: Vec<String> = cond_lats.iter().map(|l| l.to_ascii_lowercase()).collect();
@@ -409,6 +410,7 @@ impl Sqlcm {
             compiled,
             guard,
             lat_guard,
+            decides,
             actions: compiled_actions,
             cond_classes,
             cond_lats: cond_lats_lc,

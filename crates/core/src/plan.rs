@@ -87,6 +87,9 @@ pub(crate) struct Registered {
     /// The analyzer's LAT guard for the rule, by name: each plan resolves it
     /// against the LATs it binds ([`PlanRule::lat_guard`]).
     pub lat_guard: Option<LatGuard>,
+    /// The two guards absorbed every top-level conjunct of the condition
+    /// ([`sqlcm_analyze::Guards::decides`]).
+    pub decides: bool,
     /// Actions with LAT handles resolved at registration.
     pub actions: Vec<CompiledAction>,
     /// Classes the condition references.
@@ -179,6 +182,11 @@ pub(crate) struct PlanRule {
     /// is hoisted: the class's guard index tests it, once per writer-free
     /// segment of a probed event's walk.
     pub lat_guard: Option<LatCheck>,
+    /// The class's guard index tests every guard of a verdict that decides
+    /// the condition (`reg.decides`, and the LAT guard is installed): on a
+    /// probed event, the index's admission of the rule is its condition's
+    /// `TRUE`, and dispatch runs no program for it.
+    pub decided: bool,
 }
 
 /// An event class's rules in registration order, in the blocks dispatch
@@ -339,6 +347,7 @@ fn plan_rule(
         program: None,
         broken: None,
         lat_guard: None,
+        decided: false,
     };
     for name in &reg.cond_lats {
         match lats.get(name) {
@@ -394,6 +403,7 @@ fn plan_rule(
             kind: g.kind.clone(),
         })
     });
+    pr.decided = reg.decides && reg.lat_guard.is_some() == pr.lat_guard.is_some();
     pr
 }
 
@@ -1055,6 +1065,7 @@ mod tests {
             compiled: None,
             guard: None,
             lat_guard: None,
+            decides: false,
             actions: Vec::new(),
             cond_classes: vec![ClassName::Query],
             cond_lats: cond_lats.iter().map(|s| s.to_string()).collect(),
@@ -1122,13 +1133,14 @@ mod tests {
         let ir = Arc::new(rule.ir());
         let cond_lats: Vec<String> = cond_lats.iter().map(|s| s.to_string()).collect();
         let folded = ir.condition.as_ref().unwrap().folded();
-        let (guard, lat_guard) =
-            sqlcm_analyze::rule_guard(&ir).map_or((None, None), |g| (g.payload, g.lat));
+        let (guard, lat_guard, decides) = sqlcm_analyze::rule_guard(&ir)
+            .map_or((None, None, false), |g| (g.payload, g.lat, g.decides));
         Arc::new(Registered {
             name_label: name.into(),
             compiled: Some(Arc::new(CondIr::from_ir(folded, lats, &cond_lats).unwrap())),
             guard,
             lat_guard,
+            decides,
             ir,
             rule: Arc::new(rule),
             actions: Vec::new(),
@@ -1353,8 +1365,15 @@ mod incremental {
         for pr in ep.rules.iter() {
             let lats: Vec<_> = pr.lats.iter().map(Arc::as_ptr).collect();
             out += &format!(
-                "  {} broken={:?} lats={lats:?} slots={:?} inval={:?} lat_guard={:?}\n    {:?}\n",
-                pr.reg.rule.name, pr.broken, pr.lat_slots, pr.invalidates, pr.lat_guard, pr.program
+                "  {} broken={:?} lats={lats:?} slots={:?} inval={:?} lat_guard={:?} \
+                 decided={}\n    {:?}\n",
+                pr.reg.rule.name,
+                pr.broken,
+                pr.lat_slots,
+                pr.invalidates,
+                pr.lat_guard,
+                pr.decided,
+                pr.program
             );
         }
         for (h, writers) in ep.hoisted.iter().zip(&ep.writers) {

@@ -1198,6 +1198,192 @@ fn a_lat_insert_reads_its_clock_only_to_age() {
     }
 }
 
+/// Group-key hashes `f` makes on this thread, in any LAT. Like
+/// [`clock_reads`], the counter exists in debug builds only.
+#[cfg(debug_assertions)]
+fn key_hashes(f: impl FnOnce()) -> u64 {
+    let before = sqlcm_core::Lat::key_hashes_on_this_thread();
+    f();
+    sqlcm_core::Lat::key_hashes_on_this_thread() - before
+}
+
+/// F2's shape (`host_point_rules100`): `rules` rules on `Query.Duration >= 0`,
+/// each inserting into its own 10-row LAT of recent queries by `Query.ID`.
+fn f2_catalog(sqlcm: &Sqlcm, rules: u64) {
+    for r in 0..rules {
+        let lat = format!("lat_{r}");
+        sqlcm
+            .define_lat(
+                LatSpec::new(&lat)
+                    .group_by("Query.ID", "ID")
+                    .aggregate(LatAggFunc::Last, "Query.Duration", "Duration")
+                    .aggregate(LatAggFunc::Last, "Query.User", "Usr")
+                    .order_by("ID", true)
+                    .max_rows(10),
+            )
+            .unwrap();
+        sqlcm
+            .add_rule(
+                Rule::new(format!("rule_{r}"))
+                    .on(RuleEvent::QueryCommit)
+                    .when("Query.Duration >= 0")
+                    .then(Action::insert(&lat)),
+            )
+            .unwrap();
+    }
+}
+
+/// A commit of query `id` by user `u{id % 3}`.
+fn commit_of(id: u64) -> EngineEvent {
+    let mut q = QueryInfo::synthetic(id, "SELECT 1");
+    q.duration_micros = id % 7 * 1_000;
+    q.user = format!("u{}", id % 3).into();
+    EngineEvent::QueryCommit(q)
+}
+
+/// F2's rules fire on every event and run no program: the guard on
+/// `Query.Duration >= 0` decides each condition, and the index admits all
+/// 100 with one shared comparison. Nothing is retired by the VM, no shared
+/// value is loaded, and every rule books its evaluation and firing. The 100
+/// inserts hash the event's `Query.ID` once between them.
+#[test]
+fn an_f2_catalog_runs_no_program_and_hashes_each_query_once() {
+    const RULES: u64 = 100;
+    let engine = Engine::in_memory();
+    let sqlcm = Sqlcm::attach(&engine);
+    f2_catalog(&sqlcm, RULES);
+    let before = sqlcm.telemetry();
+    let events = 50;
+    for id in 0..events {
+        #[cfg(debug_assertions)]
+        assert_eq!(key_hashes(|| sqlcm.inject_event(&commit_of(id))), 1);
+        #[cfg(not(debug_assertions))]
+        sqlcm.inject_event(&commit_of(id));
+    }
+    let after = sqlcm.telemetry();
+    let (stats, was) = (after.stats, before.stats);
+    assert_eq!(stats.evaluations - was.evaluations, RULES * events);
+    assert_eq!(stats.fires - was.fires, RULES * events);
+    let (dispatch, was) = (after.dispatch, before.dispatch);
+    assert_eq!(dispatch.vm_instructions, was.vm_instructions);
+    assert_eq!(dispatch.cse_hits, was.cse_hits);
+    for r in [0, RULES - 1] {
+        let lat = sqlcm.lat(&format!("lat_{r}")).unwrap();
+        let mut ids: Vec<_> = lat.rows().into_iter().map(|row| row[0].clone()).collect();
+        ids.sort();
+        let want: Vec<_> = (events - 10..events).map(|id| id as i64).collect();
+        assert_eq!(ids, want.into_iter().map(Into::into).collect::<Vec<_>>());
+    }
+}
+
+/// `host_mixed_topk`'s catalog hashes each of its two groupings once per
+/// event: `Query.ID` for the top-k insert, `Query.Logical_Signature` for the
+/// outlier LAT's insert — and the outlier rule's hoisted lookup of the row
+/// that insert changed reuses that hash.
+#[cfg(debug_assertions)]
+#[test]
+fn host_mixed_topk_hashes_once_per_distinct_grouping() {
+    let engine = Engine::in_memory();
+    let sqlcm = Sqlcm::attach(&engine);
+    sqlcm
+        .define_lat(
+            LatSpec::new("TopK")
+                .group_by("Query.ID", "ID")
+                .aggregate(LatAggFunc::Max, "Query.Duration", "Duration")
+                .aggregate(LatAggFunc::Last, "Query.Query_Text", "Query_Text")
+                .order_by("Duration", true)
+                .max_rows(10),
+        )
+        .unwrap();
+    sqlcm
+        .define_lat(
+            LatSpec::new("Duration_LAT")
+                .group_by("Query.Logical_Signature", "Sig")
+                .aggregate(LatAggFunc::Count, "", "N")
+                .aggregate(LatAggFunc::Avg, "Query.Duration", "Avg_Duration"),
+        )
+        .unwrap();
+    let on_commit = |name: &str| Rule::new(name).on(RuleEvent::QueryCommit);
+    for rule in [
+        on_commit("track_topk").then(Action::insert("TopK")),
+        on_commit("track_durations").then(Action::insert("Duration_LAT")),
+        on_commit("report_outlier")
+            .when("Query.Duration > 5 * Duration_LAT.Avg_Duration AND Duration_LAT.N >= 30")
+            .then(Action::send_mail("dba", "outlier: {Query.Query_Text}")),
+    ] {
+        sqlcm.add_rule(rule).unwrap();
+    }
+    for id in 0..40 {
+        let mut q = QueryInfo::synthetic(id, "SELECT 1");
+        q.logical_signature = Some(id % 4);
+        q.duration_micros = 1_000 + id;
+        let ev = EngineEvent::QueryCommit(q);
+        assert_eq!(key_hashes(|| sqlcm.inject_event(&ev)), 2, "query {id}");
+    }
+    let d = sqlcm.telemetry().dispatch;
+    assert_eq!((d.lat_row_fetches, d.hoisted_lookup_hits), (40, 0));
+    assert!(d.vm_instructions > 0, "the outlier rule's condition runs");
+}
+
+/// An object the event does not carry is hashed for itself, never served
+/// from the event's memo: a `Lat.Eviction` cascade event's rules iterate the
+/// live `Table` objects (§5.2) and insert each into two LATs grouped by
+/// `Table.Name` — two hashes per table, as no memo serves them — after the
+/// root commit hashed its `Query.ID` once for the top-1 LAT whose eviction
+/// raised the cascade. The tables' rows count every insert.
+#[cfg(debug_assertions)]
+#[test]
+fn live_objects_and_cascade_events_hash_for_themselves() {
+    let engine = Engine::in_memory();
+    engine
+        .execute_batch("CREATE TABLE a (id INT PRIMARY KEY); CREATE TABLE b (id INT PRIMARY KEY);")
+        .unwrap();
+    let sqlcm = Sqlcm::attach(&engine);
+    sqlcm
+        .define_lat(
+            LatSpec::new("Last_LAT")
+                .group_by("Query.ID", "ID")
+                .order_by("ID", true)
+                .max_rows(1),
+        )
+        .unwrap();
+    for lat in ["Seen_A", "Seen_B"] {
+        sqlcm
+            .define_lat(LatSpec::new(lat).group_by("Table.Name", "Name").aggregate(
+                LatAggFunc::Count,
+                "",
+                "N",
+            ))
+            .unwrap();
+    }
+    let rules = [
+        Rule::new("track")
+            .on(RuleEvent::QueryCommit)
+            .then(Action::insert("Last_LAT")),
+        Rule::new("on_evict")
+            .on(RuleEvent::LatEviction("Last_LAT".into()))
+            .when("Table.Row_Count >= 0")
+            .then(Action::insert("Seen_A"))
+            .then(Action::insert("Seen_B")),
+    ];
+    for rule in rules {
+        sqlcm.add_rule(rule).unwrap();
+    }
+    let tables = engine.catalog().tables().len() as u64;
+    assert!(tables >= 2);
+    assert_eq!(key_hashes(|| sqlcm.inject_event(&commit_of(0))), 1);
+    for id in 1..6 {
+        let hashes = key_hashes(|| sqlcm.inject_event(&commit_of(id)));
+        assert_eq!(hashes, 1 + 2 * tables, "commit {id}");
+    }
+    assert_eq!(sqlcm.rule("on_evict").unwrap().stats().fires, 5 * tables);
+    for lat in ["Seen_A", "Seen_B"] {
+        let rows = sqlcm.lat(lat).unwrap().rows();
+        assert_eq!(rows.len() as u64, tables, "{lat}");
+        assert!(rows.iter().all(|row| row[1] == 5.into()), "{lat}: {rows:?}");
+    }
+}
+
 /// Dispatch is O(candidates), not O(registered rules): with one candidate per
 /// event, an event over 4 000 per-tenant rules must cost at most twice what
 /// it costs over 250 (walking every rule made it ≈ 14 × from 64 to 1 024).

@@ -539,6 +539,98 @@ fn lat_guard_ladders_prune_in_bulk_exactly() {
     assert_eq!(run(true), run(false));
 }
 
+/// Conditions the guards decide — every absorbed shape: `=` and `IN` with
+/// and without a `NULL` member, ranges merged from strict and inclusive
+/// bounds, `Int` bounds on the `Float` `Query.Duration`, a payload guard
+/// with a LAT guard, `=`/`IN`/ranges on LAT columns — fire exactly when the
+/// index admits them, with no program run: the reference's tree walk gives
+/// the same fires, evaluations and LAT rows. Events carry NULL signatures,
+/// and a NULL aggregate column, which no guard admits and no comparison
+/// makes `TRUE`. The bounded LAT the rules feed ranks by its whole group
+/// key: the reference breaks ranking ties its own way.
+#[test]
+fn decided_rules_fire_exactly_when_admitted() {
+    let mut state = 0x6a09_e667_f3bc_c908_u64;
+    for round in 0..4 {
+        let mut p = Pair::new();
+        p.lat(
+            LatSpec::new("Stats_LAT")
+                .group_by("Query.User", "Usr")
+                .aggregate(LatAggFunc::Count, "", "N")
+                .aggregate(LatAggFunc::Avg, "Query.Duration", "Avg_D")
+                .aggregate(LatAggFunc::Last, "Query.Logical_Signature", "Sig")
+                .aggregate(LatAggFunc::Max, "Query.Physical_Signature", "Phys"),
+        );
+        p.lat(
+            LatSpec::new("Hits")
+                .group_by("Query.Logical_Signature", "Sig")
+                .group_by("Query.User", "Usr")
+                .aggregate(LatAggFunc::Count, "", "N")
+                .aggregate(LatAggFunc::Max, "Query.Duration", "D")
+                .order_by("Sig", true)
+                .order_by("Usr", true)
+                .max_rows(6),
+        );
+        p.on_commit("feed", None, &[Action::insert("Stats_LAT")]);
+        let mut draw = |n: u64| lcg(&mut state) % n;
+        for i in 0..16 {
+            let (k, j, q) = (draw(6), draw(6), draw(4));
+            let cond = match draw(12) {
+                0 => format!("Query.Logical_Signature = {k}"),
+                1 => format!("Query.Physical_Signature IN ({k}, {j})"),
+                2 => format!("Query.Logical_Signature IN ({k}, NULL, {j})"),
+                3 => format!("Query.User IN ('user_{k}', NULL)"),
+                4 => format!("Query.Duration > 0.{q}5 AND Query.Duration <= 0.{}", q + 5),
+                5 => format!("{} <= Query.Duration AND Query.Duration < 1", q % 2),
+                6 => format!("Query.Duration >= 0.{q}5 AND Query.Duration > 0.{q}5"),
+                7 => format!("Query.Duration < {}", q % 2 + 1),
+                8 => format!("Query.User = 'user_{k}' AND Stats_LAT.N >= {}", j + 1),
+                9 => format!("Stats_LAT.Sig IN ({k}, NULL) AND Query.Duration >= 0.{q}"),
+                10 => format!("Stats_LAT.Phys >= {k} AND Stats_LAT.Phys < {}", k + j + 1),
+                _ => format!("Stats_LAT.Avg_D > 0.{q} AND Query.Logical_Signature = {k}"),
+            };
+            let rule = Rule::new("r").on(RuleEvent::QueryCommit).when(&cond);
+            let verdict = sqlcm_core::rule_guard(&rule.ir());
+            assert!(verdict.is_ok_and(|g| g.decides), "{cond}");
+            let actions = [Action::insert("Hits"), mail(&format!("d{i}: {cond}"))];
+            p.on_commit(&format!("d{i}"), Some(&cond), &actions);
+        }
+        for _ in 0..1_500 {
+            let sig = lcg(&mut state) % 7;
+            let mut q = QueryInfo::synthetic(sig, "SELECT 1");
+            q.logical_signature = (sig < 6).then_some(sig);
+            q.physical_signature = (!sig.is_multiple_of(3)).then_some(sig);
+            q.duration_micros = (lcg(&mut state) % 20) * 50_000;
+            q.user = format!("user_{}", lcg(&mut state) % 7).into();
+            p.inject(&EngineEvent::QueryCommit(q));
+        }
+        let what = format!("decided conditions, round {round}");
+        p.assert_parity(&what);
+        let mut fired = 0;
+        for name in p.rules.iter().filter(|n| n.starts_with('d')) {
+            let st = p.real.rule(name).unwrap().stats();
+            assert_eq!(st.pruned, st.evaluations - st.fires, "{what}: {name}");
+            fired += u64::from(st.fires > 0);
+        }
+        assert!(fired >= 12, "{what}: {fired} of 16 rules ever fired");
+        let d = p.real.telemetry().dispatch;
+        assert_eq!((d.vm_instructions, d.cse_hits), (0, 0), "{what}");
+        // Dispatch filed each row under the hash it memoized for the event;
+        // the public lookup hashes the key itself and must find the row.
+        // (LAT, column of its `Sig` key if it has one, column of `Usr`)
+        for (lat, sig, user) in [("Stats_LAT", None, 0), ("Hits", Some(0), 1)] {
+            let lat = p.real.lat(lat).unwrap();
+            for row in lat.rows() {
+                let mut q = QueryInfo::synthetic(0, "SELECT 1");
+                q.logical_signature = sig.and_then(|c: usize| row[c].as_i64()).map(|s| s as u64);
+                q.user = row[user].as_str().unwrap().into();
+                let found = lat.lookup_for(&sqlcm_core::objects::query_object(&q));
+                assert_eq!(found.as_ref(), Some(&row), "{what}: {}", lat.spec.name);
+            }
+        }
+    }
+}
+
 /// LCG-shaped rule sets (equality, IN, one/two-sided ranges, patterns,
 /// guarded conjunctions): catches extraction bugs no hand-picked set would —
 /// odd constants, duplicate guards, overlapping ranges, rules that never fire.
