@@ -20,11 +20,12 @@
 //! almost always a copy-paste mistake.
 //!
 //! **W105** flags a *partial* overlap W102 misses: two same-event rules with
-//! different conditions that share a non-trivial boolean subexpression. The
-//! runtime's dispatch plan de-duplicates such subtrees (they evaluate once
-//! per event into a shared CSE slot), so the lint reports the opportunity
-//! the plan exploits — and nudges the author to factor the predicate if the
-//! duplication was accidental.
+//! different conditions that share a non-trivial boolean subexpression. When
+//! the shared predicate is a guard atom (`Attr <op> const`, or the same on a
+//! hoisted LAT column), the dispatch plan's guard index tests it once per
+//! event for every rule that carries it; a larger shared subtree is
+//! evaluated by each rule that repeats it. The lint nudges the author to
+//! factor the predicate if the duplication was accidental.
 
 use crate::admitted::{predicates, Admitted};
 use crate::diagnostics::{Code, Diagnostic};
@@ -198,9 +199,8 @@ pub fn check_duplicates(admitted: &impl Admitted, new: &RuleIr, diags: &mut Vec<
 ///
 /// "Non-trivial" means a boolean-valued subtree of at least 3 IR ops (a
 /// comparison with both operands, or anything larger); matching runs over the
-/// *folded* IR with canonical structural hashes — the same key the dispatch
-/// plan uses to assign shared CSE slots — with a structural-equality check
-/// guarding against hash collisions.
+/// *folded* IR with canonical structural hashes, with a structural-equality
+/// check guarding against hash collisions.
 pub fn check_shared_predicates(
     admitted: &impl Admitted,
     new: &RuleIr,
@@ -229,9 +229,10 @@ pub fn check_shared_predicates(
             )
             .with_span(folded.render(node))
             .with_help(
-                "the dispatch plan evaluates the shared subexpression once per event \
-                 (CSE slot); if the duplication is accidental, factor the predicate \
-                 into a single rule",
+                "a shared guard atom is tested once per event for every rule that \
+                 carries it, but a larger shared subexpression is evaluated by each \
+                 rule that repeats it; if the duplication is accidental, factor the \
+                 predicate into a single rule",
             ),
         );
     }

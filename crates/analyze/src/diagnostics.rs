@@ -54,9 +54,9 @@ pub enum Code {
     /// Division whose divisor is an aggregate column that may be zero or
     /// NULL (AVG/SUM over an empty or never-fed window).
     W104,
-    /// Identical predicate duplicated across rules on the same event — the
-    /// dispatch plan shares its evaluation via a CSE slot, but the rules may
-    /// want factoring.
+    /// Identical predicate duplicated across rules on the same event — a
+    /// shared guard atom is one shared guard test, a larger shared subtree is
+    /// evaluated by each rule that repeats it; the rules may want factoring.
     W105,
     /// Condition reads a LAT aggregate column that no admitted rule's
     /// `Insert` ever feeds — the column stays at its initial aggregate.

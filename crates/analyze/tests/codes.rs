@@ -218,8 +218,8 @@ fn w103_tautological_condition() {
 #[test]
 fn w105_duplicated_predicate_across_same_event_rules() {
     // Two distinct conditions sharing the `Query.Duration > 1` predicate on
-    // the same event: the dispatch plan evaluates it once per event, and the
-    // lint reports the overlap. Not a W102 (the whole conditions differ).
+    // the same event: the lint reports the overlap. Not a W102 (the whole
+    // conditions differ).
     let diags = Analyzer::check_ruleset(
         &[],
         &[

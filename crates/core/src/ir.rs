@@ -9,9 +9,9 @@
 //! expressive power).
 //!
 //! There is no second op arena: bytecode emission ([`crate::vm`]) matches
-//! the folded [`sqlcm_sql::IrOp`]s and looks a `Ref` up in the table, and the
-//! dispatch plan keys cross-rule common-subexpression slots on the arena's
-//! canonical hashes, guarded by [`ExprIr::subtree_eq`].
+//! the folded [`sqlcm_sql::IrOp`]s and looks a `Ref` up in the table. The
+//! arena's canonical hashes, guarded by [`ExprIr::subtree_eq`], key the
+//! analyzer's W102/W105 predicate indexes; the runtime reads neither.
 //!
 //! Resolution errors reproduce the legacy compiler's messages and its
 //! discovery order: one pre-order walk that stops at the first error, so a

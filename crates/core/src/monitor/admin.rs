@@ -157,7 +157,7 @@ impl SqlcmInner {
                 lat_row_fetches: telem.lat_row_fetches.get(),
                 reg_lock_acquisitions: telem.reg_lock_acquisitions.get(),
                 vm_instructions: telem.vm_instructions.get(),
-                cse_hits: telem.cse_hits.get(),
+                cse_hits: 0,
                 folded_ops: telem.folded_ops.get(),
             },
             matching: MatchingTelemetry {

@@ -54,6 +54,21 @@ thread_local! {
     static CASCADE_ORIGIN: Cell<(u32, u32)> = const { Cell::new((NONE_SPAN, 0)) };
 }
 
+/// Ends a thread's dispatch when [`SqlcmInner::dispatch_with`] returns —
+/// and when a panic unwinds out of it, which would otherwise leave
+/// [`PROCESSING`] set and queue every later event on the thread to
+/// [`PENDING`], never to run. The panicking batch's queued events and
+/// cascade origin go with it; its work scratch is rebuilt by the next event.
+struct Processing;
+
+impl Drop for Processing {
+    fn drop(&mut self) {
+        PROCESSING.with(|p| p.set(false));
+        PENDING.with(|q| q.borrow_mut().clear());
+        CASCADE_ORIGIN.with(|c| c.set((NONE_SPAN, 0)));
+    }
+}
+
 /// One deferred event awaiting the drain loop of [`SqlcmInner::dispatch_with`]:
 /// the deferred-side-effect semantics of §5, plus the causal-trace links.
 struct Queued {
@@ -67,7 +82,7 @@ struct Queued {
 
 /// Thread-local pools recycling the payload `Vec<Object>`, each object's
 /// value buffer, and the per-event working state across events: steady-state
-/// dispatch allocates nothing at any rule, hoist-slot or CSE-slot count.
+/// dispatch allocates nothing at any rule or hoist-slot count.
 /// Bounds keep a pathological thread from hoarding payload buffers; the
 /// working state grows to the largest event class the thread has dispatched.
 struct EventScratch {
@@ -97,8 +112,6 @@ struct EvalState {
     /// Hoisted LAT-row snapshots, one per `EventPlan::hoisted` entry (and
     /// more, left from a larger class: the buffers are reused).
     slots: Vec<HoistState>,
-    /// Shared-subexpression values, one per `EventPlan::cse` entry.
-    cse: Vec<Option<Value>>,
     /// Scratch of [`GuardIndex::refute`].
     keep: Vec<u64>,
     /// Group-key hashes of the event's payload objects.
@@ -285,7 +298,6 @@ struct EventBooks {
     actions: u64,
     action_errors: u64,
     vm_instructions: u64,
-    cse_hits: u64,
     hoisted_lookup_hits: u64,
     lat_row_fetches: u64,
 }
@@ -300,7 +312,6 @@ impl EventBooks {
             actions: 0,
             action_errors: 0,
             vm_instructions: 0,
-            cse_hits: 0,
             hoisted_lookup_hits: 0,
             lat_row_fetches: 0,
         }
@@ -558,6 +569,7 @@ impl SqlcmInner {
         trace: &mut Option<TraceCtx>,
     ) {
         PROCESSING.with(|p| p.set(true));
+        let _processing = Processing;
         let mut work = SCRATCH
             .with(|s| s.borrow_mut().work.take())
             .unwrap_or_default();
@@ -568,7 +580,6 @@ impl SqlcmInner {
             self.handle_one(plan, kind, objects, at, trace, cause, depth, &mut work);
         }
         SCRATCH.with(|s| s.borrow_mut().work = Some(work));
-        PROCESSING.with(|p| p.set(false));
     }
 
     /// Evaluate this event's rules in registration order: the guard index's
@@ -607,11 +618,6 @@ impl SqlcmInner {
             slot.covered_to = 0;
         }
         eval.hashes.clear();
-        // Shared-subexpression value store: the first rule to evaluate a
-        // shared condition subtree publishes its value here, later sharers
-        // load it (see `plan::CseSlot` and `vm::Inst::CseLoad`).
-        eval.cse.clear();
-        eval.cse.resize(ep.cse.len(), None);
         // Guard-index probe: one pass over the per-event index yields the
         // candidate bitset (in registration order — the bitset only *skips*
         // rules, it never reorders them). A pruned rule's condition is
@@ -747,7 +753,6 @@ impl SqlcmInner {
             (&self.actions, b.actions),
             (&self.action_errors, b.action_errors),
             (&t.vm_instructions, b.vm_instructions),
-            (&t.cse_hits, b.cse_hits),
             (&t.hoisted_lookup_hits, b.hoisted_lookup_hits),
             (&t.lat_row_fetches, b.lat_row_fetches),
         ] {
@@ -870,9 +875,7 @@ impl SqlcmInner {
         books: &mut EventBooks,
         trace: &mut Option<TraceCtx>,
     ) {
-        let EvalState {
-            slots, cse, hashes, ..
-        } = eval;
+        let EvalState { slots, hashes, .. } = eval;
         // Group-key hashes are memoized for the event's own objects only.
         let mut hashes = std::ptr::eq(combo, ev.objects).then_some(hashes);
         let reg = &*pr.reg;
@@ -1016,7 +1019,7 @@ impl SqlcmInner {
             None => true,
             // The index admitted the rule, and its guards are the condition.
             Some(_) if ev.probed && pr.decided => true,
-            Some(prog) => match crate::vm::eval_condition(prog, &ctx, cse, &mut vm_stats) {
+            Some(prog) => match crate::vm::eval_condition(prog, &ctx, &mut [], &mut vm_stats) {
                 Ok(b) => b,
                 Err(e) => {
                     cond_error = true;
@@ -1030,7 +1033,6 @@ impl SqlcmInner {
             },
         };
         books.vm_instructions += vm_stats.instructions;
-        books.cse_hits += vm_stats.cse_hits;
         // A timed condition's span: LAT binding and the compiled condition.
         let cond_end = end_condition();
         let cond_nanos = cond_end.map_or(0, |(_, nanos)| nanos);
@@ -1133,18 +1135,7 @@ impl SqlcmInner {
         // rows; drop those slots so later rules on this event re-fetch
         // (read-your-predecessors'-writes, §5 ordering).
         for &inv in &pr.invalidates {
-            let slot = &mut slots[inv as usize];
-            if slot.fetch == Fetch::Empty {
-                continue;
-            }
-            slot.fetch = Fetch::Empty;
-            // A dropped row snapshot takes every cached shared value computed
-            // from it along — the CSE slot must never outlive its inputs.
-            for (ci, cs) in ev.ep.cse.iter().enumerate() {
-                if cs.deps.contains(&inv) {
-                    cse[ci] = None;
-                }
-            }
+            slots[inv as usize].fetch = Fetch::Empty;
         }
         self.record_breaker_outcome(reg, trial, errors > 0, total_nanos);
     }

@@ -92,9 +92,6 @@ pub(crate) struct Telem {
     pub reg_lock_acquisitions: ShardedCounter,
     /// Bytecode instructions retired by the condition VM (`crate::vm`).
     pub vm_instructions: ShardedCounter,
-    /// Condition subexpressions served from a shared per-event CSE slot
-    /// instead of re-evaluating (see `plan::CseSlot`).
-    pub cse_hits: ShardedCounter,
     /// Condition-IR ops eliminated by registration-time constant folding,
     /// summed over all registered rules.
     pub folded_ops: ShardedCounter,
@@ -126,7 +123,6 @@ impl Telem {
             lat_row_fetches: ShardedCounter::new(),
             reg_lock_acquisitions: ShardedCounter::new(),
             vm_instructions: ShardedCounter::new(),
-            cse_hits: ShardedCounter::new(),
             folded_ops: ShardedCounter::new(),
             guard_probes: ShardedCounter::new(),
             rules_pruned: ShardedCounter::new(),
@@ -182,8 +178,8 @@ pub struct DispatchTelemetry {
     pub reg_lock_acquisitions: u64,
     /// Bytecode instructions retired by the condition VM.
     pub vm_instructions: u64,
-    /// Condition subexpressions served from a shared per-event CSE slot
-    /// instead of re-evaluating.
+    /// Retired, always 0: cross-rule CSE slots are gone. Kept because
+    /// `benchmark/src/layers.rs` reads it, until that file goes.
     pub cse_hits: u64,
     /// Condition-IR ops eliminated by registration-time constant folding.
     pub folded_ops: u64,

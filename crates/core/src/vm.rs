@@ -17,13 +17,6 @@
 //!   match, with SQL's three-valued `NULL` handling;
 //! * constant `LIKE` patterns run through a matcher compiled once, at
 //!   emission ([`Inst::LikePre`]).
-//!
-//! Cross-rule common-subexpression slots are baked in at dispatch-plan
-//! build: [`Inst::CseLoad`] serves a previously computed value from the
-//! per-event scratch (counting a `cse_hits`), otherwise the subtree runs and
-//! [`Inst::CseStore`] publishes its value for the remaining rules on the
-//! event. Errors are never cached — a failing subtree re-runs (and re-fails
-//! identically) per rule.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -116,18 +109,6 @@ pub enum Inst {
         on: bool,
         target: u32,
     },
-    /// Serve a shared subexpression from the per-event scratch, skipping
-    /// its instructions on a hit.
-    CseLoad {
-        slot: u16,
-        dst: u16,
-        skip: u32,
-    },
-    /// Publish a just-computed shared subexpression value.
-    CseStore {
-        slot: u16,
-        src: u16,
-    },
 }
 
 /// Per-evaluation VM counters, accumulated by the dispatcher into telemetry.
@@ -135,13 +116,11 @@ pub enum Inst {
 pub struct VmStats {
     /// Instructions retired.
     pub instructions: u64,
-    /// Shared-subexpression loads served from the per-event scratch.
-    pub cse_hits: u64,
 }
 
 /// A compiled condition: straight-line register bytecode plus the constant
-/// and matcher pools it references. Emitted per dispatch plan (CSE slot
-/// numbers are plan-local); evaluation is lock-free and read-only.
+/// and matcher pools it references. Emitted when its rule is planned;
+/// evaluation is lock-free and read-only.
 #[derive(Debug, Clone)]
 pub struct Program {
     code: Vec<Inst>,
@@ -160,12 +139,13 @@ thread_local! {
 }
 
 impl Program {
-    /// Emit bytecode for `cond`. `cse` maps arena nodes to plan-local shared
-    /// slots; pass an empty map for standalone (slot-less) evaluation.
-    pub fn emit(cond: &CondIr, cse: &HashMap<NodeId, u16>) -> Program {
+    /// Emit bytecode for `cond`. The second parameter is retired and
+    /// ignored: it assigned cross-rule CSE slots, which are gone. It stays
+    /// for `benchmark/src/layers.rs`, which passes an empty map, until that
+    /// file goes.
+    pub fn emit(cond: &CondIr, _retired: &HashMap<NodeId, u16>) -> Program {
         let mut e = Emitter {
             cond,
-            cse,
             code: Vec::new(),
             matchers: Vec::new(),
             nregs: 0,
@@ -190,30 +170,18 @@ impl Program {
         self.code.is_empty()
     }
 
-    /// Run the program to a raw value. `cse` is the per-event shared-slot
-    /// scratch (empty slice when the plan assigned none).
-    pub fn eval(
-        &self,
-        ctx: &EvalContext,
-        cse: &mut [Option<Value>],
-        stats: &mut VmStats,
-    ) -> Result<Value> {
+    /// Run the program to a raw value.
+    pub fn eval(&self, ctx: &EvalContext, stats: &mut VmStats) -> Result<Value> {
         REGS.with(|r| {
             let mut regs = r.borrow_mut();
             if regs.len() < self.nregs {
                 regs.resize(self.nregs, Value::Null);
             }
-            self.run(&mut regs, ctx, cse, stats)
+            self.run(&mut regs, ctx, stats)
         })
     }
 
-    fn run(
-        &self,
-        regs: &mut [Value],
-        ctx: &EvalContext,
-        cse: &mut [Option<Value>],
-        stats: &mut VmStats,
-    ) -> Result<Value> {
+    fn run(&self, regs: &mut [Value], ctx: &EvalContext, stats: &mut VmStats) -> Result<Value> {
         let code = &self.code;
         let mut pc = 0usize;
         while pc < code.len() {
@@ -338,17 +306,6 @@ impl Program {
                         continue;
                     }
                 }
-                Inst::CseLoad { slot, dst, skip } => {
-                    if let Some(v) = &cse[*slot as usize] {
-                        regs[*dst as usize] = v.clone();
-                        stats.cse_hits += 1;
-                        pc = *skip as usize;
-                        continue;
-                    }
-                }
-                Inst::CseStore { slot, src } => {
-                    cse[*slot as usize] = Some(regs[*src as usize].clone());
-                }
             }
             pc += 1;
         }
@@ -357,14 +314,17 @@ impl Program {
 }
 
 /// Evaluate a compiled condition with the implicit-∃ semantics: a missing
-/// LAT row makes the condition false, genuine errors propagate.
+/// LAT row makes the condition false, genuine errors propagate. The third
+/// parameter is retired and ignored: it was the per-event CSE slot scratch.
+/// It stays for `benchmark/src/layers.rs`, which passes `&mut []`, until
+/// that file goes.
 pub fn eval_condition(
     prog: &Program,
     ctx: &EvalContext,
-    cse: &mut [Option<Value>],
+    _retired: &mut [Option<Value>],
     stats: &mut VmStats,
 ) -> Result<bool> {
-    match prog.eval(ctx, cse, stats) {
+    match prog.eval(ctx, stats) {
         Ok(v) => Ok(v.as_bool() == Some(true)),
         Err(Error::NoLatRow) => Ok(false),
         Err(e) => Err(e),
@@ -375,7 +335,6 @@ pub fn eval_condition(
 
 struct Emitter<'a> {
     cond: &'a CondIr,
-    cse: &'a HashMap<NodeId, u16>,
     code: Vec<Inst>,
     matchers: Vec<LikeMatcher>,
     nregs: u16,
@@ -394,28 +353,8 @@ impl Emitter<'_> {
         self.free.push(r);
     }
 
-    /// Emit the subtree rooted at `id`, wrapping it in a load/store pair
-    /// when the plan assigned it a shared slot. Returns the result register.
+    /// Emit the subtree rooted at `id`; returns its result register.
     fn emit(&mut self, id: NodeId) -> u16 {
-        let Some(&slot) = self.cse.get(&id) else {
-            return self.emit_node(id);
-        };
-        let load_at = self.code.len();
-        // Placeholder; patched once the subtree's result register and the
-        // skip target are known.
-        self.code.push(Inst::CseLoad {
-            slot,
-            dst: 0,
-            skip: 0,
-        });
-        let r = self.emit_node(id);
-        self.code.push(Inst::CseStore { slot, src: r });
-        let skip = self.code.len() as u32;
-        self.code[load_at] = Inst::CseLoad { slot, dst: r, skip };
-        r
-    }
-
-    fn emit_node(&mut self, id: NodeId) -> u16 {
         let cond = self.cond;
         match *cond.op(id) {
             IrOp::Const(idx) => {
@@ -559,8 +498,7 @@ impl Emitter<'_> {
 mod tests {
     use super::*;
     use crate::lat::{Lat, LatAggFunc, LatSpec};
-    use crate::objects::query_object;
-    use sqlcm_common::{ManualClock, QueryInfo};
+    use sqlcm_common::ManualClock;
     use sqlcm_sql::{parse_expression, ExprIr};
     use std::sync::Arc;
 
@@ -585,13 +523,6 @@ mod tests {
         Program::emit(&cond, &HashMap::new())
     }
 
-    fn qobj(duration_secs: f64) -> crate::objects::Object {
-        let mut q = QueryInfo::synthetic(1, "SELECT 1");
-        q.duration_micros = (duration_secs * 1e6) as u64;
-        q.logical_signature = Some(42);
-        query_object(&q)
-    }
-
     #[test]
     fn constant_like_patterns_precompile() {
         let prog = program("Query.Query_Text LIKE 'SELECT%'");
@@ -605,29 +536,5 @@ mod tests {
         let prog = program("Query.Query_Text LIKE Query.User");
         assert!(prog.matchers.is_empty());
         assert!(matches!(prog.code.last(), Some(Inst::Like { .. })));
-    }
-
-    #[test]
-    fn cse_slots_serve_and_publish_values() {
-        let objs = vec![qobj(10.0)];
-        let ctx = EvalContext {
-            objects: &objs,
-            lat_rows: &[],
-        };
-        let mut lats = HashMap::new();
-        lats.insert("duration_lat".to_string(), duration_lat());
-        let ir = ExprIr::lower(&parse_expression("Query.Duration > 5").unwrap()).fold();
-        let cond = CondIr::from_ir(&ir, &lats, &[]).unwrap();
-        let mut cse_map = HashMap::new();
-        cse_map.insert(cond.root, 0u16);
-        let prog = Program::emit(&cond, &cse_map);
-
-        let mut slots = vec![None];
-        let mut stats = VmStats::default();
-        assert!(eval_condition(&prog, &ctx, &mut slots, &mut stats).unwrap());
-        assert_eq!(stats.cse_hits, 0, "first evaluation computes");
-        assert_eq!(slots[0], Some(Value::Bool(true)), "value published");
-        assert!(eval_condition(&prog, &ctx, &mut slots, &mut stats).unwrap());
-        assert_eq!(stats.cse_hits, 1, "second evaluation is served");
     }
 }

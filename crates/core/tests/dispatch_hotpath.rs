@@ -324,8 +324,8 @@ fn registry_mutations_bump_plan_epoch() {
 
 /// Registration costs what it changes, as counts (`plan_rules_planned`: rules
 /// planned and emitted, summed over publishes): a rule added to a class is
-/// planned alone and appended, once the class's second rule — the second
-/// holder of the shared conjunct — has had the class derived again. Planning
+/// planned alone and appended, once the class's second rule has had the
+/// class derived again. Planning
 /// every rule per registration made these 500 500 and 5 050.
 #[test]
 fn registering_a_catalogue_plans_each_rule_about_once() {
@@ -491,11 +491,10 @@ fn shared_lat_lookup_is_hoisted_and_invalidated_by_inserts() {
 }
 
 /// The bytecode-VM condition path — a precompiled `LIKE`/`NOT LIKE` pair, an
-/// `IN` list, and a cross-rule shared subexpression — must stay allocation-
-/// and lock-free at steady state, and the second sharer must be served from
-/// the CSE slot on every event instead of re-evaluating the predicate.
+/// `IN` list, and one predicate repeated by two rules — must stay
+/// allocation- and lock-free at steady state.
 #[test]
-fn vm_dispatch_with_like_in_and_cse_allocates_nothing() {
+fn vm_dispatch_with_like_and_in_allocates_nothing() {
     let engine = Engine::in_memory();
     let sqlcm = Sqlcm::attach(&engine);
     for name in ["shared_a", "shared_b"] {
@@ -542,20 +541,14 @@ fn vm_dispatch_with_like_in_and_cse_allocates_nothing() {
         after.vm_instructions > before.vm_instructions,
         "conditions did not run through the VM"
     );
-    assert_eq!(
-        after.cse_hits - before.cse_hits,
-        events,
-        "second sharer must hit the CSE slot once per event"
-    );
 }
 
-/// CSE slots must be dropped when a dependency hoist slot is invalidated
-/// mid-event: a feed rule inserting into the LAT *between* two sharers of
-/// the same LAT predicate forces the later sharer to re-fetch and
-/// re-evaluate — it must see its predecessor's write, never a cached
-/// verdict from the earlier sharer.
+/// A hoisted row must be dropped when a rule's `Insert` invalidates it
+/// mid-event: a feed rule inserting into the LAT *between* two readers of
+/// the same LAT predicate forces the later reader to re-fetch — it must see
+/// its predecessor's write, never the row the earlier reader read.
 #[test]
-fn cse_slot_is_invalidated_with_its_hoisted_row() {
+fn hoisted_row_is_refetched_after_a_feed_between_two_readers() {
     let engine = Engine::in_memory();
     let sqlcm = Sqlcm::attach(&engine);
     sqlcm
@@ -566,7 +559,7 @@ fn cse_slot_is_invalidated_with_its_hoisted_row() {
         )
         .unwrap();
     // `+ 0` keeps the watchers residual: a LAT guard would prune them
-    // without running the shared subtree.
+    // without running their conditions.
     sqlcm
         .add_rule(
             Rule::new("watch_a")
@@ -590,25 +583,20 @@ fn cse_slot_is_invalidated_with_its_hoisted_row() {
         .unwrap();
 
     let ev = commit_event(9, 0.1);
-    let before = sqlcm.telemetry().dispatch;
     for _ in 0..10 {
         sqlcm.inject_event(&ev);
     }
-    let after = sqlcm.telemetry().dispatch;
 
     // On event i, watch_a sees N = i-1 (fires from event 4 on: 7 fires over
     // 10 events) while watch_b sees the count including this event's insert
-    // (fires from event 3 on: 8 fires). A stale CSE value would make the
-    // two counts equal.
+    // (fires from event 3 on: 8 fires). A stale row would make the two
+    // counts equal.
     assert_eq!(sqlcm.rule("watch_a").unwrap().stats().fires, 7);
     assert_eq!(
         sqlcm.rule("watch_b").unwrap().stats().fires,
         8,
-        "watch_b reused a stale shared verdict across the feed's insert"
+        "watch_b read a stale hoisted row across the feed's insert"
     );
-    // The shared slot never survives to watch_b here — every event's insert
-    // clears it with the hoisted row it depends on.
-    assert_eq!(after.cse_hits - before.cse_hits, 0);
 }
 
 /// Allocations of one event whose single rule fires `Insert(lat)`, averaged
@@ -727,9 +715,9 @@ fn firing_insert_creating_a_group_in_a_full_lat_allocates_nothing() {
 }
 
 /// More hoisted lookups than any inline buffer holds: 12 rules each reading
-/// its own LAT give the event class 12 hoist slots. The per-event slot and
-/// shared-value stores are pooled per thread like the payload buffers, so a
-/// non-firing event still allocates nothing.
+/// its own LAT give the event class 12 hoist slots. The per-event slot
+/// store is pooled per thread like the payload buffers, so a non-firing
+/// event still allocates nothing.
 #[test]
 fn twelve_hoisted_lats_allocate_nothing_per_event() {
     let engine = Engine::in_memory();
@@ -1243,8 +1231,8 @@ fn commit_of(id: u64) -> EngineEvent {
 
 /// F2's rules fire on every event and run no program: the guard on
 /// `Query.Duration >= 0` decides each condition, and the index admits all
-/// 100 with one shared comparison. Nothing is retired by the VM, no shared
-/// value is loaded, and every rule books its evaluation and firing. The 100
+/// 100 with one shared comparison. Nothing is retired by the VM, and every
+/// rule books its evaluation and firing. The 100
 /// inserts hash the event's `Query.ID` once between them.
 #[test]
 fn an_f2_catalog_runs_no_program_and_hashes_each_query_once() {
@@ -1266,7 +1254,6 @@ fn an_f2_catalog_runs_no_program_and_hashes_each_query_once() {
     assert_eq!(stats.fires - was.fires, RULES * events);
     let (dispatch, was) = (after.dispatch, before.dispatch);
     assert_eq!(dispatch.vm_instructions, was.vm_instructions);
-    assert_eq!(dispatch.cse_hits, was.cse_hits);
     for r in [0, RULES - 1] {
         let lat = sqlcm.lat(&format!("lat_{r}")).unwrap();
         let mut ids: Vec<_> = lat.rows().into_iter().map(|row| row[0].clone()).collect();

@@ -10,9 +10,7 @@
 //! (`parse_expression` → oracle walk vs. `ExprIr::lower().fold()` →
 //! `CondIr::from_ir` → `Program::emit` → VM loop), and checked for *exact*
 //! agreement: equal values on success, equal errors on failure, and the
-//! same ∃-wrapper verdict (`NoLatRow` → `false`). A second pass re-runs
-//! each program with a CSE slot pinned to the root to prove shared-slot
-//! loads serve byte-identical values and never cache errors.
+//! same ∃-wrapper verdict (`NoLatRow` → `false`).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -193,9 +191,7 @@ fn val_eq(a: &Value, b: &Value) -> bool {
 }
 
 /// Compile `src` for the VM and check both the raw-value evaluation and the
-/// ∃-wrapped condition verdict against the oracle, then re-run with a CSE
-/// slot pinned on the root (cold store, then warm load) and require the
-/// identical outcome each time.
+/// ∃-wrapped condition verdict against the oracle.
 fn check_case(src: &str, ctx: &EvalContext, lats: &HashMap<String, Arc<Lat>>) {
     let expr = parse_expression(src).expect(src);
     let ir = ExprIr::lower(&expr).fold();
@@ -204,7 +200,7 @@ fn check_case(src: &str, ctx: &EvalContext, lats: &HashMap<String, Arc<Lat>>) {
     let mut stats = VmStats::default();
 
     let oracle_val = oracle::eval_expr(&expr, ctx);
-    let vm_val = prog.eval(ctx, &mut [], &mut stats);
+    let vm_val = prog.eval(ctx, &mut stats);
     match (&oracle_val, &vm_val) {
         (Ok(a), Ok(b)) => assert!(val_eq(a, b), "{src}: oracle={a:?} vm={b:?}"),
         (Err(a), Err(b)) => assert_eq!(a, b, "{src}"),
@@ -217,33 +213,6 @@ fn check_case(src: &str, ctx: &EvalContext, lats: &HashMap<String, Arc<Lat>>) {
         (Ok(a), Ok(b)) => assert_eq!(a, b, "{src}"),
         (Err(a), Err(b)) => assert_eq!(a, b, "{src}"),
         _ => panic!("{src}: oracle={oracle_fire:?} vm={vm_fire:?}"),
-    }
-
-    // CSE determinism: slot on the root — first run stores (unless it
-    // errors; errors are never cached), second run loads. Both must agree
-    // with the plain run, and a populated slot must hold the stored value.
-    let mut cse_map = HashMap::new();
-    cse_map.insert(cond.root, 0u16);
-    let shared = Program::emit(&cond, &cse_map);
-    let mut slots: Vec<Option<Value>> = vec![None];
-    for pass in 0..2 {
-        let mut s = VmStats::default();
-        let got = shared.eval(ctx, &mut slots, &mut s);
-        match (&vm_val, &got) {
-            (Ok(a), Ok(b)) => assert!(val_eq(a, b), "{src} pass {pass}"),
-            (Err(a), Err(b)) => assert_eq!(a, b, "{src} pass {pass}"),
-            _ => panic!("{src} pass {pass}: plain={vm_val:?} cse={got:?}"),
-        }
-        if let (1, Ok(v)) = (pass, &got) {
-            assert_eq!(s.cse_hits, 1, "{src}: warm pass must load the slot");
-            assert!(
-                slots[0].as_ref().is_some_and(|s| val_eq(s, v)),
-                "{src}: slot holds the published value"
-            );
-        }
-        if vm_val.is_err() {
-            assert!(slots[0].is_none(), "{src}: errors must never be cached");
-        }
     }
 }
 

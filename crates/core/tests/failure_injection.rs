@@ -1,10 +1,14 @@
 //! Failure injection: the monitoring framework must degrade gracefully, never
 //! take the workload down, and keep its counters truthful under abuse.
 
-use sqlcm_common::{ManualClock, QueryInfo, Value};
+use sqlcm_common::{EngineEvent, ManualClock, QueryInfo, Value};
 use sqlcm_core::objects::query_object;
-use sqlcm_core::{Action, Lat, LatAggFunc, LatSpec, Rule, RuleEvent, Sqlcm};
+use sqlcm_core::{
+    Action, Lat, LatAggFunc, LatSpec, MailSink, MonitorConfig, Rule, RuleEvent, Sqlcm,
+};
 use sqlcm_engine::Engine;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn qobj(sig: u64, secs: f64) -> sqlcm_core::Object {
@@ -254,4 +258,48 @@ fn timer_storm_coalesces() {
     sqlcm.poll_timers();
     let n = sqlcm.outbox().len();
     assert!(n <= 3, "coalesced, got {n}");
+}
+
+/// A mail sink that panics on its first call and succeeds on every later one.
+struct PanicsOnce {
+    calls: AtomicU64,
+}
+
+impl MailSink for PanicsOnce {
+    fn send(&self, _to: &str, _body: &str) -> sqlcm_common::Result<()> {
+        if self.calls.fetch_add(1, Ordering::Relaxed) == 0 {
+            panic!("mail sink panicked on its first call");
+        }
+        Ok(())
+    }
+}
+
+/// A panic that unwinds out of one event's dispatch ends that event only:
+/// the thread's next events are evaluated, not queued behind a dispatch
+/// that will never drain them.
+#[test]
+fn a_panic_in_a_synchronous_action_does_not_stop_the_threads_later_events() {
+    let engine = Engine::in_memory();
+    let sqlcm = Sqlcm::attach(&engine);
+    let sink = Arc::new(PanicsOnce {
+        calls: AtomicU64::new(0),
+    });
+    sqlcm.configure(MonitorConfig {
+        mail_sink: sink.clone(),
+        async_actions: false,
+        ..sqlcm.config()
+    });
+    let mail = Rule::new("mail").on(RuleEvent::QueryCommit);
+    sqlcm
+        .add_rule(mail.then(Action::send_mail("dba", "{Query.ID} committed")))
+        .unwrap();
+    let commit = |id: u64| EngineEvent::QueryCommit(QueryInfo::synthetic(id, "SELECT 1"));
+    let before = sqlcm.stats().evaluations;
+    let first = catch_unwind(AssertUnwindSafe(|| sqlcm.inject_event(&commit(0))));
+    assert!(first.is_err(), "the first event's action panics");
+    for id in 1..200 {
+        sqlcm.inject_event(&commit(id));
+    }
+    assert_eq!(sink.calls.load(Ordering::Relaxed), 200);
+    assert_eq!(sqlcm.stats().evaluations - before, 199);
 }

@@ -1,6 +1,6 @@
 //! Whole-system differential suite: the optimized [`Sqlcm`] — compiled
 //! dispatch plan, bytecode VM, hoisted LAT lookups with analysis-driven
-//! invalidation, cross-rule CSE slots, guard index — against the naive
+//! invalidation, guard index — against the naive
 //! [`ReferenceMonitor`] (one lock, linear rule scan, tree-walk oracle, fresh
 //! LAT lookups, its own payloads, names and counts; `oracle/monitor.rs`).
 //!
@@ -614,7 +614,7 @@ fn decided_rules_fire_exactly_when_admitted() {
         }
         assert!(fired >= 12, "{what}: {fired} of 16 rules ever fired");
         let d = p.real.telemetry().dispatch;
-        assert_eq!((d.vm_instructions, d.cse_hits), (0, 0), "{what}");
+        assert_eq!(d.vm_instructions, 0, "{what}");
         // Dispatch filed each row under the hash it memoized for the event;
         // the public lookup hashes the key itself and must find the row.
         // (LAT, column of its `Sig` key if it has one, column of `Usr`)
@@ -720,13 +720,14 @@ fn selective_rules_at_scale_stay_sublinear() {
     assert!(fraction <= 0.10, "candidate fraction {fraction}");
 }
 
-// --------------------------------------------------------------------- CSE
+// ------------------------------------------------------ repeated predicates
 
-/// 32 rules sharing one LAT predicate, feed registered last so its Insert
-/// never splits the sharers: once the group's row exists, the predicate is
-/// evaluated once per event and 31 sharers load the slot.
+/// 32 rules repeating one LAT predicate, feed registered last so its Insert
+/// never splits them: each evaluates the predicate against the one hoisted
+/// row, and all agree with the reference, including while a missing row
+/// makes the predicate error out of the ∃.
 #[test]
-fn shared_predicate_is_evaluated_once_per_event() {
+fn rules_repeating_one_lat_predicate_match_the_reference() {
     const SHARERS: u64 = 32;
     let mut p = Pair::new();
     p.lat(stats_lat("Sig_LAT"));
@@ -735,12 +736,11 @@ fn shared_predicate_is_evaluated_once_per_event() {
         p.on_commit(&format!("share{i:02}"), Some(shared), &[]);
     }
     p.on_commit("feed", None, &[Action::insert("Sig_LAT")]);
-    // Cold pass: a missing row makes the predicate error out of the ∃, and
-    // errors are never cached — no sharing until each group exists.
+    // Cold pass: a missing row makes the predicate error out of the ∃
+    // until each group exists.
     for sig in 0..6 {
         p.inject(&commit("", sig, 0.25));
     }
-    let before = p.real.telemetry().dispatch.cse_hits;
     let events = 600u64;
     let mut state = 0x0dd_ba11_u64;
     for _ in 0..events {
@@ -748,13 +748,11 @@ fn shared_predicate_is_evaluated_once_per_event() {
     }
     p.assert_parity("32 sharers");
     assert!(p.fires("share00") > 0 && p.fires("share00") < events);
-    let hits = p.real.telemetry().dispatch.cse_hits - before;
-    assert_eq!(hits, (SHARERS - 1) * events, "> 1 shared evaluation/event");
 }
 
-/// A feed inserting *between* two sharers of one LAT predicate: the later
-/// sharer must re-fetch and re-evaluate — see its predecessor's write, never
-/// the earlier sharer's cached verdict.
+/// A feed inserting *between* two rules with one LAT predicate: the later
+/// one must re-fetch the hoisted row and see its predecessor's write, never
+/// the row the earlier one read.
 #[test]
 fn shared_value_dies_with_the_row_it_was_computed_from() {
     let mut p = Pair::new();
@@ -768,7 +766,6 @@ fn shared_value_dies_with_the_row_it_was_computed_from() {
     p.assert_parity("feed between sharers");
     // watch_a sees N = i-1 on event i, watch_b sees N = i.
     assert_eq!((p.fires("watch_a"), p.fires("watch_b")), (7, 8));
-    assert_eq!(p.real.telemetry().dispatch.cse_hits, 0);
 }
 
 // ------------------------------------------------- what no pairwise suite saw

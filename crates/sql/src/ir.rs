@@ -11,10 +11,11 @@
 //! * a **canonical structural hash** (deterministic FNV-1a over opcode,
 //!   child hashes, and immediates; qualifiers and names are hashed
 //!   case-folded so `d_lat.n` and `D_LAT.N` share a hash). Equal hashes are
-//!   the cross-rule common-subexpression key — deliberately *without*
-//!   commutative normalization, because `a AND b` and `b AND a` evaluate
-//!   their operands (and surface their errors) in different orders;
-//! * the **subtree size** in ops (CSE and lint thresholds);
+//!   the analyzer's cross-rule predicate key (W102 duplicate conditions,
+//!   W105 shared predicates) — deliberately *without* commutative
+//!   normalization, because `a AND b` and `b AND a` evaluate their operands
+//!   (and surface their errors) in different orders;
+//! * the **subtree size** in ops (lint thresholds);
 //! * **boolish**: the node's value is always `Bool` or `Null` (safe to
 //!   substitute through boolean identities);
 //! * **infallible**: evaluation can never return `Err` — no column reads
@@ -449,7 +450,7 @@ impl ExprIr {
     }
 
     /// Structural equality of two subtrees (possibly in different arenas) —
-    /// the hash-collision guard for CSE grouping.
+    /// the hash-collision guard of the analyzer's predicate keys.
     pub fn subtree_eq(&self, id: NodeId, other: &ExprIr, oid: NodeId) -> bool {
         match (self.op(id), other.op(oid)) {
             (IrOp::Const(a), IrOp::Const(b)) => {
