@@ -6,20 +6,9 @@ use sqlcm_common::{Error, Result};
 
 use crate::schema::ClassName;
 
-/// Aggregation functions available in LATs (paper §4.3: "in addition to the
-/// standard aggregation functions COUNT, SUM, and AVG, SQLCM also supports …
-/// STDEV and FIRST and LAST").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LatAggFunc {
-    Count,
-    Sum,
-    Avg,
-    StdDev,
-    Min,
-    Max,
-    First,
-    Last,
-}
+/// Aggregation functions available in LATs: the aggregate kernel's, which
+/// the engine's GROUP BY folds through too.
+pub use sqlcm_sql::agg::AggFunc as LatAggFunc;
 
 /// Aging parameters: report only values from the last `window` µs, maintained in
 /// blocks of `block` µs.

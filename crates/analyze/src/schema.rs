@@ -399,16 +399,9 @@ impl SchemaUniverse {
                 Some(s) => self.resolve_attr(&spec.name, s, &mut diags),
                 None => None,
             };
-            let ty = match a.func {
-                LatAggFunc::Count => Some(DataType::Int),
-                LatAggFunc::Sum | LatAggFunc::Avg | LatAggFunc::StdDev => Some(DataType::Float),
-                LatAggFunc::Min | LatAggFunc::Max | LatAggFunc::First | LatAggFunc::Last => {
-                    source_ty
-                }
-            };
             columns.push(LatColumn {
                 name: a.alias.clone(),
-                ty,
+                ty: a.func.result_type(source_ty),
                 aging: a.aging.is_some(),
                 group: false,
                 func: Some(a.func),

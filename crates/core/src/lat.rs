@@ -7,7 +7,8 @@
 //!   `FIRST`, `LAST` over attributes, each optionally in its **aging** variant:
 //!   a moving window of width `t` maintained in blocks spanning `Δ` ("SQLCM
 //!   groups values into blocks … which are then used as the unit of aging",
-//!   using at most `2t/Δ` extra storage);
+//!   using at most `2t/Δ` extra storage); each column and aging block folds
+//!   through `sqlcm_sql::agg::AggState`, the kernel of the engine's GROUP BY;
 //! * a **size bound** (rows and/or approximate bytes) with ordering columns: on
 //!   overflow the row with the smallest ordering value is discarded and exposed
 //!   to the rule engine as an evicted-row monitored object;
@@ -91,6 +92,7 @@ use std::sync::{Arc, LazyLock};
 
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use sqlcm_common::{Error, Result, SharedClock, Timestamp, Value};
+use sqlcm_sql::agg::AggState;
 use sqlcm_telemetry::ShardedCounter;
 
 use crate::objects::Object;
@@ -114,214 +116,6 @@ const BUCKETS_PER_ROW: usize = 2;
 pub use sqlcm_analyze::{AggColumn, AgingSpec, AttrRef, GroupColumn, LatAggFunc, LatSpec};
 
 // ---------------------------------------------------------------- aggregates
-
-/// Mergeable aggregate state — also the per-block state of aging aggregates.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum AggState {
-    Count(i64),
-    Sum { sum: f64, seen: bool },
-    Avg { sum: f64, n: i64 },
-    StdDev { n: i64, sum: f64, sumsq: f64 },
-    Min(Option<Value>),
-    Max(Option<Value>),
-    First(Option<Value>),
-    Last(Option<Value>),
-}
-
-impl AggState {
-    fn new(func: LatAggFunc) -> AggState {
-        match func {
-            LatAggFunc::Count => AggState::Count(0),
-            LatAggFunc::Sum => AggState::Sum {
-                sum: 0.0,
-                seen: false,
-            },
-            LatAggFunc::Avg => AggState::Avg { sum: 0.0, n: 0 },
-            LatAggFunc::StdDev => AggState::StdDev {
-                n: 0,
-                sum: 0.0,
-                sumsq: 0.0,
-            },
-            LatAggFunc::Min => AggState::Min(None),
-            LatAggFunc::Max => AggState::Max(None),
-            LatAggFunc::First => AggState::First(None),
-            LatAggFunc::Last => AggState::Last(None),
-        }
-    }
-
-    fn func(&self) -> LatAggFunc {
-        match self {
-            AggState::Count(_) => LatAggFunc::Count,
-            AggState::Sum { .. } => LatAggFunc::Sum,
-            AggState::Avg { .. } => LatAggFunc::Avg,
-            AggState::StdDev { .. } => LatAggFunc::StdDev,
-            AggState::Min(_) => LatAggFunc::Min,
-            AggState::Max(_) => LatAggFunc::Max,
-            AggState::First(_) => LatAggFunc::First,
-            AggState::Last(_) => LatAggFunc::Last,
-        }
-    }
-
-    fn update(&mut self, v: Option<&Value>) -> Result<()> {
-        let numeric = |v: &Value, what: &str| {
-            v.as_f64()
-                .ok_or_else(|| Error::Monitor(format!("{what} of non-numeric value {v}")))
-        };
-        match self {
-            AggState::Count(c) => match v {
-                None => *c += 1,
-                Some(val) if !val.is_null() => *c += 1,
-                _ => {}
-            },
-            AggState::Sum { sum, seen } => {
-                if let Some(val) = v.filter(|v| !v.is_null()) {
-                    *sum += numeric(val, "SUM")?;
-                    *seen = true;
-                }
-            }
-            AggState::Avg { sum, n } => {
-                if let Some(val) = v.filter(|v| !v.is_null()) {
-                    *sum += numeric(val, "AVG")?;
-                    *n += 1;
-                }
-            }
-            AggState::StdDev { n, sum, sumsq } => {
-                if let Some(val) = v.filter(|v| !v.is_null()) {
-                    let x = numeric(val, "STDEV")?;
-                    *n += 1;
-                    *sum += x;
-                    *sumsq += x * x;
-                }
-            }
-            AggState::Min(cur) => {
-                if let Some(val) = v.filter(|v| !v.is_null()) {
-                    if cur.as_ref().is_none_or(|c| val < c) {
-                        *cur = Some(val.clone());
-                    }
-                }
-            }
-            AggState::Max(cur) => {
-                if let Some(val) = v.filter(|v| !v.is_null()) {
-                    if cur.as_ref().is_none_or(|c| val > c) {
-                        *cur = Some(val.clone());
-                    }
-                }
-            }
-            AggState::First(cur) => {
-                if cur.is_none() {
-                    if let Some(val) = v {
-                        *cur = Some(val.clone());
-                    }
-                }
-            }
-            AggState::Last(cur) => match (cur.as_ref(), v) {
-                // The same shared text again: no reference-count traffic.
-                (Some(Value::Text(was)), Some(Value::Text(new))) if Arc::ptr_eq(was, new) => {}
-                (_, Some(val)) => *cur = Some(val.clone()),
-                (_, None) => {}
-            },
-        }
-        Ok(())
-    }
-
-    /// Merge `other` (a *later* block) into `self`.
-    fn merge(&mut self, other: &AggState) {
-        match (self, other) {
-            (AggState::Count(a), AggState::Count(b)) => *a += b,
-            (AggState::Sum { sum: a, seen: sa }, AggState::Sum { sum: b, seen: sb }) => {
-                *a += b;
-                *sa |= sb;
-            }
-            (AggState::Avg { sum: a, n: na }, AggState::Avg { sum: b, n: nb }) => {
-                *a += b;
-                *na += nb;
-            }
-            (
-                AggState::StdDev {
-                    n: na,
-                    sum: sa,
-                    sumsq: qa,
-                },
-                AggState::StdDev {
-                    n: nb,
-                    sum: sb,
-                    sumsq: qb,
-                },
-            ) => {
-                *na += nb;
-                *sa += sb;
-                *qa += qb;
-            }
-            (AggState::Min(a), AggState::Min(b)) => {
-                if let Some(bv) = b {
-                    if a.as_ref().is_none_or(|av| bv < av) {
-                        *a = Some(bv.clone());
-                    }
-                }
-            }
-            (AggState::Max(a), AggState::Max(b)) => {
-                if let Some(bv) = b {
-                    if a.as_ref().is_none_or(|av| bv > av) {
-                        *a = Some(bv.clone());
-                    }
-                }
-            }
-            (AggState::First(a), AggState::First(b)) => {
-                if a.is_none() {
-                    *a = b.clone();
-                }
-            }
-            (AggState::Last(a), AggState::Last(b)) => {
-                if b.is_some() {
-                    *a = b.clone();
-                }
-            }
-            _ => unreachable!("merging mismatched aggregate states"),
-        }
-    }
-
-    fn finish(&self) -> Value {
-        match self {
-            AggState::Count(c) => Value::Int(*c),
-            AggState::Sum { sum, seen } => {
-                if *seen {
-                    Value::Float(*sum)
-                } else {
-                    Value::Null
-                }
-            }
-            AggState::Avg { sum, n } => {
-                if *n > 0 {
-                    Value::Float(sum / *n as f64)
-                } else {
-                    Value::Null
-                }
-            }
-            AggState::StdDev { n, sum, sumsq } => {
-                if *n > 0 {
-                    let mean = sum / *n as f64;
-                    Value::Float((sumsq / *n as f64 - mean * mean).max(0.0).sqrt())
-                } else {
-                    Value::Null
-                }
-            }
-            AggState::Min(v) | AggState::Max(v) | AggState::First(v) | AggState::Last(v) => {
-                v.clone().unwrap_or(Value::Null)
-            }
-        }
-    }
-
-    fn size_bytes(&self) -> usize {
-        let base = std::mem::size_of::<AggState>();
-        match self {
-            AggState::Min(Some(v))
-            | AggState::Max(Some(v))
-            | AggState::First(Some(v))
-            | AggState::Last(Some(v)) => base + v.size_bytes(),
-            _ => base,
-        }
-    }
-}
 
 /// Aging aggregate: a deque of Δ-aligned blocks, each a plain [`AggState`].
 #[derive(Debug, Clone)]

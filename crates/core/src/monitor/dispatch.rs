@@ -288,11 +288,14 @@ impl HoistState {
 
 /// One event's bookkeeping, opened where its rule loop starts and kept on
 /// the dispatching thread while its rules run: the tallies
-/// [`SqlcmInner::flush`] adds to the shared counters when the event's last
-/// rule has run. Until then `Sqlcm::stats` and `Sqlcm::telemetry` — also
-/// when read from inside an action — show the global totals as of the
-/// previous event; a rule's own counters are always current.
-struct EventBooks {
+/// [`SqlcmInner::flush`] adds to the shared counters when the books drop —
+/// after the event's last rule has run, or when a panic unwinds out of one,
+/// so the totals keep every evaluation a rule's own books counted. Until
+/// then `Sqlcm::stats` and `Sqlcm::telemetry` — also when read from inside
+/// an action — show the global totals as of the previous event; a rule's
+/// own counters are always current.
+struct EventBooks<'a> {
+    owner: &'a SqlcmInner,
     evaluations: u64,
     fires: u64,
     actions: u64,
@@ -302,11 +305,12 @@ struct EventBooks {
     lat_row_fetches: u64,
 }
 
-impl EventBooks {
+impl EventBooks<'_> {
     /// Books crediting the `pruned` evaluations the guard probe decided
     /// without running them.
-    fn open(pruned: u64) -> EventBooks {
+    fn open(owner: &SqlcmInner, pruned: u64) -> EventBooks<'_> {
         EventBooks {
+            owner,
             evaluations: pruned,
             fires: 0,
             actions: 0,
@@ -315,6 +319,12 @@ impl EventBooks {
             hoisted_lookup_hits: 0,
             lat_row_fetches: 0,
         }
+    }
+}
+
+impl Drop for EventBooks<'_> {
+    fn drop(&mut self) {
+        self.owner.flush(self);
     }
 }
 
@@ -687,7 +697,7 @@ impl SqlcmInner {
                 .all(|c| objects.iter().any(|o| o.class == *c)),
             time_all: self.containment.latency_budget_nanos() > 0,
         };
-        let mut books = EventBooks::open(pruned);
+        let mut books = EventBooks::open(self, pruned);
         // Rules the LAT-guard probes refused. The walk re-reads its word
         // after a probe: a refused rule is never visited.
         let mut lat_pruned = 0u64;
@@ -737,14 +747,15 @@ impl SqlcmInner {
                 });
             }
         }
-        self.flush(&books);
+        drop(books);
         if let Some(ctx) = trace.as_mut() {
             ctx.close(event_span);
         }
     }
 
     /// Add one event's tallies to the striped totals — once per
-    /// `handle_one`, so an evaluation writes none of their lines.
+    /// `handle_one`, when its books drop, so an evaluation writes none of
+    /// their lines.
     fn flush(&self, b: &EventBooks) {
         let t = &self.telemetry;
         for (total, n) in [

@@ -301,5 +301,10 @@ fn a_panic_in_a_synchronous_action_does_not_stop_the_threads_later_events() {
         sqlcm.inject_event(&commit(id));
     }
     assert_eq!(sink.calls.load(Ordering::Relaxed), 200);
-    assert_eq!(sqlcm.stats().evaluations - before, 199);
+    assert_eq!(sqlcm.stats().evaluations - before, 200);
+    // The panicking event's books were flushed too: the totals are the
+    // rule's own.
+    let (stats, rule) = (sqlcm.stats(), sqlcm.rule("mail").unwrap().stats());
+    assert_eq!(stats.evaluations, rule.evaluations);
+    assert_eq!(stats.fires, rule.fires);
 }

@@ -21,6 +21,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use sqlcm_common::{Error, Result, Value};
+use sqlcm_sql::agg::AggState;
 use sqlcm_sql::Expr;
 use sqlcm_storage::btree::ScanBounds;
 use sqlcm_storage::{decode_row, encode_row, RowId};
@@ -29,7 +30,7 @@ use crate::active::ActiveQueryState;
 use crate::catalog::{TableInfo, TableLayout};
 use crate::expr::{eval, is_truthy, Params, Schema};
 use crate::lock::{LockManager, LockMode, ResourceId};
-use crate::plan::{AggFunc, AggSpec, PhysicalPlan, SeekBounds};
+use crate::plan::{AggSpec, PhysicalPlan, SeekBounds};
 use crate::txn::{TxnState, UndoOp};
 
 /// Rows between cancellation checks.
@@ -410,129 +411,6 @@ fn index_seek(
 
 // ------------------------------------------------------------- aggregation
 
-enum AggState {
-    Count(i64),
-    Sum { sum: f64, seen: bool },
-    Avg { sum: f64, n: i64 },
-    Min(Option<Value>),
-    Max(Option<Value>),
-    StdDev { n: i64, sum: f64, sumsq: f64 },
-}
-
-impl AggState {
-    fn new(func: AggFunc) -> AggState {
-        match func {
-            AggFunc::Count | AggFunc::CountStar => AggState::Count(0),
-            AggFunc::Sum => AggState::Sum {
-                sum: 0.0,
-                seen: false,
-            },
-            AggFunc::Avg => AggState::Avg { sum: 0.0, n: 0 },
-            AggFunc::Min => AggState::Min(None),
-            AggFunc::Max => AggState::Max(None),
-            AggFunc::StdDev => AggState::StdDev {
-                n: 0,
-                sum: 0.0,
-                sumsq: 0.0,
-            },
-        }
-    }
-
-    fn update(&mut self, v: Option<&Value>) -> Result<()> {
-        match self {
-            AggState::Count(c) => {
-                // COUNT(*) gets None (counts rows); COUNT(x) skips NULLs.
-                match v {
-                    None => *c += 1,
-                    Some(val) if !val.is_null() => *c += 1,
-                    _ => {}
-                }
-            }
-            AggState::Sum { sum, seen } => {
-                if let Some(val) = v {
-                    if !val.is_null() {
-                        *sum += val
-                            .as_f64()
-                            .ok_or_else(|| Error::TypeError(format!("SUM of non-numeric {val}")))?;
-                        *seen = true;
-                    }
-                }
-            }
-            AggState::Avg { sum, n } => {
-                if let Some(val) = v {
-                    if !val.is_null() {
-                        *sum += val
-                            .as_f64()
-                            .ok_or_else(|| Error::TypeError(format!("AVG of non-numeric {val}")))?;
-                        *n += 1;
-                    }
-                }
-            }
-            AggState::Min(cur) => {
-                if let Some(val) = v {
-                    if !val.is_null() && cur.as_ref().is_none_or(|c| val < c) {
-                        *cur = Some(val.clone());
-                    }
-                }
-            }
-            AggState::Max(cur) => {
-                if let Some(val) = v {
-                    if !val.is_null() && cur.as_ref().is_none_or(|c| val > c) {
-                        *cur = Some(val.clone());
-                    }
-                }
-            }
-            AggState::StdDev { n, sum, sumsq } => {
-                if let Some(val) = v {
-                    if !val.is_null() {
-                        let x = val.as_f64().ok_or_else(|| {
-                            Error::TypeError(format!("STDEV of non-numeric {val}"))
-                        })?;
-                        *n += 1;
-                        *sum += x;
-                        *sumsq += x * x;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn finish(self) -> Value {
-        match self {
-            AggState::Count(c) => Value::Int(c),
-            AggState::Sum { sum, seen } => {
-                if seen {
-                    Value::Float(sum)
-                } else {
-                    Value::Null
-                }
-            }
-            AggState::Avg { sum, n } => {
-                if n > 0 {
-                    Value::Float(sum / n as f64)
-                } else {
-                    Value::Null
-                }
-            }
-            AggState::Min(v) | AggState::Max(v) => v.unwrap_or(Value::Null),
-            AggState::StdDev { n, sum, sumsq } => {
-                if n > 1 {
-                    let mean = sum / n as f64;
-                    let var = (sumsq / n as f64 - mean * mean).max(0.0);
-                    // Population stdev, matching the naive recomputation used in
-                    // the LAT property tests.
-                    Value::Float(var.sqrt())
-                } else if n == 1 {
-                    Value::Float(0.0)
-                } else {
-                    Value::Null
-                }
-            }
-        }
-    }
-}
-
 fn hash_aggregate(
     ctx: &mut ExecCtx,
     group_by: &[Expr],
@@ -563,29 +441,27 @@ fn hash_aggregate(
             }
         };
         for (state, spec) in states.iter_mut().zip(aggs) {
-            let v = match (&spec.arg, spec.func) {
-                (_, AggFunc::CountStar) => None,
-                (Some(arg), _) => Some(eval(arg, &schema, row, &ctx.params)?),
-                (None, _) => {
-                    return Err(Error::Execution(format!(
-                        "aggregate {:?} needs an argument",
-                        spec.func
-                    )))
-                }
-            };
+            // COUNT(*) has no argument: an absent value, which COUNT counts.
+            let v = spec
+                .arg
+                .as_ref()
+                .map(|arg| eval(arg, &schema, row, &ctx.params))
+                .transpose()?;
             state.update(v.as_ref())?;
         }
     }
     // Global aggregate over an empty input still yields one row.
     if group_by.is_empty() && groups.is_empty() {
-        let states: Vec<AggState> = aggs.iter().map(|a| AggState::new(a.func)).collect();
-        return Ok(vec![states.into_iter().map(AggState::finish).collect()]);
+        return Ok(vec![aggs
+            .iter()
+            .map(|a| AggState::new(a.func).finish())
+            .collect()]);
     }
     let mut out = Vec::with_capacity(order.len());
     for key in order {
         let states = groups.remove(&key).expect("group exists");
         let mut row = key;
-        row.extend(states.into_iter().map(AggState::finish));
+        row.extend(states.iter().map(AggState::finish));
         out.push(row);
     }
     Ok(out)

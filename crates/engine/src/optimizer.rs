@@ -25,7 +25,7 @@ use sqlcm_sql::{BinOp, Expr, SelectItem, SelectStmt};
 
 use crate::catalog::Catalog;
 use crate::expr::{is_row_independent, join_conjuncts, split_conjuncts, Schema};
-use crate::plan::{AggFunc, AggSpec, LogicalPlan, PhysicalPlan, SeekBounds};
+use crate::plan::{agg_func, AggSpec, LogicalPlan, PhysicalPlan, SeekBounds};
 
 /// A fully planned SELECT.
 pub struct PlannedSelect {
@@ -250,7 +250,7 @@ pub fn build_logical_ordered(
     let collect_aggs = |e: &Expr, specs: &mut Vec<AggSpec>| {
         e.walk(&mut |sub| {
             if let Expr::FuncCall { name, args, star } = sub {
-                if let Some(func) = AggFunc::parse(name, *star) {
+                if let Some(func) = agg_func(name, args, *star) {
                     let canonical = sub.to_string();
                     if !specs.iter().any(|s| s.name == canonical) {
                         specs.push(AggSpec {
@@ -442,8 +442,8 @@ fn rewrite_for_aggregate(e: &Expr, group_by: &[Expr]) -> Expr {
             },
         };
     }
-    if let Expr::FuncCall { name, star, .. } = e {
-        if AggFunc::parse(name, *star).is_some() {
+    if let Expr::FuncCall { name, args, star } = e {
+        if agg_func(name, args, *star).is_some() {
             return Expr::Column {
                 qualifier: None,
                 name: e.to_string(),

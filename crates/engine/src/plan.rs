@@ -10,38 +10,17 @@
 
 use std::sync::Arc;
 
+use sqlcm_sql::agg::AggFunc;
 use sqlcm_sql::Expr;
 
 use crate::catalog::TableInfo;
 use crate::expr::Schema;
 
-/// Aggregate functions the engine computes (superset of what SQLCM's LATs also
-/// support — the paper notes probe values are cast to server types so the
-/// server's aggregation machinery can be reused).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AggFunc {
-    CountStar,
-    Count,
-    Sum,
-    Avg,
-    Min,
-    Max,
-    StdDev,
-}
-
-impl AggFunc {
-    pub fn parse(name: &str, star: bool) -> Option<AggFunc> {
-        Some(match (name, star) {
-            ("COUNT", true) => AggFunc::CountStar,
-            ("COUNT", false) => AggFunc::Count,
-            ("SUM", false) => AggFunc::Sum,
-            ("AVG", false) => AggFunc::Avg,
-            ("MIN", false) => AggFunc::Min,
-            ("MAX", false) => AggFunc::Max,
-            ("STDEV", false) | ("STDDEV", false) => AggFunc::StdDev,
-            _ => return None,
-        })
-    }
+/// The aggregate a SQL call is, if any: `COUNT(*)` is [`AggFunc::Count`]
+/// with no argument, which counts rows; any other aggregate call takes one
+/// argument.
+pub(crate) fn agg_func(name: &str, args: &[Expr], star: bool) -> Option<AggFunc> {
+    AggFunc::parse(name).filter(|f| (star && *f == AggFunc::Count) || (!star && args.len() == 1))
 }
 
 /// One aggregate computation in an Aggregate node.
@@ -345,12 +324,19 @@ mod tests {
 
     #[test]
     fn agg_func_parse() {
-        assert_eq!(AggFunc::parse("COUNT", true), Some(AggFunc::CountStar));
-        assert_eq!(AggFunc::parse("COUNT", false), Some(AggFunc::Count));
-        assert_eq!(AggFunc::parse("STDEV", false), Some(AggFunc::StdDev));
-        assert_eq!(AggFunc::parse("STDDEV", false), Some(AggFunc::StdDev));
-        assert_eq!(AggFunc::parse("ABS", false), None);
-        assert_eq!(AggFunc::parse("SUM", true), None);
+        let x = [Expr::col("x")];
+        assert_eq!(agg_func("COUNT", &[], true), Some(AggFunc::Count));
+        assert_eq!(agg_func("COUNT", &x, false), Some(AggFunc::Count));
+        assert_eq!(agg_func("STDEV", &x, false), Some(AggFunc::StdDev));
+        assert_eq!(agg_func("STDDEV", &x, false), Some(AggFunc::StdDev));
+        assert_eq!(agg_func("ABS", &x, false), None);
+        assert_eq!(agg_func("FIRST", &x, false), None);
+        assert_eq!(agg_func("SUM", &[], true), None);
+        assert_eq!(agg_func("COUNT", &[], false), None);
+        assert_eq!(
+            agg_func("SUM", &[Expr::col("x"), Expr::col("y")], false),
+            None
+        );
     }
 
     #[test]

@@ -947,6 +947,61 @@ mod tests {
             .execute("SELECT id FROM items ORDER BY qty DESC LIMIT 2")
             .unwrap();
         assert_eq!(r.rows, vec![vec![Value::Int(2)], vec![Value::Int(1)]]);
+        // NULLs: COUNT(*) counts rows, every other aggregate skips them, and
+        // a group of NULLs only yields NULL (COUNT: 0). STDEV is the
+        // population deviation, 0.0 over one row.
+        s.execute("INSERT INTO items VALUES (4, 'a', NULL, 1.0), (5, 'c', NULL, 1.0)")
+            .unwrap();
+        let r = s
+            .execute(
+                "SELECT name, COUNT(*), COUNT(qty), SUM(qty), AVG(qty), MIN(qty), MAX(qty), \
+                 STDEV(qty) FROM items GROUP BY name ORDER BY name",
+            )
+            .unwrap();
+        let (int, float) = (Value::Int, Value::Float);
+        let mut only_nulls = vec![Value::text("c"), int(1), int(0)];
+        only_nulls.resize(8, Value::Null);
+        assert_eq!(
+            r.rows,
+            vec![
+                vec![
+                    Value::text("a"),
+                    int(3),
+                    int(2),
+                    float(30.0),
+                    float(15.0),
+                    int(10),
+                    int(20),
+                    float(5.0)
+                ],
+                vec![
+                    Value::text("b"),
+                    int(1),
+                    int(1),
+                    float(5.0),
+                    float(5.0),
+                    int(5),
+                    int(5),
+                    float(0.0)
+                ],
+                only_nulls,
+            ]
+        );
+        // A global aggregate over no rows still yields one row.
+        e.execute_batch("CREATE TABLE nothing (id INT PRIMARY KEY, v INT);")
+            .unwrap();
+        let r = s
+            .execute(
+                "SELECT COUNT(*), COUNT(v), SUM(v), AVG(v), MIN(v), MAX(v), STDEV(v) FROM nothing",
+            )
+            .unwrap();
+        let mut zero_then_nulls = vec![int(0), int(0)];
+        zero_then_nulls.resize(7, Value::Null);
+        assert_eq!(r.rows, vec![zero_then_nulls]);
+        assert!(matches!(
+            s.execute("SELECT SUM(name) FROM items"),
+            Err(Error::TypeError(_))
+        ));
     }
 
     #[test]

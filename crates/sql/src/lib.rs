@@ -1,4 +1,6 @@
-//! SQL front-end for the host engine: lexer, AST, and recursive-descent parser.
+//! SQL front-end for the host engine: lexer, AST, and recursive-descent parser
+//! — plus the kernels the engine and the monitor share: binary and unary
+//! operators, `LIKE`, and the aggregate fold ([`agg`]).
 //!
 //! The supported subset covers everything the paper's workloads and monitoring
 //! tasks need:
@@ -19,6 +21,7 @@
 //! (`Query.Duration > 5 * Duration_LAT.Avg_Duration` parses as an ordinary
 //! qualified-column expression tree).
 
+pub mod agg;
 pub mod ast;
 pub mod ir;
 pub mod lexer;
