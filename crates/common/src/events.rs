@@ -48,7 +48,7 @@ pub struct QueryInfo {
     pub id: u64,
     /// The raw query text, shared with the engine's active-query registry.
     pub text: Arc<str>,
-    /// Logical query signature (Section 4.2), if signature computation is enabled.
+    /// Logical query signature (Section 4.2); set once the query compiles.
     pub logical_signature: Option<u64>,
     /// Physical plan signature (Section 4.2).
     pub physical_signature: Option<u64>,

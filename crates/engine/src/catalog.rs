@@ -136,10 +136,6 @@ impl Catalog {
         }
     }
 
-    pub fn pool(&self) -> &Arc<BufferPool> {
-        &self.pool
-    }
-
     fn key(name: &str) -> String {
         name.to_ascii_lowercase()
     }
@@ -214,14 +210,6 @@ impl Catalog {
             .get(&Self::key(name))
             .cloned()
             .ok_or_else(|| Error::Catalog(format!("table {name} does not exist")))
-    }
-
-    pub fn table_names(&self) -> Vec<String> {
-        self.tables
-            .read()
-            .values()
-            .map(|t| t.name.clone())
-            .collect()
     }
 
     /// Handles to every table — the iteration set for rules over the `Table`

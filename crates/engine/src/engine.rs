@@ -6,26 +6,21 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sqlcm_common::{EngineEvent, Result, SessionInfo, SharedClock, SystemClock, Value};
-use sqlcm_storage::{BufferPool, BufferStats, FileDisk, InMemoryDisk, SharedDisk};
+use sqlcm_storage::{BufferPool, InMemoryDisk};
 
 use crate::active::ActiveRegistry;
 use crate::catalog::Catalog;
 use crate::history::HistoryBuffer;
 use crate::instrument::{Instrumentation, Multicast};
-use crate::lock::{LockManager, LockStats};
+use crate::lock::LockManager;
 use crate::plancache::{PlanCache, PlanCacheStats};
 use crate::session::Session;
 
-/// Where pages live.
-pub enum DiskKind {
-    InMemory,
-    /// Real file; `sync_on_write` forces an fsync per page write (used by the
-    /// Query_logging baseline's reporting table — §6.2.2 (a)).
-    File {
-        path: std::path::PathBuf,
-        sync_on_write: bool,
-    },
-}
+/// Buffer-pool frames of the in-memory page store.
+const BUFFER_POOL_FRAMES: usize = 4096;
+
+/// Statement templates the plan cache keeps.
+const PLAN_CACHE_CAPACITY: usize = 1024;
 
 /// Completed-query history retention (the PULL_history substrate).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,14 +32,8 @@ pub enum HistoryMode {
 
 /// Engine construction knobs.
 pub struct EngineConfig {
-    pub buffer_pool_frames: usize,
-    /// Compute signatures during optimization (§4.2). Off = the probe is absent,
-    /// letting the T1/T2 benches measure signature cost in isolation.
-    pub enable_signatures: bool,
     pub history: HistoryMode,
     pub lock_wait_timeout: Duration,
-    pub plan_cache_capacity: usize,
-    pub disk: DiskKind,
     /// Override the clock (tests pass a `ManualClock`).
     pub clock: Option<SharedClock>,
 }
@@ -52,12 +41,8 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            buffer_pool_frames: 4096,
-            enable_signatures: true,
             history: HistoryMode::Disabled,
             lock_wait_timeout: Duration::from_secs(10),
-            plan_cache_capacity: 1024,
-            disk: DiskKind::InMemory,
             clock: None,
         }
     }
@@ -72,7 +57,6 @@ pub struct EngineInner {
     pub active: ActiveRegistry,
     pub history: Option<HistoryBuffer>,
     pub plan_cache: PlanCache,
-    pub enable_signatures: bool,
     pub(crate) next_query_id: AtomicU64,
     pub(crate) next_txn_id: AtomicU64,
     next_session_id: AtomicU64,
@@ -86,14 +70,7 @@ pub struct Engine {
 impl Engine {
     pub fn new(config: EngineConfig) -> Result<Engine> {
         let clock = config.clock.unwrap_or_else(SystemClock::shared);
-        let disk: SharedDisk = match config.disk {
-            DiskKind::InMemory => InMemoryDisk::shared(),
-            DiskKind::File {
-                path,
-                sync_on_write,
-            } => Arc::new(FileDisk::create(path, sync_on_write)?),
-        };
-        let pool = Arc::new(BufferPool::new(disk, config.buffer_pool_frames));
+        let pool = Arc::new(BufferPool::new(InMemoryDisk::shared(), BUFFER_POOL_FRAMES));
         let monitors = Arc::new(Multicast::new());
         let mut locks = LockManager::new(clock.clone(), monitors.clone());
         locks.wait_timeout = config.lock_wait_timeout;
@@ -110,8 +87,7 @@ impl Engine {
                 monitors,
                 active: ActiveRegistry::new(clock),
                 history,
-                plan_cache: PlanCache::new(config.plan_cache_capacity),
-                enable_signatures: config.enable_signatures,
+                plan_cache: PlanCache::new(PLAN_CACHE_CAPACITY),
                 next_query_id: AtomicU64::new(1),
                 next_txn_id: AtomicU64::new(1),
                 next_session_id: AtomicU64::new(1),
@@ -196,14 +172,6 @@ impl Engine {
     /// Current blocker/blocked pairs from the lock graph (timer-driven rules).
     pub fn blocked_pairs(&self) -> Vec<sqlcm_common::BlockPairInfo> {
         self.inner.locks.blocked_pairs()
-    }
-
-    pub fn buffer_stats(&self) -> BufferStats {
-        self.inner.catalog.pool().stats()
-    }
-
-    pub fn lock_stats(&self) -> LockStats {
-        self.inner.locks.stats()
     }
 
     pub fn plan_cache_stats(&self) -> PlanCacheStats {

@@ -56,7 +56,7 @@ pub fn plan_select(catalog: &Catalog, stmt: &SelectStmt) -> Result<PlannedSelect
     };
     let mut best: Option<PlannedSelect> = None;
     for order in &orders {
-        let logical = build_logical_ordered(catalog, stmt, Some(order))?;
+        let logical = build_logical_ordered(catalog, stmt, order)?;
         let (physical, cost, _rows) = lower(&logical);
         if best.as_ref().is_none_or(|b| cost < b.estimated_cost) {
             let output_names = physical.schema().names();
@@ -124,19 +124,14 @@ fn bindings_of(expr: &Expr, base: &[(String, Schema)]) -> Vec<String> {
     out
 }
 
-/// Build the logical plan for a SELECT (FROM-order joins).
-pub fn build_logical(catalog: &Catalog, stmt: &SelectStmt) -> Result<LogicalPlan> {
-    build_logical_ordered(catalog, stmt, None)
-}
-
 /// Build the logical plan with an explicit base-relation order (`order[i]` is
 /// an index into the FROM-clause relation list).
-pub fn build_logical_ordered(
+fn build_logical_ordered(
     catalog: &Catalog,
     stmt: &SelectStmt,
-    order: Option<&[usize]>,
+    order: &[usize],
 ) -> Result<LogicalPlan> {
-    // 1. FROM: base relations, reordered when an order is given.
+    // 1. FROM: base relations, in the given order.
     let mut relations: Vec<(String, Arc<crate::catalog::TableInfo>)> = Vec::new();
     if let Some(from) = &stmt.from {
         relations.push((from.binding_name().to_string(), catalog.table(&from.name)?));
@@ -158,10 +153,8 @@ pub fn build_logical_ordered(
                 .collect::<Vec<_>>()
         })
         .collect();
-    if let Some(order) = order {
-        debug_assert_eq!(order.len(), relations.len());
-        relations = order.iter().map(|&i| relations[i].clone()).collect();
-    }
+    debug_assert_eq!(order.len(), relations.len());
+    relations = order.iter().map(|&i| relations[i].clone()).collect();
     let base: Vec<(String, Schema)> = relations
         .iter()
         .map(|(b, t)| {
@@ -245,34 +238,40 @@ pub fn build_logical_ordered(
         };
     }
 
-    // 4. Aggregation.
+    // 4. Aggregation. A malformed aggregate call fails the statement here,
+    //    before any row is read.
     let mut agg_specs: Vec<AggSpec> = Vec::new();
-    let collect_aggs = |e: &Expr, specs: &mut Vec<AggSpec>| {
+    let mut malformed = None;
+    let items = stmt.items.iter().filter_map(|it| match it {
+        SelectItem::Expr { expr, .. } => Some(expr),
+        SelectItem::Wildcard => None,
+    });
+    let order_keys = stmt.order_by.iter().map(|o| &o.expr);
+    for e in items.chain(&stmt.having).chain(order_keys) {
         e.walk(&mut |sub| {
-            if let Expr::FuncCall { name, args, star } = sub {
-                if let Some(func) = agg_func(name, args, *star) {
+            let Expr::FuncCall { name, args, star } = sub else {
+                return;
+            };
+            match agg_func(name, args, *star) {
+                Ok(Some(func)) => {
                     let canonical = sub.to_string();
-                    if !specs.iter().any(|s| s.name == canonical) {
-                        specs.push(AggSpec {
+                    if !agg_specs.iter().any(|s| s.name == canonical) {
+                        agg_specs.push(AggSpec {
                             func,
                             arg: args.first().cloned(),
                             name: canonical,
                         });
                     }
                 }
+                Ok(None) => {}
+                Err(e) => {
+                    malformed.get_or_insert(e);
+                }
             }
         });
-    };
-    for it in &stmt.items {
-        if let SelectItem::Expr { expr, .. } = it {
-            collect_aggs(expr, &mut agg_specs);
-        }
     }
-    if let Some(h) = &stmt.having {
-        collect_aggs(h, &mut agg_specs);
-    }
-    for o in &stmt.order_by {
-        collect_aggs(&o.expr, &mut agg_specs);
+    if let Some(e) = malformed {
+        return Err(e);
     }
     let has_aggregation = !agg_specs.is_empty() || !stmt.group_by.is_empty();
 
@@ -443,7 +442,7 @@ fn rewrite_for_aggregate(e: &Expr, group_by: &[Expr]) -> Expr {
         };
     }
     if let Expr::FuncCall { name, args, star } = e {
-        if agg_func(name, args, *star).is_some() {
+        if let Ok(Some(_)) = agg_func(name, args, *star) {
             return Expr::Column {
                 qualifier: None,
                 name: e.to_string(),

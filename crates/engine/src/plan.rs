@@ -10,6 +10,7 @@
 
 use std::sync::Arc;
 
+use sqlcm_common::{Error, Result};
 use sqlcm_sql::agg::AggFunc;
 use sqlcm_sql::Expr;
 
@@ -18,9 +19,19 @@ use crate::expr::Schema;
 
 /// The aggregate a SQL call is, if any: `COUNT(*)` is [`AggFunc::Count`]
 /// with no argument, which counts rows; any other aggregate call takes one
-/// argument.
-pub(crate) fn agg_func(name: &str, args: &[Expr], star: bool) -> Option<AggFunc> {
-    AggFunc::parse(name).filter(|f| (star && *f == AggFunc::Count) || (!star && args.len() == 1))
+/// argument. An aggregate name called any other way (`SUM(*)`, `COUNT()`,
+/// `SUM(a, b)`) is a parse error, so the planner refuses the statement.
+pub(crate) fn agg_func(name: &str, args: &[Expr], star: bool) -> Result<Option<AggFunc>> {
+    let func = AggFunc::parse(name);
+    let well_formed = if star {
+        func == Some(AggFunc::Count)
+    } else {
+        args.len() == 1
+    };
+    match func {
+        Some(_) if !well_formed => Err(Error::Parse(format!("malformed aggregate call {name}"))),
+        _ => Ok(func),
+    }
 }
 
 /// One aggregate computation in an Aggregate node.
@@ -325,18 +336,15 @@ mod tests {
     #[test]
     fn agg_func_parse() {
         let x = [Expr::col("x")];
-        assert_eq!(agg_func("COUNT", &[], true), Some(AggFunc::Count));
-        assert_eq!(agg_func("COUNT", &x, false), Some(AggFunc::Count));
-        assert_eq!(agg_func("STDEV", &x, false), Some(AggFunc::StdDev));
-        assert_eq!(agg_func("STDDEV", &x, false), Some(AggFunc::StdDev));
-        assert_eq!(agg_func("ABS", &x, false), None);
-        assert_eq!(agg_func("FIRST", &x, false), None);
-        assert_eq!(agg_func("SUM", &[], true), None);
-        assert_eq!(agg_func("COUNT", &[], false), None);
-        assert_eq!(
-            agg_func("SUM", &[Expr::col("x"), Expr::col("y")], false),
-            None
-        );
+        assert_eq!(agg_func("COUNT", &[], true), Ok(Some(AggFunc::Count)));
+        assert_eq!(agg_func("COUNT", &x, false), Ok(Some(AggFunc::Count)));
+        assert_eq!(agg_func("STDEV", &x, false), Ok(Some(AggFunc::StdDev)));
+        assert_eq!(agg_func("STDDEV", &x, false), Ok(Some(AggFunc::StdDev)));
+        assert_eq!(agg_func("ABS", &x, false), Ok(None));
+        assert_eq!(agg_func("FIRST", &x, false), Ok(None));
+        assert!(agg_func("SUM", &[], true).is_err());
+        assert!(agg_func("COUNT", &[], false).is_err());
+        assert!(agg_func("SUM", &[Expr::col("x"), Expr::col("y")], false).is_err());
     }
 
     #[test]

@@ -28,8 +28,7 @@ pub struct CachedSelect {
 pub struct CachedPlan {
     pub statement: Statement,
     pub select: Option<CachedSelect>,
-    /// `None` when the engine runs with signatures disabled.
-    pub signatures: Option<Signatures>,
+    pub signatures: Signatures,
     pub param_count: usize,
 }
 
@@ -109,10 +108,11 @@ mod tests {
     use super::*;
 
     fn plan(stmt: &str) -> Arc<CachedPlan> {
+        let statement = sqlcm_sql::parse_statement(stmt).unwrap();
         Arc::new(CachedPlan {
-            statement: sqlcm_sql::parse_statement(stmt).unwrap(),
+            signatures: crate::signature::compute_for_statement(&statement, None),
+            statement,
             select: None,
-            signatures: None,
             param_count: 0,
         })
     }

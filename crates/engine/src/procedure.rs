@@ -20,8 +20,12 @@
 //! END;
 //! ```
 
+use std::collections::HashMap;
+
 use sqlcm_common::{Error, Result, Value};
-use sqlcm_sql::{parse_expression, Expr, Parser, Statement};
+use sqlcm_sql::{Expr, Parser, Statement};
+
+use crate::expr::{eval, is_truthy, Params, Schema};
 
 /// One element of a procedure body.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,9 +67,15 @@ impl StoredProcedure {
         })
     }
 
-    /// Flatten the statements this invocation would run for `args` — the exact
-    /// statement sequence that determines the transaction signature.
-    pub fn resolve_path(&self, args: &[Value]) -> Result<Vec<Statement>> {
+    /// Bind `args` to the parameters and flatten the statements this
+    /// invocation runs — the exact statement sequence that determines the
+    /// transaction signature. Returns the statements and the parameter values
+    /// by lower-cased name, which they execute with ([`Params::named`]).
+    ///
+    /// An `IF` condition is evaluated as `WHERE` evaluates a predicate over an
+    /// empty row: the engine's [`eval`] with its three-valued `IN` and
+    /// short-circuiting `AND`/`OR`, and NULL taken as false ([`is_truthy`]).
+    pub fn resolve_path(&self, args: &[Value]) -> Result<(Vec<Statement>, HashMap<String, Value>)> {
         if args.len() != self.params.len() {
             return Err(Error::Execution(format!(
                 "procedure {} expects {} arguments, got {}",
@@ -74,18 +84,23 @@ impl StoredProcedure {
                 args.len()
             )));
         }
+        let named: HashMap<String, Value> = self
+            .params
+            .iter()
+            .map(|p| p.to_ascii_lowercase())
+            .zip(args.iter().cloned())
+            .collect();
+        let params = Params {
+            positional: &[],
+            named: Some(&named),
+        };
         let mut out = Vec::new();
-        flatten(&self.body, &self.params, args, &mut out)?;
-        Ok(out)
+        flatten(&self.body, &params, &mut out)?;
+        Ok((out, named))
     }
 }
 
-fn flatten(
-    body: &[ProcStatement],
-    params: &[String],
-    args: &[Value],
-    out: &mut Vec<Statement>,
-) -> Result<()> {
+fn flatten(body: &[ProcStatement], params: &Params, out: &mut Vec<Statement>) -> Result<()> {
     for s in body {
         match s {
             ProcStatement::Sql(stmt) => out.push(stmt.clone()),
@@ -94,114 +109,12 @@ fn flatten(
                 then_branch,
                 else_branch,
             } => {
-                let v = eval_param_expr(cond, params, args)?;
-                let truthy = v.as_bool().unwrap_or(false);
-                let branch = if truthy { then_branch } else { else_branch };
-                flatten(branch, params, args, out)?;
+                let taken = is_truthy(&eval(cond, &Schema::default(), &[], params)?);
+                flatten(if taken { then_branch } else { else_branch }, params, out)?;
             }
         }
     }
     Ok(())
-}
-
-/// Evaluate an `IF` condition: only parameters, literals, arithmetic, and
-/// comparisons are allowed (no table data).
-pub fn eval_param_expr(expr: &Expr, params: &[String], args: &[Value]) -> Result<Value> {
-    use sqlcm_sql::{BinOp, UnaryOp};
-    Ok(match expr {
-        Expr::Literal(v) => v.clone(),
-        Expr::NamedParam(n) => {
-            let idx = params
-                .iter()
-                .position(|p| p.eq_ignore_ascii_case(n))
-                .ok_or_else(|| Error::Execution(format!("unknown procedure parameter @{n}")))?;
-            args[idx].clone()
-        }
-        Expr::Unary { op, expr } => {
-            let v = eval_param_expr(expr, params, args)?;
-            match op {
-                UnaryOp::Neg => Value::Int(0).sub(&v)?,
-                UnaryOp::Not => match v.as_bool() {
-                    Some(b) => Value::Bool(!b),
-                    None => Value::Null,
-                },
-            }
-        }
-        Expr::Binary { left, op, right } => {
-            let l = eval_param_expr(left, params, args)?;
-            let r = eval_param_expr(right, params, args)?;
-            match op {
-                BinOp::Add => l.add(&r)?,
-                BinOp::Sub => l.sub(&r)?,
-                BinOp::Mul => l.mul(&r)?,
-                BinOp::Div => l.div(&r)?,
-                BinOp::Mod => {
-                    let (a, b) = match (l.as_i64(), r.as_i64()) {
-                        (Some(a), Some(b)) if b != 0 => (a, b),
-                        _ => return Err(Error::Execution("bad % operands".into())),
-                    };
-                    Value::Int(a % b)
-                }
-                BinOp::And => three_valued_and(&l, &r),
-                BinOp::Or => three_valued_or(&l, &r),
-                cmp => match l.sql_cmp(&r) {
-                    None => Value::Null,
-                    Some(ord) => Value::Bool(match cmp {
-                        BinOp::Eq => ord.is_eq(),
-                        BinOp::NotEq => !ord.is_eq(),
-                        BinOp::Lt => ord.is_lt(),
-                        BinOp::Gt => ord.is_gt(),
-                        BinOp::LtEq => ord.is_le(),
-                        BinOp::GtEq => ord.is_ge(),
-                        _ => unreachable!(),
-                    }),
-                },
-            }
-        }
-        Expr::IsNull { expr, negated } => {
-            let v = eval_param_expr(expr, params, args)?;
-            Value::Bool(v.is_null() != *negated)
-        }
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            let v = eval_param_expr(expr, params, args)?;
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            let mut found = false;
-            for e in list {
-                if eval_param_expr(e, params, args)? == v {
-                    found = true;
-                    break;
-                }
-            }
-            Value::Bool(found != *negated)
-        }
-        other => {
-            return Err(Error::Execution(format!(
-                "expression {other} is not allowed in a procedure IF condition"
-            )))
-        }
-    })
-}
-
-fn three_valued_and(l: &Value, r: &Value) -> Value {
-    match (l.as_bool(), r.as_bool()) {
-        (Some(false), _) | (_, Some(false)) => Value::Bool(false),
-        (Some(true), Some(true)) => Value::Bool(true),
-        _ => Value::Null,
-    }
-}
-
-fn three_valued_or(l: &Value, r: &Value) -> Value {
-    match (l.as_bool(), r.as_bool()) {
-        (Some(true), _) | (_, Some(true)) => Value::Bool(true),
-        (Some(false), Some(false)) => Value::Bool(false),
-        _ => Value::Null,
-    }
 }
 
 /// Parse statements until one of `terminators` (a keyword) or end of input.
@@ -244,11 +157,6 @@ fn parse_block(p: &mut Parser, terminators: &[&str]) -> Result<Vec<ProcStatement
     Ok(out)
 }
 
-/// Convenience: parse a condition for programmatic `If` construction.
-pub fn parse_cond(text: &str) -> Result<Expr> {
-    parse_expression(text)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,7 +170,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.body.len(), 2);
-        let path = p.resolve_path(&[Value::Int(5)]).unwrap();
+        let path = p.resolve_path(&[Value::Int(5)]).unwrap().0;
         assert_eq!(path.len(), 2);
     }
 
@@ -274,8 +182,8 @@ mod tests {
             "IF @mode > 0 THEN SELECT * FROM a WHERE id = @id; ELSE SELECT * FROM b WHERE id = @id; END;",
         )
         .unwrap();
-        let fast = p.resolve_path(&[Value::Int(1), Value::Int(9)]).unwrap();
-        let slow = p.resolve_path(&[Value::Int(0), Value::Int(9)]).unwrap();
+        let fast = p.resolve_path(&[Value::Int(1), Value::Int(9)]).unwrap().0;
+        let slow = p.resolve_path(&[Value::Int(0), Value::Int(9)]).unwrap().0;
         assert_ne!(fast, slow, "different code paths");
         assert!(fast[0].to_string().contains("FROM a"));
         assert!(slow[0].to_string().contains("FROM b"));
@@ -289,7 +197,7 @@ mod tests {
             "IF @x > 10 THEN IF @x > 100 THEN SELECT 1; ELSE SELECT 2; END; ELSE SELECT 3; END;",
         )
         .unwrap();
-        let path = |v: i64| p.resolve_path(&[Value::Int(v)]).unwrap()[0].to_string();
+        let path = |v: i64| p.resolve_path(&[Value::Int(v)]).unwrap().0[0].to_string();
         assert_eq!(path(1000), "SELECT 1");
         assert_eq!(path(50), "SELECT 2");
         assert_eq!(path(5), "SELECT 3");
@@ -298,8 +206,8 @@ mod tests {
     #[test]
     fn missing_else_is_empty() {
         let p = StoredProcedure::parse("opt", &["x"], "IF @x = 1 THEN SELECT 1; END;").unwrap();
-        assert!(p.resolve_path(&[Value::Int(0)]).unwrap().is_empty());
-        assert_eq!(p.resolve_path(&[Value::Int(1)]).unwrap().len(), 1);
+        assert!(p.resolve_path(&[Value::Int(0)]).unwrap().0.is_empty());
+        assert_eq!(p.resolve_path(&[Value::Int(1)]).unwrap().0.len(), 1);
     }
 
     #[test]
@@ -320,19 +228,32 @@ mod tests {
         assert!(StoredProcedure::parse("p", &[], "IF 1 = 1 THEN SELECT 1;").is_err());
     }
 
+    /// The branch `IF cond` takes for `args`: "then" or "else".
+    fn branch(params: &[&str], cond: &str, args: &[Value]) -> &'static str {
+        let body = format!("IF {cond} THEN SELECT 1; ELSE SELECT 2; END;");
+        let p = StoredProcedure::parse("p", params, &body).unwrap();
+        match p.resolve_path(args).unwrap().0[0].to_string().as_str() {
+            "SELECT 1" => "then",
+            _ => "else",
+        }
+    }
+
     #[test]
-    fn param_expr_arith_and_logic() {
-        let params = vec!["a".to_string(), "b".to_string()];
-        let args = vec![Value::Int(4), Value::Int(10)];
-        let e = parse_cond("@a * 2 < @b AND NOT (@a = 0)").unwrap();
+    fn if_conditions_have_where_semantics() {
+        let (ab, four_ten) = (&["a", "b"], [Value::Int(4), Value::Int(10)]);
         assert_eq!(
-            eval_param_expr(&e, &params, &args).unwrap(),
-            Value::Bool(true)
+            branch(ab, "@a * 2 < @b AND NOT (@a = 0)", &four_ten),
+            "then"
         );
-        let e = parse_cond("@a IS NULL").unwrap();
-        assert_eq!(
-            eval_param_expr(&e, &params, &args).unwrap(),
-            Value::Bool(false)
-        );
+        assert_eq!(branch(ab, "@a IS NULL", &four_ten), "else");
+        let m = |v: i64| [Value::Int(v)];
+        // 2 NOT IN (1, NULL) is UNKNOWN, which WHERE rejects.
+        assert_eq!(branch(&["m"], "@m NOT IN (1, NULL)", &m(2)), "else");
+        assert_eq!(branch(&["m"], "@m NOT IN (1, 3)", &m(2)), "then");
+        // OR short-circuits past the division by zero, as in WHERE.
+        assert_eq!(branch(&["m"], "@m = 0 OR 10 / @m > 1", &m(0)), "then");
+        assert_eq!(branch(&["m"], "@m <> 0 AND 10 / @m > 1", &m(0)), "else");
+        // NULL is not true.
+        assert_eq!(branch(&["m"], "@m > 0", &[Value::Null]), "else");
     }
 }

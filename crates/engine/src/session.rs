@@ -7,18 +7,22 @@
 //! possibly Query.Blocked / Query.Block_Released … → Query.Commit
 //! ```
 //!
-//! Failures emit `Query.Rollback`; cancellations emit `Query.Cancel`. Explicit
-//! transactions add `Transaction.Begin/Commit/Rollback` carrying the accumulated
-//! statement-signature sequences (the transaction signatures of §4.2). `EXEC
-//! proc` wraps its statements in one transaction and additionally emits a
-//! synthetic `Query` for the invocation itself, whose logical/physical signature
-//! is the transaction signature of the taken code path — this is what Example 1
-//! (stored-procedure outlier detection) groups on.
+//! Failures emit `Query.Rollback`; cancellations emit `Query.Cancel`. A user
+//! `BEGIN` adds `Transaction.Begin` and exactly one `Transaction.Commit` or
+//! `Transaction.Rollback`, carrying the accumulated statement-signature
+//! sequences (the transaction signatures of §4.2). `EXEC proc` wraps its
+//! statements in such a transaction unless one is open, and additionally emits
+//! a synthetic `Query` for the invocation itself, whose logical/physical
+//! signature is the transaction signature of the taken code path — this is what
+//! Example 1 (stored-procedure outlier detection) groups on. Statements and
+//! `EXEC` share one query lifecycle (`start_query` → `compiled` →
+//! `finish_query`), and every transaction ends in `end_txn`.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use sqlcm_common::{EngineEvent, Error, QueryType, Result, TxnInfo, Value};
+use sqlcm_common::{
+    EngineEvent, Error, ProbeKind, QueryInfo, QueryType, Result, Timestamp, TxnInfo, Value,
+};
 use sqlcm_sql::{parse_statement, Expr, Statement};
 
 use crate::active::ActiveQueryState;
@@ -146,25 +150,15 @@ impl Session {
         let (select, signatures) = match &stmt {
             Statement::Select(s) => {
                 let planned = crate::optimizer::plan_select(&self.engine.catalog, s)?;
-                let sigs = self
-                    .engine
-                    .enable_signatures
-                    .then(|| signature::compute(&planned.logical, &planned.physical));
-                (
-                    Some(CachedSelect {
-                        physical: planned.physical,
-                        estimated_cost: planned.estimated_cost,
-                        output_names: planned.output_names,
-                    }),
-                    sigs,
-                )
+                let sigs = signature::compute(&planned.logical, &planned.physical);
+                let select = CachedSelect {
+                    physical: planned.physical,
+                    estimated_cost: planned.estimated_cost,
+                    output_names: planned.output_names,
+                };
+                (Some(select), sigs)
             }
-            dml => (
-                None,
-                self.engine
-                    .enable_signatures
-                    .then(|| signature::compute_for_statement(dml, None)),
-            ),
+            dml => (None, signature::compute_for_statement(dml, None)),
         };
         let plan = Arc::new(CachedPlan {
             statement: stmt,
@@ -196,112 +190,92 @@ impl Session {
         text: &str,
         cached: &CachedPlan,
         params: Params,
-        procedure: Option<String>,
+        procedure: Option<Arc<str>>,
     ) -> Result<QueryResult> {
-        let engine = self.engine.clone();
-        let now = engine.clock.now_micros();
-        let implicit = self.txn.is_none();
-        if implicit {
-            self.txn = Some(TxnState::new(engine.next_txn_id(), false, now));
+        let now = self.engine.clock.now_micros();
+        let autocommit = self.txn.is_none();
+        if autocommit {
+            self.begin_txn(false, now);
         }
-        let txn_id = self.txn.as_ref().expect("txn just ensured").id;
-        let query = ActiveQueryState::new(
-            engine.next_query_id(),
-            text.into(),
-            Self::query_type(&cached.statement),
-            self.id,
-            txn_id,
-            self.user.clone(),
-            self.application.clone(),
-            procedure.map(Into::into),
-            now,
-        );
-        engine.active.register(query.clone());
-        engine
-            .monitors
-            .emit_with_kind(sqlcm_common::ProbeKind::QueryStart, || {
-                EngineEvent::QueryStart(query.snapshot(now))
-            });
-
+        let qtype = Self::query_type(&cached.statement);
+        let query = self.start_query(text, qtype, procedure, now);
         // "Compile": plan + signatures are available (instantly on cache hits).
-        if let Some(sigs) = &cached.signatures {
-            query.set_signatures(sigs.logical, sigs.physical);
-        }
-        if let Some(sel) = &cached.select {
-            query.set_estimated_cost(sel.estimated_cost);
-        }
-        engine
-            .monitors
-            .emit_with_kind(sqlcm_common::ProbeKind::QueryCompile, || {
-                EngineEvent::QueryCompile(query.snapshot(engine.clock.now_micros()))
-            });
+        let sigs = &cached.signatures;
+        let cost = cached.select.as_ref().map(|s| s.estimated_cost);
+        self.compiled(&query, sigs.logical, sigs.physical, cost);
 
         let result = self.execute_body(cached, &params, &query);
+        if result.is_ok() && !autocommit {
+            let txn = self.txn.as_mut().expect("txn open");
+            txn.push_signatures(sigs.logical, sigs.physical);
+        } else {
+            // Autocommit ends here; a failed statement aborts the whole
+            // transaction (no statement-level savepoints in this engine).
+            let txn = self.txn.take().expect("txn open");
+            let _ = self.end_txn(txn, result.is_ok());
+        }
+        self.finish_query(&query, &result);
+        result
+    }
 
-        match result {
-            Ok(res) => {
-                if let Some(sigs) = &cached.signatures {
-                    self.txn
-                        .as_mut()
-                        .expect("txn open")
-                        .push_signatures(sigs.logical, sigs.physical);
-                }
-                if implicit {
-                    let txn = self.txn.take().expect("txn open");
-                    engine.locks.release_all(txn.id, txn.held_locks());
-                }
-                let end = engine.clock.now_micros();
-                query.finish(end);
-                engine
-                    .monitors
-                    .emit_with_kind(sqlcm_common::ProbeKind::QueryCommit, || {
-                        EngineEvent::QueryCommit(query.snapshot(end))
-                    });
-                engine.active.unregister(query.id);
-                if let Some(h) = &engine.history {
-                    h.append(query.snapshot(end));
-                }
-                Ok(res)
-            }
-            Err(e) => {
-                // Statement failure aborts the whole transaction (no statement-
-                // level savepoints in this engine).
-                if let Some(txn) = self.txn.take() {
-                    let explicit = txn.explicit;
-                    let info = self.txn_info(&txn);
-                    let locks = txn.locks_vec();
-                    let _ = exec::apply_undo(txn.undo);
-                    engine.locks.release_all(txn.id, &locks);
-                    if explicit {
-                        engine
-                            .monitors
-                            .emit_with_kind(sqlcm_common::ProbeKind::TxnRollback, || {
-                                EngineEvent::TxnRollback(info.clone())
-                            });
-                    }
-                }
-                let end = engine.clock.now_micros();
-                query.finish(end);
-                let snap = query.snapshot(end);
-                if matches!(e, Error::Cancelled) {
-                    engine
-                        .monitors
-                        .emit_with_kind(sqlcm_common::ProbeKind::QueryCancel, || {
-                            EngineEvent::QueryCancel(snap.clone())
-                        });
-                } else {
-                    engine
-                        .monitors
-                        .emit_with_kind(sqlcm_common::ProbeKind::QueryRollback, || {
-                            EngineEvent::QueryRollback(snap.clone())
-                        });
-                }
-                engine.active.unregister(query.id);
-                if let Some(h) = &engine.history {
-                    h.append(query.snapshot(end));
-                }
-                Err(e)
-            }
+    /// Register a query with the active registry and emit `Query.Start`.
+    fn start_query(
+        &self,
+        text: &str,
+        qtype: QueryType,
+        procedure: Option<Arc<str>>,
+        now: Timestamp,
+    ) -> Arc<ActiveQueryState> {
+        let query = ActiveQueryState::new(
+            self.engine.next_query_id(),
+            text.into(),
+            qtype,
+            self.id,
+            self.txn.as_ref().expect("txn open").id,
+            self.user.clone(),
+            self.application.clone(),
+            procedure,
+            now,
+        );
+        self.engine.active.register(query.clone());
+        self.engine
+            .monitors
+            .emit_with_kind(ProbeKind::QueryStart, || {
+                EngineEvent::QueryStart(query.snapshot(now))
+            });
+        query
+    }
+
+    /// Record the query's signatures (and cost) and emit `Query.Compile`.
+    fn compiled(&self, query: &ActiveQueryState, logical: u64, physical: u64, cost: Option<f64>) {
+        query.set_signatures(logical, physical);
+        if let Some(cost) = cost {
+            query.set_estimated_cost(cost);
+        }
+        let clock = &self.engine.clock;
+        self.engine
+            .monitors
+            .emit_with_kind(ProbeKind::QueryCompile, || {
+                EngineEvent::QueryCompile(query.snapshot(clock.now_micros()))
+            });
+    }
+
+    /// Finish a query: emit `Query.Commit`, `Query.Cancel` or `Query.Rollback`
+    /// for its outcome, unregister it and append it to the history.
+    fn finish_query(&self, query: &ActiveQueryState, result: &Result<QueryResult>) {
+        let end = self.engine.clock.now_micros();
+        query.finish(end);
+        let (kind, event): (_, fn(QueryInfo) -> EngineEvent) = match result {
+            Ok(_) => (ProbeKind::QueryCommit, EngineEvent::QueryCommit),
+            Err(Error::Cancelled) => (ProbeKind::QueryCancel, EngineEvent::QueryCancel),
+            Err(_) => (ProbeKind::QueryRollback, EngineEvent::QueryRollback),
+        };
+        self.engine
+            .monitors
+            .emit_with_kind(kind, || event(query.snapshot(end)));
+        self.engine.active.unregister(query.id);
+        if let Some(h) = &self.engine.history {
+            h.append(query.snapshot(end));
         }
     }
 
@@ -311,11 +285,10 @@ impl Session {
         params: &Params,
         query: &Arc<ActiveQueryState>,
     ) -> Result<QueryResult> {
-        let engine = self.engine.clone();
-        let txn = self.txn.as_mut().expect("txn open");
+        let engine = &self.engine;
         let mut ctx = ExecCtx {
             locks: &engine.locks,
-            txn,
+            txn: self.txn.as_mut().expect("txn open"),
             query,
             params: *params,
         };
@@ -404,13 +377,11 @@ impl Session {
         let lines: Vec<String> = match &stmt {
             Statement::Select(sel) => {
                 let planned = crate::optimizer::plan_select(&self.engine.catalog, sel)?;
+                let sigs = signature::compute(&planned.logical, &planned.physical);
                 let mut lines = planned.physical.explain_lines();
                 lines.push(format!("estimated cost: {:.2}", planned.estimated_cost));
-                if self.engine.enable_signatures {
-                    let sigs = signature::compute(&planned.logical, &planned.physical);
-                    lines.push(format!("logical signature:  {:016x}", sigs.logical));
-                    lines.push(format!("physical signature: {:016x}", sigs.physical));
-                }
+                lines.push(format!("logical signature:  {:016x}", sigs.logical));
+                lines.push(format!("physical signature: {:016x}", sigs.physical));
                 lines
             }
             other => {
@@ -446,21 +417,50 @@ impl Session {
         }
     }
 
+    /// Open a transaction. An announced one (a user `BEGIN`, or an `EXEC`
+    /// that wraps its own statements) emits `Transaction.Begin` here and one
+    /// end event in [`Session::end_txn`]; an autocommit wrapper emits neither.
+    fn begin_txn(&mut self, announced: bool, now: Timestamp) {
+        let txn = TxnState::new(self.engine.next_txn_id(), announced, now);
+        if announced {
+            self.engine
+                .monitors
+                .emit_with_kind(ProbeKind::TxnBegin, || {
+                    EngineEvent::TxnBegin(self.txn_info(&txn))
+                });
+        }
+        self.txn = Some(txn);
+    }
+
+    /// End a transaction: undo it unless it commits, release its locks, and
+    /// emit `Transaction.Commit` or `Transaction.Rollback` if it was
+    /// announced. Returns the undo's outcome.
+    fn end_txn(&self, mut txn: TxnState, commit: bool) -> Result<()> {
+        let info = txn.announced.then(|| self.txn_info(&txn));
+        let undone = if commit {
+            Ok(())
+        } else {
+            exec::apply_undo(std::mem::take(&mut txn.undo))
+        };
+        self.engine.locks.release_all(txn.id, txn.held_locks());
+        if let Some(info) = info {
+            let (kind, event): (_, fn(TxnInfo) -> EngineEvent) = if commit {
+                (ProbeKind::TxnCommit, EngineEvent::TxnCommit)
+            } else {
+                (ProbeKind::TxnRollback, EngineEvent::TxnRollback)
+            };
+            self.engine.monitors.emit_with_kind(kind, || event(info));
+        }
+        undone
+    }
+
     fn begin(&mut self) -> Result<QueryResult> {
         if self.txn.is_some() {
             return Err(Error::Execution(
                 "nested transactions are not supported".into(),
             ));
         }
-        let now = self.engine.clock.now_micros();
-        let txn = TxnState::new(self.engine.next_txn_id(), true, now);
-        let info = self.txn_info(&txn);
-        self.txn = Some(txn);
-        self.engine
-            .monitors
-            .emit_with_kind(sqlcm_common::ProbeKind::TxnBegin, || {
-                EngineEvent::TxnBegin(info.clone())
-            });
+        self.begin_txn(true, self.engine.clock.now_micros());
         Ok(QueryResult::default())
     }
 
@@ -469,13 +469,7 @@ impl Session {
             .txn
             .take()
             .ok_or_else(|| Error::Execution("COMMIT without BEGIN".into()))?;
-        let info = self.txn_info(&txn);
-        self.engine.locks.release_all(txn.id, txn.held_locks());
-        self.engine
-            .monitors
-            .emit_with_kind(sqlcm_common::ProbeKind::TxnCommit, || {
-                EngineEvent::TxnCommit(info.clone())
-            });
+        self.end_txn(txn, true)?;
         Ok(QueryResult::default())
     }
 
@@ -484,16 +478,7 @@ impl Session {
             .txn
             .take()
             .ok_or_else(|| Error::Execution("ROLLBACK without BEGIN".into()))?;
-        let info = self.txn_info(&txn);
-        let locks = txn.locks_vec();
-        let id = txn.id;
-        exec::apply_undo(txn.undo)?;
-        self.engine.locks.release_all(id, &locks);
-        self.engine
-            .monitors
-            .emit_with_kind(sqlcm_common::ProbeKind::TxnRollback, || {
-                EngineEvent::TxnRollback(info.clone())
-            });
+        self.end_txn(txn, false)?;
         Ok(QueryResult::default())
     }
 
@@ -505,168 +490,98 @@ impl Session {
         arg_exprs: &[Expr],
         params: Params,
     ) -> Result<QueryResult> {
-        let engine = self.engine.clone();
-        let proc = engine.catalog.procedure(name)?;
+        let proc = self.engine.catalog.procedure(name)?;
         let empty = Schema::default();
         let args: Vec<Value> = arg_exprs
             .iter()
             .map(|e| eval(e, &empty, &[], &params))
             .collect::<Result<_>>()?;
-        let path = proc.resolve_path(&args)?;
-        let named: HashMap<String, Value> = proc
-            .params
-            .iter()
-            .map(|p| p.to_ascii_lowercase())
-            .zip(args.iter().cloned())
-            .collect();
+        let (path, named) = proc.resolve_path(&args)?;
+        let args: Vec<String> = args.iter().map(Value::to_string).collect();
+        let exec_text = format!("EXEC {}({})", proc.name, args.join(", "));
+        let proc_name: Arc<str> = proc.name.as_str().into();
 
         // Wrap the whole invocation in one transaction unless already in one —
         // this makes the statement sequence a *transaction* whose signature is
         // the code-path signature (§4.2 (3)).
+        let now = self.engine.clock.now_micros();
         let wrapped = self.txn.is_none();
-        let now = engine.clock.now_micros();
         if wrapped {
-            let txn = TxnState::new(engine.next_txn_id(), false, now);
-            let info = self.txn_info(&txn);
-            self.txn = Some(txn);
-            engine
-                .monitors
-                .emit_with_kind(sqlcm_common::ProbeKind::TxnBegin, || {
-                    EngineEvent::TxnBegin(info.clone())
-                });
+            self.begin_txn(true, now);
         }
-        let txn_id = self.txn.as_ref().expect("txn open").id;
         let sig_start = self.txn.as_ref().expect("txn open").logical_sigs.len();
-
         // Synthetic Query object for the invocation itself (Example 1 groups
         // stored-procedure instances by Query.Logical_Signature).
-        let exec_text = format!(
-            "EXEC {}({})",
-            proc.name,
-            args.iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        let pquery = ActiveQueryState::new(
-            engine.next_query_id(),
-            exec_text.into(),
-            QueryType::Other,
-            self.id,
-            txn_id,
-            self.user.clone(),
-            self.application.clone(),
-            Some(proc.name.clone().into()),
-            now,
-        );
-        engine.active.register(pquery.clone());
-        engine
-            .monitors
-            .emit_with_kind(sqlcm_common::ProbeKind::QueryStart, || {
-                EngineEvent::QueryStart(pquery.snapshot(now))
-            });
+        let query = self.start_query(&exec_text, QueryType::Other, Some(proc_name.clone()), now);
 
-        let mut last = QueryResult::default();
-        let body: Result<()> = (|| {
-            for stmt in path {
-                let text = stmt.to_string();
-                let cached = self.plan_cached(&text, stmt)?;
-                let p = Params {
-                    positional: &[],
-                    named: Some(&named),
-                };
-                let res = self.run_statement(&text, &cached, p, Some(proc.name.clone()))?;
-                if !res.columns.is_empty() || res.rows_affected > 0 {
-                    last = res;
-                }
-            }
-            Ok(())
-        })();
-
-        match body {
-            Ok(()) => {
-                // Code-path signature = transaction signature over this proc's
-                // statement signatures.
-                if let Some(txn) = &self.txn {
-                    let lsig = signature::transaction_signature(&txn.logical_sigs[sig_start..]);
-                    let psig = signature::transaction_signature(&txn.physical_sigs[sig_start..]);
-                    pquery.set_signatures(lsig, psig);
-                }
-                engine
-                    .monitors
-                    .emit_with_kind(sqlcm_common::ProbeKind::QueryCompile, || {
-                        EngineEvent::QueryCompile(pquery.snapshot(engine.clock.now_micros()))
-                    });
-                if wrapped {
-                    let txn = self.txn.take().expect("txn open");
-                    let info = self.txn_info(&txn);
-                    engine.locks.release_all(txn.id, txn.held_locks());
-                    engine
-                        .monitors
-                        .emit_with_kind(sqlcm_common::ProbeKind::TxnCommit, || {
-                            EngineEvent::TxnCommit(info.clone())
-                        });
-                }
-                let end = engine.clock.now_micros();
-                pquery.finish(end);
-                engine
-                    .monitors
-                    .emit_with_kind(sqlcm_common::ProbeKind::QueryCommit, || {
-                        EngineEvent::QueryCommit(pquery.snapshot(end))
-                    });
-                engine.active.unregister(pquery.id);
-                if let Some(h) = &engine.history {
-                    h.append(pquery.snapshot(end));
-                }
-                Ok(last)
-            }
-            Err(e) => {
-                // Inner run_statement already rolled the transaction back.
-                if wrapped && self.txn.is_some() {
-                    let txn = self.txn.take().expect("txn open");
-                    let locks = txn.locks_vec();
-                    let _ = exec::apply_undo(txn.undo);
-                    engine.locks.release_all(txn.id, &locks);
-                }
-                let end = engine.clock.now_micros();
-                pquery.finish(end);
-                let snap = pquery.snapshot(end);
-                if matches!(e, Error::Cancelled) {
-                    engine
-                        .monitors
-                        .emit_with_kind(sqlcm_common::ProbeKind::QueryCancel, || {
-                            EngineEvent::QueryCancel(snap.clone())
-                        });
-                } else {
-                    engine
-                        .monitors
-                        .emit_with_kind(sqlcm_common::ProbeKind::QueryRollback, || {
-                            EngineEvent::QueryRollback(snap.clone())
-                        });
-                }
-                engine.active.unregister(pquery.id);
-                Err(e)
-            }
+        let params = Params {
+            positional: &[],
+            named: Some(&named),
+        };
+        let result = self.run_path(path, params, &proc_name);
+        if result.is_ok() {
+            // Code-path signature = transaction signature over this proc's
+            // statement signatures.
+            let txn = self.txn.as_ref().expect("txn open");
+            let logical = signature::transaction_signature(&txn.logical_sigs[sig_start..]);
+            let physical = signature::transaction_signature(&txn.physical_sigs[sig_start..]);
+            self.compiled(&query, logical, physical, None);
         }
+        // A failed statement has already aborted the transaction; a statement
+        // that failed to plan left it open.
+        if let Some(txn) = self.txn.take_if(|_| wrapped) {
+            let _ = self.end_txn(txn, result.is_ok());
+        }
+        self.finish_query(&query, &result);
+        result
     }
 
-    /// Explicit logout; emits the `Logout` probe event.
-    pub fn close(mut self) {
-        if let Some(txn) = self.txn.take() {
-            let locks = txn.locks_vec();
-            let _ = exec::apply_undo(txn.undo);
-            self.engine.locks.release_all(txn.id, &locks);
+    /// Run a procedure's resolved statements; the result is the last one that
+    /// returned columns or touched rows.
+    fn run_path(
+        &mut self,
+        path: Vec<Statement>,
+        params: Params,
+        procedure: &Arc<str>,
+    ) -> Result<QueryResult> {
+        let mut last = QueryResult::default();
+        for stmt in path {
+            let text = stmt.to_string();
+            let cached = self.plan_cached(&text, stmt)?;
+            let res = self.run_statement(&text, &cached, params, Some(procedure.clone()))?;
+            if !res.columns.is_empty() || res.rows_affected > 0 {
+                last = res;
+            }
         }
-        self.engine
-            .monitors
-            .emit_with_kind(sqlcm_common::ProbeKind::Logout, || {
-                EngineEvent::Logout(sqlcm_common::SessionInfo {
-                    session_id: self.id,
-                    user: self.user.clone(),
-                    application: self.application.clone(),
-                    success: true,
-                })
-            });
+        Ok(last)
+    }
+
+    /// Explicit logout: roll back an open transaction, then emit the `Logout`
+    /// probe event.
+    pub fn close(mut self) {
+        self.roll_back_open_txn();
+        self.engine.monitors.emit_with_kind(ProbeKind::Logout, || {
+            EngineEvent::Logout(sqlcm_common::SessionInfo {
+                session_id: self.id,
+                user: self.user.clone(),
+                application: self.application.clone(),
+                success: true,
+            })
+        });
+    }
+
+    fn roll_back_open_txn(&mut self) {
+        if let Some(txn) = self.txn.take() {
+            let _ = self.end_txn(txn, false);
+        }
+    }
+}
+
+impl Drop for Session {
+    /// A session dropped without [`Session::close`] still ends its open
+    /// transaction: undone, locks released, `Transaction.Rollback` emitted.
+    fn drop(&mut self) {
+        self.roll_back_open_txn();
     }
 }
 
@@ -1090,7 +1005,18 @@ mod tests {
         s.execute("INSERT INTO items VALUES (1, 'x', 1, 1.0)")
             .unwrap();
         s.close();
-        assert!(spy.names().contains(&"Session.Logout"));
+        // The open transaction ends with one Rollback, before the Logout.
+        let names = spy.names();
+        let ends: Vec<_> = names
+            .iter()
+            .filter(|n| n.starts_with("Transaction.") && **n != "Transaction.Begin")
+            .collect();
+        assert_eq!(ends, [&"Transaction.Rollback"], "{names:?}");
+        let at = |name| names.iter().position(|n| *n == name).unwrap();
+        assert!(
+            at("Transaction.Rollback") < at("Session.Logout"),
+            "{names:?}"
+        );
         // The uncommitted insert was rolled back and locks released.
         assert_eq!(
             e.query("SELECT COUNT(*) FROM items").unwrap()[0][0],
@@ -1099,5 +1025,107 @@ mod tests {
         let mut s2 = e.connect("c", "d");
         s2.execute("INSERT INTO items VALUES (1, 'x', 1, 1.0)")
             .unwrap();
+    }
+
+    #[test]
+    fn dropping_a_session_ends_its_transaction() {
+        let e = engine();
+        let spy = Arc::new(Spy::default());
+        e.attach_monitor(spy.clone());
+        let mut s = e.connect("a", "b");
+        s.execute("BEGIN").unwrap();
+        s.execute("INSERT INTO items VALUES (1, 'x', 1, 1.0)")
+            .unwrap();
+        drop(s);
+        assert!(spy.names().contains(&"Transaction.Rollback"));
+        assert!(!spy.names().contains(&"Session.Logout"));
+        // Undone, and the row lock is free for the next session.
+        e.connect("c", "d")
+            .execute("INSERT INTO items VALUES (1, 'y', 2, 2.0)")
+            .unwrap();
+    }
+
+    #[test]
+    fn failing_exec_ends_its_own_transaction_once() {
+        let e = Engine::new(EngineConfig {
+            history: HistoryMode::Unbounded,
+            lock_wait_timeout: std::time::Duration::from_millis(200),
+            ..Default::default()
+        })
+        .unwrap();
+        e.execute_batch(
+            "CREATE TABLE items (id INT PRIMARY KEY, name TEXT, qty INT, price FLOAT);\
+             INSERT INTO items VALUES (1, 'x', 1, 1.0);",
+        )
+        .unwrap();
+        e.catalog()
+            .create_procedure(
+                StoredProcedure::parse(
+                    "pair",
+                    &["new", "dup"],
+                    "INSERT INTO items VALUES (@new, 'n', 1, 1.0); \
+                     INSERT INTO items VALUES (@dup, 'd', 1, 1.0);",
+                )
+                .unwrap(),
+            )
+            .unwrap();
+        e.history().unwrap().drain();
+        let spy = Arc::new(Spy::default());
+        e.attach_monitor(spy.clone());
+        let mut s = e.connect("a", "b");
+        assert!(s.execute("EXEC pair(7, 1)").is_err(), "duplicate key");
+        assert!(!s.in_transaction());
+
+        // Begin, then exactly one Rollback, then the EXEC's own Query.Rollback.
+        let evs = spy.events.lock().clone();
+        let txn_events: Vec<_> = evs
+            .iter()
+            .map(|ev| ev.name())
+            .filter(|n| n.starts_with("Transaction."))
+            .collect();
+        assert_eq!(txn_events, ["Transaction.Begin", "Transaction.Rollback"]);
+        let at = |pred: &dyn Fn(&EngineEvent) -> bool| evs.iter().position(pred).unwrap();
+        let begin = at(&|ev| matches!(ev, EngineEvent::TxnBegin(_)));
+        let rollback = at(&|ev| matches!(ev, EngineEvent::TxnRollback(_)));
+        let exec_rollback = at(
+            &|ev| matches!(ev, EngineEvent::QueryRollback(q) if q.text.starts_with("EXEC pair")),
+        );
+        assert!(begin < rollback && rollback < exec_rollback);
+
+        // The first insert is undone and its locks are released: another
+        // session takes the same key without waiting out the lock timeout.
+        assert_eq!(
+            e.query("SELECT COUNT(*) FROM items").unwrap()[0][0],
+            Value::Int(1)
+        );
+        e.connect("c", "d")
+            .execute("INSERT INTO items VALUES (7, 'z', 1, 1.0)")
+            .unwrap();
+        // The EXEC reaches the history alongside its two statements.
+        let history = e.history().unwrap().drain();
+        let texts: Vec<&str> = history.iter().map(|q| &*q.text).collect();
+        assert!(texts.contains(&"EXEC pair(7, 1)"), "{texts:?}");
+    }
+
+    #[test]
+    fn malformed_aggregate_calls_fail_to_plan() {
+        let e = engine();
+        e.execute_batch(
+            "CREATE TABLE nothing (id INT PRIMARY KEY, v INT);\
+             CREATE TABLE one (id INT PRIMARY KEY, v INT);\
+             INSERT INTO one VALUES (1, 10);",
+        )
+        .unwrap();
+        let mut s = e.connect("a", "b");
+        for table in ["nothing", "one"] {
+            for call in ["SUM(*)", "COUNT()", "SUM(v, id)"] {
+                let sql = format!("SELECT {call} FROM {table}");
+                let got = s.execute(&sql);
+                assert!(matches!(got, Err(Error::Parse(_))), "{sql}: {got:?}");
+            }
+        }
+        // Well-formed calls still plan.
+        let r = s.execute("SELECT COUNT(*), SUM(v) FROM one").unwrap();
+        assert_eq!(r.rows, vec![vec![Value::Int(1), Value::Float(10.0)]]);
     }
 }

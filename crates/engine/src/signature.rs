@@ -20,9 +20,12 @@
 //! Signatures are computed once during optimization and cached with the plan
 //! (`crate::plancache`), so "if a query plan is cached, so is its signature".
 
+use std::fmt::Write;
+
 use sqlcm_sql::{Expr, SelectItem, Statement};
 
-use crate::plan::{LogicalPlan, PhysicalPlan};
+use crate::catalog::TableInfo;
+use crate::plan::{AggSpec, LogicalPlan, PhysicalPlan};
 
 /// Both signatures plus their linearized texts (texts are kept for debugging,
 /// EXPLAIN output, and tests; only the hashes travel in probes).
@@ -102,7 +105,6 @@ fn push_lower(out: &mut String, s: &str) {
 /// Streaming form of [`template_expr`] — signature computation is on the
 /// compile path, so it avoids per-node allocations.
 pub fn template_expr_into(e: &Expr, out: &mut String) {
-    use std::fmt::Write;
     match e {
         Expr::Literal(_) => out.push('?'),
         Expr::Param(i) => {
@@ -286,266 +288,200 @@ pub fn template_statement(stmt: &Statement) -> String {
 
 // ------------------------------------------------------------- plan linearization
 
-/// Linearize a logical plan (pre-order, parenthesized).
-pub fn linearize_logical(plan: &LogicalPlan) -> String {
-    let mut out = String::with_capacity(128);
-    linearize_logical_into(plan, &mut out);
-    out
+/// A plan tree the signature printer walks. Logical and physical plans share
+/// the printing of every operator they have in common; the physical tree adds
+/// its access paths and join algorithms.
+trait Linearize {
+    fn linearize_into(&self, out: &mut String);
 }
 
-fn linearize_logical_into(plan: &LogicalPlan, out: &mut String) {
-    use std::fmt::Write;
-    match plan {
-        LogicalPlan::Dual => out.push_str("Dual"),
-        LogicalPlan::Scan {
-            table,
-            binding,
-            predicate,
-        } => {
-            out.push_str("Scan(");
-            push_lower(out, &table.name);
-            out.push_str(";as=");
-            push_lower(out, binding);
-            out.push_str(";pred=");
-            template_opt_pred_into(predicate, out);
-            out.push(')');
-        }
-        LogicalPlan::Filter { predicate, input } => {
-            out.push_str("Filter(");
-            template_pred_into(predicate, out);
-            out.push(';');
-            linearize_logical_into(input, out);
-            out.push(')');
-        }
-        LogicalPlan::Join { left, right, on } => {
-            out.push_str("Join(");
-            template_pred_into(on, out);
-            out.push(';');
-            linearize_logical_into(left, out);
-            out.push(';');
-            linearize_logical_into(right, out);
-            out.push(')');
-        }
-        LogicalPlan::Aggregate {
-            group_by,
-            aggs,
-            input,
-        } => {
-            out.push_str("Agg(g=[");
-            for (i, g) in group_by.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                template_expr_into(g, out);
-            }
-            out.push_str("];a=[");
-            for (i, a) in aggs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{:?}(", a.func);
-                if let Some(arg) = &a.arg {
-                    template_expr_into(arg, out);
-                }
-                out.push(')');
-            }
-            out.push_str("];");
-            linearize_logical_into(input, out);
-            out.push(')');
-        }
-        LogicalPlan::Project { exprs, input } => {
-            out.push_str("Proj([");
-            for (i, (e, _)) in exprs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                template_expr_into(e, out);
-            }
-            out.push_str("];");
-            linearize_logical_into(input, out);
-            out.push(')');
-        }
-        LogicalPlan::Sort { keys, input } => {
-            out.push_str("Sort([");
-            for (i, (e, d)) in keys.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                template_expr_into(e, out);
-                out.push(if *d { '-' } else { '+' });
-            }
-            out.push_str("];");
-            linearize_logical_into(input, out);
-            out.push(')');
-        }
-        LogicalPlan::Limit { n, input } => {
-            let _ = write!(out, "Limit({n};");
-            linearize_logical_into(input, out);
-            out.push(')');
-        }
-    }
+/// Linearize a logical plan (pre-order, parenthesized).
+pub fn linearize_logical(plan: &LogicalPlan) -> String {
+    linearize(plan)
 }
 
 /// Linearize a physical plan — includes operator/access-path identity.
 pub fn linearize_physical(plan: &PhysicalPlan) -> String {
+    linearize(plan)
+}
+
+fn linearize(plan: &impl Linearize) -> String {
     let mut out = String::with_capacity(128);
-    linearize_physical_into(plan, &mut out);
+    plan.linearize_into(&mut out);
     out
 }
 
-fn linearize_physical_into(plan: &PhysicalPlan, out: &mut String) {
-    use std::fmt::Write;
-    match plan {
-        PhysicalPlan::DualScan => out.push_str("Dual"),
-        PhysicalPlan::SeqScan {
-            table,
-            binding,
-            predicate,
-        } => {
-            out.push_str("SeqScan(");
-            push_lower(out, &table.name);
-            out.push_str(";as=");
-            push_lower(out, binding);
-            out.push_str(";pred=");
-            template_opt_pred_into(predicate, out);
-            out.push(')');
+/// `name(body;child;…)`: how every operator but `Dual` prints.
+fn op(out: &mut String, name: &str, children: &[&dyn Linearize], body: impl FnOnce(&mut String)) {
+    out.push_str(name);
+    out.push('(');
+    body(out);
+    for child in children {
+        out.push(';');
+        child.linearize_into(out);
+    }
+    out.push(')');
+}
+
+/// Comma-separated items.
+fn list<T>(out: &mut String, items: &[T], mut item: impl FnMut(&T, &mut String)) {
+    for (i, it) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-        PhysicalPlan::IndexSeek {
-            table,
-            binding,
-            bounds,
-            residual,
-        } => {
-            out.push_str("IndexSeek(");
-            push_lower(out, &table.name);
-            out.push_str(";as=");
-            push_lower(out, binding);
-            out.push_str(";eq=");
-            for (i, e) in bounds.eq_prefix.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                template_expr_into(e, out);
-            }
-            out.push_str(";lo=");
-            if let Some((e, inc)) = &bounds.lower {
-                template_expr_into(e, out);
-                if *inc {
-                    out.push('=');
-                }
-            }
-            out.push_str(";hi=");
-            if let Some((e, inc)) = &bounds.upper {
-                template_expr_into(e, out);
-                if *inc {
-                    out.push('=');
-                }
-            }
-            out.push_str(";res=");
-            template_opt_pred_into(residual, out);
-            out.push(')');
+        item(it, out);
+    }
+}
+
+fn exprs_into(exprs: &[Expr], out: &mut String) {
+    list(out, exprs, template_expr_into);
+}
+
+/// A scan's `table;as=binding` prefix.
+fn table_into(table: &TableInfo, binding: &str, out: &mut String) {
+    push_lower(out, &table.name);
+    out.push_str(";as=");
+    push_lower(out, binding);
+}
+
+fn scan_into(table: &TableInfo, binding: &str, predicate: &Option<Expr>, out: &mut String) {
+    table_into(table, binding, out);
+    out.push_str(";pred=");
+    template_opt_pred_into(predicate, out);
+}
+
+fn aggregate_into(group_by: &[Expr], aggs: &[AggSpec], out: &mut String) {
+    out.push_str("g=[");
+    exprs_into(group_by, out);
+    out.push_str("];a=[");
+    list(out, aggs, |a, out| {
+        let _ = write!(out, "{:?}(", a.func);
+        if let Some(arg) = &a.arg {
+            template_expr_into(arg, out);
         }
-        PhysicalPlan::Filter { predicate, input } => {
-            out.push_str("Filter(");
-            template_pred_into(predicate, out);
-            out.push(';');
-            linearize_physical_into(input, out);
-            out.push(')');
+        out.push(')');
+    });
+    out.push(']');
+}
+
+fn project_into(exprs: &[(Expr, String)], out: &mut String) {
+    out.push('[');
+    list(out, exprs, |(e, _), out| template_expr_into(e, out));
+    out.push(']');
+}
+
+fn sort_into(keys: &[(Expr, bool)], out: &mut String) {
+    out.push('[');
+    list(out, keys, |(e, desc), out| {
+        template_expr_into(e, out);
+        out.push(if *desc { '-' } else { '+' });
+    });
+    out.push(']');
+}
+
+fn bound_into(bound: &Option<(Expr, bool)>, out: &mut String) {
+    if let Some((e, inclusive)) = bound {
+        template_expr_into(e, out);
+        if *inclusive {
+            out.push('=');
         }
-        PhysicalPlan::NestedLoopJoin { left, right, on } => {
-            out.push_str("NLJoin(");
-            template_pred_into(on, out);
-            out.push(';');
-            linearize_physical_into(left, out);
-            out.push(';');
-            linearize_physical_into(right, out);
-            out.push(')');
+    }
+}
+
+impl Linearize for LogicalPlan {
+    fn linearize_into(&self, out: &mut String) {
+        use LogicalPlan as L;
+        match self {
+            L::Dual => out.push_str("Dual"),
+            L::Scan {
+                table,
+                binding,
+                predicate,
+            } => op(out, "Scan", &[], |o| {
+                scan_into(table, binding, predicate, o)
+            }),
+            L::Filter { predicate, input } => op(out, "Filter", &[&**input], |o| {
+                template_pred_into(predicate, o)
+            }),
+            L::Join { left, right, on } => op(out, "Join", &[&**left, &**right], |o| {
+                template_pred_into(on, o)
+            }),
+            L::Aggregate {
+                group_by,
+                aggs,
+                input,
+            } => op(out, "Agg", &[&**input], |o| {
+                aggregate_into(group_by, aggs, o)
+            }),
+            L::Project { exprs, input } => op(out, "Proj", &[&**input], |o| project_into(exprs, o)),
+            L::Sort { keys, input } => op(out, "Sort", &[&**input], |o| sort_into(keys, o)),
+            L::Limit { n, input } => op(out, "Limit", &[&**input], |o| {
+                let _ = write!(o, "{n}");
+            }),
         }
-        PhysicalPlan::HashJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            residual,
-        } => {
-            out.push_str("HashJoin(l=[");
-            for (i, e) in left_keys.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                template_expr_into(e, out);
-            }
-            out.push_str("];r=[");
-            for (i, e) in right_keys.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                template_expr_into(e, out);
-            }
-            out.push_str("];res=");
-            template_opt_pred_into(residual, out);
-            out.push(';');
-            linearize_physical_into(left, out);
-            out.push(';');
-            linearize_physical_into(right, out);
-            out.push(')');
-        }
-        PhysicalPlan::HashAggregate {
-            group_by,
-            aggs,
-            input,
-        } => {
-            out.push_str("HashAgg(g=[");
-            for (i, g) in group_by.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                template_expr_into(g, out);
-            }
-            out.push_str("];a=[");
-            for (i, a) in aggs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{:?}(", a.func);
-                if let Some(arg) = &a.arg {
-                    template_expr_into(arg, out);
-                }
-                out.push(')');
-            }
-            out.push_str("];");
-            linearize_physical_into(input, out);
-            out.push(')');
-        }
-        PhysicalPlan::Project { exprs, input } => {
-            out.push_str("Proj([");
-            for (i, (e, _)) in exprs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                template_expr_into(e, out);
-            }
-            out.push_str("];");
-            linearize_physical_into(input, out);
-            out.push(')');
-        }
-        PhysicalPlan::Sort { keys, input } => {
-            out.push_str("Sort([");
-            for (i, (e, d)) in keys.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                template_expr_into(e, out);
-                out.push(if *d { '-' } else { '+' });
-            }
-            out.push_str("];");
-            linearize_physical_into(input, out);
-            out.push(')');
-        }
-        PhysicalPlan::Limit { n, input } => {
-            let _ = write!(out, "Limit({n};");
-            linearize_physical_into(input, out);
-            out.push(')');
+    }
+}
+
+impl Linearize for PhysicalPlan {
+    fn linearize_into(&self, out: &mut String) {
+        use PhysicalPlan as P;
+        match self {
+            P::DualScan => out.push_str("Dual"),
+            P::SeqScan {
+                table,
+                binding,
+                predicate,
+            } => op(out, "SeqScan", &[], |o| {
+                scan_into(table, binding, predicate, o)
+            }),
+            P::IndexSeek {
+                table,
+                binding,
+                bounds,
+                residual,
+            } => op(out, "IndexSeek", &[], |o| {
+                table_into(table, binding, o);
+                o.push_str(";eq=");
+                exprs_into(&bounds.eq_prefix, o);
+                o.push_str(";lo=");
+                bound_into(&bounds.lower, o);
+                o.push_str(";hi=");
+                bound_into(&bounds.upper, o);
+                o.push_str(";res=");
+                template_opt_pred_into(residual, o);
+            }),
+            P::Filter { predicate, input } => op(out, "Filter", &[&**input], |o| {
+                template_pred_into(predicate, o)
+            }),
+            P::NestedLoopJoin { left, right, on } => op(out, "NLJoin", &[&**left, &**right], |o| {
+                template_pred_into(on, o)
+            }),
+            P::HashJoin {
+                left,
+                right,
+                left_keys,
+                right_keys,
+                residual,
+            } => op(out, "HashJoin", &[&**left, &**right], |o| {
+                o.push_str("l=[");
+                exprs_into(left_keys, o);
+                o.push_str("];r=[");
+                exprs_into(right_keys, o);
+                o.push_str("];res=");
+                template_opt_pred_into(residual, o);
+            }),
+            P::HashAggregate {
+                group_by,
+                aggs,
+                input,
+            } => op(out, "HashAgg", &[&**input], |o| {
+                aggregate_into(group_by, aggs, o)
+            }),
+            P::Project { exprs, input } => op(out, "Proj", &[&**input], |o| project_into(exprs, o)),
+            P::Sort { keys, input } => op(out, "Sort", &[&**input], |o| sort_into(keys, o)),
+            P::Limit { n, input } => op(out, "Limit", &[&**input], |o| {
+                let _ = write!(o, "{n}");
+            }),
         }
     }
 }

@@ -53,8 +53,10 @@ pub enum UndoOp {
 /// State of one open transaction.
 pub struct TxnState {
     pub id: u64,
-    /// True for user-issued BEGIN; false for an autocommit wrapper.
-    pub explicit: bool,
+    /// True when `Transaction.Begin` was emitted (a user BEGIN, or an `EXEC`
+    /// wrapping its statements); such a transaction emits exactly one end
+    /// event. False for an autocommit wrapper, which emits neither.
+    pub announced: bool,
     pub start_time: Timestamp,
     /// Resources locked by this transaction (deduplicated), released at end.
     locks: Vec<ResourceId>,
@@ -68,10 +70,10 @@ pub struct TxnState {
 }
 
 impl TxnState {
-    pub fn new(id: u64, explicit: bool, start_time: Timestamp) -> TxnState {
+    pub fn new(id: u64, announced: bool, start_time: Timestamp) -> TxnState {
         TxnState {
             id,
-            explicit,
+            announced,
             start_time,
             locks: Vec::new(),
             lock_set: HashSet::new(),

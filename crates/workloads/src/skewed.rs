@@ -57,11 +57,6 @@ pub fn generate(db: &TpchDb, n: u32, seed: u64) -> Vec<WorkloadQuery> {
         .collect()
 }
 
-/// Number of distinct templates (for reports).
-pub fn template_count() -> usize {
-    TEMPLATES.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
