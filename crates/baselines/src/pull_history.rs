@@ -163,8 +163,7 @@ mod tests {
         let e = Engine::new(EngineConfig {
             history: mode,
             ..Default::default()
-        })
-        .unwrap();
+        });
         e.execute_batch("CREATE TABLE t (id INT PRIMARY KEY, v INT);")
             .unwrap();
         e

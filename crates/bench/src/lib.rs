@@ -32,8 +32,7 @@ pub fn engine_with_db(orders: u32, history: HistoryMode) -> (Engine, TpchDb) {
     let engine = Engine::new(EngineConfig {
         history,
         ..Default::default()
-    })
-    .expect("in-memory engine");
+    });
     let db = tpch::load(
         &engine,
         TpchConfig {

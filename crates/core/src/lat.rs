@@ -48,44 +48,48 @@
 //! `Table` under one reader-writer latch: the rows, stored in place in a
 //! slot vector; an open-addressed hash index from group-key hash to slot,
 //! at most half full (`BUCKETS_PER_ROW`), so a search rarely walks a run;
-//! and the **victim order**, a B-tree of `(rank, slot)` entries, least
-//! important first. Inserts take the latch exclusively, lookups and
-//! snapshots share it. A row's *rank* is the values of its ordering columns
-//! followed by its remaining grouping columns, which break ties; each entry
-//! carries the rank inline when it is one or two numbers (boxed otherwise)
-//! and the direction of every position, so the B-tree compares entries
-//! without reaching the rows. The ordering spec is classified once,
+//! and the **victim order**, an indexed binary min-heap of slot numbers,
+//! least important row at the root, with each slot's heap position kept in
+//! a vector beside the slots. Inserts take the latch exclusively, lookups
+//! and snapshots share it.
+//!
+//! One comparator orders every bounded LAT, reading the rows in place: the
+//! ordering columns, each in its own direction (the smallest value of a DESC
+//! column, the largest of an ASC one, is the least important), then the
+//! grouping columns the ordering leaves out. Every grouping column is
+//! ranked, so no two held rows tie. The ordering spec is classified once,
 //! at [`Lat::new`]:
 //!
 //! * **fixed** — every ordering column is a grouping column (or there is no
-//!   ordering spec: any row may go). A rank never changes. Ties fall to the
-//!   smaller group key.
+//!   ordering spec: any row may go). A row's place never changes. Ties fall
+//!   to the smaller group key.
 //! * **folded** — some ordering column is a plain aggregate (`MAX(Duration)`,
-//!   `COUNT`, `AVG`, …). A fold that moves a row's rank re-files its entry at
-//!   once. Ties fall to the larger group key: where keys grow over time
+//!   `COUNT`, `AVG`, …). After a fold the row sifts down, then up, to its
+//!   new place. Ties fall to the larger group key: where keys grow over time
 //!   (query IDs, timestamps) an incumbent outlives a newcomer that only ties
 //!   it, which is also what a stable sort of the full log answers.
 //! * **clocked** — some ordering column is an *aging* aggregate, whose value
-//!   decays with the clock even when nothing folds, so no rank stays valid.
-//!   These LATs file no entries: the evictor scans the slots, comparing
-//!   against the running best in place.
+//!   decays with the clock even when nothing folds, so no place stays valid.
+//!   The heap is rebuilt (Floyd's heapify, at the insert's time) at most once
+//!   per insert, just before the order is read. Ties fall as on a folded LAT.
 //!
 //! A new group is built in the table's scratch slot first, so a failed
-//! update leaves no trace. In a full ranked table, a newcomer less important
-//! than the minimum is its own victim: its output is the evicted row, and it
-//! never enters the table. Otherwise the victim's output is read (when an
-//! eviction rule subscribes), and the newcomer takes the victim's slot and
-//! its entry — a boxed rank reuses the victim's box — so a full LAT that
-//! evicts on every new group allocates nothing for it.
+//! update leaves no trace. In a full table, a newcomer less important than
+//! the root is its own victim: its output is the evicted row, and it never
+//! enters the table. Otherwise the root's output is read (when an eviction
+//! rule subscribes), the newcomer takes the root's slot, and one sift down
+//! from the root files it — so a full LAT that evicts on every new group
+//! allocates nothing for it.
 //!
 //! `max_bytes` bounds the bytes of the rows held (`Slot::bytes`), a running
 //! count kept under the latch only by LATs that set it. It leaves out the
-//! victim entries and the hash index, which [`Lat::memory_bytes`] adds.
+//! heap, the heap positions and the hash index, which [`Lat::memory_bytes`]
+//! adds.
 
 use std::borrow::Borrow;
 use std::cmp::Ordering as Cmp;
 use std::collections::hash_map::RandomState;
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, LazyLock};
@@ -362,12 +366,13 @@ impl Slot {
         self.group.output(&self.aggs, now)
     }
 
-    /// One output-column value.
-    fn value(&self, col: usize, now: Timestamp) -> Value {
-        let group = self.group.key.as_slice();
-        match col.checked_sub(group.len()) {
-            None => group[col].clone(),
-            Some(agg) => self.aggs[agg].finish(now),
+    /// How this row's output column `col` compares with `other`'s, read in
+    /// place.
+    fn cmp_at(&self, other: &Slot, col: usize, now: Timestamp) -> Cmp {
+        let (a, b) = (self.group.key.as_slice(), other.group.key.as_slice());
+        match col.checked_sub(a.len()) {
+            None => a[col].cmp(&b[col]),
+            Some(agg) => self.aggs[agg].finish(now).cmp(&other.aggs[agg].finish(now)),
         }
     }
 }
@@ -460,203 +465,59 @@ impl Eq for Row {}
 /// themselves.
 type RowSet = HashSet<Row, BuildHasherDefault<StoredHash>>;
 
-/// Importance comparison per the ordering spec, column by column: on a DESC
-/// column the bigger value is more important (the smallest is evicted first);
-/// on ASC, the smaller. `pick(pos, col)` yields the two sides' values for the
-/// `pos`-th ordering column, which is output column `col`.
-fn cmp_importance<'a>(
-    order: &[(usize, bool)],
-    pick: impl Fn(usize, usize) -> (&'a Value, &'a Value),
-) -> Cmp {
-    for (pos, &(col, desc)) in order.iter().enumerate() {
-        let (a, b) = pick(pos, col);
-        let ord = if desc { a.cmp(b) } else { b.cmp(a) };
-        if ord.is_ne() {
-            return ord;
-        }
-    }
-    Cmp::Equal
+/// Importance comparison per an ordering, column by column: on a DESC column
+/// the bigger value is more important (the smallest is evicted first); on
+/// ASC, the smaller. `cmp(col)` compares the two sides' output column `col`;
+/// `Less` is less important.
+fn cmp_importance(order: &[(usize, bool)], cmp: impl Fn(usize) -> Cmp) -> Cmp {
+    let mut ords = order.iter().map(|&(col, desc)| match desc {
+        true => cmp(col),
+        false => cmp(col).reverse(),
+    });
+    ords.find(|o| o.is_ne()).unwrap_or(Cmp::Equal)
 }
 
-/// How an inline rank reads one of its numbers.
-#[derive(Clone, Copy, Default, PartialEq, Eq)]
-enum Kind {
-    #[default]
-    Int,
-    Float,
-    Timestamp,
+/// How a bounded LAT's ordering spec ranks its rows (module docs, "Bounded
+/// LATs").
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Class {
+    Fixed,
+    Folded,
+    Clocked,
 }
 
-impl Kind {
-    fn of(v: &Value) -> Option<(Kind, u64)> {
-        match *v {
-            Value::Int(i) => Some((Kind::Int, i as u64)),
-            Value::Float(x) => Some((Kind::Float, x.to_bits())),
-            Value::Timestamp(t) => Some((Kind::Timestamp, t)),
-            _ => None,
-        }
-    }
-
-    fn value(self, bits: u64) -> Value {
-        match self {
-            Kind::Int => Value::Int(bits as i64),
-            Kind::Float => Value::Float(f64::from_bits(bits)),
-            Kind::Timestamp => Value::Timestamp(bits),
-        }
-    }
-
-    /// A number of this kind as a `u64` that orders as its value does.
-    fn key(self, bits: u64) -> u64 {
-        match self {
-            Kind::Int => bits ^ 1 << 63,
-            // `f64::total_cmp`'s order: a negative float's magnitude bits flip.
-            Kind::Float => (bits ^ (((bits as i64) >> 63) as u64 >> 1)) ^ 1 << 63,
-            Kind::Timestamp => bits,
-        }
-    }
-}
-
-/// One or two numbers, as an inline rank holds them.
-#[derive(Clone, Copy, Default)]
-struct Nums {
-    len: u8,
-    kinds: [Kind; 2],
-    bits: [u64; 2],
-}
-
-/// The values a row is ranked by: inline when they are one or two numbers
-/// (`COUNT`, `MAX(Duration)`, a query ID, a timestamp, … and a numeric
-/// tie-break key), boxed otherwise. Compares exactly as the values
-/// themselves do, whichever form either side is in.
-enum Rank {
-    Inline(Nums),
-    Boxed(Box<Key>),
-}
-
-impl Rank {
-    /// Become the rank `ranking` gives `row`, overwriting a box of the same
-    /// arity in place.
-    fn assign(&mut self, ranking: &Ranking, row: &Slot, now: Timestamp) {
-        let mut values = ranking.cols.iter().map(|&col| row.value(col, now));
-        let len = ranking.cols.len();
-        match self {
-            Rank::Boxed(key) if key.as_slice().len() == len => {
-                for (v, new) in key.as_mut_slice().iter_mut().zip(values) {
-                    *v = new;
-                }
-            }
-            _ if len <= 2 => {
-                let pair = [(); 2].map(|()| values.next().unwrap_or(Value::Int(0)));
-                *self = match (Kind::of(&pair[0]), Kind::of(&pair[1])) {
-                    (Some((k0, b0)), Some((k1, b1))) => {
-                        let (len, kinds, bits) = (len as u8, [k0, k1], [b0, b1]);
-                        Rank::Inline(Nums { len, kinds, bits })
-                    }
-                    _ => Rank::Boxed(Box::new(Key::from_slice(&pair[..len]))),
-                };
-            }
-            _ => *self = Rank::Boxed(Box::new(Key::Many(values.collect()))),
-        }
-    }
-
-    /// Run `f` on the values, positionally aligned with the ranked columns.
-    fn with_values<R>(&self, f: impl FnOnce(&[Value]) -> R) -> R {
-        match self {
-            Rank::Inline(n) => f(&[0, 1].map(|i| n.kinds[i].value(n.bits[i]))[..n.len as usize]),
-            Rank::Boxed(key) => f(key.as_slice()),
-        }
-    }
-}
-
-impl Default for Rank {
-    fn default() -> Rank {
-        Rank::Inline(Nums::default())
-    }
-}
-
-/// A held row's place in the victim order: its rank, the directions to
-/// compare it in, and its slot, which only makes equal ranks distinct.
-#[derive(Default)]
-struct Entry {
-    rank: Rank,
-    slot: u32,
-    /// Bit `i` (bit 31 for every position past it) reverses the `i`-th
-    /// ranked value: an ASC ordering column, or a *folded* LAT's tie-break.
-    down: u32,
-}
-
-impl Entry {
-    /// Bytes of the entry and of its rank's box, if it has one.
-    fn bytes(&self) -> usize {
-        let boxed = match &self.rank {
-            Rank::Boxed(key) => std::mem::size_of::<Key>() + key.size_bytes(),
-            Rank::Inline(_) => 0,
-        };
-        std::mem::size_of::<Entry>() + boxed
-    }
-
-    /// Less is less important, i.e. evicted first.
-    fn cmp_rank(&self, other: &Entry) -> Cmp {
-        let flip = |pos: usize, ord: Cmp| match self.down >> pos.min(31) & 1 {
-            0 => ord,
-            _ => ord.reverse(),
-        };
-        if let (Rank::Inline(a), Rank::Inline(b)) = (&self.rank, &other.rank) {
-            if a.kinds == b.kinds {
-                // One kind per position: compare order-preserving keys, which
-                // order as the values do (`inline_rank_keys_order_as_their_values`).
-                let key = |n: &Nums, pos: usize| n.kinds[pos].key(n.bits[pos]);
-                let mut ords =
-                    (0..a.len as usize).map(|pos| flip(pos, key(a, pos).cmp(&key(b, pos))));
-                return ords.find(|o| o.is_ne()).unwrap_or(Cmp::Equal);
-            }
-        }
-        self.rank.with_values(|a| {
-            other.rank.with_values(|b| {
-                let mut ords = (0..a.len()).map(|pos| flip(pos, a[pos].cmp(&b[pos])));
-                ords.find(|o| o.is_ne()).unwrap_or(Cmp::Equal)
-            })
-        })
-    }
-}
-
-impl Ord for Entry {
-    fn cmp(&self, other: &Entry) -> Cmp {
-        self.cmp_rank(other).then(self.slot.cmp(&other.slot))
-    }
-}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Entry) -> Option<Cmp> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Entry) -> bool {
-        self.cmp(other).is_eq()
-    }
-}
-
-impl Eq for Entry {}
-
-/// How a bounded LAT ranks its rows (module docs); `None` on a *clocked* one.
+/// A bounded LAT's victim order.
 struct Ranking {
-    /// Output columns ranked: the ordering columns, then the grouping columns
-    /// they leave out, which break ties.
-    cols: Vec<usize>,
-    /// [`Entry::down`] of every entry.
-    down: u32,
-    /// Some ranked column is an aggregate: a fold can move the rank.
-    folded: bool,
+    /// Output columns ranked, with DESC flags: the ordering columns, then the
+    /// grouping columns they leave out, which break ties.
+    cols: Vec<(usize, bool)>,
+    class: Class,
 }
 
 impl Ranking {
-    /// The victim-order entry of `row`, held in `slot`.
-    fn entry(&self, row: &Slot, slot: u32, now: Timestamp) -> Entry {
-        let (mut rank, down) = (Rank::default(), self.down);
-        rank.assign(self, row, now);
-        Entry { rank, slot, down }
+    fn new(spec: &LatSpec, order: &[(usize, bool)]) -> Ranking {
+        let n_group = spec.group_by.len();
+        let mut ordering_aggs = order
+            .iter()
+            .filter_map(|(col, _)| col.checked_sub(n_group))
+            .map(|agg| &spec.aggregates[agg]);
+        let class = if ordering_aggs.clone().any(|a| a.aging.is_some()) {
+            Class::Clocked
+        } else if ordering_aggs.next().is_some() {
+            Class::Folded
+        } else {
+            Class::Fixed
+        };
+        // Ties fall to the smaller key on a fixed LAT, else to the larger.
+        let ties = (0..n_group).filter(|g| order.iter().all(|(col, _)| col != g));
+        let ties = ties.map(|g| (g, class == Class::Fixed));
+        let cols = order.iter().copied().chain(ties).collect();
+        Ranking { cols, class }
+    }
+
+    /// `Less` when row `a` is less important than row `b` at `now`.
+    fn cmp(&self, a: &Slot, b: &Slot, now: Timestamp) -> Cmp {
+        cmp_importance(&self.cols, |col| a.cmp_at(b, col, now))
     }
 }
 
@@ -673,8 +534,7 @@ fn bucket(hash: u64, s: u32) -> u64 {
 /// A bounded LAT's rows and victim order, all under the LAT's one latch
 /// (module docs, "Bounded LATs").
 struct Table {
-    /// How the rows rank; `None` on a *clocked* LAT.
-    ranking: Option<Ranking>,
+    ranking: Ranking,
     /// The rows, stored in place. A slot the index does not name holds none.
     slots: Vec<Slot>,
     /// Slots that hold no row, reused first.
@@ -683,37 +543,34 @@ struct Table {
     /// [`EMPTY`]. A power of two long, at most half full
     /// ([`BUCKETS_PER_ROW`]).
     buckets: Vec<u64>,
-    /// An entry per held row, least important first; empty when *clocked*.
-    victims: BTreeSet<Entry>,
+    /// The slots of the rows held, a binary min-heap in the victim order:
+    /// `heap[0]` is the least important row. A *clocked* LAT's heap is in
+    /// order only right after [`Table::heapify`].
+    heap: Vec<u32>,
+    /// `pos[s]` is slot `s`'s index in `heap`; stale when `s` is free.
+    pos: Vec<u32>,
     /// A new group is built here before it is known to stay; a slot's old
     /// buffers come back here when the group moves in.
     scratch: Slot,
-    /// A rank looked for: a newcomer's, or a folded row's before the fold.
-    probe: Entry,
     /// Σ [`Slot::bytes`] over the rows held, kept only under `max_bytes`.
     bytes: usize,
 }
 
 impl Table {
-    fn new(spec: &LatSpec, ranking: Option<Ranking>) -> Table {
+    fn new(spec: &LatSpec, order: &[(usize, bool)]) -> Table {
         // Room for `max_rows` + 1 rows within the load bound, up to 1 024
         // buckets.
         let buckets = spec.max_rows.map_or(8, |m| {
             ((m.min(1024 / BUCKETS_PER_ROW - 1) + 1) * BUCKETS_PER_ROW).next_power_of_two()
         });
-        let down = ranking.as_ref().map_or(0, |r| r.down);
-        let probe = Entry {
-            down,
-            ..Entry::default()
-        };
         Table {
-            ranking,
+            ranking: Ranking::new(spec, order),
             slots: Vec::new(),
             free: Vec::new(),
             buckets: vec![EMPTY; buckets],
-            victims: BTreeSet::new(),
+            heap: Vec::new(),
+            pos: Vec::new(),
             scratch: Slot::blank(spec),
-            probe,
             bytes: 0,
         }
     }
@@ -793,6 +650,83 @@ impl Table {
             }
         }
     }
+
+    /// Whether the row at heap index `i` is less important than the one at
+    /// `j`.
+    fn below(&self, i: usize, j: usize, now: Timestamp) -> bool {
+        let (a, b) = (self.slot(self.heap[i]), self.slot(self.heap[j]));
+        self.ranking.cmp(a, b, now).is_lt()
+    }
+
+    /// Put slot `s` at heap index `i`.
+    fn set(&mut self, i: usize, s: u32) {
+        self.heap[i] = s;
+        self.pos[s as usize] = i as u32;
+    }
+
+    fn swap(&mut self, i: usize, j: usize) {
+        let (a, b) = (self.heap[i], self.heap[j]);
+        self.set(i, b);
+        self.set(j, a);
+    }
+
+    /// Move the row at heap index `i` up while it is less important than
+    /// its parent.
+    fn sift_up(&mut self, mut i: usize, now: Timestamp) {
+        while i > 0 && self.below(i, (i - 1) / 2, now) {
+            self.swap(i, (i - 1) / 2);
+            i = (i - 1) / 2;
+        }
+    }
+
+    /// Move the row at heap index `i` down while a child is less important.
+    fn sift_down(&mut self, mut i: usize, now: Timestamp) {
+        loop {
+            let mut least = i;
+            for child in [2 * i + 1, 2 * i + 2] {
+                if child < self.heap.len() && self.below(child, least, now) {
+                    least = child;
+                }
+            }
+            if least == i {
+                return;
+            }
+            self.swap(i, least);
+            i = least;
+        }
+    }
+
+    /// Re-place held slot `s` after its row changed: whether it moved.
+    fn resift(&mut self, s: u32, now: Timestamp) -> bool {
+        let at = self.pos[s as usize] as usize;
+        self.sift_down(at, now);
+        self.sift_up(self.pos[s as usize] as usize, now);
+        self.pos[s as usize] as usize != at
+    }
+
+    /// Put the heap in order at `now` (Floyd's heapify).
+    fn heapify(&mut self, now: Timestamp) {
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, now);
+        }
+    }
+
+    /// File slot `s`, which holds a row the heap lacks.
+    fn push(&mut self, s: u32, now: Timestamp) {
+        self.heap.push(s);
+        self.set(self.heap.len() - 1, s);
+        self.sift_up(self.heap.len() - 1, now);
+    }
+
+    /// Take the least important row out of the heap: its slot.
+    fn pop(&mut self, now: Timestamp) -> u32 {
+        let least = self.heap.swap_remove(0);
+        if let Some(&last) = self.heap.first() {
+            self.set(0, last);
+            self.sift_down(0, now);
+        }
+        least
+    }
 }
 
 /// Statistics of one LAT.
@@ -806,9 +740,9 @@ pub struct LatStats {
     /// Highest row count observed after size enforcement — never exceeds
     /// `max_rows` on a bounded LAT.
     pub row_high_water: u64,
-    /// Rows whose ordering key was (re)computed to choose eviction victims:
-    /// 0 for *fixed* LATs, the rows re-filed after a rank-moving fold for
-    /// *folded* ones, every row per eviction for *clocked* ones.
+    /// Rows re-placed in the victim order: 0 for *fixed* LATs, the rows a
+    /// fold moved for *folded* ones, every row each time the order is
+    /// rebuilt (at most once per insert) for *clocked* ones.
     pub victims_examined: u64,
 }
 
@@ -944,7 +878,7 @@ impl Lat {
             .map(|a| a.source.as_ref().map(&resolve).transpose())
             .collect::<Result<_>>()?;
         let store = if spec.bounded() {
-            let table = Table::new(&spec, Self::ranking(&spec, &order));
+            let table = Table::new(&spec, &order);
             Store::Bounded(Box::new(Latched::new(table)))
         } else {
             Store::Sharded(
@@ -971,27 +905,6 @@ impl Lat {
             row_high_water: AtomicU64::new(0),
             victims_examined: AtomicU64::new(0),
         })
-    }
-
-    /// Classify a bounded LAT's ordering spec (module docs, "Bounded LATs").
-    /// One ordered by more columns than [`Entry::down`] has bits scans too.
-    fn ranking(spec: &LatSpec, order: &[(usize, bool)]) -> Option<Ranking> {
-        let n_group = spec.group_by.len();
-        let mut ordering_aggs = order
-            .iter()
-            .filter(|(col, _)| *col >= n_group)
-            .map(|(col, _)| &spec.aggregates[*col - n_group]);
-        if order.len() > 31 || ordering_aggs.clone().any(|a| a.aging.is_some()) {
-            return None;
-        }
-        let folded = ordering_aggs.next().is_some();
-        let ties = (0..n_group).filter(|g| order.iter().all(|(col, _)| col != g));
-        let cols: Vec<usize> = order.iter().map(|(col, _)| *col).chain(ties).collect();
-        let down = (0..cols.len()).fold(0, |down, pos| {
-            let reverse = order.get(pos).map_or(folded, |(_, desc)| !desc);
-            down | u32::from(reverse) << pos.min(31)
-        });
-        Some(Ranking { cols, down, folded })
     }
 
     /// Output column names (shared with evicted-row objects).
@@ -1070,7 +983,7 @@ impl Lat {
     }
 
     /// Approximate bytes held: group keys and aggregate states; on a bounded
-    /// LAT also the slots, the victim entries and the hash index.
+    /// LAT also the slots, the heap, the heap positions and the hash index.
     pub fn memory_bytes(&self) -> usize {
         match &self.store {
             Store::Sharded(shards) => shards
@@ -1080,8 +993,8 @@ impl Lat {
             Store::Bounded(table) => {
                 let t = table.read();
                 let rows: usize = t.held().map(|s| t.slot(s).bytes()).sum();
-                let entries: usize = t.victims.iter().map(Entry::bytes).sum();
-                rows + entries + t.buckets.len() * std::mem::size_of::<u64>()
+                let heap = (t.heap.len() + t.pos.len()) * std::mem::size_of::<u32>();
+                rows + heap + t.buckets.len() * std::mem::size_of::<u64>()
             }
         }
     }
@@ -1240,8 +1153,8 @@ impl Lat {
     }
 
     /// Change a held row in place (the caller holds the table's latch). On a
-    /// *folded* LAT a change that moves the row's rank re-files its entry at
-    /// once; under `max_bytes` the byte count follows the change.
+    /// *folded* LAT the row then sifts to its new place; under `max_bytes`
+    /// the byte count follows the change.
     fn modify<R>(
         &self,
         t: &mut Table,
@@ -1249,64 +1162,54 @@ impl Lat {
         now: Timestamp,
         f: impl FnOnce(&mut Slot) -> R,
     ) -> R {
-        let folded = t.ranking.as_ref().filter(|r| r.folded);
         let slot = &mut t.slots[s as usize];
-        if let Some(r) = folded {
-            t.probe.rank.assign(r, slot, now);
-            t.probe.slot = s;
-        }
         t.bytes -= self.counted(slot);
         // A failed update may still have folded the leading aggregates.
         let result = f(slot);
         t.bytes += self.counted(slot);
-        if let Some(r) = folded {
-            let moved = t.probe.rank.with_values(|was| {
-                let now_values = r.cols.iter().map(|&col| slot.value(col, now));
-                now_values.zip(was).any(|(v, was)| v.cmp(was).is_ne())
-            });
-            if moved {
-                let mut entry = t.victims.take(&t.probe).expect("every held row is filed");
-                entry.rank.assign(r, slot, now);
-                t.victims.insert(entry);
-                self.victims_examined.fetch_add(1, Ordering::Relaxed);
-            }
+        if t.ranking.class == Class::Folded && t.resift(s, now) {
+            self.victims_examined.fetch_add(1, Ordering::Relaxed);
         }
         result
     }
 
+    /// Put a *clocked* table's heap in order at `now`, once per insert: the
+    /// caller passes whether it has already.
+    fn rank(&self, t: &mut Table, now: Timestamp, ranked: &mut bool) {
+        if t.ranking.class == Class::Clocked && !*ranked {
+            t.heapify(now);
+            self.victims_examined
+                .fetch_add(t.len() as u64, Ordering::Relaxed);
+        }
+        *ranked = true;
+    }
+
     /// Take the new group built in `t.scratch` into a bounded table, then
     /// evict while over the bound; returns the evicted output rows if
-    /// `want_evicted`. A full ranked table gives the newcomer's place to its
-    /// least important row — unless the newcomer ranks below it, when the
-    /// newcomer is its own victim and never enters.
+    /// `want_evicted`. A full table gives the newcomer the root's slot —
+    /// unless the newcomer ranks below the root, when the newcomer is its
+    /// own victim and never enters.
     fn admit(&self, t: &mut Table, now: Timestamp, want: bool) -> Vec<Vec<Value>> {
-        let mut evicted = Vec::new();
-        let full = self.spec.max_rows.is_some_and(|m| t.len() >= m.max(1));
-        match &t.ranking {
-            Some(r) if full => {
-                t.probe.rank.assign(r, &t.scratch, now);
-                let least = t.victims.first().expect("every held row is filed");
-                if t.probe.cmp_rank(least).is_lt() {
-                    // Folds may have left the table over `max_bytes`: the
-                    // newcomer goes first, then `enforce` evicts as usual.
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                    evicted.extend(want.then(|| t.scratch.output(now)));
-                } else {
-                    let mut entry = t.victims.pop_first().expect("every held row is filed");
-                    evicted.extend(self.remove(t, entry.slot, now, want));
-                    entry.slot = self.place(t);
-                    std::mem::swap(&mut entry.rank, &mut t.probe.rank);
-                    t.victims.insert(entry);
-                }
+        let (mut evicted, mut ranked) = (Vec::new(), false);
+        if self.spec.max_rows.is_some_and(|m| t.len() >= m.max(1)) {
+            self.rank(t, now, &mut ranked);
+            let root = t.heap[0];
+            if t.ranking.cmp(&t.scratch, t.slot(root), now).is_lt() {
+                // Folds may have left the table over `max_bytes`: the
+                // newcomer goes first, then `enforce` evicts as usual.
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+                evicted.extend(want.then(|| t.scratch.output(now)));
+            } else {
+                evicted.extend(self.remove(t, root, now, want));
+                let s = self.place(t);
+                t.set(0, s);
+                t.sift_down(0, now);
             }
-            _ => {
-                let slot = self.place(t);
-                if let Some(r) = &t.ranking {
-                    t.victims.insert(r.entry(t.slot(slot), slot, now));
-                }
-            }
+        } else {
+            let s = self.place(t);
+            t.push(s, now);
         }
-        self.enforce(t, now, want, &mut evicted);
+        self.enforce(t, now, want, ranked, &mut evicted);
         self.settle(t);
         evicted
     }
@@ -1321,6 +1224,7 @@ impl Lat {
     fn place(&self, t: &mut Table) -> u32 {
         let s = t.free.pop().unwrap_or_else(|| {
             t.slots.push(Slot::blank(&self.spec));
+            t.pos.push(0);
             (t.slots.len() - 1) as u32
         });
         std::mem::swap(&mut t.slots[s as usize], &mut t.scratch);
@@ -1329,8 +1233,9 @@ impl Lat {
         s
     }
 
-    /// Evict the row in slot `s`, already out of the victim order: read its
-    /// output if `want_evicted`, then free the slot.
+    /// Evict the row in slot `s`, already out of the heap or about to leave
+    /// its place to the newcomer: read its output if `want_evicted`, then free
+    /// the slot.
     fn remove(&self, t: &mut Table, s: u32, now: Timestamp, want: bool) -> Option<Vec<Value>> {
         let output = want.then(|| t.slot(s).output(now));
         t.bytes -= self.counted(t.slot(s));
@@ -1340,8 +1245,16 @@ impl Lat {
         output
     }
 
-    /// Evict while over the row or byte bound — never the last row.
-    fn enforce(&self, t: &mut Table, now: Timestamp, want: bool, out: &mut Vec<Vec<Value>>) {
+    /// Evict while over the row or byte bound — never the last row. `ranked`
+    /// says whether this insert has put a *clocked* heap in order already.
+    fn enforce(
+        &self,
+        t: &mut Table,
+        now: Timestamp,
+        want: bool,
+        mut ranked: bool,
+        out: &mut Vec<Vec<Value>>,
+    ) {
         let over = |t: &Table| {
             self.spec.max_rows.is_some_and(|m| t.len() > m)
                 || self.spec.max_bytes.is_some_and(|m| t.bytes > m)
@@ -1349,34 +1262,10 @@ impl Lat {
         while t.len() > 1 && over(t) {
             // "SQLCM automatically discards the row(s) … having smallest
             // value of the ordering columns" (§4.3).
-            let s = match t.victims.pop_first() {
-                Some(least) => least.slot,
-                None => self.scan_victim(t, now),
-            };
+            self.rank(t, now, &mut ranked);
+            let s = t.pop(now);
             out.extend(self.remove(t, s, now, want));
         }
-    }
-
-    /// The *clocked* path: an aging ordering column decays with the clock, so
-    /// every row's key is computed afresh and compared with the running best.
-    /// Two key buffers for the whole scan; ties keep the first row met.
-    fn scan_victim(&self, t: &Table, now: Timestamp) -> u32 {
-        let mut best = None;
-        let mut best_key: Vec<Value> = Vec::with_capacity(self.order.len());
-        let mut key: Vec<Value> = Vec::with_capacity(self.order.len());
-        for s in t.held() {
-            key.clear();
-            key.extend(self.order.iter().map(|(col, _)| t.slot(s).value(*col, now)));
-            let less_important =
-                || cmp_importance(&self.order, |pos, _| (&key[pos], &best_key[pos])).is_lt();
-            if best.is_none() || less_important() {
-                std::mem::swap(&mut key, &mut best_key);
-                best = Some(s);
-            }
-        }
-        self.victims_examined
-            .fetch_add(t.len() as u64, Ordering::Relaxed);
-        best.expect("the table holds a row")
     }
 
     /// Look up the row whose grouping columns match `obj` (the rule engine's
@@ -1460,7 +1349,7 @@ impl Lat {
     /// Materialize all rows sorted by the ordering spec, most important first.
     pub fn rows_ordered(&self) -> Vec<Vec<Value>> {
         let mut rows = self.rows();
-        rows.sort_by(|a, b| cmp_importance(&self.order, |_, col| (&b[col], &a[col])));
+        rows.sort_by(|a, b| cmp_importance(&self.order, |col| b[col].cmp(&a[col])));
         rows
     }
 
@@ -1479,7 +1368,8 @@ impl Lat {
                 t.slots.clear();
                 t.free.clear();
                 t.buckets.fill(EMPTY);
-                t.victims.clear();
+                t.heap.clear();
+                t.pos.clear();
                 t.bytes = 0;
                 self.occupancy.store(0, Ordering::Relaxed);
             }
@@ -1539,7 +1429,7 @@ impl Lat {
                 match t.find(&group) {
                     Some(s) => {
                         self.modify(t, s, now, |slot| slot.aggs = aggs);
-                        self.enforce(t, now, false, &mut Vec::new());
+                        self.enforce(t, now, false, false, &mut Vec::new());
                         self.settle(t);
                     }
                     None => {
@@ -2021,7 +1911,7 @@ mod tests {
             .group_by("Query.Logical_Signature", "Sig")
             .aggregate(LatAggFunc::Count, "", "N")
             .max_rows(5);
-        let mut t = Table::new(&spec, None);
+        let mut t = Table::new(&spec, &[]);
         assert_eq!(t.buckets.len(), 16);
         let mut next = xorshift(7);
         let mut held: Vec<u32> = Vec::new();
@@ -2066,9 +1956,10 @@ mod tests {
         assert_eq!(row[1], Value::Float((4.0 * 10.0 + 15.0) / 11.0));
         assert!(lat.seed_row(&[Value::Int(1)], 1).is_err(), "arity checked");
     }
-    /// Occupancy, hash index and victim order describe the same rows, every
-    /// entry is filed under its row's current rank, and the running byte
-    /// count equals a from-scratch sum.
+    /// Occupancy, hash index and heap describe the same rows, each held slot
+    /// is in the heap exactly once at the index `pos` gives, a non-*clocked*
+    /// heap is in order, and the running byte count equals a from-scratch
+    /// sum.
     fn assert_consistent(lat: &Lat) {
         let table = match &lat.store {
             Store::Sharded(shards) => {
@@ -2089,16 +1980,16 @@ mod tests {
                 "index misses a row"
             );
         }
-        if let Some(r) = &table.ranking {
-            assert_eq!(
-                table.victims.len(),
-                held.len(),
-                "victim order vs hash index"
-            );
-            for e in &table.victims {
-                assert!(held.contains(&e.slot), "entry for free slot {}", e.slot);
-                let current = r.entry(table.slot(e.slot), e.slot, 0);
-                assert!(current == *e, "slot {} filed under a stale rank", e.slot);
+        // `pos[heap[i]] == i` makes the heap's slots distinct: with the
+        // lengths equal, every held slot is in it exactly once.
+        assert_eq!(table.heap.len(), held.len(), "heap vs hash index");
+        for (i, &s) in table.heap.iter().enumerate() {
+            assert!(held.contains(&s), "heap names free slot {s}");
+            assert_eq!(table.pos[s as usize] as usize, i, "pos of slot {s}");
+        }
+        if table.ranking.class != Class::Clocked {
+            for i in 1..table.heap.len() {
+                assert!(!table.below(i, (i - 1) / 2, 0), "heap order at {i}");
             }
         }
         if lat.spec.max_bytes.is_some() {
@@ -2221,8 +2112,8 @@ mod tests {
         let lat = Lat::new(spec, clock).unwrap();
         lat.insert(&qobj(1, 1.0)).unwrap();
         lat.insert(&qobj(2, 5.0)).unwrap();
-        // A fold moves group 1's rank from 1.0 to 3.0: its entry is re-filed
-        // under the table latch, before anything else can evict.
+        // A fold moves group 1's rank from 1.0 to 3.0: its row is re-placed
+        // in the heap under the table latch, before anything else can evict.
         lat.insert(&qobj(1, 3.0)).unwrap();
         assert_consistent(&lat);
         let evicted = lat.insert(&qobj(3, 4.0)).unwrap();
@@ -2321,7 +2212,7 @@ mod tests {
         }
         // Group 3 was the most important; its MIN falls below everyone's.
         lat.insert(&qobj(3, 1.0)).unwrap();
-        assert_eq!(lat.stats().victims_examined, 1, "one re-filed row");
+        assert_eq!(lat.stats().victims_examined, 1, "one moved row");
         assert_consistent(&lat);
         let evicted = lat.insert(&qobj(4, 15.0)).unwrap();
         assert_eq!(evicted, vec![vec![Value::Int(3), Value::Float(1.0)]]);
@@ -2385,6 +2276,38 @@ mod tests {
         assert_eq!(lat.insert(&qobj(4, 1.0)).unwrap(), row(5));
         assert_eq!(lat.insert(&qobj(6, 1.0)).unwrap(), row(6));
         assert_eq!(sigs(&lat), vec![3, 4]);
+    }
+
+    /// A clocked LAT breaks ties as a folded one does, whatever the hash
+    /// order: two groups with different counts age to a tie at 0, and a
+    /// newcomer evicts the larger key of the pair.
+    #[test]
+    fn clocked_ties_evict_the_larger_key() {
+        let (clock, handle) = ManualClock::shared(0);
+        let spec = LatSpec::new("ClockedTies")
+            .group_by("Query.Logical_Signature", "Sig")
+            .aggregate(LatAggFunc::Count, "", "N")
+            .aging(1_000, 100)
+            .order_by("N", true)
+            .max_rows(2);
+        let lat = Lat::new(spec, clock).unwrap();
+        let mut next = xorshift(0xC10C);
+        for pair in 0..16 {
+            let (a, b) = (next(1 << 20) as i64, next(1 << 20) as i64);
+            if a == b {
+                continue;
+            }
+            lat.reset();
+            for _ in 0..1 + pair % 3 {
+                lat.insert(&qobj(a, 1.0)).unwrap();
+            }
+            lat.insert(&qobj(b, 1.0)).unwrap();
+            handle.advance(2_000);
+            let evicted = lat.insert(&qobj(-1, 1.0)).unwrap();
+            let row = vec![vec![Value::Int(a.max(b)), Value::Int(0)]];
+            assert_eq!(evicted, row, "pair {pair}: {a} and {b} tie at 0");
+            assert_eq!(sigs(&lat), vec![-1, a.min(b)]);
+        }
     }
 
     #[test]
@@ -2457,7 +2380,9 @@ mod tests {
         }
         let stats = lat.stats();
         assert_eq!(stats.evictions, (GROUPS as u64) - ROWS as u64);
-        assert!(stats.victims_examined > 0, "re-filed rows are counted");
+        // Each new group is the most important and sinks to a leaf, where
+        // raising its MAX leaves it: no fold moves a row.
+        assert_eq!(stats.victims_examined, 0, "no row moved");
         assert!(
             stats.victims_examined <= key_changing_folds,
             "{} rows re-filed for {key_changing_folds} key-changing folds",
@@ -2469,7 +2394,8 @@ mod tests {
             (GROUPS - ROWS as i64..GROUPS).collect::<Vec<_>>()
         );
 
-        // Clocked: an aging ordering column keeps the scan — n per eviction.
+        // Clocked: an aging ordering column re-ranks every row held before a
+        // newcomer that may evict enters — n per full insert.
         let spec = LatSpec::new("Clocked")
             .group_by("Query.Logical_Signature", "Sig")
             .aggregate(LatAggFunc::Count, "", "N")
@@ -2481,7 +2407,11 @@ mod tests {
             lat.insert(&qobj(sig, 1.0)).unwrap();
         }
         assert_eq!(lat.stats().evictions, 2);
-        assert_eq!(lat.stats().victims_examined, 2 * 4, "4 rows scanned twice");
+        assert_eq!(
+            lat.stats().victims_examined,
+            2 * 3,
+            "3 rows re-ranked twice"
+        );
     }
 
     #[test]
@@ -2507,26 +2437,23 @@ mod tests {
         let unbounded = fill(spec(None, "Sig"));
         let fixed = fill(spec(Some(8), "Sig"));
         let folded = fill(spec(Some(8), "D"));
-        // A bounded row is a slot in place of a latched row, plus a victim
-        // entry whose rank is inline: one number (Sig) or two (D, then Sig to
-        // break ties). The table's hash index has room for the 8 rows and a
-        // newcomer within the load bound, in a power of two of buckets.
-        assert_eq!(std::mem::size_of::<Rank>(), 24);
-        assert_eq!(std::mem::size_of::<Entry>(), 32);
-        let row = std::mem::size_of::<Slot>() - 48 + std::mem::size_of::<Entry>();
+        // A bounded row is a slot in place of a latched row, plus its heap
+        // entry and its heap position, a `u32` each, whatever it is ranked
+        // by. The table's hash index has room for the 8 rows and a newcomer
+        // within the load bound, in a power of two of buckets.
+        let row = std::mem::size_of::<Slot>() - 48 + 2 * std::mem::size_of::<u32>();
         let buckets = ((8 + 1) * BUCKETS_PER_ROW).next_power_of_two();
         let index = buckets * std::mem::size_of::<u64>();
         assert_eq!(fixed, unbounded + 8 * row + index);
-        assert_eq!(folded, fixed, "two numbers are still inline");
+        assert_eq!(folded, fixed, "one footprint for every class");
     }
 
-    /// `Entry::cmp_rank` compares two inline ranks of the same kinds by
-    /// their order-preserving keys, and every other pair through
-    /// `Value::cmp`. The victim order is one order only if the two agree:
-    /// over edge values of each kind, in both directions and either
-    /// direction bit, the key path answers what the values do.
+    /// The heap compares rows by `Value::cmp`, in each ordering column's own
+    /// direction: over edge values of each kind, seeded in a scrambled order
+    /// into a LAT of every size up to their number, what stays is the `k`
+    /// most important by a sort of the values themselves.
     #[test]
-    fn inline_rank_keys_order_as_their_values() {
+    fn the_heap_keeps_the_most_important_edge_values() {
         let ints = [i64::MIN, -2, -1, 0, 1, i64::MAX].map(Value::Int);
         let floats = [
             f64::NEG_INFINITY,
@@ -2544,37 +2471,46 @@ mod tests {
         ]
         .map(Value::Float);
         let stamps = [0, 1, u64::MAX >> 1, u64::MAX].map(Value::Timestamp);
-        let entry = |a: &Value, b: &Value, down: u32| {
-            let ((k0, b0), (k1, b1)) = (Kind::of(a).unwrap(), Kind::of(b).unwrap());
-            let (len, kinds, bits, slot) = (2, [k0, k1], [b0, b1], 0);
-            let rank = Rank::Inline(Nums { len, kinds, bits });
-            Entry { rank, slot, down }
-        };
+        let mut next = xorshift(11);
         for vals in [&ints[..], &floats[..], &stamps[..]] {
-            for (a, b) in vals.iter().flat_map(|a| vals.iter().map(move |b| (a, b))) {
-                for down in 0..4 {
-                    let by_values = match down & 1 {
-                        0 => a.cmp(b),
-                        _ => b.cmp(a),
-                    };
-                    // Equal first values fall to the second, which differ.
-                    let (x, y) = (entry(a, &ints[0], down), entry(b, &ints[5], down));
-                    let want = by_values.then(match down & 2 {
-                        0 => Cmp::Less,
-                        _ => Cmp::Greater,
+            for desc in [true, false] {
+                for k in 1..=vals.len() {
+                    let (clock, _) = ManualClock::shared(0);
+                    let spec = LatSpec::new("Edges")
+                        .group_by("Query.Logical_Signature", "Sig")
+                        .aggregate(LatAggFunc::Max, "Query.Duration", "D")
+                        .order_by("D", desc)
+                        .max_rows(k);
+                    let lat = Lat::new(spec, clock).unwrap();
+                    let mut order: Vec<usize> = (0..vals.len()).collect();
+                    for i in (1..order.len()).rev() {
+                        order.swap(i, next(i as u64 + 1) as usize);
+                    }
+                    for &i in &order {
+                        lat.seed_row(&[Value::Int(i as i64), vals[i].clone()], 1)
+                            .unwrap();
+                        assert_consistent(&lat);
+                    }
+                    // Most important first; equal values keep the smaller key.
+                    let mut want: Vec<usize> = (0..vals.len()).collect();
+                    want.sort_by(|&a, &b| match desc {
+                        true => vals[b].cmp(&vals[a]),
+                        false => vals[a].cmp(&vals[b]),
                     });
-                    assert_eq!(x.cmp_rank(&y), want, "{a:?} vs {b:?}, down {down}");
-                    assert_eq!(x.rank.with_values(|v| v[0].cmp(a)), Cmp::Equal);
+                    want.truncate(k);
+                    want.sort_unstable();
+                    let want: Vec<i64> = want.into_iter().map(|i| i as i64).collect();
+                    assert_eq!(sigs(&lat), want, "{vals:?} desc {desc}, k {k}");
                 }
             }
         }
     }
 
     #[test]
-    fn multi_column_keys_and_boxed_ranks_stay_in_step() {
-        // Two grouping columns take the owned-key probe; two ordering columns
-        // make every filed rank a boxed one, whose bytes are counted as the
-        // entries come and go.
+    fn multi_column_keys_and_the_heap_stay_in_step() {
+        // Two grouping columns take the owned-key probe; two ordering
+        // columns, a folded one and a grouping one in the other direction,
+        // and a tie-break column make the comparator read three columns.
         let (clock, _) = ManualClock::shared(0);
         let spec = LatSpec::new("Multi")
             .group_by("Query.Logical_Signature", "Sig")
@@ -2591,27 +2527,16 @@ mod tests {
         assert_eq!(sigs(&lat), vec![1, 2], "3 and 4 had the lowest count");
         let row = lat.lookup_for(&qobj(1, 0.0)).unwrap();
         assert_eq!(row[2], Value::Int(3), "three folds into one group");
-        let boxed = |lat: &Lat| {
-            let Store::Bounded(table) = &lat.store else {
-                unreachable!("a bounded LAT")
-            };
-            let t = table.read();
-            let entries = t.victims.iter().map(Entry::bytes).sum::<usize>();
-            entries - t.victims.len() * std::mem::size_of::<Entry>()
-        };
-        let filed = boxed(&lat);
-        assert!(filed > 0);
-        // A fold re-files its row at once, in the box it had.
+        // A fold re-places its row at once, in the heap it had.
         let before = lat.memory_bytes();
         lat.insert(&qobj(2, 1.0)).unwrap();
         assert_consistent(&lat);
         assert_eq!(lat.memory_bytes(), before);
-        // Re-seeding a held group re-files its entry; reset drops them all.
+        // Re-seeding a held group re-places it; reset empties the heap.
         let usr = row[1].clone();
         lat.seed_row(&[Value::Int(1), usr, Value::Int(9)], 1)
             .unwrap();
         assert_consistent(&lat);
-        assert_eq!(boxed(&lat), filed);
         assert_eq!(lat.memory_bytes(), before);
         lat.reset();
         assert_consistent(&lat);

@@ -444,8 +444,7 @@ mod tests {
         let engine = Engine::new(EngineConfig {
             history: HistoryMode::Disabled,
             ..Default::default()
-        })
-        .unwrap();
+        });
         engine
             .execute_batch("CREATE TABLE t (id INT PRIMARY KEY, v INT);")
             .unwrap();
@@ -756,8 +755,7 @@ mod tests {
         let engine = Engine::new(EngineConfig {
             clock: Some(clock),
             ..Default::default()
-        })
-        .unwrap();
+        });
         engine
             .execute_batch("CREATE TABLE beats (name TEXT, at TIMESTAMP);")
             .unwrap();
@@ -1083,8 +1081,7 @@ mod tests {
         let engine = Engine::new(EngineConfig {
             clock: Some(clock),
             ..Default::default()
-        })
-        .unwrap();
+        });
         engine
             .execute_batch(
                 "CREATE TABLE t (id INT PRIMARY KEY, v INT);\

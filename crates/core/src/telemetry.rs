@@ -332,9 +332,9 @@ pub struct LatTelemetry {
     pub inserts: u64,
     pub evictions: u64,
     pub resets: u64,
-    /// Rows whose ordering key was (re)computed to choose eviction victims
-    /// (see [`crate::lat::LatStats::victims_examined`]): stays 0 when the
-    /// victim order does all the work.
+    /// Rows re-placed in the victim order (see
+    /// [`crate::lat::LatStats::victims_examined`]): stays 0 when no row's
+    /// place can change.
     pub victims_examined: u64,
     /// Aging-window block rolls (§4.3).
     pub aging_rolls: u64,

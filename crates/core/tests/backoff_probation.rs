@@ -22,8 +22,7 @@ fn manual_setup() -> (Engine, Sqlcm, std::sync::Arc<ManualClock>) {
     let engine = Engine::new(EngineConfig {
         clock: Some(clock),
         ..Default::default()
-    })
-    .unwrap();
+    });
     let sqlcm = Sqlcm::attach(&engine);
     (engine, sqlcm, handle)
 }

@@ -19,8 +19,7 @@ fn manual_monitor() -> (Engine, Sqlcm, Arc<ManualClock>) {
     let engine = Engine::new(EngineConfig {
         clock: Some(clock),
         ..Default::default()
-    })
-    .unwrap();
+    });
     let sqlcm = Sqlcm::attach(&engine);
     (engine, sqlcm, handle)
 }

@@ -49,8 +49,7 @@ impl Pair {
         let engine = Engine::new(EngineConfig {
             clock: Some(clock.clone()),
             ..Default::default()
-        })
-        .unwrap();
+        });
         // Where eviction rules persist the evicted row; created before the
         // monitor attaches, so its DDL raises no event only one side sees.
         engine

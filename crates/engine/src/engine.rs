@@ -68,7 +68,7 @@ pub struct Engine {
 }
 
 impl Engine {
-    pub fn new(config: EngineConfig) -> Result<Engine> {
+    pub fn new(config: EngineConfig) -> Engine {
         let clock = config.clock.unwrap_or_else(SystemClock::shared);
         let pool = Arc::new(BufferPool::new(InMemoryDisk::shared(), BUFFER_POOL_FRAMES));
         let monitors = Arc::new(Multicast::new());
@@ -79,7 +79,7 @@ impl Engine {
             HistoryMode::Unbounded => Some(HistoryBuffer::new(None)),
             HistoryMode::Bounded(n) => Some(HistoryBuffer::new(Some(n))),
         };
-        Ok(Engine {
+        Engine {
             inner: Arc::new(EngineInner {
                 catalog: Catalog::new(pool),
                 locks,
@@ -92,12 +92,12 @@ impl Engine {
                 next_txn_id: AtomicU64::new(1),
                 next_session_id: AtomicU64::new(1),
             }),
-        })
+        }
     }
 
     /// Default in-memory engine.
     pub fn in_memory() -> Engine {
-        Engine::new(EngineConfig::default()).expect("in-memory engine cannot fail")
+        Engine::new(EngineConfig::default())
     }
 
     /// Shared internals — the handle `sqlcm-core` and the baselines hold.

@@ -174,6 +174,21 @@ fn build_logical_ordered(
     for j in &stmt.joins {
         conjuncts.extend(split_conjuncts(&j.on));
     }
+    // An aggregate call has no group to fold over in WHERE or ON.
+    let mut misplaced = None;
+    for c in &conjuncts {
+        c.walk(&mut |sub| match sub {
+            Expr::FuncCall { name, args, star } if agg_func(name, args, *star) != Ok(None) => {
+                misplaced.get_or_insert_with(|| {
+                    Error::Parse(format!("aggregate {sub} in WHERE or JOIN ... ON"))
+                });
+            }
+            _ => {}
+        });
+    }
+    if let Some(e) = misplaced {
+        return Err(e);
+    }
     let mut single: Vec<Vec<Expr>> = vec![Vec::new(); relations.len()];
     let mut multi: Vec<Expr> = Vec::new();
     for c in conjuncts {

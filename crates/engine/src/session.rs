@@ -596,8 +596,7 @@ mod tests {
         let e = Engine::new(EngineConfig {
             history: HistoryMode::Unbounded,
             ..Default::default()
-        })
-        .unwrap();
+        });
         e.execute_batch(
             "CREATE TABLE items (id INT PRIMARY KEY, name TEXT, qty INT, price FLOAT);",
         )
@@ -1051,8 +1050,7 @@ mod tests {
             history: HistoryMode::Unbounded,
             lock_wait_timeout: std::time::Duration::from_millis(200),
             ..Default::default()
-        })
-        .unwrap();
+        });
         e.execute_batch(
             "CREATE TABLE items (id INT PRIMARY KEY, name TEXT, qty INT, price FLOAT);\
              INSERT INTO items VALUES (1, 'x', 1, 1.0);",
@@ -1127,5 +1125,33 @@ mod tests {
         // Well-formed calls still plan.
         let r = s.execute("SELECT COUNT(*), SUM(v) FROM one").unwrap();
         assert_eq!(r.rows, vec![vec![Value::Int(1), Value::Float(10.0)]]);
+    }
+
+    #[test]
+    fn aggregates_in_where_or_on_fail_to_plan() {
+        let e = engine();
+        e.execute_batch(
+            "CREATE TABLE nothing (id INT PRIMARY KEY, v INT);\
+             CREATE TABLE one (id INT PRIMARY KEY, v INT);\
+             INSERT INTO one VALUES (1, 10);",
+        )
+        .unwrap();
+        let mut s = e.connect("a", "b");
+        for t in ["nothing", "one"] {
+            for sql in [
+                format!("SELECT id FROM {t} WHERE SUM(v) > 0"),
+                format!("SELECT a.id FROM {t} a JOIN {t} b ON a.id = b.id AND COUNT(*) > 0"),
+            ] {
+                let got = s.execute(&sql);
+                assert!(matches!(got, Err(Error::Parse(_))), "{sql}: {got:?}");
+            }
+        }
+        // A scalar call in WHERE and an aggregate in HAVING still plan.
+        let r = s.execute("SELECT id FROM one WHERE ABS(v) > 0").unwrap();
+        assert_eq!(r.rows, vec![vec![Value::Int(1)]]);
+        let r = s
+            .execute("SELECT id FROM one GROUP BY id HAVING SUM(v) > 0")
+            .unwrap();
+        assert_eq!(r.rows, vec![vec![Value::Int(1)]]);
     }
 }

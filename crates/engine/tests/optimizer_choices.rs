@@ -5,7 +5,7 @@ use sqlcm_common::Value;
 use sqlcm_engine::{Engine, EngineConfig};
 
 fn engine_with_skewed_tables() -> Engine {
-    let e = Engine::new(EngineConfig::default()).unwrap();
+    let e = Engine::new(EngineConfig::default());
     e.execute_batch(
         "CREATE TABLE big (id INT PRIMARY KEY, k INT, pad TEXT);\
          CREATE TABLE tiny (k INT PRIMARY KEY, label TEXT);",

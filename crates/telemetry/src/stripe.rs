@@ -268,16 +268,22 @@ impl<T: Clone> LaneRing<T> {
         self.merged().into_iter().map(|(_, item)| item).collect()
     }
 
-    /// [`LaneRing::snapshot`] with each item's merge key.
+    /// [`LaneRing::snapshot`] with each item's merge key. Every lane's guard
+    /// is held, taken in index order, while the keys are sorted, so only the
+    /// items returned are cloned.
     fn merged(&self) -> Vec<((Stamp, u64, usize), T)> {
-        let mut all = Vec::new();
-        for (lane, ring) in self.rings().enumerate() {
-            let items = ring.slots.iter();
-            all.extend(items.map(|(at, seq, item)| ((*at, *seq, lane), item.clone())));
+        let rings: Vec<_> = self.rings().collect();
+        let mut keys: Vec<((Stamp, u64, usize), usize)> = Vec::new();
+        for (lane, ring) in rings.iter().enumerate() {
+            let items = ring.slots.iter().enumerate();
+            keys.extend(items.map(|(i, (at, seq, _))| ((*at, *seq, lane), i)));
         }
-        all.sort_unstable_by_key(|(key, _)| *key);
-        let hidden = all.len().saturating_sub(self.capacity);
-        all.split_off(hidden)
+        keys.sort_unstable();
+        let hidden = keys.len().saturating_sub(self.capacity);
+        keys[hidden..]
+            .iter()
+            .map(|&(key, i)| (key, rings[key.2].slots[i].2.clone()))
+            .collect()
     }
 }
 
@@ -372,6 +378,45 @@ mod tests {
         }
         assert_eq!(ring.snapshot(), [4, 5, 6], "newest three of both lanes");
         assert_eq!((ring.len(), ring.recorded()), (3, 6));
+    }
+
+    static CLONES: AtomicU64 = AtomicU64::new(0);
+
+    /// A thread's `i`-th item, which counts its clones in `CLONES`.
+    #[derive(Debug, Default, PartialEq)]
+    struct Counted(u32, u32);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Counted {
+            CLONES.fetch_add(1, Ordering::Relaxed);
+            Counted(self.0, self.1)
+        }
+    }
+
+    #[test]
+    fn a_merged_read_clones_only_what_it_returns() {
+        let ring = LaneRing::new(16);
+        std::thread::scope(|s| {
+            for t in 0..4u32 {
+                let ring = &ring;
+                s.spawn(move || (0..100u32).for_each(|i| put(ring, Counted(t, i))));
+            }
+        });
+        // The newest 16 of every lane's items, oldest first, by (merge
+        // stamp, lane-local sequence, lane), read without a clone.
+        let mut held = Vec::new();
+        for (lane, ring) in ring.rings().enumerate() {
+            let items = ring.slots.iter();
+            held.extend(items.map(|(at, seq, c)| ((*at, *seq, lane), (c.0, c.1))));
+        }
+        held.sort_unstable();
+        let newest = held[held.len().saturating_sub(16)..].iter();
+        let want: Vec<Counted> = newest.map(|&(_, (t, i))| Counted(t, i)).collect();
+        let before = CLONES.load(Ordering::Relaxed);
+        let snap = ring.snapshot();
+        let clones = CLONES.load(Ordering::Relaxed) - before;
+        assert_eq!((clones, snap.len()), (16, 16));
+        assert_eq!(snap, want);
     }
 
     /// A `u8` whose clone panics when it is 0.

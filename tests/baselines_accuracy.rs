@@ -11,8 +11,7 @@ fn history_engine() -> (Engine, sqlcm_repro::workloads::TpchDb) {
     let engine = Engine::new(EngineConfig {
         history: HistoryMode::Unbounded,
         ..Default::default()
-    })
-    .unwrap();
+    });
     let db = tpch::load(
         &engine,
         tpch::TpchConfig {

@@ -12,8 +12,7 @@ fn engine() -> Engine {
     let e = Engine::new(EngineConfig {
         lock_wait_timeout: Duration::from_secs(5),
         ..Default::default()
-    })
-    .unwrap();
+    });
     e.execute_batch("CREATE TABLE acc (id INT PRIMARY KEY, bal INT);")
         .unwrap();
     let mut s = e.connect("setup", "t");
@@ -83,8 +82,7 @@ fn lock_timeout_reports_resource() {
     let e = Engine::new(EngineConfig {
         lock_wait_timeout: Duration::from_millis(80),
         ..Default::default()
-    })
-    .unwrap();
+    });
     e.execute_batch("CREATE TABLE t (id INT PRIMARY KEY, v INT);")
         .unwrap();
     e.query("SELECT 1").unwrap();

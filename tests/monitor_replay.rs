@@ -26,8 +26,7 @@ fn replay(log: &[EngineEvent], catalog: [RuleCatalog; 2]) -> u64 {
     let engine = Engine::new(EngineConfig {
         clock: Some(clock.clone()),
         ..Default::default()
-    })
-    .unwrap();
+    });
     let real = Sqlcm::attach(&engine);
     let reference = ReferenceMonitor::new(clock);
     let [for_real, for_reference] = catalog;

@@ -147,8 +147,7 @@ fn example3_topk_matches_ground_truth() {
     let engine = Engine::new(Cfg {
         history: HistoryMode::Unbounded,
         ..Default::default()
-    })
-    .unwrap();
+    });
     let db = small_db(&engine);
     let sqlcm = Sqlcm::attach(&engine);
     sqlcm.define_topk_duration_lat("TopK", 5).unwrap();
@@ -205,8 +204,7 @@ fn example4_timer_persist_cycle() {
     let engine = Engine::new(Cfg {
         clock: Some(clock),
         ..Default::default()
-    })
-    .unwrap();
+    });
     engine
         .execute_batch(
             "CREATE TABLE t (id INT PRIMARY KEY, v INT);\
@@ -384,8 +382,7 @@ fn table_class_watchdog_rule() {
     let engine = Engine::new(Cfg {
         clock: Some(clock),
         ..Default::default()
-    })
-    .unwrap();
+    });
     engine
         .execute_batch(
             "CREATE TABLE small (id INT PRIMARY KEY, v INT);\
