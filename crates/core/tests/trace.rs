@@ -673,3 +673,112 @@ fn a_lat_guard_prune_names_a_missing_row() {
         Some("pruned by LAT guard: no Sig_LAT row")
     );
 }
+
+/// Every action kind runs under its own span label, in the text tree and in
+/// the Chrome export, in the rule's action order; and an `Insert` or
+/// `PersistLat` keeps the LAT handle it was registered with when its LAT is
+/// dropped and defined again under the same name.
+#[test]
+fn every_action_kind_is_traced_under_its_label_and_keeps_its_lat() {
+    let engine = Engine::in_memory();
+    engine
+        .execute_batch(
+            "CREATE TABLE lat_out (sig INT, n INT, at TIMESTAMP); \
+             CREATE TABLE query_out (id INT);",
+        )
+        .unwrap();
+    let sqlcm = Sqlcm::attach(&engine);
+    let spec = |name: &str| {
+        LatSpec::new(name)
+            .group_by("Query.Logical_Signature", "Sig")
+            .aggregate(LatAggFunc::Count, "", "N")
+    };
+    let bound = sqlcm.define_lat(spec("Counts")).unwrap();
+    let cleared = sqlcm.define_lat(spec("Scratch")).unwrap();
+    sqlcm
+        .add_rule(
+            Rule::new("all_actions")
+                .on(RuleEvent::QueryCommit)
+                // Not the engine's own queries that read the tables back.
+                .when("Query.Logical_Signature = 1")
+                .then(Action::insert("Counts"))
+                .then(Action::reset("Scratch"))
+                .then(Action::persist_lat("lat_out", "Counts"))
+                .then(Action::persist_object("query_out", "Query", &["ID"]))
+                .then(Action::send_mail("dba", "commit {Query.ID}"))
+                .then(Action::run_external("notify {Query.ID}"))
+                .then(Action::cancel("Query"))
+                .then(Action::set_timer("later", 1_000_000, 1)),
+        )
+        .unwrap();
+    sqlcm.configure(MonitorConfig {
+        trace_sampling: TraceSampling::EveryNth(1),
+        ..sqlcm.config()
+    });
+    sqlcm.inject_event(&commit_event(1, 0.5));
+
+    let labels = [
+        "Insert",
+        "Reset",
+        "PersistLat",
+        "PersistObject",
+        "SendMail",
+        "RunExternal",
+        "Cancel",
+        "SetTimer",
+    ];
+    let traces = sqlcm.traces();
+    assert_eq!(traces.len(), 1);
+    let t = &traces[0];
+    assert_well_formed(t);
+    let spans: Vec<(&str, bool)> = t
+        .spans
+        .iter()
+        .filter_map(|s| match &s.kind {
+            SpanKind::Action { action, ok } => Some((*action, *ok)),
+            _ => None,
+        })
+        .collect();
+    let expected: Vec<(&str, bool)> = labels.iter().map(|&l| (l, true)).collect();
+    assert_eq!(spans, expected);
+    let tree = t.to_text_tree();
+    let in_tree: Vec<&str> = tree
+        .lines()
+        .filter_map(|line| line.trim_start().strip_prefix("action "))
+        .map(|rest| rest.split(' ').next().unwrap())
+        .collect();
+    assert_eq!(in_tree, labels, "{tree}");
+    assert!(tree.contains("action SetTimer ok"), "{tree}");
+
+    let doc = parse_json(&t.to_chrome_json()).expect("valid JSON");
+    let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+    let in_json: Vec<&str> = events
+        .iter()
+        .filter(|e| e.get("cat").and_then(Json::as_str) == Some("action"))
+        .map(|e| e.get("name").and_then(Json::as_str).unwrap())
+        .collect();
+    assert_eq!(in_json, labels);
+
+    // The actions ran: the LAT row, both tables' rows, the mail and the
+    // command are there.
+    assert_eq!(bound.rows().len(), 1);
+    assert!(cleared.rows().is_empty());
+    for table in ["lat_out", "query_out"] {
+        let n = engine
+            .query(&format!("SELECT COUNT(*) FROM {table}"))
+            .unwrap();
+        assert_eq!(n[0][0], 1.into(), "{table}");
+    }
+    assert_eq!(sqlcm.outbox().len(), 1);
+    assert_eq!(sqlcm.command_log().commands(), ["notify 1"]);
+    assert_eq!(sqlcm.stats().action_errors, 0);
+
+    // Drop `Counts` and define it again: the registered `Insert` still
+    // writes the handle it was bound to, and the new LAT stays empty.
+    assert!(sqlcm.drop_lat("Counts"));
+    let fresh = sqlcm.define_lat(spec("Counts")).unwrap();
+    sqlcm.inject_event(&commit_event(1, 0.5));
+    assert_eq!(bound.rows(), vec![vec![1.into(), 2.into()]]);
+    assert!(fresh.rows().is_empty());
+    assert_eq!(sqlcm.stats().action_errors, 0);
+}
