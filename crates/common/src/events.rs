@@ -321,22 +321,9 @@ impl EngineEvent {
         }
     }
 
-    /// Short stable name used in logs and tests.
+    /// Short stable name used in logs and tests: its probe's.
     pub fn name(&self) -> &'static str {
-        match self {
-            EngineEvent::QueryStart(_) => "Query.Start",
-            EngineEvent::QueryCompile(_) => "Query.Compile",
-            EngineEvent::QueryCommit(_) => "Query.Commit",
-            EngineEvent::QueryRollback(_) => "Query.Rollback",
-            EngineEvent::QueryCancel(_) => "Query.Cancel",
-            EngineEvent::QueryBlocked(_) => "Query.Blocked",
-            EngineEvent::BlockReleased(_) => "Query.Block_Released",
-            EngineEvent::TxnBegin(_) => "Transaction.Begin",
-            EngineEvent::TxnCommit(_) => "Transaction.Commit",
-            EngineEvent::TxnRollback(_) => "Transaction.Rollback",
-            EngineEvent::Login(_) => "Session.Login",
-            EngineEvent::Logout(_) => "Session.Logout",
-        }
+        self.kind().name()
     }
 
     /// The query payload, when this event concerns a single query.

@@ -12,11 +12,11 @@ use sqlcm_common::{Error, Result};
 
 use sqlcm_analyze::{rule_guard, Analyzer, Code, Diagnostic};
 
-use crate::actions::{persist_rows, read_table, Action};
+use crate::actions::{persist_rows, read_table};
 use crate::containment::RuleBreaker;
 use crate::lat::{Lat, LatAggFunc, LatSpec};
-use crate::plan::{Change, CompiledAction, Registered};
-use crate::rules::{Rule, RuleEvent};
+use crate::plan::{Change, Registered};
+use crate::rules::Rule;
 
 use super::{Sqlcm, SqlcmInner};
 
@@ -316,7 +316,7 @@ impl Sqlcm {
         // The analyzer denied unqualified columns (E001) above.
         let (cond_classes, cond_lats) = ir.refs();
         let cond_lats_lc: Vec<String> = cond_lats.iter().map(|l| l.to_ascii_lowercase()).collect();
-        let (compiled, compiled_actions) = {
+        let (compiled, action_lats) = {
             let lats = self.inner.lats_read();
             for l in &cond_lats {
                 if !lats.contains_key(&l.to_ascii_lowercase()) {
@@ -326,8 +326,8 @@ impl Sqlcm {
                     )));
                 }
             }
-            // Every action becomes its compiled variant; a LAT target is
-            // resolved to its handle here or the registration fails.
+            // An action's LAT is resolved to its handle here or the
+            // registration fails.
             let lat_of = |name: &str| {
                 lats.get(&name.to_ascii_lowercase())
                     .cloned()
@@ -335,50 +335,10 @@ impl Sqlcm {
                         Error::Monitor(format!("rule {} targets unknown LAT {name}", rule.name))
                     })
             };
-            let compiled_actions = rule
+            let action_lats = ir
                 .actions
                 .iter()
-                .map(|a| {
-                    Ok(match a.clone() {
-                        Action::Insert { lat } => {
-                            let lat = lat_of(&lat)?;
-                            CompiledAction::Insert {
-                                eviction_event: RuleEvent::LatEviction(lat.spec.name.clone()),
-                                lat,
-                            }
-                        }
-                        Action::Reset { lat } => CompiledAction::Reset(lat_of(&lat)?),
-                        Action::PersistLat { table, lat } => CompiledAction::PersistLat {
-                            table,
-                            lat: lat_of(&lat)?,
-                        },
-                        Action::PersistObject {
-                            table,
-                            class,
-                            attrs,
-                        } => CompiledAction::PersistObject {
-                            table,
-                            class,
-                            attrs,
-                        },
-                        Action::SendMail { to, template } => {
-                            CompiledAction::SendMail { to, template }
-                        }
-                        Action::RunExternal { template } => {
-                            CompiledAction::RunExternal { template }
-                        }
-                        Action::Cancel { class } => CompiledAction::Cancel { class },
-                        Action::SetTimer {
-                            timer,
-                            period_micros,
-                            number_alarms,
-                        } => CompiledAction::SetTimer {
-                            timer,
-                            period_micros,
-                            number_alarms,
-                        },
-                    })
-                })
+                .map(|a| a.lat_refs().map(lat_of).transpose())
                 .collect::<Result<Vec<_>>>()?;
             // Resolve the folded condition's references against the live
             // LATs. The fold delta feeds the `folded_ops` telemetry counter.
@@ -394,7 +354,7 @@ impl Sqlcm {
                     crate::ir::CondIr::from_ir(folded, &lats, &cond_lats_lc).map(Arc::new)
                 })
                 .transpose()?;
-            (compiled_cond, compiled_actions)
+            (compiled_cond, action_lats)
         };
         // One clock per event class: share the one its rules already tick.
         let plan = self.inner.plan.load();
@@ -411,7 +371,7 @@ impl Sqlcm {
             guard,
             lat_guard,
             decides,
-            actions: compiled_actions,
+            action_lats,
             cond_classes,
             cond_lats: cond_lats_lc,
             breaker: RuleBreaker::default(),

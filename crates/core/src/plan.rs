@@ -14,7 +14,7 @@
 //!
 //! * `wants()` / `on_event` consult a packed [`ProbeMask`] interest bit;
 //! * per event the plan holds the precompiled rule slice in registration
-//!   order, with pre-resolved LAT handles and `CompiledAction`s;
+//!   order, with the LAT handles its conditions and actions resolved;
 //! * rules on the same event whose conditions read the same LAT share one
 //!   **hoist slot** (`HoistSlot`): the row snapshot is fetched once per
 //!   event and reused across their condition evaluations — the paper's
@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sqlcm_analyze::{Guard, LatGuard, RuleIr};
+use sqlcm_analyze::{Action, Guard, LatGuard, RuleIr};
 use sqlcm_common::{ProbeKind, ProbeMask};
 use sqlcm_telemetry::Label;
 
@@ -82,8 +82,9 @@ pub(crate) struct Registered {
     /// The two guards absorbed every top-level conjunct of the condition
     /// ([`sqlcm_analyze::Guards::decides`]).
     pub decides: bool,
-    /// Actions with LAT handles resolved at registration.
-    pub actions: Vec<CompiledAction>,
+    /// Per action of `ir`, the LAT it targets, resolved at registration and
+    /// kept across `drop_lat` / `define_lat`; `None` for an action on no LAT.
+    pub action_lats: Vec<Option<Arc<Lat>>>,
     /// Classes the condition references.
     pub cond_classes: Vec<ClassName>,
     /// LAT names the condition references (lowercased, in first-reference
@@ -98,40 +99,13 @@ pub(crate) struct Registered {
     pub breaker: RuleBreaker,
 }
 
-/// A [`crate::actions::Action`] as `add_rule` compiled it: one variant per
-/// action, a LAT target resolved to its handle — no name lookup on the hot
-/// path, and no LAT action left unresolved.
-pub(crate) enum CompiledAction {
-    Insert {
-        lat: Arc<Lat>,
-        /// Pre-built key for the eviction-subscription check.
-        eviction_event: RuleEvent,
-    },
-    Reset(Arc<Lat>),
-    PersistLat {
-        table: String,
-        lat: Arc<Lat>,
-    },
-    PersistObject {
-        table: String,
-        class: ClassName,
-        attrs: Vec<String>,
-    },
-    SendMail {
-        to: String,
-        template: String,
-    },
-    RunExternal {
-        template: String,
-    },
-    Cancel {
-        class: ClassName,
-    },
-    SetTimer {
-        timer: String,
-        period_micros: u64,
-        number_alarms: i64,
-    },
+impl Registered {
+    /// The rule's actions in order, each with the LAT it was registered
+    /// against.
+    pub fn actions(&self) -> impl Iterator<Item = (&Action, Option<&Arc<Lat>>)> {
+        let lats = self.action_lats.iter().map(Option::as_ref);
+        self.ir.actions.iter().zip(lats)
+    }
 }
 
 /// One shared LAT lookup hoisted to event level: every rule on the event whose
@@ -209,32 +183,6 @@ pub(crate) struct EventPlan {
     /// The class's clock, shared by every rule on this event; ticked once per
     /// probed event. `None` only for rules built outside `Sqlcm::add_rule`.
     pub clock: Option<Arc<EventClock>>,
-}
-
-/// Number of statically-indexed events: the 12 probe kinds plus MonitorTick.
-const STATIC_EVENTS: usize = ProbeKind::COUNT + 1;
-
-/// Index into [`DispatchPlan::statics`] for events with no payload parameter;
-/// `None` for the dynamic (name-carrying) events.
-fn static_index(kind: &RuleEvent) -> Option<usize> {
-    use sqlcm_common::ProbeKind as K;
-    let probe = match kind {
-        RuleEvent::QueryStart => K::QueryStart,
-        RuleEvent::QueryCompile => K::QueryCompile,
-        RuleEvent::QueryCommit => K::QueryCommit,
-        RuleEvent::QueryRollback => K::QueryRollback,
-        RuleEvent::QueryCancel => K::QueryCancel,
-        RuleEvent::QueryBlocked => K::QueryBlocked,
-        RuleEvent::BlockReleased => K::BlockReleased,
-        RuleEvent::TxnBegin => K::TxnBegin,
-        RuleEvent::TxnCommit => K::TxnCommit,
-        RuleEvent::TxnRollback => K::TxnRollback,
-        RuleEvent::Login => K::Login,
-        RuleEvent::Logout => K::Logout,
-        RuleEvent::MonitorTick => return Some(ProbeKind::COUNT),
-        RuleEvent::TimerAlarm(_) | RuleEvent::LatEviction(_) => return None,
-    };
-    Some(probe.index())
 }
 
 /// Resolve one rule against the LAT registry, assign hoist slots and emit
@@ -341,8 +289,8 @@ fn redefined_lat<'a>(reg: &Registered, lats: &'a [Arc<Lat>]) -> Option<&'a Arc<L
 /// the LATs its `Insert`s and `Reset`s target.
 fn invalidations_of(reg: &Registered, hoisted: &[HoistSlot]) -> Vec<u32> {
     let mut invalidates: Vec<u32> = Vec::new();
-    for action in &reg.actions {
-        let (CompiledAction::Insert { lat, .. } | CompiledAction::Reset(lat)) = action else {
+    for (action, lat) in reg.actions() {
+        let (Action::Insert { .. } | Action::Reset { .. }, Some(lat)) = (action, lat) else {
             continue;
         };
         let name = lat.spec.name.to_ascii_lowercase();
@@ -482,14 +430,14 @@ pub(crate) struct DispatchPlan {
     /// rebuild, and its events must keep flowing for the containment
     /// checkpoint to run. Dispatch pins the in-service rules per event.
     pub probe_mask: ProbeMask,
-    /// Plans for the statically-indexed events (probe kinds + MonitorTick).
-    /// Each behind its own `Arc`: successive plans share the classes a
-    /// mutation did not touch, and a sampled trace can keep the plan of the
-    /// event it recorded and explain its pruned rules when read.
-    statics: [Arc<EventPlan>; STATIC_EVENTS],
-    /// Plans for name-carrying events (`Timer.Alarm`, LAT evictions), one
-    /// per event with a rule. Immutable after build, so lookups are
-    /// lock-free.
+    /// Plans for the probe events, by [`ProbeKind::index`]. Each behind its
+    /// own `Arc`: successive plans share the classes a mutation did not
+    /// touch, and a sampled trace can keep the plan of the event it recorded
+    /// and explain its pruned rules when read.
+    probes: [Arc<EventPlan>; ProbeKind::COUNT],
+    /// Plans for the events the monitor raises itself (`Timer.Alarm`, LAT
+    /// evictions, `Monitor.Tick`), one per event with a rule. Immutable
+    /// after build, so lookups are lock-free.
     dynamics: HashMap<RuleEvent, Arc<EventPlan>>,
     /// Every registered rule in registration order: what telemetry iterates,
     /// and what the containment checkpoint walks for breakers to re-admit.
@@ -546,7 +494,7 @@ impl DispatchPlan {
         let mut plan = DispatchPlan {
             epoch: self.epoch + 1,
             probe_mask: ProbeMask::EMPTY,
-            statics: self.statics.clone(),
+            probes: self.probes.clone(),
             dynamics: self.dynamics.clone(),
             rules: match change {
                 Change::Added(reg) => self.rules.with(reg.clone()),
@@ -592,7 +540,7 @@ impl DispatchPlan {
     }
 
     fn classes(&self) -> impl Iterator<Item = &Arc<EventPlan>> {
-        self.statics.iter().chain(self.dynamics.values())
+        self.probes.iter().chain(self.dynamics.values())
     }
 
     /// Replace `event`'s class with `ep`, moving the guard counts from the
@@ -601,8 +549,11 @@ impl DispatchPlan {
         let (indexed, residual) = ep.guard_counts();
         self.guard_indexed_rules += indexed;
         self.guard_residual_rules += residual;
-        let replaced = match static_index(event) {
-            Some(i) => Some(std::mem::replace(&mut self.statics[i], Arc::new(ep))),
+        let replaced = match event.probe() {
+            Some(kind) => Some(std::mem::replace(
+                &mut self.probes[kind.index()],
+                Arc::new(ep),
+            )),
             None if ep.rules.is_empty() => self.dynamics.remove(event),
             None => self.dynamics.insert(event.clone(), Arc::new(ep)),
         };
@@ -612,11 +563,11 @@ impl DispatchPlan {
         }
     }
 
-    /// The probe kinds the statically-indexed classes subscribe (left empty
-    /// by `build` and `next` until every class is set).
+    /// The probe kinds the probe classes subscribe (left empty by `build`
+    /// and `next` until every class is set).
     fn set_probe_mask(&mut self) {
         for kind in ProbeKind::ALL {
-            if !self.statics[kind.index()].rules.is_empty() {
+            if !self.probes[kind.index()].rules.is_empty() {
                 self.probe_mask.set(kind);
             }
         }
@@ -624,8 +575,8 @@ impl DispatchPlan {
 
     /// The event plan for `kind`, if any rule subscribes.
     pub fn event_plan(&self, kind: &RuleEvent) -> Option<&Arc<EventPlan>> {
-        let ep = match static_index(kind) {
-            Some(i) => &self.statics[i],
+        let ep = match kind.probe() {
+            Some(kind) => &self.probes[kind.index()],
             None => self.dynamics.get(kind)?,
         };
         (!ep.rules.is_empty()).then_some(ep)
@@ -654,7 +605,7 @@ impl DispatchPlan {
                 });
             }
         };
-        for ep in &self.statics {
+        for ep in &self.probes {
             if let Some(pr) = ep.rules.iter().next() {
                 per_event(pr.reg.rule.event.to_string(), ep);
             }
@@ -817,7 +768,7 @@ mod tests {
             guard: None,
             lat_guard: None,
             decides: false,
-            actions: Vec::new(),
+            action_lats: Vec::new(),
             cond_classes: vec![ClassName::Query],
             cond_lats: cond_lats.iter().map(|s| s.to_string()).collect(),
             breaker: RuleBreaker::default(),
@@ -894,7 +845,7 @@ mod tests {
             decides,
             ir,
             rule: Arc::new(rule),
-            actions: Vec::new(),
+            action_lats: Vec::new(),
             cond_classes: vec![ClassName::Query],
             cond_lats,
             breaker: RuleBreaker::default(),
@@ -1066,7 +1017,6 @@ mod tests {
 #[cfg(test)]
 mod incremental {
     use super::*;
-    use crate::actions::Action;
     use crate::lat::{LatAggFunc, LatSpec};
     use crate::monitor::Sqlcm;
     use rand::rngs::SmallRng;
@@ -1276,11 +1226,13 @@ mod incremental {
             );
             assert_eq!(plan.epoch, prev.epoch + 1);
             // Every class the step did not touch is the previous plan's.
-            let touched_statics: HashSet<usize> = touched.iter().filter_map(static_index).collect();
-            for (i, (was, is)) in prev.statics.iter().zip(&plan.statics).enumerate() {
+            for (kind, (was, is)) in ProbeKind::ALL
+                .iter()
+                .zip(prev.probes.iter().zip(&plan.probes))
+            {
                 assert!(
-                    touched_statics.contains(&i) || Arc::ptr_eq(was, is),
-                    "seed {seed} step {step}: static class {i} was planned again"
+                    touched.contains(&RuleEvent::from(*kind)) || Arc::ptr_eq(was, is),
+                    "seed {seed} step {step}: probe class {kind:?} was planned again"
                 );
             }
             assert!(plan

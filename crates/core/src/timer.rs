@@ -77,11 +77,6 @@ impl TimerRegistry {
         self.len() == 0
     }
 
-    /// Earliest upcoming alarm time, for the polling thread's sleep.
-    pub fn next_deadline(&self) -> Option<Timestamp> {
-        self.timers.lock().values().map(|t| t.next_fire).min()
-    }
-
     /// Collect every alarm due at the current clock reading and advance (or
     /// retire) the corresponding timers. A timer that fell far behind fires once
     /// per poll, not once per missed period (alarm coalescing).
@@ -174,15 +169,5 @@ mod tests {
         assert!(reg.due_timers().is_empty(), "rescheduled after now");
         handle.advance(10);
         assert_eq!(reg.due_timers().len(), 1);
-    }
-
-    #[test]
-    fn next_deadline() {
-        let (clock, _) = ManualClock::shared(0);
-        let reg = TimerRegistry::new(clock);
-        assert_eq!(reg.next_deadline(), None);
-        reg.set("a", 100, -1);
-        reg.set("b", 50, -1);
-        assert_eq!(reg.next_deadline(), Some(50));
     }
 }
