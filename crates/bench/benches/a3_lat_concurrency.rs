@@ -7,9 +7,11 @@
 //! database indicate that this latching does not introduce a new hotspot even
 //! under severe stress, as the latches are held for very short times."
 //!
-//! Stress shapes, T threads each doing N inserts:
-//!   * one LAT, **one hot group** — every insert hits the same row latch;
-//!   * one LAT, spread groups — row latches rarely collide;
+//! This reproduction stripes an unbounded LAT's rows over 16 tables, each
+//! under its own latch, in place of a latch per row. Stress shapes, T
+//! threads each doing N inserts:
+//!   * one LAT, **one hot group** — every insert takes the same table latch;
+//!   * one LAT, spread groups — two threads meet in one table 1 time in 16;
 //!   * per-thread private LATs — the no-sharing upper bound.
 
 use std::sync::Arc;

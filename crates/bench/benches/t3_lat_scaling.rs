@@ -1,8 +1,9 @@
-//! **T3 — sharded LAT insert scaling.**
+//! **T3 — striped LAT insert scaling.**
 //!
-//! The row map of every LAT is sharded by group-key hash (16 shards), so
+//! An unbounded LAT stripes its rows by group-key hash over 16 tables, each
+//! under its own latch (a fold takes its table's write latch), so
 //! concurrent probes updating disjoint groups should scale instead of
-//! serializing on one table latch. This bench measures raw insert throughput
+//! serializing on one latch. This bench measures raw insert throughput
 //! at 1/2/4/8 threads over overlapping keys (every thread touches every
 //! group) and writes `BENCH_t3_lat_scaling.json`.
 //!
@@ -10,7 +11,7 @@
 //! `SQLCM_SCALING_MIN_X` (default 2.0) times single-thread throughput.
 //! On smaller machines real parallel speedup is physically impossible, so the
 //! gate degrades to a no-collapse floor: 8 threads must retain at least 0.8×
-//! of single-thread throughput (sharding must not make contention *worse*).
+//! of single-thread throughput (striping must not make contention *worse*).
 //! The core count is recorded in the JSON so CI dashboards can tell the two
 //! regimes apart.
 
@@ -73,7 +74,7 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
     banner(
-        "T3: sharded LAT insert scaling (1/2/4/8 threads, overlapping keys)",
+        "T3: striped LAT insert scaling (1/2/4/8 threads, overlapping keys)",
         &format!("{per_thread} inserts/thread, {GROUPS} groups, {cores} cores"),
     );
     println!(

@@ -819,18 +819,14 @@ impl SqlcmInner {
     }
 
     /// The live set of each class in `classes` that `base` lacks, in the
-    /// order queries, blocked pairs, tables. `None` when a class has no
-    /// iterable live registry (transactions, sessions, timers and evicted
-    /// rows): a rule needing one outside its event context never fires.
+    /// order queries, blocked pairs, tables. `None` when a class is not
+    /// iterable (`ClassSchema::iterable`, the flag the analyzer's
+    /// joinability checks read): a rule needing one outside its event
+    /// context never fires.
     fn live_sets(&self, classes: &[ClassName], base: &[Object]) -> Option<Vec<LiveSet>> {
         let missing = |c: &ClassName| classes.contains(c) && base.iter().all(|o| o.class != *c);
-        let iterable = [
-            ClassName::Query,
-            ClassName::Blocker,
-            ClassName::Blocked,
-            ClassName::Table,
-        ];
-        if classes.iter().any(|c| missing(c) && !iterable.contains(c)) {
+        let iterable = |c: &ClassName| c.schema().is_some_and(|s| s.iterable);
+        if classes.iter().any(|c| missing(c) && !iterable(c)) {
             return None;
         }
         let mut sets = Vec::new();
