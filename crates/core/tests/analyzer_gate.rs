@@ -472,10 +472,13 @@ fn analyzer_guard_verdicts_equal_the_installed_index() {
 }
 
 /// `remove_rule` takes the rule out of the analyzer the monitor keeps
-/// instead of discarding it. After every step of a seeded add/remove churn,
+/// instead of discarding it, and the LAT mutations keep its schemas in step.
+/// After every step of a seeded churn — rules added and removed, LATs
+/// dropped, a dropped LAT defined again with either of two schemas, and a
+/// duplicate `define_lat` under a live name with the other schema refused —
 /// the kept analyzer's verdict on a fixed probe set (`analyze_rule`) equals
-/// that of an analyzer freshly seeded from the registry: its LATs, then its
-/// rules in registration order.
+/// that of an analyzer freshly seeded from the registry: the specs of its
+/// live LATs, then its rules in registration order.
 #[test]
 fn remove_rule_keeps_the_analyzer_equal_to_a_freshly_seeded_one() {
     use rand::rngs::SmallRng;
@@ -484,23 +487,36 @@ fn remove_rule_keeps_the_analyzer_equal_to_a_freshly_seeded_one() {
     use std::sync::Arc;
 
     let (_engine, sqlcm) = setup();
-    let lats = [
-        duration_lat(),
+    let top = |d: &str| {
         LatSpec::new("Top")
             .group_by("Query.Logical_Signature", "Sig")
-            .aggregate(LatAggFunc::Max, "Query.Duration", "D")
-            .order_by("D", true)
-            .max_rows(4),
+            .aggregate(LatAggFunc::Max, "Query.Duration", d)
+            .order_by(d, true)
+            .max_rows(4)
+    };
+    // Two schemas per LAT name: `Duration_LAT` with `M` for `N`, `Top` with
+    // `E` for `D`.
+    let schemas = [
+        [
+            duration_lat(),
+            LatSpec::new("Duration_LAT")
+                .group_by("Query.Logical_Signature", "Sig")
+                .aggregate(LatAggFunc::Count, "", "M")
+                .aggregate(LatAggFunc::Avg, "Query.Duration", "Avg_Duration"),
+        ],
+        [top("D"), top("E")],
     ];
-    for lat in &lats {
-        sqlcm.define_lat(lat.clone()).unwrap();
+    for [spec, _] in &schemas {
+        sqlcm.define_lat(spec.clone()).unwrap();
     }
     let conditions = [
         None,
         Some("Query.Duration > 5"),
         Some("Query.Duration > 5 AND Query.User = 'u1'"),
         Some("Duration_LAT.N >= 2"),
+        Some("Duration_LAT.M >= 2"),
         Some("Top.D > 1 OR Query.Duration > 5"),
+        Some("Top.E > 1"),
     ];
     let actions = [
         Action::insert("Duration_LAT"),
@@ -529,21 +545,41 @@ fn remove_rule_keeps_the_analyzer_equal_to_a_freshly_seeded_one() {
         .map(|i| shape(&mut rng, format!("probe{i}")))
         .collect();
     let mut live: Vec<String> = Vec::new();
-    let mut removed = 0;
-    for step in 0..400 {
-        if rng.gen_range(0..3) == 0 && !live.is_empty() {
-            let name = live.remove(rng.gen_range(0..live.len()));
-            assert!(sqlcm.remove_rule(&name));
-            removed += 1;
-        } else {
-            let name = format!("r{step}");
-            if sqlcm.add_rule(shape(&mut rng, name.clone())).is_ok() {
-                live.push(name);
+    let (mut removed, mut dropped, mut redefined, mut refused) = (0, 0, 0, 0);
+    for step in 0..700 {
+        let (lat, alt) = (rng.gen_range(0..schemas.len()), rng.gen_range(0..2usize));
+        let spec = &schemas[lat][alt];
+        match rng.gen_range(0..12) {
+            0 | 1 if !live.is_empty() => {
+                let name = live.remove(rng.gen_range(0..live.len()));
+                assert!(sqlcm.remove_rule(&name));
+                removed += 1;
+            }
+            2 => dropped += u32::from(sqlcm.drop_lat(&spec.name)),
+            3 | 4 => match sqlcm.lat(&spec.name) {
+                Some(held) => {
+                    let other = schemas[lat].iter().find(|s| **s != held.spec);
+                    let err = sqlcm.define_lat(other.expect("two schemas").clone());
+                    assert!(err.unwrap_err().to_string().contains("already exists"));
+                    refused += 1;
+                }
+                None => {
+                    sqlcm.define_lat(spec.clone()).unwrap();
+                    redefined += u32::from(alt == 1);
+                }
+            },
+            _ => {
+                let name = format!("r{step}");
+                if sqlcm.add_rule(shape(&mut rng, name.clone())).is_ok() {
+                    live.push(name);
+                }
             }
         }
         let mut fresh = Analyzer::new();
-        for lat in &lats {
-            fresh.check_lat(lat);
+        for [spec, _] in &schemas {
+            if let Some(lat) = sqlcm.lat(&spec.name) {
+                fresh.check_lat(&lat.spec);
+            }
         }
         for name in &live {
             fresh.seed_rule(Arc::new(sqlcm.rule(name).unwrap().ir()));
@@ -558,4 +594,8 @@ fn remove_rule_keeps_the_analyzer_equal_to_a_freshly_seeded_one() {
         }
     }
     assert!(removed > 100 && live.len() > 20, "{removed} {}", live.len());
+    assert!(
+        dropped > 20 && redefined > 5 && refused > 20,
+        "{dropped} {redefined} {refused}"
+    );
 }
