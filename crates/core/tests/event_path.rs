@@ -2,10 +2,14 @@
 //! subscribed to its `RuleEvent`, once, under one name — `ProbeKind::name`,
 //! `EngineEvent::name` and `RuleEvent`'s `Display` agree for each of the
 //! twelve — and a rule whose condition names a class its event does not
-//! carry evaluates once per live object of that class (§5.2).
+//! carry evaluates once per live object of that class (§5.2). An action may
+//! read and change the registry of the monitor that is dispatching it.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
 
 use sqlcm_common::{BlockPairInfo, EngineEvent, ProbeKind, QueryInfo, SessionInfo, TxnInfo};
-use sqlcm_core::{Action, LatAggFunc, LatSpec, Rule, RuleEvent, Sqlcm};
+use sqlcm_core::{Action, LatAggFunc, LatSpec, MailSink, MonitorConfig, Rule, RuleEvent, Sqlcm};
 use sqlcm_engine::Engine;
 
 /// Every probe kind with its rule event and one engine event of the kind.
@@ -163,4 +167,94 @@ fn a_rule_naming_a_class_outside_its_payload_runs_once_per_live_object() {
     let rows = sqlcm.lat("ByTable").unwrap().rows();
     assert_eq!(rows.len() as u64, tables);
     assert!(rows.iter().all(|row| row[1] == 2.into()), "{rows:?}");
+}
+
+/// A mail sink that re-enters the monitor dispatching its action: each send
+/// reads the registry (`rule`, `lat`, `rule_count`, `telemetry`), registers
+/// a rule and removes the one the previous send registered.
+#[derive(Default)]
+struct Reentrant {
+    sqlcm: OnceLock<Weak<Sqlcm>>,
+    sends: AtomicU64,
+}
+
+fn extra(n: u64) -> String {
+    format!("extra{n}")
+}
+
+impl MailSink for Reentrant {
+    fn send(&self, _to: &str, _body: &str) -> sqlcm_common::Result<()> {
+        let sqlcm = self.sqlcm.get().and_then(Weak::upgrade).expect("attached");
+        let n = self.sends.fetch_add(1, Ordering::Relaxed);
+        assert!(sqlcm.rule("mail").is_some() && sqlcm.lat("seen").is_some());
+        let before = sqlcm.rule_count();
+        assert_eq!(sqlcm.telemetry().rules.len(), before);
+        let idle = Rule::new(extra(n)).on(RuleEvent::TimerAlarm("idle".into()));
+        sqlcm.add_rule(idle.then(Action::insert("Seen")))?;
+        assert!(n == 0 || sqlcm.remove_rule(&extra(n - 1)));
+        assert_eq!(sqlcm.rule_count(), before + usize::from(n == 0));
+        Ok(())
+    }
+}
+
+/// A synchronous action that calls back into the monitor raising its event
+/// — the registry readers, and `add_rule` / `remove_rule` — neither
+/// deadlocks nor leaves the registry or the counts wrong, on injected
+/// events and on the engine's own probes alike.
+#[test]
+fn an_action_may_read_and_change_the_registry_of_its_monitor() {
+    let engine = Engine::in_memory();
+    let sqlcm = Arc::new(Sqlcm::attach(&engine));
+    let sink = Arc::new(Reentrant::default());
+    sink.sqlcm.set(Arc::downgrade(&sqlcm)).unwrap();
+    sqlcm.configure(MonitorConfig {
+        mail_sink: sink.clone(),
+        ..sqlcm.config()
+    });
+    sqlcm
+        .define_lat(
+            LatSpec::new("Seen")
+                .group_by("Query.Logical_Signature", "Sig")
+                .aggregate(LatAggFunc::Count, "", "N"),
+        )
+        .unwrap();
+    let on_commit = |name: &str| Rule::new(name).on(RuleEvent::QueryCommit);
+    sqlcm
+        .add_rule(on_commit("seen").then(Action::insert("Seen")))
+        .unwrap();
+    sqlcm
+        .add_rule(on_commit("mail").then(Action::send_mail("dba", "{Query.ID}")))
+        .unwrap();
+    let injected = 50;
+    for id in 0..injected {
+        let mut query = QueryInfo::synthetic(id, "SELECT 1");
+        query.logical_signature = Some(id % 5);
+        sqlcm.inject_event(&EngineEvent::QueryCommit(query));
+    }
+    let mut session = engine.connect("u", "app");
+    for _ in 0..10 {
+        session.execute("SELECT 1").unwrap();
+    }
+    let sends = sink.sends.load(Ordering::Relaxed);
+    let mail = sqlcm.rule("mail").unwrap().stats();
+    assert_eq!((mail.fires, mail.action_errors), (sends, 0));
+    assert!(sends >= injected + 10, "{sends}");
+    let names: Vec<String> = sqlcm
+        .telemetry()
+        .rules
+        .into_iter()
+        .map(|r| r.name)
+        .collect();
+    assert_eq!(names, ["seen", "mail", &extra(sends - 1)]);
+    assert_eq!(sqlcm.rule_count(), 3);
+    assert_eq!(sqlcm.plan_summary().rule_count, 3);
+    assert!((0..sends - 1).all(|n| sqlcm.rule(&extra(n)).is_none()));
+    let seen = sqlcm.rule("seen").unwrap().stats();
+    assert_eq!(seen.fires, sends);
+    let rows = sqlcm.lat("Seen").unwrap().rows();
+    let total: i64 = rows.iter().map(|row| row[1].as_i64().unwrap()).sum();
+    assert_eq!(total as u64, sends);
+    let telemetry = sqlcm.telemetry();
+    assert_eq!(telemetry.dispatch.plan_rebuilds, 3 + 2 * sends - 1);
+    assert_eq!(telemetry.stats.action_errors, 0);
 }
