@@ -208,6 +208,12 @@ impl Analyzer {
         self.universe.register_lat(lat)
     }
 
+    /// Take a LAT's schema back out (case-insensitive); false when none of
+    /// that name was admitted.
+    pub fn remove_lat(&mut self, name: &str) -> bool {
+        self.universe.remove_lat(name)
+    }
+
     /// Admit a rule without checking — used to seed the analyzer with rules
     /// that were already validated at their own registration time.
     pub fn seed_rule(&mut self, rule: Arc<RuleIr>) {

@@ -424,6 +424,23 @@ impl SchemaUniverse {
         diags
     }
 
+    /// Take the schema of the LAT of that (case-insensitive) name out of the
+    /// universe; false when there was none. Other schemas under the same
+    /// caseless key stay.
+    pub fn remove_lat(&mut self, name: &str) -> bool {
+        let key = caseless(name);
+        let Some(same) = self.lats.get_mut(&key) else {
+            return false;
+        };
+        let before = same.len();
+        same.retain(|l| !l.name.eq_ignore_ascii_case(name));
+        let removed = same.len() < before;
+        if same.is_empty() {
+            self.lats.remove(&key);
+        }
+        removed
+    }
+
     fn resolve_attr(
         &self,
         lat: &str,
@@ -512,6 +529,29 @@ mod tests {
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, Code::E001);
         assert!(u.lat("Duration_LAT").is_none());
+    }
+
+    #[test]
+    fn remove_lat_keeps_the_other_schemas_of_its_caseless_key() {
+        let mut u = SchemaUniverse::builtin();
+        assert!(u.register_lat(&demo_lat()).is_empty());
+        let mut other = demo_lat();
+        other.name = "Other_LAT".into();
+        assert!(u.register_lat(&other).is_empty());
+        // A hash collision: another schema under `Duration_LAT`'s key.
+        let moved = u.lats.remove(&caseless("Other_LAT")).unwrap();
+        let key = caseless("Duration_LAT");
+        u.lats.get_mut(&key).unwrap().extend(moved);
+        assert!(u.remove_lat("DURATION_lat"));
+        assert!(u.lat("Duration_LAT").is_none());
+        assert!(!u.remove_lat("Duration_LAT"));
+        let kept: Vec<&str> = u.lats[&key].iter().map(|l| l.name.as_str()).collect();
+        assert_eq!(kept, ["Other_LAT"]);
+        // A key whose last schema goes is removed.
+        assert!(u.register_lat(&other).is_empty());
+        assert!(u.remove_lat("other_lat"));
+        assert!(u.lat("Other_LAT").is_none());
+        assert!(!u.lats.contains_key(&caseless("Other_LAT")));
     }
 
     #[test]

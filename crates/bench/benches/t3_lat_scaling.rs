@@ -8,7 +8,9 @@
 //! group) and writes `BENCH_t3_lat_scaling.json`.
 //!
 //! Gate: on a machine with ≥ 4 cores the 8-thread run must reach at least
-//! `SQLCM_SCALING_MIN_X` (default 2.0) times single-thread throughput.
+//! `SQLCM_SCALING_MIN_X` (default 2.0) times single-thread throughput — the
+//! median of `BASE_RUNS` one-thread runs, each on a fresh LAT, since a
+//! single one-thread sample swings by half its value from run to run.
 //! On smaller machines real parallel speedup is physically impossible, so the
 //! gate degrades to a no-collapse floor: 8 threads must retain at least 0.8×
 //! of single-thread throughput (striping must not make contention *worse*).
@@ -24,6 +26,9 @@ use sqlcm_core::objects::query_object;
 use sqlcm_core::{Lat, LatAggFunc, LatSpec};
 
 const GROUPS: u64 = 256;
+
+/// One-thread runs whose median throughput the speedups divide by.
+const BASE_RUNS: usize = 5;
 
 fn mk_lat() -> Arc<Lat> {
     Arc::new(
@@ -67,6 +72,16 @@ fn run(lat: &Arc<Lat>, threads: u64, per_thread: u64) -> (f64, u64) {
     (tput, lat.lock_contentions())
 }
 
+/// [`run`] on a fresh LAT, checked for lost inserts: the bench must not
+/// report throughput for inserts that were silently lost.
+fn measure(threads: u64, per_thread: u64) -> (f64, u64) {
+    let lat = mk_lat();
+    let measured = run(&lat, threads, per_thread);
+    let counted: i64 = lat.rows().iter().map(|r| r[1].as_i64().unwrap()).sum();
+    assert_eq!(counted as u64, threads * per_thread, "lost inserts");
+    measured
+}
+
 fn main() {
     let per_thread = env_u32("SQLCM_QUERIES", 200_000) as u64;
     let min_x = env_u32("SQLCM_SCALING_MIN_X", 2) as f64;
@@ -82,19 +97,21 @@ fn main() {
         "threads", "M inserts/sec", "speedup vs 1", "contentions"
     );
 
+    let mut ones: Vec<(f64, u64)> = (0..BASE_RUNS).map(|_| measure(1, per_thread)).collect();
+    ones.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let one_thread_runs: Vec<String> = ones.iter().map(|(t, _)| format!("{t:.3}")).collect();
+    println!(
+        "one-thread runs (M inserts/sec): {}",
+        one_thread_runs.join(" ")
+    );
+    let median = ones[BASE_RUNS / 2];
     let mut results = Vec::new();
-    let mut base = 0.0f64;
     for threads in [1u64, 2, 4, 8] {
-        let lat = mk_lat();
-        let (tput, contentions) = run(&lat, threads, per_thread);
-        // Conservation sanity: the bench must not report throughput for
-        // inserts that were silently lost.
-        let counted: i64 = lat.rows().iter().map(|r| r[1].as_i64().unwrap()).sum();
-        assert_eq!(counted as u64, threads * per_thread, "lost inserts");
-        if threads == 1 {
-            base = tput;
-        }
-        let speedup = tput / base.max(1e-9);
+        let (tput, contentions) = match threads {
+            1 => median,
+            _ => measure(threads, per_thread),
+        };
+        let speedup = tput / median.0.max(1e-9);
         println!("{threads:<12} {tput:>16.2} {speedup:>13.2}x {contentions:>12}");
         results.push((threads, tput, speedup, contentions));
     }
@@ -121,7 +138,8 @@ fn main() {
         "{{\"bench\":\"t3_lat_scaling\",\"per_thread\":{per_thread},\"groups\":{GROUPS},\
          \"cores\":{cores},\"gate\":\"{gate}\",\
          \"threshold_x\":{threshold:.2},\"speedup_8t\":{eight_x:.3},\
-         \"results\":[{}]}}",
+         \"one_thread_runs\":[{}],\"results\":[{}]}}",
+        one_thread_runs.join(","),
         rows.join(",")
     );
     std::fs::write("BENCH_t3_lat_scaling.json", &json).expect("write BENCH json");

@@ -1193,13 +1193,8 @@ impl Lat {
     }
 
     /// [`Lat::lookup_for`] written over `out`, in its capacity: whether the
-    /// LAT has the row. `out` is unspecified when it has not.
-    pub fn lookup_into(&self, obj: &Object, out: &mut Vec<Value>) -> bool {
-        self.lookup_keyed(obj, None, out)
-    }
-
-    /// [`Lat::lookup_into`] of an object whose [`Lat::group_hash`] is `hash`,
-    /// when the caller has it.
+    /// LAT has the row. `out` is unspecified when it has not. `hash` is the
+    /// object's [`Lat::group_hash`], when the caller has it.
     pub(crate) fn lookup_keyed(
         &self,
         obj: &Object,

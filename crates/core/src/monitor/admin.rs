@@ -102,8 +102,7 @@ impl SqlcmInner {
             .collect();
         let rules = {
             let rule_errors = telem.rule_errors.lock();
-            self.rules
-                .read()
+            plan.rules
                 .iter()
                 .map(|reg| {
                     let stats = reg.rule.stats();
@@ -123,10 +122,9 @@ impl SqlcmInner {
                 })
                 .collect()
         };
-        let mut lats: Vec<LatTelemetry> = self
-            .lats
-            .read()
-            .values()
+        let lats: Vec<_> = self.registry.lock().lats.values().cloned().collect();
+        let mut lats: Vec<LatTelemetry> = lats
+            .iter()
             .map(|lat| {
                 let stats = lat.stats();
                 LatTelemetry {

@@ -25,10 +25,9 @@
 //! and circuit breakers are not among the settings: both are always on.
 //!
 //! This file holds the handle, its state, the configuration and the pollers;
-//! `registry` holds LATs and rules, `dispatch` everything an event reaches,
-//! and `admin` the snapshots and self-monitoring.
+//! `registry` holds LATs, rules and the analyzer, `dispatch` everything an
+//! event reaches, and `admin` the snapshots and self-monitoring.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -38,12 +37,10 @@ use sqlcm_engine::engine::EngineInner;
 use sqlcm_engine::instrument::Instrumentation;
 use sqlcm_engine::Engine;
 
-use sqlcm_analyze::Analyzer;
 use sqlcm_telemetry::ShardedCounter;
 
 use crate::containment::{BreakerConfig, Containment};
 use crate::deferred::{AttemptOutcome, DeferredQueue, RetryPolicy};
-use crate::lat::Lat;
 use crate::objects;
 use crate::plan::{DispatchPlan, PlanCell};
 use crate::rules::RuleEvent;
@@ -57,7 +54,7 @@ mod dispatch;
 mod registry;
 
 use dispatch::SqlcmMonitor;
-use registry::{RuleTable, WarningLog};
+use registry::Registry;
 
 /// Aggregate counters for one SQLCM instance.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -119,19 +116,16 @@ pub struct MonitorConfig {
 struct SqlcmInner {
     engine: Arc<EngineInner>,
     clock: SharedClock,
-    lats: RwLock<HashMap<String, Arc<Lat>>>,
-    rules: RwLock<RuleTable>,
-    /// The published dispatch plan the hot path runs on (`crate::plan`).
+    /// The published dispatch plan the hot path runs on (`crate::plan`); its
+    /// `rules` are the registered rules in registration order.
     plan: PlanCell,
-    /// Serializes the four registry mutations, each from its first look at
-    /// the registry to the plan it publishes: the published plan is always the
-    /// plan of the registry, and [`DispatchPlan::next`] always has exactly
-    /// one change to account for. What it guards is the analyzer those
-    /// mutations keep current — `define_lat` and `add_rule` admit into it,
-    /// `remove_rule` takes its rule back out, `drop_lat` discards it
-    /// (`SchemaUniverse` has no removal) and its next user seeds a fresh one
-    /// from the registry.
-    registration: Mutex<Option<Analyzer>>,
+    /// LATs, rules, the analyzer and its warnings. Serializes the four
+    /// registry mutations, each from its first look at the registry to the
+    /// plan it publishes: the published plan is always the plan of the
+    /// registry, and [`DispatchPlan::next`] always has exactly one change to
+    /// account for. `define_lat` and `add_rule` admit into the analyzer,
+    /// `drop_lat` and `remove_rule` take theirs back out.
+    registry: Mutex<Registry>,
     timers: TimerRegistry,
     outbox: Arc<RecordingMailSink>,
     command_log: Arc<RecordingCommandSink>,
@@ -144,10 +138,6 @@ struct SqlcmInner {
     actions: ShardedCounter,
     action_errors: ShardedCounter,
     last_error: Mutex<Option<String>>,
-    /// Warnings collected by the static analyzer across registrations.
-    /// Deduplicated by (code, rule, message) and capped at
-    /// `registry::MAX_ANALYSIS_WARNINGS`, oldest dropped first.
-    analysis_warnings: Mutex<WarningLog>,
     /// Self-telemetry state (probe/rule/LAT metrics, flight recorder).
     telemetry: Telem,
     /// Causal-trace state (sampling policy, trace ring, span pool).
@@ -255,10 +245,8 @@ impl Sqlcm {
         let inner = Arc::new(SqlcmInner {
             engine: handle,
             clock: clock.clone(),
-            lats: RwLock::new(HashMap::new()),
-            rules: RwLock::new(RuleTable::default()),
             plan: PlanCell::new(Arc::new(DispatchPlan::default())),
-            registration: Mutex::new(None),
+            registry: Mutex::new(Registry::default()),
             timers: TimerRegistry::new(clock),
             mail_sink: RwLock::new(outbox.clone() as Arc<dyn MailSink>),
             command_sink: RwLock::new(command_log.clone() as Arc<dyn CommandSink>),
@@ -270,7 +258,6 @@ impl Sqlcm {
             actions: ShardedCounter::new(),
             action_errors: ShardedCounter::new(),
             last_error: Mutex::new(None),
-            analysis_warnings: Mutex::new(WarningLog::default()),
             telemetry,
             tracer,
             containment: Containment::new(),
@@ -417,15 +404,23 @@ impl Drop for Sqlcm {
 }
 
 #[cfg(test)]
+use crate::plan::Registered;
+
+#[cfg(test)]
 impl Sqlcm {
     /// The published plan, and the plan [`DispatchPlan::build`] makes of the
     /// registry it was published for — `crate::plan`'s differential test
-    /// compares the two.
+    /// compares the two. The plan's rules must be the registry's, by name.
     pub(crate) fn plan_and_oracle(&self) -> (Arc<DispatchPlan>, DispatchPlan) {
-        let _registration = self.inner.registration.lock();
+        let registry = self.inner.registry.lock();
         let plan = self.inner.plan.load();
-        let (rules, lats) = (self.inner.rules.read(), self.inner.lats.read());
-        let oracle = DispatchPlan::build(plan.epoch, &rules, &lats);
+        let rules: Vec<_> = plan.rules.iter().cloned().collect();
+        let by_name = |r: &Arc<Registered>| {
+            let held = registry.rules.get(&r.rule.name);
+            held.is_some_and(|held| Arc::ptr_eq(held, r))
+        };
+        assert!(rules.len() == registry.rules.len() && rules.iter().all(by_name));
+        let oracle = DispatchPlan::build(plan.epoch, &rules, &registry.lats);
         (plan, oracle)
     }
 }

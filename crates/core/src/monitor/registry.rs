@@ -1,8 +1,8 @@
-//! The registry: LATs and rules, the analyzer kept across registrations,
-//! the counted registry locks, and `rebuild_plan` — called by the four
-//! registry mutations (`define_lat`, `drop_lat`, `add_rule`, `remove_rule`)
-//! and by nothing else, so the published plan is always the plan of the
-//! registry.
+//! The registry — LATs, rules, the analyzer kept across registrations and
+//! its warning log, behind one counted lock — and `rebuild_plan`, called by
+//! the four registry mutations (`define_lat`, `drop_lat`, `add_rule`,
+//! `remove_rule`) and by nothing else, so the published plan is always the
+//! plan of the registry.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::Ordering;
@@ -20,90 +20,90 @@ use crate::rules::Rule;
 
 use super::{Sqlcm, SqlcmInner};
 
-/// [`SqlcmInner::registration`], held.
-type Registration<'a> = parking_lot::MutexGuard<'a, Option<Analyzer>>;
-
 /// Upper bound on retained analyzer warnings; the oldest are dropped first.
 const MAX_ANALYSIS_WARNINGS: usize = 1024;
 
-/// The registered rules in registration order — what the slice it derefs
-/// to holds — and by name.
+/// What the four registry mutations change, behind `SqlcmInner::registry`.
+/// The rule order is not kept here: it is the published plan's `rules`.
 #[derive(Default)]
-pub(super) struct RuleTable {
-    order: Vec<Arc<Registered>>,
-    by_name: HashMap<String, Arc<Registered>>,
-}
-
-impl std::ops::Deref for RuleTable {
-    type Target = [Arc<Registered>];
-
-    fn deref(&self) -> &[Arc<Registered>] {
-        &self.order
-    }
-}
-
-impl RuleTable {
-    fn push(&mut self, reg: Arc<Registered>) {
-        self.by_name.insert(reg.rule.name.clone(), reg.clone());
-        self.order.push(reg);
-    }
-
-    fn remove(&mut self, name: &str) -> Option<Arc<Registered>> {
-        let reg = self.by_name.remove(name)?;
-        self.order.retain(|r| !Arc::ptr_eq(r, &reg));
-        Some(reg)
-    }
+pub(super) struct Registry {
+    /// Every registered LAT checked and every registered rule admitted, each
+    /// rule's IR by `Arc` clone: `remove_rule` and `drop_lat` take theirs
+    /// back out, so it is never seeded again.
+    analyzer: Analyzer,
+    /// By lowercased name.
+    pub(super) lats: HashMap<String, Arc<Lat>>,
+    pub(super) rules: HashMap<String, Arc<Registered>>,
+    warnings: WarningLog,
 }
 
 /// The analyzer warnings kept for [`Sqlcm::analysis_warnings`], oldest
 /// first, with the (code, rule, message) of each so a repeat is skipped in
 /// one lookup.
 #[derive(Default)]
-pub(super) struct WarningLog {
+struct WarningLog {
     entries: VecDeque<Diagnostic>,
     seen: HashSet<(Code, String, String)>,
 }
 
+impl WarningLog {
+    /// Append analyzer warnings, skipping (code, rule, message) repeats —
+    /// re-registration loops would otherwise fill the log with copies — and
+    /// dropping the oldest entries past the cap so the log's memory stays
+    /// bounded over the instance's lifetime.
+    fn record(&mut self, warnings: Vec<Diagnostic>) {
+        let key = |w: &Diagnostic| (w.code, w.rule.clone(), w.message.clone());
+        for w in warnings {
+            if !self.seen.insert(key(&w)) {
+                continue;
+            }
+            if self.entries.len() >= MAX_ANALYSIS_WARNINGS {
+                let oldest = self.entries.pop_front().expect("full");
+                self.seen.remove(&key(&oldest));
+            }
+            self.entries.push_back(w);
+        }
+    }
+}
+
+impl Registry {
+    /// Split analyzer output: error diagnostics deny the registration (joined
+    /// into one `Error::Monitor` whose message carries the stable codes);
+    /// warnings are appended to [`Sqlcm::analysis_warnings`].
+    fn deny_on_errors(&mut self, diags: Vec<Diagnostic>) -> Result<()> {
+        let (errors, warnings): (Vec<_>, Vec<_>) =
+            diags.into_iter().partition(Diagnostic::is_error);
+        self.warnings.record(warnings);
+        if errors.is_empty() {
+            return Ok(());
+        }
+        let msg = errors
+            .iter()
+            .map(Diagnostic::to_string)
+            .collect::<Vec<_>>()
+            .join("; ");
+        Err(Error::Monitor(msg))
+    }
+}
+
 impl SqlcmInner {
-    // -------------------------------------------------- counted registry locks
-
-    // Dispatch never touches the registry locks; registration, mutation and
-    // action-interpretation paths acquire them through these counted helpers
-    // so tests can pin the hot path at zero acquisitions. Pure observability
-    // accessors (telemetry snapshot, `Sqlcm::lat` & co.) read the registries
-    // uncounted so *reading* the counter does not perturb it.
-
-    fn lats_read(&self) -> parking_lot::RwLockReadGuard<'_, HashMap<String, Arc<Lat>>> {
+    /// The registry, counted in `reg_lock_acquisitions`: what the four
+    /// mutations and the analyzer's readers take, once each. Dispatch never
+    /// takes it, so tests can pin the hot path at zero acquisitions; the
+    /// observability readers (`Sqlcm::lat` & co., the telemetry snapshot)
+    /// lock it uncounted so *reading* the counter does not perturb it.
+    fn registry(&self) -> parking_lot::MutexGuard<'_, Registry> {
         self.telemetry.reg_lock_acquisitions.incr();
-        self.lats.read()
-    }
-
-    fn lats_write(&self) -> parking_lot::RwLockWriteGuard<'_, HashMap<String, Arc<Lat>>> {
-        self.telemetry.reg_lock_acquisitions.incr();
-        self.lats.write()
-    }
-
-    fn rules_read(&self) -> parking_lot::RwLockReadGuard<'_, RuleTable> {
-        self.telemetry.reg_lock_acquisitions.incr();
-        self.rules.read()
-    }
-
-    fn rules_write(&self) -> parking_lot::RwLockWriteGuard<'_, RuleTable> {
-        self.telemetry.reg_lock_acquisitions.incr();
-        self.rules.write()
+        self.registry.lock()
     }
 
     /// Publish the plan of the registry as `change` just left it — called by
-    /// the four registry mutations, under the registration lock, and nothing
+    /// the four registry mutations, under the registry lock, and nothing
     /// else, so the epoch counts them. The plan is its predecessor with only
     /// the event classes `change` touches planned again; the superseded plan
     /// is let go of here, on the registering thread.
-    fn rebuild_plan(&self, _held: &Registration<'_>, change: Change<'_>) {
-        let prev = self.plan.load();
-        let rules = self.rules_read();
-        let lats = self.lats_read();
-        let plan = prev.next(&rules, &lats, change);
-        drop((rules, lats));
+    fn rebuild_plan(&self, registry: &Registry, change: Change<'_>) {
+        let plan = self.plan.load().next(&registry.lats, change);
         self.telemetry.plan_rules_planned.add(plan.rules_planned);
         self.plan.swap(Arc::new(plan));
         self.telemetry.plan_rebuilds.incr();
@@ -112,7 +112,7 @@ impl SqlcmInner {
     /// The registered rule of that name. Uncounted registry read, like the
     /// other observability accessors.
     pub(super) fn registered(&self, name: &str) -> Option<Arc<Registered>> {
-        self.rules.read().by_name.get(name).cloned()
+        self.registry.lock().rules.get(name).cloned()
     }
 }
 
@@ -124,137 +124,71 @@ impl Sqlcm {
     /// attribute sources are denied with an `E001` diagnostic).
     pub fn define_lat(&self, spec: LatSpec) -> Result<Arc<Lat>> {
         spec.validate()?;
-        let mut registration = self.inner.registration.lock();
-        let diags = self.analyzer(&mut registration).check_lat(&spec);
-        self.deny_on_errors(diags)?;
+        let mut registry = self.inner.registry();
         let key = spec.name.to_ascii_lowercase();
-        let lat = (|| {
-            let mut lats = self.inner.lats_write();
-            if lats.contains_key(&key) {
-                return Err(Error::Monitor(format!("LAT {} already exists", spec.name)));
+        // Refused before the analyzer sees it: `check_lat` replaces a schema
+        // of the same name.
+        if registry.lats.contains_key(&key) {
+            return Err(Error::Monitor(format!("LAT {} already exists", spec.name)));
+        }
+        let diags = registry.analyzer.check_lat(&spec);
+        registry.deny_on_errors(diags)?;
+        let lat = match Lat::new(spec, self.inner.clock.clone()) {
+            Ok(lat) => Arc::new(lat),
+            Err(e) => {
+                // The analyzer admitted a schema the registry does not take.
+                registry.analyzer.remove_lat(&key);
+                return Err(e);
             }
-            let lat = Arc::new(Lat::new(spec, self.inner.clock.clone())?);
-            lats.insert(key.clone(), lat.clone());
-            Ok(lat)
-        })()
-        // The analyzer admitted a schema the registry did not take.
-        .inspect_err(|_| *registration = None)?;
+        };
+        registry.lats.insert(key.clone(), lat.clone());
         // A dropped-and-redefined LAT un-breaks rules conditioned on it;
         // republish so the new plan binds the fresh handle.
-        self.inner.rebuild_plan(&registration, Change::Lat(&key));
+        self.inner.rebuild_plan(&registry, Change::Lat(&key));
         Ok(lat)
-    }
-
-    /// The analyzer kept under the registration lock: every registered LAT
-    /// checked and every registered rule admitted (each rule's IR by `Arc`
-    /// clone — nothing is re-lowered). Seeded from the registry when there is
-    /// none — at first use, and after a `drop_lat` discarded it (a schema
-    /// cannot be taken out of it; a rule can, and `remove_rule` does).
-    fn analyzer<'a>(&self, kept: &'a mut Option<Analyzer>) -> &'a mut Analyzer {
-        kept.get_or_insert_with(|| {
-            let mut analyzer = Analyzer::new();
-            for lat in self.inner.lats_read().values() {
-                let diags = analyzer.check_lat(&lat.spec);
-                debug_assert!(
-                    diags.is_empty(),
-                    "registered LAT re-checks clean: {diags:?}"
-                );
-            }
-            for reg in self.inner.rules_read().iter() {
-                analyzer.seed_rule(reg.ir.clone());
-            }
-            analyzer
-        })
-    }
-
-    /// Split analyzer output: error diagnostics deny the registration (joined
-    /// into one `Error::Monitor` whose message carries the stable codes);
-    /// warnings are appended to [`Sqlcm::analysis_warnings`].
-    fn deny_on_errors(&self, diags: Vec<Diagnostic>) -> Result<()> {
-        let (errors, warnings): (Vec<_>, Vec<_>) =
-            diags.into_iter().partition(Diagnostic::is_error);
-        self.record_warnings(warnings);
-        if errors.is_empty() {
-            return Ok(());
-        }
-        let msg = errors
-            .iter()
-            .map(Diagnostic::to_string)
-            .collect::<Vec<_>>()
-            .join("; ");
-        Err(Error::Monitor(msg))
-    }
-
-    /// Append analyzer warnings to the log, skipping (code, rule, message)
-    /// repeats — re-registration loops would otherwise fill the log with
-    /// copies — and dropping the oldest entries past the cap so the log's
-    /// memory stays bounded over the instance's lifetime.
-    fn record_warnings(&self, warnings: Vec<Diagnostic>) {
-        if warnings.is_empty() {
-            return;
-        }
-        let mut log = self.inner.analysis_warnings.lock();
-        let key = |w: &Diagnostic| (w.code, w.rule.clone(), w.message.clone());
-        for w in warnings {
-            if !log.seen.insert(key(&w)) {
-                continue;
-            }
-            if log.entries.len() >= MAX_ANALYSIS_WARNINGS {
-                let oldest = log.entries.pop_front().expect("full");
-                log.seen.remove(&key(&oldest));
-            }
-            log.entries.push_back(w);
-        }
     }
 
     /// Warnings the static analyzer has collected across registrations.
     pub fn analysis_warnings(&self) -> Vec<Diagnostic> {
-        self.inner.analysis_warnings.lock().entries.clone().into()
+        let registry = self.inner.registry.lock();
+        registry.warnings.entries.iter().cloned().collect()
     }
 
     /// Drop every collected analyzer warning (an operator "mark as read").
     pub fn clear_analysis_warnings(&self) {
-        *self.inner.analysis_warnings.lock() = WarningLog::default();
+        self.inner.registry.lock().warnings = WarningLog::default();
     }
 
     /// Run the static analyzer on a rule against the current LATs and rules
     /// without registering anything — a lint probe.
     pub fn analyze_rule(&self, rule: &Rule) -> Vec<Diagnostic> {
-        let mut registration = self.inner.registration.lock();
-        self.analyzer(&mut registration).diagnose(&rule.ir())
+        self.inner.registry().analyzer.diagnose(&rule.ir())
     }
 
     pub fn drop_lat(&self, name: &str) -> bool {
-        let mut registration = self.inner.registration.lock();
+        let mut registry = self.inner.registry();
         let key = name.to_ascii_lowercase();
-        let removed = self.inner.lats_write().remove(&key).is_some();
+        let removed = registry.lats.remove(&key).is_some();
         if removed {
-            *registration = None;
+            registry.analyzer.remove_lat(&key);
             // Rules conditioned on the dropped LAT become `broken` in the new
             // plan (they error per evaluation, as the old per-event resolution
             // did); Insert targets keep their resolved handle.
-            self.inner.rebuild_plan(&registration, Change::Lat(&key));
+            self.inner.rebuild_plan(&registry, Change::Lat(&key));
         }
         removed
     }
 
     pub fn lat(&self, name: &str) -> Option<Arc<Lat>> {
-        self.inner
-            .lats
-            .read()
-            .get(&name.to_ascii_lowercase())
-            .cloned()
+        let registry = self.inner.registry.lock();
+        registry.lats.get(&name.to_ascii_lowercase()).cloned()
     }
 
     /// Total approximate memory of all LATs (the knob of §4.3's "managing LAT
     /// memory overhead").
     pub fn lat_memory_bytes(&self) -> usize {
-        self.inner
-            .lats
-            .read()
-            .values()
-            .map(|l| l.memory_bytes())
-            .sum()
+        let registry = self.inner.registry.lock();
+        registry.lats.values().map(|l| l.memory_bytes()).sum()
     }
 
     /// Persist a LAT to a table immediately (outside any rule).
@@ -300,15 +234,15 @@ impl Sqlcm {
     /// readable via [`Sqlcm::analysis_warnings`]. What the analyzer admits
     /// is then compiled against the live LATs.
     pub fn add_rule(&self, mut rule: Rule) -> Result<Arc<Rule>> {
-        let mut registration = self.inner.registration.lock();
-        if self.inner.rules_read().by_name.contains_key(&rule.name) {
+        let mut registry = self.inner.registry();
+        if registry.rules.contains_key(&rule.name) {
             return Err(Error::Monitor(format!("rule {} already exists", rule.name)));
         }
         // The one lowering of the rule: the analyzer's checks, the guard
         // verdict and the compiled condition below all read this artifact.
-        let analyzer = self.analyzer(&mut registration);
         let ir = Arc::new(rule.ir());
-        self.deny_on_errors(analyzer.diagnose(&ir))?;
+        let diags = registry.analyzer.diagnose(&ir);
+        registry.deny_on_errors(diags)?;
         // Captured for the dispatch plan: the guard verdict is what its event
         // class's guard index installs and its dispatch checks.
         let (guard, lat_guard, decides) =
@@ -316,52 +250,48 @@ impl Sqlcm {
         // The analyzer denied unqualified columns (E001) above.
         let (cond_classes, cond_lats) = ir.refs();
         let cond_lats_lc: Vec<String> = cond_lats.iter().map(|l| l.to_ascii_lowercase()).collect();
-        let (compiled, action_lats) = {
-            let lats = self.inner.lats_read();
-            for l in &cond_lats {
-                if !lats.contains_key(&l.to_ascii_lowercase()) {
-                    return Err(Error::Monitor(format!(
-                        "rule {} references unknown LAT {l}",
-                        rule.name
-                    )));
-                }
+        let lats = &registry.lats;
+        for l in &cond_lats {
+            if !lats.contains_key(&l.to_ascii_lowercase()) {
+                return Err(Error::Monitor(format!(
+                    "rule {} references unknown LAT {l}",
+                    rule.name
+                )));
             }
-            // An action's LAT is resolved to its handle here or the
-            // registration fails.
-            let lat_of = |name: &str| {
-                lats.get(&name.to_ascii_lowercase())
-                    .cloned()
-                    .ok_or_else(|| {
-                        Error::Monitor(format!("rule {} targets unknown LAT {name}", rule.name))
-                    })
-            };
-            let action_lats = ir
-                .actions
-                .iter()
-                .map(|a| a.lat_refs().map(lat_of).transpose())
-                .collect::<Result<Vec<_>>>()?;
-            // Resolve the folded condition's references against the live
-            // LATs. The fold delta feeds the `folded_ops` telemetry counter.
-            let compiled_cond = ir
-                .condition
-                .as_ref()
-                .map(|c| {
-                    let folded = c.folded();
-                    self.inner
-                        .telemetry
-                        .folded_ops
-                        .add(folded.folded_ops as u64);
-                    crate::ir::CondIr::from_ir(folded, &lats, &cond_lats_lc).map(Arc::new)
+        }
+        // An action's LAT is resolved to its handle here or the registration
+        // fails.
+        let lat_of = |name: &str| {
+            lats.get(&name.to_ascii_lowercase())
+                .cloned()
+                .ok_or_else(|| {
+                    Error::Monitor(format!("rule {} targets unknown LAT {name}", rule.name))
                 })
-                .transpose()?;
-            (compiled_cond, action_lats)
         };
+        let action_lats = ir
+            .actions
+            .iter()
+            .map(|a| a.lat_refs().map(lat_of).transpose())
+            .collect::<Result<Vec<_>>>()?;
+        // Resolve the folded condition's references against the live LATs.
+        // The fold delta feeds the `folded_ops` telemetry counter.
+        let compiled = ir
+            .condition
+            .as_ref()
+            .map(|c| {
+                let folded = c.folded();
+                self.inner
+                    .telemetry
+                    .folded_ops
+                    .add(folded.folded_ops as u64);
+                crate::ir::CondIr::from_ir(folded, lats, &cond_lats_lc).map(Arc::new)
+            })
+            .transpose()?;
         // One clock per event class: share the one its rules already tick.
         let plan = self.inner.plan.load();
         let class = plan.event_plan(&rule.event);
         rule.attach_clock(class.and_then(|ep| ep.clock.clone()).unwrap_or_default());
         drop(plan);
-        let mut rules = self.inner.rules_write();
         let rule = Arc::new(rule);
         let reg = Arc::new(Registered {
             name_label: rule.name.as_str().into(),
@@ -376,35 +306,31 @@ impl Sqlcm {
             cond_lats: cond_lats_lc,
             breaker: RuleBreaker::default(),
         });
-        rules.push(reg.clone());
-        drop(rules);
-        analyzer.seed_rule(ir);
+        registry.rules.insert(rule.name.clone(), reg.clone());
+        registry.analyzer.seed_rule(ir);
         rule.set_registered(true);
         // Publish a plan containing the new rule, then fold its subscription
         // into the engine's probe-interest mask (`wants` reads the plan, so
         // the rebuild must come first or its events never reach us).
-        self.inner.rebuild_plan(&registration, Change::Added(&reg));
+        self.inner.rebuild_plan(&registry, Change::Added(&reg));
         self.inner.engine.monitors.refresh_interest();
         Ok(rule)
     }
 
     /// Remove a rule; true when it existed.
     pub fn remove_rule(&self, name: &str) -> bool {
-        let mut registration = self.inner.registration.lock();
-        let Some(reg) = self.inner.rules_write().remove(name) else {
+        let mut registry = self.inner.registry();
+        let Some(reg) = registry.rules.remove(name) else {
             return false;
         };
         let lifted = reg.rule.set_registered(false);
         let quarantined = &self.inner.containment.quarantined;
         quarantined.fetch_add(lifted, Ordering::Relaxed);
-        if let Some(analyzer) = registration.as_mut() {
-            let admitted = analyzer.remove_rule(&reg.ir);
-            debug_assert!(admitted, "the kept analyzer admitted every registered rule");
-        }
+        let admitted = registry.analyzer.remove_rule(&reg.ir);
+        debug_assert!(admitted, "the kept analyzer admitted every registered rule");
         // Publish the shrunken plan, then shrink the engine's
         // probe-interest mask (`wants` reads the plan).
-        self.inner
-            .rebuild_plan(&registration, Change::Removed(&reg.rule.event));
+        self.inner.rebuild_plan(&registry, Change::Removed(&reg));
         self.inner.engine.monitors.refresh_interest();
         true
     }
@@ -421,7 +347,7 @@ impl Sqlcm {
     }
 
     pub fn rule_count(&self) -> usize {
-        self.inner.rules.read().len()
+        self.inner.registry.lock().rules.len()
     }
 
     /// The static analyzer's bound on cascade depth for the currently
@@ -429,8 +355,7 @@ impl Sqlcm {
     /// Observed trace depths ([`crate::TraceSnapshot::max_cascade_depth`]) can never
     /// exceed this (E004 denies cyclic rule sets at registration).
     pub fn cascade_depth_bound(&self) -> usize {
-        let mut registration = self.inner.registration.lock();
-        self.analyzer(&mut registration).max_cascade_depth()
+        self.inner.registry().analyzer.max_cascade_depth()
     }
 
     /// Convenience used by examples/benches: quick top-k LAT over query

@@ -66,8 +66,8 @@ pub(crate) const NO_HOIST: u32 = u32::MAX;
 /// compiled condition, pre-bound action targets, referenced classes and LATs.
 pub(crate) struct Registered {
     pub rule: Arc<Rule>,
-    /// The analyzer's view of the rule, lowered once at registration; kept
-    /// so later registrations seed their analyzer with it by `Arc` clone.
+    /// The analyzer's view of the rule, lowered once at registration: the
+    /// `Arc` the kept analyzer admitted, which `remove_rule` takes back out.
     pub ir: Arc<RuleIr>,
     /// `ir`'s folded condition resolved at registration (references resolved
     /// to indexes). Bytecode is emitted from this when the rule is planned.
@@ -411,8 +411,8 @@ impl EventPlan {
 pub(crate) enum Change<'a> {
     /// `add_rule`: the rule is the registry's last.
     Added(&'a Arc<Registered>),
-    /// `remove_rule`, of a rule on this event.
-    Removed(&'a RuleEvent),
+    /// `remove_rule` of this rule.
+    Removed(&'a Arc<Registered>),
     /// `define_lat` / `drop_lat` of the LAT with this (lowercased) name.
     Lat(&'a str),
 }
@@ -481,16 +481,12 @@ impl DispatchPlan {
         plan
     }
 
-    /// The plan of the registry one `change` after this plan's: `rules` and
-    /// `lats` are the registry with the change applied. Equal to `build`
-    /// over them, but only the classes the change touches are planned —
-    /// every other class is shared with this plan.
-    pub fn next(
-        &self,
-        rules: &[Arc<Registered>],
-        lats: &HashMap<String, Arc<Lat>>,
-        change: Change<'_>,
-    ) -> DispatchPlan {
+    /// The plan of the registry one `change` after this plan's: `lats` are
+    /// the registry's LATs with the change applied, and its rules are this
+    /// plan's with the change applied — the registry keeps no other order.
+    /// Equal to `build` over them, but only the classes the change touches
+    /// are planned — every other class is shared with this plan.
+    pub fn next(&self, lats: &HashMap<String, Arc<Lat>>, change: Change<'_>) -> DispatchPlan {
         let mut plan = DispatchPlan {
             epoch: self.epoch + 1,
             probe_mask: ProbeMask::EMPTY,
@@ -498,7 +494,11 @@ impl DispatchPlan {
             dynamics: self.dynamics.clone(),
             rules: match change {
                 Change::Added(reg) => self.rules.with(reg.clone()),
-                _ => rules.to_vec().into(),
+                Change::Removed(gone) => {
+                    let kept = self.rules.iter().filter(|r| !Arc::ptr_eq(r, gone));
+                    kept.cloned().collect::<Vec<_>>().into()
+                }
+                Change::Lat(_) => self.rules.clone(),
             },
             guard_indexed_rules: self.guard_indexed_rules,
             guard_residual_rules: self.guard_residual_rules,
@@ -517,7 +517,7 @@ impl DispatchPlan {
                     None => vec![event.clone()],
                 }
             }
-            Change::Removed(event) => vec![event.clone()],
+            Change::Removed(gone) => vec![gone.rule.event.clone()],
             // Only a condition binds a LAT by name when planned; an action
             // keeps the handle it resolved at registration.
             Change::Lat(name) => self
@@ -529,6 +529,7 @@ impl DispatchPlan {
                 .map(|ep| ep.rules[0].reg.rule.event.clone())
                 .collect(),
         };
+        let rules = plan.rules.clone();
         for event in &stale {
             let class: Vec<&Arc<Registered>> =
                 rules.iter().filter(|r| r.rule.event == *event).collect();
