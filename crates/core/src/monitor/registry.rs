@@ -170,7 +170,8 @@ impl Sqlcm {
         let key = name.to_ascii_lowercase();
         let removed = registry.lats.remove(&key).is_some();
         if removed {
-            registry.analyzer.remove_lat(&key);
+            let admitted = registry.analyzer.remove_lat(&key);
+            debug_assert!(admitted, "the kept analyzer checked every registered LAT");
             // Rules conditioned on the dropped LAT become `broken` in the new
             // plan (they error per evaluation, as the old per-event resolution
             // did); Insert targets keep their resolved handle.
