@@ -50,13 +50,15 @@ fn obj(sig: u64) -> sqlcm_core::Object {
     query_object(&q)
 }
 
-/// Run `threads` × `per_thread` inserts over overlapping keys; returns
-/// (M inserts/sec, lock contentions observed).
-fn run(lat: &Arc<Lat>, threads: u64, per_thread: u64) -> (f64, u64) {
+/// Run `threads` × `per_thread` inserts over overlapping keys into a fresh
+/// LAT; returns (M inserts/sec, lock contentions observed). Lost inserts fail
+/// the bench: it must not report throughput for inserts that were dropped.
+fn run(threads: u64, per_thread: u64) -> (f64, u64) {
+    let lat = mk_lat();
     let t0 = Instant::now();
     std::thread::scope(|scope| {
         for t in 0..threads {
-            let lat = Arc::clone(lat);
+            let lat = Arc::clone(&lat);
             scope.spawn(move || {
                 for i in 0..per_thread {
                     // Knuth-hash the index so threads walk the groups in
@@ -69,17 +71,9 @@ fn run(lat: &Arc<Lat>, threads: u64, per_thread: u64) -> (f64, u64) {
     });
     let secs = t0.elapsed().as_secs_f64();
     let tput = (threads * per_thread) as f64 / secs / 1e6;
-    (tput, lat.lock_contentions())
-}
-
-/// [`run`] on a fresh LAT, checked for lost inserts: the bench must not
-/// report throughput for inserts that were silently lost.
-fn measure(threads: u64, per_thread: u64) -> (f64, u64) {
-    let lat = mk_lat();
-    let measured = run(&lat, threads, per_thread);
     let counted: i64 = lat.rows().iter().map(|r| r[1].as_i64().unwrap()).sum();
     assert_eq!(counted as u64, threads * per_thread, "lost inserts");
-    measured
+    (tput, lat.lock_contentions())
 }
 
 fn main() {
@@ -97,7 +91,7 @@ fn main() {
         "threads", "M inserts/sec", "speedup vs 1", "contentions"
     );
 
-    let mut ones: Vec<(f64, u64)> = (0..BASE_RUNS).map(|_| measure(1, per_thread)).collect();
+    let mut ones: Vec<(f64, u64)> = (0..BASE_RUNS).map(|_| run(1, per_thread)).collect();
     ones.sort_by(|a, b| a.0.total_cmp(&b.0));
     let one_thread_runs: Vec<String> = ones.iter().map(|(t, _)| format!("{t:.3}")).collect();
     println!(
@@ -109,7 +103,7 @@ fn main() {
     for threads in [1u64, 2, 4, 8] {
         let (tput, contentions) = match threads {
             1 => median,
-            _ => measure(threads, per_thread),
+            _ => run(threads, per_thread),
         };
         let speedup = tput / median.0.max(1e-9);
         println!("{threads:<12} {tput:>16.2} {speedup:>13.2}x {contentions:>12}");
