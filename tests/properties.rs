@@ -281,6 +281,127 @@ fn dml_counts_match_model() {
         .unwrap();
 }
 
+/// The ids `SELECT id … WHERE p` returns, sorted.
+fn ids_where(s: &mut Session, table: &str, p: &str) -> Vec<i64> {
+    let rows = s
+        .execute(&format!("SELECT id FROM {table} WHERE {p}"))
+        .unwrap()
+        .rows;
+    let mut ids: Vec<i64> = rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
+    ids.sort_unstable();
+    ids
+}
+
+/// One random predicate over `id` (the key) and `v` (not a key column).
+/// `g = …` is prepended for the table whose key is `(g, id)`, so that its
+/// point and range forms are seeks too.
+fn render_predicate(
+    (kind, a, b, lo_inc, hi_inc): (u8, i64, i64, bool, bool),
+    composite_key: bool,
+) -> String {
+    let (lo, hi) = (a.min(b), a.max(b));
+    let gt = if lo_inc { ">=" } else { ">" };
+    let lt = if hi_inc { "<=" } else { "<" };
+    let prefix = if composite_key {
+        format!("g = {} AND ", a % 4)
+    } else {
+        String::new()
+    };
+    match kind {
+        0 => format!("{prefix}id = {a}"),
+        1 => format!("{prefix}id {gt} {lo} AND id {lt} {hi}"),
+        2 => format!("{prefix}id {gt} {a}"),
+        3 => format!("{prefix}id {lt} {a}"),
+        4 => format!("{prefix}id {gt} {lo} AND id {lt} {hi} AND v <> {}", b % 10),
+        _ => format!("v {lt} {} AND v <> {}", a % 10, b % 10),
+    }
+}
+
+/// UPDATE and DELETE reach exactly the rows SELECT does under the same
+/// predicate: full-key points, key ranges with every inclusive/exclusive mix
+/// (with and without a residual), one-sided ranges and non-key predicates, on
+/// a clustered table, a clustered table with a two-column key and a heap table.
+/// Each check runs in a transaction that is rolled back.
+#[test]
+fn dml_reaches_the_rows_select_returns() {
+    let mut runner =
+        proptest::test_runner::TestRunner::new(proptest::test_runner::Config::with_cases(24));
+    let predicate = (0u8..6, 0i64..48, 0i64..48, any::<bool>(), any::<bool>());
+    runner
+        .run(
+            &(
+                proptest::collection::vec(0i64..10, 0..40),
+                proptest::collection::vec(predicate, 1..6),
+            ),
+            |(vs, predicates)| {
+                let engine = Engine::in_memory();
+                engine
+                    .execute_batch(
+                        "CREATE TABLE c (id INT PRIMARY KEY, v INT, w INT);\
+                         CREATE TABLE p (g INT, id INT, v INT, w INT, PRIMARY KEY (g, id));\
+                         CREATE TABLE h (id INT, v INT, w INT);",
+                    )
+                    .unwrap();
+                let mut s = engine.connect("p", "t");
+                // Ids are spread out so that ranges start and end between rows.
+                for (i, v) in vs.iter().enumerate() {
+                    let (id, v) = (Value::Int(i as i64 * 3 / 2), Value::Int(*v));
+                    let g = Value::Int(i as i64 * 3 / 2 % 4);
+                    s.execute_params("INSERT INTO c VALUES (?, ?, 0)", &[id.clone(), v.clone()])
+                        .unwrap();
+                    s.execute_params(
+                        "INSERT INTO p VALUES (?, ?, ?, 0)",
+                        &[g, id.clone(), v.clone()],
+                    )
+                    .unwrap();
+                    s.execute_params("INSERT INTO h VALUES (?, ?, 0)", &[id, v])
+                        .unwrap();
+                }
+                for shape in &predicates {
+                    for table in ["c", "p", "h"] {
+                        let p = render_predicate(*shape, table == "p");
+                        s.execute("BEGIN").unwrap();
+                        let all = ids_where(&mut s, table, "1 = 1");
+                        let selected = ids_where(&mut s, table, &p);
+                        let updated = s
+                            .execute(&format!("UPDATE {table} SET w = w + 1 WHERE {p}"))
+                            .unwrap()
+                            .rows_affected;
+                        prop_assert_eq!(
+                            updated,
+                            selected.len() as u64,
+                            "UPDATE {} WHERE {}",
+                            table,
+                            p
+                        );
+                        let deleted = s
+                            .execute(&format!("DELETE FROM {table} WHERE {p}"))
+                            .unwrap()
+                            .rows_affected;
+                        prop_assert_eq!(
+                            deleted,
+                            selected.len() as u64,
+                            "DELETE {} WHERE {}",
+                            table,
+                            p
+                        );
+                        let left = ids_where(&mut s, table, "1 = 1");
+                        let removed: Vec<i64> = all
+                            .iter()
+                            .filter(|id| !left.contains(id))
+                            .copied()
+                            .collect();
+                        prop_assert_eq!(&removed, &selected, "{} WHERE {}", table, p);
+                        s.execute("ROLLBACK").unwrap();
+                        prop_assert_eq!(ids_where(&mut s, table, "1 = 1"), all);
+                    }
+                }
+                Ok(())
+            },
+        )
+        .unwrap();
+}
+
 /// GROUP BY through SQL equals a hand-rolled aggregation, for random data.
 #[test]
 fn sql_group_by_matches_model() {
