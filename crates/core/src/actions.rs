@@ -9,11 +9,9 @@
 use std::sync::Arc;
 
 use sqlcm_common::{QueryType, Result, Value};
-use sqlcm_engine::active::ActiveQueryState;
 use sqlcm_engine::engine::EngineInner;
-use sqlcm_engine::exec::{self, ExecCtx};
-use sqlcm_engine::expr::Params;
-use sqlcm_engine::txn::TxnState;
+use sqlcm_engine::exec;
+use sqlcm_engine::plan::PhysicalPlan;
 
 use crate::objects::ClassName;
 use crate::rules::EvalContext;
@@ -83,74 +81,21 @@ pub fn persist_rows(engine: &Arc<EngineInner>, table: &str, rows: Vec<Vec<Value>
         return Ok(0);
     }
     let t = engine.catalog.table(table)?;
-    let now = engine.clock.now_micros();
-    let mut txn = TxnState::new(engine.allocate_txn_id(), false, now);
-    let query = ActiveQueryState::new(
-        engine.allocate_query_id(),
-        format!("/*SQLCM*/ INSERT INTO {table}").into(),
-        QueryType::Insert,
-        0,
-        txn.id,
-        "sqlcm".into(),
-        "monitor".into(),
-        None,
-        now,
-    );
-    let result = {
-        let mut ctx = ExecCtx {
-            locks: &engine.locks,
-            txn: &mut txn,
-            query: &query,
-            params: Params::default(),
-        };
-        exec::run_insert(&mut ctx, &t, rows)
-    };
-    match result {
-        Ok(n) => {
-            engine.locks.release_all(txn.id, txn.held_locks());
-            Ok(n)
-        }
-        Err(e) => {
-            let locks = txn.locks_vec();
-            let _ = exec::apply_undo(txn.undo);
-            engine.locks.release_all(txn.id, &locks);
-            Err(e)
-        }
-    }
+    let text = format!("/*SQLCM*/ INSERT INTO {table}");
+    engine.internal_txn(text, QueryType::Insert, |ctx| {
+        exec::run_insert(ctx, &t, rows)
+    })
 }
 
 /// Read all rows of a table on behalf of the monitor (LAT restore).
 pub fn read_table(engine: &Arc<EngineInner>, table: &str) -> Result<Vec<Vec<Value>>> {
-    let t = engine.catalog.table(table)?;
-    let now = engine.clock.now_micros();
-    let mut txn = TxnState::new(engine.allocate_txn_id(), false, now);
-    let query = ActiveQueryState::new(
-        engine.allocate_query_id(),
-        format!("/*SQLCM*/ SELECT * FROM {table}").into(),
-        QueryType::Select,
-        0,
-        txn.id,
-        "sqlcm".into(),
-        "monitor".into(),
-        None,
-        now,
-    );
-    let plan = sqlcm_engine::plan::PhysicalPlan::SeqScan {
-        table: t,
+    let plan = PhysicalPlan::SeqScan {
+        table: engine.catalog.table(table)?,
         binding: table.to_string(),
         predicate: None,
     };
-    let result = {
-        let mut ctx = ExecCtx {
-            locks: &engine.locks,
-            txn: &mut txn,
-            query: &query,
-            params: Params::default(),
-        };
-        exec::run_select(&mut ctx, &plan)
-    };
-    engine.locks.release_all(txn.id, txn.held_locks());
-    result
+    let text = format!("/*SQLCM*/ SELECT * FROM {table}");
+    engine.internal_txn(text, QueryType::Select, |ctx| exec::run_select(ctx, &plan))
 }
 
 #[cfg(test)]

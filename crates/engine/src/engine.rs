@@ -5,16 +5,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use sqlcm_common::{EngineEvent, Result, SessionInfo, SharedClock, SystemClock, Value};
+use sqlcm_common::{EngineEvent, QueryType, Result, SessionInfo, SharedClock, SystemClock, Value};
 use sqlcm_storage::{BufferPool, InMemoryDisk};
 
-use crate::active::ActiveRegistry;
+use crate::active::{ActiveQueryState, ActiveRegistry};
 use crate::catalog::Catalog;
+use crate::exec::ExecCtx;
+use crate::expr::Params;
 use crate::history::HistoryBuffer;
 use crate::instrument::{Instrumentation, Multicast};
 use crate::lock::LockManager;
 use crate::plancache::{PlanCache, PlanCacheStats};
 use crate::session::Session;
+use crate::txn::TxnState;
 
 /// Buffer-pool frames of the in-memory page store.
 const BUFFER_POOL_FRAMES: usize = 4096;
@@ -209,8 +212,38 @@ impl EngineInner {
         self.next_query_id()
     }
 
-    /// Allocate a transaction id for an internal (monitor-issued) operation.
-    pub fn allocate_txn_id(&self) -> u64 {
-        self.next_txn_id()
+    /// Run `body` as an internal (monitor-issued) transaction: unannounced,
+    /// so it raises no event, and short. When `body` returns `Ok` its locks
+    /// are released; when it fails, its changes are undone, then its locks
+    /// released, and its error is returned.
+    pub fn internal_txn<T>(
+        &self,
+        text: String,
+        query_type: QueryType,
+        body: impl FnOnce(&mut ExecCtx) -> Result<T>,
+    ) -> Result<T> {
+        let now = self.clock.now_micros();
+        let mut txn = TxnState::new(self.next_txn_id(), false, now);
+        let query = ActiveQueryState::new(
+            self.next_query_id(),
+            text.into(),
+            query_type,
+            0,
+            txn.id,
+            "sqlcm".into(),
+            "monitor".into(),
+            None,
+            now,
+        );
+        let result = body(&mut ExecCtx {
+            locks: &self.locks,
+            txn: &mut txn,
+            query: &query,
+            params: Params::default(),
+        });
+        // A commit cannot fail, and after a failure the body's error is the
+        // one to report.
+        let _ = txn.end(&self.locks, result.is_ok());
+        result
     }
 }

@@ -435,14 +435,9 @@ impl Session {
     /// End a transaction: undo it unless it commits, release its locks, and
     /// emit `Transaction.Commit` or `Transaction.Rollback` if it was
     /// announced. Returns the undo's outcome.
-    fn end_txn(&self, mut txn: TxnState, commit: bool) -> Result<()> {
+    fn end_txn(&self, txn: TxnState, commit: bool) -> Result<()> {
         let info = txn.announced.then(|| self.txn_info(&txn));
-        let undone = if commit {
-            Ok(())
-        } else {
-            exec::apply_undo(std::mem::take(&mut txn.undo))
-        };
-        self.engine.locks.release_all(txn.id, txn.held_locks());
+        let undone = txn.end(&self.engine.locks, commit);
         if let Some(info) = info {
             let (kind, event): (_, fn(TxnInfo) -> EngineEvent) = if commit {
                 (ProbeKind::TxnCommit, EngineEvent::TxnCommit)
@@ -982,6 +977,52 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, Error::Cancelled);
         assert!(spy.names().contains(&"Query.Cancel"));
+    }
+
+    #[test]
+    fn a_cancelled_delete_stops_its_target_scan() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let e = engine();
+        let mut s = e.connect("a", "b");
+        s.execute("BEGIN").unwrap();
+        for i in 0..5000i64 {
+            s.execute_params(
+                "INSERT INTO items VALUES (?, 'x', 1, 1.0)",
+                &[Value::Int(i)],
+            )
+            .unwrap();
+        }
+        s.execute("COMMIT").unwrap();
+
+        struct CancelFirstDelete {
+            engine: Arc<EngineInner>,
+            fired: AtomicBool,
+        }
+        impl crate::instrument::Instrumentation for CancelFirstDelete {
+            fn on_event(&self, ev: &EngineEvent) {
+                if let EngineEvent::QueryStart(q) = ev {
+                    if q.query_type == QueryType::Delete && !self.fired.swap(true, Ordering::SeqCst)
+                    {
+                        self.engine.active.cancel(q.id);
+                    }
+                }
+            }
+            fn name(&self) -> &str {
+                "cancel-first-delete"
+            }
+        }
+        e.attach_monitor(Arc::new(CancelFirstDelete {
+            engine: e.handle(),
+            fired: AtomicBool::new(false),
+        }));
+        // The predicate fails at id 4000: a target scan that polls
+        // cancellation stops long before it gets there.
+        let err = s
+            .execute("DELETE FROM items WHERE 10 / (id - 4000) >= 0")
+            .unwrap_err();
+        assert_eq!(err, Error::Cancelled);
+        let n = s.execute("SELECT COUNT(*) FROM items").unwrap().rows;
+        assert_eq!(n, vec![vec![Value::Int(5000)]]);
     }
 
     #[test]

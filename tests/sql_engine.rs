@@ -318,3 +318,53 @@ fn in_list_drives_plan_cache_templates() {
         sig("SELECT name FROM emp WHERE id IN (1, 2, 3)")
     );
 }
+
+/// A clustered-key seek reaches the rows its predicate selects, as a heap
+/// table's scan of the same rows does: for SELECT, UPDATE and DELETE, with
+/// two edges on one side, bounds of another type than the key and NULL.
+#[test]
+fn seeks_select_what_a_heap_scan_selects() {
+    let e = Engine::in_memory();
+    e.execute_batch(
+        "CREATE TABLE c (id INT PRIMARY KEY, v INT);\
+         CREATE TABLE h (id INT, v INT);",
+    )
+    .unwrap();
+    let mut s = e.connect("u", "t");
+    for i in 0..20i64 {
+        for table in ["c", "h"] {
+            s.execute_params(
+                &format!("INSERT INTO {table} VALUES (?, ?)"),
+                &[Value::Int(i), Value::Int(i % 3)],
+            )
+            .unwrap();
+        }
+    }
+    for p in [
+        "id > 10 AND id > 3",
+        "id < 5 AND id <= 8 AND id >= 1",
+        "id >= 2.5",
+        "id = 2.5",
+        "id <= 2.5",
+        "id = '5'",
+        "id < '5'",
+        "id > NULL",
+        "id = NULL",
+        "5 > id AND v = 1",
+    ] {
+        let count = |table: &str| e.query(&format!("SELECT COUNT(*) FROM {table} WHERE {p}"));
+        assert_eq!(count("c").unwrap(), count("h").unwrap(), "SELECT WHERE {p}");
+        for dml in [
+            "UPDATE {t} SET v = v + 1 WHERE {p}",
+            "DELETE FROM {t} WHERE {p}",
+        ] {
+            s.execute("BEGIN").unwrap();
+            let mut n = |t: &str| {
+                let sql = dml.replace("{t}", t).replace("{p}", p);
+                s.execute(&sql).unwrap().rows_affected
+            };
+            assert_eq!(n("c"), n("h"), "{dml} with {p}");
+            s.execute("ROLLBACK").unwrap();
+        }
+    }
+}
