@@ -89,14 +89,11 @@ pub fn rule_cost(universe: &SchemaUniverse, rule: &RuleIr) -> (u32, Vec<String>)
     (total, parts)
 }
 
-/// Warn when the rule's estimated per-firing cost exceeds `threshold`.
-pub fn check_rule(
-    universe: &SchemaUniverse,
-    rule: &RuleIr,
-    threshold: u32,
-    diags: &mut Vec<Diagnostic>,
-) {
+/// Warn when the rule's estimated per-firing cost exceeds
+/// [`DEFAULT_COST_THRESHOLD`].
+pub fn check_rule(universe: &SchemaUniverse, rule: &RuleIr, diags: &mut Vec<Diagnostic>) {
     let (total, parts) = rule_cost(universe, rule);
+    let threshold = DEFAULT_COST_THRESHOLD;
     if total > threshold {
         diags.push(
             Diagnostic::new(

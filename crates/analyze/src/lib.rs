@@ -171,8 +171,6 @@ pub fn expr_refs(ir: &ExprIr) -> (Vec<ClassName>, Vec<String>) {
 pub struct Analyzer {
     universe: SchemaUniverse,
     admitted: RuleIndex,
-    /// Per-firing cost above which [`Code::W201`] fires.
-    pub cost_threshold: u32,
     /// Worst-case transitive evaluations per event above which
     /// [`Code::W302`] fires.
     pub cascade_threshold: usize,
@@ -189,7 +187,6 @@ impl Analyzer {
         Analyzer {
             universe: SchemaUniverse::builtin(),
             admitted: RuleIndex::default(),
-            cost_threshold: DEFAULT_COST_THRESHOLD,
             cascade_threshold: DEFAULT_CASCADE_THRESHOLD,
         }
     }
@@ -251,7 +248,7 @@ impl Analyzer {
         depgraph::check_duplicates(admitted, rule, &mut diags);
         depgraph::check_shared_predicates(admitted, rule, &mut diags);
         depgraph::check_cascades(&self.universe, admitted, rule, &mut diags);
-        cost::check_rule(&self.universe, rule, self.cost_threshold, &mut diags);
+        cost::check_rule(&self.universe, rule, &mut diags);
         cost::check_unconditional_external(rule, &mut diags);
         // Guard/effect/confluence lints describe how the rule will behave
         // once admitted; a rule an error already denies never runs, so
