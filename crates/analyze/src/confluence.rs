@@ -19,7 +19,7 @@
 //!   handled by several rules, multiplies synchronous work per event. The
 //!   pass bounds the worst case — every rule fires, every bounded insert
 //!   evicts — and warns when a single event can transitively trigger more
-//!   than [`crate::Analyzer::cascade_threshold`] rule evaluations.
+//!   than [`DEFAULT_CASCADE_THRESHOLD`] rule evaluations.
 
 use crate::admitted::Admitted;
 use crate::depgraph::raised_events;
@@ -27,6 +27,10 @@ use crate::diagnostics::{Code, Diagnostic};
 use crate::effects::{rule_effects, RuleEffects};
 use crate::schema::SchemaUniverse;
 use crate::{RuleEvent, RuleIr};
+
+/// The worst-case number of rule evaluations one event may transitively
+/// trigger before [`Code::W302`] fires.
+pub const DEFAULT_CASCADE_THRESHOLD: usize = 64;
 
 /// W301: warn when the immediately-preceding same-event rule reads columns
 /// the new rule writes (swapping the adjacent pair changes behaviour).
@@ -64,14 +68,15 @@ pub fn check_order(
 
 /// W302: bound the number of rule evaluations one event can transitively
 /// trigger, counting multiplicities (several rules per event, one possible
-/// eviction per bounded insert, one alarm per `SetTimer`).
+/// eviction per bounded insert, one alarm per `SetTimer`), against
+/// [`DEFAULT_CASCADE_THRESHOLD`].
 pub fn check_amplification(
     universe: &SchemaUniverse,
     admitted: &impl Admitted,
     new: &RuleIr,
-    threshold: usize,
     diags: &mut Vec<Diagnostic>,
 ) {
+    let threshold = DEFAULT_CASCADE_THRESHOLD;
     /// What the walk reads, fixed for one check: the admitted rules with
     /// `new` after them, of which there are `rules`.
     struct Walk<'a, A> {
@@ -133,8 +138,8 @@ pub fn check_amplification(
             .with_span(new.event.to_string())
             .with_help(
                 "reduce fan-out (fewer rules per eviction event, unbounded LATs for \
-                 pure accumulators) or raise Analyzer::cascade_threshold if the \
-                 amplification is intended",
+                 pure accumulators), or accept the warning if the amplification \
+                 is intended",
             ),
         );
     }
@@ -213,28 +218,29 @@ mod tests {
         let mut u = SchemaUniverse::builtin();
         assert!(u.register_lat(&lat("A", true)).is_empty());
         assert!(u.register_lat(&lat("B", true)).is_empty());
-        let mut rules = vec![on_commit("feed_a", None, vec![Action::insert("A")])];
-        for i in 0..4 {
-            rules.push(on_eviction(
-                &format!("a_spill{i}"),
-                "A",
-                vec![Action::insert("B")],
-            ));
-        }
-        for i in 0..4 {
-            rules.push(on_eviction(&format!("b_spill{i}"), "B", vec![]));
-        }
-        let admitted = index(&rules);
-        let new = on_commit("feed_a2", None, vec![Action::insert("A")]);
-        // Each commit insert may evict from A (4 rules, each may evict from B:
-        // 4 rules) — 2 · (1 + 4 · (1 + 4)) = 42 evaluations.
-        let mut diags = Vec::new();
-        check_amplification(&u, &admitted, &new, 16, &mut diags);
+        // `fanout` rules on each eviction from A (each may evict from B) and
+        // on each from B: a commit insert into A costs
+        // 2 · (1 + fanout · (1 + fanout)) evaluations with `feed_a` admitted.
+        let diagnose = |fanout: usize| {
+            let mut rules = vec![on_commit("feed_a", None, vec![Action::insert("A")])];
+            for i in 0..fanout {
+                rules.push(on_eviction(
+                    &format!("a_spill{i}"),
+                    "A",
+                    vec![Action::insert("B")],
+                ));
+                rules.push(on_eviction(&format!("b_spill{i}"), "B", vec![]));
+            }
+            let new = on_commit("feed_a2", None, vec![Action::insert("A")]);
+            let mut diags = Vec::new();
+            check_amplification(&u, &index(&rules), &new, &mut diags);
+            diags
+        };
+        // 2 · (1 + 6 · 7) = 86 > 64.
+        let diags = diagnose(6);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, Code::W302);
-
-        let mut diags = Vec::new();
-        check_amplification(&u, &admitted, &new, 64, &mut diags);
-        assert!(diags.is_empty(), "under the threshold: no warning");
+        // 2 · (1 + 5 · 6) = 62 <= 64.
+        assert!(diagnose(5).is_empty(), "under the threshold: no warning");
     }
 }

@@ -59,6 +59,7 @@ pub mod schema;
 pub mod typeck;
 
 pub use admitted::{holds, Admitted};
+pub use confluence::DEFAULT_CASCADE_THRESHOLD;
 pub use cost::DEFAULT_COST_THRESHOLD;
 pub use diagnostics::{has_errors, Code, Diagnostic, Severity};
 pub use effects::{rule_effects, LatWriteEffect, RuleEffects};
@@ -66,10 +67,6 @@ pub use guard::{rule_guard, Bound, Guard, GuardKind, Guards, LatGuard, Residual}
 pub use lat::{AggColumn, AgingSpec, AttrRef, GroupColumn, LatAggFunc, LatSpec};
 pub use rule::{Action, RuleEvent};
 pub use schema::{ClassName, ClassSchema, LatColumn, LatSchema, SchemaUniverse};
-
-/// Default for [`Analyzer::cascade_threshold`]: the worst-case number of rule
-/// evaluations one event may transitively trigger before W302 fires.
-pub const DEFAULT_CASCADE_THRESHOLD: usize = 64;
 
 use admitted::RuleIndex;
 use sqlcm_sql::{Expr, ExprIr};
@@ -171,9 +168,6 @@ pub fn expr_refs(ir: &ExprIr) -> (Vec<ClassName>, Vec<String>) {
 pub struct Analyzer {
     universe: SchemaUniverse,
     admitted: RuleIndex,
-    /// Worst-case transitive evaluations per event above which
-    /// [`Code::W302`] fires.
-    pub cascade_threshold: usize,
 }
 
 impl Default for Analyzer {
@@ -187,7 +181,6 @@ impl Analyzer {
         Analyzer {
             universe: SchemaUniverse::builtin(),
             admitted: RuleIndex::default(),
-            cascade_threshold: DEFAULT_CASCADE_THRESHOLD,
         }
     }
 
@@ -258,13 +251,7 @@ impl Analyzer {
             let effects = rule_effects(&self.universe, rule);
             effects::check_unfed_reads(&self.universe, admitted, rule, &effects, &mut diags);
             confluence::check_order(&self.universe, admitted, rule, &effects, &mut diags);
-            confluence::check_amplification(
-                &self.universe,
-                admitted,
-                rule,
-                self.cascade_threshold,
-                &mut diags,
-            );
+            confluence::check_amplification(&self.universe, admitted, rule, &mut diags);
         }
         diags
     }

@@ -3,7 +3,7 @@
 
 use sqlcm_analyze::{
     Action, Analyzer, AttrRef, ClassName, Code, Condition, Diagnostic, LatAggFunc, LatSpec,
-    RuleEvent, RuleIr,
+    RuleEvent, RuleIr, DEFAULT_CASCADE_THRESHOLD,
 };
 use sqlcm_sql::parse_expression;
 
@@ -305,9 +305,8 @@ fn w301_order_sensitive_pair() {
 #[test]
 fn w302_cascade_amplification() {
     let mut analyzer = Analyzer::new();
-    analyzer.cascade_threshold = 5;
     assert!(analyzer.check_lat(&duration_lat(true)).is_empty());
-    for i in 0..5 {
+    for i in 0..DEFAULT_CASCADE_THRESHOLD {
         let spill = rule(
             &format!("spill{i}"),
             RuleEvent::LatEviction("Duration_LAT".into()),
@@ -321,8 +320,8 @@ fn w302_cascade_amplification() {
         );
         assert!(analyzer.check_rule(&spill).is_empty(), "spill{i}");
     }
-    // One commit insert may evict, fanning out to the 5 spill rules:
-    // 1 + 5 = 6 > 5 worst-case evaluations per event. (The spill rules
+    // One commit insert may evict, fanning out to the 64 spill rules:
+    // 1 + 64 = 65 > 64 worst-case evaluations per event. (The spill rules
     // themselves sit exactly at the threshold and stay clean.)
     let diags = analyzer.check_rule(&on_query_commit("feed", None, vec![feed()]));
     assert_eq!(codes(&diags), vec![Code::W302]);

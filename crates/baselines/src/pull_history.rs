@@ -12,13 +12,12 @@
 //! Figure 3's tuning dilemma: poll rarely and the history "requires significant
 //! memory, in turn degrading the server's ability to cache pages".
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use sqlcm_engine::Engine;
+use sqlcm_common::Poller;
+use sqlcm_engine::{Engine, HistoryBuffer};
 
 use crate::topk::{top_k, QueryCost};
 
@@ -43,20 +42,17 @@ impl PullHistoryReport {
 
 /// The history-draining client.
 pub struct PullHistory {
-    stop: Arc<AtomicBool>,
-    state: Arc<Mutex<PullHistoryReport>>,
-    peak: Arc<AtomicU64>,
-    thread: Option<JoinHandle<()>>,
+    poller: Poller,
+    report: Arc<Mutex<PullHistoryReport>>,
 }
 
-fn drain_into(engine: &Engine, report: &mut PullHistoryReport, peak: &AtomicU64) {
-    let history = match engine.history() {
-        Some(h) => h,
-        None => return,
+/// One pickup: note the history's size, then drain it into `report`. An
+/// engine without a history has nothing to pick up.
+fn drain_into(history: Option<&HistoryBuffer>, report: &mut PullHistoryReport) {
+    let Some(history) = history else {
+        return;
     };
-    let (len, bytes) = history.usage();
-    let _ = len;
-    peak.fetch_max(bytes as u64, Ordering::Relaxed);
+    let (_, bytes) = history.usage();
     report.peak_history_bytes = report.peak_history_bytes.max(bytes);
     let drained = history.drain();
     report.polls += 1;
@@ -72,7 +68,7 @@ fn drain_into(engine: &Engine, report: &mut PullHistoryReport, peak: &AtomicU64)
 }
 
 impl PullHistory {
-    /// Start draining `engine`'s history every `interval`.
+    /// Start draining `engine`'s history now and every `interval`.
     ///
     /// Panics if the engine was built without a history buffer — that is a
     /// configuration error, not a runtime condition.
@@ -81,75 +77,28 @@ impl PullHistory {
             engine.history().is_some(),
             "PULL_history requires EngineConfig::history != Disabled"
         );
-        let stop = Arc::new(AtomicBool::new(false));
-        let state = Arc::new(Mutex::new(PullHistoryReport::default()));
-        let peak = Arc::new(AtomicU64::new(0));
-        let thread = {
-            let stop = stop.clone();
-            let state = state.clone();
-            let peak = peak.clone();
-            // Engine is not Clone; poll through a second facade over the same
-            // inner (Engine::handle is shared), reconstructed via the public
-            // surface we need: history lives on EngineInner.
-            let inner = engine.handle();
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    if let Some(history) = inner.history.as_ref() {
-                        let (_, bytes) = history.usage();
-                        peak.fetch_max(bytes as u64, Ordering::Relaxed);
-                        let drained = history.drain();
-                        let mut st = state.lock();
-                        st.polls += 1;
-                        st.records_copied += drained.len() as u64;
-                        st.dropped_by_server = history.dropped();
-                        st.peak_history_bytes = st.peak_history_bytes.max(bytes);
-                        for q in drained {
-                            st.observed.push(QueryCost {
-                                query_id: q.id,
-                                text: q.text,
-                                duration_micros: q.duration_micros,
-                            });
-                        }
-                    }
-                    std::thread::sleep(interval);
-                }
+        let report = Arc::new(Mutex::new(PullHistoryReport::default()));
+        let poller = {
+            let report = Arc::clone(&report);
+            let engine = engine.handle();
+            Poller::start(interval, move || {
+                drain_into(engine.history.as_ref(), &mut report.lock());
             })
         };
-        PullHistory {
-            stop,
-            state,
-            peak,
-            thread: Some(thread),
-        }
+        PullHistory { poller, report }
     }
 
     /// One synchronous pickup (deterministic tests / final drain).
     pub fn poll_once(engine: &Engine, report: &mut PullHistoryReport) {
-        let peak = AtomicU64::new(report.peak_history_bytes as u64);
-        drain_into(engine, report, &peak);
+        drain_into(engine.history(), report);
     }
 
     /// Stop and collect, with one final pickup so nothing is left behind.
-    pub fn stop(mut self, engine: &Engine) -> PullHistoryReport {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-        let mut report = self.state.lock().clone();
-        report.peak_history_bytes = report
-            .peak_history_bytes
-            .max(self.peak.load(Ordering::Relaxed) as usize);
-        drain_into(engine, &mut report, &self.peak);
+    pub fn stop(self, engine: &Engine) -> PullHistoryReport {
+        self.poller.stop();
+        let mut report = std::mem::take(&mut *self.report.lock());
+        drain_into(engine.history(), &mut report);
         report
-    }
-}
-
-impl Drop for PullHistory {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
     }
 }
 

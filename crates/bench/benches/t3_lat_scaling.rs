@@ -12,7 +12,9 @@
 //! gated speedup is the median of `PAIRS` per-pair ratios: each pair runs one
 //! thread and eight threads back to back, each on a fresh LAT, alternating
 //! which goes first, since one-thread throughput drifts within a process and
-//! a ratio of adjacent rounds cancels the drift. On smaller machines real
+//! a ratio of adjacent rounds cancels the drift. Every round inserts the same
+//! total (`SQLCM_QUERIES`, default 200 000, times eight), split evenly over its
+//! threads, so neither round of a pair is a short one. On smaller machines real
 //! parallel speedup is physically impossible, so the gate degrades to a
 //! no-collapse floor: 8 threads must retain at least 0.8×
 //! of single-thread throughput (striping must not make contention *worse*).
@@ -52,10 +54,12 @@ fn obj(sig: u64) -> sqlcm_core::Object {
     query_object(&q)
 }
 
-/// Run `threads` × `per_thread` inserts over overlapping keys into a fresh
-/// LAT; returns (M inserts/sec, lock contentions observed). Lost inserts fail
-/// the bench: it must not report throughput for inserts that were dropped.
-fn run(threads: u64, per_thread: u64) -> (f64, u64) {
+/// Run `inserts` inserts, split evenly over `threads` threads, over
+/// overlapping keys into a fresh LAT; returns (M inserts/sec, lock
+/// contentions observed). Lost inserts fail the bench: it must not report
+/// throughput for inserts that were dropped.
+fn run(threads: u64, inserts: u64) -> (f64, u64) {
+    let per_thread = inserts / threads;
     let lat = mk_lat();
     let t0 = Instant::now();
     std::thread::scope(|scope| {
@@ -79,14 +83,14 @@ fn run(threads: u64, per_thread: u64) -> (f64, u64) {
 }
 
 fn main() {
-    let per_thread = env_u32("SQLCM_QUERIES", 200_000) as u64;
+    let inserts = 8 * env_u32("SQLCM_QUERIES", 200_000) as u64;
     let min_x = env_u32("SQLCM_SCALING_MIN_X", 2) as f64;
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     banner(
         "T3: striped LAT insert scaling (1/2/4/8 threads, overlapping keys)",
-        &format!("{per_thread} inserts/thread, {GROUPS} groups, {cores} cores"),
+        &format!("{inserts} inserts per round, {GROUPS} groups, {cores} cores"),
     );
     println!(
         "{:<12} {:>16} {:>14} {:>12}",
@@ -98,11 +102,11 @@ fn main() {
     let mut pairs: Vec<((f64, u64), (f64, u64))> = (0..PAIRS)
         .map(|i| {
             if i % 2 == 0 {
-                let one = run(1, per_thread);
-                (one, run(8, per_thread))
+                let one = run(1, inserts);
+                (one, run(8, inserts))
             } else {
-                let eight = run(8, per_thread);
-                (run(1, per_thread), eight)
+                let eight = run(8, inserts);
+                (run(1, inserts), eight)
             }
         })
         .collect();
@@ -116,7 +120,7 @@ fn main() {
         let (tput, contentions) = match threads {
             1 => one,
             8 => eight,
-            _ => run(threads, per_thread),
+            _ => run(threads, inserts),
         };
         let speedup = tput / one.0.max(1e-9);
         println!("{threads:<12} {tput:>16.2} {speedup:>13.2}x {contentions:>12}");
@@ -142,7 +146,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\"bench\":\"t3_lat_scaling\",\"per_thread\":{per_thread},\"groups\":{GROUPS},\
+        "{{\"bench\":\"t3_lat_scaling\",\"inserts_per_round\":{inserts},\"groups\":{GROUPS},\
          \"cores\":{cores},\"gate\":\"{gate}\",\
          \"threshold_x\":{threshold:.2},\"speedup_8t\":{eight_x:.3},\
          \"pair_ratios\":[{}],\"results\":[{}]}}",

@@ -8,6 +8,8 @@
 //! * [`Clock`] — a time source abstraction so LAT aging windows and `Timer` rules can
 //!   be tested deterministically ([`ManualClock`]) while benches run on the real
 //!   clock ([`SystemClock`]).
+//! * [`Poller`] — the one periodic background thread: SQLCM's timer and
+//!   deferred-action executor and the PULL baselines each run on one.
 //! * [`events`] — the plain-data descriptions of engine happenings (query committed,
 //!   query blocked, …) that the engine hands to whatever monitor is attached. These
 //!   correspond to the *probes* of the paper (Section 4.1): the engine gathers them
@@ -17,6 +19,7 @@
 pub mod clock;
 pub mod error;
 pub mod events;
+pub mod poller;
 pub mod value;
 
 pub use clock::{Clock, ManualClock, SharedClock, SystemClock, Timestamp};
@@ -24,4 +27,5 @@ pub use error::{Error, Result};
 pub use events::{
     BlockPairInfo, EngineEvent, ProbeKind, ProbeMask, QueryInfo, QueryType, SessionInfo, TxnInfo,
 };
+pub use poller::Poller;
 pub use value::{DataType, Value};

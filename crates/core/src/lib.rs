@@ -77,6 +77,7 @@ pub use rules::{Rule, RuleEvent};
 pub use sinks::{CommandSink, MailSink, RecordingCommandSink, RecordingMailSink};
 pub use sqlcm_analyze::{
     holds, rule_guard, Admitted, Analyzer, Code, Diagnostic, Residual, RuleIr, Severity,
+    DEFAULT_CASCADE_THRESHOLD,
 };
 pub use telemetry::{
     DispatchTelemetry, LatTelemetry, MatchingTelemetry, ProbeTelemetry, RuleError, RuleTelemetry,

@@ -29,10 +29,11 @@
 //! event reaches, and `admin` the snapshots and self-monitoring.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
+use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
-use sqlcm_common::SharedClock;
+use sqlcm_common::{Poller, SharedClock};
 use sqlcm_engine::engine::EngineInner;
 use sqlcm_engine::instrument::Instrumentation;
 use sqlcm_engine::Engine;
@@ -148,7 +149,6 @@ struct SqlcmInner {
     deferred: DeferredQueue,
     /// [`MonitorConfig::async_actions`].
     async_actions: AtomicBool,
-    shutdown: AtomicBool,
 }
 
 /// A live SQLCM instance attached to an engine.
@@ -156,8 +156,10 @@ pub struct Sqlcm {
     inner: Arc<SqlcmInner>,
     /// The adapter registered with the engine; identity-detached on drop.
     monitor: Arc<SqlcmMonitor>,
-    timer_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
-    executor_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// [`Sqlcm::start_timer_thread`]'s poller; stopped and joined on drop.
+    timer_poller: Mutex<Option<Poller>>,
+    /// [`Sqlcm::start_action_executor`]'s poller; stopped and joined on drop.
+    executor_poller: Mutex<Option<Poller>>,
 }
 
 impl SqlcmInner {
@@ -263,7 +265,6 @@ impl Sqlcm {
             containment: Containment::new(),
             deferred: DeferredQueue::new(),
             async_actions: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
         });
         let monitor = Arc::new(SqlcmMonitor {
             inner: inner.clone(),
@@ -272,8 +273,8 @@ impl Sqlcm {
         Sqlcm {
             inner,
             monitor,
-            timer_thread: Mutex::new(None),
-            executor_thread: Mutex::new(None),
+            timer_poller: Mutex::new(None),
+            executor_poller: Mutex::new(None),
         }
     }
 
@@ -308,32 +309,13 @@ impl Sqlcm {
         self.inner.poll_timers();
     }
 
-    /// Start the background timer thread, polling at `interval`.
-    pub fn start_timer_thread(&self, interval: std::time::Duration) {
-        self.start_poller(&self.timer_thread, interval, SqlcmInner::poll_timers);
-    }
-
-    /// Run `poll` every `interval` on a background thread kept in `slot`,
-    /// unless one is already there. The thread holds only a `Weak`, and
-    /// exits on the first wake-up after the `Sqlcm` is dropped.
-    fn start_poller(
-        &self,
-        slot: &Mutex<Option<std::thread::JoinHandle<()>>>,
-        interval: std::time::Duration,
-        poll: impl Fn(&SqlcmInner) + Send + 'static,
-    ) {
-        let mut guard = slot.lock();
-        if guard.is_some() {
-            return;
-        }
-        let weak: Weak<SqlcmInner> = Arc::downgrade(&self.inner);
-        *guard = Some(std::thread::spawn(move || loop {
-            std::thread::sleep(interval);
-            match weak.upgrade() {
-                Some(inner) if !inner.shutdown.load(Ordering::Relaxed) => poll(&inner),
-                _ => break,
-            }
-        }));
+    /// Start the background timer thread: fire due timers now and then
+    /// every `interval`. A second start is a no-op.
+    pub fn start_timer_thread(&self, interval: Duration) {
+        let inner = self.inner.clone();
+        self.timer_poller
+            .lock()
+            .get_or_insert_with(|| Poller::start(interval, move || inner.poll_timers()));
     }
 
     // ------------------------------------------------------------ configuration
@@ -383,11 +365,14 @@ impl Sqlcm {
         self.inner.pump_deferred()
     }
 
-    /// Start the background executor thread draining the deferred queue at
-    /// `interval`.
-    pub fn start_action_executor(&self, interval: std::time::Duration) {
-        self.start_poller(&self.executor_thread, interval, |inner| {
-            inner.pump_deferred();
+    /// Start the background executor thread: drain the due deferred actions
+    /// now and then every `interval`. A second start is a no-op.
+    pub fn start_action_executor(&self, interval: Duration) {
+        let inner = self.inner.clone();
+        self.executor_poller.lock().get_or_insert_with(|| {
+            Poller::start(interval, move || {
+                inner.pump_deferred();
+            })
         });
     }
 }
@@ -398,8 +383,7 @@ impl Drop for Sqlcm {
         // handle: left attached, that cycle would keep the engine (buffer
         // pool included) alive forever.
         self.detach_from(&self.inner.engine.monitors);
-        // The threads hold only a Weak; they exit on their next poll.
-        self.inner.shutdown.store(true, Ordering::Relaxed);
+        // The pollers, dropped with the fields, stop and join their threads.
     }
 }
 
@@ -915,6 +899,22 @@ mod tests {
         drop(second);
         drop(engine);
         assert!(storage.upgrade().is_none(), "engine leaked through a cycle");
+    }
+
+    /// Dropping the handle wakes its pollers out of an hour-long wait and
+    /// joins them: nothing of the instance or the engine outlives the drop.
+    #[test]
+    fn dropping_the_handle_stops_its_threads_at_once() {
+        let (engine, sqlcm) = setup();
+        sqlcm.start_timer_thread(Duration::from_secs(3600));
+        sqlcm.start_timer_thread(Duration::from_millis(1));
+        sqlcm.start_action_executor(Duration::from_secs(3600));
+        let storage = Arc::downgrade(&engine.handle());
+        let t0 = std::time::Instant::now();
+        drop(sqlcm);
+        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+        drop(engine);
+        assert!(storage.upgrade().is_none(), "a poller kept the engine");
     }
 
     #[test]

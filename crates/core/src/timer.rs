@@ -8,8 +8,10 @@
 //!
 //! The registry itself is passive: [`TimerRegistry::due_timers`] returns the
 //! timers whose alarm time has passed (advancing their schedule). Production
-//! code drives it from a background thread (`Sqlcm::start_timer_thread`); tests
-//! drive it directly with a manual clock for determinism.
+//! code drives it from a background thread: `Sqlcm::start_timer_thread` runs
+//! the poll on a [`sqlcm_common::Poller`], at start and every interval, and
+//! dropping the `Sqlcm` stops and joins it. Tests drive it directly with a
+//! manual clock for determinism.
 
 use parking_lot::Mutex;
 use sqlcm_common::{SharedClock, Timestamp};

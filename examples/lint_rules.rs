@@ -17,13 +17,9 @@
 
 use sqlcm_core::{
     rule_guard, Action, Analyzer, Diagnostic, LatAggFunc, LatSpec, Rule, RuleEvent, Severity,
+    DEFAULT_CASCADE_THRESHOLD,
 };
 use sqlcm_repro::workloads::rules::catalogs;
-
-/// Cascade threshold used in `--bad` mode. The default (64) is sized for real
-/// deployments; the demo lowers it so a 13-evaluation cascade is enough to
-/// show W302 without drowning the output in filler rules.
-pub(crate) const DEMO_CASCADE_THRESHOLD: usize = 12;
 
 /// The paper's §3 idioms: outlier detection (Example 1), top-k with periodic
 /// persist (Example 3), and an eviction spill rule (§4.3).
@@ -169,9 +165,9 @@ pub(crate) fn bad_ruleset() -> (Vec<LatSpec>, Vec<Rule>) {
             .when("Query.Duration > 30")
             .then(Action::insert("Duration_LAT")),
     ]);
-    // W302: each eviction from Spill_LAT triggers 12 spill handlers; the
-    // feeding rule amplifies one commit past the (demo) cascade threshold.
-    for i in 0..DEMO_CASCADE_THRESHOLD {
+    // W302: each eviction from Spill_LAT triggers 64 spill handlers; the
+    // feeding rule amplifies one commit past the cascade threshold (64).
+    for i in 0..DEFAULT_CASCADE_THRESHOLD {
         rules.push(
             Rule::new(format!("spill{i}"))
                 .on(RuleEvent::LatEviction("Spill_LAT".into()))
@@ -207,11 +203,8 @@ fn print_diag(d: &Diagnostic) {
 /// Also prints the per-rule guard verdict — whether dispatch can prune the
 /// rule without evaluating it. This is the verdict registration stores and
 /// the guard index installs, so it is what `telemetry.matching` counts.
-fn lint(lats: &[LatSpec], rules: &[Rule], cascade_threshold: Option<usize>) -> Vec<Diagnostic> {
+fn lint(lats: &[LatSpec], rules: &[Rule]) -> Vec<Diagnostic> {
     let mut analyzer = Analyzer::new();
-    if let Some(t) = cascade_threshold {
-        analyzer.cascade_threshold = t;
-    }
     let mut diags: Vec<Diagnostic> = Vec::new();
     for spec in lats {
         diags.extend(analyzer.check_lat(spec));
@@ -262,7 +255,7 @@ fn main() {
                 catalog.lats.len(),
                 catalog.rules.len(),
             );
-            let diags = lint(&catalog.lats, &catalog.rules, None);
+            let diags = lint(&catalog.lats, &catalog.rules);
             println!("{} diagnostic(s)", diags.len());
             for d in &diags {
                 print_diag(d);
@@ -272,13 +265,12 @@ fn main() {
         }
     } else {
         let (lats, rules) = if bad { bad_ruleset() } else { good_ruleset() };
-        let threshold = bad.then_some(DEMO_CASCADE_THRESHOLD);
         println!(
             "linting {} LAT spec(s), {} rule(s)\n",
             lats.len(),
             rules.len()
         );
-        let diags = lint(&lats, &rules, threshold);
+        let diags = lint(&lats, &rules);
         println!("{} diagnostic(s)\n", diags.len());
         for d in &diags {
             print_diag(d);

@@ -75,9 +75,8 @@ struct Pair {
 }
 
 impl Pair {
-    fn new(lats: &[LatSpec], cascade_threshold: usize) -> Pair {
+    fn new(lats: &[LatSpec]) -> Pair {
         let mut analyzer = Analyzer::new();
-        analyzer.cascade_threshold = cascade_threshold;
         for lat in lats {
             analyzer.check_lat(lat);
         }
@@ -113,12 +112,8 @@ impl Pair {
     }
 }
 
-fn default_threshold() -> usize {
-    Analyzer::new().cascade_threshold
-}
-
-fn lint_both(lats: &[LatSpec], rules: &[Rule], cascade_threshold: usize, context: &str) -> Pair {
-    let mut pair = Pair::new(lats, cascade_threshold);
+fn lint_both(lats: &[LatSpec], rules: &[Rule], context: &str) -> Pair {
+    let mut pair = Pair::new(lats);
     for rule in rules {
         pair.check(&rule.ir(), context);
     }
@@ -128,12 +123,7 @@ fn lint_both(lats: &[LatSpec], rules: &[Rule], cascade_threshold: usize, context
 #[test]
 fn shipped_catalogs_lint_the_same_through_the_indexes() {
     for catalog in catalogs() {
-        lint_both(
-            &catalog.lats,
-            &catalog.rules,
-            default_threshold(),
-            catalog.name,
-        );
+        lint_both(&catalog.lats, &catalog.rules, catalog.name);
     }
 }
 
@@ -213,7 +203,7 @@ fn benchmark_catalogs() -> Vec<(&'static str, Vec<LatSpec>, Vec<Rule>)> {
 #[test]
 fn benchmark_catalogs_lint_the_same_through_the_indexes() {
     for (name, lats, rules) in benchmark_catalogs() {
-        let pair = lint_both(&lats, &rules, default_threshold(), name);
+        let pair = lint_both(&lats, &rules, name);
         assert_eq!(pair.analyzer.rules().len(), rules.len(), "{name}");
         // The selective catalog shares `Query.Duration >= 0` (W105) and puts
         // 1 000 rules on one event (W302): the indexed answers are exercised.
@@ -226,10 +216,10 @@ fn benchmark_catalogs_lint_the_same_through_the_indexes() {
 #[test]
 fn broken_example_ruleset_lints_the_same_through_the_indexes() {
     let (lats, rules) = lint_rules::bad_ruleset();
-    let pair = lint_both(&lats, &rules, lint_rules::DEMO_CASCADE_THRESHOLD, "--bad");
+    let pair = lint_both(&lats, &rules, "--bad");
     assert!(pair.compared >= 16, "{}", pair.compared);
     let (lats, rules) = lint_rules::good_ruleset();
-    lint_both(&lats, &rules, default_threshold(), "good");
+    lint_both(&lats, &rules, "good");
 }
 
 // ------------------------------------------------------------ generated
@@ -320,7 +310,7 @@ fn generated_rulesets_lint_the_same_through_the_indexes() {
     let mut seen = std::collections::HashSet::new();
     for seed in 0..60 {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut pair = Pair::new(&generated_lats(), 8);
+        let mut pair = Pair::new(&generated_lats());
         let mut made: Vec<RuleIr> = Vec::new();
         for step in 0..120 {
             let context = format!("seed {seed} step {step}");
