@@ -1,4 +1,6 @@
-//! A fixed-capacity buffer pool with LRU replacement.
+//! A buffer pool with LRU replacement. Its capacity is a bound: a frame's
+//! buffer is allocated at its first fault and kept across evictions, so the
+//! pool holds one page buffer for each frame it has ever used, never more.
 //!
 //! The pool is the memory the paper's LATs "compete for … with operator workspace
 //! memory and buffer pool space" (Section 4.3), and the resource that the
@@ -30,6 +32,7 @@ pub struct BufferStats {
 }
 
 struct Frame {
+    /// Empty until the frame's first fault, then `PAGE_SIZE` bytes for good.
     data: Box<[u8]>,
     dirty: bool,
 }
@@ -39,7 +42,9 @@ struct Meta {
     page_table: HashMap<PageId, usize>,
     /// frame index -> (page id, pin count, lru tick of last unpin)
     frame_info: Vec<FrameInfo>,
-    free: Vec<usize>,
+    /// Indices of frames that map no page; `u32`, like page ids, to keep a
+    /// new pool's bookkeeping small.
+    free: Vec<u32>,
     tick: u64,
 }
 
@@ -65,10 +70,11 @@ impl BufferPool {
     /// Create a pool of `capacity` frames over `disk`. Capacity must be ≥ 1.
     pub fn new(disk: SharedDisk, capacity: usize) -> Self {
         assert!(capacity >= 1, "buffer pool needs at least one frame");
+        let frame_ids = u32::try_from(capacity).expect("buffer pool frame count fits in u32");
         let frames = (0..capacity)
             .map(|_| {
                 RwLock::new(Frame {
-                    data: vec![0u8; PAGE_SIZE].into_boxed_slice(),
+                    data: Box::default(),
                     dirty: false,
                 })
             })
@@ -85,7 +91,7 @@ impl BufferPool {
                         last_used: 0,
                     })
                     .collect(),
-                free: (0..capacity).rev().collect(),
+                free: (0..frame_ids).rev().collect(),
                 tick: 0,
             }),
             hits: AtomicU64::new(0),
@@ -181,7 +187,7 @@ impl BufferPool {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let idx = match meta.free.pop() {
-            Some(idx) => idx,
+            Some(idx) => idx as usize,
             None => self.evict_locked(&mut meta)?,
         };
         // Fault the page in while holding the meta lock. This serializes faults,
@@ -190,7 +196,14 @@ impl BufferPool {
         {
             let mut frame = self.frames[idx].write();
             debug_assert!(!frame.dirty);
-            self.disk.read_page(id, &mut frame.data)?;
+            if frame.data.is_empty() {
+                frame.data = vec![0u8; PAGE_SIZE].into_boxed_slice();
+            }
+            if let Err(e) = self.disk.read_page(id, &mut frame.data) {
+                // The frame is clean and maps no page: it is free again.
+                meta.free.push(idx as u32);
+                return Err(e);
+            }
         }
         meta.page_table.insert(id, idx);
         meta.frame_info[idx] = FrameInfo {
@@ -330,5 +343,17 @@ mod tests {
     fn read_of_unallocated_page_errors() {
         let p = pool(2);
         assert!(p.with_page_read(123, |_| ()).is_err());
+    }
+
+    #[test]
+    fn a_failed_fault_gives_its_frame_back() {
+        let p = pool(2);
+        assert!(p.with_page_read(123, |_| ()).is_err());
+        assert!(p.with_page_read(124, |_| ()).is_err());
+        let id = p.new_page().unwrap();
+        p.with_page_write(id, |b| b[0] = 5).unwrap();
+        assert_eq!(p.with_page_read(id, |b| b[0]).unwrap(), 5);
+        let other = p.new_page().unwrap();
+        assert_eq!(p.with_page_read(other, |b| b[0]).unwrap(), 0);
     }
 }

@@ -11,10 +11,11 @@
 //!   (default for tests and most benches) and a file-backed one supporting
 //!   *synchronous write-through*, which the `Query_logging` baseline of Section
 //!   6.2.2 uses to model "forced synchronous writes" to the reporting table.
-//! * [`buffer`] — a fixed-capacity buffer pool with LRU replacement, pin counts,
-//!   and hit/miss statistics. Monitoring history that "degrades the server's
-//!   ability to cache pages" (the PULL_history drawback in Figure 3) manifests
-//!   here as evictions.
+//! * [`buffer`] — a bounded buffer pool with LRU replacement, pin counts, and
+//!   hit/miss statistics; a frame's page buffer is allocated at its first
+//!   fault. Monitoring history that "degrades the server's ability to cache
+//!   pages" (the PULL_history drawback in Figure 3) manifests here as
+//!   evictions.
 //! * [`heap`] — unordered heap files of rows addressed by [`RowId`].
 //! * [`btree`] — a page-based B+tree used for clustered indexes; the Figure 2/3
 //!   workloads are single-row selects through this structure.
