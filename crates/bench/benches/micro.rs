@@ -186,7 +186,7 @@ fn bench_locks() {
     bench_function("lock_acquire_release_uncontended", || {
         k += 1;
         let r = ResourceId::Row(1, vec![Value::Int(k % 64)]);
-        mgr.acquire(1, &q, r.clone(), LockMode::Shared).unwrap();
+        mgr.acquire(1, &q, &r, LockMode::Shared).unwrap();
         mgr.release_all(1, std::slice::from_ref(&r));
     });
 }

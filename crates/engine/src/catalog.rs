@@ -136,6 +136,11 @@ impl Catalog {
         }
     }
 
+    /// The buffer pool every table's storage lives in.
+    pub fn pool(&self) -> &Arc<BufferPool> {
+        &self.pool
+    }
+
     fn key(name: &str) -> String {
         name.to_ascii_lowercase()
     }

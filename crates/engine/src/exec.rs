@@ -49,8 +49,7 @@ pub struct ExecCtx<'a> {
 
 impl ExecCtx<'_> {
     fn lock(&mut self, res: ResourceId, mode: LockMode) -> Result<()> {
-        self.locks
-            .acquire(self.txn.id, self.query, res.clone(), mode)?;
+        self.locks.acquire(self.txn.id, self.query, &res, mode)?;
         self.txn.note_lock(res);
         Ok(())
     }

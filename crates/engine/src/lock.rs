@@ -19,6 +19,14 @@
 //! take S/X. Waiters queue FIFO; releases grant the longest compatible prefix of
 //! the queue. Deadlocks are detected at block time by building the wait-for graph
 //! from live queues (the requester is the victim).
+//!
+//! The table holds live locks only. An entry is made by the first request for
+//! its resource and removed once no transaction holds or waits on it and no
+//! request holds an `Arc` to it: by the last release, or by a waiter that gives
+//! up without a grant. So both graph scans walk only what is held or awaited.
+//! Locks are taken table first, then an entry's state. Every `Arc` to an entry
+//! is cloned under the table lock, and a waiter that gives up drops its own
+//! under it, so the count a remover reads under that lock can only fall.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -92,13 +100,23 @@ impl LockMode {
 }
 
 struct Holder {
-    modes: Vec<LockMode>,
+    /// The modes held, bit `1 << mode as u8` each.
+    modes: u8,
     query: Arc<ActiveQueryState>,
+}
+
+impl Holder {
+    fn modes(&self) -> impl Iterator<Item = LockMode> + '_ {
+        use LockMode::*;
+        [IntentShared, IntentExclusive, Shared, Exclusive]
+            .into_iter()
+            .filter(|m| self.modes & 1 << *m as u8 != 0)
+    }
 }
 
 struct WaitSlot {
     granted: bool,
-    /// Set when the waiter was aborted (currently only used by tests/timeouts).
+    /// Makes the waiter give up with `Cancelled` (only tests set it).
     aborted: bool,
 }
 
@@ -117,20 +135,24 @@ struct LockState {
 }
 
 impl LockState {
+    fn is_idle(&self) -> bool {
+        self.holders.is_empty() && self.queue.is_empty()
+    }
+
     fn other_holders_compatible(&self, txn: u64, mode: LockMode) -> bool {
         self.holders
             .iter()
             .filter(|(t, _)| **t != txn)
-            .all(|(_, h)| h.modes.iter().all(|m| m.compatible(mode)))
+            .all(|(_, h)| h.modes().all(|m| m.compatible(mode)))
     }
 
     fn grant(&mut self, txn: u64, mode: LockMode, query: &Arc<ActiveQueryState>) {
         let h = self.holders.entry(txn).or_insert_with(|| Holder {
-            modes: Vec::new(),
+            modes: 0,
             query: query.clone(),
         });
-        if !h.modes.iter().any(|m| m.covers(mode)) {
-            h.modes.push(mode);
+        if !h.modes().any(|m| m.covers(mode)) {
+            h.modes |= 1 << mode as u8;
         }
         // The most recent acquiring statement represents this txn as a blocker.
         h.query = query.clone();
@@ -158,12 +180,13 @@ impl LockState {
     fn designated_blocker(&self, txn: u64, mode: LockMode) -> Option<&Holder> {
         self.holders
             .iter()
-            .filter(|(t, h)| **t != txn && h.modes.iter().any(|m| !m.compatible(mode)))
+            .filter(|(t, h)| **t != txn && h.modes().any(|m| !m.compatible(mode)))
             .min_by_key(|(t, _)| **t)
             .map(|(_, h)| h)
     }
 }
 
+#[derive(Default)]
 struct LockEntry {
     state: Mutex<LockState>,
     cv: Condvar,
@@ -205,15 +228,12 @@ impl LockManager {
 
     fn entry(&self, res: &ResourceId) -> Arc<LockEntry> {
         let mut table = self.table.lock();
-        table
-            .entry(res.clone())
-            .or_insert_with(|| {
-                Arc::new(LockEntry {
-                    state: Mutex::new(LockState::default()),
-                    cv: Condvar::new(),
-                })
-            })
-            .clone()
+        if let Some(entry) = table.get(res) {
+            return entry.clone();
+        }
+        let entry = Arc::new(LockEntry::default());
+        table.insert(res.clone(), entry.clone());
+        entry
     }
 
     /// Acquire `mode` on `res` for transaction `txn`, on behalf of `query`.
@@ -223,15 +243,15 @@ impl LockManager {
         &self,
         txn: u64,
         query: &Arc<ActiveQueryState>,
-        res: ResourceId,
+        res: &ResourceId,
         mode: LockMode,
     ) -> Result<()> {
-        let entry = self.entry(&res);
+        let entry = self.entry(res);
         let (slot, blocker_snapshot, blocked_snapshot) = {
             let mut state = entry.state.lock();
             // Re-entrant / already-covered?
             if let Some(h) = state.holders.get(&txn) {
-                if h.modes.iter().any(|m| m.covers(mode)) {
+                if h.modes().any(|m| m.covers(mode)) {
                     return Ok(());
                 }
             }
@@ -281,63 +301,40 @@ impl LockManager {
         self.stats.lock().waits += 1;
 
         // Deadlock check now that our wait is visible in the graph.
-        if self.deadlock_from(txn) {
-            self.remove_waiter(&entry, &slot);
-            self.stats.lock().deadlocks += 1;
-            return Err(Error::Deadlock {
+        let parked = if self.deadlock_from(txn) {
+            Err(Error::Deadlock {
                 resource: res.to_string(),
-            });
-        }
-
-        // Probe: Query.Blocked — outside the entry lock so monitors may inspect
-        // the lock graph without self-deadlock.
-        if let Some(blocker) = &blocker_snapshot {
-            self.monitors
-                .emit_with_kind(sqlcm_common::ProbeKind::QueryBlocked, || {
-                    EngineEvent::QueryBlocked(BlockPairInfo {
-                        blocker: blocker.clone(),
-                        blocked: blocked_snapshot.clone(),
-                        resource: res.to_string().into(),
-                        wait_micros: 0,
-                    })
-                });
-        }
-
-        // Park until granted or timeout.
-        let started = std::time::Instant::now();
-        let start_micros = self.clock.now_micros();
-        {
-            let mut state = entry.state.lock();
-            loop {
-                if slot.lock().granted {
-                    break;
-                }
-                if slot.lock().aborted {
-                    return Err(Error::Cancelled);
-                }
-                let remaining = self.wait_timeout.saturating_sub(started.elapsed());
-                if remaining.is_zero() {
-                    drop(state);
-                    self.remove_waiter(&entry, &slot);
-                    self.stats.lock().timeouts += 1;
-                    return Err(Error::LockTimeout {
-                        resource: res.to_string(),
-                        waited_micros: self.clock.now_micros() - start_micros,
+            })
+        } else {
+            // Probe: Query.Blocked — outside the entry lock so monitors may
+            // inspect the lock graph without self-deadlock.
+            if let Some(blocker) = &blocker_snapshot {
+                self.monitors
+                    .emit_with_kind(sqlcm_common::ProbeKind::QueryBlocked, || {
+                        EngineEvent::QueryBlocked(BlockPairInfo {
+                            blocker: blocker.clone(),
+                            blocked: blocked_snapshot.clone(),
+                            resource: res.to_string().into(),
+                            wait_micros: 0,
+                        })
                     });
-                }
-                let timed_out = entry.cv.wait_for(&mut state, remaining).timed_out();
-                if timed_out && !slot.lock().granted {
-                    drop(state);
-                    self.remove_waiter(&entry, &slot);
-                    self.stats.lock().timeouts += 1;
-                    return Err(Error::LockTimeout {
-                        resource: res.to_string(),
-                        waited_micros: self.clock.now_micros() - start_micros,
-                    });
-                }
             }
-        }
-        let waited = self.clock.now_micros() - start_micros;
+            self.park(&entry, &slot, res)
+        };
+        let waited = match parked {
+            Ok(waited) => waited,
+            // A release may grant the request before it leaves the queue; the
+            // grant stands then, so no lock outlives its transaction's list.
+            Err(err) => {
+                if !self.leave(res, entry, &slot) {
+                    let mut stats = self.stats.lock();
+                    stats.deadlocks += u64::from(matches!(err, Error::Deadlock { .. }));
+                    stats.timeouts += u64::from(matches!(err, Error::LockTimeout { .. }));
+                    return Err(err);
+                }
+                0
+            }
+        };
         query.add_blocked(waited);
         self.stats.lock().acquisitions += 1;
 
@@ -357,30 +354,74 @@ impl LockManager {
         Ok(())
     }
 
-    fn remove_waiter(&self, entry: &LockEntry, slot: &Arc<Mutex<WaitSlot>>) {
+    /// Park until `slot` is granted (returns the wait in µs), aborted, or the
+    /// wait times out. The waiter stays queued either way.
+    fn park(&self, entry: &LockEntry, slot: &Mutex<WaitSlot>, res: &ResourceId) -> Result<u64> {
+        let started = std::time::Instant::now();
+        let start_micros = self.clock.now_micros();
         let mut state = entry.state.lock();
-        state.queue.retain(|w| !Arc::ptr_eq(&w.slot, slot));
-        // Our departure may unblock others (e.g. an upgrade behind us).
-        if state.grant_from_queue() {
-            entry.cv.notify_all();
+        loop {
+            if slot.lock().granted {
+                return Ok(self.clock.now_micros() - start_micros);
+            }
+            if slot.lock().aborted {
+                return Err(Error::Cancelled);
+            }
+            let remaining = self.wait_timeout.saturating_sub(started.elapsed());
+            if remaining.is_zero() {
+                return Err(Error::LockTimeout {
+                    resource: res.to_string(),
+                    waited_micros: self.clock.now_micros() - start_micros,
+                });
+            }
+            entry.cv.wait_for(&mut state, remaining);
         }
     }
 
+    /// Take a waiter that gives up off `res`'s queue, and drop the entry if
+    /// that leaves it idle. Returns true when a release granted the request
+    /// first. `entry` is dropped under the table lock, so the next check sees
+    /// the true count.
+    fn leave(&self, res: &ResourceId, entry: Arc<LockEntry>, slot: &Mutex<WaitSlot>) -> bool {
+        let mut table = self.table.lock();
+        let mut state = entry.state.lock();
+        let granted = slot.lock().granted;
+        if !granted {
+            state.queue.retain(|w| !std::ptr::eq(&*w.slot, slot));
+            // Our departure may unblock others (e.g. an upgrade behind us).
+            if state.grant_from_queue() {
+                entry.cv.notify_all();
+            }
+        }
+        // Two `Arc`s: the table's and ours.
+        let idle = state.is_idle() && Arc::strong_count(&entry) == 2;
+        drop(state);
+        drop(entry);
+        if idle {
+            table.remove(res);
+        }
+        granted
+    }
+
     /// Release every lock `txn` holds on `resources` (strict 2PL: called once at
-    /// commit/rollback with the transaction's tracked resource list).
-    pub fn release_all(&self, txn: u64, resources: &[ResourceId]) {
+    /// commit/rollback with the transaction's tracked resource list), dropping
+    /// each entry this leaves idle.
+    pub fn release_all<'a>(&self, txn: u64, resources: impl IntoIterator<Item = &'a ResourceId>) {
+        let mut table = self.table.lock();
         for res in resources {
-            let entry = {
-                let table = self.table.lock();
-                match table.get(res) {
-                    Some(e) => e.clone(),
-                    None => continue,
-                }
+            let Some(entry) = table.get(res) else {
+                continue;
             };
             let mut state = entry.state.lock();
             state.holders.remove(&txn);
             if state.grant_from_queue() {
                 entry.cv.notify_all();
+            }
+            // Only the table's `Arc`: no request is about to queue here.
+            let idle = state.is_idle() && Arc::strong_count(entry) == 1;
+            drop(state);
+            if idle {
+                table.remove(res);
             }
         }
     }
@@ -397,7 +438,7 @@ impl LockManager {
                 for w in &state.queue {
                     let deps = edges.entry(w.txn).or_default();
                     for (t, h) in &state.holders {
-                        if *t != w.txn && h.modes.iter().any(|m| !m.compatible(w.mode)) {
+                        if *t != w.txn && h.modes().any(|m| !m.compatible(w.mode)) {
                             deps.insert(*t);
                         }
                     }
@@ -452,19 +493,10 @@ impl LockManager {
         out
     }
 
-    /// Number of distinct resources with any holder or waiter (test/diagnostic).
+    /// Number of resources some transaction holds or waits on (or is about
+    /// to queue on): an entry leaves the table with its last holder or waiter.
     pub fn resource_count(&self) -> usize {
         self.table.lock().len()
-    }
-
-    /// Drop entries with no holders and no waiters (housekeeping; benches call
-    /// this between phases to keep the table small).
-    pub fn sweep(&self) {
-        let mut table = self.table.lock();
-        table.retain(|_, e| {
-            let s = e.state.lock();
-            !(s.holders.is_empty() && s.queue.is_empty())
-        });
     }
 }
 
@@ -516,10 +548,8 @@ mod tests {
     fn shared_locks_coexist() {
         let (m, _) = mgr();
         let r = ResourceId::Row(1, vec![Value::Int(5)]);
-        m.acquire(1, &mk_query(1), r.clone(), LockMode::Shared)
-            .unwrap();
-        m.acquire(2, &mk_query(2), r.clone(), LockMode::Shared)
-            .unwrap();
+        m.acquire(1, &mk_query(1), &r, LockMode::Shared).unwrap();
+        m.acquire(2, &mk_query(2), &r, LockMode::Shared).unwrap();
         m.release_all(1, std::slice::from_ref(&r));
         m.release_all(2, &[r]);
     }
@@ -529,10 +559,10 @@ mod tests {
         let (m, _) = mgr();
         let r = ResourceId::Table(3);
         let q = mk_query(1);
-        m.acquire(1, &q, r.clone(), LockMode::Shared).unwrap();
-        m.acquire(1, &q, r.clone(), LockMode::Shared).unwrap();
+        m.acquire(1, &q, &r, LockMode::Shared).unwrap();
+        m.acquire(1, &q, &r, LockMode::Shared).unwrap();
         // Sole holder upgrades without waiting.
-        m.acquire(1, &q, r.clone(), LockMode::Exclusive).unwrap();
+        m.acquire(1, &q, &r, LockMode::Exclusive).unwrap();
         m.release_all(1, &[r]);
     }
 
@@ -542,14 +572,13 @@ mod tests {
         let m = Arc::new(m);
         let r = ResourceId::Row(1, vec![Value::Int(9)]);
         let holder = mk_query(1);
-        m.acquire(1, &holder, r.clone(), LockMode::Exclusive)
-            .unwrap();
+        m.acquire(1, &holder, &r, LockMode::Exclusive).unwrap();
 
         let m2 = m.clone();
         let r2 = r.clone();
         let waiter_q = mk_query(2);
         let wq = waiter_q.clone();
-        let t = thread::spawn(move || m2.acquire(2, &wq, r2, LockMode::Shared));
+        let t = thread::spawn(move || m2.acquire(2, &wq, &r2, LockMode::Shared));
         thread::sleep(Duration::from_millis(30));
         assert_eq!(m.blocked_pairs().len(), 1, "pair visible while blocked");
         m.release_all(1, std::slice::from_ref(&r));
@@ -563,7 +592,6 @@ mod tests {
         assert!(snap.time_blocked_micros > 0);
         assert_eq!(holder.snapshot(0).queries_blocked, 1);
         m.release_all(2, &[r]);
-        m.sweep();
         assert_eq!(m.resource_count(), 0);
     }
 
@@ -575,19 +603,17 @@ mod tests {
         let rb = ResourceId::Row(1, vec![Value::Int(2)]);
         let q1 = mk_query(1);
         let q2 = mk_query(2);
-        m.acquire(1, &q1, ra.clone(), LockMode::Exclusive).unwrap();
-        m.acquire(2, &q2, rb.clone(), LockMode::Exclusive).unwrap();
+        m.acquire(1, &q1, &ra, LockMode::Exclusive).unwrap();
+        m.acquire(2, &q2, &rb, LockMode::Exclusive).unwrap();
 
         // txn 2 waits for ra (held by 1) in a thread.
         let m2 = m.clone();
         let ra2 = ra.clone();
         let q2b = q2.clone();
-        let t = thread::spawn(move || m2.acquire(2, &q2b, ra2, LockMode::Exclusive));
+        let t = thread::spawn(move || m2.acquire(2, &q2b, &ra2, LockMode::Exclusive));
         thread::sleep(Duration::from_millis(30));
         // txn 1 now requests rb: cycle 1→2→1 must be detected immediately.
-        let err = m
-            .acquire(1, &q1, rb.clone(), LockMode::Exclusive)
-            .unwrap_err();
+        let err = m.acquire(1, &q1, &rb, LockMode::Exclusive).unwrap_err();
         assert!(matches!(err, Error::Deadlock { .. }), "{err}");
         assert_eq!(m.stats().deadlocks, 1);
         // Unwind: txn 1 releases, txn 2 proceeds.
@@ -602,10 +628,9 @@ mod tests {
         m.wait_timeout = Duration::from_millis(50);
         let m = Arc::new(m);
         let r = ResourceId::Table(7);
-        m.acquire(1, &mk_query(1), r.clone(), LockMode::Exclusive)
-            .unwrap();
+        m.acquire(1, &mk_query(1), &r, LockMode::Exclusive).unwrap();
         let err = m
-            .acquire(2, &mk_query(2), r.clone(), LockMode::Shared)
+            .acquire(2, &mk_query(2), &r, LockMode::Shared)
             .unwrap_err();
         assert!(matches!(err, Error::LockTimeout { .. }), "{err}");
         assert_eq!(m.stats().timeouts, 1);
@@ -617,8 +642,7 @@ mod tests {
         let (m, _) = mgr();
         let m = Arc::new(m);
         let r = ResourceId::Table(1);
-        m.acquire(1, &mk_query(1), r.clone(), LockMode::Exclusive)
-            .unwrap();
+        m.acquire(1, &mk_query(1), &r, LockMode::Exclusive).unwrap();
 
         let order = Arc::new(Mutex::new(Vec::new()));
         let mut handles = vec![];
@@ -628,7 +652,7 @@ mod tests {
             let order = order.clone();
             handles.push(thread::spawn(move || {
                 let q = mk_query(txn);
-                m.acquire(txn, &q, r.clone(), LockMode::Exclusive).unwrap();
+                m.acquire(txn, &q, &r, LockMode::Exclusive).unwrap();
                 order.lock().push(txn);
                 thread::sleep(Duration::from_millis(5));
                 m.release_all(txn, &[r]);
@@ -647,11 +671,11 @@ mod tests {
     fn intention_locks_do_not_conflict_with_each_other() {
         let (m, _) = mgr();
         let t = ResourceId::Table(1);
-        m.acquire(1, &mk_query(1), t.clone(), LockMode::IntentExclusive)
+        m.acquire(1, &mk_query(1), &t, LockMode::IntentExclusive)
             .unwrap();
-        m.acquire(2, &mk_query(2), t.clone(), LockMode::IntentExclusive)
+        m.acquire(2, &mk_query(2), &t, LockMode::IntentExclusive)
             .unwrap();
-        m.acquire(3, &mk_query(3), t.clone(), LockMode::IntentShared)
+        m.acquire(3, &mk_query(3), &t, LockMode::IntentShared)
             .unwrap();
         m.release_all(1, std::slice::from_ref(&t));
         m.release_all(2, std::slice::from_ref(&t));
@@ -663,16 +687,170 @@ mod tests {
         let (m, _) = mgr();
         let m = Arc::new(m);
         let r = ResourceId::Table(2);
-        m.acquire(1, &mk_query(1), r.clone(), LockMode::Exclusive)
-            .unwrap();
+        m.acquire(1, &mk_query(1), &r, LockMode::Exclusive).unwrap();
         let m2 = m.clone();
         let r2 = r.clone();
-        let t = thread::spawn(move || m2.acquire(2, &mk_query(2), r2, LockMode::Exclusive));
+        let t = thread::spawn(move || m2.acquire(2, &mk_query(2), &r2, LockMode::Exclusive));
         thread::sleep(Duration::from_millis(20));
         m.release_all(1, std::slice::from_ref(&r));
         t.join().unwrap().unwrap();
         assert_eq!(m.stats().waits, 1);
         assert!(m.stats().acquisitions >= 2);
         m.release_all(2, &[r]);
+    }
+
+    /// Hold `X` on `r` as txn 1 and start txn 2 waiting for `S` on it.
+    fn held_and_awaited(
+        m: &Arc<LockManager>,
+        spy: &Spy,
+        r: &ResourceId,
+    ) -> thread::JoinHandle<Result<()>> {
+        m.acquire(1, &mk_query(1), r, LockMode::Exclusive).unwrap();
+        let (m2, r2) = (m.clone(), r.clone());
+        let t = thread::spawn(move || m2.acquire(2, &mk_query(2), &r2, LockMode::Shared));
+        await_blocked(spy);
+        t
+    }
+
+    /// Wait for `Query.Blocked`: the waiter has passed its deadlock check.
+    fn await_blocked(spy: &Spy) {
+        while !spy.names().contains(&"Query.Blocked") {
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn table_empties_after_a_plain_release() {
+        let (m, _) = mgr();
+        let r = ResourceId::Row(1, vec![Value::Int(5)]);
+        m.acquire(1, &mk_query(1), &r, LockMode::Shared).unwrap();
+        m.acquire(2, &mk_query(2), &r, LockMode::Shared).unwrap();
+        m.release_all(1, std::slice::from_ref(&r));
+        assert_eq!(m.resource_count(), 1, "txn 2 still holds it");
+        m.release_all(2, std::slice::from_ref(&r));
+        assert_eq!(m.resource_count(), 0);
+    }
+
+    #[test]
+    fn table_empties_after_a_granted_waiter_releases() {
+        let (m, spy) = mgr();
+        let m = Arc::new(m);
+        let r = ResourceId::Row(1, vec![Value::Int(9)]);
+        let t = held_and_awaited(&m, &spy, &r);
+        m.release_all(1, std::slice::from_ref(&r));
+        t.join().unwrap().unwrap();
+        assert_eq!(m.resource_count(), 1, "the waiter now holds it");
+        m.release_all(2, &[r]);
+        assert_eq!(m.resource_count(), 0);
+    }
+
+    #[test]
+    fn table_empties_after_a_reentrant_upgrade() {
+        let (m, _) = mgr();
+        let r = ResourceId::Table(3);
+        let q = mk_query(1);
+        for mode in [
+            LockMode::IntentShared,
+            LockMode::Shared,
+            LockMode::Exclusive,
+        ] {
+            m.acquire(1, &q, &r, mode).unwrap();
+        }
+        m.release_all(1, &[r]);
+        assert_eq!(m.resource_count(), 0);
+    }
+
+    #[test]
+    fn table_empties_after_a_waiter_times_out() {
+        let (mut m, _) = mgr();
+        m.wait_timeout = Duration::from_millis(50);
+        let r = ResourceId::Table(7);
+        m.acquire(1, &mk_query(1), &r, LockMode::Exclusive).unwrap();
+        let err = m
+            .acquire(2, &mk_query(2), &r, LockMode::Shared)
+            .unwrap_err();
+        assert!(matches!(err, Error::LockTimeout { .. }), "{err}");
+        assert_eq!(m.resource_count(), 1, "txn 1 still holds it");
+        assert!(m.blocked_pairs().is_empty(), "the waiter left the queue");
+        m.release_all(1, &[r]);
+        assert_eq!(m.resource_count(), 0);
+    }
+
+    #[test]
+    fn table_empties_after_a_deadlock_victim() {
+        let (m, spy) = mgr();
+        let m = Arc::new(m);
+        let (ra, rb) = (ResourceId::Table(1), ResourceId::Table(2));
+        let q1 = mk_query(1);
+        m.acquire(1, &q1, &ra, LockMode::Exclusive).unwrap();
+        m.acquire(2, &mk_query(2), &rb, LockMode::Exclusive)
+            .unwrap();
+        let (m2, ra2) = (m.clone(), ra.clone());
+        let t = thread::spawn(move || m2.acquire(2, &mk_query(2), &ra2, LockMode::Exclusive));
+        await_blocked(&spy);
+        let err = m.acquire(1, &q1, &rb, LockMode::Exclusive).unwrap_err();
+        assert!(matches!(err, Error::Deadlock { .. }), "{err}");
+        m.release_all(1, std::slice::from_ref(&ra));
+        t.join().unwrap().unwrap();
+        m.release_all(2, &[ra, rb]);
+        assert_eq!(m.resource_count(), 0);
+    }
+
+    #[test]
+    fn table_empties_after_an_aborted_waiter() {
+        let (m, spy) = mgr();
+        let m = Arc::new(m);
+        let r = ResourceId::Row(1, vec![Value::Int(4)]);
+        let t = held_and_awaited(&m, &spy, &r);
+        {
+            let table = m.table.lock();
+            let entry = &table[&r];
+            for w in &entry.state.lock().queue {
+                w.slot.lock().aborted = true;
+            }
+            entry.cv.notify_all();
+        }
+        assert!(matches!(t.join().unwrap(), Err(Error::Cancelled)));
+        assert!(m.blocked_pairs().is_empty(), "the waiter left the queue");
+        m.release_all(1, std::slice::from_ref(&r));
+        assert_eq!(m.resource_count(), 0, "no grant went to the aborted waiter");
+    }
+
+    #[test]
+    fn departures_racing_releases_leave_no_entry_and_no_holder() {
+        let (mut m, _) = mgr();
+        m.wait_timeout = Duration::from_millis(1);
+        let m = Arc::new(m);
+        let rows = [ResourceId::Table(1), ResourceId::Table(2)];
+        let start = Arc::new(std::sync::Barrier::new(8));
+        let handles: Vec<_> = (0..8u64)
+            .map(|t| {
+                let (m, rows, start) = (m.clone(), rows.clone(), start.clone());
+                thread::spawn(move || {
+                    start.wait();
+                    for i in 0..300u64 {
+                        let (txn, r) = (t * 1000 + i + 1, &rows[(t + i) as usize % 2]);
+                        if m.acquire(txn, &mk_query(txn), r, LockMode::Exclusive)
+                            .is_ok()
+                        {
+                            // Long enough that some of the queue behind times out.
+                            thread::sleep(Duration::from_micros(200));
+                            m.release_all(txn, [r]);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(m.resource_count(), 0);
+        let stats = m.stats();
+        assert_eq!(stats.acquisitions + stats.timeouts, 8 * 300, "{stats:?}");
+        // No failed request left a grant behind: both rows are free.
+        for r in &rows {
+            m.acquire(9999, &mk_query(9999), r, LockMode::Exclusive)
+                .unwrap();
+        }
     }
 }

@@ -58,9 +58,8 @@ pub struct TxnState {
     /// event. False for an autocommit wrapper, which emits neither.
     pub announced: bool,
     pub start_time: Timestamp,
-    /// Resources locked by this transaction (deduplicated), released at end.
-    locks: Vec<ResourceId>,
-    lock_set: HashSet<ResourceId>,
+    /// Resources locked by this transaction, released at end.
+    locks: HashSet<ResourceId>,
     /// Undo log in execution order.
     pub undo: Vec<UndoOp>,
     /// Statement signature sequences (→ transaction signatures).
@@ -75,8 +74,7 @@ impl TxnState {
             id,
             announced,
             start_time,
-            locks: Vec::new(),
-            lock_set: HashSet::new(),
+            locks: HashSet::new(),
             undo: Vec::new(),
             logical_sigs: Vec::new(),
             physical_sigs: Vec::new(),
@@ -86,9 +84,7 @@ impl TxnState {
 
     /// Record that this txn now holds `res` (idempotent).
     pub fn note_lock(&mut self, res: ResourceId) {
-        if self.lock_set.insert(res.clone()) {
-            self.locks.push(res);
-        }
+        self.locks.insert(res);
     }
 
     /// End the transaction: undo it unless it commits, then release its locks.

@@ -405,3 +405,70 @@ fn cancel_from_another_session() {
     let err = handle.join().unwrap().unwrap_err();
     assert_eq!(err, Error::Cancelled);
 }
+
+#[test]
+fn hot_rows_leave_an_empty_lock_table() {
+    const SESSIONS: i64 = 8;
+    const ROUNDS: i64 = 60;
+    let e = Engine::new(EngineConfig {
+        lock_wait_timeout: Duration::from_secs(10),
+        ..Default::default()
+    });
+    e.execute_batch("CREATE TABLE hot (id INT PRIMARY KEY, n INT);")
+        .unwrap();
+    for id in 0..4 {
+        e.query(&format!("INSERT INTO hot VALUES ({id}, 0)"))
+            .unwrap();
+    }
+    // Each transaction reads one hot row (S) and bumps another (X); a
+    // deadlock victim is rolled back and runs again, nothing may time out.
+    let rows = |s: i64, round: i64| ((s + round) % 4, (s * 3 + round) % 4);
+    let handles: Vec<_> = (0..SESSIONS)
+        .map(|s| {
+            let mut session = e.connect(&format!("s{s}"), "t");
+            std::thread::spawn(move || {
+                for round in 0..ROUNDS {
+                    let (read, bump) = rows(s, round);
+                    loop {
+                        let run = |session: &mut Session| -> Result<()> {
+                            session.execute("BEGIN")?;
+                            session.execute_params(
+                                "SELECT n FROM hot WHERE id = ?",
+                                &[Value::Int(read)],
+                            )?;
+                            session.execute_params(
+                                "UPDATE hot SET n = n + 1 WHERE id = ?",
+                                &[Value::Int(bump)],
+                            )?;
+                            session.execute("COMMIT")?;
+                            Ok(())
+                        };
+                        match run(&mut session) {
+                            Ok(()) => break,
+                            Err(Error::Deadlock { .. }) => assert!(!session.in_transaction()),
+                            Err(other) => panic!("session {s} round {round}: {other}"),
+                        }
+                    }
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    let mut expected = [0i64; 4];
+    for s in 0..SESSIONS {
+        for round in 0..ROUNDS {
+            expected[rows(s, round).1 as usize] += 1;
+        }
+    }
+    let counts: Vec<Value> = e
+        .query("SELECT n FROM hot ORDER BY id")
+        .unwrap()
+        .into_iter()
+        .map(|row| row[0].clone())
+        .collect();
+    assert_eq!(counts, expected.map(Value::Int).to_vec());
+    assert_eq!(e.handle().locks.resource_count(), 0);
+    assert!(e.blocked_pairs().is_empty());
+}
