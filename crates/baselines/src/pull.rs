@@ -43,11 +43,7 @@ impl PullReport {
         for q in snapshot {
             match self.observed.iter_mut().find(|o| o.query_id == q.id) {
                 Some(o) => o.duration_micros = o.duration_micros.max(q.duration_micros),
-                None => self.observed.push(QueryCost {
-                    query_id: q.id,
-                    text: q.text,
-                    duration_micros: q.duration_micros,
-                }),
+                None => self.observed.push(q.into()),
             }
         }
     }

@@ -11,6 +11,16 @@ pub struct QueryCost {
     pub duration_micros: u64,
 }
 
+impl From<sqlcm_common::QueryInfo> for QueryCost {
+    fn from(q: sqlcm_common::QueryInfo) -> Self {
+        QueryCost {
+            query_id: q.id,
+            text: q.text,
+            duration_micros: q.duration_micros,
+        }
+    }
+}
+
 /// Top-k by duration (descending), query id as the tiebreaker for determinism.
 pub fn top_k(costs: &[QueryCost], k: usize) -> Vec<QueryCost> {
     let mut sorted: Vec<QueryCost> = costs.to_vec();

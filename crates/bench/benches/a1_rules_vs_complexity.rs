@@ -26,7 +26,6 @@
 
 use sqlcm_bench::{banner, engine_with_db, env_u32};
 use sqlcm_core::{Action, LatAggFunc, LatSpec, Rule, RuleEvent, Sqlcm};
-use sqlcm_engine::engine::HistoryMode;
 use sqlcm_workloads::{mixed, run_queries};
 
 fn cond(k: usize, fire: bool) -> String {
@@ -52,7 +51,7 @@ fn main() {
     let orders = env_u32("SQLCM_ORDERS", 5_000);
     let n_queries = env_u32("SQLCM_QUERIES", 2_000);
     let rules = env_u32("SQLCM_RULES", 1_000);
-    let (engine, db) = engine_with_db(orders, HistoryMode::Disabled);
+    let (engine, db) = engine_with_db(orders);
     let workload = mixed::point_select_workload(&db, n_queries, 13);
 
     banner(

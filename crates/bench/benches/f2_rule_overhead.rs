@@ -18,7 +18,6 @@
 
 use sqlcm_bench::{banner, engine_with_db, env_flag, env_u32, overhead_pct};
 use sqlcm_core::{Action, LatAggFunc, LatSpec, Rule, RuleEvent, Sqlcm};
-use sqlcm_engine::engine::HistoryMode;
 use sqlcm_engine::Engine;
 use sqlcm_workloads::{mixed, run_queries};
 
@@ -76,7 +75,7 @@ fn main() {
     let orders = env_u32("SQLCM_ORDERS", 10_000);
     let n_queries = env_u32("SQLCM_QUERIES", 3_000);
     let full = env_flag("SQLCM_FULL");
-    let (engine, db) = engine_with_db(orders, HistoryMode::Disabled);
+    let (engine, db) = engine_with_db(orders);
     let workload = mixed::point_select_workload(&db, n_queries, 11);
 
     banner(

@@ -22,10 +22,11 @@
 
 use std::time::Duration;
 
-use sqlcm_baselines::{missed_count, PullHistory, PullMonitor, QueryCost, QueryLogging};
+use sqlcm_baselines::{
+    missed_count, PullHistory, PullMonitor, QueryCost, QueryLogging, ServerHistory,
+};
 use sqlcm_bench::{banner, engine_with_db, env_u32};
 use sqlcm_core::{Action, LatAggFunc, LatSpec, Rule, RuleEvent, Sqlcm};
-use sqlcm_engine::engine::HistoryMode;
 use sqlcm_engine::Engine;
 use sqlcm_workloads::mixed::{self, MixedConfig};
 use sqlcm_workloads::run_queries;
@@ -72,22 +73,16 @@ fn workload_for(db: &sqlcm_workloads::TpchDb, queries: u32) -> Vec<mixed::Worklo
     )
 }
 
-/// Run the workload on a history-enabled engine and return this run's exact
-/// per-query costs (the ground truth), plus the run's wall time.
-fn truth_run(engine: &Engine, w: &[mixed::WorkloadQuery]) -> (Vec<QueryCost>, Duration) {
-    engine.history().expect("history engine").drain();
+/// Run the workload on an engine `history` is attached to and return this
+/// run's exact per-query costs (the ground truth), plus the run's wall time.
+fn truth_run(
+    engine: &Engine,
+    history: &ServerHistory,
+    w: &[mixed::WorkloadQuery],
+) -> (Vec<QueryCost>, Duration) {
+    history.drain();
     let stats = run_queries(engine, w).expect("workload");
-    let costs: Vec<QueryCost> = engine
-        .history()
-        .unwrap()
-        .drain()
-        .into_iter()
-        .map(|q| QueryCost {
-            query_id: q.id,
-            text: q.text,
-            duration_micros: q.duration_micros,
-        })
-        .collect();
+    let costs = history.drain().into_iter().map(QueryCost::from).collect();
     (costs, stats.elapsed)
 }
 
@@ -96,10 +91,12 @@ fn main() {
     let n_queries = env_u32("SQLCM_QUERIES", 20_000);
 
     // Engine A: no history — clean overhead measurements for push approaches.
-    let (engine_a, db_a) = engine_with_db(orders, HistoryMode::Disabled);
+    let (engine_a, db_a) = engine_with_db(orders);
     let workload = workload_for(&db_a, n_queries);
-    // Engine B: history-enabled — the PULL_* approaches + per-run ground truth.
-    let (engine_b, _db_b) = engine_with_db(orders, HistoryMode::Unbounded);
+    // Engine B: a server-kept history attached for the whole run — the PULL_*
+    // approaches + per-run ground truth.
+    let (engine_b, _db_b) = engine_with_db(orders);
+    let history = ServerHistory::attach(&engine_b);
 
     banner(
         "F3: top-10 most expensive queries — SQLCM vs logging vs polling (Figure 3)",
@@ -113,8 +110,8 @@ fn main() {
 
     // ---- warmup + ground truth ----
     run_queries(&engine_a, &workload).expect("warmup A");
-    let (_, _) = truth_run(&engine_b, &workload); // warm B
-    let (truth_costs, _) = truth_run(&engine_b, &workload);
+    let (_, _) = truth_run(&engine_b, &history, &workload); // warm B
+    let (truth_costs, _) = truth_run(&engine_b, &history, &workload);
     let truth = sqlcm_baselines::top_k(&truth_costs, K);
     println!(
         "ground truth: top-{K} durations {:.1} ms … {:.1} ms (all joins: {})",
@@ -228,26 +225,17 @@ fn main() {
         let (base, t, over) = paired_overhead(
             2,
             || {
-                engine_b.history().unwrap().drain();
+                history.drain();
                 run_b()
             },
             || {
-                engine_b.history().unwrap().drain();
+                history.drain();
                 let monitor = PullMonitor::start(&engine_b, interval);
                 let d = run_b();
                 last_report = Some(monitor.stop());
-                // This run's exact truth from the (always-on) history.
-                let costs: Vec<QueryCost> = engine_b
-                    .history()
-                    .unwrap()
-                    .drain()
-                    .into_iter()
-                    .map(|q| QueryCost {
-                        query_id: q.id,
-                        text: q.text,
-                        duration_micros: q.duration_micros,
-                    })
-                    .collect();
+                // This run's exact truth from the (always-attached) history.
+                let costs: Vec<QueryCost> =
+                    history.drain().into_iter().map(QueryCost::from).collect();
                 last_truth = sqlcm_baselines::top_k(&costs, K);
                 d
             },
@@ -270,25 +258,31 @@ fn main() {
         let (base, t, over) = paired_overhead(
             2,
             || {
-                engine_b.history().unwrap().drain();
+                history.drain();
                 run_b()
             },
             || {
-                engine_b.history().unwrap().drain();
-                let monitor = PullHistory::start(&engine_b, interval);
+                history.drain();
+                let monitor = PullHistory::start(&history, interval);
                 let d = run_b();
-                last_report = Some(monitor.stop(&engine_b));
+                last_report = Some(monitor.stop());
                 d
             },
         );
         let report = last_report.expect("at least one monitored round");
+        // Exact when every query of the run was picked up.
+        let missed = if report.records_copied == workload.len() as u64 {
+            0
+        } else {
+            K
+        };
         println!(
             "{:<22} {:>12.3?} {:>12.3?} {:>9.2}% {:>9} {:>14} {:>11} KiB",
             format!("PULL_history@{label}"),
             base,
             t,
             over,
-            0, // exact by construction: nothing is lost server-side
+            missed,
             report.records_copied,
             report.peak_history_bytes / 1024
         );

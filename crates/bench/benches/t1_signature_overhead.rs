@@ -15,7 +15,6 @@
 use std::time::Instant;
 
 use sqlcm_bench::{banner, engine_with_db, env_u32};
-use sqlcm_engine::engine::HistoryMode;
 use sqlcm_engine::{optimizer, signature};
 use sqlcm_sql::{parse_statement, Statement};
 
@@ -48,7 +47,7 @@ const LADDER: &[(&str, &str)] = &[
 
 fn main() {
     let iters = env_u32("SQLCM_QUERIES", 2_000) as usize;
-    let (engine, _db) = engine_with_db(env_u32("SQLCM_ORDERS", 2_000), HistoryMode::Disabled);
+    let (engine, _db) = engine_with_db(env_u32("SQLCM_ORDERS", 2_000));
     banner(
         "T1: signature computation overhead relative to optimization (§6.2.1)",
         &format!("{iters} timed iterations per template; paper extremes: 0.5% → 0.011%"),

@@ -17,14 +17,13 @@
 
 use sqlcm_bench::{banner, engine_with_db, env_u32};
 use sqlcm_core::Sqlcm;
-use sqlcm_engine::engine::HistoryMode;
 use sqlcm_engine::instrument::NullInstrumentation;
 use sqlcm_workloads::{mixed, run_queries};
 
 fn main() {
     let orders = env_u32("SQLCM_ORDERS", 10_000);
     let n_queries = env_u32("SQLCM_QUERIES", 10_000);
-    let (engine, db) = engine_with_db(orders, HistoryMode::Disabled);
+    let (engine, db) = engine_with_db(orders);
     let workload = mixed::point_select_workload(&db, n_queries, 7);
     banner(
         "T2: probe overhead with no / null / rule-less monitoring (§6.2.1)",

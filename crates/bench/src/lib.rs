@@ -11,7 +11,6 @@
 
 use std::time::{Duration, Instant};
 
-use sqlcm_engine::engine::{EngineConfig, HistoryMode};
 use sqlcm_engine::Engine;
 use sqlcm_workloads::tpch::{self, TpchConfig, TpchDb};
 
@@ -27,12 +26,9 @@ pub fn env_flag(name: &str) -> bool {
     std::env::var(name).map(|v| v == "1").unwrap_or(false)
 }
 
-/// Build an engine (optionally with history) and load TPC-H-lite at `orders`.
-pub fn engine_with_db(orders: u32, history: HistoryMode) -> (Engine, TpchDb) {
-    let engine = Engine::new(EngineConfig {
-        history,
-        ..Default::default()
-    });
+/// Build an engine and load TPC-H-lite at `orders`.
+pub fn engine_with_db(orders: u32) -> (Engine, TpchDb) {
+    let engine = Engine::in_memory();
     let db = tpch::load(
         &engine,
         TpchConfig {

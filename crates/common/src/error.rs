@@ -40,14 +40,6 @@ pub enum Error {
     Io(String),
 }
 
-impl Error {
-    /// True when the statement may be retried after the conflicting transaction
-    /// finishes (deadlock victim / lock timeout).
-    pub fn is_transient(&self) -> bool {
-        matches!(self, Error::LockTimeout { .. } | Error::Deadlock { .. })
-    }
-}
-
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -85,21 +77,6 @@ impl From<std::io::Error> for Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn transient_classification() {
-        assert!(Error::Deadlock {
-            resource: "t/1".into()
-        }
-        .is_transient());
-        assert!(Error::LockTimeout {
-            resource: "t/1".into(),
-            waited_micros: 10
-        }
-        .is_transient());
-        assert!(!Error::Cancelled.is_transient());
-        assert!(!Error::Parse("x".into()).is_transient());
-    }
 
     #[test]
     fn io_conversion_preserves_message() {

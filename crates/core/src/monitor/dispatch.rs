@@ -1213,8 +1213,9 @@ impl SqlcmInner {
                     .get("ID")
                     .and_then(|v| v.as_i64())
                     .ok_or_else(|| Error::Monitor("object has no ID".into()))?;
-                // Only signals the executing thread(s); see §5.
-                self.engine.active.cancel(id as u64);
+                // Only signals the executing thread(s), waking a lock wait;
+                // see §5.3.
+                self.engine.cancel_query(id as u64);
                 Ok(())
             }
             Action::SetTimer {

@@ -417,13 +417,10 @@ mod tests {
     use crate::objects::ClassName;
     use crate::rules::Rule;
     use sqlcm_common::{EngineEvent, Value};
-    use sqlcm_engine::engine::{EngineConfig, HistoryMode};
+    use sqlcm_engine::engine::EngineConfig;
 
     fn setup() -> (Engine, Sqlcm) {
-        let engine = Engine::new(EngineConfig {
-            history: HistoryMode::Disabled,
-            ..Default::default()
-        });
+        let engine = Engine::in_memory();
         engine
             .execute_batch("CREATE TABLE t (id INT PRIMARY KEY, v INT);")
             .unwrap();

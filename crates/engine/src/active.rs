@@ -205,16 +205,6 @@ impl ActiveRegistry {
         self.queries.read().is_empty()
     }
 
-    /// Number of live queries issued by `user` — powers the per-user concurrency
-    /// cap of resource-governing Example 5 (b).
-    pub fn count_for_user(&self, user: &str) -> usize {
-        self.queries
-            .read()
-            .values()
-            .filter(|q| &*q.user == user)
-            .count()
-    }
-
     /// Snapshot every live query's probe attributes. This is the polling surface
     /// the PULL baseline hits; its cost *scales with the number of live queries*,
     /// which is exactly the overhead-vs-accuracy trade-off of Figure 3.
@@ -232,8 +222,9 @@ impl ActiveRegistry {
         self.queries.read().values().cloned().collect()
     }
 
-    /// Signal cancellation of query `id`; true if it was live.
-    pub fn cancel(&self, id: u64) -> bool {
+    /// Signal cancellation of query `id`; true if it was live. Callers go
+    /// through `EngineInner::cancel_query`, which also wakes lock waiters.
+    pub(crate) fn cancel(&self, id: u64) -> bool {
         match self.get(id) {
             Some(q) => {
                 q.request_cancel();
@@ -293,14 +284,12 @@ mod tests {
     }
 
     #[test]
-    fn per_user_counts() {
+    fn len_counts_live_queries() {
         let (clock, _) = ManualClock::shared(0);
         let reg = ActiveRegistry::new(clock);
         for id in 0..5 {
             reg.register(q(id));
         }
-        assert_eq!(reg.count_for_user("alice"), 5);
-        assert_eq!(reg.count_for_user("bob"), 0);
         assert_eq!(reg.len(), 5);
     }
 

@@ -1,5 +1,5 @@
 //! The engine facade: configuration, construction, connections, and the
-//! monitoring-facing surface (attach/detach, snapshots, history, cancel).
+//! monitoring-facing surface (attach/detach, snapshots, cancel).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -12,7 +12,6 @@ use crate::active::{ActiveQueryState, ActiveRegistry};
 use crate::catalog::Catalog;
 use crate::exec::ExecCtx;
 use crate::expr::Params;
-use crate::history::HistoryBuffer;
 use crate::instrument::{Instrumentation, Multicast};
 use crate::lock::LockManager;
 use crate::plancache::{PlanCache, PlanCacheStats};
@@ -25,17 +24,8 @@ const BUFFER_POOL_FRAMES: usize = 4096;
 /// Statement templates the plan cache keeps.
 const PLAN_CACHE_CAPACITY: usize = 1024;
 
-/// Completed-query history retention (the PULL_history substrate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HistoryMode {
-    Disabled,
-    Unbounded,
-    Bounded(usize),
-}
-
 /// Engine construction knobs.
 pub struct EngineConfig {
-    pub history: HistoryMode,
     pub lock_wait_timeout: Duration,
     /// Override the clock (tests pass a `ManualClock`).
     pub clock: Option<SharedClock>,
@@ -44,7 +34,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            history: HistoryMode::Disabled,
             lock_wait_timeout: Duration::from_secs(10),
             clock: None,
         }
@@ -58,7 +47,6 @@ pub struct EngineInner {
     pub clock: SharedClock,
     pub monitors: Arc<Multicast>,
     pub active: ActiveRegistry,
-    pub history: Option<HistoryBuffer>,
     pub plan_cache: PlanCache,
     pub(crate) next_query_id: AtomicU64,
     pub(crate) next_txn_id: AtomicU64,
@@ -77,11 +65,6 @@ impl Engine {
         let monitors = Arc::new(Multicast::new());
         let mut locks = LockManager::new(clock.clone(), monitors.clone());
         locks.wait_timeout = config.lock_wait_timeout;
-        let history = match config.history {
-            HistoryMode::Disabled => None,
-            HistoryMode::Unbounded => Some(HistoryBuffer::new(None)),
-            HistoryMode::Bounded(n) => Some(HistoryBuffer::new(Some(n))),
-        };
         Engine {
             inner: Arc::new(EngineInner {
                 catalog: Catalog::new(pool),
@@ -89,7 +72,6 @@ impl Engine {
                 clock: clock.clone(),
                 monitors,
                 active: ActiveRegistry::new(clock),
-                history,
                 plan_cache: PlanCache::new(PLAN_CACHE_CAPACITY),
                 next_query_id: AtomicU64::new(1),
                 next_txn_id: AtomicU64::new(1),
@@ -161,15 +143,10 @@ impl Engine {
         self.inner.active.snapshot_all()
     }
 
-    /// The completed-query history buffer, when enabled (PULL_history surface).
-    pub fn history(&self) -> Option<&HistoryBuffer> {
-        self.inner.history.as_ref()
-    }
-
     /// Signal cancellation of a running query (the `Cancel()` action's engine
     /// half). True if the query was live.
     pub fn cancel_query(&self, query_id: u64) -> bool {
-        self.inner.active.cancel(query_id)
+        self.inner.cancel_query(query_id)
     }
 
     /// Current blocker/blocked pairs from the lock graph (timer-driven rules).
@@ -199,6 +176,16 @@ impl Engine {
 }
 
 impl EngineInner {
+    /// Signal cancellation of query `id` and wake every lock waiter, so one
+    /// the query is parked in sees the signal. True if the query was live.
+    pub fn cancel_query(&self, id: u64) -> bool {
+        let live = self.active.cancel(id);
+        if live {
+            self.locks.wake_waiters();
+        }
+        live
+    }
+
     pub(crate) fn next_query_id(&self) -> u64 {
         self.next_query_id.fetch_add(1, Ordering::Relaxed)
     }

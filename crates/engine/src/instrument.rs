@@ -189,6 +189,20 @@ pub(crate) mod test_support {
         pub fn names(&self) -> Vec<&'static str> {
             self.events.lock().iter().map(|e| e.name()).collect()
         }
+
+        /// The queries of every `Query.Commit`, `Rollback` and `Cancel` seen.
+        pub fn completed(&self) -> Vec<sqlcm_common::QueryInfo> {
+            self.events
+                .lock()
+                .iter()
+                .filter_map(|e| match e {
+                    EngineEvent::QueryCommit(q)
+                    | EngineEvent::QueryRollback(q)
+                    | EngineEvent::QueryCancel(q) => Some(q.clone()),
+                    _ => None,
+                })
+                .collect()
+        }
     }
 }
 

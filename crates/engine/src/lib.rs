@@ -21,7 +21,6 @@
 //! | transactions with strict 2PL + undo | `Transaction` monitored class, transaction signatures |
 //! | stored procedures with parameters and IF/ELSE | outlier detection per code path (§4.2 (3)) |
 //! | active-query snapshot API | the PULL baseline, rules iterating over live objects (§5.2), `Cancel()` |
-//! | bounded completed-query history | the PULL_history baseline |
 //! | cooperative cancellation | the `Cancel()` action (§5.3) |
 
 pub mod active;
@@ -29,7 +28,6 @@ pub mod catalog;
 pub mod engine;
 pub mod exec;
 pub mod expr;
-pub mod history;
 pub mod instrument;
 pub mod lock;
 pub mod optimizer;
@@ -43,7 +41,6 @@ pub mod txn;
 pub use active::{ActiveQueryState, ActiveRegistry};
 pub use catalog::{Catalog, ColumnInfo, TableInfo, TableLayout};
 pub use engine::{Engine, EngineConfig};
-pub use history::HistoryBuffer;
 pub use instrument::{Instrumentation, Multicast, NullInstrumentation};
 pub use lock::{LockManager, LockMode, ResourceId};
 pub use plan::{LogicalPlan, PhysicalPlan};

@@ -18,7 +18,9 @@
 //! Modes are the classic hierarchy IS/IX/S/X; tables take intention locks, rows
 //! take S/X. Waiters queue FIFO; releases grant the longest compatible prefix of
 //! the queue. Deadlocks are detected at block time by building the wait-for graph
-//! from live queues (the requester is the victim).
+//! from live queues (the requester is the victim). A waiter also gives up when
+//! its query is cancelled: [`LockManager::wake_waiters`] makes every parked
+//! waiter re-read its query's flag (§5.3's `Cancel()` reaches a blocked query).
 //!
 //! The table holds live locks only. An entry is made by the first request for
 //! its resource and removed once no transaction holds or waits on it and no
@@ -29,6 +31,7 @@
 //! under it, so the count a remover reads under that lock can only fall.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -114,17 +117,13 @@ impl Holder {
     }
 }
 
-struct WaitSlot {
-    granted: bool,
-    /// Makes the waiter give up with `Cancelled` (only tests set it).
-    aborted: bool,
-}
-
 struct Waiter {
     txn: u64,
     mode: LockMode,
     query: Arc<ActiveQueryState>,
-    slot: Arc<Mutex<WaitSlot>>,
+    /// Set by the release that grants the request; written and read only
+    /// under the entry's state lock.
+    granted: Arc<AtomicBool>,
     since_micros: u64,
 }
 
@@ -168,7 +167,7 @@ impl LockState {
             }
             let w = self.queue.pop_front().expect("front checked");
             self.grant(w.txn, w.mode, &w.query);
-            w.slot.lock().granted = true;
+            w.granted.store(true, Ordering::Relaxed);
             granted_any = true;
         }
         granted_any
@@ -247,7 +246,7 @@ impl LockManager {
         mode: LockMode,
     ) -> Result<()> {
         let entry = self.entry(res);
-        let (slot, blocker_snapshot, blocked_snapshot) = {
+        let (granted, blocker_snapshot, blocked_snapshot) = {
             let mut state = entry.state.lock();
             // Re-entrant / already-covered?
             if let Some(h) = state.holders.get(&txn) {
@@ -256,16 +255,6 @@ impl LockManager {
                 }
             }
             if state.queue.is_empty() && state.other_holders_compatible(txn, mode) {
-                state.grant(txn, mode, query);
-                self.stats.lock().acquisitions += 1;
-                return Ok(());
-            }
-            // Upgrade fast-path: if we're the only holder, jump the queue check
-            // against holders only (waiters behind us can't hold anything here).
-            if state.holders.len() == 1
-                && state.holders.contains_key(&txn)
-                && state.queue.is_empty()
-            {
                 state.grant(txn, mode, query);
                 self.stats.lock().acquisitions += 1;
                 return Ok(());
@@ -279,15 +268,12 @@ impl LockManager {
                     // Blocked purely by queue fairness: designate the head waiter.
                     state.queue.front().map(|w| w.query.clone())
                 });
-            let slot = Arc::new(Mutex::new(WaitSlot {
-                granted: false,
-                aborted: false,
-            }));
+            let granted = Arc::new(AtomicBool::new(false));
             state.queue.push_back(Waiter {
                 txn,
                 mode,
                 query: query.clone(),
-                slot: slot.clone(),
+                granted: granted.clone(),
                 since_micros: now,
             });
             let blocker_snapshot = blocker.map(|b| {
@@ -296,7 +282,7 @@ impl LockManager {
             });
             query.note_blocked_once();
             let blocked_snapshot = query.snapshot(now);
-            (slot, blocker_snapshot, blocked_snapshot)
+            (granted, blocker_snapshot, blocked_snapshot)
         };
         self.stats.lock().waits += 1;
 
@@ -319,14 +305,14 @@ impl LockManager {
                         })
                     });
             }
-            self.park(&entry, &slot, res)
+            self.park(&entry, &granted, query, res)
         };
         let waited = match parked {
             Ok(waited) => waited,
             // A release may grant the request before it leaves the queue; the
             // grant stands then, so no lock outlives its transaction's list.
             Err(err) => {
-                if !self.leave(res, entry, &slot) {
+                if !self.leave(res, entry, &granted) {
                     let mut stats = self.stats.lock();
                     stats.deadlocks += u64::from(matches!(err, Error::Deadlock { .. }));
                     stats.timeouts += u64::from(matches!(err, Error::LockTimeout { .. }));
@@ -354,17 +340,23 @@ impl LockManager {
         Ok(())
     }
 
-    /// Park until `slot` is granted (returns the wait in µs), aborted, or the
-    /// wait times out. The waiter stays queued either way.
-    fn park(&self, entry: &LockEntry, slot: &Mutex<WaitSlot>, res: &ResourceId) -> Result<u64> {
+    /// Park until the request is `granted` (returns the wait in µs), `query` is
+    /// cancelled, or the wait times out. The waiter stays queued either way.
+    fn park(
+        &self,
+        entry: &LockEntry,
+        granted: &AtomicBool,
+        query: &ActiveQueryState,
+        res: &ResourceId,
+    ) -> Result<u64> {
         let started = std::time::Instant::now();
         let start_micros = self.clock.now_micros();
         let mut state = entry.state.lock();
         loop {
-            if slot.lock().granted {
+            if granted.load(Ordering::Relaxed) {
                 return Ok(self.clock.now_micros() - start_micros);
             }
-            if slot.lock().aborted {
+            if query.is_cancelled() {
                 return Err(Error::Cancelled);
             }
             let remaining = self.wait_timeout.saturating_sub(started.elapsed());
@@ -382,12 +374,12 @@ impl LockManager {
     /// that leaves it idle. Returns true when a release granted the request
     /// first. `entry` is dropped under the table lock, so the next check sees
     /// the true count.
-    fn leave(&self, res: &ResourceId, entry: Arc<LockEntry>, slot: &Mutex<WaitSlot>) -> bool {
+    fn leave(&self, res: &ResourceId, entry: Arc<LockEntry>, slot: &AtomicBool) -> bool {
         let mut table = self.table.lock();
         let mut state = entry.state.lock();
-        let granted = slot.lock().granted;
+        let granted = slot.load(Ordering::Relaxed);
         if !granted {
-            state.queue.retain(|w| !std::ptr::eq(&*w.slot, slot));
+            state.queue.retain(|w| !std::ptr::eq(&*w.granted, slot));
             // Our departure may unblock others (e.g. an upgrade behind us).
             if state.grant_from_queue() {
                 entry.cv.notify_all();
@@ -491,6 +483,19 @@ impl LockManager {
             }
         }
         out
+    }
+
+    /// Wake every parked waiter to re-read its query's cancel flag. Each
+    /// entry's state is locked before the notify, so a waiter between its
+    /// check and its wait cannot miss it.
+    pub fn wake_waiters(&self) {
+        let table = self.table.lock();
+        for entry in table.values() {
+            let state = entry.state.lock();
+            if !state.queue.is_empty() {
+                entry.cv.notify_all();
+            }
+        }
     }
 
     /// Number of resources some transaction holds or waits on (or is about
@@ -801,19 +806,21 @@ mod tests {
         let (m, spy) = mgr();
         let m = Arc::new(m);
         let r = ResourceId::Row(1, vec![Value::Int(4)]);
-        let t = held_and_awaited(&m, &spy, &r);
-        {
-            let table = m.table.lock();
-            let entry = &table[&r];
-            for w in &entry.state.lock().queue {
-                w.slot.lock().aborted = true;
-            }
-            entry.cv.notify_all();
-        }
+        m.acquire(1, &mk_query(1), &r, LockMode::Exclusive).unwrap();
+        let waiter = mk_query(2);
+        let (m2, r2, w2) = (m.clone(), r.clone(), waiter.clone());
+        let t = thread::spawn(move || m2.acquire(2, &w2, &r2, LockMode::Shared));
+        await_blocked(&spy);
+        waiter.request_cancel();
+        m.wake_waiters();
         assert!(matches!(t.join().unwrap(), Err(Error::Cancelled)));
         assert!(m.blocked_pairs().is_empty(), "the waiter left the queue");
         m.release_all(1, std::slice::from_ref(&r));
-        assert_eq!(m.resource_count(), 0, "no grant went to the aborted waiter");
+        assert_eq!(
+            m.resource_count(),
+            0,
+            "no grant went to the cancelled waiter"
+        );
     }
 
     #[test]

@@ -261,7 +261,7 @@ impl Session {
     }
 
     /// Finish a query: emit `Query.Commit`, `Query.Cancel` or `Query.Rollback`
-    /// for its outcome, unregister it and append it to the history.
+    /// for its outcome and unregister it.
     fn finish_query(&self, query: &ActiveQueryState, result: &Result<QueryResult>) {
         let end = self.engine.clock.now_micros();
         query.finish(end);
@@ -274,9 +274,6 @@ impl Session {
             .monitors
             .emit_with_kind(kind, || event(query.snapshot(end)));
         self.engine.active.unregister(query.id);
-        if let Some(h) = &self.engine.history {
-            h.append(query.snapshot(end));
-        }
     }
 
     fn execute_body(
@@ -583,15 +580,12 @@ impl Drop for Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, EngineConfig, HistoryMode};
+    use crate::engine::{Engine, EngineConfig};
     use crate::instrument::test_support::Spy;
     use crate::procedure::StoredProcedure;
 
     fn engine() -> Engine {
-        let e = Engine::new(EngineConfig {
-            history: HistoryMode::Unbounded,
-            ..Default::default()
-        });
+        let e = Engine::in_memory();
         e.execute_batch(
             "CREATE TABLE items (id INT PRIMARY KEY, name TEXT, qty INT, price FLOAT);",
         )
@@ -730,13 +724,15 @@ mod tests {
     }
 
     #[test]
-    fn history_records_completed_queries() {
+    fn completion_probes_carry_every_finished_query() {
         let e = engine();
+        let spy = Arc::new(Spy::default());
+        e.attach_monitor(spy.clone());
         let mut s = e.connect("a", "b");
         s.execute("INSERT INTO items VALUES (1, 'x', 1, 1.0)")
             .unwrap();
         s.execute("SELECT * FROM items").unwrap();
-        let h = e.history().unwrap().drain();
+        let h = spy.completed();
         assert_eq!(h.len(), 2);
         assert!(h.iter().all(|q| q.duration_micros < u64::MAX));
     }
@@ -954,7 +950,7 @@ mod tests {
                 if let EngineEvent::QueryStart(q) = ev {
                     if q.query_type == QueryType::Select && !self.fired.swap(true, Ordering::SeqCst)
                     {
-                        self.engine.active.cancel(q.id);
+                        self.engine.cancel_query(q.id);
                     }
                 }
             }
@@ -1003,7 +999,7 @@ mod tests {
                 if let EngineEvent::QueryStart(q) = ev {
                     if q.query_type == QueryType::Delete && !self.fired.swap(true, Ordering::SeqCst)
                     {
-                        self.engine.active.cancel(q.id);
+                        self.engine.cancel_query(q.id);
                     }
                 }
             }
@@ -1088,7 +1084,6 @@ mod tests {
     #[test]
     fn failing_exec_ends_its_own_transaction_once() {
         let e = Engine::new(EngineConfig {
-            history: HistoryMode::Unbounded,
             lock_wait_timeout: std::time::Duration::from_millis(200),
             ..Default::default()
         });
@@ -1108,7 +1103,6 @@ mod tests {
                 .unwrap(),
             )
             .unwrap();
-        e.history().unwrap().drain();
         let spy = Arc::new(Spy::default());
         e.attach_monitor(spy.clone());
         let mut s = e.connect("a", "b");
@@ -1140,9 +1134,9 @@ mod tests {
         e.connect("c", "d")
             .execute("INSERT INTO items VALUES (7, 'z', 1, 1.0)")
             .unwrap();
-        // The EXEC reaches the history alongside its two statements.
-        let history = e.history().unwrap().drain();
-        let texts: Vec<&str> = history.iter().map(|q| &*q.text).collect();
+        // The EXEC completes alongside its two statements.
+        let completed = spy.completed();
+        let texts: Vec<&str> = completed.iter().map(|q| &*q.text).collect();
         assert!(texts.contains(&"EXEC pair(7, 1)"), "{texts:?}");
     }
 

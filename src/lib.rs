@@ -25,7 +25,7 @@ pub use sqlcm_workloads as workloads;
 
 /// Convenience prelude with the names almost every user needs.
 pub mod prelude {
-    pub use sqlcm_baselines::{PullHistory, PullMonitor, QueryLogging};
+    pub use sqlcm_baselines::{PullHistory, PullMonitor, QueryLogging, ServerHistory};
     pub use sqlcm_common::{Error, Result, Value};
     pub use sqlcm_core::{
         chrome_trace_json, Action, Lat, LatAggFunc, LatSpec, MonitorConfig, Rule, RuleEvent,

@@ -2,16 +2,15 @@
 
 use std::time::Duration;
 
+use std::sync::Arc;
+
 use sqlcm_repro::baselines::{missed_count, top_k, QueryCost};
-use sqlcm_repro::engine::engine::{EngineConfig, HistoryMode};
 use sqlcm_repro::prelude::*;
 use sqlcm_repro::workloads::{mixed, run_queries, tpch};
 
-fn history_engine() -> (Engine, sqlcm_repro::workloads::TpchDb) {
-    let engine = Engine::new(EngineConfig {
-        history: HistoryMode::Unbounded,
-        ..Default::default()
-    });
+fn history_engine() -> (Engine, Arc<ServerHistory>, sqlcm_repro::workloads::TpchDb) {
+    let engine = Engine::in_memory();
+    let history = ServerHistory::attach(&engine);
     let db = tpch::load(
         &engine,
         tpch::TpchConfig {
@@ -22,28 +21,22 @@ fn history_engine() -> (Engine, sqlcm_repro::workloads::TpchDb) {
         },
     )
     .unwrap();
-    (engine, db)
+    (engine, history, db)
 }
 
-fn run_and_truth(engine: &Engine, w: &[mixed::WorkloadQuery]) -> Vec<QueryCost> {
-    engine.history().unwrap().drain();
+fn run_and_truth(
+    engine: &Engine,
+    history: &ServerHistory,
+    w: &[mixed::WorkloadQuery],
+) -> Vec<QueryCost> {
+    history.drain();
     run_queries(engine, w).unwrap();
-    engine
-        .history()
-        .unwrap()
-        .drain()
-        .into_iter()
-        .map(|q| QueryCost {
-            query_id: q.id,
-            text: q.text,
-            duration_micros: q.duration_micros,
-        })
-        .collect()
+    history.drain().into_iter().map(QueryCost::from).collect()
 }
 
 #[test]
 fn query_logging_is_lossless_and_matches_truth() {
-    let (engine, db) = history_engine();
+    let (engine, history, db) = history_engine();
     let w = mixed::generate(
         &db,
         mixed::MixedConfig {
@@ -54,7 +47,7 @@ fn query_logging_is_lossless_and_matches_truth() {
     );
     let log = QueryLogging::in_memory();
     log.attach(&engine);
-    let truth = run_and_truth(&engine, &w);
+    let truth = run_and_truth(&engine, &history, &w);
     engine.detach_monitor("query_logging");
     assert_eq!(log.logged() as usize, w.len());
     let top_truth = top_k(&truth, 10);
@@ -66,7 +59,7 @@ fn query_logging_is_lossless_and_matches_truth() {
 
 #[test]
 fn pull_misses_what_completes_between_polls() {
-    let (engine, db) = history_engine();
+    let (engine, history, db) = history_engine();
     let w = mixed::generate(
         &db,
         mixed::MixedConfig {
@@ -77,7 +70,7 @@ fn pull_misses_what_completes_between_polls() {
     );
     // Glacial polling: almost everything completes between polls.
     let monitor = PullMonitor::start(&engine, Duration::from_secs(30));
-    let truth = run_and_truth(&engine, &w);
+    let truth = run_and_truth(&engine, &history, &w);
     let report = monitor.stop();
     let top_truth = top_k(&truth, 10);
     let missed = missed_count(&top_truth, &report.top_k(10));
@@ -89,7 +82,7 @@ fn pull_misses_what_completes_between_polls() {
 
 #[test]
 fn pull_history_is_exact_at_any_rate() {
-    let (engine, db) = history_engine();
+    let (engine, history, db) = history_engine();
     let w = mixed::generate(
         &db,
         mixed::MixedConfig {
@@ -98,10 +91,10 @@ fn pull_history_is_exact_at_any_rate() {
             seed: 3,
         },
     );
-    engine.history().unwrap().drain(); // discard the data-load entries
-    let monitor = PullHistory::start(&engine, Duration::from_millis(50));
+    history.drain(); // discard the data-load entries
+    let monitor = PullHistory::start(&history, Duration::from_millis(50));
     run_queries(&engine, &w).unwrap();
-    let report = monitor.stop(&engine);
+    let report = monitor.stop();
     assert_eq!(
         report.observed.len(),
         w.len(),
@@ -115,7 +108,7 @@ fn pull_history_is_exact_at_any_rate() {
 #[test]
 fn sqlcm_lat_matches_logging_answer() {
     // SQLCM's 10-row LAT and the lossless log must agree on the top-10 ids.
-    let (engine, db) = history_engine();
+    let (engine, history, db) = history_engine();
     let w = mixed::generate(
         &db,
         mixed::MixedConfig {
@@ -141,7 +134,7 @@ fn sqlcm_lat_matches_logging_answer() {
                 .then(Action::insert("TopK")),
         )
         .unwrap();
-    let truth = run_and_truth(&engine, &w);
+    let truth = run_and_truth(&engine, &history, &w);
     let top_truth = top_k(&truth, 10);
     let lat_ids: Vec<u64> = sqlcm
         .lat("TopK")

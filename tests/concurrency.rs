@@ -472,3 +472,83 @@ fn hot_rows_leave_an_empty_lock_table() {
     assert_eq!(e.handle().locks.resource_count(), 0);
     assert!(e.blocked_pairs().is_empty());
 }
+
+/// Sends the blocked query's id on each `Query.Blocked` probe.
+struct BlockedIds(std::sync::mpsc::Sender<u64>);
+
+impl sqlcm_repro::engine::Instrumentation for BlockedIds {
+    fn on_event(&self, event: &sqlcm_repro::common::EngineEvent) {
+        if let sqlcm_repro::common::EngineEvent::QueryBlocked(pair) = event {
+            let _ = self.0.send(pair.blocked.id);
+        }
+    }
+
+    fn name(&self) -> &str {
+        "blocked-ids"
+    }
+}
+
+/// Start a point select on row 1 behind `writer`'s X lock on it; returns the
+/// reader's thread, which reports its result and the instant it returned.
+fn read_behind_a_writer(
+    e: &Engine,
+    writer: &mut Session,
+) -> std::thread::JoinHandle<(Result<Vec<Vec<Value>>>, std::time::Instant)> {
+    writer.execute("BEGIN").unwrap();
+    writer
+        .execute("UPDATE acc SET bal = 0 WHERE id = 1")
+        .unwrap();
+    let mut r = e.connect("reader", "t");
+    std::thread::spawn(move || {
+        let rows = r
+            .execute("SELECT bal FROM acc WHERE id = 1")
+            .map(|r| r.rows);
+        (rows, std::time::Instant::now())
+    })
+}
+
+#[test]
+fn cancelling_a_blocked_query_ends_its_lock_wait() {
+    let e = engine();
+    let (tx, blocked) = std::sync::mpsc::channel();
+    e.attach_monitor(Arc::new(BlockedIds(tx)));
+    let mut w = e.connect("writer", "t");
+    let reader = read_behind_a_writer(&e, &mut w);
+    let id = blocked.recv().unwrap();
+    let cancelled_at = std::time::Instant::now();
+    assert!(e.cancel_query(id), "the blocked query is live");
+    let (rows, returned_at) = reader.join().unwrap();
+    assert_eq!(rows.unwrap_err(), Error::Cancelled);
+    let waited = returned_at - cancelled_at;
+    assert!(
+        waited < Duration::from_millis(500),
+        "the wait ended {waited:?} after the cancel"
+    );
+    assert!(e.blocked_pairs().is_empty(), "the reader left the queue");
+    w.execute("COMMIT").unwrap();
+}
+
+#[test]
+fn a_cancel_rule_on_query_blocked_ends_the_wait_at_once() {
+    let e = engine();
+    let sqlcm = Sqlcm::attach(&e);
+    sqlcm
+        .add_rule(
+            Rule::new("free")
+                .on(RuleEvent::QueryBlocked)
+                .then(Action::cancel("Blocked")),
+        )
+        .unwrap();
+    let mut w = e.connect("writer", "t");
+    let started = std::time::Instant::now();
+    let reader = read_behind_a_writer(&e, &mut w);
+    let (rows, returned_at) = reader.join().unwrap();
+    assert_eq!(rows.unwrap_err(), Error::Cancelled);
+    let took = returned_at - started;
+    assert!(
+        took < Duration::from_millis(500),
+        "the blocked select took {took:?}"
+    );
+    assert_eq!(sqlcm.stats().fires, 1);
+    w.execute("COMMIT").unwrap();
+}

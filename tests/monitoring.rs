@@ -1,7 +1,7 @@
 //! Integration tests: the five Section-3 monitoring scenarios, end to end
 //! through the public API (engine + SQLCM attached as a monitor).
 
-use sqlcm_repro::engine::engine::{EngineConfig as Cfg, HistoryMode};
+use sqlcm_repro::engine::engine::EngineConfig as Cfg;
 use sqlcm_repro::monitor::objects;
 use sqlcm_repro::prelude::*;
 use sqlcm_repro::workloads::{blocking, mixed, procs, run_queries, tpch};
@@ -144,10 +144,8 @@ fn example2_blocking_delay_attribution() {
 #[test]
 fn example3_topk_matches_ground_truth() {
     // History gives the exact per-run truth; the LAT must agree with it.
-    let engine = Engine::new(Cfg {
-        history: HistoryMode::Unbounded,
-        ..Default::default()
-    });
+    let engine = Engine::in_memory();
+    let history = ServerHistory::attach(&engine);
     let db = small_db(&engine);
     let sqlcm = Sqlcm::attach(&engine);
     sqlcm.define_topk_duration_lat("TopK", 5).unwrap();
@@ -158,7 +156,7 @@ fn example3_topk_matches_ground_truth() {
                 .then(Action::insert("TopK")),
         )
         .unwrap();
-    engine.history().unwrap().drain();
+    history.drain();
     let w = mixed::generate(
         &db,
         mixed::MixedConfig {
@@ -170,7 +168,7 @@ fn example3_topk_matches_ground_truth() {
     run_queries(&engine, &w).unwrap();
 
     // Truth: per-signature max duration, top 5.
-    let all = engine.history().unwrap().drain();
+    let all = history.drain();
     let mut per_sig: std::collections::HashMap<u64, f64> = std::collections::HashMap::new();
     for q in &all {
         let sig = q.logical_signature.unwrap();
